@@ -407,10 +407,10 @@ class BoundKernel:
         (or several view requirements), the fibertree views and
         transposed dense copies are memoized instead of rebuilt.
         """
-        with obs_trace.span("prepare", tensors=len(tensors)):
-            return self._prepare(tensors)
+        with obs_trace.span("prepare", tensors=len(tensors)) as sp:
+            return self._prepare(tensors, sp)
 
-    def _prepare(self, tensors: Mapping[str, object]) -> Dict[str, object]:
+    def _prepare(self, tensors: Mapping[str, object], sp) -> Dict[str, object]:
         args: Dict[str, object] = {}
         wrapped: Dict[str, Tensor] = {}
         by_identity: Dict[Tuple, Tensor] = {}
@@ -425,11 +425,15 @@ class BoundKernel:
 
         # sparse views: Tensor.view memoizes per (mode_order, levels,
         # filter) on the wrapped tensor, so shared tensors share realizations
+        presorted = 0
         for view in self.lowered.sparse_views:
             tensor = wrapped[view.tensor]
             fiber = tensor.view(view.mode_order, view.levels, view.tensor_filter)
+            presorted += fiber.presorted
             for arr_name, arr in fiber.arrays().items():
                 args["%s_%s" % (view.name, arr_name)] = arr
+        views = len(self.lowered.sparse_views)
+        sp.add(views=views, sorted=presorted, sorts=views - presorted)
 
         dense_base: Dict[int, np.ndarray] = {}
         dense_perm: Dict[Tuple[int, Tuple[int, ...]], np.ndarray] = {}

@@ -70,10 +70,19 @@ def replicate_output(
     nontrivial = [sorted(p) for p in mode_parts if len(p) >= 2]
     if not nontrivial:
         return arr
-    index = list(np.indices(arr.shape))
+    index = list(np.ogrid[tuple(slice(n) for n in arr.shape)])
+    if len(nontrivial) == 1 and len(nontrivial[0]) == 2:
+        a, b = nontrivial[0]
+        # (where keeps a transposed input's layout; the gather below, like
+        # every caller, deals in C-contiguous results)
+        return np.ascontiguousarray(
+            np.where(index[a] >= index[b], arr, np.swapaxes(arr, a, b))
+        )
     for group in nontrivial:
-        stacked = np.stack([index[m] for m in group])
-        stacked = -np.sort(-stacked, axis=0)  # descending == canonical
+        # descending == canonical; the sort broadcasts the open grids of
+        # the group against each other only, never to the full shape
+        grids = np.broadcast_arrays(*(index[m] for m in group))
+        stacked = -np.sort(-np.stack(grids), axis=0)
         for t, m in enumerate(group):
             index[m] = stacked[t]
     return arr[tuple(index)]

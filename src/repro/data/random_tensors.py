@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.tensor.coo import COO
+from repro.tensor.coo import COO, _lex_order
 from repro.tensor.tensor import Tensor
 
 
@@ -44,8 +44,9 @@ def erdos_renyi_symmetric(
     coords = rng.integers(0, n, size=(order, draws))
     coords = -np.sort(-coords, axis=0)  # non-increasing per column
     # dedup columns
-    order_ix = np.lexsort(coords[::-1])
-    coords = coords[:, order_ix]
+    order_ix = _lex_order(coords, (n,) * order)
+    if order_ix is not None:
+        coords = coords[:, order_ix]
     keep = np.concatenate(
         ([True], np.any(coords[:, 1:] != coords[:, :-1], axis=0))
     )

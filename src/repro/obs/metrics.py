@@ -14,7 +14,8 @@ Instrumented sites across the service layer then feed the process-wide
   ``.disk`` / ``.remote`` / ``.compiled``, ``service.remote.hits`` /
   ``.retries`` / ``.fallbacks`` / ``.errors`` / ``.artifact_rejected``,
   ``rewrite.calls`` / ``rewrite.applied``, ``store.puts`` /
-  ``store.evictions`` …
+  ``store.evictions``, ``tensor.sort.skipped`` / ``.linear`` /
+  ``.lexsort_fallback`` …
 * histograms — ``service.compile_seconds``, ``plan.dispatch_seconds``,
   ``serve.request_seconds``, ``batch.requests`` /
   ``batch.queue_depth`` …

@@ -8,9 +8,12 @@ an ``(ndim, nnz)`` integer coordinate array plus a value array.  Formats
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.obs import metrics as obs_metrics
 
 
 #: value dtypes a COO payload may carry (anything else is coerced to
@@ -70,9 +73,24 @@ class COO:
             raise ValueError("coordinates out of bounds for shape %s" % (shape,))
         self.shape = tuple(int(n) for n in shape)
         if sum_duplicates and coords.shape[1]:
-            coords, vals = _sum_duplicates(coords, vals)
+            coords, vals = _sum_duplicates(coords, vals, self.shape)
         self.coords = coords
         self.vals = vals
+        # never set on a user-built COO (its arrays may be mutated in
+        # place): sortedness is re-checked, O(nnz), by every sorted_lex
+        self._sorted = False
+
+    @classmethod
+    def _derived(cls, coords, vals, shape, sorted: bool = False) -> "COO":
+        """Trusted constructor for a COO derived from a validated one.
+
+        A subset or a mode permutation of in-bounds coordinates cannot go
+        out of bounds, so nothing is coerced or re-validated.  *sorted*
+        records that the entries are known to be in lexicographic order.
+        """
+        out = cls.__new__(cls)
+        out.coords, out.vals, out.shape, out._sorted = coords, vals, shape, sorted
+        return out
 
     # ------------------------------------------------------------------
     @property
@@ -121,11 +139,8 @@ class COO:
         """This tensor with values cast to *dtype* (self when already there)."""
         if np.dtype(dtype) == self.vals.dtype:
             return self
-        return COO(
-            self.coords,
-            self.vals.astype(dtype),
-            self.shape,
-            sum_duplicates=False,
+        return COO._derived(
+            self.coords, _coerce_vals(self.vals.astype(dtype)), self.shape, self._sorted
         )
 
     # ------------------------------------------------------------------
@@ -135,25 +150,32 @@ class COO:
         order = tuple(order)
         if sorted(order) != list(range(self.ndim)):
             raise ValueError("order %s is not a permutation" % (order,))
-        return COO(
-            self.coords[list(order)],
+        identity = order == tuple(range(self.ndim))
+        return COO._derived(
+            self.coords if identity else self.coords[list(order)],
             self.vals,
             tuple(self.shape[m] for m in order),
-            sum_duplicates=False,
+            identity and self._sorted,
         )
 
     def filter(self, mask: np.ndarray) -> "COO":
-        return COO(
-            self.coords[:, mask], self.vals[mask], self.shape, sum_duplicates=False
+        """The entries selected by the boolean *mask*, in their original
+        order (one index pass, then contiguous gathers: several times
+        faster than indexing each array by the mask)."""
+        keep = np.flatnonzero(mask)
+        return COO._derived(
+            self.coords.take(keep, axis=1), self.vals.take(keep), self.shape, self._sorted
         )
 
     def sorted_lex(self) -> "COO":
-        """Sort entries lexicographically by coordinate, mode 0 outermost."""
-        if not self.nnz or self.ndim == 0:
+        """Sort entries lexicographically by coordinate, mode 0 outermost
+        (self when already in order)."""
+        order = None if self._sorted else _lex_order(self.coords, self.shape)
+        if order is None:
+            obs_metrics.inc("tensor.sort.skipped")
             return self
-        order = np.lexsort(self.coords[::-1])
-        return COO(
-            self.coords[:, order], self.vals[order], self.shape, sum_duplicates=False
+        return COO._derived(
+            self.coords.take(order, axis=1), self.vals.take(order), self.shape, sorted=True
         )
 
     def __eq__(self, other) -> bool:
@@ -170,13 +192,38 @@ class COO:
         return "COO(shape=%s, nnz=%d)" % (self.shape, self.nnz)
 
 
-def _sum_duplicates(coords: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _lex_order(coords: np.ndarray, shape: Sequence[int]) -> Optional[np.ndarray]:
+    """The stable permutation that sorts the columns of *coords*
+    lexicographically (mode 0 outermost), or None when they already are.
+
+    Coordinates are linearised to one int64 key, checked for order in
+    O(nnz) and otherwise sorted once; both this and ``np.lexsort`` are
+    stable over the same order, so the permutation equals
+    ``np.lexsort(coords[::-1])``.  A shape whose product overflows int64
+    cannot be linearised and takes the ``np.lexsort`` route.
+    """
+    ndim, nnz = coords.shape
+    if ndim and nnz > 1:
+        if math.prod(shape) > np.iinfo(np.int64).max:
+            obs_metrics.inc("tensor.sort.lexsort_fallback")
+            return np.lexsort(coords[::-1])
+        key = np.ravel_multi_index(tuple(coords), shape)
+        if not (key[1:] >= key[:-1]).all():
+            obs_metrics.inc("tensor.sort.linear")
+            return np.argsort(key, kind="stable")
+    return None
+
+
+def _sum_duplicates(
+    coords: np.ndarray, vals: np.ndarray, shape: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray]:
     if coords.shape[0] == 0:
         # 0-dimensional tensor: every entry shares the empty coordinate.
         return coords[:, :1], np.array([vals.sum()])
-    order = np.lexsort(coords[::-1])
-    coords = coords[:, order]
-    vals = vals[order]
+    order = _lex_order(coords, shape)
+    if order is not None:
+        coords = coords.take(order, axis=1)
+        vals = vals.take(order)
     if coords.shape[1] == 0:
         return coords, vals
     diff = np.any(coords[:, 1:] != coords[:, :-1], axis=0)

@@ -39,6 +39,8 @@ class FiberTensor:
         Structure arrays for each sparse level.
     vals : float array (the COO payload's dtype: float64 or float32)
         Leaf values in storage order.
+    presorted : bool
+        Whether the COO arrived in storage order (the build paid no sort).
     """
 
     def __init__(self, coo: COO, levels: Sequence[str]):
@@ -57,7 +59,9 @@ class FiberTensor:
         self.shape = coo.shape
         self.pos: Dict[int, np.ndarray] = {}
         self.idx: Dict[int, np.ndarray] = {}
-        self._build(coo.sorted_lex())
+        ordered = coo.sorted_lex()
+        self.presorted = ordered is coo
+        self._build(ordered)
 
     # ------------------------------------------------------------------
     def _build(self, coo: COO) -> None:

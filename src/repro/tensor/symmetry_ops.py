@@ -50,14 +50,24 @@ def pack_canonical(coo: COO, parts: Sequence[Sequence[int]]) -> COO:
 
 
 def split_diagonal(
-    coo: COO, parts: Sequence[Sequence[int]]
+    coo: COO, parts: Sequence[Sequence[int]], *, check: bool = False
 ) -> Tuple[COO, COO]:
     """Split canonical coordinates into (strict triangle, diagonals).
 
     A coordinate is diagonal when any symmetric group has two equal
-    coordinates (Definition 2.4).
+    coordinates (Definition 2.4).  Non-canonical coordinates land in
+    neither half — a full payload is packed and split by the same masks —
+    unless ``check=True`` declares the input canonical, which makes the
+    first one a ``ValueError``.
     """
     canonical = canonical_coords_mask(coo, parts)
+    if check and not canonical.all():
+        first = int(np.argmin(canonical))
+        raise ValueError(
+            "payload declared canonical but coordinate %s (entry %d) is not "
+            "non-increasing within symmetric modes %s"
+            % (tuple(int(c) for c in coo.coords[:, first]), first, tuple(map(tuple, parts)))
+        )
     strict = canonical_coords_mask(coo, parts, strict=True)
     return coo.filter(strict), coo.filter(canonical & ~strict)
 
@@ -81,8 +91,7 @@ def expand_symmetric(coo: COO, parts: Sequence[Sequence[int]]) -> COO:
         vals_list.append(coo.vals[perm_coords[1]])
     coords = np.concatenate(coords_list, axis=1)
     vals = np.concatenate(vals_list)
-    full = COO(coords, vals, coo.shape, sum_duplicates=False)
-    return _drop_duplicates(full)
+    return _drop_duplicates(COO._derived(coords, vals, coo.shape))
 
 
 def _distinct_group_permutations(coords: np.ndarray, groups):
@@ -117,13 +126,12 @@ def _drop_duplicates(coo: COO) -> COO:
     symmetry, so *any* occurrence works)."""
     if coo.nnz == 0:
         return coo
-    order = np.lexsort(coo.coords[::-1])
-    coords = coo.coords[:, order]
-    vals = coo.vals[order]
+    ordered = coo.sorted_lex()
+    coords = ordered.coords
     keep = np.concatenate(
         ([True], np.any(coords[:, 1:] != coords[:, :-1], axis=0))
     )
-    return COO(coords[:, keep], vals[keep], coo.shape, sum_duplicates=False)
+    return ordered.filter(keep)
 
 
 def symmetrize_matrix(coo: COO) -> COO:

@@ -38,6 +38,7 @@ class Tensor:
     ):
         self.coo = coo
         self.symmetric_modes = tuple(tuple(p) for p in symmetric_modes)
+        _check_symmetric_modes(self.symmetric_modes, coo.shape)
         self.canonical = canonical
         self._view_cache: Dict[Tuple, FiberTensor] = {}
         self._coo_cache: Dict[str, COO] = {}
@@ -129,10 +130,12 @@ class Tensor:
         if tensor_filter in ("strict", "diagonal"):
             key = "strict_diag"
             if key not in self._coo_cache:
-                strict, diag = split_diagonal(
-                    self._canonical_coo(), self.nontrivial_parts
+                # straight from the payload: the split's masks drop the
+                # non-canonical triangle themselves, so a full payload is
+                # never packed into an intermediate COO first
+                self._coo_cache[key] = split_diagonal(
+                    self.coo, self.nontrivial_parts, check=self.canonical
                 )
-                self._coo_cache[key] = (strict, diag)
             strict, diag = self._coo_cache[key]
             return strict if tensor_filter == "strict" else diag
         raise ValueError("unknown tensor filter %r" % (tensor_filter,))
@@ -158,6 +161,27 @@ class Tensor:
         sym = " symmetric=%s" % (self.symmetric_modes,) if self.symmetric_modes else ""
         packed = " canonical" if self.canonical else ""
         return "Tensor(shape=%s, nnz=%d%s%s)" % (self.shape, self.nnz, sym, packed)
+
+
+def _check_symmetric_modes(parts, shape) -> None:
+    """A symmetry declaration must name each mode of the tensor at most
+    once and only group modes of equal extent."""
+    seen = set()
+    for part in parts:
+        for mode in part:
+            if not isinstance(mode, (int, np.integer)) or not 0 <= mode < len(shape):
+                raise ValueError(
+                    "symmetric mode %r out of range for a %d-mode tensor"
+                    % (mode, len(shape))
+                )
+            if mode in seen:
+                raise ValueError("mode %d appears twice in symmetric_modes" % mode)
+            seen.add(mode)
+        if len({shape[mode] for mode in part}) > 1:
+            raise ValueError(
+                "symmetric modes %s have unequal extents %s"
+                % (part, tuple(shape[mode] for mode in part))
+            )
 
 
 def default_levels(ndim: int) -> Tuple[str, ...]:

@@ -267,6 +267,70 @@ def test_noop_when_disabled(monkeypatch):
             obs_metrics.enable()
 
 
+def _full_payload(n=16, seed=5, shuffled=False):
+    """Both triangles of a symmetric matrix as a user-built COO."""
+    from repro import COO
+
+    coo = COO.from_dense(_sym(n, seed))
+    if shuffled:
+        pick = np.random.default_rng(seed).permutation(coo.nnz)
+        coo = COO(coo.coords[:, pick], coo.vals[pick], coo.shape, sum_duplicates=False)
+    return coo
+
+
+def test_prepare_with_tracing_off_touches_no_recorder(monkeypatch):
+    from repro import Tensor
+
+    def touched(*args, **kwargs):
+        raise AssertionError("observability touched while off")
+
+    kernel = get_kernel("ssymv").compile()
+    previous_rec = obs_trace.disable()
+    previous_metrics = obs_metrics.disable()
+    monkeypatch.setattr(obs_trace, "_Span", touched)
+    monkeypatch.setattr(obs_trace.TraceRecorder, "record", touched)
+    monkeypatch.setattr(obs_metrics.MetricsRegistry, "inc", touched)
+    try:
+        for shuffled in (False, True):
+            A = Tensor(_full_payload(shuffled=shuffled), ((0, 1),))
+            kernel.prepare(A=A, x=np.linspace(0.0, 1.0, 16))
+    finally:
+        obs_trace.set_recorder(previous_rec)
+        if previous_metrics:
+            obs_metrics.enable()
+
+
+def test_prepare_span_and_counters_report_sort_outcomes(metrics_on):
+    from repro import COO, Tensor
+    from repro.tensor.fiber import FiberTensor
+
+    kernel = get_kernel("ssymv").compile()
+    x = np.linspace(0.0, 1.0, 16)
+    views = len(kernel.lowered.sparse_views)
+    names = ("tensor.sort.skipped", "tensor.sort.linear", "tensor.sort.lexsort_fallback")
+
+    def prepare(coo):
+        before = [_counter(name) for name in names]
+        with obs.tracing() as rec:
+            kernel.prepare(A=Tensor(coo, ((0, 1),)), x=x)
+        (event,) = [e for e in rec.snapshot() if e.name == "prepare"]
+        return event.args, [_counter(name) - b for name, b in zip(names, before)]
+
+    args, (skipped, linear, fallback) = prepare(_full_payload())
+    assert (args["views"], args["sorted"], args["sorts"]) == (views, views, 0)
+    assert (linear, fallback) == (0, 0) and skipped >= views
+
+    args, (skipped, linear, fallback) = prepare(_full_payload(shuffled=True))
+    assert args["views"] == views == args["sorted"] + args["sorts"]
+    assert args["sorts"] == linear >= 1 and fallback == 0
+
+    # a shape too large for one int64 key takes (and counts) the lexsort route
+    before = _counter(names[2])
+    huge = COO(np.array([[5, 1], [0, 7]]), np.ones(2), (2**41, 2**41), sum_duplicates=False)
+    assert not FiberTensor(huge, ("sparse", "sparse")).presorted
+    assert _counter(names[2]) == before + 1
+
+
 def test_plans_sample_observability_at_build_time():
     kernel = get_kernel("ssymv").compile()
     A, x = _sym(16, seed=3), np.linspace(0.0, 1.0, 16)

@@ -1,5 +1,7 @@
 """Unit tests for runtime helpers (output allocation, replication)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -68,3 +70,50 @@ def test_replicate_trivial_parts_is_identity(rng):
     arr = rng.random((3, 3))
     assert replicate_output(arr, ()) is arr
     np.testing.assert_array_equal(replicate_output(arr, ((0,), (1,))), arr)
+
+
+def _replicate_by_gather(arr, mode_parts):
+    """The original implementation: full index grids, sorted descending
+    within each group, one gather.  Kept as the reference."""
+    index = list(np.indices(arr.shape))
+    for group in (sorted(p) for p in mode_parts if len(p) >= 2):
+        stacked = -np.sort(-np.stack([index[m] for m in group]), axis=0)
+        for t, m in enumerate(group):
+            index[m] = stacked[t]
+    return arr[tuple(index)]
+
+
+def _groupings(ndim):
+    """Every single group of 2..ndim modes, and every pair of disjoint
+    2-mode groups."""
+    modes = range(ndim)
+    singles = [
+        (group,) for size in range(2, ndim + 1) for group in itertools.combinations(modes, size)
+    ]
+    pairs = [
+        (a, b)
+        for a, b in itertools.combinations(itertools.combinations(modes, 2), 2)
+        if not set(a) & set(b)
+    ]
+    return singles + pairs
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "ndim, parts", [(ndim, parts) for ndim in (2, 3, 4) for parts in _groupings(ndim)]
+)
+def test_replicate_matches_the_gather_reference(rng, ndim, parts, dtype):
+    grouped = {m for part in parts for m in part}
+    shape = tuple(4 if m in grouped else 3 + m for m in range(ndim))
+    arr = rng.random(shape).astype(dtype)
+    # what finalize passes: a transposed (non-contiguous) view of the buffer
+    layout = tuple(reversed(range(ndim)))
+    transposed = np.transpose(np.ascontiguousarray(np.transpose(arr, layout)), np.argsort(layout))
+    assert not transposed.flags["C_CONTIGUOUS"]
+    for given in (arr, transposed):
+        got = replicate_output(given, parts)
+        want = _replicate_by_gather(given, parts)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags["C_CONTIGUOUS"]
+        assert got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, given)

@@ -1,9 +1,13 @@
 """Unit tests for the logical Tensor wrapper and its views."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.tensor.coo import COO
+from repro.tensor.fiber import FiberTensor
+from repro.tensor.symmetry_ops import pack_canonical, split_diagonal
 from repro.tensor.tensor import Tensor, default_levels
 from tests.conftest import make_symmetric_matrix, make_symmetric_tensor
 
@@ -64,3 +68,67 @@ def test_default_levels():
 def test_repr_mentions_symmetry(rng):
     t = Tensor.from_dense(np.eye(3), ((0, 1),))
     assert "symmetric" in repr(t)
+
+
+# ----------------------------------------------------------------------
+# declared assumptions are checked
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "shape, modes, message",
+    [
+        ((3, 4), ((0, 1),), "unequal extents"),
+        ((3, 3), ((0, 2),), "out of range"),
+        ((3, 3), ((-1, 0),), "out of range"),
+        ((3, 3, 3), ((0, 1), (1, 2)), "twice"),
+        ((3, 3), ((0, 0),), "twice"),
+    ],
+)
+def test_invalid_symmetric_modes_rejected(shape, modes, message):
+    with pytest.raises(ValueError, match=message):
+        Tensor(COO.empty(shape), modes)
+
+
+def test_valid_symmetric_modes_accepted():
+    Tensor(COO.empty((3, 4, 3)), ((0, 2), (1,)))
+    Tensor(COO.empty((3, 3, 5, 5)), [[0, 1], [2, 3]])
+    Tensor(COO.empty(()), ())
+
+
+def test_canonical_flag_over_a_full_payload_is_rejected(rng):
+    A = make_symmetric_matrix(rng, 6, 0.7)
+    full = COO.from_dense(A)
+    offending = tuple(int(c) for c in full.coords[:, np.argmax(full.coords[0] < full.coords[1])])
+    tensor = Tensor(full, ((0, 1),), canonical=True)
+    for tensor_filter in ("strict", "diagonal"):
+        with pytest.raises(ValueError, match="declared canonical.*" + re.escape(str(offending))):
+            tensor.view((0, 1), default_levels(2), tensor_filter)
+    # a payload that is canonical passes, and loses nothing
+    packed = Tensor(COO.from_dense(np.tril(A)), ((0, 1),), canonical=True)
+    strict = packed._filtered_coo("strict")
+    diag = packed._filtered_coo("diagonal")
+    assert strict.nnz + diag.nnz == packed.nnz
+
+
+# ----------------------------------------------------------------------
+# strict / diagonal straight from a full payload
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "order, modes",
+    [(2, ((0, 1),)), (3, ((0, 1, 2),)), (4, ((0, 1, 2, 3),)), (3, ((0, 1),)), (4, ((0, 1), (2, 3)))],
+)
+def test_fused_split_equals_pack_then_split(rng, order, modes):
+    coo = COO.from_dense(make_symmetric_tensor(rng, 5, order, 0.5))
+    pick = rng.permutation(coo.nnz)
+    shuffled = COO(coo.coords[:, pick], coo.vals[pick], coo.shape, sum_duplicates=False)
+    mode_order = tuple(reversed(range(order)))
+    for payload in (coo, shuffled):
+        strict, diag = split_diagonal(pack_canonical(payload, modes), modes)
+        for name, want in (("strict", strict), ("diagonal", diag)):
+            got = Tensor(payload, modes)._filtered_coo(name)
+            assert got.coords.tobytes() == want.coords.tobytes()
+            assert got.vals.tobytes() == want.vals.tobytes()
+            levels = default_levels(order)
+            view = Tensor(payload, modes).view(mode_order, levels, name)
+            reference = FiberTensor(want.permute(mode_order), levels)
+            for key, arr in reference.arrays().items():
+                assert view.arrays()[key].tobytes() == arr.tobytes(), key
