@@ -364,6 +364,19 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     from repro.service import KernelService
 
+    if args.socket is not None:
+        from repro.serve.client import RemoteError, ServiceClient
+
+        client = ServiceClient(args.socket, timeout=2.0, retries=0)
+        try:
+            reply = client.stats()
+        except (RemoteError, OSError) as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
+        finally:
+            client.close()
+        print(json.dumps(reply, indent=1, sort_keys=True))
+        return 0
     try:
         service = KernelService(capacity=args.capacity, store=args.dir)
     except NotADirectoryError as exc:
@@ -529,18 +542,23 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
             }
     if socket_path is not None:
         from repro.serve.client import RemoteError, ServiceClient
+        from repro.serve.protocol import PROTOCOL_VERSION
 
+        # connecting compares protocol versions: a mismatch lands in the
+        # except branch with both versions in the message
         client = ServiceClient(socket_path, timeout=2.0, retries=0)
         try:
             reply = client.health()
             report["checks"]["daemon"] = {
                 "ok": True,
-                "detail": "unix:%s %s (pid %s, protocol %s, up %.0fs)"
+                "detail": "unix:%s %s (pid %s, protocol v%s = client v%d, "
+                "up %.0fs)"
                 % (
                     socket_path,
                     reply.get("status", "?"),
                     reply.get("pid", "?"),
                     reply.get("protocol", "?"),
+                    PROTOCOL_VERSION,
                     reply.get("uptime_s", 0.0),
                 ),
             }
@@ -1057,6 +1075,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="emit JSON (includes the metrics registry when REPRO_METRICS=1)",
+    )
+    p.add_argument(
+        "--socket",
+        default=None,
+        help="print a running daemon's live stats reply instead (JSON: its "
+        "service stats plus the `server` counters, bytes_in/bytes_out included)",
     )
     p.set_defaults(fn=_cmd_stats)
 

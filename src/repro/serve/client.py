@@ -27,7 +27,6 @@ a ``DEGRADED(remote)`` banner once the daemon has been marked.
 from __future__ import annotations
 
 import atexit
-import base64
 import hashlib
 import itertools
 import os
@@ -117,7 +116,21 @@ class ServiceClient:
         sock.settimeout(self.timeout)
         try:
             sock.connect(self.path)
-        except OSError:
+            # one health exchange per connection: a peer on another
+            # protocol version stays unusable however often it is retried
+            # (a v1 daemon's reply does not even parse; that
+            # ProtocolError names both versions)
+            ours = protocol.PROTOCOL_VERSION
+            self._send(sock, {"op": "health", "id": 0})
+            theirs = self._recv(sock).get("protocol")
+            if theirs != ours:
+                newer = isinstance(theirs, int) and theirs > ours
+                raise RemoteUnavailable(
+                    "daemon at %s speaks protocol v%s, this client v%d: "
+                    "the %s is older"
+                    % (self.path, theirs, ours, "client" if newer else "daemon")
+                )
+        except BaseException:
             sock.close()
             raise
         self._sock = sock
@@ -145,16 +158,15 @@ class ServiceClient:
                 raise ConnectionResetError("injected: wire.write failure")
         sock.sendall(protocol.encode_frame(msg))
 
-    def _recv_exact(self, sock: socket.socket, n: int) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
-            chunk = sock.recv(min(remaining, 1 << 20))
-            if not chunk:
+    def _recv_exact(self, sock: socket.socket, n: int) -> bytearray:
+        buf = bytearray(n)
+        view = memoryview(buf)
+        while view:
+            got = sock.recv_into(view)
+            if not got:
                 raise ConnectionResetError("daemon closed the connection")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+            view = view[got:]
+        return buf
 
     def _recv(self, sock: socket.socket) -> dict:
         fault = faults.poll("wire.read")
@@ -322,14 +334,10 @@ def _materialize_artifact(key: str, reply: dict) -> Optional[str]:
     """Write the shipped shared object to disk iff its bytes match the
     recorded hash — the same refuse-to-dlopen-torn-ELFs rule the disk
     store enforces.  Returns its path, or ``None`` (rebuild locally)."""
-    blob_b64 = reply.get("artifact")
+    blob = reply.get("artifact")
     digest = reply.get("artifact_sha256")
-    if not blob_b64 or not digest:
-        return None
-    try:
-        blob = base64.b64decode(blob_b64, validate=True)
-    except Exception:
-        return None
+    if not isinstance(blob, memoryview) or not digest:
+        return None  # no artifact shipped (or not as a wire segment)
     if hashlib.sha256(blob).hexdigest() != digest:
         obs_metrics.inc("service.remote.artifact_rejected")
         return None

@@ -2,9 +2,9 @@
 
 An asyncio unix-socket server that owns a :class:`KernelService` (the
 in-memory LRU and the disk store) plus a bounded pool of warm
-:class:`ExecutionPlan`\\ s, and speaks the length-prefixed JSON protocol
-of :mod:`repro.serve.protocol`.  Robustness decisions, in order of what
-kills shared services first:
+:class:`ExecutionPlan`\\ s, and speaks the length-prefixed frames (JSON
+head + raw tensor segments) of :mod:`repro.serve.protocol`.  Robustness
+decisions, in order of what kills shared services first:
 
 * **Deadlines** — every request runs under a deadline (its own
   ``deadline_s`` or ``$REPRO_SERVE_DEADLINE``); expiry answers a
@@ -39,7 +39,6 @@ path above deterministically testable.
 from __future__ import annotations
 
 import asyncio
-import base64
 import hashlib
 import os
 import signal
@@ -50,6 +49,8 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro import faults
 from repro.codegen.backends import health as backend_health
@@ -137,7 +138,7 @@ def _execute_digest(key: str, tensors) -> str:
         digest.update(
             ("|%s:%s:%s:" % (name, arr.dtype, arr.shape)).encode("ascii")
         )
-        digest.update(arr.tobytes())
+        digest.update(np.ascontiguousarray(arr))  # no copy off the wire
     return digest.hexdigest()
 
 
@@ -214,6 +215,8 @@ class KernelServer:
         self.coalesced = 0
         self.errors = 0
         self.warmed = 0
+        self.bytes_in = 0
+        self.bytes_out = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -408,17 +411,11 @@ class KernelServer:
             length = protocol.decode_length(header, self.max_frame)
             return await reader.readexactly(length)
 
-        if self.read_timeout is not None:
-            try:
-                body = await asyncio.wait_for(rest(), self.read_timeout)
-            except ProtocolError as exc:
-                raise _BadFrame(str(exc))
-        else:
-            try:
-                body = await rest()
-            except ProtocolError as exc:
-                raise _BadFrame(str(exc))
         try:
+            body = await self._bounded(self.read_timeout, rest())
+            nbytes = protocol.HEADER.size + len(body)
+            self.bytes_in += nbytes
+            obs_metrics.inc("serve.bytes_in", nbytes)
             return protocol.decode_body(body)
         except ProtocolError as exc:
             raise _BadFrame(str(exc))
@@ -431,29 +428,26 @@ class KernelServer:
             else:
                 return False  # injected: connection died under the reply
         try:
-            writer.write(protocol.encode_frame(reply, self.max_frame))
+            try:
+                frame = protocol.encode_frame(reply, self.max_frame)
+            except ProtocolError:
+                # the reply itself overflows the frame limit (giant
+                # tensor): tell the client rather than silently closing
+                frame = protocol.encode_frame(
+                    error_reply(
+                        reply.get("id"),
+                        protocol.INTERNAL,
+                        "reply exceeds the frame limit",
+                    ),
+                    self.max_frame,
+                )
+            self.bytes_out += len(frame)
+            obs_metrics.inc("serve.bytes_out", len(frame))
+            writer.write(frame)
             await writer.drain()
             return True
-        except (ConnectionError, OSError):
+        except (ConnectionError, OSError, ProtocolError):
             return False
-        except ProtocolError:
-            # the reply itself overflows the frame limit (giant tensor):
-            # tell the client something rather than silently closing
-            try:
-                writer.write(
-                    protocol.encode_frame(
-                        error_reply(
-                            reply.get("id"),
-                            protocol.INTERNAL,
-                            "reply exceeds the frame limit",
-                        ),
-                        self.max_frame,
-                    )
-                )
-                await writer.drain()
-                return True
-            except Exception:
-                return False
 
     # ------------------------------------------------------------------
     # request dispatch
@@ -592,7 +586,7 @@ class KernelServer:
             try:
                 with open(so_path, "rb") as handle:
                     blob = handle.read()
-                payload["artifact"] = base64.b64encode(blob).decode("ascii")
+                payload["artifact"] = blob
                 payload["artifact_sha256"] = hashlib.sha256(blob).hexdigest()
             except OSError:
                 pass  # build dir vanished: state alone still rehydrates
@@ -603,6 +597,8 @@ class KernelServer:
         self, msg: dict, rid, deadline: Optional[float]
     ) -> dict:
         request = protocol.request_from_spec(msg.get("spec"))
+        # read-only views of the frame body: a plan pooled over them pins
+        # that body, not a copy of it
         tensors = protocol.decode_tensors(msg.get("tensors"))
         loop = asyncio.get_running_loop()
         payload = await self._bounded(
@@ -624,11 +620,10 @@ class KernelServer:
         else:
             kernel_for_run, plan = entry[0], entry[1]
         try:
-            out = plan()
-            result = kernel_for_run.finalize(out)
-            # encode before releasing: finalize may return a view of the
+            # copy before releasing: finalize may return a view of the
             # plan's reusable buffer, which the next caller overwrites
-            encoded = protocol.encode_tensor(result)
+            # while this reply still waits to be framed
+            result = np.array(kernel_for_run.finalize(plan()), order="C")
         finally:
             if pooled:
                 self.plans.release(entry)
@@ -641,7 +636,7 @@ class KernelServer:
             "origin": origin,
             "backend": kernel.backend,
             "plan_pooled": pooled,
-            "result": encoded,
+            "result": protocol.encode_tensor(result),
         }
 
     # -- introspection -------------------------------------------------
@@ -671,6 +666,8 @@ class KernelServer:
                 "draining_rejected": self.draining_rejected,
                 "errors": self.errors,
                 "warmed": self.warmed,
+                "bytes_in": self.bytes_in,
+                "bytes_out": self.bytes_out,
                 "draining": self._draining,
                 "uptime_s": time.monotonic() - self._started,
                 "plan_pool": {

@@ -1,12 +1,27 @@
-"""The kernel-service wire protocol: length-prefixed JSON frames.
+"""The kernel-service wire protocol (v2): a small JSON head, raw segments.
 
-One frame is a 4-byte big-endian unsigned length followed by that many
-bytes of UTF-8 JSON; the JSON value must be an object.  Both directions
-use the same framing.  Frames are bounded by ``$REPRO_SERVE_MAX_FRAME``
-(tensors ride inside frames, so the default is generous): an oversized
-length prefix is a protocol violation, answered with a structured
-``bad-request`` error and a closed connection rather than an attempted
-allocation — a hostile 4-GiB prefix must cost the daemon nothing.
+One frame, either direction (integers are big-endian u32)::
+
+    length | head_len | JSON head | pad | segment 0 | pad | segment 1 ...
+           '------------------- body (length bytes) -------------------'
+
+The head is a UTF-8 JSON object in which every bytes-like value of the
+message (a tensor's ``data``, the compile reply's ``artifact``) is
+replaced by ``{"$seg": [offset, nbytes]}``; the bytes themselves follow
+as raw segments.  The segment area starts at the first 64-byte boundary
+of the body after the head and offsets are multiples of 64 within it, so
+the JSON that is escaped and parsed stays a few hundred bytes whatever
+the tensor size, and a decoded tensor is an aligned zero-copy view of
+the received body.
+
+Frames are bounded by ``$REPRO_SERVE_MAX_FRAME``: an oversized length
+prefix is answered with a structured ``bad-request`` error and a closed
+connection rather than an attempted allocation — a hostile 4-GiB prefix
+must cost the daemon nothing — and ``head_len`` and every reference are
+checked against the bytes actually received before anything is sliced.
+A body not laid out this way (a v1 peer sends bare JSON) is refused with
+a message naming protocol v2; ``health`` replies carry
+``PROTOCOL_VERSION`` and the client compares it on connect.
 
 Requests are ``{"op": ..., "id": ...,  ...}`` with operations
 ``compile`` / ``execute`` / ``stats`` / ``health`` / ``shutdown``;
@@ -22,9 +37,9 @@ replies are ``{"ok": true, ...}`` or ``{"ok": false, "error": <code>,
   caching a poisoned artifact.
 * ``bad-request`` / ``unknown-op`` / ``internal`` — not retryable.
 
-Tensors cross the wire as raw little-endian bytes (base64 inside the
-JSON), dtype- and shape-tagged — no textual round-trip, so remote
-results are *bit-identical* to in-process execution by construction.
+Tensors cross the wire as their raw C-order bytes, dtype- and
+shape-tagged — no textual round-trip, so remote results are
+*bit-identical* to in-process execution by construction.
 
 This module is deliberately dependency-light (numpy + stdlib) and shared
 verbatim by the daemon (:mod:`repro.serve.daemon`) and the client
@@ -35,7 +50,6 @@ cannot drift.
 
 from __future__ import annotations
 
-import base64
 import json
 import struct
 from typing import Dict, Mapping, Optional, Tuple
@@ -49,7 +63,12 @@ HEADER = struct.Struct(">I")
 
 #: bumped when the frame layout or reply shapes change incompatibly;
 #: ``health`` replies carry it so mismatched peers fail loudly.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
+
+#: the head's stand-in for a lifted bytes-like value is ``{SEGMENT:
+#: [offset, nbytes]}``; segments start on multiples of ALIGN in the body.
+SEGMENT = "$seg"
+ALIGN = 64
 
 # ---------------------------------------------------------------------------
 # structured error codes
@@ -88,17 +107,45 @@ def error_reply(
 # ---------------------------------------------------------------------------
 # framing
 # ---------------------------------------------------------------------------
+def _aligned(n: int) -> int:
+    return -(-n // ALIGN) * ALIGN
+
+
 def encode_frame(doc: Mapping, max_frame: Optional[int] = None) -> bytes:
-    """Serialize one message into a length-prefixed frame."""
+    """Serialize one message into a length-prefixed frame.
+
+    Bytes-like values are lifted into segments as ``json.dumps`` meets
+    them; the summed size is checked against the limit before the one
+    join that copies them.
+    """
     limit = serve_max_frame() if max_frame is None else max_frame
-    body = json.dumps(doc, separators=(",", ":")).encode("utf-8")
-    if len(body) > limit:
+    segments = []  # (offset in the segment area, byte view)
+    end = 0
+
+    def lift(obj):
+        nonlocal end
+        if not isinstance(obj, (bytes, bytearray, memoryview)):
+            raise TypeError("%s is not JSON serializable" % type(obj).__name__)
+        view = memoryview(obj)
+        offset = _aligned(end)
+        segments.append((offset, view))
+        end = offset + view.nbytes
+        return {SEGMENT: [offset, view.nbytes]}
+
+    head = json.dumps(doc, separators=(",", ":"), default=lift).encode("utf-8")
+    at = HEADER.size + len(head)
+    base = _aligned(at) if segments else at
+    if base + end > limit:
         raise ProtocolError(
             "frame of %d bytes exceeds the %d-byte limit "
             "(raise $REPRO_SERVE_MAX_FRAME for larger tensors)"
-            % (len(body), limit)
+            % (base + end, limit)
         )
-    return HEADER.pack(len(body)) + body
+    parts = [HEADER.pack(base + end), HEADER.pack(len(head)), head]
+    for offset, view in segments:
+        parts += (bytes(base + offset - at), view)
+        at = base + offset + view.nbytes
+    return b"".join(parts)
 
 
 def decode_length(header: bytes, max_frame: Optional[int] = None) -> int:
@@ -115,15 +162,46 @@ def decode_length(header: bytes, max_frame: Optional[int] = None) -> int:
     return length
 
 
-def decode_body(body: bytes) -> dict:
-    """Parse a frame body; the JSON value must be an object."""
+def decode_body(body) -> dict:
+    """Parse a frame body; the head must be a JSON object.
+
+    Each segment reference comes back as a ``memoryview`` slice of
+    *body* — validated against the received length, never copied.
+    """
+    view = memoryview(body)
+    head_len = int.from_bytes(view[: HEADER.size], "big")
+    if HEADER.size + head_len > view.nbytes:
+        raise ProtocolError(
+            "not a protocol v%d frame: a %d-byte head does not fit the "
+            "%d-byte body (a v1 peer sends bare JSON; it is the older side)"
+            % (PROTOCOL_VERSION, head_len, view.nbytes)
+        )
+    base = _aligned(HEADER.size + head_len)
+    room = view.nbytes - base
+
+    def lower(obj: dict):
+        if len(obj) != 1 or SEGMENT not in obj:
+            return obj
+        ref = obj[SEGMENT]
+        if not (
+            isinstance(ref, list)
+            and len(ref) == 2
+            and all(type(v) is int and v >= 0 for v in ref)
+            and sum(ref) <= room
+        ):
+            raise ProtocolError("bad segment reference %r" % (ref,))
+        return view[base + ref[0] : base + sum(ref)]
+
     try:
-        doc = json.loads(body.decode("utf-8"))
+        head = str(view[HEADER.size : HEADER.size + head_len], "utf-8")
+        doc = json.loads(head, object_hook=lower)
+    except ProtocolError:
+        raise
     except (UnicodeDecodeError, ValueError) as exc:
-        raise ProtocolError("frame body is not valid JSON: %s" % exc)
+        raise ProtocolError("frame head is not valid JSON: %s" % exc)
     if not isinstance(doc, dict):
         raise ProtocolError(
-            "frame body must be a JSON object, got %s" % type(doc).__name__
+            "frame head must be a JSON object, got %s" % type(doc).__name__
         )
     return doc
 
@@ -132,17 +210,18 @@ def decode_body(body: bytes) -> dict:
 # tensor codec
 # ---------------------------------------------------------------------------
 def encode_tensor(arr: np.ndarray) -> dict:
-    """A numpy array as ``{"dtype", "shape", "data"}`` (raw bytes b64).
-
-    ``tobytes()`` serializes in C order whatever the input layout, and —
-    unlike ``ascontiguousarray`` — preserves 0-d shapes (scalar kernel
-    outputs must round-trip as 0-d, not be promoted to ``(1,)``).
+    """A numpy array as ``{"dtype", "shape", "data"}`` where ``data`` is
+    a byte view of the array itself (:func:`encode_frame` lifts it into a
+    segment).  Only a non-C-contiguous input is copied, once; the shape
+    travels separately, so 0-d and empty arrays round-trip as they are.
     """
     arr = np.asarray(arr)
+    if not arr.flags.c_contiguous:
+        arr = arr.copy(order="C")
     return {
         "dtype": str(arr.dtype),
         "shape": list(arr.shape),
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
+        "data": memoryview(arr.reshape(-1).view(np.uint8)),
     }
 
 
@@ -151,7 +230,9 @@ def decode_tensor(doc) -> np.ndarray:
 
     Only numeric dtypes are accepted (a wire peer must never pick
     ``object`` and smuggle pickles), the shape must be non-negative ints,
-    and the payload length must match ``prod(shape) * itemsize`` exactly.
+    and the segment length must match ``prod(shape) * itemsize`` exactly.
+    The result is a view of the segment (writable iff the received
+    buffer is), copied only when the buffer is misaligned for the dtype.
     """
     if not isinstance(doc, dict):
         raise ProtocolError("tensor must be an object")
@@ -168,20 +249,19 @@ def decode_tensor(doc) -> np.ndarray:
         isinstance(s, int) and s >= 0 for s in shape
     ):
         raise ProtocolError("tensor shape must be a list of ints >= 0")
-    try:
-        raw = base64.b64decode(doc.get("data", ""), validate=True)
-    except Exception as exc:
-        raise ProtocolError("bad tensor payload: %s" % exc)
+    data = doc.get("data")
+    if not isinstance(data, memoryview):
+        raise ProtocolError("tensor data must be an out-of-band segment")
     count = 1
     for s in shape:
         count *= s
-    if len(raw) != count * dtype.itemsize:
+    if data.nbytes != count * dtype.itemsize:
         raise ProtocolError(
             "tensor payload is %d bytes, %s%s needs %d"
-            % (len(raw), dtype, tuple(shape), count * dtype.itemsize)
+            % (data.nbytes, dtype, tuple(shape), count * dtype.itemsize)
         )
-    # .copy(): frombuffer views are read-only and pin the b64 buffer
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    arr = np.frombuffer(data, dtype=dtype).reshape(shape)
+    return arr if arr.flags.aligned else arr.copy()
 
 
 def encode_tensors(tensors: Mapping[str, np.ndarray]) -> Dict[str, dict]:

@@ -187,6 +187,32 @@ def test_doctor_probes_unreachable_daemon(tmp_path, capsys):
     assert rc == 1  # a configured-but-down daemon is an unhealthy check
 
 
+def test_doctor_and_stats_against_a_live_daemon(tmp_path, capsys, monkeypatch):
+    import json
+
+    from repro.serve.protocol import PROTOCOL_VERSION
+    from test_serve_daemon import claim_protocol, running_daemon
+
+    with running_daemon(tmp_path) as (server, sock):
+        main(["doctor", "--socket", sock, "--json"])
+        daemon = json.loads(capsys.readouterr().out)["checks"]["daemon"]
+        assert daemon["ok"] is True
+        assert "protocol v%d = client v%d" % ((PROTOCOL_VERSION,) * 2) in daemon["detail"]
+
+        assert main(["stats", "--socket", sock]) == 0
+        live = json.loads(capsys.readouterr().out)["server"]
+        assert live["bytes_in"] > 0 and live["bytes_out"] > 0
+
+        # a daemon from another release: both versions named, exit 1
+        claim_protocol(monkeypatch, PROTOCOL_VERSION + 1)
+        rc = main(["doctor", "--socket", sock, "--json"])
+        daemon = json.loads(capsys.readouterr().out)["checks"]["daemon"]
+        assert rc == 1 and daemon["ok"] is False
+        assert "protocol v%d, this client v%d" % (PROTOCOL_VERSION + 1, PROTOCOL_VERSION) in daemon["detail"]
+    assert main(["stats", "--socket", sock]) == 2  # daemon gone: an error, not a trace
+    assert "unavailable" in capsys.readouterr().err
+
+
 def test_help_epilog_documents_serve_env(capsys):
     import pytest as _pytest
 

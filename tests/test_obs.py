@@ -300,6 +300,49 @@ def test_prepare_with_tracing_off_touches_no_recorder(monkeypatch):
             obs_metrics.enable()
 
 
+def test_daemon_round_trip_with_metrics_off_touches_no_registry(monkeypatch, tmp_path):
+    """``serve.bytes_in`` / ``serve.bytes_out`` sit on every frame: off,
+    they cost the module-global check and nothing else — while the
+    daemon's own ``server`` integers keep counting."""
+    from repro.serve.client import ServiceClient
+    from repro.service.keys import canonicalize
+    from test_serve_daemon import SYMV, running_daemon
+
+    def touched(*args, **kwargs):
+        raise AssertionError("metrics registry touched while off")
+
+    request = canonicalize(**SYMV)
+    tensors = {"A": _sym(16, seed=3), "x": np.linspace(0.0, 1.0, 16)}
+    previous_metrics = obs_metrics.disable()
+    monkeypatch.setattr(obs_metrics.MetricsRegistry, "inc", touched)
+    monkeypatch.setattr(obs_metrics.MetricsRegistry, "observe", touched)
+    try:
+        with running_daemon(tmp_path) as (server, sock):
+            client = ServiceClient(sock)
+            result, reply = client.execute(request, tensors)
+            counted = client.stats()["server"]
+            client.close()
+    finally:
+        if previous_metrics:
+            obs_metrics.enable()
+    assert reply["ok"] and np.allclose(result, tensors["A"] @ tensors["x"])
+    assert server.errors == 0
+    assert counted["bytes_in"] > tensors["A"].nbytes and counted["bytes_out"] > 0
+
+
+def test_daemon_frame_bytes_feed_the_metrics_counters(metrics_on, tmp_path):
+    from repro.serve.client import ServiceClient
+    from test_serve_daemon import running_daemon
+
+    before = [_counter("serve.bytes_in"), _counter("serve.bytes_out")]
+    with running_daemon(tmp_path) as (server, sock):
+        client = ServiceClient(sock)
+        client.health()
+        client.close()
+    assert _counter("serve.bytes_in") - before[0] == server.bytes_in > 0
+    assert _counter("serve.bytes_out") - before[1] == server.bytes_out > 0
+
+
 def test_prepare_span_and_counters_report_sort_outcomes(metrics_on):
     from repro import COO, Tensor
     from repro.tensor.fiber import FiberTensor

@@ -261,11 +261,114 @@ def test_fetch_compiled_rejects_mismatched_artifact(monkeypatch, tmp_path):
     """A shipped artifact whose bytes do not match artifact_sha256 is
     never dlopened — the kernel rehydrates through a clean local path."""
     blob = b"\x7fELF not really"
-    reply = {"artifact": __import__("base64").b64encode(blob).decode(),
-             "artifact_sha256": "0" * 64}
-    assert serve_client._materialize_artifact("deadbeef", reply) is None
     import hashlib
+
+    # what decode_body hands over: a view of the reply frame's segment
+    reply = {"artifact": memoryview(blob), "artifact_sha256": "0" * 64}
+    assert serve_client._materialize_artifact("deadbeef", reply) is None
 
     reply["artifact_sha256"] = hashlib.sha256(blob).hexdigest()
     path = serve_client._materialize_artifact("deadbeef", reply)
     assert path is not None and open(path, "rb").read() == blob
+    # a peer that sends text where the segment belongs gets no dlopen
+    reply["artifact"] = "f0VMRg=="
+    assert serve_client._materialize_artifact("deadbeef", reply) is None
+
+
+def test_compiled_artifact_rides_a_raw_segment(tmp_path):
+    """The ``.so`` crosses as the same out-of-band segment tensors use:
+    the reply's ``artifact`` is a view of the received frame, hashed and
+    written as it is."""
+    import hashlib
+
+    from repro.codegen.backends import get_backend
+    from repro.core.config import CompilerOptions
+
+    if not get_backend("c").is_available():
+        pytest.skip("no working C toolchain")
+    request = canonicalize(**SYMV, options=CompilerOptions(backend="c"))
+    with running_daemon(tmp_path) as (server, sock):
+        client = ServiceClient(sock)
+        reply = client.compile(request)
+        client.close()
+    blob = reply["artifact"]
+    assert isinstance(blob, memoryview) and blob[:4] == b"\x7fELF"
+    assert hashlib.sha256(blob).hexdigest() == reply["artifact_sha256"]
+    path = serve_client._materialize_artifact(reply["key"], reply)
+    with open(path, "rb") as handle:
+        assert handle.read() == bytes(blob)
+
+
+# ---------------------------------------------------------------------------
+# protocol-version mismatch: loud, not retried, transparent
+# ---------------------------------------------------------------------------
+def _fallback_warnings(request):
+    """Serve *request* through a fresh KernelService; returns the origin
+    and the text of every warning raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, origin = KernelService().get_with_origin(request)
+    return origin, [str(w.message) for w in caught]
+
+
+def test_newer_daemon_falls_back_in_process_naming_the_older_side(
+    monkeypatch, tmp_path, metrics
+):
+    from test_serve_daemon import claim_protocol
+
+    claim_protocol(monkeypatch, protocol.PROTOCOL_VERSION + 1)
+    with running_daemon(tmp_path) as (server, sock):
+        client = ServiceClient(sock, retries=3, backoff=0.01)
+        with pytest.raises(RemoteUnavailable, match="v3, this client v2: the client is older"):
+            client.health()
+        client.close()
+        monkeypatch.setenv("REPRO_SERVICE", "unix:" + sock)
+        serve_client.reset()
+        origin, messages = _fallback_warnings(canonicalize(**SYMV))
+    assert origin == "compiled"
+    assert any("daemon unreachable" in m and "client is older" in m for m in messages)
+    assert not backend_health.remote_ok()
+    assert metrics("service.remote.retries") == 0  # retrying cannot help
+    assert metrics("service.remote.fallbacks") == 1
+
+
+def test_v1_daemon_falls_back_in_process_naming_the_older_side(
+    monkeypatch, tmp_path
+):
+    import json
+    import socket
+
+    sock_path = str(tmp_path / "v1.sock")
+    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    listener.bind(sock_path)
+    listener.listen(4)
+
+    def serve_v1():
+        # what the v1 daemon did with a frame it could not parse: answer
+        # in *its* framing (bare JSON), then drop the link
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            with conn:
+                conn.recv(4096)
+                body = json.dumps({"ok": False, "error": "bad-request"}).encode()
+                conn.sendall(protocol.HEADER.pack(len(body)) + body)
+
+    thread = threading.Thread(target=serve_v1, daemon=True)
+    thread.start()
+    try:
+        monkeypatch.setenv("REPRO_SERVICE", "unix:" + sock_path)
+        monkeypatch.setenv("REPRO_SERVICE_RETRIES", "1")
+        monkeypatch.setenv("REPRO_SERVICE_BACKOFF", "0.01")
+        serve_client.reset()
+        origin, messages = _fallback_warnings(canonicalize(**SYMV))
+    finally:
+        listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept()
+        listener.close()
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert origin == "compiled"
+    assert any("protocol v2" in m and "v1 peer" in m and "older" in m for m in messages)
+    assert not backend_health.remote_ok()

@@ -82,6 +82,17 @@ def raw_call(sock_path: str, msg: dict, timeout: float = 10.0) -> dict:
         sock.close()
 
 
+def claim_protocol(monkeypatch, version: int) -> None:
+    """Every daemon's ``health`` reply now claims protocol *version* (a
+    daemon from another release, as far as a client can tell)."""
+    real = KernelServer._health_reply
+    monkeypatch.setattr(
+        KernelServer,
+        "_health_reply",
+        lambda self, rid: dict(real(self, rid), protocol=version),
+    )
+
+
 def _recv_exact(sock, n: int) -> bytes:
     chunks = []
     while n:
@@ -326,6 +337,70 @@ def test_garbage_json_answered_bad_request(tmp_path):
         finally:
             hostile.close()
         assert _daemon_still_serves(sock)
+
+
+def test_v1_peer_is_answered_bad_request_naming_protocol_v2(tmp_path):
+    # a v1 client frames bare JSON: it must get an answer it can log (not
+    # a hang, not an allocation sized by its first four characters)
+    with running_daemon(tmp_path) as (server, sock):
+        hostile = _hostile_sock(sock)
+        try:
+            body = b'{"op":"health","id":1}'
+            hostile.sendall(protocol.HEADER.pack(len(body)) + body)
+            header = _recv_exact(hostile, protocol.HEADER.size)
+            reply = protocol.decode_body(
+                _recv_exact(hostile, protocol.decode_length(header))
+            )
+            assert reply["error"] == protocol.BAD_REQUEST
+            assert "protocol v2" in reply["detail"]
+            assert hostile.recv(1) == b""
+        finally:
+            hostile.close()
+        assert _daemon_still_serves(sock)
+
+
+def test_reply_larger_than_the_frame_limit_is_answered_not_dropped(tmp_path):
+    # two 512-byte vectors fit an 8 KiB frame; their 32 KiB outer product
+    # does not, and the limit is found before the reply is assembled
+    request = canonicalize("C[i,j] += x[i] * y[j]")
+    tensors = {"x": np.arange(64.0), "y": np.arange(64.0) + 1.0}
+    with running_daemon(tmp_path, max_frame=8192) as (server, sock):
+        reply = raw_call(
+            sock,
+            {
+                "op": "execute",
+                "id": 5,
+                "spec": protocol.spec_from_request(request),
+                "tensors": protocol.encode_tensors(tensors),
+            },
+        )
+        assert reply == {
+            "ok": False,
+            "id": 5,
+            "error": protocol.INTERNAL,
+            "detail": "reply exceeds the frame limit",
+        }
+        assert _daemon_still_serves(sock)
+
+
+def test_stats_count_frame_bytes_in_both_directions(tmp_path):
+    with running_daemon(tmp_path) as (server, sock):
+        link = _hostile_sock(sock)
+        try:
+            sent = received = 0
+            for op in ("health", "stats"):
+                frame = protocol.encode_frame({"op": op, "id": 1})
+                link.sendall(frame)
+                sent += len(frame)
+                header = _recv_exact(link, protocol.HEADER.size)
+                body = _recv_exact(link, protocol.decode_length(header))
+                if op == "health":
+                    received += len(header) + len(body)
+            stats = protocol.decode_body(body)["server"]
+        finally:
+            link.close()
+    # the stats reply is assembled before it is itself written
+    assert (stats["bytes_in"], stats["bytes_out"]) == (sent, received)
 
 
 def test_mid_request_disconnect_leaves_daemon_serving(tmp_path):
