@@ -463,7 +463,13 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     from repro import faults
     from repro.codegen.backends import health
     from repro.codegen.backends import ctoolchain
-    from repro.core.config import cc_retries, cc_timeout, lock_timeout
+    from repro.core.config import (
+        cc_retries,
+        cc_timeout,
+        default_threads,
+        lock_timeout,
+        resolve_threads,
+    )
 
     report = {"healthy": True, "checks": {}}
 
@@ -476,10 +482,19 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
         }
     else:
         report["checks"]["toolchain"] = {"ok": True, "detail": tc.describe()}
+        count = resolve_threads(default_threads())
+        if not tc.openmp:
+            runs = "failed; kernels run the serial object"
+        elif count > 1 and health.ok("c@omp"):
+            runs = "succeeded; default threads %d: kernels run the omp object" % count
+        else:
+            runs = (
+                "succeeded; default threads %d: kernels run the serial "
+                "object, upgraded on the first threads > 1 run" % count
+            )
         report["checks"]["openmp"] = {
             "ok": tc.openmp,
-            "detail": "-fopenmp probe %s"
-            % ("succeeded" if tc.openmp else "failed; kernels run serial"),
+            "detail": "-fopenmp probe %s" % runs,
         }
     timeout = cc_timeout()
     report["checks"]["limits"] = {

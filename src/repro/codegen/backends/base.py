@@ -110,6 +110,7 @@ class Backend:
         label: Optional[str] = None,
         artifact: Optional[str] = None,
         einsum: Optional[str] = None,
+        threaded: bool = False,
     ) -> Executable:
         """Build an executable.
 
@@ -119,7 +120,10 @@ class Backend:
         stale or corrupt artifact must fall back to a fresh build.
         ``einsum`` is the kernel's semantic identity for tuned compile
         overrides (:func:`repro.tune.compile_overrides`); backends
-        without tunable codegen ignore it.
+        without tunable codegen ignore it.  ``threaded`` says the
+        caller's default thread setting can resolve above 1, so a backend
+        with a separate multi-threaded build should produce it up front
+        instead of on the first threaded run.
         """
         raise NotImplementedError
 

@@ -24,11 +24,22 @@ bit-identical to the Python backend.
 
 Parallel execution
 ------------------
-Each top-level loop nest is analyzed at render time and, when the
-toolchain has OpenMP, emitted twice: a serial body (taken when
-``repro_nthreads <= 1`` or the object was built without ``-fopenmp``) and
-an ``omp parallel`` body whose **reduction strategy** depends on the
-nest's output-write pattern:
+Each top-level loop nest is analyzed at render time and, when it can run
+on several cores, emitted twice behind ``#if defined(_OPENMP)``: a serial
+body (taken when ``repro_nthreads <= 1``) and an ``omp parallel`` body.
+The one rendered source is built into one of two objects
+(:mod:`~repro.codegen.backends.ctoolchain`): the **serial object**
+(``-fopenmp-simd``), in which the preprocessor has dropped every parallel
+body, the scatter-log pool and ``<omp.h>`` — less than half the ``cc``
+time — and the **OpenMP object** (``-fopenmp``), which holds both
+branches and exports the ``repro_openmp`` marker symbol.
+:meth:`CBackend.compile` builds the serial object unless the kernel's
+default thread setting can resolve above 1; a later run with
+``threads > 1`` upgrades the loaded :class:`CExecutable` in place, once
+(:meth:`CExecutable.upgrade`).  Both objects run the same serial loops
+with the same SIMD hints, so which one serves a call never shows in the
+result.  A parallel body's **reduction strategy** depends on the nest's
+output-write pattern:
 
 * ``for`` — every write's leading output coordinate is the (injective)
   outer loop variable, so iterations touch disjoint output elements: a
@@ -64,6 +75,12 @@ nest's output-write pattern:
   (``REPRO_OMP_STRATEGY=atomic``).  Atomic updates commute in arrival
   order, so this mode trades bit-reproducibility for zero log memory.
 
+Nests the analysis cannot prove safe (top-level intersection merges,
+mixed reduction operators, reads of the output outside a reduction
+update) stay serial.  ``REPRO_OMP_STRATEGY=serial`` disables the parallel
+bodies entirely (such a kernel is never upgraded: its serial object is
+all there is).
+
 Loop-level optimization passes
 ------------------------------
 Before emission the lowered AST runs through the composable pass
@@ -73,15 +90,6 @@ by ``$REPRO_PASSES`` and keyed into the service cache.  The renderer
 consumes the transformed tree plus the pipeline's annotations
 (:class:`~repro.codegen.backends.cpasses.ir.FusedVector` nodes, tile
 specs, the FTZ/SIMD flags).
-* ``atomic`` — ``#pragma omp atomic`` on each scalar ``+=``; the fallback
-  when the ordered log is explicitly disabled
-  (``REPRO_OMP_STRATEGY=atomic``).  Atomic updates commute in arrival
-  order, so this mode trades bit-reproducibility for zero log memory.
-
-Nests the analysis cannot prove safe (top-level intersection merges,
-mixed reduction operators, reads of the output outside a reduction
-update) stay serial.  ``REPRO_OMP_STRATEGY=serial`` disables the parallel
-bodies entirely.
 """
 
 from __future__ import annotations
@@ -90,13 +98,14 @@ import ast
 import ctypes
 import os
 import re
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro import faults
-from repro.codegen.backends import ctoolchain
+from repro.codegen.backends import ctoolchain, health
 from repro.codegen.backends.base import (
     Backend,
     BackendError,
@@ -169,7 +178,7 @@ _C_KEYWORDS = frozenset(
     rp_pool rp_pool_cap rp_pool_busy rp_pooled rp_i
     rp_p0 rp_p1 repro_nest_sec repro_nest_calls
     repro_profile_nests repro_profile_calls
-    repro_profile_reset repro_profile_read
+    repro_profile_reset repro_profile_read repro_openmp
     pv_all pv_out pv_total pv_team pv_k pv_s pv_b
     rp_status rp_oom rp_tb rp_thi rp_tile rp_csr rp_tcsr rp_slot
     repro_ftz_on repro_ftz_restore""".split()
@@ -615,6 +624,8 @@ class _Renderer:
                 "",
                 "#if defined(_OPENMP)",
                 "#include <omp.h>",
+                "/* marks the OpenMP object: absent from the serial build */",
+                "int64_t repro_openmp(void) { return 1; }",
             ]
             if self.uses_log:
                 # the ordered scatter log: one per thread, appended inside
@@ -858,9 +869,9 @@ class _Renderer:
     def _emit_parallel_nest(self, node: ast.For, plan: _NestPlan, ind: int) -> None:
         """One nest, twice: an OpenMP body and the serial fallback.
 
-        The preprocessor guard keeps the rendered source (and therefore
-        its content address) identical whether or not the toolchain has
-        OpenMP — without ``-fopenmp`` only the serial branch survives.
+        The preprocessor guard lets one rendered source build into both
+        objects: without ``-fopenmp`` (the serial object) only the serial
+        branch survives.
         """
         self.any_parallel = True
         self.work_model.append(self._nest_work(node, plan))
@@ -1494,13 +1505,11 @@ class _Renderer:
     def _simd_hint(self, ind: int) -> None:
         """An explicit vectorization promise on element-disjoint loops.
 
-        Guarded so the rendered source (and its content address) is
-        identical whether or not the toolchain has OpenMP.
+        Unguarded: the serial object honours it through ``-fopenmp-simd``
+        (no ``_OPENMP`` there), the OpenMP object through ``-fopenmp``.
         """
         if self.simd:
-            self._put(ind, "#if defined(_OPENMP)")
             self._put(ind, "#pragma omp simd")
-            self._put(ind, "#endif")
 
     def _emit_fused(self, node: FusedVector, ind: int) -> None:
         """One element loop for a run of fused vectorized statements."""
@@ -1988,6 +1997,12 @@ class CExecutable(Executable):
     The call plan (which pointer/extent/scalar goes where) is computed
     once at bind time; each run only coerces dtypes (a no-op for arrays
     :meth:`BoundKernel.prepare` built) and grabs data pointers.
+
+    The loaded object is either the serial or the OpenMP build of
+    ``source`` (:attr:`kind`).  A serial object that is asked to run with
+    ``threads > 1`` is upgraded in place (:meth:`upgrade`) — the check
+    sits on the ``threads > 1`` branch only, so serial dispatch pays
+    nothing for it.
     """
 
     def __init__(
@@ -1997,22 +2012,15 @@ class CExecutable(Executable):
         source: str,
         work_model: Sequence[NestWork] = (),
         profile_model: Sequence[Optional[NestWork]] = (),
+        stem: Optional[str] = None,
     ):
         self.source = source
-        self.so_path = so_path
+        self._stem = stem
         # the element dtype of every value pointer in the ABI (the "f64"
         # classification kind means "value array", in this dtype)
         self._elem = np.dtype(
             np.float32 if lowered.dtype == "float32" else np.float64
         )
-        with obs_trace.span("dlopen", path=so_path):
-            if faults.poll("dlopen") is not None:
-                raise OSError("injected: cannot dlopen %s" % so_path)
-            self._lib = ctypes.CDLL(so_path)
-            self._fn = self._lib.kernel  # AttributeError if absent
-        # the kernel returns 0 on success, nonzero when a runtime
-        # allocation (per-thread workspace, scatter log) failed
-        self._fn.restype = ctypes.c_int64
         self._steps = tuple(classify_args(lowered))
         self._work_model = tuple(work_model)
         self._vlen = (
@@ -2020,15 +2028,35 @@ class CExecutable(Executable):
             if lowered.vector_index is not None
             else None
         )
+        self.profile_model = tuple(profile_model)
+        self._load(so_path)
+        # a kernel without parallel bodies has nothing to upgrade to
+        self._upgradable = bool(self._work_model) and not self.omp
+        self._upgrade_lock = threading.Lock()
+
+    def _load(self, so_path: str) -> None:
+        """dlopen *so_path* and bind its entry points; on failure the
+        previously loaded object (if any) stays in service."""
+        with obs_trace.span("dlopen", path=so_path):
+            if faults.poll("dlopen") is not None:
+                raise OSError("injected: cannot dlopen %s" % so_path)
+            lib = ctypes.CDLL(so_path)
+            fn = lib.kernel  # AttributeError if absent
+        # the kernel returns 0 on success, nonzero when a runtime
+        # allocation (per-thread workspace, scatter log) failed
+        fn.restype = ctypes.c_int64
+        self._lib, self._fn, self.so_path = lib, fn, so_path
+        #: whether this is the OpenMP object (its marker symbol exists
+        #: only under ``_OPENMP``).
+        self.omp = hasattr(lib, "repro_openmp")
         # per-nest profiling symbols exist only in REPRO_PROFILE builds;
         # their absence (the production case, or a pre-profiling artifact)
         # leaves `profiled` False and nest_profile() returning None
-        self.profile_model = tuple(profile_model)
         try:
-            nests_fn = self._lib.repro_profile_nests
-            calls_fn = self._lib.repro_profile_calls
-            reset_fn = self._lib.repro_profile_reset
-            read_fn = self._lib.repro_profile_read
+            nests_fn = lib.repro_profile_nests
+            calls_fn = lib.repro_profile_calls
+            reset_fn = lib.repro_profile_reset
+            read_fn = lib.repro_profile_read
         except AttributeError:
             self._profile_fns = None
         else:
@@ -2038,6 +2066,42 @@ class CExecutable(Executable):
             read_fn.restype = None
             read_fn.argtypes = (ctypes.POINTER(ctypes.c_double),)
             self._profile_fns = (nests_fn, calls_fn, reset_fn, read_fn)
+
+    @property
+    def kind(self) -> str:
+        """Which object is loaded: ``"serial"`` or ``"omp"``."""
+        return "omp" if self.omp else "serial"
+
+    def upgrade(self) -> None:
+        """Swap the serial object for the OpenMP one, at most once.
+
+        Single-flight across host threads (the lock) and across processes
+        (:func:`ctoolchain.compile_shared`'s flock); plans bound before
+        the swap follow it on their next ``threads > 1`` call.  When the
+        OpenMP object cannot be had — no OpenMP toolchain, a ``cc`` or
+        ``dlopen`` failure — the ``c@omp`` tier is marked unhealthy
+        (sticky: later runs resolve to one thread), the serial object
+        keeps serving bit-identical results and nothing raises.
+        """
+        with self._upgrade_lock:
+            if not self._upgradable:
+                return  # another host thread settled it first
+            try:
+                with obs_trace.span("backend:upgrade", stem=self._stem):
+                    if not ctoolchain.openmp_flags():
+                        raise ctoolchain.ToolchainError(
+                            "the toolchain cannot build OpenMP objects"
+                        )
+                    self._load(
+                        ctoolchain.compile_shared(
+                            self.source, stem=self._stem, omp=True
+                        )
+                    )
+                obs_metrics.inc("toolchain.omp_upgrades")
+            except (ctoolchain.ToolchainError, OSError, AttributeError) as exc:
+                health.mark("c@omp", exc)
+            finally:
+                self._upgradable = False
 
     @property
     def profiled(self) -> bool:
@@ -2087,6 +2151,8 @@ class CExecutable(Executable):
         # around the call, so batch fan-out threads and OpenMP teams of
         # distinct kernels genuinely overlap
         argv.append(ctypes.c_int64(max(1, int(threads))))
+        if threads > 1 and self._upgradable:
+            self.upgrade()
         rc = self._fn(*argv)
         if rc:
             raise BackendError(
@@ -2138,8 +2204,16 @@ class CExecutable(Executable):
         fn = self._fn
 
         def call(threads: int) -> None:
-            nthreads.value = threads if threads > 1 else 1
-            rc = fn(*packed)
+            if threads > 1:
+                if self._upgradable:
+                    self.upgrade()
+                nthreads.value = threads
+                rc = self._fn(*packed)
+            else:
+                # the object bound here serves every serial call, also
+                # after an upgrade: both objects run the same serial loops
+                nthreads.value = 1
+                rc = fn(*packed)
             if rc:
                 raise BackendError(
                     "C kernel reported allocation failure (status %d)" % rc
@@ -2157,7 +2231,7 @@ class CExecutable(Executable):
         return sum(term.resolve(arrays, self._vlen) for term in self._work_model)
 
     def describe(self) -> str:
-        return "c (%s)" % self.so_path
+        return "c (%s, %s object)" % (self.so_path, self.kind)
 
 
 class CBackend(Backend):
@@ -2172,15 +2246,27 @@ class CBackend(Backend):
         label: Optional[str] = None,
         artifact: Optional[str] = None,
         einsum: Optional[str] = None,
+        threaded: bool = False,
     ) -> CExecutable:
         rendered = render_c_full(lowered, label, einsum=einsum)
-        source, work_model = rendered.source, rendered.work_model
-        profile_model = rendered.profile_model
+        stem = re.sub(r"[^A-Za-z0-9_-]", "", label or "")[:24] or None
+
+        def load(so_path: str) -> CExecutable:
+            exe = CExecutable(
+                lowered,
+                so_path,
+                rendered.source,
+                rendered.work_model,
+                rendered.profile_model,
+                stem=stem,
+            )
+            if threaded:
+                exe.upgrade()  # no-op unless a serial artifact was loaded
+            return exe
+
         if artifact is not None:
             try:
-                return CExecutable(
-                    lowered, artifact, source, work_model, profile_model
-                )
+                return load(artifact)
             except (OSError, AttributeError):
                 pass  # corrupt or foreign .so: degrade to a fresh build
         if ctoolchain.probe() is None:
@@ -2188,20 +2274,21 @@ class CBackend(Backend):
                 "the C backend needs a working compiler; none was found "
                 "(set $REPRO_CC, or use backend='auto' to fall back to python)"
             )
-        stem = re.sub(r"[^A-Za-z0-9_-]", "", label or "")[:24] or None
+        # a kernel without parallel bodies is the same code either way
+        omp = threaded and bool(rendered.work_model)
         try:
-            so_path = ctoolchain.compile_shared(source, stem=stem)
+            so_path = ctoolchain.compile_shared(
+                rendered.source, stem=stem, omp=omp
+            )
             try:
-                return CExecutable(
-                    lowered, so_path, source, work_model, profile_model
-                )
+                return load(so_path)
             except (OSError, AttributeError):
                 # a content-addressed object that won't load (stale cache
                 # from another machine): rebuild it once, then fail loudly
-                so_path = ctoolchain.compile_shared(source, stem=stem, force=True)
-                return CExecutable(
-                    lowered, so_path, source, work_model, profile_model
+                so_path = ctoolchain.compile_shared(
+                    rendered.source, stem=stem, force=True, omp=omp
                 )
+                return load(so_path)
         except ctoolchain.ToolchainError as exc:
             raise BackendError("C kernel build failed: %s" % exc)
 

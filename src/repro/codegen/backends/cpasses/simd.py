@@ -10,9 +10,12 @@ surrounding parallel region complicates its alias analysis).
 
 Bit-identity: the hint is only placed on loops with no loop-carried
 scalar reduction — each iteration computes and stores its own element,
-so lane order cannot change any arithmetic.  The pragma is emitted under
-``#if defined(_OPENMP)`` so the rendered source (and its content
-address) stays identical whether or not the toolchain has OpenMP.
+so lane order cannot change any arithmetic.  The pragma is emitted
+unguarded: the serial object is built with ``-fopenmp-simd`` (which
+honours ``omp simd`` without defining ``_OPENMP`` or linking a runtime),
+the OpenMP object with ``-fopenmp``, and a compiler that accepts neither
+flag ignores the unknown pragma — one source, the same hint in both
+objects.
 """
 
 from __future__ import annotations

@@ -2,24 +2,39 @@
 
 The probe runs once per process: find a compiler (``$REPRO_CC``, else
 ``cc``/``gcc``/``clang``), build and dlopen a trivial shared object, and
-settle the optimization flags (``-march=native`` is dropped when the
-compiler rejects it).  ``$REPRO_NO_CC`` forcibly disables the probe — the
-CI leg that exercises the no-compiler degradation path sets it.
+settle the flags every build shares (``-march=native`` and
+``-fopenmp-simd`` are tried in that same trivial build and dropped when
+the compiler rejects them).  ``$REPRO_NO_CC`` forcibly disables the
+probe — the CI leg that exercises the no-compiler degradation path sets
+it.
 
-OpenMP capability is probed in the same pass: a second trivial object is
-built with ``-fopenmp`` and must load and answer through the OpenMP
-runtime before the flag is adopted.  ``$REPRO_NO_OPENMP`` skips that step
-(kernels then compile without the flag and their parallel regions
-degrade to the serial branch).  :func:`reset_probe_cache` forgets both —
-a test that flips the env between probes gets a fresh answer for the
-compiler *and* for OpenMP.
+One rendered source builds into one of two objects
+(:meth:`Toolchain.object_flags`):
+
+* the **serial object** (``-fopenmp-simd``): ``_OPENMP`` is undefined, so
+  the preprocessor drops every ``omp parallel`` body, the scatter-log
+  pool and ``<omp.h>`` — roughly half the code ``cc -O3`` would
+  otherwise optimize — while the ``#pragma omp simd`` hints stay live.
+  It is what a request that can only ever run on one thread is served
+  from, and it has no OpenMP runtime dependency;
+* the **OpenMP object** (``-fopenmp``): both the parallel bodies and the
+  serial branch.
+
+OpenMP capability is probed lazily: the ``-fopenmp`` trivial object —
+which must load and answer through the OpenMP runtime before the flag is
+adopted — is built the first time an OpenMP object is wanted (or
+``repro doctor`` / ``repro backends`` / the tuner ask), so a process that
+only ever runs serial kernels never pays for it.  ``$REPRO_NO_OPENMP``
+skips that step (every kernel is then served from the serial object).
+:func:`reset_probe_cache` forgets both — a test that flips the env
+between probes gets a fresh answer for the compiler *and* for OpenMP.
 
 Compiled objects are content-addressed by a hash of their C source *and*
-the toolchain configuration (compiler + flags, ``-fopenmp`` included) in
-a per-process build directory (``$REPRO_C_CACHE`` overrides with a
-persistent one), so recompiling the same kernel in one process is free
-and a persistent cache never serves an object built under a different
-flag set.
+the flag set they were built under, in a per-process build directory
+(``$REPRO_C_CACHE`` overrides with a persistent one), so recompiling the
+same kernel in one process is free, the serial and the OpenMP object of
+one source never alias, and a persistent cache never serves an object
+built under a different flag set.
 """
 
 from __future__ import annotations
@@ -35,7 +50,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro import faults
 from repro.core.config import cc_backoff, cc_retries, cc_timeout, lock_timeout
@@ -79,26 +94,39 @@ class Toolchain:
     """A probed, known-working compiler configuration."""
 
     cc: str
+    #: flags every build shares (``-march=native`` when accepted).
     flags: tuple
-    #: ``("-fopenmp",)`` when the OpenMP probe succeeded, else ``()``.
-    openmp_flags: tuple = ()
+    #: ``("-fopenmp-simd",)`` when the compiler accepts it, else ``()`` —
+    #: what the serial object is built with so its SIMD hints stay live.
+    simd_flags: tuple = ()
+
+    @property
+    def openmp_flags(self) -> tuple:
+        """``("-fopenmp",)`` when the (lazy) OpenMP probe succeeds."""
+        return openmp_flags()
 
     @property
     def openmp(self) -> bool:
         """Can this toolchain build OpenMP-parallel kernels?"""
         return bool(self.openmp_flags)
 
-    def all_flags(self) -> tuple:
-        """Every flag a kernel build actually uses."""
-        return self.flags + self.openmp_flags
+    def object_flags(self, omp: bool) -> tuple:
+        """The flag set of the OpenMP (``omp``) or the serial object.
+
+        Asking for the OpenMP object on a toolchain that cannot build one
+        answers the serial set: the caller gets a working kernel whose
+        parallel bodies are preprocessed away.
+        """
+        extra = self.openmp_flags if omp else ()
+        return self.flags + (extra or self.simd_flags)
 
     def describe(self) -> str:
-        return "%s %s" % (self.cc, " ".join(self.all_flags()))
+        return "%s %s" % (self.cc, " ".join(self.flags + self.simd_flags))
 
 
 _lock = threading.Lock()
-_probe_ran = False
-_probe_result: Optional[Toolchain] = None
+#: answers of the once-per-process probes (toolchain, OpenMP, FTZ) by name.
+_probed: Dict[str, object] = {}
 _build_dir: Optional[str] = None
 
 
@@ -199,92 +227,103 @@ def _write_file_atomic(directory: str, target: str, text: str) -> None:
         raise
 
 
-def _probe_build_runs(
-    cc_path: str, flags: tuple, source: str, scratch: List[str], directory: str
-) -> bool:
-    """Build *source* with *flags*, dlopen it and call ``repro_probe``."""
+def _probe_build_runs(cc_path: str, flags: tuple, source: str) -> bool:
+    """Build *source* with *flags*, dlopen it and call ``repro_probe``.
+
+    Probe files are process-unique (the build dir may be a shared
+    ``$REPRO_C_CACHE``) and removed afterwards.
+    """
+    directory = build_dir()
     fd, src = tempfile.mkstemp(dir=directory, prefix=".probe.", suffix=".c")
     with os.fdopen(fd, "w") as handle:
         handle.write(source)
-    scratch.append(src)
     fd, out = tempfile.mkstemp(dir=directory, prefix=".probe.", suffix=".so")
     os.close(fd)
-    scratch.append(out)
     try:
         _run_cc(cc_path, flags, src, out, timeout=cc_timeout())
         lib = ctypes.CDLL(out)
         return int(lib.repro_probe()) == 42
     except (ToolchainError, OSError, AttributeError):
         return False
-
-
-def _try_probe(cc_path: str) -> Optional[Toolchain]:
-    """Build + load + call trivial shared objects with *cc_path*.
-
-    Settles the optimization flags first, then checks whether the same
-    configuration also builds and runs OpenMP code (``$REPRO_NO_OPENMP``
-    skips that step).  Probe files are process-unique (the build dir may
-    be a shared ``$REPRO_C_CACHE``) and removed afterwards.
-    """
-    directory = build_dir()
-    scratch: List[str] = []
-    try:
-        for extra in (("-march=native",), ()):
-            flags = BASE_FLAGS + extra
-            if not _probe_build_runs(cc_path, flags, _TRIVIAL, scratch, directory):
-                continue
-            openmp_flags: tuple = ()
-            if not os.environ.get("REPRO_NO_OPENMP"):
-                if _probe_build_runs(
-                    cc_path, flags + ("-fopenmp",), _TRIVIAL_OMP, scratch, directory
-                ):
-                    openmp_flags = ("-fopenmp",)
-            return Toolchain(cc=cc_path, flags=flags, openmp_flags=openmp_flags)
-        return None
     finally:
-        for path in scratch:
+        for path in (src, out):
             try:
                 os.unlink(path)
             except OSError:
                 pass
 
 
-def probe() -> Optional[Toolchain]:
-    """The working toolchain, or ``None`` (cached after the first call)."""
-    global _probe_ran, _probe_result
+def _try_probe(cc_path: str) -> Optional[Toolchain]:
+    """Build + load + call the trivial shared object with *cc_path*.
+
+    The first accepted combination of the optional flags wins, so the
+    common case (both accepted) costs one build.
+    """
+    for march in (("-march=native",), ()):
+        for simd in (("-fopenmp-simd",), ()):
+            if _probe_build_runs(cc_path, BASE_FLAGS + march + simd, _TRIVIAL):
+                return Toolchain(
+                    cc=cc_path, flags=BASE_FLAGS + march, simd_flags=simd
+                )
+    return None
+
+
+def _probe_once(name: str, compute: Callable[[], object]):
+    """The cached answer of probe *name*, computed on first use (outside
+    the lock: a probe runs ``cc``; racing first callers agree anyway)."""
     with _lock:
-        if _probe_ran:
-            return _probe_result
-    result: Optional[Toolchain] = None
-    if not os.environ.get("REPRO_NO_CC"):
-        for cand in _candidates():
-            path = shutil.which(cand)
-            if path is None:
-                continue
+        if name in _probed:
+            return _probed[name]
+    value = compute()
+    with _lock:
+        return _probed.setdefault(name, value)
+
+
+def _find_toolchain() -> Optional[Toolchain]:
+    if os.environ.get("REPRO_NO_CC"):
+        return None
+    for cand in _candidates():
+        path = shutil.which(cand)
+        if path is not None:
             result = _try_probe(path)
             if result is not None:
-                break
-    with _lock:
-        _probe_ran = True
-        _probe_result = result
-        return _probe_result
+                return result
+    return None
+
+
+def probe() -> Optional[Toolchain]:
+    """The working toolchain, or ``None`` (cached after the first call)."""
+    return _probe_once("toolchain", _find_toolchain)
+
+
+def _probe_openmp() -> tuple:
+    tc = probe()
+    if tc is not None and not os.environ.get("REPRO_NO_OPENMP"):
+        if _probe_build_runs(tc.cc, tc.flags + ("-fopenmp",), _TRIVIAL_OMP):
+            return ("-fopenmp",)
+    return ()
+
+
+def openmp_flags() -> tuple:
+    """``("-fopenmp",)`` when the toolchain builds and runs OpenMP code.
+
+    Probed on first use, not in :func:`probe`: only a caller that wants an
+    OpenMP object (or reports on the capability) pays the extra ``cc``
+    run.  ``()`` without a toolchain or under ``$REPRO_NO_OPENMP``.
+    """
+    return _probe_once("openmp", _probe_openmp)
 
 
 def reset_probe_cache() -> None:
-    """Forget the cached probe (tests flip env vars between probes).
+    """Forget the cached probes (tests flip env vars between probes).
 
-    The OpenMP capability lives on the cached :class:`Toolchain`, so
-    dropping it here invalidates the compiler *and* the OpenMP answer in
-    one step — a subsequent :func:`probe` re-examines both.  The
+    Invalidates the compiler, the (lazily probed) OpenMP answer and the
+    FTZ answer in one step — each is re-examined on next use.  The
     permanent-failure memo is dropped too (its digests cover the
     toolchain identity, which may be about to change).
     """
-    global _probe_ran, _probe_result, _ftz_ran, _ftz_result
     with _lock:
-        _probe_ran = False
-        _probe_result = None
-        _ftz_ran = False
-        _ftz_result = False
+        _probed.clear()
         _failed.clear()
 
 
@@ -300,8 +339,9 @@ int repro_probe(void) {
 }
 """
 
-_ftz_ran = False
-_ftz_result = False
+def _probe_ftz() -> bool:
+    tc = probe()
+    return tc is not None and _probe_build_runs(tc.cc, tc.flags, _FTZ_SOURCE)
 
 
 def probe_ftz() -> bool:
@@ -313,28 +353,7 @@ def probe_ftz() -> bool:
     keys) instead.  Cached after the first call; reset together with the
     toolchain probe.
     """
-    global _ftz_ran, _ftz_result
-    with _lock:
-        if _ftz_ran:
-            return _ftz_result
-    tc = probe()
-    result = False
-    if tc is not None:
-        scratch: List[str] = []
-        try:
-            result = _probe_build_runs(
-                tc.cc, tc.flags, _FTZ_SOURCE, scratch, build_dir()
-            )
-        finally:
-            for path in scratch:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-    with _lock:
-        _ftz_ran = True
-        _ftz_result = result
-        return _ftz_result
+    return _probe_once("ftz", _probe_ftz)
 
 
 #: digests whose build failed *permanently* (cc exited nonzero) — the
@@ -349,8 +368,10 @@ def reset_failure_memo() -> None:
         _failed.clear()
 
 
-def _build_with_retry(tc: Toolchain, c_path: str, so_path: str, name: str) -> None:
-    """Run cc into a private temp and publish it at *so_path*.
+def _build_with_retry(
+    tc: Toolchain, flags: tuple, c_path: str, so_path: str, name: str
+) -> None:
+    """Run cc with *flags* into a private temp and publish it at *so_path*.
 
     Transient failures (:class:`ToolchainTimeout`, signal kills) are
     retried ``$REPRO_CC_RETRIES`` times with exponential backoff and
@@ -368,8 +389,15 @@ def _build_with_retry(tc: Toolchain, c_path: str, so_path: str, name: str) -> No
         )
         os.close(fd)
         try:
-            with obs_trace.span("cc", stem=name, cc=tc.cc, attempt=attempt):
-                _run_cc(tc.cc, tc.all_flags(), c_path, tmp, timeout=timeout)
+            with obs_trace.span(
+                "cc",
+                stem=name,
+                cc=tc.cc,
+                attempt=attempt,
+                omp=int("-fopenmp" in flags),
+                flags=" ".join(flags),
+            ):
+                _run_cc(tc.cc, flags, c_path, tmp, timeout=timeout)
             os.replace(tmp, so_path)
             return
         except ToolchainError as exc:
@@ -391,14 +419,22 @@ def _build_with_retry(tc: Toolchain, c_path: str, so_path: str, name: str) -> No
             raise
 
 
-def compile_shared(source: str, stem: Optional[str] = None, force: bool = False) -> str:
+def compile_shared(
+    source: str,
+    stem: Optional[str] = None,
+    force: bool = False,
+    omp: bool = False,
+) -> str:
     """Compile C *source* into a content-addressed ``.so``; return its path.
 
-    An existing object for identical source is reused unless ``force`` is
-    set (callers pass it after a cached object failed to load — e.g. a
-    persistent ``$REPRO_C_CACHE`` carrying objects from another
-    architecture).  Raises :class:`ToolchainError` when no toolchain is
-    available or the build fails.
+    ``omp`` selects the OpenMP object over the serial one
+    (:meth:`Toolchain.object_flags`; the serial one is what comes back
+    when the toolchain has no OpenMP — the loaded object says which it
+    is).  An existing object for identical source and flags is reused
+    unless ``force`` is set (callers pass it after a cached object failed
+    to load — e.g. a persistent ``$REPRO_C_CACHE`` carrying objects from
+    another architecture).  Raises :class:`ToolchainError` when no
+    toolchain is available or the build fails.
 
     Robustness properties:
 
@@ -418,12 +454,12 @@ def compile_shared(source: str, stem: Optional[str] = None, force: bool = False)
         raise ToolchainError(
             "no working C compiler (set $REPRO_CC, or unset $REPRO_NO_CC)"
         )
-    # the object's identity covers the toolchain configuration too: the
-    # rendered source is deliberately identical with and without OpenMP
-    # (preprocessor-guarded), so a persistent $REPRO_C_CACHE must not keep
-    # serving a serial-only object after the environment gains -fopenmp
-    # (or a parallel one after $REPRO_NO_OPENMP is set)
-    identity = "%s\x00%s\x00%s" % (tc.cc, " ".join(tc.all_flags()), source)
+    # the object's identity covers the flag set too: the rendered source
+    # is deliberately identical for the serial and the OpenMP object
+    # (preprocessor-guarded), so the two must never alias — in one
+    # process or in a persistent $REPRO_C_CACHE
+    flags = tc.object_flags(omp)
+    identity = "%s\x00%s\x00%s" % (tc.cc, " ".join(flags), source)
     digest = hashlib.sha256(identity.encode("utf-8")).hexdigest()[:16]
     with _lock:
         memo = _failed.get(digest)
@@ -458,7 +494,7 @@ def compile_shared(source: str, stem: Optional[str] = None, force: bool = False)
         if acquired and os.path.exists(so_path) and not force:
             return so_path  # the previous holder published while we waited
         try:
-            _build_with_retry(tc, c_path, so_path, name)
+            _build_with_retry(tc, flags, c_path, so_path, name)
         except ToolchainError as exc:
             if not isinstance(exc, (ToolchainTimeout, ToolchainInterrupted)):
                 obs_metrics.inc("toolchain.permanent_failures")

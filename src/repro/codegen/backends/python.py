@@ -71,6 +71,7 @@ class PythonBackend(Backend):
         label: Optional[str] = None,
         artifact: Optional[str] = None,
         einsum: Optional[str] = None,
+        threaded: bool = False,
     ) -> PythonExecutable:
         return PythonExecutable(lowered, label)
 

@@ -14,7 +14,9 @@ object.
 Degradation ladder
 ------------------
 Every tier executes the same lowered loop structure, so results are
-bit-identical by construction across ``c@omp`` (compiled, threads > 1),
+bit-identical by construction across ``c@omp`` (compiled, threads > 1;
+served from the kernel's OpenMP object, built up front when the default
+thread setting can exceed 1 and otherwise on the first threaded run),
 ``c`` (compiled, serial) and ``python`` (interpreted).  A *runtime*
 failure in a compiled tier — the shared object breaking mid-session, an
 OpenMP-tier crash, an injected fault — marks that tier unhealthy for the
@@ -381,10 +383,21 @@ class BoundKernel:
             # the floor instead of paying the failure again per kernel
             backend, artifact = "python", None
             self.backend_name = "python"
+        # can the default thread setting ever resolve above 1?  Then the
+        # backend builds its multi-threaded object now, not on first use
+        threaded = (
+            threads is not None
+            and resolve_threads(threads) > 1
+            and health.ok("c@omp")
+        )
         with obs_trace.span("backend:compile", backend=backend, label=label):
             try:
                 self.executable = get_backend(backend).compile(
-                    lowered, label=label, artifact=artifact, einsum=einsum
+                    lowered,
+                    label=label,
+                    artifact=artifact,
+                    einsum=einsum,
+                    threaded=threaded,
                 )
             except BackendUnavailableError:
                 raise  # the caller named a backend this machine lacks

@@ -10,7 +10,13 @@ Kernels built by the C backend additionally persist their generated C
 source (``<key>.c``, for inspection) and the compiled shared object
 (``<key>.so``): rehydration hands the ``.so`` to the backend, which
 reuses it directly and only recompiles when the artifact is corrupt or
-from a foreign architecture.
+from a foreign architecture.  The ``.so`` is whichever object the kernel
+was running when it was stored — the serial build for a kernel that only
+ever ran on one thread, the OpenMP build otherwise (the loaded object
+says which, :attr:`CExecutable.kind`).  A process that rehydrates a
+serial artifact under a thread setting above 1 upgrades it (one ``cc``
+run) and the store then keeps the OpenMP object, which also serves
+serial callers; an OpenMP artifact is never replaced by a serial one.
 
 Writes are atomic (temp file + fsync + ``os.replace``) so a crashed
 writer never leaves or publishes a half-written entry; reads that fail
@@ -281,9 +287,10 @@ class DiskStore:
         self, key, kernel, artifact: Optional[str], payload
     ) -> None:
         """Refresh ``<key>.so`` (and its recorded hash) when the backend
-        did not run the persisted artifact (it was corrupt, truncated or
-        absent): otherwise every future process would pay a failed load +
-        recompile for this entry."""
+        did not run the persisted artifact (it was corrupt, truncated,
+        absent, or a serial object that a threaded caller upgraded to the
+        OpenMP one): otherwise every future process would pay a failed
+        load + recompile — or the upgrade — for this entry again."""
         executable = kernel.bound.executable
         so_path = getattr(executable, "so_path", None)
         if so_path is None or so_path == artifact:
@@ -291,8 +298,11 @@ class DiskStore:
         try:
             with open(so_path, "rb") as handle:
                 blob = handle.read()
+            digest = hashlib.sha256(blob).hexdigest()
+            if artifact is not None and digest == payload.get("artifact_sha256"):
+                return  # the verified sidecar already holds these bytes
             payload = dict(payload)
-            payload["artifact_sha256"] = hashlib.sha256(blob).hexdigest()
+            payload["artifact_sha256"] = digest
             data = json.dumps(payload, indent=1, sort_keys=True)
             # same commit discipline as _put: artifact first, entry second
             self._atomic_write(self.path / ("%s.so" % key), blob, key)

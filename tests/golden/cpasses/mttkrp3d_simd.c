@@ -5,6 +5,8 @@
 
 #if defined(_OPENMP)
 #include <omp.h>
+/* marks the OpenMP object: absent from the serial build */
+int64_t repro_openmp(void) { return 1; }
 #include <stdatomic.h>
 
 typedef struct {
@@ -151,16 +153,12 @@ int64_t kernel(double *restrict out,
                     #pragma omp for schedule(static)
                     for (l = 0; l < n_l; ++l) {
                         t1 = B + (l) * B_dims[1];
-                        #if defined(_OPENMP)
                         #pragma omp simd
-                        #endif
                         for (_v = 0; _v < n_j; ++_v) { ws1[_v] = 0.0; }
                         for (q0_1 = A__strict_pos1[l]; q0_1 < A__strict_pos1[(l + 1)]; ++q0_1) {
                             k = A__strict_idx1[q0_1];
                             t2 = B + (k) * B_dims[1];
-                            #if defined(_OPENMP)
                             #pragma omp simd
-                            #endif
                             for (_v = 0; _v < n_j; ++_v) { ws0[_v] = 0.0; }
                             for (q0_2 = A__strict_pos2[q0_1]; q0_2 < A__strict_pos2[(q0_1 + 1)]; ++q0_2) {
                                 i = A__strict_idx2[q0_2];
@@ -171,13 +169,9 @@ int64_t kernel(double *restrict out,
                                         #pragma omp atomic write
                                         rp_oom = 1;
                                     } else { for (_v = 0; _v < n_j; ++_v) { rp_dst[_v] = (2.0 * ((t0 * t1[_v]) * t2[_v])); } } }
-                                #if defined(_OPENMP)
                                 #pragma omp simd
-                                #endif
                                 for (_v = 0; _v < n_j; ++_v) { ws0[_v] += (2.0 * ((t0 * t1[_v]) * t3[_v])); }
-                                #if defined(_OPENMP)
                                 #pragma omp simd
-                                #endif
                                 for (_v = 0; _v < n_j; ++_v) { ws1[_v] += (2.0 * ((t0 * t2[_v]) * t3[_v])); }
                             }
                             { double *rp_dst = repro_log_slot(rp_my, (k) * out_dims[1], n_j);
@@ -217,42 +211,28 @@ int64_t kernel(double *restrict out,
     {
         for (l = 0; l < n_l; ++l) {
             t1 = B + (l) * B_dims[1];
-            #if defined(_OPENMP)
             #pragma omp simd
-            #endif
             for (_v = 0; _v < n_j; ++_v) { ws1[_v] = 0.0; }
             for (q0_1 = A__strict_pos1[l]; q0_1 < A__strict_pos1[(l + 1)]; ++q0_1) {
                 k = A__strict_idx1[q0_1];
                 t2 = B + (k) * B_dims[1];
-                #if defined(_OPENMP)
                 #pragma omp simd
-                #endif
                 for (_v = 0; _v < n_j; ++_v) { ws0[_v] = 0.0; }
                 for (q0_2 = A__strict_pos2[q0_1]; q0_2 < A__strict_pos2[(q0_1 + 1)]; ++q0_2) {
                     i = A__strict_idx2[q0_2];
                     t0 = A__strict_vals[q0_2];
                     t3 = B + (i) * B_dims[1];
-                    #if defined(_OPENMP)
                     #pragma omp simd
-                    #endif
                     for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += (2.0 * ((t0 * t1[_v]) * t2[_v])); }
-                    #if defined(_OPENMP)
                     #pragma omp simd
-                    #endif
                     for (_v = 0; _v < n_j; ++_v) { ws0[_v] += (2.0 * ((t0 * t1[_v]) * t3[_v])); }
-                    #if defined(_OPENMP)
                     #pragma omp simd
-                    #endif
                     for (_v = 0; _v < n_j; ++_v) { ws1[_v] += (2.0 * ((t0 * t2[_v]) * t3[_v])); }
                 }
-                #if defined(_OPENMP)
                 #pragma omp simd
-                #endif
                 for (_v = 0; _v < n_j; ++_v) { out[(k) * out_dims[1] + _v] += ws0[_v]; }
             }
-            #if defined(_OPENMP)
             #pragma omp simd
-            #endif
             for (_v = 0; _v < n_j; ++_v) { out[(l) * out_dims[1] + _v] += ws1[_v]; }
         }
     }
@@ -281,16 +261,12 @@ int64_t kernel(double *restrict out,
                     #pragma omp for schedule(static)
                     for (l = 0; l < n_l; ++l) {
                         t5 = B + (l) * B_dims[1];
-                        #if defined(_OPENMP)
                         #pragma omp simd
-                        #endif
                         for (_v = 0; _v < n_j; ++_v) { ws3[_v] = 0.0; }
                         for (q0_1 = A__diagonal_pos1[l]; q0_1 < A__diagonal_pos1[(l + 1)]; ++q0_1) {
                             k = A__diagonal_idx1[q0_1];
                             t6 = B + (k) * B_dims[1];
-                            #if defined(_OPENMP)
                             #pragma omp simd
-                            #endif
                             for (_v = 0; _v < n_j; ++_v) { ws2[_v] = 0.0; }
                             for (q0_2 = A__diagonal_pos2[q0_1]; q0_2 < A__diagonal_pos2[(q0_1 + 1)]; ++q0_2) {
                                 i = A__diagonal_idx2[q0_2];
@@ -304,9 +280,7 @@ int64_t kernel(double *restrict out,
                                         } else { for (_v = 0; _v < n_j; ++_v) { rp_dst[_v] = ((t4 * t5[_v]) * t6[_v]); } } }
                                 }
                                 if (((i < k) && (k == l))) {
-                                    #if defined(_OPENMP)
                                     #pragma omp simd
-                                    #endif
                                     for (_v = 0; _v < n_j; ++_v) { ws2[_v] += (2.0 * ((t4 * t5[_v]) * t7[_v])); }
                                 }
                                 if (((i == k) && (k < l))) {
@@ -315,9 +289,7 @@ int64_t kernel(double *restrict out,
                                             #pragma omp atomic write
                                             rp_oom = 1;
                                         } else { for (_v = 0; _v < n_j; ++_v) { rp_dst[_v] = (2.0 * ((t4 * t5[_v]) * t6[_v])); } } }
-                                    #if defined(_OPENMP)
                                     #pragma omp simd
-                                    #endif
                                     for (_v = 0; _v < n_j; ++_v) { ws3[_v] += ((t4 * t6[_v]) * t7[_v]); }
                                 }
                             }
@@ -358,52 +330,36 @@ int64_t kernel(double *restrict out,
     {
         for (l = 0; l < n_l; ++l) {
             t5 = B + (l) * B_dims[1];
-            #if defined(_OPENMP)
             #pragma omp simd
-            #endif
             for (_v = 0; _v < n_j; ++_v) { ws3[_v] = 0.0; }
             for (q0_1 = A__diagonal_pos1[l]; q0_1 < A__diagonal_pos1[(l + 1)]; ++q0_1) {
                 k = A__diagonal_idx1[q0_1];
                 t6 = B + (k) * B_dims[1];
-                #if defined(_OPENMP)
                 #pragma omp simd
-                #endif
                 for (_v = 0; _v < n_j; ++_v) { ws2[_v] = 0.0; }
                 for (q0_2 = A__diagonal_pos2[q0_1]; q0_2 < A__diagonal_pos2[(q0_1 + 1)]; ++q0_2) {
                     i = A__diagonal_idx2[q0_2];
                     t4 = A__diagonal_vals[q0_2];
                     t7 = B + (i) * B_dims[1];
                     if ((((i < k) && (k == l)) || ((i == k) && (k == l)))) {
-                        #if defined(_OPENMP)
                         #pragma omp simd
-                        #endif
                         for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += ((t4 * t5[_v]) * t6[_v]); }
                     }
                     if (((i < k) && (k == l))) {
-                        #if defined(_OPENMP)
                         #pragma omp simd
-                        #endif
                         for (_v = 0; _v < n_j; ++_v) { ws2[_v] += (2.0 * ((t4 * t5[_v]) * t7[_v])); }
                     }
                     if (((i == k) && (k < l))) {
-                        #if defined(_OPENMP)
                         #pragma omp simd
-                        #endif
                         for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += (2.0 * ((t4 * t5[_v]) * t6[_v])); }
-                        #if defined(_OPENMP)
                         #pragma omp simd
-                        #endif
                         for (_v = 0; _v < n_j; ++_v) { ws3[_v] += ((t4 * t6[_v]) * t7[_v]); }
                     }
                 }
-                #if defined(_OPENMP)
                 #pragma omp simd
-                #endif
                 for (_v = 0; _v < n_j; ++_v) { out[(k) * out_dims[1] + _v] += ws2[_v]; }
             }
-            #if defined(_OPENMP)
             #pragma omp simd
-            #endif
             for (_v = 0; _v < n_j; ++_v) { out[(l) * out_dims[1] + _v] += ws3[_v]; }
         }
     }

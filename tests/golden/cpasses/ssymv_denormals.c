@@ -20,6 +20,8 @@ static void repro_ftz_restore(unsigned int rp_csr) { (void) rp_csr; }
 
 #if defined(_OPENMP)
 #include <omp.h>
+/* marks the OpenMP object: absent from the serial build */
+int64_t repro_openmp(void) { return 1; }
 #include <stdatomic.h>
 
 typedef struct {

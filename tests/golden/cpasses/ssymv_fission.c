@@ -5,6 +5,8 @@
 
 #if defined(_OPENMP)
 #include <omp.h>
+/* marks the OpenMP object: absent from the serial build */
+int64_t repro_openmp(void) { return 1; }
 #include <stdatomic.h>
 
 typedef struct {

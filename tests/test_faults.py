@@ -219,6 +219,55 @@ def test_omp_tier_failure_falls_back_to_serial_c(inputs):
 
 
 @needs_cc
+def test_failed_omp_upgrade_is_served_from_the_serial_object(
+    monkeypatch, tmp_path, inputs
+):
+    """The on-demand OpenMP build fails (an injected ``cc`` fault): the
+    threaded call is answered by the serial object, bit-identically, the
+    ``c@omp`` tier goes down so the build is not retried per call, and
+    nothing raises."""
+    ref = _reference(inputs)
+    # nothing prebuilt: the upgrade has to run cc
+    monkeypatch.setattr(ctoolchain, "_build_dir", str(tmp_path))
+    have_omp = bool(ctoolchain.openmp_flags())  # settled outside the plan
+    kernel = compile_kernel(EINSUM, **SPEC, options=C_OPTS)
+    exe = kernel.bound.executable
+    assert exe.kind == "serial"
+    plan = kernel.execution_plan(threads=4, **inputs)
+    prepared, shape = kernel.prepare(**inputs)
+    with faults.injecting("cc=fail") as armed:
+        first = kernel.finalize(np.copy(plan()))
+        again = kernel.finalize(np.copy(plan()))
+        run = kernel.finalize(kernel.run(prepared, shape, threads=4))
+        assert armed.fired() == ({"cc": 1} if have_omp else {})
+    for got in (first, again, run):
+        assert got.tobytes() == ref.tobytes()
+    assert kernel.backend == "c" and exe.kind == "serial"
+    assert not health.ok("c@omp") and health.ok("c")
+    assert kernel.bound.resolve_run_threads(4) == 1
+
+
+@needs_cc
+def test_no_openmp_toolchain_serves_threaded_calls_serially(
+    monkeypatch, tmp_path, inputs
+):
+    monkeypatch.setattr(ctoolchain, "_build_dir", str(tmp_path))
+    monkeypatch.setenv("REPRO_NO_OPENMP", "1")
+    ctoolchain.reset_probe_cache()
+    try:
+        ref = _reference(inputs)
+        # the hint asks for the OpenMP object; the toolchain has none
+        kernel = compile_kernel(EINSUM, **SPEC, options=C_OPTS.but(threads=2))
+        assert kernel.backend == "c"
+        assert kernel.bound.executable.kind == "serial"
+        assert kernel(**inputs).tobytes() == ref.tobytes()
+        assert not health.ok("c@omp") and health.ok("c")
+    finally:
+        monkeypatch.undo()
+        ctoolchain.reset_probe_cache()
+
+
+@needs_cc
 def test_alloc_failure_reserved_serially_bit_identical(inputs):
     """A kernel reporting allocation failure (nonzero status — a failed
     per-thread workspace or scatter-log malloc) must surface as

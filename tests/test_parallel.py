@@ -124,15 +124,51 @@ def test_omp_strategy_splits_c_cache_keys(monkeypatch):
 # toolchain: the OpenMP probe
 # ----------------------------------------------------------------------
 @needs_cc
-def test_probe_reports_openmp_flags_in_describe():
+def test_probe_settles_the_two_flag_sets():
+    """The serial object never carries ``-fopenmp``; the OpenMP object
+    does exactly when the (lazy) OpenMP probe succeeded."""
     probed = ctoolchain.probe()
     assert probed is not None
+    serial = probed.object_flags(omp=False)
+    assert serial == probed.flags + probed.simd_flags
+    assert "-fopenmp" not in serial
+    assert probed.simd_flags in ((), ("-fopenmp-simd",))
+    assert "-fopenmp" not in probed.describe().split()
     if probed.openmp:
         assert probed.openmp_flags == ("-fopenmp",)
-        assert "-fopenmp" in probed.describe()
-        assert probed.all_flags()[-1] == "-fopenmp"
+        assert probed.object_flags(omp=True) == probed.flags + ("-fopenmp",)
     else:
-        assert "-fopenmp" not in probed.describe()
+        # no OpenMP toolchain: asking for the OpenMP object gets the serial one
+        assert probed.object_flags(omp=True) == serial
+
+
+@needs_cc
+def test_openmp_probe_is_lazy(monkeypatch):
+    """``probe()`` alone builds one trivial object; the ``-fopenmp`` one is
+    built the first time somebody asks."""
+    builds = []
+    real = ctoolchain._probe_build_runs
+
+    def counting(cc_path, flags, source):
+        builds.append(flags)
+        return real(cc_path, flags, source)
+
+    monkeypatch.setattr(ctoolchain, "_probe_build_runs", counting)
+    monkeypatch.delenv("REPRO_NO_OPENMP", raising=False)
+    try:
+        ctoolchain.reset_probe_cache()
+        probed = ctoolchain.probe()
+        assert probed is not None
+        assert builds and all("-fopenmp" not in flags for flags in builds)
+        settled = len(builds)
+        probed.openmp
+        assert [f for f in builds[settled:] if "-fopenmp" in f]
+        asked = len(builds)
+        probed.openmp, ctoolchain.openmp_flags()
+        assert len(builds) == asked  # cached
+    finally:
+        monkeypatch.undo()
+        ctoolchain.reset_probe_cache()
 
 
 @needs_cc

@@ -1,6 +1,9 @@
 """Disk store: persist -> rehydrate round-trips, corruption tolerance."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -235,3 +238,76 @@ def test_max_bytes_env_default(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_STORE_MAX_BYTES")
     assert DiskStore(tmp_path).max_bytes is None
     assert DiskStore(tmp_path, max_bytes=-1).max_bytes is None
+
+
+def test_serial_artifact_upgrades_once_and_the_store_keeps_the_omp_object(
+    tmp_path, rng, monkeypatch
+):
+    """put under threads=1, rehydrate under threads=4: one cc run (the
+    upgrade), the sidecar healed to the OpenMP object, and the next
+    rehydrate — threaded or serial — runs no cc and never goes back."""
+    from repro.codegen.backends import ctoolchain, get_backend, health
+    from repro.core.config import DEFAULT
+    from repro.obs import trace
+
+    if not get_backend("c").is_available() or not ctoolchain.openmp_flags():
+        pytest.skip("needs a C toolchain with OpenMP")
+    monkeypatch.setattr(ctoolchain, "_build_dir", str(tmp_path / "objects"))
+    (tmp_path / "objects").mkdir()
+    health.reset()
+
+    def cc_runs(recorder):
+        return sum(1 for e in recorder.events if e.name == "cc")
+
+    spec = get_kernel("ssymv")
+    inputs = build_inputs(rng, spec)
+    request = canonicalize(
+        spec.einsum,
+        symmetric=dict(spec.symmetric),
+        loop_order=spec.loop_order,
+        formats=dict(spec.formats),
+        options=DEFAULT.but(backend="c", threads=1),
+    )
+    store = DiskStore(tmp_path / "store")
+    so_file = store.path / ("%s.so" % request.key)
+    monkeypatch.setenv("REPRO_THREADS", "1")
+    with trace.tracing() as rec:
+        fresh = request.compile()
+        store.put(request.key, fresh)
+    assert cc_runs(rec) == 1 and fresh.bound.executable.kind == "serial"
+    expected = fresh(**inputs)
+    serial_blob = so_file.read_bytes()
+    assert b"repro_openmp" not in serial_blob
+
+    monkeypatch.setenv("REPRO_THREADS", "4")
+    with trace.tracing() as rec:
+        threaded = store.get(request.key)
+    assert cc_runs(rec) == 1
+    assert threaded.options.threads == 4
+    assert threaded.bound.executable.kind == "omp"
+    assert np.array_equal(threaded(**inputs), expected)
+    omp_blob = so_file.read_bytes()
+    assert b"repro_openmp" in omp_blob  # healed
+
+    # later processes (empty object cache, threaded or serial): the healed
+    # sidecar is loaded as is — no cc, no upgrade, never back to serial
+    code = (
+        "import sys\n"
+        "from repro.obs import trace\n"
+        "from repro.service.store import DiskStore\n"
+        "with trace.tracing() as rec:\n"
+        "    kernel = DiskStore(sys.argv[1]).get(sys.argv[2])\n"
+        "names = [e.name for e in rec.events]\n"
+        "print(names.count('cc'), names.count('backend:upgrade'),\n"
+        "      kernel.bound.executable.kind, kernel.bound.executable.so_path)\n"
+    )
+    for setting in ("4", "1"):
+        env = dict(os.environ, REPRO_THREADS=setting, PYTHONPATH=os.pathsep.join(sys.path))
+        env["REPRO_C_CACHE"] = str(tmp_path / ("objects-%s" % setting))
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(store.path), request.key],
+            env=env, stdout=subprocess.PIPE, text=True, check=True, timeout=120,
+        )
+        assert done.stdout.split() == ["0", "0", "omp", str(so_file)]
+        assert so_file.read_bytes() == omp_blob
+    assert store.errors == 0 and health.ok("c@omp")
