@@ -10,6 +10,7 @@ kernel allocation failure surfacing as a recoverable status.
 
 from __future__ import annotations
 
+import json
 import os
 import warnings
 from pathlib import Path
@@ -39,6 +40,7 @@ HAVE_CC = get_backend("c").is_available()
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no working C toolchain")
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "cpasses"
+DIGESTS = Path(__file__).parent / "golden" / "render_digests.json"
 
 
 def _lowered(name):
@@ -165,6 +167,49 @@ def test_golden_snapshot(case, _clean_render_env):
     assert src == golden, (
         "generated C for %s drifted from tests/golden/cpasses/%s.c — "
         "review the diff and regenerate with REPRO_UPDATE_GOLDEN=1" % (kernel, case)
+    )
+
+
+def test_render_digests(_clean_render_env):
+    """Every generated Python and C source of the corpus, frozen by digest.
+
+    ``tests/render_corpus.py`` spans the library and extension kernels
+    (SySTeC and naive) x dtypes x lowering ablations, each rendered to C
+    under every pass set x parallel mode x profile flag.  A codegen
+    refactor must keep this green without regenerating; an intentional
+    output change regenerates with ``REPRO_UPDATE_GOLDEN=1`` and shows
+    up in review as a manifest diff.
+    """
+    from tests import render_corpus
+
+    configs = ["%s|%s|%s" % (p, par, "profile" if prof else "plain")
+               for p, par, prof in render_corpus.C_CONFIGS]
+    current = {
+        "configs": configs,
+        "kernels": {
+            key: render_corpus.digest_entry(kernel)
+            for key, kernel in render_corpus.lowerings()
+        },
+    }
+    if os.environ.get("REPRO_UPDATE_GOLDEN"):
+        DIGESTS.write_text(json.dumps(current, indent=0, sort_keys=True) + "\n")
+    golden = json.loads(DIGESTS.read_text())
+    assert golden["configs"] == configs
+    assert sorted(golden["kernels"]) == sorted(current["kernels"])
+    drift = []
+    for key, entry in current["kernels"].items():
+        want = golden["kernels"][key]
+        if entry["py"] != want["py"]:
+            drift.append("%s: python source" % key)
+        drift.extend(
+            "%s: C under %s" % (key, config)
+            for config, got, exp in zip(configs, entry["c"], want["c"])
+            if got != exp
+        )
+    assert not drift, (
+        "%d generated sources drifted from tests/golden/render_digests.json "
+        "(first: %s) — review and regenerate with REPRO_UPDATE_GOLDEN=1"
+        % (len(drift), "; ".join(drift[:8]))
     )
 
 
