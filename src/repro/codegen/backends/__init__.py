@@ -22,7 +22,8 @@ from repro.codegen.backends.base import (
     BackendUnavailableError,
     Executable,
 )
-from repro.codegen.backends.c import CBackend, CRenderError, render_c
+from repro.codegen.backends.c import CRenderError, render_c
+from repro.codegen.backends.cexec import CBackend
 from repro.codegen.backends.python import PythonBackend
 from repro.core.config import BACKEND_CHOICES
 

@@ -1,14 +1,13 @@
 """The C execution backend.
 
-``render_c`` translates a :class:`~repro.codegen.lower.LoweredKernel` into
-a self-contained C translation unit.  The lowered source is machine
-generated by :class:`~repro.codegen.lower.Lowerer` in a small, fixed
-statement vocabulary (``for``/``while`` sparse walks, scalar temps,
-workspace fills/flushes, numpy row-slice vector statements), so the
-translation is a straightforward typed walk of its AST — the same loop
-structure runs, just compiled.  Vectorized statements (numpy row slices in
-the Python backend) become plain inner loops over the vector index, which
-``cc -O3`` auto-vectorizes.
+``render_c`` prints a :class:`~repro.codegen.lower.LoweredKernel`'s loop
+program (:mod:`repro.codegen.loopir`) as a self-contained C translation
+unit: one text template per node, the same loop structure the Python
+backend prints, just compiled.  Row statements (numpy row slices in the
+Python backend) become plain inner loops over the vector index, which
+``cc -O3`` auto-vectorizes.  Loading, upgrading and calling the compiled
+object is :mod:`repro.codegen.backends.cexec`'s job; this module is pure
+(program in, text out).
 
 Data binding: every numpy array crosses as a raw pointer (``int64_t*`` for
 ``pos``/``idx`` structure arrays; the kernel's element type — ``double``
@@ -33,10 +32,10 @@ The one rendered source is built into one of two objects
 body, the scatter-log pool and ``<omp.h>`` — less than half the ``cc``
 time — and the **OpenMP object** (``-fopenmp``), which holds both
 branches and exports the ``repro_openmp`` marker symbol.
-:meth:`CBackend.compile` builds the serial object unless the kernel's
-default thread setting can resolve above 1; a later run with
-``threads > 1`` upgrades the loaded :class:`CExecutable` in place, once
-(:meth:`CExecutable.upgrade`).  Both objects run the same serial loops
+:meth:`~repro.codegen.backends.cexec.CBackend.compile` builds the serial
+object unless the kernel's default thread setting can resolve above 1; a
+later run with ``threads > 1`` upgrades the loaded executable in place,
+once (:meth:`~repro.codegen.backends.cexec.CExecutable.upgrade`).  Both objects run the same serial loops
 with the same SIMD hints, so which one serves a call never shows in the
 result.  A parallel body's **reduction strategy** depends on the nest's
 output-write pattern:
@@ -76,66 +75,39 @@ output-write pattern:
   order, so this mode trades bit-reproducibility for zero log memory.
 
 Nests the analysis cannot prove safe (top-level intersection merges,
-mixed reduction operators, reads of the output outside a reduction
-update) stay serial.  ``REPRO_OMP_STRATEGY=serial`` disables the parallel
+mixed reduction operators, reads of a carried accumulator) stay serial.  ``REPRO_OMP_STRATEGY=serial`` disables the parallel
 bodies entirely (such a kernel is never upgraded: its serial object is
 all there is).
 
 Loop-level optimization passes
 ------------------------------
-Before emission the lowered AST runs through the composable pass
-pipeline in :mod:`repro.codegen.backends.cpasses` (denormal avoidance,
-nest fission, vector-statement fusion, row tiling, SIMD hints), selected
-by ``$REPRO_PASSES`` and keyed into the service cache.  The renderer
-consumes the transformed tree plus the pipeline's annotations
-(:class:`~repro.codegen.backends.cpasses.ir.FusedVector` nodes, tile
-specs, the FTZ/SIMD flags).
+Before emission the program's top-level statements run through the
+composable pass pipeline in :mod:`repro.codegen.backends.cpasses`
+(denormal avoidance, nest fission, vector-statement fusion, row tiling,
+SIMD hints), selected by ``$REPRO_PASSES`` and keyed into the service
+cache.  The renderer prints the transformed statements — including the
+pipeline's :class:`~repro.codegen.loopir.Fused` and
+:class:`~repro.codegen.loopir.Tiled` nodes — under its FTZ/SIMD flags.
 """
 
 from __future__ import annotations
 
-import ast
-import ctypes
 import os
-import re
-import threading
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
-from repro import faults
-from repro.codegen.backends import ctoolchain, health
-from repro.codegen.backends.base import (
-    Backend,
-    BackendError,
-    BackendUnavailableError,
-    Executable,
-)
+from repro.codegen import loopir as ir
+from repro.codegen.backends.base import BackendError
 from repro.codegen.backends.cpasses.base import (
     PassConfig,
     active_pass_config,
     run_pipeline,
-)
-from repro.codegen.backends.cpasses.ir import (
-    DBL as _DBL,
-    FusedVector,
-    INT as _INT,
-    LUT as _LUT,
-    LoopIR,
-    NestScan as _NestScan,
-    TileSpec,
-    VEC as _VEC,
-    WS as _WS,
-    collect_assigned as _collect_assigned,
-    scan_nest,
 )
 from repro.codegen.lower import LoweredKernel
 from repro.core import config as core_config
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
-from repro.obs.profile import NestProfile
 
 
 class CRenderError(BackendError):
@@ -186,47 +158,6 @@ _C_KEYWORDS = frozenset(
 
 #: element loop variable for vectorized statements.
 _V = "_v"
-
-
-def classify_args(lowered: LoweredKernel) -> List[Tuple[str, str]]:
-    """``(kind, name)`` per kernel argument, in ``arg_names`` order.
-
-    Kinds: ``i64`` (pos/idx structure arrays), ``f64`` (value arrays — in
-    the kernel's *element* dtype, float or double, despite the historical
-    kind name), ``dense`` (dense inputs, which also pass an extent
-    vector), ``dim`` (scalar extents).  This single classification drives
-    both the C signature and the ctypes call plan — they must never
-    disagree, or the compiled kernel would read through the wrong
-    pointers.
-    """
-    int_arrays = set()
-    dense = set()
-    dims = set()
-    for view in lowered.sparse_views:
-        d = 0
-        while d < len(view.levels) and view.levels[d] == "dense":
-            d += 1
-        for level in range(d, len(view.levels)):
-            int_arrays.add("%s_pos%d" % (view.name, level))
-            int_arrays.add("%s_idx%d" % (view.name, level))
-    for view in lowered.dense_views:
-        dense.add(view.name)
-    for dim in lowered.dims:
-        dims.add(dim.name)
-    steps: List[Tuple[str, str]] = []
-    for name in lowered.arg_names:
-        if name in dims:
-            steps.append(("dim", name))
-        elif name in int_arrays:
-            steps.append(("i64", name))
-        elif name in dense:
-            steps.append(("dense", name))
-        else:
-            steps.append(("f64", name))
-    return steps
-
-# type tags for locals (_INT/_DBL/_VEC/_WS/_LUT) are shared with the
-# pass pipeline and imported from cpasses.ir above.
 
 
 def _c_float(value: float) -> str:
@@ -316,8 +247,12 @@ class NestWork:
         return trips
 
 
-# _NestScan / _collect_assigned moved to cpasses.ir (imported above) so
-# the pass matchers and the renderer share one nest analysis.
+#: the statements that open a top-level nest a thread team can share.
+_FOR = (ir.DenseLoop, ir.FiberLoop)
+
+
+def _nest_of(stmt):
+    return stmt.nest if isinstance(stmt, ir.Tiled) else stmt
 
 
 class _Renderer:
@@ -394,24 +329,20 @@ class _Renderer:
 
         # pass-pipeline state: ftz/simd flags come back on the LoopIR;
         # _parallel_ctx counts enclosing OpenMP bodies (tiling applies to
-        # serial emission only); _tile_ctx is the TileSpec whose guard is
-        # being injected into its fiber loop.
+        # serial emission only); _tile_ctx is the Tiled node whose guard
+        # is being injected into its fiber loop.
         self.ftz = False
         self.simd = False
         self._parallel_ctx = 0
-        self._tile_ctx: Optional[TileSpec] = None
+        self._tile_ctx: Optional[ir.Tiled] = None
 
-        # one classification drives typing, the C signature and (in
-        # CExecutable) the ctypes call plan
-        self.arg_kinds = classify_args(lowered)
-        self.int_arrays = {n for k, n in self.arg_kinds if k == "i64"}
-        self.dbl_arrays = {n for k, n in self.arg_kinds if k == "f64"}
-        self.dense: Dict[str, int] = {
-            view.name: len(view.perm) for view in lowered.dense_views
-        }
-        self.dim_args = {n for k, n in self.arg_kinds if k == "dim"}
 
-        self.types: Dict[str, str] = {}  # local name -> tag
+        program = lowered.program
+        #: storage tag of every local — decided by the nodes, read here
+        self.types: Dict[str, str] = ir.local_types(program)
+        self.dim_args = sorted(
+            a.name for a in program.args if isinstance(a, ir.Dim)
+        )
         self.ws_alloc: List[Tuple[str, str]] = []  # (name, length expr)
         self.lines: List[str] = []
         self.uses_vector = False
@@ -425,16 +356,17 @@ class _Renderer:
         else:
             self.vlen = None
 
-        all_names = (
-            set(lowered.arg_names)
-            | self.int_arrays
-            | self.dbl_arrays
-            | set(self.dense)
-        )
-        bad = sorted(n for n in all_names if n in _C_KEYWORDS or n == _V)
+        names = set(self.types) | {a.name for a in program.args}
+        bad = sorted(n for n in names if n in _C_KEYWORDS or n == _V)
         if bad:
-            raise CRenderError("argument names collide with C keywords: %s" % bad)
-        clash = sorted(n for n in self.dense if "%s_dims" % n in all_names)
+            raise CRenderError("names collide with a C identifier: %s" % bad)
+        clash = sorted(
+            a.name
+            for a in program.args
+            if isinstance(a, ir.Array)
+            and a.kind == "dense"
+            and "%s_dims" % a.name in names
+        )
         if clash:
             raise CRenderError("dense view dims names collide: %s" % clash)
 
@@ -442,47 +374,35 @@ class _Renderer:
     # entry
     # ------------------------------------------------------------------
     def render(self) -> str:
-        tree = ast.parse(self.lowered.source)
-        fn = tree.body[0]
-        if not isinstance(fn, ast.FunctionDef) or fn.name != "kernel":
-            raise CRenderError("lowered source is not a kernel function")
-        body = fn.body
-        self._infer_block(body)
-        ir = LoopIR(
-            body=list(body),
-            out_ndim=self.out_ndim,
-            vector_index=self.vector_index,
-            vlen=self.vlen,
-            int_arrays=set(self.int_arrays),
-            dim_args=set(self.dim_args),
-            dense=dict(self.dense),
-            ws_names={n for n, t in self.types.items() if t == _WS},
-            reduce_op=self.lowered.output.reduce_op,
-            elem_size=4 if self.elem == "float" else 8,
+        program = self.lowered.program
+        state = run_pipeline(
+            ir.LoopIR(list(program.body), self.out_ndim, self.vector_index),
+            self.pass_config,
+            label=self.label,
         )
-        ir = run_pipeline(ir, self.pass_config, label=self.label)
-        self.ftz = ir.ftz
-        self.simd = ir.simd
-        body = ir.body
-        for stmt in body:
+        self.ftz = state.ftz
+        self.simd = state.simd
+        for stmt in program.preamble:
+            self._stmt(stmt, 1)
+        self._assigned_top = ir.assigned(program.preamble)
+        for stmt in state.body:
+            nest = _nest_of(stmt)
             plan = None
-            if isinstance(stmt, ast.For) and self.parallel_mode != "serial":
-                plan = self._plan_nest(stmt)
-            if self.profile and isinstance(stmt, ast.For):
+            if isinstance(nest, _FOR) and self.parallel_mode != "serial":
+                plan = self._plan_nest(nest)
+            if self.profile and isinstance(nest, _FOR):
                 self._emit_profiled_nest(stmt, plan, 1)
             elif plan is None:
                 self._stmt(stmt, 1)
             else:
                 self._emit_parallel_nest(stmt, plan, 1)
-            self._assigned_top |= _collect_assigned([stmt])
+            self._assigned_top |= ir.assigned([nest])
         return self._assemble()
 
-    def _emit_profiled_nest(
-        self, node: ast.For, plan: Optional[_NestPlan], ind: int
-    ) -> None:
+    def _emit_profiled_nest(self, node, plan: Optional[_NestPlan], ind: int) -> None:
         """Bracket one top-level nest with monotonic-clock accumulation."""
         slot = len(self.profile_model)
-        self.profile_model.append(self._nest_work(node, plan))
+        self.profile_model.append(self._nest_work(_nest_of(node), plan))
         self._put(ind, "{")
         self._put(ind + 1, "struct timespec rp_p0, rp_p1;")
         self._put(ind + 1, "clock_gettime(CLOCK_MONOTONIC, &rp_p0);")
@@ -498,22 +418,24 @@ class _Renderer:
         )
         self._put(ind, "}")
 
+
     def _assemble(self) -> str:
         elem = self.elem
         sig_parts = [
             "%s *restrict out" % elem,
             "const int64_t *restrict out_dims",
         ]
-        for kind, name in self.arg_kinds:
-            if kind == "i64":
-                sig_parts.append("const int64_t *restrict %s" % name)
-            elif kind == "f64":
-                sig_parts.append("const %s *restrict %s" % (elem, name))
-            elif kind == "dense":
-                sig_parts.append("const %s *restrict %s" % (elem, name))
-                sig_parts.append("const int64_t *restrict %s_dims" % name)
+        for arg in self.lowered.program.args:
+            if isinstance(arg, ir.Dim):
+                sig_parts.append("int64_t %s" % arg.name)
+            elif arg.kind in ("pos", "idx"):
+                sig_parts.append("const int64_t *restrict %s" % arg.name)
             else:
-                sig_parts.append("int64_t %s" % name)
+                sig_parts.append("const %s *restrict %s" % (elem, arg.name))
+                if arg.kind == "dense":
+                    sig_parts.append(
+                        "const int64_t *restrict %s_dims" % arg.name
+                    )
         # the runtime thread count always rides last, so the ctypes call
         # plan is uniform whether or not any nest was parallelized
         sig_parts.append("int64_t repro_nthreads")
@@ -525,9 +447,9 @@ class _Renderer:
         ]
         if self.profile:
             decls.append("    repro_nest_calls += 1;")
-        ints = sorted(n for n, t in self.types.items() if t == _INT)
-        dbls = sorted(n for n, t in self.types.items() if t == _DBL)
-        vecs = sorted(n for n, t in self.types.items() if t == _VEC)
+        ints = sorted(n for n, t in self.types.items() if t == ir.INT)
+        dbls = sorted(n for n, t in self.types.items() if t == ir.ELEM)
+        vecs = sorted(n for n, t in self.types.items() if t == ir.ROW)
         if self.uses_vector:
             ints.append(_V)
         if ints:
@@ -736,54 +658,13 @@ class _Renderer:
 
     # ------------------------------------------------------------------
     # nest analysis: can this top-level loop run on all cores, and how?
-    # (the scan itself lives in cpasses.ir so the pass matchers and the
+    # (the scan itself lives in loopir so the pass matchers and the
     # strategy choice agree on what a nest contains)
     # ------------------------------------------------------------------
-    def _scan_nest(self, outer: ast.For) -> _NestScan:
-        return scan_nest(outer, self.out_ndim, self.vector_index)
-
-    def _injective_names(self, node: ast.For) -> Set[str]:
-        """Names taking a distinct value on every iteration of *node*.
-
-        The loop variable always qualifies.  When the loop walks the
-        positions of a root sparse fiber, the coordinate read off that
-        fiber (``i = X_idx0[q]``, the first body statement) is strictly
-        increasing too — a top-level position loop can only span one
-        fiber, whose ``idx`` run is sorted.
-        """
-        names = {node.target.id}
-        first = node.body[0] if node.body else None
-        if (
-            isinstance(first, ast.Assign)
-            and isinstance(first.targets[0], ast.Name)
-            and isinstance(first.value, ast.Subscript)
-            and isinstance(first.value.value, ast.Name)
-            and first.value.value.id in self.int_arrays
-            and "_idx" in first.value.value.id
-        ):
-            coords = self._coords(first.value)
-            if (
-                coords is not None
-                and len(coords) == 1
-                and isinstance(coords[0], ast.Name)
-                and coords[0].id == node.target.id
-            ):
-                names.add(first.targets[0].id)
-        return names
-
-    def _plan_nest(self, node: ast.For) -> Optional[_NestPlan]:
+    def _plan_nest(self, node) -> Optional[_NestPlan]:
         """Choose a parallel strategy for one top-level nest (None = serial)."""
-        if not isinstance(node.target, ast.Name):
-            return None
-        it = node.iter
-        if not (
-            isinstance(it, ast.Call)
-            and isinstance(it.func, ast.Name)
-            and it.func.id == "range"
-        ):
-            return None
-        scan = self._scan_nest(node)
-        if not scan.ok or scan.out_loads != scan.expected_out_loads:
+        scan = ir.scan_nest(node)
+        if not scan.ok:
             return None
 
         # accumulators carried across iterations: updated inside the
@@ -795,14 +676,8 @@ class _Renderer:
             return None
         # a *read* of a carried accumulator inside the nest would observe
         # a partially-replayed value — only pure updates are safe
-        for sub in ast.walk(node):
-            if (
-                isinstance(sub, ast.Name)
-                and sub.id in carried
-                and isinstance(sub.ctx, ast.Load)
-            ):
-                return None
-
+        if ir.reads([node]) & set(carried):
+            return None
         kinds = {k for k, _, _ in scan.out_writes}
         kinds |= {scan.updates[n] for n in carried}
         if len(kinds) > 1:
@@ -810,7 +685,7 @@ class _Renderer:
         kind = kinds.pop() if kinds else None
 
         rows = {row for _, row, _ in scan.out_writes}
-        rows |= {self.types.get(n) == _WS for n in carried}
+        rows |= {self.types.get(n) == ir.WS for n in carried}
         if len(rows) > 1:
             return None  # mixed scalar and row writes in one nest
         row = rows.pop() if rows else False
@@ -821,14 +696,14 @@ class _Renderer:
             sorted(
                 n
                 for n in scan.assigned
-                if n not in carried and self.types.get(n) not in (_WS, _LUT)
+                if n not in carried and self.types.get(n) not in (ir.WS, ir.LUT)
             )
         )
         ws_names = tuple(
             sorted(
                 n
                 for n in scan.assigned
-                if self.types.get(n) == _WS and n not in carried
+                if self.types.get(n) == ir.WS and n not in carried
             )
         )
         plan = lambda strategy: _NestPlan(  # noqa: E731 - local shorthand
@@ -841,7 +716,12 @@ class _Renderer:
 
         if kind is None:
             return plan("for")  # nothing shared is written
-        injective = self._injective_names(node)
+        # names taking a distinct value on every iteration: the loop
+        # variable, and the coordinate a top-level position loop reads —
+        # it can only span one fiber, whose ``idx`` run is sorted
+        injective = {ir.loop_var(node)}
+        if isinstance(node, ir.FiberLoop):
+            injective.add(node.coord_var)
         # disjointness needs every write to lead with the *same* injective
         # name: two distinct injective names (the position var and the
         # coordinate read off it) are each injective yet can collide with
@@ -866,7 +746,7 @@ class _Renderer:
     # ------------------------------------------------------------------
     # parallel emission
     # ------------------------------------------------------------------
-    def _emit_parallel_nest(self, node: ast.For, plan: _NestPlan, ind: int) -> None:
+    def _emit_parallel_nest(self, node, plan: _NestPlan, ind: int) -> None:
         """One nest, twice: an OpenMP body and the serial fallback.
 
         The preprocessor guard lets one rendered source build into both
@@ -874,7 +754,7 @@ class _Renderer:
         branch survives.
         """
         self.any_parallel = True
-        self.work_model.append(self._nest_work(node, plan))
+        self.work_model.append(self._nest_work(_nest_of(node), plan))
         self._put(ind, "#if defined(_OPENMP)")
         self._put(ind, "if (repro_nthreads > 1) {")
         if plan.strategy == "replay":
@@ -889,7 +769,8 @@ class _Renderer:
         self._stmt(node, ind + 1)
         self._put(ind, "}")
 
-    def _nest_work(self, node: ast.For, plan: Optional[_NestPlan]) -> NestWork:
+
+    def _nest_work(self, node, plan: Optional[_NestPlan]) -> NestWork:
         """Where a run can read this nest's trip count from its arguments.
 
         ``plan`` is ``None`` for serial nests (profiling estimates cover
@@ -897,19 +778,14 @@ class _Renderer:
         then falls back on whether the kernel has a vector axis at all.
         """
         idx = set()
-        for sub in ast.walk(node):
-            if (
-                isinstance(sub, ast.Name)
-                and sub.id in self.int_arrays
-                and "_idx" in sub.id
-            ):
-                idx.add(sub.id)
+        for st in ir.walk([node]):
+            if isinstance(st, ir.FiberLoop) and st.coord_var is not None:
+                idx.add(st.idx.name)
+            elif isinstance(st, ir.Intersect):
+                idx.update(b.idx.name for b in st.binders)
         extent = None
-        it = node.iter
-        if isinstance(it, ast.Call) and it.args:
-            last = it.args[-1]
-            if isinstance(last, ast.Name) and last.id in self.dim_args:
-                extent = last.id
+        if isinstance(node, ir.DenseLoop) and isinstance(node.end, ir.Dim):
+            extent = node.end.name
         if plan is not None:
             vector = bool(plan.row or plan.ws_names)
         else:
@@ -924,9 +800,9 @@ class _Renderer:
     def _emit_private_decls(self, plan: _NestPlan, ind: int) -> None:
         """Thread-private locals: block-scope declarations shadowing the
         function-scope ones the serial branch uses."""
-        ints = [n for n in plan.assigned if self.types.get(n) == _INT]
-        dbls = [n for n in plan.assigned if self.types.get(n) == _DBL]
-        vecs = [n for n in plan.assigned if self.types.get(n) == _VEC]
+        ints = [n for n in plan.assigned if self.types.get(n) == ir.INT]
+        dbls = [n for n in plan.assigned if self.types.get(n) == ir.ELEM]
+        vecs = [n for n in plan.assigned if self.types.get(n) == ir.ROW]
         if self.vlen is not None:
             ints.append(_V)
         if ints:
@@ -977,7 +853,7 @@ class _Renderer:
         if self.ftz:
             self._put(ind, "repro_ftz_restore(rp_tcsr);")
 
-    def _emit_for_nest(self, node: ast.For, plan: _NestPlan, ind: int) -> None:
+    def _emit_for_nest(self, node, plan: _NestPlan, ind: int) -> None:
         """Disjoint writes (or the atomic fallback): a plain parallel for."""
         oom = bool(plan.ws_names)
         if oom:
@@ -1010,7 +886,7 @@ class _Renderer:
         if oom:
             self._put(ind, "if (rp_oom) { rp_status = 1; }")
 
-    def _emit_replay_nest(self, node: ast.For, plan: _NestPlan, ind: int) -> None:
+    def _emit_replay_nest(self, node, plan: _NestPlan, ind: int) -> None:
         """The ordered scatter log: parallel compute, serial-order apply.
 
         ``schedule(static)`` assigns contiguous iteration chunks in
@@ -1102,7 +978,7 @@ class _Renderer:
         ind -= 1
         self._put(ind, "}")
 
-    def _emit_privatized_nest(self, node: ast.For, plan: _NestPlan, ind: int) -> None:
+    def _emit_privatized_nest(self, node, plan: _NestPlan, ind: int) -> None:
         """min/max scatter: per-thread output buffers + tree reduction.
 
         min/max over IEEE doubles is associative and commutative, so the
@@ -1220,107 +1096,34 @@ class _Renderer:
             self._put(ind + 2, "rp_oom = 1;")
             self._put(ind + 1, "} else { *rp_slot = %s; } }" % self._expr(value))
 
-    def _log_augassign(self, node: ast.AugAssign, ind: int) -> bool:
+
+    def _log_reduce(self, s: ir.Reduce, ind: int) -> bool:
         """Route a ``+=`` through the scatter log; False if not a shared write."""
         plan = self._log_plan
-        target, value = node.target, node.value
-        if isinstance(target, ast.Name):
-            if target.id not in plan.carried:
-                return False
-            self._emit_log_push(ind, str(plan.carried_slot(target.id)), value, plan)
-            return True
-        if isinstance(target, ast.Subscript) and self._sub_name(target) == "out":
-            base, is_row = self._out_base(target)
-            if is_row != plan.row:
-                raise CRenderError("mixed scalar/row writes in a replay nest")
-            self._emit_log_push(ind, base, value, plan)
-            return True
-        return False
+        if isinstance(s.target, ir.Out):
+            base = self._out_base(s.target)
+        elif s.target.name in plan.carried:
+            base = str(plan.carried_slot(s.target.name))
+        else:
+            return False
+        self._emit_log_push(ind, base, s.value, plan)
+        return True
 
-    def _atomic_augassign(self, node: ast.AugAssign, ind: int) -> bool:
+    def _atomic_reduce(self, s: ir.Reduce, ind: int) -> bool:
         """Emit a ``#pragma omp atomic`` update; False if not a shared write."""
-        plan = self._atomic_plan
-        target, value = node.target, node.value
-        if isinstance(target, ast.Name):
-            if target.id not in plan.carried:
-                return False
-            self._put(ind, "#pragma omp atomic")
-            self._put(ind, "%s += %s;" % (target.id, self._expr(value)))
-            return True
-        if isinstance(target, ast.Subscript) and self._sub_name(target) == "out":
-            elt, is_row = self._out_target(target)
-            if is_row:
-                raise CRenderError("atomic strategy over row writes")
-            self._put(ind, "#pragma omp atomic")
-            self._put(ind, "%s += %s;" % (elt, self._expr(value)))
-            return True
-        return False
+        if isinstance(s.target, ir.Out):
+            elt = self._out_target(s.target)
+        elif s.target.name in self._atomic_plan.carried:
+            elt = s.target.name
+        else:
+            return False
+        self._put(ind, "#pragma omp atomic")
+        self._put(ind, "%s += %s;" % (elt, self._expr(s.value)))
+        return True
 
     # ------------------------------------------------------------------
-    # pass 1: type inference over assigned names
+    # emission: one template per node
     # ------------------------------------------------------------------
-    def _set_type(self, name: str, tag: str) -> None:
-        if name in _C_KEYWORDS or name == _V:
-            raise CRenderError("local name %r collides with C identifier" % name)
-        old = self.types.get(name)
-        if old is None:
-            self.types[name] = tag
-        elif old != tag:
-            raise CRenderError(
-                "name %r used as both %s and %s" % (name, old, tag)
-            )
-
-    def _infer_block(self, stmts) -> None:
-        for node in stmts:
-            if isinstance(node, ast.For):
-                self._set_type(node.target.id, _INT)
-                self._infer_block(node.body)
-            elif isinstance(node, (ast.While, ast.If)):
-                self._infer_block(node.body)
-                self._infer_block(node.orelse)
-            elif isinstance(node, ast.Assign):
-                target = node.targets[0]
-                if not isinstance(target, ast.Name):
-                    continue  # out[...] = min(...): no local binding
-                value = node.value
-                if self._is_np_empty(value):
-                    self._set_type(target.id, _WS)
-                elif self._lut_list(value) is not None:
-                    self._set_type(target.id, _LUT)
-                else:
-                    self._set_type(target.id, self._etype(value))
-
-    def _is_np_empty(self, node) -> bool:
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "np"
-            and node.func.attr == "empty"
-        )
-
-    def _lut_list(self, node) -> Optional[ast.List]:
-        """The literal element list of a lookup-table definition.
-
-        float64 kernels spell LUTs as plain Python lists; float32 kernels
-        wrap them in ``np.array([...], dtype=np.float32)`` so the Python
-        backend reads float32 factors.  Both forms carry the same literal
-        elements for the C rendering.
-        """
-        if isinstance(node, ast.List):
-            return node
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "np"
-            and node.func.attr == "array"
-            and node.args
-            and isinstance(node.args[0], ast.List)
-        ):
-            return node.args[0]
-        return None
-
     def _elem_const(self, value: float) -> str:
         """A float literal in the kernel's element type.
 
@@ -1334,149 +1137,144 @@ class _Renderer:
             return "((float) %s)" % text
         return text
 
-    def _etype(self, node) -> str:
-        """Scalar/vector type of an expression (INT, DBL or VEC)."""
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, bool) or isinstance(node.value, int):
-                return _INT
-            return _DBL
-        if isinstance(node, ast.Name):
-            name = node.id
-            if name in self.dim_args:
-                return _INT
-            if name in self.dense:
-                ndim = self.dense[name]
-                if ndim == 0:
-                    return _DBL
-                if ndim == 1:
-                    return _VEC
-                raise CRenderError("bare dense access to %d-d %s" % (ndim, name))
-            tag = self.types.get(name)
-            if tag in (_WS,):
-                return _VEC
-            if tag in (_INT, _DBL, _VEC):
-                return tag
-            raise CRenderError("use of unbound name %r" % name)
-        if isinstance(node, ast.Subscript):
-            base = node.value
-            if isinstance(base, ast.Name):
-                name = base.id
-                if name in self.int_arrays:
-                    return _INT
-                if name in self.dbl_arrays or self.types.get(name) == _LUT:
-                    return _DBL
-                if name in self.dense:
-                    coords = self._coords(node)
-                    if coords is None:
-                        raise CRenderError("slice of dense input %s" % name)
-                    if len(coords) == self.dense[name]:
-                        return _DBL
-                    if len(coords) == self.dense[name] - 1:
-                        return _VEC
-                    raise CRenderError("partial dense access %s" % name)
-                if name == "out":
-                    return _DBL
-            raise CRenderError("unsupported subscript base")
-        if isinstance(node, ast.BinOp):
-            left, right = self._etype(node.left), self._etype(node.right)
-            if _VEC in (left, right):
-                return _VEC
-            if _DBL in (left, right):
-                return _DBL
-            return _INT
-        if isinstance(node, (ast.BoolOp, ast.Compare)):
-            return _INT
-        if isinstance(node, ast.UnaryOp):
-            return self._etype(node.operand)
-        if isinstance(node, ast.Call):
-            fn = node.func
-            if isinstance(fn, ast.Name) and fn.id in ("min", "max", "float"):
-                return _DBL
-            raise CRenderError("unsupported call in expression")
-        raise CRenderError("unsupported expression node %s" % type(node).__name__)
 
-    # ------------------------------------------------------------------
-    # pass 2: emission
-    # ------------------------------------------------------------------
     def _put(self, indent: int, text: str) -> None:
         self.lines.append("    " * indent + text)
 
-    def _stmt(self, node, ind: int) -> None:
-        if isinstance(node, ast.For):
-            tile = getattr(node, "_rp_tile", None)
-            if (
-                tile is not None
-                and self._parallel_ctx == 0
-                and self._tile_ctx is None
-            ):
-                # tiling applies to serial emission only: OpenMP bodies
-                # keep their own (bit-identical) schedules, and the
-                # serial fallback inside _emit_parallel_nest still lands
-                # here with _parallel_ctx == 0
-                self._emit_tiled_nest(node, tile, ind)
-            else:
-                self._for(node, ind)
-        elif isinstance(node, FusedVector):
-            self._emit_fused(node, ind)
-        elif isinstance(node, ast.While):
-            self._put(ind, "while (%s) {" % self._expr(node.test))
-            for s in node.body:
-                self._stmt(s, ind + 1)
-            self._put(ind, "}")
-        elif isinstance(node, ast.If):
-            if node.orelse:
-                raise CRenderError("else branches are not generated")
-            self._put(ind, "if (%s) {" % self._expr(node.test))
-            for s in node.body:
-                self._stmt(s, ind + 1)
-            self._put(ind, "}")
-        elif isinstance(node, ast.Assign):
-            self._assign(node, ind)
-        elif isinstance(node, ast.AugAssign):
-            self._augassign(node, ind)
-        elif isinstance(node, ast.Expr):
-            self._expr_stmt(node.value, ind)
-        elif isinstance(node, ast.Continue):
-            self._put(ind, "continue;")
-        elif isinstance(node, ast.Break):
-            self._put(ind, "break;")
-        elif isinstance(node, ast.Pass):
-            self._put(ind, ";")
-        else:
-            raise CRenderError("unsupported statement %s" % type(node).__name__)
+    def _block(self, stmts: Sequence[ir.Stmt], ind: int) -> None:
+        for s in stmts:
+            self._stmt(s, ind)
 
-    def _for(self, node: ast.For, ind: int) -> None:
-        it = node.iter
-        if not (
-            isinstance(it, ast.Call)
-            and isinstance(it.func, ast.Name)
-            and it.func.id == "range"
-            and 1 <= len(it.args) <= 2
-        ):
-            raise CRenderError("for loops must iterate range()")
-        var = node.target.id
-        if len(it.args) == 1:
-            lo, hi = "0", self._expr(it.args[0])
+    def _stmt(self, s: ir.Stmt, ind: int) -> None:
+        if isinstance(s, ir.Reduce):
+            self._reduce(s, ind)
+        elif isinstance(s, ir.Let):
+            value = s.expr
+            text = self._vec_pointer(value) if s.var.type == ir.ROW else self._expr(value)
+            self._put(ind, "%s = %s;" % (s.var.name, text))
+        elif isinstance(s, ir.Init):
+            if s.ws.type == ir.ROW:
+                self._vector_loop(ind, "%s[%s]" % (s.ws.name, _V), "=", s.identity)
+            else:
+                self._put(ind, "%s = %s;" % (s.ws.name, self._expr(s.identity)))
+        elif isinstance(s, ir.If):
+            self._put(ind, "if (%s) {" % self._expr(s.cond))
+            self._block(s.body, ind + 1)
+            self._put(ind, "}")
+        elif isinstance(s, ir.DenseLoop):
+            self._put(
+                ind,
+                "for (%s = 0; %s < %s; ++%s) {"
+                % (s.var, s.var, self._expr(s.end), s.var),
+            )
+            self._block(s.body, ind + 1)
+            self._put(ind, "}")
+        elif isinstance(s, ir.FiberLoop):
+            self._fiber_loop(s, ind)
+        elif isinstance(s, ir.Intersect):
+            self._intersect(s, ind)
+        elif isinstance(s, ir.Fused):
+            self._emit_fused(s, ind)
+        elif isinstance(s, ir.Tiled):
+            # tiling applies to serial emission only: OpenMP bodies keep
+            # their own (bit-identical) schedules, and the serial fallback
+            # inside _emit_parallel_nest still lands here with
+            # _parallel_ctx == 0
+            if self._parallel_ctx == 0:
+                self._emit_tiled_nest(s, ind)
+            else:
+                self._stmt(s.nest, ind)
+        elif isinstance(s, ir.WorkspaceAlloc):
+            self.ws_alloc.append((s.ws, s.length))
+            self._ws_len[s.ws] = s.length
+        elif isinstance(s, ir.LutDef):
+            # initializer conversion (double constant -> elem) is the
+            # same rounding numpy applies building the float32 array
+            self._put(
+                ind,
+                "static const %s %s[%d] = {%s};"
+                % (
+                    self.elem,
+                    s.name,
+                    len(s.values),
+                    ", ".join(_c_float(v) for v in s.values),
+                ),
+            )
         else:
-            lo, hi = self._expr(it.args[0]), self._expr(it.args[1])
-        self._put(ind, "for (%s = %s; %s < %s; ++%s) {" % (var, lo, var, hi, var))
+            raise CRenderError("unsupported statement %s" % type(s).__name__)
+
+    def _fiber_ends(self, f) -> Tuple[str, str]:
+        """``pos[parent]``, ``pos[parent + 1]`` of a fiber loop or binder."""
+        after = ir.BinOp("+", (f.parent, ir.Const(1)))
+        return (
+            "%s[%s]" % (f.pos.name, self._expr(f.parent)),
+            "%s[%s]" % (f.pos.name, self._expr(after)),
+        )
+
+    def _guard(self, coord: str, outer: Optional[str], ind: int) -> None:
+        """The triangle guard: leave the (sorted) fiber past the outer index."""
+        if outer is not None:
+            self._put(ind, "if ((%s > %s)) {" % (coord, outer))
+            self._put(ind + 1, "break;")
+            self._put(ind, "}")
+
+    def _fiber_loop(self, s: ir.FiberLoop, ind: int) -> None:
+        q = s.pos_var
+        lo, hi = self._fiber_ends(s)
+        if s.bound is not None:
+            hi = "(%s + 1)" % s.bound
+        self._put(ind, "for (%s = %s; %s < %s; ++%s) {" % (q, lo, q, hi, q))
+        if s.coord_var is not None:
+            self._put(ind + 1, "%s = %s[%s];" % (s.coord_var, s.idx.name, q))
         tile = self._tile_ctx
-        if tile is not None and node is tile.bind_for:
-            # inject the block guard right after the fiber coordinate
-            # read: idx runs are sorted, so leaving the block upward ends
-            # this fiber's contribution (break, not continue)
-            self._stmt(node.body[0], ind + 1)
+        if tile is not None and s is tile.nest.body[0]:
+            # the block guard sits right after the fiber coordinate read:
+            # idx runs are sorted, so leaving the block upward ends this
+            # fiber's contribution (break, not continue)
             self._put(ind + 1, "if (%s >= rp_thi) { break; }" % tile.lead)
             self._put(ind + 1, "if (%s < rp_tb) { continue; }" % tile.lead)
-            rest = node.body[1:]
-        else:
-            rest = node.body
-        for s in rest:
-            self._stmt(s, ind + 1)
+        self._guard(s.coord_var, s.guard, ind + 1)
+        self._block(s.body, ind + 1)
         self._put(ind, "}")
 
-    def _emit_tiled_nest(self, node: ast.For, tile: TileSpec, ind: int) -> None:
-        """Wrap one annotated nest in a block loop over output rows."""
+    def _intersect(self, s: ir.Intersect, ind: int) -> None:
+        """Sorted-merge co-iteration: advance every fiber that trails the
+        largest coordinate; run the body where all of them agree."""
+        m, adv, i1 = s.max_var, s.adv_var, ind + 1
+        for b in s.binders:
+            lo, hi = self._fiber_ends(b)
+            self._put(ind, "%s = %s;" % (b.pos_var, lo))
+            self._put(ind, "%s = %s;" % (b.end_var, hi))
+        self._put(
+            ind,
+            "while ((%s)) {"
+            % " && ".join("(%s < %s)" % (b.pos_var, b.end_var) for b in s.binders),
+        )
+        for b in s.binders:
+            self._put(i1, "%s = %s[%s];" % (b.coord, b.idx.name, b.pos_var))
+        self._put(i1, "%s = %s;" % (m, s.binders[0].coord))
+        for b in s.binders[1:]:
+            self._put(i1, "if ((%s > %s)) {" % (b.coord, m))
+            self._put(i1 + 1, "%s = %s;" % (m, b.coord))
+            self._put(i1, "}")
+        self._put(i1, "%s = 0;" % adv)
+        for b in s.binders:
+            self._put(i1, "if ((%s < %s)) {" % (b.coord, m))
+            self._put(i1 + 1, "%s += 1;" % b.pos_var)
+            self._put(i1 + 1, "%s = 1;" % adv)
+            self._put(i1, "}")
+        self._put(i1, "if (%s) {" % adv)
+        self._put(i1 + 1, "continue;")
+        self._put(i1, "}")
+        self._put(i1, "%s = %s;" % (s.coord_var, m))
+        self._guard(s.coord_var, s.guard, i1)
+        self._block(s.body, i1)
+        for b in s.binders:
+            self._put(i1, "%s += 1;" % b.pos_var)
+        self._put(ind, "}")
+
+    def _emit_tiled_nest(self, tile: ir.Tiled, ind: int) -> None:
+        """Wrap one tiled nest in a block loop over output rows."""
         self._put(ind, "{")
         if tile.rows > 0:
             self._put(ind + 1, "int64_t rp_tile = %d;" % tile.rows)
@@ -1496,7 +1294,7 @@ class _Renderer:
         self._put(ind + 2, "rp_thi = rp_tb + rp_tile;")
         self._tile_ctx = tile
         try:
-            self._for(node, ind + 2)
+            self._stmt(tile.nest, ind + 2)
         finally:
             self._tile_ctx = None
         self._put(ind + 1, "}")
@@ -1511,21 +1309,18 @@ class _Renderer:
         if self.simd:
             self._put(ind, "#pragma omp simd")
 
-    def _emit_fused(self, node: FusedVector, ind: int) -> None:
-        """One element loop for a run of fused vectorized statements."""
+
+    def _emit_fused(self, node: ir.Fused, ind: int) -> None:
+        """One element loop for a run of fused row statements."""
         if self._log_plan is not None or self._atomic_plan is not None:
             # shared row writes reroute through the scatter log / atomic
             # machinery statement by statement; don't fuse across that
-            for s in node.stmts:
-                self._stmt(s, ind)
+            self._block(node.stmts, ind)
             return
-        parts = []
-        for s in node.stmts:
-            if isinstance(s.target, ast.Name):
-                elt = "%s[%s]" % (s.target.id, _V)
-            else:
-                elt, _ = self._out_target(s.target)
-            parts.append("%s += %s;" % (elt, self._expr(s.value, velt=True)))
+        parts = [
+            "%s += %s;" % (self._elt(s.target), self._expr(s.value, velt=True))
+            for s in node.stmts
+        ]
         self.uses_vector = True
         self._simd_hint(ind)
         self._put(
@@ -1534,376 +1329,138 @@ class _Renderer:
             % (_V, _V, self.vlen, _V, " ".join(parts)),
         )
 
-    # -- assignments ---------------------------------------------------
-    def _assign(self, node: ast.Assign, ind: int) -> None:
-        if len(node.targets) != 1:
-            raise CRenderError("multiple assignment targets")
-        target, value = node.targets[0], node.value
+    # -- reductions ----------------------------------------------------
+    def _elt(self, target) -> str:
+        """Element lvalue of an update target (a row's is at ``_v``)."""
+        if isinstance(target, ir.Out):
+            return self._out_target(target)
+        if target.type == ir.ROW:
+            return "%s[%s]" % (target.name, _V)
+        return target.name
 
-        if isinstance(target, ast.Name):
-            name = target.id
-            if self._is_np_empty(value):
-                if self.vlen is None:
-                    raise CRenderError("workspace vector without a vector index")
-                length = self._expr(value.args[0])
-                self.ws_alloc.append((name, length))
-                self._ws_len[name] = length
-                return
-            lut = self._lut_list(value)
-            if lut is not None:
-                # initializer conversion (double constant -> elem) is the
-                # same rounding numpy applies building the float32 array
-                elts = ", ".join(_c_float(e.value) for e in lut.elts)
-                self._put(
-                    ind,
-                    "static const %s %s[%d] = {%s};"
-                    % (self.elem, name, len(lut.elts), elts),
+    def _reduce(self, s: ir.Reduce, ind: int) -> None:
+        elt = self._elt(s.target)
+        if s.op != "+":
+            cfn = ("fmin" if s.op == "min" else "fmax") + self._fp_suffix
+            if s.row:
+                self._vector_loop(
+                    ind, elt, "=", s.value, "%s(%s, %%s)" % (cfn, elt)
                 )
-                return
-            tag = self.types[name]
-            if tag == _VEC:
-                self._put(ind, "%s = %s;" % (name, self._vec_pointer(value)))
-                return
-            if self._min_max_call(value):
-                fn, args = self._min_max_call(value)
+            else:
                 self._put(
-                    ind,
-                    "%s = %s(%s, %s);"
-                    % (name, fn, self._expr(args[0]), self._expr(args[1])),
+                    ind, "%s = %s(%s, %s);" % (elt, cfn, elt, self._expr(s.value))
                 )
-                return
-            if self._etype(value) == _VEC:
-                raise CRenderError("vector expression assigned to scalar %s" % name)
-            self._put(ind, "%s = %s;" % (name, self._expr(value)))
-            return
-
-        if isinstance(target, ast.Subscript):
-            # out[i] = min(out[i], expr) / max — the scalar min/max reduce
-            mm = self._min_max_call(value)
-            if mm is None:
-                raise CRenderError("subscript assignment must be min/max reduce")
-            fn, args = mm
-            tgt = self._expr(target)
-            self._put(
-                ind,
-                "%s = %s(%s, %s);" % (tgt, fn, self._expr(args[0]), self._expr(args[1])),
-            )
-            return
-        raise CRenderError("unsupported assignment target")
-
-    def _min_max_call(self, node):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in ("min", "max")
-            and len(node.args) == 2
-        ):
-            fn = "fmin" if node.func.id == "min" else "fmax"
-            return fn + self._fp_suffix, node.args
-        return None
-
-    def _augassign(self, node: ast.AugAssign, ind: int) -> None:
-        if not isinstance(node.op, ast.Add):
-            raise CRenderError("only += updates are generated")
-        target, value = node.target, node.value
-
         # inside a parallel body, shared += updates are rerouted: replay
         # nests append to the scatter log, atomic nests prefix a pragma
-        if self._log_plan is not None and self._log_augassign(node, ind):
-            return
-        if self._atomic_plan is not None and self._atomic_augassign(node, ind):
-            return
+        elif self._log_plan is not None and self._log_reduce(s, ind):
+            pass
+        elif self._atomic_plan is not None and self._atomic_reduce(s, ind):
+            pass
+        elif s.row:
+            self._vector_loop(ind, elt, "+=", s.value)
+        else:
+            self._put(ind, "%s += %s;" % (elt, self._expr(s.value)))
 
-        if isinstance(target, ast.Name):
-            tag = self.types[target.id]
-            if tag in (_WS, _VEC):
-                self._vector_loop(ind, "%s[%s]" % (target.id, _V), "+=", value)
-                return
-            if self._etype(value) == _VEC:
-                raise CRenderError(
-                    "vector expression accumulated into scalar %s" % target.id
-                )
-            self._put(ind, "%s += %s;" % (target.id, self._expr(value)))
-            return
-
-        if isinstance(target, ast.Subscript) and self._sub_name(target) == "out":
-            elt, is_row = self._out_target(target)
-            if is_row:
-                self._vector_loop(ind, elt, "+=", value)
-            else:
-                if self._etype(value) == _VEC:
-                    raise CRenderError("vector expression added to out scalar")
-                self._put(ind, "%s += %s;" % (elt, self._expr(value)))
-            return
-        raise CRenderError("unsupported += target")
-
-    def _expr_stmt(self, node, ind: int) -> None:
-        if not isinstance(node, ast.Call):
-            raise CRenderError("unsupported expression statement")
-        fn = node.func
-        # ws.fill(c)
-        if isinstance(fn, ast.Attribute) and fn.attr == "fill":
-            name = fn.value.id
-            if self.types.get(name) != _WS:
-                raise CRenderError("fill() on non-workspace %s" % name)
-            self._vector_loop(ind, "%s[%s]" % (name, _V), "=", node.args[0])
-            return
-        # np.minimum(target, expr, out=target) / np.maximum
-        if (
-            isinstance(fn, ast.Attribute)
-            and isinstance(fn.value, ast.Name)
-            and fn.value.id == "np"
-            and fn.attr in ("minimum", "maximum")
-        ):
-            cfn = ("fmin" if fn.attr == "minimum" else "fmax") + self._fp_suffix
-            tgt_node, expr_node = node.args[0], node.args[1]
-            elt = self._vec_target_elt(tgt_node)
-            self._vector_loop_fn(ind, elt, cfn, expr_node)
-            return
-        raise CRenderError("unsupported call statement")
-
-    # -- vector statement helpers --------------------------------------
-    def _vec_target_elt(self, node) -> str:
-        """Element lvalue of a vector target (ws name or out row)."""
-        if isinstance(node, ast.Name) and self.types.get(node.id) == _WS:
-            return "%s[%s]" % (node.id, _V)
-        if isinstance(node, ast.Subscript) and self._sub_name(node) == "out":
-            elt, is_row = self._out_target(node)
-            if not is_row:
-                raise CRenderError("np.minimum on scalar out element")
-            return elt
-        raise CRenderError("unsupported vector target")
-
-    def _vector_loop(self, ind: int, elt: str, op: str, value) -> None:
+    def _vector_loop(
+        self, ind: int, elt: str, op: str, value: ir.Expr, form: str = "%s"
+    ) -> None:
         self.uses_vector = True
         self._simd_hint(ind)
         self._put(
             ind,
             "for (%s = 0; %s < %s; ++%s) { %s %s %s; }"
-            % (_V, _V, self.vlen, _V, elt, op, self._expr(value, velt=True)),
+            % (_V, _V, self.vlen, _V, elt, op, form % self._expr(value, velt=True)),
         )
 
-    def _vector_loop_fn(self, ind: int, elt: str, cfn: str, value) -> None:
-        self.uses_vector = True
-        self._simd_hint(ind)
-        self._put(
-            ind,
-            "for (%s = 0; %s < %s; ++%s) { %s = %s(%s, %s); }"
-            % (_V, _V, self.vlen, _V, elt, cfn, elt, self._expr(value, velt=True)),
-        )
-
-    # -- subscript helpers ---------------------------------------------
+    # -- subscripts ----------------------------------------------------
     @staticmethod
-    def _sub_name(node: ast.Subscript) -> Optional[str]:
-        return node.value.id if isinstance(node.value, ast.Name) else None
-
-    @staticmethod
-    def _coords(node: ast.Subscript):
-        """Coordinate expressions of a subscript; None for ``[:]``."""
-        sl = node.slice
-        if isinstance(sl, ast.Slice):
-            return None
-        if isinstance(sl, ast.Tuple):
-            return list(sl.elts)
-        return [sl]
-
-    def _flatten(self, coords, dims_name: str, upto: int) -> str:
-        """Row-major flat index of *coords* against ``dims_name[1..upto]``."""
+    def _flatten(coords: Sequence[str], dims_name: str) -> str:
+        """Row-major flat index of *coords* against ``dims_name[1..]``."""
         if not coords:
             return "0"
-        expr = self._expr(coords[0])
-        for t in range(1, upto):
-            expr = "(%s) * %s[%d] + %s" % (
-                expr,
-                dims_name,
-                t,
-                self._expr(coords[t]),
-            )
+        expr = coords[0]
+        for t in range(1, len(coords)):
+            expr = "(%s) * %s[%d] + %s" % (expr, dims_name, t, coords[t])
         return expr
 
-    def _out_base(self, node: ast.Subscript) -> Tuple[str, bool]:
-        """(flat base index expression, is_row) for an ``out[...]`` subscript.
+    def _out_base(self, target: ir.Out) -> str:
+        """Flat index of an ``out[...]`` target's first element (the
+        replay log records exactly this base for a row)."""
+        flat = self._flatten(target.coords, "out_dims")
+        if target.row and target.coords:
+            return "(%s) * out_dims[%d]" % (flat, self.out_ndim - 1)
+        return flat
 
-        A *row* target covers the trailing vector axis; its base is the
-        flat index of the row's first element (the replay log records
-        exactly this base).
-        """
-        coords = self._coords(node)
-        ndim = self.out_ndim
-        if coords is None:  # out[:]
-            return "0", True
-        # out[()] arrives as Tuple(elts=[]) -> coords == [] == ndim 0,
-        # which the full-subscript branch flattens to out[0]
-        if len(coords) == ndim:
-            return self._flatten(coords, "out_dims", ndim), False
-        if len(coords) == ndim - 1 and self.vector_index is not None:
-            prefix = self._flatten(coords, "out_dims", ndim - 1)
-            return "(%s) * out_dims[%d]" % (prefix, ndim - 1), True
-        raise CRenderError(
-            "out subscript with %d coords against %d-d output" % (len(coords), ndim)
+    def _out_target(self, target: ir.Out) -> str:
+        """Element lvalue for an ``out[...]`` target; a row's references
+        the vector loop variable.  ``self._out_array`` names the
+        destination buffer — the privatized strategy rebinds it to the
+        per-thread copy while emitting its parallel body."""
+        base = self._out_base(target)
+        if not target.row:
+            return "%s[%s]" % (self._out_array, base)
+        self.uses_vector = True
+        if base == "0":
+            return "%s[%s]" % (self._out_array, _V)
+        return "%s[%s + %s]" % (self._out_array, base, _V)
+
+    def _dense_prefix(self, load: ir.Load) -> str:
+        """Flat row index of a dense load one coordinate short."""
+        name = load.array.name
+        return "(%s) * %s_dims[%d]" % (
+            self._flatten([self._expr(c) for c in load.coords], "%s_dims" % name),
+            name,
+            load.array.ndim - 1,
         )
 
-    def _out_target(self, node: ast.Subscript) -> Tuple[str, bool]:
-        """(element lvalue, is_row) for an ``out[...]`` subscript.
-
-        A *row* target covers the trailing vector axis: its element lvalue
-        references the vector loop variable.  ``self._out_array`` names
-        the destination buffer — the privatized strategy rebinds it to the
-        per-thread copy while emitting its parallel body.
-        """
-        base, is_row = self._out_base(node)
-        if is_row:
-            self.uses_vector = True
-            if base == "0":
-                return "%s[%s]" % (self._out_array, _V), True
-            return "%s[%s + %s]" % (self._out_array, base, _V), True
-        return "%s[%s]" % (self._out_array, base), False
-
-    def _vec_pointer(self, node) -> str:
-        """Pointer expression for a dense row slice / whole-vector value."""
-        if isinstance(node, ast.Name) and self.dense.get(node.id) == 1:
-            return node.id
-        if isinstance(node, ast.Subscript):
-            name = self._sub_name(node)
-            if name in self.dense:
-                coords = self._coords(node)
-                ndim = self.dense[name]
-                if coords is not None and len(coords) == ndim - 1:
-                    prefix = self._flatten(coords, "%s_dims" % name, ndim - 1)
-                    return "%s + (%s) * %s_dims[%d]" % (name, prefix, name, ndim - 1)
-        raise CRenderError("unsupported vector value")
+    def _vec_pointer(self, load: ir.Load) -> str:
+        """Pointer expression for a dense row / whole-vector value."""
+        if not load.coords:
+            return load.array.name
+        return "%s + %s" % (load.array.name, self._dense_prefix(load))
 
     # -- expressions ---------------------------------------------------
-    def _expr(self, node, velt: bool = False) -> str:
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, bool):
-                return "1" if node.value else "0"
-            if isinstance(node.value, int):
-                return str(node.value)
-            if isinstance(node.value, float):
-                return self._elem_const(node.value)
-            raise CRenderError("unsupported constant %r" % (node.value,))
-        if isinstance(node, ast.Name):
-            name = node.id
-            if name in self.dense:
-                ndim = self.dense[name]
-                if ndim == 0:
-                    return "%s[0]" % name
-                if ndim == 1 and velt:
-                    return "%s[%s]" % (name, _V)
-                raise CRenderError("bare dense name %s outside vector context" % name)
-            tag = self.types.get(name)
-            if tag in (_WS, _VEC):
-                if not velt:
-                    raise CRenderError("vector %s outside vector context" % name)
-                return "%s[%s]" % (name, _V)
-            return name
-        if isinstance(node, ast.Subscript):
-            return self._subscript_expr(node, velt)
-        if isinstance(node, ast.BinOp):
-            op = self._binop(node.op)
-            return "(%s %s %s)" % (
-                self._expr(node.left, velt),
-                op,
-                self._expr(node.right, velt),
-            )
-        if isinstance(node, ast.BoolOp):
-            op = " && " if isinstance(node.op, ast.And) else " || "
-            return "(%s)" % op.join(self._expr(v, velt) for v in node.values)
-        if isinstance(node, ast.Compare):
-            parts = []
-            left = node.left
-            for cmp_op, right in zip(node.ops, node.comparators):
-                parts.append(
-                    "(%s %s %s)"
-                    % (self._expr(left, velt), self._cmp(cmp_op), self._expr(right, velt))
-                )
-                left = right
-            return " && ".join(parts) if len(parts) > 1 else parts[0]
-        if isinstance(node, ast.UnaryOp):
-            if isinstance(node.op, ast.USub):
-                return "(-%s)" % self._expr(node.operand, velt)
-            raise CRenderError("unsupported unary operator")
-        if isinstance(node, ast.Call):
-            fn = node.func
-            if isinstance(fn, ast.Name) and fn.id == "float":
-                arg = node.args[0]
-                if isinstance(arg, ast.Constant) and arg.value == "inf":
-                    return "INFINITY"
-                if isinstance(arg, ast.Constant) and arg.value == "-inf":
-                    return "(-INFINITY)"
-                raise CRenderError("unsupported float() literal")
-            mm = self._min_max_call(node)
-            if mm is not None:
-                cfn, args = mm
-                return "%s(%s, %s)" % (
-                    cfn,
-                    self._expr(args[0], velt),
-                    self._expr(args[1], velt),
-                )
-            raise CRenderError("unsupported call in expression")
-        raise CRenderError("unsupported expression %s" % type(node).__name__)
+    def _expr(self, e: ir.Expr, velt: bool = False) -> str:
+        if e.type == ir.ROW and not velt:
+            raise CRenderError("row value outside a row statement: %r" % (e,))
+        if isinstance(e, ir.Var):
+            return "%s[%s]" % (e.name, _V) if e.type == ir.ROW else e.name
+        if isinstance(e, ir.Dim):
+            return e.name
+        if isinstance(e, ir.Const):
+            if isinstance(e.value, (bool, int)):
+                return str(int(e.value))
+            if e.value == float("inf"):
+                return "INFINITY"
+            if e.value == float("-inf"):
+                return "(-INFINITY)"
+            return self._elem_const(e.value)
+        if isinstance(e, ir.Load):
+            return self._load(e, velt)
+        if isinstance(e, ir.BinOp):
+            text = self._expr(e.args[0], velt)
+            for arg in e.args[1:]:
+                text = "(%s %s %s)" % (text, e.op, self._expr(arg, velt))
+            return text
+        if isinstance(e, ir.Cmp):
+            return "(%s %s %s)" % (self._expr(e.left), e.op, self._expr(e.right))
+        if isinstance(e, ir.BoolOp):
+            op = " && " if e.op == "and" else " || "
+            return "(%s)" % op.join(self._expr(a) for a in e.args)
+        if isinstance(e, ir.Flat):
+            return self._expr(e.fold())
+        raise CRenderError("unsupported expression %s" % type(e).__name__)
 
-    def _subscript_expr(self, node: ast.Subscript, velt: bool) -> str:
-        name = self._sub_name(node)
-        if name is None:
-            raise CRenderError("computed subscript base")
-        coords = self._coords(node)
-        if name in self.int_arrays or name in self.dbl_arrays:
-            if coords is None or len(coords) != 1:
-                raise CRenderError("structure arrays take one index")
-            return "%s[%s]" % (name, self._expr(coords[0], velt))
-        if self.types.get(name) == _LUT:
-            return "%s[%s]" % (name, self._expr(coords[0], velt))
-        if name in self.dense:
-            ndim = self.dense[name]
-            if coords is None:
-                raise CRenderError("slice of dense input %s" % name)
-            if len(coords) == ndim:
-                return "%s[%s]" % (name, self._flatten(coords, "%s_dims" % name, ndim))
-            if len(coords) == ndim - 1:
-                if not velt:
-                    raise CRenderError(
-                        "dense row slice of %s outside vector context" % name
-                    )
-                prefix = self._flatten(coords, "%s_dims" % name, ndim - 1)
-                return "%s[(%s) * %s_dims[%d] + %s]" % (name, prefix, name, ndim - 1, _V)
-            raise CRenderError("partial dense subscript of %s" % name)
-        if name == "out":
-            elt, is_row = self._out_target(node)
-            if is_row and not velt:
-                raise CRenderError("out row read outside vector context")
-            return elt
-        raise CRenderError("subscript of unknown array %r" % name)
-
-    @staticmethod
-    def _binop(op) -> str:
-        if isinstance(op, ast.Add):
-            return "+"
-        if isinstance(op, ast.Sub):
-            return "-"
-        if isinstance(op, ast.Mult):
-            return "*"
-        if isinstance(op, ast.LShift):
-            return "<<"
-        if isinstance(op, ast.BitOr):
-            return "|"
-        raise CRenderError("unsupported binary operator %s" % type(op).__name__)
-
-    @staticmethod
-    def _cmp(op) -> str:
-        mapping = {
-            ast.Lt: "<",
-            ast.LtE: "<=",
-            ast.Gt: ">",
-            ast.GtE: ">=",
-            ast.Eq: "==",
-            ast.NotEq: "!=",
-        }
-        for kind, text in mapping.items():
-            if isinstance(op, kind):
-                return text
-        raise CRenderError("unsupported comparison %s" % type(op).__name__)
+    def _load(self, e: ir.Load, velt: bool) -> str:
+        name, ndim = e.array.name, e.array.ndim
+        if e.array.kind != "dense":
+            return "%s[%s]" % (name, self._expr(e.coords[0], velt))
+        if e.type == ir.ELEM:
+            coords = [self._expr(c) for c in e.coords]
+            return "%s[%s]" % (name, self._flatten(coords, "%s_dims" % name))
+        if not e.coords:
+            return "%s[%s]" % (name, _V)
+        return "%s[%s + %s]" % (name, self._dense_prefix(e), _V)
 
 
 @dataclass(frozen=True)
@@ -1954,23 +1511,6 @@ def render_c_full(
     )
 
 
-def render_c_ex(
-    lowered: LoweredKernel,
-    label: Optional[str] = None,
-    parallel: Optional[str] = None,
-    passes: Optional[PassConfig] = None,
-) -> Tuple[str, Tuple[NestWork, ...]]:
-    """:func:`render_c` plus the per-nest work model.
-
-    The second element holds one :class:`NestWork` term per nest that
-    received an OpenMP body — the render-time side of the
-    ``threads="auto"`` cost model.  An empty tuple means the kernel has no
-    parallel bodies at all (serial emission mode, or nothing provably
-    safe), in which case a thread team could never help.
-    """
-    rendered = render_c_full(lowered, label, parallel, passes=passes)
-    return rendered.source, rendered.work_model
-
 
 def render_c(
     lowered: LoweredKernel,
@@ -1985,316 +1525,5 @@ def render_c(
     ``passes`` overrides the optimization-pass set; ``None`` reads the
     active configuration (``$REPRO_PASSES`` / ``$REPRO_TILE``).
     """
-    return render_c_ex(lowered, label, parallel, passes=passes)[0]
+    return render_c_full(lowered, label, parallel, passes=passes).source
 
-
-# ----------------------------------------------------------------------
-# ctypes binding
-# ----------------------------------------------------------------------
-class CExecutable(Executable):
-    """A compiled kernel bound through ctypes.
-
-    The call plan (which pointer/extent/scalar goes where) is computed
-    once at bind time; each run only coerces dtypes (a no-op for arrays
-    :meth:`BoundKernel.prepare` built) and grabs data pointers.
-
-    The loaded object is either the serial or the OpenMP build of
-    ``source`` (:attr:`kind`).  A serial object that is asked to run with
-    ``threads > 1`` is upgraded in place (:meth:`upgrade`) — the check
-    sits on the ``threads > 1`` branch only, so serial dispatch pays
-    nothing for it.
-    """
-
-    def __init__(
-        self,
-        lowered: LoweredKernel,
-        so_path: str,
-        source: str,
-        work_model: Sequence[NestWork] = (),
-        profile_model: Sequence[Optional[NestWork]] = (),
-        stem: Optional[str] = None,
-    ):
-        self.source = source
-        self._stem = stem
-        # the element dtype of every value pointer in the ABI (the "f64"
-        # classification kind means "value array", in this dtype)
-        self._elem = np.dtype(
-            np.float32 if lowered.dtype == "float32" else np.float64
-        )
-        self._steps = tuple(classify_args(lowered))
-        self._work_model = tuple(work_model)
-        self._vlen = (
-            "n_%s" % lowered.vector_index
-            if lowered.vector_index is not None
-            else None
-        )
-        self.profile_model = tuple(profile_model)
-        self._load(so_path)
-        # a kernel without parallel bodies has nothing to upgrade to
-        self._upgradable = bool(self._work_model) and not self.omp
-        self._upgrade_lock = threading.Lock()
-
-    def _load(self, so_path: str) -> None:
-        """dlopen *so_path* and bind its entry points; on failure the
-        previously loaded object (if any) stays in service."""
-        with obs_trace.span("dlopen", path=so_path):
-            if faults.poll("dlopen") is not None:
-                raise OSError("injected: cannot dlopen %s" % so_path)
-            lib = ctypes.CDLL(so_path)
-            fn = lib.kernel  # AttributeError if absent
-        # the kernel returns 0 on success, nonzero when a runtime
-        # allocation (per-thread workspace, scatter log) failed
-        fn.restype = ctypes.c_int64
-        self._lib, self._fn, self.so_path = lib, fn, so_path
-        #: whether this is the OpenMP object (its marker symbol exists
-        #: only under ``_OPENMP``).
-        self.omp = hasattr(lib, "repro_openmp")
-        # per-nest profiling symbols exist only in REPRO_PROFILE builds;
-        # their absence (the production case, or a pre-profiling artifact)
-        # leaves `profiled` False and nest_profile() returning None
-        try:
-            nests_fn = lib.repro_profile_nests
-            calls_fn = lib.repro_profile_calls
-            reset_fn = lib.repro_profile_reset
-            read_fn = lib.repro_profile_read
-        except AttributeError:
-            self._profile_fns = None
-        else:
-            nests_fn.restype = ctypes.c_int64
-            calls_fn.restype = ctypes.c_int64
-            reset_fn.restype = None
-            read_fn.restype = None
-            read_fn.argtypes = (ctypes.POINTER(ctypes.c_double),)
-            self._profile_fns = (nests_fn, calls_fn, reset_fn, read_fn)
-
-    @property
-    def kind(self) -> str:
-        """Which object is loaded: ``"serial"`` or ``"omp"``."""
-        return "omp" if self.omp else "serial"
-
-    def upgrade(self) -> None:
-        """Swap the serial object for the OpenMP one, at most once.
-
-        Single-flight across host threads (the lock) and across processes
-        (:func:`ctoolchain.compile_shared`'s flock); plans bound before
-        the swap follow it on their next ``threads > 1`` call.  When the
-        OpenMP object cannot be had — no OpenMP toolchain, a ``cc`` or
-        ``dlopen`` failure — the ``c@omp`` tier is marked unhealthy
-        (sticky: later runs resolve to one thread), the serial object
-        keeps serving bit-identical results and nothing raises.
-        """
-        with self._upgrade_lock:
-            if not self._upgradable:
-                return  # another host thread settled it first
-            try:
-                with obs_trace.span("backend:upgrade", stem=self._stem):
-                    if not ctoolchain.openmp_flags():
-                        raise ctoolchain.ToolchainError(
-                            "the toolchain cannot build OpenMP objects"
-                        )
-                    self._load(
-                        ctoolchain.compile_shared(
-                            self.source, stem=self._stem, omp=True
-                        )
-                    )
-                obs_metrics.inc("toolchain.omp_upgrades")
-            except (ctoolchain.ToolchainError, OSError, AttributeError) as exc:
-                health.mark("c@omp", exc)
-            finally:
-                self._upgradable = False
-
-    @property
-    def profiled(self) -> bool:
-        return self._profile_fns is not None
-
-    def nest_profile(self) -> Optional[NestProfile]:
-        if self._profile_fns is None:
-            return None
-        nests_fn, calls_fn, _, read_fn = self._profile_fns
-        count = int(nests_fn())
-        buf = (ctypes.c_double * max(count, 1))()
-        read_fn(buf)
-        return NestProfile(
-            seconds=tuple(buf[:count]), calls=int(calls_fn())
-        )
-
-    def profile_reset(self) -> None:
-        if self._profile_fns is not None:
-            self._profile_fns[2]()
-
-    def __call__(self, out: np.ndarray, threads: int = 1, **arrays) -> None:
-        if out.dtype != self._elem or not out.flags.c_contiguous:
-            raise ValueError(
-                "output buffer must be C-contiguous %s" % self._elem.name
-            )
-        keep = []  # hold coerced arrays alive across the call
-        out_dims = np.asarray(out.shape, dtype=np.int64)
-        keep.append(out_dims)
-        argv = [
-            ctypes.c_void_p(out.ctypes.data),
-            ctypes.c_void_p(out_dims.ctypes.data),
-        ]
-        for kind, name in self._steps:
-            value = arrays[name]
-            if kind == "dim":
-                argv.append(ctypes.c_int64(int(value)))
-                continue
-            dtype = np.int64 if kind == "i64" else self._elem
-            arr = np.ascontiguousarray(value, dtype=dtype)
-            keep.append(arr)
-            argv.append(ctypes.c_void_p(arr.ctypes.data))
-            if kind == "dense":
-                shape = np.asarray(arr.shape, dtype=np.int64)
-                keep.append(shape)
-                argv.append(ctypes.c_void_p(shape.ctypes.data))
-        # the runtime thread count rides last; ctypes releases the GIL
-        # around the call, so batch fan-out threads and OpenMP teams of
-        # distinct kernels genuinely overlap
-        argv.append(ctypes.c_int64(max(1, int(threads))))
-        if threads > 1 and self._upgradable:
-            self.upgrade()
-        rc = self._fn(*argv)
-        if rc:
-            raise BackendError(
-                "C kernel reported allocation failure (status %d)" % rc
-            )
-
-    def bind(
-        self, out: np.ndarray, arrays: Mapping[str, object]
-    ) -> Callable[[int], None]:
-        """Pre-marshal the whole ctypes argument vector once.
-
-        Dtype coercion, contiguity checks and data-pointer extraction all
-        happen here; the returned callable only rewrites the trailing
-        thread-count cell and invokes the foreign function.  Arrays built
-        by :meth:`BoundKernel.prepare` are already contiguous in the right
-        dtypes, so the coercions below are no-ops that alias the caller's
-        buffers — in-place updates to them are visible to later calls,
-        exactly as with :meth:`__call__`.  (An array that *did* need
-        coercion is snapshotted at bind time.)  The bound callable owns
-        references to every buffer it points into.
-        """
-        if out.dtype != self._elem or not out.flags.c_contiguous:
-            raise ValueError(
-                "output buffer must be C-contiguous %s" % self._elem.name
-            )
-        keep = [out]  # pointers stay valid for the callable's lifetime
-        out_dims = np.asarray(out.shape, dtype=np.int64)
-        keep.append(out_dims)
-        argv = [
-            ctypes.c_void_p(out.ctypes.data),
-            ctypes.c_void_p(out_dims.ctypes.data),
-        ]
-        for kind, name in self._steps:
-            value = arrays[name]
-            if kind == "dim":
-                argv.append(ctypes.c_int64(int(value)))
-                continue
-            dtype = np.int64 if kind == "i64" else self._elem
-            arr = np.ascontiguousarray(value, dtype=dtype)
-            keep.append(arr)
-            argv.append(ctypes.c_void_p(arr.ctypes.data))
-            if kind == "dense":
-                shape = np.asarray(arr.shape, dtype=np.int64)
-                keep.append(shape)
-                argv.append(ctypes.c_void_p(shape.ctypes.data))
-        nthreads = ctypes.c_int64(1)
-        argv.append(nthreads)
-        packed = tuple(argv)
-        fn = self._fn
-
-        def call(threads: int) -> None:
-            if threads > 1:
-                if self._upgradable:
-                    self.upgrade()
-                nthreads.value = threads
-                rc = self._fn(*packed)
-            else:
-                # the object bound here serves every serial call, also
-                # after an upgrade: both objects run the same serial loops
-                nthreads.value = 1
-                rc = fn(*packed)
-            if rc:
-                raise BackendError(
-                    "C kernel reported allocation failure (status %d)" % rc
-                )
-
-        call.keep = keep  # noqa: B010 - anchors buffer lifetimes to the plan
-        return call
-
-    def parallel_work(
-        self, arrays: Mapping[str, object]
-    ) -> Optional[float]:
-        """Estimated scalar updates across this kernel's parallel nests."""
-        if not self._work_model:
-            return None
-        return sum(term.resolve(arrays, self._vlen) for term in self._work_model)
-
-    def describe(self) -> str:
-        return "c (%s, %s object)" % (self.so_path, self.kind)
-
-
-class CBackend(Backend):
-    name = "c"
-
-    def is_available(self) -> bool:
-        return ctoolchain.probe() is not None
-
-    def compile(
-        self,
-        lowered: LoweredKernel,
-        label: Optional[str] = None,
-        artifact: Optional[str] = None,
-        einsum: Optional[str] = None,
-        threaded: bool = False,
-    ) -> CExecutable:
-        rendered = render_c_full(lowered, label, einsum=einsum)
-        stem = re.sub(r"[^A-Za-z0-9_-]", "", label or "")[:24] or None
-
-        def load(so_path: str) -> CExecutable:
-            exe = CExecutable(
-                lowered,
-                so_path,
-                rendered.source,
-                rendered.work_model,
-                rendered.profile_model,
-                stem=stem,
-            )
-            if threaded:
-                exe.upgrade()  # no-op unless a serial artifact was loaded
-            return exe
-
-        if artifact is not None:
-            try:
-                return load(artifact)
-            except (OSError, AttributeError):
-                pass  # corrupt or foreign .so: degrade to a fresh build
-        if ctoolchain.probe() is None:
-            raise BackendUnavailableError(
-                "the C backend needs a working compiler; none was found "
-                "(set $REPRO_CC, or use backend='auto' to fall back to python)"
-            )
-        # a kernel without parallel bodies is the same code either way
-        omp = threaded and bool(rendered.work_model)
-        try:
-            so_path = ctoolchain.compile_shared(
-                rendered.source, stem=stem, omp=omp
-            )
-            try:
-                return load(so_path)
-            except (OSError, AttributeError):
-                # a content-addressed object that won't load (stale cache
-                # from another machine): rebuild it once, then fail loudly
-                so_path = ctoolchain.compile_shared(
-                    rendered.source, stem=stem, force=True, omp=omp
-                )
-                return load(so_path)
-        except ctoolchain.ToolchainError as exc:
-            raise BackendError("C kernel build failed: %s" % exc)
-
-    def describe(self) -> str:
-        tc = ctoolchain.probe()
-        if tc is None:
-            return "c: unavailable (no working compiler found)"
-        omp = "OpenMP" if tc.openmp else "no OpenMP, serial kernels"
-        return "c: compiled shared objects via %s (%s)" % (tc.describe(), omp)

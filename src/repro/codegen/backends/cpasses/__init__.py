@@ -1,13 +1,12 @@
 """The C renderer's composable loop-pass pipeline.
 
-The monolithic ``_Renderer`` walk in :mod:`repro.codegen.backends.c` is
-split the way Devito's DLE rewriter stages loop transformations and
-Parakeet chains ``Phase`` objects: the lowered kernel AST is wrapped in a
-small structured :class:`~repro.codegen.backends.cpasses.ir.LoopIR`
-(top-level nests plus the scan facts strategy selection already used),
-an ordered list of :class:`~repro.codegen.backends.cpasses.base.Pass`
-objects each takes and returns that IR, and the final emission step in
-``c.py`` renders C from the transformed IR.
+Loop transformations are staged the way Devito's DLE rewriter stages
+them and Parakeet chains ``Phase`` objects: the lowered program's
+top-level statements (:mod:`repro.codegen.loopir` nodes) ride in a
+:class:`~repro.codegen.loopir.LoopIR`, an ordered list of
+:class:`~repro.codegen.backends.cpasses.base.Pass` objects each takes and
+returns it — matching on typed nodes, rebuilding the frozen ones it
+changes — and ``c.py`` renders C from the transformed statements.
 
 Passes (pipeline order — mirroring Devito's
 ``_avoid_denormals -> _loop_fission -> _loop_blocking -> _simdize``):
@@ -54,11 +53,4 @@ from repro.codegen.backends.cpasses.base import (  # noqa: F401
     describe_passes,
     parse_passes,
     run_pipeline,
-)
-from repro.codegen.backends.cpasses.ir import (  # noqa: F401
-    FusedVector,
-    LoopIR,
-    NestScan,
-    TileSpec,
-    scan_nest,
 )

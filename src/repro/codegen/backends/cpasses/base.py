@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
-from repro.codegen.backends.cpasses.ir import LoopIR
+from repro.codegen.loopir import LoopIR
 from repro.core import config as core_config
 from repro.obs import trace as obs_trace
 

@@ -20,7 +20,7 @@ configuration drops the pass when :func:`ctoolchain.probe_ftz` fails.
 from __future__ import annotations
 
 from repro.codegen.backends.cpasses.base import Pass, PassConfig
-from repro.codegen.backends.cpasses.ir import LoopIR
+from repro.codegen.loopir import LoopIR
 
 
 class DenormalsPass(Pass):

@@ -21,118 +21,84 @@ about per-element order — so the fissioned kernel is bit-identical to
 the fused one (and to the Python backend) at any thread count.
 
 The matcher is deliberately narrow: one inner fiber loop over a
-``__strict`` view, straight-line scalar assigns, ``+=`` writes only, no
-reads of the output.  Both copies recompute the cheap shared scalar
+``strict`` view, straight-line scalar assigns, ``+=`` writes only.  Both copies recompute the cheap shared scalar
 loads (``t1 = x[j]``); dead-code elimination then strips whatever each
 half no longer needs.
 """
 
 from __future__ import annotations
 
-import ast
-import copy
-from typing import List, Optional
+from dataclasses import replace
+from typing import List, Optional, Tuple
 
 from repro.codegen.backends.cpasses.base import Pass, PassConfig
-from repro.codegen.backends.cpasses.ir import (
+from repro.codegen.loopir import (
+    DenseLoop,
+    ELEM,
+    FiberLoop,
+    Init,
+    Let,
     LoopIR,
-    coords,
-    reads_out,
+    Out,
+    Reduce,
+    Stmt,
+    Var,
+    loop_var,
+    reads,
     scan_nest,
-    sub_name,
 )
 
 
-def _is_range(node) -> bool:
+def single_fiber(nest, bind) -> bool:
+    """Does *bind* walk exactly the one fiber *nest*'s variable selects
+    (``range(pos[v], pos[v + 1])``)?  Then its ``idx`` run is sorted."""
     return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "range"
+        isinstance(bind, FiberLoop)
+        and bind.parent == Var(loop_var(nest), "int")
+        and bind.bound is None
+        and bind.coord_var is not None
     )
 
 
-def _fiber_pos_name(it, outer: str) -> Optional[str]:
-    """The pos-array name of a single-fiber ``range(pos[j], pos[j+1])``."""
-    if not (_is_range(it) and len(it.args) == 2):
-        return None
-    lo, hi = it.args
-    if not (
-        isinstance(lo, ast.Subscript)
-        and isinstance(lo.value, ast.Name)
-        and isinstance(hi, ast.Subscript)
-        and isinstance(hi.value, ast.Name)
-        and lo.value.id == hi.value.id
-    ):
-        return None
-    lo_c, hi_c = coords(lo), coords(hi)
-    if not (lo_c and len(lo_c) == 1 and hi_c and len(hi_c) == 1):
-        return None
-    if not (isinstance(lo_c[0], ast.Name) and lo_c[0].id == outer):
-        return None
-    hx = hi_c[0]
-    if not (
-        isinstance(hx, ast.BinOp)
-        and isinstance(hx.op, ast.Add)
-        and isinstance(hx.left, ast.Name)
-        and hx.left.id == outer
-        and isinstance(hx.right, ast.Constant)
-        and hx.right.value == 1
-    ):
-        return None
-    return lo.value.id
+def _is_local_def(st: Stmt) -> bool:
+    return isinstance(st, Let) or (isinstance(st, Init) and st.ws.type == ELEM)
 
 
-def _out_lead(st) -> Optional[str]:
-    """Leading coordinate name of an ``out[...] += `` statement."""
-    if not (
-        isinstance(st, ast.AugAssign)
-        and isinstance(st.op, ast.Add)
-        and isinstance(st.target, ast.Subscript)
-        and sub_name(st.target) == "out"
-    ):
-        return None
-    cs = coords(st.target)
-    if cs and isinstance(cs[0], ast.Name):
-        return cs[0].id
+def _out_lead(st: Stmt) -> Optional[str]:
+    """Leading coordinate of an ``out[...] +=`` statement."""
+    if isinstance(st, Reduce) and isinstance(st.target, Out) and st.target.coords:
+        return st.target.coords[0]
     return None
 
 
-def _dce(outer: ast.For) -> None:
-    """Fixpoint-remove local assignments nothing in the nest reads."""
+def _dce(nest):
+    """Fixpoint-remove local definitions nothing in the nest reads."""
     while True:
-        reads = {
-            sub.id
-            for sub in ast.walk(outer)
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
-        }
-        removed = False
+        live = reads([nest])
 
-        def prune(body: List[ast.stmt]) -> None:
-            nonlocal removed
+        def prune(body: Tuple[Stmt, ...]) -> Tuple[Stmt, ...]:
             kept = []
             for st in body:
-                if isinstance(st, ast.For):
-                    prune(st.body)
-                    if not st.body:
-                        st.body = [ast.Pass()]
-                    kept.append(st)
-                elif (
-                    isinstance(st, ast.Assign)
-                    and isinstance(st.targets[0], ast.Name)
-                    and st.targets[0].id not in reads
-                ) or (
-                    isinstance(st, ast.AugAssign)
-                    and isinstance(st.target, ast.Name)
-                    and st.target.id not in reads
+                if isinstance(st, FiberLoop):
+                    coord = st.coord_var if st.coord_var in live else None
+                    st = replace(st, coord_var=coord, body=prune(st.body))
+                elif isinstance(st, DenseLoop):
+                    st = replace(st, body=prune(st.body))
+                elif _is_local_def(st) or (
+                    isinstance(st, Reduce) and isinstance(st.target, Var)
                 ):
-                    removed = True
-                else:
-                    kept.append(st)
-            body[:] = kept
+                    name = st.target.name if isinstance(st, Reduce) else (
+                        st.var.name if isinstance(st, Let) else st.ws.name
+                    )
+                    if name not in live:
+                        continue
+                kept.append(st)
+            return tuple(kept)
 
-        prune(outer.body)
-        if not removed:
-            return
+        pruned = replace(nest, body=prune(nest.body))
+        if pruned == nest:
+            return nest
+        nest = pruned
 
 
 class FissionPass(Pass):
@@ -148,11 +114,13 @@ class FissionPass(Pass):
         )
 
     def run(self, ir: LoopIR, config: PassConfig) -> LoopIR:
-        body: List[ast.stmt] = []
+        body: List[Stmt] = []
         split = 0
         for stmt in ir.body:
             pieces = (
-                self._try_split(stmt, ir) if isinstance(stmt, ast.For) else None
+                self._try_split(stmt)
+                if isinstance(stmt, (DenseLoop, FiberLoop))
+                else None
             )
             if pieces is None:
                 body.append(stmt)
@@ -165,64 +133,42 @@ class FissionPass(Pass):
         return ir
 
     # ------------------------------------------------------------------
-    def _try_split(self, node: ast.For, ir: LoopIR) -> Optional[List[ast.For]]:
-        if not isinstance(node.target, ast.Name) or not _is_range(node.iter):
-            return None
-        outer = node.target.id
-        if reads_out(node):
-            return None
-        scan = scan_nest(node, ir.out_ndim, ir.vector_index)
-        if not scan.ok or scan.out_loads or scan.expected_out_loads:
-            return None
+    def _try_split(self, node) -> Optional[List[Stmt]]:
+        outer = loop_var(node)
+        scan = scan_nest(node)
         # scalar += writes only
-        if not scan.out_writes or any(
+        if not scan.ok or not scan.out_writes or any(
             kind != "add" or row for kind, row, _ in scan.out_writes
         ):
             return None
 
-        bind: Optional[ast.For] = None
+        bind: Optional[FiberLoop] = None
         own_writes = 0
         for st in node.body:
-            if isinstance(st, ast.For):
+            if isinstance(st, (DenseLoop, FiberLoop)):
                 if bind is not None:
                     return None  # one fiber loop only
                 bind = st
-            elif isinstance(st, ast.Assign) and isinstance(
-                st.targets[0], ast.Name
-            ):
+            elif _is_local_def(st):
                 continue
             elif _out_lead(st) == outer:
                 own_writes += 1
             else:
                 return None
-        if bind is None or not isinstance(bind.target, ast.Name):
-            return None
-        pos_name = _fiber_pos_name(bind.iter, outer)
-        if pos_name is None or pos_name not in ir.int_arrays:
-            return None
         # strict canonical triangle: scatter lead strictly below the
         # outer coordinate, which the bit-identity argument requires
-        if "__strict" not in pos_name:
-            return None
-        if not bind.body or not isinstance(bind.body[0], ast.Assign):
-            return None
-        first = bind.body[0]
-        lead_t, lead_v = first.targets[0], first.value
         if not (
-            isinstance(lead_t, ast.Name)
-            and isinstance(lead_v, ast.Subscript)
-            and isinstance(lead_v.value, ast.Name)
-            and lead_v.value.id in ir.int_arrays
-            and "_idx" in lead_v.value.id
-            and "__strict" in lead_v.value.id
+            single_fiber(node, bind)
+            and bind.tensor_filter == "strict"
+            and bind.guard is None
         ):
             return None
-        lead = lead_t.id
+        lead = bind.coord_var
         scatter_writes = 0
-        for st in bind.body[1:]:
-            if isinstance(st, ast.Assign) and isinstance(st.targets[0], ast.Name):
+        for st in bind.body:
+            if _is_local_def(st):
                 continue
-            if isinstance(st, ast.AugAssign) and isinstance(st.target, ast.Name):
+            if isinstance(st, Reduce) and isinstance(st.target, Var):
                 continue  # local accumulator (own-row half)
             if _out_lead(st) == lead:
                 scatter_writes += 1
@@ -231,21 +177,31 @@ class FissionPass(Pass):
         if not scatter_writes or not own_writes:
             return None
 
+        def rebuilt(bind_body, keep) -> Stmt:
+            inner = replace(bind, body=tuple(bind_body))
+            return _dce(
+                replace(
+                    node,
+                    body=tuple(
+                        inner if st is bind else st
+                        for st in node.body
+                        if st is bind or keep(st)
+                    ),
+                )
+            )
+
         # own-row copy: drop the scatter writes, keep accumulators and
         # the outer-lead writes.  Emitted FIRST (see module docstring).
-        own = copy.deepcopy(node)
-        own_bind = next(s for s in own.body if isinstance(s, ast.For))
-        own_bind.body = [s for s in own_bind.body if _out_lead(s) != lead]
-        _dce(own)
-
+        own = rebuilt(
+            [s for s in bind.body if _out_lead(s) != lead], lambda st: True
+        )
         # scatter copy: drop local accumulators and outer-lead writes.
-        scatter = copy.deepcopy(node)
-        sc_bind = next(s for s in scatter.body if isinstance(s, ast.For))
-        sc_bind.body = [
-            s
-            for s in sc_bind.body
-            if not (isinstance(s, ast.AugAssign) and isinstance(s.target, ast.Name))
-        ]
-        scatter.body = [s for s in scatter.body if _out_lead(s) != outer]
-        _dce(scatter)
+        scatter = rebuilt(
+            [
+                s
+                for s in bind.body
+                if not (isinstance(s, Reduce) and isinstance(s.target, Var))
+            ],
+            lambda st: _out_lead(st) != outer,
+        )
         return [own, scatter]

@@ -24,11 +24,11 @@ the scatter log / pragma machinery statement by statement.
 
 from __future__ import annotations
 
-import ast
-from typing import List
+from dataclasses import replace
+from typing import List, Sequence, Tuple
 
 from repro.codegen.backends.cpasses.base import Pass, PassConfig
-from repro.codegen.backends.cpasses.ir import FusedVector, LoopIR, coords, sub_name
+from repro.codegen.loopir import Fused, LoopIR, Out, Reduce, Stmt
 
 
 class FusePass(Pass):
@@ -46,49 +46,43 @@ class FusePass(Pass):
     def run(self, ir: LoopIR, config: PassConfig) -> LoopIR:
         if ir.vector_index is None:
             return ir
-        fused = self._rewrite(ir.body, ir)
+        body, fused = self._rewrite(ir.body)
+        ir.body = list(body)
         if fused:
             ir.notes.append("fused %d run(s)" % fused)
         return ir
 
-    def _rewrite(self, body: List[ast.stmt], ir: LoopIR) -> int:
+    def _rewrite(self, body: Sequence[Stmt]) -> Tuple[Tuple[Stmt, ...], int]:
         count = 0
-        for st in body:
-            if isinstance(st, (ast.For, ast.While)):
-                count += self._rewrite(st.body, ir)
-            elif isinstance(st, ast.If):
-                count += self._rewrite(st.body, ir)
-                count += self._rewrite(st.orelse, ir)
-        out: List[ast.stmt] = []
-        run: List[ast.stmt] = []
+        out: List[Stmt] = []
+        run: List[Reduce] = []
 
         def flush() -> None:
             nonlocal count
             if len(run) >= 2:
-                out.append(FusedVector(list(run)))
+                out.append(Fused(tuple(run)))
                 count += 1
             else:
                 out.extend(run)
             run.clear()
 
         for st in body:
-            if self._fusable(st, ir):
+            if self._fusable(st):
                 run.append(st)
-            else:
-                flush()
-                out.append(st)
+                continue
+            flush()
+            if hasattr(st, "body"):
+                inner, n = self._rewrite(st.body)
+                st = replace(st, body=inner)
+                count += n
+            out.append(st)
         flush()
-        body[:] = out
-        return count
+        return tuple(out), count
 
     @staticmethod
-    def _fusable(st: ast.stmt, ir: LoopIR) -> bool:
-        if not (isinstance(st, ast.AugAssign) and isinstance(st.op, ast.Add)):
+    def _fusable(st: Stmt) -> bool:
+        """A row ``+=`` onto a workspace or an ``out[...]`` row (the bare
+        ``out[:]`` slice of a 1-d output stays a loop of its own)."""
+        if not (isinstance(st, Reduce) and st.op == "+" and st.row):
             return False
-        target = st.target
-        if isinstance(target, ast.Name):
-            return target.id in ir.ws_names
-        if isinstance(target, ast.Subscript) and sub_name(target) == "out":
-            cs = coords(target)
-            return cs is not None and len(cs) == ir.out_ndim - 1
-        return False
+        return not isinstance(st.target, Out) or bool(st.target.coords)

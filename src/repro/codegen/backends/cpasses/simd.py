@@ -21,7 +21,7 @@ objects.
 from __future__ import annotations
 
 from repro.codegen.backends.cpasses.base import Pass, PassConfig
-from repro.codegen.backends.cpasses.ir import LoopIR
+from repro.codegen.loopir import LoopIR
 
 
 class SimdPass(Pass):

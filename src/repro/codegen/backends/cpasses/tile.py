@@ -37,17 +37,18 @@ stay bit-identical by the existing replay argument.
 
 from __future__ import annotations
 
-import ast
 from typing import Optional
 
 from repro.codegen.backends.cpasses.base import Pass, PassConfig
-from repro.codegen.backends.cpasses.fission import _fiber_pos_name, _is_range
-from repro.codegen.backends.cpasses.ir import (
+from repro.codegen.backends.cpasses.fission import single_fiber
+from repro.codegen.loopir import (
+    DenseLoop,
+    Intersect,
     LoopIR,
-    TileSpec,
-    coords,
-    reads_out,
+    Tiled,
+    defines,
     scan_nest,
+    walk,
 )
 
 
@@ -68,12 +69,10 @@ class TilePass(Pass):
         if ir.out_ndim != 2:
             return ir
         tiled = 0
-        for stmt in ir.body:
-            if not isinstance(stmt, ast.For):
-                continue
-            spec = self._match(stmt, ir, config)
-            if spec is not None:
-                stmt._rp_tile = spec
+        for pos, stmt in enumerate(ir.body):
+            lead = self._match(stmt)
+            if lead is not None:
+                ir.body[pos] = Tiled(stmt, lead, config.tile_rows)
                 tiled += 1
         if tiled:
             ir.notes.append(
@@ -83,53 +82,23 @@ class TilePass(Pass):
         return ir
 
     # ------------------------------------------------------------------
-    def _match(
-        self, node: ast.For, ir: LoopIR, config: PassConfig
-    ) -> Optional[TileSpec]:
-        if not isinstance(node.target, ast.Name) or not _is_range(node.iter):
-            return None
-        if len(node.body) != 1 or not isinstance(node.body[0], ast.For):
-            return None
-        bind = node.body[0]
-        if not isinstance(bind.target, ast.Name):
+    def _match(self, node) -> Optional[str]:
+        """The blocked coordinate of a tileable nest, else None."""
+        if not (isinstance(node, DenseLoop) and len(node.body) == 1):
             return None
         # the guarded loop must walk exactly one fiber, whose idx run is
         # sorted — that is what licenses the break (vs continue) guard
-        pos_name = _fiber_pos_name(bind.iter, node.target.id)
-        if pos_name is None or pos_name not in ir.int_arrays:
+        bind = node.body[0]
+        if not single_fiber(node, bind):
             return None
-        if not bind.body or not isinstance(bind.body[0], ast.Assign):
-            return None
-        first = bind.body[0]
-        lead_t, lead_v = first.targets[0], first.value
-        if not (
-            isinstance(lead_t, ast.Name)
-            and isinstance(lead_v, ast.Subscript)
-            and isinstance(lead_v.value, ast.Name)
-            and lead_v.value.id in ir.int_arrays
-            and "_idx" in lead_v.value.id
-        ):
-            return None
-        cs = coords(lead_v)
-        if not (
-            cs is not None
-            and len(cs) == 1
-            and isinstance(cs[0], ast.Name)
-            and cs[0].id == bind.target.id
-        ):
-            return None
-        lead = lead_t.id
+        lead = bind.coord_var
         # structured fors only (the injected break must bind to the
-        # fiber loop), and no reads of the output
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.While):
-                return None
-        if reads_out(node):
+        # fiber loop)
+        inner = list(walk([node]))
+        if any(isinstance(st, Intersect) for st in inner):
             return None
-        scan = scan_nest(node, ir.out_ndim, ir.vector_index)
-        if not scan.ok or scan.out_loads or scan.expected_out_loads:
-            return None
-        if not scan.out_writes:
+        scan = scan_nest(node)
+        if not scan.ok or not scan.out_writes:
             return None
         # every write must lead with the blocked coordinate — that is the
         # whole bit-identity argument
@@ -137,17 +106,7 @@ class TilePass(Pass):
             if kind != "add" or row or write_lead != lead:
                 return None
         # the lead must be bound exactly once (the fiber coordinate read)
-        bindings = 0
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Assign):
-                if isinstance(sub.targets[0], ast.Name) and sub.targets[0].id == lead:
-                    bindings += 1
-            elif isinstance(sub, ast.AugAssign):
-                if isinstance(sub.target, ast.Name) and sub.target.id == lead:
-                    return None
-            elif isinstance(sub, ast.For):
-                if isinstance(sub.target, ast.Name) and sub.target.id == lead:
-                    return None
-        if bindings != 1:
+        bindings = [name for st in inner for name, _ in defines(st)]
+        if bindings.count(lead) != 1:
             return None
-        return TileSpec(lead=lead, bind_for=bind, rows=config.tile_rows)
+        return lead

@@ -85,19 +85,6 @@ def _raise_exec_faults(count: int) -> None:
     faults.raise_if("exec.c")
 
 
-def compile_source(lowered: LoweredKernel, label: Optional[str] = None):
-    """Exec the generated module and return the kernel function.
-
-    Kept as the Python backend's public face (the backend subsystem is
-    the general entry point): ``label`` distinguishes kernels in
-    tracebacks — the service layer passes a cache-key prefix so a failure
-    inside one of many resident kernels names the kernel that produced it.
-    """
-    from repro.codegen.backends.python import exec_kernel_source
-
-    return exec_kernel_source(lowered, label)
-
-
 def _as_tensor(name: str, value, symmetric_modes, dtype=np.float64) -> Tensor:
     """Wrap *value* as a :class:`Tensor` in the kernel's element dtype.
 

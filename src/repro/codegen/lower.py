@@ -1,7 +1,9 @@
-"""Lowering: optimized kernel plan -> Python source over fibertree arrays.
+"""Lowering: optimized kernel plan -> loop IR over fibertree arrays.
 
-This is the stage Finch performs for SySTeC (Finch IR -> Julia); we lower to
-Python.  The three loop-level transforms of Section 4.2 happen here:
+This is the stage Finch performs for SySTeC (Finch IR -> Julia); we lower
+to the typed loop IR of :mod:`repro.codegen.loopir`, which the Python and
+C backends print.  The three loop-level transforms of Section 4.2 happen
+here:
 
 * **concordization (4.2.3)** — every access is realized through a view whose
   storage order matches the loop order (sparse tensors get permuted
@@ -22,20 +24,50 @@ index, and two sparse iterators over the *same fiber* co-iterate with the
 inner position bounded by the outer one — the paper's triangle iteration.
 
 The innermost loop index may be vectorized: if it is dense, not permutable,
-and innermost, the loop disappears and accesses binding it become numpy row
-slices (dense views place it last).
+and innermost, the loop disappears and accesses binding it become rows
+(dense views place it last).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, List, Literal as Lit, Mapping, Optional, Sequence, Tuple
 
+from repro.codegen import loopir
+from repro.codegen.loopir import (
+    Array,
+    BinOp,
+    Binder,
+    BoolOp,
+    Cmp,
+    Const,
+    DenseLoop,
+    Dim,
+    ELEM,
+    Expr,
+    FiberLoop,
+    Flat,
+    INT,
+    If,
+    Init,
+    Intersect,
+    Kernel,
+    Let,
+    Load,
+    LoweringError,
+    LutDef,
+    Out,
+    ROW,
+    Reduce,
+    Stmt,
+    Var,
+    WorkspaceAlloc,
+)
 from repro.core.config import CompilerOptions
 from repro.core.kernel_plan import (
     Block,
-    FILTER_ALL,
     FILTER_DIAGONAL,
     FILTER_STRICT,
     KernelPlan,
@@ -45,19 +77,6 @@ from repro.frontend.einsum import Access, Assignment, Literal, REDUCE_IDENTITY
 from repro.tensor.tensor import default_levels
 
 
-class LoweringError(NotImplementedError):
-    """Raised when a plan needs an unsupported lowering feature."""
-
-
-def _py_const(value: float) -> str:
-    """A Python-source rendering of a float (handles infinities)."""
-    if value == float("inf"):
-        return 'float("inf")'
-    if value == float("-inf"):
-        return 'float("-inf")'
-    return repr(value)
-
-
 # ----------------------------------------------------------------------
 # requirements the executor must satisfy
 # ----------------------------------------------------------------------
@@ -65,18 +84,26 @@ def _py_const(value: float) -> str:
 class SparseViewReq:
     """A fibertree realization of a sparse tensor the kernel iterates."""
 
-    name: str
+    name: loopir.Name
     tensor: str
     mode_order: Tuple[int, ...]
     levels: Tuple[str, ...]
-    tensor_filter: str  # full | all | strict | diagonal
+    tensor_filter: loopir.FILTERS
+
+    @property
+    def dense_prefix(self) -> int:
+        """How many leading levels are dense (they have no pos/idx)."""
+        d = 0
+        while d < len(self.levels) and self.levels[d] == "dense":
+            d += 1
+        return d
 
 
 @dataclass(frozen=True)
 class DenseViewReq:
     """A (possibly transposed) contiguous dense array."""
 
-    name: str
+    name: loopir.Name
     tensor: str
     perm: Tuple[int, ...]
 
@@ -85,7 +112,7 @@ class DenseViewReq:
 class DimReq:
     """An integer extent, resolved from some tensor's shape."""
 
-    name: str
+    name: loopir.Name
     tensor: str
     mode: int
 
@@ -97,112 +124,63 @@ class OutputSpec:
     tensor: str
     ndim: int
     layout: Tuple[int, ...]  # out_v axis t = logical mode layout[t]
-    reduce_op: str
+    reduce_op: Lit["+", "min", "max"]
     replication_parts: Tuple[Tuple[int, ...], ...]
     index_names: Tuple[str, ...]  # original lhs indices (logical order)
 
 
 @dataclass
 class LoweredKernel:
-    """Source plus everything needed to bind and run it.
+    """The loop program plus everything needed to bind and run it.
 
-    The whole structure is intentionally plain data (strings, ints, tuples)
-    so it can round-trip through JSON: :meth:`to_dict` / :meth:`from_dict`
-    are what the service layer's disk store persists, letting a
+    The whole structure is frozen plain data, so it round-trips through
+    JSON: :meth:`to_dict` / :meth:`from_dict` are what the service
+    layer's disk store persists, letting a
     :class:`~repro.core.compiler.CompiledKernel` be rehydrated without
     re-running the symmetrize/optimize/lower pipeline.
     """
 
-    source: str
-    arg_names: Tuple[str, ...]
+    program: Kernel
     sparse_views: Tuple[SparseViewReq, ...]
     dense_views: Tuple[DenseViewReq, ...]
     dims: Tuple[DimReq, ...]
     output: OutputSpec
-    vector_index: Optional[str]
-    #: element dtype the kernel computes in ("float64" | "float32") —
-    #: fixed at lowering time from :attr:`CompilerOptions.dtype`, it
-    #: drives workspace/output allocation and the C value type.
-    dtype: str = "float64"
+    vector_index: Optional[loopir.Name]
+    #: element dtype the kernel computes in — fixed at lowering time
+    #: from :attr:`CompilerOptions.dtype`, it drives workspace/output
+    #: allocation and the C value type.
+    dtype: Lit["float64", "float32"] = "float64"
 
-    # ------------------------------------------------------------------
+    @property
+    def arg_names(self) -> Tuple[str, ...]:
+        return tuple(a.name for a in self.program.args)
+
+    @cached_property
+    def source(self) -> str:
+        """The program as Python source — printed on first read, so a
+        kernel served by the C backend never pays for it."""
+        from repro.codegen.backends import python
+
+        return python.print_python(self.program, self.dtype)
+
     def to_dict(self) -> dict:
         """A JSON-serializable snapshot of the lowered kernel."""
-        return {
-            "source": self.source,
-            "dtype": self.dtype,
-            "arg_names": list(self.arg_names),
-            "sparse_views": [
-                {
-                    "name": v.name,
-                    "tensor": v.tensor,
-                    "mode_order": list(v.mode_order),
-                    "levels": list(v.levels),
-                    "tensor_filter": v.tensor_filter,
-                }
-                for v in self.sparse_views
-            ],
-            "dense_views": [
-                {"name": v.name, "tensor": v.tensor, "perm": list(v.perm)}
-                for v in self.dense_views
-            ],
-            "dims": [
-                {"name": d.name, "tensor": d.tensor, "mode": d.mode}
-                for d in self.dims
-            ],
-            "output": {
-                "tensor": self.output.tensor,
-                "ndim": self.output.ndim,
-                "layout": list(self.output.layout),
-                "reduce_op": self.output.reduce_op,
-                "replication_parts": [
-                    list(p) for p in self.output.replication_parts
-                ],
-                "index_names": list(self.output.index_names),
-            },
-            "vector_index": self.vector_index,
-        }
+        return loopir.encode(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "LoweredKernel":
-        """Rebuild a lowered kernel from :meth:`to_dict` output."""
-        out = data["output"]
-        return cls(
-            source=data["source"],
-            dtype=data.get("dtype", "float64"),
-            arg_names=tuple(data["arg_names"]),
-            sparse_views=tuple(
-                SparseViewReq(
-                    name=v["name"],
-                    tensor=v["tensor"],
-                    mode_order=tuple(v["mode_order"]),
-                    levels=tuple(v["levels"]),
-                    tensor_filter=v["tensor_filter"],
-                )
-                for v in data["sparse_views"]
-            ),
-            dense_views=tuple(
-                DenseViewReq(
-                    name=v["name"], tensor=v["tensor"], perm=tuple(v["perm"])
-                )
-                for v in data["dense_views"]
-            ),
-            dims=tuple(
-                DimReq(name=d["name"], tensor=d["tensor"], mode=d["mode"])
-                for d in data["dims"]
-            ),
-            output=OutputSpec(
-                tensor=out["tensor"],
-                ndim=out["ndim"],
-                layout=tuple(out["layout"]),
-                reduce_op=out["reduce_op"],
-                replication_parts=tuple(
-                    tuple(p) for p in out["replication_parts"]
-                ),
-                index_names=tuple(out["index_names"]),
-            ),
-            vector_index=data["vector_index"],
-        )
+        """Rebuild a lowered kernel from :meth:`to_dict` output.
+
+        ``ValueError`` on anything :func:`loopir.decode` or
+        :func:`loopir.verify` rejects — the data comes from disk or the
+        wire and is about to become executable code.
+        """
+        lowered = loopir.decode(data, cls)
+        try:
+            loopir.verify(lowered.program)
+        except LoweringError as exc:
+            raise ValueError("persisted kernel: %s" % exc)
+        return lowered
 
 
 # ----------------------------------------------------------------------
@@ -214,51 +192,38 @@ class _Chain:
 
     view: SparseViewReq
     indices: Tuple[str, ...]  # storage-order index names
-    levels: Tuple[str, ...]
     chain_id: int
-    q_vars: Dict[int, str] = field(default_factory=dict)
-
-    def q_var(self, level: int) -> str:
-        return self.q_vars.setdefault(
-            level, "q%d_%d" % (self.chain_id, level)
-        )
 
     @property
-    def dense_prefix(self) -> int:
-        d = 0
-        while d < len(self.levels) and self.levels[d] == "dense":
-            d += 1
-        return d
+    def levels(self) -> Tuple[str, ...]:
+        return self.view.levels
 
-    def slot_expr(self, dims: Mapping[str, str]) -> str:
-        """Flattened dense-prefix slot feeding the first sparse level."""
-        d = self.dense_prefix
+    def q_var(self, level: int) -> str:
+        return "q%d_%d" % (self.chain_id, level)
+
+    def parent(self, level: int, dims: Mapping[str, str]) -> Expr:
+        """Position feeding *level*: the flattened dense-prefix slot for
+        the first sparse level, the previous level's position below."""
+        d = self.view.dense_prefix
+        if level != d:
+            return Var(self.q_var(level - 1), INT)
         if d == 0:
-            return "0"
-        expr = self.indices[0]
-        for t in range(1, d):
-            expr = "(%s) * %s + %s" % (expr, dims[self.indices[t]], self.indices[t])
-        return expr
+            return Const(0)
+        if d == 1:
+            return Var(self.indices[0], INT)
+        return Flat(
+            self.indices[:d], tuple(dims[i] for i in self.indices[1:d])
+        )
 
-    def parent_expr(self, level: int, dims: Mapping[str, str]) -> str:
-        if level == self.dense_prefix:
-            return self.slot_expr(dims)
-        return self.q_var(level - 1)
-
-    def value_expr(self) -> str:
-        return "%s_vals[%s]" % (self.view.name, self.q_var(len(self.levels) - 1))
-
-
-@dataclass
-class _Body:
-    """Per-loop-depth code regions: pre (decls/temps), post (flushes)."""
-
-    pre: List[str] = field(default_factory=list)
-    post: List[str] = field(default_factory=list)
+    def value(self) -> Load:
+        return Load(
+            Array("%s_vals" % self.view.name, "vals"),
+            (Var(self.q_var(len(self.levels) - 1), INT),),
+        )
 
 
 class Lowerer:
-    """Lowers one plan + format map + options into Python source."""
+    """Lowers one plan + format map + options into a loop program."""
 
     def __init__(
         self,
@@ -277,11 +242,10 @@ class Lowerer:
         self.sparse_views: Dict[str, SparseViewReq] = {}
         self.dense_views: Dict[str, DenseViewReq] = {}
         self.dims: Dict[str, DimReq] = {}
-        self.lines: List[str] = []
         self.temp_counter = 0
         self.ws_counter = 0
         self.lut_counter = 0
-        self.preamble: List[str] = []
+        self.preamble: List[Stmt] = []
 
         self.vector_index = self._choose_vector_index()
         self.output = self._output_spec()
@@ -371,8 +335,8 @@ class Lowerer:
         self.sparse_views[name] = req
         return req
 
-    def _dense_view(self, acc: Access) -> Tuple[str, Tuple[str, ...]]:
-        """Register a dense view; returns (name, storage-ordered indices)."""
+    def _dense_view(self, acc: Access) -> Tuple[Array, Tuple[str, ...]]:
+        """Register a dense view; returns (array, storage-ordered indices)."""
         if not self.options.concordize:
             perm = tuple(range(len(acc.indices)))
         else:
@@ -389,31 +353,36 @@ class Lowerer:
         if perm != tuple(range(len(perm))):
             name += "__p" + "".join(str(m) for m in perm)
         self.dense_views[name] = DenseViewReq(name=name, tensor=acc.tensor, perm=perm)
-        return name, tuple(acc.indices[m] for m in perm)
+        return (
+            Array(name, "dense", len(perm)),
+            tuple(acc.indices[m] for m in perm),
+        )
 
     # ------------------------------------------------------------------
     # emission
     # ------------------------------------------------------------------
     def lower(self) -> LoweredKernel:
-        body_lines: List[str] = []
+        body: List[Stmt] = []
         for nest in self.plan.nests:
-            body_lines.extend(self._emit_nest(nest))
-        dims_needed = sorted(self.dims)
-        args = (
-            sorted(self._array_args())
-            + dims_needed
+            body.extend(self._emit_nest(nest))
+        arrays: List[Array] = []
+        for view in self.sparse_views.values():
+            for level in range(view.dense_prefix, len(view.levels)):
+                arrays.append(Array("%s_pos%d" % (view.name, level), "pos"))
+                arrays.append(Array("%s_idx%d" % (view.name, level), "idx"))
+            arrays.append(Array("%s_vals" % view.name, "vals"))
+        arrays.extend(
+            Array(v.name, "dense", len(v.perm)) for v in self.dense_views.values()
         )
-        src = ["def kernel(out, %s):" % ", ".join(args)]
-        for line in self.preamble:
-            src.append("    " + line)
-        for line in body_lines:
-            src.append("    " + line)
-        if len(src) == 1:
-            src.append("    pass")
-        source = "\n".join(src) + "\n"
+        program = Kernel(
+            args=tuple(sorted(arrays, key=lambda a: a.name))
+            + tuple(Dim(name) for name in sorted(self.dims)),
+            preamble=tuple(self.preamble),
+            body=tuple(body),
+        )
+        loopir.verify(program)
         return LoweredKernel(
-            source=source,
-            arg_names=tuple(args),
+            program=program,
             sparse_views=tuple(self.sparse_views.values()),
             dense_views=tuple(self.dense_views.values()),
             dims=tuple(self.dims.values()),
@@ -422,25 +391,11 @@ class Lowerer:
             dtype=self.options.dtype,
         )
 
-    def _array_args(self) -> List[str]:
-        names: List[str] = []
-        for view in self.sparse_views.values():
-            d = 0
-            while d < len(view.levels) and view.levels[d] == "dense":
-                d += 1
-            for level in range(d, len(view.levels)):
-                names.append("%s_pos%d" % (view.name, level))
-                names.append("%s_idx%d" % (view.name, level))
-            names.append("%s_vals" % view.name)
-        names.extend(self.dense_views)
-        return names
-
     # -- nest ----------------------------------------------------------
-    def _emit_nest(self, nest: LoopNest) -> List[str]:
+    def _emit_nest(self, nest: LoopNest) -> List[Stmt]:
         chains: Dict[Tuple, _Chain] = {}
         access_chain: Dict[Access, _Chain] = {}
-        access_dense: Dict[Access, Tuple[str, Tuple[str, ...]]] = {}
-        chain_counter = [0]
+        access_dense: Dict[Access, Tuple[Array, Tuple[str, ...]]] = {}
 
         def chain_for(acc: Access) -> _Chain:
             view = self._sparse_view(acc, nest.tensor_filter)
@@ -448,12 +403,8 @@ class Lowerer:
             key = (view.name, storage_indices)
             if key not in chains:
                 chains[key] = _Chain(
-                    view=view,
-                    indices=storage_indices,
-                    levels=view.levels,
-                    chain_id=chain_counter[0],
+                    view=view, indices=storage_indices, chain_id=len(chains)
                 )
-                chain_counter[0] += 1
             return chains[key]
 
         accesses: List[Access] = []
@@ -492,253 +443,167 @@ class Lowerer:
             else:
                 sources[idx] = ("dense", None, None)
 
-        # chain (triangle) enforcement pairs: (inner, outer)
-        enforce: Dict[str, Tuple[str, str]] = {}
+        # chain (triangle) enforcement: inner index -> outer index
+        enforce: Dict[str, str] = {}
         pairs = list(zip(self.plan.permutable, self.plan.permutable[1:]))
         for inner, outer in pairs:
             if self._implicit_pair(inner, outer, access_chain, nest):
                 continue
-            enforce[inner] = ("le", outer)
+            enforce[inner] = outer
 
         dims_alias = {i: self._dim_name(i) for i in self.original.free_indices}
 
-        # reads (CSE / LICM): distinct access -> (temp name, expr, depth)
-        reads: Dict[Access, Tuple[str, int]] = {}
-        pre_by_depth: Dict[int, List[str]] = {}
-        post_by_depth: Dict[int, List[str]] = {}
+        # reads (CSE / LICM): distinct access -> its temp
+        reads: Dict[Access, Var] = {}
+        pre_by_depth: Dict[int, List[Stmt]] = {}
+        post_by_depth: Dict[int, List[Stmt]] = {}
 
-        def read_expr(acc: Access) -> Tuple[str, int]:
+        def read_expr(acc: Access) -> Tuple[Expr, int]:
             """Expression for an access + depth at which it becomes valid."""
             if acc in access_chain:
                 chain = access_chain[acc]
-                expr = chain.value_expr()
-                depth = max(depth_of[i] for i in chain.indices)
-            else:
-                name, storage_indices = access_dense[acc]
-                coords = [i for i in storage_indices if i != self.vector_index]
-                expr = name if not storage_indices else (
-                    "%s[%s]" % (name, ", ".join(coords)) if coords else name
-                )
-                depth = max([depth_of[i] for i in coords], default=-1)
-            return expr, depth
+                return chain.value(), max(depth_of[i] for i in chain.indices)
+            array, storage_indices = access_dense[acc]
+            coords = [i for i in storage_indices if i != self.vector_index]
+            depth = max([depth_of[i] for i in coords], default=-1)
+            return Load(array, tuple(Var(i, INT) for i in coords)), depth
 
-        def operand_code(acc_or_lit) -> str:
+        def operand(acc_or_lit) -> Expr:
             if isinstance(acc_or_lit, Literal):
-                return repr(acc_or_lit.value)
-            if self.options.cse:
-                if acc_or_lit not in reads:
-                    expr, depth = read_expr(acc_or_lit)
-                    temp = "t%d" % self.temp_counter
-                    self.temp_counter += 1
-                    pre_by_depth.setdefault(depth, []).append(
-                        "%s = %s" % (temp, expr)
-                    )
-                    reads[acc_or_lit] = (temp, depth)
-                return reads[acc_or_lit][0]
-            return read_expr(acc_or_lit)[0]
+                return Const(acc_or_lit.value)
+            if not self.options.cse:
+                return read_expr(acc_or_lit)[0]
+            if acc_or_lit not in reads:
+                expr, depth = read_expr(acc_or_lit)
+                temp = Var("t%d" % self.temp_counter, expr.type)
+                self.temp_counter += 1
+                pre_by_depth.setdefault(depth, []).append(Let(temp, expr))
+                reads[acc_or_lit] = temp
+            return reads[acc_or_lit]
 
-        # workspaces: lhs key -> (ws var, depth, is_vector)
-        workspaces: Dict[Tuple, Tuple[str, int, bool]] = {}
+        # workspaces: lhs key -> ws var
+        workspaces: Dict[Tuple, Var] = {}
         innermost_depth = len(loop_indices) - 1
 
-        def lhs_depth(a: Assignment) -> int:
-            coords = [i for i in a.lhs.indices if i != self.vector_index]
-            return max([depth_of[i] for i in coords], default=-1)
+        def is_row(a: Assignment) -> bool:
+            return (
+                self.vector_index is not None
+                and self.vector_index in a.lhs.indices
+            )
 
-        def workspace_for(a: Assignment) -> Optional[Tuple[str, bool]]:
+        def workspace_for(a: Assignment) -> Optional[Var]:
             if not self.options.workspace:
                 return None
-            d = lhs_depth(a)
+            coords = [i for i in a.lhs.indices if i != self.vector_index]
+            d = max([depth_of[i] for i in coords], default=-1)
             if d >= innermost_depth:
                 return None
             key = (a.lhs.tensor, a.lhs.indices)
             if key not in workspaces:
-                is_vector = (
-                    self.vector_index is not None
-                    and self.vector_index in a.lhs.indices
-                )
-                ws = "ws%d" % self.ws_counter
+                ws = Var("ws%d" % self.ws_counter, ROW if is_row(a) else ELEM)
                 self.ws_counter += 1
-                ident = _py_const(REDUCE_IDENTITY[a.reduce_op])
-                if is_vector:
-                    # the workspace must accumulate in the kernel dtype:
-                    # float64 keeps the historical bare np.empty (stable
-                    # sources, stable content addresses), float32 says so
-                    if self.options.dtype == "float32":
-                        alloc = "np.empty(%s, dtype=np.float32)" % (
-                            self._dim_name(self.vector_index)
-                        )
-                    else:
-                        alloc = "np.empty(%s)" % self._dim_name(self.vector_index)
-                    self.preamble.append("%s = %s" % (ws, alloc))
-                    pre_by_depth.setdefault(d, []).append(
-                        "%s.fill(%s)" % (ws, ident)
+                if ws.type == ROW:
+                    self.preamble.append(
+                        WorkspaceAlloc(ws.name, self._dim_name(self.vector_index))
                     )
-                else:
-                    pre_by_depth.setdefault(d, []).append("%s = %s" % (ws, ident))
-                post_by_depth.setdefault(d, []).append(
-                    self._reduce_stmt(
-                        self._out_target(a.lhs), a.reduce_op, ws, is_vector
-                    )
+                pre_by_depth.setdefault(d, []).append(
+                    Init(ws, Const(REDUCE_IDENTITY[a.reduce_op]))
                 )
-                workspaces[key] = (ws, d, is_vector)
-            return workspaces[key][0], workspaces[key][2]
+                post_by_depth.setdefault(d, []).append(
+                    Reduce(self._out_target(a.lhs), a.reduce_op, ws)
+                )
+                workspaces[key] = ws
+            return workspaces[key]
 
         # assemble statement lists for the innermost body
-        innermost: List[str] = []
+        innermost: List[Stmt] = []
+        filter_realized = any(
+            chain.view.tensor_filter == nest.tensor_filter
+            for chain in chains.values()
+        )
         for block in nest.blocks:
-            stmts: List[str] = []
-            factor_prefix = None
+            stmts: List[Stmt] = []
+            scale: List[Expr] = []
             if block.factor_table is not None:
-                lut_name, code_expr = self._emit_lut(block)
-                stmts.append("_code = %s" % code_expr)
-                stmts.append("_f = %s[_code]" % lut_name)
-                factor_prefix = "_f"
+                stmts.extend(self._emit_lut(block))
+                scale.append(Var("_f", ELEM))
             for a in block.assignments:
-                expr = self._combine(
-                    [operand_code(op) for op in a.operands], a.combine_op
-                )
-                scale = []
+                expr = BinOp(a.combine_op, tuple(operand(op) for op in a.operands))
+                if not expr.args:
+                    expr = Const(0.0)
+                count = []
                 if a.count != 1:
                     if a.reduce_op != "+":
                         raise LoweringError(
                             "multiplicity %d under %r reduction" % (a.count, a.reduce_op)
                         )
-                    scale.append(repr(float(a.count)))
-                if factor_prefix:
-                    scale.append(factor_prefix)
-                if scale:
-                    expr = "%s * (%s)" % (" * ".join(scale), expr)
-                ws = workspace_for(a)
-                is_vector = (
-                    self.vector_index is not None
-                    and self.vector_index in a.lhs.indices
-                )
-                if ws is not None:
-                    stmts.append(self._reduce_stmt(ws[0], a.reduce_op, expr, ws[1], var=True))
-                else:
-                    stmts.append(
-                        self._reduce_stmt(
-                            self._out_target(a.lhs), a.reduce_op, expr, is_vector
-                        )
-                    )
-            filter_realized = any(
-                chain.view.tensor_filter == nest.tensor_filter
-                for chain in chains.values()
-            )
+                    count.append(Const(float(a.count)))
+                if count or scale:
+                    expr = BinOp("*", tuple(count + scale) + (expr,))
+                elif len(expr.args) == 1:
+                    expr = expr.args[0]
+                target = workspace_for(a) or self._out_target(a.lhs)
+                stmts.append(Reduce(target, a.reduce_op, expr))
             cond = self._condition(block, nest, filter_realized)
             if cond is None:
                 innermost.extend(stmts)
             else:
-                innermost.append("if %s:" % cond)
-                innermost.extend("    " + s for s in stmts)
+                innermost.append(If(cond, tuple(stmts)))
 
-        # emit loops
-        lines: List[str] = []
-        indent = 0
-
-        def put(line: str) -> None:
-            lines.append("    " * indent + line)
-
-        def emit_depth(depth: int) -> None:
-            nonlocal indent
+        def build(depth: int) -> List[Stmt]:
             if depth == len(loop_indices):
-                for line in innermost:
-                    put(line)
-                return
+                return innermost
             idx = loop_indices[depth]
             kind, chain, level = sources[idx]
-            guard = None
+            body = tuple(
+                pre_by_depth.get(depth, [])
+                + build(depth + 1)
+                + post_by_depth.get(depth, [])
+            )
+            outer = enforce.get(idx)
             if kind == "dense":
-                end = dims_alias[idx]
-                if idx in enforce:
-                    end = "%s + 1" % enforce[idx][1]
-                put("for %s in range(%s):" % (idx, end))
-                indent += 1
-            elif kind == "intersect":
+                end: Expr = Dim(dims_alias[idx])
+                if outer is not None:
+                    end = BinOp("+", (Var(outer, INT), Const(1)))
+                return [DenseLoop(idx, end, body)]
+            if kind == "intersect":
                 # sorted-merge intersection of several sparse fibers: each
                 # binder keeps its own position pointer; all advance past
                 # non-shared coordinates, and the body runs only where
                 # every fiber holds the coordinate.
-                binders = chain
-                qs = []
-                for bchain, blevel in binders:
-                    parent = bchain.parent_expr(blevel, dims_alias)
-                    q = bchain.q_var(blevel)
-                    qs.append((bchain, blevel, q))
-                    put(
-                        "%s = %s_pos%d[%s]"
-                        % (q, bchain.view.name, blevel, parent)
+                binders = tuple(
+                    Binder(
+                        view=bchain.view.name,
+                        level=blevel,
+                        pos_var=bchain.q_var(blevel),
+                        parent=bchain.parent(blevel, dims_alias),
                     )
-                    put(
-                        "%s_end = %s_pos%d[%s + 1]"
-                        % (q, bchain.view.name, blevel, parent)
-                    )
-                cond = " and ".join("%s < %s_end" % (q, q) for (_, _, q) in qs)
-                put("while %s:" % cond)
-                indent += 1
-                vals = []
-                for bchain, blevel, q in qs:
-                    v = "%s_v" % q
-                    vals.append(v)
-                    put("%s = %s_idx%d[%s]" % (v, bchain.view.name, blevel, q))
-                m = "_m%d" % depth
-                put("%s = %s" % (m, vals[0]))
-                for v in vals[1:]:
-                    put("if %s > %s: %s = %s" % (v, m, m, v))
-                put("_adv%d = 0" % depth)
-                for (_, _, q), v in zip(qs, vals):
-                    put("if %s < %s:" % (v, m))
-                    put("    %s += 1" % q)
-                    put("    _adv%d = 1" % depth)
-                put("if _adv%d:" % depth)
-                put("    continue")
-                put("%s = %s" % (idx, m))
-                if idx in enforce:
-                    put("if %s > %s: break" % (idx, enforce[idx][1]))
-                for line in pre_by_depth.get(depth, []):
-                    put(line)
-                emit_depth(depth + 1)
-                for line in post_by_depth.get(depth, []):
-                    put(line)
-                for (_, _, q) in qs:
-                    put("%s += 1" % q)
-                indent -= 1
-                return
-            else:
-                parent = chain.parent_expr(level, dims_alias)
-                q = chain.q_var(level)
-                start = "%s_pos%d[%s]" % (chain.view.name, level, parent)
-                end = "%s_pos%d[%s + 1]" % (chain.view.name, level, parent)
-                if idx in enforce:
-                    outer = enforce[idx][1]
-                    partner = self._same_fiber_partner(
-                        idx, outer, sources, chain, level
-                    )
-                    if partner is not None:
-                        end = "%s + 1" % partner
-                    else:
-                        guard = "if %s > %s: break" % (idx, outer)
-                put("for %s in range(%s, %s):" % (q, start, end))
-                indent += 1
-                put("%s = %s_idx%d[%s]" % (idx, chain.view.name, level, q))
-                if guard is not None:
-                    put(guard)
-            for line in pre_by_depth.get(depth, []):
-                put(line)
-            emit_depth(depth + 1)
-            for line in post_by_depth.get(depth, []):
-                put(line)
-            indent -= 1
+                    for bchain, blevel in chain
+                )
+                return [Intersect(binders, idx, depth, outer, body)]
+            bound = guard = None
+            if outer is not None:
+                bound = self._same_fiber_partner(outer, sources, chain, level)
+                if bound is None:
+                    guard = outer
+            return [
+                FiberLoop(
+                    pos_var=chain.q_var(level),
+                    coord_var=idx,
+                    view=chain.view.name,
+                    tensor_filter=chain.view.tensor_filter,
+                    level=level,
+                    parent=chain.parent(level, dims_alias),
+                    bound=bound,
+                    guard=guard,
+                    body=body,
+                )
+            ]
 
         # depth -1 regions (scalar output workspaces, constant reads)
-        for line in pre_by_depth.get(-1, []):
-            lines.append(line)
-        body_start = len(lines)
-        emit_depth(0)
-        for line in post_by_depth.get(-1, []):
-            lines.append(line)
-        return lines
+        return (
+            pre_by_depth.get(-1, []) + build(0) + post_by_depth.get(-1, [])
+        )
 
     # ------------------------------------------------------------------
     def _implicit_pair(self, inner, outer, access_chain, nest) -> bool:
@@ -759,9 +624,9 @@ class Lowerer:
                         return True
         return False
 
-    def _same_fiber_partner(self, inner, outer, sources, chain, level) -> Optional[str]:
+    def _same_fiber_partner(self, outer, sources, chain, level) -> Optional[str]:
         """If *outer* iterates the same fiber (view, level, parent) as
-        *inner*, return its position variable for a co-iteration bound."""
+        this loop, return its position variable for a co-iteration bound."""
         kind, ochain, olevel = sources[outer]
         if kind != "sparse":
             return None
@@ -773,42 +638,20 @@ class Lowerer:
             return ochain.q_var(olevel)
         return None
 
-    def _out_target(self, lhs: Access) -> str:
-        coords = [
+    def _out_target(self, lhs: Access) -> Out:
+        coords = tuple(
             lhs.indices[m]
             for m in self.output.layout
             if lhs.indices[m] != self.vector_index
-        ]
-        if not lhs.indices:
-            return "out[()]"
-        if coords:
-            return "out[%s]" % ", ".join(coords)
-        return "out[:]" if self.vector_index in lhs.indices else "out[()]"
-
-    def _reduce_stmt(
-        self, target: str, reduce_op: str, expr: str, is_vector: bool, var: bool = False
-    ) -> str:
-        if reduce_op == "+":
-            return "%s += %s" % (target, expr)
-        fn = {"min": "minimum", "max": "maximum"}[reduce_op]
-        if is_vector and not var:
-            return "np.%s(%s, %s, out=%s)" % (fn, target, expr, target)
-        if is_vector and var:
-            return "np.%s(%s, %s, out=%s)" % (fn, target, expr, target)
-        py = {"min": "min", "max": "max"}[reduce_op]
-        return "%s = %s(%s, %s)" % (target, py, target, expr)
-
-    def _combine(self, parts: List[str], combine_op: str) -> str:
-        if not parts:
-            return "0.0"
-        return (" %s " % combine_op).join(parts)
+        )
+        return Out(coords, row=self.vector_index in lhs.indices)
 
     def _condition(
-        self, block: Block, nest: LoopNest, filter_realized: bool = True
-    ) -> Optional[str]:
-        """Render the block's pattern disjunction, pruning patterns that the
-        nest filter makes unreachable and dropping the test entirely when
-        the remaining patterns cover everything the filter admits.
+        self, block: Block, nest: LoopNest, filter_realized: bool
+    ) -> Optional[Expr]:
+        """The block's pattern disjunction, pruning patterns that the nest
+        filter makes unreachable and dropping the test entirely when the
+        remaining patterns cover everything the filter admits.
 
         ``filter_realized`` is False when no packed sparse view actually
         restricts this nest's coordinates (e.g. a *dense* symmetric input):
@@ -818,78 +661,52 @@ class Lowerer:
             return None
         if not self.plan.permutable or len(self.plan.permutable) < 2:
             return None
-        if not filter_realized and nest.tensor_filter in (
-            FILTER_STRICT,
-            FILTER_DIAGONAL,
-        ):
-            kept = [
-                p
-                for p in block.patterns
-                if (p.is_strict if nest.tensor_filter == FILTER_STRICT else not p.is_strict)
-            ]
-            if not kept:
-                return "False"
-            terms = []
-            for pattern in kept:
-                comps = [
-                    "%s %s %s" % (a, rel, b)
-                    for (a, rel, b) in pattern.conditions()
-                ]
-                terms.append(" and ".join(comps) if comps else "True")
-            if len(terms) == 1:
-                return terms[0]
-            return " or ".join("(%s)" % t for t in terms)
+        relations = 2 ** (len(self.plan.permutable) - 1)
+        kept = list(block.patterns)
         if nest.tensor_filter == FILTER_STRICT:
-            kept = [p for p in block.patterns if p.is_strict]
-            if kept:
+            kept = [p for p in kept if p.is_strict]
+            if kept and filter_realized:
                 return None  # the strict view admits exactly this pattern
-            return "False"
-        if nest.tensor_filter == FILTER_DIAGONAL:
-            kept = [p for p in block.patterns if not p.is_strict]
-            total = 2 ** (len(self.plan.permutable) - 1) - 1
-            if len({p.relations for p in kept}) >= total:
-                return None
+        elif nest.tensor_filter == FILTER_DIAGONAL:
+            kept = [p for p in kept if not p.is_strict]
+            relations -= 1
         else:
-            kept = list(block.patterns)
-            if len({p.relations for p in kept}) >= 2 ** (len(self.plan.permutable) - 1):
-                return None
-        if not kept:
-            return "False"
-        terms = []
+            filter_realized = True
+        if filter_realized and len({p.relations for p in kept}) >= relations:
+            return None
+        terms: List[Expr] = []
         for pattern in kept:
             comps = [
-                "%s %s %s" % (a, rel, b) for (a, rel, b) in pattern.conditions()
+                Cmp(rel, Var(a, INT), Var(b, INT))
+                for (a, rel, b) in pattern.conditions()
             ]
-            terms.append(" and ".join(comps) if comps else "True")
-        if len(terms) == 1:
-            return terms[0]
-        return " or ".join("(%s)" % t for t in terms)
+            terms.append(
+                BoolOp("and", tuple(comps)) if len(comps) > 1
+                else comps[0] if comps else Const(True)
+            )
+        if not terms:
+            return Const(False)
+        return terms[0] if len(terms) == 1 else BoolOp("or", tuple(terms))
 
-    def _emit_lut(self, block: Block) -> Tuple[str, str]:
+    def _emit_lut(self, block: Block) -> List[Stmt]:
+        """Define the block's factor table; returns the statements that
+        compute the equality code and read the factor into ``_f``."""
         n = len(self.plan.permutable)
-        size = 2 ** (n - 1)
-        table = [0.0] * size
+        table = [0.0] * 2 ** (n - 1)
         for bitmask, frac in block.factor_table:
             table[bitmask] = float(Fraction(frac))
-        name = "_lut%d" % self.lut_counter
+        lut = Array("_lut%d" % self.lut_counter, "lut")
         self.lut_counter += 1
-        if self.options.dtype == "float32":
-            # a float32 kernel must read float32 factors: a plain Python
-            # list would hand back float64 scalars and promote the whole
-            # product chain (numpy's weak-scalar rules only round *one*
-            # python-float operand per operation)
-            self.preamble.append(
-                "%s = np.array(%r, dtype=np.float32)" % (name, table)
-            )
-        else:
-            self.preamble.append("%s = %r" % (name, table))
-        bits = []
+        self.preamble.append(LutDef(lut.name, tuple(table)))
+        bits: List[Expr] = []
         for t, (a, b) in enumerate(zip(self.plan.permutable, self.plan.permutable[1:])):
-            if t == 0:
-                bits.append("(%s == %s)" % (a, b))
-            else:
-                bits.append("((%s == %s) << %d)" % (a, b, t))
-        return name, " | ".join(bits)
+            bit: Expr = Cmp("==", Var(a, INT), Var(b, INT))
+            bits.append(bit if t == 0 else BinOp("<<", (bit, Const(t))))
+        code = Var("_code", INT)
+        return [
+            Let(code, BinOp("|", tuple(bits))),
+            Let(Var("_f", ELEM), Load(lut, (code,))),
+        ]
 
 
 def lower_plan(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.codegen.executor import BoundKernel, _as_tensor, compile_source
+from repro.codegen.executor import BoundKernel, _as_tensor
 from repro.codegen.lower import lower_plan
 from repro.core.compiler import compile_kernel, optimize
 from repro.core.config import DEFAULT
@@ -86,14 +86,6 @@ def test_finalize_restores_logical_layout(rng):
     np.testing.assert_allclose(
         out, np.einsum("kjl,ki->ijl", A3, B), rtol=1e-10
     )
-
-
-def test_compile_source_rejects_bad_python():
-    class FakeLowered:
-        source = "def kernel(:\n    pass\n"
-
-    with pytest.raises(SyntaxError):
-        compile_source(FakeLowered())
 
 
 def test_run_is_repeatable(rng):

@@ -305,9 +305,9 @@ def test_work_estimate_tracks_nnz(rng):
 def test_serial_omp_strategy_has_no_work_model(rng):
     """REPRO_OMP_STRATEGY=serial emits no parallel bodies, so auto
     resolves serial rather than spinning up a useless team."""
-    from repro.codegen.backends.c import render_c_ex
+    from repro.codegen.backends.c import render_c_full
 
     kernel = _ssymv("c")
-    source, model = render_c_ex(kernel.lowered, parallel="serial")
-    assert model == ()
-    assert "#pragma omp" not in source
+    rendered = render_c_full(kernel.lowered, parallel="serial")
+    assert rendered.work_model == ()
+    assert "#pragma omp" not in rendered.source
