@@ -57,6 +57,7 @@ import keyword
 import typing
 from dataclasses import dataclass, field
 from typing import (
+    Callable,
     Dict,
     Iterator,
     List,
@@ -504,7 +505,7 @@ def verify(kernel: Kernel) -> None:
         for stmt in stmts:
             bound = [name for name, _ in defines(stmt)]
             for name in bound:
-                if name in live:
+                if name in live or bound.count(name) > 1:
                     raise LoweringError(
                         "loop variable %r is rebound inside its own loop; "
                         "rename the einsum index that collides with it" % name
@@ -580,19 +581,90 @@ class LoopIR:
 # persistence: dataclass <-> JSON, class-name tagged
 # ----------------------------------------------------------------------
 def encode(value):
-    """A JSON-ready rendering of a node tree: ``{"Class": [fields...]}``."""
+    """A JSON-ready rendering of a node tree: ``["Class", field...]``."""
     if dataclasses.is_dataclass(value):
-        return {
-            type(value).__name__: [
-                encode(getattr(value, f.name)) for f in dataclasses.fields(value)
-            ]
-        }
+        return [type(value).__name__] + [
+            encode(getattr(value, f.name)) for f in dataclasses.fields(value)
+        ]
     if isinstance(value, tuple):
         return [encode(v) for v in value]
     return value
 
 
-_HINTS: Dict[type, Dict[str, object]] = {}
+def _reject(data, hint):
+    raise ValueError("persisted kernel: %.80r is not a valid %s" % (data, hint))
+
+
+_DECODERS: Dict[object, Callable] = {}
+
+
+def _decoder(hint) -> Callable:
+    """The checking decoder for one type hint, built once.
+
+    Hint-driven, so a list is a node where a node is expected and a
+    tuple where a tuple is; unions dispatch on the class tag or the JSON
+    scalar type, never by trial."""
+    if hint in _DECODERS:
+        return _DECODERS[hint]
+    # recursive hints (an expression inside an expression) see this
+    # forwarder until the real decoder is in place
+    _DECODERS[hint] = lambda data: _DECODERS[hint](data)
+    origin = typing.get_origin(hint)
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        fields = [_decoder(hints[f.name]) for f in dataclasses.fields(hint)]
+        width = len(fields) + 1
+
+        def dec(data):
+            if type(data) is not list or len(data) != width or data[0] != hint.__name__:
+                _reject(data, hint)
+            return hint(*[field(v) for field, v in zip(fields, data[1:])])
+
+    elif origin is Union:
+        tags: Dict[str, Callable] = {}
+        scalars: Dict[type, Callable] = {}
+        for arm in typing.get_args(hint):
+            if dataclasses.is_dataclass(arm):
+                tags[arm.__name__] = _decoder(arm)
+            else:
+                kind = arm if isinstance(arm, type) else str  # Name, Literal
+                scalars[kind] = _decoder(arm)
+        if float in scalars:
+            scalars.setdefault(int, scalars[float])
+
+        def dec(data):
+            if type(data) is list:
+                arm = tags.get(data[0]) if data and type(data[0]) is str else None
+            else:
+                arm = scalars.get(type(data))
+            return arm(data) if arm is not None else _reject(data, hint)
+
+    elif origin is tuple:
+        item = _decoder(typing.get_args(hint)[0])
+
+        def dec(data):
+            if type(data) is not list:
+                _reject(data, hint)
+            return tuple([item(v) for v in data])
+
+    else:
+        if hint is Name:
+            ok = lambda d: type(d) is str and d.isidentifier() and not keyword.iskeyword(d)  # noqa: E731
+        elif origin is Literal:
+            allowed = frozenset(typing.get_args(hint))
+            ok = lambda d: type(d) is str and d in allowed  # noqa: E731
+        elif hint is float:
+            ok = lambda d: type(d) in (int, float)  # noqa: E731
+        elif hint in (bool, int, str, type(None)):
+            ok = lambda d: type(d) is hint  # noqa: E731
+        else:
+            raise TypeError("no persistence rule for %r" % (hint,))
+
+        def dec(data):
+            return data if ok(data) else _reject(data, hint)
+
+    _DECODERS[hint] = dec
+    return dec
 
 
 def decode(data, hint):
@@ -601,43 +673,4 @@ def decode(data, hint):
     source text that is ``exec``'d or handed to ``cc`` — so an unknown
     tag, a wrongly typed field or a name that is not an identifier
     raises :class:`ValueError` instead of reaching a printer."""
-    origin = typing.get_origin(hint)
-    if hint is Name:
-        if isinstance(data, str) and data.isidentifier() and not keyword.iskeyword(data):
-            return data
-    elif hint is bool or hint is str:
-        if isinstance(data, hint):
-            return data
-    elif hint is int:
-        if isinstance(data, int) and not isinstance(data, bool):
-            return data
-    elif hint is float:
-        if isinstance(data, (int, float)) and not isinstance(data, bool):
-            return float(data)
-    elif origin is Literal:
-        if isinstance(data, str) and data in typing.get_args(hint):
-            return data
-    elif origin is Union:
-        for arm in typing.get_args(hint):
-            try:
-                return decode(data, arm)
-            except ValueError:
-                continue
-    elif origin is tuple:
-        if isinstance(data, list):
-            (item,) = typing.get_args(hint)[:1]
-            return tuple(decode(v, item) for v in data)
-    elif hint is type(None):
-        if data is None:
-            return None
-    elif dataclasses.is_dataclass(hint):
-        if isinstance(data, dict) and list(data) == [hint.__name__]:
-            if hint not in _HINTS:
-                _HINTS[hint] = typing.get_type_hints(hint)
-            fields = dataclasses.fields(hint)
-            values = data[hint.__name__]
-            if isinstance(values, list) and len(values) == len(fields):
-                return hint(
-                    *(decode(v, _HINTS[hint][f.name]) for v, f in zip(values, fields))
-                )
-    raise ValueError("persisted kernel: %r is not a valid %s" % (data, hint))
+    return _decoder(hint)(data)

@@ -30,7 +30,7 @@ and innermost, the loop disappears and accesses binding it become rows
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Literal as Lit, Mapping, Optional, Sequence, Tuple

@@ -212,7 +212,9 @@ def plan_kernel(
 #: v5: the C kernel now returns an ``int64_t`` status (0 ok / 1 OOM);
 #: void-ABI shared objects from earlier builds must not be rebound with
 #: the status-checking call plan.
-STATE_VERSION = 5
+#: v6: ``lowered`` carries the typed loop program (``loopir`` nodes,
+#: class-name tagged) instead of Python source text.
+STATE_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -338,9 +340,9 @@ class CompiledKernel:
     ) -> "CompiledKernel":
         """Rehydrate a kernel persisted with :meth:`to_state`.
 
-        Only the generated source is re-``exec``'d (microseconds); the pass
-        pipeline does not run, so ``plan`` is a :class:`PlanSnapshot` rather
-        than a full :class:`KernelPlan`.  ``artifact`` optionally points at
+        Only the persisted loop program is decoded and handed to the
+        backend; the pass pipeline does not run, so ``plan`` is a
+        :class:`PlanSnapshot` rather than a full :class:`KernelPlan`.  ``artifact`` optionally points at
         a previously-compiled shared object for the C backend to reuse (a
         corrupt artifact falls back to a fresh build).
         """

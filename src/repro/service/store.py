@@ -59,6 +59,12 @@ class StoreEntry:
     size_bytes: int
 
 
+def _dumps(payload: dict) -> str:
+    """One entry as JSON text.  Compact: the persisted loop program is a
+    deep tree of short lists, which indentation would inflate sixfold."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 class DiskStore:
     """A directory of persisted kernel states, addressed by cache key.
 
@@ -148,7 +154,7 @@ class DiskStore:
         payload = {"key": key, "state": kernel.to_state()}
         if blob is not None:
             payload["artifact_sha256"] = hashlib.sha256(blob).hexdigest()
-        data = json.dumps(payload, indent=1, sort_keys=True)
+        data = _dumps(payload)
         raw = data.encode("utf-8")
         if fault is not None and fault.action == "partial":
             # simulate a torn entry reaching the store (e.g. a writer
@@ -303,7 +309,7 @@ class DiskStore:
                 return  # the verified sidecar already holds these bytes
             payload = dict(payload)
             payload["artifact_sha256"] = digest
-            data = json.dumps(payload, indent=1, sort_keys=True)
+            data = _dumps(payload)
             # same commit discipline as _put: artifact first, entry second
             self._atomic_write(self.path / ("%s.so" % key), blob, key)
             self._atomic_write(self._file(key), data.encode("utf-8"), key)

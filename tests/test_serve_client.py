@@ -257,6 +257,39 @@ def test_degraded_reply_is_not_sticky(monkeypatch, tmp_path, metrics):
         assert backend_health.remote_ok()
 
 
+def test_forged_program_from_the_daemon_is_compiled_locally(
+    monkeypatch, tmp_path, metrics
+):
+    """A reply whose loop program does not decode (here: a ``Var`` named
+    ``x; import os``) is a counted remote error; the request is compiled
+    in-process and nothing from the reply is exec'd."""
+    request = canonicalize(**SYMV)
+    with running_daemon(tmp_path) as (server, sock):
+        monkeypatch.setenv("REPRO_SERVICE", "unix:" + sock)
+        serve_client.reset()
+        client = serve_client.get_client()
+        real = client.compile
+
+        def forged(req):
+            reply = real(req)
+
+            def swap(tree):
+                if tree == ["Var", "t0", "elem"]:
+                    return ["Var", "x; import os", "elem"]
+                return [swap(t) for t in tree] if isinstance(tree, list) else tree
+
+            reply["state"]["lowered"] = swap(reply["state"]["lowered"])
+            return reply
+
+        monkeypatch.setattr(client, "compile", forged)
+        assert serve_client.fetch_compiled(request) is None
+        assert metrics("service.remote.errors") == 1
+        kernel, origin = KernelService().get_with_origin(request)
+        assert origin == "compiled"
+    A = np.eye(4) + np.eye(4, k=1) + np.eye(4, k=-1)
+    np.testing.assert_allclose(kernel(A=A, x=np.arange(4.0)), A @ np.arange(4.0))
+
+
 def test_fetch_compiled_rejects_mismatched_artifact(monkeypatch, tmp_path):
     """A shipped artifact whose bytes do not match artifact_sha256 is
     never dlopened — the kernel rehydrates through a clean local path."""

@@ -84,7 +84,7 @@ def test_zero_byte_so_falls_back_to_recompile(tmp_path):
 @needs_cc
 def test_missing_c_sidecar_still_rehydrates(tmp_path):
     """The ``.c`` file is an inspection artifact: deleting it must not
-    break rehydration (the JSON state carries the lowered source)."""
+    break rehydration (the JSON state carries the lowered program)."""
     options = DEFAULT.but(backend="c")
     key = _warm(tmp_path, options)
     (tmp_path / ("%s.c" % key)).unlink()
@@ -110,6 +110,60 @@ def test_missing_c_sidecar_and_so_recompiles(tmp_path):
     _check_runs(kernel)
     # healing re-persisted the freshly built object for the next process
     assert (tmp_path / ("%s.so" % key)).exists()
+
+
+# ----------------------------------------------------------------------
+# forged loop program: a store entry is outside input
+# ----------------------------------------------------------------------
+def _forge(tree, old, new):
+    if tree == old:
+        return new
+    if isinstance(tree, list):
+        return [_forge(t, old, new) for t in tree]
+    return tree
+
+
+@pytest.mark.parametrize("backend", ["python"] + ["c"] * HAVE_CC)
+def test_forged_program_never_reaches_exec_or_cc(tmp_path, monkeypatch, backend):
+    """The persisted program becomes source text.  An entry whose ``Var``
+    name carries a statement must be rejected while decoding: counted as
+    an error, evicted, recompiled — with nothing exec'd and no cc run."""
+    import builtins
+
+    from repro.codegen.backends import ctoolchain
+
+    options = DEFAULT.but(backend=backend)
+    key = _warm(tmp_path, options)
+    path = tmp_path / ("%s.json" % key)
+    payload = json.loads(path.read_text())
+    lowered = payload["state"]["lowered"]
+    forged = _forge(lowered, ["Var", "t0", "elem"], ["Var", "x; import os", "elem"])
+    assert forged != lowered
+    payload["state"]["lowered"] = forged
+    path.write_text(json.dumps(payload))
+
+    reached = []
+    real_exec, real_cc = builtins.exec, ctoolchain.compile_shared
+    monkeypatch.setattr(
+        builtins, "exec", lambda *a, **k: reached.append("exec") or real_exec(*a, **k)
+    )
+    monkeypatch.setattr(
+        ctoolchain,
+        "compile_shared",
+        lambda *a, **k: reached.append("cc") or real_cc(*a, **k),
+    )
+    store = DiskStore(tmp_path)
+    assert store.get(key) is None
+    assert reached == []
+    assert store.errors == 1 and store.misses == 0
+    assert not path.exists()  # evicted, sidecars included
+    monkeypatch.undo()
+
+    kernel = KernelService(store=tmp_path).get_or_compile(
+        EINSUM, options=options, **SPEC
+    )
+    _check_runs(kernel)
+    assert path.exists()  # the recompile re-published a clean entry
 
 
 # ----------------------------------------------------------------------
