@@ -35,10 +35,10 @@ branches and exports the ``repro_openmp`` marker symbol.
 :meth:`~repro.codegen.backends.cexec.CBackend.compile` builds the serial
 object unless the kernel's default thread setting can resolve above 1; a
 later run with ``threads > 1`` upgrades the loaded executable in place,
-once (:meth:`~repro.codegen.backends.cexec.CExecutable.upgrade`).  Both objects run the same serial loops
-with the same SIMD hints, so which one serves a call never shows in the
-result.  A parallel body's **reduction strategy** depends on the nest's
-output-write pattern:
+once (:meth:`~repro.codegen.backends.cexec.CExecutable.upgrade`).  Both
+objects run the same serial loops with the same SIMD hints, so which one
+serves a call never shows in the result.  A parallel body's **reduction
+strategy** depends on the nest's output-write pattern:
 
 * ``for`` — every write's leading output coordinate is the (injective)
   outer loop variable, so iterations touch disjoint output elements: a

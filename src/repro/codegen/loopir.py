@@ -394,7 +394,9 @@ def defines(stmt: Stmt) -> Tuple[Tuple[str, str], ...]:
     if isinstance(stmt, DenseLoop):
         names = [stmt.var]
     elif isinstance(stmt, FiberLoop):
-        names = [stmt.pos_var] + [stmt.coord_var] * (stmt.coord_var is not None)
+        names = [stmt.pos_var]
+        if stmt.coord_var is not None:
+            names.append(stmt.coord_var)
     elif isinstance(stmt, Intersect):
         names = [stmt.max_var, stmt.adv_var, stmt.coord_var]
         for b in stmt.binders:
