@@ -163,8 +163,7 @@ _V = "_v"
 def _c_float(value: float) -> str:
     if value != value or value in (float("inf"), float("-inf")):
         raise CRenderError("non-finite literal %r" % value)
-    text = repr(float(value))
-    return text
+    return repr(float(value))
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +324,6 @@ class _Renderer:
         self._log_plan: Optional[_NestPlan] = None
         self._atomic_plan: Optional[_NestPlan] = None
         self._assigned_top: Set[str] = set()
-        self._ws_len: Dict[str, str] = {}
 
         # pass-pipeline state: ftz/simd flags come back on the LoopIR;
         # _parallel_ctx counts enclosing OpenMP bodies (tiling applies to
@@ -343,7 +341,7 @@ class _Renderer:
         self.dim_args = sorted(
             a.name for a in program.args if isinstance(a, ir.Dim)
         )
-        self.ws_alloc: List[Tuple[str, str]] = []  # (name, length expr)
+        self.ws_alloc: Dict[str, str] = {}  # workspace -> length expr
         self.lines: List[str] = []
         self.uses_vector = False
 
@@ -376,7 +374,7 @@ class _Renderer:
     def render(self) -> str:
         program = self.lowered.program
         state = run_pipeline(
-            ir.LoopIR(list(program.body), self.out_ndim, self.vector_index),
+            ir.LoopIR(list(program.body), self.out_ndim),
             self.pass_config,
             label=self.label,
         )
@@ -462,7 +460,7 @@ class _Renderer:
             decls.append(
                 "    const %s %s;" % (elem, ", ".join("*%s = 0" % n for n in vecs))
             )
-        for name, length in self.ws_alloc:
+        for name, length in self.ws_alloc.items():
             decls.append(
                 "    %s *%s = (%s *) malloc((size_t)(%s) * sizeof(%s));"
                 % (elem, name, elem, length, elem)
@@ -473,15 +471,15 @@ class _Renderer:
             # leaves a modified MXCSR behind
             decls.append(
                 "    if (%s) {"
-                % " || ".join("!%s" % name for name, _ in self.ws_alloc)
+                % " || ".join("!%s" % name for name in self.ws_alloc)
             )
-            for name, _ in self.ws_alloc:
+            for name in self.ws_alloc:
                 decls.append("        free(%s);" % name)
             decls.append("        return 1;")
             decls.append("    }")
         if self.ftz:
             decls.append("    unsigned int rp_csr = repro_ftz_on();")
-        frees = ["    free(%s);" % name for name, _ in self.ws_alloc]
+        frees = ["    free(%s);" % name for name in self.ws_alloc]
         if self.ftz:
             frees = ["    repro_ftz_restore(rp_csr);"] + frees
 
@@ -824,7 +822,7 @@ class _Renderer:
             self._put(
                 ind,
                 "%s *%s = (%s *) malloc((size_t) (%s) * sizeof(%s));"
-                % (self.elem, name, self.elem, self._ws_len[name], self.elem),
+                % (self.elem, name, self.elem, self.ws_alloc[name], self.elem),
             )
         if plan.ws_names:
             # a failed per-thread workspace allocation flags the whole
@@ -1149,8 +1147,8 @@ class _Renderer:
         if isinstance(s, ir.Reduce):
             self._reduce(s, ind)
         elif isinstance(s, ir.Let):
-            value = s.expr
-            text = self._vec_pointer(value) if s.var.type == ir.ROW else self._expr(value)
+            row = s.var.type == ir.ROW
+            text = self._vec_pointer(s.expr) if row else self._expr(s.expr)
             self._put(ind, "%s = %s;" % (s.var.name, text))
         elif isinstance(s, ir.Init):
             if s.ws.type == ir.ROW:
@@ -1185,8 +1183,7 @@ class _Renderer:
             else:
                 self._stmt(s.nest, ind)
         elif isinstance(s, ir.WorkspaceAlloc):
-            self.ws_alloc.append((s.ws, s.length))
-            self._ws_len[s.ws] = s.length
+            self.ws_alloc[s.ws] = s.length
         elif isinstance(s, ir.LutDef):
             # initializer conversion (double constant -> elem) is the
             # same rounding numpy applies building the float32 array
@@ -1350,13 +1347,14 @@ class _Renderer:
                 self._put(
                     ind, "%s = %s(%s, %s);" % (elt, cfn, elt, self._expr(s.value))
                 )
+            return
         # inside a parallel body, shared += updates are rerouted: replay
         # nests append to the scatter log, atomic nests prefix a pragma
-        elif self._log_plan is not None and self._log_reduce(s, ind):
-            pass
-        elif self._atomic_plan is not None and self._atomic_reduce(s, ind):
-            pass
-        elif s.row:
+        if self._log_plan is not None and self._log_reduce(s, ind):
+            return
+        if self._atomic_plan is not None and self._atomic_reduce(s, ind):
+            return
+        if s.row:
             self._vector_loop(ind, elt, "+=", s.value)
         else:
             self._put(ind, "%s += %s;" % (elt, self._expr(s.value)))
@@ -1452,7 +1450,7 @@ class _Renderer:
         raise CRenderError("unsupported expression %s" % type(e).__name__)
 
     def _load(self, e: ir.Load, velt: bool) -> str:
-        name, ndim = e.array.name, e.array.ndim
+        name = e.array.name
         if e.array.kind != "dense":
             return "%s[%s]" % (name, self._expr(e.coords[0], velt))
         if e.type == ir.ELEM:

@@ -64,11 +64,24 @@ def _is_local_def(st: Stmt) -> bool:
     return isinstance(st, Let) or (isinstance(st, Init) and st.ws.type == ELEM)
 
 
+def _is_accumulate(st: Stmt) -> bool:
+    return isinstance(st, Reduce) and isinstance(st.target, Var)
+
+
 def _out_lead(st: Stmt) -> Optional[str]:
     """Leading coordinate of an ``out[...] +=`` statement."""
     if isinstance(st, Reduce) and isinstance(st.target, Out) and st.target.coords:
         return st.target.coords[0]
     return None
+
+
+def _local_name(st: Stmt) -> Optional[str]:
+    """The scalar local *st* defines or accumulates into, if any."""
+    if isinstance(st, Let):
+        return st.var.name
+    if _is_accumulate(st):
+        return st.target.name
+    return st.ws.name if _is_local_def(st) else None
 
 
 def _dce(nest):
@@ -84,14 +97,8 @@ def _dce(nest):
                     st = replace(st, coord_var=coord, body=prune(st.body))
                 elif isinstance(st, DenseLoop):
                     st = replace(st, body=prune(st.body))
-                elif _is_local_def(st) or (
-                    isinstance(st, Reduce) and isinstance(st.target, Var)
-                ):
-                    name = st.target.name if isinstance(st, Reduce) else (
-                        st.var.name if isinstance(st, Let) else st.ws.name
-                    )
-                    if name not in live:
-                        continue
+                elif _local_name(st) not in live | {None}:
+                    continue
                 kept.append(st)
             return tuple(kept)
 
@@ -168,7 +175,7 @@ class FissionPass(Pass):
         for st in bind.body:
             if _is_local_def(st):
                 continue
-            if isinstance(st, Reduce) and isinstance(st.target, Var):
+            if _is_accumulate(st):
                 continue  # local accumulator (own-row half)
             if _out_lead(st) == lead:
                 scatter_writes += 1
@@ -197,11 +204,7 @@ class FissionPass(Pass):
         )
         # scatter copy: drop local accumulators and outer-lead writes.
         scatter = rebuilt(
-            [
-                s
-                for s in bind.body
-                if not (isinstance(s, Reduce) and isinstance(s.target, Var))
-            ],
+            [s for s in bind.body if not _is_accumulate(s)],
             lambda st: _out_lead(st) != outer,
         )
         return [own, scatter]

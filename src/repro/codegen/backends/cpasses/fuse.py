@@ -44,8 +44,6 @@ class FusePass(Pass):
         )
 
     def run(self, ir: LoopIR, config: PassConfig) -> LoopIR:
-        if ir.vector_index is None:
-            return ir
         body, fused = self._rewrite(ir.body)
         ir.body = list(body)
         if fused:

@@ -69,7 +69,7 @@ def _fiber_reads(f) -> List[str]:
     ]
 
 
-def _block(stmts: Sequence[ir.Stmt], dtype: str, ind: str, out: List[str]) -> None:
+def _block(stmts: Sequence[ir.Stmt], ind: str, out: List[str]) -> None:
     def put(text: str, extra: str = "") -> None:
         out.append(ind + extra + text)
 
@@ -90,10 +90,10 @@ def _block(stmts: Sequence[ir.Stmt], dtype: str, ind: str, out: List[str]) -> No
                 put("%s = %s(%s, %s)" % (tgt, s.op, tgt, value))
         elif isinstance(s, ir.If):
             put("if %s:" % _expr(s.cond))
-            _block(s.body, dtype, inner, out)
+            _block(s.body, inner, out)
         elif isinstance(s, ir.DenseLoop):
             put("for %s in range(%s):" % (s.var, _expr(s.end)))
-            _block(s.body, dtype, inner, out)
+            _block(s.body, inner, out)
         elif isinstance(s, ir.FiberLoop):
             start, end = _fiber_reads(s)
             if s.bound is not None:
@@ -102,7 +102,7 @@ def _block(stmts: Sequence[ir.Stmt], dtype: str, ind: str, out: List[str]) -> No
             put("%s = %s[%s]" % (s.coord_var, s.idx.name, s.pos_var), "    ")
             if s.guard is not None:
                 put("if %s > %s: break" % (s.coord_var, s.guard), "    ")
-            _block(s.body, dtype, inner, out)
+            _block(s.body, inner, out)
         elif isinstance(s, ir.Intersect):
             for b in s.binders:
                 start, end = _fiber_reads(b)
@@ -127,21 +127,9 @@ def _block(stmts: Sequence[ir.Stmt], dtype: str, ind: str, out: List[str]) -> No
             put("%s = %s" % (s.coord_var, m), "    ")
             if s.guard is not None:
                 put("if %s > %s: break" % (s.coord_var, s.guard), "    ")
-            _block(s.body, dtype, inner, out)
+            _block(s.body, inner, out)
             for b in s.binders:
                 put("%s += 1" % b.pos_var, "    ")
-        elif isinstance(s, ir.WorkspaceAlloc):
-            # the workspace must accumulate in the kernel dtype: float64
-            # keeps the bare np.empty, float32 says so
-            tail = ", dtype=np.float32" if dtype == "float32" else ""
-            put("%s = np.empty(%s%s)" % (s.ws, s.length, tail))
-        elif isinstance(s, ir.LutDef):
-            # a float32 kernel must read float32 factors: a plain Python
-            # list would hand back float64 scalars and promote the whole
-            # product chain (numpy's weak-scalar rules only round *one*
-            # python-float operand per operation)
-            form = "%s = np.array(%r, dtype=np.float32)" if dtype == "float32" else "%s = %r"
-            put(form % (s.name, list(s.values)))
         else:
             raise TypeError("the Python backend does not print %r" % (s,))
 
@@ -150,7 +138,20 @@ def print_python(program: ir.Kernel, dtype: str) -> str:
     """The loop program as a Python module defining ``kernel``."""
     params = ", ".join(["out"] + [a.name for a in program.args])
     lines = ["def kernel(%s):" % params]
-    _block(program.preamble + program.body, dtype, "    ", lines)
+    # allocations follow the kernel dtype: float64 keeps the bare
+    # spellings, float32 says so.  A float32 kernel must also read
+    # float32 factors — a plain list would hand back float64 scalars and
+    # promote the whole product chain (numpy's weak-scalar rules only
+    # round *one* python-float operand per operation)
+    f32 = dtype == "float32"
+    for s in program.preamble:
+        if isinstance(s, ir.WorkspaceAlloc):
+            tail = ", dtype=np.float32" if f32 else ""
+            lines.append("    %s = np.empty(%s%s)" % (s.ws, s.length, tail))
+        else:
+            form = "    %s = np.array(%r, dtype=np.float32)" if f32 else "    %s = %r"
+            lines.append(form % (s.name, list(s.values)))
+    _block(program.body, "    ", lines)
     if len(lines) == 1:
         lines.append("    pass")
     return "\n".join(lines) + "\n"

@@ -245,18 +245,8 @@ class DenseLoop:
     body: Tuple[Stmt, ...]
 
 
-@dataclass(frozen=True)
-class FiberLoop:
-    pos_var: Name
-    #: ``None`` once a pass found the coordinate unread and dropped it.
-    coord_var: Optional[Name]
-    view: Name
-    tensor_filter: FILTERS
-    level: int
-    parent: Expr
-    bound: Optional[Name]
-    guard: Optional[Name]
-    body: Tuple[Stmt, ...]
+class _FiberArrays:
+    """The structure arrays of level ``level`` of sparse view ``view``."""
 
     @property
     def pos(self) -> Array:
@@ -268,16 +258,27 @@ class FiberLoop:
 
 
 @dataclass(frozen=True)
-class Binder:
+class FiberLoop(_FiberArrays):
+    pos_var: Name
+    #: ``None`` once a pass found the coordinate unread and dropped it.
+    coord_var: Optional[Name]
+    view: Name
+    tensor_filter: FILTERS
+    level: int
+    parent: Expr
+    bound: Optional[Name]
+    guard: Optional[Name]
+    body: Tuple[Stmt, ...]
+
+
+@dataclass(frozen=True)
+class Binder(_FiberArrays):
     """One fiber taking part in an :class:`Intersect`."""
 
     view: Name
     level: int
     pos_var: Name
     parent: Expr
-
-    pos = FiberLoop.pos
-    idx = FiberLoop.idx
 
     @property
     def end_var(self) -> str:
@@ -349,8 +350,7 @@ class Tiled:
 
 
 Stmt = Union[
-    Let, Init, Reduce, If, DenseLoop, FiberLoop, Intersect,
-    WorkspaceAlloc, LutDef, Fused, Tiled,
+    Let, Init, Reduce, If, DenseLoop, FiberLoop, Intersect, Fused, Tiled
 ]
 Loop = (DenseLoop, FiberLoop, Intersect)
 
@@ -358,7 +358,7 @@ Loop = (DenseLoop, FiberLoop, Intersect)
 @dataclass(frozen=True)
 class Kernel:
     args: Tuple[Union[Array, Dim], ...]
-    preamble: Tuple[Stmt, ...]
+    preamble: Tuple[Union[WorkspaceAlloc, LutDef], ...]
     body: Tuple[Stmt, ...]
 
 
@@ -567,11 +567,10 @@ def scan_nest(outer: Union[DenseLoop, FiberLoop]) -> NestScan:
 @dataclass
 class LoopIR:
     """What the pass pipeline transforms: one kernel's top-level
-    statements plus the two output facts matchers need."""
+    statements plus the output rank (row tiling needs a matrix)."""
 
     body: List[Stmt]
     out_ndim: int
-    vector_index: Optional[str]
     # pipeline-output flags the emitter reads back
     ftz: bool = False
     simd: bool = False

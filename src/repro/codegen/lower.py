@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Literal as Lit, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Literal as Lit, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.codegen import loopir
 from repro.codegen.loopir import (
@@ -245,7 +245,7 @@ class Lowerer:
         self.temp_counter = 0
         self.ws_counter = 0
         self.lut_counter = 0
-        self.preamble: List[Stmt] = []
+        self.preamble: List[Union[WorkspaceAlloc, LutDef]] = []
 
         self.vector_index = self._choose_vector_index()
         self.output = self._output_spec()

@@ -23,6 +23,16 @@ def make_symmetric_tensor(rng, n, order, density=0.3):
     return S
 
 
+def replace_node(tree, old, new):
+    """A JSON tree (nested lists) with every subtree equal to *old*
+    swapped for *new* — how tests forge a persisted loop program."""
+    if tree == old:
+        return new
+    if isinstance(tree, list):
+        return [replace_node(t, old, new) for t in tree]
+    return tree
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -20,6 +20,7 @@ from repro.kernels.library import KERNELS, get_kernel
 from repro.obs import trace
 from repro.service.store import DiskStore
 from tests import render_corpus
+from tests.conftest import replace_node
 from tests.test_codegen_kernels import build_inputs
 
 HAVE_CC = get_backend("c").is_available()
@@ -105,15 +106,6 @@ def _ssymv_dict() -> list:
     return json.loads(json.dumps(get_kernel("ssymv").compile().lowered.to_dict()))
 
 
-def _replace(tree, old, new):
-    """*tree* with every node equal to *old* swapped for *new*."""
-    if tree == old:
-        return new
-    if isinstance(tree, list):
-        return [_replace(t, old, new) for t in tree]
-    return tree
-
-
 @pytest.mark.parametrize(
     "old, new",
     [
@@ -134,7 +126,7 @@ def _replace(tree, old, new):
 def test_from_dict_rejects_forged_programs(old, new):
     data = _ssymv_dict()
     assert LoweredKernel.from_dict(data).source  # the baseline decodes
-    forged = _replace(data, old, new)
+    forged = replace_node(data, old, new)
     assert forged != data
     with pytest.raises(ValueError, match="persisted kernel"):
         LoweredKernel.from_dict(forged)
@@ -142,8 +134,8 @@ def test_from_dict_rejects_forged_programs(old, new):
 
 def test_from_dict_rejects_a_colliding_program():
     # well-formed nodes, but t0 now names both an int and an elem local
-    forged = _replace(_ssymv_dict(), ["Var", "j", "int"], ["Var", "t0", "int"])
-    forged = _replace(forged, "j", "t0")
+    forged = replace_node(_ssymv_dict(), ["Var", "j", "int"], ["Var", "t0", "int"])
+    forged = replace_node(forged, "j", "t0")
     with pytest.raises(ValueError, match="persisted kernel.*'t0'"):
         LoweredKernel.from_dict(forged)
 

@@ -27,6 +27,7 @@ from repro.serve.client import (
 from repro.serve.daemon import KernelServer
 from repro.service.engine import KernelService
 from repro.service.keys import canonicalize
+from tests.conftest import replace_node
 
 SYMV = dict(
     einsum="y[i] += A[i,j] * x[j]",
@@ -272,13 +273,11 @@ def test_forged_program_from_the_daemon_is_compiled_locally(
 
         def forged(req):
             reply = real(req)
-
-            def swap(tree):
-                if tree == ["Var", "t0", "elem"]:
-                    return ["Var", "x; import os", "elem"]
-                return [swap(t) for t in tree] if isinstance(tree, list) else tree
-
-            reply["state"]["lowered"] = swap(reply["state"]["lowered"])
+            reply["state"]["lowered"] = replace_node(
+                reply["state"]["lowered"],
+                ["Var", "t0", "elem"],
+                ["Var", "x; import os", "elem"],
+            )
             return reply
 
         monkeypatch.setattr(client, "compile", forged)

@@ -22,6 +22,7 @@ from repro.core.config import DEFAULT
 from repro.service import KernelService
 from repro.service.keys import cache_key
 from repro.service.store import DiskStore
+from tests.conftest import replace_node
 
 HAVE_CC = get_backend("c").is_available()
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no working C toolchain")
@@ -115,14 +116,6 @@ def test_missing_c_sidecar_and_so_recompiles(tmp_path):
 # ----------------------------------------------------------------------
 # forged loop program: a store entry is outside input
 # ----------------------------------------------------------------------
-def _forge(tree, old, new):
-    if tree == old:
-        return new
-    if isinstance(tree, list):
-        return [_forge(t, old, new) for t in tree]
-    return tree
-
-
 @pytest.mark.parametrize("backend", ["python"] + ["c"] * HAVE_CC)
 def test_forged_program_never_reaches_exec_or_cc(tmp_path, monkeypatch, backend):
     """The persisted program becomes source text.  An entry whose ``Var``
@@ -137,7 +130,7 @@ def test_forged_program_never_reaches_exec_or_cc(tmp_path, monkeypatch, backend)
     path = tmp_path / ("%s.json" % key)
     payload = json.loads(path.read_text())
     lowered = payload["state"]["lowered"]
-    forged = _forge(lowered, ["Var", "t0", "elem"], ["Var", "x; import os", "elem"])
+    forged = replace_node(lowered, ["Var", "t0", "elem"], ["Var", "x; import os", "elem"])
     assert forged != lowered
     payload["state"]["lowered"] = forged
     path.write_text(json.dumps(payload))
