@@ -103,6 +103,7 @@ from repro.codegen.backends.cpasses.base import (
     active_pass_config,
     run_pipeline,
 )
+from repro.codegen.backends.cpasses.tile import auto_tile_rows
 from repro.codegen.lower import LoweredKernel
 from repro.core import config as core_config
 from repro.obs import metrics as obs_metrics
@@ -152,7 +153,7 @@ _C_KEYWORDS = frozenset(
     repro_profile_nests repro_profile_calls
     repro_profile_reset repro_profile_read repro_openmp
     pv_all pv_out pv_total pv_team pv_k pv_s pv_b
-    rp_status rp_oom rp_tb rp_thi rp_tile rp_csr rp_tcsr rp_slot
+    rp_status rp_oom rp_tb rp_thi rp_tile rp_nb rp_cap rp_csr rp_tcsr rp_slot
     repro_ftz_on repro_ftz_restore""".split()
 )
 
@@ -1152,9 +1153,9 @@ class _Renderer:
             self._put(ind, "%s = %s;" % (s.var.name, text))
         elif isinstance(s, ir.Init):
             if s.ws.type == ir.ROW:
-                self._vector_loop(ind, "%s[%s]" % (s.ws.name, _V), "=", s.identity)
+                self._vector_loop(ind, "%s[%s]" % (s.ws.name, _V), "=", s.value)
             else:
-                self._put(ind, "%s = %s;" % (s.ws.name, self._expr(s.identity)))
+                self._put(ind, "%s = %s;" % (s.ws.name, self._expr(s.value)))
         elif isinstance(s, ir.If):
             self._put(ind, "if (%s) {" % self._expr(s.cond))
             self._block(s.body, ind + 1)
@@ -1276,13 +1277,11 @@ class _Renderer:
         if tile.rows > 0:
             self._put(ind + 1, "int64_t rp_tile = %d;" % tile.rows)
         else:
-            # auto: keep ~1MiB of output rows resident per block
-            self._put(
-                ind + 1,
-                "int64_t rp_tile = 1048576 / ((out_dims[1] > 0 ? out_dims[1] : 1)"
-                " * (int64_t) sizeof(%s));" % self.elem,
-            )
-            self._put(ind + 1, "if (rp_tile < 8) { rp_tile = 8; }")
+            fiber = tile.nest.body[0]
+            for line in auto_tile_rows(
+                self.elem, fiber.pos.name, self._expr(tile.nest.end)
+            ):
+                self._put(ind + 1, line)
         self._put(ind + 1, "int64_t rp_tb, rp_thi;")
         self._put(
             ind + 1,

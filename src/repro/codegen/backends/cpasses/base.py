@@ -30,9 +30,10 @@ from repro.obs import trace as obs_trace
 PASS_ORDER = ("denormals", "fission", "fuse", "tile", "simd")
 
 #: passes on by default — only those whose transformation is bit-exact
-#: *and* never a regression.  fission/tile reshape iteration and are
-#: opt-in; denormals changes results whenever a denormal occurs.
-DEFAULT_ON = ("fuse", "simd")
+#: *and* never a regression (tile bounds its own cost, see its module).
+#: fission reshapes iteration and is opt-in; denormals changes results
+#: whenever a denormal occurs.
+DEFAULT_ON = ("fuse", "tile", "simd")
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ stay bit-identical by the existing replay argument.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.codegen.backends.cpasses.base import Pass, PassConfig
 from repro.codegen.backends.cpasses.fission import single_fiber
@@ -52,17 +52,39 @@ from repro.codegen.loopir import (
 )
 
 
+def auto_tile_rows(elem: str, pos: str, fibers: str) -> List[str]:
+    """C statements defining ``rp_tile``, the run-time block height.
+
+    About 1 MiB of output rows per block, but no more blocks than a
+    quarter of the mean length of the fibers the nest walks
+    (``pos[fibers] / fibers``) — the bound of the module docstring.
+    """
+    return [
+        "int64_t rp_tile = 1048576 / ((out_dims[1] > 0 ? out_dims[1] : 1)"
+        " * (int64_t) sizeof(%s));" % elem,
+        "if (rp_tile < 8) { rp_tile = 8; }",
+        "int64_t rp_nb = (out_dims[0] + rp_tile - 1) / rp_tile;",
+        "int64_t rp_cap = (%s) > 0 ? %s[%s] / (4 * (%s)) : 0;"
+        % (fibers, pos, fibers, fibers),
+        "if (rp_nb > rp_cap) { rp_nb = rp_cap; }",
+        "if (rp_nb < 1) { rp_nb = 1; }",
+        "rp_tile = (out_dims[0] + rp_nb - 1) / rp_nb;",
+        "if (rp_tile < 1) { rp_tile = 1; }",
+    ]
+
+
 class TilePass(Pass):
     name = "tile"
-    default_on = False
+    default_on = True
     bit_exact = True
 
     def describe(self) -> str:
         return (
             "row-block triangle-bounded scatter nests (SSYRK shape) so a "
             "block of output rows stays cache-resident per structure walk; "
-            "bit-exact (per-element write order preserved); "
-            "REPRO_TILE sets the row count (0 = auto ~1MiB)"
+            "bit-exact (per-element write order preserved); blocks of "
+            "~1MiB, at most mean fiber length / 4 of them (REPRO_TILE "
+            "pins a row count instead)"
         )
 
     def run(self, ir: LoopIR, config: PassConfig) -> LoopIR:

@@ -78,8 +78,13 @@ def _block(stmts: Sequence[ir.Stmt], ind: str, out: List[str]) -> None:
         if isinstance(s, ir.Let):
             put("%s = %s" % (s.var.name, _expr(s.expr)))
         elif isinstance(s, ir.Init):
-            form = "%s.fill(%s)" if s.ws.type == ir.ROW else "%s = %s"
-            put(form % (s.ws.name, _expr(s.identity)))
+            if s.ws.type != ir.ROW:
+                form = "%s = %s"
+            elif isinstance(s.value, ir.Const):
+                form = "%s.fill(%s)"
+            else:
+                form = "%s[:] = %s"
+            put(form % (s.ws.name, _expr(s.value)))
         elif isinstance(s, ir.Reduce):
             tgt, value = _target(s.target), _expr(s.value)
             if s.op == "+":

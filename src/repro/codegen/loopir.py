@@ -212,10 +212,12 @@ class Let:
 
 @dataclass(frozen=True)
 class Init:
-    """Reset a workspace to the reduction identity (a row is filled)."""
+    """Overwrite a workspace (a row is written element by element): with
+    the reduction identity for a partial sum, with a product of
+    loop-invariant operands for a row-valued prefix product."""
 
     ws: Var
-    identity: Const
+    value: Expr
 
 
 @dataclass(frozen=True)
@@ -439,6 +441,8 @@ def reads(stmts: Sequence[Stmt]) -> Set[str]:
     for stmt in walk(stmts):
         if isinstance(stmt, Let):
             _expr_reads(stmt.expr, names)
+        elif isinstance(stmt, Init):
+            _expr_reads(stmt.value, names)
         elif isinstance(stmt, Reduce):
             _expr_reads(stmt.value, names)
             if isinstance(stmt.target, Out):
@@ -488,7 +492,7 @@ def verify(kernel: Kernel) -> None:
     """Every name means one thing: arguments are distinct, a local has
     one type and shadows no argument, and nothing rebinds the variable
     of a loop it runs inside.  An einsum index or tensor named like a
-    lowerer temporary (``t0``, ``ws0``, ``q0_1``, ``n_j``) fails here,
+    lowerer temporary (``t0``, ``ws0``, ``w0``, ``q0_1``, ``n_j``) fails here,
     at compile time, on every backend."""
     args = ["out", "np"] + [a.name for a in kernel.args]
     for name in args:

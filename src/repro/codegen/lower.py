@@ -244,6 +244,7 @@ class Lowerer:
         self.dims: Dict[str, DimReq] = {}
         self.temp_counter = 0
         self.ws_counter = 0
+        self.prefix_counter = 0
         self.lut_counter = 0
         self.preamble: List[Union[WorkspaceAlloc, LutDef]] = []
 
@@ -468,52 +469,157 @@ class Lowerer:
             depth = max([depth_of[i] for i in coords], default=-1)
             return Load(array, tuple(Var(i, INT) for i in coords)), depth
 
-        def operand(acc_or_lit) -> Expr:
+        def operand(acc_or_lit) -> Tuple[int, Expr]:
+            """An operand's value and the depth at which it becomes valid."""
             if isinstance(acc_or_lit, Literal):
-                return Const(acc_or_lit.value)
+                return -1, Const(acc_or_lit.value)
+            expr, depth = read_expr(acc_or_lit)
             if not self.options.cse:
-                return read_expr(acc_or_lit)[0]
+                return depth, expr
             if acc_or_lit not in reads:
-                expr, depth = read_expr(acc_or_lit)
                 temp = Var("t%d" % self.temp_counter, expr.type)
                 self.temp_counter += 1
                 pre_by_depth.setdefault(depth, []).append(Let(temp, expr))
                 reads[acc_or_lit] = temp
-            return reads[acc_or_lit]
+            return depth, reads[acc_or_lit]
 
-        # workspaces: lhs key -> ws var
-        workspaces: Dict[Tuple, Var] = {}
         innermost_depth = len(loop_indices) - 1
 
-        def is_row(a: Assignment) -> bool:
-            return (
-                self.vector_index is not None
-                and self.vector_index in a.lhs.indices
+        def bound_depth(indices: Sequence[str]) -> int:
+            """Depth of the innermost loop binding one of *indices*."""
+            return max(
+                [depth_of[i] for i in indices if i != self.vector_index],
+                default=-1,
             )
 
-        def workspace_for(a: Assignment) -> Optional[Var]:
-            if not self.options.workspace:
-                return None
-            coords = [i for i in a.lhs.indices if i != self.vector_index]
-            d = max([depth_of[i] for i in coords], default=-1)
-            if d >= innermost_depth:
-                return None
-            key = (a.lhs.tensor, a.lhs.indices)
-            if key not in workspaces:
-                ws = Var("ws%d" % self.ws_counter, ROW if is_row(a) else ELEM)
-                self.ws_counter += 1
-                if ws.type == ROW:
-                    self.preamble.append(
-                        WorkspaceAlloc(ws.name, self._dim_name(self.vector_index))
+        def row_buffer(name: str) -> None:
+            self.preamble.append(
+                WorkspaceAlloc(name, self._dim_name(self.vector_index))
+            )
+
+        # partial sums (workspaces): key -> accumulator
+        sums: Dict[Tuple, Var] = {}
+
+        def partial_sum(key: Tuple, live: int, type_: str, op: str) -> Tuple[Var, bool]:
+            """The accumulator registered under *key*, reset at the top of
+            every iteration of loop *live* (-1: once, before the nest);
+            the flag says whether this call created it."""
+            if key in sums:
+                return sums[key], False
+            ws = Var("ws%d" % self.ws_counter, type_)
+            self.ws_counter += 1
+            if type_ == ROW:
+                row_buffer(ws.name)
+            pre_by_depth.setdefault(live, []).append(
+                Init(ws, Const(REDUCE_IDENTITY[op]))
+            )
+            sums[key] = ws
+            return ws, True
+
+        # prefix products: (depth, product) -> the temporary holding it
+        products: Dict[Tuple[int, Expr], Var] = {}
+
+        def prefix(factors: List[Expr], outer: List[Tuple[int, Expr]]) -> List[Expr]:
+            """``product(factors) * product(outer)`` as at most one
+            expression: each step of the chain is computed once, at the
+            depth where its last operand becomes valid (*outer* is sorted
+            by depth).  A lone factor stays itself, not a temporary."""
+            have = list(factors)
+            for depth in sorted({d for d, _ in outer}):
+                have += [x for d, x in outer if d == depth]
+                if len(have) < 2:
+                    continue
+                expr = BinOp("*", tuple(have))
+                if (depth, expr) not in products:
+                    w = Var("w%d" % self.prefix_counter, expr.type)
+                    self.prefix_counter += 1
+                    if w.type == ROW:
+                        row_buffer(w.name)
+                    pre_by_depth.setdefault(depth, []).append(
+                        Init(w, expr) if w.type == ROW else Let(w, expr)
                     )
-                pre_by_depth.setdefault(d, []).append(
-                    Init(ws, Const(REDUCE_IDENTITY[a.reduce_op]))
+                    products[depth, expr] = w
+                have = [products[depth, expr]]
+            return have
+
+        # every iteration of a loop at depth >= populated reaches the
+        # innermost statements: in a fibertree the fiber below a stored
+        # entry is never empty.  The fiber below a dense coordinate may
+        # be, and a triangle guard or an intersection may select nothing.
+        populated = innermost_depth
+        while populated >= 0:
+            kind, chain, level = sources[loop_indices[populated]]
+            if (
+                kind != "sparse"
+                or level == chain.view.dense_prefix
+                or loop_indices[populated] in enforce
+            ):
+                break
+            populated -= 1
+
+        def product(factors: List[Expr]) -> Expr:
+            return factors[0] if len(factors) == 1 else BinOp("*", tuple(factors))
+
+        def emit_factored(
+            a: Assignment,
+            count: List[Expr],
+            scale: List[Expr],
+            ops: List[Tuple[int, Expr]],
+            block_no: int,
+            stmts: List[Stmt],
+        ) -> bool:
+            """``lhs += count * scale * product(ops)`` of an unconditional
+            block, with every loop-invariant operand multiplied outside
+            the loops it is invariant over.  False, and nothing emitted,
+            when there is none: the caller then emits the flat form."""
+            target = self._out_target(a.lhs)
+            d = bound_depth(a.lhs.indices)
+            # by depth, then existing order: every backend sees one tree
+            ops = sorted(ops, key=lambda op: op[0])
+            if d >= innermost_depth:
+                # prefix products, going down: the target moves with the
+                # innermost loop; all that is bound above is one factor
+                outer = [op for op in ops if op[0] < innermost_depth]
+                if len(count) + len(outer) < 2:
+                    return False
+                inner = [x for depth, x in ops if depth >= innermost_depth]
+                stmts.append(
+                    Reduce(target, "+", product(prefix(count, outer) + scale + inner))
                 )
-                post_by_depth.setdefault(d, []).append(
-                    Reduce(self._out_target(a.lhs), a.reduce_op, ws)
+                return True
+            # suffix sums, coming up: an operand is applied at the level
+            # where it is bound, but not above the target's own level and
+            # not where an iteration may have accumulated nothing — there
+            # 0 * NaN would reach the output from a row no stored
+            # coordinate references
+            levels = [
+                min(innermost_depth, max(depth, d, populated)) for depth, _ in ops
+            ]
+            if innermost_depth not in levels or set(levels) == {innermost_depth}:
+                return False
+            above = sorted({at for at in levels if at > d}, reverse=True)
+            acc: List[Expr] = []
+            for at, live in zip(above, above[1:] + [d]):
+                term = product(
+                    (scale if at == innermost_depth else [])
+                    + [x for lvl, (_, x) in zip(levels, ops) if lvl == at]
+                    + acc
                 )
-                workspaces[key] = ws
-            return workspaces[key]
+                # one sum per distinct term: every assignment of the block
+                # left with the same inner factors reads the same one
+                ws, new = partial_sum((block_no, live, at, term), live, term.type, "+")
+                if new:
+                    fold = Reduce(ws, "+", term)
+                    if at == innermost_depth:
+                        stmts.append(fold)
+                    else:
+                        post_by_depth.setdefault(at, []).append(fold)
+                acc = [ws]
+            flush = prefix(count, [op for lvl, op in zip(levels, ops) if lvl == d])
+            post_by_depth.setdefault(d, []).append(
+                Reduce(target, "+", product(flush + acc))
+            )
+            return True
 
         # assemble statement lists for the innermost body
         innermost: List[Stmt] = []
@@ -521,30 +627,54 @@ class Lowerer:
             chain.view.tensor_filter == nest.tensor_filter
             for chain in chains.values()
         )
-        for block in nest.blocks:
+        for block_no, block in enumerate(nest.blocks):
             stmts: List[Stmt] = []
             scale: List[Expr] = []
             if block.factor_table is not None:
                 stmts.extend(self._emit_lut(block))
                 scale.append(Var("_f", ELEM))
+            cond = self._condition(block, nest, filter_realized)
             for a in block.assignments:
-                expr = BinOp(a.combine_op, tuple(operand(op) for op in a.operands))
-                if not expr.args:
-                    expr = Const(0.0)
-                count = []
+                ops = [operand(op) for op in a.operands]
+                count: List[Expr] = []
                 if a.count != 1:
                     if a.reduce_op != "+":
                         raise LoweringError(
                             "multiplicity %d under %r reduction" % (a.count, a.reduce_op)
                         )
                     count.append(Const(float(a.count)))
+                if (
+                    self.options.workspace
+                    and cond is None
+                    and ops
+                    and (a.reduce_op, a.combine_op) == ("+", "*")
+                    and emit_factored(a, count, scale, ops, block_no, stmts)
+                ):
+                    continue
+                # nothing to factor: one flat term, summed in a workspace
+                # when an outer loop fixes the target — the chain of
+                # length one, keyed by its target instead of its term
+                values = [x for _, x in ops]
+                expr: Expr = BinOp(a.combine_op, tuple(values)) if ops else Const(0.0)
                 if count or scale:
                     expr = BinOp("*", tuple(count + scale) + (expr,))
-                elif len(expr.args) == 1:
-                    expr = expr.args[0]
-                target = workspace_for(a) or self._out_target(a.lhs)
+                elif len(values) == 1:
+                    expr = values[0]
+                target: Union[Out, Var] = self._out_target(a.lhs)
+                d = bound_depth(a.lhs.indices)
+                if self.options.workspace and d < innermost_depth:
+                    row = self.vector_index in a.lhs.indices
+                    target, new = partial_sum(
+                        (a.lhs.tensor, a.lhs.indices),
+                        d,
+                        ROW if row else ELEM,
+                        a.reduce_op,
+                    )
+                    if new:
+                        post_by_depth.setdefault(d, []).append(
+                            Reduce(self._out_target(a.lhs), a.reduce_op, target)
+                        )
                 stmts.append(Reduce(target, a.reduce_op, expr))
-            cond = self._condition(block, nest, filter_realized)
             if cond is None:
                 innermost.extend(stmts)
             else:

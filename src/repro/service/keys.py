@@ -50,7 +50,10 @@ from repro.frontend.parser import parse_assignment
 #: v6: C-backend requests key the active optimization-pass set
 #: (REPRO_PASSES / REPRO_TILE), so builds under different pass pipelines
 #: never alias one another in cache or store.
-KEY_VERSION = 6
+#: v7: lowering factors workspaces; the default pass set tiles — an entry
+#: persisted before holds a correct but slower program under the same
+#: key material and would be served forever.
+KEY_VERSION = 7
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.harness import TimingStats
 
-#: tile-pass row-block sizes the grid explores (0 = size at run time).
-TILE_SIZES = (0, 32, 64, 128)
+#: pinned tile-pass row-block sizes the grid explores beside the default
+#: (sized at run time).
+TILE_SIZES = (32, 64, 128)
 
 
 class VariantRejected(Exception):
@@ -74,14 +75,15 @@ def variant_space(
     """The grid for one machine: compile-level axes x runtime threads.
 
     Compile axes: the default pass set, no passes at all, the tile pass
-    at each block size, and fission (the scatter-splitting prerequisite
-    for better parallel scaling).  Runtime axes: serial plus the powers
+    off and at each pinned block size, and fission (the
+    scatter-splitting prerequisite for better parallel scaling).  Runtime axes: serial plus the powers
     of two up to the visible cpu count; threaded variants additionally
     try the ``atomic`` scatter strategy — the bit-identity gate rejects
     it wherever atomics reorder a ``+`` reduction, which is exactly the
     measurement the guess-based default could never make.
     """
     compile_axes: List[Tuple[str, int]] = [("default", 0), ("none", 0)]
+    compile_axes.append(("default,-tile", 0))
     compile_axes += [("default,+tile", t) for t in tile_sizes]
     compile_axes.append(("default,+fission", 0))
 

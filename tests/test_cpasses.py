@@ -51,7 +51,7 @@ def _lowered(name):
 # the $REPRO_PASSES grammar
 # ----------------------------------------------------------------------
 def test_default_set_is_the_bit_exact_never_regressing_passes():
-    assert parse_passes("") == DEFAULT_ON == ("fuse", "simd")
+    assert parse_passes("") == DEFAULT_ON == ("fuse", "tile", "simd")
 
 
 def test_none_all_default_reset_the_working_set():
@@ -64,9 +64,10 @@ def test_none_all_default_reset_the_working_set():
 
 
 def test_plus_minus_bang_prefixes():
-    assert parse_passes("+fission") == ("fission", "fuse", "simd")
-    assert parse_passes("-fuse") == ("simd",)
-    assert parse_passes("!simd,-fuse") == ()
+    assert parse_passes("+fission") == ("fission", "fuse", "tile", "simd")
+    assert parse_passes("-fuse") == ("tile", "simd")
+    assert parse_passes("!simd,-fuse") == ("tile",)
+    assert parse_passes("-tile") == ("fuse", "simd")
     assert parse_passes("all,-denormals") == (
         "fission",
         "fuse",
@@ -141,6 +142,7 @@ def test_active_config_honors_env(monkeypatch):
 # ----------------------------------------------------------------------
 GOLDEN_CASES = {
     "ssymv_none": ("ssymv", PassConfig(enabled=())),
+    "mttkrp3d_none": ("mttkrp3d", PassConfig(enabled=())),
     "ssymv_denormals": ("ssymv", PassConfig(enabled=("denormals",))),
     "ssymv_fission": ("ssymv", PassConfig(enabled=("fission",))),
     "mttkrp3d_fuse": ("mttkrp3d", PassConfig(enabled=("fuse",))),
@@ -322,6 +324,21 @@ def test_pass_output_bit_identical_to_python(name, passes, monkeypatch):
     assert np.asarray(serial).tobytes() == np.asarray(ref).tobytes()
     threaded = c_kernel.finalize(c_kernel.run(prepared, shape, threads=3))
     assert np.asarray(threaded).tobytes() == np.asarray(ref).tobytes()
+
+
+@needs_cc
+def test_default_tiling_over_several_blocks_is_bit_identical(monkeypatch):
+    """The run-time block count exceeds one only past 1 MiB of output:
+    512 rows of 4 KiB make two blocks (the density cap allows six)."""
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((512, 64)) * (rng.random((512, 64)) < 0.05)
+    spec = get_kernel("ssyrk")
+    results = {}
+    for passes, backend in (("", "python"), ("", "c"), ("-tile", "c")):
+        monkeypatch.setenv("REPRO_PASSES", passes)
+        kernel = spec.compile(options=DEFAULT.but(backend=backend, threads=1))
+        results[passes, backend] = np.asarray(kernel(A=A)).tobytes()
+    assert len(set(results.values())) == 1
 
 
 # ----------------------------------------------------------------------

@@ -53,6 +53,16 @@ def test_index_named_like_a_lowerer_temporary_is_rejected(index, symmetric, back
         )
 
 
+def test_index_named_like_a_prefix_product_is_rejected():
+    # 2 * x[w0] is hoisted into the temporary w0
+    with pytest.raises(LoweringError, match="'w0'"):
+        compile_kernel(
+            "y[i] += 2 * A[i, w0] * x[w0]",
+            symmetric={"A": True},
+            options=DEFAULT.but(backend="python"),
+        )
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("loop_order", [("q0_1", "i"), ("i", "q0_1")])
 def test_index_named_like_a_position_variable_is_rejected(loop_order, backend):

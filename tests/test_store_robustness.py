@@ -11,6 +11,7 @@ assert the next lookup still serves a working kernel.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.codegen.backends import get_backend
 from repro.core.compiler import STATE_VERSION
 from repro.core.config import DEFAULT
 from repro.service import KernelService
-from repro.service.keys import cache_key
+from repro.service.keys import KEY_VERSION, cache_key, canonicalize
 from repro.service.store import DiskStore
 from tests.conftest import replace_node
 
@@ -210,6 +211,27 @@ def test_truncated_json_is_a_miss_and_evicted(tmp_path):
     assert not path.exists()
     kernel = KernelService(store=tmp_path).get_or_compile(EINSUM, **SPEC)
     _check_runs(kernel)
+
+
+# ----------------------------------------------------------------------
+# stale KEY_VERSION
+# ----------------------------------------------------------------------
+def test_entry_under_the_previous_key_version_is_a_miss_not_an_error(tmp_path):
+    """A v6 entry holds the unfactored, untiled program of the same
+    request — correct but slower.  It must be unreachable: the lookup
+    misses and recompiles, nothing is counted as damage or evicted."""
+    key = _warm(tmp_path)
+    material = canonicalize(EINSUM, **SPEC).key_material()
+    assert KEY_VERSION == 7 and material.startswith("v7|")
+    old_key = hashlib.sha256(("v6" + material[2:]).encode("utf-8")).hexdigest()
+    (tmp_path / ("%s.json" % key)).rename(tmp_path / ("%s.json" % old_key))
+
+    service = KernelService(store=tmp_path)
+    _check_runs(service.get_or_compile(EINSUM, **SPEC))
+    assert service.stats().compiles == 1
+    assert service.store.misses == 1 and service.store.errors == 0
+    assert (tmp_path / ("%s.json" % old_key)).exists()
+    assert (tmp_path / ("%s.json" % key)).exists()
 
 
 # ----------------------------------------------------------------------
