@@ -228,9 +228,11 @@ int64_t kernel(double *restrict out,
                     i = A__strict_idx2[q0_2];
                     t0 = A__strict_vals[q0_2];
                     t3 = B + (i) * B_dims[1];
-                    for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += (w1[_v] * t0); ws0[_v] += (t0 * t3[_v]); }
+                    for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += (w1[_v] * t0); }
+                    for (_v = 0; _v < n_j; ++_v) { ws0[_v] += (t0 * t3[_v]); }
                 }
-                for (_v = 0; _v < n_j; ++_v) { out[(k) * out_dims[1] + _v] += (w0[_v] * ws0[_v]); ws1[_v] += (t2[_v] * ws0[_v]); }
+                for (_v = 0; _v < n_j; ++_v) { out[(k) * out_dims[1] + _v] += (w0[_v] * ws0[_v]); }
+                for (_v = 0; _v < n_j; ++_v) { ws1[_v] += (t2[_v] * ws0[_v]); }
             }
             for (_v = 0; _v < n_j; ++_v) { out[(l) * out_dims[1] + _v] += (2.0 * ws1[_v]); }
         }
@@ -341,7 +343,8 @@ int64_t kernel(double *restrict out,
                         for (_v = 0; _v < n_j; ++_v) { ws2[_v] += (2.0 * ((t4 * t5[_v]) * t7[_v])); }
                     }
                     if (((i == k) && (k < l))) {
-                        for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += (2.0 * ((t4 * t5[_v]) * t6[_v])); ws3[_v] += ((t4 * t6[_v]) * t7[_v]); }
+                        for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += (2.0 * ((t4 * t5[_v]) * t6[_v])); }
+                        for (_v = 0; _v < n_j; ++_v) { ws3[_v] += ((t4 * t6[_v]) * t7[_v]); }
                     }
                 }
                 for (_v = 0; _v < n_j; ++_v) { out[(k) * out_dims[1] + _v] += ws2[_v]; }

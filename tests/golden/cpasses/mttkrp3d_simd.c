@@ -117,11 +117,15 @@ int64_t kernel(double *restrict out,
     int64_t i = 0, k = 0, l = 0, q0_1 = 0, q0_2 = 0, _v = 0;
     double t0 = 0.0, t4 = 0.0;
     const double *t1 = 0, *t2 = 0, *t3 = 0, *t5 = 0, *t6 = 0, *t7 = 0;
+    double *w0 = (double *) malloc((size_t)(n_j) * sizeof(double));
+    double *w1 = (double *) malloc((size_t)(n_j) * sizeof(double));
     double *ws0 = (double *) malloc((size_t)(n_j) * sizeof(double));
     double *ws1 = (double *) malloc((size_t)(n_j) * sizeof(double));
     double *ws2 = (double *) malloc((size_t)(n_j) * sizeof(double));
     double *ws3 = (double *) malloc((size_t)(n_j) * sizeof(double));
-    if (!ws0 || !ws1 || !ws2 || !ws3) {
+    if (!w0 || !w1 || !ws0 || !ws1 || !ws2 || !ws3) {
+        free(w0);
+        free(w1);
         free(ws0);
         free(ws1);
         free(ws2);
@@ -142,9 +146,11 @@ int64_t kernel(double *restrict out,
                 int64_t _v = 0, i = 0, k = 0, q0_1 = 0, q0_2 = 0;
                 double t0 = 0.0;
                 const double *t1 = 0, *t2 = 0, *t3 = 0;
+                double *w0 = (double *) malloc((size_t) (n_j) * sizeof(double));
+                double *w1 = (double *) malloc((size_t) (n_j) * sizeof(double));
                 double *ws0 = (double *) malloc((size_t) (n_j) * sizeof(double));
                 double *ws1 = (double *) malloc((size_t) (n_j) * sizeof(double));
-                if (!ws0 || !ws1) {
+                if (!w0 || !w1 || !ws0 || !ws1) {
                     #pragma omp atomic write
                     rp_oom = 1;
                 }
@@ -154,10 +160,14 @@ int64_t kernel(double *restrict out,
                     for (l = 0; l < n_l; ++l) {
                         t1 = B + (l) * B_dims[1];
                         #pragma omp simd
+                        for (_v = 0; _v < n_j; ++_v) { w0[_v] = (2.0 * t1[_v]); }
+                        #pragma omp simd
                         for (_v = 0; _v < n_j; ++_v) { ws1[_v] = 0.0; }
                         for (q0_1 = A__strict_pos1[l]; q0_1 < A__strict_pos1[(l + 1)]; ++q0_1) {
                             k = A__strict_idx1[q0_1];
                             t2 = B + (k) * B_dims[1];
+                            #pragma omp simd
+                            for (_v = 0; _v < n_j; ++_v) { w1[_v] = (w0[_v] * t2[_v]); }
                             #pragma omp simd
                             for (_v = 0; _v < n_j; ++_v) { ws0[_v] = 0.0; }
                             for (q0_2 = A__strict_pos2[q0_1]; q0_2 < A__strict_pos2[(q0_1 + 1)]; ++q0_2) {
@@ -168,25 +178,27 @@ int64_t kernel(double *restrict out,
                                     if (!rp_dst) {
                                         #pragma omp atomic write
                                         rp_oom = 1;
-                                    } else { for (_v = 0; _v < n_j; ++_v) { rp_dst[_v] = (2.0 * ((t0 * t1[_v]) * t2[_v])); } } }
+                                    } else { for (_v = 0; _v < n_j; ++_v) { rp_dst[_v] = (w1[_v] * t0); } } }
                                 #pragma omp simd
-                                for (_v = 0; _v < n_j; ++_v) { ws0[_v] += (2.0 * ((t0 * t1[_v]) * t3[_v])); }
-                                #pragma omp simd
-                                for (_v = 0; _v < n_j; ++_v) { ws1[_v] += (2.0 * ((t0 * t2[_v]) * t3[_v])); }
+                                for (_v = 0; _v < n_j; ++_v) { ws0[_v] += (t0 * t3[_v]); }
                             }
                             { double *rp_dst = repro_log_slot(rp_my, (k) * out_dims[1], n_j);
                                 if (!rp_dst) {
                                     #pragma omp atomic write
                                     rp_oom = 1;
-                                } else { for (_v = 0; _v < n_j; ++_v) { rp_dst[_v] = ws0[_v]; } } }
+                                } else { for (_v = 0; _v < n_j; ++_v) { rp_dst[_v] = (w0[_v] * ws0[_v]); } } }
+                            #pragma omp simd
+                            for (_v = 0; _v < n_j; ++_v) { ws1[_v] += (t2[_v] * ws0[_v]); }
                         }
                         { double *rp_dst = repro_log_slot(rp_my, (l) * out_dims[1], n_j);
                             if (!rp_dst) {
                                 #pragma omp atomic write
                                 rp_oom = 1;
-                            } else { for (_v = 0; _v < n_j; ++_v) { rp_dst[_v] = ws1[_v]; } } }
+                            } else { for (_v = 0; _v < n_j; ++_v) { rp_dst[_v] = (2.0 * ws1[_v]); } } }
                     }
                 }
+                free(w0);
+                free(w1);
                 free(ws0);
                 free(ws1);
             }
@@ -212,10 +224,14 @@ int64_t kernel(double *restrict out,
         for (l = 0; l < n_l; ++l) {
             t1 = B + (l) * B_dims[1];
             #pragma omp simd
+            for (_v = 0; _v < n_j; ++_v) { w0[_v] = (2.0 * t1[_v]); }
+            #pragma omp simd
             for (_v = 0; _v < n_j; ++_v) { ws1[_v] = 0.0; }
             for (q0_1 = A__strict_pos1[l]; q0_1 < A__strict_pos1[(l + 1)]; ++q0_1) {
                 k = A__strict_idx1[q0_1];
                 t2 = B + (k) * B_dims[1];
+                #pragma omp simd
+                for (_v = 0; _v < n_j; ++_v) { w1[_v] = (w0[_v] * t2[_v]); }
                 #pragma omp simd
                 for (_v = 0; _v < n_j; ++_v) { ws0[_v] = 0.0; }
                 for (q0_2 = A__strict_pos2[q0_1]; q0_2 < A__strict_pos2[(q0_1 + 1)]; ++q0_2) {
@@ -223,17 +239,17 @@ int64_t kernel(double *restrict out,
                     t0 = A__strict_vals[q0_2];
                     t3 = B + (i) * B_dims[1];
                     #pragma omp simd
-                    for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += (2.0 * ((t0 * t1[_v]) * t2[_v])); }
+                    for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += (w1[_v] * t0); }
                     #pragma omp simd
-                    for (_v = 0; _v < n_j; ++_v) { ws0[_v] += (2.0 * ((t0 * t1[_v]) * t3[_v])); }
-                    #pragma omp simd
-                    for (_v = 0; _v < n_j; ++_v) { ws1[_v] += (2.0 * ((t0 * t2[_v]) * t3[_v])); }
+                    for (_v = 0; _v < n_j; ++_v) { ws0[_v] += (t0 * t3[_v]); }
                 }
                 #pragma omp simd
-                for (_v = 0; _v < n_j; ++_v) { out[(k) * out_dims[1] + _v] += ws0[_v]; }
+                for (_v = 0; _v < n_j; ++_v) { out[(k) * out_dims[1] + _v] += (w0[_v] * ws0[_v]); }
+                #pragma omp simd
+                for (_v = 0; _v < n_j; ++_v) { ws1[_v] += (t2[_v] * ws0[_v]); }
             }
             #pragma omp simd
-            for (_v = 0; _v < n_j; ++_v) { out[(l) * out_dims[1] + _v] += ws1[_v]; }
+            for (_v = 0; _v < n_j; ++_v) { out[(l) * out_dims[1] + _v] += (2.0 * ws1[_v]); }
         }
     }
     #if defined(_OPENMP)
@@ -363,6 +379,8 @@ int64_t kernel(double *restrict out,
             for (_v = 0; _v < n_j; ++_v) { out[(l) * out_dims[1] + _v] += ws3[_v]; }
         }
     }
+    free(w0);
+    free(w1);
     free(ws0);
     free(ws1);
     free(ws2);

@@ -158,6 +158,12 @@ int64_t kernel(double *restrict out,
         {
             int64_t rp_tile = 1048576 / ((out_dims[1] > 0 ? out_dims[1] : 1) * (int64_t) sizeof(double));
             if (rp_tile < 8) { rp_tile = 8; }
+            int64_t rp_nb = (out_dims[0] + rp_tile - 1) / rp_tile;
+            int64_t rp_cap = (n_k) > 0 ? A__full_p10_pos1[n_k] / (4 * (n_k)) : 0;
+            if (rp_nb > rp_cap) { rp_nb = rp_cap; }
+            if (rp_nb < 1) { rp_nb = 1; }
+            rp_tile = (out_dims[0] + rp_nb - 1) / rp_nb;
+            if (rp_tile < 1) { rp_tile = 1; }
             int64_t rp_tb, rp_thi;
             for (rp_tb = 0; rp_tb < out_dims[0]; rp_tb += rp_tile) {
                 rp_thi = rp_tb + rp_tile;
