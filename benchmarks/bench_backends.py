@@ -125,24 +125,6 @@ def test_threaded_c_at_least_2x_on_two_figure_kernels():
     assert len(scaled) >= 2, "only %s reached 2x at 4 threads" % (scaled,)
 
 
-@needs_cc
-@pytest.mark.slow
-def test_tile_pass_wins_on_ssyrk():
-    """Acceptance: the cache-blocking tile pass is a >= 1.15x median win
-    over the pass-less build on a figure kernel (bit-identically —
-    bench_pass_sets aborts on any output difference)."""
-    results = bench_pass_sets(repeats=5)
-    entries = pass_trajectory_entries(results)
-    wins = [
-        e["speedup_vs_none"]
-        for e in entries.values()
-        if "speedup_vs_none" in e
-    ]
-    assert wins and max(wins) >= 1.15, (
-        "tile pass only %.2fx over passes=none" % max(wins or [0.0])
-    )
-
-
 def main(argv) -> int:
     if not get_backend("c").is_available():
         print("no working C toolchain — nothing to compare")

@@ -31,12 +31,18 @@ Passes (pipeline order — mirroring Devito's
     block of output rows stays cache-resident across the whole structure
     walk.  Bit-identical because all writes to one output element share
     the same blocked coordinate, so per-element write order is the serial
-    order.
+    order.  On by default: the block count is chosen at run time, about
+    1 MiB of output rows per block and never more blocks than a quarter
+    of the mean fiber length, which keeps the re-walk under a quarter of
+    the nest's updates (proof sketch and measured shapes in
+    :mod:`~repro.codegen.backends.cpasses.tile`).
 ``simd``
     ``#pragma omp simd`` on the provably element-disjoint vector loops.
 
-Every pass preserves bit-identity with the Python backend (``denormals``
-excepted, hence default-off); the cross-backend differential fuzzer
+Default set: ``fuse``, ``tile``, ``simd``.  Every pass preserves
+bit-identity with the Python backend (``denormals`` excepted, hence
+default-off; ``fission`` reshapes iteration for parallel scaling and is
+opt-in); the cross-backend differential fuzzer
 sweeps pass subsets to enforce this per pass.  The resolved pass set
 keys the service cache (see :mod:`repro.service.keys`) so differently
 transformed kernels never alias.

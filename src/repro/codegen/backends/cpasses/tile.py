@@ -20,19 +20,50 @@ the fiber coordinate read —
 sorted ascending — once ``j`` leaves the block no later entry of that
 fiber can belong to it — which makes the re-walk cheap: each fiber scan
 stops at the block's upper row.  A block of output rows stays
-cache-resident across one full structure walk (measured 1.3–2.8x on
-dense-row SSYRK at n in the thousands).
+cache-resident across one full structure walk.
 
 Bit-identity argument.  Every write to one output element carries the
 same blocked coordinate ``j``, so all of an element's writes land in
 exactly one block; within that block's pass, iteration order is the
 serial order restricted to a subset.  Per-element accumulation order is
-therefore exactly the serial order — bit-identical results.
+therefore exactly the serial order — bit-identical results, for any
+block count.
 
-The block size defaults to keeping roughly 1 MiB of output rows resident
-(``$REPRO_TILE`` pins an explicit row count).  The annotation applies to
-serial emission only; OpenMP bodies replay in untiled serial order and
-stay bit-identical by the existing replay argument.
+Block count (the pass is on by default, so it has to bound its own
+cost).  The block height is sized at run time: about 1 MiB of output
+rows per block, but at most ``max(1, c / 4)`` blocks, where
+``c = pos[n] / n`` is the mean length of the ``n`` fibers the nest walks
+(:func:`auto_tile_rows`; ``$REPRO_TILE`` pins a row count instead).  Why
+a quarter: every block re-walks each fiber up to its upper row, which
+reads at most ``blocks / 2 * nnz <= c * nnz / 8`` index entries, while
+the nest performs ``sum(c_f ** 2) / 2 >= c * nnz / 2`` updates
+(Cauchy-Schwarz, any fiber-length distribution) — the extra sequential
+compares stay under a quarter of the read-modify-write updates even
+where blocking buys no locality at all.  Without the cap, "1 MiB per
+block" loses whenever there are more blocks than the fibers have entries
+to amortise them over.  SSYRK on uniform random operands, one pinned
+CPU, default passes against ``-tile`` interleaved (2 MiB L2; the first
+column is what the 1 MiB rule alone would pick):
+
+==========================  ====  ======  ======  =====================
+output, stored entries      c     1 MiB   blocks  tiled vs untiled
+==========================  ====  ======  ======  =====================
+1200 x 1200, nnz 48 000     40    12      10      1.75x faster
+1200 x 1200, nnz 12 000     10    12      2       1.05-1.08x slower
+3000 x 3000, nnz 60 000     20    70      5       equal
+3000 x 3000, nnz 300 000    100   70      25      2.0x faster
+600 x 600, nnz 12 000       20    3       3       1.09x slower (20 us)
+192 x 192, nnz 2 000        10    1       1       equal
+==========================  ====  ======  ======  =====================
+
+(Pinned at 10 blocks, the second shape is 1.5x slower.)  What the bound
+does not model is the fixed cost of visiting a fiber once more per block
+— two unpredictable branches — which is what the two sub-millisecond
+shapes lose.
+
+The annotation applies to serial emission only; OpenMP bodies replay in
+untiled serial order and stay bit-identical by the existing replay
+argument.
 """
 
 from __future__ import annotations

@@ -24,9 +24,10 @@ allocations and a ``body`` of top-level statements):
   bound to one index.
 * :class:`Let` — a hoisted read (common tensor access elimination) or
   the lookup-table code/factor pair.
-* :class:`Init` / :class:`Reduce` — workspace reset and every reduction
-  update (``+=`` / ``min`` / ``max``, scalar or row) onto ``out[...]``
-  or a workspace.
+* :class:`Init` / :class:`Reduce` — workspace overwrite (the reset of a
+  partial sum, or a row-valued product of loop-invariant operands) and
+  every reduction update (``+=`` / ``min`` / ``max``, scalar or row)
+  onto ``out[...]`` or a workspace.
 * :class:`If`, :class:`WorkspaceAlloc`, :class:`LutDef`.
 * :class:`Fused` / :class:`Tiled` — products of the loop passes.
 

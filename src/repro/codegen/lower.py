@@ -14,7 +14,51 @@ here:
   bound (loop-invariant code motion included);
 * **workspace transformation (4.2.8)** — updates whose output coordinates
   are fixed by an outer loop accumulate into a scalar/vector workspace and
-  are flushed when that loop advances.
+  are flushed when that loop advances.  The workspaces are
+  *hierarchical*: a ``+``-reduced product does not multiply an operand
+  inside a loop it is invariant over.  Every operand knows the depth at
+  which it becomes valid, and that is used in both directions:
+
+  - *suffix sums, coming up.*  Only the operands bound by the innermost
+    loop are accumulated there, into a partial sum that lives one
+    operand level up; when that level's iteration ends the sum is folded
+    into the next one, times the operands bound at that level; at the
+    target's own level it is flushed, times the multiplicity and whatever
+    is bound further out.  Partial sums are keyed by their term, so the
+    assignments of a block that are left with the same inner factors
+    share one — in MTTKRP ``sum_i A*B[i]`` is accumulated once and feeds
+    ``out[k]`` and, through one more fold per level, every outer row.
+  - *prefix products, going down.*  For an update whose target moves
+    with the innermost loop (``out[i] += c*A*B[k]*B[l]``) the product of
+    the multiplicity and the operands bound further out is computed once
+    per level, where its last operand becomes valid (an element ``Let``,
+    or a row temporary written by an ``Init``).  The same prefix is the
+    factor of the flushes above.
+
+  The inner loop of an order-N MTTKRP is then two statements of one
+  multiply each, whatever N.  Four rules bound the rewrite:
+
+  1. only ``+`` over ``*`` — it is distributivity;
+  2. only in an *unconditional* block, and an operand is never applied at
+     a level where an iteration may have accumulated nothing (below a
+     dense coordinate, a triangle guard or an intersection — in a
+     fibertree the fiber below a *stored* entry is never empty): a sum
+     that stayed 0 would be flushed as ``0 * B[l]``, and a NaN or inf in a
+     row no stored coordinate references would reach the output, which it
+     cannot when the whole product sits under the condition.  Such
+     operands stay in the inner term (SYPRD's ``x[j]``: a column may be
+     empty), and conditional blocks keep the flat accumulation;
+  3. the lookup-table scale ``_f`` depends on every permutable index and
+     stays in the innermost term; the multiplicity is a constant and is
+     applied once, at the flush;
+  4. operands are ordered by depth, then as written, so python / c /
+     c@threads evaluate one tree.  A prefix of a single factor is that
+     factor, not a temporary, and an assignment from which nothing is
+     factored is emitted as the flat form — one workspace per target,
+     the chain of length one.
+
+  ``CompilerOptions.workspace`` governs all of it (off: no partial sums,
+  no prefix products — the naive baseline).
 
 Canonical-triangle restriction is *free* when a symmetric input is iterated:
 its packed view only stores canonical coordinates.  When the chain is not
@@ -592,17 +636,17 @@ class Lowerer:
             # not where an iteration may have accumulated nothing — there
             # 0 * NaN would reach the output from a row no stored
             # coordinate references
-            levels = [
+            applied = [
                 min(innermost_depth, max(depth, d, populated)) for depth, _ in ops
             ]
-            if innermost_depth not in levels or set(levels) == {innermost_depth}:
+            if innermost_depth not in applied or set(applied) == {innermost_depth}:
                 return False
-            above = sorted({at for at in levels if at > d}, reverse=True)
+            above = sorted({at for at in applied if at > d}, reverse=True)
             acc: List[Expr] = []
             for at, live in zip(above, above[1:] + [d]):
                 term = product(
                     (scale if at == innermost_depth else [])
-                    + [x for lvl, (_, x) in zip(levels, ops) if lvl == at]
+                    + [x for lvl, (_, x) in zip(applied, ops) if lvl == at]
                     + acc
                 )
                 # one sum per distinct term: every assignment of the block
@@ -615,7 +659,7 @@ class Lowerer:
                     else:
                         post_by_depth.setdefault(at, []).append(fold)
                 acc = [ws]
-            flush = prefix(count, [op for lvl, op in zip(levels, ops) if lvl == d])
+            flush = prefix(count, [op for lvl, op in zip(applied, ops) if lvl == d])
             post_by_depth.setdefault(d, []).append(
                 Reduce(target, "+", product(flush + acc))
             )
