@@ -42,8 +42,8 @@ compares stay under a quarter of the read-modify-write updates even
 where blocking buys no locality at all.  Without the cap, "1 MiB per
 block" loses whenever there are more blocks than the fibers have entries
 to amortise them over.  SSYRK on uniform random operands, one pinned
-CPU, default passes against ``-tile`` interleaved (2 MiB L2; the first
-column is what the 1 MiB rule alone would pick):
+CPU, default passes against ``-tile`` interleaved (2 MiB L2; the
+``1 MiB`` column is what that rule alone would pick):
 
 ==========================  ====  ======  ======  =====================
 output, stored entries      c     1 MiB   blocks  tiled vs untiled

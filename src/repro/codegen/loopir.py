@@ -493,8 +493,8 @@ def verify(kernel: Kernel) -> None:
     """Every name means one thing: arguments are distinct, a local has
     one type and shadows no argument, and nothing rebinds the variable
     of a loop it runs inside.  An einsum index or tensor named like a
-    lowerer temporary (``t0``, ``ws0``, ``w0``, ``q0_1``, ``n_j``) fails here,
-    at compile time, on every backend."""
+    lowerer temporary (``t0``, ``ws0``, ``w0``, ``q0_1``, ``n_j``) fails
+    here, at compile time, on every backend."""
     args = ["out", "np"] + [a.name for a in kernel.args]
     for name in args:
         if args.count(name) > 1:

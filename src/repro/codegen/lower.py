@@ -503,15 +503,21 @@ class Lowerer:
         pre_by_depth: Dict[int, List[Stmt]] = {}
         post_by_depth: Dict[int, List[Stmt]] = {}
 
+        def bound_depth(indices: Sequence[str]) -> int:
+            """Depth of the innermost loop binding one of *indices*."""
+            return max(
+                [depth_of[i] for i in indices if i != self.vector_index],
+                default=-1,
+            )
+
         def read_expr(acc: Access) -> Tuple[Expr, int]:
             """Expression for an access + depth at which it becomes valid."""
             if acc in access_chain:
                 chain = access_chain[acc]
-                return chain.value(), max(depth_of[i] for i in chain.indices)
+                return chain.value(), bound_depth(chain.indices)
             array, storage_indices = access_dense[acc]
             coords = [i for i in storage_indices if i != self.vector_index]
-            depth = max([depth_of[i] for i in coords], default=-1)
-            return Load(array, tuple(Var(i, INT) for i in coords)), depth
+            return Load(array, tuple(Var(i, INT) for i in coords)), bound_depth(coords)
 
         def operand(acc_or_lit) -> Tuple[int, Expr]:
             """An operand's value and the depth at which it becomes valid."""
@@ -528,13 +534,6 @@ class Lowerer:
             return depth, reads[acc_or_lit]
 
         innermost_depth = len(loop_indices) - 1
-
-        def bound_depth(indices: Sequence[str]) -> int:
-            """Depth of the innermost loop binding one of *indices*."""
-            return max(
-                [depth_of[i] for i in indices if i != self.vector_index],
-                default=-1,
-            )
 
         def row_buffer(name: str) -> None:
             self.preamble.append(

@@ -75,15 +75,17 @@ def variant_space(
     """The grid for one machine: compile-level axes x runtime threads.
 
     Compile axes: the default pass set, no passes at all, the tile pass
-    off and at each pinned block size, and fission (the
-    scatter-splitting prerequisite for better parallel scaling).  Runtime axes: serial plus the powers
-    of two up to the visible cpu count; threaded variants additionally
+    off and at each pinned block size, and fission (the scatter-splitting
+    prerequisite for better parallel scaling).  Runtime axes: serial plus
+    the powers of two up to the visible cpu count; threaded variants
+    additionally
     try the ``atomic`` scatter strategy — the bit-identity gate rejects
     it wherever atomics reorder a ``+`` reduction, which is exactly the
     measurement the guess-based default could never make.
     """
-    compile_axes: List[Tuple[str, int]] = [("default", 0), ("none", 0)]
-    compile_axes.append(("default,-tile", 0))
+    compile_axes: List[Tuple[str, int]] = [
+        ("default", 0), ("none", 0), ("default,-tile", 0)
+    ]
     compile_axes += [("default,+tile", t) for t in tile_sizes]
     compile_axes.append(("default,+fission", 0))
 
