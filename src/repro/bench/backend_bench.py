@@ -216,7 +216,7 @@ def bench_pass_sets(
     dtype: str = "float64",
 ) -> List[BenchResult]:
     """Time kernels under a loop-pass selection against the unoptimized
-    pipeline (``REPRO_PASSES=none``), single-threaded.
+    pipeline (the ``none`` pass set), single-threaded.
 
     Both builds run the same prepared arguments and must agree bitwise
     before any timing is reported — the pass pipeline's contract is
@@ -224,62 +224,58 @@ def bench_pass_sets(
     build so the standard ``speedups`` accounting reports the pass win
     directly.
     """
-    import os
+    from dataclasses import replace
 
-    from repro.codegen.backends.cpasses import active_pass_config
+    from repro.codegen.backends.cpasses import PassConfig, parse_passes
+    from repro.service.keys import canonicalize
 
     results: List[BenchResult] = []
-    saved = os.environ.get("REPRO_PASSES")
-    try:
-        for name, n, nnz_per_row, passes in configs:
-            spec = get_kernel(name)
-            inputs = _inputs_for(name, int(n), float(nnz_per_row))
-            stats: Dict[str, TimingStats] = {}
-
-            os.environ["REPRO_PASSES"] = "none"
-            kernel = spec.compile(options=DEFAULT.but(backend="c", dtype=dtype))
+    for name, n, nnz_per_row, passes in configs:
+        spec = get_kernel(name)
+        inputs = _inputs_for(name, int(n), float(nnz_per_row))
+        request = canonicalize(
+            spec.einsum,
+            symmetric=dict(spec.symmetric),
+            loop_order=spec.loop_order,
+            formats=dict(spec.formats),
+            options=DEFAULT.but(backend="c", dtype=dtype),
+        )
+        stats: Dict[str, TimingStats] = {}
+        outputs = {}
+        # the same resolved request twice, differing only in the pass set
+        for column, enabled in (("naive", ()), ("c", parse_passes(passes))):
+            config = replace(request.codegen, passes=PassConfig(enabled))
+            kernel = replace(request, codegen=config).compile()
             prepared, shape = kernel.prepare(**inputs)
-            base_out = kernel.finalize(kernel.run(prepared, shape, threads=1))
-            stats["naive"] = time_callable_stats(
+            outputs[column] = np.asarray(
+                kernel.finalize(kernel.run(prepared, shape, threads=1))
+            )
+            stats[column] = time_callable_stats(
                 lambda k=kernel, p=prepared, s=shape: k.run(p, s, threads=1),
                 repeats=repeats,
             )
-
-            os.environ["REPRO_PASSES"] = passes
-            signature = active_pass_config().signature()
-            kernel = spec.compile(options=DEFAULT.but(backend="c", dtype=dtype))
-            prepared, shape = kernel.prepare(**inputs)
-            pass_out = kernel.finalize(kernel.run(prepared, shape, threads=1))
-            if not np.array_equal(np.asarray(base_out), np.asarray(pass_out)):
-                raise AssertionError(
-                    "pass set %r changes %s output — refusing to report "
-                    "timings" % (signature, name)
-                )
-            stats["c"] = time_callable_stats(
-                lambda k=kernel, p=prepared, s=shape: k.run(p, s, threads=1),
-                repeats=repeats,
+        signature = config.passes.signature()
+        if not np.array_equal(outputs["naive"], outputs["c"]):
+            raise AssertionError(
+                "pass set %r changes %s output — refusing to report "
+                "timings" % (signature, name)
             )
 
-            result = BenchResult(
-                figure="passes",
-                workload=name,
-                params={
-                    "n": int(n),
-                    "nnz_per_row": float(nnz_per_row),
-                    "nnz_canonical": int(inputs["A"].nnz),
-                    "passes": signature,
-                    "dtype": dtype,
-                },
-                times={m: s.best for m, s in stats.items()},
-                expected_speedup=1.15,
-            )
-            result.stats = stats
-            results.append(result)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_PASSES", None)
-        else:
-            os.environ["REPRO_PASSES"] = saved
+        result = BenchResult(
+            figure="passes",
+            workload=name,
+            params={
+                "n": int(n),
+                "nnz_per_row": float(nnz_per_row),
+                "nnz_canonical": int(inputs["A"].nnz),
+                "passes": signature,
+                "dtype": dtype,
+            },
+            times={m: s.best for m, s in stats.items()},
+            expected_speedup=1.15,
+        )
+        result.stats = stats
+        results.append(result)
     return results
 
 

@@ -19,20 +19,15 @@ from typing import List, Optional
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    import os
-
     from repro import obs
     from repro.codegen.backends import BackendError
-    from repro.core.compiler import compile_kernel
+    from repro.codegen.backends.base import CodegenConfig
     from repro.core.config import DEFAULT
     from repro.core.analysis import describe_cost
     from repro.core.printer import finch_syntax
+    from repro.frontend.parser import parse_assignment
+    from repro.service.keys import canonicalize
 
-    if args.passes is not None:
-        # the pass pipeline is configured through the environment (the
-        # same channel the service cache keys), so an explicit --passes
-        # simply pins REPRO_PASSES for this process
-        os.environ["REPRO_PASSES"] = args.passes
     symmetric = {name: True for name in args.symmetric}
     loop_order = tuple(args.loop_order.split(",")) if args.loop_order else None
     options = DEFAULT
@@ -40,15 +35,24 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         options = options.but(backend=args.backend)
     if args.dtype is not None:
         options = options.but(dtype=args.dtype)
+    assignment = parse_assignment(args.einsum)
+    codegen = None
+    if args.passes is not None:
+        # an explicit --passes takes $REPRO_PASSES' place in the one
+        # resolution; the request then carries the answer
+        codegen = CodegenConfig.resolve(
+            str(assignment), options.dtype, passes=args.passes
+        )
     try:
         with obs.tracing() as recorder:
-            kernel = compile_kernel(
-                args.einsum,
+            kernel = canonicalize(
+                assignment,
                 symmetric=symmetric,
                 loop_order=loop_order,
                 options=options,
                 naive=args.naive,
-            )
+                codegen=codegen,
+            ).compile()
     except BackendError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -108,7 +112,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         trajectory_entries,
     )
     from repro.codegen.backends import BackendError
-    from repro.core.config import resolve_threads
+    from repro.core.config import knob, resolve_threads
 
     runner = getattr(figures, _FIGURES[args.figure])
     kwargs = {"backend": args.backend, "dtype": args.dtype}
@@ -128,12 +132,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(format_table(results, title=args.figure))
     print("geomean SySTeC speedup: %.2fx" % summarize_speedups(results))
     if args.json is not None:
-        from repro.core.config import default_threads
-
         # label entries with the thread count the kernels actually ran
         # with: --threads when given, else the REPRO_THREADS default
         resolved = resolve_threads(
-            kwargs["threads"] if "threads" in kwargs else default_threads()
+            kwargs["threads"] if "threads" in kwargs else knob("REPRO_THREADS")
         )
         record(
             args.json,
@@ -156,21 +158,15 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 
 def _cmd_backends(args: argparse.Namespace) -> int:
-    import os
-
     from repro.codegen.backends import (
         BACKEND_NAMES,
         get_backend,
         resolve_backend_name,
     )
+    from repro.codegen.backends.base import CodegenConfig
+    from repro.codegen.backends.cpasses import describe_passes
     from repro.codegen.backends.ctoolchain import probe
-    from repro.core.config import (
-        cpu_count,
-        default_backend,
-        default_dtype,
-        default_threads,
-        resolve_threads,
-    )
+    from repro.core.config import cpu_count, knob, resolve_threads
 
     for name in BACKEND_NAMES:
         backend = get_backend(name)
@@ -186,23 +182,17 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         print("openmp: available (%s)" % " ".join(tc.openmp_flags))
     else:
         print("openmp: unavailable (compiler lacks -fopenmp support)")
-    setting = default_threads()
+    setting = knob("REPRO_THREADS")
     print(
         "default threads: %d of %d cpus (REPRO_THREADS=%s)"
-        % (
-            resolve_threads(setting),
-            cpu_count(),
-            os.environ.get("REPRO_THREADS", "<unset>"),
-        )
+        % (resolve_threads(setting), cpu_count(), setting)
     )
-    print("process default (REPRO_BACKEND): %s" % default_backend())
-    print("default dtype (REPRO_DTYPE): %s" % default_dtype())
+    print("process default (REPRO_BACKEND): %s" % knob("REPRO_BACKEND"))
+    print("default dtype (REPRO_DTYPE): %s" % knob("REPRO_DTYPE"))
     print()
-    from repro.codegen.backends.cpasses import active_pass_config, describe_passes
-
-    config = active_pass_config()
+    config = CodegenConfig.resolve().passes
     print("C renderer passes (REPRO_PASSES=%s):" % (
-        os.environ.get("REPRO_PASSES", "<unset>")))
+        knob("REPRO_PASSES") or "<unset>"))
     for name, enabled, description in describe_passes(config):
         print("  %-10s %-4s %s" % (name, "on" if enabled else "off", description))
     print("active pass signature: %s" % config.signature())
@@ -395,7 +385,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_tune(args: argparse.Namespace) -> int:
     import json
 
-    from repro import tune
     from repro.bench.backend_bench import _inputs_for
     from repro.codegen.backends import BackendError, get_backend
     from repro.kernels.extensions import EXTENSIONS
@@ -418,11 +407,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    budget_spec = (
-        args.budget if args.budget is not None else tune.default_budget()
-    )
     try:
-        budget_s = parse_budget(budget_spec)
+        budget_s = parse_budget(args.budget)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -458,18 +444,12 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     """Probe toolchain / store / OpenMP health and report the active
     degradation ladder.  Exit 0 when fully healthy, 1 when degraded."""
     import json as _json
-    import os
 
     from repro import faults
     from repro.codegen.backends import health
     from repro.codegen.backends import ctoolchain
-    from repro.core.config import (
-        cc_retries,
-        cc_timeout,
-        default_threads,
-        lock_timeout,
-        resolve_threads,
-    )
+    from repro.codegen.backends.base import CodegenConfig
+    from repro.core.config import knob, knobs_set, resolve_threads
 
     report = {"healthy": True, "checks": {}}
 
@@ -482,7 +462,7 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
         }
     else:
         report["checks"]["toolchain"] = {"ok": True, "detail": tc.describe()}
-        count = resolve_threads(default_threads())
+        count = resolve_threads(knob("REPRO_THREADS"))
         if not tc.openmp:
             runs = "failed; kernels run the serial object"
         elif count > 1 and health.ok("c@omp"):
@@ -496,24 +476,22 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
             "ok": tc.openmp,
             "detail": "-fopenmp probe %s" % runs,
         }
-    timeout = cc_timeout()
+    timeout = knob("REPRO_CC_TIMEOUT")
     report["checks"]["limits"] = {
         "ok": True,
         "detail": "cc timeout %s, %d retries, lock timeout %.0fs"
         % (
             "disabled" if timeout is None else "%.0fs" % timeout,
-            cc_retries(),
-            lock_timeout(),
+            knob("REPRO_CC_RETRIES"),
+            knob("REPRO_LOCK_TIMEOUT"),
         ),
     }
-    from repro.codegen.backends.cpasses import active_pass_config
-
     report["checks"]["passes"] = {
         "ok": True,
         "detail": "active C pass set: %s (REPRO_PASSES=%s)"
         % (
-            active_pass_config().signature(),
-            os.environ.get("REPRO_PASSES", "<unset>"),
+            CodegenConfig.resolve().passes.signature(),
+            knob("REPRO_PASSES") or "<unset>",
         ),
     }
 
@@ -543,17 +521,17 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
                     pass
 
     socket_path = args.socket
-    if socket_path is None and os.environ.get("REPRO_SERVICE"):
+    endpoint = knob("REPRO_SERVICE")
+    if socket_path is None and endpoint:
         from repro.serve.client import parse_endpoint
 
         try:
-            socket_path = parse_endpoint(os.environ["REPRO_SERVICE"])
+            socket_path = parse_endpoint(endpoint)
         except ValueError:
             socket_path = None
             report["checks"]["daemon"] = {
                 "ok": False,
-                "detail": "malformed $REPRO_SERVICE value %r"
-                % os.environ["REPRO_SERVICE"],
+                "detail": "malformed $REPRO_SERVICE value %r" % endpoint,
             }
     if socket_path is not None:
         from repro.serve.client import RemoteError, ServiceClient
@@ -591,8 +569,11 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     report["ladder"] = snapshot["ladder"]
     if faults.enabled():
         report["faults"] = {"spec": faults.spec_text(), "fired": faults.fired()}
-    if os.environ.get("REPRO_NO_DEGRADE"):
+    if knob("REPRO_NO_DEGRADE"):
         report["degradation"] = "disabled (REPRO_NO_DEGRADE)"
+    # what the environment names and what it resolved to — a typo'd
+    # value shows up here as its fallback
+    report["knobs"] = knobs_set()
     report["healthy"] = all(
         check["ok"] for check in report["checks"].values()
     ) and not snapshot["degraded"]
@@ -612,6 +593,8 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
                     )
         if "faults" in report:
             print("%-10s %s" % ("faults", report["faults"]["spec"]))
+        for name, value in report["knobs"].items():
+            print("%-10s %s=%s" % ("knob", name, value))
     return 0 if report["healthy"] else 1
 
 
@@ -722,69 +705,30 @@ def _threads_arg(value: str):
     return count
 
 
-_ENV_EPILOG = """\
-environment:
-  REPRO_BACKEND        default execution backend (python | c | auto)
-  REPRO_THREADS        default C-backend thread count (N | auto)
-  REPRO_DTYPE          default element dtype (float64 | float32)
-  REPRO_OMP_STRATEGY   OpenMP emission mode (auto | serial | atomic)
-  REPRO_PASSES         C loop-optimization pass selection: comma tokens
-                       over {denormals, fission, fuse, tile, simd} with
-                       optional +/-/! prefixes, or none/all/default
-                       (default: 'fuse,simd'; keyed into the cache)
-  REPRO_TILE           row-block size for the tile pass (0 = auto ~1MiB
-                       of output rows per block)
-  REPRO_TUNED          tuning database (TUNED.json) consulted at
-                       plan-bind time: measured thread counts and pass
-                       sets per (kernel, shape class, machine class),
-                       falling back to the cost model on any miss
-                       (populate with `repro tune`)
-  REPRO_TUNE_BUDGET    default `repro tune` search budget, e.g. 5s / 2m
-                       (default 30s)
-  REPRO_NO_TUNE=1      ignore REPRO_TUNED entirely — cost-model-only
-                       thread resolution and default pass selection
-  REPRO_TRACE=1        record spans over compile/service/execution
-                       (export with `repro trace` / `repro compile --trace`)
-  REPRO_METRICS=1      process-wide counters + latency histograms
-                       (read back with `repro stats --json`)
-  REPRO_PROFILE=1      compile per-nest wall-time instrumentation into C
-                       kernels (cached under a separate key, so profiled
-                       builds never alias production artifacts)
-  REPRO_CC_TIMEOUT     seconds before a hung cc invocation is killed and
-                       retried (default 60; 0 disables the bound)
-  REPRO_CC_RETRIES     retries for transient cc failures — timeouts and
-                       signal kills, with exponential backoff (default 2)
-  REPRO_CC_BACKOFF     initial retry backoff in seconds (default 0.25;
-                       doubled per attempt, with jitter)
-  REPRO_LOCK_TIMEOUT   seconds to wait on another process's compile lock
-                       before building privately (default 120)
-  REPRO_NO_DEGRADE=1   disable the backend degradation ladder
-                       (c@omp -> c -> python); failures propagate raw
-  REPRO_FAULTS         deterministic fault injection, e.g.
-                       'cc=timeout@2*1,dlopen=fail*1' (see repro.faults)
-  REPRO_SERVICE        kernel-service daemon endpoint (unix:/path.sock);
-                       clients try it for cold keys, retry transient
-                       errors, then fall back in-process bit-identically
-  REPRO_SERVICE_RETRIES  client retries before falling back (default 2)
-  REPRO_SERVICE_BACKOFF  initial client retry backoff seconds (default
-                       0.05; doubled per attempt, capped at 1s)
-  REPRO_SERVICE_TIMEOUT  client socket timeout seconds (default 30)
-  REPRO_SERVE_QUEUE    daemon admission bound; excess requests are shed
-                       with a structured 'overloaded' reply (default 32)
-  REPRO_SERVE_WORKERS  daemon compile/execute threads (default 4)
-  REPRO_SERVE_DEADLINE daemon per-request deadline seconds (default 30;
-                       0 disables)
-  REPRO_SERVE_READ_TIMEOUT  seconds a started frame may dribble before
-                       the connection is dropped (slowloris bound;
-                       default 30, 0 disables)
-  REPRO_SERVE_DRAIN    seconds SIGTERM waits for in-flight requests
-                       before exiting anyway (default 10)
-  REPRO_SERVE_MAX_FRAME  wire frame size bound in bytes (default 64MiB)
-  REPRO_SERVE_PLANS    daemon warm execution-plan pool size (default 32)
-  REPRO_STORE_MAX_BYTES  disk-store size bound; every put triggers
-                       LRU-by-atime eviction, `repro cache gc` applies
-                       it manually (default: unbounded)
-"""
+def _env_epilog() -> str:
+    """The ``--help`` environment section, printed from the knob table."""
+    import textwrap
+
+    from repro.core.config import KNOBS
+
+    lines = ["environment:"]
+    for row in KNOBS.values():
+        text = row.doc
+        if row.choices:
+            values = row.choices + (() if row.kind == "choice" else ("N",))
+            text += " [%s]" % " | ".join(values)
+        if row.kind != "flag" and row.default is not None:
+            text += " (default %s)" % (
+                "%g" % row.default if row.kind == "float" else row.default
+            )
+        name = row.name + ("=1" if row.kind == "flag" else "")
+        lines += textwrap.wrap(
+            text,
+            width=79,
+            initial_indent="  %-24s " % name,
+            subsequent_indent=" " * 27,
+        )
+    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -793,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SySTeC symmetric sparse tensor compiler",
-        epilog=_ENV_EPILOG,
+        epilog=_env_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -830,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--passes",
         default=None,
         metavar="SPEC",
-        help="C optimization-pass selection (sets REPRO_PASSES; e.g. "
+        help="C optimization-pass selection, in $REPRO_PASSES' place (e.g. "
         "'all', 'none', 'default,+tile', 'fission,tile')",
     )
     p.set_defaults(fn=_cmd_compile)
@@ -899,9 +843,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kernel", help="library kernel name (see `repro kernels`)")
     p.add_argument(
         "--budget",
-        default=None,
-        help="search budget, e.g. 5s or 2m (default: $REPRO_TUNE_BUDGET "
-        "or 30s)",
+        default="30s",
+        help="search budget, e.g. 5s or 2m (default 30s)",
     )
     p.add_argument(
         "--n", type=int, default=2000, help="problem size (default 2000)"

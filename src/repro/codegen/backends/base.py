@@ -1,19 +1,143 @@
-"""The execution-backend interface.
+"""The execution-backend interface and the configuration it compiles under.
 
 A *backend* turns a :class:`~repro.codegen.lower.LoweredKernel` into an
 :class:`Executable` — something callable as ``executable(out, **arrays)``
 on exactly the argument set :meth:`BoundKernel.prepare` produces.  The
 loop structure is fixed by lowering; backends only decide how those loops
 run (interpreted Python vs. a compiled shared object).
+
+:class:`CodegenConfig` is everything that shapes generated C beyond the
+lowered loops themselves.  It is resolved **once** per compile request —
+:meth:`CodegenConfig.resolve`, called by
+:func:`repro.core.compiler.resolve_request` — and from there only moves
+as a value: the cache key hashes it, the wire spec and the store entry
+carry it, and the C printer renders under it.  Nothing downstream of the
+resolver looks at the environment, the tuning database or the toolchain
+probe again, so a key can never describe a different program than the
+one that gets built for it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
+from repro import tune
+from repro.codegen.backends import ctoolchain
+from repro.codegen.backends.cpasses.base import (
+    DEFAULT_ON,
+    PASS_ORDER,
+    PassConfig,
+    parse_passes,
+)
 from repro.codegen.lower import LoweredKernel
+from repro.core.config import OMP_STRATEGY_CHOICES, knob
+
+
+@dataclass(frozen=True)
+class CodegenConfig:
+    """The resolved C-codegen configuration of one compile request.
+
+    Every field changes the generated source, so every field is cache-key
+    material (:meth:`repro.service.keys.CompileRequest.key_material`
+    enumerates them — a field added here retires old keys by itself).
+    """
+
+    #: OpenMP emission mode (:data:`OMP_STRATEGY_CHOICES`).
+    omp_strategy: str = "auto"
+    #: whether per-nest wall-time instrumentation is compiled in.
+    profile: bool = False
+    #: the loop passes the renderer runs, honored verbatim.
+    passes: PassConfig = PassConfig(enabled=DEFAULT_ON)
+
+    @classmethod
+    def resolve(
+        cls,
+        einsum: Optional[str] = None,
+        dtype: str = "float64",
+        passes: Optional[str] = None,
+    ) -> "CodegenConfig":
+        """Defaults <- environment <- tuned overrides <- toolchain gate.
+
+        The only place those four are combined.  Precedence is axis by
+        axis: an explicit ``$REPRO_PASSES`` (or *passes*, the spec
+        ``repro compile --passes`` puts in its place) pins the pass set
+        and ``$REPRO_OMP_STRATEGY`` the strategy; an axis left unset is
+        filled from the tuning database's measured entry for *einsum* /
+        *dtype* when one is active, else from the defaults.  ``einsum`` is
+        ``None`` for ad-hoc renders, which never match a tuned entry.
+        """
+        if passes is None:
+            passes = knob("REPRO_PASSES")
+        strategy = knob("REPRO_OMP_STRATEGY")
+        tuned: Mapping = {}
+        if einsum is not None and (passes is None or strategy is None):
+            oracle = tune.active()
+            if oracle is not None:
+                tuned = oracle.compile_for(einsum, str(dtype)) or {}
+        if passes is not None:
+            config = PassConfig(parse_passes(passes))
+        elif isinstance(tuned.get("passes"), (list, tuple)):
+            # a database is a file someone else wrote: keep what parses
+            try:
+                tile_rows = max(0, int(tuned.get("tile_rows", 0)))
+            except (TypeError, ValueError):
+                tile_rows = 0
+            config = PassConfig(
+                tuple(n for n in PASS_ORDER if n in tuned["passes"]), tile_rows
+            )
+        else:
+            config = PassConfig(DEFAULT_ON)
+        if config.is_on("denormals"):
+            # the gate lives here rather than inside the pass so an
+            # explicit PassConfig is rendered verbatim (golden snapshots
+            # are machine-independent) while a resolved one never asks
+            # this toolchain for the MXCSR code it cannot emit
+            if not ctoolchain.probe_ftz():
+                config = PassConfig(
+                    tuple(n for n in config.enabled if n != "denormals"),
+                    config.tile_rows,
+                )
+        if strategy is None:
+            strategy = tuned.get("omp_strategy")
+            if strategy not in OMP_STRATEGY_CHOICES:
+                strategy = "auto"
+        return cls(strategy, knob("REPRO_PROFILE"), config)
+
+    def to_dict(self) -> dict:
+        """The JSON form the wire spec and the store entry carry."""
+        return {
+            "omp_strategy": self.omp_strategy,
+            "profile": self.profile,
+            "passes": list(self.passes.enabled),
+            "tile_rows": self.passes.tile_rows,
+        }
+
+    @classmethod
+    def from_dict(cls, doc) -> "CodegenConfig":
+        """Rebuild :meth:`to_dict` output, validated as outside input (a
+        wire peer or a store file wrote it): ``ValueError`` on anything
+        but a known strategy, a bool, passes in pipeline order and a
+        non-negative row count."""
+        if not isinstance(doc, dict):
+            raise ValueError("codegen must be an object")
+        strategy, profile = doc.get("omp_strategy"), doc.get("profile")
+        names, tile_rows = doc.get("passes"), doc.get("tile_rows")
+        if strategy not in OMP_STRATEGY_CHOICES:
+            raise ValueError("codegen.omp_strategy %r is not one of %s"
+                             % (strategy, ", ".join(OMP_STRATEGY_CHOICES)))
+        if not isinstance(profile, bool):
+            raise ValueError("codegen.profile must be a bool")
+        if not isinstance(names, list) or names != [
+            n for n in PASS_ORDER if n in names
+        ]:
+            raise ValueError("codegen.passes must list passes from %s in "
+                             "pipeline order" % ", ".join(PASS_ORDER))
+        if type(tile_rows) is not int or tile_rows < 0:
+            raise ValueError("codegen.tile_rows must be an int >= 0")
+        return cls(strategy, profile, PassConfig(tuple(names), tile_rows))
 
 
 class BackendError(RuntimeError):
@@ -109,7 +233,7 @@ class Backend:
         lowered: LoweredKernel,
         label: Optional[str] = None,
         artifact: Optional[str] = None,
-        einsum: Optional[str] = None,
+        codegen: Optional[CodegenConfig] = None,
         threaded: bool = False,
     ) -> Executable:
         """Build an executable.
@@ -118,9 +242,9 @@ class Backend:
         optional path to a previously-built binary (the disk store's
         ``<key>.so``) the backend may reuse instead of recompiling — a
         stale or corrupt artifact must fall back to a fresh build.
-        ``einsum`` is the kernel's semantic identity for tuned compile
-        overrides (:func:`repro.tune.compile_overrides`); backends
-        without tunable codegen ignore it.  ``threaded`` says the
+        ``codegen`` is the request's resolved :class:`CodegenConfig`
+        (``None`` for requests the Python backend serves, which has no
+        configurable codegen).  ``threaded`` says the
         caller's default thread setting can resolve above 1, so a backend
         with a separate multi-threaded build should produce it up front
         instead of on the first threaded run.

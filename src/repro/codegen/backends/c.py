@@ -92,52 +92,21 @@ pipeline's :class:`~repro.codegen.loopir.Fused` and
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.codegen import loopir as ir
-from repro.codegen.backends.base import BackendError
-from repro.codegen.backends.cpasses.base import (
-    PassConfig,
-    active_pass_config,
-    run_pipeline,
-)
+from repro.codegen.backends.base import BackendError, CodegenConfig
+from repro.codegen.backends.cpasses.base import PassConfig, run_pipeline
 from repro.codegen.backends.cpasses.tile import auto_tile_rows
 from repro.codegen.lower import LoweredKernel
-from repro.core import config as core_config
+from repro.core.config import OMP_STRATEGY_CHOICES
 from repro.obs import metrics as obs_metrics
-from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 
 
 class CRenderError(BackendError):
     """The lowered kernel uses a feature the C renderer does not cover."""
-
-
-#: valid values for the parallel-emission override.
-OMP_STRATEGY_CHOICES = ("auto", "serial", "atomic")
-
-
-def default_omp_strategy() -> str:
-    """The process-wide parallel-emission mode (``$REPRO_OMP_STRATEGY``).
-
-    ``auto`` (default) picks a bit-reproducible strategy per nest,
-    ``serial`` suppresses parallel bodies entirely, and ``atomic``
-    prefers ``#pragma omp atomic`` over the ordered scatter log for
-    ``+``-reduction nests (faster to a point, not bit-reproducible).
-    Unrecognized values warn once per value and fall back to ``auto``.
-    """
-    value = os.environ.get("REPRO_OMP_STRATEGY", "auto")
-    if value not in OMP_STRATEGY_CHOICES:
-        core_config._warn_env_once(
-            "REPRO_OMP_STRATEGY",
-            value,
-            "one of %s" % ", ".join(OMP_STRATEGY_CHOICES),
-            "'auto'",
-        )
-        return "auto"
-    return value
 
 
 _C_KEYWORDS = frozenset(
@@ -259,36 +228,18 @@ class _Renderer:
     def __init__(
         self,
         lowered: LoweredKernel,
-        label: Optional[str] = None,
-        parallel: Optional[str] = None,
-        profile: Optional[bool] = None,
-        passes: Optional[PassConfig] = None,
-        einsum: Optional[str] = None,
+        label: Optional[str],
+        codegen: CodegenConfig,
     ):
         self.lowered = lowered
         self.label = label
-        # a tuned compile-level variant (pass set / OMP strategy) applies
-        # only where the caller left the axis to the environment default;
-        # the cache-key canonicalizer consults the same helper, so a
-        # tuned render and its key can never disagree
-        tuned_passes = tuned_parallel = None
-        if einsum is not None and (passes is None or parallel is None):
-            from repro import tune
-
-            tuned_passes, tuned_parallel = tune.compile_overrides(
-                einsum, lowered.dtype
-            )
-        if passes is None and tuned_passes is not None:
-            passes = tuned_passes
-        if parallel is None and tuned_parallel is not None:
-            parallel = tuned_parallel
-        self.pass_config = active_pass_config() if passes is None else passes
-        # per-nest wall-time instrumentation (REPRO_PROFILE=1): every
-        # top-level nest is bracketed with clock_gettime and accumulates
-        # into a static array exported through repro_profile_* symbols.
-        # Profiled source differs from production source, so the
-        # content-addressed .so cache can never alias the two builds.
-        self.profile = obs_profile.enabled() if profile is None else bool(profile)
+        self.pass_config = codegen.passes
+        # per-nest wall-time instrumentation: every top-level nest is
+        # bracketed with clock_gettime and accumulates into a static
+        # array exported through repro_profile_* symbols.  Profiled
+        # source differs from production source, so the content-addressed
+        # .so cache can never alias the two builds.
+        self.profile = codegen.profile
         #: one entry per *top-level* nest (parallel or not), aligned with
         #: the repro_nest_sec slots — the estimate profile reports compare
         #: measured time against.  None when no estimate exists.
@@ -308,9 +259,7 @@ class _Renderer:
             self._fp_suffix = ""
         else:
             raise CRenderError("unsupported kernel dtype %r" % (lowered.dtype,))
-        self.parallel_mode = (
-            default_omp_strategy() if parallel is None else parallel
-        )
+        self.parallel_mode = codegen.omp_strategy
         if self.parallel_mode not in OMP_STRATEGY_CHOICES:
             raise CRenderError(
                 "unknown parallel mode %r (choices: %s)"
@@ -1469,44 +1418,24 @@ class CRender:
     #: (the ``threads="auto"`` cost model).
     work_model: Tuple[NestWork, ...]
     #: one work estimate per *top-level* nest — parallel or serial, in
-    #: ``repro_nest_sec`` slot order; empty unless ``profiled``.
+    #: ``repro_nest_sec`` slot order; empty unless the config profiles.
     profile_model: Tuple[Optional[NestWork], ...]
-    #: whether the source carries per-nest timing instrumentation.
-    profiled: bool
-    #: signature of the pass set the source was rendered under
-    #: (:meth:`PassConfig.signature`), keyed into the service cache.
-    passes: str = "none"
 
 
 def render_c_full(
-    lowered: LoweredKernel,
-    label: Optional[str] = None,
-    parallel: Optional[str] = None,
-    profile: Optional[bool] = None,
-    passes: Optional[PassConfig] = None,
-    einsum: Optional[str] = None,
+    lowered: LoweredKernel, label: Optional[str], codegen: CodegenConfig
 ) -> CRender:
-    """Render a lowered kernel and return the full :class:`CRender`.
-
-    ``profile=None`` reads ``$REPRO_PROFILE`` (profiled builds bracket
-    every top-level nest with monotonic-clock accumulation and export
-    ``repro_profile_*`` symbols); ``parallel=None`` reads
-    ``$REPRO_OMP_STRATEGY``; ``passes=None`` reads the active pipeline
-    configuration (``$REPRO_PASSES`` / ``$REPRO_TILE``).  ``einsum``
-    identifies the kernel to the tuning oracle — defaulted axes may then
-    be filled from a measured entry (:func:`repro.tune.compile_overrides`).
-    """
+    """Render a lowered kernel under an already-resolved *codegen* and
+    return the full :class:`CRender`.  Pure: the same three arguments
+    always print the same translation unit."""
     with obs_trace.span("render_c", label=label):
-        renderer = _Renderer(lowered, label, parallel, profile, passes, einsum)
+        renderer = _Renderer(lowered, label, codegen)
         source = renderer.render()
     return CRender(
         source=source,
         work_model=tuple(renderer.work_model),
         profile_model=tuple(renderer.profile_model),
-        profiled=renderer.profile,
-        passes=renderer.pass_config.signature(),
     )
-
 
 
 def render_c(
@@ -1515,12 +1444,18 @@ def render_c(
     parallel: Optional[str] = None,
     passes: Optional[PassConfig] = None,
 ) -> str:
-    """Render a lowered kernel's loop structure as a C translation unit.
+    """The C translation unit of a lowered kernel — an inspection helper.
 
-    ``parallel`` overrides the OpenMP emission mode (``"auto"`` /
-    ``"serial"`` / ``"atomic"``); ``None`` reads ``$REPRO_OMP_STRATEGY``.
-    ``passes`` overrides the optimization-pass set; ``None`` reads the
-    active configuration (``$REPRO_PASSES`` / ``$REPRO_TILE``).
+    Outside the compiler, so the one place "``None`` = ambient" survives:
+    the configuration is resolved as an anonymous compile would
+    (:meth:`CodegenConfig.resolve`), then ``parallel`` overrides the
+    OpenMP emission mode (``"auto"`` / ``"serial"`` / ``"atomic"``) and
+    ``passes`` the optimization-pass set.
     """
-    return render_c_full(lowered, label, parallel, passes=passes).source
+    codegen = CodegenConfig.resolve(dtype=lowered.dtype)
+    if parallel is not None:
+        codegen = replace(codegen, omp_strategy=parallel)
+    if passes is not None:
+        codegen = replace(codegen, passes=passes)
+    return render_c_full(lowered, label, codegen).source
 

@@ -21,6 +21,7 @@ from repro.codegen.backends.base import (
     Backend,
     BackendError,
     BackendUnavailableError,
+    CodegenConfig,
     Executable,
 )
 from repro.codegen.backends.c import CRender, render_c_full
@@ -274,10 +275,10 @@ class CBackend(Backend):
         lowered: LoweredKernel,
         label: Optional[str] = None,
         artifact: Optional[str] = None,
-        einsum: Optional[str] = None,
+        codegen: Optional[CodegenConfig] = None,
         threaded: bool = False,
     ) -> CExecutable:
-        rendered = render_c_full(lowered, label, einsum=einsum)
+        rendered = render_c_full(lowered, label, codegen)
         stem = re.sub(r"[^A-Za-z0-9_-]", "", label or "")[:24] or None
 
         def load(so_path: str) -> CExecutable:

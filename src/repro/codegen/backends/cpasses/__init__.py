@@ -45,7 +45,8 @@ default-off; ``fission`` reshapes iteration for parallel scaling and is
 opt-in); the cross-backend differential fuzzer
 sweeps pass subsets to enforce this per pass.  The resolved pass set
 keys the service cache (see :mod:`repro.service.keys`) so differently
-transformed kernels never alias.
+transformed kernels never alias.  Which set applies is resolved once per
+request by :meth:`repro.codegen.backends.base.CodegenConfig.resolve`.
 """
 
 from repro.codegen.backends.cpasses.base import (  # noqa: F401
@@ -54,8 +55,6 @@ from repro.codegen.backends.cpasses.base import (  # noqa: F401
     PIPELINE,
     Pass,
     PassConfig,
-    active_pass_config,
-    default_pass_config,
     describe_passes,
     parse_passes,
     run_pipeline,

@@ -1,28 +1,29 @@
 """The ``Pass`` interface, pass-set configuration and pipeline driver.
 
-``$REPRO_PASSES`` selects which loop passes run, as a comma list of
-tokens: a bare name (or ``+name``) enables a pass, ``-name`` / ``!name``
-disables one, and the words ``none`` / ``all`` / ``default`` reset the
-working set.  Tokens apply left to right, so ``none,tile`` means "only
-tiling" and ``all,-denormals`` means "everything bit-exact".  Unknown
-tokens warn once per process and are ignored.  ``$REPRO_TILE`` fixes the
-tile-pass row-block size (``0`` = size it at run time from the output
-row width).
+A pass-selection spec (``$REPRO_PASSES``, ``repro compile --passes``, a
+tuner variant) is a comma list of tokens: a bare name (or ``+name``)
+enables a pass, ``-name`` / ``!name`` disables one, and the words
+``none`` / ``all`` / ``default`` reset the working set.  Tokens apply
+left to right, so ``none,tile`` means "only tiling" and
+``all,-denormals`` means "everything bit-exact".  Unknown tokens warn
+once per process and are ignored.
 
-The *resolved* pass set is part of a C kernel's identity: the service
-cache key captures :meth:`PassConfig.signature` (see
-:mod:`repro.service.keys`), so two differently-transformed builds of one
-einsum never alias in cache or store.
+Nothing here looks at ``REPRO_*`` variables or probes the toolchain: which
+spec applies is decided once per compile request, by
+:meth:`repro.codegen.backends.base.CodegenConfig.resolve`, and the
+pipeline runs under the :class:`PassConfig` it is handed.  That resolved
+value is part of a C kernel's identity — the service cache key, the wire
+spec and the persisted state all carry it — so two differently
+transformed builds of one einsum never alias in cache or store.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.codegen.loopir import LoopIR
-from repro.core import config as core_config
+from repro.core.config import warn_env_once
 from repro.obs import trace as obs_trace
 
 #: pipeline order (Devito's DLE stage order: denormal avoidance, then
@@ -41,7 +42,8 @@ class PassConfig:
     """The resolved pass selection one render runs under."""
 
     enabled: Tuple[str, ...]
-    #: tile-pass row-block size; 0 sizes the block at run time.
+    #: tile-pass row-block size; 0 sizes the block at run time from the
+    #: output row width (only a tuned database entry pins it).
     tile_rows: int = 0
 
     def is_on(self, name: str) -> bool:
@@ -61,6 +63,8 @@ class PassConfig:
             else:
                 parts.append(name)
         return "+".join(parts) if parts else "none"
+
+    __str__ = signature
 
 
 class Pass:
@@ -88,7 +92,7 @@ class Pass:
 
 
 def parse_passes(text: str, default: Tuple[str, ...] = DEFAULT_ON) -> Tuple[str, ...]:
-    """Resolve a ``$REPRO_PASSES`` comma list into an enabled-name tuple."""
+    """Resolve a pass-selection comma list into an enabled-name tuple."""
     enabled = {n for n in default if n in PASS_ORDER}
     for raw in text.split(","):
         token = raw.strip().lower()
@@ -106,7 +110,7 @@ def parse_passes(text: str, default: Tuple[str, ...] = DEFAULT_ON) -> Tuple[str,
         negate = token[0] in "-!"
         name = token[1:] if token[0] in "+-!" else token
         if name not in PASS_ORDER:
-            core_config._warn_env_once(
+            warn_env_once(
                 "REPRO_PASSES",
                 token,
                 "tokens from %s (optionally +/-/! prefixed), "
@@ -119,39 +123,6 @@ def parse_passes(text: str, default: Tuple[str, ...] = DEFAULT_ON) -> Tuple[str,
         else:
             enabled.add(name)
     return tuple(n for n in PASS_ORDER if n in enabled)
-
-
-def default_pass_config() -> PassConfig:
-    """The pass selection ``$REPRO_PASSES`` / ``$REPRO_TILE`` spell.
-
-    This is the *requested* configuration; :func:`active_pass_config`
-    additionally drops passes the probed toolchain cannot honor.
-    """
-    text = os.environ.get("REPRO_PASSES", "")
-    enabled = parse_passes(text)
-    tile_rows = core_config.env_int("REPRO_TILE", 0, minimum=0)
-    return PassConfig(enabled=enabled, tile_rows=tile_rows)
-
-
-def active_pass_config() -> PassConfig:
-    """The pass selection a render (and its cache key) actually uses.
-
-    The toolchain gate lives here rather than inside the passes so an
-    explicit :class:`PassConfig` handed to the renderer is honored
-    verbatim (golden-snapshot tests are machine-independent), while
-    env-driven renders — and the cache keys computed for them — agree on
-    what actually runs: ``denormals`` needs the MXCSR probe to pass.
-    """
-    config = default_pass_config()
-    if "denormals" in config.enabled:
-        from repro.codegen.backends import ctoolchain
-
-        if not ctoolchain.probe_ftz():
-            config = replace(
-                config,
-                enabled=tuple(n for n in config.enabled if n != "denormals"),
-            )
-    return config
 
 
 def run_pipeline(
@@ -169,10 +140,8 @@ def run_pipeline(
     return ir
 
 
-def describe_passes(config: Optional[PassConfig] = None) -> List[Tuple[str, bool, str]]:
+def describe_passes(config: PassConfig) -> List[Tuple[str, bool, str]]:
     """``(name, enabled, description)`` per pass, in pipeline order."""
-    if config is None:
-        config = active_pass_config()
     return [(p.name, p.enabled(config), p.describe()) for p in PIPELINE]
 
 

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro import faults
-from repro.core.config import cc_backoff, cc_retries, cc_timeout, lock_timeout
+from repro.core.config import knob
 from repro.core.flock import InterProcessLock
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -131,7 +131,7 @@ _build_dir: Optional[str] = None
 
 
 def _candidates() -> List[str]:
-    env = os.environ.get("REPRO_CC")
+    env = knob("REPRO_CC")
     if env:
         return [env]
     return ["cc", "gcc", "clang"]
@@ -142,7 +142,7 @@ def build_dir() -> str:
     global _build_dir
     with _lock:
         if _build_dir is None:
-            override = os.environ.get("REPRO_C_CACHE")
+            override = knob("REPRO_C_CACHE")
             if override:
                 os.makedirs(override, exist_ok=True)
                 _build_dir = override
@@ -240,7 +240,7 @@ def _probe_build_runs(cc_path: str, flags: tuple, source: str) -> bool:
     fd, out = tempfile.mkstemp(dir=directory, prefix=".probe.", suffix=".so")
     os.close(fd)
     try:
-        _run_cc(cc_path, flags, src, out, timeout=cc_timeout())
+        _run_cc(cc_path, flags, src, out, timeout=knob("REPRO_CC_TIMEOUT"))
         lib = ctypes.CDLL(out)
         return int(lib.repro_probe()) == 42
     except (ToolchainError, OSError, AttributeError):
@@ -280,7 +280,7 @@ def _probe_once(name: str, compute: Callable[[], object]):
 
 
 def _find_toolchain() -> Optional[Toolchain]:
-    if os.environ.get("REPRO_NO_CC"):
+    if knob("REPRO_NO_CC"):
         return None
     for cand in _candidates():
         path = shutil.which(cand)
@@ -298,7 +298,7 @@ def probe() -> Optional[Toolchain]:
 
 def _probe_openmp() -> tuple:
     tc = probe()
-    if tc is not None and not os.environ.get("REPRO_NO_OPENMP"):
+    if tc is not None and not knob("REPRO_NO_OPENMP"):
         if _probe_build_runs(tc.cc, tc.flags + ("-fopenmp",), _TRIVIAL_OMP):
             return ("-fopenmp",)
     return ()
@@ -378,9 +378,9 @@ def _build_with_retry(
     jitter; a nonzero exit is permanent and propagates immediately.
     """
     directory = os.path.dirname(so_path)
-    attempts = 1 + cc_retries()
-    delay = cc_backoff()
-    timeout = cc_timeout()
+    attempts = 1 + knob("REPRO_CC_RETRIES")
+    delay = knob("REPRO_CC_BACKOFF")
+    timeout = knob("REPRO_CC_TIMEOUT")
     for attempt in range(1, attempts + 1):
         # unique temp per build: concurrent builders of the same source
         # each write their own object, and os.replace picks a winner
@@ -477,7 +477,7 @@ def compile_shared(
     _write_file_atomic(directory, c_path, source)
     lock = InterProcessLock(so_path + ".lock")
     acquired = False
-    deadline = time.monotonic() + lock_timeout()
+    deadline = time.monotonic() + knob("REPRO_LOCK_TIMEOUT")
     try:
         while True:
             if lock.try_acquire():

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.codegen import loopir as ir
-from repro.codegen.backends.base import Backend, Executable
+from repro.codegen.backends.base import Backend, CodegenConfig, Executable
 from repro.codegen.lower import LoweredKernel
 
 
@@ -215,7 +215,7 @@ class PythonBackend(Backend):
         lowered: LoweredKernel,
         label: Optional[str] = None,
         artifact: Optional[str] = None,
-        einsum: Optional[str] = None,
+        codegen: Optional[CodegenConfig] = None,
         threaded: bool = False,
     ) -> PythonExecutable:
         return PythonExecutable(lowered, label)

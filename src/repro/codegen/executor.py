@@ -40,7 +40,11 @@ from repro import faults
 from repro import tune
 from repro.codegen.backends import get_backend
 from repro.codegen.backends import health
-from repro.codegen.backends.base import BackendError, BackendUnavailableError
+from repro.codegen.backends.base import (
+    BackendError,
+    BackendUnavailableError,
+    CodegenConfig,
+)
 from repro.codegen.lower import LoweredKernel
 from repro.codegen.runtime import (
     REDUCE_IDENTITY,
@@ -48,7 +52,7 @@ from repro.codegen.runtime import (
     np_dtype,
     replicate_output,
 )
-from repro.core.config import auto_thread_count, degrade_enabled, resolve_threads
+from repro.core.config import auto_thread_count, knob, resolve_threads
 from repro.faults.spec import FaultError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -291,7 +295,7 @@ class ExecutionPlan:
         result is bit-identical to a clean run of the surviving tier.
         """
         kernel = self.kernel
-        if kernel.backend_name == "python" or not degrade_enabled():
+        if kernel.backend_name == "python" or knob("REPRO_NO_DEGRADE"):
             raise exc
         if count > 1:
             health.mark("c@omp", exc)
@@ -349,15 +353,20 @@ class BoundKernel:
         artifact: Optional[str] = None,
         threads=None,
         einsum: Optional[str] = None,
+        codegen: Optional[CodegenConfig] = None,
     ):
         self.lowered = lowered
         self.symmetric_modes = dict(symmetric_modes)
         self.backend_name = backend
         self._label = label
         #: the kernel's semantic identity (einsum text) — the tuning
-        #: database key; ``None`` for ad-hoc kernels, which simply never
-        #: match a tuned entry
+        #: database key for measured *thread counts* (a runtime lookup);
+        #: ``None`` for ad-hoc kernels, which simply never match an entry
         self.einsum = einsum
+        #: the resolved configuration the C source was (or, rehydrated,
+        #: will again be) rendered under — persisted with the kernel;
+        #: ``None`` for python-backend requests
+        self.codegen = codegen
         #: the element dtype every bound array (and the output buffer)
         #: carries — fixed by lowering, not by what the caller passes in
         self.dtype = np_dtype(lowered.dtype)
@@ -365,7 +374,7 @@ class BoundKernel:
         #: concrete number is resolved per run, so one bound kernel can
         #: serve any thread count
         self.threads = threads
-        if backend != "python" and degrade_enabled() and not health.ok("c"):
+        if backend != "python" and not knob("REPRO_NO_DEGRADE") and not health.ok("c"):
             # the C tier already failed this process (sticky): serve from
             # the floor instead of paying the failure again per kernel
             backend, artifact = "python", None
@@ -383,13 +392,13 @@ class BoundKernel:
                     lowered,
                     label=label,
                     artifact=artifact,
-                    einsum=einsum,
+                    codegen=codegen,
                     threaded=threaded,
                 )
             except BackendUnavailableError:
                 raise  # the caller named a backend this machine lacks
             except _RECOVERABLE as exc:
-                if backend == "python" or not degrade_enabled():
+                if backend == "python" or knob("REPRO_NO_DEGRADE"):
                     raise
                 health.mark("c", exc)
                 self.backend_name = "python"
@@ -578,7 +587,7 @@ class BoundKernel:
             self.executable(out, threads=count, **prepared)
             return
         except _RECOVERABLE as exc:
-            if not compiled or not degrade_enabled():
+            if not compiled or knob("REPRO_NO_DEGRADE"):
                 raise
             fill = REDUCE_IDENTITY[self.lowered.output.reduce_op]
             if count > 1:

@@ -21,6 +21,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.codegen.backends.base import CodegenConfig
 from repro.codegen.executor import (
     BoundKernel,
     ExecutionPlan,
@@ -133,21 +134,28 @@ def resolve_request(
     formats: Optional[Mapping[str, str]] = None,
     options: CompilerOptions = DEFAULT,
     naive: bool = False,
+    codegen: Optional[CodegenConfig] = None,
 ) -> Tuple[
     Dict[str, Tuple[Tuple[int, ...], ...]],
     Tuple[str, ...],
     Dict[str, str],
     CompilerOptions,
+    Optional[CodegenConfig],
 ]:
     """Apply every defaulting rule of :func:`compile_kernel` in one place.
 
-    Returns ``(symmetric_modes, loop_order, formats, options)`` fully
-    resolved: symmetry specs normalized to mode partitions, an omitted loop
-    order inferred, omitted formats marking each symmetric tensor sparse
-    (explicit formats validated), and the naive baseline collapsed onto the
-    :data:`NAIVE` switch set.  The service layer's cache-key canonicalizer
-    (:mod:`repro.service.keys`) calls this same helper, so keys can never
-    drift from what the compiler actually builds.
+    Returns ``(symmetric_modes, loop_order, formats, options, codegen)``
+    fully resolved: symmetry specs normalized to mode partitions, an
+    omitted loop order inferred, omitted formats marking each symmetric
+    tensor sparse (explicit formats validated), the naive baseline
+    collapsed onto the :data:`NAIVE` switch set, ``auto`` collapsed onto a
+    concrete backend, and — for the C backend; ``None`` otherwise — the
+    :class:`CodegenConfig` the kernel is rendered under.  This is the one
+    call of :meth:`CodegenConfig.resolve` on the compile path: a *codegen*
+    handed in (a request that was already resolved — by the client of a
+    daemon, the writer of a store entry, the tuner) is used as is.  The
+    cache-key canonicalizer (:mod:`repro.service.keys`) calls this same
+    helper, so keys cannot drift from what the compiler builds.
     """
     from repro.codegen.backends import resolve_backend_name
 
@@ -170,7 +178,11 @@ def resolve_request(
     backend = resolve_backend_name(options.backend)
     if backend != options.backend:
         options = options.but(backend=backend)
-    return symmetric_modes, tuple(loop_order), dict(formats), options
+    if backend != "c":
+        codegen = None  # only the C renderer has configurable codegen
+    elif codegen is None:
+        codegen = CodegenConfig.resolve(str(assignment), options.dtype)
+    return symmetric_modes, tuple(loop_order), dict(formats), options, codegen
 
 
 def plan_kernel(
@@ -214,7 +226,9 @@ def plan_kernel(
 #: the status-checking call plan.
 #: v6: ``lowered`` carries the typed loop program (``loopir`` nodes,
 #: class-name tagged) instead of Python source text.
-STATE_VERSION = 6
+#: v7: the state carries the resolved ``codegen`` configuration and a
+#: rehydrate renders under it, not under the reader's environment.
+STATE_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -328,6 +342,11 @@ class CompiledKernel:
             "plan_description": plan.describe(),
             "formats": dict(self.formats),
             "options": self.options.to_dict(),
+            "codegen": (
+                self.bound.codegen.to_dict()
+                if self.bound.codegen is not None
+                else None
+            ),
             "lowered": self.lowered.to_dict(),
         }
 
@@ -377,6 +396,9 @@ class CompiledKernel:
         )
         lowered = LoweredKernel.from_dict(state["lowered"])
         options = CompilerOptions.from_dict(state["options"])
+        # rendered under the writer's configuration, never the reader's:
+        # the key this state is stored under describes the former
+        codegen = state["codegen"]
         bound = BoundKernel(
             lowered,
             symmetric_modes,
@@ -385,6 +407,7 @@ class CompiledKernel:
             artifact=artifact,
             threads=options.threads,
             einsum=str(assignment),
+            codegen=None if codegen is None else CodegenConfig.from_dict(codegen),
         )
         return cls(snapshot, lowered, bound, options, dict(state["formats"]))
 
@@ -481,6 +504,7 @@ def compile_kernel(
     options: CompilerOptions = DEFAULT,
     naive: bool = False,
     sparse_levels: Optional[Mapping[str, Sequence[str]]] = None,
+    codegen: Optional[CodegenConfig] = None,
 ) -> CompiledKernel:
     """Compile an einsum into a symmetry-exploiting sparse kernel.
 
@@ -501,12 +525,17 @@ def compile_kernel(
     naive:
         build the unoptimized baseline kernel instead (full tensors, no
         triangle restriction) — the red line in the paper's figures.
+    codegen:
+        an already-resolved :class:`CodegenConfig` to build under
+        (:meth:`repro.service.keys.CompileRequest.compile` and the tuner
+        pass one); by default it is resolved here, once, from the
+        environment and the tuning database.
     """
     assignment = (
         parse_assignment(einsum) if isinstance(einsum, str) else einsum
     )
-    symmetric_modes, loop_order, formats, options = resolve_request(
-        assignment, symmetric, loop_order, formats, options, naive
+    symmetric_modes, loop_order, formats, options, codegen = resolve_request(
+        assignment, symmetric, loop_order, formats, options, naive, codegen
     )
 
     from repro.frontend.validate import validate_assignment, validate_semiring
@@ -528,5 +557,6 @@ def compile_kernel(
             backend=options.backend,
             threads=options.threads,
             einsum=str(assignment),
+            codegen=codegen,
         )
     return CompiledKernel(plan, lowered, bound, options, formats)

@@ -1,45 +1,34 @@
-"""Pass-pipeline configuration.
+"""Compiler options and the ``REPRO_*`` knob table.
 
-Every optimization of Section 4.2 can be toggled independently — the
-ablation benchmarks flip these switches.  The defaults reproduce the
-pipeline the paper's evaluation used (lookup tables are opt-in, as in the
-artifact, whose generated MTTKRP kernels use separate diagonal blocks).
+:class:`CompilerOptions` holds the independently switchable transforms of
+Section 4.2 — the ablation benchmarks flip them; the defaults reproduce
+the pipeline the paper's evaluation used (lookup tables are opt-in, as in
+the artifact, whose generated MTTKRP kernels use separate diagonal
+blocks) — plus the element dtype, the execution backend and the C
+backend's *runtime* thread count.  That count is deliberately not compile
+configuration: it crosses into the compiled kernel as a plain argument,
+so it is excluded from cache keys and persisted state
+(:data:`RUNTIME_FIELDS`) — one compiled artifact serves every count.
 
-Beyond the paper's switches, :attr:`CompilerOptions.backend` selects the
-*execution backend* the lowered loops run on: ``"python"`` (interpreted,
-always available), ``"c"`` (compiled via the system toolchain, orders of
-magnitude faster) or ``"auto"`` (``c`` when a compiler is found).  The
-``$REPRO_BACKEND`` environment variable sets the process default.
-
-:attr:`CompilerOptions.threads` is the C backend's *runtime* thread
-count (``$REPRO_THREADS``; ``"auto"`` means one thread per visible CPU).
-It is deliberately not compile configuration: the thread count crosses
-into the compiled kernel as a plain runtime argument, so it is excluded
-from cache keys and persisted state (see :data:`RUNTIME_FIELDS`) — one
-compiled artifact serves every thread count.
-
-The observability layer (:mod:`repro.obs`) adds three boolean knobs to
-the same ``REPRO_*`` family, all read through :func:`env_flag`:
-
-* ``REPRO_TRACE=1`` — record spans from process start (export with
-  ``repro trace`` / ``repro compile --trace``);
-* ``REPRO_METRICS=1`` — collect counters + latency histograms (served
-  by ``repro stats --json``);
-* ``REPRO_PROFILE=1`` — compile C kernels with per-nest wall-time
-  instrumentation.  Unlike the other two this changes the *generated
-  code*, so it is captured in cache keys (like ``$REPRO_OMP_STRATEGY``)
-  and profiled builds never alias production artifacts.
-
-All three default off, and the instrumented call sites are engineered to
-cost one predicate check when off — the plan dispatch path stays within
-5% of an uninstrumented build (enforced by ``benchmarks/bench_dispatch``).
+:data:`KNOBS` declares every ``REPRO_*`` environment variable, one frozen
+:class:`Knob` row each, and :func:`knob` is the only code in the package
+that reads one (CI greps for ``os.environ`` outside this file).  Values
+are read live on every call — tests monkeypatch the environment — and
+the *environment is outside the program*: a bad value gets a
+once-per-``(name, value)`` diagnostic and the default, never a traceback.
+``repro --help``, ``repro doctor`` and the README's knob table print the
+same rows.  What gets *compiled* under those knobs (OpenMP strategy,
+per-nest profiling, C pass set) is resolved from them exactly once per
+request, by :meth:`repro.codegen.backends.base.CodegenConfig.resolve`;
+everything downstream is handed that value.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 #: values :attr:`CompilerOptions.backend` accepts.  ``auto`` is collapsed
 #: onto a concrete backend by :func:`repro.core.compiler.resolve_request`.
@@ -48,54 +37,146 @@ from typing import Optional
 #: matches at import time.
 BACKEND_CHOICES = ("python", "c", "auto")
 
+#: element dtypes the pipeline supports end to end (tensor payloads,
+#: workspaces, generated C value types, ctypes signatures).  The names are
+#: numpy dtype names; :func:`repro.codegen.runtime.np_dtype` maps them to
+#: concrete numpy dtypes.  float64 is the paper's (and the historical)
+#: default; float32 halves the memory traffic of the bandwidth-bound
+#: symmetric kernels.
+DTYPE_CHOICES = ("float64", "float32")
 
-def default_backend() -> str:
-    """The process-wide default backend (``$REPRO_BACKEND`` or python).
+#: OpenMP emission modes of the C renderer: ``auto`` picks a
+#: bit-reproducible strategy per nest, ``serial`` suppresses parallel
+#: bodies, ``atomic`` prefers ``#pragma omp atomic`` over the ordered
+#: scatter log for ``+``-reduction nests (faster to a point, not
+#: bit-reproducible).
+OMP_STRATEGY_CHOICES = ("auto", "serial", "atomic")
 
-    An unrecognized env value warns and falls back to python rather than
-    blowing up every ``CompilerOptions()`` construction at import time —
-    the environment is outside the program, so it gets a diagnostic, not
-    a traceback.  Explicit ``CompilerOptions(backend=...)`` values are
-    still validated strictly.
+
+@dataclass(frozen=True)
+class Knob:
+    """One ``REPRO_*`` environment variable.
+
+    ``kind`` is ``flag`` (unset, empty and ``"0"`` are off, anything else
+    on), ``int`` / ``float`` (``>= minimum``, or ``> minimum`` when
+    ``exclusive`` — for knobs where zero is meaningless rather than a
+    documented off switch; ``zero_is_none`` turns a parsed 0 into ``None``,
+    "no bound"), ``choice`` (one of ``choices``; numeric kinds may also
+    list literal ``choices``, e.g. ``REPRO_THREADS=auto``), or ``text`` /
+    ``path`` (returned verbatim).  Unset and empty always mean ``default``.
     """
-    import warnings
 
-    value = os.environ.get("REPRO_BACKEND", "python")
-    if value not in BACKEND_CHOICES:
-        warnings.warn(
-            "ignoring REPRO_BACKEND=%r (choices: %s); using 'python'"
-            % (value, ", ".join(BACKEND_CHOICES)),
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return "python"
-    return value
+    name: str
+    kind: str
+    default: object = None
+    minimum: float = 0
+    exclusive: bool = False
+    zero_is_none: bool = False
+    choices: Tuple[str, ...] = ()
+    doc: str = ""
 
-
-def env_flag(name: str) -> bool:
-    """A boolean ``REPRO_*`` knob: unset, empty and ``"0"`` mean off.
-
-    Anything else — ``1``, ``true``, ``yes`` — means on; there is no
-    warn-and-fallback here because every non-empty value is a valid way
-    of saying "enable".  Used by the :mod:`repro.obs` family
-    (``REPRO_TRACE`` / ``REPRO_METRICS`` / ``REPRO_PROFILE``).
-    """
-    value = os.environ.get(name)
-    return value is not None and value not in ("", "0")
+    def expected(self) -> str:
+        """What a valid value looks like (the diagnostic's wording)."""
+        forms = [repr(choice) for choice in self.choices]
+        if self.kind in ("int", "float"):
+            noun = "an integer" if self.kind == "int" else "a number"
+            forms.append("%s %s %g" % (
+                noun, ">" if self.exclusive else ">=", self.minimum))
+        return " or ".join(forms)
 
 
-#: bad env values already seen, so the warn-and-fallback helpers below
-#: diagnose each (name, value) pair exactly once per process.  Knobs like
-#: ``cc_retries()`` are consulted on every compile; without this memo a
-#: daemon with a typo'd limit would emit the same warning on every
-#: request (and warnings-filter configuration should not decide whether
-#: operators see the diagnostic at all).
+#: every knob the package reads, by name, in documentation order.
+KNOBS: Dict[str, Knob] = {row.name: row for row in (
+    # what gets compiled, and how it runs
+    Knob("REPRO_BACKEND", "choice", "python", choices=BACKEND_CHOICES,
+         doc="default execution backend"),
+    Knob("REPRO_DTYPE", "choice", "float64", choices=DTYPE_CHOICES,
+         doc="default element dtype"),
+    # the conservative default is 1: parallel execution is opt-in, so
+    # single-threaded timings — the paper's methodology — stay the baseline
+    Knob("REPRO_THREADS", "int", 1, minimum=1, choices=("auto",),
+         doc="default C-backend thread count; auto = sized per run from work"),
+    Knob("REPRO_OMP_STRATEGY", "choice", choices=OMP_STRATEGY_CHOICES,
+         doc="OpenMP emission mode (keyed); atomic is faster but not "
+         "bit-reproducible; unset = tuned strategy, else auto"),
+    Knob("REPRO_PASSES", "text",
+         doc="C loop passes (keyed): comma list over denormals, fission, fuse, "
+         "tile, simd (+/-/! prefixed) or none/all/default; unset = tuned set, "
+         "else fuse,tile,simd"),
+    Knob("REPRO_PROFILE", "flag",
+         doc="compile per-nest timing into C kernels (keyed: a separate build)"),
+    Knob("REPRO_TRACE", "flag",
+         doc="record spans from process start (export: `repro trace`)"),
+    Knob("REPRO_METRICS", "flag",
+         doc="collect counters and latency histograms (`repro stats --json`)"),
+    Knob("REPRO_TUNED", "path",
+         doc="tuning database (`repro tune` fills it); unset = tuning off"),
+    # the C toolchain
+    Knob("REPRO_CC", "path", doc="C compiler to probe instead of cc, gcc, clang"),
+    Knob("REPRO_C_CACHE", "path",
+         doc="directory for compiled objects (unset = per-process temp dir)"),
+    Knob("REPRO_NO_CC", "flag",
+         doc="pretend no C compiler exists (auto degrades to python)"),
+    Knob("REPRO_NO_OPENMP", "flag",
+         doc="pretend the compiler lacks OpenMP (serial objects only)"),
+    # a hung compiler must never stall a caller forever; 60s is an order
+    # of magnitude above the slowest observed kernel build
+    Knob("REPRO_CC_TIMEOUT", "float", 60.0, zero_is_none=True,
+         doc="seconds before a hung cc is killed and retried (0 = no bound)"),
+    Knob("REPRO_CC_RETRIES", "int", 2,
+         doc="retries after a transient cc failure (timeout or signal kill)"),
+    # up to +100% random jitter per wait, so raced processes decorrelate
+    Knob("REPRO_CC_BACKOFF", "float", 0.25,
+         doc="base cc retry backoff in seconds, doubled per attempt"),
+    # zero is rejected, not an off switch: a zero wait turns every
+    # contended key into a duplicate private compile, which a long-lived
+    # daemon amplifies from waste into sustained double load
+    Knob("REPRO_LOCK_TIMEOUT", "float", 120.0, exclusive=True,
+         doc="seconds to wait on a compile lock before building privately"),
+    # failure handling
+    Knob("REPRO_NO_DEGRADE", "flag",
+         doc="no degradation ladder (c@omp -> c -> python): failures raise"),
+    Knob("REPRO_FAULTS", "text",
+         doc="fault-injection spec, e.g. cc=timeout@2*1,dlopen=fail*1"),
+    # the kernel-service daemon: client side, then server side
+    Knob("REPRO_SERVICE", "text",
+         doc="daemon endpoint (unix:/path.sock) tried for cold keys first"),
+    Knob("REPRO_SERVICE_RETRIES", "int", 2,
+         doc="client re-attempts after a failed daemon request"),
+    Knob("REPRO_SERVICE_BACKOFF", "float", 0.05, exclusive=True,
+         doc="client base retry backoff in seconds, doubled, capped at 1s"),
+    Knob("REPRO_SERVICE_TIMEOUT", "float", 30.0, exclusive=True,
+         doc="client socket timeout per daemon request, in seconds"),
+    Knob("REPRO_SERVE_QUEUE", "int", 32, minimum=1,
+         doc="requests in flight before the daemon sheds load (overloaded)"),
+    Knob("REPRO_SERVE_WORKERS", "int", 4, minimum=1,
+         doc="daemon compile/execute worker threads"),
+    Knob("REPRO_SERVE_DEADLINE", "float", 30.0, zero_is_none=True,
+         doc="default per-request deadline in seconds (0 = none)"),
+    # slowloris bound: only a *started* frame is timed, idle ones may wait
+    Knob("REPRO_SERVE_READ_TIMEOUT", "float", 30.0, zero_is_none=True,
+         doc="seconds a started frame may take to arrive (0 = no bound)"),
+    Knob("REPRO_SERVE_DRAIN", "float", 10.0,
+         doc="seconds SIGTERM waits for in-flight requests"),
+    Knob("REPRO_SERVE_MAX_FRAME", "int", 64 << 20, minimum=1024,
+         doc="wire frame size bound in bytes (tensors ride in frames)"),
+    Knob("REPRO_SERVE_PLANS", "int", 32,
+         doc="daemon warm execution-plan pool size (0 disables pooling)"),
+    Knob("REPRO_STORE_MAX_BYTES", "int", zero_is_none=True,
+         doc="disk-store bytes before a put evicts LRU entries (0 = no bound)"),
+)}
+
+#: bad env values already seen, so each (name, value) pair is diagnosed
+#: exactly once per process.  Knobs like ``REPRO_CC_RETRIES`` are
+#: consulted on every compile and ``REPRO_BACKEND`` on every
+#: ``CompilerOptions()``; without this memo a daemon with a typo'd
+#: variable would emit the same warning on every request (and
+#: warnings-filter configuration should not decide whether operators see
+#: the diagnostic at all).
 _warned_values: set = set()
 
 
-def _warn_env_once(name: str, value, expected: str, fallback) -> None:
-    import warnings
-
+def warn_env_once(name: str, value, expected: str, fallback) -> None:
     if (name, value) in _warned_values:
         return
     _warned_values.add((name, value))
@@ -107,233 +188,33 @@ def _warn_env_once(name: str, value, expected: str, fallback) -> None:
     )
 
 
-def env_float(
-    name: str,
-    default: float,
-    minimum: float = 0.0,
-    exclusive: bool = False,
-) -> float:
-    """A float ``REPRO_*`` knob with one-time warn-and-fallback on bad
-    values.  ``exclusive`` rejects the minimum itself (``> minimum``
-    instead of ``>=``) — used by knobs where zero is meaningless rather
-    than a documented off switch."""
+def knob(name: str):
+    """The current value of the ``REPRO_*`` variable *name* (live read)."""
+    row = KNOBS[name]
     value = os.environ.get(name)
+    if row.kind == "flag":
+        # no warn-and-fallback: every non-empty value but "0" is a valid
+        # way of saying "enable"
+        return value is not None and value not in ("", "0")
     if value is None or value == "":
-        return default
-    try:
-        parsed = float(value)
-        if parsed < minimum or (exclusive and parsed == minimum):
-            raise ValueError(value)
-    except ValueError:
-        _warn_env_once(
-            name,
-            value,
-            "a number %s %g" % (">" if exclusive else ">=", minimum),
-            "%g" % default,
-        )
-        return default
-    return parsed
+        return row.default
+    if row.kind in ("text", "path") or value in row.choices:
+        return value
+    if row.kind != "choice":
+        try:
+            parsed = int(value) if row.kind == "int" else float(value)
+            if parsed < row.minimum or (row.exclusive and parsed == row.minimum):
+                raise ValueError(value)
+            return None if row.zero_is_none and parsed == 0 else parsed
+        except ValueError:
+            pass
+    warn_env_once(name, value, row.expected(), repr(row.default))
+    return row.default
 
 
-def env_int(
-    name: str, default: int, minimum: int = 0, exclusive: bool = False
-) -> int:
-    """An integer ``REPRO_*`` knob with one-time warn-and-fallback on bad
-    values (see :func:`env_float` for ``exclusive``)."""
-    value = os.environ.get(name)
-    if value is None or value == "":
-        return default
-    try:
-        parsed = int(value)
-        if parsed < minimum or (exclusive and parsed == minimum):
-            raise ValueError(value)
-    except ValueError:
-        _warn_env_once(
-            name,
-            value,
-            "an integer %s %d" % (">" if exclusive else ">=", minimum),
-            "%d" % default,
-        )
-        return default
-    return parsed
-
-
-# ----------------------------------------------------------------------
-# failure-semantics knobs (the faults / retry / degradation layer)
-# ----------------------------------------------------------------------
-#: default wall-clock bound on one ``cc`` invocation (seconds).  A hung
-#: compiler must never stall a caller forever; 60s is an order of
-#: magnitude above the slowest observed kernel build.
-DEFAULT_CC_TIMEOUT = 60.0
-
-#: default number of *re*-attempts after a transient compile failure
-#: (timeout or signal-killed cc) — 2 retries = 3 attempts total.
-DEFAULT_CC_RETRIES = 2
-
-#: default base backoff between compile retries (seconds); doubles per
-#: attempt, with up to +100% random jitter so raced processes decorrelate.
-DEFAULT_CC_BACKOFF = 0.25
-
-#: default bound on waiting for another process's compile lock (seconds)
-#: before falling back to a private compile.
-DEFAULT_LOCK_TIMEOUT = 120.0
-
-
-def cc_timeout():
-    """Seconds one ``cc`` invocation may run (``$REPRO_CC_TIMEOUT``).
-
-    ``0`` disables the bound entirely (returns ``None``).
-    """
-    value = env_float("REPRO_CC_TIMEOUT", DEFAULT_CC_TIMEOUT)
-    return None if value == 0 else value
-
-
-def cc_retries() -> int:
-    """Retries after a transient compile failure (``$REPRO_CC_RETRIES``)."""
-    return env_int("REPRO_CC_RETRIES", DEFAULT_CC_RETRIES)
-
-
-def cc_backoff() -> float:
-    """Base retry backoff in seconds (``$REPRO_CC_BACKOFF``)."""
-    return env_float("REPRO_CC_BACKOFF", DEFAULT_CC_BACKOFF)
-
-
-def lock_timeout() -> float:
-    """Seconds to wait on a cross-process compile lock
-    (``$REPRO_LOCK_TIMEOUT``) before compiling privately.
-
-    Zero and negative values are clamped to the default with a one-time
-    warning: a zero wait turns every contended key into a duplicate
-    private compile, which a long-lived daemon amplifies from waste into
-    sustained double load.
-    """
-    return env_float(
-        "REPRO_LOCK_TIMEOUT", DEFAULT_LOCK_TIMEOUT, exclusive=True
-    )
-
-
-# ----------------------------------------------------------------------
-# kernel-service daemon knobs (repro serve / repro.serve)
-# ----------------------------------------------------------------------
-#: default bound on requests admitted concurrently (queued + running)
-#: before the daemon sheds load with a structured ``overloaded`` reply.
-DEFAULT_SERVE_QUEUE = 32
-
-#: default worker threads executing compile/execute requests.
-DEFAULT_SERVE_WORKERS = 4
-
-#: default per-request deadline (seconds); a request may override it.
-DEFAULT_SERVE_DEADLINE = 30.0
-
-#: default bound on receiving the rest of a frame once its first byte
-#: arrives (slowloris protection; idle connections may wait forever).
-DEFAULT_SERVE_READ_TIMEOUT = 30.0
-
-#: default grace period for in-flight requests during a SIGTERM drain.
-DEFAULT_SERVE_DRAIN = 10.0
-
-#: default maximum wire-frame size (bytes) — tensors ride in frames.
-DEFAULT_SERVE_MAX_FRAME = 64 << 20
-
-#: default capacity of the daemon's warm :class:`ExecutionPlan` pool.
-DEFAULT_SERVE_PLANS = 32
-
-#: default client-side re-attempts after a failed daemon request.
-DEFAULT_SERVICE_RETRIES = 2
-
-#: default client-side base backoff between re-attempts (seconds);
-#: doubled per attempt, capped at one second.
-DEFAULT_SERVICE_BACKOFF = 0.05
-
-#: default client-side socket timeout per daemon request (seconds).
-DEFAULT_SERVICE_TIMEOUT = 30.0
-
-
-def serve_queue_limit() -> int:
-    """Admission bound on concurrent requests (``$REPRO_SERVE_QUEUE``)."""
-    return env_int("REPRO_SERVE_QUEUE", DEFAULT_SERVE_QUEUE, minimum=1)
-
-
-def serve_workers() -> int:
-    """Daemon worker-thread count (``$REPRO_SERVE_WORKERS``)."""
-    return env_int("REPRO_SERVE_WORKERS", DEFAULT_SERVE_WORKERS, minimum=1)
-
-
-def serve_deadline():
-    """Default per-request deadline in seconds (``$REPRO_SERVE_DEADLINE``).
-
-    ``0`` disables the default bound entirely (returns ``None``);
-    individual requests may still carry their own ``deadline_s``.
-    """
-    value = env_float("REPRO_SERVE_DEADLINE", DEFAULT_SERVE_DEADLINE)
-    return None if value == 0 else value
-
-
-def serve_read_timeout():
-    """Seconds a started frame may take to finish arriving
-    (``$REPRO_SERVE_READ_TIMEOUT``; ``0`` disables the bound)."""
-    value = env_float("REPRO_SERVE_READ_TIMEOUT", DEFAULT_SERVE_READ_TIMEOUT)
-    return None if value == 0 else value
-
-
-def serve_drain_grace() -> float:
-    """Seconds SIGTERM waits for in-flight requests
-    (``$REPRO_SERVE_DRAIN``)."""
-    return env_float("REPRO_SERVE_DRAIN", DEFAULT_SERVE_DRAIN)
-
-
-def serve_max_frame() -> int:
-    """Maximum accepted wire-frame size in bytes
-    (``$REPRO_SERVE_MAX_FRAME``)."""
-    return env_int(
-        "REPRO_SERVE_MAX_FRAME", DEFAULT_SERVE_MAX_FRAME, minimum=1024
-    )
-
-
-def serve_plan_pool() -> int:
-    """Warm execution-plan pool capacity (``$REPRO_SERVE_PLANS``;
-    ``0`` disables plan pooling)."""
-    return env_int("REPRO_SERVE_PLANS", DEFAULT_SERVE_PLANS)
-
-
-def service_retries() -> int:
-    """Client re-attempts after a failed daemon request
-    (``$REPRO_SERVICE_RETRIES``)."""
-    return env_int("REPRO_SERVICE_RETRIES", DEFAULT_SERVICE_RETRIES)
-
-
-def service_backoff() -> float:
-    """Client base retry backoff in seconds (``$REPRO_SERVICE_BACKOFF``)."""
-    return env_float(
-        "REPRO_SERVICE_BACKOFF", DEFAULT_SERVICE_BACKOFF, exclusive=True
-    )
-
-
-def service_timeout() -> float:
-    """Client per-request socket timeout in seconds
-    (``$REPRO_SERVICE_TIMEOUT``)."""
-    return env_float(
-        "REPRO_SERVICE_TIMEOUT", DEFAULT_SERVICE_TIMEOUT, exclusive=True
-    )
-
-
-def store_max_bytes():
-    """Disk-store size bound in bytes (``$REPRO_STORE_MAX_BYTES``).
-
-    ``0``/unset means unbounded (returns ``None``) — the historical
-    behaviour.  When set, :meth:`repro.service.store.DiskStore.put`
-    evicts least-recently-used entries (by access time) until the store
-    fits, so a long-lived daemon cannot grow the store without limit.
-    """
-    value = env_int("REPRO_STORE_MAX_BYTES", 0)
-    return None if value == 0 else value
-
-
-def degrade_enabled() -> bool:
-    """Is the backend degradation ladder (``c@omp -> c@serial -> python``)
-    allowed to absorb runtime failures?  ``REPRO_NO_DEGRADE=1`` turns it
-    off — failures then propagate raw, which CI debugging legs prefer."""
-    return not env_flag("REPRO_NO_DEGRADE")
+def knobs_set() -> Dict[str, object]:
+    """Knobs the environment names -> resolved values (``repro doctor``)."""
+    return {name: knob(name) for name in KNOBS if os.environ.get(name)}
 
 
 #: fields of :class:`CompilerOptions` that configure *runtime* behaviour
@@ -341,69 +222,8 @@ def degrade_enabled() -> bool:
 #: from persisted kernel state.
 RUNTIME_FIELDS = frozenset({"threads"})
 
-#: element dtypes the pipeline supports end to end (tensor payloads,
-#: workspaces, generated C value types, ctypes signatures).  The names are
-#: numpy dtype names; :func:`repro.codegen.runtime.np_dtype` maps them to
-#: concrete numpy dtypes.  float64 is the paper's (and the historical)
-#: default; float32 halves the memory traffic of the bandwidth-bound
-#: symmetric kernels.
-DTYPE_CHOICES = ("float64", "float32")
-
-
-def default_dtype() -> str:
-    """The process-wide default element dtype (``$REPRO_DTYPE`` or float64).
-
-    Mirrors :func:`default_backend`: an unrecognized env value warns and
-    falls back to float64 instead of breaking every ``CompilerOptions()``
-    construction at import time.
-    """
-    import warnings
-
-    value = os.environ.get("REPRO_DTYPE", "float64")
-    if value not in DTYPE_CHOICES:
-        warnings.warn(
-            "ignoring REPRO_DTYPE=%r (choices: %s); using 'float64'"
-            % (value, ", ".join(DTYPE_CHOICES)),
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return "float64"
-    return value
-
-
-def default_threads():
-    """The process-wide default thread count (``$REPRO_THREADS`` or 1).
-
-    Returns ``"auto"`` or a positive int.  The conservative default is 1:
-    parallel execution is opt-in (set ``REPRO_THREADS=auto`` or a count),
-    so single-threaded timings — the paper's methodology — stay the
-    baseline unless asked otherwise.  Invalid env values warn and fall
-    back to 1, mirroring :func:`default_backend`.
-    """
-    import warnings
-
-    value = os.environ.get("REPRO_THREADS")
-    if value is None or value == "":
-        return 1
-    if value == "auto":
-        return "auto"
-    try:
-        count = int(value)
-        if count < 1:
-            raise ValueError(value)
-    except ValueError:
-        warnings.warn(
-            "ignoring REPRO_THREADS=%r (expected 'auto' or a positive "
-            "integer); using 1" % (value,),
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1
-    return count
-
-
-#: default parallel cost-model threshold: estimated scalar updates each
-#: OpenMP thread must have to be worth waking.  Calibrated against the
+#: parallel cost-model threshold: estimated scalar updates each OpenMP
+#: thread must have to be worth waking.  Calibrated against the
 #: dispatch/parallel-overhead microbenchmark (``benchmarks/bench_dispatch.py``):
 #: entering a parallel region plus the ordered scatter-log replay costs tens
 #: of microseconds, while the compiled loops retire an update in roughly a
@@ -412,40 +232,13 @@ def default_threads():
 PARALLEL_WORK_THRESHOLD = 32768
 
 
-def parallel_work_threshold() -> int:
-    """Scalar updates per thread before ``threads="auto"`` goes parallel.
-
-    Reads ``$REPRO_PARALLEL_THRESHOLD`` (a positive integer); invalid
-    values warn and fall back to the calibrated default, mirroring
-    :func:`default_threads`.
-    """
-    import warnings
-
-    value = os.environ.get("REPRO_PARALLEL_THRESHOLD")
-    if value is None or value == "":
-        return PARALLEL_WORK_THRESHOLD
-    try:
-        count = int(value)
-        if count < 1:
-            raise ValueError(value)
-    except ValueError:
-        warnings.warn(
-            "ignoring REPRO_PARALLEL_THRESHOLD=%r (expected a positive "
-            "integer); using %d" % (value, PARALLEL_WORK_THRESHOLD),
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return PARALLEL_WORK_THRESHOLD
-    return count
-
-
 def auto_thread_count(work: float, cpu: Optional[int] = None) -> int:
     """The cost model behind ``threads="auto"``: threads for *work* updates.
 
     ``work`` is the run's estimated parallel-nest scalar-update count (the
     C renderer's per-nest trip estimate, resolved against the actual
     arguments).  Each thread should carry roughly
-    :func:`parallel_work_threshold` updates, so::
+    :data:`PARALLEL_WORK_THRESHOLD` updates, so::
 
         threads = clamp(round(work / threshold), 1, cpu)
 
@@ -463,7 +256,7 @@ def auto_thread_count(work: float, cpu: Optional[int] = None) -> int:
         return 1
     if work is None or work != work or work < 0:  # None/NaN: no estimate
         return cpu
-    threshold = parallel_work_threshold()
+    threshold = PARALLEL_WORK_THRESHOLD
     return max(1, min(cpu, (int(work) + threshold // 2) // threshold))
 
 
@@ -517,14 +310,14 @@ class CompilerOptions:
 
     # element dtype: float64 | float32 (tensor payloads, workspaces, the
     # output buffer and the C value type all follow it)
-    dtype: str = field(default_factory=default_dtype)
+    dtype: str = field(default_factory=lambda: knob("REPRO_DTYPE"))
 
     # execution backend: python | c | auto
-    backend: str = field(default_factory=default_backend)
+    backend: str = field(default_factory=lambda: knob("REPRO_BACKEND"))
 
     # runtime thread count for the C backend: positive int | "auto"
     # (excluded from cache keys / persistence — see RUNTIME_FIELDS)
-    threads: object = field(default_factory=default_threads)
+    threads: object = field(default_factory=lambda: knob("REPRO_THREADS"))
 
     def __post_init__(self) -> None:
         if self.backend not in BACKEND_CHOICES:

@@ -26,10 +26,10 @@ Every fired fault increments the ``faults.fired.<point>`` metrics counter
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
 
+from repro.core.config import knob
 from repro.faults.spec import (
     Fault,
     FaultError,
@@ -57,7 +57,7 @@ __all__ = [
 
 #: the active plan; ``None`` (the production state) makes every
 #: :func:`poll` a global load + is-None check.
-_plan: Optional[FaultPlan] = parse_spec(os.environ.get("REPRO_FAULTS"))
+_plan: Optional[FaultPlan] = parse_spec(knob("REPRO_FAULTS"))
 
 
 def enabled() -> bool:

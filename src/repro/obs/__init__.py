@@ -21,6 +21,7 @@ itself without import cycles.
 
 from __future__ import annotations
 
+from repro.core.config import knob
 from repro.obs import metrics, profile, trace
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.profile import NestProfile, NestReport, profile_kernel
@@ -65,7 +66,7 @@ def state() -> str:
         for name, on in (
             ("trace", trace.enabled()),
             ("metrics", metrics.enabled()),
-            ("profile", profile.enabled()),
+            ("profile", knob("REPRO_PROFILE")),
         )
         if on
     ]

@@ -34,7 +34,7 @@ from contextlib import contextmanager
 from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.config import env_flag
+from repro.core.config import knob
 
 #: default latency buckets (seconds): 1µs to 10s, quasi-logarithmic.
 #: Wide enough for both a 1.3µs plan dispatch and a 100ms cold compile.
@@ -180,7 +180,7 @@ class MetricsRegistry:
 #: across enable/disable flips.
 _registry = MetricsRegistry()
 
-_enabled = env_flag("REPRO_METRICS")
+_enabled = knob("REPRO_METRICS")
 
 
 def registry() -> MetricsRegistry:

@@ -21,15 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple
 
-from repro.core.config import env_flag
-
-
-def enabled() -> bool:
-    """Is per-nest profiling requested? (``REPRO_PROFILE``, read live —
-    the value is captured into cache keys at canonicalization time and
-    into generated C at render time.)"""
-    return env_flag("REPRO_PROFILE")
-
 
 @dataclass(frozen=True)
 class NestProfile:

@@ -37,7 +37,7 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
-from repro.core.config import env_flag
+from repro.core.config import knob
 
 #: spans kept per recorder before further spans are counted but dropped.
 DEFAULT_MAX_EVENTS = 100_000
@@ -342,5 +342,5 @@ def format_tree(recorder: Optional[TraceRecorder] = None) -> str:
 
 # honour the environment at import: REPRO_TRACE=1 records from process
 # start, which is what the obs-enabled CI leg and ad-hoc debugging use.
-if env_flag("REPRO_TRACE"):  # pragma: no cover - exercised in the CI env leg
+if knob("REPRO_TRACE"):  # pragma: no cover - exercised in the CI env leg
     enable()

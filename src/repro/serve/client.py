@@ -40,17 +40,11 @@ from typing import Dict, Optional
 
 from repro import faults
 from repro.codegen.backends import health as backend_health
-from repro.core.config import (
-    service_backoff,
-    service_retries,
-    service_timeout,
-)
+from repro.core.config import knob
 from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
 from repro.serve import protocol
 from repro.serve.protocol import ProtocolError
-
-#: the env var naming the daemon endpoint (``unix:/path/to.sock``).
-SERVICE_ENV = "REPRO_SERVICE"
 
 
 class RemoteError(RuntimeError):
@@ -81,7 +75,7 @@ def parse_endpoint(value: str) -> str:
     else:
         path = value  # a bare path is accepted as shorthand
     if not path:
-        raise ValueError("empty %s endpoint" % SERVICE_ENV)
+        raise ValueError("empty REPRO_SERVICE endpoint")
     return path
 
 
@@ -101,9 +95,15 @@ class ServiceClient:
         backoff: Optional[float] = None,
     ):
         self.path = str(path)
-        self.timeout = service_timeout() if timeout is None else timeout
-        self.retries = service_retries() if retries is None else int(retries)
-        self.backoff = service_backoff() if backoff is None else float(backoff)
+        if timeout is None:
+            timeout = knob("REPRO_SERVICE_TIMEOUT")
+        if retries is None:
+            retries = knob("REPRO_SERVICE_RETRIES")
+        if backoff is None:
+            backoff = knob("REPRO_SERVICE_BACKOFF")
+        self.timeout = timeout
+        self.retries = int(retries)
+        self.backoff = float(backoff)
         self._sock: Optional[socket.socket] = None
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
@@ -273,7 +273,7 @@ _warned = False
 
 def configured() -> bool:
     """Is a daemon endpoint configured (and not disabled in-process)?"""
-    return not _disabled and bool(os.environ.get(SERVICE_ENV))
+    return not _disabled and bool(knob("REPRO_SERVICE"))
 
 
 def disable_in_process() -> None:
@@ -292,7 +292,7 @@ def get_client() -> Optional[ServiceClient]:
     global _client, _client_endpoint
     if not configured():
         return None
-    endpoint = os.environ[SERVICE_ENV]
+    endpoint = knob("REPRO_SERVICE")
     with _state_lock:
         if _client is None or _client_endpoint != endpoint:
             if _client is not None:
@@ -381,25 +381,36 @@ def fetch_compiled(request) -> Optional["object"]:
     client = get_client()
     if client is None:
         return None
-    try:
-        reply = client.compile(request)
-    except RemoteUnavailable as exc:
-        _mark_unreachable(exc)
-        return None
-    except RemoteReplyError as exc:
-        # the daemon is alive but cannot help with *this* request
-        # (degraded toolchain, deadline, malformed spec): not sticky —
-        # other requests may still be served fine
-        obs_metrics.inc("service.remote.errors")
-        return None
-    key = reply.get("key", request.key)
-    artifact = _materialize_artifact(key, reply)
-    try:
-        kernel = CompiledKernel.from_state(
-            reply["state"], label=key[:12], artifact=artifact
-        )
-    except Exception:
-        obs_metrics.inc("service.remote.errors")
-        return None
-    obs_metrics.inc("service.remote.hits")
-    return kernel
+    key = request.key
+    with obs_trace.span("service:remote", key=key[:12], hit=False) as sp:
+        try:
+            reply = client.compile(request)
+        except RemoteUnavailable as exc:
+            _mark_unreachable(exc)
+            return None
+        except RemoteReplyError:
+            # the daemon is alive but cannot help with *this* request
+            # (degraded toolchain, deadline, malformed spec): not sticky —
+            # other requests may still be served fine
+            obs_metrics.inc("service.remote.errors")
+            return None
+        if reply.get("key") != key:
+            # the daemon built some other kernel (an older one that drops
+            # the spec's codegen field, or one whose "auto" resolved to a
+            # different backend): loading it under this request's key
+            # would hand the caller — and, through store.put, every later
+            # process — the wrong program.  Compile locally instead.
+            obs_metrics.inc("service.remote.key_mismatch")
+            sp.add(key_mismatch=True)
+            return None
+        artifact = _materialize_artifact(key, reply)
+        try:
+            kernel = CompiledKernel.from_state(
+                reply["state"], label=key[:12], artifact=artifact
+            )
+        except Exception:
+            obs_metrics.inc("service.remote.errors")
+            return None
+        obs_metrics.inc("service.remote.hits")
+        sp.add(hit=True)
+        return kernel

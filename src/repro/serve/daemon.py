@@ -54,15 +54,7 @@ import numpy as np
 
 from repro import faults
 from repro.codegen.backends import health as backend_health
-from repro.core.config import (
-    serve_deadline,
-    serve_drain_grace,
-    serve_max_frame,
-    serve_plan_pool,
-    serve_queue_limit,
-    serve_read_timeout,
-    serve_workers,
-)
+from repro.core.config import knob
 from repro.core.flock import InterProcessLock
 from repro.faults.spec import FaultError
 from repro.obs import metrics as obs_metrics
@@ -175,25 +167,25 @@ class KernelServer:
             service.use_remote = False
         self.service = service
         self.queue_limit = (
-            serve_queue_limit() if queue_limit is None else int(queue_limit)
+            knob("REPRO_SERVE_QUEUE") if queue_limit is None else int(queue_limit)
         )
-        self.workers = serve_workers() if workers is None else int(workers)
-        self.deadline = serve_deadline() if deadline is None else (
+        self.workers = knob("REPRO_SERVE_WORKERS") if workers is None else int(workers)
+        self.deadline = knob("REPRO_SERVE_DEADLINE") if deadline is None else (
             deadline if deadline and deadline > 0 else None
         )
         self.read_timeout = (
-            serve_read_timeout() if read_timeout is None else (
+            knob("REPRO_SERVE_READ_TIMEOUT") if read_timeout is None else (
                 read_timeout if read_timeout and read_timeout > 0 else None
             )
         )
         self.drain_grace = (
-            serve_drain_grace() if drain_grace is None else float(drain_grace)
+            knob("REPRO_SERVE_DRAIN") if drain_grace is None else float(drain_grace)
         )
         self.max_frame = (
-            serve_max_frame() if max_frame is None else int(max_frame)
+            knob("REPRO_SERVE_MAX_FRAME") if max_frame is None else int(max_frame)
         )
         self.plans = PlanPool(
-            serve_plan_pool() if plan_pool_size is None else plan_pool_size
+            knob("REPRO_SERVE_PLANS") if plan_pool_size is None else plan_pool_size
         )
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-serve"

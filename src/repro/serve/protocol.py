@@ -56,7 +56,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.config import serve_max_frame
+from repro.core.config import knob
 
 #: frame header: one big-endian u32 payload length.
 HEADER = struct.Struct(">I")
@@ -118,7 +118,7 @@ def encode_frame(doc: Mapping, max_frame: Optional[int] = None) -> bytes:
     them; the summed size is checked against the limit before the one
     join that copies them.
     """
-    limit = serve_max_frame() if max_frame is None else max_frame
+    limit = knob("REPRO_SERVE_MAX_FRAME") if max_frame is None else max_frame
     segments = []  # (offset in the segment area, byte view)
     end = 0
 
@@ -150,7 +150,7 @@ def encode_frame(doc: Mapping, max_frame: Optional[int] = None) -> bytes:
 
 def decode_length(header: bytes, max_frame: Optional[int] = None) -> int:
     """Validate a frame header; returns the body length."""
-    limit = serve_max_frame() if max_frame is None else max_frame
+    limit = knob("REPRO_SERVE_MAX_FRAME") if max_frame is None else max_frame
     if len(header) != HEADER.size:
         raise ProtocolError("truncated frame header (%d bytes)" % len(header))
     (length,) = HEADER.unpack(header)
@@ -286,11 +286,13 @@ def spec_from_request(request) -> dict:
     """A :class:`repro.service.keys.CompileRequest` as a wire spec.
 
     The spec is the *user-facing* compile surface (einsum string,
-    symmetric partition, loop order, formats, options dict): the daemon
-    re-canonicalizes it through the same :func:`canonicalize` path the
-    client used, so both ends agree on defaults by construction.
+    symmetric partition, loop order, formats, options dict) plus the
+    request's resolved codegen configuration: the daemon re-canonicalizes
+    the former through the same :func:`canonicalize` path the client used
+    and takes the latter as given, so it builds — and keys — the kernel
+    the *client's* environment asked for, not its own.
     """
-    return {
+    spec = {
         "einsum": str(request.assignment),
         "symmetric": {
             name: [list(part) for part in parts]
@@ -304,14 +306,20 @@ def spec_from_request(request) -> dict:
             name: list(levels) for name, levels in request.sparse_levels
         },
     }
+    if request.codegen is not None:
+        spec["codegen"] = request.codegen.to_dict()
+    return spec
 
 
 def request_from_spec(doc):
     """Canonicalize a wire spec back into a ``CompileRequest``.
 
     Raises ``ValueError`` (including :class:`ProtocolError`) on anything
-    malformed — the daemon maps that onto a ``bad-request`` reply.
+    malformed — the daemon maps that onto a ``bad-request`` reply.  A
+    spec without ``codegen`` (a hand-written one) is resolved under the
+    daemon's own environment.
     """
+    from repro.codegen.backends.base import CodegenConfig
     from repro.core.config import CompilerOptions
     from repro.service.keys import canonicalize
 
@@ -330,6 +338,9 @@ def request_from_spec(doc):
         and all(isinstance(i, str) for i in loop_order)
     ):
         raise ProtocolError("spec.loop_order must be a list of index names")
+    codegen = doc.get("codegen")
+    if codegen is not None:
+        codegen = CodegenConfig.from_dict(codegen)
     return canonicalize(
         einsum,
         symmetric=doc.get("symmetric") or None,
@@ -338,4 +349,5 @@ def request_from_spec(doc):
         options=options,
         naive=bool(doc.get("naive", False)),
         sparse_levels=doc.get("sparse_levels") or None,
+        codegen=codegen,
     )

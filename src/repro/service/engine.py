@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from repro import faults
 from repro.codegen.backends import health as backend_health
 from repro.core.compiler import CompiledKernel
-from repro.core.config import CompilerOptions, DEFAULT, lock_timeout
+from repro.core.config import CompilerOptions, DEFAULT, knob
 from repro.core.flock import InterProcessLock
 from repro.faults.spec import FaultError
 from repro.frontend.einsum import Assignment
@@ -295,7 +295,7 @@ class KernelService:
         if self.store is None:
             return self._compile_now(key, request), "compiled"
         lock = InterProcessLock(str(self.store.path / ("%s.lock" % key)))
-        deadline = time.monotonic() + lock_timeout()
+        deadline = time.monotonic() + knob("REPRO_LOCK_TIMEOUT")
         acquired = False
         try:
             while True:
@@ -336,14 +336,11 @@ class KernelService:
         — and the lookup falls through to the local compile path.  Never
         raises: remote is an accelerator, not a dependency.
         """
+        if not self.use_remote:
+            return None
         from repro.serve import client as serve_client
 
-        if not self.use_remote or not serve_client.configured():
-            return None
-        with obs_trace.span("service:remote", key=request.key[:12]) as sp:
-            kernel = serve_client.fetch_compiled(request)
-            sp.add(hit=kernel is not None)
-        return kernel
+        return serve_client.fetch_compiled(request)
 
     def _compile_now(self, key: str, request: CompileRequest) -> CompiledKernel:
         """One cold compile (the ``service.compile`` injection point)."""

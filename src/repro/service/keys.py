@@ -8,52 +8,56 @@ explicit ``"dense"`` entries; loop order omitted or spelled out as the
 default.  :func:`canonicalize` resolves every default the same way
 ``compile_kernel`` does and :func:`cache_key` hashes the canonical form.
 
-The key material includes a format-version salt, so a change to the key
-schema (or to what a key must capture) retires old disk-store entries
-instead of silently aliasing them.
+The configuration half of the key is *derived, not listed*: the material
+enumerates the dataclass fields of :class:`CompilerOptions` and — for
+C-backend requests — of the request's resolved
+:class:`~repro.codegen.backends.base.CodegenConfig` (OpenMP strategy,
+profiling, pass set), so a field is keyed unless it is tagged
+runtime-only (:data:`repro.core.config.RUNTIME_FIELDS`: two requests
+differing only in thread count share one compiled kernel) and adding a
+field retires old keys by itself.  That configuration is resolved once,
+inside :func:`repro.core.compiler.resolve_request`, and the request then
+carries it as a value — to the compiler, over the wire and into the
+store — so a key always describes the program built for it.
 
-Runtime-only options (``CompilerOptions.threads`` — see
-:data:`repro.core.config.RUNTIME_FIELDS`) are excluded from the key
-material via ``CompilerOptions.to_dict``: two requests differing only in
-thread count share one compiled kernel, and the thread count is supplied
-per run instead.
-
-The OpenMP *emission strategy* (``$REPRO_OMP_STRATEGY``) is the opposite
-case: it changes the generated C, so for C-backend requests the resolved
-strategy is captured at canonicalization time and keyed — an ``atomic``
-build and an ``auto`` build of one einsum are distinct cached artifacts,
-and a persisted ``.so`` is only ever rehydrated under the strategy that
-produced it.
+The material also includes a version salt, bumped by hand only when a
+*semantic* change must retire entries whose material would read the same.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
+from repro.codegen.backends.base import CodegenConfig
 from repro.core.compiler import CompiledKernel, compile_kernel, resolve_request
-from repro.core.config import CompilerOptions, DEFAULT
+from repro.core.config import CompilerOptions, DEFAULT, RUNTIME_FIELDS
 from repro.frontend.einsum import Assignment
 from repro.frontend.parser import parse_assignment
 
-#: bump when the canonical key material changes shape.
-#: v2: options carry the execution backend (part of the key — a python
-#: and a c build of the same einsum are distinct cached artifacts).
-#: v3: C-backend requests key the resolved OpenMP emission strategy, so
-#: auto/serial/atomic builds never alias one another in a shared store.
-#: v4: options carry the element dtype — float32 and float64 builds of
-#: one einsum are distinct artifacts and never alias in cache or store.
-#: v5: C-backend requests key whether per-nest profiling (REPRO_PROFILE)
-#: is compiled in, so instrumented builds never alias production ones.
-#: v6: C-backend requests key the active optimization-pass set
-#: (REPRO_PASSES / REPRO_TILE), so builds under different pass pipelines
-#: never alias one another in cache or store.
-#: v7: lowering factors workspaces; the default pass set tiles — an entry
-#: persisted before holds a correct but slower program under the same
-#: key material and would be served forever.
-KEY_VERSION = 7
+#: the salt for *semantic* changes — ones that alter the program built
+#: for unchanged key material (v7: lowering factored workspaces and the
+#: default pass set began tiling; an entry persisted before would hold a
+#: correct but slower program forever).  Added, removed or renamed
+#: configuration fields need no bump: the material enumerates them.
+#: v8: the material changed shape once, to that enumeration.
+KEY_VERSION = 8
+
+
+def _fields_text(config, skip=frozenset()) -> str:
+    """``name=value,...`` over every dataclass field of *config* not in
+    *skip*, in declaration order (bools as 0/1, nested values as their
+    ``str`` — :class:`PassConfig` prints its signature)."""
+    parts = []
+    for f in fields(config):
+        if f.name not in skip:
+            value = getattr(config, f.name)
+            if isinstance(value, bool):
+                value = int(value)
+            parts.append("%s=%s" % (f.name, value))
+    return ",".join(parts)
 
 
 @dataclass(frozen=True)
@@ -73,15 +77,10 @@ class CompileRequest:
     options: CompilerOptions
     naive: bool
     sparse_levels: Tuple[Tuple[str, Tuple[str, ...]], ...]
-    #: resolved OpenMP emission strategy for C-backend requests
-    #: ("-" for backends the strategy cannot affect).
-    omp_strategy: str = "-"
-    #: whether per-nest profiling is compiled into the C source
-    #: ("on"/"off"; "-" for backends profiling cannot affect).
-    profile: str = "-"
-    #: resolved optimization-pass signature for C-backend requests
-    #: (:meth:`PassConfig.signature`; "-" for other backends).
-    passes: str = "-"
+    #: what the C source is rendered under, resolved once; ``None`` for
+    #: backends it cannot affect (a python request ignores every codegen
+    #: knob, so they must not split its key).
+    codegen: Optional[CodegenConfig] = None
 
     # ------------------------------------------------------------------
     def key_material(self) -> str:
@@ -97,20 +96,15 @@ class CompileRequest:
             ),
             "loop=%s" % ",".join(self.loop_order),
             "formats=%s" % ";".join("%s:%s" % nf for nf in self.formats),
-            "options=%s"
-            % ",".join(
-                "%s=%s" % (name, int(value) if isinstance(value, bool) else value)
-                for name, value in self.options.to_dict().items()
-            ),
+            "options=%s" % _fields_text(self.options, RUNTIME_FIELDS),
             "naive=%d" % self.naive,
             "levels=%s"
             % ";".join(
                 "%s:%s" % (name, ",".join(levels))
                 for name, levels in self.sparse_levels
             ),
-            "omp=%s" % self.omp_strategy,
-            "profile=%s" % self.profile,
-            "passes=%s" % self.passes,
+            "codegen=%s"
+            % ("-" if self.codegen is None else _fields_text(self.codegen)),
         ]
         return "|".join(parts)
 
@@ -135,6 +129,7 @@ class CompileRequest:
             options=self.options,
             naive=self.naive,
             sparse_levels={n: list(ls) for n, ls in self.sparse_levels} or None,
+            codegen=self.codegen,
         )
 
 
@@ -146,53 +141,28 @@ def canonicalize(
     options: CompilerOptions = DEFAULT,
     naive: bool = False,
     sparse_levels: Optional[Mapping[str, Sequence[str]]] = None,
+    codegen: Optional[CodegenConfig] = None,
 ) -> CompileRequest:
     """Resolve a user-facing compile spec into a :class:`CompileRequest`.
 
     Defaulting is delegated to
     :func:`repro.core.compiler.resolve_request` — the same code path
     ``compile_kernel`` runs — so a key can never describe different
-    defaults than the compiler would apply.
+    defaults than the compiler would apply.  *codegen* is for callers
+    that hold an already-resolved configuration (the daemon, decoding a
+    client's wire spec); everyone else leaves it to be resolved here.
     """
     assignment = (
         parse_assignment(einsum) if isinstance(einsum, str) else einsum
     )
-    symmetric_modes, loop_order, formats, options = resolve_request(
-        assignment, symmetric, loop_order, formats, options, naive
+    symmetric_modes, loop_order, formats, options, codegen = resolve_request(
+        assignment, symmetric, loop_order, formats, options, naive, codegen
     )
     # explicit "dense" entries equal the unlisted default — drop them so
     # {"A": "sparse", "x": "dense"} and {"A": "sparse"} share a key
     canonical_formats = tuple(
         sorted((n, f) for n, f in formats.items() if f != "dense")
     )
-    if options.backend == "c":
-        from repro import tune
-        from repro.codegen.backends.c import default_omp_strategy
-        from repro.codegen.backends.cpasses import active_pass_config
-        from repro.obs import profile as obs_profile
-
-        # a tuned compile-level variant fills whatever the environment
-        # left at its default — through the same helper the renderer
-        # consults, so the key always describes the source that gets
-        # rendered for it
-        tuned_passes, tuned_strategy = tune.compile_overrides(
-            str(assignment), options.dtype
-        )
-        omp_strategy = (
-            tuned_strategy
-            if tuned_strategy is not None
-            else default_omp_strategy()
-        )
-        profile = "on" if obs_profile.enabled() else "off"
-        passes = (
-            tuned_passes
-            if tuned_passes is not None
-            else active_pass_config()
-        ).signature()
-    else:
-        omp_strategy = "-"  # the strategy cannot affect other backends
-        profile = "-"  # only the C renderer emits instrumentation
-        passes = "-"  # only the C renderer runs the pass pipeline
     return CompileRequest(
         assignment=assignment,
         symmetric_modes=tuple(sorted(symmetric_modes.items())),
@@ -206,9 +176,7 @@ def canonicalize(
                 for name, levels in (sparse_levels or {}).items()
             )
         ),
-        omp_strategy=omp_strategy,
-        profile=profile,
-        passes=passes,
+        codegen=codegen,
     )
 
 

@@ -44,6 +44,7 @@ from typing import Iterator, List, Optional, Tuple, Union
 from repro import faults
 from repro.codegen.backends import BackendError
 from repro.core.compiler import STATE_VERSION, CompiledKernel
+from repro.core.config import knob
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -79,15 +80,13 @@ class DiskStore:
     def __init__(
         self, path: Union[str, Path], max_bytes: Optional[int] = None
     ):
-        from repro.core.config import store_max_bytes
-
         self.path = Path(path)
         if self.path.exists() and not self.path.is_dir():
             raise NotADirectoryError(
                 "disk store path %s exists and is not a directory" % self.path
             )
         self.path.mkdir(parents=True, exist_ok=True)
-        self.max_bytes = store_max_bytes() if max_bytes is None else (
+        self.max_bytes = knob("REPRO_STORE_MAX_BYTES") if max_bytes is None else (
             max_bytes if max_bytes > 0 else None
         )
         self.hits = 0

@@ -3,36 +3,29 @@
 The package follows :mod:`repro.obs`'s zero-overhead discipline: nothing
 is loaded and nothing is consulted unless ``REPRO_TUNED`` names a tuning
 database — the hot path costs one module-global check when tuning is
-off.  With a database active, two integration points consult it:
+off, and unsetting the variable *is* the off switch.  With a database
+active, two integration points consult :func:`active`'s oracle:
 
-* :meth:`repro.codegen.executor.BoundKernel.resolve_run_threads` asks
-  :func:`active`'s oracle for a measured thread count when ``threads``
-  is ``"auto"`` (falling back to the work-estimate cost model on any
-  miss), and
-* the C renderer and the service cache-key canonicalizer both call
-  :func:`compile_overrides` for a measured pass set / tile size / OMP
-  strategy — through one shared helper, so the cache key can never
-  disagree with the rendered source.
+* :meth:`repro.codegen.executor.BoundKernel.resolve_run_threads` asks it
+  for a measured thread count when ``threads`` is ``"auto"`` (falling
+  back to the work-estimate cost model on any miss) — a runtime lookup,
+  per run, and
+* :meth:`repro.codegen.backends.base.CodegenConfig.resolve` asks it for a
+  measured pass set / tile size / OMP strategy — once per compile
+  request; the resolved value then travels with the request, so the cache
+  key, the store entry and the rendered source all describe the same
+  answer.  Explicit environment pins win there, axis by axis
+  (``REPRO_PASSES``, ``REPRO_OMP_STRATEGY``).
 
-Explicit environment pins always win: a user who sets ``REPRO_PASSES``,
-``REPRO_TILE`` or ``REPRO_OMP_STRATEGY`` has overridden the tuner for
-that axis, and ``REPRO_NO_TUNE=1`` disables lookups wholesale (the CI
-perf-smoke guard uses this to prove the off path costs nothing).
+The tuner itself (:mod:`repro.tune.measure`) builds every variant under
+an explicit configuration value and never touches the environment.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-#: env var naming the tuning database to consult (off when unset).
-ENV_DB = "REPRO_TUNED"
-#: env var disabling all tuned lookups even when a database is named.
-ENV_NO_TUNE = "REPRO_NO_TUNE"
-#: env var with the default ``repro tune`` search budget (seconds spec).
-ENV_BUDGET = "REPRO_TUNE_BUDGET"
-
-_TRUE = ("1", "true", "yes", "on")
+from repro.core.config import knob
 
 _UNSET = object()
 #: the process-wide oracle: ``_UNSET`` until first consulted, then a
@@ -41,27 +34,12 @@ _UNSET = object()
 _oracle = _UNSET
 
 
-def enabled_in_env() -> bool:
-    """Whether the environment asks for tuned lookups at all."""
-    if os.environ.get(ENV_NO_TUNE, "").strip().lower() in _TRUE:
-        return False
-    return bool(os.environ.get(ENV_DB))
-
-
-def _load_from_env():
-    if not enabled_in_env():
-        return None
-    from repro.tune.oracle import load_oracle
-
-    return load_oracle(os.environ[ENV_DB])
-
-
 def active():
     """The process-wide :class:`~repro.tune.oracle.TuningOracle`, or
     ``None`` when tuning is off / the database is absent or unreadable."""
     global _oracle
     if _oracle is _UNSET:
-        _oracle = _load_from_env()
+        configure(knob("REPRO_TUNED"))
     return _oracle
 
 
@@ -83,76 +61,11 @@ def configure(path: Optional[str]) -> None:
     _oracle = load_oracle(path)
 
 
-def default_budget(fallback: str = "30s") -> str:
-    """The ``repro tune`` budget spec: ``$REPRO_TUNE_BUDGET`` or *fallback*."""
-    return os.environ.get(ENV_BUDGET, "").strip() or fallback
-
-
-# ----------------------------------------------------------------------
-# compile-time consultation (shared by renderer and cache-key logic)
-# ----------------------------------------------------------------------
-def compile_overrides(
-    einsum: Optional[str], dtype: str
-) -> Tuple[Optional[object], Optional[str]]:
-    """The tuned ``(PassConfig, omp_strategy)`` for one kernel, each
-    ``None`` when untuned or pinned by explicit environment.
-
-    Both the C renderer and :func:`repro.service.keys.canonicalize` call
-    this with the same einsum/dtype, so a tuned build and its cache key
-    are derived from the same answer.  Axis-by-axis env precedence:
-    ``REPRO_PASSES``/``REPRO_TILE`` pin the pass config, and
-    ``REPRO_OMP_STRATEGY`` pins the strategy.
-    """
-    if einsum is None:
-        return None, None
-    env_passes = (
-        os.environ.get("REPRO_PASSES") is not None
-        or os.environ.get("REPRO_TILE") is not None
-    )
-    env_strategy = os.environ.get("REPRO_OMP_STRATEGY") is not None
-    if env_passes and env_strategy:
-        return None, None
-    oracle = active()
-    if oracle is None:
-        return None, None
-    entry = oracle.compile_for(einsum, str(dtype))
-    if entry is None:
-        return None, None
-
-    pass_config = None
-    if not env_passes:
-        from repro.codegen.backends.cpasses import PASS_ORDER, PassConfig
-
-        names = entry.get("passes")
-        if isinstance(names, (list, tuple)):
-            enabled = tuple(n for n in PASS_ORDER if n in names)
-            if "denormals" in enabled:
-                # same toolchain gate as active_pass_config(): a tuned
-                # entry from an FTZ-capable machine must not ask this
-                # toolchain for what it cannot emit
-                from repro.codegen.backends import ctoolchain
-
-                if not ctoolchain.probe_ftz():
-                    enabled = tuple(n for n in enabled if n != "denormals")
-            try:
-                tile_rows = max(0, int(entry.get("tile_rows", 0)))
-            except (TypeError, ValueError):
-                tile_rows = 0
-            pass_config = PassConfig(enabled=enabled, tile_rows=tile_rows)
-
-    strategy = None
-    if not env_strategy:
-        candidate = entry.get("omp_strategy")
-        if candidate in ("auto", "serial", "atomic"):
-            strategy = candidate
-    return pass_config, strategy
-
-
 def stats_dict() -> Dict[str, object]:
     """Counters for ``repro stats`` — meaningful even when tuning is off."""
     oracle = active()
     if oracle is None:
-        return {"configured": False, "enabled": enabled_in_env()}
+        return {"configured": False, "enabled": bool(knob("REPRO_TUNED"))}
     out: Dict[str, object] = {"configured": True, "enabled": True}
     out.update(oracle.stats_dict())
     return out

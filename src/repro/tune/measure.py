@@ -1,12 +1,12 @@
 """Measured evaluation of variants on real kernels.
 
 The measurer compiles each compile-level variant (pass set, tile size,
-OMP strategy) of one lowered kernel through the normal C backend —
-pinning the same environment knobs a user would (``REPRO_PASSES`` /
-``REPRO_TILE`` / ``REPRO_OMP_STRATEGY``), which also makes any active
-tuning oracle inert for the builds (explicit env always outranks tuned
-overrides) — binds it to one prepared argument set, and times only the
-kernel's loops, exactly like :mod:`repro.bench`.
+OMP strategy) of one lowered kernel through the normal C backend under
+an explicit :class:`~repro.codegen.backends.base.CodegenConfig` built
+from the variant — nothing is resolved from the environment or an active
+tuning oracle, and the process environment is never written — binds it
+to one prepared argument set, and times only the kernel's loops, exactly
+like :mod:`repro.bench`.
 
 Before a variant is ever timed, its raw output buffer must be
 bit-identical to the untuned baseline's.  A variant that diverges (the
@@ -17,11 +17,9 @@ can only ever make kernels faster, never different.
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,33 +39,26 @@ from repro.tune.search import (
     variant_space,
 )
 
-#: the environment knobs a variant pins for its build.
-_VARIANT_ENV = ("REPRO_PASSES", "REPRO_TILE", "REPRO_OMP_STRATEGY")
 
+def variant_codegen(variant: Variant):
+    """The :class:`CodegenConfig` a variant's compile axes spell (never
+    profiled: instrumentation would be timed along with the loops)."""
+    from repro.codegen.backends.base import CodegenConfig
+    from repro.codegen.backends.cpasses import PassConfig, parse_passes
 
-@contextmanager
-def variant_env(variant: Variant):
-    """Pin the compile-level environment to *variant* (restored on exit)."""
-    saved = {name: os.environ.get(name) for name in _VARIANT_ENV}
-    os.environ["REPRO_PASSES"] = variant.passes
-    os.environ["REPRO_TILE"] = str(variant.tile_rows)
-    os.environ["REPRO_OMP_STRATEGY"] = variant.omp_strategy
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+    passes, tile_rows, omp_strategy = variant.compile_axes()
+    return CodegenConfig(
+        omp_strategy=omp_strategy,
+        passes=PassConfig(parse_passes(passes), tile_rows),
+    )
 
 
 class VariantMeasurer:
     """Build/verify/time variants of one compiled kernel on one input set.
 
     ``kernel`` must be a C-backend :class:`~repro.core.compiler.CompiledKernel`
-    built under the *baseline* environment (``variant_env(BASELINE)``); its
-    executable seeds the build cache as the untuned reference.
+    built under the *baseline* configuration (``variant_codegen(BASELINE)``);
+    its executable seeds the build cache as the untuned reference.
     """
 
     def __init__(self, kernel, inputs: Dict, max_eval_s: float = 2.0):
@@ -110,13 +101,14 @@ class VariantMeasurer:
             from repro.codegen.backends import get_backend
             from repro.codegen.backends.base import BackendError
 
-            with variant_env(variant):
-                try:
-                    self._builds[axes] = get_backend("c").compile(
-                        self.lowered, label="tune-%s" % variant.passes
-                    )
-                except (BackendError, OSError) as exc:
-                    raise VariantRejected("build failed: %s" % exc)
+            try:
+                self._builds[axes] = get_backend("c").compile(
+                    self.lowered,
+                    label="tune-%s" % variant.passes,
+                    codegen=variant_codegen(variant),
+                )
+            except (BackendError, OSError) as exc:
+                raise VariantRejected("build failed: %s" % exc)
         return self._builds[axes]
 
     def runner(self, variant: Variant):
@@ -244,15 +236,6 @@ class TuneReport:
         return "\n".join(lines)
 
 
-def _variant_signature(variant: Variant) -> Tuple[List[str], str]:
-    """Resolve a variant's pass spec to (enabled names, signature text)."""
-    from repro.codegen.backends.cpasses import PassConfig, parse_passes
-
-    enabled = parse_passes(variant.passes)
-    config = PassConfig(enabled=enabled, tile_rows=variant.tile_rows)
-    return list(enabled), config.signature()
-
-
 def tune_kernel(
     spec,
     inputs: Dict,
@@ -266,17 +249,24 @@ def tune_kernel(
 ) -> TuneReport:
     """Search the variant space for one kernel and record the winner.
 
-    ``spec`` is a kernel-library spec (anything with ``.compile``); the
-    baseline kernel is compiled under the pinned baseline environment so
-    neither user env nor an active oracle skews the reference point.
+    ``spec`` is a :class:`~repro.kernels.library.KernelSpec`; the
+    baseline kernel is compiled under the explicit baseline configuration
+    so neither user env nor an active oracle skews the reference point.
     When ``db_path`` is given the winning runtime variant (and, when it
     differs from the default build, the winning compile-level variant)
     is merged into the tuning database under this machine's class.
     """
+    from repro.core.compiler import compile_kernel
     from repro.core.config import DEFAULT, cpu_count
 
-    with variant_env(BASELINE):
-        kernel = spec.compile(options=DEFAULT.but(backend="c", dtype=dtype))
+    kernel = compile_kernel(
+        spec.einsum,
+        symmetric=dict(spec.symmetric),
+        loop_order=spec.loop_order,
+        formats=dict(spec.formats),
+        options=DEFAULT.but(backend="c", dtype=dtype),
+        codegen=variant_codegen(BASELINE),
+    )
 
     budget_s = float(budget_s)
     measurer = VariantMeasurer(
@@ -305,7 +295,8 @@ def tune_kernel(
     )
     best, best_stats = result.best, result.best_stats
     if db_path is not None and best is not None and best_stats is not None:
-        enabled, signature = _variant_signature(best)
+        passes = variant_codegen(best).passes
+        enabled, signature = list(passes.enabled), passes.signature()
         shape_entry: Dict[str, object] = {
             "threads": best.threads,
             "passes": enabled,

@@ -8,9 +8,9 @@ answers two questions on the compile/bind path:
   :meth:`repro.codegen.executor.BoundKernel.resolve_run_threads` when the
   setting is ``"auto"``), and
 * ``compile_for`` — the measured pass set / tile size / OMP strategy for
-  this kernel (consulted by the C renderer and the service cache-key
-  canonicalizer, which must agree — both call through
-  :func:`repro.tune.compile_overrides`).
+  this kernel (consulted once per compile request, by
+  :meth:`repro.codegen.backends.base.CodegenConfig.resolve`, which owns
+  precedence against the environment and validates the entry).
 
 Machine matching degrades gracefully: exact
 :func:`~repro.bench.harness.fingerprint_class` first, then the nearest

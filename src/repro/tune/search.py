@@ -37,10 +37,11 @@ class Variant:
     """One point of the tuning grid.
 
     ``passes`` is a ``$REPRO_PASSES`` spec string (the same language users
-    pin by hand), ``tile_rows`` the ``$REPRO_TILE`` block size it runs
-    with, ``omp_strategy`` the emission mode, ``threads`` the runtime
-    count.  The untuned baseline is ``Variant()`` — the defaults every
-    un-pinned process compiles and runs with, serially.
+    pin by hand), ``tile_rows`` the tile-pass block size it runs with
+    (0 = sized at run time), ``omp_strategy`` the emission mode,
+    ``threads`` the runtime count.  The untuned baseline is ``Variant()``
+    — the defaults every un-pinned process compiles and runs with,
+    serially.
     """
 
     threads: int = 1

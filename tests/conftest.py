@@ -36,3 +36,14 @@ def replace_node(tree, old, new):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(autouse=True)
+def fresh_warn_memo():
+    """Bad-knob diagnostics are once per (name, value) per *process*; a
+    test that expects one must not depend on which tests ran before it."""
+    from repro.core import config
+
+    config._warned_values.clear()
+    yield
+    config._warned_values.clear()

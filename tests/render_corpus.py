@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Iterator, List, Tuple
 
+from repro.codegen.backends.base import CodegenConfig
 from repro.codegen.backends.c import render_c_full
 from repro.codegen.backends.cpasses import DEFAULT_ON, PASS_ORDER, PassConfig
 from repro.core.compiler import compile_kernel
@@ -98,6 +99,12 @@ C_CONFIGS: Tuple[Tuple[str, str, bool], ...] = tuple(
     for profile in (False, True)
 )
 
+#: the same 24 points as the values the renderer is handed.
+CODEGEN_CONFIGS: Tuple[CodegenConfig, ...] = tuple(
+    CodegenConfig(parallel, profile, PASS_SETS[passes])
+    for passes, parallel, profile in C_CONFIGS
+)
+
 
 def lowerings() -> Iterator[Tuple[str, object]]:
     """``(key, CompiledKernel)`` for the whole corpus (python backend)."""
@@ -136,14 +143,8 @@ def lowerings() -> Iterator[Tuple[str, object]]:
 def c_renderings(lowered) -> List[str]:
     """The C translation unit under every :data:`C_CONFIGS` entry."""
     return [
-        render_c_full(
-            lowered,
-            label="digest",
-            parallel=parallel,
-            profile=profile,
-            passes=PASS_SETS[passes],
-        ).source
-        for passes, parallel, profile in C_CONFIGS
+        render_c_full(lowered, "digest", config).source
+        for config in CODEGEN_CONFIGS
     ]
 
 

@@ -17,6 +17,7 @@ from repro.codegen.backends import (
     resolve_backend_name,
 )
 from repro.codegen.backends import ctoolchain
+from repro.codegen.backends.base import CodegenConfig
 from repro.codegen import executor as executor_mod
 from repro.core.compiler import compile_kernel
 from repro.core.config import DEFAULT, CompilerOptions
@@ -320,7 +321,9 @@ def test_stale_build_cache_object_is_rebuilt(rng):
     with open(tmp, "wb") as handle:
         handle.write(b"not an object file")
     os.replace(tmp, stale)  # fresh inode, like a restored foreign cache
-    rebuilt = get_backend("c").compile(kernel.lowered)
+    rebuilt = get_backend("c").compile(
+        kernel.lowered, codegen=CodegenConfig.resolve()
+    )
     prepared = kernel.bound.prepare(QQ=np.eye(4), ww=np.ones(4))
     out = np.zeros(4)
     rebuilt(out, **prepared)

@@ -1,53 +1,50 @@
-"""Env-knob hardening: bad values clamp to defaults with a one-time
-warning instead of crashing (or silently misconfiguring) the process."""
+"""The knob table: one reader, one boolean parser, and bad values clamp
+to defaults with a one-time warning instead of crashing (or silently
+misconfiguring) the process."""
 
 from __future__ import annotations
 
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
 from repro.core import config
+from repro.core.config import KNOBS, knob
 
 
-@pytest.fixture(autouse=True)
-def fresh_warn_memo():
-    config._warned_values.clear()
-    yield
-    config._warned_values.clear()
-
-
-def _caught(monkeypatch, name, value, reader):
+def _caught(monkeypatch, name, value):
     monkeypatch.setenv(name, value)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = reader()
+        result = knob(name)
     return result, [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("value", ["-3", "nan-ish", "", "0x10"])
 def test_cc_retries_clamps_bad_values(monkeypatch, value):
-    result, warned = _caught(monkeypatch, "REPRO_CC_RETRIES", value, config.cc_retries)
-    assert result == config.DEFAULT_CC_RETRIES
+    result, warned = _caught(monkeypatch, "REPRO_CC_RETRIES", value)
+    assert result == KNOBS["REPRO_CC_RETRIES"].default == 2
     if value != "":  # empty means unset, silently
         assert len(warned) == 1
         assert "REPRO_CC_RETRIES" in str(warned[0].message)
 
 
 def test_cc_retries_zero_is_valid(monkeypatch):
-    result, warned = _caught(monkeypatch, "REPRO_CC_RETRIES", "0", config.cc_retries)
+    result, warned = _caught(monkeypatch, "REPRO_CC_RETRIES", "0")
     assert result == 0 and not warned
 
 
 @pytest.mark.parametrize("value", ["-1", "garbage"])
 def test_cc_timeout_clamps_bad_values(monkeypatch, value):
-    result, warned = _caught(monkeypatch, "REPRO_CC_TIMEOUT", value, config.cc_timeout)
-    assert result == config.DEFAULT_CC_TIMEOUT
+    result, warned = _caught(monkeypatch, "REPRO_CC_TIMEOUT", value)
+    assert result == KNOBS["REPRO_CC_TIMEOUT"].default == 60.0
     assert len(warned) == 1
 
 
 def test_cc_timeout_zero_disables(monkeypatch):
-    result, warned = _caught(monkeypatch, "REPRO_CC_TIMEOUT", "0", config.cc_timeout)
+    result, warned = _caught(monkeypatch, "REPRO_CC_TIMEOUT", "0")
     assert result is None and not warned
 
 
@@ -55,10 +52,8 @@ def test_cc_timeout_zero_disables(monkeypatch):
 def test_lock_timeout_clamps_zero_and_negative(monkeypatch, value):
     """Zero is NOT an off switch here: a zero lock wait turns every
     contended key into a duplicate private compile."""
-    result, warned = _caught(
-        monkeypatch, "REPRO_LOCK_TIMEOUT", value, config.lock_timeout
-    )
-    assert result == config.DEFAULT_LOCK_TIMEOUT
+    result, warned = _caught(monkeypatch, "REPRO_LOCK_TIMEOUT", value)
+    assert result == KNOBS["REPRO_LOCK_TIMEOUT"].default == 120.0
     assert len(warned) == 1
     assert "REPRO_LOCK_TIMEOUT" in str(warned[0].message)
 
@@ -68,57 +63,145 @@ def test_warning_is_emitted_once_per_name_value(monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for _ in range(5):
-            assert config.lock_timeout() == config.DEFAULT_LOCK_TIMEOUT
+            assert knob("REPRO_LOCK_TIMEOUT") == 120.0
     assert len(caught) == 1
     # a *different* bad value warns again (it is new information)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         monkeypatch.setenv("REPRO_LOCK_TIMEOUT", "-10")
-        config.lock_timeout()
+        knob("REPRO_LOCK_TIMEOUT")
     assert len(caught) == 1
 
 
-def test_serve_knob_defaults():
-    assert config.serve_queue_limit() == config.DEFAULT_SERVE_QUEUE
-    assert config.serve_workers() == config.DEFAULT_SERVE_WORKERS
-    assert config.serve_deadline() == config.DEFAULT_SERVE_DEADLINE
-    assert config.serve_read_timeout() == config.DEFAULT_SERVE_READ_TIMEOUT
-    assert config.serve_drain_grace() == config.DEFAULT_SERVE_DRAIN
-    assert config.serve_max_frame() == config.DEFAULT_SERVE_MAX_FRAME
-    assert config.serve_plan_pool() == config.DEFAULT_SERVE_PLANS
-    assert config.service_retries() == config.DEFAULT_SERVICE_RETRIES
-    assert config.service_backoff() == config.DEFAULT_SERVICE_BACKOFF
-    assert config.service_timeout() == config.DEFAULT_SERVICE_TIMEOUT
-    assert config.store_max_bytes() is None
+def test_serve_knob_defaults(monkeypatch):
+    for name in KNOBS:
+        monkeypatch.delenv(name, raising=False)
+    assert knob("REPRO_SERVE_QUEUE") == 32
+    assert knob("REPRO_SERVE_WORKERS") == 4
+    assert knob("REPRO_SERVE_DEADLINE") == 30.0
+    assert knob("REPRO_SERVE_READ_TIMEOUT") == 30.0
+    assert knob("REPRO_SERVE_DRAIN") == 10.0
+    assert knob("REPRO_SERVE_MAX_FRAME") == 64 << 20
+    assert knob("REPRO_SERVE_PLANS") == 32
+    assert knob("REPRO_SERVICE_RETRIES") == 2
+    assert knob("REPRO_SERVICE_BACKOFF") == 0.05
+    assert knob("REPRO_SERVICE_TIMEOUT") == 30.0
+    assert knob("REPRO_STORE_MAX_BYTES") is None
+    # and every row's default is what an unset variable reads as
+    for name, row in KNOBS.items():
+        assert knob(name) == (False if row.kind == "flag" else row.default)
 
 
 def test_serve_deadline_zero_disables(monkeypatch):
     monkeypatch.setenv("REPRO_SERVE_DEADLINE", "0")
-    assert config.serve_deadline() is None
+    assert knob("REPRO_SERVE_DEADLINE") is None
     monkeypatch.setenv("REPRO_SERVE_READ_TIMEOUT", "0")
-    assert config.serve_read_timeout() is None
+    assert knob("REPRO_SERVE_READ_TIMEOUT") is None
 
 
 def test_serve_queue_minimum_one(monkeypatch):
-    result, warned = _caught(
-        monkeypatch, "REPRO_SERVE_QUEUE", "0", config.serve_queue_limit
-    )
-    assert result == config.DEFAULT_SERVE_QUEUE and len(warned) == 1
+    result, warned = _caught(monkeypatch, "REPRO_SERVE_QUEUE", "0")
+    assert result == 32 and len(warned) == 1
 
 
 def test_serve_max_frame_floor(monkeypatch):
-    result, warned = _caught(
-        monkeypatch, "REPRO_SERVE_MAX_FRAME", "16", config.serve_max_frame
-    )
-    assert result == config.DEFAULT_SERVE_MAX_FRAME and len(warned) == 1
+    result, warned = _caught(monkeypatch, "REPRO_SERVE_MAX_FRAME", "16")
+    assert result == 64 << 20 and len(warned) == 1
 
 
 def test_store_max_bytes(monkeypatch):
     monkeypatch.setenv("REPRO_STORE_MAX_BYTES", "4096")
-    assert config.store_max_bytes() == 4096
+    assert knob("REPRO_STORE_MAX_BYTES") == 4096
     monkeypatch.setenv("REPRO_STORE_MAX_BYTES", "0")
-    assert config.store_max_bytes() is None
-    result, warned = _caught(
-        monkeypatch, "REPRO_STORE_MAX_BYTES", "-1", config.store_max_bytes
-    )
+    assert knob("REPRO_STORE_MAX_BYTES") is None
+    result, warned = _caught(monkeypatch, "REPRO_STORE_MAX_BYTES", "-1")
     assert result is None and len(warned) == 1
+
+
+# ----------------------------------------------------------------------
+# one case per *kind*, over every row of that kind
+# ----------------------------------------------------------------------
+FLAGS = sorted(n for n, row in KNOBS.items() if row.kind == "flag")
+CHECKED = sorted(
+    n for n, row in KNOBS.items() if row.kind in ("choice", "int", "float")
+)
+
+
+@pytest.mark.parametrize("name", FLAGS)
+def test_every_flag_parses_the_same_way(monkeypatch, name):
+    """Unset, empty and "0" are off; anything else is on — for *every*
+    boolean knob (REPRO_NO_CC=0 used to disable the compiler, and
+    REPRO_NO_TUNE=y used to leave tuning on)."""
+    monkeypatch.delenv(name, raising=False)
+    assert knob(name) is False
+    for value, expected in (("", False), ("0", False), ("1", True), ("yes", True)):
+        result, warned = _caught(monkeypatch, name, value)
+        assert result is expected and not warned, (name, value)
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_every_checked_knob_warns_once_and_falls_back(monkeypatch, name):
+    """A bad value reads as the default with exactly one warning across
+    repeated reads — a daemon with a typo'd variable must not warn per
+    request (REPRO_BACKEND / REPRO_DTYPE / REPRO_THREADS used to, once
+    per ``CompilerOptions()``)."""
+    monkeypatch.setenv(name, "not-a-valid-value")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        reads = [knob(name) for _ in range(5)]
+        if name in ("REPRO_BACKEND", "REPRO_DTYPE", "REPRO_THREADS"):
+            reads += [
+                getattr(config.CompilerOptions(), name[6:].lower())
+                for _ in range(5)
+            ]
+    assert set(reads) == {KNOBS[name].default}
+    assert len(caught) == 1 and name in str(caught[0].message)
+
+
+def test_flag_zero_no_longer_disables_the_toolchain(monkeypatch):
+    from repro.codegen.backends import ctoolchain
+
+    monkeypatch.delenv("REPRO_NO_CC", raising=False)
+    monkeypatch.delenv("REPRO_NO_OPENMP", raising=False)
+    ctoolchain.reset_probe_cache()
+    try:
+        baseline = ctoolchain.probe(), ctoolchain.openmp_flags()
+        monkeypatch.setenv("REPRO_NO_CC", "0")
+        monkeypatch.setenv("REPRO_NO_OPENMP", "0")
+        ctoolchain.reset_probe_cache()
+        assert (ctoolchain.probe(), ctoolchain.openmp_flags()) == baseline
+        monkeypatch.setenv("REPRO_NO_CC", "1")
+        ctoolchain.reset_probe_cache()
+        assert ctoolchain.probe() is None
+    finally:
+        monkeypatch.undo()
+        ctoolchain.reset_probe_cache()
+
+
+def test_doctor_reports_degradation_from_the_flag_parser(monkeypatch, capsys):
+    import json
+
+    from repro.cli import main
+
+    for value, disabled in (("0", False), ("1", True)):
+        monkeypatch.setenv("REPRO_NO_DEGRADE", value)
+        main(["doctor", "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert ("degradation" in report) is disabled
+        assert report["knobs"]["REPRO_NO_DEGRADE"] is disabled
+
+
+def test_readme_knob_table_names_exactly_the_table():
+    """README's knob reference and ``--help`` are the same rows."""
+    from repro.cli import build_parser
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `(REPRO_[A-Z_]+)` +\|", readme, flags=re.M)
+    assert rows == list(KNOBS)
+    assert len(KNOBS) == 31
+    help_text = build_parser().format_help()
+    assert all(name in help_text for name in KNOBS)
+    # nothing documents a variable the table does not declare
+    # (REPRO_UPDATE_GOLDEN is the test suite's own switch, not the package's)
+    mentioned = set(re.findall(r"REPRO_[A-Z_]+[A-Z]", readme + help_text))
+    assert mentioned - {"REPRO_UPDATE_GOLDEN"} <= set(KNOBS)

@@ -19,22 +19,22 @@ import numpy as np
 import pytest
 
 from repro.codegen.backends import get_backend, render_c
-from repro.codegen.backends.c import NestWork, default_omp_strategy
+from dataclasses import replace
+
+from repro.codegen.backends.base import CodegenConfig
+from repro.codegen.backends.c import NestWork
 from repro.codegen.backends.cpasses import (
     DEFAULT_ON,
     PASS_ORDER,
     PIPELINE,
     PassConfig,
-    active_pass_config,
-    default_pass_config,
     describe_passes,
     parse_passes,
 )
-from repro.core import config as core_config
 from repro.core.config import DEFAULT
 from repro.kernels.library import get_kernel
 from repro.obs import metrics as obs_metrics
-from repro.service.keys import cache_key
+from repro.service.keys import cache_key, canonicalize
 
 HAVE_CC = get_backend("c").is_available()
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no working C toolchain")
@@ -81,7 +81,6 @@ def test_result_is_always_in_pipeline_order():
 
 
 def test_unknown_tokens_warn_once_and_are_ignored():
-    core_config._warned_values.discard(("REPRO_PASSES", "vectorize"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert parse_passes("vectorize,tile,none,tile") == ("tile",)
@@ -91,12 +90,11 @@ def test_unknown_tokens_warn_once_and_are_ignored():
     assert "vectorize" in str(ours[0].message)
 
 
-def test_env_config_reads_passes_and_tile(monkeypatch):
+def test_env_config_reads_passes(monkeypatch):
     monkeypatch.setenv("REPRO_PASSES", "none,tile")
-    monkeypatch.setenv("REPRO_TILE", "64")
-    config = default_pass_config()
+    config = CodegenConfig.resolve().passes
     assert config.enabled == ("tile",)
-    assert config.tile_rows == 64
+    assert config.tile_rows == 0  # only a tuned entry pins the block size
 
 
 def test_signature_is_canonical():
@@ -127,9 +125,11 @@ def test_pipeline_metadata_is_complete():
 
 def test_active_config_honors_env(monkeypatch):
     monkeypatch.setenv("REPRO_PASSES", "none")
-    assert active_pass_config().signature() == "none"
+    assert CodegenConfig.resolve().passes.signature() == "none"
     monkeypatch.setenv("REPRO_PASSES", "none,fuse")
-    assert active_pass_config().signature() == "fuse"
+    assert CodegenConfig.resolve().passes.signature() == "fuse"
+    # an explicit spec (repro compile --passes) takes the variable's place
+    assert CodegenConfig.resolve(passes="none,simd").passes.signature() == "simd"
 
 
 # ----------------------------------------------------------------------
@@ -153,7 +153,7 @@ GOLDEN_CASES = {
 
 @pytest.fixture
 def _clean_render_env(monkeypatch):
-    for name in ("REPRO_OMP_STRATEGY", "REPRO_PROFILE", "REPRO_PASSES", "REPRO_TILE"):
+    for name in ("REPRO_OMP_STRATEGY", "REPRO_PROFILE", "REPRO_PASSES"):
         monkeypatch.delenv(name, raising=False)
 
 
@@ -273,12 +273,11 @@ def test_pass_set_keys_c_requests(monkeypatch):
     monkeypatch.setenv("REPRO_PASSES", "none")
     none_key = cache_key(spec.einsum, **kwargs)
     monkeypatch.setenv("REPRO_PASSES", "none,tile")
-    tile_key = cache_key(spec.einsum, **kwargs)
-    assert none_key != tile_key
-    monkeypatch.setenv("REPRO_TILE", "64")
-    assert cache_key(spec.einsum, **kwargs) != tile_key
+    tiled = canonicalize(spec.einsum, **kwargs)
+    assert none_key != tiled.key
+    pinned = replace(tiled.codegen, passes=PassConfig(("tile",), tile_rows=64))
+    assert replace(tiled, codegen=pinned).key != tiled.key
     monkeypatch.setenv("REPRO_PASSES", "none")
-    monkeypatch.delenv("REPRO_TILE")
     assert cache_key(spec.einsum, **kwargs) == none_key
 
 
@@ -376,11 +375,10 @@ def test_nestwork_renamed_view_falls_back_to_dims():
 
 def test_omp_strategy_warns_once_per_value(monkeypatch):
     monkeypatch.setenv("REPRO_OMP_STRATEGY", "bogus-strategy")
-    core_config._warned_values.discard(("REPRO_OMP_STRATEGY", "bogus-strategy"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert default_omp_strategy() == "auto"
-        assert default_omp_strategy() == "auto"
+        assert CodegenConfig.resolve().omp_strategy == "auto"
+        assert CodegenConfig.resolve().omp_strategy == "auto"
     ours = [w for w in caught if "REPRO_OMP_STRATEGY" in str(w.message)]
     assert len(ours) == 1
 

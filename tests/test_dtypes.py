@@ -15,7 +15,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.compiler import CompiledKernel, compile_kernel
-from repro.core.config import CompilerOptions, DEFAULT, DTYPE_CHOICES, default_dtype
+from repro.core.config import CompilerOptions, DEFAULT, DTYPE_CHOICES, knob
 from repro.codegen.runtime import make_output, np_dtype
 from repro.data.random_tensors import erdos_renyi_symmetric, random_dense
 from repro.frontend.validate import ValidationError, validate_inputs
@@ -50,7 +50,7 @@ def test_env_var_sets_default_dtype(monkeypatch):
 def test_invalid_env_dtype_warns_and_falls_back(monkeypatch):
     monkeypatch.setenv("REPRO_DTYPE", "bfloat16")
     with pytest.warns(RuntimeWarning, match="REPRO_DTYPE"):
-        assert default_dtype() == "float64"
+        assert knob("REPRO_DTYPE") == "float64"
 
 
 def test_np_dtype_mapping():

@@ -18,14 +18,15 @@ import numpy as np
 import pytest
 
 from repro.codegen.backends import ctoolchain, get_backend, render_c
-from repro.codegen.backends.c import OMP_STRATEGY_CHOICES, default_omp_strategy
+from repro.codegen.backends.base import CodegenConfig
 from repro.core.compiler import compile_kernel
 from repro.core.config import (
     CompilerOptions,
     DEFAULT,
+    OMP_STRATEGY_CHOICES,
     RUNTIME_FIELDS,
     cpu_count,
-    default_threads,
+    knob,
     resolve_threads,
 )
 from repro.kernels.library import KERNELS, get_kernel
@@ -62,14 +63,14 @@ def test_threads_option_validates():
 
 def test_default_threads_reads_env(monkeypatch):
     monkeypatch.delenv("REPRO_THREADS", raising=False)
-    assert default_threads() == 1
+    assert knob("REPRO_THREADS") == 1
     monkeypatch.setenv("REPRO_THREADS", "auto")
-    assert default_threads() == "auto"
+    assert knob("REPRO_THREADS") == "auto"
     monkeypatch.setenv("REPRO_THREADS", "3")
-    assert default_threads() == 3
+    assert knob("REPRO_THREADS") == CompilerOptions().threads == 3
     monkeypatch.setenv("REPRO_THREADS", "zero-ish")
     with pytest.warns(RuntimeWarning, match="REPRO_THREADS"):
-        assert default_threads() == 1
+        assert knob("REPRO_THREADS") == 1
 
 
 def test_resolve_threads():
@@ -90,18 +91,18 @@ def test_threads_is_a_runtime_field_not_key_material():
     # but it still reads back and displays
     assert "threads=7" in DEFAULT.but(threads=7).describe()
     assert CompilerOptions.from_dict(DEFAULT.to_dict()) == CompilerOptions(
-        threads=default_threads()
+        threads=knob("REPRO_THREADS")
     )
 
 
 def test_omp_strategy_env(monkeypatch):
     monkeypatch.delenv("REPRO_OMP_STRATEGY", raising=False)
-    assert default_omp_strategy() == "auto"
+    assert CodegenConfig.resolve().omp_strategy == "auto"
     monkeypatch.setenv("REPRO_OMP_STRATEGY", "serial")
-    assert default_omp_strategy() == "serial"
+    assert CodegenConfig.resolve().omp_strategy == "serial"
     monkeypatch.setenv("REPRO_OMP_STRATEGY", "sideways")
     with pytest.warns(RuntimeWarning, match="REPRO_OMP_STRATEGY"):
-        assert default_omp_strategy() == "auto"
+        assert CodegenConfig.resolve().omp_strategy == "auto"
 
 
 def test_omp_strategy_splits_c_cache_keys(monkeypatch):

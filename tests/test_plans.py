@@ -22,7 +22,6 @@ from repro.core.config import (
     DEFAULT,
     PARALLEL_WORK_THRESHOLD,
     auto_thread_count,
-    parallel_work_threshold,
 )
 from repro.kernels.library import get_kernel
 from tests.conftest import make_symmetric_matrix
@@ -214,16 +213,12 @@ def test_auto_thread_count_rounds_to_nearest():
     assert auto_thread_count(t // 4, cpu=8) == 1
 
 
-def test_parallel_threshold_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "100")
-    assert parallel_work_threshold() == 100
+def test_parallel_threshold_is_the_work_per_thread(monkeypatch):
+    """The calibrated constant is the only threshold (no environment
+    override): the model divides the work estimate by it."""
+    monkeypatch.setattr("repro.core.config.PARALLEL_WORK_THRESHOLD", 100)
     assert auto_thread_count(250, cpu=8) == 3  # round(250/100)
     assert auto_thread_count(240, cpu=8) == 2
-    monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "zero")
-    with pytest.warns(RuntimeWarning):
-        assert parallel_work_threshold() == PARALLEL_WORK_THRESHOLD
-    monkeypatch.delenv("REPRO_PARALLEL_THRESHOLD")
-    assert parallel_work_threshold() == PARALLEL_WORK_THRESHOLD
 
 
 @needs_cc
@@ -245,7 +240,7 @@ def test_auto_resolves_to_cpus_for_large_nnz(rng, monkeypatch):
     (the estimate is cheap to fake: shrink the threshold instead of
     building a genuinely huge matrix)."""
     monkeypatch.setattr("repro.core.config._cpu_count_cache", 4)
-    monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "10")
+    monkeypatch.setattr("repro.core.config.PARALLEL_WORK_THRESHOLD", 10)
     kernel = _ssymv("c")
     A = make_symmetric_matrix(rng, 30, 0.5)
     x = rng.random(30)
@@ -270,9 +265,9 @@ def test_explicit_threads_always_win(rng, monkeypatch):
     assert kernel.bound.resolve_run_threads(3, prepared) == 3
     assert kernel.bound.resolve_run_threads(3, prepared, cap=2) == 2
     monkeypatch.setenv("REPRO_THREADS", "5")
-    from repro.core.config import default_threads
+    from repro.core.config import CompilerOptions
 
-    assert default_threads() == 5  # flows into CompilerOptions.threads
+    assert CompilerOptions().threads == 5
 
 
 def test_python_backend_auto_resolves_serial(rng, monkeypatch):
@@ -305,9 +300,12 @@ def test_work_estimate_tracks_nnz(rng):
 def test_serial_omp_strategy_has_no_work_model(rng):
     """REPRO_OMP_STRATEGY=serial emits no parallel bodies, so auto
     resolves serial rather than spinning up a useless team."""
+    from repro.codegen.backends.base import CodegenConfig
     from repro.codegen.backends.c import render_c_full
 
     kernel = _ssymv("c")
-    rendered = render_c_full(kernel.lowered, parallel="serial")
+    rendered = render_c_full(
+        kernel.lowered, None, CodegenConfig(omp_strategy="serial")
+    )
     assert rendered.work_model == ()
     assert "#pragma omp" not in rendered.source

@@ -332,6 +332,117 @@ def test_compiled_artifact_rides_a_raw_segment(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# a remote reply must be the kernel that was asked for
+# ---------------------------------------------------------------------------
+SSYRK = dict(
+    einsum="C[i, j] += A[i, k] * A[j, k]",
+    loop_order=("k", "j", "i"),
+    formats={"A": "sparse"},
+)
+
+
+def _c_request_under(monkeypatch, name, value):
+    """SSYRK canonicalized as a client with ``name=value`` set would; the
+    variable is gone again afterwards, so a daemon started next resolves
+    the default configuration (daemon threads share this process's
+    environment — what matters is what it holds at request time)."""
+    from repro.codegen.backends import get_backend
+    from repro.core.config import CompilerOptions
+
+    if not get_backend("c").is_available():
+        pytest.skip("no working C toolchain")
+    for knob_name in ("REPRO_PROFILE", "REPRO_PASSES", "REPRO_OMP_STRATEGY"):
+        monkeypatch.delenv(knob_name, raising=False)
+    options = CompilerOptions(backend="c", threads=1)
+    monkeypatch.setenv(name, value)
+    request = canonicalize(**SSYRK, options=options)
+    monkeypatch.delenv(name)
+    assert request.key != canonicalize(**SSYRK, options=options).key
+    return request
+
+
+@pytest.mark.parametrize(
+    "name, value", [("REPRO_PROFILE", "1"), ("REPRO_PASSES", "none")]
+)
+def test_daemon_builds_what_the_clients_environment_resolved(
+    monkeypatch, tmp_path, name, value
+):
+    """The resolved codegen configuration travels in the wire spec: a
+    daemon whose own environment says otherwise still builds — and keys —
+    the client's kernel.  (It used to re-resolve under its environment;
+    the client loaded that object under its own key and persisted it.)"""
+    from repro.service.store import DiskStore
+
+    request = _c_request_under(monkeypatch, name, value)
+    with running_daemon(tmp_path) as (server, sock):
+        monkeypatch.setenv("REPRO_SERVICE", "unix:" + sock)
+        serve_client.reset()
+        service = KernelService(store=tmp_path / "client-store")
+        kernel, origin = service.get_with_origin(request)
+        built = server.service.cache.get(request.key)
+    assert origin == "remote" and built is not None
+    exe, daemon_exe = kernel.bound.executable, built.bound.executable
+    assert kernel.bound.codegen == built.bound.codegen == request.codegen
+    # the loaded object is the daemon's build of the *client's* source
+    # (modulo the header comment, which names the label)
+    body = lambda source: source.split("\n", 1)[1]  # noqa: E731
+    assert body(exe.source) == body(daemon_exe.source)
+    with open(exe.so_path, "rb") as ours, open(daemon_exe.so_path, "rb") as theirs:
+        assert ours.read() == theirs.read()
+    if name == "REPRO_PROFILE":
+        assert exe.profiled is True and daemon_exe.profiled is True
+    else:
+        assert "rp_tile" not in exe.source
+        default = canonicalize(**SSYRK, options=request.options).compile()
+        assert "rp_tile" in default.backend_source
+    # and what the client persisted rehydrates as that same kernel, under
+    # the scrubbed environment this process now has
+    again = DiskStore(tmp_path / "client-store").get(request.key)
+    assert body(again.backend_source) == body(exe.source)
+    assert again.bound.executable.profiled is exe.profiled
+
+
+def test_reply_under_a_foreign_key_is_refused(monkeypatch, tmp_path, metrics):
+    """The net under the wire field: an older daemon drops ``codegen``
+    from the spec, resolves under its own environment and answers with
+    *its* key.  The client must not load that under the request's key —
+    it compiles locally, and nothing of the reply reaches its store."""
+    from repro.obs import trace as obs_trace
+
+    request = _c_request_under(monkeypatch, "REPRO_PROFILE", "1")
+    real_spec = protocol.spec_from_request
+
+    def older_spec(req):
+        spec = real_spec(req)
+        del spec["codegen"]
+        return spec
+
+    monkeypatch.setattr(protocol, "spec_from_request", older_spec)
+    with running_daemon(tmp_path) as (server, sock):
+        monkeypatch.setenv("REPRO_SERVICE", "unix:" + sock)
+        serve_client.reset()
+        service = KernelService(store=tmp_path / "client-store")
+        stored_before_local_compile = []
+        cold = service._compile_cold
+
+        def watching(key, req):
+            stored_before_local_compile.append(key in service.store)
+            return cold(key, req)
+
+        monkeypatch.setattr(service, "_compile_cold", watching)
+        with obs_trace.tracing() as rec:
+            kernel, origin = service.get_with_origin(request)
+    assert origin == "compiled"
+    assert stored_before_local_compile == [False]
+    assert metrics("service.remote.key_mismatch") == 1
+    assert metrics("service.remote.hits") == 0
+    (span,) = [e for e in rec.snapshot() if e.name == "service:remote"]
+    assert span.args["key_mismatch"] is True and span.args["hit"] is False
+    assert kernel.bound.executable.profiled is True  # what was asked for
+    assert backend_health.remote_ok()  # a wrong answer is not an outage
+
+
+# ---------------------------------------------------------------------------
 # protocol-version mismatch: loud, not retried, transparent
 # ---------------------------------------------------------------------------
 def _fallback_warnings(request):

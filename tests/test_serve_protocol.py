@@ -315,6 +315,66 @@ def test_hostile_specs_rejected(doc):
         protocol.request_from_spec(doc)
 
 
+GOOD_CODEGEN = {
+    "omp_strategy": "atomic",
+    "profile": True,
+    "passes": ["fission", "tile"],
+    "tile_rows": 64,
+}
+C_SPEC = {
+    "einsum": "y[i] += A[i,j] * x[j]",
+    "symmetric": {"A": True},
+    "options": {"backend": "c"},
+}
+
+
+def test_spec_carries_the_resolved_codegen(monkeypatch):
+    """What the client resolved is what the daemon's request holds —
+    whatever the daemon's own environment says; a spec without the field
+    (hand-written) resolves there as before."""
+    from repro.codegen.backends.base import CodegenConfig
+
+    monkeypatch.setenv("REPRO_PASSES", "none")
+    monkeypatch.setenv("REPRO_OMP_STRATEGY", "serial")
+    request = protocol.request_from_spec({**C_SPEC, "codegen": GOOD_CODEGEN})
+    assert request.codegen == CodegenConfig.from_dict(GOOD_CODEGEN)
+    assert request.codegen.to_dict() == GOOD_CODEGEN
+    spec = protocol.spec_from_request(request)
+    assert spec["codegen"] == GOOD_CODEGEN
+    assert protocol.request_from_spec(spec).key == request.key
+
+    ambient = protocol.request_from_spec(C_SPEC)
+    assert ambient.codegen == CodegenConfig.resolve()
+    assert ambient.codegen.passes.enabled == () and ambient.key != request.key
+    # python requests have no codegen to carry, and ignore one sent anyway
+    py = protocol.request_from_spec(
+        {**C_SPEC, "options": {"backend": "python"}, "codegen": GOOD_CODEGEN}
+    )
+    assert py.codegen is None and "codegen" not in protocol.spec_from_request(py)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "fuse+simd",
+        {},
+        {**GOOD_CODEGEN, "omp_strategy": "sideways"},
+        {**GOOD_CODEGEN, "profile": 1},
+        {**GOOD_CODEGEN, "passes": "tile"},
+        {**GOOD_CODEGEN, "passes": ["tile", "fission"]},  # not pipeline order
+        {**GOOD_CODEGEN, "passes": ["tile", "tile"]},
+        {**GOOD_CODEGEN, "passes": ["vectorize"]},
+        {**GOOD_CODEGEN, "passes": [["tile"]]},
+        {**GOOD_CODEGEN, "tile_rows": -1},
+        {**GOOD_CODEGEN, "tile_rows": True},
+        {**GOOD_CODEGEN, "tile_rows": "64"},
+    ],
+)
+def test_hostile_codegen_rejected(bad):
+    with pytest.raises(ValueError, match="codegen"):
+        protocol.request_from_spec({**C_SPEC, "codegen": bad})
+
+
 def test_error_reply_shape():
     reply = protocol.error_reply(3, protocol.OVERLOADED, "queue full")
     assert reply == {

@@ -1,9 +1,14 @@
 """Cache-key canonicalization: equivalent specs collide, different specs
 don't."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro import DEFAULT, NAIVE, cache_key
+from repro.codegen.backends.base import CodegenConfig
+from repro.codegen.backends.cpasses import PassConfig
+from repro.core.config import RUNTIME_FIELDS, CompilerOptions
 from repro.frontend.parser import parse_assignment
 from repro.service.keys import KEY_VERSION, canonicalize
 
@@ -127,3 +132,63 @@ def test_canonicalize_defaults_match_compiled_kernel():
     assert request.loop_order == kernel.plan.loop_order
     assert dict(request.formats) == kernel.formats
     assert request.options == kernel.options
+
+
+# ----------------------------------------------------------------------
+# the configuration half of the key is derived, not listed
+# ----------------------------------------------------------------------
+def _flipped(value):
+    """Some other valid value of the same field."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, PassConfig):
+        return PassConfig(("fission",), tile_rows=value.tile_rows + 8)
+    return {
+        "float64": "float32", "c": "python", "auto": "serial", 1: 2,
+    }[value]
+
+
+def _c_request():
+    # every environment-backed value is pinned by hand, so no knob a CI
+    # leg sets can move the reference point
+    request = canonicalize(SSYMV, symmetric={"A": True})
+    return replace(
+        request,
+        options=request.options.but(backend="c", dtype="float64", threads=1),
+        codegen=CodegenConfig(),
+    )
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(CompilerOptions)])
+def test_every_option_field_is_keyed_unless_runtime_only(name):
+    request = _c_request()
+    value = getattr(request.options, name)
+    flipped = replace(request, options=request.options.but(**{name: _flipped(value)}))
+    assert (flipped.key == request.key) is (name in RUNTIME_FIELDS)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(CodegenConfig)])
+def test_every_codegen_field_is_keyed(name):
+    """No codegen field is runtime-only: each changes the generated C."""
+    request = _c_request()
+    value = getattr(request.codegen, name)
+    config = replace(request.codegen, **{name: _flipped(value)})
+    assert replace(request, codegen=config).key != request.key
+
+
+def test_python_requests_ignore_every_codegen_knob(monkeypatch):
+    options = DEFAULT.but(backend="python")
+    for name in ("REPRO_PASSES", "REPRO_OMP_STRATEGY", "REPRO_PROFILE"):
+        monkeypatch.delenv(name, raising=False)
+    plain = canonicalize(SSYMV, symmetric={"A": True}, options=options)
+    monkeypatch.setenv("REPRO_PASSES", "none")
+    monkeypatch.setenv("REPRO_OMP_STRATEGY", "atomic")
+    monkeypatch.setenv("REPRO_PROFILE", "1")
+    knobbed = canonicalize(SSYMV, symmetric={"A": True}, options=options)
+    assert plain.codegen is None and knobbed.codegen is None
+    assert plain.key == knobbed.key
+    # and a codegen handed to a python request is dropped, not keyed
+    forced = canonicalize(
+        SSYMV, symmetric={"A": True}, options=options, codegen=CodegenConfig()
+    )
+    assert forced.codegen is None and forced.key == plain.key

@@ -240,6 +240,43 @@ def test_max_bytes_env_default(tmp_path, monkeypatch):
     assert DiskStore(tmp_path, max_bytes=-1).max_bytes is None
 
 
+def test_rehydrate_renders_under_the_writers_configuration(tmp_path, monkeypatch):
+    """The entry carries its resolved codegen: a reader whose environment
+    says ``none`` re-renders, byte for byte, the C the writer built under
+    ``fission,fuse`` — the key it reads the entry under describes that
+    program, not the reader's ambient one."""
+    from repro.codegen.backends import get_backend
+    from repro.core.config import DEFAULT
+
+    if not get_backend("c").is_available():
+        pytest.skip("no working C toolchain")
+    spec = get_kernel("ssymv")
+    monkeypatch.setenv("REPRO_PASSES", "fission,fuse")
+    request = canonicalize(
+        spec.einsum,
+        symmetric=dict(spec.symmetric),
+        loop_order=spec.loop_order,
+        formats=dict(spec.formats),
+        options=DEFAULT.but(backend="c"),
+    )
+    written = request.compile()
+    assert "fission" in written.bound.codegen.passes.signature()
+    store = DiskStore(tmp_path)
+    store.put(request.key, written)
+    c_file = (tmp_path / ("%s.c" % request.key)).read_text()
+
+    monkeypatch.setenv("REPRO_PASSES", "none")
+    rehydrated = DiskStore(tmp_path).get(request.key)
+    assert rehydrated.bound.codegen == written.bound.codegen == request.codegen
+    # same label on both sides: the store entry's .c is what was compiled
+    relabelled = CompiledKernel.from_state(written.to_state())
+    assert relabelled.backend_source == written.backend_source == c_file
+    assert rehydrated.backend_source.split("\n", 1)[1] == c_file.split("\n", 1)[1]
+    ambient = canonicalize(spec.einsum, symmetric=dict(spec.symmetric),
+                           options=DEFAULT.but(backend="c")).compile()
+    assert ambient.backend_source != written.backend_source
+
+
 def test_serial_artifact_upgrades_once_and_the_store_keeps_the_omp_object(
     tmp_path, rng, monkeypatch
 ):
@@ -304,6 +341,10 @@ def test_serial_artifact_upgrades_once_and_the_store_keeps_the_omp_object(
     for setting in ("4", "1"):
         env = dict(os.environ, REPRO_THREADS=setting, PYTHONPATH=os.pathsep.join(sys.path))
         env["REPRO_C_CACHE"] = str(tmp_path / ("objects-%s" % setting))
+        # a fresh process re-arms an inherited fault plan from its first
+        # event (the CI fault-injection leg): these children count clean
+        # cc runs, so they run outside the storm
+        env.pop("REPRO_FAULTS", None)
         done = subprocess.run(
             [sys.executable, "-c", code, str(store.path), request.key],
             env=env, stdout=subprocess.PIPE, text=True, check=True, timeout=120,

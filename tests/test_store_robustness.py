@@ -217,13 +217,16 @@ def test_truncated_json_is_a_miss_and_evicted(tmp_path):
 # stale KEY_VERSION
 # ----------------------------------------------------------------------
 def test_entry_under_the_previous_key_version_is_a_miss_not_an_error(tmp_path):
-    """A v6 entry holds the unfactored, untiled program of the same
-    request — correct but slower.  It must be unreachable: the lookup
-    misses and recompiles, nothing is counted as damage or evicted."""
+    """The salt exists for semantic changes: a v6 entry held the
+    unfactored, untiled program of the same request — correct but slower.
+    Such an entry must be unreachable: the lookup misses and recompiles,
+    nothing is counted as damage or evicted."""
     key = _warm(tmp_path)
     material = canonicalize(EINSUM, **SPEC).key_material()
-    assert KEY_VERSION == 7 and material.startswith("v7|")
-    old_key = hashlib.sha256(("v6" + material[2:]).encode("utf-8")).hexdigest()
+    salt = "v%d|" % KEY_VERSION
+    assert material.startswith(salt)
+    previous = "v%d|" % (KEY_VERSION - 1) + material[len(salt):]
+    old_key = hashlib.sha256(previous.encode("utf-8")).hexdigest()
     (tmp_path / ("%s.json" % key)).rename(tmp_path / ("%s.json" % old_key))
 
     service = KernelService(store=tmp_path)

@@ -383,59 +383,69 @@ def test_load_oracle_absent_db_is_none(tmp_path):
 # the module-level switch and env knobs
 # ----------------------------------------------------------------------
 def test_active_is_none_without_env(monkeypatch):
-    monkeypatch.delenv(tune.ENV_DB, raising=False)
+    monkeypatch.delenv("REPRO_TUNED", raising=False)
     assert tune.active() is None
     assert tune.stats_dict() == {"configured": False, "enabled": False}
 
 
-def test_active_loads_from_env_and_no_tune_wins(tmp_path, monkeypatch):
+def test_active_loads_from_env_and_unsetting_turns_it_off(tmp_path, monkeypatch):
     path = str(tmp_path / "TUNED.json")
     cls = fingerprint_class()
     _record(path, cls, "a|float64", "e11x11/w17")
-    monkeypatch.setenv(tune.ENV_DB, path)
+    monkeypatch.setenv("REPRO_TUNED", path)
     tune.reset()
     assert tune.active() is not None
-    monkeypatch.setenv(tune.ENV_NO_TUNE, "1")
+    monkeypatch.delenv("REPRO_TUNED")  # the off switch *is* the unset state
     tune.reset()
     assert tune.active() is None
     assert tune.stats_dict()["enabled"] is False
 
 
 def test_active_with_absent_db_path(monkeypatch, tmp_path):
-    monkeypatch.setenv(tune.ENV_DB, str(tmp_path / "nope.json"))
+    monkeypatch.setenv("REPRO_TUNED", str(tmp_path / "nope.json"))
     tune.reset()
     assert tune.active() is None  # enabled but unreadable: off, not an error
     assert tune.stats_dict() == {"configured": False, "enabled": True}
 
 
 def test_compile_overrides_env_precedence(monkeypatch):
-    from repro.codegen.backends.cpasses import PassConfig
+    """The one resolver: tuned entries fill only the axes the environment
+    left unset, and only for the kernel they were measured on."""
+    from repro.codegen.backends.base import CodegenConfig
+    from repro.codegen.backends.cpasses import DEFAULT_ON, PassConfig
 
     compile_entry = {
         "passes": ["fission", "tile"],
         "tile_rows": 64,
         "omp_strategy": "serial",
     }
-    for name in ("REPRO_PASSES", "REPRO_TILE", "REPRO_OMP_STRATEGY"):
+    for name in ("REPRO_PASSES", "REPRO_OMP_STRATEGY", "REPRO_PROFILE"):
         monkeypatch.delenv(name, raising=False)
     tune.configure(None)
     tune._oracle = TuningOracle(
         _doc(compile_entry=compile_entry), machine_class="linux-x86_64-c4"
     )
-    pc, strategy = tune.compile_overrides("y[i] += A[i, j] * x[j]", "float64")
-    assert pc == PassConfig(enabled=("fission", "tile"), tile_rows=64)
-    assert strategy == "serial"
+    einsum = "y[i] += A[i, j] * x[j]"
+    tuned = PassConfig(enabled=("fission", "tile"), tile_rows=64)
+    assert CodegenConfig.resolve(einsum, "float64") == CodegenConfig(
+        "serial", False, tuned
+    )
     # an explicit pass pin silences the tuned pass config, not the strategy
     monkeypatch.setenv("REPRO_PASSES", "none")
-    pc, strategy = tune.compile_overrides("y[i] += A[i, j] * x[j]", "float64")
-    assert pc is None and strategy == "serial"
+    assert CodegenConfig.resolve(einsum, "float64") == CodegenConfig(
+        "serial", False, PassConfig(())
+    )
     monkeypatch.delenv("REPRO_PASSES")
     monkeypatch.setenv("REPRO_OMP_STRATEGY", "atomic")
-    pc, strategy = tune.compile_overrides("y[i] += A[i, j] * x[j]", "float64")
-    assert pc is not None and strategy is None
+    assert CodegenConfig.resolve(einsum, "float64") == CodegenConfig(
+        "atomic", False, tuned
+    )
     # unknown kernels and anonymous (einsum-less) compiles never override
-    assert tune.compile_overrides("z[i] += B[i, j]", "float64") == (None, None)
-    assert tune.compile_overrides(None, "float64") == (None, None)
+    monkeypatch.delenv("REPRO_OMP_STRATEGY")
+    untuned = CodegenConfig("auto", False, PassConfig(DEFAULT_ON))
+    assert CodegenConfig.resolve("z[i] += B[i, j]", "float64") == untuned
+    assert CodegenConfig.resolve(None, "float64") == untuned
+    assert CodegenConfig.resolve(einsum, "float32") == untuned
 
 
 # ----------------------------------------------------------------------
@@ -451,14 +461,59 @@ def _ssymv_kernel_and_inputs(rng, n=64):
     return spec, {"A": A, "x": x}
 
 
+def _baseline_kernel(spec):
+    from repro.core.compiler import compile_kernel
+    from repro.core.config import DEFAULT
+    from repro.tune.measure import variant_codegen
+
+    return compile_kernel(
+        spec.einsum,
+        symmetric=dict(spec.symmetric),
+        loop_order=spec.loop_order,
+        formats=dict(spec.formats),
+        options=DEFAULT.but(backend="c"),
+        codegen=variant_codegen(BASELINE),
+    )
+
+
+@needs_cc
+def test_measurer_builds_variants_by_value_not_by_environment(rng, monkeypatch):
+    """A search never writes ``os.environ`` (it used to pin three
+    variables around every cc run), ignores what the environment says,
+    and each variant runs exactly the source its own config renders."""
+    from repro.codegen.backends.c import render_c_full
+    from repro.tune.measure import VariantMeasurer, variant_codegen
+
+    monkeypatch.setenv("REPRO_PASSES", "all")
+    monkeypatch.setenv("REPRO_OMP_STRATEGY", "serial")
+    spec, inputs = _ssymv_kernel_and_inputs(rng)
+    kernel = _baseline_kernel(spec)
+    before = dict(os.environ)
+    measurer = VariantMeasurer(kernel, inputs, max_eval_s=0.2)
+    variants = [
+        BASELINE,
+        Variant(passes="none"),
+        Variant(passes="default,+tile", tile_rows=32),
+        Variant(passes="default,+fission", omp_strategy="atomic"),
+    ]
+    result = successive_halving(variants, measurer.evaluate, budget_s=1.0)
+    assert result.evaluations >= len(variants) and not result.rejected
+    assert dict(os.environ) == before
+    for variant in variants:
+        built = measurer._builds[variant.compile_axes()]
+        label = "tune-%s" % variant.passes if variant != BASELINE else None
+        rendered = render_c_full(kernel.lowered, label, variant_codegen(variant))
+        assert built.source == rendered.source
+    sources = {measurer._builds[v.compile_axes()].source for v in variants}
+    assert len(sources) == len(variants)
+
+
 @needs_cc
 def test_measurer_rejects_poisoned_variants(rng):
-    from repro.core.config import DEFAULT
-    from repro.tune.measure import VariantMeasurer, variant_env
+    from repro.tune.measure import VariantMeasurer
 
     spec, inputs = _ssymv_kernel_and_inputs(rng)
-    with variant_env(BASELINE):
-        kernel = spec.compile(options=DEFAULT.but(backend="c"))
+    kernel = _baseline_kernel(spec)
     measurer = VariantMeasurer(kernel, inputs, max_eval_s=0.2)
     good = Variant(passes="none")
     stats = measurer.evaluate(good, repeats=1)
@@ -476,7 +531,7 @@ def test_tune_kernel_records_and_oracle_serves_it(rng, tmp_path, monkeypatch):
     from repro.obs import trace as obs_trace
     from repro.tune.measure import tune_kernel
 
-    for name in ("REPRO_PASSES", "REPRO_TILE", "REPRO_OMP_STRATEGY"):
+    for name in ("REPRO_PASSES", "REPRO_OMP_STRATEGY"):
         monkeypatch.delenv(name, raising=False)
     path = str(tmp_path / "TUNED.json")
     spec, inputs = _ssymv_kernel_and_inputs(rng)
@@ -503,7 +558,7 @@ def test_no_lookup_spans_without_a_database(rng, monkeypatch):
     from repro.core.config import DEFAULT
     from repro.obs import trace as obs_trace
 
-    monkeypatch.delenv(tune.ENV_DB, raising=False)
+    monkeypatch.delenv("REPRO_TUNED", raising=False)
     tune.reset()
     spec, inputs = _ssymv_kernel_and_inputs(rng)
     kernel = spec.compile(options=DEFAULT.but(backend="c"))
@@ -519,9 +574,9 @@ def test_cache_key_tracks_tuned_compile_overrides(monkeypatch):
     tuned and untuned builds of one einsum)."""
     from repro.service.keys import cache_key
 
-    for name in ("REPRO_PASSES", "REPRO_TILE", "REPRO_OMP_STRATEGY"):
+    for name in ("REPRO_PASSES", "REPRO_OMP_STRATEGY"):
         monkeypatch.delenv(name, raising=False)
-    monkeypatch.delenv(tune.ENV_DB, raising=False)  # hermetic reference key
+    monkeypatch.delenv("REPRO_TUNED", raising=False)  # hermetic reference key
     tune.configure(None)
     from repro.core.config import DEFAULT
 
@@ -540,8 +595,7 @@ def test_cache_key_tracks_tuned_compile_overrides(monkeypatch):
     )
     tuned = cache_key(einsum, symmetric={"A": True}, options=options)
     assert tuned != untuned
-    # explicit env pins restore the untuned key (the user overrode it)
+    # an explicit env pin restores the untuned key (the user overrode it)
     monkeypatch.setenv("REPRO_PASSES", "default")
-    monkeypatch.setenv("REPRO_TILE", "0")
     pinned = cache_key(einsum, symmetric={"A": True}, options=options)
     assert pinned == untuned
