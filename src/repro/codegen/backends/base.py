@@ -19,7 +19,7 @@ one that gets built for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -76,7 +76,7 @@ class CodegenConfig:
         if einsum is not None and (passes is None or strategy is None):
             oracle = tune.active()
             if oracle is not None:
-                tuned = oracle.compile_for(einsum, str(dtype)) or {}
+                tuned = oracle.compile_for(einsum, dtype) or {}
         if passes is not None:
             config = PassConfig(parse_passes(passes))
         elif isinstance(tuned.get("passes"), (list, tuple)):
@@ -90,16 +90,15 @@ class CodegenConfig:
             )
         else:
             config = PassConfig(DEFAULT_ON)
-        if config.is_on("denormals"):
+        if config.is_on("denormals") and not ctoolchain.probe_ftz():
             # the gate lives here rather than inside the pass so an
             # explicit PassConfig is rendered verbatim (golden snapshots
             # are machine-independent) while a resolved one never asks
             # this toolchain for the MXCSR code it cannot emit
-            if not ctoolchain.probe_ftz():
-                config = PassConfig(
-                    tuple(n for n in config.enabled if n != "denormals"),
-                    config.tile_rows,
-                )
+            config = replace(
+                config,
+                enabled=tuple(n for n in config.enabled if n != "denormals"),
+            )
         if strategy is None:
             strategy = tuned.get("omp_strategy")
             if strategy not in OMP_STRATEGY_CHOICES:

@@ -29,6 +29,8 @@ from repro.bench.harness import (
     machine_fingerprint,
     time_callable_stats,
 )
+from repro.codegen.backends.base import CodegenConfig
+from repro.codegen.backends.cpasses import PassConfig, parse_passes
 from repro.tune import db as tune_db
 from repro.tune.search import (
     BASELINE,
@@ -40,12 +42,9 @@ from repro.tune.search import (
 )
 
 
-def variant_codegen(variant: Variant):
+def variant_codegen(variant: Variant) -> CodegenConfig:
     """The :class:`CodegenConfig` a variant's compile axes spell (never
     profiled: instrumentation would be timed along with the loops)."""
-    from repro.codegen.backends.base import CodegenConfig
-    from repro.codegen.backends.cpasses import PassConfig, parse_passes
-
     passes, tile_rows, omp_strategy = variant.compile_axes()
     return CodegenConfig(
         omp_strategy=omp_strategy,
