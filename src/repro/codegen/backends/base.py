@@ -231,22 +231,22 @@ class Backend:
         self,
         lowered: LoweredKernel,
         label: Optional[str] = None,
-        artifact: Optional[str] = None,
         codegen: Optional[CodegenConfig] = None,
         threaded: bool = False,
+        objects=None,
     ) -> Executable:
         """Build an executable.
 
-        ``label`` names the kernel in diagnostics; ``artifact`` is an
-        optional path to a previously-built binary (the disk store's
-        ``<key>.so``) the backend may reuse instead of recompiling — a
-        stale or corrupt artifact must fall back to a fresh build.
+        ``label`` names the kernel in diagnostics.
         ``codegen`` is the request's resolved :class:`CodegenConfig`
         (``None`` for requests the Python backend serves, which has no
         configurable codegen).  ``threaded`` says the
         caller's default thread setting can resolve above 1, so a backend
         with a separate multi-threaded build should produce it up front
-        instead of on the first threaded run.
+        instead of on the first threaded run.  ``objects`` is the
+        :class:`~repro.codegen.backends.objects.ObjectCache` a backend
+        with compiled binaries finds and builds them in (``None``: the
+        process instance; a disk store hands down its own).
         """
         raise NotImplementedError
 

@@ -1,15 +1,16 @@
 """Loading and calling compiled C kernels.
 
 The seam with :mod:`repro.codegen.backends.c`: that module turns a loop
-program into C text (pure); this one builds the text into a shared
-object, ``dlopen``s it, upgrades serial -> OpenMP, and marshals arguments
-through ctypes.
+program into C text (pure); this one asks the object cache it was handed
+(:mod:`repro.codegen.backends.objects`: the process instance, or a disk
+store's) for a verified object of that text, ``dlopen``s it — the one
+``ctypes.CDLL`` of a kernel — upgrades serial -> OpenMP in that same
+cache, and marshals arguments through ctypes.
 """
 
 from __future__ import annotations
 
 import ctypes
-import re
 import threading
 from typing import Callable, List, Mapping, Optional, Tuple
 
@@ -25,6 +26,7 @@ from repro.codegen.backends.base import (
     Executable,
 )
 from repro.codegen.backends.c import CRender, render_c_full
+from repro.codegen.backends.objects import ObjectCache
 from repro.codegen.loopir import Dim
 from repro.codegen.lower import LoweredKernel
 from repro.obs import metrics as obs_metrics
@@ -52,9 +54,13 @@ class CExecutable(Executable):
         so_path: str,
         rendered: CRender,
         stem: Optional[str] = None,
+        objects: Optional[ObjectCache] = None,
     ):
         self.source = rendered.source
         self._stem = stem
+        #: where :meth:`upgrade` looks for and builds the OpenMP object —
+        #: the cache this one came from, so a store learns of the upgrade
+        self._objects = objects
         # the element dtype of every value pointer in the ABI
         self._elem = np.dtype(
             np.float32 if lowered.dtype == "float32" else np.float64
@@ -120,27 +126,31 @@ class CExecutable(Executable):
         """Swap the serial object for the OpenMP one, at most once.
 
         Single-flight across host threads (the lock) and across processes
-        (:func:`ctoolchain.compile_shared`'s flock); plans bound before
-        the swap follow it on their next ``threads > 1`` call.  When the
-        OpenMP object cannot be had — no OpenMP toolchain, a ``cc`` or
-        ``dlopen`` failure — the ``c@omp`` tier is marked unhealthy
-        (sticky: later runs resolve to one thread), the serial object
-        keeps serving bit-identical results and nothing raises.
+        (the object cache's); plans bound before the swap follow it on
+        their next ``threads > 1`` call.  When the OpenMP object cannot be
+        had — no OpenMP toolchain (the cache then answers the serial
+        object again), a ``cc`` or ``dlopen`` failure — the ``c@omp`` tier
+        is marked unhealthy (sticky: later runs resolve to one thread),
+        the serial object keeps serving bit-identical results and nothing
+        raises.
         """
         with self._upgrade_lock:
             if not self._upgradable:
                 return  # another host thread settled it first
             try:
                 with obs_trace.span("backend:upgrade", stem=self._stem):
-                    if not ctoolchain.openmp_flags():
+                    self._load(
+                        ctoolchain.compile_shared(
+                            self.source,
+                            stem=self._stem,
+                            omp=True,
+                            objects=self._objects,
+                        )
+                    )
+                    if not self.omp:
                         raise ctoolchain.ToolchainError(
                             "the toolchain cannot build OpenMP objects"
                         )
-                    self._load(
-                        ctoolchain.compile_shared(
-                            self.source, stem=self._stem, omp=True
-                        )
-                    )
                 obs_metrics.inc("toolchain.omp_upgrades")
             except (ctoolchain.ToolchainError, OSError, AttributeError) as exc:
                 health.mark("c@omp", exc)
@@ -274,45 +284,37 @@ class CBackend(Backend):
         self,
         lowered: LoweredKernel,
         label: Optional[str] = None,
-        artifact: Optional[str] = None,
         codegen: Optional[CodegenConfig] = None,
         threaded: bool = False,
+        objects: Optional[ObjectCache] = None,
     ) -> CExecutable:
         rendered = render_c_full(lowered, label, codegen)
-        stem = re.sub(r"[^A-Za-z0-9_-]", "", label or "")[:24] or None
-
-        def load(so_path: str) -> CExecutable:
-            exe = CExecutable(lowered, so_path, rendered, stem=stem)
-            if threaded:
-                exe.upgrade()  # no-op unless a serial artifact was loaded
-            return exe
-
-        if artifact is not None:
-            try:
-                return load(artifact)
-            except (OSError, AttributeError):
-                pass  # corrupt or foreign .so: degrade to a fresh build
-        if ctoolchain.probe() is None:
-            raise BackendUnavailableError(
-                "the C backend needs a working compiler; none was found "
-                "(set $REPRO_CC, or use backend='auto' to fall back to python)"
-            )
         # a kernel without parallel bodies is the same code either way
         omp = threaded and bool(rendered.work_model)
-        try:
+
+        def load(force: bool) -> CExecutable:
             so_path = ctoolchain.compile_shared(
-                rendered.source, stem=stem, omp=omp
+                rendered.source, stem=label, force=force, omp=omp, objects=objects
             )
+            exe = CExecutable(lowered, so_path, rendered, label, objects)
+            if threaded:
+                exe.upgrade()  # no-op unless a serial object was loaded
+            return exe
+
+        try:
             try:
-                return load(so_path)
+                return load(False)
             except (OSError, AttributeError):
-                # a content-addressed object that won't load (stale cache
+                # a verified object that won't load (a cache carried over
                 # from another machine): rebuild it once, then fail loudly
-                so_path = ctoolchain.compile_shared(
-                    rendered.source, stem=stem, force=True, omp=omp
-                )
-                return load(so_path)
+                return load(True)
         except ctoolchain.ToolchainError as exc:
+            if ctoolchain.probe() is None:
+                raise BackendUnavailableError(
+                    "the C backend needs a working compiler or a prebuilt "
+                    "object; neither was found (set $REPRO_CC, or use "
+                    "backend='auto' to fall back to python)"
+                )
             raise BackendError("C kernel build failed: %s" % exc)
 
     def describe(self) -> str:

@@ -29,19 +29,17 @@ skips that step (every kernel is then served from the serial object).
 :func:`reset_probe_cache` forgets both — a test that flips the env
 between probes gets a fresh answer for the compiler *and* for OpenMP.
 
-Compiled objects are content-addressed by a hash of their C source *and*
-the flag set they were built under, in a per-process build directory
-(``$REPRO_C_CACHE`` overrides with a persistent one), so recompiling the
-same kernel in one process is free, the serial and the OpenMP object of
-one source never alias, and a persistent cache never serves an object
-built under a different flag set.
+Compiled objects live in the object cache
+(:mod:`repro.codegen.backends.objects`) — by default the process instance,
+``ObjectCache(build_dir())``: a per-process temp directory that
+``$REPRO_C_CACHE`` replaces by a persistent one; :func:`compile_shared`
+is the lookup order over it.
 """
 
 from __future__ import annotations
 
 import atexit
 import ctypes
-import hashlib
 import os
 import random
 import shutil
@@ -53,8 +51,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro import faults
+from repro.codegen.backends.objects import ObjectCache, identity, program_digest
 from repro.core.config import knob
-from repro.core.flock import InterProcessLock
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -111,14 +109,12 @@ class Toolchain:
         return bool(self.openmp_flags)
 
     def object_flags(self, omp: bool) -> tuple:
-        """The flag set of the OpenMP (``omp``) or the serial object.
-
-        Asking for the OpenMP object on a toolchain that cannot build one
-        answers the serial set: the caller gets a working kernel whose
-        parallel bodies are preprocessed away.
-        """
-        extra = self.openmp_flags if omp else ()
-        return self.flags + (extra or self.simd_flags)
+        """The flag set of the OpenMP (``omp``) or the serial object — a
+        spelling, not a capability: whether ``-fopenmp`` works is
+        :attr:`openmp`'s lazily probed answer, and naming an object must
+        not wait for it (:func:`compile_shared` builds the serial object
+        where it does not)."""
+        return self.flags + (("-fopenmp",) if omp else self.simd_flags)
 
     def describe(self) -> str:
         return "%s %s" % (self.cc, " ".join(self.flags + self.simd_flags))
@@ -138,7 +134,7 @@ def _candidates() -> List[str]:
 
 
 def build_dir() -> str:
-    """The directory compiled objects land in (created lazily)."""
+    """The directory of the process's object cache (created lazily)."""
     global _build_dir
     with _lock:
         if _build_dir is None:
@@ -206,25 +202,6 @@ def _run_cc(
         raise ToolchainError(
             "%s failed (%d):\n%s" % (" ".join(cmd), proc.returncode, proc.stderr[-2000:])
         )
-
-
-def _write_file_atomic(directory: str, target: str, text: str) -> None:
-    """Write *text* to *target* via a unique temp + fsync + rename, so a
-    concurrent reader never sees a truncated file and a crash between
-    write and rename cannot publish an empty-but-renamed one."""
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".src.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def _probe_build_runs(cc_path: str, flags: tuple, source: str) -> bool:
@@ -356,7 +333,7 @@ def probe_ftz() -> bool:
     return _probe_once("ftz", _probe_ftz)
 
 
-#: digests whose build failed *permanently* (cc exited nonzero) — the
+#: objects whose build failed *permanently* (cc exited nonzero) — the
 #: source is deterministic for a fixed toolchain, so re-running cc would
 #: fail identically; remember the verdict instead of paying it again.
 _failed: Dict[str, str] = {}
@@ -369,54 +346,35 @@ def reset_failure_memo() -> None:
 
 
 def _build_with_retry(
-    tc: Toolchain, flags: tuple, c_path: str, so_path: str, name: str
+    tc: Toolchain, flags: tuple, c_path: str, out_path: str, stem: Optional[str]
 ) -> None:
-    """Run cc with *flags* into a private temp and publish it at *so_path*.
+    """Run cc with *flags* on *c_path* into *out_path*.
 
     Transient failures (:class:`ToolchainTimeout`, signal kills) are
     retried ``$REPRO_CC_RETRIES`` times with exponential backoff and
     jitter; a nonzero exit is permanent and propagates immediately.
     """
-    directory = os.path.dirname(so_path)
     attempts = 1 + knob("REPRO_CC_RETRIES")
     delay = knob("REPRO_CC_BACKOFF")
     timeout = knob("REPRO_CC_TIMEOUT")
     for attempt in range(1, attempts + 1):
-        # unique temp per build: concurrent builders of the same source
-        # each write their own object, and os.replace picks a winner
-        fd, tmp = tempfile.mkstemp(
-            dir=directory, prefix=".%s." % name, suffix=".tmp.so"
-        )
-        os.close(fd)
         try:
             with obs_trace.span(
                 "cc",
-                stem=name,
+                stem=stem,
                 cc=tc.cc,
                 attempt=attempt,
                 omp=int("-fopenmp" in flags),
                 flags=" ".join(flags),
             ):
-                _run_cc(tc.cc, flags, c_path, tmp, timeout=timeout)
-            os.replace(tmp, so_path)
+                _run_cc(tc.cc, flags, c_path, out_path, timeout=timeout)
             return
-        except ToolchainError as exc:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            transient = isinstance(exc, (ToolchainTimeout, ToolchainInterrupted))
-            if not transient or attempt == attempts:
+        except (ToolchainTimeout, ToolchainInterrupted):
+            if attempt == attempts:
                 raise
             obs_metrics.inc("toolchain.retries")
             time.sleep(delay * (1.0 + random.random()))
             delay *= 2.0
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
 
 def compile_shared(
@@ -424,84 +382,77 @@ def compile_shared(
     stem: Optional[str] = None,
     force: bool = False,
     omp: bool = False,
+    objects: Optional[ObjectCache] = None,
 ) -> str:
-    """Compile C *source* into a content-addressed ``.so``; return its path.
+    """The path of a verified shared object of C *source*, built if absent.
 
-    ``omp`` selects the OpenMP object over the serial one
-    (:meth:`Toolchain.object_flags`; the serial one is what comes back
-    when the toolchain has no OpenMP — the loaded object says which it
-    is).  An existing object for identical source and flags is reused
-    unless ``force`` is set (callers pass it after a cached object failed
-    to load — e.g. a persistent ``$REPRO_C_CACHE`` carrying objects from
-    another architecture).  Raises :class:`ToolchainError` when no
-    toolchain is available or the build fails.
+    ``objects`` is the cache instance to look in and build into (``None``:
+    the process instance); ``stem`` only tags the ``cc`` span.  Which
+    object answers is one lookup order:
 
-    Robustness properties:
+    * ``omp`` (a threaded request) accepts only the OpenMP object;
+    * a serial request prefers the serial object and accepts the OpenMP
+      one of the same toolchain — both run the same serial loops, so a
+      cache written by a threaded process costs a serial reader no ``cc``;
+    * a process with **no** toolchain accepts any verified object of the
+      program (the loaded object's ``repro_openmp`` marker says which it
+      got), so a compilerless serving host keeps working.
 
-    * each cc run is bounded by ``$REPRO_CC_TIMEOUT`` and transient
-      failures (timeout, signal kill) are retried with backoff;
-    * a *permanent* failure (cc rejects the source) is memoized per
-      content digest — later requests for the same object fail fast
-      instead of re-running a compile known to be deterministic-bad;
-    * processes sharing a persistent ``$REPRO_C_CACHE`` elect a single
-      builder per object via an advisory lock file next to the artifact
-      (waiters poll for the published ``.so``; past ``$REPRO_LOCK_TIMEOUT``
-      they stop waiting and build privately — wasteful, never wrong,
-      since ``os.replace`` publication is atomic either way).
+    On a miss the wanted object is built — the serial one when the
+    toolchain has no OpenMP — by one builder across the processes sharing
+    the directory, each cc run bounded by ``$REPRO_CC_TIMEOUT`` and
+    retried with backoff when it fails transiently.  A *permanent* failure
+    (cc rejects the source) is memoized per object: later requests fail
+    fast instead of re-running a compile known to be deterministic-bad.
+    ``force`` skips lookup and memo (callers pass it after a verified
+    object failed to load — e.g. a ``$REPRO_C_CACHE`` carried over from
+    another architecture).  Raises :class:`ToolchainError` when nothing
+    can be served or built.
     """
+    if objects is None:
+        objects = ObjectCache(build_dir())
+    program = program_digest(source)
     tc = probe()
     if tc is None:
-        raise ToolchainError(
-            "no working C compiler (set $REPRO_CC, or unset $REPRO_NO_CC)"
-        )
-    # the object's identity covers the flag set too: the rendered source
-    # is deliberately identical for the serial and the OpenMP object
-    # (preprocessor-guarded), so the two must never alias — in one
-    # process or in a persistent $REPRO_C_CACHE
-    flags = tc.object_flags(omp)
-    identity = "%s\x00%s\x00%s" % (tc.cc, " ".join(flags), source)
-    digest = hashlib.sha256(identity.encode("utf-8")).hexdigest()[:16]
+        path = None
+        if not force:
+            path = objects.lookup(program + "-serial-", program + "-omp-")
+        if path is None:
+            raise ToolchainError(
+                "no working C compiler (set $REPRO_CC, or unset $REPRO_NO_CC)"
+            )
+        return path
+    names = {
+        kind: identity(program, kind, tc.cc, tc.object_flags(kind == "omp"))
+        for kind in ("serial", "omp")
+    }
+    accept = ("omp",) if omp else ("serial", "omp")
+    if knob("REPRO_NO_OPENMP"):
+        accept = ("serial",)
+    if not force:
+        path = objects.lookup(*(names[kind] for kind in accept))
+        if path is not None:
+            return path
+    kind = "omp" if omp and tc.openmp else "serial"
+    ident = names[kind]
     with _lock:
-        memo = _failed.get(digest)
+        memo = _failed.get(ident)
     if memo is not None and not force:
         raise ToolchainError(
             "build of %s previously failed permanently "
-            "(reset_failure_memo() to retry):\n%s" % (digest, memo)
+            "(reset_failure_memo() to retry):\n%s" % (ident, memo)
         )
-    name = "ck_%s" % digest if stem is None else "ck_%s_%s" % (stem, digest)
-    directory = build_dir()
-    so_path = os.path.join(directory, name + ".so")
-    if os.path.exists(so_path) and not force:
-        return so_path
-    c_path = os.path.join(directory, name + ".c")
-    _write_file_atomic(directory, c_path, source)
-    lock = InterProcessLock(so_path + ".lock")
-    acquired = False
-    deadline = time.monotonic() + knob("REPRO_LOCK_TIMEOUT")
+    flags = tc.object_flags(kind == "omp")
     try:
-        while True:
-            if lock.try_acquire():
-                acquired = True
-                break
-            # another process is building this exact object: wait for
-            # its publication rather than burning a duplicate cc run
-            if os.path.exists(so_path) and not force:
-                return so_path
-            if time.monotonic() >= deadline:
-                obs_metrics.inc("toolchain.lock_timeouts")
-                break  # stop waiting; build privately (correct, not cheap)
-            time.sleep(0.02)
-        if acquired and os.path.exists(so_path) and not force:
-            return so_path  # the previous holder published while we waited
-        try:
-            _build_with_retry(tc, flags, c_path, so_path, name)
-        except ToolchainError as exc:
-            if not isinstance(exc, (ToolchainTimeout, ToolchainInterrupted)):
-                obs_metrics.inc("toolchain.permanent_failures")
-                with _lock:
-                    _failed[digest] = str(exc)[:2000]
-            raise
-    finally:
-        if acquired:
-            lock.release()
-    return so_path
+        return objects.build(
+            ident,
+            source,
+            lambda c_path, out: _build_with_retry(tc, flags, c_path, out, stem),
+            force,
+        )
+    except ToolchainError as exc:
+        if not isinstance(exc, (ToolchainTimeout, ToolchainInterrupted)):
+            obs_metrics.inc("toolchain.permanent_failures")
+            with _lock:
+                _failed[ident] = str(exc)[:2000]
+        raise

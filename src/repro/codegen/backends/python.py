@@ -214,9 +214,9 @@ class PythonBackend(Backend):
         self,
         lowered: LoweredKernel,
         label: Optional[str] = None,
-        artifact: Optional[str] = None,
         codegen: Optional[CodegenConfig] = None,
         threaded: bool = False,
+        objects=None,
     ) -> PythonExecutable:
         return PythonExecutable(lowered, label)
 

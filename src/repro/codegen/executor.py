@@ -350,10 +350,10 @@ class BoundKernel:
         symmetric_modes: Mapping,
         label: Optional[str] = None,
         backend: str = "python",
-        artifact: Optional[str] = None,
         threads=None,
         einsum: Optional[str] = None,
         codegen: Optional[CodegenConfig] = None,
+        objects=None,
     ):
         self.lowered = lowered
         self.symmetric_modes = dict(symmetric_modes)
@@ -377,8 +377,7 @@ class BoundKernel:
         if backend != "python" and not knob("REPRO_NO_DEGRADE") and not health.ok("c"):
             # the C tier already failed this process (sticky): serve from
             # the floor instead of paying the failure again per kernel
-            backend, artifact = "python", None
-            self.backend_name = "python"
+            backend = self.backend_name = "python"
         # can the default thread setting ever resolve above 1?  Then the
         # backend builds its multi-threaded object now, not on first use
         threaded = (
@@ -391,9 +390,9 @@ class BoundKernel:
                 self.executable = get_backend(backend).compile(
                     lowered,
                     label=label,
-                    artifact=artifact,
                     codegen=codegen,
                     threaded=threaded,
+                    objects=objects,
                 )
             except BackendUnavailableError:
                 raise  # the caller named a backend this machine lacks

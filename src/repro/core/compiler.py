@@ -228,7 +228,11 @@ def plan_kernel(
 #: class-name tagged) instead of Python source text.
 #: v7: the state carries the resolved ``codegen`` configuration and a
 #: rehydrate renders under it, not under the reader's environment.
-STATE_VERSION = 7
+#: v8: a store entry's objects are an object-cache instance
+#: (``<key>.<identity>-<content>.so``); the JSON no longer records an
+#: ``artifact_sha256``, and the ``<key>.c``/``<key>.so`` sidecars of older
+#: entries are evicted with them.
+STATE_VERSION = 8
 
 
 @dataclass(frozen=True)
@@ -355,15 +359,16 @@ class CompiledKernel:
         cls,
         state: Mapping,
         label: Optional[str] = None,
-        artifact: Optional[str] = None,
+        objects=None,
     ) -> "CompiledKernel":
         """Rehydrate a kernel persisted with :meth:`to_state`.
 
         Only the persisted loop program is decoded and handed to the
         backend; the pass pipeline does not run, so ``plan`` is a
-        :class:`PlanSnapshot` rather than a full :class:`KernelPlan`.  ``artifact`` optionally points at
-        a previously-compiled shared object for the C backend to reuse (a
-        corrupt artifact falls back to a fresh build).
+        :class:`PlanSnapshot` rather than a full :class:`KernelPlan`.
+        ``objects`` is the object cache the C backend finds the compiled
+        object in — and rebuilds or upgrades it into (``None``: the
+        process instance).
         """
         version = state.get("state_version")
         if version != STATE_VERSION:
@@ -372,14 +377,14 @@ class CompiledKernel:
                 % (version, STATE_VERSION)
             )
         with obs_trace.span("rehydrate", label=label):
-            return cls._from_state_checked(state, label, artifact)
+            return cls._from_state_checked(state, label, objects)
 
     @classmethod
     def _from_state_checked(
         cls,
         state: Mapping,
         label: Optional[str],
-        artifact: Optional[str],
+        objects,
     ) -> "CompiledKernel":
         assignment = parse_assignment(state["einsum"])
         symmetric_modes = {
@@ -404,10 +409,10 @@ class CompiledKernel:
             symmetric_modes,
             label=label,
             backend=options.backend,
-            artifact=artifact,
             threads=options.threads,
             einsum=str(assignment),
             codegen=None if codegen is None else CodegenConfig.from_dict(codegen),
+            objects=objects,
         )
         return cls(snapshot, lowered, bound, options, dict(state["formats"]))
 

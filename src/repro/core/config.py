@@ -114,7 +114,7 @@ KNOBS: Dict[str, Knob] = {row.name: row for row in (
     # the C toolchain
     Knob("REPRO_CC", "path", doc="C compiler to probe instead of cc, gcc, clang"),
     Knob("REPRO_C_CACHE", "path",
-         doc="directory for compiled objects (unset = per-process temp dir)"),
+         doc="persistent object cache, verified on every lookup (unset = per-process temp dir)"),
     Knob("REPRO_NO_CC", "flag",
          doc="pretend no C compiler exists (auto degrades to python)"),
     Knob("REPRO_NO_OPENMP", "flag",

@@ -13,23 +13,31 @@ A lock file whose PID cannot be read yet (the holder is between ``open``
 and ``write``) is given a short grace period before being treated as
 stale.
 
-Used by :mod:`repro.codegen.backends.ctoolchain` (one ``cc`` run per
-content-addressed object across processes sharing ``$REPRO_C_CACHE``)
-and :class:`repro.service.engine.KernelService` (one compile per cache
-key across processes sharing a disk store).  Lives in :mod:`repro.core`
-because both of those layers import it — the service package already
-depends on the backends package, so placing it there would cycle.
+On the lock sit the two helpers every cross-process publisher goes
+through: :func:`single_flight`, the one poll loop that elects a builder
+(:class:`repro.codegen.backends.objects.ObjectCache`: one ``cc`` run per
+object; :class:`repro.service.engine.KernelService`: one compile per key
+of a shared disk store), and :func:`atomic_write`, the one temp + fsync +
+rename.  They live in :mod:`repro.core` because both of those layers
+import them — the service package already depends on the backends
+package, so placing them there would cycle.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
 import time
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 #: seconds an unreadable (empty / mid-write) lock file is trusted before
 #: it is treated as stale.
 UNREADABLE_GRACE = 10.0
+
+#: seconds between a waiter's looks at a contended lock — shorter than
+#: anything it waits on (a python-backend compile is 1-35 ms, a ``cc`` run
+#: ~100 ms).
+POLL = 0.02
 
 
 class InterProcessLock:
@@ -137,3 +145,67 @@ class InterProcessLock:
         except OSError:
             pass
         return True
+
+
+def single_flight(
+    lock_path: Union[str, os.PathLike],
+    published: Callable[[], Optional[object]],
+    build: Callable[[], object],
+    timeout: float,
+    on_timeout: Callable[[], None],
+):
+    """Elect one builder per *lock_path* across processes.
+
+    The lock holder runs ``build()`` (make and publish, return the
+    product); everyone else polls ``published()`` (the product or ``None``)
+    rather than duplicating the work.  A waiter that outlives *timeout*
+    seconds calls ``on_timeout()`` and builds privately — wasteful, never
+    wrong, since publication is atomic either way.
+    """
+    lock = InterProcessLock(lock_path)
+    deadline = time.monotonic() + timeout
+    try:
+        while not lock.try_acquire():
+            found = published()
+            if found is not None:
+                return found
+            if time.monotonic() >= deadline:
+                on_timeout()
+                break
+            time.sleep(POLL)
+        else:
+            # the previous holder may have published while this one waited
+            found = published()
+            if found is not None:
+                return found
+        return build()
+    finally:
+        lock.release()
+
+
+def atomic_write(
+    path: Union[str, os.PathLike], data: bytes, fsync: bool = True
+) -> None:
+    """Publish *data* at *path* so that no reader ever sees part of it: a
+    unique temp in the target directory, fsync, ``os.replace``, the temp
+    removed on any failure.  The fsync is what makes the rename safe across
+    a crash — ``os.replace`` is atomic in the namespace, not in the data,
+    and a renamed file whose bytes never hit the disk reads back empty;
+    ``fsync=False`` is for files nobody trusts after one."""
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".", prefix=".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            if fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise

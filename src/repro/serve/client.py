@@ -15,9 +15,12 @@ strictly *accelerator, not dependency*:
   without paying connect latency again;
 * :func:`fetch_compiled` therefore never raises, and results are
   bit-identical either way: a daemon-built kernel is rehydrated through
-  the same ``to_state``/``from_state`` path the disk store uses, with the
-  shipped artifact verified against its ``artifact_sha256`` before any
-  ``dlopen``.
+  the same ``to_state``/``from_state`` path the disk store uses.  The
+  shipped object is outside input: bytes checked against the reply's
+  ``artifact_sha256``, name against the object cache's strict pattern,
+  then adopted into the process's object cache, where the rehydrate finds
+  it by the ordinary lookup — a hit under the daemon's toolchain, a local
+  ``cc`` under another.
 
 Degradation is surfaced, never silent: ``service.remote.*`` metrics count
 hits / retries / fallbacks / errors, and ``ServiceStats.describe`` prints
@@ -26,20 +29,18 @@ a ``DEGRADED(remote)`` banner once the daemon has been marked.
 
 from __future__ import annotations
 
-import atexit
 import hashlib
 import itertools
-import os
-import shutil
 import socket
-import tempfile
 import threading
 import time
 import warnings
 from typing import Dict, Optional
 
 from repro import faults
+from repro.codegen.backends import ctoolchain
 from repro.codegen.backends import health as backend_health
+from repro.codegen.backends.objects import IDENTITY, ObjectCache
 from repro.core.config import knob
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -267,7 +268,6 @@ _state_lock = threading.Lock()
 _client: Optional[ServiceClient] = None
 _client_endpoint: Optional[str] = None
 _disabled = False
-_artifacts: Optional[str] = None
 _warned = False
 
 
@@ -319,37 +319,28 @@ def reset() -> None:
     backend_health.reset_remote()
 
 
-def _artifact_dir() -> str:
-    """A per-process scratch directory for daemon-shipped ``.so`` files
-    (removed at interpreter exit)."""
-    global _artifacts
-    with _state_lock:
-        if _artifacts is None:
-            _artifacts = tempfile.mkdtemp(prefix="repro-remote-")
-            atexit.register(shutil.rmtree, _artifacts, ignore_errors=True)
-        return _artifacts
-
-
-def _materialize_artifact(key: str, reply: dict) -> Optional[str]:
-    """Write the shipped shared object to disk iff its bytes match the
-    recorded hash — the same refuse-to-dlopen-torn-ELFs rule the disk
-    store enforces.  Returns its path, or ``None`` (rebuild locally)."""
+def _adopt_artifact(reply: dict) -> None:
+    """Adopt the shipped shared object into the process's object cache,
+    iff it is what the reply says it is: bytes matching the recorded hash
+    under a well-formed object name.  A reply that ships or names none (an
+    older daemon) adopts nothing; the rehydrate that follows builds
+    locally whatever it does not find."""
     blob = reply.get("artifact")
     digest = reply.get("artifact_sha256")
-    if not isinstance(blob, memoryview) or not digest:
-        return None  # no artifact shipped (or not as a wire segment)
-    if hashlib.sha256(blob).hexdigest() != digest:
+    name = reply.get("artifact_name")
+    if not isinstance(blob, memoryview) or not digest or name is None:
+        return  # nothing shipped (or not as a wire segment), or unnamed
+    if (
+        not isinstance(name, str)
+        or IDENTITY.fullmatch(name) is None
+        or hashlib.sha256(blob).hexdigest() != digest
+    ):
         obs_metrics.inc("service.remote.artifact_rejected")
-        return None
-    path = os.path.join(_artifact_dir(), "%s.so" % key)
+        return
     try:
-        fd, tmp = tempfile.mkstemp(dir=_artifact_dir(), suffix=".tmp")
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp, path)
+        ObjectCache(ctoolchain.build_dir()).adopt(name, blob)
     except OSError:
-        return None
-    return path
+        pass  # an unwritable cache costs a local build, nothing else
 
 
 def _mark_unreachable(error: Exception) -> None:
@@ -403,11 +394,9 @@ def fetch_compiled(request) -> Optional["object"]:
             obs_metrics.inc("service.remote.key_mismatch")
             sp.add(key_mismatch=True)
             return None
-        artifact = _materialize_artifact(key, reply)
+        _adopt_artifact(reply)
         try:
-            kernel = CompiledKernel.from_state(
-                reply["state"], label=key[:12], artifact=artifact
-            )
+            kernel = CompiledKernel.from_state(reply["state"], label=key[:12])
         except Exception:
             obs_metrics.inc("service.remote.errors")
             return None

@@ -24,8 +24,8 @@ decisions, in order of what kills shared services first:
 * **Crash-safe warm restart** — a ``kill -9``'d daemon leaves only a
   stale socket and a stale PID-stamped lock, both reclaimed on the next
   start; ``--warm`` rehydrates the LRU from the disk store, whose
-  ``artifact_sha256`` verification refuses to ``dlopen`` torn shared
-  objects (they are healed by a clean rebuild instead).
+  object cache refuses to ``dlopen`` torn shared objects (they are
+  rebuilt in place instead).
 * **Hostile input** — oversized length prefixes, garbage JSON and torn
   frames answer ``bad-request``/close without allocating; a started
   frame that stalls (slowloris) is cut off by
@@ -54,6 +54,7 @@ import numpy as np
 
 from repro import faults
 from repro.codegen.backends import health as backend_health
+from repro.codegen.backends.objects import identity_of
 from repro.core.config import knob
 from repro.core.flock import InterProcessLock
 from repro.faults.spec import FaultError
@@ -238,7 +239,7 @@ class KernelServer:
         """Rehydrate every persisted kernel into the LRU before serving.
 
         Runs the disk store's full verification path (state-version
-        check, ``artifact_sha256`` before any ``dlopen``): corrupt
+        check, object bytes against their name before any ``dlopen``): corrupt
         entries are removed and counted, never served.  Returns
         ``(rehydrated, failed)``.
         """
@@ -580,6 +581,8 @@ class KernelServer:
                     blob = handle.read()
                 payload["artifact"] = blob
                 payload["artifact_sha256"] = hashlib.sha256(blob).hexdigest()
+                # which object this is: the client adopts it under that name
+                payload["artifact_name"] = identity_of(so_path)
             except OSError:
                 pass  # build dir vanished: state alone still rehydrates
         return payload

@@ -24,7 +24,7 @@ from repro import faults
 from repro.codegen.backends import health as backend_health
 from repro.core.compiler import CompiledKernel
 from repro.core.config import CompilerOptions, DEFAULT, knob
-from repro.core.flock import InterProcessLock
+from repro.core.flock import single_flight
 from repro.faults.spec import FaultError
 from repro.frontend.einsum import Assignment
 from repro.obs import metrics as obs_metrics
@@ -285,48 +285,40 @@ class KernelService:
         """Compile a key this process missed everywhere.
 
         With a disk store attached, processes sharing it elect a single
-        compiler per key through an advisory ``<key>.lock`` file next to
-        the entry: the leader compiles and publishes, waiters poll for
-        the published entry and rehydrate it.  A waiter that outlives
-        ``$REPRO_LOCK_TIMEOUT`` (or finds the published entry unreadable
-        on this host) compiles privately — duplicated work, never a wrong
-        or missing answer.
+        compiler per key (:func:`repro.core.flock.single_flight` on the
+        ``<key>.lock`` next to the entry): the leader compiles and
+        publishes, waiters rehydrate the published entry.  A waiter that
+        finds that entry unservable on this host compiles privately, like
+        one that outlives ``$REPRO_LOCK_TIMEOUT``.
         """
         if self.store is None:
             return self._compile_now(key, request), "compiled"
-        lock = InterProcessLock(str(self.store.path / ("%s.lock" % key)))
-        deadline = time.monotonic() + knob("REPRO_LOCK_TIMEOUT")
-        acquired = False
-        try:
-            while True:
-                if lock.try_acquire():
-                    acquired = True
-                    break
-                if key in self.store:
-                    kernel = self.store.get(key)
-                    if kernel is not None:
-                        return kernel, "disk"
-                    break  # published but unservable here: build our own
-                if time.monotonic() >= deadline:
-                    obs_metrics.inc("service.lock_timeouts")
-                    break
-                time.sleep(0.05)
-            if acquired and key in self.store:
-                # the previous holder published while this process waited
-                kernel = self.store.get(key)
-                if kernel is not None:
-                    return kernel, "disk"
+        store = self.store
+
+        def build() -> Tuple[CompiledKernel, str]:
             kernel = self._compile_now(key, request)
             # a kernel that degraded to a different backend than requested
             # (e.g. a C request served interpreted because this process's
             # toolchain broke) must not poison the shared store: other
             # processes could compile the real thing
             if kernel.backend == kernel.options.backend:
-                self.store.put(key, kernel)
+                store.put(key, kernel)
             return kernel, "compiled"
-        finally:
-            if acquired:
-                lock.release()
+
+        def published() -> Optional[Tuple[CompiledKernel, str]]:
+            if key not in store:
+                return None
+            kernel = store.get(key)
+            # published but unservable here: build our own, now
+            return (kernel, "disk") if kernel is not None else build()
+
+        return single_flight(
+            store.path / ("%s.lock" % key),
+            published,
+            build,
+            knob("REPRO_LOCK_TIMEOUT"),
+            lambda: obs_metrics.inc("service.lock_timeouts"),
+        )
 
     def _remote_fetch(self, request: CompileRequest) -> Optional[CompiledKernel]:
         """Ask the ``$REPRO_SERVICE`` daemon for a compiled kernel.

@@ -6,24 +6,24 @@ lowered metadata + plan summary).  Loading an entry re-``exec``'s the
 source but never re-runs the pass pipeline, so a warm store turns process
 startup cost into microseconds per kernel.
 
-Kernels built by the C backend additionally persist their generated C
-source (``<key>.c``, for inspection) and the compiled shared object
-(``<key>.so``): rehydration hands the ``.so`` to the backend, which
-reuses it directly and only recompiles when the artifact is corrupt or
-from a foreign architecture.  The ``.so`` is whichever object the kernel
-was running when it was stored — the serial build for a kernel that only
-ever ran on one thread, the OpenMP build otherwise (the loaded object
-says which, :attr:`CExecutable.kind`).  A process that rehydrates a
-serial artifact under a thread setting above 1 upgrades it (one ``cc``
-run) and the store then keeps the OpenMP object, which also serves
-serial callers; an OpenMP artifact is never replaced by a serial one.
+Kernels built by the C backend keep their compiled objects here too: the
+store directory is an instance of the object cache
+(:mod:`repro.codegen.backends.objects`) whose file names start with the
+entry's key.  ``put`` adopts the object the kernel is running; ``get``
+hands the instance to the backend, which finds the object by the cache's
+verified lookup (the serial and the OpenMP object of one entry coexist,
+the request picks) and builds a damaged or missing one — or the OpenMP
+upgrade of a serial one, at load or at the first threaded call — straight
+into the store, where the next process finds it.
 
-Writes are atomic (temp file + fsync + ``os.replace``) so a crashed
-writer never leaves or publishes a half-written entry; reads that fail
-are counted as ``errors`` (distinct from ``misses``) and answered with
-``None`` — a cache must never be the thing that takes the service down.
-Writes are likewise best-effort: a full or read-only disk costs
-persistence, not the compile result (``put`` returns ``False``).
+Writes are atomic (:func:`repro.core.flock.atomic_write`) so a crashed
+writer never leaves or publishes a half-written entry, and the JSON entry
+— the commit point, written after the object — is never rewritten by a
+reader; reads that fail are counted as ``errors`` (distinct from
+``misses``) and answered with ``None`` — a cache must never be the thing
+that takes the service down.  Writes are likewise best-effort: a full or
+read-only disk costs persistence, not the compile result (``put`` returns
+``False``).
 
 Fault-injection points (:mod:`repro.faults`): ``store.get`` (corrupt /
 truncate-so / fail) and ``store.put`` (enospc / eacces / partial / fail).
@@ -32,19 +32,19 @@ truncate-so / fail) and ``store.put`` (enospc / eacces / partial / fail).
 from __future__ import annotations
 
 import errno
-import hashlib
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro import faults
 from repro.codegen.backends import BackendError
+from repro.codegen.backends.objects import ObjectCache
 from repro.core.compiler import STATE_VERSION, CompiledKernel
 from repro.core.config import knob
+from repro.core.flock import InterProcessLock, atomic_write
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -104,16 +104,16 @@ class DiskStore:
             raise ValueError("malformed cache key %r" % (key,))
         return self.path / ("%s.json" % key)
 
+    def _files(self, key: str) -> List[Path]:
+        """Everything on disk that belongs to *key* — entry, objects, built
+        sources — but not its lock files, which belong to their holders."""
+        return [p for p in self.path.glob("%s.*" % key) if p.suffix != ".lock"]
+
     def put(self, key: str, kernel: CompiledKernel) -> bool:
         """Persist a compiled kernel under *key* (atomic overwrite).
 
-        C-backend kernels also persist their generated C source and the
-        compiled shared object, so later processes skip the compiler
-        entirely.  The JSON entry records the artifact's content hash:
-        ``get`` refuses to ``dlopen`` a shared object that does not match
-        it (a *truncated* ELF can crash the whole process inside dlopen,
-        not just fail to load — the hash check turns that into a clean
-        recompile).
+        C-backend kernels also persist the shared object they run, so
+        later processes skip the compiler entirely.
 
         Persistence is best-effort: a write failure (full disk, read-only
         directory) is counted in ``errors`` and reported as ``False`` —
@@ -141,59 +141,23 @@ class DiskStore:
             if fault.action == "fail":
                 raise OSError("injected: store write failure for %s" % key)
             # "partial" handled below: publish a truncated JSON entry
-        executable = kernel.bound.executable
-        so_path = getattr(executable, "so_path", None)
-        blob = None
-        if so_path is not None:
-            try:
-                with open(so_path, "rb") as handle:
-                    blob = handle.read()
-            except OSError:
-                blob = None  # build dir vanished: the JSON entry still works
-        payload = {"key": key, "state": kernel.to_state()}
-        if blob is not None:
-            payload["artifact_sha256"] = hashlib.sha256(blob).hexdigest()
-        data = _dumps(payload)
-        raw = data.encode("utf-8")
+        raw = _dumps({"key": key, "state": kernel.to_state()}).encode("utf-8")
         if fault is not None and fault.action == "partial":
             # simulate a torn entry reaching the store (e.g. a writer
             # without the fsync+rename discipline): readers must treat it
             # as corrupt, never crash
-            self._atomic_write(self._file(key), raw[: len(raw) // 2], key)
+            atomic_write(self._file(key), raw[: len(raw) // 2])
             return
+        so_path = getattr(kernel.bound.executable, "so_path", None)
         if so_path is not None:
-            # sidecars land before the JSON entry: the entry is the commit
-            # point, and a process that can see it (single-flight waiters
-            # poll for exactly that) must also find the artifact — the
-            # reverse order makes waiters recompile a published kernel
-            self._atomic_write(
-                self.path / ("%s.c" % key),
-                executable.source.encode("utf-8"),
-                key,
-            )
-            if blob is not None:
-                self._atomic_write(self.path / ("%s.so" % key), blob, key)
-        self._atomic_write(self._file(key), raw, key)
-
-    def _atomic_write(self, target: Path, blob: bytes, key: str) -> None:
-        fd, tmp = tempfile.mkstemp(
-            dir=str(self.path), prefix=".%s." % key[:12], suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                # fsync before the rename: os.replace is atomic in the
-                # namespace but not in the data — after a crash, a renamed
-                # file whose bytes never hit disk reads back empty
-                os.fsync(handle.fileno())
-            os.replace(tmp, target)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            # the object lands before the JSON entry: the entry is the
+            # commit point, and a process that can see it (single-flight
+            # waiters poll for exactly that) must also find the object —
+            # the reverse order makes waiters recompile a published kernel.
+            # (An object that cannot be read back — build dir vanished —
+            # costs the next reader a cc run; the entry still works.)
+            ObjectCache(self.path, "%s." % key).adopt_file(so_path)
+        atomic_write(self._file(key), raw)
 
     def get(self, key: str) -> Optional[CompiledKernel]:
         """Rehydrate the kernel stored under *key*, or ``None`` on a miss.
@@ -224,20 +188,21 @@ class DiskStore:
             state = payload["state"]
             if state.get("state_version") != STATE_VERSION:
                 raise ValueError("state version skew")
-            artifact = self._verified_artifact(key, payload)
             if fault is not None and fault.action == "truncate-so":
-                artifact = None  # as if the hash check rejected the .so
+                # as if the hash check rejected every object of the entry
+                for stale in self._files(key):
+                    if stale.suffix == ".so":
+                        stale.unlink()
             kernel = CompiledKernel.from_state(
-                state, label=key[:12], artifact=artifact
+                state, label=key[:12], objects=ObjectCache(self.path, "%s." % key)
             )
-            self._heal_artifact(key, kernel, artifact, payload)
         except FileNotFoundError:
             self.misses += 1
             return None
         except BackendError:
             # the entry is fine, this *host* can't run it (no compiler, or
             # a local build failure): error, but keep the entry — and its
-            # artifacts — for hosts that can
+            # objects — for hosts that can
             self.errors += 1
             obs_metrics.inc("store.get_errors")
             return None
@@ -250,7 +215,7 @@ class DiskStore:
         except Exception:
             self.errors += 1
             obs_metrics.inc("store.get_errors")
-            self.remove(key)  # drops the .c/.so siblings too
+            self.remove(key)  # drops its objects too
             return None
         self.hits += 1
         self._touch(path)
@@ -261,59 +226,9 @@ class DiskStore:
         """Refresh *path*'s access time (LRU signal for :meth:`gc`) —
         mount options like ``noatime`` make implicit atime unreliable."""
         try:
-            stat = path.stat()
-            os.utime(str(path), times=(time.time(), stat.st_mtime))
+            os.utime(str(path), ns=(time.time_ns(), path.stat().st_mtime_ns))
         except OSError:
             pass
-
-    def _verified_artifact(self, key: str, payload) -> Optional[str]:
-        """Path of ``<key>.so`` iff its bytes match the recorded hash.
-
-        A mismatched or unhashed shared object is *never* handed to
-        ``dlopen``: a truncated mapping can take the process down with
-        SIGBUS rather than raising.  Returning ``None`` routes the entry
-        through a clean rebuild (and :meth:`_heal_artifact` repairs the
-        file afterwards).
-        """
-        so_path = self.path / ("%s.so" % key)
-        digest = payload.get("artifact_sha256")
-        if digest is None or not so_path.exists():
-            return None
-        try:
-            with open(so_path, "rb") as handle:
-                blob = handle.read()
-        except OSError:
-            return None
-        if hashlib.sha256(blob).hexdigest() != digest:
-            return None
-        return str(so_path)
-
-    def _heal_artifact(
-        self, key, kernel, artifact: Optional[str], payload
-    ) -> None:
-        """Refresh ``<key>.so`` (and its recorded hash) when the backend
-        did not run the persisted artifact (it was corrupt, truncated,
-        absent, or a serial object that a threaded caller upgraded to the
-        OpenMP one): otherwise every future process would pay a failed
-        load + recompile — or the upgrade — for this entry again."""
-        executable = kernel.bound.executable
-        so_path = getattr(executable, "so_path", None)
-        if so_path is None or so_path == artifact:
-            return
-        try:
-            with open(so_path, "rb") as handle:
-                blob = handle.read()
-            digest = hashlib.sha256(blob).hexdigest()
-            if artifact is not None and digest == payload.get("artifact_sha256"):
-                return  # the verified sidecar already holds these bytes
-            payload = dict(payload)
-            payload["artifact_sha256"] = digest
-            data = _dumps(payload)
-            # same commit discipline as _put: artifact first, entry second
-            self._atomic_write(self.path / ("%s.so" % key), blob, key)
-            self._atomic_write(self._file(key), data.encode("utf-8"), key)
-        except OSError:
-            pass  # healing is best-effort; the entry itself is fine
 
     # ------------------------------------------------------------------
     def __contains__(self, key: str) -> bool:
@@ -331,16 +246,19 @@ class DiskStore:
                 yield path.stem
 
     def remove(self, key: str) -> bool:
-        for suffix in (".c", ".so"):
-            try:
-                os.unlink(str(self.path / (key + suffix)))
-            except OSError:
-                pass
+        """Delete *key*'s entry — first: it is the commit point — and
+        everything stored with it; ``True`` when there was an entry."""
+        found = True
         try:
             os.unlink(self._file(key))
-            return True
         except FileNotFoundError:
-            return False
+            found = False
+        for path in self._files(key):
+            try:
+                path.unlink()
+            except OSError:
+                pass
+        return found
 
     def clear(self) -> int:
         n = 0
@@ -351,37 +269,44 @@ class DiskStore:
     # ------------------------------------------------------------------
     # size bound
     # ------------------------------------------------------------------
+    def _sizes(self) -> Dict[str, int]:
+        """On-disk bytes of every well-formed entry (JSON + objects +
+        built sources), from one pass over the directory."""
+        sizes = {key: 0 for key in self.keys()}
+        with os.scandir(self.path) as listing:
+            for item in listing:
+                key = item.name.partition(".")[0]
+                if key in sizes and not item.name.endswith(".lock"):
+                    try:
+                        sizes[key] += item.stat().st_size
+                    except OSError:
+                        pass
+        return sizes
+
     def entry_bytes(self, key: str) -> int:
-        """Total on-disk size of one entry (JSON + ``.c`` + ``.so``)."""
-        total = 0
-        for suffix in (".json", ".c", ".so"):
-            try:
-                total += (self.path / (key + suffix)).stat().st_size
-            except OSError:
-                pass
-        return total
+        """Total on-disk size of one entry."""
+        return self._sizes().get(key, 0)
 
     def size_bytes(self) -> int:
         """Total on-disk size of every well-formed entry."""
-        return sum(self.entry_bytes(key) for key in self.keys())
+        return sum(self._sizes().values())
 
     def gc(self, max_bytes: Optional[int] = None) -> Tuple[int, int]:
         """Evict least-recently-used entries until the store fits.
 
         Recency is the JSON entry's access time (refreshed explicitly on
-        every hit, so ``noatime`` mounts behave).  Entries whose
-        ``<key>.lock`` file exists are skipped — another process is
-        compiling/publishing that key right now, and evicting under it
-        would race the publication.  Returns ``(entries_removed,
-        bytes_freed)``.
+        every hit, so ``noatime`` mounts behave).  An entry is evicted
+        under its ``<key>.lock``: while a live process holds that —
+        compiling or publishing the key right now — it is skipped, and a
+        dead holder's lock is reclaimed like anywhere else.  Returns
+        ``(entries_removed, bytes_freed)``.
         """
         limit = self.max_bytes if max_bytes is None else max_bytes
         if limit is None:
             return (0, 0)
         aged = []
         total = 0
-        for key in self.keys():
-            size = self.entry_bytes(key)
+        for key, size in self._sizes().items():
             total += size
             try:
                 stamp = self._file(key).stat().st_atime
@@ -395,13 +320,14 @@ class DiskStore:
         for stamp, key, size in sorted(aged):
             if total - freed <= limit:
                 break
-            if (self.path / ("%s.lock" % key)).exists():
-                continue  # mid-publication: never evict under a builder
-            if self.remove(key):
-                removed += 1
-                freed += size
-                self.evictions += 1
-                obs_metrics.inc("store.evictions")
+            with InterProcessLock(self.path / ("%s.lock" % key)) as lock:
+                if not lock.try_acquire():
+                    continue  # mid-publication: never evict under a builder
+                if self.remove(key):
+                    removed += 1
+                    freed += size
+                    self.evictions += 1
+                    obs_metrics.inc("store.evictions")
         return (removed, freed)
 
     def entries(self) -> List[StoreEntry]:

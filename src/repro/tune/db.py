@@ -2,7 +2,7 @@
 
 Layout mirrors the perf-trajectory conventions of
 ``BENCH_backends.json`` (:mod:`repro.bench.harness`): one merged,
-diffable JSON document, atomic tmp-file + ``os.replace`` rewrites, and a
+diffable JSON document, atomic rewrites, and a
 version field that retires stale schemas instead of misreading them.
 Writers additionally serialize through the repo's advisory PID lock
 (:class:`repro.core.flock.InterProcessLock`), so concurrent
@@ -28,7 +28,7 @@ import os
 import time
 from typing import Dict, Iterable, Mapping, Optional
 
-from repro.core.flock import InterProcessLock
+from repro.core.flock import InterProcessLock, atomic_write
 
 #: bump when the tuning-db schema changes shape.
 TUNED_VERSION = 1
@@ -115,7 +115,7 @@ def record_tuning(
     """Merge one tuning result into the database at *path*.
 
     Read-merge-rewrite runs under the advisory lock; the rewrite itself
-    is a tmp-file + ``os.replace`` so readers never see a torn document.
+    is an :func:`atomic_write` so readers never see a torn document.
     Existing machines/kernels/shapes survive untouched, the re-tuned
     shape (and the kernel's compile recommendation, when given) is
     overwritten.  Returns the merged document.
@@ -145,11 +145,8 @@ def record_tuning(
         kernel["shapes"] = {key: shapes[key] for key in sorted(shapes)}
         section["kernels"] = {key: kernels[key] for key in sorted(kernels)}
         doc["machines"] = {key: machines[key] for key in sorted(machines)}
-        tmp = path + ".tmp.%d" % os.getpid()
-        with open(tmp, "w") as f:
-            json.dump(doc, f, indent=2, sort_keys=False)
-            f.write("\n")
-        os.replace(tmp, path)
+        text = json.dumps(doc, indent=2, sort_keys=False) + "\n"
+        atomic_write(path, text.encode("utf-8"))
         return doc
     finally:
         lock.release()

@@ -25,7 +25,7 @@ from repro.kernels.library import KERNELS, get_kernel
 from repro.service import KernelService
 from repro.service.keys import cache_key
 from repro.tensor.tensor import Tensor
-from tests.conftest import make_symmetric_matrix
+from tests.conftest import make_symmetric_matrix, store_objects
 from tests.test_codegen_kernels import build_inputs
 
 HAVE_CC = get_backend("c").is_available()
@@ -87,7 +87,10 @@ def test_auto_degrades_to_python_without_compiler(no_toolchain):
     np.testing.assert_allclose(kernel(A=A, x=np.ones(4)), np.ones(4))
 
 
-def test_explicit_c_without_compiler_raises(no_toolchain):
+def test_explicit_c_without_compiler_raises(no_toolchain, monkeypatch, tmp_path):
+    # nothing prebuilt either: a compilerless process does run a verified
+    # object of the program when its cache holds one
+    monkeypatch.setattr(ctoolchain, "_build_dir", str(tmp_path))
     with pytest.raises(BackendUnavailableError):
         compile_kernel(
             "y[i] += A[i, j] * x[j]",
@@ -164,18 +167,22 @@ def test_store_persists_and_reuses_c_artifacts(tmp_path, rng, monkeypatch):
     kernel = service.get_or_compile(einsum, **spec)
     key = cache_key(einsum, **spec)
     assert (tmp_path / ("%s.json" % key)).exists()
-    assert (tmp_path / ("%s.c" % key)).exists()
-    assert (tmp_path / ("%s.so" % key)).exists()
+    (stored,) = store_objects(tmp_path, key)
+    with open(kernel.bound.executable.so_path, "rb") as handle:
+        assert stored.read_bytes() == handle.read()
 
-    # a fresh service must rehydrate from the persisted .so without ever
-    # invoking the compiler
+    # a fresh service must rehydrate from the persisted object without
+    # ever invoking the compiler — nor the process's own object cache
     def boom(*a, **k):
-        raise AssertionError("recompiled despite a valid artifact")
+        raise AssertionError("recompiled despite a valid object")
 
-    monkeypatch.setattr(ctoolchain, "compile_shared", boom)
+    monkeypatch.setattr(ctoolchain, "_run_cc", boom)
+    monkeypatch.setattr(ctoolchain, "_build_dir", str(tmp_path / "empty"))
+    (tmp_path / "empty").mkdir()
     fresh = KernelService(store=tmp_path)
     rehydrated = fresh.get_or_compile(einsum, **spec)
     assert rehydrated.backend == "c"
+    assert rehydrated.bound.executable.so_path == str(stored)
     A = make_symmetric_matrix(rng, 8, 0.6)
     x = rng.random(8)
     np.testing.assert_allclose(rehydrated(A=A, x=x), A @ x, rtol=1e-12)
@@ -187,7 +194,8 @@ def test_corrupt_so_degrades_to_recompile(tmp_path, rng):
     spec = dict(symmetric={"A": True}, loop_order=("j", "i"), options=C_OPTS)
     KernelService(store=tmp_path).get_or_compile(einsum, **spec)
     key = cache_key(einsum, **spec)
-    (tmp_path / ("%s.so" % key)).write_bytes(b"this is not an ELF object")
+    (stored,) = store_objects(tmp_path, key)
+    stored.write_bytes(b"this is not an ELF object")
 
     fresh = KernelService(store=tmp_path)
     kernel = fresh.get_or_compile(einsum, **spec)
@@ -195,10 +203,10 @@ def test_corrupt_so_degrades_to_recompile(tmp_path, rng):
     A = make_symmetric_matrix(rng, 8, 0.6)
     x = rng.random(8)
     np.testing.assert_allclose(kernel(A=A, x=x), A @ x, rtol=1e-12)
-    # the store's artifact is healed: the next process loads it directly
-    healed = (tmp_path / ("%s.so" % key)).read_bytes()
-    assert healed != b"this is not an ELF object"
-    assert healed[:4] == b"\x7fELF"
+    # rebuilt straight into the store: the next process loads it directly
+    (rebuilt,) = store_objects(tmp_path, key)
+    assert kernel.bound.executable.so_path == str(rebuilt)
+    assert rebuilt.read_bytes()[:4] == b"\x7fELF"
 
 
 def test_store_remove_deletes_artifacts(tmp_path):
@@ -280,7 +288,8 @@ def test_unrunnable_entry_survives_for_capable_hosts(tmp_path, monkeypatch):
     spec = dict(symmetric={"A": True}, loop_order=("j", "i"), options=C_OPTS)
     KernelService(store=tmp_path).get_or_compile(einsum, **spec)
     key = cache_key(einsum, **spec)
-    (tmp_path / ("%s.so" % key)).write_bytes(b"garbage")
+    (stored,) = store_objects(tmp_path, key)
+    stored.write_bytes(b"garbage")
 
     monkeypatch.setenv("REPRO_NO_CC", "1")
     ctoolchain.reset_probe_cache()
@@ -296,18 +305,14 @@ def test_unrunnable_entry_survives_for_capable_hosts(tmp_path, monkeypatch):
 
 @needs_cc
 def test_stale_build_cache_object_is_rebuilt(rng):
-    """A content-addressed .so in the build dir that no longer loads
-    (e.g. REPRO_C_CACHE carried over from another machine) is rebuilt.
-
-    Uses an einsum nothing else compiles: the stale object must not be
-    mapped by this process (overwriting a dlopen'd file in place would
-    clobber its pages; the production paths always replace via a fresh
-    inode, the pre-seeding below mirrors the foreign-cache scenario).
+    """An object in the build dir that verifies — its bytes are what its
+    name says — but does not load (e.g. REPRO_C_CACHE carried over from
+    another machine) is rebuilt, and replaced: one object per identity.
     """
     import os
-    from pathlib import Path
 
     from repro.codegen.backends import render_c
+    from repro.codegen.backends.objects import ObjectCache, identity_of
 
     kernel = compile_kernel(
         "zz[i] += QQ[i, j] * ww[j]",
@@ -316,14 +321,17 @@ def test_stale_build_cache_object_is_rebuilt(rng):
         options=DEFAULT.but(backend="python"),  # render only, never dlopen
     )
     source = render_c(kernel.lowered)
-    stale = ctoolchain.compile_shared(source)
-    tmp = stale + ".seed"
-    with open(tmp, "wb") as handle:
-        handle.write(b"not an object file")
-    os.replace(tmp, stale)  # fresh inode, like a restored foreign cache
+    built = ctoolchain.compile_shared(source)
+    foreign = ObjectCache(ctoolchain.build_dir()).adopt(
+        identity_of(built), b"not an object file"
+    )
+    os.unlink(built)
+    assert ctoolchain.compile_shared(source) == foreign  # verifies, so is served
     rebuilt = get_backend("c").compile(
         kernel.lowered, codegen=CodegenConfig.resolve()
     )
+    assert identity_of(rebuilt.so_path) == identity_of(built)
+    assert not os.path.exists(foreign)
     prepared = kernel.bound.prepare(QQ=np.eye(4), ww=np.ones(4))
     out = np.zeros(4)
     rebuilt(out, **prepared)

@@ -6,6 +6,13 @@ request that can only run on one thread pays one ``cc`` run without
 upgrade), whoever and however many ask at once; a request whose default
 thread setting can exceed 1 builds the OpenMP object directly — one ``cc``
 run in total, as before the split.
+
+And what an object may cost *again*: nothing.  One program is one object
+whatever label it was rendered under; an object a reader had to build —
+after damage, or as the upgrade of a serial one, at load or at the first
+threaded call — is built into the store it was read from, so the next
+process pays no ``cc``; a serial reader of a store a threaded process
+wrote runs what is there.
 """
 
 import os
@@ -19,6 +26,7 @@ from repro.codegen.backends import ctoolchain, get_backend, health
 from repro.core.config import DEFAULT, resolve_threads
 from repro.kernels.library import KERNELS, get_kernel
 from repro.obs import metrics, trace
+from tests.conftest import KERNEL_CHILD_RESULT, damage, kernel_child, store_objects
 from tests.test_codegen_kernels import build_inputs
 
 pytestmark = pytest.mark.skipif(
@@ -187,3 +195,105 @@ def test_ambient_thread_setting_builds_exactly_one_object(rng):
     assert not _upgrades(rec)
     threaded = resolve_threads(options.threads) > 1 and HAVE_OMP
     assert kernel.bound.executable.kind == ("omp" if threaded else "serial")
+
+
+# ----------------------------------------------------------------------
+# one program, one object; what a reader builds, the store keeps
+# ----------------------------------------------------------------------
+def test_one_program_under_two_labels_is_one_object():
+    from repro.codegen.backends.base import CodegenConfig
+
+    lowered = get_kernel("ssymv").compile(options=PYTHON).lowered
+    codegen = CodegenConfig.resolve()
+    with trace.tracing() as rec:
+        cold = get_backend("c").compile(lowered, codegen=codegen)
+        stored = get_backend("c").compile(lowered, label="842da28c6b6c", codegen=codegen)
+    assert cold.source != stored.source  # the banner names the label
+    assert len(_cc_spans(rec)) == 1
+    assert cold.so_path == stored.so_path
+
+
+def test_rebuilding_a_stores_object_never_makes_a_second_one(tmp_path):
+    """Cold compile into a store, damage the store's object, rehydrate with
+    the same object cache: at most one ``cc`` run, and neither directory
+    ends up with two objects of the one program (the rehydrate's label
+    used to name a second one)."""
+    from repro.codegen.backends.objects import identity_of
+    from repro.service import KernelService
+
+    spec = dict(symmetric={"A": True}, loop_order=("j", "i"), options=SERIAL)
+    store = tmp_path / "store"
+    service = KernelService(store=store)
+    built = service.get_or_compile("y[i] += A[i, j] * x[j]", **spec)
+    (key,) = service.store.keys()
+    (stored,) = store_objects(store, key)
+    damage(stored, b"\x7fELF cut short")
+    with trace.tracing() as rec:
+        again = KernelService(store=store).get_or_compile(
+            "y[i] += A[i, j] * x[j]", **spec
+        )
+    assert len(_cc_spans(rec)) <= 1
+    assert again.backend == "c"
+    # (under an ambient REPRO_THREADS > 1 the rehydrate asks for — and
+    # builds — the OpenMP object; that is another kind, not a second one)
+    for names in (os.listdir(tmp_path), [p.name for p in store_objects(store, key)]):
+        identities = [identity_of(n) for n in names if n.endswith(".so")]
+        assert len(set(identities)) == len(identities) >= 1, names
+        programs = {identity.split("-")[0] for identity in identities}
+        assert programs == {identity_of(built.bound.executable.so_path).split("-")[0]}
+
+
+def _child(report, cc):
+    code, seen = report
+    assert code == 0, seen
+    assert seen["backend"] == "c" and seen["out"] == KERNEL_CHILD_RESULT, seen
+    assert seen["cc"] == cc, seen
+    return seen
+
+
+@needs_omp
+def test_a_run_time_upgrade_is_paid_once_across_processes(tmp_path):
+    """An entry put serial, then three fresh serial-default processes that
+    each run it at ``threads=4``: the first builds the OpenMP object —
+    into the store — and the other two find it.  (The store used to learn
+    of an upgrade only inside ``get``: every process paid this one.)"""
+    store = tmp_path / "store"
+    _child(kernel_child(store, REPRO_THREADS=1, REPRO_C_CACHE=tmp_path / "cc0"), cc=1)
+    (entry,) = store.glob("*.json")
+    published = (entry.read_bytes(), entry.stat().st_mtime_ns)
+    for n, cc in ((1, 1), (2, 0), (3, 0)):
+        seen = _child(
+            kernel_child(
+                store, run_threads=4, REPRO_THREADS=1,
+                REPRO_C_CACHE=tmp_path / ("cc%d" % n),
+            ),
+            cc=cc,
+        )
+        assert (seen["loaded"], seen["kind"], seen["upgrades"]) == ("serial", "omp", 1)
+    assert len(store_objects(store, entry.stem)) == 2
+    assert (entry.read_bytes(), entry.stat().st_mtime_ns) == published
+
+
+@needs_omp
+def test_a_threaded_writers_store_costs_a_serial_reader_no_cc(tmp_path):
+    store = tmp_path / "store"
+    wrote = _child(
+        kernel_child(store, REPRO_THREADS=4, REPRO_C_CACHE=tmp_path / "cc0"), cc=1
+    )
+    assert wrote["kind"] == "omp"
+    read = _child(
+        kernel_child(store, REPRO_THREADS=1, REPRO_C_CACHE=tmp_path / "cc1"), cc=0
+    )
+    # the OpenMP object runs the same serial loops; taking it is a lookup
+    # order, and forming its name did not build the -fopenmp probe
+    assert (read["kind"], read["upgrades"], read["omp_probed"]) == ("omp", 0, False)
+    assert read["so_path"].startswith(str(store))
+
+
+def test_a_serial_process_never_builds_the_openmp_probe(tmp_path):
+    store = tmp_path / "store"
+    for cc in (1, 0):
+        seen = _child(
+            kernel_child(store, REPRO_THREADS=1, REPRO_C_CACHE=tmp_path / "cc"), cc=cc
+        )
+        assert (seen["kind"], seen["omp_probed"]) == ("serial", False)

@@ -138,7 +138,7 @@ def test_cold_key_race_compiles_exactly_once(tmp_path):
     build_litter = [
         p.name
         for p in build_dir.iterdir()
-        if p.name.endswith(".lock") or p.name.endswith(".tmp.so")
+        if p.name.endswith(".lock") or p.name.endswith(".tmp.so") or p.name.endswith(".tmp")
     ]
     assert not build_litter, build_litter
 
@@ -170,7 +170,7 @@ while not os.path.exists(go):
     time.sleep(0.005)
 from repro.codegen.backends import ctoolchain
 so = ctoolchain.compile_shared(
-    "double repro_mp(double v) { return v * 3.0; }\n", stem="mprace"
+    "double repro_mp(double v) { return v * 3.0; }\n"
 )
 print(so)
 """
@@ -206,7 +206,14 @@ print(so)
         paths.add(out.strip())
     assert len(paths) == 1  # content-addressed: everyone got the same .so
     kernel_ccs = [
-        line for line in cc_log.read_text().splitlines() if "ck_mprace" in line
+        line
+        for line in cc_log.read_text().splitlines()
+        if "ck_" in line and ".probe." not in line
     ]
     assert len(kernel_ccs) == 1
-    assert not [p.name for p in build_dir.iterdir() if p.name.endswith(".lock")]
+    litter = [
+        p.name
+        for p in build_dir.iterdir()
+        if p.name.endswith(".lock") or p.name.endswith(".tmp.so") or p.name.endswith(".tmp")
+    ]
+    assert not litter, litter

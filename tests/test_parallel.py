@@ -126,8 +126,9 @@ def test_omp_strategy_splits_c_cache_keys(monkeypatch):
 # ----------------------------------------------------------------------
 @needs_cc
 def test_probe_settles_the_two_flag_sets():
-    """The serial object never carries ``-fopenmp``; the OpenMP object
-    does exactly when the (lazy) OpenMP probe succeeded."""
+    """The serial object never carries ``-fopenmp``, the OpenMP object
+    always does — the flag sets are spellings; whether the OpenMP one can
+    be built is the (lazy) OpenMP probe's answer."""
     probed = ctoolchain.probe()
     assert probed is not None
     serial = probed.object_flags(omp=False)
@@ -135,12 +136,10 @@ def test_probe_settles_the_two_flag_sets():
     assert "-fopenmp" not in serial
     assert probed.simd_flags in ((), ("-fopenmp-simd",))
     assert "-fopenmp" not in probed.describe().split()
-    if probed.openmp:
-        assert probed.openmp_flags == ("-fopenmp",)
-        assert probed.object_flags(omp=True) == probed.flags + ("-fopenmp",)
-    else:
-        # no OpenMP toolchain: asking for the OpenMP object gets the serial one
-        assert probed.object_flags(omp=True) == serial
+    assert probed.object_flags(omp=True) == probed.flags + ("-fopenmp",)
+    # no OpenMP toolchain: asking compile_shared for the OpenMP object gets
+    # the serial one (test_no_openmp_toolchain_serves_threaded_calls_serially)
+    assert probed.openmp_flags == (("-fopenmp",) if probed.openmp else ())
 
 
 @needs_cc

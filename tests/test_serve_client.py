@@ -289,32 +289,88 @@ def test_forged_program_from_the_daemon_is_compiled_locally(
     np.testing.assert_allclose(kernel(A=A, x=np.arange(4.0)), A @ np.arange(4.0))
 
 
-def test_fetch_compiled_rejects_mismatched_artifact(monkeypatch, tmp_path):
-    """A shipped artifact whose bytes do not match artifact_sha256 is
-    never dlopened — the kernel rehydrates through a clean local path."""
-    blob = b"\x7fELF not really"
+GOOD_NAME = "0123456789abcdef-serial-fedcba9876543210"
+
+
+@pytest.fixture
+def client_objects(monkeypatch, tmp_path):
+    """An empty process object cache (the in-thread daemon of these tests
+    shares the process, hence — unless swapped — the cache)."""
+    from repro.codegen.backends import ctoolchain
+
+    directory = tmp_path / "client-objects"
+    directory.mkdir()
+    monkeypatch.setattr(ctoolchain, "_build_dir", str(directory))
+    return directory
+
+
+def _shipped(blob, name=GOOD_NAME, **overrides):
     import hashlib
 
     # what decode_body hands over: a view of the reply frame's segment
-    reply = {"artifact": memoryview(blob), "artifact_sha256": "0" * 64}
-    assert serve_client._materialize_artifact("deadbeef", reply) is None
+    reply = {
+        "artifact": memoryview(blob),
+        "artifact_sha256": hashlib.sha256(blob).hexdigest(),
+        "artifact_name": name,
+    }
+    reply.update(overrides)
+    return reply
 
-    reply["artifact_sha256"] = hashlib.sha256(blob).hexdigest()
-    path = serve_client._materialize_artifact("deadbeef", reply)
-    assert path is not None and open(path, "rb").read() == blob
+
+def test_fetch_compiled_rejects_mismatched_artifact(client_objects, metrics):
+    """A shipped artifact whose bytes do not match artifact_sha256 is
+    never adopted — the kernel rehydrates through a clean local path."""
+    blob = b"\x7fELF not really"
+    serve_client._adopt_artifact(_shipped(blob, artifact_sha256="0" * 64))
+    assert metrics("service.remote.artifact_rejected") == 1
+    assert list(client_objects.iterdir()) == []
+
+    serve_client._adopt_artifact(_shipped(blob))
+    (adopted,) = client_objects.iterdir()
+    assert adopted.name.startswith("ck_" + GOOD_NAME) and adopted.read_bytes() == blob
     # a peer that sends text where the segment belongs gets no dlopen
-    reply["artifact"] = "f0VMRg=="
-    assert serve_client._materialize_artifact("deadbeef", reply) is None
+    adopted.unlink()
+    serve_client._adopt_artifact(_shipped(blob, artifact="f0VMRg=="))
+    assert list(client_objects.iterdir()) == []
+    assert metrics("service.remote.artifact_rejected") == 1
 
 
-def test_compiled_artifact_rides_a_raw_segment(tmp_path):
+@pytest.mark.parametrize(
+    "name",
+    [
+        "../x",
+        "/tmp/x",
+        "../" + GOOD_NAME,
+        GOOD_NAME + "/../../x",
+        GOOD_NAME[1:],  # wrong length
+        GOOD_NAME.replace("0", "g", 1),  # not hex
+        GOOD_NAME.replace("serial", "simd"),  # not a kind
+        GOOD_NAME + "\n",
+        7,
+    ],
+)
+def test_path_like_artifact_name_is_refused(client_objects, metrics, tmp_path, name):
+    """The name decides where bytes land: anything but hex digests and a
+    kind word is refused, and nothing is written — inside the cache
+    directory or out of it."""
+    before = sorted(p for p in tmp_path.rglob("*"))
+    serve_client._adopt_artifact(_shipped(b"\x7fELF not really", name=name))
+    assert metrics("service.remote.artifact_rejected") == 1
+    assert sorted(p for p in tmp_path.rglob("*")) == before
+
+
+def test_compiled_artifact_rides_a_raw_segment(tmp_path, client_objects):
     """The ``.so`` crosses as the same out-of-band segment tensors use:
     the reply's ``artifact`` is a view of the received frame, hashed and
-    written as it is."""
+    adopted as it is — and the rehydrate then finds it by the ordinary
+    lookup, with no compiler run."""
     import hashlib
 
     from repro.codegen.backends import get_backend
+    from repro.codegen.backends.objects import IDENTITY
+    from repro.core.compiler import CompiledKernel
     from repro.core.config import CompilerOptions
+    from repro.obs import trace
 
     if not get_backend("c").is_available():
         pytest.skip("no working C toolchain")
@@ -326,9 +382,55 @@ def test_compiled_artifact_rides_a_raw_segment(tmp_path):
     blob = reply["artifact"]
     assert isinstance(blob, memoryview) and blob[:4] == b"\x7fELF"
     assert hashlib.sha256(blob).hexdigest() == reply["artifact_sha256"]
-    path = serve_client._materialize_artifact(reply["key"], reply)
-    with open(path, "rb") as handle:
-        assert handle.read() == bytes(blob)
+    assert IDENTITY.fullmatch(reply["artifact_name"])
+    # the daemon built into the cache this process had then; adopt into an
+    # empty one, as a separate client process would
+    for leftover in client_objects.iterdir():
+        leftover.unlink()
+    serve_client._adopt_artifact(reply)
+    (adopted,) = client_objects.iterdir()
+    assert adopted.read_bytes() == bytes(blob)
+    with trace.tracing() as rec:
+        kernel = CompiledKernel.from_state(reply["state"], label=reply["key"][:12])
+    assert kernel.bound.executable.so_path == str(adopted)
+    assert not [e for e in rec.events if e.name == "cc"]
+
+
+def test_reply_without_an_object_name_is_built_locally(
+    monkeypatch, tmp_path, client_objects, metrics
+):
+    """An older daemon ships the bytes but does not say which object they
+    are: nothing is adopted, the client compiles the shipped state itself
+    and the answer still counts as remote."""
+    from repro.codegen.backends import get_backend
+    from repro.core.config import CompilerOptions
+    from repro.obs import trace
+
+    if not get_backend("c").is_available():
+        pytest.skip("no working C toolchain")
+    request = canonicalize(**SYMV, options=CompilerOptions(backend="c"))
+    with running_daemon(tmp_path) as (server, sock):
+        monkeypatch.setenv("REPRO_SERVICE", "unix:" + sock)
+        serve_client.reset()
+        client = serve_client.get_client()
+        real = client.compile
+
+        def unnamed(req):
+            reply = real(req)
+            for leftover in client_objects.iterdir():  # the daemon's build
+                leftover.unlink()
+            assert reply.pop("artifact_name")
+            return reply
+
+        monkeypatch.setattr(client, "compile", unnamed)
+        with trace.tracing() as rec:
+            kernel, origin = KernelService().get_with_origin(request)
+    assert origin == "remote" and kernel.backend == "c"
+    # the in-thread daemon's build is traced too: its cc run, then ours
+    assert len([e for e in rec.events if e.name == "cc"]) == 2
+    assert metrics("service.remote.artifact_rejected") == 0
+    A = np.eye(4) + np.eye(4, k=1) + np.eye(4, k=-1)
+    np.testing.assert_allclose(kernel(A=A, x=np.arange(4.0)), A @ np.arange(4.0))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.core.compiler import STATE_VERSION, CompiledKernel, PlanSnapshot
 from repro.kernels.library import KERNELS, get_kernel
 from repro.service.keys import canonicalize
 from repro.service.store import DiskStore
+from tests.conftest import store_objects
 from tests.test_codegen_kernels import build_inputs
 
 
@@ -209,10 +210,25 @@ def test_get_refreshes_recency(tmp_path):
 
 def test_gc_skips_entries_under_a_live_lock(tmp_path):
     store, keys = _filled_store(tmp_path, names=("ssymv", "syprd"))
-    (tmp_path / ("%s.lock" % keys[0])).write_text("12345\n")
+    lock = tmp_path / ("%s.lock" % keys[0])
+    lock.write_text("%d\n" % os.getpid())
     removed, _ = store.gc(max_bytes=0)
     assert keys[0] in list(store.keys()), "mid-publication entry evicted"
-    assert removed == 1
+    assert removed == 1 and lock.exists()
+
+
+def test_gc_evicts_an_entry_whose_lock_holder_is_dead(tmp_path):
+    """gc believes flock: a lock is a live holder, not a file.  Nobody
+    acquires the lock of a published key again, so a builder that died
+    holding it used to pin its entry — and the size bound — forever."""
+    store, keys = _filled_store(tmp_path, names=("ssymv", "syprd"))
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    lock = tmp_path / ("%s.lock" % keys[0])
+    lock.write_text("%d\n" % child.pid)
+    removed, _ = store.gc(max_bytes=0)
+    assert removed == 2 and list(store.keys()) == []
+    assert not lock.exists(), "the corpse's lock outlived its entry"
 
 
 def test_put_triggers_gc_when_bounded(tmp_path):
@@ -263,15 +279,20 @@ def test_rehydrate_renders_under_the_writers_configuration(tmp_path, monkeypatch
     assert "fission" in written.bound.codegen.passes.signature()
     store = DiskStore(tmp_path)
     store.put(request.key, written)
-    c_file = (tmp_path / ("%s.c" % request.key)).read_text()
 
     monkeypatch.setenv("REPRO_PASSES", "none")
     rehydrated = DiskStore(tmp_path).get(request.key)
     assert rehydrated.bound.codegen == written.bound.codegen == request.codegen
-    # same label on both sides: the store entry's .c is what was compiled
+    # same label on both sides: the same text
     relabelled = CompiledKernel.from_state(written.to_state())
-    assert relabelled.backend_source == written.backend_source == c_file
-    assert rehydrated.backend_source.split("\n", 1)[1] == c_file.split("\n", 1)[1]
+    assert relabelled.backend_source == written.backend_source
+    # under the store's label only the banner differs — one program, so
+    # the object the writer built is the one the reader runs
+    body = lambda kernel: kernel.backend_source.split("\n", 1)[1]  # noqa: E731
+    assert body(rehydrated) == body(written)
+    assert rehydrated.backend_source != written.backend_source
+    (stored,) = store_objects(tmp_path, request.key)
+    assert rehydrated.bound.executable.so_path == str(stored)
     ambient = canonicalize(spec.einsum, symmetric=dict(spec.symmetric),
                            options=DEFAULT.but(backend="c")).compile()
     assert ambient.backend_source != written.backend_source
@@ -281,8 +302,10 @@ def test_serial_artifact_upgrades_once_and_the_store_keeps_the_omp_object(
     tmp_path, rng, monkeypatch
 ):
     """put under threads=1, rehydrate under threads=4: one cc run (the
-    upgrade), the sidecar healed to the OpenMP object, and the next
-    rehydrate — threaded or serial — runs no cc and never goes back."""
+    upgrade), built straight into the store beside the serial object —
+    the entry itself untouched — and from then on the request picks:
+    a serial process loads the serial object, a threaded one the OpenMP
+    object, neither runs cc or upgrades."""
     from repro.codegen.backends import ctoolchain, get_backend, health
     from repro.core.config import DEFAULT
     from repro.obs import trace
@@ -306,15 +329,16 @@ def test_serial_artifact_upgrades_once_and_the_store_keeps_the_omp_object(
         options=DEFAULT.but(backend="c", threads=1),
     )
     store = DiskStore(tmp_path / "store")
-    so_file = store.path / ("%s.so" % request.key)
+    entry = store.path / ("%s.json" % request.key)
     monkeypatch.setenv("REPRO_THREADS", "1")
     with trace.tracing() as rec:
         fresh = request.compile()
         store.put(request.key, fresh)
     assert cc_runs(rec) == 1 and fresh.bound.executable.kind == "serial"
     expected = fresh(**inputs)
-    serial_blob = so_file.read_bytes()
-    assert b"repro_openmp" not in serial_blob
+    (serial_file,) = store_objects(store.path, request.key)
+    assert b"repro_openmp" not in serial_file.read_bytes()
+    published = (entry.read_bytes(), entry.stat().st_mtime_ns)
 
     monkeypatch.setenv("REPRO_THREADS", "4")
     with trace.tracing() as rec:
@@ -323,11 +347,12 @@ def test_serial_artifact_upgrades_once_and_the_store_keeps_the_omp_object(
     assert threaded.options.threads == 4
     assert threaded.bound.executable.kind == "omp"
     assert np.array_equal(threaded(**inputs), expected)
-    omp_blob = so_file.read_bytes()
-    assert b"repro_openmp" in omp_blob  # healed
+    (omp_file,) = set(store_objects(store.path, request.key)) - {serial_file}
+    assert threaded.bound.executable.so_path == str(omp_file)
+    assert b"repro_openmp" in omp_file.read_bytes()
 
-    # later processes (empty object cache, threaded or serial): the healed
-    # sidecar is loaded as is — no cc, no upgrade, never back to serial
+    # later processes (empty object cache of their own): each loads the
+    # object its thread setting asks for — no cc, no upgrade
     code = (
         "import sys\n"
         "from repro.obs import trace\n"
@@ -338,7 +363,7 @@ def test_serial_artifact_upgrades_once_and_the_store_keeps_the_omp_object(
         "print(names.count('cc'), names.count('backend:upgrade'),\n"
         "      kernel.bound.executable.kind, kernel.bound.executable.so_path)\n"
     )
-    for setting in ("4", "1"):
+    for setting, kind, path in (("4", "omp", omp_file), ("1", "serial", serial_file)):
         env = dict(os.environ, REPRO_THREADS=setting, PYTHONPATH=os.pathsep.join(sys.path))
         env["REPRO_C_CACHE"] = str(tmp_path / ("objects-%s" % setting))
         # a fresh process re-arms an inherited fault plan from its first
@@ -349,6 +374,7 @@ def test_serial_artifact_upgrades_once_and_the_store_keeps_the_omp_object(
             [sys.executable, "-c", code, str(store.path), request.key],
             env=env, stdout=subprocess.PIPE, text=True, check=True, timeout=120,
         )
-        assert done.stdout.split() == ["0", "0", "omp", str(so_file)]
-        assert so_file.read_bytes() == omp_blob
+        assert done.stdout.split() == ["0", "0", kind, str(path)]
+    # nothing a reader did — upgrade included — rewrote the entry
+    assert (entry.read_bytes(), entry.stat().st_mtime_ns) == published
     assert store.errors == 0 and health.ok("c@omp")

@@ -3,10 +3,11 @@ never a crash.
 
 The store's contract (see :mod:`repro.service.store`) is that corrupt,
 truncated or stale entries behave as *misses*: the service falls back to
-a cold compile, evicts what cannot ever load again, and heals artifacts
-that merely failed on this read.  These tests damage each persisted
-piece — the ``.so`` artifact, the ``.c`` sidecar, the JSON state — and
-assert the next lookup still serves a working kernel.
+a cold compile, evicts what cannot ever load again, and rebuilds objects
+that merely failed on this read — into the store, so the next reader finds
+them.  These tests damage each persisted piece — the compiled object, the
+source beside it, the JSON state — and assert the next lookup still serves
+a working kernel.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.core.config import DEFAULT
 from repro.service import KernelService
 from repro.service.keys import KEY_VERSION, cache_key, canonicalize
 from repro.service.store import DiskStore
-from tests.conftest import replace_node
+from tests.conftest import replace_node, store_objects
 
 HAVE_CC = get_backend("c").is_available()
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no working C toolchain")
@@ -38,6 +39,10 @@ def _warm(tmp_path, options=DEFAULT):
     return cache_key(EINSUM, options=options, **SPEC)
 
 
+def _cc_runs(recorder):
+    return sum(1 for e in recorder.events if e.name == "cc")
+
+
 def _check_runs(kernel):
     A = np.eye(5) + np.eye(5, k=1) + np.eye(5, k=-1)
     x = np.arange(5.0)
@@ -50,28 +55,40 @@ def _check_runs(kernel):
 @needs_cc
 def test_truncated_so_falls_back_to_recompile_and_heals(tmp_path):
     """A *truncated* ELF (valid magic, half the bytes — the crash-mid-copy
-    shape) must not load; the entry recompiles and the artifact heals."""
+    shape) must not load; the object is rebuilt once, into the store, and
+    the lookup after that runs no compiler."""
+    from repro.obs import trace
+
     options = DEFAULT.but(backend="c")
     key = _warm(tmp_path, options)
-    so = tmp_path / ("%s.so" % key)
+    (so,) = store_objects(tmp_path, key)
     blob = so.read_bytes()
+    entry = (tmp_path / ("%s.json" % key)).read_bytes()
     assert blob[:4] == b"\x7fELF"
     so.write_bytes(blob[: len(blob) // 2])
 
-    fresh = KernelService(store=tmp_path)
-    kernel = fresh.get_or_compile(EINSUM, options=options, **SPEC)
-    assert kernel.backend == "c"
+    with trace.tracing() as rec:
+        fresh = KernelService(store=tmp_path)
+        kernel = fresh.get_or_compile(EINSUM, options=options, **SPEC)
+    assert kernel.backend == "c" and _cc_runs(rec) == 1
+    assert fresh.stats().compiles == 0 and fresh.store.hits == 1
     _check_runs(kernel)
-    healed = so.read_bytes()
-    # the store re-persisted a freshly built (complete) object
-    assert healed[:4] == b"\x7fELF" and len(healed) > len(blob) // 2
+    (healed,) = store_objects(tmp_path, key)
+    assert healed.read_bytes()[:4] == b"\x7fELF"
+    assert len(healed.read_bytes()) > len(blob) // 2
+    with trace.tracing() as rec:
+        again = DiskStore(tmp_path).get(key)
+    assert _cc_runs(rec) == 0 and again.bound.executable.so_path == str(healed)
+    # readers repair objects, never the entry
+    assert (tmp_path / ("%s.json" % key)).read_bytes() == entry
 
 
 @needs_cc
 def test_zero_byte_so_falls_back_to_recompile(tmp_path):
     options = DEFAULT.but(backend="c")
     key = _warm(tmp_path, options)
-    (tmp_path / ("%s.so" % key)).write_bytes(b"")
+    (so,) = store_objects(tmp_path, key)
+    so.write_bytes(b"")
 
     kernel = KernelService(store=tmp_path).get_or_compile(
         EINSUM, options=options, **SPEC
@@ -81,15 +98,27 @@ def test_zero_byte_so_falls_back_to_recompile(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# missing .c sidecar
+# missing .c source
 # ----------------------------------------------------------------------
+def _built_in_place(tmp_path, options):
+    """A store whose object was built in the store itself (so the ``.c``
+    the builder compiled from sits beside it); returns the key."""
+    key = _warm(tmp_path, options)
+    for so in store_objects(tmp_path, key):
+        so.unlink()
+    assert DiskStore(tmp_path).get(key) is not None
+    return key
+
+
 @needs_cc
 def test_missing_c_sidecar_still_rehydrates(tmp_path):
     """The ``.c`` file is an inspection artifact: deleting it must not
     break rehydration (the JSON state carries the lowered program)."""
     options = DEFAULT.but(backend="c")
-    key = _warm(tmp_path, options)
-    (tmp_path / ("%s.c" % key)).unlink()
+    key = _built_in_place(tmp_path, options)
+    (source,) = tmp_path.glob("%s.*.c" % key)
+    assert "int64_t kernel(" in source.read_text()
+    source.unlink()
 
     fresh = KernelService(store=tmp_path)
     kernel = fresh.get_or_compile(EINSUM, options=options, **SPEC)
@@ -101,17 +130,17 @@ def test_missing_c_sidecar_still_rehydrates(tmp_path):
 @needs_cc
 def test_missing_c_sidecar_and_so_recompiles(tmp_path):
     options = DEFAULT.but(backend="c")
-    key = _warm(tmp_path, options)
-    (tmp_path / ("%s.c" % key)).unlink()
-    (tmp_path / ("%s.so" % key)).unlink()
+    key = _built_in_place(tmp_path, options)
+    for path in list(tmp_path.glob("%s.*.c" % key)) + store_objects(tmp_path, key):
+        path.unlink()
 
     kernel = KernelService(store=tmp_path).get_or_compile(
         EINSUM, options=options, **SPEC
     )
     assert kernel.backend == "c"
     _check_runs(kernel)
-    # healing re-persisted the freshly built object for the next process
-    assert (tmp_path / ("%s.so" % key)).exists()
+    # rebuilt into the store, for the next process
+    assert len(store_objects(tmp_path, key)) == 1
 
 
 # ----------------------------------------------------------------------
@@ -187,18 +216,21 @@ def test_stale_state_version_is_a_miss_and_evicted(tmp_path):
 
 @needs_cc
 def test_stale_state_version_eviction_drops_artifacts(tmp_path):
-    """Evicting a version-skewed C entry must take its .c/.so siblings —
-    a stale ABI's shared object must never be rebound by a later entry."""
+    """Evicting a version-skewed C entry must take everything stored with
+    it — a stale ABI's shared object must never be rebound by a later
+    entry.  That includes the ``<key>.c``/``<key>.so`` sidecars of the
+    layout before STATE_VERSION 8."""
     options = DEFAULT.but(backend="c")
-    key = _warm(tmp_path, options)
+    key = _built_in_place(tmp_path, options)
+    for legacy in (".c", ".so"):
+        (tmp_path / (key + legacy)).write_bytes(b"old layout")
     path = tmp_path / ("%s.json" % key)
     payload = json.loads(path.read_text())
-    payload["state"]["state_version"] = STATE_VERSION + 7
+    payload["state"]["state_version"] = STATE_VERSION - 1
     path.write_text(json.dumps(payload))
 
     assert DiskStore(tmp_path).get(key) is None
-    assert not (tmp_path / ("%s.so" % key)).exists()
-    assert not (tmp_path / ("%s.c" % key)).exists()
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(key)] == []
 
 
 def test_truncated_json_is_a_miss_and_evicted(tmp_path):
