@@ -2,8 +2,9 @@
 
 Every ``bench_*`` file regenerates one table or figure of the paper's
 evaluation (see DESIGN.md's experiment index).  Benchmarks time only the
-kernel's timed region — inputs are prepared once per case, mirroring the
-paper's methodology of excluding data rearrangement.
+kernel's timed region — inputs are prepared and bound into one execution
+plan per case, and each timed call is one call of that plan, mirroring
+the paper's methodology of excluding data rearrangement.
 
 Run with::
 
@@ -50,7 +51,7 @@ def vectors(matrices):
 
 
 def prepared_runner(kernel, **tensors):
-    """Bind a compiled kernel's inputs once; return the timed closure."""
-    prepared, shape = kernel.prepare(**tensors)
-    kernel.run(prepared, shape)  # warm-up + validation of the binding
-    return lambda: kernel.run(prepared, shape)
+    """Bind a compiled kernel's inputs once; return the timed callable."""
+    plan = kernel.execution_plan(**tensors)
+    plan()  # warm-up + validation of the binding
+    return plan

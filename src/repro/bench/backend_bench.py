@@ -67,6 +67,14 @@ def _method_name(thread_count: int) -> str:
     return "c" if thread_count == 1 else "c@t%d" % thread_count
 
 
+def _bind(kernel, prepared, shape, threads=None):
+    """``(plan, output)``: the plan a configuration is timed through,
+    bound here so no timed call includes a bind, and a copy of its
+    finalized warm-up result (the plan's buffer is reused by every call)."""
+    plan = kernel.bound.plan_prepared(prepared, shape, threads=threads)
+    return plan, np.array(kernel.finalize(plan()))
+
+
 def bench_backends(
     names: Sequence[str] = BACKEND_BENCH_KERNELS,
     n: int = 1500,
@@ -97,54 +105,40 @@ def bench_backends(
         inputs = _inputs_for(name, n, nnz_per_row)
         stats: Dict[str, TimingStats] = {}
 
-        # preparation (the paper's untimed setup) runs once per backend;
-        # every timed configuration reuses the prepared arguments
+        # preparation (the paper's untimed setup) runs once per backend and
+        # each configuration binds its plan outside the timed region
         kernel = spec.compile(options=DEFAULT.but(backend="python", dtype=dtype))
         prepared, shape = kernel.prepare(**inputs)
-        py_out = kernel.finalize(kernel.run(prepared, shape))
-        stats["naive"] = time_callable_stats(
-            lambda: kernel.run(prepared, shape), repeats=repeats
-        )
+        plan, py_out = _bind(kernel, prepared, shape)
+        stats["naive"] = time_callable_stats(plan, repeats=repeats)
 
         kernel = spec.compile(options=DEFAULT.but(backend="c", dtype=dtype))
         prepared, shape = kernel.prepare(**inputs)
-        base_out = kernel.finalize(kernel.run(prepared, shape, threads=1))
-        if not np.array_equal(np.asarray(py_out), np.asarray(base_out)):
+        plan, base_out = _bind(kernel, prepared, shape, threads=1)
+        if not np.array_equal(py_out, base_out):
             raise AssertionError(
                 "backend outputs diverge on %s (%s) — refusing to report "
                 "timings" % (name, dtype)
             )
         for count in thread_counts:
             if count > 1:
-                threaded = kernel.finalize(
-                    kernel.run(prepared, shape, threads=count)
-                )
-                if not np.array_equal(
-                    np.asarray(base_out), np.asarray(threaded)
-                ):
+                plan, threaded = _bind(kernel, prepared, shape, threads=count)
+                if not np.array_equal(base_out, threaded):
                     raise AssertionError(
                         "threads=%d output of %s is not bit-identical to "
                         "threads=1 — refusing to report timings" % (count, name)
                     )
-            stats[_method_name(count)] = time_callable_stats(
-                lambda count=count: kernel.run(prepared, shape, threads=count),
-                repeats=repeats,
-            )
+            stats[_method_name(count)] = time_callable_stats(plan, repeats=repeats)
         resolved_auto = None
         if auto:
-            resolved_auto = kernel.bound.resolve_run_threads("auto", prepared)
-            auto_out = kernel.finalize(
-                kernel.run(prepared, shape, threads="auto")
-            )
-            if not np.array_equal(np.asarray(base_out), np.asarray(auto_out)):
+            plan, auto_out = _bind(kernel, prepared, shape, threads="auto")
+            resolved_auto = plan.threads
+            if not np.array_equal(base_out, auto_out):
                 raise AssertionError(
                     "threads=auto output of %s is not bit-identical to "
                     "threads=1 — refusing to report timings" % name
                 )
-            stats["c@auto"] = time_callable_stats(
-                lambda: kernel.run(prepared, shape, threads="auto"),
-                repeats=repeats,
-            )
+            stats["c@auto"] = time_callable_stats(plan, repeats=repeats)
         resolved_tuned = None
         if tuned is not None:
             from repro import tune as tune_mod
@@ -158,23 +152,14 @@ def bench_backends(
                     options=DEFAULT.but(backend="c", dtype=dtype)
                 )
                 tprepared, tshape = tkernel.prepare(**inputs)
-                resolved_tuned = tkernel.bound.resolve_run_threads(
-                    "auto", tprepared
-                )
-                tuned_out = tkernel.finalize(
-                    tkernel.run(tprepared, tshape, threads="auto")
-                )
-                if not np.array_equal(
-                    np.asarray(base_out), np.asarray(tuned_out)
-                ):
+                plan, tuned_out = _bind(tkernel, tprepared, tshape, threads="auto")
+                resolved_tuned = plan.threads
+                if not np.array_equal(base_out, tuned_out):
                     raise AssertionError(
                         "tuned output of %s is not bit-identical to the "
                         "untuned build — refusing to report timings" % name
                     )
-                stats["tuned@auto"] = time_callable_stats(
-                    lambda: tkernel.run(tprepared, tshape, threads="auto"),
-                    repeats=repeats,
-                )
+                stats["tuned@auto"] = time_callable_stats(plan, repeats=repeats)
             finally:
                 tune_mod.reset()
 
@@ -247,13 +232,8 @@ def bench_pass_sets(
             config = replace(request.codegen, passes=PassConfig(enabled))
             kernel = replace(request, codegen=config).compile()
             prepared, shape = kernel.prepare(**inputs)
-            outputs[column] = np.asarray(
-                kernel.finalize(kernel.run(prepared, shape, threads=1))
-            )
-            stats[column] = time_callable_stats(
-                lambda k=kernel, p=prepared, s=shape: k.run(p, s, threads=1),
-                repeats=repeats,
-            )
+            plan, outputs[column] = _bind(kernel, prepared, shape, threads=1)
+            stats[column] = time_callable_stats(plan, repeats=repeats)
         signature = config.passes.signature()
         if not np.array_equal(outputs["naive"], outputs["c"]):
             raise AssertionError(

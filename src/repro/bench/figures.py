@@ -49,7 +49,6 @@ def _matrix_rows(
     backend: str = "python",
     threads=None,
     dtype: str = "float64",
-    use_plan: bool = False,
 ) -> List[BenchResult]:
     spec = get_kernel(kernel_name)
     options = DEFAULT.but(backend=backend, dtype=dtype)
@@ -65,10 +64,10 @@ def _matrix_rows(
         dense_args = _dense_args_for(spec, A.shape[0])
         times: Dict[str, float] = {}
         times["naive"] = time_compiled_kernel(
-            naive, repeats=repeats, use_plan=use_plan, A=A, **dense_args
+            naive, repeats=repeats, A=A, **dense_args
         )
         times["systec"] = time_compiled_kernel(
-            systec, repeats=repeats, use_plan=use_plan, A=A, **dense_args
+            systec, repeats=repeats, A=A, **dense_args
         )
         for method, fn in extra_methods(A, dense_args):
             if fn is None:
@@ -109,7 +108,6 @@ def run_fig06_ssymv(
     backend: str = "python",
     threads=None,
     dtype: str = "float64",
-    use_plan: bool = False,
 ) -> List[BenchResult]:
     """Figure 6: SSYMV.  SySTeC ~1.45x naive, bounded by 2x."""
 
@@ -122,8 +120,7 @@ def run_fig06_ssymv(
                 yield "scipy(MKL proxy)", lambda: scipy_spmv(A, x)
 
     return _matrix_rows(
-        "fig06", "ssymv", extras, scale, names, repeats, backend, threads,
-        dtype, use_plan
+        "fig06", "ssymv", extras, scale, names, repeats, backend, threads, dtype
     )
 
 
@@ -134,7 +131,6 @@ def run_fig07_bellmanford(
     backend: str = "python",
     threads=None,
     dtype: str = "float64",
-    use_plan: bool = False,
 ) -> List[BenchResult]:
     """Figure 7: one Bellman-Ford relaxation (min-plus SSYMV shape)."""
 
@@ -142,8 +138,7 @@ def run_fig07_bellmanford(
         return ()
 
     return _matrix_rows(
-        "fig07", "bellmanford", extras, scale, names, repeats, backend, threads, dtype,
-        use_plan
+        "fig07", "bellmanford", extras, scale, names, repeats, backend, threads, dtype
     )
 
 
@@ -154,7 +149,6 @@ def run_fig08_syprd(
     backend: str = "python",
     threads=None,
     dtype: str = "float64",
-    use_plan: bool = False,
 ) -> List[BenchResult]:
     """Figure 8: SYPRD x'Ax.  SySTeC ~1.79x naive, bounded by 2x."""
 
@@ -163,8 +157,7 @@ def run_fig08_syprd(
         yield "taco", lambda: taco_style_syprd(A, x)
 
     return _matrix_rows(
-        "fig08", "syprd", extras, scale, names, repeats, backend, threads, dtype,
-        use_plan
+        "fig08", "syprd", extras, scale, names, repeats, backend, threads, dtype
     )
 
 
@@ -175,7 +168,6 @@ def run_fig09_ssyrk(
     backend: str = "python",
     threads=None,
     dtype: str = "float64",
-    use_plan: bool = False,
 ) -> List[BenchResult]:
     """Figure 9: SSYRK A A'.  SySTeC ~2.2x naive (compute bound, 2x work)."""
 
@@ -183,8 +175,7 @@ def run_fig09_ssyrk(
         return ()
 
     return _matrix_rows(
-        "fig09", "ssyrk", extras, scale, names, repeats, backend, threads, dtype,
-        use_plan
+        "fig09", "ssyrk", extras, scale, names, repeats, backend, threads, dtype
     )
 
 
@@ -199,7 +190,6 @@ def run_fig10_ttm(
     backend: str = "python",
     threads=None,
     dtype: str = "float64",
-    use_plan: bool = False,
 ) -> List[BenchResult]:
     """Figure 10: mode-1 TTM with a fully symmetric 3-D tensor.
 
@@ -219,12 +209,8 @@ def run_fig10_ttm(
         for rank in ranks:
             B = random_dense((n, rank), seed=29)
             times = {
-                "naive": time_compiled_kernel(
-                    naive, repeats=repeats, use_plan=use_plan, A=A, B=B
-                ),
-                "systec": time_compiled_kernel(
-                    systec, repeats=repeats, use_plan=use_plan, A=A, B=B
-                ),
+                "naive": time_compiled_kernel(naive, repeats=repeats, A=A, B=B),
+                "systec": time_compiled_kernel(systec, repeats=repeats, A=A, B=B),
             }
             results.append(
                 BenchResult(
@@ -263,7 +249,6 @@ def run_fig11_mttkrp(
     backend: str = "python",
     threads=None,
     dtype: str = "float64",
-    use_plan: bool = False,
 ) -> List[BenchResult]:
     """Figure 11: N-D MTTKRP.  Expected speedups 2x / 6x / 24x; the paper
     observes up to 3.38x / 7.35x / 29.8x thanks to register reuse."""
@@ -282,12 +267,8 @@ def run_fig11_mttkrp(
             for rank in ranks:
                 B = random_dense((side, rank), seed=37)
                 times = {
-                    "naive": time_compiled_kernel(
-                        naive, repeats=repeats, use_plan=use_plan, A=A, B=B
-                    ),
-                    "systec": time_compiled_kernel(
-                        systec, repeats=repeats, use_plan=use_plan, A=A, B=B
-                    ),
+                    "naive": time_compiled_kernel(naive, repeats=repeats, A=A, B=B),
+                    "systec": time_compiled_kernel(systec, repeats=repeats, A=A, B=B),
                 }
                 if order == 3 and with_taco:
                     times["taco"] = time_callable(

@@ -3,8 +3,8 @@
 The paper's methodology (Section 5.2): timings are the minimum over many
 runs; the time to rearrange data before or after each kernel — packing,
 transposition, replicating the output — is not included.  We mirror that:
-:func:`time_compiled_kernel` times only ``kernel.run`` on pre-prepared
-arguments.
+:func:`time_compiled_kernel` binds one execution plan outside the timed
+region and times only its calls — the generated loops.
 
 Beyond one-off reports, :func:`record` maintains a *perf trajectory*
 file (``BENCH_backends.json`` at the repo root by convention): a merged,
@@ -73,39 +73,30 @@ def time_compiled_kernel_stats(
     kernel: CompiledKernel,
     repeats: int = 5,
     threads=None,
-    use_plan: bool = False,
     **tensors,
 ) -> TimingStats:
     """Best/median of the kernel's timed region only (preparation excluded).
 
     ``threads`` overrides the kernel's runtime thread count for the
-    measured runs (int or ``"auto"``).  ``use_plan`` times the
-    repeat-execution fast path instead — one
+    measured runs (int or ``"auto"``).  Preparation, output allocation
+    and argument marshaling happen once, in the
     :meth:`~repro.core.compiler.CompiledKernel.execution_plan` built
-    outside the timed region, each measured call going through the plan's
-    pre-marshaled arguments and reused output buffer.
+    here; each measured call is one call of that plan.
     """
-    if use_plan:
-        plan = kernel.execution_plan(threads=threads, **tensors)
-        plan()  # warm up
-        return time_callable_stats(plan, repeats=repeats)
-    prepared, shape = kernel.prepare(**tensors)
-    kernel.run(prepared, shape, threads=threads)  # warm up
-    return time_callable_stats(
-        lambda: kernel.run(prepared, shape, threads=threads), repeats=repeats
-    )
+    plan = kernel.execution_plan(threads=threads, **tensors)
+    plan()  # warm up
+    return time_callable_stats(plan, repeats=repeats)
 
 
 def time_compiled_kernel(
     kernel: CompiledKernel,
     repeats: int = 5,
     threads=None,
-    use_plan: bool = False,
     **tensors,
 ) -> float:
     """Time the kernel's timed region only (preparation excluded)."""
     return time_compiled_kernel_stats(
-        kernel, repeats=repeats, threads=threads, use_plan=use_plan, **tensors
+        kernel, repeats=repeats, threads=threads, **tensors
     ).best
 
 

@@ -118,8 +118,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     kwargs = {"backend": args.backend, "dtype": args.dtype}
     if args.threads is not None:
         kwargs["threads"] = args.threads
-    if args.plan:
-        kwargs["use_plan"] = True
     if args.figure in ("fig06", "fig07", "fig08", "fig09"):
         kwargs["scale"] = args.scale
         if args.names:
@@ -804,12 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=DTYPE_CHOICES,
         default="float64",
         help="element dtype both methods run in (default: float64)",
-    )
-    p.add_argument(
-        "--plan",
-        action="store_true",
-        help="time through reusable execution plans (the repeat-execution "
-        "fast path) instead of per-call run dispatch",
     )
     p.add_argument(
         "--json",

@@ -1,10 +1,11 @@
 """The execution-backend interface and the configuration it compiles under.
 
 A *backend* turns a :class:`~repro.codegen.lower.LoweredKernel` into an
-:class:`Executable` — something callable as ``executable(out, **arrays)``
-on exactly the argument set :meth:`BoundKernel.prepare` produces.  The
-loop structure is fixed by lowering; backends only decide how those loops
-run (interpreted Python vs. a compiled shared object).
+:class:`Executable` — something that binds, ``bind(out, arrays) ->
+call(threads)``, exactly the argument set :meth:`BoundKernel.prepare`
+produces, and runs only through what it bound.  The loop structure is
+fixed by lowering; backends only decide how those loops run (interpreted
+Python vs. a compiled shared object).
 
 :class:`CodegenConfig` is everything that shapes generated C beyond the
 lowered loops themselves.  It is resolved **once** per compile request —
@@ -150,39 +151,32 @@ class BackendUnavailableError(BackendError):
 
 
 class Executable:
-    """A runnable realization of one lowered kernel.
+    """A runnable realization of one lowered kernel: :meth:`bind` an
+    argument set, then call what it returns.
 
     ``threads`` is the runtime thread count for backends that can run a
     kernel's loops on several cores (the C backend's OpenMP bodies);
     backends without intra-kernel parallelism accept and ignore it.
-    ``"threads"`` is therefore a reserved argument name — no tensor
-    argument may use it.
+    ``"threads"`` is a reserved argument name — no tensor argument may
+    use it.
     """
 
     #: the source text this executable runs (Python or C).
     source: str
 
-    def __call__(self, out: np.ndarray, threads: int = 1, **arrays) -> None:
-        raise NotImplementedError
-
     def bind(
         self, out: np.ndarray, arrays: Mapping[str, object]
     ) -> Callable[[int], None]:
-        """Pre-marshal one complete argument set for repeat execution.
+        """Marshal one complete argument set; the only way to execute.
 
         Returns ``call(threads)``, a callable that runs the kernel's loops
         on exactly the bound arguments — the hot half of an
-        :class:`~repro.codegen.executor.ExecutionPlan`.  Backends override
-        this to move their per-call argument processing (dtype coercion,
-        ctypes packing) to bind time; the bound callable must keep every
-        coerced buffer alive for as long as it exists.  The default
-        implementation simply forwards to :meth:`__call__`.
+        :class:`~repro.codegen.executor.ExecutionPlan`.  All per-argument
+        processing (dtype coercion, ctypes packing) and every check on
+        *out* happens here; the bound callable must keep every coerced
+        buffer alive for as long as it exists.
         """
-
-        def call(threads: int) -> None:
-            self(out, threads=threads, **arrays)
-
-        return call
+        raise NotImplementedError
 
     def parallel_work(
         self, arrays: Mapping[str, object]

@@ -38,8 +38,9 @@ class CExecutable(Executable):
     """A compiled kernel bound through ctypes.
 
     The call plan (which pointer/extent/scalar goes where) is computed
-    once at bind time; each run only coerces dtypes (a no-op for arrays
-    :meth:`BoundKernel.prepare` built) and grabs data pointers.
+    once, here; :meth:`bind` coerces dtypes (a no-op for arrays
+    :meth:`BoundKernel.prepare` built) and grabs data pointers once per
+    argument set, and a run is one foreign call on that vector.
 
     The loaded object is either the serial or the OpenMP build of
     ``source`` (:attr:`kind`).  A serial object that is asked to run with
@@ -206,21 +207,6 @@ class CExecutable(Executable):
                 argv.append(ctypes.c_void_p(shape.ctypes.data))
         return argv, keep
 
-    def __call__(self, out: np.ndarray, threads: int = 1, **arrays) -> None:
-        # keep holds coerced arrays alive across the call
-        argv, keep = self._marshal(out, arrays)
-        # the runtime thread count rides last; ctypes releases the GIL
-        # around the call, so batch fan-out threads and OpenMP teams of
-        # distinct kernels genuinely overlap
-        argv.append(ctypes.c_int64(max(1, int(threads))))
-        if threads > 1 and self._upgradable:
-            self.upgrade()
-        rc = self._fn(*argv)
-        if rc:
-            raise BackendError(
-                "C kernel reported allocation failure (status %d)" % rc
-            )
-
     def bind(
         self, out: np.ndarray, arrays: Mapping[str, object]
     ) -> Callable[[int], None]:
@@ -231,13 +217,15 @@ class CExecutable(Executable):
         thread-count cell and invokes the foreign function.  Arrays built
         by :meth:`BoundKernel.prepare` are already contiguous in the right
         dtypes, so the coercions below are no-ops that alias the caller's
-        buffers — in-place updates to them are visible to later calls,
-        exactly as with :meth:`__call__`.  (An array that *did* need
-        coercion is snapshotted at bind time.)  The bound callable owns
-        references to every buffer it points into.
+        buffers — in-place updates to them are visible to later calls.
+        (An array that *did* need coercion is snapshotted at bind time.)
+        The bound callable owns references to every buffer it points into.
         """
         # keep: pointers stay valid for the callable's lifetime
         argv, keep = self._marshal(out, arrays)
+        # the runtime thread count rides last; ctypes releases the GIL
+        # around the call, so batch fan-out threads and OpenMP teams of
+        # distinct kernels genuinely overlap
         nthreads = ctypes.c_int64(1)
         argv.append(nthreads)
         packed = tuple(argv)

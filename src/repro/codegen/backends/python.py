@@ -183,12 +183,6 @@ class PythonExecutable(Executable):
         self.fn = exec_kernel_source(lowered, label)
         self.source = lowered.source
 
-    def __call__(self, out: np.ndarray, threads: int = 1, **arrays) -> None:
-        # the interpreted loops are inherently single-threaded; the
-        # thread count is accepted (and ignored) so callers can drive
-        # every backend through one signature
-        self.fn(out, **arrays)
-
     def bind(
         self, out: np.ndarray, arrays: Mapping[str, object]
     ) -> Callable[[int], None]:
@@ -196,6 +190,9 @@ class PythonExecutable(Executable):
         call = functools.partial(self.fn, out, **arrays)
 
         def run(threads: int) -> None:
+            # the interpreted loops are inherently single-threaded; the
+            # thread count is accepted (and ignored) so callers can drive
+            # every backend through one signature
             call()
 
         return run

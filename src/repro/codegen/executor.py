@@ -6,10 +6,13 @@ paper excludes from its timings) from *execution* (the generated loops) and
 *finalization* (transposing the output view back and replicating the
 canonical triangle — likewise excluded from the paper's timings).
 
-Execution is delegated to an execution backend
-(:mod:`repro.codegen.backends`): the Python backend ``exec``'s the lowered
+Execution has one path: an :class:`ExecutionPlan` binds a prepared
+argument set to the backend's executable
+(:mod:`repro.codegen.backends`: the Python backend ``exec``'s the lowered
 source, the C backend runs the same loop structure as a compiled shared
-object.
+object) and every call of the plan runs the loops.  Running once
+(:meth:`repro.core.compiler.CompiledKernel.run`) is a plan that is called
+once.
 
 Degradation ladder
 ------------------
@@ -19,14 +22,16 @@ served from the kernel's OpenMP object, built up front when the default
 thread setting can exceed 1 and otherwise on the first threaded run),
 ``c`` (compiled, serial) and ``python`` (interpreted).  A *runtime*
 failure in a compiled tier — the shared object breaking mid-session, an
-OpenMP-tier crash, an injected fault — marks that tier unhealthy for the
+OpenMP-tier crash, an injected fault — is handled in exactly one place,
+:meth:`ExecutionPlan._recover`: it marks that tier unhealthy for the
 process (:mod:`repro.codegen.backends.health`), refills the output buffer
 with the reduction identity (a failed attempt may have partially written
 it) and transparently re-serves the call from the next tier down.  A
 *compile-time* failure of the C backend (other than
 :class:`BackendUnavailableError`, which callers asked for explicitly)
-falls back to the interpreted backend the same way.
-``REPRO_NO_DEGRADE=1`` turns all of this off — failures propagate raw.
+falls back to the interpreted backend in :class:`BoundKernel`'s
+constructor.  ``REPRO_NO_DEGRADE=1`` turns all of this off — failures
+propagate raw.
 """
 
 from __future__ import annotations
@@ -69,24 +74,43 @@ _UNSET = object()
 _RECOVERABLE = (BackendError, FaultError, OSError)
 
 
-def _raise_exec_faults(count: int) -> None:
-    """The ``exec.omp`` / ``exec.c`` / ``exec.alloc`` injection points
-    (C-family tiers only; sites gate on the backend and on
-    :func:`faults.enabled`)."""
-    if count > 1:
-        fault = faults.poll("exec.omp")
+def _polling_faults(call):
+    """*call* behind the ``exec.omp`` / ``exec.c`` / ``exec.alloc``
+    injection points (C-family tiers only: :meth:`ExecutionPlan._bind`
+    gates on the backend and on :func:`faults.enabled`)."""
+
+    def faulted(count: int) -> None:
+        if count > 1:
+            fault = faults.poll("exec.omp")
+            if fault is not None:
+                raise FaultError(fault)
+        # exec.alloc forges the kernel's nonzero OOM status (a failed
+        # per-thread workspace or scatter-log allocation), which surfaces
+        # as the same BackendError the real path raises — proving the
+        # health ladder re-serves such calls serially
+        fault = faults.poll("exec.alloc")
         if fault is not None:
-            raise FaultError(fault)
-    # exec.alloc forges the kernel's nonzero OOM status (a failed
-    # per-thread workspace or scatter-log allocation), which surfaces as
-    # the same BackendError the real path raises — proving the health
-    # ladder re-serves such calls serially
-    fault = faults.poll("exec.alloc")
-    if fault is not None:
-        raise BackendError(
-            "injected: kernel workspace allocation failed (exec.alloc)"
-        )
-    faults.raise_if("exec.c")
+            raise BackendError(
+                "injected: kernel workspace allocation failed (exec.alloc)"
+            )
+        faults.raise_if("exec.c")
+        call(count)
+
+    return faulted
+
+
+def _instrumented(call, work):
+    """*call* inside a ``plan:execute`` span and a
+    ``plan.dispatch_seconds`` sample (a failed attempt leaves its span,
+    the attempt that answers leaves the sample)."""
+
+    def observed(count: int) -> None:
+        start = perf_counter()
+        with obs_trace.span("plan:execute", threads=count, work=work):
+            call(count)
+        obs_metrics.observe("plan.dispatch_seconds", perf_counter() - start)
+
+    return observed
 
 
 def _as_tensor(name: str, value, symmetric_modes, dtype=np.float64) -> Tensor:
@@ -136,16 +160,17 @@ def plan_identity(tensors: Mapping[str, object]) -> Tuple:
 
 
 class ExecutionPlan:
-    """A prepared-once, run-many realization of one kernel + argument set.
+    """One kernel bound to one argument set: the only thing that runs loops.
 
-    Built by :meth:`BoundKernel.plan` (or :meth:`CompiledKernel.plan`):
-    preparation, validation, dtype checks, backend argument marshaling and
-    output allocation all happen exactly once, here.  Each subsequent
-    ``plan()`` call only resets the output buffer to the reduction
-    identity and invokes the pre-bound executable — no dict walks, no
-    numpy wrapping, no ctypes re-marshaling — and returns the buffer (the
-    timed region of :meth:`CompiledKernel.run`, i.e. *before*
-    :meth:`~CompiledKernel.finalize`).
+    Built by :meth:`BoundKernel.plan_prepared` (or
+    :meth:`CompiledKernel.execution_plan`): validation, dtype checks,
+    backend argument marshaling and output allocation all happen exactly
+    once, here.  Each ``plan()`` call only resets the output buffer to the
+    reduction identity and invokes the pre-bound executable — no dict
+    walks, no numpy wrapping, no ctypes re-marshaling — and returns the
+    buffer (the timed region, i.e. *before*
+    :meth:`~CompiledKernel.finalize`).  :meth:`CompiledKernel.run` is a
+    plan built and called once.
 
     The returned array is the plan's internal buffer (or the caller-owned
     ``out``): its contents are valid until the next call.  Snapshots of
@@ -155,12 +180,15 @@ class ExecutionPlan:
     changed argument set and build a fresh plan.  Plans are not
     thread-safe: concurrent callers must use one plan each.
 
-    Observability state is sampled at plan-build time: a plan built while
-    tracing/metrics are off runs the bare dispatch body forever (one slot
-    load + branch of overhead — the disabled path the perf-smoke CI leg
-    bounds at 5%), and enabling tracing later does not retrofit existing
-    plans.  A plan built while either facility is on records a
-    ``plan:execute`` span / ``plan.dispatch_seconds`` sample per call.
+    Observability and fault injection are sampled at plan-build time, by
+    wrapping the bound callable: a plan built while tracing, metrics and
+    faults are off calls the backend's callable directly, forever — its
+    dispatch body has no branch for them (``tests/test_plans.py`` counts
+    the frames) — and enabling tracing later does not retrofit existing
+    plans.  A plan built while tracing or metrics are on records a
+    ``plan:execute`` span / ``plan.dispatch_seconds`` sample around each
+    run of the bound callable; arm faults (or ``REPRO_FAULTS``) *before*
+    building a plan for the ``exec.*`` points to fire in it.
     """
 
     __slots__ = (
@@ -177,7 +205,6 @@ class ExecutionPlan:
         "_identity",
         "_sources",
         "_observed",
-        "_faulted",
     )
 
     def __init__(
@@ -199,10 +226,11 @@ class ExecutionPlan:
         self.prepared = dict(prepared)
         self.output_shape = tuple(int(s) for s in output_shape)
         layout = kernel.lowered.output.layout
+        expected = tuple(self.output_shape[m] for m in layout)
         if out is None:
-            out = kernel.make_output_buffer(self.output_shape)
+            # uninitialised: every call starts by resetting the buffer
+            out = np.empty(expected, kernel.dtype)
         else:
-            expected = tuple(self.output_shape[m] for m in layout)
             if tuple(out.shape) != expected:
                 raise ValueError(
                     "caller-owned output buffer has shape %s, kernel layout "
@@ -238,19 +266,23 @@ class ExecutionPlan:
             self.threads = kernel.resolve_run_threads(
                 setting, prepared=self.prepared, work=self.work, cap=thread_cap
             )
-            self._call = kernel.executable.bind(out, self.prepared)
+            #: sampled once, here (see the class docstring).
+            self._observed = obs_trace.enabled() or obs_metrics.enabled()
+            self._bind()
             sp.add(threads=self.threads, work=self.work)
-        # sampled once, here: the disabled per-call cost is this slot's
-        # load + branch, nothing else (see the class docstring).  Fault
-        # polling is sampled the same way — arm faults (or REPRO_FAULTS)
-        # *before* building a plan for the exec.* points to fire in it.
-        self._observed = obs_trace.enabled() or obs_metrics.enabled()
-        self._faulted = faults.enabled() and kernel.backend_name != "python"
+
+    def _bind(self) -> None:
+        """Marshal the argument set for the kernel's current executable."""
+        kernel = self.kernel
+        call = kernel.executable.bind(self.out, self.prepared)
+        if kernel.backend_name != "python" and faults.enabled():
+            call = _polling_faults(call)  # exec.* points are C-tier-only
+        if self._observed:
+            call = _instrumented(call, self.work)
+        self._call = call
 
     def __call__(self, threads=None) -> np.ndarray:
         """Run the kernel's loops; returns the (reused) output buffer."""
-        if self._observed:
-            return self._observed_call(threads)
         self._fill(self._fill_value)
         if threads is None:
             count = self.threads
@@ -259,32 +291,9 @@ class ExecutionPlan:
                 threads, prepared=self.prepared, work=self.work, cap=self._cap
             )
         try:
-            if self._faulted:
-                _raise_exec_faults(count)
             self._call(count)
         except _RECOVERABLE as exc:
             self._recover(count, exc)
-        return self.out
-
-    def _observed_call(self, threads) -> np.ndarray:
-        """The dispatch body with span + dispatch-latency instrumentation
-        (only ever reached by plans built while tracing/metrics were on)."""
-        if threads is None:
-            count = self.threads
-        else:
-            count = self.kernel.resolve_run_threads(
-                threads, prepared=self.prepared, work=self.work, cap=self._cap
-            )
-        start = perf_counter()
-        with obs_trace.span("plan:execute", threads=count, work=self.work):
-            self._fill(self._fill_value)
-            try:
-                if self._faulted:
-                    _raise_exec_faults(count)
-                self._call(count)
-            except _RECOVERABLE as exc:
-                self._recover(count, exc)
-        obs_metrics.observe("plan.dispatch_seconds", perf_counter() - start)
         return self.out
 
     def _recover(self, count: int, exc: BaseException) -> None:
@@ -302,8 +311,6 @@ class ExecutionPlan:
             self.threads = 1  # future calls skip the dead tier outright
             self._fill(self._fill_value)
             try:
-                if self._faulted:
-                    _raise_exec_faults(1)
                 self._call(1)
                 return
             except _RECOVERABLE as serial_exc:
@@ -311,9 +318,8 @@ class ExecutionPlan:
         health.mark("c", exc)
         kernel.degrade_to_python()
         with obs_trace.span("plan:rebind", backend="python"):
-            self._call = kernel.executable.bind(self.out, self.prepared)
+            self._bind()
         self.threads = 1
-        self._faulted = False  # exec.* points are C-tier-only
         self._fill(self._fill_value)
         self._call(1)
 
@@ -404,7 +410,6 @@ class BoundKernel:
                 self.executable = get_backend("python").compile(
                     lowered, label=label
                 )
-        self.fn = self.executable  # callable as fn(out, **prepared)
 
     # ------------------------------------------------------------------
     def prepare(self, **tensors) -> Dict[str, object]:
@@ -549,61 +554,6 @@ class BoundKernel:
             self.einsum, str(self.lowered.dtype), extents, work, max(1, cpu)
         )
 
-    def run(
-        self,
-        out: np.ndarray,
-        prepared: Mapping[str, object],
-        threads=None,
-        thread_cap: Optional[int] = None,
-    ) -> None:
-        """Execute the generated loops only (this is what gets timed).
-
-        ``threads`` overrides the bound default for this run (int or
-        ``"auto"``); when neither is set the kernel runs single-threaded.
-        ``"auto"`` resolves per run through :meth:`resolve_run_threads` —
-        the work-estimate cost model, not a blind CPU count.
-        """
-        setting = threads if threads is not None else self.threads
-        count = self.resolve_run_threads(setting, prepared, cap=thread_cap)
-        if "threads" in prepared:
-            raise ValueError(
-                "'threads' is a reserved argument name and cannot be a tensor"
-            )
-        if obs_trace.enabled():
-            with obs_trace.span("kernel:run", threads=count):
-                self._execute(out, prepared, count)
-        else:
-            self._execute(out, prepared, count)
-
-    def _execute(
-        self, out: np.ndarray, prepared: Mapping[str, object], count: int
-    ) -> None:
-        """One execution, degradation-laddered (see the module docstring)."""
-        compiled = self.backend_name != "python"
-        try:
-            if compiled and faults.enabled():
-                _raise_exec_faults(count)
-            self.executable(out, threads=count, **prepared)
-            return
-        except _RECOVERABLE as exc:
-            if not compiled or knob("REPRO_NO_DEGRADE"):
-                raise
-            fill = REDUCE_IDENTITY[self.lowered.output.reduce_op]
-            if count > 1:
-                health.mark("c@omp", exc)
-                out.fill(fill)  # discard the failed attempt's partials
-                try:
-                    if faults.enabled():
-                        _raise_exec_faults(1)
-                    self.executable(out, threads=1, **prepared)
-                    return
-                except _RECOVERABLE as serial_exc:
-                    exc = serial_exc
-            health.mark("c", exc)
-            self.degrade_to_python()
-            out.fill(fill)
-            self.executable(out, threads=1, **prepared)
-
     def degrade_to_python(self) -> None:
         """Swap in the interpreted executable (the ladder's floor).
 
@@ -617,7 +567,6 @@ class BoundKernel:
             self.executable = get_backend("python").compile(
                 self.lowered, label=self._label
             )
-        self.fn = self.executable
         self.backend_name = "python"
 
     # ------------------------------------------------------------------
@@ -636,16 +585,9 @@ class BoundKernel:
         optionally supplies a caller-owned output buffer (kernel layout
         and dtype, validated here once).  See :class:`ExecutionPlan`.
         """
-        prepared = self.prepare(**tensors)
-        return ExecutionPlan(
-            self,
-            prepared,
-            output_shape,
-            threads=threads,
-            thread_cap=thread_cap,
-            out=out,
-            identity=plan_identity(tensors),
-            sources=tensors,
+        return self.plan_prepared(
+            self.prepare(**tensors), output_shape, threads, thread_cap, out,
+            identity=plan_identity(tensors), sources=tensors,
         )
 
     def plan_prepared(
@@ -665,14 +607,7 @@ class BoundKernel:
         without them the plan conservatively matches nothing.
         """
         return ExecutionPlan(
-            self,
-            prepared,
-            output_shape,
-            threads=threads,
-            thread_cap=thread_cap,
-            out=out,
-            identity=identity,
-            sources=sources,
+            self, prepared, output_shape, threads, thread_cap, out, identity, sources
         )
 
     def finalize(self, out: np.ndarray) -> np.ndarray:

@@ -36,12 +36,10 @@ def np_dtype(name: str) -> np.dtype:
 def make_output(
     shape: Sequence[int], reduce_op: str, dtype=np.float64
 ) -> np.ndarray:
-    """Allocate an output tensor filled with the reduction identity.
-
-    The repeat-execution fast path (:class:`~repro.codegen.executor.
-    ExecutionPlan`) allocates through this once and then resets the buffer
-    to :data:`REDUCE_IDENTITY` in place per call.
-    """
+    """Allocate an output tensor filled with the reduction identity
+    (:data:`REDUCE_IDENTITY`, which an
+    :class:`~repro.codegen.executor.ExecutionPlan` resets its own buffer
+    to in place at the top of every call)."""
     return np.full(tuple(shape), REDUCE_IDENTITY[reduce_op], dtype=dtype)
 
 

@@ -22,14 +22,8 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.codegen.backends.base import CodegenConfig
-from repro.codegen.executor import (
-    BoundKernel,
-    ExecutionPlan,
-    _as_tensor,
-    plan_identity,
-)
+from repro.codegen.executor import BoundKernel, ExecutionPlan, plan_identity
 from repro.codegen.lower import LoweredKernel, lower_plan
-from repro.codegen.runtime import make_output
 from repro.core.config import CompilerOptions, DEFAULT, NAIVE
 from repro.core.kernel_plan import Block, KernelPlan, LoopNest
 from repro.core.passes import (
@@ -418,15 +412,12 @@ class CompiledKernel:
 
     # ------------------------------------------------------------------
     def output_shape(self, **tensors) -> Tuple[int, ...]:
-        wrapped = {
-            name: _as_tensor(name, value, self.plan.symmetric_modes)
-            for name, value in tensors.items()
-        }
         extents: Dict[str, int] = {}
         for acc in self.plan.original.accesses:
-            if acc.tensor in wrapped:
+            if acc.tensor in tensors:
+                shape = np.shape(tensors[acc.tensor])
                 for mode, idx in enumerate(acc.indices):
-                    extents.setdefault(idx, int(wrapped[acc.tensor].shape[mode]))
+                    extents.setdefault(idx, int(shape[mode]))
         return tuple(extents[i] for i in self.plan.original.lhs.indices)
 
     def prepare(self, **tensors):
@@ -440,7 +431,12 @@ class CompiledKernel:
     def run(
         self, prepared, output_shape, threads=None, thread_cap=None
     ) -> np.ndarray:
-        """Timed region: allocate the output buffer and run the loops.
+        """Allocate a fresh output buffer and run the loops, once.
+
+        A one-shot :class:`~repro.codegen.executor.ExecutionPlan`: bound,
+        called and dropped (its buffer is the result).  Callers that run
+        the same arguments again keep the plan instead —
+        :meth:`execution_plan` — and pay the bind once.
 
         ``threads`` overrides :attr:`CompilerOptions.threads` for this
         run only (int or ``"auto"``) — the thread count is a runtime
@@ -449,22 +445,21 @@ class CompiledKernel:
         (:meth:`BoundKernel.resolve_run_threads`); ``thread_cap`` bounds
         the resolved count (used by the batch engine's fan-out).
         """
-        out = self.bound.make_output_buffer(tuple(output_shape))
-        self.bound.run(out, prepared, threads=threads, thread_cap=thread_cap)
-        return out
+        return self.bound.plan_prepared(
+            prepared, output_shape, threads=threads, thread_cap=thread_cap
+        )()
 
     def execution_plan(
         self, threads=None, thread_cap=None, out=None, **tensors
     ) -> ExecutionPlan:
-        """The repeat-execution fast path: prepare/bind/validate once.
+        """Prepare, bind and validate once; run as often as needed.
 
         Returns an :class:`~repro.codegen.executor.ExecutionPlan` — a
         callable holding the pre-packed backend arguments and a reusable
         (or caller-owned, via ``out``) output buffer.  ``plan()`` runs
         the timed region and returns the raw buffer; pair with
         :meth:`finalize` (or :meth:`ExecutionPlan.finalized`) for the
-        logical result.  Per-call Python overhead is several times lower
-        than :meth:`run` — see ``benchmarks/bench_dispatch.py``.
+        logical result.  Each call skips the bind :meth:`run` pays.
         """
         prepared, shape = self.prepare(**tensors)
         return self.bound.plan_prepared(

@@ -223,12 +223,10 @@ def knobs_set() -> Dict[str, object]:
 RUNTIME_FIELDS = frozenset({"threads"})
 
 #: parallel cost-model threshold: estimated scalar updates each OpenMP
-#: thread must have to be worth waking.  Calibrated against the
-#: dispatch/parallel-overhead microbenchmark (``benchmarks/bench_dispatch.py``):
-#: entering a parallel region plus the ordered scatter-log replay costs tens
-#: of microseconds, while the compiled loops retire an update in roughly a
-#: nanosecond — so a thread needs a few tens of thousands of updates before
-#: the team pays for itself.
+#: thread must have to be worth waking.  Entering a parallel region plus
+#: the ordered scatter-log replay costs tens of microseconds, while the
+#: compiled loops retire an update in roughly a nanosecond — so a thread
+#: needs a few tens of thousands of updates before the team pays for itself.
 PARALLEL_WORK_THRESHOLD = 32768
 
 

@@ -9,9 +9,10 @@ lookup, a plan dispatch — opened with :func:`span` as a context manager::
 When tracing is disabled (the default) :func:`span` returns a shared
 null singleton whose ``__enter__``/``__exit__`` do nothing: the cost of
 an instrumented site is one module-global load and an ``is None`` check,
-which is what lets the hot dispatch path stay instrumented without
-giving up its microsecond budget (``benchmarks/bench_dispatch.py``
-asserts this stays within 5% of an uninstrumented dispatch).
+which is what lets the pipeline stay instrumented everywhere.  The hot
+dispatch path does better: an execution plan samples the state once, at
+bind, and one built while tracing is off never reaches a span site
+(``tests/test_plans.py`` counts the frames a call enters).
 
 Enable tracing with ``REPRO_TRACE=1`` in the environment (picked up at
 import), programmatically via :func:`enable`, or scoped with the

@@ -137,7 +137,7 @@ class WarmupReport:
 
     name: str
     key: str
-    source: str  # "memory" | "disk" | "compiled"
+    source: str  # "memory" | "disk" | "remote" | "compiled"
     seconds: float
 
 
@@ -395,23 +395,13 @@ class KernelService:
                 loop_order=spec.loop_order,
                 formats=dict(spec.formats),
             )
-            key = request.key
-            in_memory = key in self.cache
-            compiles_before = self._compiles
             start = time.perf_counter()
-            self.get_or_compile_request(request)
+            _, origin = self.get_with_origin(request)
             seconds = time.perf_counter() - start
-            # provenance from what actually happened, not what looked
-            # available — an unreadable disk entry falls through to a
-            # cold compile and must be reported as one
-            if self._compiles > compiles_before:
-                origin = "compiled"
-            elif in_memory:
-                origin = "memory"
-            else:
-                origin = "disk"
             reports.append(
-                WarmupReport(name=name, key=key, source=origin, seconds=seconds)
+                WarmupReport(
+                    name=name, key=request.key, source=origin, seconds=seconds
+                )
             )
         return reports
 

@@ -334,5 +334,5 @@ def test_stale_build_cache_object_is_rebuilt(rng):
     assert not os.path.exists(foreign)
     prepared = kernel.bound.prepare(QQ=np.eye(4), ww=np.ones(4))
     out = np.zeros(4)
-    rebuilt(out, **prepared)
+    rebuilt.bind(out, prepared)(1)
     np.testing.assert_allclose(out, np.ones(4))

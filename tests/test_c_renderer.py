@@ -123,7 +123,7 @@ def test_executable_rejects_bad_output_buffer():
     prepared, shape = kernel.prepare(A=np.eye(3), x=np.ones(3))
     bad = np.zeros(shape, dtype=np.float32)
     with pytest.raises(ValueError, match="float64"):
-        kernel.bound.executable(bad, **prepared)
+        kernel.bound.executable.bind(bad, prepared)(1)
 
 
 @needs_cc

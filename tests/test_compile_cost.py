@@ -142,7 +142,7 @@ def test_concurrent_upgrades_are_single_flight(rng):
     def worker(slot):
         out = kernel.bound.make_output_buffer(shape)
         gate.wait(timeout=30)
-        kernel.bound.run(out, prepared, threads=2)
+        kernel.bound.plan_prepared(prepared, shape, threads=2, out=out)()
         results[slot] = np.array(kernel.finalize(out))
 
     interval = sys.getswitchinterval()

@@ -94,7 +94,7 @@ def test_run_is_repeatable(rng):
     x = rng.random(5)
     prepared = bound.prepare(A=A, x=x)
     out1 = bound.make_output_buffer((5,))
-    bound.run(out1, prepared)
+    bound.plan_prepared(prepared, (5,), out=out1)()
     out2 = bound.make_output_buffer((5,))
-    bound.run(out2, prepared)
+    bound.plan_prepared(prepared, (5,), out=out2)()
     np.testing.assert_array_equal(out1, out2)

@@ -52,6 +52,22 @@ def _reference(inputs):
     return compile_kernel(EINSUM, **SPEC)(**inputs)
 
 
+def _run_once(kernel, inputs, threads=None):
+    prepared, shape = kernel.prepare(**inputs)
+    return [kernel.finalize(kernel.run(prepared, shape, threads=threads))]
+
+
+def _reused_plan(kernel, inputs, threads=None):
+    plan = kernel.execution_plan(threads=threads, **inputs)
+    return [kernel.finalize(np.copy(plan())) for _ in range(2)]
+
+
+#: the two ways to execute — a one-shot ``run`` and a plan that is called
+#: again after it degraded; both go down the one ladder
+#: (:meth:`ExecutionPlan._recover`) and the ``exec.*`` cases run over each
+ENTRIES = (_run_once, _reused_plan)
+
+
 # ----------------------------------------------------------------------
 # spec grammar
 # ----------------------------------------------------------------------
@@ -191,31 +207,33 @@ def test_cc_timeout_env_kills_hung_compiler(monkeypatch, tmp_path):
 @needs_cc
 def test_exec_failure_degrades_to_python_bit_identical(inputs):
     ref = _reference(inputs)
-    with faults.injecting("exec.c=fail*1"):
-        kernel = compile_kernel(EINSUM, **SPEC, options=C_OPTS)
-        got = kernel(**inputs)
-    assert got.tobytes() == ref.tobytes()
-    assert kernel.backend == "python"
-    assert health.degraded()
-    assert "c" not in health.active_ladder()
+    for entry in ENTRIES:
+        health.reset()
+        with faults.injecting("exec.c=fail*1"):
+            kernel = compile_kernel(EINSUM, **SPEC, options=C_OPTS)
+            results = entry(kernel, inputs)
+        assert all(got.tobytes() == ref.tobytes() for got in results)
+        assert kernel.backend == "python"
+        assert health.degraded()
+        assert "c" not in health.active_ladder()
 
 
 @needs_cc
 def test_omp_tier_failure_falls_back_to_serial_c(inputs):
     ref = _reference(inputs)
-    with faults.injecting("exec.omp=fail*1"):
-        kernel = compile_kernel(
-            EINSUM, **SPEC, options=C_OPTS.but(threads=2)
-        )
-        prepared, shape = kernel.prepare(**inputs)
-        out = kernel.run(prepared, shape, threads=2)
-    got = kernel.finalize(out)
-    assert got.tobytes() == ref.tobytes()
-    # the serial C tier survived: kernel still compiled
-    assert kernel.backend == "c"
-    assert not health.ok("c@omp") and health.ok("c")
-    # future thread resolutions collapse onto the serial tier
-    assert kernel.bound.resolve_run_threads(4) == 1
+    for entry in ENTRIES:
+        health.reset()
+        with faults.injecting("exec.omp=fail*1"):
+            kernel = compile_kernel(
+                EINSUM, **SPEC, options=C_OPTS.but(threads=2)
+            )
+            results = entry(kernel, inputs, threads=2)
+        assert all(got.tobytes() == ref.tobytes() for got in results)
+        # the serial C tier survived: kernel still compiled
+        assert kernel.backend == "c"
+        assert not health.ok("c@omp") and health.ok("c")
+        # future thread resolutions collapse onto the serial tier
+        assert kernel.bound.resolve_run_threads(4) == 1
 
 
 @needs_cc
@@ -274,16 +292,19 @@ def test_alloc_failure_reserved_serially_bit_identical(inputs):
     BackendError and be re-served down the ladder, not abort the
     process."""
     ref = _reference(inputs)
-    with faults.injecting("exec.alloc=fail*1"):
-        kernel = compile_kernel(EINSUM, **SPEC, options=C_OPTS.but(threads=2))
-        prepared, shape = kernel.prepare(**inputs)
-        out = kernel.run(prepared, shape, threads=2)
-    got = kernel.finalize(out)
-    assert got.tobytes() == ref.tobytes()
-    # the serial C tier survived the OOM: kernel still compiled, and the
-    # threaded tier is marked down so future calls skip the failing path
-    assert kernel.backend == "c"
-    assert not health.ok("c@omp") and health.ok("c")
+    for entry in ENTRIES:
+        health.reset()
+        with faults.injecting("exec.alloc=fail*1"):
+            kernel = compile_kernel(
+                EINSUM, **SPEC, options=C_OPTS.but(threads=2)
+            )
+            results = entry(kernel, inputs, threads=2)
+        assert all(got.tobytes() == ref.tobytes() for got in results)
+        # the serial C tier survived the OOM: kernel still compiled, and
+        # the threaded tier is marked down so future calls skip the
+        # failing path
+        assert kernel.backend == "c"
+        assert not health.ok("c@omp") and health.ok("c")
 
 
 @needs_cc

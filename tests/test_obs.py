@@ -221,6 +221,11 @@ def test_plan_dispatch_histogram(metrics_on):
     hist = obs_metrics.to_dict()["histograms"]["plan.dispatch_seconds"]
     assert hist["count"] - count0 == 2
     assert sum(b["count"] for b in hist["buckets"]) == hist["count"]
+    # a one-shot request is a plan called once: it is in the histogram too
+    for _ in range(3):
+        kernel(A=A, x=x)
+    hist = obs_metrics.to_dict()["histograms"]["plan.dispatch_seconds"]
+    assert hist["count"] - count0 == 5
 
 
 def test_stats_hit_rates_division_safe():

@@ -317,7 +317,7 @@ def test_threads_is_a_reserved_tensor_name(rng):
     poisoned["threads"] = 2
     out = kernel.bound.make_output_buffer(shape)
     with pytest.raises(ValueError, match="reserved"):
-        kernel.bound.run(out, poisoned)
+        kernel.bound.plan_prepared(poisoned, shape, out=out)()
 
 
 # ----------------------------------------------------------------------

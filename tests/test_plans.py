@@ -12,9 +12,12 @@ The contracts under test:
   thread count always wins untouched.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro import faults, obs
 from repro.codegen.backends import get_backend
 from repro.codegen.executor import ExecutionPlan, plan_identity
 from repro.core.compiler import compile_kernel
@@ -24,6 +27,8 @@ from repro.core.config import (
     auto_thread_count,
 )
 from repro.kernels.library import get_kernel
+from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
 from tests.conftest import make_symmetric_matrix
 
 HAVE_CC = get_backend("c").is_available()
@@ -113,6 +118,10 @@ def test_plan_with_caller_owned_output(rng, backend):
 
     with pytest.raises(ValueError, match="shape"):
         kernel.execution_plan(out=np.empty(11), A=A, x=x)
+    # the only way a caller's buffer reaches a backend: an undersized one
+    # is refused here, before the C loops can write through it
+    with pytest.raises(ValueError, match=r"shape \(8,\).*needs \(10,\)"):
+        kernel.bound.plan_prepared(prepared, shape, out=np.zeros(8))
     with pytest.raises(ValueError, match="dtype|computes"):
         kernel.execution_plan(out=np.empty(10, dtype=np.float32), A=A, x=x)
     noncontig = np.empty((10, 2))[:, 0]
@@ -124,6 +133,64 @@ def test_plan_rejects_reserved_threads_argument():
     kernel = compile_kernel("y[i] += A[i, j] * x[j]", symmetric={"A": True})
     with pytest.raises(ValueError, match="reserved"):
         kernel.bound.plan_prepared({"threads": 2}, (3,))
+
+
+# ----------------------------------------------------------------------
+# what a call may cost with everything off, as frames (never timings)
+# ----------------------------------------------------------------------
+def _entered(fn):
+    """``(module, function)`` of every Python frame *fn* enters."""
+    frames = []
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            module = frame.f_globals.get("__name__", "")
+            frames.append((module, frame.f_code.co_name))
+
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return frames
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_plan_call_with_everything_off_enters_only_the_dispatch_frames(
+    rng, backend
+):
+    """The off path is guarded by a count, not a timing floor: with
+    tracing, metrics and faults off (and whatever tuning database the
+    environment names), ``plan()`` is ``ExecutionPlan.__call__`` plus the
+    backend's bound callable (plus the interpreted ``kernel`` itself) and
+    nothing from :mod:`repro.obs`, :mod:`repro.faults` or
+    :mod:`repro.tune`.  The same plan built while tracing is on pays for
+    its span — inside the bound callable's wrapper, not in the body."""
+    kernel = _ssymv(backend)
+    A = make_symmetric_matrix(rng, 16, 0.4)
+    x = rng.random(16)
+    previous, had_metrics = obs_trace.disable(), obs_metrics.disable()
+    try:
+        with faults.injecting(None):
+            bare = kernel.execution_plan(A=A, x=x)
+        with obs.tracing():
+            traced = kernel.execution_plan(A=A, x=x)
+            traced()
+            traced_frames = _entered(traced)
+    finally:
+        obs_trace.set_recorder(previous)
+        if had_metrics:
+            obs_metrics.enable()
+    bare()  # a first threaded call may upgrade the object: not the steady state
+    dispatch = [("repro.codegen.executor", "__call__")]
+    if kernel.backend == "c":
+        dispatch += [("repro.codegen.backends.cexec", "call")]
+    else:
+        dispatch += [("repro.codegen.backends.python", "run"), ("", "kernel")]
+    assert _entered(bare) == dispatch
+    assert len(traced_frames) > len(dispatch)
+    assert any(module == "repro.obs.trace" for module, _ in traced_frames)
+    assert np.array_equal(bare(), traced())
 
 
 # ----------------------------------------------------------------------

@@ -113,6 +113,21 @@ def test_warmup_reports_origin_and_populates_cache(tmp_path):
     assert rehydrated[0].source == "disk"
 
 
+def test_warmup_reports_a_daemon_supplied_kernel_as_remote(monkeypatch):
+    """Provenance is what the lookup returned, not a re-derivation from
+    counters: a kernel a ``$REPRO_SERVICE`` daemon supplied is ``remote``
+    (it used to be reported ``disk``)."""
+    from repro.serve import client as serve_client
+
+    donor = KernelService(capacity=4, use_remote=False)
+    monkeypatch.setattr(
+        serve_client, "fetch_compiled", donor.get_or_compile_request
+    )
+    service = KernelService(capacity=4)
+    assert [r.source for r in service.warmup(names=("ssymv",))] == ["remote"]
+    assert service.stats().compiles == 0 and donor.stats().compiles == 1
+
+
 def test_warmup_full_library_and_unknown_name():
     service = KernelService(capacity=32)
     reports = service.warmup()

@@ -204,3 +204,33 @@ def test_sortedness_is_never_cached_on_a_user_coo(rng):
     after = Tensor(coo).view((0, 1), levels)
     assert not after.presorted
     assert _fiber_bytes(after) == _fiber_bytes(before)
+
+
+def test_dense_arguments_are_scanned_once_and_never_for_a_shape(rng, monkeypatch):
+    """``COO.from_dense`` (a nonzero scan and gather of the whole array)
+    runs once per distinct dense argument in ``kernel.prepare`` and not at
+    all to answer ``output_shape`` — that only reads ``.shape``."""
+    from repro.core.compiler import compile_kernel
+
+    calls = []
+    real = COO.from_dense
+
+    def from_dense(arr, fill=0.0):
+        calls.append(np.shape(arr))
+        return real(arr, fill)
+
+    monkeypatch.setattr(COO, "from_dense", staticmethod(from_dense))
+    kernel = compile_kernel(
+        "C[i, j] += A[i, k] * B[k, j]", loop_order=("i", "k", "j")
+    )
+    A, B = rng.random((4, 5)), rng.random((5, 3))
+    assert kernel.output_shape(A=A, B=B) == (4, 3)
+    assert kernel.output_shape(A=A.tolist(), B=Tensor.from_dense(B)) == (4, 3)
+    assert calls == [(5, 3)]  # the explicit Tensor.from_dense above
+    del calls[:]
+    prepared, shape = kernel.prepare(A=A, B=B)
+    assert shape == (4, 3) and calls == [(4, 5), (5, 3)]
+    del calls[:]
+    square = rng.random((4, 4))
+    kernel.prepare(A=square, B=square)  # one object under two names
+    assert calls == [(4, 4)]
