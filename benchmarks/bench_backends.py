@@ -11,7 +11,7 @@ Run standalone (prints a report, optionally updates the perf trajectory)::
 
     PYTHONPATH=src python benchmarks/bench_backends.py [--quick] \\
         [--threads 1,2,4] [--dtypes float64,float32] \\
-        [--sizes 2000,8000,20000] [--nnz 12] [--auto] [--tuned [PATH]] \\
+        [--sizes 2000,8000,20000] [--nnz 12] [--auto] \\
         [--passes] [--json out.json] [--trajectory [PATH]]
 
 ``--passes`` additionally times the loop-pass pipeline's acceptance
@@ -25,10 +25,7 @@ with performance claims should refresh.  ``--sizes`` sweeps several
 problem sizes (sizes beyond the historical n=2000 get ``@n<size>``
 trajectory keys) so the file records the serial -> parallel crossover per
 kernel; ``--nnz`` sets the rows' nonzero density; ``--auto`` adds a
-``c@auto`` column timing the cost-model thread resolution; ``--tuned
-[PATH]`` adds a ``tuned@auto`` column with the autotuner's database
-active (default: ``TUNED.json`` at the repo root) — the measured-vs-
-modeled comparison the tuner exists to win.
+``c@auto`` column timing the cost-model thread resolution.
 
 or through pytest (asserts the bars; skipped without a C toolchain /
 enough cores)::
@@ -153,16 +150,6 @@ def main(argv) -> int:
         float(argv[argv.index("--nnz") + 1]) if "--nnz" in argv else 12.0
     )
     auto = "--auto" in argv
-    tuned = None
-    if "--tuned" in argv:
-        idx = argv.index("--tuned") + 1
-        if idx < len(argv) and not argv[idx].startswith("--"):
-            tuned = argv[idx]
-        else:
-            tuned = os.path.join(REPO_ROOT, "TUNED.json")
-        if not os.path.exists(tuned):
-            print("no tuning database at %s — run `repro tune` first" % tuned)
-            return 1
     all_results = []
     entries = {}
     for dtype in dtypes:
@@ -174,7 +161,6 @@ def main(argv) -> int:
                 threads=threads,
                 dtype=dtype,
                 auto=auto,
-                tuned=tuned,
             )
             all_results.extend(results)
             entries.update(backend_trajectory_entries(results))

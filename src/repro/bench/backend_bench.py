@@ -19,7 +19,7 @@ makes), and every threaded run must be bit-identical to ``threads=1``
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -83,7 +83,6 @@ def bench_backends(
     threads: Sequence[int] = (1,),
     dtype: str = "float64",
     auto: bool = False,
-    tuned: Optional[str] = None,
 ) -> List[BenchResult]:
     """Time each kernel under both backends (and thread counts) on
     identical inputs.  Raises when any configuration's output diverges.
@@ -93,10 +92,7 @@ def bench_backends(
     kernels, and the cross-backend bit-identity contract holds per dtype.
     ``auto`` additionally measures ``threads="auto"`` — the cost-model
     resolution — as a ``c@auto`` column, with the count it resolved to in
-    the row's params.  ``tuned`` names a tuning database
-    (:mod:`repro.tune`): the kernel is recompiled and re-resolved with
-    that oracle active and lands as a ``tuned@auto`` column — the
-    measured-vs-modeled comparison on identical inputs.
+    the row's params.
     """
     thread_counts = sorted({max(1, int(t)) for t in threads} | {1})
     results: List[BenchResult] = []
@@ -139,29 +135,6 @@ def bench_backends(
                     "threads=1 — refusing to report timings" % name
                 )
             stats["c@auto"] = time_callable_stats(plan, repeats=repeats)
-        resolved_tuned = None
-        if tuned is not None:
-            from repro import tune as tune_mod
-
-            # recompile with the oracle active so tuned *compile*
-            # overrides (pass set / tile / omp strategy) apply too, not
-            # just the thread resolution
-            tune_mod.configure(tuned)
-            try:
-                tkernel = spec.compile(
-                    options=DEFAULT.but(backend="c", dtype=dtype)
-                )
-                tprepared, tshape = tkernel.prepare(**inputs)
-                plan, tuned_out = _bind(tkernel, tprepared, tshape, threads="auto")
-                resolved_tuned = plan.threads
-                if not np.array_equal(base_out, tuned_out):
-                    raise AssertionError(
-                        "tuned output of %s is not bit-identical to the "
-                        "untuned build — refusing to report timings" % name
-                    )
-                stats["tuned@auto"] = time_callable_stats(plan, repeats=repeats)
-            finally:
-                tune_mod.reset()
 
         times = {method: s.best for method, s in stats.items()}
         nnz = inputs["A"].nnz
@@ -173,9 +146,6 @@ def bench_backends(
         }
         if resolved_auto is not None:
             params["auto_resolved_threads"] = int(resolved_auto)
-        if resolved_tuned is not None:
-            params["tuned_resolved_threads"] = int(resolved_tuned)
-            params["tuned_db"] = tuned
         result = BenchResult(
             figure="backends",
             workload=name,
@@ -354,8 +324,6 @@ def backend_trajectory_entries(
                 key = "%s/c@t1%s" % (workload, suffix)
             elif method == "c@auto":
                 key = "%s/c@auto%s" % (workload, suffix)
-            elif method == "tuned@auto":
-                key = "%s/tuned@auto%s" % (workload, suffix)
             else:  # "c@tN"
                 key = "%s/c@t%s%s" % (workload, method.split("@t")[1], suffix)
             entry: Dict[str, object] = {
@@ -370,21 +338,9 @@ def backend_trajectory_entries(
                 entry["resolved_threads"] = result.params[
                     "auto_resolved_threads"
                 ]
-            if (
-                method == "tuned@auto"
-                and "tuned_resolved_threads" in result.params
-            ):
-                entry["resolved_threads"] = result.params[
-                    "tuned_resolved_threads"
-                ]
             if python is not None and method != "naive" and stat.best:
                 entry["speedup_vs_python"] = python.best / stat.best
-            if (
-                c_serial is not None
-                and (method.startswith("c@") or method == "tuned@auto")
-                and method != "c"
-                and stat.best
-            ):
+            if c_serial is not None and method.startswith("c@") and stat.best:
                 entry["speedup_vs_c1"] = c_serial.best / stat.best
             entries[key] = entry
     return entries
@@ -449,8 +405,6 @@ def format_backend_report(results: Sequence[BenchResult]) -> str:
     )
     if any("c@auto" in r.times for r in results):
         methods.append("c@auto")
-    if any("tuned@auto" in r.times for r in results):
-        methods.append("tuned@auto")
     header = "%-10s %8s" % ("kernel", "nnz")
     for method in methods:
         label = "python(s)" if method == "naive" else "%s(s)" % method

@@ -214,31 +214,6 @@ def machine_fingerprint(refresh: bool = False) -> Dict[str, object]:
     return dict(_fingerprint_cache)
 
 
-def fingerprint_class(fp: Optional[Mapping[str, object]] = None) -> str:
-    """Coarsen a fingerprint onto its *machine class*: OS + ISA + cpus.
-
-    Two machines in one class (``"linux-x86_64-c4"``) are close enough
-    that tuned variant selections transfer; the remaining fingerprint
-    fields (exact kernel build, python patch level, toolchain string)
-    distinguish entries for humans but should not fragment tuning
-    lookups.  The tuner's nearest-match fallback relaxes the cpu-count
-    component, so the class string keeps its three parts parseable.
-    """
-    if fp is None:
-        fp = machine_fingerprint()
-    system = str(fp.get("system") or "").strip().lower()
-    if not system:
-        # entries recorded before the "system" field: the platform string
-        # leads with the OS name ("Linux-6.8..."), recover it from there
-        system = str(fp.get("platform", "unknown")).split("-")[0].lower()
-    machine = str(fp.get("machine") or "unknown").lower() or "unknown"
-    try:
-        cpus = max(1, int(fp.get("cpus", 1)))
-    except (TypeError, ValueError):
-        cpus = 1
-    return "%s-%s-c%d" % (system or "unknown", machine, cpus)
-
-
 def load_trajectory(path: str) -> Optional[Dict[str, object]]:
     """The trajectory document at *path*, or None when absent/unreadable."""
     try:

@@ -40,9 +40,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     if args.passes is not None:
         # an explicit --passes takes $REPRO_PASSES' place in the one
         # resolution; the request then carries the answer
-        codegen = CodegenConfig.resolve(
-            str(assignment), options.dtype, passes=args.passes
-        )
+        codegen = CodegenConfig.resolve(passes=args.passes)
     try:
         with obs.tracing() as recorder:
             kernel = canonicalize(
@@ -380,64 +378,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tune(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.backend_bench import _inputs_for
-    from repro.codegen.backends import BackendError, get_backend
-    from repro.kernels.extensions import EXTENSIONS
-    from repro.kernels.library import KERNELS
-    from repro.tune.search import parse_budget
-
-    if not get_backend("c").is_available():
-        print(
-            "error: tuning needs a working C toolchain (only the C "
-            "backend has tunable variants)",
-            file=sys.stderr,
-        )
-        return 2
-    specs = dict(KERNELS)
-    specs.update(EXTENSIONS)
-    if args.kernel not in specs:
-        print(
-            "error: unknown kernel %r (choices: %s)"
-            % (args.kernel, ", ".join(sorted(specs))),
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        budget_s = parse_budget(args.budget)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    # dense rows are where the tile pass pays; ssyrk's acceptance shape
-    # uses them, the other kernels keep the figure suite's density
-    nnz_per_row = args.nnz_per_row
-    if nnz_per_row is None:
-        nnz_per_row = 64.0 if args.kernel == "ssyrk" else 12.0
-    from repro.tune.measure import tune_kernel
-
-    try:
-        inputs = _inputs_for(args.kernel, args.n, nnz_per_row)
-        report = tune_kernel(
-            specs[args.kernel],
-            inputs,
-            budget_s=budget_s,
-            dtype=args.dtype,
-            db_path=args.db,
-            name=args.kernel,
-            params={"n": args.n, "nnz_per_row": nnz_per_row},
-        )
-    except (BackendError, TimeoutError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
-    else:
-        print(report.describe())
-    return 0 if report.result.best is not None else 1
-
-
 def _cmd_doctor(args: argparse.Namespace) -> int:
     """Probe toolchain / store / OpenMP health and report the active
     degradation ladder.  Exit 0 when fully healthy, 1 when degraded."""
@@ -447,7 +387,7 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     from repro.codegen.backends import health
     from repro.codegen.backends import ctoolchain
     from repro.codegen.backends.base import CodegenConfig
-    from repro.core.config import knob, knobs_set, resolve_threads
+    from repro.core.config import knob, knobs_set, resolve_threads, unknown_knobs
 
     report = {"healthy": True, "checks": {}}
 
@@ -570,8 +510,9 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     if knob("REPRO_NO_DEGRADE"):
         report["degradation"] = "disabled (REPRO_NO_DEGRADE)"
     # what the environment names and what it resolved to — a typo'd
-    # value shows up here as its fallback
+    # value shows up here as its fallback, a typo'd name as unknown
     report["knobs"] = knobs_set()
+    report["unknown_knobs"] = unknown_knobs()
     report["healthy"] = all(
         check["ok"] for check in report["checks"].values()
     ) and not snapshot["degraded"]
@@ -593,6 +534,8 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
             print("%-10s %s" % ("faults", report["faults"]["spec"]))
         for name, value in report["knobs"].items():
             print("%-10s %s=%s" % ("knob", name, value))
+        for name in report["unknown_knobs"]:
+            print("%-10s %s is not a knob (removed or misspelt); ignored" % ("warning", name))
     return 0 if report["healthy"] else 1
 
 
@@ -819,51 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=_cmd_backends)
 
-    p = sub.add_parser(
-        "tune",
-        help="autotune a library kernel and record the winner",
-        description=(
-            "Search the C backend's variant space (threads, OpenMP "
-            "strategy, loop-pass set, tile size) for one kernel with "
-            "budgeted timed runs.  Every candidate must be bit-identical "
-            "to the untuned baseline before it is timed; the winner is "
-            "merged into the tuning database, which REPRO_TUNED-enabled "
-            "processes consult at plan-bind time (falling back to the "
-            "cost model on any miss)."
-        ),
-    )
-    p.add_argument("kernel", help="library kernel name (see `repro kernels`)")
-    p.add_argument(
-        "--budget",
-        default="30s",
-        help="search budget, e.g. 5s or 2m (default 30s)",
-    )
-    p.add_argument(
-        "--n", type=int, default=2000, help="problem size (default 2000)"
-    )
-    p.add_argument(
-        "--nnz-per-row",
-        type=float,
-        default=None,
-        help="sparse row density (default: 64 for ssyrk, else 12)",
-    )
-    p.add_argument(
-        "--dtype",
-        default="float64",
-        choices=("float64", "float32"),
-        help="element dtype to tune for",
-    )
-    p.add_argument(
-        "--db",
-        default="TUNED.json",
-        help="tuning database to merge the result into (default: "
-        "TUNED.json in the current directory)",
-    )
-    p.add_argument(
-        "--json", action="store_true", help="print the full report as JSON"
-    )
-    p.set_defaults(fn=_cmd_tune)
-
     p = sub.add_parser("table2", help="print the Table 2 matrix collection")
     p.set_defaults(fn=_cmd_table2)
 
@@ -951,8 +849,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--plans",
         type=int,
-        default=None,
-        help="warm execution-plan pool size (default: $REPRO_SERVE_PLANS)",
+        default=32,
+        help="warm execution-plan pool size (default 32; 0 disables pooling)",
     )
     p.add_argument(
         "--warm",

@@ -13,9 +13,9 @@ lowered loops themselves.  It is resolved **once** per compile request —
 :func:`repro.core.compiler.resolve_request` — and from there only moves
 as a value: the cache key hashes it, the wire spec and the store entry
 carry it, and the C printer renders under it.  Nothing downstream of the
-resolver looks at the environment, the tuning database or the toolchain
-probe again, so a key can never describe a different program than the
-one that gets built for it.
+resolver looks at the environment or the toolchain probe again, so a key
+can never describe a different program than the one that gets built for
+it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from repro import tune
 from repro.codegen.backends import ctoolchain
 from repro.codegen.backends.cpasses.base import (
     DEFAULT_ON,
@@ -54,43 +53,18 @@ class CodegenConfig:
     passes: PassConfig = PassConfig(enabled=DEFAULT_ON)
 
     @classmethod
-    def resolve(
-        cls,
-        einsum: Optional[str] = None,
-        dtype: str = "float64",
-        passes: Optional[str] = None,
-    ) -> "CodegenConfig":
-        """Defaults <- environment <- tuned overrides <- toolchain gate.
+    def resolve(cls, passes: Optional[str] = None) -> "CodegenConfig":
+        """Defaults <- environment <- toolchain gate.
 
-        The only place those four are combined.  Precedence is axis by
-        axis: an explicit ``$REPRO_PASSES`` (or *passes*, the spec
-        ``repro compile --passes`` puts in its place) pins the pass set
-        and ``$REPRO_OMP_STRATEGY`` the strategy; an axis left unset is
-        filled from the tuning database's measured entry for *einsum* /
-        *dtype* when one is active, else from the defaults.  ``einsum`` is
-        ``None`` for ad-hoc renders, which never match a tuned entry.
+        The only place those three are combined: ``$REPRO_PASSES`` (or
+        *passes*, the spec ``repro compile --passes`` puts in its place)
+        names the pass set, ``$REPRO_OMP_STRATEGY`` the strategy and
+        ``$REPRO_PROFILE`` the instrumentation; whatever is unset takes
+        its default.
         """
         if passes is None:
             passes = knob("REPRO_PASSES")
-        strategy = knob("REPRO_OMP_STRATEGY")
-        tuned: Mapping = {}
-        if einsum is not None and (passes is None or strategy is None):
-            oracle = tune.active()
-            if oracle is not None:
-                tuned = oracle.compile_for(einsum, dtype) or {}
-        if passes is not None:
-            config = PassConfig(parse_passes(passes))
-        elif isinstance(tuned.get("passes"), (list, tuple)):
-            # a database is a file someone else wrote: keep what parses
-            try:
-                tile_rows = max(0, int(tuned.get("tile_rows", 0)))
-            except (TypeError, ValueError):
-                tile_rows = 0
-            config = PassConfig(
-                tuple(n for n in PASS_ORDER if n in tuned["passes"]), tile_rows
-            )
-        else:
-            config = PassConfig(DEFAULT_ON)
+        config = PassConfig(DEFAULT_ON if passes is None else parse_passes(passes))
         if config.is_on("denormals") and not ctoolchain.probe_ftz():
             # the gate lives here rather than inside the pass so an
             # explicit PassConfig is rendered verbatim (golden snapshots
@@ -100,11 +74,7 @@ class CodegenConfig:
                 config,
                 enabled=tuple(n for n in config.enabled if n != "denormals"),
             )
-        if strategy is None:
-            strategy = tuned.get("omp_strategy")
-            if strategy not in OMP_STRATEGY_CHOICES:
-                strategy = "auto"
-        return cls(strategy, knob("REPRO_PROFILE"), config)
+        return cls(knob("REPRO_OMP_STRATEGY"), knob("REPRO_PROFILE"), config)
 
     def to_dict(self) -> dict:
         """The JSON form the wire spec and the store entry carry."""

@@ -1452,7 +1452,7 @@ def render_c(
     OpenMP emission mode (``"auto"`` / ``"serial"`` / ``"atomic"``) and
     ``passes`` the optimization-pass set.
     """
-    codegen = CodegenConfig.resolve(dtype=lowered.dtype)
+    codegen = CodegenConfig.resolve()
     if parallel is not None:
         codegen = replace(codegen, omp_strategy=parallel)
     if passes is not None:

@@ -1,12 +1,12 @@
 """The ``Pass`` interface, pass-set configuration and pipeline driver.
 
-A pass-selection spec (``$REPRO_PASSES``, ``repro compile --passes``, a
-tuner variant) is a comma list of tokens: a bare name (or ``+name``)
-enables a pass, ``-name`` / ``!name`` disables one, and the words
-``none`` / ``all`` / ``default`` reset the working set.  Tokens apply
-left to right, so ``none,tile`` means "only tiling" and
-``all,-denormals`` means "everything bit-exact".  Unknown tokens warn
-once per process and are ignored.
+A pass-selection spec (``$REPRO_PASSES``, ``repro compile --passes``) is
+a comma list of tokens: a bare name (or ``+name``) enables a pass,
+``-name`` / ``!name`` disables one, and the words ``none`` / ``all`` /
+``default`` reset the working set.  Tokens apply left to right, so
+``none,tile`` means "only tiling" and ``all,-denormals`` means
+"everything bit-exact".  Unknown tokens warn once per process and are
+ignored.
 
 Nothing here looks at ``REPRO_*`` variables or probes the toolchain: which
 spec applies is decided once per compile request, by
@@ -43,7 +43,7 @@ class PassConfig:
 
     enabled: Tuple[str, ...]
     #: tile-pass row-block size; 0 sizes the block at run time from the
-    #: output row width (only a tuned database entry pins it).
+    #: output row width (only an explicit ``PassConfig`` pins it).
     tile_rows: int = 0
 
     def is_on(self, name: str) -> bool:

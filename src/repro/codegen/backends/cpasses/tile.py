@@ -33,7 +33,7 @@ Block count (the pass is on by default, so it has to bound its own
 cost).  The block height is sized at run time: about 1 MiB of output
 rows per block, but at most ``max(1, c / 4)`` blocks, where
 ``c = pos[n] / n`` is the mean length of the ``n`` fibers the nest walks
-(:func:`auto_tile_rows`; a tuned ``tile_rows`` pins a row count instead).  Why
+(:func:`auto_tile_rows`; an explicit ``tile_rows`` pins a row count instead).  Why
 a quarter: every block re-walks each fiber up to its upper row, which
 reads at most ``blocks / 2 * nnz <= c * nnz / 8`` index entries, while
 the nest performs ``sum(c_f ** 2) / 2 >= c * nnz / 2`` updates
@@ -114,8 +114,8 @@ class TilePass(Pass):
             "row-block triangle-bounded scatter nests (SSYRK shape) so a "
             "block of output rows stays cache-resident per structure walk; "
             "bit-exact (per-element write order preserved); blocks of "
-            "~1MiB, at most mean fiber length / 4 of them (a tuned tile_rows "
-            "pins a row count instead)"
+            "~1MiB, at most mean fiber length / 4 of them (an explicit "
+            "tile_rows pins a row count instead)"
         )
 
     def run(self, ir: LoopIR, config: PassConfig) -> LoopIR:

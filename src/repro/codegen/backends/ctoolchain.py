@@ -23,7 +23,7 @@ One rendered source builds into one of two objects
 OpenMP capability is probed lazily: the ``-fopenmp`` trivial object —
 which must load and answer through the OpenMP runtime before the flag is
 adopted — is built the first time an OpenMP object is wanted (or
-``repro doctor`` / ``repro backends`` / the tuner ask), so a process that
+``repro doctor`` / ``repro backends`` ask), so a process that
 only ever runs serial kernels never pays for it.  ``$REPRO_NO_OPENMP``
 skips that step (every kernel is then served from the serial object).
 :func:`reset_probe_cache` forgets both — a test that flips the env

@@ -42,7 +42,6 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from repro import faults
-from repro import tune
 from repro.codegen.backends import get_backend
 from repro.codegen.backends import health
 from repro.codegen.backends.base import (
@@ -357,7 +356,6 @@ class BoundKernel:
         label: Optional[str] = None,
         backend: str = "python",
         threads=None,
-        einsum: Optional[str] = None,
         codegen: Optional[CodegenConfig] = None,
         objects=None,
     ):
@@ -365,10 +363,6 @@ class BoundKernel:
         self.symmetric_modes = dict(symmetric_modes)
         self.backend_name = backend
         self._label = label
-        #: the kernel's semantic identity (einsum text) — the tuning
-        #: database key for measured *thread counts* (a runtime lookup);
-        #: ``None`` for ad-hoc kernels, which simply never match an entry
-        self.einsum = einsum
         #: the resolved configuration the C source was (or, rehydrated,
         #: will again be) rendered under — persisted with the kernel;
         #: ``None`` for python-backend requests
@@ -491,15 +485,11 @@ class BoundKernel:
         """Collapse a ``threads`` setting onto a concrete count for one run.
 
         Explicit integers always win (``REPRO_THREADS=4`` means 4).
-        ``"auto"`` consults the tuning oracle first when one is active
-        (:func:`repro.tune.active`): a measured thread count recorded for
-        this kernel at this shape class beats any estimate.  On a miss —
-        or with tuning off, the common case — the cost model decides: the
-        executable's per-run work estimate (from *prepared* arguments, or
-        pre-computed *work*) against
-        :func:`repro.core.config.auto_thread_count`, so small problems
-        stay serial instead of paying the parallel-region and scatter-log
-        overhead.  Executables without parallel bodies (the Python
+        ``"auto"`` is the cost model: the executable's per-run work
+        estimate (from *prepared* arguments, or pre-computed *work*)
+        against :func:`repro.core.config.auto_thread_count`, so small
+        problems stay serial instead of paying the parallel-region and
+        scatter-log overhead.  Executables without parallel bodies (the Python
         backend, serial-only C kernels) resolve to 1 — a team could never
         help them.  ``cap`` bounds the result (the batch engine divides
         the machine across its worker pool).
@@ -508,16 +498,12 @@ class BoundKernel:
             count = 1
         elif setting == "auto":
             cpu = resolve_threads("auto")
-            count = self._tuned_threads(prepared, work, cpu)
-            if count is None:
-                if cpu <= 1:
-                    count = 1
-                else:
-                    if work is _UNSET:
-                        work = self.executable.parallel_work(prepared or {})
-                    count = (
-                        1 if work is None else auto_thread_count(work, cpu)
-                    )
+            if cpu <= 1:
+                count = 1
+            else:
+                if work is _UNSET:
+                    work = self.executable.parallel_work(prepared or {})
+                count = 1 if work is None else auto_thread_count(work, cpu)
         else:
             count = resolve_threads(setting)
         if cap is not None:
@@ -525,34 +511,6 @@ class BoundKernel:
         if count > 1 and self.backend_name != "python" and not health.ok("c@omp"):
             return 1  # the OpenMP tier is marked dead: stay serial
         return max(1, count)
-
-    def _tuned_threads(
-        self, prepared: Optional[Mapping[str, object]], work, cpu: int
-    ) -> Optional[int]:
-        """A measured thread count from the active tuning oracle, or
-        ``None`` (= fall back to the cost model).
-
-        When tuning is off (no ``REPRO_TUNED`` database, the default)
-        this is one is-None check; with a database active the oracle is
-        consulted even on single-cpu machines, so every ``"auto"``
-        resolution shows up as a ``tune:lookup`` span with its origin.
-        """
-        if self.einsum is None or self.backend_name == "python":
-            return None
-        oracle = tune.active()
-        if oracle is None:
-            return None
-        if work is _UNSET:
-            work = self.executable.parallel_work(prepared or {})
-        source = prepared or {}
-        extents = [
-            int(source[dim.name])
-            for dim in self.lowered.dims
-            if dim.name in source
-        ]
-        return oracle.threads_for(
-            self.einsum, str(self.lowered.dtype), extents, work, max(1, cpu)
-        )
 
     def degrade_to_python(self) -> None:
         """Swap in the interpreted executable (the ladder's floor).

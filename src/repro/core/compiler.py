@@ -147,9 +147,9 @@ def resolve_request(
     :class:`CodegenConfig` the kernel is rendered under.  This is the one
     call of :meth:`CodegenConfig.resolve` on the compile path: a *codegen*
     handed in (a request that was already resolved — by the client of a
-    daemon, the writer of a store entry, the tuner) is used as is.  The
-    cache-key canonicalizer (:mod:`repro.service.keys`) calls this same
-    helper, so keys cannot drift from what the compiler builds.
+    daemon, the writer of a store entry) is used as is.  The cache-key
+    canonicalizer (:mod:`repro.service.keys`) calls this same helper, so
+    keys cannot drift from what the compiler builds.
     """
     from repro.codegen.backends import resolve_backend_name
 
@@ -175,7 +175,7 @@ def resolve_request(
     if backend != "c":
         codegen = None  # only the C renderer has configurable codegen
     elif codegen is None:
-        codegen = CodegenConfig.resolve(str(assignment), options.dtype)
+        codegen = CodegenConfig.resolve()
     return symmetric_modes, tuple(loop_order), dict(formats), options, codegen
 
 
@@ -404,7 +404,6 @@ class CompiledKernel:
             label=label,
             backend=options.backend,
             threads=options.threads,
-            einsum=str(assignment),
             codegen=None if codegen is None else CodegenConfig.from_dict(codegen),
             objects=objects,
         )
@@ -527,9 +526,8 @@ def compile_kernel(
         triangle restriction) — the red line in the paper's figures.
     codegen:
         an already-resolved :class:`CodegenConfig` to build under
-        (:meth:`repro.service.keys.CompileRequest.compile` and the tuner
-        pass one); by default it is resolved here, once, from the
-        environment and the tuning database.
+        (:meth:`repro.service.keys.CompileRequest.compile` passes one);
+        by default it is resolved here, once, from the environment.
     """
     assignment = (
         parse_assignment(einsum) if isinstance(einsum, str) else einsum
@@ -556,7 +554,6 @@ def compile_kernel(
             plan.symmetric_modes,
             backend=options.backend,
             threads=options.threads,
-            einsum=str(assignment),
             codegen=codegen,
         )
     return CompiledKernel(plan, lowered, bound, options, formats)

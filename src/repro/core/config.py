@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: values :attr:`CompilerOptions.backend` accepts.  ``auto`` is collapsed
 #: onto a concrete backend by :func:`repro.core.compiler.resolve_request`.
@@ -96,21 +96,19 @@ KNOBS: Dict[str, Knob] = {row.name: row for row in (
     # single-threaded timings — the paper's methodology — stay the baseline
     Knob("REPRO_THREADS", "int", 1, minimum=1, choices=("auto",),
          doc="default C-backend thread count; auto = sized per run from work"),
-    Knob("REPRO_OMP_STRATEGY", "choice", choices=OMP_STRATEGY_CHOICES,
+    Knob("REPRO_OMP_STRATEGY", "choice", "auto", choices=OMP_STRATEGY_CHOICES,
          doc="OpenMP emission mode (keyed); atomic is faster but not "
-         "bit-reproducible; unset = tuned strategy, else auto"),
+         "bit-reproducible"),
     Knob("REPRO_PASSES", "text",
          doc="C loop passes (keyed): comma list over denormals, fission, fuse, "
-         "tile, simd (+/-/! prefixed) or none/all/default; unset = tuned set, "
-         "else fuse,tile,simd"),
+         "tile, simd (+/-/! prefixed) or none/all/default; unset = "
+         "fuse,tile,simd"),
     Knob("REPRO_PROFILE", "flag",
          doc="compile per-nest timing into C kernels (keyed: a separate build)"),
     Knob("REPRO_TRACE", "flag",
          doc="record spans from process start (export: `repro trace`)"),
     Knob("REPRO_METRICS", "flag",
          doc="collect counters and latency histograms (`repro stats --json`)"),
-    Knob("REPRO_TUNED", "path",
-         doc="tuning database (`repro tune` fills it); unset = tuning off"),
     # the C toolchain
     Knob("REPRO_CC", "path", doc="C compiler to probe instead of cc, gcc, clang"),
     Knob("REPRO_C_CACHE", "path",
@@ -153,15 +151,8 @@ KNOBS: Dict[str, Knob] = {row.name: row for row in (
          doc="daemon compile/execute worker threads"),
     Knob("REPRO_SERVE_DEADLINE", "float", 30.0, zero_is_none=True,
          doc="default per-request deadline in seconds (0 = none)"),
-    # slowloris bound: only a *started* frame is timed, idle ones may wait
-    Knob("REPRO_SERVE_READ_TIMEOUT", "float", 30.0, zero_is_none=True,
-         doc="seconds a started frame may take to arrive (0 = no bound)"),
-    Knob("REPRO_SERVE_DRAIN", "float", 10.0,
-         doc="seconds SIGTERM waits for in-flight requests"),
     Knob("REPRO_SERVE_MAX_FRAME", "int", 64 << 20, minimum=1024,
          doc="wire frame size bound in bytes (tensors ride in frames)"),
-    Knob("REPRO_SERVE_PLANS", "int", 32,
-         doc="daemon warm execution-plan pool size (0 disables pooling)"),
     Knob("REPRO_STORE_MAX_BYTES", "int", zero_is_none=True,
          doc="disk-store bytes before a put evicts LRU entries (0 = no bound)"),
 )}
@@ -215,6 +206,15 @@ def knob(name: str):
 def knobs_set() -> Dict[str, object]:
     """Knobs the environment names -> resolved values (``repro doctor``)."""
     return {name: knob(name) for name in KNOBS if os.environ.get(name)}
+
+
+def unknown_knobs() -> List[str]:
+    """``REPRO_*`` names in the environment that :data:`KNOBS` does not
+    declare — a removed or misspelt knob, which nothing reads."""
+    return sorted(
+        name for name in os.environ
+        if name.startswith("REPRO_") and name not in KNOBS
+    )
 
 
 #: fields of :class:`CompilerOptions` that configure *runtime* behaviour

@@ -74,16 +74,6 @@ class InterProcessLock:
             return True
         return False
 
-    def acquire(self, timeout: float, poll: float = 0.05) -> bool:
-        """Poll :meth:`try_acquire` for up to *timeout* seconds."""
-        deadline = time.monotonic() + timeout
-        while True:
-            if self.try_acquire():
-                return True
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(poll)
-
     def release(self) -> None:
         if not self.held:
             return

@@ -19,8 +19,8 @@ decisions, in order of what kills shared services first:
   a stampede of clients on one cold hot key costs one compile.
 * **Graceful drain** — SIGTERM (or the ``shutdown`` op) stops admitting
   work (``draining`` replies), lets in-flight requests finish within
-  ``$REPRO_SERVE_DRAIN`` seconds, then exits, unlinking the socket and
-  the pid lock.
+  ``drain_grace`` seconds (10), then exits, unlinking the socket and the
+  pid lock.
 * **Crash-safe warm restart** — a ``kill -9``'d daemon leaves only a
   stale socket and a stale PID-stamped lock, both reclaimed on the next
   start; ``--warm`` rehydrates the LRU from the disk store, whose
@@ -28,8 +28,8 @@ decisions, in order of what kills shared services first:
   rebuilt in place instead).
 * **Hostile input** — oversized length prefixes, garbage JSON and torn
   frames answer ``bad-request``/close without allocating; a started
-  frame that stalls (slowloris) is cut off by
-  ``$REPRO_SERVE_READ_TIMEOUT``.
+  frame that stalls (slowloris) is cut off after ``read_timeout``
+  seconds (30).
 
 Fault-injection points (:mod:`repro.faults`): ``wire.accept``,
 ``wire.read``, ``wire.write`` and ``serve.handler`` make every failure
@@ -152,9 +152,9 @@ class KernelServer:
         queue_limit: Optional[int] = None,
         workers: Optional[int] = None,
         deadline: Optional[float] = None,
-        read_timeout: Optional[float] = None,
-        drain_grace: Optional[float] = None,
-        plan_pool_size: Optional[int] = None,
+        read_timeout: Optional[float] = 30.0,
+        drain_grace: float = 10.0,
+        plan_pool_size: int = 32,
         max_frame: Optional[int] = None,
     ):
         self.socket_path = str(socket_path)
@@ -174,20 +174,16 @@ class KernelServer:
         self.deadline = knob("REPRO_SERVE_DEADLINE") if deadline is None else (
             deadline if deadline and deadline > 0 else None
         )
+        # slowloris bound: only a *started* frame is timed, idle ones may
+        # wait; 0 (or None) = no bound
         self.read_timeout = (
-            knob("REPRO_SERVE_READ_TIMEOUT") if read_timeout is None else (
-                read_timeout if read_timeout and read_timeout > 0 else None
-            )
+            read_timeout if read_timeout and read_timeout > 0 else None
         )
-        self.drain_grace = (
-            knob("REPRO_SERVE_DRAIN") if drain_grace is None else float(drain_grace)
-        )
+        self.drain_grace = float(drain_grace)
         self.max_frame = (
             knob("REPRO_SERVE_MAX_FRAME") if max_frame is None else int(max_frame)
         )
-        self.plans = PlanPool(
-            knob("REPRO_SERVE_PLANS") if plan_pool_size is None else plan_pool_size
-        )
+        self.plans = PlanPool(plan_pool_size)
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-serve"
         )

@@ -90,11 +90,6 @@ class ServiceStats:
         }
         if obs_metrics.enabled():
             out["metrics"] = obs_metrics.to_dict()
-        from repro import tune
-
-        tune_stats = tune.stats_dict()
-        if tune_stats.get("configured"):
-            out["tune"] = tune_stats
         return out
 
     def describe(self) -> str:
@@ -123,11 +118,6 @@ class ServiceStats:
                 "service: DEGRADED(remote) — daemon unreachable, serving "
                 "in-process (%s)" % errors[0]
             )
-        from repro import tune
-
-        oracle = tune.active()
-        if oracle is not None:
-            lines.append(oracle.describe())
         return "\n".join(lines)
 
 

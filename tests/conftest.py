@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -108,6 +109,60 @@ def kernel_child(store=None, run_threads=0, **env):
     )
     lines = done.stdout.strip().splitlines()
     return done.returncode, (json.loads(lines[-1]) if lines else {"stderr": done.stderr})
+
+
+@contextlib.contextmanager
+def running_daemon(tmp_path, **kwargs):
+    """A live KernelServer on a background thread with its own loop;
+    yields ``(server, socket_path)`` once a connection has been accepted
+    and served to its end.  The socket file exists from ``bind()``, before
+    ``listen()`` — waiting for the path alone lets the first client be
+    refused — and a probe the daemon has not finished with would take a
+    ``wire.accept`` fault the test arms next."""
+    import asyncio
+    import socket
+    import threading
+    import time
+
+    from repro.serve.daemon import KernelServer
+
+    sock = str(tmp_path / "daemon.sock")
+    server = KernelServer(sock, **kwargs)
+    loop = asyncio.new_event_loop()
+
+    def body():
+        asyncio.set_event_loop(loop)
+        try:
+            loop.run_until_complete(server.run())
+        finally:
+            loop.close()
+
+    def served() -> bool:
+        probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        probe.settimeout(10.0)
+        try:
+            probe.connect(sock)
+            probe.shutdown(socket.SHUT_WR)  # a clean EOF: counts nothing
+            return probe.recv(1) == b""  # the daemon closed its end
+        except OSError:
+            return False
+        finally:
+            probe.close()
+
+    thread = threading.Thread(target=body, daemon=True)
+    thread.start()
+    deadline = time.monotonic() + 10.0
+    while not served():
+        if time.monotonic() > deadline or not thread.is_alive():
+            raise RuntimeError("daemon failed to start")
+        time.sleep(0.01)
+    try:
+        yield server, sock
+    finally:
+        if thread.is_alive():
+            loop.call_soon_threadsafe(server.begin_drain, "test teardown")
+            thread.join(timeout=10.0)
+        assert not thread.is_alive(), "daemon thread failed to stop"
 
 
 @pytest.fixture

@@ -115,6 +115,15 @@ def test_missing_command_rejected():
         main([])
 
 
+def test_tune_is_an_unknown_subcommand(capsys):
+    """The autotuner is gone: `repro tune` is a usage error like any other
+    unknown word, not a silently accepted no-op."""
+    with pytest.raises(SystemExit) as exc:
+        main(["tune", "ssymv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'tune'" in capsys.readouterr().err
+
+
 def test_backends_command(capsys):
     rc = main(["backends"])
     out = capsys.readouterr().out
@@ -226,6 +235,15 @@ def test_help_epilog_documents_serve_env(capsys):
         "REPRO_STORE_MAX_BYTES",
     ):
         assert name in out, name
+
+
+def test_serve_plans_default_is_the_flag_default():
+    """The plan pool's size is a flag with a default, not a knob."""
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    assert parser.parse_args(["serve", "--socket", "s"]).plans == 32
+    assert parser.parse_args(["serve", "--socket", "s", "--plans", "0"]).plans == 0
 
 
 def test_serve_rejects_bad_store_dir(tmp_path, capsys):

@@ -79,10 +79,7 @@ def test_serve_knob_defaults(monkeypatch):
     assert knob("REPRO_SERVE_QUEUE") == 32
     assert knob("REPRO_SERVE_WORKERS") == 4
     assert knob("REPRO_SERVE_DEADLINE") == 30.0
-    assert knob("REPRO_SERVE_READ_TIMEOUT") == 30.0
-    assert knob("REPRO_SERVE_DRAIN") == 10.0
     assert knob("REPRO_SERVE_MAX_FRAME") == 64 << 20
-    assert knob("REPRO_SERVE_PLANS") == 32
     assert knob("REPRO_SERVICE_RETRIES") == 2
     assert knob("REPRO_SERVICE_BACKOFF") == 0.05
     assert knob("REPRO_SERVICE_TIMEOUT") == 30.0
@@ -92,11 +89,15 @@ def test_serve_knob_defaults(monkeypatch):
         assert knob(name) == (False if row.kind == "flag" else row.default)
 
 
-def test_serve_deadline_zero_disables(monkeypatch):
+def test_serve_deadline_zero_disables(monkeypatch, tmp_path):
+    from repro.serve.daemon import KernelServer
+
     monkeypatch.setenv("REPRO_SERVE_DEADLINE", "0")
     assert knob("REPRO_SERVE_DEADLINE") is None
-    monkeypatch.setenv("REPRO_SERVE_READ_TIMEOUT", "0")
-    assert knob("REPRO_SERVE_READ_TIMEOUT") is None
+    # the frame read bound is a constructor argument with the same reading
+    server = KernelServer(tmp_path / "d.sock", read_timeout=0)
+    assert server.deadline is None and server.read_timeout is None
+    assert KernelServer(tmp_path / "d.sock").read_timeout == 30.0
 
 
 def test_serve_queue_minimum_one(monkeypatch):
@@ -130,8 +131,7 @@ CHECKED = sorted(
 @pytest.mark.parametrize("name", FLAGS)
 def test_every_flag_parses_the_same_way(monkeypatch, name):
     """Unset, empty and "0" are off; anything else is on — for *every*
-    boolean knob (REPRO_NO_CC=0 used to disable the compiler, and
-    REPRO_NO_TUNE=y used to leave tuning on)."""
+    boolean knob (REPRO_NO_CC=0 used to disable the compiler)."""
     monkeypatch.delenv(name, raising=False)
     assert knob(name) is False
     for value, expected in (("", False), ("0", False), ("1", True), ("yes", True)):
@@ -191,6 +191,21 @@ def test_doctor_reports_degradation_from_the_flag_parser(monkeypatch, capsys):
         assert report["knobs"]["REPRO_NO_DEGRADE"] is disabled
 
 
+def test_doctor_names_variables_that_are_not_knobs(monkeypatch, capsys):
+    """A removed or misspelt knob is read by nothing; `repro doctor` is
+    where that silence ends."""
+    import json
+
+    from repro.cli import main
+
+    monkeypatch.setenv("REPRO_NO_SUCH_KNOB", "4")
+    assert "REPRO_NO_SUCH_KNOB" in config.unknown_knobs()
+    main(["doctor", "--json"])
+    assert "REPRO_NO_SUCH_KNOB" in json.loads(capsys.readouterr().out)["unknown_knobs"]
+    main(["doctor"])
+    assert "REPRO_NO_SUCH_KNOB is not a knob" in capsys.readouterr().out
+
+
 def test_readme_knob_table_names_exactly_the_table():
     """README's knob reference and ``--help`` are the same rows."""
     from repro.cli import build_parser
@@ -198,7 +213,7 @@ def test_readme_knob_table_names_exactly_the_table():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     rows = re.findall(r"^\| `(REPRO_[A-Z_]+)` +\|", readme, flags=re.M)
     assert rows == list(KNOBS)
-    assert len(KNOBS) == 31
+    assert len(KNOBS) == 27
     help_text = build_parser().format_help()
     assert all(name in help_text for name in KNOBS)
     # nothing documents a variable the table does not declare

@@ -94,7 +94,7 @@ def test_env_config_reads_passes(monkeypatch):
     monkeypatch.setenv("REPRO_PASSES", "none,tile")
     config = CodegenConfig.resolve().passes
     assert config.enabled == ("tile",)
-    assert config.tile_rows == 0  # only a tuned entry pins the block size
+    assert config.tile_rows == 0  # only an explicit PassConfig pins the block size
 
 
 def test_signature_is_canonical():

@@ -36,7 +36,6 @@ def test_contended_lock_not_acquired(tmp_path):
     second = InterProcessLock(path)
     # the holder (this process) is alive: never stolen
     assert not second.try_acquire()
-    assert not second.acquire(timeout=0.15, poll=0.02)
     first.release()
     assert second.try_acquire()
     second.release()
@@ -115,10 +114,16 @@ def test_acquire_times_out_and_then_succeeds(tmp_path):
     path = tmp_path / "x.lock"
     holder = InterProcessLock(path)
     assert holder.try_acquire()
-    waiter = InterProcessLock(path)
+    timeouts = []
+
+    def wait():
+        return flock.single_flight(
+            path, lambda: None, lambda: "built", 0.1, lambda: timeouts.append(1)
+        )
+
     start = time.monotonic()
-    assert not waiter.acquire(timeout=0.1, poll=0.02)
-    assert time.monotonic() - start >= 0.1
+    assert wait() == "built"  # privately: the holder never let go
+    assert time.monotonic() - start >= 0.1 and timeouts == [1]
     holder.release()
-    assert waiter.acquire(timeout=0.5, poll=0.02)
-    waiter.release()
+    assert wait() == "built" and timeouts == [1]  # acquired: no second timeout
+    assert not path.exists()

@@ -160,11 +160,10 @@ def test_a_plan_call_with_everything_off_enters_only_the_dispatch_frames(
     rng, backend
 ):
     """The off path is guarded by a count, not a timing floor: with
-    tracing, metrics and faults off (and whatever tuning database the
-    environment names), ``plan()`` is ``ExecutionPlan.__call__`` plus the
-    backend's bound callable (plus the interpreted ``kernel`` itself) and
-    nothing from :mod:`repro.obs`, :mod:`repro.faults` or
-    :mod:`repro.tune`.  The same plan built while tracing is on pays for
+    tracing, metrics and faults off, ``plan()`` is
+    ``ExecutionPlan.__call__`` plus the backend's bound callable (plus the
+    interpreted ``kernel`` itself) and nothing from :mod:`repro.obs` or
+    :mod:`repro.faults`.  The same plan built while tracing is on pays for
     its span — inside the bound callable's wrapper, not in the body."""
     kernel = _ssymv(backend)
     A = make_symmetric_matrix(rng, 16, 0.4)

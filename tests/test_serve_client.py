@@ -4,8 +4,6 @@ pseudo-tier, and the ``service.remote.*`` / ``DEGRADED(remote)`` surface."""
 
 from __future__ import annotations
 
-import asyncio
-import contextlib
 import os
 import threading
 import time
@@ -24,10 +22,9 @@ from repro.serve.client import (
     RemoteUnavailable,
     ServiceClient,
 )
-from repro.serve.daemon import KernelServer
 from repro.service.engine import KernelService
 from repro.service.keys import canonicalize
-from tests.conftest import replace_node
+from tests.conftest import replace_node, running_daemon
 
 SYMV = dict(
     einsum="y[i] += A[i,j] * x[j]",
@@ -54,33 +51,6 @@ def metrics():
     obs_metrics.registry().reset()
     if not previous:
         obs_metrics.disable()
-
-
-@contextlib.contextmanager
-def running_daemon(tmp_path, **kwargs):
-    sock = str(tmp_path / "daemon.sock")
-    server = KernelServer(sock, **kwargs)
-    loop = asyncio.new_event_loop()
-
-    def body():
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(server.run())
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=body, daemon=True)
-    thread.start()
-    while not os.path.exists(sock):
-        if not thread.is_alive():
-            raise RuntimeError("daemon failed to start")
-        time.sleep(0.01)
-    try:
-        yield server, sock
-    finally:
-        if thread.is_alive():
-            loop.call_soon_threadsafe(server.begin_drain, "test teardown")
-            thread.join(timeout=10.0)
 
 
 # ---------------------------------------------------------------------------

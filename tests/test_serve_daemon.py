@@ -8,8 +8,6 @@ the kill-9 test runs a real ``repro serve`` subprocess.
 
 from __future__ import annotations
 
-import asyncio
-import contextlib
 import os
 import signal
 import socket as socket_module
@@ -29,42 +27,13 @@ from repro.serve.client import RemoteUnavailable, ServiceClient
 from repro.serve.daemon import KernelServer, PlanPool, probe_socket
 from repro.service.engine import KernelService
 from repro.service.keys import canonicalize
+from tests.conftest import running_daemon
 
 SYMV = dict(
     einsum="y[i] += A[i,j] * x[j]",
     symmetric={"A": True},
     formats={"A": "sparse"},
 )
-
-
-@contextlib.contextmanager
-def running_daemon(tmp_path, **kwargs):
-    """A live KernelServer on a background thread with its own loop."""
-    sock = str(tmp_path / "daemon.sock")
-    server = KernelServer(sock, **kwargs)
-    loop = asyncio.new_event_loop()
-
-    def body():
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(server.run())
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=body, daemon=True)
-    thread.start()
-    deadline = time.monotonic() + 10.0
-    while not os.path.exists(sock):
-        if time.monotonic() > deadline or not thread.is_alive():
-            raise RuntimeError("daemon failed to start")
-        time.sleep(0.01)
-    try:
-        yield server, sock
-    finally:
-        if thread.is_alive():
-            loop.call_soon_threadsafe(server.begin_drain, "test teardown")
-            thread.join(timeout=10.0)
-        assert not thread.is_alive(), "daemon thread failed to stop"
 
 
 def raw_call(sock_path: str, msg: dict, timeout: float = 10.0) -> dict:
