@@ -181,7 +181,7 @@ def bench_pass_sets(
     """
     from dataclasses import replace
 
-    from repro.codegen.backends.cpasses import PassConfig, parse_passes
+    from repro.codegen.passes import PassConfig, parse_passes
     from repro.service.keys import canonicalize
 
     results: List[BenchResult] = []

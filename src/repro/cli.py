@@ -160,9 +160,10 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         resolve_backend_name,
     )
     from repro.codegen.backends.base import CodegenConfig
-    from repro.codegen.backends.cpasses import describe_passes
     from repro.codegen.backends.ctoolchain import probe
-    from repro.core.config import cpu_count, knob, resolve_threads
+    from repro.codegen.passes import describe_passes, run_pipeline
+    from repro.core.config import DEFAULT, cpu_count, knob, resolve_threads
+    from repro.kernels.library import KERNELS
 
     for name in BACKEND_NAMES:
         backend = get_backend(name)
@@ -186,12 +187,18 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     print("process default (REPRO_BACKEND): %s" % knob("REPRO_BACKEND"))
     print("default dtype (REPRO_DTYPE): %s" % knob("REPRO_DTYPE"))
     print()
-    config = CodegenConfig.resolve().passes
-    print("C renderer passes (REPRO_PASSES=%s):" % (
-        knob("REPRO_PASSES") or "<unset>"))
-    for name, enabled, description in describe_passes(config):
-        print("  %-10s %-4s %s" % (name, "on" if enabled else "off", description))
-    print("active pass signature: %s" % config.signature())
+    codegen = CodegenConfig.resolve()
+    print("loop phases (REPRO_PASSES=%s, REPRO_OMP_STRATEGY=%s):" % (
+        knob("REPRO_PASSES") or "<unset>", codegen.omp_strategy))
+    for name, enabled, description in describe_passes(codegen):
+        print("  %-11s %-4s %s" % (name, "on" if enabled else "off", description))
+    print("active pass signature: %s" % codegen.passes.signature())
+    print()
+    print("OpenMP strategy per top-level nest, beside its work estimate:")
+    for name, spec in sorted(KERNELS.items()):
+        lowered = spec.compile(options=DEFAULT.but(backend="python")).lowered
+        nests = [w.describe() for w in run_pipeline(lowered, codegen).work]
+        print("  %-12s %s" % (name, "; ".join(nests) or "serial (phase off)"))
     return 0
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from repro.codegen.backends import ctoolchain
-from repro.codegen.backends.cpasses.base import (
+from repro.codegen.passes.base import (
     DEFAULT_ON,
     PASS_ORDER,
     PassConfig,

@@ -21,11 +21,20 @@ literal to ``float`` at its point of use and call ``fminf``/``fmaxf``,
 mirroring numpy's weak-scalar promotion so both precisions stay
 bit-identical to the Python backend.
 
-Parallel execution
-------------------
-Each top-level loop nest is analyzed at render time and, when it can run
-on several cores, emitted twice behind ``#if defined(_OPENMP)``: a serial
-body (taken when ``repro_nthreads <= 1``) and an ``omp parallel`` body.
+Phases decide, this module prints
+---------------------------------
+Before emission the program's top-level statements run through the
+phase pipeline of :mod:`repro.codegen.passes` under the request's
+``CodegenConfig`` — all of it cache-key material — and the renderer
+prints its product, :class:`~repro.codegen.loopir.Fused`,
+:class:`~repro.codegen.loopir.Tiled` and
+:class:`~repro.codegen.loopir.Parallel` nodes included, under the FTZ /
+SIMD flags it set.  A ``Parallel`` nest (the strategy table lives in
+:mod:`repro.codegen.passes.parallelize`) is printed twice behind
+``#if defined(_OPENMP)``: a serial body (taken when
+``repro_nthreads <= 1``) and an ``omp parallel`` body — one region
+skeleton, with the strategy's text spliced in.
+
 The one rendered source is built into one of two objects
 (:mod:`~repro.codegen.backends.ctoolchain`): the **serial object**
 (``-fopenmp-simd``), in which the preprocessor has dropped every parallel
@@ -37,71 +46,20 @@ object unless the kernel's default thread setting can resolve above 1; a
 later run with ``threads > 1`` upgrades the loaded executable in place,
 once (:meth:`~repro.codegen.backends.cexec.CExecutable.upgrade`).  Both
 objects run the same serial loops with the same SIMD hints, so which one
-serves a call never shows in the result.  A parallel body's **reduction
-strategy** depends on the nest's output-write pattern:
-
-* ``for`` — every write's leading output coordinate is the (injective)
-  outer loop variable, so iterations touch disjoint output elements: a
-  plain ``#pragma omp parallel for schedule(static)``.
-* ``privatized`` — min/max scatter (e.g. Bellman–Ford relaxations): each
-  thread updates a private output buffer initialized to the reduction
-  identity; the buffers are combined pairwise in a tree and folded into
-  the output.  min/max is associative and commutative over IEEE doubles,
-  so any combination order is bit-identical to the serial run.
-* ``replay`` — ``+`` scatter (the symmetric-kernel case: SSYMV / SSYRK /
-  SYPRD / MTTKRP / TTM mirror canonical entries to both triangles):
-  floating-point addition is *not* associative, so per-thread partial
-  sums would drift from the serial bit pattern.  Instead each thread
-  appends its (target, value) scatter updates to a private log;
-  ``schedule(static)`` hands threads contiguous iteration chunks in
-  thread order, so replaying the logs thread-by-thread after the join
-  reconstructs the exact serial write sequence — the multiply/traversal
-  work parallelizes, and results are bit-identical to ``threads=1`` and
-  to the Python backend at any thread count.  The per-thread log buffers
-  live in a pool inside the shared object that is *reused across calls*
-  (grown once, reset to empty per run), so steady-state repeat execution
-  pays no per-call allocation; when two host threads run the same kernel
-  concurrently, the second takes a freshly allocated local set instead
-  of the pool.  The logs cost memory proportional to the largest run's
-  scatter-write count (16 bytes per scalar update, ``8 + 8*vlen`` per
-  row update, split across threads), retained for the life of the loaded
-  object; a failed log (or per-thread workspace) allocation makes the
-  kernel return a nonzero status, which surfaces as a
-  :class:`BackendError` and lets the execution ladder re-serve the call
-  serially.
-* ``atomic`` — ``#pragma omp atomic`` on each scalar ``+=``; the fallback
-  when the ordered log is explicitly disabled
-  (``REPRO_OMP_STRATEGY=atomic``).  Atomic updates commute in arrival
-  order, so this mode trades bit-reproducibility for zero log memory.
-
-Nests the analysis cannot prove safe (top-level intersection merges,
-mixed reduction operators, reads of a carried accumulator) stay serial.  ``REPRO_OMP_STRATEGY=serial`` disables the parallel
-bodies entirely (such a kernel is never upgraded: its serial object is
-all there is).
-
-Loop-level optimization passes
-------------------------------
-Before emission the program's top-level statements run through the
-composable pass pipeline in :mod:`repro.codegen.backends.cpasses`
-(denormal avoidance, nest fission, vector-statement fusion, row tiling,
-SIMD hints), selected by ``$REPRO_PASSES`` and keyed into the service
-cache.  The renderer prints the transformed statements — including the
-pipeline's :class:`~repro.codegen.loopir.Fused` and
-:class:`~repro.codegen.loopir.Tiled` nodes — under its FTZ/SIMD flags.
+serves a call never shows in the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.codegen import loopir as ir
 from repro.codegen.backends.base import BackendError, CodegenConfig
-from repro.codegen.backends.cpasses.base import PassConfig, run_pipeline
-from repro.codegen.backends.cpasses.tile import auto_tile_rows
 from repro.codegen.lower import LoweredKernel
-from repro.core.config import OMP_STRATEGY_CHOICES
-from repro.obs import metrics as obs_metrics
+from repro.codegen.passes.base import PassConfig, run_pipeline
+from repro.codegen.passes.parallelize import NestWork, for_nest
+from repro.codegen.passes.tile import auto_tile_rows
 from repro.obs import trace as obs_trace
 
 
@@ -136,115 +94,38 @@ def _c_float(value: float) -> str:
     return repr(float(value))
 
 
-# ----------------------------------------------------------------------
-# per-nest parallelization plans
-# ----------------------------------------------------------------------
-@dataclass
-class _NestPlan:
-    """How one top-level loop nest is parallelized."""
-
-    strategy: str  # "for" | "privatized" | "replay" | "atomic"
-    row: bool  # writes are vector rows (log width = vector extent)
-    carried: Tuple[str, ...]  # accumulators shared across iterations
-    assigned: Tuple[str, ...]  # names assigned inside (thread-private)
-    ws_names: Tuple[str, ...]  # workspace arrays used inside (per-thread)
-
-    def carried_slot(self, name: str) -> int:
-        """Negative log target encoding a carried accumulator."""
-        return -(self.carried.index(name) + 1)
-
-
 @dataclass(frozen=True)
-class NestWork:
-    """Runtime work estimate for one parallelized top-level nest.
+class _Team:
+    """The strategy-specific text around the one parallel-region skeleton
+    (:meth:`_Renderer._emit_parallel`).  Every line is relative to the
+    skeleton position it is spliced at."""
 
-    The renderer knows, per nest, which sparse ``idx`` arrays the loop
-    walks (their lengths are the nnz-proportional trip counts) and which
-    scalar extent bounds the outer ``range``; the concrete numbers only
-    exist at run time, so this records *where to look* in the prepared
-    argument mapping.  :meth:`CExecutable.parallel_work` resolves the
-    terms against actual arguments — max ``idx`` length (the most refined
-    view visited by the nest), falling back to the range extent for fully
-    dense nests — times the vector width for row-writing nests.
-    """
-
-    idx_arrays: Tuple[str, ...]
-    extent: Optional[str]
-    vector: bool
-    #: every scalar extent the kernel receives — the last-resort estimate
-    #: when neither the recorded idx arrays nor the extent name resolve
-    #: against the caller's argument mapping (e.g. renamed views).
-    dims: Tuple[str, ...] = ()
-
-    def resolve(self, arrays: Mapping, vlen: Optional[str]) -> float:
-        trips = 0.0
-        hit = False
-        for name in self.idx_arrays:
-            value = arrays.get(name)
-            if value is not None:
-                trips = max(trips, float(len(value)))
-                hit = True
-        if not hit and self.extent is not None:
-            value = arrays.get(self.extent)
-            if value is not None:
-                try:
-                    trips = float(value)
-                    hit = True
-                except (TypeError, ValueError):
-                    pass
-        if not hit and (self.idx_arrays or self.extent is not None):
-            # Nothing this estimate recorded resolves against the actual
-            # arguments.  Returning 0 here silently made threads="auto"
-            # serve every such call serially; be loud and fall back to
-            # the (pessimistic) product of resolvable extents instead.
-            obs_metrics.inc("costmodel.unresolved")
-            product = 1.0
-            for name in self.dims:
-                value = arrays.get(name)
-                if value is None:
-                    continue
-                try:
-                    product *= max(1.0, float(value))
-                except (TypeError, ValueError):
-                    continue
-            trips = product
-        if self.vector and vlen is not None:
-            try:
-                trips *= max(1.0, float(arrays.get(vlen, 1)))
-            except (TypeError, ValueError):
-                pass
-        return trips
-
-
-#: the statements that open a top-level nest a thread team can share.
-_FOR = (ir.DenseLoop, ir.FiberLoop)
-
-
-def _nest_of(stmt):
-    return stmt.nest if isinstance(stmt, ir.Tiled) else stmt
+    #: ahead of the region, which sits ``shift`` deeper (in a block it opens)
+    before: Sequence[str] = ()
+    shift: int = 0
+    #: per thread, ahead of the private declarations, which sit ``inner``
+    #: deeper (as does the loop)
+    enter: Sequence[str] = ()
+    inner: int = 0
+    #: around the worksharing loop, inside its ``rp_oom`` guard
+    pre_loop: Sequence[str] = ()
+    post_loop: Sequence[str] = ()
+    #: per thread, after the workspace frees (closes what ``enter`` opened)
+    leave: Sequence[str] = ()
+    #: behind the region (closes what ``before`` opened)
+    after: Sequence[str] = ()
 
 
 class _Renderer:
-    def __init__(
-        self,
-        lowered: LoweredKernel,
-        label: Optional[str],
-        codegen: CodegenConfig,
-    ):
+    def __init__(self, lowered: LoweredKernel, label: Optional[str], profile: bool):
         self.lowered = lowered
         self.label = label
-        self.pass_config = codegen.passes
         # per-nest wall-time instrumentation: every top-level nest is
         # bracketed with clock_gettime and accumulates into a static
         # array exported through repro_profile_* symbols.  Profiled
         # source differs from production source, so the content-addressed
         # .so cache can never alias the two builds.
-        self.profile = codegen.profile
-        #: one entry per *top-level* nest (parallel or not), aligned with
-        #: the repro_nest_sec slots — the estimate profile reports compare
-        #: measured time against.  None when no estimate exists.
-        self.profile_model: List[Optional[NestWork]] = []
-        self.vector_index = lowered.vector_index
+        self.profile = profile
         self.out_ndim = lowered.output.ndim
         # the element type every value array, workspace and the output use.
         # float32 kernels also round every float literal to float at the
@@ -259,45 +140,28 @@ class _Renderer:
             self._fp_suffix = ""
         else:
             raise CRenderError("unsupported kernel dtype %r" % (lowered.dtype,))
-        self.parallel_mode = codegen.omp_strategy
-        if self.parallel_mode not in OMP_STRATEGY_CHOICES:
-            raise CRenderError(
-                "unknown parallel mode %r (choices: %s)"
-                % (self.parallel_mode, ", ".join(OMP_STRATEGY_CHOICES))
-            )
 
-        # parallel-emission state
-        self.any_parallel = False  # at least one nest got an OpenMP body
-        self.uses_log = False  # the replay scatter log is referenced
-        self.work_model: List[NestWork] = []  # one term per parallel nest
-        self._out_array = "out"  # rebound to "pv_out" inside privatized
-        self._log_plan: Optional[_NestPlan] = None
-        self._atomic_plan: Optional[_NestPlan] = None
-        self._assigned_top: Set[str] = set()
-
-        # pass-pipeline state: ftz/simd flags come back on the LoopIR;
-        # _parallel_ctx counts enclosing OpenMP bodies (tiling applies to
-        # serial emission only); _tile_ctx is the Tiled node whose guard
-        # is being injected into its fiber loop.
+        # pipeline products: ftz/simd flags come back on the LoopIR;
+        # _parallel_ctx is the Parallel node whose OpenMP body is being
+        # printed (None in serial emission: tiling applies there only, and
+        # shared updates are rerouted per strategy here only); _tile_ctx
+        # is the Tiled node whose guard is being injected into its fiber
+        # loop.
         self.ftz = False
         self.simd = False
-        self._parallel_ctx = 0
+        self._parallel_ctx: Optional[ir.Parallel] = None
         self._tile_ctx: Optional[ir.Tiled] = None
-
 
         program = lowered.program
         #: storage tag of every local — decided by the nodes, read here
         self.types: Dict[str, str] = ir.local_types(program)
-        self.dim_args = sorted(
-            a.name for a in program.args if isinstance(a, ir.Dim)
-        )
         self.ws_alloc: Dict[str, str] = {}  # workspace -> length expr
         self.lines: List[str] = []
         self.uses_vector = False
 
-        if self.vector_index is not None:
-            self.vlen = "n_%s" % self.vector_index
-            if self.vlen not in self.dim_args:
+        if lowered.vector_index is not None:
+            self.vlen = "n_%s" % lowered.vector_index
+            if ir.Dim(self.vlen) not in program.args:
                 raise CRenderError(
                     "vector extent %s is not a kernel argument" % self.vlen
                 )
@@ -321,43 +185,27 @@ class _Renderer:
     # ------------------------------------------------------------------
     # entry
     # ------------------------------------------------------------------
-    def render(self) -> str:
-        program = self.lowered.program
-        state = run_pipeline(
-            ir.LoopIR(list(program.body), self.out_ndim),
-            self.pass_config,
-            label=self.label,
-        )
+    def render(self, state: ir.LoopIR) -> str:
+        """Print the pipeline's product *state* as one translation unit."""
         self.ftz = state.ftz
         self.simd = state.simd
-        for stmt in program.preamble:
+        for stmt in self.lowered.program.preamble:
             self._stmt(stmt, 1)
-        self._assigned_top = ir.assigned(program.preamble)
+        slots = 0  # one repro_nest_sec slot per top-level for nest
         for stmt in state.body:
-            nest = _nest_of(stmt)
-            plan = None
-            if isinstance(nest, _FOR) and self.parallel_mode != "serial":
-                plan = self._plan_nest(nest)
-            if self.profile and isinstance(nest, _FOR):
-                self._emit_profiled_nest(stmt, plan, 1)
-            elif plan is None:
-                self._stmt(stmt, 1)
+            if self.profile and for_nest(stmt) is not None:
+                self._emit_profiled_nest(stmt, slots, 1)
+                slots += 1
             else:
-                self._emit_parallel_nest(stmt, plan, 1)
-            self._assigned_top |= ir.assigned([nest])
-        return self._assemble()
+                self._stmt(stmt, 1)
+        return self._assemble(state.body, slots)
 
-    def _emit_profiled_nest(self, node, plan: Optional[_NestPlan], ind: int) -> None:
+    def _emit_profiled_nest(self, node, slot: int, ind: int) -> None:
         """Bracket one top-level nest with monotonic-clock accumulation."""
-        slot = len(self.profile_model)
-        self.profile_model.append(self._nest_work(_nest_of(node), plan))
         self._put(ind, "{")
         self._put(ind + 1, "struct timespec rp_p0, rp_p1;")
         self._put(ind + 1, "clock_gettime(CLOCK_MONOTONIC, &rp_p0);")
-        if plan is None:
-            self._stmt(node, ind + 1)
-        else:
-            self._emit_parallel_nest(node, plan, ind + 1)
+        self._stmt(node, ind + 1)
         self._put(ind + 1, "clock_gettime(CLOCK_MONOTONIC, &rp_p1);")
         self._put(
             ind + 1,
@@ -366,9 +214,12 @@ class _Renderer:
         )
         self._put(ind, "}")
 
-
-    def _assemble(self) -> str:
+    def _assemble(self, body: Sequence, nests: int) -> str:
+        """The translation unit around the printed lines: *body* says
+        whether OpenMP support code is needed, *nests* how many profile
+        slots were bracketed."""
         elem = self.elem
+        teams = [s for s in body if isinstance(s, ir.Parallel)]
         sig_parts = [
             "%s *restrict out" % elem,
             "const int64_t *restrict out_dims",
@@ -395,21 +246,8 @@ class _Renderer:
         ]
         if self.profile:
             decls.append("    repro_nest_calls += 1;")
-        ints = sorted(n for n, t in self.types.items() if t == ir.INT)
-        dbls = sorted(n for n, t in self.types.items() if t == ir.ELEM)
-        vecs = sorted(n for n, t in self.types.items() if t == ir.ROW)
-        if self.uses_vector:
-            ints.append(_V)
-        if ints:
-            decls.append("    int64_t %s;" % ", ".join("%s = 0" % n for n in ints))
-        if dbls:
-            decls.append(
-                "    %s %s;" % (elem, ", ".join("%s = 0.0" % n for n in dbls))
-            )
-        if vecs:
-            decls.append(
-                "    const %s %s;" % (elem, ", ".join("*%s = 0" % n for n in vecs))
-            )
+        names = sorted(self.types) + ([_V] if self.uses_vector else [])
+        decls += ["    " + text for text in self._local_decls(names)]
         for name, length in self.ws_alloc.items():
             decls.append(
                 "    %s *%s = (%s *) malloc((size_t)(%s) * sizeof(%s));"
@@ -464,7 +302,6 @@ class _Renderer:
                 "#endif",
             ]
         if self.profile:
-            nests = len(self.profile_model)
             header += [
                 "#include <time.h>",
                 "",
@@ -489,7 +326,7 @@ class _Renderer:
                 % nests,
                 "}",
             ]
-        if self.any_parallel:
+        if teams:
             header += [
                 "",
                 "#if defined(_OPENMP)",
@@ -497,7 +334,7 @@ class _Renderer:
                 "/* marks the OpenMP object: absent from the serial build */",
                 "int64_t repro_openmp(void) { return 1; }",
             ]
-            if self.uses_log:
+            if any(team.strategy == "replay" for team in teams):
                 # the ordered scatter log: one per thread, appended inside
                 # the parallel loop, replayed in thread order afterwards.
                 # The per-thread buffers live in a process-wide pool reused
@@ -605,169 +442,91 @@ class _Renderer:
         )
 
     # ------------------------------------------------------------------
-    # nest analysis: can this top-level loop run on all cores, and how?
-    # (the scan itself lives in loopir so the pass matchers and the
-    # strategy choice agree on what a nest contains)
+    # parallel emission: one skeleton, strategy text spliced in
     # ------------------------------------------------------------------
-    def _plan_nest(self, node) -> Optional[_NestPlan]:
-        """Choose a parallel strategy for one top-level nest (None = serial)."""
-        scan = ir.scan_nest(node)
-        if not scan.ok:
-            return None
-
-        # accumulators carried across iterations: updated inside the
-        # nest, initialized before it
-        carried = sorted(
-            name for name in scan.updates if name not in scan.inits
-        )
-        if any(name not in self._assigned_top for name in carried):
-            return None
-        # a *read* of a carried accumulator inside the nest would observe
-        # a partially-replayed value — only pure updates are safe
-        if ir.reads([node]) & set(carried):
-            return None
-        kinds = {k for k, _, _ in scan.out_writes}
-        kinds |= {scan.updates[n] for n in carried}
-        if len(kinds) > 1:
-            return None
-        kind = kinds.pop() if kinds else None
-
-        rows = {row for _, row, _ in scan.out_writes}
-        rows |= {self.types.get(n) == ir.WS for n in carried}
-        if len(rows) > 1:
-            return None  # mixed scalar and row writes in one nest
-        row = rows.pop() if rows else False
-        if row and self.vlen is None:
-            return None
-
-        assigned = tuple(
-            sorted(
-                n
-                for n in scan.assigned
-                if n not in carried and self.types.get(n) not in (ir.WS, ir.LUT)
-            )
-        )
-        ws_names = tuple(
-            sorted(
-                n
-                for n in scan.assigned
-                if self.types.get(n) == ir.WS and n not in carried
-            )
-        )
-        plan = lambda strategy: _NestPlan(  # noqa: E731 - local shorthand
-            strategy=strategy,
-            row=row,
-            carried=tuple(carried),
-            assigned=assigned,
-            ws_names=ws_names,
-        )
-
-        if kind is None:
-            return plan("for")  # nothing shared is written
-        # names taking a distinct value on every iteration: the loop
-        # variable, and the coordinate a top-level position loop reads —
-        # it can only span one fiber, whose ``idx`` run is sorted
-        injective = {ir.loop_var(node)}
-        if isinstance(node, ir.FiberLoop):
-            injective.add(node.coord_var)
-        # disjointness needs every write to lead with the *same* injective
-        # name: two distinct injective names (the position var and the
-        # coordinate read off it) are each injective yet can collide with
-        # one another across iterations
-        leads = {lead for _, _, lead in scan.out_writes}
-        disjoint = (
-            not carried
-            and len(leads) == 1
-            and next(iter(leads)) is not None
-            and next(iter(leads)) in injective
-        )
-        if disjoint:
-            return plan("for")
-        if kind == "minmax":
-            if carried or self.lowered.output.reduce_op not in ("min", "max"):
-                return None
-            return plan("privatized")
-        if self.parallel_mode == "atomic" and not row:
-            return plan("atomic")
-        return plan("replay")
-
-    # ------------------------------------------------------------------
-    # parallel emission
-    # ------------------------------------------------------------------
-    def _emit_parallel_nest(self, node, plan: _NestPlan, ind: int) -> None:
-        """One nest, twice: an OpenMP body and the serial fallback.
+    def _emit_parallel(self, node: ir.Parallel, ind: int) -> None:
+        """One annotated nest, twice: an OpenMP body and the serial fallback.
 
         The preprocessor guard lets one rendered source build into both
         objects: without ``-fopenmp`` (the serial object) only the serial
-        branch survives.
+        branch survives.  Every strategy shares the region skeleton —
+        oom flag, ``omp parallel``, FTZ, private declarations, the
+        ``rp_oom``-guarded worksharing loop, frees — and differs in the
+        :class:`_Team` text around it.
         """
-        self.any_parallel = True
-        self.work_model.append(self._nest_work(_nest_of(node), plan))
         self._put(ind, "#if defined(_OPENMP)")
         self._put(ind, "if (repro_nthreads > 1) {")
-        if plan.strategy == "replay":
-            self._emit_replay_nest(node, plan, ind + 1)
-        elif plan.strategy == "privatized":
-            self._emit_privatized_nest(node, plan, ind + 1)
-        else:
-            self._emit_for_nest(node, plan, ind + 1)
+        oom = bool(node.ws_names)
+        if node.strategy == "replay":
+            team = self._replay_team(node)
+        elif node.strategy == "privatized":
+            team = self._privatized_team(node)
+        else:  # disjoint writes, or the atomic fallback: a plain parallel for
+            team = _Team(after=["if (rp_oom) { rp_status = 1; }"] if oom else [])
+        outer = ind + 1
+        if team.after:  # ... which is where rp_oom is tested
+            self._put(outer, "int64_t rp_oom = 0;")
+        self._put(outer, *team.before)
+        region = outer + team.shift
+        self._put(region, "#pragma omp parallel num_threads((int) repro_nthreads)")
+        self._put(region, "{")
+        if self.ftz:
+            self._put(region + 1, "unsigned int rp_tcsr = repro_ftz_on();")
+        self._put(region + 1, *team.enter)
+        decls = loop = region + 1 + team.inner
+        self._emit_private_decls(node, decls)
+        if oom:
+            # rp_oom is team-consistent after the barrier in
+            # _emit_private_decls, so guarding the worksharing constructs
+            # with it is legal (every thread takes the same branch); a
+            # *log* overflow mid-loop only sets rp_oom (threads keep
+            # running to the region end), so they are never skipped
+            # inconsistently
+            self._put(decls, "if (!rp_oom) {")
+            loop = decls + 1
+        self._put(loop, *team.pre_loop)
+        self._put(loop, "#pragma omp for schedule(static)")
+        self._parallel_ctx = node
+        try:
+            self._stmt(node.nest, loop)
+        finally:
+            self._parallel_ctx = None
+        self._put(loop, *team.post_loop)
+        if oom:
+            self._put(decls, "}")
+        # free(NULL) is a no-op, so this is safe on the rp_oom path too
+        self._put(decls, *["free(%s);" % name for name in node.ws_names])
+        self._put(region + 1, *team.leave)
+        if self.ftz:
+            self._put(region + 1, "repro_ftz_restore(rp_tcsr);")
+        self._put(region, "}")
+        self._put(outer, *team.after)
         self._put(ind, "} else")
         self._put(ind, "#endif")
         self._put(ind, "{")
-        self._stmt(node, ind + 1)
+        self._stmt(node.nest, ind + 1)
         self._put(ind, "}")
 
+    def _local_decls(self, names: Sequence[str]) -> List[str]:
+        """Zero-initialised declarations of the locals among *names* (in
+        the order given; ``_v`` counts as an integer), one per storage."""
+        types = {**self.types, _V: ir.INT}
+        lines = []
+        for tag, form, init in (
+            (ir.INT, "int64_t %s;", "%s = 0"),
+            (ir.ELEM, self.elem + " %s;", "%s = 0.0"),
+            (ir.ROW, "const " + self.elem + " %s;", "*%s = 0"),
+        ):
+            group = [init % n for n in names if types.get(n) == tag]
+            if group:
+                lines.append(form % ", ".join(group))
+        return lines
 
-    def _nest_work(self, node, plan: Optional[_NestPlan]) -> NestWork:
-        """Where a run can read this nest's trip count from its arguments.
-
-        ``plan`` is ``None`` for serial nests (profiling estimates cover
-        every top-level nest, not just parallelized ones); the vector flag
-        then falls back on whether the kernel has a vector axis at all.
-        """
-        idx = set()
-        for st in ir.walk([node]):
-            if isinstance(st, ir.FiberLoop) and st.coord_var is not None:
-                idx.add(st.idx.name)
-            elif isinstance(st, ir.Intersect):
-                idx.update(b.idx.name for b in st.binders)
-        extent = None
-        if isinstance(node, ir.DenseLoop) and isinstance(node.end, ir.Dim):
-            extent = node.end.name
-        if plan is not None:
-            vector = bool(plan.row or plan.ws_names)
-        else:
-            vector = self.vlen is not None
-        return NestWork(
-            idx_arrays=tuple(sorted(idx)),
-            extent=extent,
-            vector=vector,
-            dims=tuple(sorted(self.dim_args)),
-        )
-
-    def _emit_private_decls(self, plan: _NestPlan, ind: int) -> None:
+    def _emit_private_decls(self, plan: ir.Parallel, ind: int) -> None:
         """Thread-private locals: block-scope declarations shadowing the
         function-scope ones the serial branch uses."""
-        ints = [n for n in plan.assigned if self.types.get(n) == ir.INT]
-        dbls = [n for n in plan.assigned if self.types.get(n) == ir.ELEM]
-        vecs = [n for n in plan.assigned if self.types.get(n) == ir.ROW]
-        if self.vlen is not None:
-            ints.append(_V)
-        if ints:
-            self._put(
-                ind, "int64_t %s;" % ", ".join("%s = 0" % n for n in sorted(ints))
-            )
-        if dbls:
-            self._put(
-                ind,
-                "%s %s;" % (self.elem, ", ".join("%s = 0.0" % n for n in sorted(dbls))),
-            )
-        if vecs:
-            self._put(
-                ind,
-                "const %s %s;"
-                % (self.elem, ", ".join("*%s = 0" % n for n in sorted(vecs))),
-            )
+        names = plan.assigned + ((_V,) if self.vlen is not None else ())
+        self._put(ind, *self._local_decls(sorted(names)))
         for name in plan.ws_names:
             self._put(
                 ind,
@@ -788,53 +547,7 @@ class _Renderer:
             self._put(ind, "}")
             self._put(ind, "#pragma omp barrier")
 
-    def _emit_ws_frees(self, plan: _NestPlan, ind: int) -> None:
-        # free(NULL) is a no-op, so this is safe on the rp_oom path too
-        for name in plan.ws_names:
-            self._put(ind, "free(%s);" % name)
-
-    def _ftz_thread_on(self, ind: int) -> None:
-        if self.ftz:
-            self._put(ind, "unsigned int rp_tcsr = repro_ftz_on();")
-
-    def _ftz_thread_off(self, ind: int) -> None:
-        if self.ftz:
-            self._put(ind, "repro_ftz_restore(rp_tcsr);")
-
-    def _emit_for_nest(self, node, plan: _NestPlan, ind: int) -> None:
-        """Disjoint writes (or the atomic fallback): a plain parallel for."""
-        oom = bool(plan.ws_names)
-        if oom:
-            self._put(ind, "int64_t rp_oom = 0;")
-        self._put(ind, "#pragma omp parallel num_threads((int) repro_nthreads)")
-        self._put(ind, "{")
-        self._ftz_thread_on(ind + 1)
-        self._emit_private_decls(plan, ind + 1)
-        body_ind = ind + 1
-        if oom:
-            # rp_oom is team-consistent after the barrier in
-            # _emit_private_decls, so guarding the worksharing construct
-            # with it is legal (every thread takes the same branch)
-            self._put(ind + 1, "if (!rp_oom) {")
-            body_ind = ind + 2
-        self._put(body_ind, "#pragma omp for schedule(static)")
-        if plan.strategy == "atomic":
-            self._atomic_plan = plan
-        self._parallel_ctx += 1
-        try:
-            self._stmt(node, body_ind)
-        finally:
-            self._parallel_ctx -= 1
-            self._atomic_plan = None
-        if oom:
-            self._put(ind + 1, "}")
-        self._emit_ws_frees(plan, ind + 1)
-        self._ftz_thread_off(ind + 1)
-        self._put(ind, "}")
-        if oom:
-            self._put(ind, "if (rp_oom) { rp_status = 1; }")
-
-    def _emit_replay_nest(self, node, plan: _NestPlan, ind: int) -> None:
+    def _replay_team(self, plan: ir.Parallel) -> _Team:
         """The ordered scatter log: parallel compute, serial-order apply.
 
         ``schedule(static)`` assigns contiguous iteration chunks in
@@ -843,230 +556,144 @@ class _Renderer:
         serial write sequence — bit-identical floating-point results at
         any thread count.
         """
-        self.uses_log = True
-        width = self.vlen if plan.row else "1"
-        self._put(ind, "int64_t rp_oom = 0;")
-        self._put(ind, "int rp_pooled = 0;")
-        self._put(
-            ind,
-            "repro_log *rp_logs = repro_log_acquire(repro_nthreads, &rp_pooled);",
-        )
-        self._put(ind, "if (!rp_logs) {")
-        self._put(ind + 1, "rp_status = 1;")
-        self._put(ind, "} else {")
-        ind += 1
-        self._put(ind, "#pragma omp parallel num_threads((int) repro_nthreads)")
-        self._put(ind, "{")
-        self._ftz_thread_on(ind + 1)
-        self._put(ind + 1, "repro_log *rp_my = &rp_logs[omp_get_thread_num()];")
-        self._emit_private_decls(plan, ind + 1)
-        body_ind = ind + 1
-        if plan.ws_names:
-            # team-consistent after the barrier in _emit_private_decls;
-            # a *log* overflow mid-loop only sets rp_oom (threads keep
-            # running to the region end), so the worksharing construct is
-            # never skipped inconsistently
-            self._put(ind + 1, "if (!rp_oom) {")
-            body_ind = ind + 2
-        self._put(body_ind, "#pragma omp for schedule(static)")
-        self._log_plan = plan
-        self._parallel_ctx += 1
-        try:
-            self._stmt(node, body_ind)
-        finally:
-            self._parallel_ctx -= 1
-            self._log_plan = None
-        if plan.ws_names:
-            self._put(ind + 1, "}")
-        self._emit_ws_frees(plan, ind + 1)
-        self._ftz_thread_off(ind + 1)
-        self._put(ind, "}")
-        self._put(ind, "if (rp_oom) {")
-        self._put(ind + 1, "rp_status = 1;")
-        self._put(ind, "} else {")
-        i2, i3, i4 = ind + 1, ind + 2, ind + 3
-        self._put(i2, "int64_t rp_t = 0, rp_e = 0, rp_w = 0;")
-        self._put(i2, "(void) rp_w;")
-        self._put(i2, "for (rp_t = 0; rp_t < repro_nthreads; ++rp_t) {")
-        self._put(i3, "repro_log *rp_lg = &rp_logs[rp_t];")
-        self._put(i3, "for (rp_e = 0; rp_e < rp_lg->len; ++rp_e) {")
-        self._put(i4, "int64_t rp_g = rp_lg->tgt[rp_e];")
+        # read one logged value back; ``add % lvalue`` applies it
         if plan.row:
-            self._put(
-                i4,
-                "const %s *rp_v = rp_lg->val + rp_e * (%s);" % (self.elem, width),
-            )
-            apply_out = (
-                "for (rp_w = 0; rp_w < %s; ++rp_w) { out[rp_g + rp_w] += rp_v[rp_w]; }"
-                % width
-            )
+            fetch = "const %s *rp_v = rp_lg->val + rp_e * (%s);" % (self.elem, self.vlen)
+            add = "for (rp_w = 0; rp_w < %s; ++rp_w) { %%s += rp_v[rp_w]; }" % self.vlen
+            out, into = "out[rp_g + rp_w]", "%s[rp_w]"
         else:
-            self._put(i4, "%s rp_val = rp_lg->val[rp_e];" % self.elem)
-            apply_out = "out[rp_g] += rp_val;"
-        if plan.carried:
-            self._put(i4, "if (rp_g >= 0) { %s }" % apply_out)
-            for name in plan.carried:
-                if plan.row:
-                    update = (
-                        "for (rp_w = 0; rp_w < %s; ++rp_w) { %s[rp_w] += rp_v[rp_w]; }"
-                        % (width, name)
-                    )
-                else:
-                    update = "%s += rp_val;" % name
-                self._put(
-                    i4,
-                    "else if (rp_g == %d) { %s }" % (plan.carried_slot(name), update),
-                )
-        else:
-            self._put(i4, apply_out)
-        self._put(i3, "}")
-        self._put(i2, "}")
-        self._put(ind, "}")
-        self._put(ind, "repro_log_release(rp_logs, repro_nthreads, rp_pooled);")
-        ind -= 1
-        self._put(ind, "}")
+            fetch = "%s rp_val = rp_lg->val[rp_e];" % self.elem
+            add = "%s += rp_val;"
+            out, into = "out[rp_g]", "%s"
+        apply = [add % out]
+        if plan.carried:  # negative targets name the carried accumulators
+            apply = ["if (rp_g >= 0) { %s }" % apply[0]] + [
+                "else if (rp_g == %d) { %s }" % (plan.carried_slot(name), add % into % name)
+                for name in plan.carried
+            ]
+        after = [
+            "if (rp_oom) {",
+            "    rp_status = 1;",
+            "} else {",
+            "    int64_t rp_t = 0, rp_e = 0, rp_w = 0;",
+            "    (void) rp_w;",
+            "    for (rp_t = 0; rp_t < repro_nthreads; ++rp_t) {",
+            "        repro_log *rp_lg = &rp_logs[rp_t];",
+            "        for (rp_e = 0; rp_e < rp_lg->len; ++rp_e) {",
+            "            int64_t rp_g = rp_lg->tgt[rp_e];",
+            "            " + fetch,
+            *["            " + text for text in apply],
+            "        }",
+            "    }",
+            "}",
+            "repro_log_release(rp_logs, repro_nthreads, rp_pooled);",
+        ]
+        return _Team(
+            before=[
+                "int rp_pooled = 0;",
+                "repro_log *rp_logs = repro_log_acquire(repro_nthreads, &rp_pooled);",
+                "if (!rp_logs) {",
+                "    rp_status = 1;",
+                "} else {",
+            ],
+            shift=1,
+            enter=["repro_log *rp_my = &rp_logs[omp_get_thread_num()];"],
+            after=["    " + text for text in after] + ["}"],
+        )
 
-    def _emit_privatized_nest(self, node, plan: _NestPlan, ind: int) -> None:
+    def _privatized_team(self, plan: ir.Parallel) -> _Team:
         """min/max scatter: per-thread output buffers + tree reduction.
 
         min/max over IEEE doubles is associative and commutative, so the
         pairwise tree combine is bit-identical to the serial fold for any
         team size.
         """
+        elem = self.elem
         reduce_op = self.lowered.output.reduce_op
         cfn = ("fmin" if reduce_op == "min" else "fmax") + self._fp_suffix
         ident = "INFINITY" if reduce_op == "min" else "(-INFINITY)"
         total = (
             " * ".join("out_dims[%d]" % d for d in range(self.out_ndim)) or "1"
         )
-        self._put(ind, "int64_t rp_oom = 0;")
-        self._put(ind, "%s *pv_all = NULL;" % self.elem)
-        self._put(ind, "int64_t pv_team = 1;")
-        self._put(ind, "#pragma omp parallel num_threads((int) repro_nthreads)")
-        self._put(ind, "{")
-        i2 = ind + 1
-        self._ftz_thread_on(i2)
-        self._put(i2, "int64_t pv_total = %s;" % total)
-        self._put(i2, "int64_t pv_k = 0, pv_s = 0, pv_b = 0;")
-        self._put(i2, "#pragma omp single")
-        self._put(i2, "{")
-        self._put(i2 + 1, "pv_team = omp_get_num_threads();")
-        self._put(
-            i2 + 1,
-            "pv_all = (%s *) malloc((size_t) (pv_total * pv_team) * sizeof(%s));"
-            % (self.elem, self.elem),
+        return _Team(
+            before=["%s *pv_all = NULL;" % elem, "int64_t pv_team = 1;"],
+            enter=[
+                "int64_t pv_total = %s;" % total,
+                "int64_t pv_k = 0, pv_s = 0, pv_b = 0;",
+                "#pragma omp single",
+                "{",
+                "    pv_team = omp_get_num_threads();",
+                "    pv_all = (%s *) malloc((size_t) (pv_total * pv_team) * sizeof(%s));"
+                % (elem, elem),
+                "}",  # implicit barrier publishes pv_all / pv_team
+                # pv_all is team-consistent after the single's barrier, so
+                # every thread takes the same branch and the worksharing
+                # constructs (and the ws barrier) inside stay legal
+                "if (pv_all) {",
+                "    %s *pv_out = pv_all + (int64_t) omp_get_thread_num() * pv_total;"
+                % elem,
+            ],
+            inner=1,
+            pre_loop=[
+                "for (pv_k = 0; pv_k < pv_total; ++pv_k) { pv_out[pv_k] = %s; }" % ident
+            ],
+            post_loop=[
+                "for (pv_s = 1; pv_s < pv_team; pv_s *= 2) {",
+                "    #pragma omp for schedule(static)",
+                "    for (pv_k = 0; pv_k < pv_total; ++pv_k) {",
+                "        for (pv_b = 0; pv_b + pv_s < pv_team; pv_b += 2 * pv_s) {",
+                "            pv_all[pv_b * pv_total + pv_k] = %s(pv_all[pv_b * pv_total + pv_k], "
+                "pv_all[(pv_b + pv_s) * pv_total + pv_k]);" % cfn,
+                "        }",
+                "    }",
+                "}",
+                "#pragma omp for schedule(static)",
+                "for (pv_k = 0; pv_k < pv_total; ++pv_k) { out[pv_k] = %s(out[pv_k], pv_all[pv_k]); }"
+                % cfn,
+            ],
+            leave=["}"],
+            after=["if (!pv_all || rp_oom) { rp_status = 1; }", "free(pv_all);"],
         )
-        self._put(i2, "}")  # implicit barrier publishes pv_all / pv_team
-        # pv_all is team-consistent after the single's barrier, so every
-        # thread takes the same branch and the worksharing constructs
-        # (and the ws barrier) inside stay legal
-        self._put(i2, "if (pv_all) {")
-        i3 = i2 + 1
-        self._put(
-            i3,
-            "%s *pv_out = pv_all + (int64_t) omp_get_thread_num() * pv_total;"
-            % self.elem,
-        )
-        self._emit_private_decls(plan, i3)
-        body_ind = i3
-        if plan.ws_names:
-            self._put(i3, "if (!rp_oom) {")
-            body_ind = i3 + 1
-        self._put(
-            body_ind,
-            "for (pv_k = 0; pv_k < pv_total; ++pv_k) { pv_out[pv_k] = %s; }" % ident,
-        )
-        self._put(body_ind, "#pragma omp for schedule(static)")
-        self._out_array = "pv_out"
-        self._parallel_ctx += 1
-        try:
-            self._stmt(node, body_ind)
-        finally:
-            self._parallel_ctx -= 1
-            self._out_array = "out"
-        self._put(body_ind, "for (pv_s = 1; pv_s < pv_team; pv_s *= 2) {")
-        self._put(body_ind + 1, "#pragma omp for schedule(static)")
-        self._put(body_ind + 1, "for (pv_k = 0; pv_k < pv_total; ++pv_k) {")
-        self._put(
-            body_ind + 2,
-            "for (pv_b = 0; pv_b + pv_s < pv_team; pv_b += 2 * pv_s) {",
-        )
-        self._put(
-            body_ind + 3,
-            "pv_all[pv_b * pv_total + pv_k] = %s(pv_all[pv_b * pv_total + pv_k], "
-            "pv_all[(pv_b + pv_s) * pv_total + pv_k]);" % cfn,
-        )
-        self._put(body_ind + 2, "}")
-        self._put(body_ind + 1, "}")
-        self._put(body_ind, "}")
-        self._put(body_ind, "#pragma omp for schedule(static)")
-        self._put(
-            body_ind,
-            "for (pv_k = 0; pv_k < pv_total; ++pv_k) { out[pv_k] = %s(out[pv_k], pv_all[pv_k]); }"
-            % cfn,
-        )
-        if plan.ws_names:
-            self._put(i3, "}")
-        self._emit_ws_frees(plan, i3)
-        self._put(i2, "}")
-        self._ftz_thread_off(i2)
-        self._put(ind, "}")
-        self._put(ind, "if (!pv_all || rp_oom) { rp_status = 1; }")
-        self._put(ind, "free(pv_all);")
 
-    def _emit_log_push(self, ind: int, base: str, value, plan: _NestPlan) -> None:
+    def _emit_log_push(self, ind: int, base: str, value, plan: ir.Parallel) -> None:
         # repro_log_slot returns NULL when the log cannot grow; flag the
         # team (the run's results are discarded and the kernel returns
         # nonzero) instead of aborting the process
         if plan.row:
             self.uses_vector = True
-            self._put(
-                ind,
-                "{ %s *rp_dst = repro_log_slot(rp_my, %s, %s);"
-                % (self.elem, base, self.vlen),
-            )
-            self._put(ind + 1, "if (!rp_dst) {")
-            self._put(ind + 2, "#pragma omp atomic write")
-            self._put(ind + 2, "rp_oom = 1;")
-            self._put(
-                ind + 1,
-                "} else { for (%s = 0; %s < %s; ++%s) { rp_dst[%s] = %s; } } }"
-                % (_V, _V, self.vlen, _V, _V, self._expr(value, velt=True)),
+            ptr, width = "rp_dst", self.vlen
+            store = "for (%s = 0; %s < %s; ++%s) { rp_dst[%s] = %s; }" % (
+                _V, _V, width, _V, _V, self._expr(value, velt=True)
             )
         else:
-            self._put(
-                ind,
-                "{ %s *rp_slot = repro_log_slot(rp_my, %s, 1);"
-                % (self.elem, base),
-            )
-            self._put(ind + 1, "if (!rp_slot) {")
-            self._put(ind + 2, "#pragma omp atomic write")
-            self._put(ind + 2, "rp_oom = 1;")
-            self._put(ind + 1, "} else { *rp_slot = %s; } }" % self._expr(value))
+            ptr, width = "rp_slot", "1"
+            store = "*rp_slot = %s;" % self._expr(value)
+        self._put(
+            ind,
+            "{ %s *%s = repro_log_slot(rp_my, %s, %s);" % (self.elem, ptr, base, width),
+        )
+        self._put(ind + 1, "if (!%s) {" % ptr)
+        self._put(ind + 2, "#pragma omp atomic write", "rp_oom = 1;")
+        self._put(ind + 1, "} else { %s } }" % store)
 
-
-    def _log_reduce(self, s: ir.Reduce, ind: int) -> bool:
-        """Route a ``+=`` through the scatter log; False if not a shared write."""
-        plan = self._log_plan
-        if isinstance(s.target, ir.Out):
-            base = self._out_base(s.target)
-        elif s.target.name in plan.carried:
-            base = str(plan.carried_slot(s.target.name))
-        else:
+    def _shared_reduce(self, s: ir.Reduce, ind: int) -> bool:
+        """Inside a replay or atomic OpenMP body, reroute a ``+=`` onto
+        shared storage: append to the scatter log, or prefix the atomic
+        pragma.  False if this is not such a write."""
+        team = self._parallel_ctx
+        if team is None or team.strategy not in ("replay", "atomic"):
             return False
-        self._emit_log_push(ind, base, s.value, plan)
-        return True
-
-    def _atomic_reduce(self, s: ir.Reduce, ind: int) -> bool:
-        """Emit a ``#pragma omp atomic`` update; False if not a shared write."""
-        if isinstance(s.target, ir.Out):
-            elt = self._out_target(s.target)
-        elif s.target.name in self._atomic_plan.carried:
-            elt = s.target.name
-        else:
+        to_out = isinstance(s.target, ir.Out)
+        if not to_out and s.target.name not in team.carried:
             return False
-        self._put(ind, "#pragma omp atomic")
-        self._put(ind, "%s += %s;" % (elt, self._expr(s.value)))
+        if team.strategy == "atomic":
+            elt = self._out_target(s.target) if to_out else s.target.name
+            self._put(ind, "#pragma omp atomic")
+            self._put(ind, "%s += %s;" % (elt, self._expr(s.value)))
+        else:
+            slot = team.carried_slot
+            base = self._out_base(s.target) if to_out else str(slot(s.target.name))
+            self._emit_log_push(ind, base, s.value, team)
         return True
 
     # ------------------------------------------------------------------
@@ -1085,9 +712,8 @@ class _Renderer:
             return "((float) %s)" % text
         return text
 
-
-    def _put(self, indent: int, text: str) -> None:
-        self.lines.append("    " * indent + text)
+    def _put(self, indent: int, *texts: str) -> None:
+        self.lines.extend("    " * indent + text for text in texts)
 
     def _block(self, stmts: Sequence[ir.Stmt], ind: int) -> None:
         for s in stmts:
@@ -1126,12 +752,13 @@ class _Renderer:
         elif isinstance(s, ir.Tiled):
             # tiling applies to serial emission only: OpenMP bodies keep
             # their own (bit-identical) schedules, and the serial fallback
-            # inside _emit_parallel_nest still lands here with
-            # _parallel_ctx == 0
-            if self._parallel_ctx == 0:
+            # inside _emit_parallel still lands here outside any team
+            if self._parallel_ctx is None:
                 self._emit_tiled_nest(s, ind)
             else:
                 self._stmt(s.nest, ind)
+        elif isinstance(s, ir.Parallel):
+            self._emit_parallel(s, ind)
         elif isinstance(s, ir.WorkspaceAlloc):
             self.ws_alloc[s.ws] = s.length
         elif isinstance(s, ir.LutDef):
@@ -1254,10 +881,10 @@ class _Renderer:
         if self.simd:
             self._put(ind, "#pragma omp simd")
 
-
     def _emit_fused(self, node: ir.Fused, ind: int) -> None:
         """One element loop for a run of fused row statements."""
-        if self._log_plan is not None or self._atomic_plan is not None:
+        team = self._parallel_ctx
+        if team is not None and team.strategy in ("replay", "atomic"):
             # shared row writes reroute through the scatter log / atomic
             # machinery statement by statement; don't fuse across that
             self._block(node.stmts, ind)
@@ -1298,9 +925,7 @@ class _Renderer:
             return
         # inside a parallel body, shared += updates are rerouted: replay
         # nests append to the scatter log, atomic nests prefix a pragma
-        if self._log_plan is not None and self._log_reduce(s, ind):
-            return
-        if self._atomic_plan is not None and self._atomic_reduce(s, ind):
+        if self._shared_reduce(s, ind):
             return
         if s.row:
             self._vector_loop(ind, elt, "+=", s.value)
@@ -1339,16 +964,17 @@ class _Renderer:
 
     def _out_target(self, target: ir.Out) -> str:
         """Element lvalue for an ``out[...]`` target; a row's references
-        the vector loop variable.  ``self._out_array`` names the
-        destination buffer — the privatized strategy rebinds it to the
-        per-thread copy while emitting its parallel body."""
+        the vector loop variable.  A privatized OpenMP body writes its
+        per-thread copy instead."""
+        team = self._parallel_ctx
+        out = "pv_out" if team is not None and team.strategy == "privatized" else "out"
         base = self._out_base(target)
         if not target.row:
-            return "%s[%s]" % (self._out_array, base)
+            return "%s[%s]" % (out, base)
         self.uses_vector = True
         if base == "0":
-            return "%s[%s]" % (self._out_array, _V)
-        return "%s[%s + %s]" % (self._out_array, base, _V)
+            return "%s[%s]" % (out, _V)
+        return "%s[%s + %s]" % (out, base, _V)
 
     def _dense_prefix(self, load: ir.Load) -> str:
         """Flat row index of a dense load one coordinate short."""
@@ -1411,30 +1037,35 @@ class _Renderer:
 
 @dataclass(frozen=True)
 class CRender:
-    """Everything one render of a lowered kernel produced."""
+    """Everything one render of a lowered kernel produced; the two models
+    are views of the parallelisation phase's per-nest estimates."""
 
     source: str
     #: one :class:`NestWork` term per nest that received an OpenMP body
     #: (the ``threads="auto"`` cost model).
     work_model: Tuple[NestWork, ...]
     #: one work estimate per *top-level* nest — parallel or serial, in
-    #: ``repro_nest_sec`` slot order; empty unless the config profiles.
-    profile_model: Tuple[Optional[NestWork], ...]
+    #: ``repro_nest_sec`` slot order; empty unless the config profiles
+    #: (and under ``omp_strategy="serial"``, which switches the phase off).
+    profile_model: Tuple[NestWork, ...]
 
 
 def render_c_full(
     lowered: LoweredKernel, label: Optional[str], codegen: CodegenConfig
 ) -> CRender:
-    """Render a lowered kernel under an already-resolved *codegen* and
-    return the full :class:`CRender`.  Pure: the same three arguments
-    always print the same translation unit."""
+    """Run the phase pipeline over a lowered kernel under an
+    already-resolved *codegen*, print its product and return the full
+    :class:`CRender`.  Pure: the same three arguments always print the
+    same translation unit."""
     with obs_trace.span("render_c", label=label):
-        renderer = _Renderer(lowered, label, codegen)
-        source = renderer.render()
+        renderer = _Renderer(lowered, label, codegen.profile)
+        state = run_pipeline(lowered, codegen, label)
+        source = renderer.render(state)
+    nests = tuple(state.work)
     return CRender(
-        source=source,
-        work_model=tuple(renderer.work_model),
-        profile_model=tuple(renderer.profile_model),
+        source,
+        tuple(w for w in nests if w.strategy is not None),
+        nests if codegen.profile else (),
     )
 
 

@@ -198,6 +198,7 @@ class ExecutionPlan:
         "threads",
         "work",
         "_call",
+        "_tier",
         "_fill",
         "_fill_value",
         "_cap",
@@ -274,7 +275,10 @@ class ExecutionPlan:
         """Marshal the argument set for the kernel's current executable."""
         kernel = self.kernel
         call = kernel.executable.bind(self.out, self.prepared)
-        if kernel.backend_name != "python" and faults.enabled():
+        #: the backend ``_call`` is bound to (a sibling plan may degrade
+        #: the kernel underneath before this plan is bound again)
+        self._tier = kernel.backend_name
+        if self._tier != "python" and faults.enabled():
             call = _polling_faults(call)  # exec.* points are C-tier-only
         if self._observed:
             call = _instrumented(call, self.work)
@@ -303,7 +307,9 @@ class ExecutionPlan:
         result is bit-identical to a clean run of the surviving tier.
         """
         kernel = self.kernel
-        if kernel.backend_name == "python" or knob("REPRO_NO_DEGRADE"):
+        # this plan's own tier, not the kernel's: still bound to the C
+        # callable after a sibling plan degraded the kernel, it rebinds
+        if self._tier == "python" or knob("REPRO_NO_DEGRADE"):
             raise exc
         if count > 1:
             health.mark("c@omp", exc)

@@ -4,8 +4,8 @@ Lowering (Section 4.2: concordization, common tensor access elimination,
 workspaces, triangle iteration) makes its decisions once and records
 them here as frozen nodes.  Both emitters — the Python printer in
 :mod:`repro.codegen.backends.python` and the C renderer in
-:mod:`repro.codegen.backends.c` — and the loop passes in
-:mod:`repro.codegen.backends.cpasses` read these nodes; nothing parses
+:mod:`repro.codegen.backends.c` — and the loop phases in
+:mod:`repro.codegen.passes` read these nodes; nothing parses
 generated text back.
 
 Vocabulary
@@ -29,7 +29,8 @@ allocations and a ``body`` of top-level statements):
   every reduction update (``+=`` / ``min`` / ``max``, scalar or row)
   onto ``out[...]`` or a workspace.
 * :class:`If`, :class:`WorkspaceAlloc`, :class:`LutDef`.
-* :class:`Fused` / :class:`Tiled` — products of the loop passes.
+* :class:`Fused` / :class:`Tiled` / :class:`Parallel` — products of the
+  loop phases, made at render time and never persisted.
 
 Expressions carry their type (``INT`` / ``ELEM`` / ``ROW``) in the node:
 :class:`Var`, :class:`Dim`, :class:`Const`, :class:`Load` (of a typed
@@ -46,9 +47,10 @@ forms (``range``, ``np.empty``, ``.fill``, ``min``, ``max``,
 ``break`` guard are reachable from user einsums only.
 
 Also here: :func:`verify` (the single-type / no-rebinding rule every
-backend relies on), :func:`scan_nest` (the write-pattern facts the
-parallel-strategy chooser and the pass matchers share), and the JSON
-codec the disk store persists programs with.
+backend relies on, re-checked after every phase), :func:`scan_nest` (the
+write-pattern facts the parallelisation phase and the pass matchers
+share), :class:`LoopIR` (the state the phase pipeline threads through),
+and the JSON codec the disk store persists programs with.
 """
 
 from __future__ import annotations
@@ -359,6 +361,30 @@ Loop = (DenseLoop, FiberLoop, Intersect)
 
 
 @dataclass(frozen=True)
+class Parallel:
+    """One top-level nest a thread team can share, and how.
+
+    The product of :mod:`repro.codegen.passes.parallelize`, which owns the
+    strategy table and its soundness arguments; a nest it leaves bare
+    runs serially.  Top-level only and deliberately not a :data:`Stmt`:
+    the codec has no rule for it, so it cannot reach a store.
+    """
+
+    #: the nest, still inside its :class:`Tiled` wrapper when it has one
+    #: (the serial fallback prints the blocks, the team body the nest).
+    nest: Union[DenseLoop, FiberLoop, Tiled]
+    strategy: Literal["for", "privatized", "replay", "atomic"]
+    row: bool  # writes are vector rows (log width = vector extent)
+    carried: Tuple[str, ...]  # accumulators shared across iterations
+    assigned: Tuple[str, ...]  # names assigned inside (thread-private)
+    ws_names: Tuple[str, ...]  # workspace arrays used inside (per-thread)
+
+    def carried_slot(self, name: str) -> int:
+        """Negative log target encoding a carried accumulator."""
+        return -(self.carried.index(name) + 1)
+
+
+@dataclass(frozen=True)
 class Kernel:
     args: Tuple[Union[Array, Dim], ...]
     preamble: Tuple[Union[WorkspaceAlloc, LutDef], ...]
@@ -372,7 +398,7 @@ def children(stmt: Stmt) -> Tuple[Stmt, ...]:
     """The statements nested directly under *stmt*."""
     if isinstance(stmt, Fused):
         return stmt.stmts
-    if isinstance(stmt, Tiled):
+    if isinstance(stmt, (Tiled, Parallel)):
         return (stmt.nest,)
     return getattr(stmt, "body", ())
 
@@ -571,15 +597,20 @@ def scan_nest(outer: Union[DenseLoop, FiberLoop]) -> NestScan:
 
 @dataclass
 class LoopIR:
-    """What the pass pipeline transforms: one kernel's top-level
-    statements plus the output rank (row tiling needs a matrix)."""
+    """What the phase pipeline transforms: one kernel's top-level
+    statements, beside the lowered kernel they came from."""
 
-    body: List[Stmt]
-    out_ndim: int
-    # pipeline-output flags the emitter reads back
+    body: List[Union[Stmt, Parallel]]
+    #: the :class:`~repro.codegen.lower.LoweredKernel` (read-only: its
+    #: arguments, preamble, output spec, vector index)
+    lowered: object
+    # pipeline-output flags the printer reads back
     ftz: bool = False
     simd: bool = False
-    #: human-readable per-pass notes (surfaced through trace spans).
+    #: the parallelisation phase's :class:`NestWork` estimate per
+    #: top-level ``for`` nest, in body order; empty when it did not run.
+    work: List = field(default_factory=list)
+    #: human-readable per-phase notes (surfaced through trace spans).
     notes: List[str] = field(default_factory=list)
 
 

@@ -1,15 +1,17 @@
-"""The C renderer's composable loop-pass pipeline.
+"""The loop-IR phase pipeline: every loop-level decision made after lowering.
 
 Loop transformations are staged the way Devito's DLE rewriter stages
 them and Parakeet chains ``Phase`` objects: the lowered program's
 top-level statements (:mod:`repro.codegen.loopir` nodes) ride in a
 :class:`~repro.codegen.loopir.LoopIR`, an ordered list of
-:class:`~repro.codegen.backends.cpasses.base.Pass` objects each takes and
+:class:`~repro.codegen.passes.base.Pass` objects each takes and
 returns it — matching on typed nodes, rebuilding the frozen ones it
-changes — and ``c.py`` renders C from the transformed statements.
+changes, :func:`~repro.codegen.loopir.verify` re-checked after each —
+and ``backends/c.py`` prints C from the transformed, annotated
+statements.  It decides nothing itself.
 
-Passes (pipeline order — mirroring Devito's
-``_avoid_denormals -> _loop_fission -> _loop_blocking -> _simdize``):
+Phases (pipeline order — mirroring Devito's ``_avoid_denormals ->
+_loop_fission -> _loop_blocking -> _simdize -> _ompize``):
 
 ``denormals``
     flush-to-zero / denormals-are-zero via MXCSR (SSE2 guarded), saved
@@ -35,9 +37,14 @@ Passes (pipeline order — mirroring Devito's
     1 MiB of output rows per block and never more blocks than a quarter
     of the mean fiber length, which keeps the re-walk under a quarter of
     the nest's updates (proof sketch and measured shapes in
-    :mod:`~repro.codegen.backends.cpasses.tile`).
+    :mod:`~repro.codegen.passes.tile`).
 ``simd``
     ``#pragma omp simd`` on the provably element-disjoint vector loops.
+``parallelize``
+    tags each top-level nest a thread team can share with its OpenMP
+    strategy (``for | privatized | replay | atomic``; untagged = serial)
+    and records a work estimate per nest.  Not a ``$REPRO_PASSES``
+    token: ``CodegenConfig.omp_strategy`` switches it (``serial`` = off).
 
 Default set: ``fuse``, ``tile``, ``simd``.  Every pass preserves
 bit-identity with the Python backend (``denormals`` excepted, hence
@@ -49,7 +56,7 @@ transformed kernels never alias.  Which set applies is resolved once per
 request by :meth:`repro.codegen.backends.base.CodegenConfig.resolve`.
 """
 
-from repro.codegen.backends.cpasses.base import (  # noqa: F401
+from repro.codegen.passes.base import (  # noqa: F401
     DEFAULT_ON,
     PASS_ORDER,
     PIPELINE,

@@ -1,5 +1,13 @@
 """The ``Pass`` interface, pass-set configuration and pipeline driver.
 
+:data:`PIPELINE` (bottom of this file) is the one ordered declaration of
+the loop phases, each entry saying what switches it on — a
+``$REPRO_PASSES`` token for the five optional rewrites, the
+``omp_strategy`` field for parallelisation.  :func:`run_pipeline` checks
+:func:`~repro.codegen.loopir.verify` after every phase that changed a
+statement, so one that breaks the naming rules fails here, by name, not
+in ``cc``.
+
 A pass-selection spec (``$REPRO_PASSES``, ``repro compile --passes``) is
 a comma list of tokens: a bare name (or ``+name``) enables a pass,
 ``-name`` / ``!name`` disables one, and the words ``none`` / ``all`` /
@@ -11,7 +19,7 @@ ignored.
 Nothing here looks at ``REPRO_*`` variables or probes the toolchain: which
 spec applies is decided once per compile request, by
 :meth:`repro.codegen.backends.base.CodegenConfig.resolve`, and the
-pipeline runs under the :class:`PassConfig` it is handed.  That resolved
+pipeline runs under the ``CodegenConfig`` it is handed.  That resolved
 value is part of a C kernel's identity — the service cache key, the wire
 spec and the persisted state all carry it — so two differently
 transformed builds of one einsum never alias in cache or store.
@@ -19,15 +27,20 @@ transformed builds of one einsum never alias in cache or store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.codegen.loopir import LoopIR
+from repro.codegen.loopir import LoopIR, LoweringError, verify
 from repro.core.config import warn_env_once
 from repro.obs import trace as obs_trace
 
-#: pipeline order (Devito's DLE stage order: denormal avoidance, then
-#: the loop restructurings, then vectorization hints).
+if TYPE_CHECKING:  # backends.base imports this module for PassConfig
+    from repro.codegen.backends.base import CodegenConfig
+    from repro.codegen.lower import LoweredKernel
+
+#: the ``$REPRO_PASSES`` tokens, in pipeline order (Devito's DLE stage
+#: order: denormal avoidance, then the loop restructurings, then
+#: vectorization hints).
 PASS_ORDER = ("denormals", "fission", "fuse", "tile", "simd")
 
 #: passes on by default — only those whose transformation is bit-exact
@@ -68,15 +81,18 @@ class PassConfig:
 
 
 class Pass:
-    """One loop transformation: takes a :class:`LoopIR`, returns it.
+    """One loop phase: takes a :class:`LoopIR`, returns it.
 
-    Subclasses set ``name`` (the ``$REPRO_PASSES`` token), ``default_on``
-    and ``bit_exact`` (whether the transformed kernel is bit-identical to
-    the Python backend — the differential fuzzer enforces this for every
-    pass claiming it), and implement :meth:`run`.
+    Subclasses set ``name``, ``default_on`` and ``bit_exact`` (whether
+    the transformed kernel is bit-identical to the Python backend — the
+    differential fuzzer enforces this for every pass claiming it), and
+    implement :meth:`run`.  ``name`` is the ``$REPRO_PASSES`` token that
+    switches the phase on; a phase switched by another ``CodegenConfig``
+    field clears ``token`` and overrides :meth:`enabled` to read it.
     """
 
     name = "?"
+    token = True
     default_on = False
     bit_exact = True
 
@@ -84,10 +100,10 @@ class Pass:
         """One line for ``repro backends`` / trace spans."""
         raise NotImplementedError
 
-    def enabled(self, config: PassConfig) -> bool:
-        return config.is_on(self.name)
+    def enabled(self, codegen: "CodegenConfig") -> bool:
+        return codegen.passes.is_on(self.name)
 
-    def run(self, ir: LoopIR, config: PassConfig) -> LoopIR:
+    def run(self, ir: LoopIR, codegen: "CodegenConfig") -> LoopIR:
         raise NotImplementedError
 
 
@@ -126,39 +142,52 @@ def parse_passes(text: str, default: Tuple[str, ...] = DEFAULT_ON) -> Tuple[str,
 
 
 def run_pipeline(
-    ir: LoopIR, config: PassConfig, label: Optional[str] = None
+    lowered: "LoweredKernel", codegen: "CodegenConfig", label: Optional[str] = None
 ) -> LoopIR:
-    """Run every enabled pass, in :data:`PASS_ORDER`, under trace spans."""
+    """Run every enabled phase over *lowered*'s top-level statements, in
+    :data:`PIPELINE` order, under trace spans; :func:`verify` after each
+    one that left the statements changed."""
+    program = lowered.program
+    ir = LoopIR(list(program.body), lowered)
     for p in PIPELINE:
-        if not p.enabled(config):
+        if not p.enabled(codegen):
             continue
-        before = len(ir.notes)
+        before, body = len(ir.notes), list(ir.body)
         with obs_trace.span("cpass:%s" % p.name, label=label) as sp:
-            ir = p.run(ir, config)
+            ir = p.run(ir, codegen)
             if len(ir.notes) > before:
                 sp.add(note="; ".join(ir.notes[before:]))
+            if ir.body == body:
+                continue  # flags only, or no nest matched: nothing to re-check
+            try:
+                verify(replace(program, body=tuple(ir.body)))
+            except LoweringError as exc:
+                raise LoweringError("after phase %r: %s" % (p.name, exc)) from exc
     return ir
 
 
-def describe_passes(config: PassConfig) -> List[Tuple[str, bool, str]]:
-    """``(name, enabled, description)`` per pass, in pipeline order."""
-    return [(p.name, p.enabled(config), p.describe()) for p in PIPELINE]
+def describe_passes(codegen: "CodegenConfig") -> List[Tuple[str, bool, str]]:
+    """``(name, enabled, description)`` per phase, in pipeline order."""
+    return [(p.name, p.enabled(codegen), p.describe()) for p in PIPELINE]
 
 
 # importing the pass modules at the bottom sidesteps the base<->pass
-# circularity; PIPELINE is the one place pass order is spelled out.
-from repro.codegen.backends.cpasses.denormals import DenormalsPass  # noqa: E402
-from repro.codegen.backends.cpasses.fission import FissionPass  # noqa: E402
-from repro.codegen.backends.cpasses.fuse import FusePass  # noqa: E402
-from repro.codegen.backends.cpasses.simd import SimdPass  # noqa: E402
-from repro.codegen.backends.cpasses.tile import TilePass  # noqa: E402
+# circularity; PIPELINE is the one place phase order is spelled out.
+from repro.codegen.passes.denormals import DenormalsPass  # noqa: E402
+from repro.codegen.passes.fission import FissionPass  # noqa: E402
+from repro.codegen.passes.fuse import FusePass  # noqa: E402
+from repro.codegen.passes.parallelize import ParallelizePass  # noqa: E402
+from repro.codegen.passes.simd import SimdPass  # noqa: E402
+from repro.codegen.passes.tile import TilePass  # noqa: E402
 
 PIPELINE: Tuple[Pass, ...] = (
-    DenormalsPass(),
-    FissionPass(),
-    FusePass(),
-    TilePass(),
-    SimdPass(),
+    DenormalsPass(),  # token "denormals"
+    FissionPass(),  # token "fission"
+    FusePass(),  # token "fuse"
+    TilePass(),  # token "tile"
+    SimdPass(),  # token "simd"
+    # last, so it sees the nests the rewrites above left behind
+    ParallelizePass(),  # codegen.omp_strategy != "serial"
 )
 
-assert tuple(p.name for p in PIPELINE) == PASS_ORDER
+assert tuple(p.name for p in PIPELINE if p.token) == PASS_ORDER

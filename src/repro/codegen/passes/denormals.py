@@ -19,7 +19,7 @@ configuration drops the pass when :func:`ctoolchain.probe_ftz` fails.
 
 from __future__ import annotations
 
-from repro.codegen.backends.cpasses.base import Pass, PassConfig
+from repro.codegen.passes.base import Pass
 from repro.codegen.loopir import LoopIR
 
 
@@ -35,7 +35,7 @@ class DenormalsPass(Pass):
             "around the kernel and per OpenMP thread; not bit-exact"
         )
 
-    def run(self, ir: LoopIR, config: PassConfig) -> LoopIR:
+    def run(self, ir: LoopIR, codegen) -> LoopIR:
         ir.ftz = True
         ir.notes.append("ftz prologue armed")
         return ir

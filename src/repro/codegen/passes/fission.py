@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List, Optional, Tuple
 
-from repro.codegen.backends.cpasses.base import Pass, PassConfig
+from repro.codegen.passes.base import Pass
 from repro.codegen.loopir import (
     DenseLoop,
     ELEM,
@@ -120,7 +120,7 @@ class FissionPass(Pass):
             "bit-exact (per-element write order preserved)"
         )
 
-    def run(self, ir: LoopIR, config: PassConfig) -> LoopIR:
+    def run(self, ir: LoopIR, codegen) -> LoopIR:
         body: List[Stmt] = []
         split = 0
         for stmt in ir.body:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List, Sequence, Tuple
 
-from repro.codegen.backends.cpasses.base import Pass, PassConfig
+from repro.codegen.passes.base import Pass
 from repro.codegen.loopir import Fused, LoopIR, Out, Reduce, Stmt
 
 
@@ -43,10 +43,10 @@ class FusePass(Pass):
             "element index)"
         )
 
-    def run(self, ir: LoopIR, config: PassConfig) -> LoopIR:
+    def run(self, ir: LoopIR, codegen) -> LoopIR:
         body, fused = self._rewrite(ir.body)
-        ir.body = list(body)
         if fused:
+            ir.body = list(body)
             ir.notes.append("fused %d run(s)" % fused)
         return ir
 

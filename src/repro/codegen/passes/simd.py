@@ -1,7 +1,7 @@
 """Explicit SIMD hints on provably element-disjoint vector loops.
 
 The element loops the renderer emits for vectorized statements (and the
-fused loops :mod:`~repro.codegen.backends.cpasses.fuse` builds) touch
+fused loops :mod:`~repro.codegen.passes.fuse` builds) touch
 index ``_v`` only, through ``restrict``-qualified pointers — iterations
 are independent by construction.  ``cc -O3`` usually proves that itself;
 the ``#pragma omp simd`` hint makes the promise explicit so the
@@ -20,7 +20,7 @@ objects.
 
 from __future__ import annotations
 
-from repro.codegen.backends.cpasses.base import Pass, PassConfig
+from repro.codegen.passes.base import Pass
 from repro.codegen.loopir import LoopIR
 
 
@@ -35,7 +35,7 @@ class SimdPass(Pass):
             "(no loop-carried reductions are hinted)"
         )
 
-    def run(self, ir: LoopIR, config: PassConfig) -> LoopIR:
+    def run(self, ir: LoopIR, codegen) -> LoopIR:
         ir.simd = True
         ir.notes.append("simd hints armed")
         return ir

@@ -70,8 +70,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.codegen.backends.cpasses.base import Pass, PassConfig
-from repro.codegen.backends.cpasses.fission import single_fiber
+from repro.codegen.passes.base import Pass
+from repro.codegen.passes.fission import single_fiber
 from repro.codegen.loopir import (
     DenseLoop,
     Intersect,
@@ -118,19 +118,19 @@ class TilePass(Pass):
             "tile_rows pins a row count instead)"
         )
 
-    def run(self, ir: LoopIR, config: PassConfig) -> LoopIR:
-        if ir.out_ndim != 2:
+    def run(self, ir: LoopIR, codegen) -> LoopIR:
+        if ir.lowered.output.ndim != 2:
             return ir
+        rows = codegen.passes.tile_rows
         tiled = 0
         for pos, stmt in enumerate(ir.body):
             lead = self._match(stmt)
             if lead is not None:
-                ir.body[pos] = Tiled(stmt, lead, config.tile_rows)
+                ir.body[pos] = Tiled(stmt, lead, rows)
                 tiled += 1
         if tiled:
             ir.notes.append(
-                "tiled %d nest(s) (rows=%s)"
-                % (tiled, config.tile_rows if config.tile_rows > 0 else "auto")
+                "tiled %d nest(s) (rows=%s)" % (tiled, rows if rows > 0 else "auto")
             )
         return ir
 

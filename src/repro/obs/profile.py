@@ -10,8 +10,9 @@ service cache key carries a ``profile`` field (so memory/disk caches
 never hand a profiled kernel to a production caller or vice versa).
 
 :func:`profile_kernel` runs a compiled kernel a few times on concrete
-inputs and pairs each nest's measured seconds with the cost model's
-:class:`~repro.codegen.backends.c.NestWork` estimate for the same
+inputs and pairs each nest's measured seconds with the parallelisation
+phase's :class:`~repro.codegen.passes.parallelize.NestWork` — the OpenMP
+strategy it chose for the nest and its work estimate for the same
 arguments — the ground truth PR 5's ``threads="auto"`` heuristic was
 calibrated against, now measurable per nest instead of guessed.
 """
@@ -42,6 +43,9 @@ class NestReport:
     share: float            # fraction of the kernel's measured nest time
     estimated_work: Optional[float]  # NestWork scalar-update estimate
     seconds_per_update: Optional[float]
+    #: the OpenMP strategy the nest's parallel body runs under (``None``:
+    #: the nest is serial, or the parallelisation phase was off).
+    strategy: Optional[str] = None
 
     def describe(self) -> str:
         est = (
@@ -50,18 +54,13 @@ class NestReport:
             if self.estimated_work
             else "no work estimate"
         )
-        return "nest %d: %8.3f ms/call  (%4.1f%% of nests)  %s" % (
+        return "nest %d: %8.3f ms/call  (%4.1f%% of nests)  %-10s  %s" % (
             self.nest,
             1e3 * self.per_call,
             100.0 * self.share,
+            self.strategy or "serial",
             est,
         )
-
-
-def read_profile(executable) -> Optional[NestProfile]:
-    """The executable's accumulated per-nest times, or None when the
-    build is not profiled (any backend's executables accept this)."""
-    return executable.nest_profile()
 
 
 def profile_kernel(
@@ -92,9 +91,8 @@ def profile_kernel(
     total = sum(profile.seconds) or 1.0
     reports: List[NestReport] = []
     for nest, seconds in enumerate(profile.seconds):
-        work: Optional[float] = None
-        if nest < len(model) and model[nest] is not None:
-            work = model[nest].resolve(plan.prepared, vlen)
+        term = model[nest] if nest < len(model) else None
+        work = term.resolve(plan.prepared, vlen) if term is not None else None
         per_call = seconds / profile.calls
         reports.append(
             NestReport(
@@ -104,6 +102,7 @@ def profile_kernel(
                 share=seconds / total,
                 estimated_work=work,
                 seconds_per_update=(per_call / work) if work else None,
+                strategy=term.strategy if term is not None else None,
             )
         )
     return reports

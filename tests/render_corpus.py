@@ -19,7 +19,7 @@ from typing import Dict, Iterator, List, Tuple
 
 from repro.codegen.backends.base import CodegenConfig
 from repro.codegen.backends.c import render_c_full
-from repro.codegen.backends.cpasses import DEFAULT_ON, PASS_ORDER, PassConfig
+from repro.codegen.passes import DEFAULT_ON, PASS_ORDER, PassConfig
 from repro.core.compiler import compile_kernel
 from repro.core.config import DEFAULT
 from repro.kernels.extensions import EXTENSIONS

@@ -22,8 +22,7 @@ from repro.codegen.backends import get_backend, render_c
 from dataclasses import replace
 
 from repro.codegen.backends.base import CodegenConfig
-from repro.codegen.backends.c import NestWork
-from repro.codegen.backends.cpasses import (
+from repro.codegen.passes import (
     DEFAULT_ON,
     PASS_ORDER,
     PIPELINE,
@@ -31,6 +30,7 @@ from repro.codegen.backends.cpasses import (
     describe_passes,
     parse_passes,
 )
+from repro.codegen.passes.parallelize import NestWork
 from repro.core.config import DEFAULT
 from repro.kernels.library import get_kernel
 from repro.obs import metrics as obs_metrics
@@ -109,12 +109,21 @@ def test_signature_is_canonical():
 
 
 def test_pipeline_metadata_is_complete():
-    assert tuple(p.name for p in PIPELINE) == PASS_ORDER
-    for name, enabled, description in describe_passes(PassConfig(enabled=())):
-        assert name in PASS_ORDER
+    # the REPRO_PASSES tokens, then the one phase a CodegenConfig field
+    # switches instead (never a token, never in a signature)
+    assert tuple(p.name for p in PIPELINE if p.token) == PASS_ORDER
+    assert [p.name for p in PIPELINE if not p.token] == ["parallelize"]
+    assert PIPELINE[-1].name == "parallelize"
+    off = CodegenConfig("serial", False, PassConfig(enabled=()))
+    for name, enabled, description in describe_passes(off):
+        assert name in PASS_ORDER + ("parallelize",)
         assert not enabled
         assert description  # every pass documents itself
-    defaults = {p.name for p in PIPELINE if p.default_on}
+    assert describe_passes(replace(off, omp_strategy="auto"))[-1][:2] == (
+        "parallelize",
+        True,
+    )
+    defaults = {p.name for p in PIPELINE if p.default_on and p.token}
     assert defaults == set(DEFAULT_ON)
     # default-on passes must all claim (and hold, per the differential
     # fuzzer below) bit-identity with the Python backend

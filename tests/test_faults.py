@@ -322,6 +322,25 @@ def test_plan_degrades_and_stays_usable(inputs):
 
 
 @needs_cc
+def test_sibling_plan_of_a_degraded_kernel_rebinds_too(inputs):
+    """Two plans on one kernel, both C calls fail: the second plan is
+    still bound to the C callable when the first has already degraded
+    the kernel they share, and must fall to python like the first did
+    (it used to re-raise, judging by the kernel's tier, not its own)."""
+    ref = _reference(inputs)
+    with faults.injecting("exec.c=fail*2"):
+        kernel = compile_kernel(EINSUM, **SPEC, options=C_OPTS)
+        first = kernel.execution_plan(**inputs)
+        second = kernel.execution_plan(**inputs)
+        a = kernel.finalize(np.copy(first()))
+        assert kernel.backend == "python"  # ... under the second plan's feet
+        b = kernel.finalize(np.copy(second()))
+    assert a.tobytes() == b.tobytes() == ref.tobytes()
+    # both rebound: they keep serving, interpreted
+    assert kernel.finalize(np.copy(second())).tobytes() == ref.tobytes()
+
+
+@needs_cc
 def test_degradation_is_sticky_for_new_kernels(inputs):
     with faults.injecting("exec.c=fail*1"):
         kernel = compile_kernel(EINSUM, **SPEC, options=C_OPTS)

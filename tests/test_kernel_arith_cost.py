@@ -16,8 +16,8 @@ import pytest
 
 from repro.codegen import loopir as ir
 from repro.codegen.backends import ctoolchain, get_backend, render_c
-from repro.codegen.backends.cpasses import PassConfig
-from repro.codegen.backends.cpasses.tile import auto_tile_rows
+from repro.codegen.passes import PassConfig
+from repro.codegen.passes.tile import auto_tile_rows
 from repro.core.config import DEFAULT
 from repro.kernels.extensions import EXTENSIONS
 from repro.kernels.library import KERNELS, get_kernel

@@ -7,7 +7,7 @@ import pytest
 
 from repro import DEFAULT, NAIVE, cache_key
 from repro.codegen.backends.base import CodegenConfig
-from repro.codegen.backends.cpasses import PassConfig
+from repro.codegen.passes import PassConfig
 from repro.core.config import RUNTIME_FIELDS, CompilerOptions
 from repro.frontend.parser import parse_assignment
 from repro.service.keys import KEY_VERSION, canonicalize
