@@ -1,1 +1,1 @@
-"""Benchmark suite: one module per table/figure of the paper's evaluation."""
+"""The repository's one benchmark: :mod:`benchmarks.e2e` (``BENCHMARK.json``)."""

@@ -13,8 +13,8 @@ Quickstart::
     y = ssymv(A=A, x=np.random.rand(100))
 
 See :mod:`repro.kernels` for the paper's kernel library, :mod:`repro.data`
-for the evaluation's datasets and :mod:`repro.bench` for the experiment
-harness.
+for the evaluation's datasets and :mod:`repro.bench` for the paper's
+figure drivers.
 
 For repeated compilation the :class:`KernelService` facade caches compiled
 kernels by content address (in memory and optionally on disk) and executes

@@ -1,10 +1,11 @@
-"""Benchmark harness: timing, speedup tables, per-figure experiment drivers.
+"""The paper's figure drivers: timing, speedup tables, one driver per figure.
 
 :mod:`repro.bench.harness` times prepared kernels the way the paper does —
 minimum over repeated runs, data rearrangement excluded.
 :mod:`repro.bench.figures` regenerates every figure of Section 5.2 as a
 table of speedups normalized to naive (the red line), with the paper's
-expected speedup (the purple line) alongside.
+expected speedup (the purple line) alongside.  ``repro bench figNN`` is the
+command-line entry; the repository's benchmark is ``benchmarks/e2e``.
 """
 
 from repro.bench.harness import (

@@ -1,4 +1,4 @@
-"""Timing, reporting, and the persistent performance trajectory.
+"""Timing and reporting for the figure drivers.
 
 The paper's methodology (Section 5.2): timings are the minimum over many
 runs; the time to rearrange data before or after each kernel — packing,
@@ -6,20 +6,21 @@ transposition, replicating the output — is not included.  We mirror that:
 :func:`time_compiled_kernel` binds one execution plan outside the timed
 region and times only its calls — the generated loops.
 
-Beyond one-off reports, :func:`record` maintains a *perf trajectory*
-file (``BENCH_backends.json`` at the repo root by convention): a merged,
-diffable map of ``kernel x backend x threads -> {min, median, speedup}``
-plus a machine fingerprint, so performance claims made by one change are
-comparable against the history the previous changes checked in.
+Nothing here is recorded or gated: the repository's one benchmark is
+``benchmarks/e2e`` (``BENCHMARK.json``).  These helpers serve
+:mod:`repro.bench.figures` (``repro bench figNN``) and the examples.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, List, Sequence
+
+import numpy as np
 
 from repro.core.compiler import CompiledKernel
 
@@ -126,17 +127,24 @@ class BenchResult:
         return d
 
 
+def _format_ms(seconds: float) -> str:
+    """Milliseconds to four significant digits, never in exponent form."""
+    return np.format_float_positional(
+        1e3 * seconds, precision=4, fractional=False, trim="-"
+    )
+
+
 def format_table(results: Sequence[BenchResult], title: str = "") -> str:
     """Render results as the rows the paper's figures plot."""
     if not results:
         return "(no results)"
     methods = sorted({m for r in results for m in r.times} - {"naive"})
-    header = ["workload", "naive(s)"] + [
+    header = ["workload", "naive(ms)"] + [
         "%s x" % m for m in methods
     ] + ["expected x"]
     rows = [header]
     for r in results:
-        row = [r.workload, "%.4f" % r.times.get("naive", float("nan"))]
+        row = [r.workload, _format_ms(r.times.get("naive", float("nan")))]
         sp = r.speedups
         for m in methods:
             row.append("%.2f" % sp[m] if m in sp else "-")
@@ -154,8 +162,6 @@ def format_table(results: Sequence[BenchResult], title: str = "") -> str:
 
 
 def geometric_mean(values: Sequence[float]) -> float:
-    import math
-
     if not values:
         return float("nan")
     return math.exp(sum(math.log(v) for v in values) / len(values))
@@ -171,165 +177,3 @@ def dump_json(results: Sequence[BenchResult], path: str) -> None:
     os.makedirs(directory, exist_ok=True)
     with open(path, "w") as f:
         json.dump([r.to_json() for r in results], f, indent=2)
-
-
-# ----------------------------------------------------------------------
-# the persistent perf trajectory
-# ----------------------------------------------------------------------
-#: bump when the trajectory file schema changes shape.
-TRAJECTORY_VERSION = 1
-
-#: conventional trajectory filename (written at the repo root).
-TRAJECTORY_FILENAME = "BENCH_backends.json"
-
-
-_fingerprint_cache: Optional[Dict[str, object]] = None
-
-
-def machine_fingerprint(refresh: bool = False) -> Dict[str, object]:
-    """Enough machine identity to judge whether two entries are comparable.
-
-    The fingerprint is computed once per process and cached (the toolchain
-    probe behind it is subprocess-backed, and ``record`` used to pay it on
-    every merge); ``refresh=True`` recomputes — for tests that change the
-    probe's environment mid-process.  Callers get a copy they may mutate.
-    """
-    global _fingerprint_cache
-    if _fingerprint_cache is None or refresh:
-        import platform
-
-        from repro.codegen.backends import ctoolchain
-        from repro.core.config import cpu_count
-
-        tc = ctoolchain.probe()
-        _fingerprint_cache = {
-            "platform": platform.platform(),
-            "system": platform.system(),
-            "machine": platform.machine(),
-            "python": platform.python_version(),
-            "cpus": cpu_count(),
-            "toolchain": tc.describe() if tc else None,
-            "openmp": bool(tc and tc.openmp),
-        }
-    return dict(_fingerprint_cache)
-
-
-def load_trajectory(path: str) -> Optional[Dict[str, object]]:
-    """The trajectory document at *path*, or None when absent/unreadable."""
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(doc, dict) or doc.get("version") != TRAJECTORY_VERSION:
-        return None
-    return doc
-
-
-def _stamp_dtype(key: str, entry: Dict[str, object]) -> Dict[str, object]:
-    """Ensure an entry carries its element dtype.
-
-    Every measurement is made in a concrete dtype; entries that predate
-    the dtype axis (or sweeps that forgot to tag it) are stamped from the
-    key convention — a ``/f32`` suffix means float32, everything else is
-    the float64 default — so consumers never have to guess.
-    """
-    if "dtype" not in entry:
-        entry["dtype"] = "float32" if key.endswith("/f32") else "float64"
-    return entry
-
-
-def _stamp_obs(
-    entry: Dict[str, object], state: Optional[str] = None
-) -> Dict[str, object]:
-    """Ensure an entry records the observability state it was measured in.
-
-    Instrumented runs are not comparable to clean ones: a trajectory entry
-    measured under ``REPRO_TRACE=1`` carries per-call span recording that
-    an ``obs: off`` entry does not.  New measurements are stamped with the
-    live :func:`repro.obs.state`; entries that predate the axis default to
-    ``"off"`` (nothing before it could have been instrumented).
-    """
-    if "obs" not in entry:
-        entry["obs"] = "off" if state is None else state
-    return entry
-
-
-def record(
-    path: str,
-    entries: Mapping[str, Mapping[str, object]],
-    note: Optional[str] = None,
-) -> Dict[str, object]:
-    """Merge *entries* into the trajectory file at *path* and rewrite it.
-
-    ``entries`` maps stable keys (``"<kernel>/<backend>@t<threads>"`` by
-    convention — see :func:`trajectory_entries`) to measurement dicts.
-    Existing entries under other keys survive, re-measured keys are
-    overwritten, and the machine fingerprint + timestamp are refreshed —
-    so consecutive benchmark runs produce a meaningful diff, not a
-    rewrite.  Every entry (new or surviving) is guaranteed ``dtype`` and
-    ``obs`` stamps on the way out (new measurements record the live
-    observability state; pre-axis survivors default to ``"off"``).
-    Returns the merged document.
-    """
-    from repro.obs import state as obs_state
-
-    doc = load_trajectory(path) or {
-        "version": TRAJECTORY_VERSION,
-        "entries": {},
-    }
-    merged = {
-        key: _stamp_obs(_stamp_dtype(key, dict(value)))
-        for key, value in doc.get("entries", {}).items()
-    }
-    live = obs_state()
-    for key, value in entries.items():
-        merged[key] = _stamp_obs(_stamp_dtype(key, dict(value)), live)
-    doc["version"] = TRAJECTORY_VERSION
-    doc["updated"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-    doc["machine"] = machine_fingerprint()
-    if note is not None:
-        doc["note"] = note
-    doc["entries"] = {key: merged[key] for key in sorted(merged)}
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=False)
-        f.write("\n")
-    os.replace(tmp, path)
-    return doc
-
-
-def trajectory_entries(
-    results: Sequence[BenchResult],
-    threads: int = 1,
-    dtype: str = "float64",
-) -> Dict[str, Dict[str, object]]:
-    """Flatten figure-driver results into trajectory entries.
-
-    Every ``(workload, method)`` timing becomes one entry keyed
-    ``"<figure>/<workload>/<method>@t<threads>"`` carrying the measured
-    seconds, the workload parameters, and the speedup over the row's
-    naive baseline where one was measured.  Non-default dtypes append a
-    ``/f32``-style suffix so precision sweeps never overwrite the
-    float64 history.
-    """
-    entries: Dict[str, Dict[str, object]] = {}
-    suffix = "" if dtype == "float64" else "/f32"
-    for result in results:
-        speedups = result.speedups
-        for method, seconds in result.times.items():
-            key = "%s/%s/%s@t%d%s" % (
-                result.figure, result.workload, method, threads, suffix
-            )
-            entry: Dict[str, object] = {
-                "seconds": seconds,
-                "threads": threads,
-                "dtype": dtype,
-                "params": dict(result.params),
-            }
-            if method in speedups:
-                entry["speedup_vs_naive"] = speedups[method]
-            entries[key] = entry
-    return entries

@@ -101,25 +101,39 @@ _FIGURES = {
 }
 
 
+#: the figures whose drivers sweep Table 2 matrices (``--scale``/``--names``);
+#: fig10 and fig11 sweep synthetic tensors and take neither.
+_MATRIX_FIGURES = ("fig06", "fig07", "fig08", "fig09")
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import figures
-    from repro.bench.harness import (
-        format_table,
-        record,
-        summarize_speedups,
-        trajectory_entries,
-    )
+    from repro.bench.harness import format_table, summarize_speedups
     from repro.codegen.backends import BackendError
-    from repro.core.config import knob, resolve_threads
+    from repro.data.matrices import table
 
     runner = getattr(figures, _FIGURES[args.figure])
     kwargs = {"backend": args.backend, "dtype": args.dtype}
     if args.threads is not None:
         kwargs["threads"] = args.threads
-    if args.figure in ("fig06", "fig07", "fig08", "fig09"):
-        kwargs["scale"] = args.scale
-        if args.names:
+    if args.figure in _MATRIX_FIGURES:
+        kwargs["scale"] = 0.02 if args.scale is None else args.scale
+        if args.names is not None:
             kwargs["names"] = tuple(args.names.split(","))
+            known = [info.name for info in table()]
+            unknown = sorted(set(kwargs["names"]) - set(known))
+            if unknown:
+                args.error(
+                    "unknown matrix name(s) %s; valid names: %s"
+                    % (", ".join(unknown), ", ".join(known))
+                )
+    else:
+        for flag in ("scale", "names"):
+            if getattr(args, flag) is not None:
+                args.error(
+                    "--%s applies to %s only; %s sweeps synthetic tensors"
+                    % (flag, "/".join(_MATRIX_FIGURES), args.figure)
+                )
     try:
         results = runner(**kwargs)
     except BackendError as exc:
@@ -127,17 +141,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 2
     print(format_table(results, title=args.figure))
     print("geomean SySTeC speedup: %.2fx" % summarize_speedups(results))
-    if args.json is not None:
-        # label entries with the thread count the kernels actually ran
-        # with: --threads when given, else the REPRO_THREADS default
-        resolved = resolve_threads(
-            kwargs["threads"] if "threads" in kwargs else knob("REPRO_THREADS")
-        )
-        record(
-            args.json,
-            trajectory_entries(results, threads=resolved, dtype=args.dtype),
-        )
-        print("updated trajectory %s" % args.json)
     return 0
 
 
@@ -732,8 +735,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run one figure's experiment")
     p.add_argument("figure", choices=sorted(_FIGURES))
-    p.add_argument("--scale", type=float, default=0.02)
-    p.add_argument("--names", default=None, help="comma-separated matrix names")
+    p.add_argument(
+        "--scale",
+        type=float,
+        default=None,
+        help="Table 2 matrix scale, fig06-fig09 only (default: 0.02)",
+    )
+    p.add_argument(
+        "--names",
+        default=None,
+        help="comma-separated Table 2 matrix names, fig06-fig09 only",
+    )
     p.add_argument(
         "--backend",
         choices=BACKEND_CHOICES,
@@ -753,16 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="float64",
         help="element dtype both methods run in (default: float64)",
     )
-    p.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        const="BENCH_backends.json",
-        nargs="?",
-        help="merge results into a perf-trajectory JSON "
-        "(default path: BENCH_backends.json)",
-    )
-    p.set_defaults(fn=_cmd_bench)
+    p.set_defaults(fn=_cmd_bench, error=p.error)
 
     p = sub.add_parser(
         "backends", help="show execution backends and toolchain status"

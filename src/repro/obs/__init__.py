@@ -21,7 +21,6 @@ itself without import cycles.
 
 from __future__ import annotations
 
-from repro.core.config import knob
 from repro.obs import metrics, profile, trace
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.profile import NestProfile, NestReport, profile_kernel
@@ -47,27 +46,8 @@ __all__ = [
     "profile",
     "profile_kernel",
     "span",
-    "state",
     "trace",
     "tracing",
     "write_chrome_trace",
 ]
 
-
-def state() -> str:
-    """Which facilities are live: ``"off"`` or e.g. ``"trace+metrics"``.
-
-    Stamped onto perf-trajectory entries (``repro.bench.harness.record``)
-    so a measurement taken with observability on can never masquerade as
-    a production number.
-    """
-    active = [
-        name
-        for name, on in (
-            ("trace", trace.enabled()),
-            ("metrics", metrics.enabled()),
-            ("profile", knob("REPRO_PROFILE")),
-        )
-        if on
-    ]
-    return "+".join(active) if active else "off"

@@ -18,18 +18,13 @@ from repro.bench.figures import (
 )
 from repro.bench.harness import (
     BenchResult,
-    TRAJECTORY_VERSION,
     dump_json,
     format_table,
     geometric_mean,
-    load_trajectory,
-    machine_fingerprint,
-    record,
     summarize_speedups,
     time_callable,
     time_callable_stats,
     time_compiled_kernel,
-    trajectory_entries,
 )
 from repro.kernels.library import get_kernel
 from tests.conftest import make_symmetric_matrix
@@ -77,6 +72,18 @@ def test_format_table_contains_rows():
     assert "T" in text
 
 
+def test_format_table_baseline_is_readable_milliseconds():
+    """C-backend baselines are ~0.1 ms: ``%.4f`` seconds read ``0.0001``."""
+    rows = [
+        BenchResult("f", "a", {}, {"naive": 1.23456e-4, "systec": 1e-4}, 2.0),
+        BenchResult("f", "b", {}, {"naive": 2.5, "systec": 1.0}, 2.0),
+    ]
+    header, _, a, b = format_table(rows).splitlines()
+    assert header.split()[:2] == ["workload", "naive(ms)"]
+    assert a.split()[:2] == ["a", "0.1235"]
+    assert b.split()[:2] == ["b", "2500"]
+
+
 def test_format_table_empty():
     assert format_table([]) == "(no results)"
 
@@ -101,128 +108,6 @@ def test_dump_json(tmp_path):
     data = json.load(open(path))
     assert data[0]["workload"] == "a"
     assert data[0]["speedups"]["systec"] == 2.0
-
-
-# ----------------------------------------------------------------------
-# the persistent perf trajectory
-# ----------------------------------------------------------------------
-def test_machine_fingerprint_shape():
-    fp = machine_fingerprint()
-    assert fp["cpus"] >= 1
-    assert isinstance(fp["openmp"], bool)
-    assert "platform" in fp and "python" in fp
-
-
-def test_record_merges_instead_of_rewriting(tmp_path):
-    path = os.path.join(tmp_path, "BENCH_backends.json")
-    record(path, {"ssymv/c@t1": {"min_s": 0.5}})
-    doc = record(path, {"ssymv/c@t4": {"min_s": 0.25}})
-    assert doc["version"] == TRAJECTORY_VERSION
-    assert set(doc["entries"]) == {"ssymv/c@t1", "ssymv/c@t4"}
-    # re-measuring an existing key overwrites only that key
-    doc = record(path, {"ssymv/c@t1": {"min_s": 0.4}})
-    assert doc["entries"]["ssymv/c@t1"]["min_s"] == 0.4
-    assert doc["entries"]["ssymv/c@t4"]["min_s"] == 0.25
-    on_disk = load_trajectory(path)
-    assert on_disk["entries"] == doc["entries"]
-    assert on_disk["machine"]["cpus"] >= 1
-
-
-def test_record_survives_a_corrupt_file(tmp_path):
-    path = os.path.join(tmp_path, "BENCH_backends.json")
-    with open(path, "w") as f:
-        f.write("not json{")
-    assert load_trajectory(path) is None
-    doc = record(path, {"k": {"min_s": 1.0}})
-    from repro import obs
-
-    assert doc["entries"] == {
-        "k": {"min_s": 1.0, "dtype": "float64", "obs": obs.state()}
-    }
-
-
-def test_record_stamps_dtype_on_every_entry(tmp_path):
-    """Entries always carry their element dtype — new ones from the key
-    convention, pre-existing unstamped ones backfilled on merge."""
-    path = os.path.join(tmp_path, "BENCH_backends.json")
-    record(path, {"ssymv/c@t4": {"min_s": 0.5}, "ssymv/c@t1/f32": {"min_s": 0.4}})
-    doc = load_trajectory(path)
-    assert doc["entries"]["ssymv/c@t4"]["dtype"] == "float64"
-    assert doc["entries"]["ssymv/c@t1/f32"]["dtype"] == "float32"
-    # simulate a legacy file whose surviving entries were never stamped
-    doc["entries"]["old/c@t2"] = {"min_s": 1.0}
-    with open(path, "w") as f:
-        json.dump(doc, f)
-    merged = record(path, {"new/c@t1": {"min_s": 0.1}})
-    assert merged["entries"]["old/c@t2"]["dtype"] == "float64"
-    # an explicit stamp is never overwritten
-    record(path, {"explicit/c@t1": {"min_s": 1.0, "dtype": "float32"}})
-    assert load_trajectory(path)["entries"]["explicit/c@t1"]["dtype"] == "float32"
-
-
-def test_trajectory_entries_from_bench_results():
-    rows = [
-        BenchResult(
-            "fig06", "saylr4", {"n": 100},
-            {"naive": 1.0, "systec": 0.5}, 2.0,
-        )
-    ]
-    entries = trajectory_entries(rows, threads=2)
-    assert set(entries) == {
-        "fig06/saylr4/naive@t2",
-        "fig06/saylr4/systec@t2",
-    }
-    assert entries["fig06/saylr4/systec@t2"]["speedup_vs_naive"] == 2.0
-    assert entries["fig06/saylr4/systec@t2"]["threads"] == 2
-
-
-def test_backend_trajectory_entries_report_speedups():
-    from repro.bench.backend_bench import backend_trajectory_entries
-    from repro.bench.harness import TimingStats
-
-    row = BenchResult(
-        "backends", "ssymv", {"n": 2000, "nnz_canonical": 5},
-        {"naive": 1.0, "c": 0.01, "c@t4": 0.004}, 10.0,
-    )
-    row.stats = {
-        "naive": TimingStats(1.0, 1.1, 3),
-        "c": TimingStats(0.01, 0.011, 3),
-        "c@t4": TimingStats(0.004, 0.005, 3),
-    }
-    entries = backend_trajectory_entries([row])
-    assert entries["ssymv/python@t1"]["median_s"] == 1.1
-    assert entries["ssymv/c@t1"]["speedup_vs_python"] == pytest.approx(100.0)
-    assert entries["ssymv/c@t4"]["speedup_vs_c1"] == pytest.approx(2.5)
-
-
-def test_backend_trajectory_entries_key_the_size_axis():
-    """Sizes beyond the historical n=2000 tag the kernel segment; a
-    threads=auto sweep lands under c@auto with its resolved count."""
-    from repro.bench.backend_bench import backend_trajectory_entries
-    from repro.bench.harness import TimingStats
-
-    row = BenchResult(
-        "backends", "ssymv",
-        {"n": 8000, "nnz_canonical": 9, "auto_resolved_threads": 2},
-        {"naive": 1.0, "c": 0.01, "c@t2": 0.005, "c@auto": 0.005}, 10.0,
-    )
-    row.stats = {
-        "naive": TimingStats(1.0, 1.1, 3),
-        "c": TimingStats(0.01, 0.011, 3),
-        "c@t2": TimingStats(0.005, 0.006, 3),
-        "c@auto": TimingStats(0.005, 0.006, 3),
-    }
-    entries = backend_trajectory_entries([row])
-    assert set(entries) == {
-        "ssymv@n8000/python@t1",
-        "ssymv@n8000/c@t1",
-        "ssymv@n8000/c@t2",
-        "ssymv@n8000/c@auto",
-    }
-    assert entries["ssymv@n8000/c@t2"]["speedup_vs_c1"] == pytest.approx(2.0)
-    auto = entries["ssymv@n8000/c@auto"]
-    assert auto["resolved_threads"] == 2
-    assert auto["speedup_vs_c1"] == pytest.approx(2.0)
 
 
 # ----------------------------------------------------------------------

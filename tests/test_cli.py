@@ -63,6 +63,34 @@ def test_bench_command_tiny(capsys):
     assert "geomean" in out
 
 
+def test_bench_rejects_unknown_matrix_names(capsys):
+    """Was: ``(no results)``, a ``nan`` geomean and exit 0."""
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "fig06", "--names", "saylr4,nosuchmatrix"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "nosuchmatrix" in err
+    assert "sherman5" in err  # the valid names are listed
+
+
+@pytest.mark.parametrize("figure", ("fig10", "fig11"))
+@pytest.mark.parametrize("flag", (["--scale", "9"], ["--names", "saylr4"]))
+def test_bench_rejects_flags_the_figure_ignores(figure, flag, capsys):
+    """Was: both flags dropped and the default sweep run."""
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", figure] + flag)
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
+def test_bench_has_no_json_flag(capsys):
+    """The trajectory merge is deleted, not hidden."""
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "fig07", "--json", "out.json"])
+    assert exc.value.code == 2
+    assert "--json" in capsys.readouterr().err
+
+
 def test_serve_warmup_memory_only(capsys):
     rc = main(["serve-warmup", "--kernels", "ssymv,syprd"])
     out = capsys.readouterr().out

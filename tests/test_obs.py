@@ -245,7 +245,6 @@ def test_noop_when_disabled(monkeypatch):
     previous_rec = obs_trace.disable()
     previous_metrics = obs_metrics.disable()
     try:
-        assert obs.state() == "off"
         # one shared null span, whatever the name or args
         null = obs_trace.span("a")
         assert obs_trace.span("b", key="value") is null
@@ -456,27 +455,6 @@ def test_unprofiled_builds_refuse_profiling():
     assert kernel.bound.executable.nest_profile() is None
     with pytest.raises(RuntimeError, match="not profiled"):
         obs.profile_kernel(kernel, {"A": _sym(), "x": np.ones(8)})
-
-
-# ----------------------------------------------------------------------
-# trajectory entries record their observability state
-# ----------------------------------------------------------------------
-def test_trajectory_entries_stamped_with_obs_state(tmp_path):
-    from repro.bench.harness import load_trajectory, record
-
-    path = str(tmp_path / "traj.json")
-    doc = record(path, {"k/one@t1": {"seconds": 1.0}})
-    assert doc["entries"]["k/one@t1"]["obs"] == obs.state()
-
-    # entries that predate the axis default to "off" on the next merge
-    doc["entries"]["k/old@t1"] = {"seconds": 2.0, "dtype": "float64"}
-    del doc["entries"]["k/old@t1"]  # simulate via direct file edit instead
-    raw = load_trajectory(path)
-    raw["entries"]["k/old@t1"] = {"seconds": 2.0, "dtype": "float64"}
-    with open(path, "w") as handle:
-        json.dump(raw, handle)
-    merged = record(path, {})
-    assert merged["entries"]["k/old@t1"]["obs"] == "off"
 
 
 # ----------------------------------------------------------------------
