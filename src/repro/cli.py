@@ -840,21 +840,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--queue",
         type=int,
-        default=None,
+        default=32,
         help="admission bound; excess requests shed with 'overloaded' "
-        "(default: $REPRO_SERVE_QUEUE)",
+        "(default 32)",
     )
     p.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="compile/execute worker threads (default: $REPRO_SERVE_WORKERS)",
+        default=4,
+        help="compile/execute worker threads (default 4)",
     )
     p.add_argument(
         "--deadline",
         type=float,
-        default=None,
-        help="per-request deadline seconds (default: $REPRO_SERVE_DEADLINE)",
+        default=30.0,
+        help="per-request deadline seconds (default 30; 0 = none)",
     )
     p.add_argument(
         "--plans",

@@ -38,6 +38,11 @@ from repro.core.symmetrize import infer_loop_order, symmetrize
 from repro.frontend.einsum import Assignment
 from repro.obs import trace as obs_trace
 from repro.frontend.parser import parse_assignment
+from repro.frontend.validate import (
+    validate_assignment,
+    validate_inputs,
+    validate_semiring,
+)
 from repro.symmetry.detect import default_rank
 from repro.symmetry.groups import EquivalencePattern
 from repro.symmetry.partitions import parse_mode_partition
@@ -411,21 +416,27 @@ class CompiledKernel:
 
     # ------------------------------------------------------------------
     def output_shape(self, **tensors) -> Tuple[int, ...]:
-        extents: Dict[str, int] = {}
-        for acc in self.plan.original.accesses:
-            if acc.tensor in tensors:
-                shape = np.shape(tensors[acc.tensor])
-                for mode, idx in enumerate(acc.indices):
-                    extents.setdefault(idx, int(shape[mode]))
+        """The logical output shape for *tensors* — which are validated
+        (:func:`repro.frontend.validate.validate_inputs`), not trusted."""
+        extents = validate_inputs(
+            self.plan.original, self.plan.symmetric_modes, tensors
+        )
         return tuple(extents[i] for i in self.plan.original.lhs.indices)
 
     def prepare(self, **tensors):
-        """Bind inputs into the exact arrays the kernel consumes.
+        """Check the inputs, then bind them into the exact arrays the
+        kernel consumes.
 
-        Returns ``(prepared_args, output_shape)``; preparation (packing,
+        Every entry to the generated loops passes through here
+        (``kernel(...)``, :meth:`execution_plan`, ``service.batch``, the
+        daemon's ``execute``): a missing, wrong-arity, complex-dtype or
+        mismatched-extent argument raises
+        :class:`~repro.frontend.validate.ValidationError` (a
+        ``ValueError``) before any view is built.  Returns
+        ``(prepared_args, output_shape)``; preparation (packing,
         splitting, transposing) happens once, outside the timed region."""
-        prepared = self.bound.prepare(**tensors)
-        return prepared, self.output_shape(**tensors)
+        shape = self.output_shape(**tensors)
+        return self.bound.prepare(**tensors), shape
 
     def run(
         self, prepared, output_shape, threads=None, thread_cap=None
@@ -535,8 +546,6 @@ def compile_kernel(
     symmetric_modes, loop_order, formats, options, codegen = resolve_request(
         assignment, symmetric, loop_order, formats, options, naive, codegen
     )
-
-    from repro.frontend.validate import validate_assignment, validate_semiring
 
     validate_assignment(assignment, symmetric_modes)
     validate_semiring(

@@ -145,12 +145,6 @@ KNOBS: Dict[str, Knob] = {row.name: row for row in (
          doc="client base retry backoff in seconds, doubled, capped at 1s"),
     Knob("REPRO_SERVICE_TIMEOUT", "float", 30.0, exclusive=True,
          doc="client socket timeout per daemon request, in seconds"),
-    Knob("REPRO_SERVE_QUEUE", "int", 32, minimum=1,
-         doc="requests in flight before the daemon sheds load (overloaded)"),
-    Knob("REPRO_SERVE_WORKERS", "int", 4, minimum=1,
-         doc="daemon compile/execute worker threads"),
-    Knob("REPRO_SERVE_DEADLINE", "float", 30.0, zero_is_none=True,
-         doc="default per-request deadline in seconds (0 = none)"),
     Knob("REPRO_SERVE_MAX_FRAME", "int", 64 << 20, minimum=1024,
          doc="wire frame size bound in bytes (tensors ride in frames)"),
     Knob("REPRO_STORE_MAX_BYTES", "int", zero_is_none=True,

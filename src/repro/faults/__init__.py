@@ -99,13 +99,6 @@ def fired() -> Dict[str, int]:
     return plan.fired() if plan is not None else {}
 
 
-def activate(spec: Optional[str]) -> None:
-    """Replace the active plan (``None``/empty disarms).  Prefer
-    :func:`injecting` — it restores the previous plan on exit."""
-    global _plan
-    _plan = parse_spec(spec) if isinstance(spec, str) else spec
-
-
 @contextmanager
 def injecting(spec: Optional[str]) -> Iterator[Optional[FaultPlan]]:
     """Arm *spec* for the duration of a block, then restore what was

@@ -1,10 +1,23 @@
 """Static and runtime validation of einsum assignments.
 
 Catches the mistakes a user can make before they turn into wrong answers
-deep inside a generated loop nest: an index used with two different
-extents, a symmetry declared across modes of different sizes, a symmetric
-tensor whose payload is not actually symmetric, or a semiring pairing whose
-combine operator is not annihilated by the sparse fill value.
+(or out-of-bounds reads) deep inside a generated loop nest.  What is
+checked where:
+
+* at compile (:func:`repro.core.compiler.compile_kernel`) —
+  :func:`validate_assignment`: one arity per tensor, no repeated or
+  unbound output index, symmetry declared over modes that exist;
+  :func:`validate_semiring`: the combine operator is annihilated by the
+  sparse fill value;
+* at prepare (:meth:`repro.core.compiler.CompiledKernel.prepare`, hence
+  ``kernel(...)``, ``execution_plan``, ``service.batch`` and the daemon's
+  ``execute``) — :func:`validate_inputs`: every input present, real
+  dtype, the access's arity, one extent per index, equal sizes across
+  symmetric modes.  It reads shapes and dtypes only, and the extents it
+  returns are the ones the output shape is built from.
+
+Not checked anywhere: that a tensor declared symmetric really holds
+symmetric values (an O(nnz) check, open in ROADMAP 5(a)).
 """
 
 from __future__ import annotations
@@ -90,11 +103,11 @@ def validate_semiring(
 def validate_inputs(
     assignment: Assignment,
     symmetric_modes: ModeParts,
-    tensors: Mapping[str, np.ndarray],
-    check_symmetry: bool = False,
+    tensors: Mapping[str, object],
 ) -> Dict[str, int]:
-    """Runtime checks: consistent extents (and, optionally, that declared
-    symmetric inputs really are symmetric).  Returns index extents.
+    """Runtime checks on an argument set (arrays, ``Tensor``s, ``COO``s or
+    nested lists): presence, dtype, arity, consistent extents.  Returns
+    the extent of every index.
     """
     extents: Dict[str, int] = {}
     for acc in assignment.accesses:
@@ -111,13 +124,14 @@ def validate_inputs(
                 "float64, plus int/bool inputs promoted at binding)"
                 % (acc.tensor, arr.dtype)
             )
-        if np.ndim(arr) != acc.ndim:
+        shape = np.shape(arr)
+        if len(shape) != acc.ndim:
             raise ValidationError(
                 "tensor %r has %d modes, access %s expects %d"
-                % (acc.tensor, np.ndim(arr), acc, acc.ndim)
+                % (acc.tensor, len(shape), acc, acc.ndim)
             )
-        for mode, idx in enumerate(acc.indices):
-            extent = int(np.shape(arr)[mode])
+        for idx, extent in zip(acc.indices, shape):
+            extent = int(extent)
             prev = extents.setdefault(idx, extent)
             if prev != extent:
                 raise ValidationError(
@@ -137,15 +151,4 @@ def validate_inputs(
                     "symmetric modes %s of %r have unequal sizes %s"
                     % (part, name, sorted(sizes))
                 )
-        if check_symmetry and isinstance(arr, np.ndarray):
-            for part in parts:
-                if len(part) < 2:
-                    continue
-                perm = list(range(np.ndim(arr)))
-                perm[part[0]], perm[part[1]] = perm[part[1]], perm[part[0]]
-                if not np.allclose(arr, np.transpose(arr, perm)):
-                    raise ValidationError(
-                        "tensor %r is declared symmetric across modes %s "
-                        "but its values are not" % (name, part)
-                    )
     return extents

@@ -13,10 +13,9 @@ Instrumented sites across the service layer then feed the process-wide
 * counters — ``service.requests``, ``service.origin.memory`` /
   ``.disk`` / ``.remote`` / ``.compiled``, ``service.remote.hits`` /
   ``.retries`` / ``.fallbacks`` / ``.errors`` / ``.artifact_rejected``,
-  ``rewrite.calls`` / ``rewrite.applied``, ``store.puts`` /
-  ``store.evictions``, ``tensor.sort.skipped`` / ``.linear`` /
-  ``.lexsort_fallback``, ``serve.bytes_in`` / ``.bytes_out`` (daemon
-  frame bytes) …
+  ``store.puts`` / ``store.evictions``, ``tensor.sort.skipped`` /
+  ``.linear`` / ``.lexsort_fallback``, ``serve.bytes_in`` /
+  ``.bytes_out`` (daemon frame bytes) …
 * histograms — ``service.compile_seconds``, ``plan.dispatch_seconds``,
   ``serve.request_seconds``, ``batch.requests`` /
   ``batch.queue_depth`` …

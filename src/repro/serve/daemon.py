@@ -7,11 +7,11 @@ head + raw tensor segments) of :mod:`repro.serve.protocol`.  Robustness
 decisions, in order of what kills shared services first:
 
 * **Deadlines** — every request runs under a deadline (its own
-  ``deadline_s`` or ``$REPRO_SERVE_DEADLINE``); expiry answers a
+  ``deadline_s`` or the daemon's ``deadline``, 30 s); expiry answers a
   structured ``deadline`` error.  Compiles themselves stay bounded by
   the ``$REPRO_CC_TIMEOUT`` retry machinery, so a worker thread stuck
   behind a hung ``cc`` is released by the toolchain layer, not leaked.
-* **Backpressure** — at most ``$REPRO_SERVE_QUEUE`` requests are
+* **Backpressure** — at most ``queue_limit`` (32) requests are
   admitted (queued + running); the rest are shed immediately with an
   ``overloaded`` reply instead of queueing unboundedly.
 * **Coalescing** — duplicate in-flight ``compile`` keys share one
@@ -149,9 +149,9 @@ class KernelServer:
         *,
         store=None,
         capacity: int = 128,
-        queue_limit: Optional[int] = None,
-        workers: Optional[int] = None,
-        deadline: Optional[float] = None,
+        queue_limit: int = 32,
+        workers: int = 4,
+        deadline: Optional[float] = 30.0,
         read_timeout: Optional[float] = 30.0,
         drain_grace: float = 10.0,
         plan_pool_size: int = 32,
@@ -167,13 +167,10 @@ class KernelServer:
             # own cache/store/compiler, never by dialing a daemon
             service.use_remote = False
         self.service = service
-        self.queue_limit = (
-            knob("REPRO_SERVE_QUEUE") if queue_limit is None else int(queue_limit)
-        )
-        self.workers = knob("REPRO_SERVE_WORKERS") if workers is None else int(workers)
-        self.deadline = knob("REPRO_SERVE_DEADLINE") if deadline is None else (
-            deadline if deadline and deadline > 0 else None
-        )
+        self.queue_limit = int(queue_limit)
+        self.workers = int(workers)
+        # 0 (or None) = requests without their own deadline_s run unbounded
+        self.deadline = deadline if deadline and deadline > 0 else None
         # slowloris bound: only a *started* frame is timed, idle ones may
         # wait; 0 (or None) = no bound
         self.read_timeout = (

@@ -8,8 +8,12 @@ apply it to.  :func:`run_batch` groups the batch three ways:
    it;
 2. **by input set** — within a kernel group, requests over the *same*
    tensor objects share one :class:`~repro.codegen.executor.ExecutionPlan`
-   (format packing, transposed copies, fibertree construction *and* the
-   backend's argument marshaling run once, the paper's untimed setup);
+   (:meth:`CompiledKernel.prepare` — the argument check of
+   :func:`repro.frontend.validate.validate_inputs`, then format packing,
+   transposed copies, fibertree construction — *and* the backend's
+   argument marshaling run once, the paper's untimed setup; a request
+   whose arguments fail the check raises ``ValidationError`` out of the
+   batch before anything runs);
    the plan executes once per distinct input set and every duplicate
    request receives the (copied) result instead of re-running identical
    loops;

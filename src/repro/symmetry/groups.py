@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 EQ = "="
 LT = "<"
@@ -155,11 +155,3 @@ def unique_permutations(pattern: EquivalencePattern) -> Tuple[Dict[str, str], ..
         if ok:
             subs.append({indices[j]: indices[t[j]] for j in range(n)})
     return tuple(subs)
-
-
-def iter_canonical_coords(n: int, order: int) -> Iterator[Tuple[int, ...]]:
-    """All canonical (non-decreasing) coordinates of an ``order``-way cube of
-    side ``n`` — handy for exhaustive tests."""
-    from itertools import combinations_with_replacement
-
-    return combinations_with_replacement(range(n), order)

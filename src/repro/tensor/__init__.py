@@ -9,6 +9,13 @@ structures concordantly through their ``pos``/``idx`` arrays.
 Also provides the symmetry-aware data preparation the compiler relies on:
 canonical-triangle packing, diagonal splitting, and expansion of a packed
 tensor back to its full (replicated) form for the naive baselines.
+
+Everything here is on the path from a caller's argument to a kernel's
+``pos``/``idx``/``val`` arrays: :mod:`~repro.tensor.coo` (the payload),
+:mod:`~repro.tensor.tensor` (payload + declared symmetry + memoized
+views), :mod:`~repro.tensor.fiber` (the levels),
+:mod:`~repro.tensor.symmetry_ops` (pack / split / expand) and
+:mod:`~repro.tensor.symmetric_view` (an unreplicated symmetric output).
 """
 
 from repro.tensor.coo import COO

@@ -52,10 +52,6 @@ class Tensor:
     ) -> "Tensor":
         return Tensor(COO.from_dense(arr), symmetric_modes)
 
-    @staticmethod
-    def from_coo(coo: COO, symmetric_modes=(), canonical: bool = False) -> "Tensor":
-        return Tensor(coo, symmetric_modes, canonical=canonical)
-
     # ------------------------------------------------------------------
     @property
     def shape(self) -> Tuple[int, ...]:

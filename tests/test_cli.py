@@ -258,8 +258,7 @@ def test_help_epilog_documents_serve_env(capsys):
     out = capsys.readouterr().out
     for name in (
         "REPRO_SERVICE",
-        "REPRO_SERVE_QUEUE",
-        "REPRO_SERVE_DEADLINE",
+        "REPRO_SERVE_MAX_FRAME",
         "REPRO_STORE_MAX_BYTES",
     ):
         assert name in out, name

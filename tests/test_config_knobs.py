@@ -73,12 +73,19 @@ def test_warning_is_emitted_once_per_name_value(monkeypatch):
     assert len(caught) == 1
 
 
-def test_serve_knob_defaults(monkeypatch):
+def test_serve_knob_defaults(monkeypatch, tmp_path):
+    from repro.cli import build_parser
+    from repro.serve.daemon import KernelServer
+
     for name in KNOBS:
         monkeypatch.delenv(name, raising=False)
-    assert knob("REPRO_SERVE_QUEUE") == 32
-    assert knob("REPRO_SERVE_WORKERS") == 4
-    assert knob("REPRO_SERVE_DEADLINE") == 30.0
+    # queue / workers / deadline are constructor and flag defaults, not knobs
+    monkeypatch.setenv("REPRO_SERVE_QUEUE", "7")
+    server = KernelServer(tmp_path / "d.sock")
+    flags = build_parser().parse_args(["serve", "--socket", "s"])
+    assert (server.queue_limit, server.workers, server.deadline) == (32, 4, 30.0)
+    assert (flags.queue, flags.workers, flags.deadline) == (32, 4, 30.0)
+    assert "REPRO_SERVE_QUEUE" in config.unknown_knobs()
     assert knob("REPRO_SERVE_MAX_FRAME") == 64 << 20
     assert knob("REPRO_SERVICE_RETRIES") == 2
     assert knob("REPRO_SERVICE_BACKOFF") == 0.05
@@ -89,20 +96,13 @@ def test_serve_knob_defaults(monkeypatch):
         assert knob(name) == (False if row.kind == "flag" else row.default)
 
 
-def test_serve_deadline_zero_disables(monkeypatch, tmp_path):
+def test_serve_deadline_zero_disables(tmp_path):
     from repro.serve.daemon import KernelServer
 
-    monkeypatch.setenv("REPRO_SERVE_DEADLINE", "0")
-    assert knob("REPRO_SERVE_DEADLINE") is None
-    # the frame read bound is a constructor argument with the same reading
-    server = KernelServer(tmp_path / "d.sock", read_timeout=0)
+    # `repro serve --deadline 0`; the frame read bound reads the same way
+    server = KernelServer(tmp_path / "d.sock", deadline=0, read_timeout=0)
     assert server.deadline is None and server.read_timeout is None
     assert KernelServer(tmp_path / "d.sock").read_timeout == 30.0
-
-
-def test_serve_queue_minimum_one(monkeypatch):
-    result, warned = _caught(monkeypatch, "REPRO_SERVE_QUEUE", "0")
-    assert result == 32 and len(warned) == 1
 
 
 def test_serve_max_frame_floor(monkeypatch):
@@ -213,7 +213,7 @@ def test_readme_knob_table_names_exactly_the_table():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     rows = re.findall(r"^\| `(REPRO_[A-Z_]+)` +\|", readme, flags=re.M)
     assert rows == list(KNOBS)
-    assert len(KNOBS) == 27
+    assert len(KNOBS) == 24
     help_text = build_parser().format_help()
     assert all(name in help_text for name in KNOBS)
     # nothing documents a variable the table does not declare

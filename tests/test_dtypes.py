@@ -3,7 +3,7 @@
 Unit-level coverage of the dtype threading: options/env validation, COO
 and Tensor payload dtypes (including the fixed ``todense`` fill and
 ``from_dense`` mask literals), cache-key and persisted-state separation,
-output-buffer dtypes, the structured-tensor helpers, and the CLI flag.
+output-buffer dtypes, and the CLI flag.
 End-to-end bit-identity across backends lives in
 :mod:`tests.test_differential`.
 """
@@ -22,7 +22,6 @@ from repro.frontend.validate import ValidationError, validate_inputs
 from repro.frontend.parser import parse_assignment
 from repro.service.keys import cache_key
 from repro.tensor.coo import COO
-from repro.tensor.structured import RunLengthVector, banded, triangular
 from repro.tensor.tensor import Tensor
 
 
@@ -123,23 +122,6 @@ def test_symmetry_ops_preserve_dtype():
     assert t._full_coo().dtype == np.float32
     assert t._canonical_coo().dtype == np.float32
     assert random_dense((3, 2), seed=1, dtype=np.float32).dtype == np.float32
-
-
-# ----------------------------------------------------------------------
-# structured helpers
-# ----------------------------------------------------------------------
-def test_structured_constructors_preserve_float32():
-    arr = np.arange(9.0, dtype=np.float32).reshape(3, 3)
-    assert triangular(arr).dtype == np.float32
-    assert banded(arr, 1).dtype == np.float32
-
-
-def test_rle_preserves_float32():
-    vec = np.array([1, 1, 2, 2, 2, 0], dtype=np.float32)
-    rle = RunLengthVector.compress(vec)
-    assert rle.values.dtype == np.float32
-    assert rle.decompress().dtype == np.float32
-    np.testing.assert_array_equal(rle.decompress(), vec)
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.serve.client import RemoteUnavailable, ServiceClient
 from repro.serve.daemon import KernelServer, PlanPool, probe_socket
 from repro.service.engine import KernelService
 from repro.service.keys import canonicalize
-from tests.conftest import running_daemon
+from tests.conftest import make_symmetric_matrix, running_daemon
 
 SYMV = dict(
     einsum="y[i] += A[i,j] * x[j]",
@@ -402,6 +402,28 @@ def test_bad_spec_answered_bad_request_not_crash(tmp_path):
         assert reply["error"] == protocol.BAD_REQUEST
         reply = raw_call(sock, {"op": "execute", "id": 2, "spec": None})
         assert reply["error"] == protocol.BAD_REQUEST
+        assert _daemon_still_serves(sock)
+
+
+def test_mismatched_extent_answered_bad_request_naming_the_index(tmp_path, rng):
+    """An ``execute`` whose ``x`` is shorter than ``A``'s extent used to
+    come back as numbers (C backend: read past ``x``) or ``internal``
+    (Python backend: IndexError); ``prepare`` now refuses it."""
+    request = canonicalize(**SYMV)
+    tensors = {"A": make_symmetric_matrix(rng, 40), "x": np.ones(5)}
+    with running_daemon(tmp_path) as (server, sock):
+        reply = raw_call(
+            sock,
+            {
+                "op": "execute",
+                "id": 1,
+                "spec": protocol.spec_from_request(request),
+                "tensors": protocol.encode_tensors(tensors),
+            },
+        )
+        assert reply["ok"] is False and reply["error"] == protocol.BAD_REQUEST
+        assert "index 'j' has extent 5 in x[j] but 40 elsewhere" in reply["detail"]
+        assert "result" not in reply
         assert _daemon_still_serves(sock)
 
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import BatchRequest, KernelService
 from repro.core.compiler import compile_kernel
+from repro.core.config import DEFAULT
 from repro.frontend.parser import parse_assignment
 from repro.frontend.validate import (
     ValidationError,
@@ -11,6 +13,8 @@ from repro.frontend.validate import (
     validate_inputs,
     validate_semiring,
 )
+from tests.conftest import make_symmetric_matrix
+from tests.test_backends import needs_cc
 
 
 def test_consistent_assignment_passes():
@@ -110,15 +114,55 @@ def test_validate_inputs_rectangular_symmetry_rejected():
         )
 
 
-def test_validate_inputs_checks_actual_symmetry():
-    a = parse_assignment("y[i] += A[i, j] * x[j]")
-    asym = np.array([[0.0, 1.0], [2.0, 0.0]])
-    with pytest.raises(ValidationError):
-        validate_inputs(
-            a, {"A": ((0, 1),)}, {"A": asym, "x": np.zeros(2)},
-            check_symmetry=True,
-        )
-    sym = np.array([[0.0, 1.0], [1.0, 0.0]])
-    validate_inputs(
-        a, {"A": ((0, 1),)}, {"A": sym, "x": np.zeros(2)}, check_symmetry=True
+# ----------------------------------------------------------------------
+# prepare runs validate_inputs: a bad argument set never reaches the loops
+# ----------------------------------------------------------------------
+#: case -> (the ``x`` handed in beside a 40x40 ``A``, the message)
+BAD_ARGUMENTS = {
+    "extent": (np.ones(5), r"index 'j' has extent 5 in x\[j\] but 40 elsewhere"),
+    "arity": (np.ones((40, 1)), "tensor 'x' has 2 modes"),
+    "missing": (None, "missing input tensor 'x'"),
+    "complex": (np.ones(40, dtype=complex), "non-real dtype"),
+}
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_cc)])
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_bad_arguments_raise_before_any_view_is_built(
+    rng, monkeypatch, backend, case
+):
+    """``ssymv(A=<40x40>, x=<5 elements>)`` on the C backend used to read
+    past ``x`` and return numbers (the Python backend: a bare IndexError
+    from generated code).  Every way into the loops now refuses it."""
+    kernel = compile_kernel(
+        "y[i] += A[i, j] * x[j]",
+        symmetric={"A": True},
+        loop_order=("j", "i"),
+        options=DEFAULT.but(backend=backend),
     )
+    monkeypatch.setattr(
+        type(kernel.bound), "prepare", lambda self, **_: pytest.fail("view built")
+    )
+    x, message = BAD_ARGUMENTS[case]
+    tensors = {"A": make_symmetric_matrix(rng, 40)}
+    if x is not None:
+        tensors["x"] = x
+    entries = (
+        lambda: kernel(**tensors),
+        lambda: kernel.prepare(**tensors),
+        lambda: kernel.execution_plan(**tensors),
+        lambda: KernelService(use_remote=False).batch(
+            [
+                BatchRequest(
+                    "y[i] += A[i, j] * x[j]",
+                    tensors,
+                    symmetric={"A": True},
+                    loop_order=("j", "i"),
+                    options=DEFAULT.but(backend=backend),
+                )
+            ]
+        ),
+    )
+    for entry in entries:
+        with pytest.raises(ValidationError, match=message):
+            entry()
