@@ -235,14 +235,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ``shutdown`` request)."""
     import asyncio
 
-    from repro.serve import client as serve_client
     from repro.serve.daemon import KernelServer
     from repro.service import KernelService
 
-    # belt and braces on top of the per-service use_remote=False: a
-    # daemon process whose environment carries REPRO_SERVICE (its own
-    # socket, say) must never become anyone's client
-    serve_client.disable_in_process()
     try:
         service = KernelService(capacity=args.capacity, store=args.dir)
     except NotADirectoryError as exc:
@@ -278,8 +273,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass
     print(
-        "drained: %d requests, %d shed, %d coalesced, %d errors"
-        % (server.requests, server.shed, server.coalesced, server.errors),
+        "drained: %d requests, %d shed, %d errors"
+        % (server.requests, server.shed, server.errors),
         flush=True,
     )
     return 0
@@ -469,18 +464,6 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
                     pass
 
     socket_path = args.socket
-    endpoint = knob("REPRO_SERVICE")
-    if socket_path is None and endpoint:
-        from repro.serve.client import parse_endpoint
-
-        try:
-            socket_path = parse_endpoint(endpoint)
-        except ValueError:
-            socket_path = None
-            report["checks"]["daemon"] = {
-                "ok": False,
-                "detail": "malformed $REPRO_SERVICE value %r" % endpoint,
-            }
     if socket_path is not None:
         from repro.serve.client import RemoteError, ServiceClient
         from repro.serve.protocol import PROTOCOL_VERSION
@@ -506,8 +489,7 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
         except (RemoteError, OSError) as exc:
             report["checks"]["daemon"] = {
                 "ok": False,
-                "detail": "unix:%s unreachable (%s); clients fall back "
-                "in-process" % (socket_path, exc),
+                "detail": "unix:%s unreachable (%s)" % (socket_path, exc),
             }
         finally:
             client.close()
@@ -821,13 +803,13 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the kernel-service daemon on a unix socket",
         description=(
-            "Serve compile/execute requests over a unix socket: one "
-            "long-lived process owns the kernel cache, the disk store and "
-            "a pool of warm execution plans.  Clients set "
-            "REPRO_SERVICE=unix:SOCKET and transparently fall back to "
-            "in-process compilation when the daemon is unreachable.  "
-            "SIGTERM drains gracefully; a killed daemon's socket and lock "
-            "are reclaimed on the next start."
+            "Serve execute/stats/health/shutdown requests over a unix "
+            "socket: one long-lived process owns the kernel cache, the disk "
+            "store and a pool of warm execution plans.  Other processes "
+            "share its compiles by opening the same --dir "
+            "(KernelService(store=DIR)).  SIGTERM drains gracefully; a "
+            "killed daemon's socket and lock are reclaimed on the next "
+            "start."
         ),
     )
     p.add_argument("--socket", required=True, help="unix socket path to serve on")
@@ -954,8 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--socket",
         default=None,
-        help="kernel-service daemon socket to probe for reachability "
-        "(default: $REPRO_SERVICE when set)",
+        help="kernel-service daemon socket to probe for reachability",
     )
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(fn=_cmd_doctor)

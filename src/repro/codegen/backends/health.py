@@ -27,7 +27,6 @@ then propagate raw); this module still records what failed.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Dict, List, Optional
 
 from repro.obs import metrics as obs_metrics
@@ -35,16 +34,6 @@ from repro.obs import metrics as obs_metrics
 #: ladder order, fastest tier first.  ``python`` is the floor and is
 #: never marked unhealthy.
 TIERS = ("c@omp", "c", "python")
-
-#: the kernel-service daemon as a pseudo-tier *above* the in-process
-#: ladder: a client configured with ``REPRO_SERVICE`` serves cold keys
-#: from the daemon first, and a daemon that stops answering (after the
-#: client's bounded retries) is marked unhealthy here — sticky, like the
-#: backend tiers — so every later request falls back to the in-process
-#: ladder without paying connect/retry latency again.  Deliberately not
-#: part of :data:`TIERS`: the in-process ladder and its ordering are
-#: unchanged, remote is tracked alongside it.
-REMOTE = "remote"
 
 #: recorded errors kept per tier (the first failure matters most).
 _MAX_ERRORS = 8
@@ -61,7 +50,6 @@ class BackendHealth:
         self._lock = threading.Lock()
         self._errors: Dict[str, List[str]] = {}
         self._counts: Dict[str, int] = {}
-        self._since: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     def ok(self, tier: str) -> bool:
@@ -73,14 +61,12 @@ class BackendHealth:
     def mark(self, tier: str, error: BaseException) -> bool:
         """Record a runtime failure in *tier*; returns True on the first
         failure of that tier (the moment the ladder actually degrades)."""
-        if (tier not in TIERS and tier != REMOTE) or tier == "python":
+        if tier not in TIERS or tier == "python":
             raise ValueError("cannot mark tier %r" % (tier,))
         message = "%s: %s" % (type(error).__name__, error)
         with self._lock:
             first = tier not in self._counts
             self._counts[tier] = self._counts.get(tier, 0) + 1
-            if first:
-                self._since[tier] = time.time()
             errors = self._errors.setdefault(tier, [])
             if len(errors) < _MAX_ERRORS:
                 errors.append(message[:500])
@@ -115,26 +101,12 @@ class BackendHealth:
                     }
                     for tier in TIERS
                 },
-                "remote": {
-                    "healthy": self.ok(REMOTE),
-                    "failures": self._counts.get(REMOTE, 0),
-                    "errors": list(self._errors.get(REMOTE, ())),
-                },
             }
 
     def reset(self) -> None:
         with self._lock:
             self._errors.clear()
             self._counts.clear()
-            self._since.clear()
-
-    def reset_remote(self) -> None:
-        """Forget remote failures only (a restarted daemon is reachable
-        again; the in-process ladder's stickiness is unaffected)."""
-        with self._lock:
-            self._errors.pop(REMOTE, None)
-            self._counts.pop(REMOTE, None)
-            self._since.pop(REMOTE, None)
 
 
 #: the process-wide health record.
@@ -167,17 +139,3 @@ def snapshot() -> dict:
 
 def reset() -> None:
     HEALTH.reset()
-
-
-def mark_remote(error: BaseException) -> bool:
-    """Record a kernel-service daemon failure (sticky remote fallback)."""
-    return HEALTH.mark(REMOTE, error)
-
-
-def remote_ok() -> bool:
-    """Is the remote daemon still considered reachable?"""
-    return HEALTH.ok(REMOTE)
-
-
-def reset_remote() -> None:
-    HEALTH.reset_remote()

@@ -31,8 +31,7 @@ from repro.core.config import knob
 from repro.core.flock import atomic_write, single_flight
 from repro.obs import metrics as obs_metrics
 
-#: an identity — also the strict pattern a name arriving over the wire must
-#: match: hex digests and the two kind words, nothing path-like.
+#: an identity: hex digests and the two kind words, nothing path-like.
 IDENTITY = re.compile(r"[0-9a-f]{16}-(?:serial|omp)-[0-9a-f]{16}")
 _OBJECT = re.compile(r"(%s)-([0-9a-f]{16})\.so$" % IDENTITY.pattern)
 

@@ -136,15 +136,7 @@ KNOBS: Dict[str, Knob] = {row.name: row for row in (
          doc="no degradation ladder (c@omp -> c -> python): failures raise"),
     Knob("REPRO_FAULTS", "text",
          doc="fault-injection spec, e.g. cc=timeout@2*1,dlopen=fail*1"),
-    # the kernel-service daemon: client side, then server side
-    Knob("REPRO_SERVICE", "text",
-         doc="daemon endpoint (unix:/path.sock) tried for cold keys first"),
-    Knob("REPRO_SERVICE_RETRIES", "int", 2,
-         doc="client re-attempts after a failed daemon request"),
-    Knob("REPRO_SERVICE_BACKOFF", "float", 0.05, exclusive=True,
-         doc="client base retry backoff in seconds, doubled, capped at 1s"),
-    Knob("REPRO_SERVICE_TIMEOUT", "float", 30.0, exclusive=True,
-         doc="client socket timeout per daemon request, in seconds"),
+    # the kernel-service daemon and its client
     Knob("REPRO_SERVE_MAX_FRAME", "int", 64 << 20, minimum=1024,
          doc="wire frame size bound in bytes (tensors ride in frames)"),
     Knob("REPRO_STORE_MAX_BYTES", "int", zero_is_none=True,

@@ -11,8 +11,7 @@ Instrumented sites across the service layer then feed the process-wide
 :class:`MetricsRegistry`:
 
 * counters — ``service.requests``, ``service.origin.memory`` /
-  ``.disk`` / ``.remote`` / ``.compiled``, ``service.remote.hits`` /
-  ``.retries`` / ``.fallbacks`` / ``.errors`` / ``.artifact_rejected``,
+  ``.disk`` / ``.compiled``, ``service.remote.retries`` (daemon client),
   ``store.puts`` / ``store.evictions``, ``tensor.sort.skipped`` /
   ``.linear`` / ``.lexsort_fallback``, ``serve.bytes_in`` /
   ``.bytes_out`` (daemon frame bytes) …

@@ -6,12 +6,16 @@ Three modules, one wire protocol:
   codec (raw bytes: remote results are bit-identical by construction),
   the compile-spec codec, and the structured error codes.
 * :mod:`repro.serve.daemon` — :class:`KernelServer`, the asyncio
-  unix-socket daemon behind ``repro serve``: deadlines, bounded
-  admission with structured ``overloaded`` shedding, cross-client
-  compile coalescing, graceful SIGTERM drain, crash-safe warm restart.
-* :mod:`repro.serve.client` — :class:`ServiceClient` and the
-  ``$REPRO_SERVICE`` integration: bounded retries, then sticky fallback
-  to the in-process :class:`~repro.service.engine.KernelService`.
+  unix-socket daemon behind ``repro serve``: ``execute`` / ``stats`` /
+  ``health`` / ``shutdown``, deadlines, bounded admission with
+  structured ``overloaded`` shedding, graceful SIGTERM drain, crash-safe
+  warm restart.
+* :mod:`repro.serve.client` — :class:`ServiceClient`: one connection to
+  the daemon with bounded retries.
+
+Processes share compiled kernels through the disk store, not this
+package: a :class:`~repro.service.engine.KernelService` opened on the
+daemon's ``--dir`` finds what the daemon compiled.
 """
 
 from repro.serve.client import (
@@ -19,7 +23,6 @@ from repro.serve.client import (
     RemoteReplyError,
     RemoteUnavailable,
     ServiceClient,
-    fetch_compiled,
 )
 from repro.serve.daemon import KernelServer, PlanPool, probe_socket
 from repro.serve.protocol import (
@@ -37,7 +40,6 @@ __all__ = [
     "RemoteError",
     "RemoteReplyError",
     "RemoteUnavailable",
-    "fetch_compiled",
     "ProtocolError",
     "PROTOCOL_VERSION",
     "OPERATIONS",

@@ -3,8 +3,13 @@
 An asyncio unix-socket server that owns a :class:`KernelService` (the
 in-memory LRU and the disk store) plus a bounded pool of warm
 :class:`ExecutionPlan`\\ s, and speaks the length-prefixed frames (JSON
-head + raw tensor segments) of :mod:`repro.serve.protocol`.  Robustness
-decisions, in order of what kills shared services first:
+head + raw tensor segments) of :mod:`repro.serve.protocol`: it runs
+kernels (``execute``) and reports on itself (``stats``, ``health``,
+``shutdown``).  A cold ``execute`` compiles through the service, so
+concurrent requests for one key compile once (its single-flight) and
+the result is published to the store, where any process opening the
+same directory finds it.  Robustness decisions, in order of what kills
+shared services first:
 
 * **Deadlines** — every request runs under a deadline (its own
   ``deadline_s`` or the daemon's ``deadline``, 30 s); expiry answers a
@@ -14,9 +19,6 @@ decisions, in order of what kills shared services first:
 * **Backpressure** — at most ``queue_limit`` (32) requests are
   admitted (queued + running); the rest are shed immediately with an
   ``overloaded`` reply instead of queueing unboundedly.
-* **Coalescing** — duplicate in-flight ``compile`` keys share one
-  compile task (the wire extension of the service's single-flight), so
-  a stampede of clients on one cold hot key costs one compile.
 * **Graceful drain** — SIGTERM (or the ``shutdown`` op) stops admitting
   work (``draining`` replies), lets in-flight requests finish within
   ``drain_grace`` seconds (10), then exits, unlinking the socket and the
@@ -48,13 +50,12 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro import faults
 from repro.codegen.backends import health as backend_health
-from repro.codegen.backends.objects import identity_of
 from repro.core.config import knob
 from repro.core.flock import InterProcessLock
 from repro.faults.spec import FaultError
@@ -159,13 +160,7 @@ class KernelServer:
     ):
         self.socket_path = str(socket_path)
         if service is None:
-            service = KernelService(
-                capacity=capacity, store=store, use_remote=False
-            )
-        else:
-            # the daemon owns this service now: it must answer from its
-            # own cache/store/compiler, never by dialing a daemon
-            service.use_remote = False
+            service = KernelService(capacity=capacity, store=store)
         self.service = service
         self.queue_limit = int(queue_limit)
         self.workers = int(workers)
@@ -188,7 +183,6 @@ class KernelServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._done: Optional[asyncio.Event] = None
         self._idle: Optional[asyncio.Event] = None
-        self._compiling: Dict[str, asyncio.Task] = {}
         self._connections: set = set()
         self._active = 0
         self._draining = False
@@ -198,7 +192,6 @@ class KernelServer:
         self.shed = 0
         self.draining_rejected = 0
         self.deadline_timeouts = 0
-        self.coalesced = 0
         self.errors = 0
         self.warmed = 0
         self.bytes_in = 0
@@ -314,11 +307,6 @@ class KernelServer:
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
-        abandoned = list(self._compiling.values())
-        for task in abandoned:
-            task.cancel()
-        if abandoned:
-            await asyncio.gather(*abandoned, return_exceptions=True)
         self._pool.shutdown(wait=False)
         try:
             os.unlink(self.socket_path)
@@ -450,7 +438,7 @@ class KernelServer:
         if op == "shutdown":
             self.begin_drain("shutdown op")
             return {"ok": True, "id": rid, "status": "draining"}
-        if op not in ("compile", "execute"):
+        if op != "execute":
             return error_reply(
                 rid,
                 protocol.UNKNOWN_OP,
@@ -478,10 +466,7 @@ class KernelServer:
                     await asyncio.sleep(fault.arg_float(0.05))
                 else:
                     raise FaultError(fault)
-            deadline = self._request_deadline(msg)
-            if op == "compile":
-                return await self._compile_op(msg, rid, deadline)
-            return await self._execute_op(msg, rid, deadline)
+            return await self._execute_op(msg, rid, self._request_deadline(msg))
         except asyncio.TimeoutError:
             self.deadline_timeouts += 1
             obs_metrics.inc("serve.deadline_timeouts")
@@ -520,65 +505,6 @@ class KernelServer:
         if deadline is None:
             return await awaitable
         return await asyncio.wait_for(awaitable, deadline)
-
-    # -- compile -------------------------------------------------------
-    async def _compile_op(
-        self, msg: dict, rid, deadline: Optional[float]
-    ) -> dict:
-        request = protocol.request_from_spec(msg.get("spec"))
-        key = request.key
-        task = self._compiling.get(key)
-        if task is None:
-            loop = asyncio.get_running_loop()
-            task = loop.create_task(self._compile_payload(request))
-            self._compiling[key] = task
-            task.add_done_callback(
-                lambda _t, key=key: self._compiling.pop(key, None)
-            )
-        else:
-            self.coalesced += 1
-            obs_metrics.inc("serve.coalesced")
-        # shield: one follower's deadline must not cancel the shared
-        # compile other requesters (and the cache) are waiting on
-        payload = await self._bounded(deadline, asyncio.shield(task))
-        reply = dict(payload)
-        reply["id"] = rid
-        return reply
-
-    async def _compile_payload(self, request) -> dict:
-        loop = asyncio.get_running_loop()
-        kernel, origin = await loop.run_in_executor(
-            self._pool, self.service.get_with_origin, request
-        )
-        if kernel.backend != kernel.options.backend:
-            # this daemon could only produce a degraded kernel (its
-            # toolchain broke); shipping it would poison client caches
-            # with an artifact other hosts could build properly
-            return error_reply(
-                None,
-                protocol.DEGRADED,
-                "daemon serves %s for a %s request"
-                % (kernel.backend, kernel.options.backend),
-            )
-        payload = {
-            "ok": True,
-            "key": request.key,
-            "origin": origin,
-            "backend": kernel.backend,
-            "state": kernel.to_state(),
-        }
-        so_path = getattr(kernel.bound.executable, "so_path", None)
-        if so_path is not None:
-            try:
-                with open(so_path, "rb") as handle:
-                    blob = handle.read()
-                payload["artifact"] = blob
-                payload["artifact_sha256"] = hashlib.sha256(blob).hexdigest()
-                # which object this is: the client adopts it under that name
-                payload["artifact_name"] = identity_of(so_path)
-            except OSError:
-                pass  # build dir vanished: state alone still rehydrates
-        return payload
 
     # -- execute -------------------------------------------------------
     async def _execute_op(
@@ -649,7 +575,6 @@ class KernelServer:
                 "active": self._active,
                 "queue_limit": self.queue_limit,
                 "shed": self.shed,
-                "coalesced": self.coalesced,
                 "deadline_timeouts": self.deadline_timeouts,
                 "draining_rejected": self.draining_rejected,
                 "errors": self.errors,

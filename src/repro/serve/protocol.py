@@ -6,7 +6,7 @@ One frame, either direction (integers are big-endian u32)::
            '------------------- body (length bytes) -------------------'
 
 The head is a UTF-8 JSON object in which every bytes-like value of the
-message (a tensor's ``data``, the compile reply's ``artifact``) is
+message (a tensor's ``data``) is
 replaced by ``{"$seg": [offset, nbytes]}``; the bytes themselves follow
 as raw segments.  The segment area starts at the first 64-byte boundary
 of the body after the head and offsets are multiples of 64 within it, so
@@ -24,17 +24,13 @@ a message naming protocol v2; ``health`` replies carry
 ``PROTOCOL_VERSION`` and the client compares it on connect.
 
 Requests are ``{"op": ..., "id": ...,  ...}`` with operations
-``compile`` / ``execute`` / ``stats`` / ``health`` / ``shutdown``;
+``execute`` / ``stats`` / ``health`` / ``shutdown``;
 replies are ``{"ok": true, ...}`` or ``{"ok": false, "error": <code>,
 "detail": ...}``.  Error codes are part of the protocol:
 
 * ``overloaded`` — the admission queue is full; retry after backoff.
-* ``draining`` — the daemon is shutting down; retry elsewhere or fall
-  back in-process.
+* ``draining`` — the daemon is shutting down; retry elsewhere.
 * ``deadline`` — the request's deadline expired inside the daemon.
-* ``degraded`` — the daemon could only produce a degraded kernel (e.g.
-  its toolchain broke); the client should compile locally instead of
-  caching a poisoned artifact.
 * ``bad-request`` / ``unknown-op`` / ``internal`` — not retryable.
 
 Tensors cross the wire as their raw C-order bytes, dtype- and
@@ -76,7 +72,6 @@ ALIGN = 64
 OVERLOADED = "overloaded"
 DRAINING = "draining"
 DEADLINE = "deadline"
-DEGRADED = "degraded"
 BAD_REQUEST = "bad-request"
 UNKNOWN_OP = "unknown-op"
 INTERNAL = "internal"
@@ -85,7 +80,7 @@ INTERNAL = "internal"
 RETRYABLE_ERRORS = frozenset({OVERLOADED, DRAINING})
 
 #: operations the protocol defines.
-OPERATIONS = ("compile", "execute", "stats", "health", "shutdown")
+OPERATIONS = ("execute", "stats", "health", "shutdown")
 
 
 class ProtocolError(ValueError):

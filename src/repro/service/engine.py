@@ -10,6 +10,10 @@ preparation (:mod:`repro.service.batch`).
 
 Lookup path on ``get_or_compile``:  memory LRU -> disk store (rehydrate +
 promote into memory) -> cold compile (insert into both).
+
+The disk store is how processes share compiles: every process (the
+``repro serve`` daemon included) that opens one directory elects a single
+compiler per key and rehydrates what another published.
 """
 
 from __future__ import annotations
@@ -111,13 +115,6 @@ class ServiceStats:
                 "backend: DEGRADED — active ladder: %s"
                 % " -> ".join(self.health.get("ladder", []))
             )
-        remote = self.health.get("remote", {})
-        if remote.get("failures"):
-            errors = remote.get("errors") or ["unreachable"]
-            lines.append(
-                "service: DEGRADED(remote) — daemon unreachable, serving "
-                "in-process (%s)" % errors[0]
-            )
         return "\n".join(lines)
 
 
@@ -127,7 +124,7 @@ class WarmupReport:
 
     name: str
     key: str
-    source: str  # "memory" | "disk" | "remote" | "compiled"
+    source: str  # "memory" | "disk" | "compiled"
     seconds: float
 
 
@@ -144,12 +141,6 @@ class KernelService:
     workers:
         default thread-pool width for :meth:`batch` (``None`` = run
         batches sequentially unless the call overrides it).
-    use_remote:
-        whether cold keys may be fetched from a ``$REPRO_SERVICE``
-        daemon before compiling locally.  The daemon sets ``False`` on
-        the service it owns — a daemon that consulted a daemon for its
-        own cold keys could end up requesting itself, deadlocking every
-        cold compile behind a wire round-trip to its own queue.
     """
 
     def __init__(
@@ -157,10 +148,8 @@ class KernelService:
         capacity: int = 128,
         store: Union[DiskStore, str, Path, None] = None,
         workers: Optional[int] = None,
-        use_remote: bool = True,
     ):
         self.cache = LRUKernelCache(capacity)
-        self.use_remote = use_remote
         if store is not None and not isinstance(store, DiskStore):
             store = DiskStore(store)
         self.store: Optional[DiskStore] = store
@@ -205,9 +194,9 @@ class KernelService:
         self, request: CompileRequest
     ) -> Tuple[CompiledKernel, str]:
         """Like :meth:`get_or_compile_request`, also reporting provenance:
-        ``"memory"`` / ``"disk"`` / ``"remote"`` / ``"compiled"``.  The
-        daemon serves its wire replies through this so clients see where
-        an answer came from."""
+        ``"memory"`` / ``"disk"`` / ``"compiled"``.  The daemon serves its
+        wire replies through this so clients see where an answer came
+        from."""
         key = request.key
         with obs_trace.span("service:lookup", key=key[:12]) as sp:
             kernel, origin = self._serve(key, request)
@@ -218,9 +207,9 @@ class KernelService:
 
     def _serve(self, key: str, request: CompileRequest) -> Tuple[CompiledKernel, str]:
         """The lookup loop; returns ``(kernel, origin)`` with origin one
-        of ``"memory"`` / ``"disk"`` / ``"remote"`` / ``"compiled"`` (a
-        follower that waited out another thread's compile reports
-        ``"memory"`` — that is where its answer came from)."""
+        of ``"memory"`` / ``"disk"`` / ``"compiled"`` (a follower that
+        waited out another thread's compile reports ``"memory"`` — that
+        is where its answer came from)."""
         while True:
             with self._lock:
                 kernel = self.cache.get(key)
@@ -244,19 +233,6 @@ class KernelService:
                 if self.store is not None:
                     with obs_trace.span("service:disk", key=key[:12]):
                         kernel = self.store.get(key)
-                if kernel is None:
-                    kernel = self._remote_fetch(request)
-                    if kernel is not None:
-                        origin = "remote"
-                        # a daemon-built kernel is as good as a local
-                        # compile: persist it (same poisoning gate as
-                        # _compile_cold) so the next process skips both
-                        # the daemon and the compiler
-                        if (
-                            self.store is not None
-                            and kernel.backend == kernel.options.backend
-                        ):
-                            self.store.put(key, kernel)
                 if kernel is None:
                     kernel, origin = self._compile_cold(key, request)
                 with self._lock:
@@ -309,20 +285,6 @@ class KernelService:
             knob("REPRO_LOCK_TIMEOUT"),
             lambda: obs_metrics.inc("service.lock_timeouts"),
         )
-
-    def _remote_fetch(self, request: CompileRequest) -> Optional[CompiledKernel]:
-        """Ask the ``$REPRO_SERVICE`` daemon for a compiled kernel.
-
-        Returns ``None`` whenever the daemon cannot help — not configured,
-        marked unreachable, retries exhausted, or it answered ``degraded``
-        — and the lookup falls through to the local compile path.  Never
-        raises: remote is an accelerator, not a dependency.
-        """
-        if not self.use_remote:
-            return None
-        from repro.serve import client as serve_client
-
-        return serve_client.fetch_compiled(request)
 
     def _compile_now(self, key: str, request: CompileRequest) -> CompiledKernel:
         """One cold compile (the ``service.compile`` injection point)."""

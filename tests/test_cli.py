@@ -256,11 +256,7 @@ def test_help_epilog_documents_serve_env(capsys):
     with _pytest.raises(SystemExit):
         main(["--help"])
     out = capsys.readouterr().out
-    for name in (
-        "REPRO_SERVICE",
-        "REPRO_SERVE_MAX_FRAME",
-        "REPRO_STORE_MAX_BYTES",
-    ):
+    for name in ("REPRO_SERVE_MAX_FRAME", "REPRO_STORE_MAX_BYTES"):
         assert name in out, name
 
 

@@ -75,6 +75,7 @@ def test_warning_is_emitted_once_per_name_value(monkeypatch):
 
 def test_serve_knob_defaults(monkeypatch, tmp_path):
     from repro.cli import build_parser
+    from repro.serve.client import ServiceClient
     from repro.serve.daemon import KernelServer
 
     for name in KNOBS:
@@ -86,10 +87,10 @@ def test_serve_knob_defaults(monkeypatch, tmp_path):
     assert (server.queue_limit, server.workers, server.deadline) == (32, 4, 30.0)
     assert (flags.queue, flags.workers, flags.deadline) == (32, 4, 30.0)
     assert "REPRO_SERVE_QUEUE" in config.unknown_knobs()
+    # so are the client's retries / backoff / timeout
+    client = ServiceClient(tmp_path / "d.sock")
+    assert (client.retries, client.backoff, client.timeout) == (2, 0.05, 30.0)
     assert knob("REPRO_SERVE_MAX_FRAME") == 64 << 20
-    assert knob("REPRO_SERVICE_RETRIES") == 2
-    assert knob("REPRO_SERVICE_BACKOFF") == 0.05
-    assert knob("REPRO_SERVICE_TIMEOUT") == 30.0
     assert knob("REPRO_STORE_MAX_BYTES") is None
     # and every row's default is what an unset variable reads as
     for name, row in KNOBS.items():
@@ -213,7 +214,7 @@ def test_readme_knob_table_names_exactly_the_table():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     rows = re.findall(r"^\| `(REPRO_[A-Z_]+)` +\|", readme, flags=re.M)
     assert rows == list(KNOBS)
-    assert len(KNOBS) == 24
+    assert len(KNOBS) == 20
     help_text = build_parser().format_help()
     assert all(name in help_text for name in KNOBS)
     # nothing documents a variable the table does not declare

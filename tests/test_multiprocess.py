@@ -5,7 +5,9 @@ store and the same persistent ``REPRO_C_CACHE`` build directory, with a
 logging ``cc`` wrapper so the test can count actual compiler invocations.
 The advisory-lock single-flight (toolchain + engine) must produce exactly
 one kernel ``cc`` run, every child must answer bit-identically, and no
-lock or temp files may survive.
+lock or temp files may survive.  The same store is how a process shares
+what a ``repro serve`` daemon compiled: opened on the daemon's ``--dir``,
+a ``KernelService`` finds the daemon's build without compiling.
 """
 
 from __future__ import annotations
@@ -17,9 +19,18 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
-from repro.codegen.backends import get_backend
+from repro import faults
+from repro.codegen.backends import ctoolchain, get_backend
+from repro.codegen.backends import health
+from repro.core.config import DEFAULT
+from repro.obs import trace
+from repro.serve.client import ServiceClient
+from repro.serve.daemon import probe_socket
+from repro.service import KernelService
+from repro.service.keys import canonicalize
 
 pytestmark = pytest.mark.skipif(
     not get_backend("c").is_available(), reason="no working C toolchain"
@@ -217,3 +228,69 @@ print(so)
         if p.name.endswith(".lock") or p.name.endswith(".tmp.so") or p.name.endswith(".tmp")
     ]
     assert not litter, litter
+
+
+def test_a_daemon_compile_is_served_from_its_store_in_another_process(
+    tmp_path, monkeypatch
+):
+    """A cold ``execute`` compiles inside the daemon, which publishes to its
+    store; this process, opening that directory, rehydrates the kernel —
+    origin ``disk``, no compile, no ``cc`` — and answers bit-identically."""
+    store_dir = tmp_path / "store"
+    sock = str(tmp_path / "daemon.sock")
+    env = {
+        k: v for k, v in os.environ.items() if not k.startswith("REPRO_") or k == "REPRO_CC"
+    }
+    env["REPRO_C_CACHE"] = str(tmp_path / "daemon-build")
+    src_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--socket", sock, "--dir", str(store_dir)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+    )
+    request = canonicalize(
+        "y[i] += A[i, j] * x[j]",
+        symmetric={"A": True},
+        loop_order=("j", "i"),
+        options=DEFAULT.but(backend="c"),
+    )
+    tensors = {
+        "A": np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 4.0]]),
+        "x": np.array([1.0, 2.0, 3.0]),
+    }
+    try:
+        deadline = time.monotonic() + 60.0
+        while not probe_socket(sock):
+            assert proc.poll() is None, proc.stdout.read().decode()
+            assert time.monotonic() < deadline, "daemon never served"
+            time.sleep(0.05)
+        client = ServiceClient(sock)
+        result, reply = client.execute(request, tensors)
+        assert (reply["origin"], reply["backend"]) == ("compiled", "c")
+        client.shutdown()
+        client.close()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+
+    # an empty process object cache and a clean ladder: the object can only
+    # come from the store, and nothing ambient may rebuild it — nor upgrade
+    # it: the daemon's scrubbed environment built the serial object
+    build_dir = tmp_path / "our-build"
+    build_dir.mkdir()
+    monkeypatch.setattr(ctoolchain, "_build_dir", str(build_dir))
+    monkeypatch.delenv("REPRO_THREADS", raising=False)
+    health.reset()
+    try:
+        with faults.injecting(None), trace.tracing() as rec:
+            service = KernelService(store=store_dir)
+            kernel, origin = service.get_with_origin(request)
+            out = kernel(**tensors)
+    finally:
+        health.reset()
+    assert origin == "disk" and service.stats().compiles == 0
+    assert kernel.backend == "c"
+    assert not [e for e in rec.events if e.name == "cc"]
+    assert np.array_equal(out, result)

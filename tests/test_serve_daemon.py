@@ -1,5 +1,5 @@
-"""Daemon robustness tests: bit-identity over the wire, coalescing,
-backpressure, deadlines, drain, hostile input, and crash-safe restart.
+"""Daemon robustness tests: bit-identity over the wire, one compile per
+key, backpressure, deadlines, drain, hostile input, and crash-safe restart.
 
 The daemon runs in a background thread with its own event loop (the same
 process, so fault injection and health state are shared and observable);
@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,27 @@ SYMV = dict(
     symmetric={"A": True},
     formats={"A": "sparse"},
 )
+
+#: a small dense SYMV argument set: a cold ``execute`` of it compiles inside
+#: the daemon, under whatever ``service.compile`` faults a test arms
+SYMV_TENSORS = {
+    "A": np.eye(4) + np.eye(4, k=1) + np.eye(4, k=-1),
+    "x": np.arange(4.0),
+}
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def execute_msg(rid, request, **extra) -> dict:
+    """An ``execute`` frame for *request* over :data:`SYMV_TENSORS`."""
+    msg = {
+        "op": "execute",
+        "id": rid,
+        "spec": protocol.spec_from_request(request),
+        "tensors": protocol.encode_tensors(SYMV_TENSORS),
+    }
+    msg.update(extra)
+    return msg
 
 
 def raw_call(sock_path: str, msg: dict, timeout: float = 10.0) -> dict:
@@ -84,7 +106,7 @@ def test_all_kernels_bit_identical_over_socket(tmp_path, dtype):
 
     specs = dict(KERNELS)
     specs.update(EXTENSIONS)
-    local = KernelService(use_remote=False)
+    local = KernelService()
     with running_daemon(tmp_path, store=str(tmp_path / "store")) as (server, sock):
         client = ServiceClient(sock)
         for name in sorted(specs):
@@ -107,22 +129,9 @@ def test_all_kernels_bit_identical_over_socket(tmp_path, dtype):
     assert server.errors == 0
 
 
-def test_compile_reply_carries_state_and_origin(tmp_path):
-    request = canonicalize(**SYMV)
-    with running_daemon(tmp_path, store=str(tmp_path / "store")) as (server, sock):
-        client = ServiceClient(sock)
-        first = client.compile(request)
-        again = client.compile(request)
-        client.close()
-    assert first["ok"] and first["origin"] == "compiled"
-    assert first["key"] == request.key
-    assert "state" in first
-    assert again["origin"] == "memory"
-
-
 def test_plan_pool_reuses_warm_plans(tmp_path, rng):
     request = canonicalize(**SYMV)
-    kernel = KernelService(use_remote=False).get_or_compile_request(request)
+    kernel = KernelService().get_or_compile_request(request)
     tensors = _synth_inputs(kernel, 6)
     with running_daemon(tmp_path) as (server, sock):
         client = ServiceClient(sock)
@@ -135,9 +144,11 @@ def test_plan_pool_reuses_warm_plans(tmp_path, rng):
 
 
 # ---------------------------------------------------------------------------
-# coalescing, backpressure, deadlines
+# one compile per key, backpressure, deadlines
 # ---------------------------------------------------------------------------
-def test_duplicate_inflight_compiles_coalesce(tmp_path):
+def test_concurrent_cold_executes_compile_once(tmp_path):
+    """Three clients racing one cold key: the service's single-flight
+    compiles it once and every reply carries the same bytes."""
     request = canonicalize(**SYMV)
     with running_daemon(tmp_path) as (server, sock):
         with faults.injecting("service.compile=slow:0.4*1"):
@@ -145,7 +156,7 @@ def test_duplicate_inflight_compiles_coalesce(tmp_path):
 
             def one():
                 client = ServiceClient(sock)
-                results.append(client.compile(request))
+                results.append(client.execute(request, SYMV_TENSORS)[0])
                 client.close()
 
             threads = [threading.Thread(target=one) for _ in range(3)]
@@ -153,10 +164,25 @@ def test_duplicate_inflight_compiles_coalesce(tmp_path):
                 t.start()
             for t in threads:
                 t.join(timeout=15.0)
-    assert len(results) == 3 and all(r["ok"] for r in results)
-    assert server.coalesced >= 1
-    # the service compiled once: followers shared the in-flight task
+    assert len(results) == 3
+    assert all(r.tobytes() == results[0].tobytes() for r in results)
+    np.testing.assert_allclose(results[0], SYMV_TENSORS["A"] @ SYMV_TENSORS["x"])
     assert server.service.stats().compiles == 1
+
+
+def test_compile_op_is_answered_unknown_op(tmp_path):
+    """The daemon runs kernels; it does not hand compiled ones out.  A
+    client that asks (protocol v2 used to define ``compile``) is told which
+    operations exist, and nothing is compiled."""
+    request = canonicalize(**SYMV)
+    with running_daemon(tmp_path) as (server, sock):
+        reply = raw_call(
+            sock,
+            {"op": "compile", "id": 1, "spec": protocol.spec_from_request(request)},
+        )
+    assert reply["ok"] is False and reply["error"] == protocol.UNKNOWN_OP
+    assert reply["detail"].endswith("(have: execute, stats, health, shutdown)")
+    assert server.service.stats().compiles == 0
 
 
 def test_saturated_queue_sheds_with_structured_overloaded(tmp_path):
@@ -164,8 +190,7 @@ def test_saturated_queue_sheds_with_structured_overloaded(tmp_path):
     with running_daemon(tmp_path, queue_limit=1) as (server, sock):
         with faults.injecting("serve.handler=slow:1.0*1"):
             slow = threading.Thread(
-                target=lambda: raw_call(sock, {"op": "compile", "id": 1,
-                                               "spec": protocol.spec_from_request(request)}),
+                target=lambda: raw_call(sock, execute_msg(1, request)),
             )
             slow.start()
             # wait until the slow request occupies the only admission slot
@@ -173,11 +198,7 @@ def test_saturated_queue_sheds_with_structured_overloaded(tmp_path):
             while server._active == 0:
                 assert time.monotonic() < deadline, "slow request never admitted"
                 time.sleep(0.005)
-            shed = raw_call(
-                sock,
-                {"op": "compile", "id": 2,
-                 "spec": protocol.spec_from_request(request)},
-            )
+            shed = raw_call(sock, execute_msg(2, request))
             slow.join(timeout=10.0)
     assert shed["ok"] is False
     assert shed["error"] == protocol.OVERLOADED
@@ -192,15 +213,7 @@ def test_request_deadline_expires_with_structured_reply(tmp_path):
     request = canonicalize(**SYMV)
     with running_daemon(tmp_path) as (server, sock):
         with faults.injecting("service.compile=slow:5"):
-            reply = raw_call(
-                sock,
-                {
-                    "op": "compile",
-                    "id": 1,
-                    "deadline_s": 0.1,
-                    "spec": protocol.spec_from_request(request),
-                },
-            )
+            reply = raw_call(sock, execute_msg(1, request, deadline_s=0.1))
     assert reply == {
         "ok": False,
         "id": 1,
@@ -233,11 +246,7 @@ def test_drain_finishes_inflight_and_rejects_new(tmp_path):
             inflight = {}
 
             def slow():
-                inflight["reply"] = raw_call(
-                    sock,
-                    {"op": "compile", "id": 1,
-                     "spec": protocol.spec_from_request(request)},
-                )
+                inflight["reply"] = raw_call(sock, execute_msg(1, request))
 
             thread = threading.Thread(target=slow)
             thread.start()
@@ -245,11 +254,7 @@ def test_drain_finishes_inflight_and_rejects_new(tmp_path):
                 time.sleep(0.01)
             shutdown = raw_call(sock, {"op": "shutdown", "id": 2})
             assert shutdown["ok"] and shutdown["status"] == "draining"
-            rejected = raw_call(
-                sock,
-                {"op": "compile", "id": 3,
-                 "spec": protocol.spec_from_request(request)},
-            )
+            rejected = raw_call(sock, execute_msg(3, request))
             thread.join(timeout=10.0)
     # the in-flight request finished cleanly; the late one was refused
     assert inflight["reply"]["ok"] is True
@@ -398,7 +403,11 @@ def test_slowloris_is_disconnected_by_read_timeout(tmp_path):
 
 def test_bad_spec_answered_bad_request_not_crash(tmp_path):
     with running_daemon(tmp_path) as (server, sock):
-        reply = raw_call(sock, {"op": "compile", "id": 1, "spec": {"einsum": 42}})
+        reply = raw_call(
+            sock,
+            {"op": "execute", "id": 1, "spec": {"einsum": 42},
+             "tensors": protocol.encode_tensors(SYMV_TENSORS)},
+        )
         assert reply["error"] == protocol.BAD_REQUEST
         reply = raw_call(sock, {"op": "execute", "id": 2, "spec": None})
         assert reply["error"] == protocol.BAD_REQUEST
@@ -446,7 +455,9 @@ def test_warm_restart_rehydrates_from_store(tmp_path):
     store_dir = str(tmp_path / "store")
     request = canonicalize(**SYMV)
     with running_daemon(tmp_path, store=store_dir) as (server, sock):
-        assert ServiceClient(sock).compile(request)["origin"] == "compiled"
+        client = ServiceClient(sock)
+        assert client.execute(request, SYMV_TENSORS)[1]["origin"] == "compiled"
+        client.close()
     sock2 = str(tmp_path / "second.sock")
     server2 = KernelServer(sock2, store=store_dir)
     warmed, failed = server2.warm_from_store()
@@ -482,9 +493,8 @@ def test_kill9_mid_compile_then_clean_restart(tmp_path):
     store_dir = tmp_path / "store"
     sock = str(tmp_path / "daemon.sock")
     env = dict(os.environ)
-    env["PYTHONPATH"] = "src"
+    env["PYTHONPATH"] = str(ROOT / "src")
     env["REPRO_FAULTS"] = "service.compile=slow:30"
-    env.pop("REPRO_SERVICE", None)
     argv = [
         sys.executable,
         "-m",
@@ -496,7 +506,7 @@ def test_kill9_mid_compile_then_clean_restart(tmp_path):
         str(store_dir),
     ]
     proc = subprocess.Popen(
-        argv, env=env, cwd="/root/repo",
+        argv, env=env, cwd=str(ROOT),
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
     )
     try:
@@ -506,14 +516,10 @@ def test_kill9_mid_compile_then_clean_restart(tmp_path):
             assert time.monotonic() < deadline
             time.sleep(0.05)
         request = canonicalize(**SYMV)
-        # park a compile behind the injected 30s stall, then kill -9
+        # park a cold execute behind the injected 30s compile stall, then
+        # kill -9
         hostile = _hostile_sock(sock)
-        hostile.sendall(
-            protocol.encode_frame(
-                {"op": "compile", "id": 1,
-                 "spec": protocol.spec_from_request(request)}
-            )
-        )
+        hostile.sendall(protocol.encode_frame(execute_msg(1, request)))
         time.sleep(0.5)
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=10.0)
@@ -526,7 +532,7 @@ def test_kill9_mid_compile_then_clean_restart(tmp_path):
     # restart over the corpse, no fault spec this time
     env.pop("REPRO_FAULTS")
     proc = subprocess.Popen(
-        argv, env=env, cwd="/root/repo",
+        argv, env=env, cwd=str(ROOT),
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
     )
     try:
@@ -536,8 +542,7 @@ def test_kill9_mid_compile_then_clean_restart(tmp_path):
             assert time.monotonic() < deadline
             time.sleep(0.05)
         request = canonicalize(**SYMV)
-        reply = raw_call(sock, {"op": "compile", "id": 1,
-                                "spec": protocol.spec_from_request(request)})
+        reply = raw_call(sock, execute_msg(1, request))
         assert reply["ok"], reply
         raw_call(sock, {"op": "shutdown", "id": 2})
         proc.wait(timeout=30.0)

@@ -97,7 +97,7 @@ def test_encoding_makes_one_copy_and_never_goes_through_text(
 
 def test_result_is_copied_out_before_the_plan_returns_to_the_pool(tmp_path):
     request = canonicalize(**SYMV)
-    kernel = KernelService(use_remote=False).get_or_compile_request(request)
+    kernel = KernelService().get_or_compile_request(request)
     tensors = _synth_inputs(kernel, 6)
     expected = kernel(**tensors).copy()
     server = KernelServer(str(tmp_path / "never-started.sock"))
@@ -122,7 +122,7 @@ def test_result_is_copied_out_before_the_plan_returns_to_the_pool(tmp_path):
 
 def test_pooled_plans_answer_each_request_with_its_own_result(tmp_path):
     request = canonicalize(**SYMV)
-    kernel = KernelService(use_remote=False).get_or_compile_request(request)
+    kernel = KernelService().get_or_compile_request(request)
     one = _synth_inputs(kernel, 6)
     two = {name: arr * 3.0 + 1.0 for name, arr in one.items()}  # same shapes
     two["A"] = np.maximum(two["A"], two["A"].T)

@@ -1,5 +1,9 @@
 """KernelService facade: lookup path, warmup, invalidation, stats."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -113,21 +117,6 @@ def test_warmup_reports_origin_and_populates_cache(tmp_path):
     assert rehydrated[0].source == "disk"
 
 
-def test_warmup_reports_a_daemon_supplied_kernel_as_remote(monkeypatch):
-    """Provenance is what the lookup returned, not a re-derivation from
-    counters: a kernel a ``$REPRO_SERVICE`` daemon supplied is ``remote``
-    (it used to be reported ``disk``)."""
-    from repro.serve import client as serve_client
-
-    donor = KernelService(capacity=4, use_remote=False)
-    monkeypatch.setattr(
-        serve_client, "fetch_compiled", donor.get_or_compile_request
-    )
-    service = KernelService(capacity=4)
-    assert [r.source for r in service.warmup(names=("ssymv",))] == ["remote"]
-    assert service.stats().compiles == 0 and donor.stats().compiles == 1
-
-
 def test_warmup_full_library_and_unknown_name():
     service = KernelService(capacity=32)
     reports = service.warmup()
@@ -142,3 +131,25 @@ def test_stats_describe_mentions_disk_only_when_present(tmp_path):
     with_store = KernelService(capacity=2, store=tmp_path)
     with_store.get_or_compile(SSYMV, **SPEC)
     assert "disk: 1 entries" in with_store.stats().describe()
+
+
+def test_a_cold_miss_imports_no_daemon_code(tmp_path):
+    """The service layer stands alone: in a fresh interpreter, a cold miss
+    compiles and publishes without importing the daemon package or
+    asyncio."""
+    probe = "\n".join((
+        "import sys",
+        "from repro import DEFAULT, KernelService",
+        "KernelService(store=sys.argv[1]).get_or_compile(",
+        "    %r, symmetric={'A': True}, options=DEFAULT.but(backend='python'))" % SSYMV,
+        "print(sorted(m for m in sys.modules",
+        "             if m.split('.')[0] == 'asyncio' or m.startswith('repro.serve')))",
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"
+    assert list(tmp_path.glob("*.json")), "the miss compiled and published"

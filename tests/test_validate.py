@@ -151,7 +151,7 @@ def test_bad_arguments_raise_before_any_view_is_built(
         lambda: kernel(**tensors),
         lambda: kernel.prepare(**tensors),
         lambda: kernel.execution_plan(**tensors),
-        lambda: KernelService(use_remote=False).batch(
+        lambda: KernelService().batch(
             [
                 BatchRequest(
                     "y[i] += A[i, j] * x[j]",
