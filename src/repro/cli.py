@@ -638,6 +638,18 @@ def _threads_arg(value: str):
     return count
 
 
+def _passes_arg(value: str) -> str:
+    """argparse type for pass specs: an unknown token is a usage error
+    here, where ``$REPRO_PASSES`` only warns."""
+    from repro.codegen.passes import parse_passes
+
+    try:
+        parse_passes(value, strict=True)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return value
+
+
 def _env_epilog() -> str:
     """The ``--help`` environment section, printed from the knob table."""
     import textwrap
@@ -705,10 +717,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--passes",
+        type=_passes_arg,
         default=None,
         metavar="SPEC",
         help="C optimization-pass selection, in $REPRO_PASSES' place (e.g. "
-        "'all', 'none', 'default,+tile', 'fission,tile')",
+        "'none', 'none,tile', '-tile', 'default')",
     )
     p.set_defaults(fn=_cmd_compile)
 

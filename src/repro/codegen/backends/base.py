@@ -13,25 +13,18 @@ lowered loops themselves.  It is resolved **once** per compile request —
 :func:`repro.core.compiler.resolve_request` — and from there only moves
 as a value: the cache key hashes it, the wire spec and the store entry
 carry it, and the C printer renders under it.  Nothing downstream of the
-resolver looks at the environment or the toolchain probe again, so a key
-can never describe a different program than the one that gets built for
-it.
+resolver looks at the environment again, so a key can never describe a
+different program than the one that gets built for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from repro.codegen.backends import ctoolchain
-from repro.codegen.passes.base import (
-    DEFAULT_ON,
-    PASS_ORDER,
-    PassConfig,
-    parse_passes,
-)
+from repro.codegen.passes.base import PASS_ORDER, PassConfig, parse_passes
 from repro.codegen.lower import LoweredKernel
 from repro.core.config import OMP_STRATEGY_CHOICES, knob
 
@@ -50,31 +43,24 @@ class CodegenConfig:
     #: whether per-nest wall-time instrumentation is compiled in.
     profile: bool = False
     #: the loop passes the renderer runs, honored verbatim.
-    passes: PassConfig = PassConfig(enabled=DEFAULT_ON)
+    passes: PassConfig = PassConfig(enabled=PASS_ORDER)
 
     @classmethod
     def resolve(cls, passes: Optional[str] = None) -> "CodegenConfig":
-        """Defaults <- environment <- toolchain gate.
+        """Defaults <- environment.
 
-        The only place those three are combined: ``$REPRO_PASSES`` (or
+        The only place those two are combined: ``$REPRO_PASSES`` (or
         *passes*, the spec ``repro compile --passes`` puts in its place)
         names the pass set, ``$REPRO_OMP_STRATEGY`` the strategy and
         ``$REPRO_PROFILE`` the instrumentation; whatever is unset takes
-        its default.
+        its default.  Nothing here runs the toolchain.
         """
         if passes is None:
             passes = knob("REPRO_PASSES")
-        config = PassConfig(DEFAULT_ON if passes is None else parse_passes(passes))
-        if config.is_on("denormals") and not ctoolchain.probe_ftz():
-            # the gate lives here rather than inside the pass so an
-            # explicit PassConfig is rendered verbatim (golden snapshots
-            # are machine-independent) while a resolved one never asks
-            # this toolchain for the MXCSR code it cannot emit
-            config = replace(
-                config,
-                enabled=tuple(n for n in config.enabled if n != "denormals"),
-            )
-        return cls(knob("REPRO_OMP_STRATEGY"), knob("REPRO_PROFILE"), config)
+        enabled = PASS_ORDER if passes is None else parse_passes(passes)
+        return cls(
+            knob("REPRO_OMP_STRATEGY"), knob("REPRO_PROFILE"), PassConfig(enabled)
+        )
 
     def to_dict(self) -> dict:
         """The JSON form the wire spec and the store entry carry."""

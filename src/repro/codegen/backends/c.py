@@ -28,8 +28,8 @@ phase pipeline of :mod:`repro.codegen.passes` under the request's
 ``CodegenConfig`` — all of it cache-key material — and the renderer
 prints its product, :class:`~repro.codegen.loopir.Fused`,
 :class:`~repro.codegen.loopir.Tiled` and
-:class:`~repro.codegen.loopir.Parallel` nodes included, under the FTZ /
-SIMD flags it set.  A ``Parallel`` nest (the strategy table lives in
+:class:`~repro.codegen.loopir.Parallel` nodes included, under the SIMD
+flag it set.  A ``Parallel`` nest (the strategy table lives in
 :mod:`repro.codegen.passes.parallelize`) is printed twice behind
 ``#if defined(_OPENMP)``: a serial body (taken when
 ``repro_nthreads <= 1``) and an ``omp parallel`` body — one region
@@ -80,8 +80,7 @@ _C_KEYWORDS = frozenset(
     repro_profile_nests repro_profile_calls
     repro_profile_reset repro_profile_read repro_openmp
     pv_all pv_out pv_total pv_team pv_k pv_s pv_b
-    rp_status rp_oom rp_tb rp_thi rp_tile rp_nb rp_cap rp_csr rp_tcsr rp_slot
-    repro_ftz_on repro_ftz_restore""".split()
+    rp_status rp_oom rp_tb rp_thi rp_tile rp_nb rp_cap rp_slot""".split()
 )
 
 #: element loop variable for vectorized statements.
@@ -141,13 +140,12 @@ class _Renderer:
         else:
             raise CRenderError("unsupported kernel dtype %r" % (lowered.dtype,))
 
-        # pipeline products: ftz/simd flags come back on the LoopIR;
+        # pipeline products: the simd flag comes back on the LoopIR;
         # _parallel_ctx is the Parallel node whose OpenMP body is being
         # printed (None in serial emission: tiling applies there only, and
         # shared updates are rerouted per strategy here only); _tile_ctx
         # is the Tiled node whose guard is being injected into its fiber
         # loop.
-        self.ftz = False
         self.simd = False
         self._parallel_ctx: Optional[ir.Parallel] = None
         self._tile_ctx: Optional[ir.Tiled] = None
@@ -187,7 +185,6 @@ class _Renderer:
     # ------------------------------------------------------------------
     def render(self, state: ir.LoopIR) -> str:
         """Print the pipeline's product *state* as one translation unit."""
-        self.ftz = state.ftz
         self.simd = state.simd
         for stmt in self.lowered.program.preamble:
             self._stmt(stmt, 1)
@@ -254,9 +251,7 @@ class _Renderer:
                 % (elem, name, elem, length, elem)
             )
         if self.ws_alloc:
-            # report allocation failure as a status instead of crashing;
-            # this runs before the FTZ prologue so the early return never
-            # leaves a modified MXCSR behind
+            # report allocation failure as a status instead of crashing
             decls.append(
                 "    if (%s) {"
                 % " || ".join("!%s" % name for name in self.ws_alloc)
@@ -265,11 +260,7 @@ class _Renderer:
                 decls.append("        free(%s);" % name)
             decls.append("        return 1;")
             decls.append("    }")
-        if self.ftz:
-            decls.append("    unsigned int rp_csr = repro_ftz_on();")
         frees = ["    free(%s);" % name for name in self.ws_alloc]
-        if self.ftz:
-            frees = ["    repro_ftz_restore(rp_csr);"] + frees
 
         header = [
             "/* generated by repro.codegen.backends.c%s */"
@@ -278,29 +269,6 @@ class _Renderer:
             "#include <stdlib.h>",
             "#include <math.h>",
         ]
-        if self.ftz:
-            # denormals pass: flush-to-zero + denormals-are-zero via
-            # MXCSR, saved/restored per call (and per thread inside
-            # parallel regions).  Compiled only where SSE2 exists; the
-            # pass is gated on a toolchain probe, so the #else arm is a
-            # cross-platform safety net, not an expected build
-            header += [
-                "",
-                "#if defined(__SSE2__)",
-                "#include <xmmintrin.h>",
-                "static unsigned int repro_ftz_on(void) {",
-                "    unsigned int rp_csr = _mm_getcsr();",
-                "    _mm_setcsr(rp_csr | 0x8040u); /* FTZ | DAZ */",
-                "    return rp_csr;",
-                "}",
-                "static void repro_ftz_restore(unsigned int rp_csr) {",
-                "    _mm_setcsr(rp_csr);",
-                "}",
-                "#else",
-                "static unsigned int repro_ftz_on(void) { return 0u; }",
-                "static void repro_ftz_restore(unsigned int rp_csr) { (void) rp_csr; }",
-                "#endif",
-            ]
         if self.profile:
             header += [
                 "#include <time.h>",
@@ -450,7 +418,7 @@ class _Renderer:
         The preprocessor guard lets one rendered source build into both
         objects: without ``-fopenmp`` (the serial object) only the serial
         branch survives.  Every strategy shares the region skeleton —
-        oom flag, ``omp parallel``, FTZ, private declarations, the
+        oom flag, ``omp parallel``, private declarations, the
         ``rp_oom``-guarded worksharing loop, frees — and differs in the
         :class:`_Team` text around it.
         """
@@ -470,8 +438,6 @@ class _Renderer:
         region = outer + team.shift
         self._put(region, "#pragma omp parallel num_threads((int) repro_nthreads)")
         self._put(region, "{")
-        if self.ftz:
-            self._put(region + 1, "unsigned int rp_tcsr = repro_ftz_on();")
         self._put(region + 1, *team.enter)
         decls = loop = region + 1 + team.inner
         self._emit_private_decls(node, decls)
@@ -497,8 +463,6 @@ class _Renderer:
         # free(NULL) is a no-op, so this is safe on the rp_oom path too
         self._put(decls, *["free(%s);" % name for name in node.ws_names])
         self._put(region + 1, *team.leave)
-        if self.ftz:
-            self._put(region + 1, "repro_ftz_restore(rp_tcsr);")
         self._put(region, "}")
         self._put(outer, *team.after)
         self._put(ind, "} else")

@@ -121,7 +121,7 @@ class Toolchain:
 
 
 _lock = threading.Lock()
-#: answers of the once-per-process probes (toolchain, OpenMP, FTZ) by name.
+#: answers of the once-per-process probes (toolchain, OpenMP) by name.
 _probed: Dict[str, object] = {}
 _build_dir: Optional[str] = None
 
@@ -294,43 +294,14 @@ def openmp_flags() -> tuple:
 def reset_probe_cache() -> None:
     """Forget the cached probes (tests flip env vars between probes).
 
-    Invalidates the compiler, the (lazily probed) OpenMP answer and the
-    FTZ answer in one step — each is re-examined on next use.  The
+    Invalidates the compiler and the (lazily probed) OpenMP answer in one
+    step — each is re-examined on next use.  The
     permanent-failure memo is dropped too (its digests cover the
     toolchain identity, which may be about to change).
     """
     with _lock:
         _probed.clear()
         _failed.clear()
-
-
-#: MXCSR flush-to-zero probe source: sets and restores FTZ|DAZ through
-#: the same intrinsics the denormals pass generates.
-_FTZ_SOURCE = """
-#include <xmmintrin.h>
-int repro_probe(void) {
-    unsigned int csr = _mm_getcsr();
-    _mm_setcsr(csr | 0x8040u);
-    _mm_setcsr(csr);
-    return 42;
-}
-"""
-
-def _probe_ftz() -> bool:
-    tc = probe()
-    return tc is not None and _probe_build_runs(tc.cc, tc.flags, _FTZ_SOURCE)
-
-
-def probe_ftz() -> bool:
-    """Whether this toolchain can set flush-to-zero via MXCSR.
-
-    Gates the ``denormals`` codegen pass: on targets without SSE
-    intrinsics the pass would render to a no-op prologue, so it is
-    dropped from the *active* configuration (and therefore from cache
-    keys) instead.  Cached after the first call; reset together with the
-    toolchain probe.
-    """
-    return _probe_once("ftz", _probe_ftz)
 
 
 #: objects whose build failed *permanently* (cc exited nonzero) — the

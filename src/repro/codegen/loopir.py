@@ -604,8 +604,7 @@ class LoopIR:
     #: the :class:`~repro.codegen.lower.LoweredKernel` (read-only: its
     #: arguments, preamble, output spec, vector index)
     lowered: object
-    # pipeline-output flags the printer reads back
-    ftz: bool = False
+    #: pipeline-output flag the printer reads back
     simd: bool = False
     #: the parallelisation phase's :class:`NestWork` estimate per
     #: top-level ``for`` nest, in body order; empty when it did not run.

@@ -10,20 +10,9 @@ changes, :func:`~repro.codegen.loopir.verify` re-checked after each —
 and ``backends/c.py`` prints C from the transformed, annotated
 statements.  It decides nothing itself.
 
-Phases (pipeline order — mirroring Devito's ``_avoid_denormals ->
-_loop_fission -> _loop_blocking -> _simdize -> _ompize``):
+Phases (pipeline order — mirroring Devito's ``_loop_blocking ->
+_simdize -> _ompize``):
 
-``denormals``
-    flush-to-zero / denormals-are-zero via MXCSR (SSE2 guarded), saved
-    and restored around the kernel body.  Off by default: FTZ changes
-    results whenever a denormal appears, which breaks the bit-identity
-    contract with the Python backend.
-``fission``
-    splits a symmetric-scatter nest (the SSYMV shape: a strict-triangle
-    scatter plus an outer-coordinate write) into two nests — the scatter
-    half replays, the outer half becomes an embarrassingly-parallel
-    ``for`` nest.  Bit-identical because every strict-scatter write to an
-    element precedes that element's outer write in both schedules.
 ``fuse``
     merges runs of adjacent vectorized statements (numpy row-slice
     updates) into one element loop.  Bit-identical because every fused
@@ -33,11 +22,10 @@ _loop_fission -> _loop_blocking -> _simdize -> _ompize``):
     block of output rows stays cache-resident across the whole structure
     walk.  Bit-identical because all writes to one output element share
     the same blocked coordinate, so per-element write order is the serial
-    order.  On by default: the block count is chosen at run time, about
-    1 MiB of output rows per block and never more blocks than a quarter
-    of the mean fiber length, which keeps the re-walk under a quarter of
-    the nest's updates (proof sketch and measured shapes in
-    :mod:`~repro.codegen.passes.tile`).
+    order.  The block count is chosen at run time, about 1 MiB of output
+    rows per block and never more blocks than a quarter of the mean fiber
+    length, which keeps the re-walk under a quarter of the nest's updates
+    (proof sketch and measured shapes in :mod:`~repro.codegen.passes.tile`).
 ``simd``
     ``#pragma omp simd`` on the provably element-disjoint vector loops.
 ``parallelize``
@@ -46,18 +34,16 @@ _loop_fission -> _loop_blocking -> _simdize -> _ompize``):
     and records a work estimate per nest.  Not a ``$REPRO_PASSES``
     token: ``CodegenConfig.omp_strategy`` switches it (``serial`` = off).
 
-Default set: ``fuse``, ``tile``, ``simd``.  Every pass preserves
-bit-identity with the Python backend (``denormals`` excepted, hence
-default-off; ``fission`` reshapes iteration for parallel scaling and is
-opt-in); the cross-backend differential fuzzer
-sweeps pass subsets to enforce this per pass.  The resolved pass set
-keys the service cache (see :mod:`repro.service.keys`) so differently
-transformed kernels never alias.  Which set applies is resolved once per
-request by :meth:`repro.codegen.backends.base.CodegenConfig.resolve`.
+Every ``$REPRO_PASSES`` token is on by default, and every pass preserves
+bit-identity with the Python backend; the cross-backend differential
+fuzzer sweeps pass subsets to enforce this per pass.  The resolved pass
+set keys the service cache (see :mod:`repro.service.keys`) so
+differently transformed kernels never alias.  Which set applies is
+resolved once per request by
+:meth:`repro.codegen.backends.base.CodegenConfig.resolve`.
 """
 
 from repro.codegen.passes.base import (  # noqa: F401
-    DEFAULT_ON,
     PASS_ORDER,
     PIPELINE,
     Pass,

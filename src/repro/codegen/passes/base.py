@@ -2,22 +2,21 @@
 
 :data:`PIPELINE` (bottom of this file) is the one ordered declaration of
 the loop phases, each entry saying what switches it on — a
-``$REPRO_PASSES`` token for the five optional rewrites, the
-``omp_strategy`` field for parallelisation.  :func:`run_pipeline` checks
+``$REPRO_PASSES`` token for the three rewrites, the ``omp_strategy``
+field for parallelisation.  :func:`run_pipeline` checks
 :func:`~repro.codegen.loopir.verify` after every phase that changed a
 statement, so one that breaks the naming rules fails here, by name, not
 in ``cc``.
 
 A pass-selection spec (``$REPRO_PASSES``, ``repro compile --passes``) is
 a comma list of tokens: a bare name (or ``+name``) enables a pass,
-``-name`` / ``!name`` disables one, and the words ``none`` / ``all`` /
-``default`` reset the working set.  Tokens apply left to right, so
-``none,tile`` means "only tiling" and ``all,-denormals`` means
-"everything bit-exact".  Unknown tokens warn once per process and are
-ignored.
+``-name`` / ``!name`` disables one, ``none`` clears the working set and
+``all`` / ``default`` fill it (every pass is on by default).  Tokens
+apply left to right, so ``none,tile`` means "only tiling".  Unknown
+tokens in ``$REPRO_PASSES`` warn once per process and are ignored.
 
-Nothing here looks at ``REPRO_*`` variables or probes the toolchain: which
-spec applies is decided once per compile request, by
+Nothing here looks at ``REPRO_*`` variables: which spec applies is
+decided once per compile request, by
 :meth:`repro.codegen.backends.base.CodegenConfig.resolve`, and the
 pipeline runs under the ``CodegenConfig`` it is handed.  That resolved
 value is part of a C kernel's identity — the service cache key, the wire
@@ -39,15 +38,10 @@ if TYPE_CHECKING:  # backends.base imports this module for PassConfig
     from repro.codegen.lower import LoweredKernel
 
 #: the ``$REPRO_PASSES`` tokens, in pipeline order (Devito's DLE stage
-#: order: denormal avoidance, then the loop restructurings, then
-#: vectorization hints).
-PASS_ORDER = ("denormals", "fission", "fuse", "tile", "simd")
-
-#: passes on by default — only those whose transformation is bit-exact
-#: *and* never a regression (tile bounds its own cost, see its module).
-#: fission reshapes iteration and is opt-in; denormals changes results
-#: whenever a denormal occurs.
-DEFAULT_ON = ("fuse", "tile", "simd")
+#: order: the loop restructurings, then vectorization hints) — and the
+#: default set: each is bit-exact and bounds its own cost (tile's bound
+#: is in its module).
+PASS_ORDER = ("fuse", "tile", "simd")
 
 
 @dataclass(frozen=True)
@@ -64,7 +58,7 @@ class PassConfig:
 
     def signature(self) -> str:
         """Canonical cache-key text of this selection (``none``,
-        ``fuse+simd``, ``fission+tile@64`` ...)."""
+        ``fuse+simd``, ``fuse+tile@64`` ...)."""
         parts = []
         for name in PASS_ORDER:
             if name not in self.enabled:
@@ -83,18 +77,16 @@ class PassConfig:
 class Pass:
     """One loop phase: takes a :class:`LoopIR`, returns it.
 
-    Subclasses set ``name``, ``default_on`` and ``bit_exact`` (whether
-    the transformed kernel is bit-identical to the Python backend — the
-    differential fuzzer enforces this for every pass claiming it), and
-    implement :meth:`run`.  ``name`` is the ``$REPRO_PASSES`` token that
-    switches the phase on; a phase switched by another ``CodegenConfig``
-    field clears ``token`` and overrides :meth:`enabled` to read it.
+    Subclasses set ``name`` and implement :meth:`run`, which must leave
+    the kernel bit-identical to the Python backend (the differential
+    fuzzer sweeps pass subsets to enforce it).  ``name`` is the
+    ``$REPRO_PASSES`` token that switches the phase on; a phase switched
+    by another ``CodegenConfig`` field clears ``token`` and overrides
+    :meth:`enabled` to read it.
     """
 
     name = "?"
     token = True
-    default_on = False
-    bit_exact = True
 
     def describe(self) -> str:
         """One line for ``repro backends`` / trace spans."""
@@ -107,9 +99,13 @@ class Pass:
         raise NotImplementedError
 
 
-def parse_passes(text: str, default: Tuple[str, ...] = DEFAULT_ON) -> Tuple[str, ...]:
-    """Resolve a pass-selection comma list into an enabled-name tuple."""
-    enabled = {n for n in default if n in PASS_ORDER}
+def parse_passes(text: str, strict: bool = False) -> Tuple[str, ...]:
+    """Resolve a pass-selection comma list into an enabled-name tuple.
+
+    An unknown token is ``$REPRO_PASSES``'s: it warns once per process
+    and is skipped — unless *strict* (a command-line spec), where it
+    raises ``ValueError`` naming the token and the valid ones."""
+    enabled = set(PASS_ORDER)
     for raw in text.split(","):
         token = raw.strip().lower()
         if not token:
@@ -117,22 +113,21 @@ def parse_passes(text: str, default: Tuple[str, ...] = DEFAULT_ON) -> Tuple[str,
         if token == "none":
             enabled.clear()
             continue
-        if token == "all":
-            enabled.update(PASS_ORDER)
-            continue
-        if token == "default":
-            enabled = {n for n in default if n in PASS_ORDER}
+        if token in ("all", "default"):
+            enabled = set(PASS_ORDER)
             continue
         negate = token[0] in "-!"
         name = token[1:] if token[0] in "+-!" else token
         if name not in PASS_ORDER:
-            warn_env_once(
-                "REPRO_PASSES",
-                token,
+            expected = (
                 "tokens from %s (optionally +/-/! prefixed), "
-                "or none/all/default" % (", ".join(PASS_ORDER)),
-                "the remaining tokens",
+                "or none/all/default" % ", ".join(PASS_ORDER)
             )
+            if strict:
+                raise ValueError(
+                    "unknown pass token %r (expected %s)" % (token, expected)
+                )
+            warn_env_once("REPRO_PASSES", token, expected, "the remaining tokens")
             continue
         if negate:
             enabled.discard(name)
@@ -173,16 +168,12 @@ def describe_passes(codegen: "CodegenConfig") -> List[Tuple[str, bool, str]]:
 
 # importing the pass modules at the bottom sidesteps the base<->pass
 # circularity; PIPELINE is the one place phase order is spelled out.
-from repro.codegen.passes.denormals import DenormalsPass  # noqa: E402
-from repro.codegen.passes.fission import FissionPass  # noqa: E402
 from repro.codegen.passes.fuse import FusePass  # noqa: E402
 from repro.codegen.passes.parallelize import ParallelizePass  # noqa: E402
 from repro.codegen.passes.simd import SimdPass  # noqa: E402
 from repro.codegen.passes.tile import TilePass  # noqa: E402
 
 PIPELINE: Tuple[Pass, ...] = (
-    DenormalsPass(),  # token "denormals"
-    FissionPass(),  # token "fission"
     FusePass(),  # token "fuse"
     TilePass(),  # token "tile"
     SimdPass(),  # token "simd"

@@ -33,8 +33,6 @@ from repro.codegen.loopir import Fused, LoopIR, Out, Reduce, Stmt
 
 class FusePass(Pass):
     name = "fuse"
-    default_on = True
-    bit_exact = True
 
     def describe(self) -> str:
         return (

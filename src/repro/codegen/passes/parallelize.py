@@ -131,7 +131,6 @@ def for_nest(stmt):
 class ParallelizePass(Pass):
     name = "parallelize"
     token = False
-    default_on = True
 
     def describe(self) -> str:
         return (

@@ -26,8 +26,6 @@ from repro.codegen.loopir import LoopIR
 
 class SimdPass(Pass):
     name = "simd"
-    default_on = True
-    bit_exact = True
 
     def describe(self) -> str:
         return (

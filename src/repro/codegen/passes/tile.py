@@ -71,16 +71,29 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.codegen.passes.base import Pass
-from repro.codegen.passes.fission import single_fiber
 from repro.codegen.loopir import (
     DenseLoop,
+    FiberLoop,
     Intersect,
     LoopIR,
     Tiled,
+    Var,
     defines,
+    loop_var,
     scan_nest,
     walk,
 )
+
+
+def single_fiber(nest, bind) -> bool:
+    """Does *bind* walk exactly the one fiber *nest*'s variable selects
+    (``range(pos[v], pos[v + 1])``)?  Then its ``idx`` run is sorted."""
+    return (
+        isinstance(bind, FiberLoop)
+        and bind.parent == Var(loop_var(nest), "int")
+        and bind.bound is None
+        and bind.coord_var is not None
+    )
 
 
 def auto_tile_rows(elem: str, pos: str, fibers: str) -> List[str]:
@@ -106,8 +119,6 @@ def auto_tile_rows(elem: str, pos: str, fibers: str) -> List[str]:
 
 class TilePass(Pass):
     name = "tile"
-    default_on = True
-    bit_exact = True
 
     def describe(self) -> str:
         return (

@@ -100,9 +100,8 @@ KNOBS: Dict[str, Knob] = {row.name: row for row in (
          doc="OpenMP emission mode (keyed); atomic is faster but not "
          "bit-reproducible"),
     Knob("REPRO_PASSES", "text",
-         doc="C loop passes (keyed): comma list over denormals, fission, fuse, "
-         "tile, simd (+/-/! prefixed) or none/all/default; unset = "
-         "fuse,tile,simd"),
+         doc="C loop passes (keyed): comma list over fuse, tile, simd "
+         "(+/-/! prefixed) or none/all/default; unset = all of them"),
     Knob("REPRO_PROFILE", "flag",
          doc="compile per-nest timing into C kernels (keyed: a separate build)"),
     Knob("REPRO_TRACE", "flag",

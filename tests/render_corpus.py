@@ -19,7 +19,7 @@ from typing import Dict, Iterator, List, Tuple
 
 from repro.codegen.backends.base import CodegenConfig
 from repro.codegen.backends.c import render_c_full
-from repro.codegen.passes import DEFAULT_ON, PASS_ORDER, PassConfig
+from repro.codegen.passes import PASS_ORDER, PassConfig
 from repro.core.compiler import compile_kernel
 from repro.core.config import DEFAULT
 from repro.kernels.extensions import EXTENSIONS
@@ -85,8 +85,7 @@ EXTRAS = {
 
 PASS_SETS = {
     "none": PassConfig(enabled=()),
-    "default": PassConfig(enabled=DEFAULT_ON),
-    "all": PassConfig(enabled=PASS_ORDER),
+    "default": PassConfig(enabled=PASS_ORDER),
     "tile@64": PassConfig(enabled=("tile",), tile_rows=64),
 }
 PARALLEL = ("auto", "serial", "atomic")
@@ -99,7 +98,7 @@ C_CONFIGS: Tuple[Tuple[str, str, bool], ...] = tuple(
     for profile in (False, True)
 )
 
-#: the same 24 points as the values the renderer is handed.
+#: the same 18 points as the values the renderer is handed.
 CODEGEN_CONFIGS: Tuple[CodegenConfig, ...] = tuple(
     CodegenConfig(parallel, profile, PASS_SETS[passes])
     for passes, parallel, profile in C_CONFIGS

@@ -179,6 +179,22 @@ def test_compile_with_backend_flag(capsys):
     assert "generated kernel (backend: python)" in out
 
 
+@pytest.mark.parametrize("spec, token", [("bogus,none,tile", "bogus"),
+                                         ("fission,tile", "fission")])
+def test_compile_rejects_unknown_pass_tokens(spec, token, capsys):
+    """Was: exit 0 and a warning about ``REPRO_PASSES``, a variable the
+    caller never set, and a build without the token."""
+    argv = ["compile", "y[i] += A[i, j] * x[j]", "--symmetric", "A",
+            "--loop-order", "j,i", "--backend", "python", "--passes"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [spec])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--passes" in err and repr(token) in err
+    assert "fuse, tile, simd" in err and "REPRO_PASSES" not in err
+    assert main(argv + ["none,tile"]) == 0
+
+
 def test_cache_gc_requires_a_bound(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
     main(["serve-warmup", "--dir", cache_dir, "--kernels", "ssymv"])

@@ -45,17 +45,8 @@ PYTHON = DEFAULT.but(backend="python")
 def fresh_objects(monkeypatch, tmp_path):
     """An empty object cache, so every build this test asks for runs ``cc``
     (the content-addressed cache would otherwise serve earlier tests'
-    objects), and a clean ladder around it.
-
-    ``denormals`` is forced off: under an ambient ``REPRO_PASSES=all`` (the
-    CI passes leg) a threaded kernel with the FTZ prologue would be the one
-    that creates the OpenMP runtime's worker threads, which inherit
-    flush-to-zero from it for the life of the process — and every later
-    threaded test in the run (``test_edge_cases``' denormal check) with it."""
+    objects), and a clean ladder around it."""
     monkeypatch.setattr(ctoolchain, "_build_dir", str(tmp_path))
-    monkeypatch.setenv(
-        "REPRO_PASSES", "%s,-denormals" % os.environ.get("REPRO_PASSES", "")
-    )
     health.reset()
     yield
     health.reset()

@@ -18,12 +18,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.codegen.backends import get_backend, render_c
+from repro.codegen.backends import ctoolchain, get_backend, render_c
 from dataclasses import replace
 
 from repro.codegen.backends.base import CodegenConfig
 from repro.codegen.passes import (
-    DEFAULT_ON,
     PASS_ORDER,
     PIPELINE,
     PassConfig,
@@ -51,43 +50,46 @@ def _lowered(name):
 # the $REPRO_PASSES grammar
 # ----------------------------------------------------------------------
 def test_default_set_is_the_bit_exact_never_regressing_passes():
-    assert parse_passes("") == DEFAULT_ON == ("fuse", "tile", "simd")
+    assert parse_passes("") == PASS_ORDER == ("fuse", "tile", "simd")
 
 
 def test_none_all_default_reset_the_working_set():
     assert parse_passes("none") == ()
-    assert parse_passes("all") == PASS_ORDER
-    assert parse_passes("none,default") == DEFAULT_ON
+    # every pass is on by default, so "all" is "default"
+    assert parse_passes("all") == parse_passes("default") == PASS_ORDER
+    assert parse_passes("none,default") == parse_passes("-tile,all") == PASS_ORDER
     # tokens apply left to right
     assert parse_passes("all,none") == ()
     assert parse_passes("none,tile") == ("tile",)
 
 
 def test_plus_minus_bang_prefixes():
-    assert parse_passes("+fission") == ("fission", "fuse", "tile", "simd")
+    assert parse_passes("none,+fuse") == ("fuse",)
     assert parse_passes("-fuse") == ("tile", "simd")
     assert parse_passes("!simd,-fuse") == ("tile",)
     assert parse_passes("-tile") == ("fuse", "simd")
-    assert parse_passes("all,-denormals") == (
-        "fission",
-        "fuse",
-        "tile",
-        "simd",
-    )
 
 
 def test_result_is_always_in_pipeline_order():
-    assert parse_passes("none,simd,tile,fission") == ("fission", "tile", "simd")
+    assert parse_passes("none,simd,tile,fuse") == ("fuse", "tile", "simd")
 
 
 def test_unknown_tokens_warn_once_and_are_ignored():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert parse_passes("vectorize,tile,none,tile") == ("tile",)
-        assert parse_passes("vectorize") == DEFAULT_ON
+        assert parse_passes("vectorize") == PASS_ORDER
     ours = [w for w in caught if "REPRO_PASSES" in str(w.message)]
     assert len(ours) == 1
     assert "vectorize" in str(ours[0].message)
+
+
+def test_strict_parse_names_the_unknown_token():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # raised, never warned
+        with pytest.raises(ValueError, match="'bogus'.*fuse, tile, simd"):
+            parse_passes("none,bogus,tile", strict=True)
+        assert parse_passes("none,-simd,+tile", strict=True) == ("tile",)
 
 
 def test_env_config_reads_passes(monkeypatch):
@@ -104,16 +106,17 @@ def test_signature_is_canonical():
     assert PassConfig(enabled=("tile",), tile_rows=64).signature() == "tile@64"
     assert (
         PassConfig(enabled=PASS_ORDER, tile_rows=8).signature()
-        == "denormals+fission+fuse+tile@8+simd"
+        == "fuse+tile@8+simd"
     )
+    # the default signature, which every default cache key contains
+    assert CodegenConfig().passes.signature() == "fuse+tile@auto+simd"
 
 
 def test_pipeline_metadata_is_complete():
     # the REPRO_PASSES tokens, then the one phase a CodegenConfig field
     # switches instead (never a token, never in a signature)
+    assert [p.name for p in PIPELINE] == ["fuse", "tile", "simd", "parallelize"]
     assert tuple(p.name for p in PIPELINE if p.token) == PASS_ORDER
-    assert [p.name for p in PIPELINE if not p.token] == ["parallelize"]
-    assert PIPELINE[-1].name == "parallelize"
     off = CodegenConfig("serial", False, PassConfig(enabled=()))
     for name, enabled, description in describe_passes(off):
         assert name in PASS_ORDER + ("parallelize",)
@@ -123,13 +126,6 @@ def test_pipeline_metadata_is_complete():
         "parallelize",
         True,
     )
-    defaults = {p.name for p in PIPELINE if p.default_on and p.token}
-    assert defaults == set(DEFAULT_ON)
-    # default-on passes must all claim (and hold, per the differential
-    # fuzzer below) bit-identity with the Python backend
-    for p in PIPELINE:
-        if p.default_on:
-            assert p.bit_exact
 
 
 def test_active_config_honors_env(monkeypatch):
@@ -141,19 +137,30 @@ def test_active_config_honors_env(monkeypatch):
     assert CodegenConfig.resolve(passes="none,simd").passes.signature() == "simd"
 
 
+def test_resolving_a_config_runs_no_toolchain(monkeypatch):
+    """Resolution reads the environment only: with every probe build
+    failing loudly and nothing memoized, ``all`` still resolves."""
+
+    def no_cc(*args):
+        raise AssertionError("CodegenConfig.resolve ran the toolchain")
+
+    monkeypatch.setattr(ctoolchain, "_probed", {})
+    monkeypatch.setattr(ctoolchain, "_probe_build_runs", no_cc)
+    monkeypatch.setenv("REPRO_PASSES", "all")
+    assert CodegenConfig.resolve().passes == CodegenConfig().passes
+
+
 # ----------------------------------------------------------------------
 # golden C-source snapshots (one kernel per pass; on/off diffs)
 #
-# Rendering is machine-independent: an explicit PassConfig bypasses the
-# toolchain FTZ gate, and the env knobs that change emission are cleared.
+# Rendering is machine-independent: an explicit PassConfig is rendered
+# verbatim, and the env knobs that change emission are cleared.
 # Regenerate after an intentional renderer change with
 #     REPRO_UPDATE_GOLDEN=1 python -m pytest tests/test_cpasses.py
 # ----------------------------------------------------------------------
 GOLDEN_CASES = {
     "ssymv_none": ("ssymv", PassConfig(enabled=())),
     "mttkrp3d_none": ("mttkrp3d", PassConfig(enabled=())),
-    "ssymv_denormals": ("ssymv", PassConfig(enabled=("denormals",))),
-    "ssymv_fission": ("ssymv", PassConfig(enabled=("fission",))),
     "mttkrp3d_fuse": ("mttkrp3d", PassConfig(enabled=("fuse",))),
     "ssyrk_tile": ("ssyrk", PassConfig(enabled=("tile",))),
     "mttkrp3d_simd": ("mttkrp3d", PassConfig(enabled=("simd",))),
@@ -227,21 +234,8 @@ def test_render_digests(_clean_render_env):
 def test_each_pass_changes_only_its_marker(_clean_render_env):
     """The on/off diff of each pass shows its transformation and nothing
     else's (passes compose but do not leak into one another)."""
-    ssymv = _lowered("ssymv")
-    base = render_c(ssymv, passes=PassConfig(enabled=()))
-    assert "#pragma omp simd" not in base
-    assert "repro_ftz_on" not in base and "rp_tile" not in base
-
-    ftz = render_c(ssymv, passes=PassConfig(enabled=("denormals",)))
-    assert "repro_ftz_on" in ftz and "_mm_setcsr" in ftz
-    assert "#pragma omp simd" not in ftz
-
-    # fission splits the own-row accumulation out of the scatter nest:
-    # one extra parallel region, two extra fiber walks, no scatter log in
-    # the disjoint-writes half
-    fis = render_c(ssymv, passes=PassConfig(enabled=("fission",)))
-    assert fis.count("for (q0_1 = ") == base.count("for (q0_1 = ") + 2
-    assert fis.count("#pragma omp parallel") == base.count("#pragma omp parallel") + 1
+    base = render_c(_lowered("ssymv"), passes=PassConfig(enabled=()))
+    assert "#pragma omp simd" not in base and "rp_tile" not in base
 
     mttkrp = _lowered("mttkrp3d")
     plain = render_c(mttkrp, passes=PassConfig(enabled=()))
@@ -299,13 +293,38 @@ def test_pass_set_does_not_key_python_requests(monkeypatch):
     assert cache_key(spec.einsum, **kwargs) == first
 
 
+@pytest.mark.parametrize(
+    "leftover, token, same_as",
+    [
+        # bare tokens add to the default set, so this is the default
+        ("fission,tile", "fission", "tile"),
+        ("none,fission,tile", "fission", "none,tile"),
+        ("denormals", "denormals", ""),
+    ],
+)
+def test_a_deleted_pass_token_warns_once_and_keys_as_the_rest(
+    leftover, token, same_as, monkeypatch
+):
+    """``fission`` and ``denormals`` are gone: a leftover token takes the
+    unknown-token path and the request keys as if it were not there."""
+    kwargs = dict(symmetric={"A": True}, options=DEFAULT.but(backend="c"))
+    einsum = get_kernel("ssymv").einsum
+    monkeypatch.setenv("REPRO_PASSES", same_as)
+    expected = cache_key(einsum, **kwargs)
+    monkeypatch.setenv("REPRO_PASSES", leftover)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cache_key(einsum, **kwargs) == expected
+        assert cache_key(einsum, **kwargs) == expected
+    ours = [str(w.message) for w in caught if "REPRO_PASSES" in str(w.message)]
+    assert len(ours) == 1 and repr(token) in ours[0]
+
+
 # ----------------------------------------------------------------------
 # per-pass bit-identity against the Python backend
 # ----------------------------------------------------------------------
 @needs_cc
-@pytest.mark.parametrize(
-    "passes", ["none", "denormals", "fission", "fuse", "tile", "simd", "all"]
-)
+@pytest.mark.parametrize("passes", ["none", "fuse", "tile", "simd", "all"])
 @pytest.mark.parametrize("name", ["ssymv", "ssyrk"])
 def test_pass_output_bit_identical_to_python(name, passes, monkeypatch):
     monkeypatch.setenv("REPRO_PASSES", "none,%s" % passes)

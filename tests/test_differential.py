@@ -195,7 +195,7 @@ def test_differential_full_sweep(name, dtype, seed):
 # c@t3, transitively c across pass sets).  REPRO_PASSES is part of the
 # cache key, so each selection compiles its own artifact.
 # ----------------------------------------------------------------------
-PASS_SETS = ("none", "none,fission", "none,tile", "none,fuse,simd", "all")
+PASS_SETS = ("none", "none,tile", "none,fuse,simd", "all")
 
 
 @pytest.mark.parametrize("passes", PASS_SETS)

@@ -11,8 +11,6 @@ diagonal and mirror coincides.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -132,18 +130,10 @@ def test_all_duplicate_coordinates_are_summed_once(dtype):
 # denormal / inf-adjacent values
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_denormal_values_survive_bit_identically(dtype, monkeypatch):
+def test_denormal_values_survive_bit_identically(dtype):
     """Denormal magnitudes flow through both backends without flush-to-
-    zero (no -ffast-math): results stay bit-identical and nonzero.
-
-    The one pass that deliberately breaks this (``denormals``, off by
-    default and documented as not bit-exact) is forced off so ambient
-    ``REPRO_PASSES=all`` (the CI passes leg) cannot flip the property
-    under test."""
-    monkeypatch.setenv(
-        "REPRO_PASSES",
-        "%s,-denormals" % os.environ.get("REPRO_PASSES", ""),
-    )
+    zero (no -ffast-math): results stay bit-identical and nonzero, under
+    every pass set."""
     tiny = 1e-310 if dtype == "float64" else np.float64(1e-42)
     arr = np.zeros((4, 4), dtype=dtype)
     arr[2, 1] = arr[1, 2] = np.dtype(dtype).type(tiny)

@@ -414,6 +414,26 @@ def test_bad_spec_answered_bad_request_not_crash(tmp_path):
         assert _daemon_still_serves(sock)
 
 
+def test_spec_naming_a_deleted_pass_answered_bad_request(tmp_path):
+    """A peer whose resolved codegen still lists ``fission`` asks for a
+    program this build cannot render: refused, not silently rebuilt."""
+    spec = dict(
+        protocol.spec_from_request(canonicalize(**SYMV)),
+        options={"backend": "c"},
+        codegen={"omp_strategy": "auto", "profile": False,
+                 "passes": ["fission", "tile"], "tile_rows": 0},
+    )
+    with running_daemon(tmp_path) as (server, sock):
+        reply = raw_call(
+            sock,
+            {"op": "execute", "id": 1, "spec": spec,
+             "tensors": protocol.encode_tensors(SYMV_TENSORS)},
+        )
+        assert reply["ok"] is False and reply["error"] == protocol.BAD_REQUEST
+        assert "codegen.passes" in reply["detail"]
+        assert _daemon_still_serves(sock)
+
+
 def test_mismatched_extent_answered_bad_request_naming_the_index(tmp_path, rng):
     """An ``execute`` whose ``x`` is shorter than ``A``'s extent used to
     come back as numbers (C backend: read past ``x``) or ``internal``

@@ -318,7 +318,7 @@ def test_hostile_specs_rejected(doc):
 GOOD_CODEGEN = {
     "omp_strategy": "atomic",
     "profile": True,
-    "passes": ["fission", "tile"],
+    "passes": ["fuse", "tile"],
     "tile_rows": 64,
 }
 C_SPEC = {
@@ -361,7 +361,7 @@ def test_spec_carries_the_resolved_codegen(monkeypatch):
         {**GOOD_CODEGEN, "omp_strategy": "sideways"},
         {**GOOD_CODEGEN, "profile": 1},
         {**GOOD_CODEGEN, "passes": "tile"},
-        {**GOOD_CODEGEN, "passes": ["tile", "fission"]},  # not pipeline order
+        {**GOOD_CODEGEN, "passes": ["tile", "fuse"]},  # not pipeline order
         {**GOOD_CODEGEN, "passes": ["tile", "tile"]},
         {**GOOD_CODEGEN, "passes": ["vectorize"]},
         {**GOOD_CODEGEN, "passes": [["tile"]]},

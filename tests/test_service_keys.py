@@ -142,7 +142,7 @@ def _flipped(value):
     if isinstance(value, bool):
         return not value
     if isinstance(value, PassConfig):
-        return PassConfig(("fission",), tile_rows=value.tile_rows + 8)
+        return PassConfig(("fuse",), tile_rows=value.tile_rows + 8)
     return {
         "float64": "float32", "c": "python", "auto": "serial", 1: 2,
     }[value]

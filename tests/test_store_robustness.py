@@ -189,6 +189,23 @@ def test_forged_program_never_reaches_exec_or_cc(tmp_path, monkeypatch, backend)
     assert path.exists()  # the recompile re-published a clean entry
 
 
+@needs_cc
+def test_entry_naming_a_deleted_pass_is_an_error_and_evicted(tmp_path):
+    """A C entry written while ``denormals`` was a pass names a program
+    this build cannot render: counted as an error and removed, not
+    raised."""
+    key = _warm(tmp_path, DEFAULT.but(backend="c"))
+    path = tmp_path / ("%s.json" % key)
+    payload = json.loads(path.read_text())
+    payload["state"]["codegen"]["passes"] = ["denormals", "fuse", "tile", "simd"]
+    path.write_text(json.dumps(payload))
+
+    store = DiskStore(tmp_path)
+    assert store.get(key) is None
+    assert store.errors == 1 and store.misses == 0
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(key)] == []
+
+
 # ----------------------------------------------------------------------
 # stale STATE_VERSION
 # ----------------------------------------------------------------------
