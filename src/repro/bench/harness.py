@@ -79,7 +79,7 @@ def time_compiled_kernel_stats(
     """Best/median of the kernel's timed region only (preparation excluded).
 
     ``threads`` overrides the kernel's runtime thread count for the
-    measured runs (int or ``"auto"``).  Preparation, output allocation
+    measured runs (a positive int).  Preparation, output allocation
     and argument marshaling happen once, in the
     :meth:`~repro.core.compiler.CompiledKernel.execution_plan` built
     here; each measured call is one call of that plan.

@@ -165,7 +165,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     from repro.codegen.backends.base import CodegenConfig
     from repro.codegen.backends.ctoolchain import probe
     from repro.codegen.passes import describe_passes, run_pipeline
-    from repro.core.config import DEFAULT, cpu_count, knob, resolve_threads
+    from repro.core.config import DEFAULT, cpu_count, knob
     from repro.kernels.library import KERNELS
 
     for name in BACKEND_NAMES:
@@ -182,10 +182,9 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         print("openmp: available (%s)" % " ".join(tc.openmp_flags))
     else:
         print("openmp: unavailable (compiler lacks -fopenmp support)")
-    setting = knob("REPRO_THREADS")
     print(
-        "default threads: %d of %d cpus (REPRO_THREADS=%s)"
-        % (resolve_threads(setting), cpu_count(), setting)
+        "default threads: %d of %d cpus (REPRO_THREADS)"
+        % (knob("REPRO_THREADS"), cpu_count())
     )
     print("process default (REPRO_BACKEND): %s" % knob("REPRO_BACKEND"))
     print("default dtype (REPRO_DTYPE): %s" % knob("REPRO_DTYPE"))
@@ -197,7 +196,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         print("  %-11s %-4s %s" % (name, "on" if enabled else "off", description))
     print("active pass signature: %s" % codegen.passes.signature())
     print()
-    print("OpenMP strategy per top-level nest, beside its work estimate:")
+    print("OpenMP strategy per top-level nest:")
     for name, spec in sorted(KERNELS.items()):
         lowered = spec.compile(options=DEFAULT.but(backend="python")).lowered
         nests = [w.describe() for w in run_pipeline(lowered, codegen).work]
@@ -392,7 +391,7 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     from repro.codegen.backends import health
     from repro.codegen.backends import ctoolchain
     from repro.codegen.backends.base import CodegenConfig
-    from repro.core.config import knob, knobs_set, resolve_threads, unknown_knobs
+    from repro.core.config import knob, knobs_set, unknown_knobs
 
     report = {"healthy": True, "checks": {}}
 
@@ -405,7 +404,7 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
         }
     else:
         report["checks"]["toolchain"] = {"ok": True, "detail": tc.describe()}
-        count = resolve_threads(knob("REPRO_THREADS"))
+        count = knob("REPRO_THREADS")
         if not tc.openmp:
             runs = "failed; kernels run the serial object"
         elif count > 1 and health.ok("c@omp"):
@@ -624,16 +623,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _threads_arg(value: str):
-    """argparse type for thread counts: ``auto`` or a positive integer."""
-    if value == "auto":
-        return "auto"
+    """argparse type for thread counts: a positive integer."""
     try:
         count = int(value)
         if count < 1:
             raise ValueError(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            "expected 'auto' or a positive integer, got %r" % value
+            "expected a positive integer, got %r" % value
         )
     return count
 
@@ -751,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         default=None,
         type=_threads_arg,
-        metavar="N|auto",
+        metavar="N",
         help="C-backend thread count both methods run with (default: 1)",
     )
     p.add_argument(

@@ -134,19 +134,6 @@ class Executable:
         """
         raise NotImplementedError
 
-    def parallel_work(
-        self, arrays: Mapping[str, object]
-    ) -> Optional[float]:
-        """Estimated scalar updates of this kernel's parallelizable nests.
-
-        ``None`` means the executable has no parallel bodies (the Python
-        backend, serial-only C kernels) and a thread team could never help;
-        otherwise the estimate feeds the ``threads="auto"`` cost model
-        (:func:`repro.core.config.auto_thread_count`).  ``arrays`` is the
-        prepared argument mapping a run would receive.
-        """
-        return None
-
     # ------------------------------------------------------------------
     # per-nest profiling (repro.obs.profile) — only builds made with
     # REPRO_PROFILE=1 on backends that support it carry instrumentation;

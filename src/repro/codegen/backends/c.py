@@ -58,7 +58,7 @@ from repro.codegen import loopir as ir
 from repro.codegen.backends.base import BackendError, CodegenConfig
 from repro.codegen.lower import LoweredKernel
 from repro.codegen.passes.base import PassConfig, run_pipeline
-from repro.codegen.passes.parallelize import NestWork, for_nest
+from repro.codegen.passes.parallelize import for_nest
 from repro.codegen.passes.tile import auto_tile_rows
 from repro.obs import trace as obs_trace
 
@@ -1001,17 +1001,18 @@ class _Renderer:
 
 @dataclass(frozen=True)
 class CRender:
-    """Everything one render of a lowered kernel produced; the two models
-    are views of the parallelisation phase's per-nest estimates."""
+    """Everything one render of a lowered kernel produced."""
 
     source: str
-    #: one :class:`NestWork` term per nest that received an OpenMP body
-    #: (the ``threads="auto"`` cost model).
-    work_model: Tuple[NestWork, ...]
-    #: one work estimate per *top-level* nest — parallel or serial, in
-    #: ``repro_nest_sec`` slot order; empty unless the config profiles
-    #: (and under ``omp_strategy="serial"``, which switches the phase off).
-    profile_model: Tuple[NestWork, ...]
+    #: the OpenMP strategy of each *top-level* nest (``None`` = serial),
+    #: in ``repro_nest_sec`` slot order; empty under
+    #: ``omp_strategy="serial"``, which switches the phase off.
+    strategies: Tuple[Optional[str], ...]
+
+    @property
+    def parallel(self) -> bool:
+        """Whether any nest received an OpenMP body."""
+        return any(s is not None for s in self.strategies)
 
 
 def render_c_full(
@@ -1025,12 +1026,7 @@ def render_c_full(
         renderer = _Renderer(lowered, label, codegen.profile)
         state = run_pipeline(lowered, codegen, label)
         source = renderer.render(state)
-    nests = tuple(state.work)
-    return CRender(
-        source,
-        tuple(w for w in nests if w.strategy is not None),
-        nests if codegen.profile else (),
-    )
+    return CRender(source, tuple(w.strategy for w in state.work))
 
 
 def render_c(

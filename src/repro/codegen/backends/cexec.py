@@ -73,16 +73,11 @@ class CExecutable(Executable):
             ("dim" if isinstance(a, Dim) else a.kind, a.name)
             for a in lowered.program.args
         )
-        self._work_model = rendered.work_model
-        self._vlen = (
-            "n_%s" % lowered.vector_index
-            if lowered.vector_index is not None
-            else None
-        )
-        self.profile_model = rendered.profile_model
+        #: the OpenMP strategy per top-level nest (the profile report's)
+        self.strategies = rendered.strategies
         self._load(so_path)
         # a kernel without parallel bodies has nothing to upgrade to
-        self._upgradable = bool(self._work_model) and not self.omp
+        self._upgradable = rendered.parallel and not self.omp
         self._upgrade_lock = threading.Lock()
 
     def _load(self, so_path: str) -> None:
@@ -250,14 +245,6 @@ class CExecutable(Executable):
         call.keep = keep  # noqa: B010 - anchors buffer lifetimes to the plan
         return call
 
-    def parallel_work(
-        self, arrays: Mapping[str, object]
-    ) -> Optional[float]:
-        """Estimated scalar updates across this kernel's parallel nests."""
-        if not self._work_model:
-            return None
-        return sum(term.resolve(arrays, self._vlen) for term in self._work_model)
-
     def describe(self) -> str:
         return "c (%s, %s object)" % (self.so_path, self.kind)
 
@@ -278,7 +265,7 @@ class CBackend(Backend):
     ) -> CExecutable:
         rendered = render_c_full(lowered, label, codegen)
         # a kernel without parallel bodies is the same code either way
-        omp = threaded and bool(rendered.work_model)
+        omp = threaded and rendered.parallel
 
         def load(force: bool) -> CExecutable:
             so_path = ctoolchain.compile_shared(

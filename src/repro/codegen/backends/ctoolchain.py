@@ -76,6 +76,10 @@ class ToolchainInterrupted(ToolchainError):
 #: numpy arithmetic bit-for-bit on the same accumulation order.
 BASE_FLAGS = ("-O3", "-shared", "-fPIC", "-fno-math-errno", "-ffp-contract=off")
 
+#: seconds before the first cc retry, doubled per attempt; each wait gets
+#: up to +100% random jitter, so raced processes decorrelate.
+CC_BACKOFF = 0.25
+
 _TRIVIAL = "int repro_probe(void) { return 42; }\n"
 
 #: the OpenMP probe goes through the runtime library, not just the
@@ -326,7 +330,7 @@ def _build_with_retry(
     jitter; a nonzero exit is permanent and propagates immediately.
     """
     attempts = 1 + knob("REPRO_CC_RETRIES")
-    delay = knob("REPRO_CC_BACKOFF")
+    delay = CC_BACKOFF
     timeout = knob("REPRO_CC_TIMEOUT")
     for attempt in range(1, attempts + 1):
         try:

@@ -56,15 +56,12 @@ from repro.codegen.runtime import (
     np_dtype,
     replicate_output,
 )
-from repro.core.config import auto_thread_count, knob, resolve_threads
+from repro.core.config import knob, resolve_threads
 from repro.faults.spec import FaultError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.tensor.coo import COO
 from repro.tensor.tensor import Tensor
-
-#: distinguishes "no work estimate supplied" from "the estimate is None".
-_UNSET = object()
 
 #: failures the degradation ladder absorbs.  Anything else (a dtype
 #: mismatch, a bad argument set) is a caller error in every tier and
@@ -98,14 +95,14 @@ def _polling_faults(call):
     return faulted
 
 
-def _instrumented(call, work):
+def _instrumented(call):
     """*call* inside a ``plan:execute`` span and a
     ``plan.dispatch_seconds`` sample (a failed attempt leaves its span,
     the attempt that answers leaves the sample)."""
 
     def observed(count: int) -> None:
         start = perf_counter()
-        with obs_trace.span("plan:execute", threads=count, work=work):
+        with obs_trace.span("plan:execute", threads=count):
             call(count)
         obs_metrics.observe("plan.dispatch_seconds", perf_counter() - start)
 
@@ -196,12 +193,10 @@ class ExecutionPlan:
         "output_shape",
         "out",
         "threads",
-        "work",
         "_call",
         "_tier",
         "_fill",
         "_fill_value",
-        "_cap",
         "_identity",
         "_sources",
         "_observed",
@@ -213,7 +208,6 @@ class ExecutionPlan:
         prepared: Mapping[str, object],
         output_shape: Tuple[int, ...],
         threads=None,
-        thread_cap: Optional[int] = None,
         out: Optional[np.ndarray] = None,
         identity: Optional[Tuple] = None,
         sources: Optional[Mapping[str, object]] = None,
@@ -256,20 +250,14 @@ class ExecutionPlan:
         # could be collected and a same-dtype/same-shape replacement could
         # land on a recycled id() and falsely satisfy matches()
         self._sources = dict(sources) if sources is not None else None
-        self._cap = thread_cap
-        #: the executable's work estimate for this argument set (None when
-        #: the kernel has no parallel bodies).
         with obs_trace.span("plan:bind") as sp:
-            self.work = kernel.executable.parallel_work(self.prepared)
             setting = threads if threads is not None else kernel.threads
             #: the thread count calls run with (resolved once, at plan time).
-            self.threads = kernel.resolve_run_threads(
-                setting, prepared=self.prepared, work=self.work, cap=thread_cap
-            )
+            self.threads = kernel.resolve_run_threads(setting)
             #: sampled once, here (see the class docstring).
             self._observed = obs_trace.enabled() or obs_metrics.enabled()
             self._bind()
-            sp.add(threads=self.threads, work=self.work)
+            sp.add(threads=self.threads)
 
     def _bind(self) -> None:
         """Marshal the argument set for the kernel's current executable."""
@@ -281,7 +269,7 @@ class ExecutionPlan:
         if self._tier != "python" and faults.enabled():
             call = _polling_faults(call)  # exec.* points are C-tier-only
         if self._observed:
-            call = _instrumented(call, self.work)
+            call = _instrumented(call)
         self._call = call
 
     def __call__(self, threads=None) -> np.ndarray:
@@ -290,9 +278,7 @@ class ExecutionPlan:
         if threads is None:
             count = self.threads
         else:
-            count = self.kernel.resolve_run_threads(
-                threads, prepared=self.prepared, work=self.work, cap=self._cap
-            )
+            count = self.kernel.resolve_run_threads(threads)
         try:
             self._call(count)
         except _RECOVERABLE as exc:
@@ -376,9 +362,8 @@ class BoundKernel:
         #: the element dtype every bound array (and the output buffer)
         #: carries — fixed by lowering, not by what the caller passes in
         self.dtype = np_dtype(lowered.dtype)
-        #: default runtime thread count (``None``/``"auto"``/int); the
-        #: concrete number is resolved per run, so one bound kernel can
-        #: serve any thread count
+        #: default runtime thread count (``None`` = 1); a run may ask for
+        #: another, so one bound kernel can serve any thread count
         self.threads = threads
         if backend != "python" and not knob("REPRO_NO_DEGRADE") and not health.ok("c"):
             # the C tier already failed this process (sticky): serve from
@@ -481,39 +466,13 @@ class BoundKernel:
         permuted = tuple(shape[m] for m in layout)
         return make_output(permuted, self.lowered.output.reduce_op, self.dtype)
 
-    def resolve_run_threads(
-        self,
-        setting,
-        prepared: Optional[Mapping[str, object]] = None,
-        work=_UNSET,
-        cap: Optional[int] = None,
-    ) -> int:
+    def resolve_run_threads(self, setting) -> int:
         """Collapse a ``threads`` setting onto a concrete count for one run.
 
-        Explicit integers always win (``REPRO_THREADS=4`` means 4).
-        ``"auto"`` is the cost model: the executable's per-run work
-        estimate (from *prepared* arguments, or pre-computed *work*)
-        against :func:`repro.core.config.auto_thread_count`, so small
-        problems stay serial instead of paying the parallel-region and
-        scatter-log overhead.  Executables without parallel bodies (the Python
-        backend, serial-only C kernels) resolve to 1 — a team could never
-        help them.  ``cap`` bounds the result (the batch engine divides
-        the machine across its worker pool).
+        ``None`` is 1; a positive integer is taken as given
+        (``REPRO_THREADS=4`` means 4).
         """
-        if setting is None:
-            count = 1
-        elif setting == "auto":
-            cpu = resolve_threads("auto")
-            if cpu <= 1:
-                count = 1
-            else:
-                if work is _UNSET:
-                    work = self.executable.parallel_work(prepared or {})
-                count = 1 if work is None else auto_thread_count(work, cpu)
-        else:
-            count = resolve_threads(setting)
-        if cap is not None:
-            count = min(count, max(1, int(cap)))
+        count = 1 if setting is None else resolve_threads(setting)
         if count > 1 and self.backend_name != "python" and not health.ok("c@omp"):
             return 1  # the OpenMP tier is marked dead: stay serial
         return max(1, count)
@@ -539,7 +498,6 @@ class BoundKernel:
         tensors: Mapping[str, object],
         output_shape: Tuple[int, ...],
         threads=None,
-        thread_cap: Optional[int] = None,
         out: Optional[np.ndarray] = None,
     ) -> ExecutionPlan:
         """Prepare/bind/validate once; repeat execution via the plan.
@@ -550,7 +508,7 @@ class BoundKernel:
         and dtype, validated here once).  See :class:`ExecutionPlan`.
         """
         return self.plan_prepared(
-            self.prepare(**tensors), output_shape, threads, thread_cap, out,
+            self.prepare(**tensors), output_shape, threads, out,
             identity=plan_identity(tensors), sources=tensors,
         )
 
@@ -559,7 +517,6 @@ class BoundKernel:
         prepared: Mapping[str, object],
         output_shape: Tuple[int, ...],
         threads=None,
-        thread_cap: Optional[int] = None,
         out: Optional[np.ndarray] = None,
         identity: Optional[Tuple] = None,
         sources: Optional[Mapping[str, object]] = None,
@@ -571,7 +528,7 @@ class BoundKernel:
         without them the plan conservatively matches nothing.
         """
         return ExecutionPlan(
-            self, prepared, output_shape, threads, thread_cap, out, identity, sources
+            self, prepared, output_shape, threads, out, identity, sources
         )
 
     def finalize(self, out: np.ndarray) -> np.ndarray:

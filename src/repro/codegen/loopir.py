@@ -606,7 +606,7 @@ class LoopIR:
     lowered: object
     #: pipeline-output flag the printer reads back
     simd: bool = False
-    #: the parallelisation phase's :class:`NestWork` estimate per
+    #: the parallelisation phase's :class:`NestWork` (its strategy) per
     #: top-level ``for`` nest, in body order; empty when it did not run.
     work: List = field(default_factory=list)
     #: human-readable per-phase notes (surfaced through trace spans).

@@ -31,7 +31,7 @@ _simdize -> _ompize``):
 ``parallelize``
     tags each top-level nest a thread team can share with its OpenMP
     strategy (``for | privatized | replay | atomic``; untagged = serial)
-    and records a work estimate per nest.  Not a ``$REPRO_PASSES``
+    and records the strategy per nest.  Not a ``$REPRO_PASSES``
     token: ``CodegenConfig.omp_strategy`` switches it (``serial`` = off).
 
 Every ``$REPRO_PASSES`` token is on by default, and every pass preserves

@@ -3,11 +3,11 @@
 The last phase of the pipeline.  It rewrites no loop: it wraps each
 top-level nest that can run on several cores in a
 :class:`~repro.codegen.loopir.Parallel` node naming the nest's
-**reduction strategy**, and records one :class:`NestWork` estimate per
-top-level ``for`` nest (annotated or not) on the pipeline state.  The C
-printer emits an annotated nest twice — an OpenMP body and the serial
-fallback; ``threads="auto"`` and the ``REPRO_PROFILE`` report read the
-estimates.  The strategy depends on the nest's output-write pattern:
+**reduction strategy**, and records one :class:`NestWork` per top-level
+``for`` nest (annotated or not) on the pipeline state.  The C printer
+emits an annotated nest twice — an OpenMP body and the serial fallback;
+``repro backends`` and the ``REPRO_PROFILE`` report read the recorded
+strategies.  The strategy depends on the nest's output-write pattern:
 
 * ``for`` — every write's leading output coordinate is the (injective)
   outer loop variable, so iterations touch disjoint output elements: a
@@ -48,76 +48,29 @@ guarded outer fiber loop, mixed reduction operators, reads of a carried
 accumulator) stay bare, i.e. serial.  The phase is switched by
 ``CodegenConfig.omp_strategy`` — already cache-key material — not by a
 ``$REPRO_PASSES`` token: ``serial`` skips it, so no nest is annotated,
-no estimate is recorded and the kernel is never upgraded to an OpenMP
+no strategy is recorded and the kernel is never upgraded to an OpenMP
 object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Set, Tuple
+from typing import Mapping, Optional, Set
 
 from repro.codegen import loopir as ir
 from repro.codegen.passes.base import Pass
 from repro.core.config import OMP_STRATEGY_CHOICES
-from repro.obs import metrics as obs_metrics
 
 
 @dataclass(frozen=True)
 class NestWork:
-    """Runtime work estimate for one top-level nest.
+    """What the phase decided for one top-level nest."""
 
-    The phase knows, per nest, which sparse ``idx`` arrays the loop
-    walks (their lengths are the nnz-proportional trip counts) and which
-    scalar extent bounds the outer ``range``; the concrete numbers only
-    exist at run time, so this records *where to look* in the prepared
-    argument mapping.  :meth:`CExecutable.parallel_work` resolves the
-    terms against actual arguments — max ``idx`` length (the most refined
-    view visited by the nest), falling back to the range extent for fully
-    dense nests — times the vector width for row-writing nests.
-    """
-
-    idx_arrays: Tuple[str, ...]
-    extent: Optional[str]
-    vector: bool
-    #: every scalar extent the kernel receives — the last-resort estimate
-    #: when neither the recorded idx arrays nor the extent name resolve
-    #: against the caller's argument mapping (e.g. renamed views).
-    dims: Tuple[str, ...] = ()
     #: the strategy the nest's OpenMP body runs under; ``None`` = serial.
     strategy: Optional[str] = None
 
     def describe(self) -> str:
-        """``strategy ~ where the estimate reads its trip count``."""
-        trips = "max nnz of %s" % ", ".join(self.idx_arrays) if self.idx_arrays else self.extent
-        return "%s ~ %s%s" % (
-            self.strategy or "serial", trips or "1", " x vector" if self.vector else ""
-        )
-
-    def resolve(self, arrays: Mapping, vlen: Optional[str]) -> float:
-        def scalar(name, default=None) -> Optional[float]:
-            try:
-                return float(arrays.get(name, default))
-            except (TypeError, ValueError):  # absent, or not a scalar
-                return None
-
-        lengths = [len(arrays[n]) for n in self.idx_arrays if arrays.get(n) is not None]
-        trips = float(max(lengths)) if lengths else None
-        if trips is None and self.extent is not None:
-            trips = scalar(self.extent)
-        if trips is None and (self.idx_arrays or self.extent is not None):
-            # Nothing this estimate recorded resolves against the actual
-            # arguments.  Returning 0 here silently made threads="auto"
-            # serve every such call serially; be loud and fall back to
-            # the (pessimistic) product of resolvable extents instead.
-            obs_metrics.inc("costmodel.unresolved")
-            trips = 1.0
-            for name in self.dims:
-                trips *= max(1.0, scalar(name) or 1.0)
-        trips = trips or 0.0
-        if self.vector and vlen is not None:
-            trips *= max(1.0, scalar(vlen, 1) or 1.0)
-        return trips
+        return self.strategy or "serial"
 
 
 def for_nest(stmt):
@@ -135,7 +88,7 @@ class ParallelizePass(Pass):
     def describe(self) -> str:
         return (
             "tag each top-level nest with its OpenMP strategy (for | "
-            "privatized | replay | atomic) and a work estimate; bit-exact "
+            "privatized | replay | atomic); bit-exact "
             "but for atomic; switched by REPRO_OMP_STRATEGY, not a token"
         )
 
@@ -158,7 +111,7 @@ class ParallelizePass(Pass):
             nest = for_nest(stmt)
             if nest is not None:
                 plan = _plan_nest(nest, stmt, state, types, assigned_top, atomic)
-                state.work.append(_nest_work(nest, plan, state))
+                state.work.append(NestWork(plan.strategy if plan is not None else None))
                 if plan is not None:
                     state.body[pos] = plan
             assigned_top |= ir.assigned([stmt])
@@ -252,33 +205,3 @@ def _plan_nest(
     if atomic and not row:
         return plan("atomic")
     return plan("replay")
-
-
-def _nest_work(node, plan: Optional[ir.Parallel], state: ir.LoopIR) -> NestWork:
-    """Where a run can read this nest's trip count from its arguments.
-
-    ``plan`` is ``None`` for serial nests (estimates cover every
-    top-level nest, not just parallelized ones); the vector flag then
-    falls back on whether the kernel has a vector axis at all.
-    """
-    idx = set()
-    for st in ir.walk([node]):
-        if isinstance(st, ir.FiberLoop) and st.coord_var is not None:
-            idx.add(st.idx.name)
-        elif isinstance(st, ir.Intersect):
-            idx.update(b.idx.name for b in st.binders)
-    extent = None
-    if isinstance(node, ir.DenseLoop) and isinstance(node.end, ir.Dim):
-        extent = node.end.name
-    lowered = state.lowered
-    if plan is not None:
-        vector = bool(plan.row or plan.ws_names)
-    else:
-        vector = lowered.vector_index is not None
-    return NestWork(
-        idx_arrays=tuple(sorted(idx)),
-        extent=extent,
-        vector=vector,
-        dims=tuple(sorted(d.name for d in lowered.program.args if isinstance(d, ir.Dim))),
-        strategy=plan.strategy if plan is not None else None,
-    )

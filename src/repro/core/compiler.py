@@ -438,9 +438,7 @@ class CompiledKernel:
         shape = self.output_shape(**tensors)
         return self.bound.prepare(**tensors), shape
 
-    def run(
-        self, prepared, output_shape, threads=None, thread_cap=None
-    ) -> np.ndarray:
+    def run(self, prepared, output_shape, threads=None) -> np.ndarray:
         """Allocate a fresh output buffer and run the loops, once.
 
         A one-shot :class:`~repro.codegen.executor.ExecutionPlan`: bound,
@@ -449,19 +447,12 @@ class CompiledKernel:
         :meth:`execution_plan` — and pay the bind once.
 
         ``threads`` overrides :attr:`CompilerOptions.threads` for this
-        run only (int or ``"auto"``) — the thread count is a runtime
+        run only (a positive int) — the thread count is a runtime
         argument of the compiled kernel, not part of its identity.
-        ``"auto"`` resolves per run through the work-estimate cost model
-        (:meth:`BoundKernel.resolve_run_threads`); ``thread_cap`` bounds
-        the resolved count (used by the batch engine's fan-out).
         """
-        return self.bound.plan_prepared(
-            prepared, output_shape, threads=threads, thread_cap=thread_cap
-        )()
+        return self.bound.plan_prepared(prepared, output_shape, threads=threads)()
 
-    def execution_plan(
-        self, threads=None, thread_cap=None, out=None, **tensors
-    ) -> ExecutionPlan:
+    def execution_plan(self, threads=None, out=None, **tensors) -> ExecutionPlan:
         """Prepare, bind and validate once; run as often as needed.
 
         Returns an :class:`~repro.codegen.executor.ExecutionPlan` — a
@@ -476,7 +467,6 @@ class CompiledKernel:
             prepared,
             shape,
             threads=threads,
-            thread_cap=thread_cap,
             out=out,
             identity=plan_identity(tensors),
             sources=tensors,

@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 #: values :attr:`CompilerOptions.backend` accepts.  ``auto`` is collapsed
 #: onto a concrete backend by :func:`repro.core.compiler.resolve_request`.
@@ -61,8 +61,7 @@ class Knob:
     on), ``int`` / ``float`` (``>= minimum``, or ``> minimum`` when
     ``exclusive`` — for knobs where zero is meaningless rather than a
     documented off switch; ``zero_is_none`` turns a parsed 0 into ``None``,
-    "no bound"), ``choice`` (one of ``choices``; numeric kinds may also
-    list literal ``choices``, e.g. ``REPRO_THREADS=auto``), or ``text`` /
+    "no bound"), ``choice`` (one of ``choices``), or ``text`` /
     ``path`` (returned verbatim).  Unset and empty always mean ``default``.
     """
 
@@ -94,8 +93,8 @@ KNOBS: Dict[str, Knob] = {row.name: row for row in (
          doc="default element dtype"),
     # the conservative default is 1: parallel execution is opt-in, so
     # single-threaded timings — the paper's methodology — stay the baseline
-    Knob("REPRO_THREADS", "int", 1, minimum=1, choices=("auto",),
-         doc="default C-backend thread count; auto = sized per run from work"),
+    Knob("REPRO_THREADS", "int", 1, minimum=1,
+         doc="default C-backend thread count"),
     Knob("REPRO_OMP_STRATEGY", "choice", "auto", choices=OMP_STRATEGY_CHOICES,
          doc="OpenMP emission mode (keyed); atomic is faster but not "
          "bit-reproducible"),
@@ -122,9 +121,6 @@ KNOBS: Dict[str, Knob] = {row.name: row for row in (
          doc="seconds before a hung cc is killed and retried (0 = no bound)"),
     Knob("REPRO_CC_RETRIES", "int", 2,
          doc="retries after a transient cc failure (timeout or signal kill)"),
-    # up to +100% random jitter per wait, so raced processes decorrelate
-    Knob("REPRO_CC_BACKOFF", "float", 0.25,
-         doc="base cc retry backoff in seconds, doubled per attempt"),
     # zero is rejected, not an off switch: a zero wait turns every
     # contended key into a duplicate private compile, which a long-lived
     # daemon amplifies from waste into sustained double load
@@ -207,42 +203,6 @@ def unknown_knobs() -> List[str]:
 #: from persisted kernel state.
 RUNTIME_FIELDS = frozenset({"threads"})
 
-#: parallel cost-model threshold: estimated scalar updates each OpenMP
-#: thread must have to be worth waking.  Entering a parallel region plus
-#: the ordered scatter-log replay costs tens of microseconds, while the
-#: compiled loops retire an update in roughly a nanosecond — so a thread
-#: needs a few tens of thousands of updates before the team pays for itself.
-PARALLEL_WORK_THRESHOLD = 32768
-
-
-def auto_thread_count(work: float, cpu: Optional[int] = None) -> int:
-    """The cost model behind ``threads="auto"``: threads for *work* updates.
-
-    ``work`` is the run's estimated parallel-nest scalar-update count (the
-    C renderer's per-nest trip estimate, resolved against the actual
-    arguments).  Each thread should carry roughly
-    :data:`PARALLEL_WORK_THRESHOLD` updates, so::
-
-        threads = clamp(round(work / threshold), 1, cpu)
-
-    Rounding to the *nearest* count (not floor division) means work just
-    under an integer multiple of the threshold — 1.9x the threshold, say —
-    gets the team it almost qualifies for instead of silently serializing.
-    Small problems still stay serial — the parallel-region and
-    scatter-log overhead would otherwise dominate (the observed t2/t4
-    regressions on sub-100k-update kernels) — while large problems scale
-    to the visible cores.  An *explicit* thread count never passes through
-    this model: ``REPRO_THREADS=4`` (or ``threads=4``) always wins.
-    """
-    cpu = cpu_count() if cpu is None else int(cpu)
-    if cpu <= 1:
-        return 1
-    if work is None or work != work or work < 0:  # None/NaN: no estimate
-        return cpu
-    threshold = PARALLEL_WORK_THRESHOLD
-    return max(1, min(cpu, (int(work) + threshold // 2) // threshold))
-
-
 _cpu_count_cache = None
 
 
@@ -257,17 +217,14 @@ def cpu_count() -> int:
     return _cpu_count_cache
 
 
-def resolve_threads(value=None) -> int:
-    """Collapse a ``threads`` setting onto a concrete positive count.
-
-    ``None`` and ``"auto"`` resolve to the visible CPU count; anything
-    else must already be a positive integer-like value.
-    """
-    if value is None or value == "auto":
-        return cpu_count()
-    count = int(value)
+def resolve_threads(value) -> int:
+    """Check a ``threads`` setting: a positive integer-like value."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError):
+        count = 0
     if count < 1:
-        raise ValueError("thread count must be >= 1, got %r" % (value,))
+        raise ValueError("thread count must be a positive int, got %r" % (value,))
     return count
 
 
@@ -298,9 +255,9 @@ class CompilerOptions:
     # execution backend: python | c | auto
     backend: str = field(default_factory=lambda: knob("REPRO_BACKEND"))
 
-    # runtime thread count for the C backend: positive int | "auto"
+    # runtime thread count for the C backend: a positive int
     # (excluded from cache keys / persistence — see RUNTIME_FIELDS)
-    threads: object = field(default_factory=lambda: knob("REPRO_THREADS"))
+    threads: int = field(default_factory=lambda: knob("REPRO_THREADS"))
 
     def __post_init__(self) -> None:
         if self.backend not in BACKEND_CHOICES:
@@ -313,11 +270,9 @@ class CompilerOptions:
                 "unknown dtype %r (choices: %s)"
                 % (self.dtype, ", ".join(DTYPE_CHOICES))
             )
-        if self.threads != "auto" and (
-            not isinstance(self.threads, int) or self.threads < 1
-        ):
+        if not isinstance(self.threads, int) or self.threads < 1:
             raise ValueError(
-                "threads must be 'auto' or a positive int, got %r"
+                "threads must be a positive int, got %r"
                 % (self.threads,)
             )
 

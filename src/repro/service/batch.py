@@ -94,36 +94,27 @@ class _Group:
 
     kernel: object
     cache_hit: bool
-    #: intra-kernel thread setting for this batch (None = kernel default,
-    #: an int = explicit divided count, ``"auto"`` = cost model per run)
-    threads: Optional[object] = None
-    #: upper bound on the resolved count (fan-out divides the machine)
-    thread_cap: Optional[int] = None
+    #: intra-kernel thread count for this batch (None = kernel default)
+    threads: Optional[int] = None
     #: input-set identity -> reusable execution plan
     plans: Dict[Tuple, ExecutionPlan] = field(default_factory=dict)
     positions: List[int] = field(default_factory=list)
 
 
-def _group_threads(
-    kernel, workers: Optional[int]
-) -> Tuple[Optional[object], Optional[int]]:
-    """``(threads, thread_cap)`` that composes fan-out with OpenMP teams.
+def _group_threads(kernel, workers: Optional[int]) -> Optional[int]:
+    """The thread count that composes fan-out with OpenMP teams.
 
-    Without fan-out the kernel's own default applies (including the
-    ``"auto"`` cost model).  With ``workers`` concurrent input sets, an
-    explicit thread count is split across the pool so ``workers x
-    threads`` never exceeds the configured level; ``"auto"`` stays
-    cost-modeled per run but capped at the machine's share per worker.
+    Without fan-out the kernel's own default applies (``None``).  With
+    ``workers`` concurrent input sets, the kernel's thread count is split
+    across the pool so ``workers x threads`` never exceeds it.
     """
     if workers is None or workers <= 1:
-        return None, None
+        return None
     options = getattr(kernel, "options", None)
     setting = getattr(options, "threads", None)
     if setting is None:
-        return None, None
-    if setting == "auto":
-        return "auto", max(1, resolve_threads("auto") // workers)
-    return max(1, resolve_threads(setting) // workers), None
+        return None
+    return max(1, resolve_threads(setting) // workers)
 
 
 def _input_identity(tensors: Mapping[str, object]) -> Tuple:
@@ -176,12 +167,10 @@ def _run_batch(
         if group is None:
             was_cached = service.is_cached(key)
             kernel = service.get_or_compile_request(canonical)
-            threads, thread_cap = _group_threads(kernel, workers)
             group = groups[key] = _Group(
                 kernel=kernel,
                 cache_hit=was_cached,
-                threads=threads,
-                thread_cap=thread_cap,
+                threads=_group_threads(kernel, workers),
             )
         ident = _input_identity(request.tensors)
         if ident not in group.plans:
@@ -190,7 +179,6 @@ def _run_batch(
                 prepared,
                 shape,
                 threads=group.threads,
-                thread_cap=group.thread_cap,
                 identity=ident,
                 sources=request.tensors,
             )

@@ -91,6 +91,18 @@ def test_bench_has_no_json_flag(capsys):
     assert "--json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", (
+    ["bench", "fig06", "--scale", "0.01", "--names", "saylr4"],
+    ["compile", "y[i] += A[i, j] * x[j]", "--symmetric", "A"],
+))
+def test_threads_auto_is_rejected(argv, capsys):
+    """Thread counts are explicit: ``--threads auto`` is an argument error."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", "auto"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_serve_warmup_memory_only(capsys):
     rc = main(["serve-warmup", "--kernels", "ssymv,syprd"])
     out = capsys.readouterr().out

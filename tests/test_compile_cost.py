@@ -96,7 +96,7 @@ def test_first_threaded_run_upgrades_once_bit_identically(rng, name):
             plan = kernel.execution_plan(**inputs)  # bound before the swap
 
             first = np.array(kernel.finalize(kernel.run(prepared, shape, threads=4)))
-            parallel = bool(exe._work_model)
+            parallel = any(s is not None for s in exe.strategies)
             # kernels without parallel bodies have nothing to upgrade to
             assert len(_cc_spans(rec)) == (2 if parallel else 1)
             assert len(_upgrades(rec)) == int(parallel)

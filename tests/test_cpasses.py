@@ -4,8 +4,7 @@ Covers the ``$REPRO_PASSES`` grammar, the cache-key signature, golden
 C-source snapshots per pass (regenerate with ``REPRO_UPDATE_GOLDEN=1``),
 per-pass bit-identity against the Python backend, pass-set cache keying,
 and the satellite regressions that rode along with the pipeline: the
-``NestWork`` renamed-view fallback, the OpenMP-strategy warn-once, and
-kernel allocation failure surfacing as a recoverable status.
+OpenMP-strategy warn-once and kernel allocation failure surfacing as a recoverable status.
 """
 
 from __future__ import annotations
@@ -29,10 +28,8 @@ from repro.codegen.passes import (
     describe_passes,
     parse_passes,
 )
-from repro.codegen.passes.parallelize import NestWork
 from repro.core.config import DEFAULT
 from repro.kernels.library import get_kernel
-from repro.obs import metrics as obs_metrics
 from repro.service.keys import cache_key, canonicalize
 
 HAVE_CC = get_backend("c").is_available()
@@ -371,36 +368,6 @@ def test_default_tiling_over_several_blocks_is_bit_identical(monkeypatch):
 # ----------------------------------------------------------------------
 # satellite regressions
 # ----------------------------------------------------------------------
-def test_nestwork_renamed_view_falls_back_to_dims():
-    """A work term whose recorded names don't resolve (renamed views)
-    must estimate from the extents instead of silently returning 0 —
-    which made ``threads="auto"`` serve such calls serially forever."""
-    work = NestWork(
-        idx_arrays=("A__strict_idx1",),
-        extent=None,
-        vector=False,
-        dims=("n_i", "n_j"),
-    )
-    # the caller renamed the view: none of the recorded arrays resolve
-    arrays = {"B__strict_idx1": np.arange(10), "n_i": 100, "n_j": 50}
-    obs_metrics.registry().reset()
-    was_enabled = obs_metrics.enabled()
-    obs_metrics.enable()
-    try:
-        assert work.resolve(arrays, None) == pytest.approx(5000.0)
-    finally:
-        if not was_enabled:
-            obs_metrics.disable()
-    assert obs_metrics.to_dict()["counters"].get("costmodel.unresolved") == 1
-    # names that do resolve never touch the fallback
-    assert work.resolve({"A__strict_idx1": np.arange(10)}, None) == 10.0
-    # nothing recorded at all (fully dense serial nest) stays quiet
-    silent = NestWork(idx_arrays=(), extent=None, vector=False, dims=("n_i",))
-    obs_metrics.registry().reset()
-    silent.resolve({}, None)
-    assert "costmodel.unresolved" not in obs_metrics.to_dict()["counters"]
-
-
 def test_omp_strategy_warns_once_per_value(monkeypatch):
     monkeypatch.setenv("REPRO_OMP_STRATEGY", "bogus-strategy")
     with warnings.catch_warnings(record=True) as caught:

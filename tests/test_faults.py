@@ -141,7 +141,7 @@ def test_fault_error_message_names_the_fault():
 # ----------------------------------------------------------------------
 @needs_cc
 def test_injected_cc_timeout_is_retried(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_CC_BACKOFF", "0.01")
+    monkeypatch.setattr(ctoolchain, "CC_BACKOFF", 0.01)
     src = "int repro_fault_retry(void) { return 1; }\n"
     with faults.injecting("cc=timeout*1") as plan:
         so = ctoolchain.compile_shared(src, stem="faultretry", force=True)
@@ -153,7 +153,7 @@ def test_injected_cc_timeout_is_retried(monkeypatch, tmp_path):
 
 @needs_cc
 def test_injected_cc_crash_is_retried(monkeypatch):
-    monkeypatch.setenv("REPRO_CC_BACKOFF", "0.01")
+    monkeypatch.setattr(ctoolchain, "CC_BACKOFF", 0.01)
     src = "int repro_fault_crash(void) { return 2; }\n"
     with faults.injecting("cc=crash*1"):
         so = ctoolchain.compile_shared(src, stem="faultcrash", force=True)
@@ -164,7 +164,7 @@ def test_injected_cc_crash_is_retried(monkeypatch):
 
 @needs_cc
 def test_transient_failures_exhaust_retries(monkeypatch):
-    monkeypatch.setenv("REPRO_CC_BACKOFF", "0.01")
+    monkeypatch.setattr(ctoolchain, "CC_BACKOFF", 0.01)
     monkeypatch.setenv("REPRO_CC_RETRIES", "1")
     src = "int repro_fault_exhaust(void) { return 3; }\n"
     with faults.injecting("cc=timeout"):  # unbounded: every attempt hangs
@@ -493,7 +493,7 @@ def test_empty_store_counters_not_zeroed_by_len(tmp_path):
 # ----------------------------------------------------------------------
 @needs_cc
 def test_combined_fault_storm_stays_bit_identical(tmp_path, monkeypatch, inputs):
-    monkeypatch.setenv("REPRO_CC_BACKOFF", "0.01")
+    monkeypatch.setattr(ctoolchain, "CC_BACKOFF", 0.01)
     ref = _reference(inputs)
 
     warm = KernelService(store=tmp_path)

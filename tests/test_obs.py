@@ -436,7 +436,7 @@ def test_profile_kernel_reports_per_nest(monkeypatch):
 
     A, x = _sym(32, seed=4), np.linspace(0.0, 1.0, 32)
     reports = obs.profile_kernel(kernel, {"A": A, "x": x}, repeats=4)
-    assert len(reports) == len(executable.profile_model) >= 1
+    assert len(reports) == len(executable.strategies) >= 1
     assert sum(r.share for r in reports) == pytest.approx(1.0)
     for report in reports:
         assert report.seconds >= 0.0

@@ -12,6 +12,7 @@ import json
 import os
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -25,7 +26,6 @@ from repro.core.config import (
     DEFAULT,
     OMP_STRATEGY_CHOICES,
     RUNTIME_FIELDS,
-    cpu_count,
     knob,
     resolve_threads,
 )
@@ -54,7 +54,8 @@ def _lowered(name, **kwargs):
 # ----------------------------------------------------------------------
 def test_threads_option_validates():
     assert CompilerOptions(threads=4).threads == 4
-    assert CompilerOptions(threads="auto").threads == "auto"
+    with pytest.raises(ValueError, match="a positive int"):
+        CompilerOptions(threads="auto")
     with pytest.raises(ValueError, match="threads"):
         CompilerOptions(threads=0)
     with pytest.raises(ValueError, match="threads"):
@@ -64,8 +65,6 @@ def test_threads_option_validates():
 def test_default_threads_reads_env(monkeypatch):
     monkeypatch.delenv("REPRO_THREADS", raising=False)
     assert knob("REPRO_THREADS") == 1
-    monkeypatch.setenv("REPRO_THREADS", "auto")
-    assert knob("REPRO_THREADS") == "auto"
     monkeypatch.setenv("REPRO_THREADS", "3")
     assert knob("REPRO_THREADS") == CompilerOptions().threads == 3
     monkeypatch.setenv("REPRO_THREADS", "zero-ish")
@@ -73,12 +72,22 @@ def test_default_threads_reads_env(monkeypatch):
         assert knob("REPRO_THREADS") == 1
 
 
+def test_threads_env_auto_warns_once_and_means_one(monkeypatch):
+    """``auto`` is a bad value like any other: warned about, then 1."""
+    monkeypatch.setattr("repro.core.config._warned_values", set())
+    monkeypatch.setenv("REPRO_THREADS", "auto")
+    with pytest.warns(RuntimeWarning, match="REPRO_THREADS='auto'"):
+        assert knob("REPRO_THREADS") == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert CompilerOptions().threads == 1  # diagnosed once per process
+
+
 def test_resolve_threads():
-    assert resolve_threads(None) == cpu_count()
-    assert resolve_threads("auto") == cpu_count()
     assert resolve_threads(5) == 5
-    with pytest.raises(ValueError):
-        resolve_threads(0)
+    for bad in (0, None, "auto"):
+        with pytest.raises(ValueError, match="a positive int"):
+            resolve_threads(bad)
 
 
 def test_threads_is_a_runtime_field_not_key_material():
@@ -393,20 +402,10 @@ def test_batch_divides_threads_across_workers():
         symmetric={"A": True},
         options=DEFAULT.but(backend="python", threads=8),
     )
-    assert _group_threads(kernel, workers=None) == (None, None)
-    assert _group_threads(kernel, workers=1) == (None, None)
-    assert _group_threads(kernel, workers=4) == (2, None)
-    assert _group_threads(kernel, workers=16) == (1, None)
-
-    auto = compile_kernel(
-        "y[i] += A[i, j] * x[j]",
-        symmetric={"A": True},
-        options=DEFAULT.but(backend="python", threads="auto"),
-    )
-    # "auto" keeps the per-run cost model; fan-out only caps its ceiling
-    threads, cap = _group_threads(auto, workers=2)
-    assert threads == "auto"
-    assert cap == max(1, cpu_count() // 2)
+    assert _group_threads(kernel, workers=None) is None
+    assert _group_threads(kernel, workers=1) is None
+    assert _group_threads(kernel, workers=4) == 2
+    assert _group_threads(kernel, workers=16) == 1
 
 
 @needs_cc
@@ -421,7 +420,7 @@ def test_batch_with_workers_and_threads_matches_sequential(rng):
             einsum="y[i] += A[i, j] * x[j]",
             tensors={"A": A, "x": x},
             symmetric={"A": True},
-            options=C_OPTS.but(threads="auto"),
+            options=C_OPTS.but(threads=2),
             tag=i,
         )
         for i in range(6)

@@ -1,7 +1,7 @@
 """The phase pipeline on loop IR, without a compiler.
 
 The parallelisation phase's strategy table asserted on its product (the
-``Parallel`` annotations and ``NestWork`` estimates) instead of by
+``Parallel`` annotations and per-nest ``NestWork`` strategies) instead of by
 grepping C text for ``rp_logs`` / ``pv_all`` as ``test_parallel.py``
 does, and ``loopir.verify`` between every two phases.
 """
@@ -106,7 +106,7 @@ def test_top_level_intersect_is_not_a_nest():
     )
     state = _annotate([merge])
     assert _tags(state) == [None]
-    assert state.work == []  # no estimate either: it gets no profile slot
+    assert state.work == []  # not a nest: it gets no profile slot
 
 
 def test_guarded_outer_fiber_loop_stays_serial():

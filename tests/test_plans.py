@@ -1,5 +1,5 @@
-"""Execution plans (the repeat-execution fast path) and the auto-thread
-cost model.
+"""Execution plans (the repeat-execution fast path) and their thread
+count.
 
 The contracts under test:
 
@@ -7,9 +7,7 @@ The contracts under test:
   ``prepare`` + ``run`` on every backend, dtype and thread count;
 * plans snapshot their argument set — replacing an input's payload does
   not silently flow in, and :meth:`ExecutionPlan.matches` detects it;
-* ``threads="auto"`` resolves through the work-estimate cost model (tiny
-  problems stay serial, big ones take the cores), while an explicit
-  thread count always wins untouched.
+* an explicit thread count is taken as given.
 """
 
 import sys
@@ -21,11 +19,7 @@ from repro import faults, obs
 from repro.codegen.backends import get_backend
 from repro.codegen.executor import ExecutionPlan, plan_identity
 from repro.core.compiler import compile_kernel
-from repro.core.config import (
-    DEFAULT,
-    PARALLEL_WORK_THRESHOLD,
-    auto_thread_count,
-)
+from repro.core.config import DEFAULT
 from repro.kernels.library import get_kernel
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -255,117 +249,26 @@ def test_plan_matches_is_conservative_without_identity(rng):
 
 
 # ----------------------------------------------------------------------
-# the auto-thread cost model
+# the thread count
 # ----------------------------------------------------------------------
-def test_auto_thread_count_scales_with_work():
-    assert auto_thread_count(0, cpu=8) == 1
-    assert auto_thread_count(PARALLEL_WORK_THRESHOLD // 3, cpu=8) == 1
-    assert auto_thread_count(2 * PARALLEL_WORK_THRESHOLD, cpu=8) == 2
-    assert auto_thread_count(10**12, cpu=8) == 8  # capped at the machine
-    assert auto_thread_count(10**12, cpu=1) == 1
-    assert auto_thread_count(None, cpu=8) == 8  # no estimate: old behaviour
-
-
-def test_auto_thread_count_rounds_to_nearest():
-    """1.9x the threshold is closer to two threads' worth of work than
-    one — flooring used to serialize it (and every work size just shy of
-    a multiple), systematically under-threading near the boundaries."""
-    t = PARALLEL_WORK_THRESHOLD
-    assert auto_thread_count(int(1.9 * t), cpu=8) == 2
-    assert auto_thread_count(int(1.4 * t), cpu=8) == 1
-    assert auto_thread_count(int(2.6 * t), cpu=8) == 3
-    # the clamp floor survives rounding: work below half a threshold
-    # rounds to zero threads, which still resolves to one
-    assert auto_thread_count(t // 4, cpu=8) == 1
-
-
-def test_parallel_threshold_is_the_work_per_thread(monkeypatch):
-    """The calibrated constant is the only threshold (no environment
-    override): the model divides the work estimate by it."""
-    monkeypatch.setattr("repro.core.config.PARALLEL_WORK_THRESHOLD", 100)
-    assert auto_thread_count(250, cpu=8) == 3  # round(250/100)
-    assert auto_thread_count(240, cpu=8) == 2
-
-
-@needs_cc
-def test_auto_resolves_serial_for_tiny_nnz(rng, monkeypatch):
-    """Tiny problems stay serial even on a many-core machine."""
-    monkeypatch.setattr("repro.core.config._cpu_count_cache", 8)
-    kernel = _ssymv("c")
-    A = make_symmetric_matrix(rng, 16, 0.4)
-    x = rng.random(16)
-    prepared, _ = kernel.prepare(A=A, x=x)
-    assert kernel.bound.resolve_run_threads("auto", prepared) == 1
-    plan = kernel.execution_plan(threads="auto", A=A, x=x)
-    assert plan.threads == 1
-
-
-@needs_cc
-def test_auto_resolves_to_cpus_for_large_nnz(rng, monkeypatch):
-    """Past the per-thread work threshold, auto takes the visible cores
-    (the estimate is cheap to fake: shrink the threshold instead of
-    building a genuinely huge matrix)."""
-    monkeypatch.setattr("repro.core.config._cpu_count_cache", 4)
-    monkeypatch.setattr("repro.core.config.PARALLEL_WORK_THRESHOLD", 10)
-    kernel = _ssymv("c")
-    A = make_symmetric_matrix(rng, 30, 0.5)
-    x = rng.random(30)
-    prepared, _ = kernel.prepare(A=A, x=x)
-    work = kernel.bound.executable.parallel_work(prepared)
-    assert work is not None and work > 40
-    assert kernel.bound.resolve_run_threads("auto", prepared) == 4
-    plan = kernel.execution_plan(threads="auto", A=A, x=x)
-    assert plan.threads == 4
-    # the cap (batch fan-out's share of the machine) bounds the result
-    assert kernel.bound.resolve_run_threads("auto", prepared, cap=2) == 2
-
-
 def test_explicit_threads_always_win(rng, monkeypatch):
-    """REPRO_THREADS=<int> (or threads=<int>) bypasses the cost model."""
-    monkeypatch.setattr("repro.core.config._cpu_count_cache", 8)
+    """REPRO_THREADS=<int> (or threads=<int>) is taken as given."""
     kernel = _ssymv("python")
     A = make_symmetric_matrix(rng, 6, 0.5)
     x = rng.random(6)
-    prepared, _ = kernel.prepare(A=A, x=x)
-    # tiny work, yet the explicit setting is honoured verbatim
-    assert kernel.bound.resolve_run_threads(3, prepared) == 3
-    assert kernel.bound.resolve_run_threads(3, prepared, cap=2) == 2
+    assert kernel.bound.resolve_run_threads(3) == 3
+    assert kernel.bound.resolve_run_threads(None) == 1
+    assert kernel.execution_plan(threads=3, A=A, x=x).threads == 3
     monkeypatch.setenv("REPRO_THREADS", "5")
     from repro.core.config import CompilerOptions
 
     assert CompilerOptions().threads == 5
 
 
-def test_python_backend_auto_resolves_serial(rng, monkeypatch):
-    """No parallel bodies -> a team could never help -> serial."""
-    monkeypatch.setattr("repro.core.config._cpu_count_cache", 8)
-    kernel = _ssymv("python")
-    A = make_symmetric_matrix(rng, 16, 0.4)
-    x = rng.random(16)
-    prepared, _ = kernel.prepare(A=A, x=x)
-    assert kernel.bound.executable.parallel_work(prepared) is None
-    assert kernel.bound.resolve_run_threads("auto", prepared) == 1
-
-
 @needs_cc
-def test_work_estimate_tracks_nnz(rng):
-    """The render-time work model resolves to nnz-proportional numbers."""
-    kernel = _ssymv("c")
-    small = make_symmetric_matrix(rng, 20, 0.2)
-    big = make_symmetric_matrix(rng, 60, 0.6)
-    x_small, x_big = rng.random(20), rng.random(60)
-    prepared_small, _ = kernel.prepare(A=small, x=x_small)
-    prepared_big, _ = kernel.prepare(A=big, x=x_big)
-    w_small = kernel.bound.executable.parallel_work(prepared_small)
-    w_big = kernel.bound.executable.parallel_work(prepared_big)
-    assert w_small is not None and w_big is not None
-    assert w_big > w_small
-
-
-@needs_cc
-def test_serial_omp_strategy_has_no_work_model(rng):
-    """REPRO_OMP_STRATEGY=serial emits no parallel bodies, so auto
-    resolves serial rather than spinning up a useless team."""
+def test_serial_omp_strategy_has_no_parallel_bodies(rng):
+    """REPRO_OMP_STRATEGY=serial emits no parallel bodies, so the kernel
+    never builds or upgrades to an OpenMP object."""
     from repro.codegen.backends.base import CodegenConfig
     from repro.codegen.backends.c import render_c_full
 
@@ -373,5 +276,5 @@ def test_serial_omp_strategy_has_no_work_model(rng):
     rendered = render_c_full(
         kernel.lowered, None, CodegenConfig(omp_strategy="serial")
     )
-    assert rendered.work_model == ()
+    assert rendered.strategies == () and not rendered.parallel
     assert "#pragma omp" not in rendered.source
