@@ -410,15 +410,25 @@ class BoundKernel:
 
     def _prepare(self, tensors: Mapping[str, object], sp) -> Dict[str, object]:
         args: Dict[str, object] = {}
-        wrapped: Dict[str, Tensor] = {}
-        by_identity: Dict[Tuple, Tensor] = {}
+        wrapped: Dict[str, object] = {}
+        by_identity: Dict[Tuple, object] = {}
+        sparse = {view.tensor for view in self.lowered.sparse_views}
         for name, value in tensors.items():
-            sym = tuple(tuple(p) for p in self.symmetric_modes.get(name, ()))
-            key = (id(value), sym)
-            if key not in by_identity:
-                by_identity[key] = _as_tensor(
-                    name, value, self.symmetric_modes, dtype=self.dtype
-                )
+            if name in sparse or isinstance(value, (Tensor, COO)):
+                sym = tuple(tuple(p) for p in self.symmetric_modes.get(name, ()))
+                key = (id(value), sym)
+                if key not in by_identity:
+                    by_identity[key] = _as_tensor(
+                        name, value, self.symmetric_modes, dtype=self.dtype
+                    )
+            else:
+                # an array that feeds only dense views: one copy (a plan
+                # must not see the caller mutate it later), no COO round trip
+                key = (id(value), None)
+                if key not in by_identity:
+                    by_identity[key] = np.array(
+                        value, dtype=self.dtype, order="C", copy=True
+                    )
             wrapped[name] = by_identity[key]
 
         # sparse views: Tensor.view memoizes per (mode_order, levels,

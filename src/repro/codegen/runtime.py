@@ -68,14 +68,18 @@ def replicate_output(
     nontrivial = [sorted(p) for p in mode_parts if len(p) >= 2]
     if not nontrivial:
         return arr
-    index = list(np.ogrid[tuple(slice(n) for n in arr.shape)])
     if len(nontrivial) == 1 and len(nontrivial[0]) == 2:
         a, b = nontrivial[0]
-        # (where keeps a transposed input's layout; the gather below, like
-        # every caller, deals in C-contiguous results)
-        return np.ascontiguousarray(
-            np.where(index[a] >= index[b], arr, np.swapaxes(arr, a, b))
-        )
+        # the mirrored copy, then the canonical triangle (index[a] >=
+        # index[b], np.tri's small-int mask) written over it in place: one
+        # C-contiguous result, no select temporary.  Always a copy: the
+        # swap of a transposed input is a C-contiguous view of it.
+        out = np.array(np.swapaxes(arr, a, b), order="C")
+        shape = [1] * arr.ndim
+        shape[a], shape[b] = arr.shape[a], arr.shape[b]
+        np.copyto(out, arr, where=np.tri(shape[a], shape[b], dtype=bool).reshape(shape))
+        return out
+    index = list(np.ogrid[tuple(slice(n) for n in arr.shape)])
     for group in nontrivial:
         # descending == canonical; the sort broadcasts the open grids of
         # the group against each other only, never to the full shape

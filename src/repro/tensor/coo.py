@@ -2,8 +2,9 @@
 
 Every sparse tensor enters and leaves the system as a :class:`COO`:
 an ``(ndim, nnz)`` integer coordinate array plus a value array.  Formats
-(:mod:`repro.tensor.fiber`) are built from a sorted COO; symmetry packing
-(:mod:`repro.tensor.symmetry_ops`) filters and expands COO coordinates.
+(:mod:`repro.tensor.fiber`) are built from its coordinate rows in storage
+order; symmetry packing (:mod:`repro.tensor.symmetry_ops`) filters and
+expands COO coordinates.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from repro.obs import metrics as obs_metrics
 #: value dtypes a COO payload may carry (anything else is coerced to
 #: float64, the historical behaviour).
 SUPPORTED_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _coerce_vals(vals: np.ndarray, dtype=None) -> np.ndarray:
@@ -192,22 +195,26 @@ class COO:
         return "COO(shape=%s, nnz=%d)" % (self.shape, self.nnz)
 
 
-def _lex_order(coords: np.ndarray, shape: Sequence[int]) -> Optional[np.ndarray]:
-    """The stable permutation that sorts the columns of *coords*
-    lexicographically (mode 0 outermost), or None when they already are.
+def _lex_order(coords: Sequence[np.ndarray], shape: Sequence[int]) -> Optional[np.ndarray]:
+    """The stable permutation that sorts the columns of *coords* (an
+    ``(ndim, nnz)`` array or one row per mode) lexicographically, mode 0
+    outermost, or None when they already are.
 
-    Coordinates are linearised to one int64 key, checked for order in
-    O(nnz) and otherwise sorted once; both this and ``np.lexsort`` are
-    stable over the same order, so the permutation equals
-    ``np.lexsort(coords[::-1])``.  A shape whose product overflows int64
-    cannot be linearised and takes the ``np.lexsort`` route.
+    Coordinates are linearised by hand to one int64 key
+    (``c0*n1 + c1 ...``: they are in bounds already, so nothing is
+    re-checked), checked for order in O(nnz) and otherwise sorted once;
+    both this and ``np.lexsort`` are stable over the same order, so the
+    permutation equals ``np.lexsort(coords[::-1])``.  A shape whose
+    product overflows int64 cannot be linearised and takes the
+    ``np.lexsort`` route.
     """
-    ndim, nnz = coords.shape
-    if ndim and nnz > 1:
-        if math.prod(shape) > np.iinfo(np.int64).max:
+    if len(coords) and len(coords[0]) > 1:
+        if math.prod(shape) > _INT64_MAX:
             obs_metrics.inc("tensor.sort.lexsort_fallback")
             return np.lexsort(coords[::-1])
-        key = np.ravel_multi_index(tuple(coords), shape)
+        key = coords[0]
+        for row, extent in zip(coords[1:], shape[1:]):
+            key = key * extent + row
         if not (key[1:] >= key[:-1]).all():
             obs_metrics.inc("tensor.sort.linear")
             return np.argsort(key, kind="stable")

@@ -16,11 +16,12 @@ gives the COO-like fully compressed tree.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.tensor.coo import COO
+from repro.obs import metrics as obs_metrics
+from repro.tensor.coo import COO, _lex_order
 
 DENSE = "dense"
 SPARSE = "sparse"
@@ -44,8 +45,34 @@ class FiberTensor:
     """
 
     def __init__(self, coo: COO, levels: Sequence[str]):
+        self._build(tuple(coo.coords), coo.vals, coo.shape, levels, coo._sorted, owned=False)
+
+    @classmethod
+    def from_rows(
+        cls,
+        rows: Sequence[np.ndarray],
+        vals: np.ndarray,
+        shape: Sequence[int],
+        levels: Sequence[str],
+        *,
+        known_sorted: bool,
+        owned: bool,
+    ) -> "FiberTensor":
+        """Build from one in-bounds coordinate row per storage level.
+
+        *known_sorted* vouches that the rows are in storage order (the
+        check is skipped); *owned* hands over arrays nobody else holds —
+        a gather's output — which the tree then keeps without copying.
+        """
+        out = cls.__new__(cls)
+        out._build(rows, vals, shape, levels, known_sorted, owned)
+        return out
+
+    # ------------------------------------------------------------------
+    def _build(self, rows, vals, shape, levels, known_sorted: bool, owned: bool) -> None:
         levels = tuple(levels)
-        if len(levels) != coo.ndim:
+        ndim = len(shape)
+        if len(levels) != ndim:
             raise ValueError("need one level kind per mode")
         seen_sparse = False
         for kind in levels:
@@ -56,63 +83,55 @@ class FiberTensor:
             if kind == SPARSE:
                 seen_sparse = True
         self.levels = levels
-        self.shape = coo.shape
+        self.shape = tuple(shape)
         self.pos: Dict[int, np.ndarray] = {}
         self.idx: Dict[int, np.ndarray] = {}
-        ordered = coo.sorted_lex()
-        self.presorted = ordered is coo
-        self._build(ordered)
 
-    # ------------------------------------------------------------------
-    def _build(self, coo: COO) -> None:
-        ndim = coo.ndim
+        order = None if known_sorted else _lex_order(rows, shape)
+        self.presorted = order is None
+        if order is None:
+            obs_metrics.inc("tensor.sort.skipped")
+        else:
+            rows = [row.take(order) for row in rows]
+            vals = vals.take(order)
+            owned = True
+        # the tree keeps only arrays nobody else holds: a caller's rows
+        # (its COO may be mutated later) are copied, gathered ones are not
+        self.vals = vals if owned else vals.copy()
+        nnz = len(vals)
+
         dense_prefix = 0
-        while dense_prefix < ndim and self.levels[dense_prefix] == DENSE:
+        while dense_prefix < ndim and levels[dense_prefix] == DENSE:
             dense_prefix += 1
-
-        coords = coo.coords
-        self.vals = coo.vals.copy()
-        nnz = coo.nnz
-
         # parent slot of each entry at the first sparse level: the flattened
         # dense-prefix coordinate.
-        n_slots = 1
+        n_parents = 1
         for mode in range(dense_prefix):
-            n_slots *= coo.shape[mode]
-        slots = np.zeros(nnz, dtype=np.int64)
+            n_parents *= shape[mode]
+        parent = None  # one parent (the root) for an all-sparse tree
         for mode in range(dense_prefix):
-            slots = slots * coo.shape[mode] + coords[mode]
+            parent = rows[mode] if parent is None else parent * shape[mode] + rows[mode]
 
-        parent = slots
-        n_parents = n_slots
         for level in range(dense_prefix, ndim):
-            level_coords = coords[level]
+            level_coords = rows[level]
             if level == ndim - 1:
                 # leaf level: idx holds every entry, pos segments by parent.
                 self.pos[level] = _segment_pos(parent, n_parents, nnz)
-                self.idx[level] = level_coords.copy()
+                self.idx[level] = level_coords if owned else level_coords.copy()
             else:
                 # interior sparse level: one idx entry per distinct
                 # (parent, coordinate) pair.
-                if nnz:
-                    head = np.concatenate(
-                        (
-                            [True],
-                            (parent[1:] != parent[:-1])
-                            | (level_coords[1:] != level_coords[:-1]),
-                        )
-                    )
-                else:
-                    head = np.zeros(0, dtype=bool)
-                fiber_ids = np.cumsum(head) - 1 if nnz else np.zeros(0, dtype=np.int64)
-                heads = np.nonzero(head)[0]
+                head = np.empty(nnz, dtype=bool)
+                head[:1] = True
+                np.not_equal(level_coords[1:], level_coords[:-1], out=head[1:])
+                if parent is not None:
+                    head[1:] |= parent[1:] != parent[:-1]
+                heads = np.flatnonzero(head)
                 self.pos[level] = _segment_pos(
-                    parent[heads] if nnz else np.zeros(0, dtype=np.int64),
-                    n_parents,
-                    len(heads),
+                    None if parent is None else parent[heads], n_parents, len(heads)
                 )
-                self.idx[level] = level_coords[heads] if nnz else np.zeros(0, dtype=np.int64)
-                parent = fiber_ids
+                self.idx[level] = level_coords[heads]
+                parent = np.cumsum(head) - 1
                 n_parents = len(heads)
 
     # ------------------------------------------------------------------
@@ -171,14 +190,17 @@ class FiberTensor:
         )
 
 
-def _segment_pos(parents: np.ndarray, n_parents: int, n_children: int) -> np.ndarray:
+def _segment_pos(
+    parents: Optional[np.ndarray], n_parents: int, n_children: int
+) -> np.ndarray:
     """Build a ``pos`` array: ``pos[p]..pos[p+1]`` spans the children of
-    parent position ``p`` (parents must be sorted)."""
-    counts = np.bincount(parents, minlength=n_parents) if n_children else np.zeros(
-        n_parents, dtype=np.int64
-    )
+    parent position ``p`` (parents must be sorted; None is the one root
+    of an all-sparse tree)."""
     pos = np.zeros(n_parents + 1, dtype=np.int64)
-    np.cumsum(counts, out=pos[1:])
+    if parents is None:
+        pos[1:] = n_children
+    elif n_children:
+        np.cumsum(np.bincount(parents, minlength=n_parents), out=pos[1:])
     return pos
 
 

@@ -49,27 +49,41 @@ def pack_canonical(coo: COO, parts: Sequence[Sequence[int]]) -> COO:
     return coo.filter(canonical_coords_mask(coo, parts))
 
 
-def split_diagonal(
-    coo: COO, parts: Sequence[Sequence[int]], *, check: bool = False
-) -> Tuple[COO, COO]:
-    """Split canonical coordinates into (strict triangle, diagonals).
+def split_masks(
+    coords: np.ndarray, parts: Sequence[Sequence[int]], *, check: bool = False
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Masks of the (strict triangle, diagonals) halves of *coords*.
 
-    A coordinate is diagonal when any symmetric group has two equal
-    coordinates (Definition 2.4).  Non-canonical coordinates land in
-    neither half — a full payload is packed and split by the same masks —
-    unless ``check=True`` declares the input canonical, which makes the
-    first one a ``ValueError``.
+    One walk over the symmetric pairs computes the canonical and the
+    strict mask together.  A coordinate is diagonal when any symmetric
+    group has two equal coordinates (Definition 2.4).  Non-canonical
+    coordinates land in neither half — a full payload is packed and split
+    by the same masks — unless ``check=True`` declares the input
+    canonical, which makes the first one a ``ValueError``.
     """
-    canonical = canonical_coords_mask(coo, parts)
+    canonical = strict = np.ones(coords.shape[1], dtype=bool)
+    for part in parts:
+        modes = sorted(part)
+        for a, b in zip(modes, modes[1:]):
+            canonical = canonical & (coords[a] >= coords[b])
+            strict = strict & (coords[a] > coords[b])
     if check and not canonical.all():
         first = int(np.argmin(canonical))
         raise ValueError(
             "payload declared canonical but coordinate %s (entry %d) is not "
             "non-increasing within symmetric modes %s"
-            % (tuple(int(c) for c in coo.coords[:, first]), first, tuple(map(tuple, parts)))
+            % (tuple(int(c) for c in coords[:, first]), first, tuple(map(tuple, parts)))
         )
-    strict = canonical_coords_mask(coo, parts, strict=True)
-    return coo.filter(strict), coo.filter(canonical & ~strict)
+    return strict, canonical & ~strict
+
+
+def split_diagonal(
+    coo: COO, parts: Sequence[Sequence[int]], *, check: bool = False
+) -> Tuple[COO, COO]:
+    """Split canonical coordinates into (strict triangle, diagonals) — the
+    two halves of :func:`split_masks`."""
+    strict, diagonal = split_masks(coo.coords, parts, check=check)
+    return coo.filter(strict), coo.filter(diagonal)
 
 
 def expand_symmetric(coo: COO, parts: Sequence[Sequence[int]]) -> COO:

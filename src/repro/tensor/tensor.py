@@ -2,8 +2,9 @@
 
 A ``Tensor`` owns a COO payload plus an optional symmetry declaration, and
 manufactures (and caches) the concrete views the compiled kernels consume:
-permuted fibertree realizations, canonical packings, diagonal splits, and
-full expansions for the naive baselines.
+fibertree realizations of the full tensor, its canonical triangle or a
+diagonal split, in any storage order — each gathered straight from the
+payload — and the full expansion the naive baselines read.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import numpy as np
 from repro.tensor.coo import COO
 from repro.tensor.fiber import DENSE, SPARSE, FiberTensor
 from repro.tensor.symmetry_ops import (
+    canonical_coords_mask,
     expand_symmetric,
-    pack_canonical,
-    split_diagonal,
+    split_masks,
 )
 
 
@@ -41,7 +42,7 @@ class Tensor:
         _check_symmetric_modes(self.symmetric_modes, coo.shape)
         self.canonical = canonical
         self._view_cache: Dict[Tuple, FiberTensor] = {}
-        self._coo_cache: Dict[str, COO] = {}
+        self._full: Optional[COO] = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -93,48 +94,14 @@ class Tensor:
         """Dense array of the *full* tensor (expanding a canonical payload)."""
         return self._full_coo().to_dense()
 
-    # ------------------------------------------------------------------
-    # symmetry filters
-    # ------------------------------------------------------------------
     def _full_coo(self) -> COO:
-        if "full" not in self._coo_cache:
+        """The full tensor (a canonical payload expanded, once)."""
+        if self._full is None:
             if self.canonical and self.nontrivial_parts:
-                self._coo_cache["full"] = expand_symmetric(
-                    self.coo, self.nontrivial_parts
-                )
+                self._full = expand_symmetric(self.coo, self.nontrivial_parts)
             else:
-                self._coo_cache["full"] = self.coo
-        return self._coo_cache["full"]
-
-    def _canonical_coo(self) -> COO:
-        if "canonical" not in self._coo_cache:
-            if self.canonical or not self.nontrivial_parts:
-                self._coo_cache["canonical"] = self.coo
-            else:
-                self._coo_cache["canonical"] = pack_canonical(
-                    self.coo, self.nontrivial_parts
-                )
-        return self._coo_cache["canonical"]
-
-    def _filtered_coo(self, tensor_filter: str) -> COO:
-        """COO for a kernel-plan filter: full / all(canonical) / strict /
-        diagonal."""
-        if tensor_filter == "full":
-            return self._full_coo()
-        if tensor_filter == "all":
-            return self._canonical_coo()
-        if tensor_filter in ("strict", "diagonal"):
-            key = "strict_diag"
-            if key not in self._coo_cache:
-                # straight from the payload: the split's masks drop the
-                # non-canonical triangle themselves, so a full payload is
-                # never packed into an intermediate COO first
-                self._coo_cache[key] = split_diagonal(
-                    self.coo, self.nontrivial_parts, check=self.canonical
-                )
-            strict, diag = self._coo_cache[key]
-            return strict if tensor_filter == "strict" else diag
-        raise ValueError("unknown tensor filter %r" % (tensor_filter,))
+                self._full = self.coo
+        return self._full
 
     # ------------------------------------------------------------------
     # fibertree views
@@ -145,13 +112,43 @@ class Tensor:
         levels: Sequence[str],
         tensor_filter: str = "full",
     ) -> FiberTensor:
-        """A (cached) fibertree realization: filter the payload, permute
-        modes into storage order, build the level hierarchy."""
+        """A (cached) fibertree realization of one kernel-plan filter —
+        ``full``, ``all`` (the canonical triangle), ``strict`` or
+        ``diagonal`` — with its modes in storage order *mode_order*."""
         key = (tuple(mode_order), tuple(levels), tensor_filter)
         if key not in self._view_cache:
-            coo = self._filtered_coo(tensor_filter).permute(mode_order)
-            self._view_cache[key] = FiberTensor(coo, levels)
+            self._build_views(*key)
         return self._view_cache[key]
+
+    def _build_views(self, order: Tuple[int, ...], levels: Tuple[str, ...], tensor_filter: str) -> None:
+        """One mask walk, then one gather per half straight into storage
+        order; ``strict`` and ``diagonal`` are built together, so nothing
+        but finished views is cached."""
+        if sorted(order) != list(range(self.ndim)):
+            raise ValueError("order %s is not a permutation" % (order,))
+        source, parts = self.coo, self.nontrivial_parts
+        if tensor_filter == "full":
+            source, masks = self._full_coo(), {"full": None}
+        elif tensor_filter == "all":
+            packed = self.canonical or not parts
+            masks = {"all": None if packed else canonical_coords_mask(source, parts)}
+        elif tensor_filter in ("strict", "diagonal"):
+            strict, diagonal = split_masks(source.coords, parts, check=self.canonical)
+            masks = {"strict": strict, "diagonal": diagonal}
+        else:
+            raise ValueError("unknown tensor filter %r" % (tensor_filter,))
+        coords, vals = source.coords, source.vals
+        shape = tuple(source.shape[m] for m in order)
+        known_sorted = source._sorted and order == tuple(range(self.ndim))
+        for name, mask in masks.items():
+            if mask is None:
+                rows, picked = [coords[m] for m in order], vals
+            else:
+                keep = np.flatnonzero(mask)
+                rows, picked = [coords[m].take(keep) for m in order], vals.take(keep)
+            self._view_cache[order, levels, name] = FiberTensor.from_rows(
+                rows, picked, shape, levels, known_sorted=known_sorted, owned=mask is not None
+            )
 
     def __repr__(self) -> str:
         sym = " symmetric=%s" % (self.symmetric_modes,) if self.symmetric_modes else ""

@@ -235,7 +235,9 @@ def test_prepare_wraps_shared_inputs_once(monkeypatch):
 
     monkeypatch.setattr(executor_mod, "_as_tensor", counting)
     kernel = compile_kernel(
-        "C[i, j] += A[i, k] * B[k, j]", loop_order=("i", "k", "j")
+        "C[i, j] += A[i, k] * B[k, j]",
+        loop_order=("i", "k", "j"),
+        formats={"A": "sparse", "B": "sparse"},
     )
     shared = np.arange(16.0).reshape(4, 4)
     prepared = kernel.bound.prepare(A=shared, B=shared)

@@ -22,7 +22,7 @@ from repro.frontend.validate import ValidationError, validate_inputs
 from repro.frontend.parser import parse_assignment
 from repro.service.keys import cache_key
 from repro.tensor.coo import COO
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, default_levels
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +120,8 @@ def test_symmetry_ops_preserve_dtype():
     t = erdos_renyi_symmetric(6, 3, 0.5, seed=5, dtype=np.float32)
     assert t.dtype == np.float32
     assert t._full_coo().dtype == np.float32
-    assert t._canonical_coo().dtype == np.float32
+    for tensor_filter in ("full", "all", "strict", "diagonal"):
+        assert t.view((0, 1, 2), default_levels(3), tensor_filter).vals.dtype == np.float32
     assert random_dense((3, 2), seed=1, dtype=np.float32).dtype == np.float32
 
 

@@ -117,3 +117,20 @@ def test_replicate_matches_the_gather_reference(rng, ndim, parts, dtype):
         assert got.flags["C_CONTIGUOUS"]
         assert got.tobytes() == want.tobytes()
         assert not np.shares_memory(got, given)
+
+
+@pytest.mark.parametrize("shape, pair", [((5, 5), (0, 1)), ((4, 3, 4), (0, 2)), ((3, 4, 4), (1, 2))])
+def test_single_pair_replication_leaves_its_input_alone(rng, shape, pair):
+    """The copy-then-overwrite branch on every layout finalize can hand it:
+    the swap of a transposed buffer is a C-contiguous view of that buffer,
+    so an in-place write must go to a fresh array.  Signed zeros and NaNs
+    come through bit for bit."""
+    arr = rng.random(shape)
+    arr.flat[::3] = -0.0
+    arr.flat[1::7] = np.nan
+    for given in (arr, np.asfortranarray(arr), np.swapaxes(np.ascontiguousarray(np.swapaxes(arr, *pair)), *pair)):
+        before = given.copy()
+        got = replicate_output(given, (pair,))
+        assert got.tobytes() == _replicate_by_gather(given, (pair,)).tobytes()
+        assert got.flags["C_CONTIGUOUS"] and not np.shares_memory(got, given)
+        assert given.tobytes() == before.tobytes()

@@ -26,13 +26,13 @@ def test_canonical_payload_expands_to_full(rng):
     np.testing.assert_array_equal(t.to_dense(), A)
 
 
-def test_filtered_coo_partition(rng):
+def test_filter_views_partition(rng):
     A = make_symmetric_tensor(rng, 5, 3, 0.6)
     t = Tensor.from_dense(A, symmetric_modes=((0, 1, 2),))
-    full = t._filtered_coo("full")
-    canon = t._filtered_coo("all")
-    strict = t._filtered_coo("strict")
-    diag = t._filtered_coo("diagonal")
+    full, canon, strict, diag = (
+        t.view((0, 1, 2), default_levels(3), name)
+        for name in ("full", "all", "strict", "diagonal")
+    )
     assert strict.nnz + diag.nnz == canon.nnz
     assert full.nnz == np.count_nonzero(A)
     assert canon.nnz <= full.nnz
@@ -41,7 +41,7 @@ def test_filtered_coo_partition(rng):
 def test_unknown_filter_rejected(rng):
     t = Tensor.from_dense(np.eye(3))
     with pytest.raises(ValueError):
-        t._filtered_coo("upper")
+        t.view((0, 1), default_levels(2), "upper")
 
 
 def test_view_is_cached(rng):
@@ -104,8 +104,7 @@ def test_canonical_flag_over_a_full_payload_is_rejected(rng):
             tensor.view((0, 1), default_levels(2), tensor_filter)
     # a payload that is canonical passes, and loses nothing
     packed = Tensor(COO.from_dense(np.tril(A)), ((0, 1),), canonical=True)
-    strict = packed._filtered_coo("strict")
-    diag = packed._filtered_coo("diagonal")
+    strict, diag = (packed.view((0, 1), default_levels(2), name) for name in ("strict", "diagonal"))
     assert strict.nnz + diag.nnz == packed.nnz
 
 
@@ -124,9 +123,6 @@ def test_fused_split_equals_pack_then_split(rng, order, modes):
     for payload in (coo, shuffled):
         strict, diag = split_diagonal(pack_canonical(payload, modes), modes)
         for name, want in (("strict", strict), ("diagonal", diag)):
-            got = Tensor(payload, modes)._filtered_coo(name)
-            assert got.coords.tobytes() == want.coords.tobytes()
-            assert got.vals.tobytes() == want.vals.tobytes()
             levels = default_levels(order)
             view = Tensor(payload, modes).view(mode_order, levels, name)
             reference = FiberTensor(want.permute(mode_order), levels)
