@@ -27,7 +27,8 @@ Before emission the program's top-level statements run through the
 phase pipeline of :mod:`repro.codegen.passes` under the request's
 ``CodegenConfig`` — all of it cache-key material — and the renderer
 prints its product, :class:`~repro.codegen.loopir.Fused`,
-:class:`~repro.codegen.loopir.Tiled` and
+:class:`~repro.codegen.loopir.Tiled`,
+:class:`~repro.codegen.loopir.Blocked` and
 :class:`~repro.codegen.loopir.Parallel` nodes included, under the SIMD
 flag it set.  A ``Parallel`` nest (the strategy table lives in
 :mod:`repro.codegen.passes.parallelize`) is printed twice behind
@@ -58,6 +59,7 @@ from repro.codegen import loopir as ir
 from repro.codegen.backends.base import BackendError, CodegenConfig
 from repro.codegen.lower import LoweredKernel
 from repro.codegen.passes.base import PassConfig, run_pipeline
+from repro.codegen.passes import regblock
 from repro.codegen.passes.parallelize import for_nest
 from repro.codegen.passes.tile import auto_tile_rows
 from repro.obs import trace as obs_trace
@@ -80,7 +82,7 @@ _C_KEYWORDS = frozenset(
     repro_profile_nests repro_profile_calls
     repro_profile_reset repro_profile_read repro_openmp
     pv_all pv_out pv_total pv_team pv_k pv_s pv_b
-    rp_status rp_oom rp_tb rp_thi rp_tile rp_nb rp_cap rp_slot""".split()
+    rp_status rp_oom rp_tb rp_thi rp_tile rp_nb rp_cap rp_slot rp_vb""".split()
 )
 
 #: element loop variable for vectorized statements.
@@ -145,10 +147,12 @@ class _Renderer:
         # printed (None in serial emission: tiling applies there only, and
         # shared updates are rerouted per strategy here only); _tile_ctx
         # is the Tiled node whose guard is being injected into its fiber
-        # loop.
+        # loop; _blocked is set while a Blocked nest's vector block is
+        # printed (serial emission only, like tiling).
         self.simd = False
         self._parallel_ctx: Optional[ir.Parallel] = None
         self._tile_ctx: Optional[ir.Tiled] = None
+        self._blocked = False
 
         program = lowered.program
         #: storage tag of every local — decided by the nodes, read here
@@ -692,6 +696,10 @@ class _Renderer:
             self._put(ind, "%s = %s;" % (s.var.name, text))
         elif isinstance(s, ir.Init):
             if s.ws.type == ir.ROW:
+                if self._blocked:
+                    # the block-local copy of the workspace, in scope for
+                    # every use (the regblock matcher checked that)
+                    self._put(ind, "%s %s[%d];" % (self.elem, s.ws.name, regblock.WIDTH))
                 self._vector_loop(ind, "%s[%s]" % (s.ws.name, _V), "=", s.value)
             else:
                 self._put(ind, "%s = %s;" % (s.ws.name, self._expr(s.value)))
@@ -719,6 +727,13 @@ class _Renderer:
             # inside _emit_parallel still lands here outside any team
             if self._parallel_ctx is None:
                 self._emit_tiled_nest(s, ind)
+            else:
+                self._stmt(s.nest, ind)
+        elif isinstance(s, ir.Blocked):
+            # like tiling, serial emission only: an OpenMP body prints the
+            # nest unblocked
+            if self._parallel_ctx is None:
+                self._emit_blocked_nest(s, ind)
             else:
                 self._stmt(s.nest, ind)
         elif isinstance(s, ir.Parallel):
@@ -836,6 +851,35 @@ class _Renderer:
         self._put(ind + 1, "}")
         self._put(ind, "}")
 
+    def _emit_blocked_nest(self, block: ir.Blocked, ind: int) -> None:
+        """The nest once per ``regblock.WIDTH``-wide vector block when the
+        extent is a multiple of the width, else unchanged."""
+        width = regblock.WIDTH
+        self._put(ind, "if (%s %% %d == 0) {" % (self.vlen, width))
+        self._put(ind + 1, "int64_t rp_vb;")
+        self._put(
+            ind + 1, "for (rp_vb = 0; rp_vb < %s; rp_vb += %d) {" % (self.vlen, width)
+        )
+        self._blocked = True
+        try:
+            self._stmt(block.nest, ind + 2)
+        finally:
+            self._blocked = False
+        self._put(ind + 1, "}")
+        self._put(ind, "} else {")
+        self._stmt(block.nest, ind + 1)
+        self._put(ind, "}")
+
+    def _row_len(self) -> str:
+        """Trip count of an element loop: the vector extent, or the
+        width of the vector block being printed."""
+        return str(regblock.WIDTH) if self._blocked else self.vlen
+
+    def _row_at(self) -> str:
+        """Subscript of element ``_v`` of an argument row (a workspace
+        row is block-local, so always ``[_v]``)."""
+        return "rp_vb + " + _V if self._blocked else _V
+
     def _simd_hint(self, ind: int) -> None:
         """An explicit vectorization promise on element-disjoint loops.
 
@@ -862,7 +906,7 @@ class _Renderer:
         self._put(
             ind,
             "for (%s = 0; %s < %s; ++%s) { %s }"
-            % (_V, _V, self.vlen, _V, " ".join(parts)),
+            % (_V, _V, self._row_len(), _V, " ".join(parts)),
         )
 
     # -- reductions ----------------------------------------------------
@@ -904,7 +948,7 @@ class _Renderer:
         self._put(
             ind,
             "for (%s = 0; %s < %s; ++%s) { %s %s %s; }"
-            % (_V, _V, self.vlen, _V, elt, op, form % self._expr(value, velt=True)),
+            % (_V, _V, self._row_len(), _V, elt, op, form % self._expr(value, velt=True)),
         )
 
     # -- subscripts ----------------------------------------------------
@@ -937,8 +981,8 @@ class _Renderer:
             return "%s[%s]" % (out, base)
         self.uses_vector = True
         if base == "0":
-            return "%s[%s]" % (out, _V)
-        return "%s[%s + %s]" % (out, base, _V)
+            return "%s[%s]" % (out, self._row_at())
+        return "%s[%s + %s]" % (out, base, self._row_at())
 
     def _dense_prefix(self, load: ir.Load) -> str:
         """Flat row index of a dense load one coordinate short."""
@@ -960,7 +1004,10 @@ class _Renderer:
         if e.type == ir.ROW and not velt:
             raise CRenderError("row value outside a row statement: %r" % (e,))
         if isinstance(e, ir.Var):
-            return "%s[%s]" % (e.name, _V) if e.type == ir.ROW else e.name
+            if e.type != ir.ROW:
+                return e.name
+            at = _V if self.types.get(e.name) == ir.WS else self._row_at()
+            return "%s[%s]" % (e.name, at)
         if isinstance(e, ir.Dim):
             return e.name
         if isinstance(e, ir.Const):
@@ -995,8 +1042,8 @@ class _Renderer:
             coords = [self._expr(c) for c in e.coords]
             return "%s[%s]" % (name, self._flatten(coords, "%s_dims" % name))
         if not e.coords:
-            return "%s[%s]" % (name, _V)
-        return "%s[%s + %s]" % (name, self._dense_prefix(e), _V)
+            return "%s[%s]" % (name, self._row_at())
+        return "%s[%s + %s]" % (name, self._dense_prefix(e), self._row_at())
 
 
 @dataclass(frozen=True)

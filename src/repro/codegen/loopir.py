@@ -29,8 +29,9 @@ allocations and a ``body`` of top-level statements):
   every reduction update (``+=`` / ``min`` / ``max``, scalar or row)
   onto ``out[...]`` or a workspace.
 * :class:`If`, :class:`WorkspaceAlloc`, :class:`LutDef`.
-* :class:`Fused` / :class:`Tiled` / :class:`Parallel` — products of the
-  loop phases, made at render time and never persisted.
+* :class:`Fused` / :class:`Tiled` / :class:`Blocked` /
+  :class:`Parallel` — products of the loop phases, made at render time
+  and never persisted.
 
 Expressions carry their type (``INT`` / ``ELEM`` / ``ROW``) in the node:
 :class:`Var`, :class:`Dim`, :class:`Const`, :class:`Load` (of a typed
@@ -354,8 +355,22 @@ class Tiled:
     rows: int
 
 
+@dataclass(frozen=True)
+class Blocked:
+    """Register-blocking of one row-valued nest over the vector index.
+
+    When the vector extent is a multiple of the block width
+    (``regblock.WIDTH``) the renderer runs ``nest`` once per block of the
+    vector axis, with every element loop one block long and each row
+    workspace a block-local array; otherwise it prints ``nest``
+    unchanged.  See :mod:`repro.codegen.passes.regblock`.
+    """
+
+    nest: Union[DenseLoop, FiberLoop]
+
+
 Stmt = Union[
-    Let, Init, Reduce, If, DenseLoop, FiberLoop, Intersect, Fused, Tiled
+    Let, Init, Reduce, If, DenseLoop, FiberLoop, Intersect, Fused, Tiled, Blocked
 ]
 Loop = (DenseLoop, FiberLoop, Intersect)
 
@@ -370,9 +385,10 @@ class Parallel:
     the codec has no rule for it, so it cannot reach a store.
     """
 
-    #: the nest, still inside its :class:`Tiled` wrapper when it has one
-    #: (the serial fallback prints the blocks, the team body the nest).
-    nest: Union[DenseLoop, FiberLoop, Tiled]
+    #: the nest, still inside its :class:`Tiled` or :class:`Blocked`
+    #: wrapper when it has one (the serial fallback prints the blocks, the
+    #: team body the nest).
+    nest: Union[DenseLoop, FiberLoop, Tiled, Blocked]
     strategy: Literal["for", "privatized", "replay", "atomic"]
     row: bool  # writes are vector rows (log width = vector extent)
     carried: Tuple[str, ...]  # accumulators shared across iterations
@@ -398,7 +414,7 @@ def children(stmt: Stmt) -> Tuple[Stmt, ...]:
     """The statements nested directly under *stmt*."""
     if isinstance(stmt, Fused):
         return stmt.stmts
-    if isinstance(stmt, (Tiled, Parallel)):
+    if isinstance(stmt, (Tiled, Blocked, Parallel)):
         return (stmt.nest,)
     return getattr(stmt, "body", ())
 

@@ -11,7 +11,7 @@ and ``backends/c.py`` prints C from the transformed, annotated
 statements.  It decides nothing itself.
 
 Phases (pipeline order — mirroring Devito's ``_loop_blocking ->
-_simdize -> _ompize``):
+_simdize -> _ompize``, with ``regblock`` its register-level blocking):
 
 ``fuse``
     merges runs of adjacent vectorized statements (numpy row-slice
@@ -26,6 +26,15 @@ _simdize -> _ompize``):
     rows per block and never more blocks than a quarter of the mean fiber
     length, which keeps the re-walk under a quarter of the nest's updates
     (proof sketch and measured shapes in :mod:`~repro.codegen.passes.tile`).
+``regblock``
+    register-blocks the vector index: a nest whose every update is
+    row-valued and that has no ``If`` (the MTTKRP/TTM strict nests) runs
+    once per 16-wide block of the rank with block-local workspaces, when
+    the rank is a multiple of 16, and unchanged otherwise.  Bit-identical
+    because elements never interact (measured shapes in
+    :mod:`~repro.codegen.passes.regblock`).  Always on, not a
+    ``$REPRO_PASSES`` token: any other rank already runs the unchanged
+    nest.
 ``simd``
     ``#pragma omp simd`` on the provably element-disjoint vector loops.
 ``parallelize``

@@ -2,8 +2,8 @@
 
 :data:`PIPELINE` (bottom of this file) is the one ordered declaration of
 the loop phases, each entry saying what switches it on — a
-``$REPRO_PASSES`` token for the three rewrites, the ``omp_strategy``
-field for parallelisation.  :func:`run_pipeline` checks
+``$REPRO_PASSES`` token for three rewrites, the ``omp_strategy``
+field for parallelisation; register blocking is always on.  :func:`run_pipeline` checks
 :func:`~repro.codegen.loopir.verify` after every phase that changed a
 statement, so one that breaks the naming rules fails here, by name, not
 in ``cc``.
@@ -81,8 +81,8 @@ class Pass:
     the kernel bit-identical to the Python backend (the differential
     fuzzer sweeps pass subsets to enforce it).  ``name`` is the
     ``$REPRO_PASSES`` token that switches the phase on; a phase switched
-    by another ``CodegenConfig`` field clears ``token`` and overrides
-    :meth:`enabled` to read it.
+    by another ``CodegenConfig`` field, or always on, clears ``token``
+    and overrides :meth:`enabled`.
     """
 
     name = "?"
@@ -170,12 +170,14 @@ def describe_passes(codegen: "CodegenConfig") -> List[Tuple[str, bool, str]]:
 # circularity; PIPELINE is the one place phase order is spelled out.
 from repro.codegen.passes.fuse import FusePass  # noqa: E402
 from repro.codegen.passes.parallelize import ParallelizePass  # noqa: E402
+from repro.codegen.passes.regblock import RegblockPass  # noqa: E402
 from repro.codegen.passes.simd import SimdPass  # noqa: E402
 from repro.codegen.passes.tile import TilePass  # noqa: E402
 
 PIPELINE: Tuple[Pass, ...] = (
     FusePass(),  # token "fuse"
     TilePass(),  # token "tile"
+    RegblockPass(),  # always on; leaves the Tiled nests alone
     SimdPass(),  # token "simd"
     # last, so it sees the nests the rewrites above left behind
     ParallelizePass(),  # codegen.omp_strategy != "serial"

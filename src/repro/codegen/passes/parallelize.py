@@ -76,7 +76,7 @@ class NestWork:
 def for_nest(stmt):
     """The ``for`` loop a top-level statement opens — what a thread team
     can share — looking through the pass wrappers; else ``None``."""
-    while isinstance(stmt, (ir.Tiled, ir.Parallel)):
+    while isinstance(stmt, (ir.Tiled, ir.Blocked, ir.Parallel)):
         stmt = stmt.nest
     return stmt if isinstance(stmt, (ir.DenseLoop, ir.FiberLoop)) else None
 
@@ -130,7 +130,8 @@ def _plan_nest(
     node, stmt, state: ir.LoopIR, types: Mapping[str, str], assigned_top: Set[str], atomic: bool
 ) -> Optional[ir.Parallel]:
     """Choose a parallel strategy for the top-level nest *node* (None =
-    serial); *stmt* is what the annotation wraps, *node* or its ``Tiled``."""
+    serial); *stmt* is what the annotation wraps, *node* or its ``Tiled``
+    or ``Blocked`` wrapper."""
     scan = ir.scan_nest(node)
     if not scan.ok:
         return None

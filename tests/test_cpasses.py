@@ -21,13 +21,16 @@ from repro.codegen.backends import ctoolchain, get_backend, render_c
 from dataclasses import replace
 
 from repro.codegen.backends.base import CodegenConfig
+from repro.codegen.loopir import Blocked, walk
 from repro.codegen.passes import (
     PASS_ORDER,
     PIPELINE,
     PassConfig,
     describe_passes,
     parse_passes,
+    run_pipeline,
 )
+from repro.codegen.passes.regblock import RegblockPass
 from repro.core.config import DEFAULT
 from repro.kernels.library import get_kernel
 from repro.service.keys import cache_key, canonicalize
@@ -110,14 +113,17 @@ def test_signature_is_canonical():
 
 
 def test_pipeline_metadata_is_complete():
-    # the REPRO_PASSES tokens, then the one phase a CodegenConfig field
-    # switches instead (never a token, never in a signature)
-    assert [p.name for p in PIPELINE] == ["fuse", "tile", "simd", "parallelize"]
+    # the REPRO_PASSES tokens, register blocking (always on) and the one
+    # phase a CodegenConfig field switches (neither is a token, neither is
+    # in a signature)
+    assert [p.name for p in PIPELINE] == [
+        "fuse", "tile", "regblock", "simd", "parallelize"
+    ]
     assert tuple(p.name for p in PIPELINE if p.token) == PASS_ORDER
     off = CodegenConfig("serial", False, PassConfig(enabled=()))
     for name, enabled, description in describe_passes(off):
-        assert name in PASS_ORDER + ("parallelize",)
-        assert not enabled
+        assert name in PASS_ORDER + ("regblock", "parallelize")
+        assert enabled == (name == "regblock")
         assert description  # every pass documents itself
     assert describe_passes(replace(off, omp_strategy="auto"))[-1][:2] == (
         "parallelize",
@@ -161,7 +167,15 @@ GOLDEN_CASES = {
     "mttkrp3d_fuse": ("mttkrp3d", PassConfig(enabled=("fuse",))),
     "ssyrk_tile": ("ssyrk", PassConfig(enabled=("tile",))),
     "mttkrp3d_simd": ("mttkrp3d", PassConfig(enabled=("simd",))),
+    # register blocking is always on, so every mttkrp3d case prints its
+    # branch; this one is it under the default set (fused, simd-hinted)
+    "mttkrp3d_regblock": ("mttkrp3d", PassConfig(enabled=PASS_ORDER)),
 }
+
+
+def _skip_regblock(monkeypatch):
+    """Render as the pipeline did before the always-on regblock phase."""
+    monkeypatch.setattr(RegblockPass, "enabled", lambda self, codegen: False)
 
 
 @pytest.fixture
@@ -228,7 +242,49 @@ def test_render_digests(_clean_render_env):
     )
 
 
-def test_each_pass_changes_only_its_marker(_clean_render_env):
+def test_regblock_moves_only_the_lowerings_it_blocks(_clean_render_env, monkeypatch):
+    """Register blocking changes generated C only where it wraps a nest.
+
+    Every lowering of the corpus renders, with the phase skipped, to the
+    manifest's digests exactly when no nest of it is blocked — so SSYMV,
+    SYPRD, SSYRK and every kernel whose vector nests are all
+    ``If``-guarded print what they printed before the phase existed —
+    and a lowering with a blocked nest has new digests in every column.
+    """
+    from tests import render_corpus
+
+    golden = json.loads(DIGESTS.read_text())["kernels"]
+    corpus = list(render_corpus.lowerings())
+    blocked = {
+        key: [
+            any(isinstance(s, Blocked) for s in walk(run_pipeline(kernel.lowered, config).body))
+            for config in render_corpus.CODEGEN_CONFIGS
+        ]
+        for key, kernel in corpus
+    }
+    _skip_regblock(monkeypatch)
+    moved = set()
+    for key, kernel in corpus:
+        before = [render_corpus.sha(src)[:16] for src in render_corpus.c_renderings(kernel.lowered)]
+        changed = [got != old for got, old in zip(golden[key]["c"], before)]
+        assert changed == blocked[key], key
+        if any(changed):
+            assert all(changed), key
+            moved.add(key)
+    assert {key.split("|")[0] for key in moved} == BLOCKED_KERNELS
+    assert len(moved) == BLOCKED_LOWERINGS
+
+
+#: the corpus kernels with a nest the regblock phase wraps (SySTeC and
+#: naive plans alike), and how many of the 274 corpus lowerings have one
+BLOCKED_KERNELS = {
+    "mttkrp3d", "mttkrp4d", "mttkrp5d", "ttm", "ttm4d",
+    "extra:dense_vector", "extra:row_min", "extra:row_min_ws",
+}
+BLOCKED_LOWERINGS = 74
+
+
+def test_each_pass_changes_only_its_marker(_clean_render_env, monkeypatch):
     """The on/off diff of each pass shows its transformation and nothing
     else's (passes compose but do not leak into one another)."""
     base = render_c(_lowered("ssymv"), passes=PassConfig(enabled=()))
@@ -241,6 +297,12 @@ def test_each_pass_changes_only_its_marker(_clean_render_env):
 
     simd = render_c(mttkrp, passes=PassConfig(enabled=("simd",)))
     assert "#pragma omp simd" in simd and "#pragma omp simd" not in plain
+
+    # the always-on regblock phase prints its blocked branch even with
+    # every token off; skipping the phase removes it
+    assert "rp_vb" in plain and "for (_v = 0" in plain
+    _skip_regblock(monkeypatch)
+    assert "rp_vb" not in render_c(mttkrp, passes=PassConfig(enabled=()))
 
     ssyrk = _lowered("ssyrk")
     tiled = render_c(ssyrk, passes=PassConfig(enabled=("tile",)))

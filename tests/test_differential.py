@@ -76,15 +76,18 @@ def _symmetrize(arr: np.ndarray, parts) -> np.ndarray:
     return out
 
 
-def fuzz_inputs(spec, seed: int, dtype: str):
+def fuzz_inputs(spec, seed: int, dtype: str, rank=None):
     """Seeded random inputs for *spec*: symmetric where declared, sparse
-    where formatted sparse, dense factors elsewhere — in *dtype*."""
+    where formatted sparse, dense factors elsewhere — in *dtype*.  The
+    factor ``B`` has *rank* columns, drawn from 2..5 when it is None."""
     # crc32, not hash(): PYTHONHASHSEED randomization would make the
     # "seeded" inputs differ per process and CI failures unreproducible
     name_salt = zlib.crc32(spec.name.encode("utf-8")) % 997
     rng = np.random.default_rng(0xD1F + 1000 * seed + name_salt)
     n, density = PROFILES[seed % len(PROFILES)]
     r = int(rng.integers(2, 6))
+    if rank is not None:
+        r = rank
     inputs = {}
     assignment = parse_assignment(spec.einsum)
     # indices are shared across tensors, so one side fits all: the widest
@@ -116,11 +119,11 @@ def fuzz_inputs(spec, seed: int, dtype: str):
     return inputs
 
 
-def run_differential_case(name: str, seed: int, dtype: str) -> None:
+def run_differential_case(name: str, seed: int, dtype: str, rank=None) -> None:
     """One fuzz case: compile + run on every backend — and through the
     repeat-execution plan fast path — compare bitwise."""
     spec = ALL_SPECS[name]
-    inputs = fuzz_inputs(spec, seed, dtype)
+    inputs = fuzz_inputs(spec, seed, dtype, rank)
     py_kernel = spec.compile(options=DEFAULT.but(backend="python", dtype=dtype))
     py = np.asarray(py_kernel(**inputs))
     assert py.dtype == np.dtype(dtype)
@@ -199,10 +202,13 @@ PASS_SETS = ("none", "none,tile", "none,fuse,simd", "all")
 
 
 @pytest.mark.parametrize("passes", PASS_SETS)
-@pytest.mark.parametrize("name", ("ssymv", "ssyrk"))
+@pytest.mark.parametrize("name", ("ssymv", "ssyrk", "mttkrp3d"))
 def test_differential_pass_subsets(name, passes, monkeypatch):
     monkeypatch.setenv("REPRO_PASSES", passes)
-    run_differential_case(name, FULL_SEEDS[1], "float64")
+    # rank 16 takes MTTKRP's register-blocked branch (always on) under
+    # every pass subset
+    rank = 16 if name == "mttkrp3d" else None
+    run_differential_case(name, FULL_SEEDS[1], "float64", rank)
 
 
 @pytest.mark.slow
@@ -212,6 +218,29 @@ def test_differential_pass_subsets(name, passes, monkeypatch):
 def test_differential_pass_subsets_full(name, dtype, passes, monkeypatch):
     monkeypatch.setenv("REPRO_PASSES", passes)
     run_differential_case(name, FULL_SEEDS[2], dtype)
+
+
+# ----------------------------------------------------------------------
+# vector ranks the register-blocked branch takes (multiples of its width
+# of 16) and one it does not (24): the draw above never reaches them
+# ----------------------------------------------------------------------
+VECTOR_SPECS = ("mttkrp3d", "mttkrp4d", "mttkrp5d", "ttm", "ttm4d")
+
+
+def test_every_vector_kernel_is_in_the_wide_rank_sweep():
+    options = DEFAULT.but(backend="python")
+    assert VECTOR_SPECS == tuple(
+        name
+        for name, spec in sorted(ALL_SPECS.items())
+        if spec.compile(options=options).lowered.vector_index is not None
+    )
+
+
+@pytest.mark.parametrize("rank", (16, 24, 32))
+@pytest.mark.parametrize("dtype", ("float64", "float32"))
+@pytest.mark.parametrize("name", VECTOR_SPECS)
+def test_differential_wide_rank(name, dtype, rank):
+    run_differential_case(name, FULL_SEEDS[0], dtype, rank)
 
 
 # ----------------------------------------------------------------------

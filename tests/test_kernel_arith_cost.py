@@ -1,22 +1,28 @@
 """What the generated loops may cost, as counts (never timings).
 
 Hierarchical workspaces: the innermost loop of an MTTKRP's strict nest
-holds two accumulations of one multiply each, whatever the tensor order;
-kernels with nothing to factor lower exactly as before; ``-workspace``
-factors nothing.  Row tiling: the run-time block count is about 1 MiB of
+holds two accumulations of one multiply each, whatever the tensor order,
+in both branches the register-blocking phase prints; kernels with
+nothing to factor lower exactly as before; ``-workspace`` factors
+nothing.  Register blocking: the blocked branch of a strict nest reads
+and writes only block-local workspaces, and guarded (diagonal) nests are
+left alone.  Row tiling: the run-time block count is about 1 MiB of
 output rows per block, capped at a quarter of the mean fiber length —
 checked on the C the renderer prints, compiled on its own.
 """
 
 import ctypes
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from repro.codegen import loopir as ir
 from repro.codegen.backends import ctoolchain, get_backend, render_c
-from repro.codegen.passes import PassConfig
+from repro.codegen.backends.base import CodegenConfig
+from repro.codegen.passes import PassConfig, run_pipeline
+from repro.codegen.passes.regblock import WIDTH
 from repro.codegen.passes.tile import auto_tile_rows
 from repro.core.config import DEFAULT
 from repro.kernels.extensions import EXTENSIONS
@@ -49,8 +55,47 @@ def _innermost_fiber(nest):
     return inner
 
 
+def _serial_c(name, **overrides) -> str:
+    spec = {**KERNELS, **EXTENSIONS}[name]
+    lowered = spec.compile(options=PYTHON.but(**overrides)).lowered
+    return render_c(lowered, parallel="serial")
+
+
+def _strict_branches(source):
+    """The two branches the C printer emits for the first register-blocked
+    nest: ``(blocked, unblocked)`` source lines."""
+    lines = source.splitlines()
+    start = next(n for n, line in enumerate(lines) if "%% %d == 0) {" % WIDTH in line)
+    indent = lines[start][: len(lines[start]) - len(lines[start].lstrip())]
+    middle = lines.index(indent + "} else {", start)
+    end = lines.index(indent + "}", middle)
+    return lines[start + 1 : middle], lines[middle + 1 : end]
+
+
+def _element_updates(lines):
+    """``(target, multiplies in value)`` per statement of every element
+    loop (``target += value;`` or, for an ``Init``, ``target = value;``)."""
+    found = []
+    for line in lines:
+        if "for (_v = 0;" in line:
+            body = line.split("{", 1)[1].rsplit("}", 1)[0]
+            for stmt in body.split(";")[:-1]:
+                target, _, value = stmt.strip().partition("= ")
+                found.append((target.rstrip(" +"), value.count("*")))
+    return found
+
+
+def _innermost_body(lines):
+    """The lines of the deepest fiber loop (``for (q0_<depth>``) of a branch."""
+    depth = max(int(m) for m in re.findall(r"for \(q0_(\d+) =", "\n".join(lines)))
+    head = next(n for n, line in enumerate(lines) if "for (q0_%d =" % depth in line)
+    indent = lines[head][: len(lines[head]) - len(lines[head].lstrip())]
+    return lines[head + 1 : lines.index(indent + "}", head)]
+
+
 # ----------------------------------------------------------------------
-# (a) hierarchical workspaces
+# (a) hierarchical workspaces, counted on the IR and in both printed
+# branches of the strict nest
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", ["mttkrp3d", "mttkrp4d", "mttkrp5d"])
 def test_mttkrp_strict_inner_loop_is_two_multiplies_at_any_order(name):
@@ -66,6 +111,11 @@ def test_mttkrp_strict_inner_loop_is_two_multiplies_at_any_order(name):
     # nothing else in that loop computes: the rest are the hoisted reads
     others = [s for s in inner.body if not isinstance(s, ir.Reduce)]
     assert all(isinstance(s, ir.Let) and not _multiplies(s.expr) for s in others)
+    # ... and each branch the C printer emits does exactly that per nonzero
+    for branch in _strict_branches(_serial_c(name)):
+        printed = _element_updates(_innermost_body(branch))
+        assert [n for _, n in printed] == [1, 1]
+        assert printed[0][0].startswith("out[") and printed[1][0] == "ws0[_v]"
 
 
 @pytest.mark.parametrize("name", ["mttkrp3d", "mttkrp4d", "mttkrp5d"])
@@ -79,7 +129,53 @@ def test_mttkrp_strict_nest_multiplies_grow_with_depth_not_per_nonzero(name):
     )
     # inner 2; per outer level: prefix step 1, flush 1, fold 1 (the
     # outermost level has no fold)
-    assert total == 2 + 3 * (order - 1) - 1
+    expected = 2 + 3 * (order - 1) - 1
+    assert total == expected
+    for branch in _strict_branches(_serial_c(name)):
+        assert sum(n for _, n in _element_updates(branch)) == expected
+
+
+# ----------------------------------------------------------------------
+# (b) register blocking of the vector index
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", ["mttkrp3d", "mttkrp4d", "ttm"])
+def test_the_blocked_branch_names_no_malloced_workspace(name):
+    source = _serial_c(name)
+    malloced = set(re.findall(r"(\w+) = \(\w+ \*\) malloc", source))
+    assert malloced
+    blocked, unblocked = _strict_branches(source)
+    text = "\n".join(blocked)
+    local = re.findall(r"^\s*(?:double|float) (\w+)\[%d\];$" % WIDTH, text, re.M)
+    used = {name for name in malloced if re.search(r"\b%s\[" % name, text)}
+    # every workspace the block touches is its block-local array, each
+    # declared once, and every element loop there is one block wide
+    assert used and used == set(local) and len(local) == len(used)
+    loops = re.findall(r"for \(_v = 0; _v < (\w+);", text)
+    assert loops and set(loops) == {str(WIDTH)}
+    # the other branch is the unblocked nest: run-time extent, heap rows
+    assert set(re.findall(r"for \(_v = 0; _v < (\w+);", "\n".join(unblocked))) != {
+        str(WIDTH)
+    }
+    assert not re.search(r"\[%d\];" % WIDTH, "\n".join(unblocked))
+
+
+@pytest.mark.parametrize("name", ["mttkrp3d", "mttkrp4d", "mttkrp5d", "ttm", "ttm4d"])
+def test_only_the_unguarded_strict_nest_is_blocked(name):
+    spec = {**KERNELS, **EXTENSIONS}[name]
+    lowered = spec.compile(options=PYTHON).lowered
+    body = run_pipeline(lowered, CodegenConfig("serial", False)).body
+    # the strict nest first, the orbit-guarded diagonal nest after it
+    assert [type(s) for s in body] == [ir.Blocked, ir.DenseLoop]
+    assert not any(isinstance(s, ir.If) for s in ir.walk([body[0]]))
+    assert any(isinstance(s, ir.If) for s in ir.walk([body[1]]))
+    assert _serial_c(name).count("%% %d == 0" % WIDTH) == 1
+
+
+@pytest.mark.parametrize("name", ["ssymv", "syprd", "ssyrk", "bellmanford"])
+def test_kernels_without_a_vector_index_are_not_blocked(name):
+    spec = {**KERNELS, **EXTENSIONS}[name]
+    body = run_pipeline(spec.compile(options=PYTHON).lowered, CodegenConfig()).body
+    assert not any(isinstance(s, ir.Blocked) for s in ir.walk(body))
 
 
 #: sha256 of the Python source at the parent of the factoring change
@@ -132,7 +228,7 @@ def test_conditional_blocks_keep_the_flat_accumulation():
 
 
 # ----------------------------------------------------------------------
-# (b) the block-count rule of the tile pass
+# (c) the block-count rule of the tile pass
 # ----------------------------------------------------------------------
 #: (output rows, output columns, stored entries, fibers walked) -> blocks
 BLOCK_RULE = [

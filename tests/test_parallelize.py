@@ -8,6 +8,7 @@ does, and ``loopir.verify`` between every two phases.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -17,8 +18,14 @@ import pytest
 from repro.codegen import loopir as ir
 from repro.codegen.backends import c as c_printer
 from repro.codegen.backends.base import CodegenConfig
-from repro.codegen.passes import PassConfig, base as passes_base, run_pipeline
+from repro.codegen.passes import (
+    PASS_ORDER,
+    PassConfig,
+    base as passes_base,
+    run_pipeline,
+)
 from repro.codegen.passes.parallelize import ParallelizePass
+from repro.codegen.passes.regblock import RegblockPass, blockable
 from repro.core.config import DEFAULT
 from repro.kernels.extensions import EXTENSIONS
 from repro.kernels.library import KERNELS
@@ -174,7 +181,7 @@ def test_a_phase_that_rebinds_a_loop_variable_fails_by_name(monkeypatch):
 
 def test_verify_accepts_every_pass_product_of_the_corpus():
     """``run_pipeline`` verifies after each phase, so not raising over the
-    whole rendering corpus is the claim; the counts show all three
+    whole rendering corpus is the claim; the counts show all four
     products were among what it accepted."""
     seen = Counter()
     for _key, kernel in render_corpus.lowerings():
@@ -184,4 +191,75 @@ def test_verify_accepts_every_pass_product_of_the_corpus():
                     kernel.lowered, CodegenConfig(omp_strategy, False, passes)
                 )
                 seen.update(type(s) for s in ir.walk(state.body))
-    assert seen[ir.Fused] and seen[ir.Tiled] and seen[ir.Parallel]
+    assert seen[ir.Fused] and seen[ir.Tiled] and seen[ir.Blocked] and seen[ir.Parallel]
+
+
+# ----------------------------------------------------------------------
+# a register-blocked nest: blocked in the serial fallback only
+# ----------------------------------------------------------------------
+#: the OpenMP body of every annotated top-level nest
+_TEAM = re.compile(
+    r"^    #if defined\(_OPENMP\)\n    if \(repro_nthreads > 1\) \{\n(.*?)^    \} else\n",
+    re.S | re.M,
+)
+
+
+def _mttkrp3d_renders(monkeypatch, profile=False):
+    """mttkrp3d's default-set C with the always-on regblock phase, then
+    with it skipped (what the pipeline printed before the phase existed)."""
+    lowered = KERNELS["mttkrp3d"].compile(options=DEFAULT.but(backend="python")).lowered
+    codegen = CodegenConfig("auto", profile, PassConfig(enabled=PASS_ORDER))
+    blocked = c_printer.render_c_full(lowered, "m", codegen).source
+    monkeypatch.setattr(RegblockPass, "enabled", lambda self, codegen: False)
+    return blocked, c_printer.render_c_full(lowered, "m", codegen).source
+
+
+def test_a_blocked_nest_keeps_its_team_body_unblocked(monkeypatch):
+    lowered = KERNELS["mttkrp3d"].compile(options=DEFAULT.but(backend="python")).lowered
+    state = run_pipeline(lowered, CodegenConfig("auto", False))
+    strict = state.body[0]
+    assert isinstance(strict, ir.Parallel) and isinstance(strict.nest, ir.Blocked)
+    assert [w.strategy for w in state.work] == ["replay", "replay"]
+    blocked, plain = _mttkrp3d_renders(monkeypatch)
+    teams = _TEAM.findall(blocked)
+    assert len(teams) == 2 and teams == _TEAM.findall(plain)
+    assert "rp_vb" not in "".join(teams)
+    # the serial fallback is where the blocks are
+    assert "rp_vb" in blocked and "rp_vb" not in plain
+
+
+def test_a_blocked_nest_is_profiled_as_one_nest(monkeypatch):
+    for source in _mttkrp3d_renders(monkeypatch, profile=True):
+        assert "int64_t repro_profile_nests(void) { return 2; }" in source
+        assert source.count("repro_nest_sec[0] +=") == 1
+
+
+# ----------------------------------------------------------------------
+# what the regblock phase matches, on hand-built nests
+# ----------------------------------------------------------------------
+WS_ROW = ir.Var("ws", ir.ROW)
+WS_INIT = ir.Init(WS_ROW, ir.Const(0.0))
+WS_ACC = ir.Reduce(WS_ROW, "+", ir.Load(ir.Array("B", "dense", 2), (I,)))
+WS_FLUSH = ir.Reduce(ir.Out(("i",), True), "+", WS_ROW)
+
+
+def test_regblock_matches_row_nests_whose_workspaces_are_scoped():
+    assert blockable(_rows([WS_INIT, WS_ACC, WS_FLUSH]), [], {"ws"})
+    assert blockable(_rows([WS_INIT, _fiber([WS_ACC]), WS_FLUSH]), [], {"ws"})
+    # a read ahead of the Init sees the previous iteration's row
+    assert not blockable(_rows([WS_FLUSH, WS_INIT, WS_ACC]), [], {"ws"})
+    # initialised again while in scope
+    assert not blockable(_rows([WS_INIT, _fiber([WS_INIT, WS_ACC]), WS_FLUSH]), [], {"ws"})
+    # initialised inside a loop, read after it
+    assert not blockable(_rows([_fiber([WS_INIT, WS_ACC]), WS_FLUSH]), [], {"ws"})
+    # another top-level statement reads the workspace
+    assert not blockable(_rows([WS_INIT, WS_ACC, WS_FLUSH]), [_rows([WS_FLUSH])], {"ws"})
+
+
+def test_regblock_leaves_scalar_updates_and_guards_alone():
+    # a scalar update would be repeated once per block
+    assert not blockable(_rows([WS_INIT, WS_ACC, WS_FLUSH, _out("i")]), [], {"ws"})
+    guarded = ir.If(ir.Cmp("<", I, ir.Dim("n_i")), (WS_ACC,))
+    assert not blockable(_rows([WS_INIT, guarded, WS_FLUSH]), [], {"ws"})
+    # nothing row-valued: nothing to block
+    assert not blockable(_rows([_out("i")]), [], set())
