@@ -9,10 +9,10 @@ Python backend) become plain inner loops over the vector index, which
 object is :mod:`repro.codegen.backends.cexec`'s job; this module is pure
 (program in, text out).
 
-Data binding: every numpy array crosses as a raw pointer (``int64_t*`` for
-``pos``/``idx`` structure arrays; the kernel's element type — ``double``
-for float64 kernels, ``float`` for float32 ones, per
-:attr:`LoweredKernel.dtype` — for values, dense inputs and the output);
+Data binding: every numpy array crosses as a raw pointer (``rp_index*``
+for ``pos``/``idx`` structure arrays — one index type per object, see
+below; the kernel's element type — ``double`` for float64 kernels,
+``float`` for float32 ones, per :attr:`LoweredKernel.dtype` — for values, dense inputs and the output);
 each dense array and the output additionally pass an ``int64_t`` extent
 vector so the C side can flatten multi-dimensional subscripts without
 baking shapes into the code.  A trailing ``int64_t repro_nthreads``
@@ -48,6 +48,15 @@ later run with ``threads > 1`` upgrades the loaded executable in place,
 once (:meth:`~repro.codegen.backends.cexec.CExecutable.upgrade`).  Both
 objects run the same serial loops with the same SIMD hints, so which one
 serves a call never shows in the result.
+
+The index type is declared once (:data:`INDEX_DECLARATION`): ``rp_index``
+is 32-bit unless the object is built with ``-DRP_INDEX=int64_t``, and
+every object reports its width through ``repro_index_bytes``.  Loop
+variables and positions stay ``int64_t``, so the narrow object only
+narrows the loads, never the arithmetic.  Which width an argument set
+needs is :func:`repro.tensor.coo.index_dtype`'s answer, carried by the
+arrays' dtype; :meth:`~repro.codegen.backends.cexec.CExecutable.bind`
+picks the object (the wide one is built on first need).
 """
 
 from __future__ import annotations
@@ -81,8 +90,21 @@ _C_KEYWORDS = frozenset(
     rp_p0 rp_p1 repro_nest_sec repro_nest_calls
     repro_profile_nests repro_profile_calls
     repro_profile_reset repro_profile_read repro_openmp
+    rp_index RP_INDEX repro_index_bytes
     pv_all pv_out pv_total pv_team pv_k pv_s pv_b
     rp_status rp_oom rp_tb rp_thi rp_tile rp_nb rp_cap rp_slot rp_vb""".split()
+)
+
+#: the one declaration of the index type of every ``pos``/``idx`` pointer,
+#: printed after the includes (the wide object is built with
+#: ``-DRP_INDEX=int64_t``).
+INDEX_DECLARATION = (
+    "",
+    "#ifndef RP_INDEX",
+    "#define RP_INDEX int32_t",
+    "#endif",
+    "typedef RP_INDEX rp_index;",
+    "int64_t repro_index_bytes(void) { return (int64_t) sizeof(rp_index); }",
 )
 
 #: element loop variable for vectorized statements.
@@ -229,7 +251,7 @@ class _Renderer:
             if isinstance(arg, ir.Dim):
                 sig_parts.append("int64_t %s" % arg.name)
             elif arg.kind in ("pos", "idx"):
-                sig_parts.append("const int64_t *restrict %s" % arg.name)
+                sig_parts.append("const rp_index *restrict %s" % arg.name)
             else:
                 sig_parts.append("const %s *restrict %s" % (elem, arg.name))
                 if arg.kind == "dense":
@@ -272,6 +294,7 @@ class _Renderer:
             "#include <stdint.h>",
             "#include <stdlib.h>",
             "#include <math.h>",
+            *INDEX_DECLARATION,
         ]
         if self.profile:
             header += [

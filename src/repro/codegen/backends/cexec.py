@@ -5,7 +5,8 @@ program into C text (pure); this one asks the object cache it was handed
 (:mod:`repro.codegen.backends.objects`: the process instance, or a disk
 store's) for a verified object of that text, ``dlopen``s it — the one
 ``ctypes.CDLL`` of a kernel — upgrades serial -> OpenMP in that same
-cache, and marshals arguments through ctypes.
+cache, builds the wide-index object of the same source on the first
+argument set that needs it, and marshals arguments through ctypes.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ from repro.codegen.lower import LoweredKernel
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.profile import NestProfile
+from repro.tensor.coo import INDEX_DTYPES
+
+#: index dtype by the byte count an object's ``repro_index_bytes`` reports
+_INDEX_BY_BYTES = {dtype.itemsize: dtype for dtype in INDEX_DTYPES}
 
 
 class CExecutable(Executable):
@@ -47,6 +52,11 @@ class CExecutable(Executable):
     ``threads > 1`` is upgraded in place (:meth:`upgrade`) — the check
     sits on the ``threads > 1`` branch only, so serial dispatch pays
     nothing for it.
+
+    Each object reports its index width (:attr:`index_dtype`).  The
+    executable a backend compiles holds the narrow object; an argument
+    set whose ``pos``/``idx`` arrays are wide is bound to the wide object
+    of the same source instead (:meth:`wide`, built once, on first need).
     """
 
     def __init__(
@@ -58,6 +68,8 @@ class CExecutable(Executable):
         objects: Optional[ObjectCache] = None,
     ):
         self.source = rendered.source
+        self._built_from = (lowered, rendered)
+        self._wide: Optional["CExecutable"] = None
         self._stem = stem
         #: where :meth:`upgrade` looks for and builds the OpenMP object —
         #: the cache this one came from, so a store learns of the upgrade
@@ -88,10 +100,14 @@ class CExecutable(Executable):
                 raise OSError("injected: cannot dlopen %s" % so_path)
             lib = ctypes.CDLL(so_path)
             fn = lib.kernel  # AttributeError if absent
+            width = lib.repro_index_bytes  # likewise
         # the kernel returns 0 on success, nonzero when a runtime
         # allocation (per-thread workspace, scatter log) failed
         fn.restype = ctypes.c_int64
+        width.restype = ctypes.c_int64
         self._lib, self._fn, self.so_path = lib, fn, so_path
+        #: the dtype every ``pos``/``idx`` pointer of this object reads
+        self.index_dtype = _INDEX_BY_BYTES[width()]
         #: whether this is the OpenMP object (its marker symbol exists
         #: only under ``_OPENMP``).
         self.omp = hasattr(lib, "repro_openmp")
@@ -153,6 +169,28 @@ class CExecutable(Executable):
             finally:
                 self._upgradable = False
 
+    def wide(self) -> "CExecutable":
+        """The wide-index object of this source, built (or found in the
+        same cache) on the first call — single-flight like
+        :meth:`upgrade` — and of this object's kind."""
+        with self._upgrade_lock:
+            if self._wide is None:
+                try:
+                    so_path = ctoolchain.compile_shared(
+                        self.source,
+                        stem=self._stem,
+                        omp=self.omp,
+                        objects=self._objects,
+                        wide=True,
+                    )
+                except ctoolchain.ToolchainError as exc:
+                    raise BackendError("no wide-index object: %s" % exc)
+                lowered, rendered = self._built_from
+                self._wide = CExecutable(
+                    lowered, so_path, rendered, self._stem, self._objects
+                )
+            return self._wide
+
     @property
     def profiled(self) -> bool:
         return self._profile_fns is not None
@@ -192,8 +230,17 @@ class CExecutable(Executable):
             if kind == "dim":
                 argv.append(ctypes.c_int64(int(value)))
                 continue
-            dtype = np.int64 if kind in ("pos", "idx") else self._elem
-            arr = np.ascontiguousarray(value, dtype=dtype)
+            if kind in ("pos", "idx"):
+                arr = np.asarray(value)
+                if not np.can_cast(arr.dtype, self.index_dtype):
+                    # refused, never wrapped: bind() picks the object
+                    raise ValueError(
+                        "index array %s is %s; this object reads %s"
+                        % (name, arr.dtype, self.index_dtype)
+                    )
+                arr = np.ascontiguousarray(arr, dtype=self.index_dtype)
+            else:
+                arr = np.ascontiguousarray(value, dtype=self._elem)
             keep.append(arr)
             argv.append(ctypes.c_void_p(arr.ctypes.data))
             if kind == "dense":
@@ -215,23 +262,34 @@ class CExecutable(Executable):
         buffers — in-place updates to them are visible to later calls.
         (An array that *did* need coercion is snapshotted at bind time.)
         The bound callable owns references to every buffer it points into.
+
+        The argument set picks the object: the narrow one when every
+        ``pos``/``idx`` array casts to its index dtype without loss, the
+        wide one (:meth:`wide`) otherwise.
         """
+        exe = self
+        for kind, name in self._steps:
+            if kind in ("pos", "idx") and not np.can_cast(
+                np.asarray(arrays[name]).dtype, self.index_dtype
+            ):
+                exe = self.wide()
+                break
         # keep: pointers stay valid for the callable's lifetime
-        argv, keep = self._marshal(out, arrays)
+        argv, keep = exe._marshal(out, arrays)
         # the runtime thread count rides last; ctypes releases the GIL
         # around the call, so batch fan-out threads and OpenMP teams of
         # distinct kernels genuinely overlap
         nthreads = ctypes.c_int64(1)
         argv.append(nthreads)
         packed = tuple(argv)
-        fn = self._fn
+        fn = exe._fn
 
         def call(threads: int) -> None:
             if threads > 1:
-                if self._upgradable:
-                    self.upgrade()
+                if exe._upgradable:
+                    exe.upgrade()
                 nthreads.value = threads
-                rc = self._fn(*packed)
+                rc = exe._fn(*packed)
             else:
                 # the object bound here serves every serial call, also
                 # after an upgrade: both objects run the same serial loops

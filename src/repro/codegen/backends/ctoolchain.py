@@ -20,6 +20,10 @@ One rendered source builds into one of two objects
 * the **OpenMP object** (``-fopenmp``): both the parallel bodies and the
   serial branch.
 
+Either comes in two index widths: the narrow object every fitting
+argument set runs, and the wide one (:data:`WIDE_INDEX_FLAG`), built only
+for the first argument set that needs it.
+
 OpenMP capability is probed lazily: the ``-fopenmp`` trivial object —
 which must load and answer through the OpenMP runtime before the flag is
 adopted — is built the first time an OpenMP object is wanted (or
@@ -112,17 +116,26 @@ class Toolchain:
         """Can this toolchain build OpenMP-parallel kernels?"""
         return bool(self.openmp_flags)
 
-    def object_flags(self, omp: bool) -> tuple:
-        """The flag set of the OpenMP (``omp``) or the serial object — a
-        spelling, not a capability: whether ``-fopenmp`` works is
-        :attr:`openmp`'s lazily probed answer, and naming an object must
-        not wait for it (:func:`compile_shared` builds the serial object
-        where it does not)."""
-        return self.flags + (("-fopenmp",) if omp else self.simd_flags)
+    def object_flags(self, omp: bool, wide: bool = False) -> tuple:
+        """The flag set of the OpenMP (``omp``) or the serial object, of
+        the *wide* index width or the narrow one — a spelling, not a
+        capability: whether ``-fopenmp`` works is :attr:`openmp`'s lazily
+        probed answer, and naming an object must not wait for it
+        (:func:`compile_shared` builds the serial object where it does
+        not)."""
+        return (
+            self.flags
+            + (("-fopenmp",) if omp else self.simd_flags)
+            + ((WIDE_INDEX_FLAG,) if wide else ())
+        )
 
     def describe(self) -> str:
         return "%s %s" % (self.cc, " ".join(self.flags + self.simd_flags))
 
+
+#: what the wide object is built with: every ``pos``/``idx`` pointer of
+#: the one source becomes 64-bit (see ``c.INDEX_DECLARATION``).
+WIDE_INDEX_FLAG = "-DRP_INDEX=int64_t"
 
 _lock = threading.Lock()
 #: answers of the once-per-process probes (toolchain, OpenMP) by name.
@@ -358,12 +371,15 @@ def compile_shared(
     force: bool = False,
     omp: bool = False,
     objects: Optional[ObjectCache] = None,
+    wide: bool = False,
 ) -> str:
     """The path of a verified shared object of C *source*, built if absent.
 
     ``objects`` is the cache instance to look in and build into (``None``:
-    the process instance); ``stem`` only tags the ``cc`` span.  Which
-    object answers is one lookup order:
+    the process instance); ``stem`` only tags the ``cc`` span; ``wide``
+    asks for the 64-bit index width (its kind words end in ``64``, so no
+    lookup below ever answers the other width).  Which object answers is
+    one lookup order:
 
     * ``omp`` (a threaded request) accepts only the OpenMP object;
     * a serial request prefers the serial object and accepts the OpenMP
@@ -387,18 +403,23 @@ def compile_shared(
     if objects is None:
         objects = ObjectCache(build_dir())
     program = program_digest(source)
+    suffix = "64" if wide else ""
     tc = probe()
     if tc is None:
         path = None
         if not force:
-            path = objects.lookup(program + "-serial-", program + "-omp-")
+            path = objects.lookup(
+                "%s-serial%s-" % (program, suffix), "%s-omp%s-" % (program, suffix)
+            )
         if path is None:
             raise ToolchainError(
                 "no working C compiler (set $REPRO_CC, or unset $REPRO_NO_CC)"
             )
         return path
     names = {
-        kind: identity(program, kind, tc.cc, tc.object_flags(kind == "omp"))
+        kind: identity(
+            program, kind + suffix, tc.cc, tc.object_flags(kind == "omp", wide)
+        )
         for kind in ("serial", "omp")
     }
     accept = ("omp",) if omp else ("serial", "omp")
@@ -417,7 +438,7 @@ def compile_shared(
             "build of %s previously failed permanently "
             "(reset_failure_memo() to retry):\n%s" % (ident, memo)
         )
-    flags = tc.object_flags(kind == "omp")
+    flags = tc.object_flags(kind == "omp", wide)
     try:
         return objects.build(
             ident,

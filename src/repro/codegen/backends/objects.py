@@ -6,15 +6,16 @@ instances of it, and nothing else publishes a ``.so`` or decides
 whether one is fit to ``dlopen``.  An object is named by what it *is* —
 its identity — and by what it *holds*::
 
-    <prefix><program>-<serial|omp>-<toolchain>-<content>.so
+    <prefix><program>-<serial|omp>[64]-<toolchain>-<content>.so
 
 ``program`` digests the C text without its banner line (the label printed
 there names a request, not a program), ``toolchain`` the compiler path and
-the flag set actually used, ``content`` the file's own bytes.  So the two
-objects of one source coexist, one program under two labels is one object,
-and **every** lookup verifies the bytes against the name before a path can
-reach ``ctypes.CDLL`` — a truncated ELF can SIGBUS the whole process inside
-``dlopen`` instead of failing to load.  A mismatch is an absent object
+the flag set actually used, ``content`` the file's own bytes; ``64``
+marks the wide-index build.  So the objects of one source coexist, one
+program under two labels is one object, and **every** lookup verifies the
+bytes against the name before a path can reach ``ctypes.CDLL`` — a
+truncated ELF can SIGBUS the whole process inside ``dlopen`` instead of
+failing to load.  A mismatch is an absent object
 (unlinked, rebuilt under the lock), never an error and never a load.  The
 ``<prefix><program>.c`` a builder compiled from stays beside its objects.
 """
@@ -31,8 +32,8 @@ from repro.core.config import knob
 from repro.core.flock import atomic_write, single_flight
 from repro.obs import metrics as obs_metrics
 
-#: an identity: hex digests and the two kind words, nothing path-like.
-IDENTITY = re.compile(r"[0-9a-f]{16}-(?:serial|omp)-[0-9a-f]{16}")
+#: an identity: hex digests and the kind words, nothing path-like.
+IDENTITY = re.compile(r"[0-9a-f]{16}-(?:serial|omp)(?:64)?-[0-9a-f]{16}")
 _OBJECT = re.compile(r"(%s)-([0-9a-f]{16})\.so$" % IDENTITY.pattern)
 
 

@@ -231,7 +231,11 @@ def plan_kernel(
 #: (``<key>.<identity>-<content>.so``); the JSON no longer records an
 #: ``artifact_sha256``, and the ``<key>.c``/``<key>.so`` sidecars of older
 #: entries are evicted with them.
-STATE_VERSION = 8
+#: v9: ``pos``/``idx`` pointers are ``rp_index`` — 32-bit in the object a
+#: fitting argument set runs, 64-bit only in the wide object — and every
+#: object exports ``repro_index_bytes``; a v8 object (all ``int64_t``,
+#: no width symbol) must not be rebound against 32-bit arrays.
+STATE_VERSION = 9
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """Coordinate (COO) representation — the interchange format.
 
 Every sparse tensor enters and leaves the system as a :class:`COO`:
-an ``(ndim, nnz)`` integer coordinate array plus a value array.  Formats
+an ``(ndim, nnz)`` integer coordinate array plus a value array.  The
+coordinates are as narrow as the data allows (:func:`index_dtype`, the
+one index-width rule every layer down to the C kernel's pointers
+follows).  Formats
 (:mod:`repro.tensor.fiber`) are built from its coordinate rows in storage
 order; symmetry packing (:mod:`repro.tensor.symmetry_ops`) filters and
 expands COO coordinates.
@@ -22,6 +25,24 @@ from repro.obs import metrics as obs_metrics
 SUPPORTED_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 _INT64_MAX = np.iinfo(np.int64).max
+
+#: the two index widths, narrow first: every coordinate, ``pos`` and
+#: ``idx`` array is one of them.
+INDEX_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
+
+#: an index array is narrow when every extent and every count it is built
+#: from stays below this.  A constant, not a knob: tests lower it so small
+#: inputs take the wide path.
+INDEX_LIMIT = 2**31
+
+
+def index_dtype(shape: Sequence[int], nnz: int = 0) -> np.dtype:
+    """The index width of a tensor of *shape* holding *nnz* entries:
+    int32 when every extent and *nnz* fit below :data:`INDEX_LIMIT`,
+    otherwise int64 (scipy.sparse's ``get_index_dtype`` rule).  Values
+    computed *from* indices (a linearised key, a flattened slot) are
+    widened by asking for the width of their own bound."""
+    return INDEX_DTYPES[int(max(nnz, *shape, 0) >= INDEX_LIMIT)]
 
 
 def _coerce_vals(vals: np.ndarray, dtype=None) -> np.ndarray:
@@ -59,7 +80,9 @@ class COO:
         sum_duplicates: bool = True,
         dtype=None,
     ):
-        coords = np.asarray(coords, dtype=np.int64)
+        coords = np.asarray(coords)
+        if coords.dtype not in INDEX_DTYPES:
+            coords = coords.astype(np.int64)
         if coords.ndim == 1:
             coords = coords.reshape(1, -1)
         vals = _coerce_vals(vals, dtype)
@@ -75,6 +98,8 @@ class COO:
         ):
             raise ValueError("coordinates out of bounds for shape %s" % (shape,))
         self.shape = tuple(int(n) for n in shape)
+        # narrowed only now: an out-of-bounds coordinate is never wrapped
+        coords = coords.astype(index_dtype(self.shape, coords.shape[1]), copy=False)
         if sum_duplicates and coords.shape[1]:
             coords, vals = _sum_duplicates(coords, vals, self.shape)
         self.coords = coords
@@ -124,7 +149,7 @@ class COO:
         # fill literal must not promote a float32 comparison (and zeros
         # that only exist after rounding to float32 must be dropped)
         mask = arr != arr.dtype.type(fill)
-        coords = np.array(np.nonzero(mask), dtype=np.int64)
+        coords = np.array(np.nonzero(mask), dtype=index_dtype(arr.shape, arr.size))
         return COO(coords, arr[mask], arr.shape, sum_duplicates=False)
 
     def to_dense(self, fill: float = 0.0) -> np.ndarray:
@@ -200,19 +225,22 @@ def _lex_order(coords: Sequence[np.ndarray], shape: Sequence[int]) -> Optional[n
     ``(ndim, nnz)`` array or one row per mode) lexicographically, mode 0
     outermost, or None when they already are.
 
-    Coordinates are linearised by hand to one int64 key
-    (``c0*n1 + c1 ...``: they are in bounds already, so nothing is
-    re-checked), checked for order in O(nnz) and otherwise sorted once;
+    Coordinates are linearised by hand to one key (``c0*n1 + c1 ...``:
+    they are in bounds already, so nothing is re-checked) as wide as the
+    shape's product needs — narrow coordinates are widened first, never
+    multiplied in their own width — checked for order in O(nnz) and
+    otherwise sorted once;
     both this and ``np.lexsort`` are stable over the same order, so the
     permutation equals ``np.lexsort(coords[::-1])``.  A shape whose
     product overflows int64 cannot be linearised and takes the
     ``np.lexsort`` route.
     """
     if len(coords) and len(coords[0]) > 1:
-        if math.prod(shape) > _INT64_MAX:
+        slots = math.prod(shape)
+        if slots > _INT64_MAX:
             obs_metrics.inc("tensor.sort.lexsort_fallback")
             return np.lexsort(coords[::-1])
-        key = coords[0]
+        key = coords[0].astype(index_dtype((slots,)), copy=False)
         for row, extent in zip(coords[1:], shape[1:]):
             key = key * extent + row
         if not (key[1:] >= key[:-1]).all():

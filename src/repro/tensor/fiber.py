@@ -21,7 +21,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.obs import metrics as obs_metrics
-from repro.tensor.coo import COO, _lex_order
+from repro.tensor.coo import COO, _lex_order, index_dtype
 
 DENSE = "dense"
 SPARSE = "sparse"
@@ -36,8 +36,10 @@ class FiberTensor:
         Per-level dimension sizes, in storage order.
     levels : tuple of str
         ``"dense"`` / ``"sparse"`` per level (dense prefix only).
-    pos, idx : dict mapping level -> int64 array
-        Structure arrays for each sparse level.
+    pos, idx : dict mapping level -> index array
+        Structure arrays for each sparse level, all in the width
+        :func:`~repro.tensor.coo.index_dtype` gives the tree's shape and
+        nnz.
     vals : float array (the COO payload's dtype: float64 or float32)
         Leaf values in storage order.
     presorted : bool
@@ -99,6 +101,7 @@ class FiberTensor:
         # (its COO may be mutated later) are copied, gathered ones are not
         self.vals = vals if owned else vals.copy()
         nnz = len(vals)
+        width = index_dtype(shape, nnz)
 
         dense_prefix = 0
         while dense_prefix < ndim and levels[dense_prefix] == DENSE:
@@ -110,14 +113,18 @@ class FiberTensor:
             n_parents *= shape[mode]
         parent = None  # one parent (the root) for an all-sparse tree
         for mode in range(dense_prefix):
-            parent = rows[mode] if parent is None else parent * shape[mode] + rows[mode]
+            if parent is None:
+                parent = rows[mode]
+            else:  # widened first: the slot is bounded by n_parents
+                parent = parent.astype(index_dtype((n_parents,)), copy=False)
+                parent = parent * shape[mode] + rows[mode]
 
         for level in range(dense_prefix, ndim):
             level_coords = rows[level]
             if level == ndim - 1:
                 # leaf level: idx holds every entry, pos segments by parent.
-                self.pos[level] = _segment_pos(parent, n_parents, nnz)
-                self.idx[level] = level_coords if owned else level_coords.copy()
+                self.pos[level] = _segment_pos(parent, n_parents, nnz, width)
+                self.idx[level] = level_coords.astype(width, copy=not owned)
             else:
                 # interior sparse level: one idx entry per distinct
                 # (parent, coordinate) pair.
@@ -128,10 +135,10 @@ class FiberTensor:
                     head[1:] |= parent[1:] != parent[:-1]
                 heads = np.flatnonzero(head)
                 self.pos[level] = _segment_pos(
-                    None if parent is None else parent[heads], n_parents, len(heads)
+                    None if parent is None else parent[heads], n_parents, len(heads), width
                 )
-                self.idx[level] = level_coords[heads]
-                parent = np.cumsum(head) - 1
+                self.idx[level] = level_coords[heads].astype(width, copy=False)
+                parent = np.cumsum(head, dtype=width) - 1
                 n_parents = len(heads)
 
     # ------------------------------------------------------------------
@@ -191,12 +198,12 @@ class FiberTensor:
 
 
 def _segment_pos(
-    parents: Optional[np.ndarray], n_parents: int, n_children: int
+    parents: Optional[np.ndarray], n_parents: int, n_children: int, width: np.dtype
 ) -> np.ndarray:
-    """Build a ``pos`` array: ``pos[p]..pos[p+1]`` spans the children of
-    parent position ``p`` (parents must be sorted; None is the one root
-    of an all-sparse tree)."""
-    pos = np.zeros(n_parents + 1, dtype=np.int64)
+    """Build a ``pos`` array of index dtype *width*: ``pos[p]..pos[p+1]``
+    spans the children of parent position ``p`` (parents must be sorted;
+    None is the one root of an all-sparse tree)."""
+    pos = np.zeros(n_parents + 1, dtype=width)
     if parents is None:
         pos[1:] = n_children
     elif n_children:

@@ -3,6 +3,12 @@
 #include <stdlib.h>
 #include <math.h>
 
+#ifndef RP_INDEX
+#define RP_INDEX int32_t
+#endif
+typedef RP_INDEX rp_index;
+int64_t repro_index_bytes(void) { return (int64_t) sizeof(rp_index); }
+
 #if defined(_OPENMP)
 #include <omp.h>
 /* marks the OpenMP object: absent from the serial build */
@@ -93,15 +99,15 @@ static void repro_log_release(repro_log *rp_logs, int64_t nthreads, int rp_poole
    (per-thread workspace or the ordered scatter log) */
 int64_t kernel(double *restrict out,
                const int64_t *restrict out_dims,
-               const int64_t *restrict A__diagonal_idx1,
-               const int64_t *restrict A__diagonal_idx2,
-               const int64_t *restrict A__diagonal_pos1,
-               const int64_t *restrict A__diagonal_pos2,
+               const rp_index *restrict A__diagonal_idx1,
+               const rp_index *restrict A__diagonal_idx2,
+               const rp_index *restrict A__diagonal_pos1,
+               const rp_index *restrict A__diagonal_pos2,
                const double *restrict A__diagonal_vals,
-               const int64_t *restrict A__strict_idx1,
-               const int64_t *restrict A__strict_idx2,
-               const int64_t *restrict A__strict_pos1,
-               const int64_t *restrict A__strict_pos2,
+               const rp_index *restrict A__strict_idx1,
+               const rp_index *restrict A__strict_idx2,
+               const rp_index *restrict A__strict_pos1,
+               const rp_index *restrict A__strict_pos2,
                const double *restrict A__strict_vals,
                const double *restrict B,
                const int64_t *restrict B_dims,

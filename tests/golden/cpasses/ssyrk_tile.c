@@ -3,6 +3,12 @@
 #include <stdlib.h>
 #include <math.h>
 
+#ifndef RP_INDEX
+#define RP_INDEX int32_t
+#endif
+typedef RP_INDEX rp_index;
+int64_t repro_index_bytes(void) { return (int64_t) sizeof(rp_index); }
+
 #if defined(_OPENMP)
 #include <omp.h>
 /* marks the OpenMP object: absent from the serial build */
@@ -93,8 +99,8 @@ static void repro_log_release(repro_log *rp_logs, int64_t nthreads, int rp_poole
    (per-thread workspace or the ordered scatter log) */
 int64_t kernel(double *restrict out,
                const int64_t *restrict out_dims,
-               const int64_t *restrict A__full_p10_idx1,
-               const int64_t *restrict A__full_p10_pos1,
+               const rp_index *restrict A__full_p10_idx1,
+               const rp_index *restrict A__full_p10_pos1,
                const double *restrict A__full_p10_vals,
                int64_t n_i,
                int64_t n_j,

@@ -24,6 +24,7 @@ from repro.core.config import DEFAULT, CompilerOptions
 from repro.kernels.library import KERNELS, get_kernel
 from repro.service import KernelService
 from repro.service.keys import cache_key
+from repro.tensor.coo import COO
 from repro.tensor.tensor import Tensor
 from tests.conftest import make_symmetric_matrix, store_objects
 from tests.test_codegen_kernels import build_inputs
@@ -338,3 +339,51 @@ def test_stale_build_cache_object_is_rebuilt(rng):
     out = np.zeros(4)
     rebuilt.bind(out, prepared)(1)
     np.testing.assert_allclose(out, np.ones(4))
+
+
+# ----------------------------------------------------------------------
+# index widths at bind: a 64-bit index picks the wide object, never a wrap
+# ----------------------------------------------------------------------
+@needs_cc
+def test_bind_never_narrows_an_index_holding_two_to_the_31(rng):
+    spec = get_kernel("ssymv")
+    kernel = spec.compile(options=C_OPTS)
+    prepared, shape = kernel.prepare(**build_inputs(rng, spec))
+    exe = kernel.bound.executable
+    out = kernel.bound.make_output_buffer(shape)
+    name = next(n for n in prepared if n.endswith("_idx1"))
+    big = prepared[name].astype(np.int64)
+    big[-1] = 2**31
+    arrays = {**prepared, name: big}
+    with pytest.raises(ValueError, match="index array"):
+        exe._marshal(out, arrays)  # the narrow object refuses the set
+    call = exe.bind(out, arrays)  # bound, never called: x is far shorter
+    assert exe.wide().index_dtype == np.int64
+    assert any(arr is big for arr in call.keep) and big[-1] == 2**31
+    assert not any(arr.dtype == np.int32 for arr in call.keep)
+    huge = big.astype(np.uint64)
+    huge[-1] = 2**63
+    with pytest.raises(ValueError, match="index array"):
+        exe.bind(out, {**prepared, name: huge})
+
+
+@needs_cc
+def test_coordinates_past_two_to_the_31_run_on_the_wide_object():
+    """Extents above 2**31 make the payload, its fibertrees and the object
+    64-bit end to end; python and c agree on the exact sum."""
+    n = 2**31 + 5
+    coords = np.array([[2**31 + 2, 2**31 + 4, 7, 2**31 + 1], [2**31 + 1, 3, 7, 2**31 + 1]])
+    A = Tensor(COO(coords, np.array([1.5, 2.0, 0.25, 4.0]), (n, n)), ((0, 1),), canonical=True)
+    assert A.coo.coords.dtype == np.int64
+    results = []
+    for backend in ("python", "c"):
+        kernel = compile_kernel(
+            "y[] += A[i, j]", symmetric={"A": True}, loop_order=("j", "i"),
+            formats={"A": "sparse"}, sparse_levels={"A": ("sparse", "sparse")},
+            options=DEFAULT.but(backend=backend),
+        )
+        prepared, shape = kernel.prepare(A=A)
+        assert prepared["A__strict_idx0"].dtype == np.int64
+        results.append(float(kernel.finalize(kernel.run(prepared, shape))))
+    assert results == [2 * (1.5 + 2.0) + 0.25 + 4.0] * 2
+    assert kernel.bound.executable._wide.index_dtype == np.int64  # built by the run

@@ -27,7 +27,7 @@ def _lowered(name, **kwargs):
 def test_renders_signature_and_sparse_walk():
     src = render_c(_lowered("ssymv"), label="ssymv")
     assert "int64_t kernel(double *restrict out" in src
-    assert "const int64_t *restrict A__strict_pos1" in src
+    assert "const rp_index *restrict A__strict_pos1" in src
     assert "const double *restrict A__strict_vals" in src
     assert "int64_t n_i" in src
     # the triangle workspace flush and the concordant walk

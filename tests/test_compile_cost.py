@@ -189,6 +189,65 @@ def test_ambient_thread_setting_builds_exactly_one_object(rng):
 
 
 # ----------------------------------------------------------------------
+# index widths: the wide object exists only for an argument set needing it
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_a_fitting_input_never_builds_the_wide_object(rng, name):
+    """Compile, run and plan an argument set whose indices fit 32 bits:
+    one ``cc`` run per kernel, never with the wide-index flag."""
+    spec = get_kernel(name)
+    inputs = build_inputs(rng, spec)
+    with trace.tracing() as rec:
+        kernel = spec.compile(options=SERIAL)
+        kernel(**inputs)
+        kernel.execution_plan(**inputs)()
+    (span,) = _cc_spans(rec)
+    assert ctoolchain.WIDE_INDEX_FLAG not in span.args["flags"].split()
+    exe = kernel.bound.executable
+    assert exe.index_dtype == np.int32 and exe._wide is None
+
+
+def test_concurrent_wide_binds_build_the_wide_object_once(rng, monkeypatch):
+    """Eight host threads bind the same wide argument set at once: one
+    ``cc`` run, with the wide-index flag, and every result is bit for bit
+    the narrow object's."""
+    from repro.tensor import coo as coo_mod
+
+    spec = get_kernel("ssymv")
+    inputs = build_inputs(rng, spec)
+    kernel = spec.compile(options=SERIAL)
+    narrow = np.asarray(kernel(**inputs))
+    monkeypatch.setattr(coo_mod, "INDEX_LIMIT", 0)
+    prepared, shape = kernel.prepare(**inputs)
+    hosts = 8
+    gate = threading.Barrier(hosts)
+    results = [None] * hosts
+
+    def worker(slot):
+        out = kernel.bound.make_output_buffer(shape)
+        gate.wait(timeout=30)
+        kernel.bound.plan_prepared(prepared, shape, out=out)()
+        results[slot] = np.array(kernel.finalize(out))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with trace.tracing() as rec:
+            pool = [threading.Thread(target=worker, args=(i,)) for i in range(hosts)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in pool)
+    finally:
+        sys.setswitchinterval(interval)
+    (span,) = _cc_spans(rec)
+    assert ctoolchain.WIDE_INDEX_FLAG in span.args["flags"].split()
+    for got in results:
+        assert got is not None and np.array_equal(narrow, got)
+
+
+# ----------------------------------------------------------------------
 # one program, one object; what a reader builds, the store keeps
 # ----------------------------------------------------------------------
 def test_one_program_under_two_labels_is_one_object():

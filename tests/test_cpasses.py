@@ -242,6 +242,37 @@ def test_render_digests(_clean_render_env):
     )
 
 
+#: the C digests of the whole corpus as printed when every ``pos``/``idx``
+#: pointer was ``int64_t`` (before the ``rp_index`` declaration), folded
+#: into one: sha256 of the ``key:digest,digest,...`` lines of that
+#: manifest, in key order.
+INT64_POINTER_DIGEST = "46ae1cbfcadb9057d1c435e307284d446ca4f17bc910d0b5b08b962bd9aa966b"
+
+
+def test_the_index_type_is_the_only_textual_change(_clean_render_env):
+    """Spell ``rp_index`` as ``int64_t`` and drop its declaration, and
+    every C source of the 274 corpus lowerings is byte for byte what the
+    renderer printed with 64-bit index pointers: the index type moved
+    every C digest of the manifest and changed nothing else."""
+    import hashlib
+
+    from repro.codegen.backends.c import INDEX_DECLARATION
+    from tests import render_corpus
+
+    declaration = "\n" + "\n".join(INDEX_DECLARATION)
+    lines = []
+    for key, kernel in sorted(render_corpus.lowerings(), key=lambda item: item[0]):
+        digests = []
+        for src in render_corpus.c_renderings(kernel.lowered):
+            assert src.count(declaration) == 1, key
+            old = src.replace(declaration, "").replace("rp_index", "int64_t")
+            digests.append(render_corpus.sha(old)[:16])
+        lines.append("%s:%s" % (key, ",".join(digests)))
+    assert len(lines) == 274
+    folded = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert folded == INT64_POINTER_DIGEST
+
+
 def test_regblock_moves_only_the_lowerings_it_blocks(_clean_render_env, monkeypatch):
     """Register blocking changes generated C only where it wraps a nest.
 

@@ -38,6 +38,7 @@ from repro.frontend.parser import parse_assignment
 from repro.kernels.baselines import taco_style_mttkrp3, taco_style_spmv, taco_style_syprd
 from repro.kernels.extensions import EXTENSIONS
 from repro.kernels.library import KERNELS
+from repro.tensor import coo as coo_mod
 from repro.tensor.tensor import Tensor
 
 HAVE_CC = get_backend("c").is_available()
@@ -241,6 +242,38 @@ def test_every_vector_kernel_is_in_the_wide_rank_sweep():
 @pytest.mark.parametrize("name", VECTOR_SPECS)
 def test_differential_wide_rank(name, dtype, rank):
     run_differential_case(name, FULL_SEEDS[0], dtype, rank)
+
+
+# ----------------------------------------------------------------------
+# index widths: an argument set whose indices need 64 bits runs the wide
+# object of the same source, bit for bit what the narrow one computes.
+# Lowering the width limit sends these small inputs down the wide path.
+# ----------------------------------------------------------------------
+PAPER_KERNELS = ("mttkrp3d", "mttkrp4d", "ssymv", "ssyrk", "syprd", "ttm")
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler")
+@pytest.mark.parametrize("dtype", ("float64", "float32"))
+@pytest.mark.parametrize("name", PAPER_KERNELS)
+def test_narrow_and_wide_objects_are_bit_identical(name, dtype, monkeypatch):
+    spec = ALL_SPECS[name]
+    inputs = fuzz_inputs(spec, FULL_SEEDS[0], dtype)
+    py = np.asarray(spec.compile(options=DEFAULT.but(backend="python", dtype=dtype))(**inputs))
+    kernel = spec.compile(options=DEFAULT.but(backend="c", dtype=dtype))
+    narrow, shape = kernel.prepare(**inputs)
+    monkeypatch.setattr(coo_mod, "INDEX_LIMIT", 0)
+    wide, _ = kernel.prepare(**inputs)
+    for prepared, width in ((narrow, np.int32), (wide, np.int64)):
+        indices = [arr for key, arr in prepared.items() if "_pos" in key or "_idx" in key]
+        assert indices and all(arr.dtype == width for arr in indices)
+        for threads in (1, 3):
+            got = np.asarray(kernel.finalize(kernel.run(prepared, shape, threads=threads)))
+            assert np.array_equal(py, got), (name, dtype, width, threads)
+        plan = kernel.bound.plan_prepared(prepared, shape)
+        for threads in (1, 3, 3, 1):
+            assert np.array_equal(py, np.asarray(kernel.finalize(plan(threads=threads))))
+    exe = kernel.bound.executable
+    assert exe.index_dtype == np.int32 and exe.wide().index_dtype == np.int64
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.codegen.backends import get_backend
+from repro.codegen.backends import ctoolchain, get_backend
 from repro.core.compiler import STATE_VERSION
 from repro.core.config import DEFAULT
 from repro.service import KernelService
@@ -248,6 +248,38 @@ def test_stale_state_version_eviction_drops_artifacts(tmp_path):
 
     assert DiskStore(tmp_path).get(key) is None
     assert [p.name for p in tmp_path.iterdir() if p.name.startswith(key)] == []
+
+
+@needs_cc
+def test_a_v8_entry_is_evicted_never_rebound_against_narrow_arrays(tmp_path):
+    """A STATE_VERSION 8 entry's object reads ``int64_t`` index pointers
+    and reports no width: rebinding it against the 32-bit arrays prepare
+    now builds would read garbage.  Such an entry — its JSON and that
+    object — is evicted, and the recompiled one binds the narrow object."""
+    from repro.codegen.backends.c import INDEX_DECLARATION
+    from repro.codegen.backends.objects import ObjectCache
+
+    assert STATE_VERSION == 9
+    options = DEFAULT.but(backend="c", threads=1)
+    kernel = KernelService(store=tmp_path).get_or_compile(EINSUM, options=options, **SPEC)
+    key = cache_key(EINSUM, options=options, **SPEC)
+    source = kernel.bound.executable.source
+    v8 = source.replace("\n" + "\n".join(INDEX_DECLARATION), "").replace("rp_index", "int64_t")
+    assert v8 != source and "int32" not in v8
+    for so in store_objects(tmp_path, key):
+        so.unlink()
+    ctoolchain.compile_shared(v8, objects=ObjectCache(tmp_path, key + "."))
+    (old,) = store_objects(tmp_path, key)
+    path = tmp_path / ("%s.json" % key)
+    payload = json.loads(path.read_text())
+    payload["state"]["state_version"] = 8
+    path.write_text(json.dumps(payload))
+
+    assert DiskStore(tmp_path).get(key) is None
+    assert not path.exists() and not old.exists()
+    kernel = KernelService(store=tmp_path).get_or_compile(EINSUM, options=options, **SPEC)
+    assert kernel.bound.executable.index_dtype == np.int32
+    _check_runs(kernel)
 
 
 def test_truncated_json_is_a_miss_and_evicted(tmp_path):

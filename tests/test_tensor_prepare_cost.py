@@ -10,6 +10,7 @@ references the results are compared against live only here.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from repro.kernels.extensions import EXTENSIONS
 from repro.kernels.library import KERNELS
 from repro.tensor import symmetry_ops
 from repro.tensor import tensor as tensor_mod
-from repro.tensor.coo import COO, _lex_order
+from repro.tensor.coo import COO, _lex_order, index_dtype
 from repro.tensor.fiber import FiberTensor
 from repro.tensor.symmetry_ops import expand_symmetric, pack_canonical, split_diagonal
 from repro.tensor.tensor import Tensor, default_levels
@@ -344,7 +345,9 @@ def test_views_match_the_public_route_byte_for_byte(ndim, dtype):
 # every kernel's prepared arguments, against a build that lives here
 # ----------------------------------------------------------------------
 def _reference_fiber(coords, vals, shape, levels):
-    """pos/idx/vals of a fibertree from explicit column groupings."""
+    """pos/idx/vals of a fibertree from explicit column groupings, in the
+    index width the one rule gives its shape and nnz."""
+    width = index_dtype(shape, coords.shape[1])
     order = np.lexsort(coords[::-1])
     coords, vals = coords[:, order], vals[order]
     ndim, nnz = coords.shape
@@ -362,8 +365,8 @@ def _reference_fiber(coords, vals, shape, levels):
         else:
             parents = [parent_of[node[:level]] for node in nodes]
         counts = np.bincount(np.asarray(parents, dtype=np.int64), minlength=n_parents)
-        out["pos%d" % level] = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        out["idx%d" % level] = np.asarray([node[level] for node in nodes], dtype=np.int64)
+        out["pos%d" % level] = np.concatenate(([0], np.cumsum(counts))).astype(width)
+        out["idx%d" % level] = np.asarray([node[level] for node in nodes], dtype=width)
         parent_of, n_parents = {node: i for i, node in enumerate(nodes)}, len(nodes)
     return out
 
@@ -441,3 +444,71 @@ def test_negative_zero_in_a_dense_operand_is_bitwise_equal_across_backends(name)
         for backend in ("python", "c")
     ]
     assert outputs[0].tobytes() == outputs[1].tobytes()
+
+
+# ----------------------------------------------------------------------
+# narrow coordinates whose linearised key does not fit 32 bits: every
+# product of coordinates is taken in the key's width, never in theirs
+# ----------------------------------------------------------------------
+WIDE_KEY_SHAPES = [(70_000, 70_000), (2_000,) * 3]
+
+
+def _narrow_payload(shape, nnz=3_000, seed=11):
+    """Shuffled in-bounds columns with ~1/3 of them repeated elsewhere,
+    as a COO kept raw (narrow, unsorted, duplicates intact)."""
+    rng = np.random.default_rng(seed)
+    coords = np.stack([rng.integers(0, n, size=nnz) for n in shape])
+    coords[:, nnz // 3 : 2 * nnz // 3] = coords[:, : nnz // 3]
+    coords = coords[:, rng.permutation(nnz)]
+    vals = rng.integers(1, 9, size=nnz).astype(np.float64)  # sums are exact
+    coo = COO(coords, vals, shape, sum_duplicates=False)
+    assert coo.coords.dtype == np.int32 and math.prod(shape) > 2**31
+    return coo
+
+
+@pytest.mark.parametrize("shape", WIDE_KEY_SHAPES)
+def test_lex_order_of_narrow_coordinates_is_the_lexsort_permutation(shape):
+    coo = _narrow_payload(shape)
+    np.testing.assert_array_equal(
+        _lex_order(coo.coords, shape), np.lexsort(coo.coords[::-1])
+    )
+
+
+@pytest.mark.parametrize("shape", WIDE_KEY_SHAPES)
+def test_sum_duplicates_of_narrow_coordinates_merges_exactly_the_equal_pairs(shape):
+    raw = _narrow_payload(shape)
+    merged = COO(raw.coords, raw.vals, shape)
+    columns, inverse = np.unique(raw.coords.T, axis=0, return_inverse=True)
+    sums = np.zeros(len(columns))
+    np.add.at(sums, inverse.ravel(), raw.vals)
+    assert merged.nnz == len(columns) < raw.nnz
+    np.testing.assert_array_equal(merged.coords, columns.T)
+    np.testing.assert_array_equal(merged.vals, sums)
+
+
+@pytest.mark.parametrize("shape", WIDE_KEY_SHAPES)
+def test_dense_prefix_fibertree_of_narrow_coordinates_equals_the_int64_build(shape):
+    raw = _narrow_payload(shape)
+    levels = ("dense",) * (len(shape) - 1) + ("sparse",)
+    fiber = FiberTensor(raw, levels)
+    want = _reference_fiber(raw.coords.astype(np.int64), raw.vals, shape, levels)
+    got = fiber.arrays()
+    assert sorted(got) == sorted(want) and not fiber.presorted
+    for name, arr in want.items():
+        assert got[name].dtype == arr.dtype
+        np.testing.assert_array_equal(got[name], arr, err_msg=name)
+
+
+def test_expand_symmetric_of_narrow_coordinates_matches_its_int64_result(monkeypatch):
+    from repro.tensor import coo as coo_mod
+
+    shape, parts = (70_000, 70_000), ((0, 1),)
+    raw = _narrow_payload(shape)
+    canonical = np.sort(raw.coords, axis=0)[::-1]  # row >= column
+    narrow = expand_symmetric(COO(canonical, raw.vals, shape), parts)
+    monkeypatch.setattr(coo_mod, "INDEX_LIMIT", 0)
+    wide = expand_symmetric(COO(canonical, raw.vals, shape), parts)
+    assert narrow.coords.dtype == np.int32 and wide.coords.dtype == np.int64
+    np.testing.assert_array_equal(narrow.coords, wide.coords)
+    np.testing.assert_array_equal(narrow.vals, wide.vals)
+    assert narrow.nnz > COO(canonical, raw.vals, shape).nnz
