@@ -39,6 +39,10 @@ from repro.tensor.coo import INDEX_DTYPES
 _INDEX_BY_BYTES = {dtype.itemsize: dtype for dtype in INDEX_DTYPES}
 
 
+class IndexWidthError(ValueError):
+    """An index array the loaded object cannot read without loss."""
+
+
 class CExecutable(Executable):
     """A compiled kernel bound through ctypes.
 
@@ -92,8 +96,9 @@ class CExecutable(Executable):
         self._upgradable = rendered.parallel and not self.omp
         self._upgrade_lock = threading.Lock()
 
-    def _load(self, so_path: str) -> None:
-        """dlopen *so_path* and bind its entry points; on failure the
+    def _load(self, so_path: str, index_dtype: Optional[np.dtype] = None) -> None:
+        """dlopen *so_path* and bind its entry points; on failure — or
+        when its index width is not the *index_dtype* asked for — the
         previously loaded object (if any) stays in service."""
         with obs_trace.span("dlopen", path=so_path):
             if faults.poll("dlopen") is not None:
@@ -105,9 +110,12 @@ class CExecutable(Executable):
         # allocation (per-thread workspace, scatter log) failed
         fn.restype = ctypes.c_int64
         width.restype = ctypes.c_int64
+        loaded = _INDEX_BY_BYTES[width()]
+        if index_dtype is not None and loaded != index_dtype:
+            raise ctoolchain.ToolchainError("%s reads %s indices" % (so_path, loaded))
         self._lib, self._fn, self.so_path = lib, fn, so_path
         #: the dtype every ``pos``/``idx`` pointer of this object reads
-        self.index_dtype = _INDEX_BY_BYTES[width()]
+        self.index_dtype = loaded
         #: whether this is the OpenMP object (its marker symbol exists
         #: only under ``_OPENMP``).
         self.omp = hasattr(lib, "repro_openmp")
@@ -135,7 +143,7 @@ class CExecutable(Executable):
         return "omp" if self.omp else "serial"
 
     def upgrade(self) -> None:
-        """Swap the serial object for the OpenMP one, at most once.
+        """Swap, at most once, the serial object for the OpenMP one of its width.
 
         Single-flight across host threads (the lock) and across processes
         (the object cache's); plans bound before the swap follow it on
@@ -157,7 +165,9 @@ class CExecutable(Executable):
                             stem=self._stem,
                             omp=True,
                             objects=self._objects,
-                        )
+                            wide=self.index_dtype.itemsize == 8,
+                        ),
+                        self.index_dtype,
                     )
                     if not self.omp:
                         raise ctoolchain.ToolchainError(
@@ -234,7 +244,7 @@ class CExecutable(Executable):
                 arr = np.asarray(value)
                 if not np.can_cast(arr.dtype, self.index_dtype):
                     # refused, never wrapped: bind() picks the object
-                    raise ValueError(
+                    raise IndexWidthError(
                         "index array %s is %s; this object reads %s"
                         % (name, arr.dtype, self.index_dtype)
                     )
@@ -263,19 +273,17 @@ class CExecutable(Executable):
         (An array that *did* need coercion is snapshotted at bind time.)
         The bound callable owns references to every buffer it points into.
 
-        The argument set picks the object: the narrow one when every
-        ``pos``/``idx`` array casts to its index dtype without loss, the
-        wide one (:meth:`wide`) otherwise.
+        The argument set picks the object: this one when :meth:`_marshal`
+        takes every ``pos``/``idx`` array without loss, the wide one
+        (:meth:`wide`) when it refuses one.
         """
         exe = self
-        for kind, name in self._steps:
-            if kind in ("pos", "idx") and not np.can_cast(
-                np.asarray(arrays[name]).dtype, self.index_dtype
-            ):
-                exe = self.wide()
-                break
         # keep: pointers stay valid for the callable's lifetime
-        argv, keep = exe._marshal(out, arrays)
+        try:
+            argv, keep = exe._marshal(out, arrays)
+        except IndexWidthError:
+            exe = self.wide()
+            argv, keep = exe._marshal(out, arrays)
         # the runtime thread count rides last; ctypes releases the GIL
         # around the call, so batch fan-out threads and OpenMP teams of
         # distinct kernels genuinely overlap

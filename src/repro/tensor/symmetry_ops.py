@@ -20,7 +20,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from repro.tensor.coo import COO, index_dtype
+from repro.tensor.coo import COO
 
 
 def canonical_coords_mask(
@@ -104,7 +104,6 @@ def expand_symmetric(coo: COO, parts: Sequence[Sequence[int]]) -> COO:
         coords_list.append(perm_coords[0])
         vals_list.append(coo.vals[perm_coords[1]])
     coords = np.concatenate(coords_list, axis=1)
-    coords = coords.astype(index_dtype(coo.shape, coords.shape[1]), copy=False)
     vals = np.concatenate(vals_list)
     return _drop_duplicates(COO._derived(coords, vals, coo.shape))
 

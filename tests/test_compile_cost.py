@@ -247,6 +247,55 @@ def test_concurrent_wide_binds_build_the_wide_object_once(rng, monkeypatch):
         assert got is not None and np.array_equal(narrow, got)
 
 
+@pytest.mark.parametrize("openmp", (True, False), ids=("omp", "no-omp"))
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_a_serial_wide_object_upgrades_within_its_width(rng, name, openmp, monkeypatch):
+    """A wide argument set bound on a fresh serial kernel runs the serial
+    wide object; the plan's first threaded call swaps in the OpenMP object
+    of the *same* width — or, with no OpenMP toolchain, keeps the serial
+    one — and both calls are bit for bit the python backend's."""
+    from repro.tensor import coo as coo_mod
+
+    if openmp and not HAVE_OMP:
+        pytest.skip("toolchain lacks OpenMP")
+    spec = get_kernel(name)
+    inputs = build_inputs(rng, spec)
+    py = np.asarray(spec.compile(options=PYTHON)(**inputs))
+    if not openmp:
+        monkeypatch.setenv("REPRO_NO_OPENMP", "1")
+        ctoolchain.reset_probe_cache()
+    try:
+        kernel = spec.compile(options=SERIAL)
+        monkeypatch.setattr(coo_mod, "INDEX_LIMIT", 0)
+        prepared, shape = kernel.prepare(**inputs)
+        plan = kernel.bound.plan_prepared(prepared, shape)
+        serial = np.array(kernel.finalize(plan(threads=1)))
+        wide = kernel.bound.executable._wide
+        assert wide.index_dtype == np.int64 and wide.kind == "serial"
+        threaded = np.array(kernel.finalize(plan(threads=3)))
+        assert wide.index_dtype == np.int64
+        assert wide.kind == ("omp" if openmp else "serial")
+        assert health.ok("c@omp") == openmp
+        assert kernel.bound.executable.index_dtype == np.int32
+    finally:
+        if not openmp:
+            monkeypatch.undo()
+            ctoolchain.reset_probe_cache()
+    assert np.array_equal(py, serial) and np.array_equal(py, threaded)
+
+
+def test_upgrade_refuses_an_object_of_the_other_width(monkeypatch):
+    """An OpenMP object whose index width differs from the loaded one is
+    never swapped in: the wide object keeps serving and ``c@omp`` is
+    marked down."""
+    exe = get_kernel("ssymv").compile(options=SERIAL).bound.executable
+    wide = exe.wide()
+    monkeypatch.setattr(ctoolchain, "compile_shared", lambda *a, **k: exe.so_path)
+    wide.upgrade()
+    assert wide.index_dtype == np.int64 and wide.so_path != exe.so_path
+    assert not health.ok("c@omp")
+
+
 # ----------------------------------------------------------------------
 # one program, one object; what a reader builds, the store keeps
 # ----------------------------------------------------------------------
