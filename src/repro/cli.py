@@ -190,8 +190,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     print("default dtype (REPRO_DTYPE): %s" % knob("REPRO_DTYPE"))
     print()
     codegen = CodegenConfig.resolve()
-    print("loop phases (REPRO_PASSES=%s, REPRO_OMP_STRATEGY=%s):" % (
-        knob("REPRO_PASSES") or "<unset>", codegen.omp_strategy))
+    print("loop phases (REPRO_PASSES=%s):" % (knob("REPRO_PASSES") or "<unset>"))
     for name, enabled, description in describe_passes(codegen):
         print("  %-11s %-4s %s" % (name, "on" if enabled else "off", description))
     print("active pass signature: %s" % codegen.passes.signature())
@@ -200,7 +199,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     for name, spec in sorted(KERNELS.items()):
         lowered = spec.compile(options=DEFAULT.but(backend="python")).lowered
         nests = [w.describe() for w in run_pipeline(lowered, codegen).work]
-        print("  %-12s %s" % (name, "; ".join(nests) or "serial (phase off)"))
+        print("  %-12s %s" % (name, "; ".join(nests) or "serial"))
     return 0
 
 

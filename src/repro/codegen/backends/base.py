@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.codegen.passes.base import PASS_ORDER, PassConfig, parse_passes
 from repro.codegen.lower import LoweredKernel
-from repro.core.config import OMP_STRATEGY_CHOICES, knob
+from repro.core.config import knob
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,6 @@ class CodegenConfig:
     enumerates them — a field added here retires old keys by itself).
     """
 
-    #: OpenMP emission mode (:data:`OMP_STRATEGY_CHOICES`).
-    omp_strategy: str = "auto"
     #: whether per-nest wall-time instrumentation is compiled in.
     profile: bool = False
     #: the loop passes the renderer runs, honored verbatim.
@@ -51,21 +49,18 @@ class CodegenConfig:
 
         The only place those two are combined: ``$REPRO_PASSES`` (or
         *passes*, the spec ``repro compile --passes`` puts in its place)
-        names the pass set, ``$REPRO_OMP_STRATEGY`` the strategy and
-        ``$REPRO_PROFILE`` the instrumentation; whatever is unset takes
-        its default.  Nothing here runs the toolchain.
+        names the pass set and ``$REPRO_PROFILE`` the instrumentation;
+        whatever is unset takes its default.  Nothing here runs the
+        toolchain.
         """
         if passes is None:
             passes = knob("REPRO_PASSES")
         enabled = PASS_ORDER if passes is None else parse_passes(passes)
-        return cls(
-            knob("REPRO_OMP_STRATEGY"), knob("REPRO_PROFILE"), PassConfig(enabled)
-        )
+        return cls(knob("REPRO_PROFILE"), PassConfig(enabled))
 
     def to_dict(self) -> dict:
         """The JSON form the wire spec and the store entry carry."""
         return {
-            "omp_strategy": self.omp_strategy,
             "profile": self.profile,
             "passes": list(self.passes.enabled),
             "tile_rows": self.passes.tile_rows,
@@ -75,15 +70,16 @@ class CodegenConfig:
     def from_dict(cls, doc) -> "CodegenConfig":
         """Rebuild :meth:`to_dict` output, validated as outside input (a
         wire peer or a store file wrote it): ``ValueError`` on anything
-        but a known strategy, a bool, passes in pipeline order and a
-        non-negative row count."""
+        but a bool, passes in pipeline order and a non-negative row count
+        — and on any other key, so a peer asking for a setting this
+        version does not know gets an error, not a build without it."""
         if not isinstance(doc, dict):
             raise ValueError("codegen must be an object")
-        strategy, profile = doc.get("omp_strategy"), doc.get("profile")
-        names, tile_rows = doc.get("passes"), doc.get("tile_rows")
-        if strategy not in OMP_STRATEGY_CHOICES:
-            raise ValueError("codegen.omp_strategy %r is not one of %s"
-                             % (strategy, ", ".join(OMP_STRATEGY_CHOICES)))
+        unknown = sorted(set(doc) - {"profile", "passes", "tile_rows"})
+        if unknown:
+            raise ValueError("codegen has unknown keys: %s" % ", ".join(unknown))
+        profile, names = doc.get("profile"), doc.get("passes")
+        tile_rows = doc.get("tile_rows")
         if not isinstance(profile, bool):
             raise ValueError("codegen.profile must be a bool")
         if not isinstance(names, list) or names != [
@@ -93,7 +89,7 @@ class CodegenConfig:
                              "pipeline order" % ", ".join(PASS_ORDER))
         if type(tile_rows) is not int or tile_rows < 0:
             raise ValueError("codegen.tile_rows must be an int >= 0")
-        return cls(strategy, profile, PassConfig(tuple(names), tile_rows))
+        return cls(profile, PassConfig(tuple(names), tile_rows))
 
 
 class BackendError(RuntimeError):

@@ -39,9 +39,10 @@ skeleton, with the strategy's text spliced in.
 The one rendered source is built into one of two objects
 (:mod:`~repro.codegen.backends.ctoolchain`): the **serial object**
 (``-fopenmp-simd``), in which the preprocessor has dropped every parallel
-body, the scatter-log pool and ``<omp.h>`` — less than half the ``cc``
-time — and the **OpenMP object** (``-fopenmp``), which holds both
-branches and exports the ``repro_openmp`` marker symbol.
+body and ``<omp.h>`` — less than half the ``cc`` time — and the
+**OpenMP object** (``-fopenmp``), which holds both branches and exports
+the ``repro_openmp`` marker symbol.  A kernel without a ``Parallel`` nest
+(every ``+`` scatter kernel) has only the serial object.
 :meth:`~repro.codegen.backends.cexec.CBackend.compile` builds the serial
 object unless the kernel's default thread setting can resolve above 1; a
 later run with ``threads > 1`` upgrades the loaded executable in place,
@@ -83,16 +84,13 @@ _C_KEYWORDS = frozenset(
     float for goto if inline int long register restrict return short signed
     sizeof static struct switch typedef union unsigned void volatile while
     _Bool _Complex _Imaginary out out_dims kernel INFINITY threads
-    repro_nthreads repro_log repro_log_slot
-    repro_log_acquire repro_log_release
-    rp_logs rp_my rp_lg rp_t rp_e rp_g rp_v rp_val rp_dst rp_w
-    rp_pool rp_pool_cap rp_pool_busy rp_pooled rp_i
+    repro_nthreads rp_i
     rp_p0 rp_p1 repro_nest_sec repro_nest_calls
     repro_profile_nests repro_profile_calls
     repro_profile_reset repro_profile_read repro_openmp
     rp_index RP_INDEX repro_index_bytes
     pv_all pv_out pv_total pv_team pv_k pv_s pv_b
-    rp_status rp_oom rp_tb rp_thi rp_tile rp_nb rp_cap rp_slot rp_vb""".split()
+    rp_status rp_oom rp_tb rp_thi rp_tile rp_nb rp_cap rp_vb""".split()
 )
 
 #: the one declaration of the index type of every ``pos``/``idx`` pointer,
@@ -123,9 +121,8 @@ class _Team:
     (:meth:`_Renderer._emit_parallel`).  Every line is relative to the
     skeleton position it is spliced at."""
 
-    #: ahead of the region, which sits ``shift`` deeper (in a block it opens)
+    #: ahead of the region
     before: Sequence[str] = ()
-    shift: int = 0
     #: per thread, ahead of the private declarations, which sit ``inner``
     #: deeper (as does the loop)
     enter: Sequence[str] = ()
@@ -167,7 +164,7 @@ class _Renderer:
         # pipeline products: the simd flag comes back on the LoopIR;
         # _parallel_ctx is the Parallel node whose OpenMP body is being
         # printed (None in serial emission: tiling applies there only, and
-        # shared updates are rerouted per strategy here only); _tile_ctx
+        # a privatized body writes its per-thread output here only); _tile_ctx
         # is the Tiled node whose guard is being injected into its fiber
         # loop; _blocked is set while a Blocked nest's vector block is
         # printed (serial emission only, like tiling).
@@ -242,7 +239,7 @@ class _Renderer:
         whether OpenMP support code is needed, *nests* how many profile
         slots were bracketed."""
         elem = self.elem
-        teams = [s for s in body if isinstance(s, ir.Parallel)]
+        teams = any(isinstance(s, ir.Parallel) for s in body)
         sig_parts = [
             "%s *restrict out" % elem,
             "const int64_t *restrict out_dims",
@@ -329,103 +326,11 @@ class _Renderer:
                 "/* marks the OpenMP object: absent from the serial build */",
                 "int64_t repro_openmp(void) { return 1; }",
             ]
-            if any(team.strategy == "replay" for team in teams):
-                # the ordered scatter log: one per thread, appended inside
-                # the parallel loop, replayed in thread order afterwards.
-                # The per-thread buffers live in a process-wide pool reused
-                # across calls (repro_log_acquire/release) so steady-state
-                # runs stop paying the calloc/realloc-growth tax; a busy
-                # flag hands concurrent callers of the same shared object a
-                # freshly allocated (and freed) local set instead.
-                header += [
-                    "#include <stdatomic.h>",
-                    "",
-                    "typedef struct {",
-                    "    int64_t *tgt;",
-                    "    %s *val;" % elem,
-                    "    int64_t len;",
-                    "    int64_t cap;   /* tgt capacity, entries */",
-                    "    int64_t vcap;  /* val capacity, elements */",
-                    "} repro_log;",
-                    "",
-                    "/* NULL on allocation failure: whichever realloc",
-                    "   succeeded is stored back (the old pointer is dead",
-                    "   after a successful realloc) but the capacities only",
-                    "   advance when both do, so release still frees",
-                    "   consistently and the caller reports the failure. */",
-                    "static %s *repro_log_slot(repro_log *lg, int64_t tgt, int64_t width) {"
-                    % elem,
-                    "    if (lg->len == lg->cap || (lg->len + 1) * width > lg->vcap) {",
-                    "        int64_t cap = lg->cap ? 2 * lg->cap : 1024;",
-                    "        int64_t vcap = cap * width;",
-                    "        if (vcap < lg->vcap) { vcap = lg->vcap; }",
-                    "        int64_t *t = (int64_t *) realloc(lg->tgt, (size_t) cap * sizeof(int64_t));",
-                    "        %s *v = (%s *) realloc(lg->val, (size_t) vcap * sizeof(%s));"
-                    % (elem, elem, elem),
-                    "        if (t) { lg->tgt = t; }",
-                    "        if (v) { lg->val = v; }",
-                    "        if (!t || !v) { return 0; }",
-                    "        lg->cap = cap;",
-                    "        lg->vcap = vcap;",
-                    "    }",
-                    "    lg->tgt[lg->len] = tgt;",
-                    "    return lg->val + lg->len++ * width;",
-                    "}",
-                    "",
-                    "static repro_log *rp_pool = 0;",
-                    "static int64_t rp_pool_cap = 0;",
-                    "static atomic_flag rp_pool_busy = ATOMIC_FLAG_INIT;",
-                    "",
-                    "static repro_log *repro_log_acquire(int64_t nthreads, int *rp_pooled) {",
-                    "    if (!atomic_flag_test_and_set(&rp_pool_busy)) {",
-                    "        if (rp_pool_cap < nthreads) {",
-                    "            repro_log *grown = (repro_log *) realloc(rp_pool, (size_t) nthreads * sizeof(repro_log));",
-                    "            if (grown) {",
-                    "                int64_t rp_i;",
-                    "                for (rp_i = rp_pool_cap; rp_i < nthreads; ++rp_i) {",
-                    "                    grown[rp_i].tgt = 0; grown[rp_i].val = 0;",
-                    "                    grown[rp_i].len = 0; grown[rp_i].cap = 0; grown[rp_i].vcap = 0;",
-                    "                }",
-                    "                rp_pool = grown;",
-                    "                rp_pool_cap = nthreads;",
-                    "            }",
-                    "        }",
-                    "        if (rp_pool_cap >= nthreads) {",
-                    "            int64_t rp_i;",
-                    "            for (rp_i = 0; rp_i < nthreads; ++rp_i) { rp_pool[rp_i].len = 0; }",
-                    "            *rp_pooled = 1;",
-                    "            return rp_pool;",
-                    "        }",
-                    "        atomic_flag_clear(&rp_pool_busy);",
-                    "    }",
-                    "    {",
-                    "        /* NULL on failure; the caller reports status 1 */",
-                    "        repro_log *rp_logs = (repro_log *) calloc((size_t) nthreads, sizeof(repro_log));",
-                    "        *rp_pooled = 0;",
-                    "        return rp_logs;",
-                    "    }",
-                    "}",
-                    "",
-                    "static void repro_log_release(repro_log *rp_logs, int64_t nthreads, int rp_pooled) {",
-                    "    if (rp_pooled) {",
-                    "        atomic_flag_clear(&rp_pool_busy);",
-                    "        return;",
-                    "    }",
-                    "    {",
-                    "        int64_t rp_i;",
-                    "        for (rp_i = 0; rp_i < nthreads; ++rp_i) {",
-                    "            free(rp_logs[rp_i].tgt);",
-                    "            free(rp_logs[rp_i].val);",
-                    "        }",
-                    "        free(rp_logs);",
-                    "    }",
-                    "}",
-                ]
             header.append("#endif")
         header += [
             "",
             "/* returns 0 on success, 1 when a runtime allocation failed",
-            "   (per-thread workspace or the ordered scatter log) */",
+            "   (a workspace or a per-thread buffer) */",
             "int64_t kernel(%s)" % (",\n               ".join(sig_parts)),
             "{",
         ]
@@ -452,29 +357,23 @@ class _Renderer:
         self._put(ind, "#if defined(_OPENMP)")
         self._put(ind, "if (repro_nthreads > 1) {")
         oom = bool(node.ws_names)
-        if node.strategy == "replay":
-            team = self._replay_team(node)
-        elif node.strategy == "privatized":
+        if node.strategy == "privatized":
             team = self._privatized_team(node)
-        else:  # disjoint writes, or the atomic fallback: a plain parallel for
+        else:  # disjoint writes: a plain parallel for
             team = _Team(after=["if (rp_oom) { rp_status = 1; }"] if oom else [])
         outer = ind + 1
         if team.after:  # ... which is where rp_oom is tested
             self._put(outer, "int64_t rp_oom = 0;")
         self._put(outer, *team.before)
-        region = outer + team.shift
-        self._put(region, "#pragma omp parallel num_threads((int) repro_nthreads)")
-        self._put(region, "{")
-        self._put(region + 1, *team.enter)
-        decls = loop = region + 1 + team.inner
+        self._put(outer, "#pragma omp parallel num_threads((int) repro_nthreads)")
+        self._put(outer, "{")
+        self._put(outer + 1, *team.enter)
+        decls = loop = outer + 1 + team.inner
         self._emit_private_decls(node, decls)
         if oom:
             # rp_oom is team-consistent after the barrier in
             # _emit_private_decls, so guarding the worksharing constructs
-            # with it is legal (every thread takes the same branch); a
-            # *log* overflow mid-loop only sets rp_oom (threads keep
-            # running to the region end), so they are never skipped
-            # inconsistently
+            # with it is legal (every thread takes the same branch)
             self._put(decls, "if (!rp_oom) {")
             loop = decls + 1
         self._put(loop, *team.pre_loop)
@@ -489,8 +388,8 @@ class _Renderer:
             self._put(decls, "}")
         # free(NULL) is a no-op, so this is safe on the rp_oom path too
         self._put(decls, *["free(%s);" % name for name in node.ws_names])
-        self._put(region + 1, *team.leave)
-        self._put(region, "}")
+        self._put(outer + 1, *team.leave)
+        self._put(outer, "}")
         self._put(outer, *team.after)
         self._put(ind, "} else")
         self._put(ind, "#endif")
@@ -537,60 +436,6 @@ class _Renderer:
             self._put(ind + 1, "rp_oom = 1;")
             self._put(ind, "}")
             self._put(ind, "#pragma omp barrier")
-
-    def _replay_team(self, plan: ir.Parallel) -> _Team:
-        """The ordered scatter log: parallel compute, serial-order apply.
-
-        ``schedule(static)`` assigns contiguous iteration chunks in
-        thread order, and each thread's log preserves its own program
-        order, so replaying log 0, log 1, ... reconstructs the exact
-        serial write sequence — bit-identical floating-point results at
-        any thread count.
-        """
-        # read one logged value back; ``add % lvalue`` applies it
-        if plan.row:
-            fetch = "const %s *rp_v = rp_lg->val + rp_e * (%s);" % (self.elem, self.vlen)
-            add = "for (rp_w = 0; rp_w < %s; ++rp_w) { %%s += rp_v[rp_w]; }" % self.vlen
-            out, into = "out[rp_g + rp_w]", "%s[rp_w]"
-        else:
-            fetch = "%s rp_val = rp_lg->val[rp_e];" % self.elem
-            add = "%s += rp_val;"
-            out, into = "out[rp_g]", "%s"
-        apply = [add % out]
-        if plan.carried:  # negative targets name the carried accumulators
-            apply = ["if (rp_g >= 0) { %s }" % apply[0]] + [
-                "else if (rp_g == %d) { %s }" % (plan.carried_slot(name), add % into % name)
-                for name in plan.carried
-            ]
-        after = [
-            "if (rp_oom) {",
-            "    rp_status = 1;",
-            "} else {",
-            "    int64_t rp_t = 0, rp_e = 0, rp_w = 0;",
-            "    (void) rp_w;",
-            "    for (rp_t = 0; rp_t < repro_nthreads; ++rp_t) {",
-            "        repro_log *rp_lg = &rp_logs[rp_t];",
-            "        for (rp_e = 0; rp_e < rp_lg->len; ++rp_e) {",
-            "            int64_t rp_g = rp_lg->tgt[rp_e];",
-            "            " + fetch,
-            *["            " + text for text in apply],
-            "        }",
-            "    }",
-            "}",
-            "repro_log_release(rp_logs, repro_nthreads, rp_pooled);",
-        ]
-        return _Team(
-            before=[
-                "int rp_pooled = 0;",
-                "repro_log *rp_logs = repro_log_acquire(repro_nthreads, &rp_pooled);",
-                "if (!rp_logs) {",
-                "    rp_status = 1;",
-                "} else {",
-            ],
-            shift=1,
-            enter=["repro_log *rp_my = &rp_logs[omp_get_thread_num()];"],
-            after=["    " + text for text in after] + ["}"],
-        )
 
     def _privatized_team(self, plan: ir.Parallel) -> _Team:
         """min/max scatter: per-thread output buffers + tree reduction.
@@ -645,47 +490,6 @@ class _Renderer:
             leave=["}"],
             after=["if (!pv_all || rp_oom) { rp_status = 1; }", "free(pv_all);"],
         )
-
-    def _emit_log_push(self, ind: int, base: str, value, plan: ir.Parallel) -> None:
-        # repro_log_slot returns NULL when the log cannot grow; flag the
-        # team (the run's results are discarded and the kernel returns
-        # nonzero) instead of aborting the process
-        if plan.row:
-            self.uses_vector = True
-            ptr, width = "rp_dst", self.vlen
-            store = "for (%s = 0; %s < %s; ++%s) { rp_dst[%s] = %s; }" % (
-                _V, _V, width, _V, _V, self._expr(value, velt=True)
-            )
-        else:
-            ptr, width = "rp_slot", "1"
-            store = "*rp_slot = %s;" % self._expr(value)
-        self._put(
-            ind,
-            "{ %s *%s = repro_log_slot(rp_my, %s, %s);" % (self.elem, ptr, base, width),
-        )
-        self._put(ind + 1, "if (!%s) {" % ptr)
-        self._put(ind + 2, "#pragma omp atomic write", "rp_oom = 1;")
-        self._put(ind + 1, "} else { %s } }" % store)
-
-    def _shared_reduce(self, s: ir.Reduce, ind: int) -> bool:
-        """Inside a replay or atomic OpenMP body, reroute a ``+=`` onto
-        shared storage: append to the scatter log, or prefix the atomic
-        pragma.  False if this is not such a write."""
-        team = self._parallel_ctx
-        if team is None or team.strategy not in ("replay", "atomic"):
-            return False
-        to_out = isinstance(s.target, ir.Out)
-        if not to_out and s.target.name not in team.carried:
-            return False
-        if team.strategy == "atomic":
-            elt = self._out_target(s.target) if to_out else s.target.name
-            self._put(ind, "#pragma omp atomic")
-            self._put(ind, "%s += %s;" % (elt, self._expr(s.value)))
-        else:
-            slot = team.carried_slot
-            base = self._out_base(s.target) if to_out else str(slot(s.target.name))
-            self._emit_log_push(ind, base, s.value, team)
-        return True
 
     # ------------------------------------------------------------------
     # emission: one template per node
@@ -914,12 +718,6 @@ class _Renderer:
 
     def _emit_fused(self, node: ir.Fused, ind: int) -> None:
         """One element loop for a run of fused row statements."""
-        team = self._parallel_ctx
-        if team is not None and team.strategy in ("replay", "atomic"):
-            # shared row writes reroute through the scatter log / atomic
-            # machinery statement by statement; don't fuse across that
-            self._block(node.stmts, ind)
-            return
         parts = [
             "%s += %s;" % (self._elt(s.target), self._expr(s.value, velt=True))
             for s in node.stmts
@@ -954,10 +752,6 @@ class _Renderer:
                     ind, "%s = %s(%s, %s);" % (elt, cfn, elt, self._expr(s.value))
                 )
             return
-        # inside a parallel body, shared += updates are rerouted: replay
-        # nests append to the scatter log, atomic nests prefix a pragma
-        if self._shared_reduce(s, ind):
-            return
         if s.row:
             self._vector_loop(ind, elt, "+=", s.value)
         else:
@@ -986,8 +780,7 @@ class _Renderer:
         return expr
 
     def _out_base(self, target: ir.Out) -> str:
-        """Flat index of an ``out[...]`` target's first element (the
-        replay log records exactly this base for a row)."""
+        """Flat index of an ``out[...]`` target's first element."""
         flat = self._flatten(target.coords, "out_dims")
         if target.row and target.coords:
             return "(%s) * out_dims[%d]" % (flat, self.out_ndim - 1)
@@ -1075,8 +868,7 @@ class CRender:
 
     source: str
     #: the OpenMP strategy of each *top-level* nest (``None`` = serial),
-    #: in ``repro_nest_sec`` slot order; empty under
-    #: ``omp_strategy="serial"``, which switches the phase off.
+    #: in ``repro_nest_sec`` slot order.
     strategies: Tuple[Optional[str], ...]
 
     @property
@@ -1102,20 +894,16 @@ def render_c_full(
 def render_c(
     lowered: LoweredKernel,
     label: Optional[str] = None,
-    parallel: Optional[str] = None,
     passes: Optional[PassConfig] = None,
 ) -> str:
     """The C translation unit of a lowered kernel — an inspection helper.
 
     Outside the compiler, so the one place "``None`` = ambient" survives:
     the configuration is resolved as an anonymous compile would
-    (:meth:`CodegenConfig.resolve`), then ``parallel`` overrides the
-    OpenMP emission mode (``"auto"`` / ``"serial"`` / ``"atomic"``) and
-    ``passes`` the optimization-pass set.
+    (:meth:`CodegenConfig.resolve`), then ``passes`` overrides the
+    optimization-pass set.
     """
     codegen = CodegenConfig.resolve()
-    if parallel is not None:
-        codegen = replace(codegen, omp_strategy=parallel)
     if passes is not None:
         codegen = replace(codegen, passes=passes)
     return render_c_full(lowered, label, codegen).source

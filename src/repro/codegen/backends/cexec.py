@@ -107,7 +107,7 @@ class CExecutable(Executable):
             fn = lib.kernel  # AttributeError if absent
             width = lib.repro_index_bytes  # likewise
         # the kernel returns 0 on success, nonzero when a runtime
-        # allocation (per-thread workspace, scatter log) failed
+        # allocation (a workspace or a per-thread buffer) failed
         fn.restype = ctypes.c_int64
         width.restype = ctypes.c_int64
         loaded = _INDEX_BY_BYTES[width()]

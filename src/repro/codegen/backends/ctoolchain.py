@@ -12,9 +12,8 @@ One rendered source builds into one of two objects
 (:meth:`Toolchain.object_flags`):
 
 * the **serial object** (``-fopenmp-simd``): ``_OPENMP`` is undefined, so
-  the preprocessor drops every ``omp parallel`` body, the scatter-log
-  pool and ``<omp.h>`` — roughly half the code ``cc -O3`` would
-  otherwise optimize — while the ``#pragma omp simd`` hints stay live.
+  the preprocessor drops every ``omp parallel`` body and ``<omp.h>`` —
+  roughly half the code ``cc -O3`` would otherwise optimize — while the ``#pragma omp simd`` hints stay live.
   It is what a request that can only ever run on one thread is served
   from, and it has no OpenMP runtime dependency;
 * the **OpenMP object** (``-fopenmp``): both the parallel bodies and the

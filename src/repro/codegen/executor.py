@@ -81,7 +81,7 @@ def _polling_faults(call):
             if fault is not None:
                 raise FaultError(fault)
         # exec.alloc forges the kernel's nonzero OOM status (a failed
-        # per-thread workspace or scatter-log allocation), which surfaces
+        # workspace or per-thread buffer allocation), which surfaces
         # as the same BackendError the real path raises — proving the
         # health ladder re-serves such calls serially
         fault = faults.poll("exec.alloc")

@@ -389,15 +389,9 @@ class Parallel:
     #: wrapper when it has one (the serial fallback prints the blocks, the
     #: team body the nest).
     nest: Union[DenseLoop, FiberLoop, Tiled, Blocked]
-    strategy: Literal["for", "privatized", "replay", "atomic"]
-    row: bool  # writes are vector rows (log width = vector extent)
-    carried: Tuple[str, ...]  # accumulators shared across iterations
+    strategy: Literal["for", "privatized"]
     assigned: Tuple[str, ...]  # names assigned inside (thread-private)
     ws_names: Tuple[str, ...]  # workspace arrays used inside (per-thread)
-
-    def carried_slot(self, name: str) -> int:
-        """Negative log target encoding a carried accumulator."""
-        return -(self.carried.index(name) + 1)
 
 
 @dataclass(frozen=True)

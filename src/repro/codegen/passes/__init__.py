@@ -39,9 +39,9 @@ _simdize -> _ompize``, with ``regblock`` its register-level blocking):
     ``#pragma omp simd`` on the provably element-disjoint vector loops.
 ``parallelize``
     tags each top-level nest a thread team can share with its OpenMP
-    strategy (``for | privatized | replay | atomic``; untagged = serial)
-    and records the strategy per nest.  Not a ``$REPRO_PASSES``
-    token: ``CodegenConfig.omp_strategy`` switches it (``serial`` = off).
+    strategy (``for`` for disjoint writes, ``privatized`` for a min/max
+    scatter; a ``+`` scatter stays untagged, i.e. serial) and records the
+    strategy per nest.  Always on, not a ``$REPRO_PASSES`` token.
 
 Every ``$REPRO_PASSES`` token is on by default, and every pass preserves
 bit-identity with the Python backend; the cross-backend differential

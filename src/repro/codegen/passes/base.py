@@ -2,8 +2,8 @@
 
 :data:`PIPELINE` (bottom of this file) is the one ordered declaration of
 the loop phases, each entry saying what switches it on — a
-``$REPRO_PASSES`` token for three rewrites, the ``omp_strategy``
-field for parallelisation; register blocking is always on.  :func:`run_pipeline` checks
+``$REPRO_PASSES`` token for three rewrites; register blocking and
+parallelisation are always on.  :func:`run_pipeline` checks
 :func:`~repro.codegen.loopir.verify` after every phase that changed a
 statement, so one that breaks the naming rules fails here, by name, not
 in ``cc``.
@@ -80,9 +80,8 @@ class Pass:
     Subclasses set ``name`` and implement :meth:`run`, which must leave
     the kernel bit-identical to the Python backend (the differential
     fuzzer sweeps pass subsets to enforce it).  ``name`` is the
-    ``$REPRO_PASSES`` token that switches the phase on; a phase switched
-    by another ``CodegenConfig`` field, or always on, clears ``token``
-    and overrides :meth:`enabled`.
+    ``$REPRO_PASSES`` token that switches the phase on; a phase that is
+    always on clears ``token`` and overrides :meth:`enabled`.
     """
 
     name = "?"
@@ -180,7 +179,7 @@ PIPELINE: Tuple[Pass, ...] = (
     RegblockPass(),  # always on; leaves the Tiled nests alone
     SimdPass(),  # token "simd"
     # last, so it sees the nests the rewrites above left behind
-    ParallelizePass(),  # codegen.omp_strategy != "serial"
+    ParallelizePass(),  # always on
 )
 
 assert tuple(p.name for p in PIPELINE if p.token) == PASS_ORDER

@@ -16,10 +16,6 @@ wrote sees precisely the value the unfused schedule would have published
 at index ``v``; elements never interact.  So the fused loop performs the
 identical arithmetic per element in the identical order — bit-equal
 results.
-
-The renderer falls back to per-statement emission inside ordered-replay
-and atomic parallel bodies, where shared row writes are rerouted through
-the scatter log / pragma machinery statement by statement.
 """
 
 from __future__ import annotations

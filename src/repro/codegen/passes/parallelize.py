@@ -16,50 +16,32 @@ strategies.  The strategy depends on the nest's output-write pattern:
   thread updates a private output buffer initialized to the reduction
   identity; the buffers are combined pairwise in a tree and folded into
   the output.  min/max is associative and commutative over IEEE doubles,
-  so any combination order is bit-identical to the serial run.
-* ``replay`` — ``+`` scatter (the symmetric-kernel case: SSYMV / SSYRK /
-  SYPRD / MTTKRP / TTM mirror canonical entries to both triangles):
-  floating-point addition is *not* associative, so per-thread partial
-  sums would drift from the serial bit pattern.  Instead each thread
-  appends its (target, value) scatter updates to a private log;
-  ``schedule(static)`` hands threads contiguous iteration chunks in
-  thread order, so replaying the logs thread-by-thread after the join
-  reconstructs the exact serial write sequence — the multiply/traversal
-  work parallelizes, and results are bit-identical to ``threads=1`` and
-  to the Python backend at any thread count.  The per-thread log buffers
-  live in a pool inside the shared object that is *reused across calls*
-  (grown once, reset to empty per run), so steady-state repeat execution
-  pays no per-call allocation; when two host threads run the same kernel
-  concurrently, the second takes a freshly allocated local set instead
-  of the pool.  The logs cost memory proportional to the largest run's
-  scatter-write count (16 bytes per scalar update, ``8 + 8*vlen`` per
-  row update, split across threads), retained for the life of the loaded
-  object; a failed log (or per-thread workspace) allocation makes the
-  kernel return a nonzero status, which surfaces as a
+  so any combination order is bit-identical to the serial run.  A failed
+  buffer (or per-thread workspace) allocation makes the kernel return a
+  nonzero status, which surfaces as a
   :class:`~repro.codegen.backends.base.BackendError` and lets the
   execution ladder re-serve the call serially.
-* ``atomic`` — ``#pragma omp atomic`` on each scalar ``+=``; the fallback
-  when the ordered log is explicitly disabled
-  (``REPRO_OMP_STRATEGY=atomic``).  Atomic updates commute in arrival
-  order, so this mode trades bit-reproducibility for zero log memory.
 
-Nests the analysis cannot prove safe (top-level intersection merges, a
-guarded outer fiber loop, mixed reduction operators, reads of a carried
-accumulator) stay bare, i.e. serial.  The phase is switched by
-``CodegenConfig.omp_strategy`` — already cache-key material — not by a
-``$REPRO_PASSES`` token: ``serial`` skips it, so no nest is annotated,
-no strategy is recorded and the kernel is never upgraded to an OpenMP
-object.
+A ``+`` scatter (the symmetric-kernel case: SSYMV / SSYRK / SYPRD /
+MTTKRP / TTM mirror canonical entries to both triangles) gets no OpenMP
+body.  Floating-point addition is not associative, so per-thread partial
+sums would drift from the serial bit pattern, and both bit-exact ways
+around that — an ordered per-thread scatter log replayed after the join,
+``#pragma omp atomic`` on each update — ran every paper kernel slower at
+two threads than at one, so neither is printed.  Nests the analysis
+cannot prove safe (top-level intersection merges, a guarded outer fiber
+loop, mixed reduction operators, an accumulator carried across
+iterations) stay bare too, i.e. serial: such a kernel runs its serial
+object at every thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Set
+from typing import Mapping, Optional
 
 from repro.codegen import loopir as ir
 from repro.codegen.passes.base import Pass
-from repro.core.config import OMP_STRATEGY_CHOICES
 
 
 @dataclass(frozen=True)
@@ -83,38 +65,28 @@ def for_nest(stmt):
 
 class ParallelizePass(Pass):
     name = "parallelize"
+    # always on: a kernel without an annotated nest is built into one
+    # object only, so there is nothing a switch would add
     token = False
 
     def describe(self) -> str:
         return (
             "tag each top-level nest with its OpenMP strategy (for | "
-            "privatized | replay | atomic); bit-exact "
-            "but for atomic; switched by REPRO_OMP_STRATEGY, not a token"
+            "privatized; a + scatter stays serial); bit-exact; always on"
         )
 
     def enabled(self, codegen) -> bool:
-        return codegen.omp_strategy != "serial"
+        return True
 
     def run(self, state: ir.LoopIR, codegen) -> ir.LoopIR:
-        if codegen.omp_strategy not in OMP_STRATEGY_CHOICES:
-            raise ValueError(
-                "unknown parallel mode %r (choices: %s)"
-                % (codegen.omp_strategy, ", ".join(OMP_STRATEGY_CHOICES))
-            )
-        kernel = state.lowered.program
-        types = ir.local_types(kernel)
-        atomic = codegen.omp_strategy == "atomic"
-        # names bound before the nest at hand: a carried accumulator must
-        # have been initialized by the preamble or an earlier nest
-        assigned_top = ir.assigned(kernel.preamble)
+        types = ir.local_types(state.lowered.program)
         for pos, stmt in enumerate(state.body):
             nest = for_nest(stmt)
             if nest is not None:
-                plan = _plan_nest(nest, stmt, state, types, assigned_top, atomic)
+                plan = _plan_nest(nest, stmt, state, types)
                 state.work.append(NestWork(plan.strategy if plan is not None else None))
                 if plan is not None:
                     state.body[pos] = plan
-            assigned_top |= ir.assigned([stmt])
         state.notes.append(
             "nests: %s" % ", ".join(w.strategy or "serial" for w in state.work)
         )
@@ -127,58 +99,35 @@ class ParallelizePass(Pass):
 # strategy choice agree on what a nest contains)
 # ----------------------------------------------------------------------
 def _plan_nest(
-    node, stmt, state: ir.LoopIR, types: Mapping[str, str], assigned_top: Set[str], atomic: bool
+    node, stmt, state: ir.LoopIR, types: Mapping[str, str]
 ) -> Optional[ir.Parallel]:
     """Choose a parallel strategy for the top-level nest *node* (None =
     serial); *stmt* is what the annotation wraps, *node* or its ``Tiled``
     or ``Blocked`` wrapper."""
     scan = ir.scan_nest(node)
-    if not scan.ok:
-        return None
-
-    # accumulators carried across iterations: updated inside the
-    # nest, initialized before it
-    carried = sorted(name for name in scan.updates if name not in scan.inits)
-    if any(name not in assigned_top for name in carried):
-        return None
-    # a *read* of a carried accumulator inside the nest would observe
-    # a partially-replayed value — only pure updates are safe
-    if ir.reads([node]) & set(carried):
+    # an accumulator updated inside the nest but initialised before it is
+    # carried across iterations: one value every thread would update
+    if not scan.ok or any(name not in scan.inits for name in scan.updates):
         return None
     kinds = {k for k, _, _ in scan.out_writes}
-    kinds |= {scan.updates[n] for n in carried}
     if len(kinds) > 1:
         return None
-    kind = kinds.pop() if kinds else None
-
     rows = {row for _, row, _ in scan.out_writes}
-    rows |= {types.get(n) == ir.WS for n in carried}
     if len(rows) > 1:
         return None  # mixed scalar and row writes in one nest
-    row = rows.pop() if rows else False
-    if row and state.lowered.vector_index is None:
+    if rows == {True} and state.lowered.vector_index is None:
         return None
 
-    assigned = tuple(
-        sorted(
-            n
-            for n in scan.assigned
-            if n not in carried and types.get(n) not in (ir.WS, ir.LUT)
-        )
-    )
-    ws_names = tuple(
-        sorted(n for n in scan.assigned if types.get(n) == ir.WS and n not in carried)
-    )
     plan = lambda strategy: ir.Parallel(  # noqa: E731 - local shorthand
         nest=stmt,
         strategy=strategy,
-        row=row,
-        carried=tuple(carried),
-        assigned=assigned,
-        ws_names=ws_names,
+        assigned=tuple(
+            sorted(n for n in scan.assigned if types.get(n) not in (ir.WS, ir.LUT))
+        ),
+        ws_names=tuple(sorted(n for n in scan.assigned if types.get(n) == ir.WS)),
     )
 
-    if kind is None:
+    if not kinds:
         return plan("for")  # nothing shared is written
     # names taking a distinct value on every iteration: the loop
     # variable, and the coordinate a top-level position loop reads —
@@ -191,18 +140,9 @@ def _plan_nest(
     # coordinate read off it) are each injective yet can collide with
     # one another across iterations
     leads = {lead for _, _, lead in scan.out_writes}
-    disjoint = (
-        not carried
-        and len(leads) == 1
-        and next(iter(leads)) is not None
-        and next(iter(leads)) in injective
-    )
-    if disjoint:
+    lead = leads.pop() if len(leads) == 1 else None
+    if lead is not None and lead in injective:
         return plan("for")
-    if kind == "minmax":
-        if carried or state.lowered.output.reduce_op not in ("min", "max"):
-            return None
+    if kinds == {"minmax"} and state.lowered.output.reduce_op in ("min", "max"):
         return plan("privatized")
-    if atomic and not row:
-        return plan("atomic")
-    return plan("replay")
+    return None

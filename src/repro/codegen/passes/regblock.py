@@ -61,7 +61,8 @@ entries on average); one masked copy for any extent (0.30-0.43x); a
 remainder walk instead of the guard (MTTKRP-4D 0.80x at rank 24).
 
 The OpenMP team body prints the nest unblocked (as it does a ``Tiled``
-one), so the scatter-log replay and its bit-identity are untouched.
+one); the MTTKRP/TTM nests it matches are ``+`` scatters, which get no
+team body at all.
 """
 
 from __future__ import annotations

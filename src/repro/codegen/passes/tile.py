@@ -61,9 +61,9 @@ does not model is the fixed cost of visiting a fiber once more per block
 — two unpredictable branches — which is what the two sub-millisecond
 shapes lose.
 
-The annotation applies to serial emission only; OpenMP bodies replay in
-untiled serial order and stay bit-identical by the existing replay
-argument.
+The annotation applies to serial emission only: an OpenMP team body
+prints the nest untiled.  The ssyrk-shaped nests it matches are ``+``
+scatters, which get no team body at all.
 """
 
 from __future__ import annotations

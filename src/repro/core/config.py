@@ -17,10 +17,10 @@ are read live on every call — tests monkeypatch the environment — and
 the *environment is outside the program*: a bad value gets a
 once-per-``(name, value)`` diagnostic and the default, never a traceback.
 ``repro --help``, ``repro doctor`` and the README's knob table print the
-same rows.  What gets *compiled* under those knobs (OpenMP strategy,
-per-nest profiling, C pass set) is resolved from them exactly once per
-request, by :meth:`repro.codegen.backends.base.CodegenConfig.resolve`;
-everything downstream is handed that value.
+same rows.  What gets *compiled* under those knobs (per-nest profiling,
+C pass set) is resolved from them exactly once per request, by
+:meth:`repro.codegen.backends.base.CodegenConfig.resolve`; everything
+downstream is handed that value.
 """
 
 from __future__ import annotations
@@ -44,13 +44,6 @@ BACKEND_CHOICES = ("python", "c", "auto")
 #: default; float32 halves the memory traffic of the bandwidth-bound
 #: symmetric kernels.
 DTYPE_CHOICES = ("float64", "float32")
-
-#: OpenMP emission modes of the C renderer: ``auto`` picks a
-#: bit-reproducible strategy per nest, ``serial`` suppresses parallel
-#: bodies, ``atomic`` prefers ``#pragma omp atomic`` over the ordered
-#: scatter log for ``+``-reduction nests (faster to a point, not
-#: bit-reproducible).
-OMP_STRATEGY_CHOICES = ("auto", "serial", "atomic")
 
 
 @dataclass(frozen=True)
@@ -95,9 +88,6 @@ KNOBS: Dict[str, Knob] = {row.name: row for row in (
     # single-threaded timings — the paper's methodology — stay the baseline
     Knob("REPRO_THREADS", "int", 1, minimum=1,
          doc="default C-backend thread count"),
-    Knob("REPRO_OMP_STRATEGY", "choice", "auto", choices=OMP_STRATEGY_CHOICES,
-         doc="OpenMP emission mode (keyed); atomic is faster but not "
-         "bit-reproducible"),
     Knob("REPRO_PASSES", "text",
          doc="C loop passes (keyed): comma list over fuse, tile, simd "
          "(+/-/! prefixed) or none/all/default; unset = all of them"),

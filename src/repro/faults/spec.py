@@ -63,7 +63,7 @@ POINT_ACTIONS: Dict[str, tuple] = {
     # a C kernel execution with threads > 1 only (the OpenMP tier)
     "exec.omp": ("fail",),
     # a C kernel runtime allocation failure (forges the nonzero status
-    # the kernel returns when a per-thread workspace or scatter-log
+    # the kernel returns when a workspace or per-thread buffer
     # allocation fails; surfaces as BackendError)
     "exec.alloc": ("fail",),
     # disk-store entry reads

@@ -11,8 +11,8 @@ default.  :func:`canonicalize` resolves every default the same way
 The configuration half of the key is *derived, not listed*: the material
 enumerates the dataclass fields of :class:`CompilerOptions` and — for
 C-backend requests — of the request's resolved
-:class:`~repro.codegen.backends.base.CodegenConfig` (OpenMP strategy,
-profiling, pass set), so a field is keyed unless it is tagged
+:class:`~repro.codegen.backends.base.CodegenConfig` (profiling, pass
+set), so a field is keyed unless it is tagged
 runtime-only (:data:`repro.core.config.RUNTIME_FIELDS`: two requests
 differing only in thread count share one compiled kernel) and adding a
 field retires old keys by itself.  That configuration is resolved once,

@@ -64,7 +64,7 @@ store, run_threads = sys.argv[1] or None, int(sys.argv[2])
 with trace.tracing() as rec:
     service = KernelService(store=store)
     kernel = service.get_or_compile(
-        "y[i] += A[i, j] * x[j]", symmetric={"A": True}, loop_order=("j", "i"),
+        "y[i] min= A[i, j] + x[j]", symmetric={"A": True}, loop_order=("j", "i"),
         options=DEFAULT.but(backend="c"),
     )
     exe = kernel.bound.executable
@@ -82,12 +82,14 @@ print(json.dumps({
 }))
 """
 
-#: what the child's ssymv answers
-KERNEL_CHILD_RESULT = [4.0, 8.5, 13.0]
+#: what the child's relaxation answers
+KERNEL_CHILD_RESULT = [3.0, 2.0, 2.5]
 
 
 def kernel_child(store=None, run_threads=0, **env):
-    """One fresh process serving the symmetric SSYMV through the C backend
+    """One fresh process serving a min-plus relaxation over a symmetric
+    matrix (Bellman-Ford's shape: its nests are privatized, so the kernel
+    has an OpenMP object to upgrade to) through the C backend
     (``KernelService(store=store)``, then one run, at ``run_threads`` when
     given), under exactly the ``REPRO_*`` variables in *env* — the ambient
     ones (a CI leg's backend, passes, fault storm) are scrubbed, the

@@ -9,94 +9,8 @@
 typedef RP_INDEX rp_index;
 int64_t repro_index_bytes(void) { return (int64_t) sizeof(rp_index); }
 
-#if defined(_OPENMP)
-#include <omp.h>
-/* marks the OpenMP object: absent from the serial build */
-int64_t repro_openmp(void) { return 1; }
-#include <stdatomic.h>
-
-typedef struct {
-    int64_t *tgt;
-    double *val;
-    int64_t len;
-    int64_t cap;   /* tgt capacity, entries */
-    int64_t vcap;  /* val capacity, elements */
-} repro_log;
-
-/* NULL on allocation failure: whichever realloc
-   succeeded is stored back (the old pointer is dead
-   after a successful realloc) but the capacities only
-   advance when both do, so release still frees
-   consistently and the caller reports the failure. */
-static double *repro_log_slot(repro_log *lg, int64_t tgt, int64_t width) {
-    if (lg->len == lg->cap || (lg->len + 1) * width > lg->vcap) {
-        int64_t cap = lg->cap ? 2 * lg->cap : 1024;
-        int64_t vcap = cap * width;
-        if (vcap < lg->vcap) { vcap = lg->vcap; }
-        int64_t *t = (int64_t *) realloc(lg->tgt, (size_t) cap * sizeof(int64_t));
-        double *v = (double *) realloc(lg->val, (size_t) vcap * sizeof(double));
-        if (t) { lg->tgt = t; }
-        if (v) { lg->val = v; }
-        if (!t || !v) { return 0; }
-        lg->cap = cap;
-        lg->vcap = vcap;
-    }
-    lg->tgt[lg->len] = tgt;
-    return lg->val + lg->len++ * width;
-}
-
-static repro_log *rp_pool = 0;
-static int64_t rp_pool_cap = 0;
-static atomic_flag rp_pool_busy = ATOMIC_FLAG_INIT;
-
-static repro_log *repro_log_acquire(int64_t nthreads, int *rp_pooled) {
-    if (!atomic_flag_test_and_set(&rp_pool_busy)) {
-        if (rp_pool_cap < nthreads) {
-            repro_log *grown = (repro_log *) realloc(rp_pool, (size_t) nthreads * sizeof(repro_log));
-            if (grown) {
-                int64_t rp_i;
-                for (rp_i = rp_pool_cap; rp_i < nthreads; ++rp_i) {
-                    grown[rp_i].tgt = 0; grown[rp_i].val = 0;
-                    grown[rp_i].len = 0; grown[rp_i].cap = 0; grown[rp_i].vcap = 0;
-                }
-                rp_pool = grown;
-                rp_pool_cap = nthreads;
-            }
-        }
-        if (rp_pool_cap >= nthreads) {
-            int64_t rp_i;
-            for (rp_i = 0; rp_i < nthreads; ++rp_i) { rp_pool[rp_i].len = 0; }
-            *rp_pooled = 1;
-            return rp_pool;
-        }
-        atomic_flag_clear(&rp_pool_busy);
-    }
-    {
-        /* NULL on failure; the caller reports status 1 */
-        repro_log *rp_logs = (repro_log *) calloc((size_t) nthreads, sizeof(repro_log));
-        *rp_pooled = 0;
-        return rp_logs;
-    }
-}
-
-static void repro_log_release(repro_log *rp_logs, int64_t nthreads, int rp_pooled) {
-    if (rp_pooled) {
-        atomic_flag_clear(&rp_pool_busy);
-        return;
-    }
-    {
-        int64_t rp_i;
-        for (rp_i = 0; rp_i < nthreads; ++rp_i) {
-            free(rp_logs[rp_i].tgt);
-            free(rp_logs[rp_i].val);
-        }
-        free(rp_logs);
-    }
-}
-#endif
-
 /* returns 0 on success, 1 when a runtime allocation failed
-   (per-thread workspace or the ordered scatter log) */
+   (a workspace or a per-thread buffer) */
 int64_t kernel(double *restrict out,
                const int64_t *restrict out_dims,
                const rp_index *restrict A__diagonal_idx1,
@@ -138,256 +52,83 @@ int64_t kernel(double *restrict out,
         free(ws3);
         return 1;
     }
-    #if defined(_OPENMP)
-    if (repro_nthreads > 1) {
-        int64_t rp_oom = 0;
-        int rp_pooled = 0;
-        repro_log *rp_logs = repro_log_acquire(repro_nthreads, &rp_pooled);
-        if (!rp_logs) {
-            rp_status = 1;
-        } else {
-            #pragma omp parallel num_threads((int) repro_nthreads)
-            {
-                repro_log *rp_my = &rp_logs[omp_get_thread_num()];
-                int64_t _v = 0, i = 0, k = 0, q0_1 = 0, q0_2 = 0;
-                double t0 = 0.0;
-                const double *t1 = 0, *t2 = 0, *t3 = 0;
-                double *w0 = (double *) malloc((size_t) (n_j) * sizeof(double));
-                double *w1 = (double *) malloc((size_t) (n_j) * sizeof(double));
-                double *ws0 = (double *) malloc((size_t) (n_j) * sizeof(double));
-                double *ws1 = (double *) malloc((size_t) (n_j) * sizeof(double));
-                if (!w0 || !w1 || !ws0 || !ws1) {
-                    #pragma omp atomic write
-                    rp_oom = 1;
-                }
-                #pragma omp barrier
-                if (!rp_oom) {
-                    #pragma omp for schedule(static)
-                    for (l = 0; l < n_l; ++l) {
-                        t1 = B + (l) * B_dims[1];
-                        for (_v = 0; _v < n_j; ++_v) { w0[_v] = (2.0 * t1[_v]); }
-                        for (_v = 0; _v < n_j; ++_v) { ws1[_v] = 0.0; }
-                        for (q0_1 = A__strict_pos1[l]; q0_1 < A__strict_pos1[(l + 1)]; ++q0_1) {
-                            k = A__strict_idx1[q0_1];
-                            t2 = B + (k) * B_dims[1];
-                            for (_v = 0; _v < n_j; ++_v) { w1[_v] = (w0[_v] * t2[_v]); }
-                            for (_v = 0; _v < n_j; ++_v) { ws0[_v] = 0.0; }
-                            for (q0_2 = A__strict_pos2[q0_1]; q0_2 < A__strict_pos2[(q0_1 + 1)]; ++q0_2) {
-                                i = A__strict_idx2[q0_2];
-                                t0 = A__strict_vals[q0_2];
-                                t3 = B + (i) * B_dims[1];
-                                { double *rp_dst = repro_log_slot(rp_my, (i) * out_dims[1], n_j);
-                                    if (!rp_dst) {
-                                        #pragma omp atomic write
-                                        rp_oom = 1;
-                                    } else { for (_v = 0; _v < n_j; ++_v) { rp_dst[_v] = (w1[_v] * t0); } } }
-                                for (_v = 0; _v < n_j; ++_v) { ws0[_v] += (t0 * t3[_v]); }
-                            }
-                            { double *rp_dst = repro_log_slot(rp_my, (k) * out_dims[1], n_j);
-                                if (!rp_dst) {
-                                    #pragma omp atomic write
-                                    rp_oom = 1;
-                                } else { for (_v = 0; _v < n_j; ++_v) { rp_dst[_v] = (w0[_v] * ws0[_v]); } } }
-                            for (_v = 0; _v < n_j; ++_v) { ws1[_v] += (t2[_v] * ws0[_v]); }
-                        }
-                        { double *rp_dst = repro_log_slot(rp_my, (l) * out_dims[1], n_j);
-                            if (!rp_dst) {
-                                #pragma omp atomic write
-                                rp_oom = 1;
-                            } else { for (_v = 0; _v < n_j; ++_v) { rp_dst[_v] = (2.0 * ws1[_v]); } } }
-                    }
-                }
-                free(w0);
-                free(w1);
-                free(ws0);
-                free(ws1);
-            }
-            if (rp_oom) {
-                rp_status = 1;
-            } else {
-                int64_t rp_t = 0, rp_e = 0, rp_w = 0;
-                (void) rp_w;
-                for (rp_t = 0; rp_t < repro_nthreads; ++rp_t) {
-                    repro_log *rp_lg = &rp_logs[rp_t];
-                    for (rp_e = 0; rp_e < rp_lg->len; ++rp_e) {
-                        int64_t rp_g = rp_lg->tgt[rp_e];
-                        const double *rp_v = rp_lg->val + rp_e * (n_j);
-                        for (rp_w = 0; rp_w < n_j; ++rp_w) { out[rp_g + rp_w] += rp_v[rp_w]; }
-                    }
-                }
-            }
-            repro_log_release(rp_logs, repro_nthreads, rp_pooled);
-        }
-    } else
-    #endif
-    {
-        if (n_j % 16 == 0) {
-            int64_t rp_vb;
-            for (rp_vb = 0; rp_vb < n_j; rp_vb += 16) {
-                for (l = 0; l < n_l; ++l) {
-                    t1 = B + (l) * B_dims[1];
-                    double w0[16];
-                    for (_v = 0; _v < 16; ++_v) { w0[_v] = (2.0 * t1[rp_vb + _v]); }
-                    double ws1[16];
-                    for (_v = 0; _v < 16; ++_v) { ws1[_v] = 0.0; }
-                    for (q0_1 = A__strict_pos1[l]; q0_1 < A__strict_pos1[(l + 1)]; ++q0_1) {
-                        k = A__strict_idx1[q0_1];
-                        t2 = B + (k) * B_dims[1];
-                        double w1[16];
-                        for (_v = 0; _v < 16; ++_v) { w1[_v] = (w0[_v] * t2[rp_vb + _v]); }
-                        double ws0[16];
-                        for (_v = 0; _v < 16; ++_v) { ws0[_v] = 0.0; }
-                        for (q0_2 = A__strict_pos2[q0_1]; q0_2 < A__strict_pos2[(q0_1 + 1)]; ++q0_2) {
-                            i = A__strict_idx2[q0_2];
-                            t0 = A__strict_vals[q0_2];
-                            t3 = B + (i) * B_dims[1];
-                            for (_v = 0; _v < 16; ++_v) { out[(i) * out_dims[1] + rp_vb + _v] += (w1[_v] * t0); }
-                            for (_v = 0; _v < 16; ++_v) { ws0[_v] += (t0 * t3[rp_vb + _v]); }
-                        }
-                        for (_v = 0; _v < 16; ++_v) { out[(k) * out_dims[1] + rp_vb + _v] += (w0[_v] * ws0[_v]); }
-                        for (_v = 0; _v < 16; ++_v) { ws1[_v] += (t2[rp_vb + _v] * ws0[_v]); }
-                    }
-                    for (_v = 0; _v < 16; ++_v) { out[(l) * out_dims[1] + rp_vb + _v] += (2.0 * ws1[_v]); }
-                }
-            }
-        } else {
+    if (n_j % 16 == 0) {
+        int64_t rp_vb;
+        for (rp_vb = 0; rp_vb < n_j; rp_vb += 16) {
             for (l = 0; l < n_l; ++l) {
                 t1 = B + (l) * B_dims[1];
-                for (_v = 0; _v < n_j; ++_v) { w0[_v] = (2.0 * t1[_v]); }
-                for (_v = 0; _v < n_j; ++_v) { ws1[_v] = 0.0; }
+                double w0[16];
+                for (_v = 0; _v < 16; ++_v) { w0[_v] = (2.0 * t1[rp_vb + _v]); }
+                double ws1[16];
+                for (_v = 0; _v < 16; ++_v) { ws1[_v] = 0.0; }
                 for (q0_1 = A__strict_pos1[l]; q0_1 < A__strict_pos1[(l + 1)]; ++q0_1) {
                     k = A__strict_idx1[q0_1];
                     t2 = B + (k) * B_dims[1];
-                    for (_v = 0; _v < n_j; ++_v) { w1[_v] = (w0[_v] * t2[_v]); }
-                    for (_v = 0; _v < n_j; ++_v) { ws0[_v] = 0.0; }
+                    double w1[16];
+                    for (_v = 0; _v < 16; ++_v) { w1[_v] = (w0[_v] * t2[rp_vb + _v]); }
+                    double ws0[16];
+                    for (_v = 0; _v < 16; ++_v) { ws0[_v] = 0.0; }
                     for (q0_2 = A__strict_pos2[q0_1]; q0_2 < A__strict_pos2[(q0_1 + 1)]; ++q0_2) {
                         i = A__strict_idx2[q0_2];
                         t0 = A__strict_vals[q0_2];
                         t3 = B + (i) * B_dims[1];
-                        for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += (w1[_v] * t0); }
-                        for (_v = 0; _v < n_j; ++_v) { ws0[_v] += (t0 * t3[_v]); }
+                        for (_v = 0; _v < 16; ++_v) { out[(i) * out_dims[1] + rp_vb + _v] += (w1[_v] * t0); }
+                        for (_v = 0; _v < 16; ++_v) { ws0[_v] += (t0 * t3[rp_vb + _v]); }
                     }
-                    for (_v = 0; _v < n_j; ++_v) { out[(k) * out_dims[1] + _v] += (w0[_v] * ws0[_v]); }
-                    for (_v = 0; _v < n_j; ++_v) { ws1[_v] += (t2[_v] * ws0[_v]); }
+                    for (_v = 0; _v < 16; ++_v) { out[(k) * out_dims[1] + rp_vb + _v] += (w0[_v] * ws0[_v]); }
+                    for (_v = 0; _v < 16; ++_v) { ws1[_v] += (t2[rp_vb + _v] * ws0[_v]); }
                 }
-                for (_v = 0; _v < n_j; ++_v) { out[(l) * out_dims[1] + _v] += (2.0 * ws1[_v]); }
+                for (_v = 0; _v < 16; ++_v) { out[(l) * out_dims[1] + rp_vb + _v] += (2.0 * ws1[_v]); }
             }
+        }
+    } else {
+        for (l = 0; l < n_l; ++l) {
+            t1 = B + (l) * B_dims[1];
+            for (_v = 0; _v < n_j; ++_v) { w0[_v] = (2.0 * t1[_v]); }
+            for (_v = 0; _v < n_j; ++_v) { ws1[_v] = 0.0; }
+            for (q0_1 = A__strict_pos1[l]; q0_1 < A__strict_pos1[(l + 1)]; ++q0_1) {
+                k = A__strict_idx1[q0_1];
+                t2 = B + (k) * B_dims[1];
+                for (_v = 0; _v < n_j; ++_v) { w1[_v] = (w0[_v] * t2[_v]); }
+                for (_v = 0; _v < n_j; ++_v) { ws0[_v] = 0.0; }
+                for (q0_2 = A__strict_pos2[q0_1]; q0_2 < A__strict_pos2[(q0_1 + 1)]; ++q0_2) {
+                    i = A__strict_idx2[q0_2];
+                    t0 = A__strict_vals[q0_2];
+                    t3 = B + (i) * B_dims[1];
+                    for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += (w1[_v] * t0); }
+                    for (_v = 0; _v < n_j; ++_v) { ws0[_v] += (t0 * t3[_v]); }
+                }
+                for (_v = 0; _v < n_j; ++_v) { out[(k) * out_dims[1] + _v] += (w0[_v] * ws0[_v]); }
+                for (_v = 0; _v < n_j; ++_v) { ws1[_v] += (t2[_v] * ws0[_v]); }
+            }
+            for (_v = 0; _v < n_j; ++_v) { out[(l) * out_dims[1] + _v] += (2.0 * ws1[_v]); }
         }
     }
-    #if defined(_OPENMP)
-    if (repro_nthreads > 1) {
-        int64_t rp_oom = 0;
-        int rp_pooled = 0;
-        repro_log *rp_logs = repro_log_acquire(repro_nthreads, &rp_pooled);
-        if (!rp_logs) {
-            rp_status = 1;
-        } else {
-            #pragma omp parallel num_threads((int) repro_nthreads)
-            {
-                repro_log *rp_my = &rp_logs[omp_get_thread_num()];
-                int64_t _v = 0, i = 0, k = 0, q0_1 = 0, q0_2 = 0;
-                double t4 = 0.0;
-                const double *t5 = 0, *t6 = 0, *t7 = 0;
-                double *ws2 = (double *) malloc((size_t) (n_j) * sizeof(double));
-                double *ws3 = (double *) malloc((size_t) (n_j) * sizeof(double));
-                if (!ws2 || !ws3) {
-                    #pragma omp atomic write
-                    rp_oom = 1;
+    for (l = 0; l < n_l; ++l) {
+        t5 = B + (l) * B_dims[1];
+        for (_v = 0; _v < n_j; ++_v) { ws3[_v] = 0.0; }
+        for (q0_1 = A__diagonal_pos1[l]; q0_1 < A__diagonal_pos1[(l + 1)]; ++q0_1) {
+            k = A__diagonal_idx1[q0_1];
+            t6 = B + (k) * B_dims[1];
+            for (_v = 0; _v < n_j; ++_v) { ws2[_v] = 0.0; }
+            for (q0_2 = A__diagonal_pos2[q0_1]; q0_2 < A__diagonal_pos2[(q0_1 + 1)]; ++q0_2) {
+                i = A__diagonal_idx2[q0_2];
+                t4 = A__diagonal_vals[q0_2];
+                t7 = B + (i) * B_dims[1];
+                if ((((i < k) && (k == l)) || ((i == k) && (k == l)))) {
+                    for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += ((t4 * t5[_v]) * t6[_v]); }
                 }
-                #pragma omp barrier
-                if (!rp_oom) {
-                    #pragma omp for schedule(static)
-                    for (l = 0; l < n_l; ++l) {
-                        t5 = B + (l) * B_dims[1];
-                        for (_v = 0; _v < n_j; ++_v) { ws3[_v] = 0.0; }
-                        for (q0_1 = A__diagonal_pos1[l]; q0_1 < A__diagonal_pos1[(l + 1)]; ++q0_1) {
-                            k = A__diagonal_idx1[q0_1];
-                            t6 = B + (k) * B_dims[1];
-                            for (_v = 0; _v < n_j; ++_v) { ws2[_v] = 0.0; }
-                            for (q0_2 = A__diagonal_pos2[q0_1]; q0_2 < A__diagonal_pos2[(q0_1 + 1)]; ++q0_2) {
-                                i = A__diagonal_idx2[q0_2];
-                                t4 = A__diagonal_vals[q0_2];
-                                t7 = B + (i) * B_dims[1];
-                                if ((((i < k) && (k == l)) || ((i == k) && (k == l)))) {
-                                    { double *rp_dst = repro_log_slot(rp_my, (i) * out_dims[1], n_j);
-                                        if (!rp_dst) {
-                                            #pragma omp atomic write
-                                            rp_oom = 1;
-                                        } else { for (_v = 0; _v < n_j; ++_v) { rp_dst[_v] = ((t4 * t5[_v]) * t6[_v]); } } }
-                                }
-                                if (((i < k) && (k == l))) {
-                                    for (_v = 0; _v < n_j; ++_v) { ws2[_v] += (2.0 * ((t4 * t5[_v]) * t7[_v])); }
-                                }
-                                if (((i == k) && (k < l))) {
-                                    { double *rp_dst = repro_log_slot(rp_my, (i) * out_dims[1], n_j);
-                                        if (!rp_dst) {
-                                            #pragma omp atomic write
-                                            rp_oom = 1;
-                                        } else { for (_v = 0; _v < n_j; ++_v) { rp_dst[_v] = (2.0 * ((t4 * t5[_v]) * t6[_v])); } } }
-                                    for (_v = 0; _v < n_j; ++_v) { ws3[_v] += ((t4 * t6[_v]) * t7[_v]); }
-                                }
-                            }
-                            { double *rp_dst = repro_log_slot(rp_my, (k) * out_dims[1], n_j);
-                                if (!rp_dst) {
-                                    #pragma omp atomic write
-                                    rp_oom = 1;
-                                } else { for (_v = 0; _v < n_j; ++_v) { rp_dst[_v] = ws2[_v]; } } }
-                        }
-                        { double *rp_dst = repro_log_slot(rp_my, (l) * out_dims[1], n_j);
-                            if (!rp_dst) {
-                                #pragma omp atomic write
-                                rp_oom = 1;
-                            } else { for (_v = 0; _v < n_j; ++_v) { rp_dst[_v] = ws3[_v]; } } }
-                    }
+                if (((i < k) && (k == l))) {
+                    for (_v = 0; _v < n_j; ++_v) { ws2[_v] += (2.0 * ((t4 * t5[_v]) * t7[_v])); }
                 }
-                free(ws2);
-                free(ws3);
-            }
-            if (rp_oom) {
-                rp_status = 1;
-            } else {
-                int64_t rp_t = 0, rp_e = 0, rp_w = 0;
-                (void) rp_w;
-                for (rp_t = 0; rp_t < repro_nthreads; ++rp_t) {
-                    repro_log *rp_lg = &rp_logs[rp_t];
-                    for (rp_e = 0; rp_e < rp_lg->len; ++rp_e) {
-                        int64_t rp_g = rp_lg->tgt[rp_e];
-                        const double *rp_v = rp_lg->val + rp_e * (n_j);
-                        for (rp_w = 0; rp_w < n_j; ++rp_w) { out[rp_g + rp_w] += rp_v[rp_w]; }
-                    }
+                if (((i == k) && (k < l))) {
+                    for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += (2.0 * ((t4 * t5[_v]) * t6[_v])); }
+                    for (_v = 0; _v < n_j; ++_v) { ws3[_v] += ((t4 * t6[_v]) * t7[_v]); }
                 }
             }
-            repro_log_release(rp_logs, repro_nthreads, rp_pooled);
+            for (_v = 0; _v < n_j; ++_v) { out[(k) * out_dims[1] + _v] += ws2[_v]; }
         }
-    } else
-    #endif
-    {
-        for (l = 0; l < n_l; ++l) {
-            t5 = B + (l) * B_dims[1];
-            for (_v = 0; _v < n_j; ++_v) { ws3[_v] = 0.0; }
-            for (q0_1 = A__diagonal_pos1[l]; q0_1 < A__diagonal_pos1[(l + 1)]; ++q0_1) {
-                k = A__diagonal_idx1[q0_1];
-                t6 = B + (k) * B_dims[1];
-                for (_v = 0; _v < n_j; ++_v) { ws2[_v] = 0.0; }
-                for (q0_2 = A__diagonal_pos2[q0_1]; q0_2 < A__diagonal_pos2[(q0_1 + 1)]; ++q0_2) {
-                    i = A__diagonal_idx2[q0_2];
-                    t4 = A__diagonal_vals[q0_2];
-                    t7 = B + (i) * B_dims[1];
-                    if ((((i < k) && (k == l)) || ((i == k) && (k == l)))) {
-                        for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += ((t4 * t5[_v]) * t6[_v]); }
-                    }
-                    if (((i < k) && (k == l))) {
-                        for (_v = 0; _v < n_j; ++_v) { ws2[_v] += (2.0 * ((t4 * t5[_v]) * t7[_v])); }
-                    }
-                    if (((i == k) && (k < l))) {
-                        for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += (2.0 * ((t4 * t5[_v]) * t6[_v])); }
-                        for (_v = 0; _v < n_j; ++_v) { ws3[_v] += ((t4 * t6[_v]) * t7[_v]); }
-                    }
-                }
-                for (_v = 0; _v < n_j; ++_v) { out[(k) * out_dims[1] + _v] += ws2[_v]; }
-            }
-            for (_v = 0; _v < n_j; ++_v) { out[(l) * out_dims[1] + _v] += ws3[_v]; }
-        }
+        for (_v = 0; _v < n_j; ++_v) { out[(l) * out_dims[1] + _v] += ws3[_v]; }
     }
     free(w0);
     free(w1);

@@ -5,7 +5,7 @@ the lowering-option ablations, plus a handful of user einsums that reach
 the statement forms no library kernel emits (the ``break`` triangle
 guard, ``np.minimum`` row reductions, explicit triangle conditions over
 a dense symmetric input, a dense-only vectorized nest).  Each lowering
-is rendered to C under every pass set x parallel mode x profile flag in
+is rendered to C under every pass set x profile flag in
 :data:`C_CONFIGS`.
 
 Shared by the digest freeze in ``test_cpasses.py`` and the persistence
@@ -88,20 +88,15 @@ PASS_SETS = {
     "default": PassConfig(enabled=PASS_ORDER),
     "tile@64": PassConfig(enabled=("tile",), tile_rows=64),
 }
-PARALLEL = ("auto", "serial", "atomic")
 
 #: every C rendering of one lowering, in manifest order.
-C_CONFIGS: Tuple[Tuple[str, str, bool], ...] = tuple(
-    (passes, parallel, profile)
-    for passes in PASS_SETS
-    for parallel in PARALLEL
-    for profile in (False, True)
+C_CONFIGS: Tuple[Tuple[str, bool], ...] = tuple(
+    (passes, profile) for passes in PASS_SETS for profile in (False, True)
 )
 
-#: the same 18 points as the values the renderer is handed.
+#: the same 6 points as the values the renderer is handed.
 CODEGEN_CONFIGS: Tuple[CodegenConfig, ...] = tuple(
-    CodegenConfig(parallel, profile, PASS_SETS[passes])
-    for passes, parallel, profile in C_CONFIGS
+    CodegenConfig(profile, PASS_SETS[passes]) for passes, profile in C_CONFIGS
 )
 
 

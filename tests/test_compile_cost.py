@@ -24,6 +24,7 @@ import pytest
 
 from repro.codegen.backends import ctoolchain, get_backend, health
 from repro.core.config import DEFAULT, resolve_threads
+from repro.kernels.extensions import EXTENSIONS
 from repro.kernels.library import KERNELS, get_kernel
 from repro.obs import metrics, trace
 from tests.conftest import KERNEL_CHILD_RESULT, damage, kernel_child, store_objects
@@ -39,6 +40,14 @@ needs_omp = pytest.mark.skipif(not HAVE_OMP, reason="toolchain lacks OpenMP")
 SERIAL = DEFAULT.but(backend="c", threads=1)
 # the reference must not leave C objects in the cache under test
 PYTHON = DEFAULT.but(backend="python")
+
+#: the kernels with an OpenMP body, hence an OpenMP object to upgrade to:
+#: Bellman-Ford's nests are ``privatized``, bilinear_partial's (a corpus
+#: extension) plain ``for``.  Every other library kernel is a ``+``
+#: scatter, whose nests print one serial body.
+UPGRADING = ("bellmanford", "bilinear_partial")
+SUM_SCATTER = sorted(set(KERNELS) - set(UPGRADING))
+SPECS = {**KERNELS, **EXTENSIONS}
 
 
 @pytest.fixture(autouse=True)
@@ -77,10 +86,37 @@ def test_serial_compile_is_one_cc_run_without_openmp():
     assert not hasattr(exe._lib, "repro_openmp")
 
 
-@needs_omp
-@pytest.mark.parametrize("name", sorted(KERNELS))
-def test_first_threaded_run_upgrades_once_bit_identically(rng, name):
+@pytest.mark.parametrize("naive", (False, True), ids=("systec", "naive"))
+@pytest.mark.parametrize("name", SUM_SCATTER)
+def test_a_sum_scatter_kernel_never_builds_an_openmp_object(
+    rng, name, naive, monkeypatch, tmp_path
+):
+    """A ``+`` scatter kernel whose default asks for three threads builds
+    its serial object, once, and runs it at every thread count: no
+    OpenMP body, no upgrade, the python backend's bits."""
     spec = get_kernel(name)
+    inputs = build_inputs(rng, spec)
+    py = np.asarray(spec.compile(naive=naive, options=PYTHON)(**inputs))
+    # build_inputs compiles the naive plan under the ambient backend
+    (tmp_path / "kernel").mkdir()
+    monkeypatch.setattr(ctoolchain, "_build_dir", str(tmp_path / "kernel"))
+    with trace.tracing() as rec:
+        kernel = spec.compile(naive=naive, options=SERIAL.but(threads=3))
+        exe = kernel.bound.executable
+        assert exe.strategies and set(exe.strategies) == {None}
+        prepared, shape = kernel.prepare(**inputs)
+        ran = np.array(kernel.finalize(kernel.run(prepared, shape, threads=3)))
+        planned = np.array(kernel.finalize(kernel.execution_plan(**inputs)()))
+    assert len(_cc_spans(rec)) == 1 and _cc_spans(rec)[0].args["omp"] == 0
+    assert not _upgrades(rec) and not exe.omp
+    assert np.array_equal(py, ran) and np.array_equal(py, planned)
+    assert health.ok("c@omp")
+
+
+@needs_omp
+@pytest.mark.parametrize("name", sorted(KERNELS) + ["bilinear_partial"])
+def test_first_threaded_run_upgrades_once_bit_identically(rng, name):
+    spec = SPECS[name]
     inputs = build_inputs(rng, spec)
     py = np.asarray(spec.compile(options=PYTHON)(**inputs))
     was_on = metrics.enabled()
@@ -97,6 +133,7 @@ def test_first_threaded_run_upgrades_once_bit_identically(rng, name):
 
             first = np.array(kernel.finalize(kernel.run(prepared, shape, threads=4)))
             parallel = any(s is not None for s in exe.strategies)
+            assert parallel == (name in UPGRADING)
             # kernels without parallel bodies have nothing to upgrade to
             assert len(_cc_spans(rec)) == (2 if parallel else 1)
             assert len(_upgrades(rec)) == int(parallel)
@@ -121,7 +158,7 @@ def test_first_threaded_run_upgrades_once_bit_identically(rng, name):
 
 @needs_omp
 def test_concurrent_upgrades_are_single_flight(rng):
-    spec = get_kernel("ssymv")
+    spec = get_kernel("bellmanford")
     inputs = build_inputs(rng, spec)
     kernel = spec.compile(options=SERIAL)
     prepared, shape = kernel.prepare(**inputs)
@@ -158,7 +195,7 @@ def test_concurrent_upgrades_are_single_flight(rng):
 
 @needs_omp
 def test_threaded_default_builds_the_openmp_object_directly(rng):
-    spec = get_kernel("ssymv")
+    spec = get_kernel("bellmanford")
     inputs = build_inputs(rng, spec)
     with trace.tracing() as rec:
         kernel = spec.compile(options=SERIAL.but(threads=4))
@@ -175,7 +212,7 @@ def test_threaded_default_builds_the_openmp_object_directly(rng):
 def test_ambient_thread_setting_builds_exactly_one_object(rng):
     """Whatever ``$REPRO_THREADS`` says (the CI ``c-backend-threads`` leg
     runs this under 2): one ``cc`` run per kernel, no upgrade."""
-    spec = get_kernel("ssyrk")
+    spec = get_kernel("bellmanford")
     inputs = build_inputs(rng, spec)
     options = DEFAULT.but(backend="c")
     with trace.tracing() as rec:
@@ -248,17 +285,19 @@ def test_concurrent_wide_binds_build_the_wide_object_once(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("openmp", (True, False), ids=("omp", "no-omp"))
-@pytest.mark.parametrize("name", sorted(KERNELS))
+@pytest.mark.parametrize("name", sorted(KERNELS) + ["bilinear_partial"])
 def test_a_serial_wide_object_upgrades_within_its_width(rng, name, openmp, monkeypatch):
     """A wide argument set bound on a fresh serial kernel runs the serial
     wide object; the plan's first threaded call swaps in the OpenMP object
-    of the *same* width — or, with no OpenMP toolchain, keeps the serial
-    one — and both calls are bit for bit the python backend's."""
+    of the *same* width — or, with no OpenMP toolchain or no OpenMP body
+    (a ``+`` scatter), keeps the serial one — and both calls are bit for
+    bit the python backend's."""
     from repro.tensor import coo as coo_mod
 
     if openmp and not HAVE_OMP:
         pytest.skip("toolchain lacks OpenMP")
-    spec = get_kernel(name)
+    upgrades = name in UPGRADING
+    spec = SPECS[name]
     inputs = build_inputs(rng, spec)
     py = np.asarray(spec.compile(options=PYTHON)(**inputs))
     if not openmp:
@@ -274,8 +313,8 @@ def test_a_serial_wide_object_upgrades_within_its_width(rng, name, openmp, monke
         assert wide.index_dtype == np.int64 and wide.kind == "serial"
         threaded = np.array(kernel.finalize(plan(threads=3)))
         assert wide.index_dtype == np.int64
-        assert wide.kind == ("omp" if openmp else "serial")
-        assert health.ok("c@omp") == openmp
+        assert wide.kind == ("omp" if openmp and upgrades else "serial")
+        assert health.ok("c@omp") == (openmp or not upgrades)
         assert kernel.bound.executable.index_dtype == np.int32
     finally:
         if not openmp:
@@ -288,7 +327,7 @@ def test_upgrade_refuses_an_object_of_the_other_width(monkeypatch):
     """An OpenMP object whose index width differs from the loaded one is
     never swapped in: the wide object keeps serving and ``c@omp`` is
     marked down."""
-    exe = get_kernel("ssymv").compile(options=SERIAL).bound.executable
+    exe = get_kernel("bellmanford").compile(options=SERIAL).bound.executable
     wide = exe.wide()
     monkeypatch.setattr(ctoolchain, "compile_shared", lambda *a, **k: exe.so_path)
     wide.upgrade()

@@ -25,6 +25,10 @@ needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no working C toolchain")
 
 EINSUM = "y[i] += A[i, j] * x[j]"
 SPEC = dict(symmetric={"A": True}, loop_order=("j", "i"))
+#: a min-plus relaxation over the same operands: a ``+`` scatter like
+#: EINSUM runs its serial object at every thread count, this one's nests
+#: are privatized, so it has an OpenMP object to upgrade to
+RELAX = "y[i] min= A[i, j] + x[j]"
 # threads pinned to 1: under an ambient REPRO_THREADS>1 (the CI
 # c-backend-threads leg) a failed threaded call first retries serially
 # on the "c" tier, which changes where on the ladder these tests land
@@ -244,11 +248,11 @@ def test_failed_omp_upgrade_is_served_from_the_serial_object(
     threaded call is answered by the serial object, bit-identically, the
     ``c@omp`` tier goes down so the build is not retried per call, and
     nothing raises."""
-    ref = _reference(inputs)
+    ref = compile_kernel(RELAX, **SPEC)(**inputs)
     # nothing prebuilt: the upgrade has to run cc
     monkeypatch.setattr(ctoolchain, "_build_dir", str(tmp_path))
     have_omp = bool(ctoolchain.openmp_flags())  # settled outside the plan
-    kernel = compile_kernel(EINSUM, **SPEC, options=C_OPTS)
+    kernel = compile_kernel(RELAX, **SPEC, options=C_OPTS)
     exe = kernel.bound.executable
     assert exe.kind == "serial"
     plan = kernel.execution_plan(threads=4, **inputs)
@@ -273,9 +277,9 @@ def test_no_openmp_toolchain_serves_threaded_calls_serially(
     monkeypatch.setenv("REPRO_NO_OPENMP", "1")
     ctoolchain.reset_probe_cache()
     try:
-        ref = _reference(inputs)
+        ref = compile_kernel(RELAX, **SPEC)(**inputs)
         # the hint asks for the OpenMP object; the toolchain has none
-        kernel = compile_kernel(EINSUM, **SPEC, options=C_OPTS.but(threads=2))
+        kernel = compile_kernel(RELAX, **SPEC, options=C_OPTS.but(threads=2))
         assert kernel.backend == "c"
         assert kernel.bound.executable.kind == "serial"
         assert kernel(**inputs).tobytes() == ref.tobytes()
@@ -288,7 +292,7 @@ def test_no_openmp_toolchain_serves_threaded_calls_serially(
 @needs_cc
 def test_alloc_failure_reserved_serially_bit_identical(inputs):
     """A kernel reporting allocation failure (nonzero status — a failed
-    per-thread workspace or scatter-log malloc) must surface as
+    per-thread workspace or buffer malloc) must surface as
     BackendError and be re-served down the ladder, not abort the
     process."""
     ref = _reference(inputs)

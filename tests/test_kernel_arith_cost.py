@@ -58,7 +58,7 @@ def _innermost_fiber(nest):
 def _serial_c(name, **overrides) -> str:
     spec = {**KERNELS, **EXTENSIONS}[name]
     lowered = spec.compile(options=PYTHON.but(**overrides)).lowered
-    return render_c(lowered, parallel="serial")
+    return render_c(lowered)
 
 
 def _strict_branches(source):
@@ -163,7 +163,7 @@ def test_the_blocked_branch_names_no_malloced_workspace(name):
 def test_only_the_unguarded_strict_nest_is_blocked(name):
     spec = {**KERNELS, **EXTENSIONS}[name]
     lowered = spec.compile(options=PYTHON).lowered
-    body = run_pipeline(lowered, CodegenConfig("serial", False)).body
+    body = run_pipeline(lowered, CodegenConfig()).body
     # the strict nest first, the orbit-guarded diagonal nest after it
     assert [type(s) for s in body] == [ir.Blocked, ir.DenseLoop]
     assert not any(isinstance(s, ir.If) for s in ir.walk([body[0]]))
@@ -281,10 +281,8 @@ def test_auto_block_count(tile_rows_probe, shape, blocks):
 
 def test_the_kernel_sizes_its_blocks_with_those_statements():
     lowered = get_kernel("ssyrk").compile(options=PYTHON).lowered
-    source = render_c(lowered, parallel="serial", passes=PassConfig(enabled=("tile",)))
+    source = render_c(lowered, passes=PassConfig(enabled=("tile",)))
     for line in auto_tile_rows("double", "A__full_p10_pos1", "n_k"):
         assert "        " + line + "\n" in source
-    pinned = render_c(
-        lowered, parallel="serial", passes=PassConfig(enabled=("tile",), tile_rows=64)
-    )
+    pinned = render_c(lowered, passes=PassConfig(enabled=("tile",), tile_rows=64))
     assert "int64_t rp_tile = 64;" in pinned and "rp_nb" not in pinned

@@ -1,15 +1,14 @@
 """Multicore C execution: OpenMP probing, reduction-safe scheduling,
 thread plumbing, and the service-layer concurrency contracts.
 
-The renderer's guarantee under the default (auto) strategy is strong:
-threaded runs are **bit-identical** to ``threads=1`` and to the Python
-backend for every library kernel — the ordered scatter log preserves the
-serial floating-point write sequence, and min/max privatization is exact
-under any combination order.
+The renderer's guarantee is strong: threaded runs are **bit-identical**
+to ``threads=1`` and to the Python backend for every library kernel —
+disjoint-write nests share no output element, min/max privatization is
+exact under any combination order, and a ``+`` scatter nest has no
+OpenMP body at all, so it runs the serial loops at every thread count.
 """
 
 import json
-import os
 import threading
 import time
 import warnings
@@ -20,11 +19,11 @@ import pytest
 
 from repro.codegen.backends import ctoolchain, get_backend, render_c
 from repro.codegen.backends.base import CodegenConfig
+from repro.codegen.backends.c import render_c_full
 from repro.core.compiler import compile_kernel
 from repro.core.config import (
     CompilerOptions,
     DEFAULT,
-    OMP_STRATEGY_CHOICES,
     RUNTIME_FIELDS,
     knob,
     resolve_threads,
@@ -104,32 +103,6 @@ def test_threads_is_a_runtime_field_not_key_material():
     )
 
 
-def test_omp_strategy_env(monkeypatch):
-    monkeypatch.delenv("REPRO_OMP_STRATEGY", raising=False)
-    assert CodegenConfig.resolve().omp_strategy == "auto"
-    monkeypatch.setenv("REPRO_OMP_STRATEGY", "serial")
-    assert CodegenConfig.resolve().omp_strategy == "serial"
-    monkeypatch.setenv("REPRO_OMP_STRATEGY", "sideways")
-    with pytest.warns(RuntimeWarning, match="REPRO_OMP_STRATEGY"):
-        assert CodegenConfig.resolve().omp_strategy == "auto"
-
-
-def test_omp_strategy_splits_c_cache_keys(monkeypatch):
-    """The emission strategy changes the generated C, so C-backend keys
-    must not alias across strategies (a stale atomic .so served under an
-    auto key would break the bit-identity contract)."""
-    spec = {"einsum": "y[i] += A[i, j] * x[j]", "symmetric": {"A": True}}
-    monkeypatch.delenv("REPRO_OMP_STRATEGY", raising=False)
-    if HAVE_CC:
-        auto_key = cache_key(options=C_OPTS, **spec)
-        monkeypatch.setenv("REPRO_OMP_STRATEGY", "atomic")
-        assert cache_key(options=C_OPTS, **spec) != auto_key
-    # the python backend is unaffected by the strategy — one key
-    py_key = cache_key(options=DEFAULT.but(backend="python"), **spec)
-    monkeypatch.setenv("REPRO_OMP_STRATEGY", "serial")
-    assert cache_key(options=DEFAULT.but(backend="python"), **spec) == py_key
-
-
 # ----------------------------------------------------------------------
 # toolchain: the OpenMP probe
 # ----------------------------------------------------------------------
@@ -207,24 +180,32 @@ def test_reset_probe_cache_invalidates_openmp_probe(monkeypatch):
 # renderer: strategy selection
 # ----------------------------------------------------------------------
 def test_signature_always_carries_the_thread_count():
-    src = render_c(_lowered("ssymv"), parallel="serial")
+    src = render_c(_lowered("ssymv"))
     assert "int64_t repro_nthreads" in src
     assert "#pragma omp" not in src
 
 
-def test_replay_for_sum_scatter_kernels():
-    for name in ("ssymv", "ssyrk", "syprd", "mttkrp3d", "ttm"):
-        src = render_c(_lowered(name), parallel="auto")
-        assert "#pragma omp parallel" in src, name
-        assert "repro_log_slot" in src, name
-        assert "schedule(static)" in src, name
+#: the library kernels whose every nest is a ``+`` scatter
+SUM_SCATTER = sorted(set(KERNELS) - {"bellmanford"})
+
+
+@pytest.mark.parametrize("naive", (False, True), ids=("systec", "naive"))
+@pytest.mark.parametrize("name", SUM_SCATTER)
+def test_sum_scatter_kernels_print_one_serial_body(name, naive):
+    """A ``+`` scatter nest gets no OpenMP body: one serial loop nest, no
+    ``_OPENMP`` branch, nothing an OpenMP object would add."""
+    lowered = _lowered(name, naive=naive)
+    rendered = render_c_full(lowered, name, CodegenConfig())
+    assert rendered.strategies and set(rendered.strategies) == {None}
+    assert not rendered.parallel
+    assert "_OPENMP" not in rendered.source
+    assert "#pragma omp parallel" not in rendered.source
 
 
 def test_privatized_tree_reduction_for_minmax_scatter():
-    src = render_c(_lowered("bellmanford"), parallel="auto")
+    src = render_c(_lowered("bellmanford"))
     assert "#pragma omp parallel" in src
     assert "pv_all" in src and "pv_team" in src
-    assert "repro_log_slot" not in src  # no scatter log for min/max
     assert "fmin(out[pv_k], pv_all[pv_k])" in src
 
 
@@ -233,28 +214,16 @@ def test_plain_parallel_for_when_writes_are_disjoint():
 
     src = render_c(EXTENSIONS["bilinear_partial"].compile().lowered)
     assert "#pragma omp parallel" in src
-    assert "repro_log_slot" not in src and "pv_all" not in src
-
-
-def test_atomic_fallback_strategy():
-    src = render_c(_lowered("ssymv"), parallel="atomic")
-    assert "#pragma omp atomic" in src
-    assert "repro_log" not in src
+    assert "pv_all" not in src
 
 
 def test_serial_branch_is_always_present():
     """Without _OPENMP the preprocessor strips down to the serial body,
     so one rendered source serves OpenMP-less toolchains unchanged."""
-    src = render_c(_lowered("ssymv"), parallel="auto")
+    src = render_c(_lowered("bellmanford"))
     assert "#if defined(_OPENMP)" in src
     assert "} else" in src
-    assert "out[j] += ws0;" in src  # the serial flush survives
-
-
-def test_carried_scalar_accumulator_goes_through_the_log():
-    src = render_c(_lowered("syprd"), parallel="auto")
-    assert "repro_log_slot(rp_my, -1, 1)" in src
-    assert "ws0 += rp_val;" in src  # ordered replay into the accumulator
+    assert src.count("out[i] = fmin(out[i], ") == 2  # the serial relaxations survive
 
 
 def test_rendered_source_is_independent_of_toolchain_openmp():
@@ -291,25 +260,6 @@ def test_options_threads_is_the_run_default(rng):
     kernel = spec.compile(options=C_OPTS.but(threads=3))
     reference = spec.compile()(**inputs)
     np.testing.assert_array_equal(kernel(**inputs), reference)
-
-
-@needs_cc
-@needs_omp
-def test_atomic_mode_is_close_but_not_guaranteed_identical(rng):
-    spec = get_kernel("ssymv")
-    inputs = build_inputs(rng, spec)
-    ctoolchain.reset_probe_cache()
-    os.environ["REPRO_OMP_STRATEGY"] = "atomic"
-    try:
-        kernel = spec.compile(options=C_OPTS)
-        assert "#pragma omp atomic" in kernel.backend_source
-        prepared, shape = kernel.prepare(**inputs)
-        serial = kernel.finalize(kernel.run(prepared, shape, threads=1))
-        threaded = kernel.finalize(kernel.run(prepared, shape, threads=4))
-        np.testing.assert_allclose(threaded, serial, rtol=1e-12)
-    finally:
-        del os.environ["REPRO_OMP_STRATEGY"]
-        ctoolchain.reset_probe_cache()
 
 
 @needs_cc

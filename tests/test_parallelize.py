@@ -2,8 +2,8 @@
 
 The parallelisation phase's strategy table asserted on its product (the
 ``Parallel`` annotations and per-nest ``NestWork`` strategies) instead of by
-grepping C text for ``rp_logs`` / ``pv_all`` as ``test_parallel.py``
-does, and ``loopir.verify`` between every two phases.
+grepping C text for ``pv_all`` as ``test_parallel.py`` does, and
+``loopir.verify`` between every two phases.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from repro.codegen.passes import (
 )
 from repro.codegen.passes.parallelize import ParallelizePass
 from repro.codegen.passes.regblock import RegblockPass, blockable
+from repro.core.compiler import compile_kernel
 from repro.core.config import DEFAULT
 from repro.kernels.extensions import EXTENSIONS
 from repro.kernels.library import KERNELS
@@ -34,10 +35,10 @@ from tests import render_corpus
 NO_PASSES = PassConfig(enabled=())
 
 
-def _strategies(spec, omp_strategy="auto"):
+def _strategies(spec):
     """Per top-level ``for`` nest of *spec*, the strategy the phase chose."""
     lowered = spec.compile(options=DEFAULT.but(backend="python")).lowered
-    state = run_pipeline(lowered, CodegenConfig(omp_strategy, False, NO_PASSES))
+    state = run_pipeline(lowered, CodegenConfig(False, NO_PASSES))
     tags = [s.strategy for s in state.body if isinstance(s, ir.Parallel)]
     # the estimates say the same thing, one per nest, in body order
     assert [w.strategy for w in state.work if w.strategy is not None] == tags
@@ -45,29 +46,23 @@ def _strategies(spec, omp_strategy="auto"):
 
 
 @pytest.mark.parametrize(
-    "name, omp_strategy, expected",
+    "name, expected",
     [
-        # + scatter through the canonical triangle: the ordered log
-        ("ssymv", "auto", ["replay", "replay"]),
-        ("ssyrk", "auto", ["replay"]),
-        ("syprd", "auto", ["replay", "replay"]),
-        ("mttkrp3d", "auto", ["replay", "replay"]),
-        ("ttm", "auto", ["replay", "replay"]),
+        # + scatter through the canonical triangle: serial, every nest
+        ("ssymv", [None, None]),
+        ("ssyrk", [None]),
+        ("syprd", [None, None]),
+        ("mttkrp3d", [None, None]),
+        ("ttm", [None, None]),
         # min scatter (the Bellman-Ford relaxation): private outputs
-        ("bellmanford", "auto", ["privatized", "privatized"]),
+        ("bellmanford", ["privatized", "privatized"]),
         # every write leads with the outer loop variable: disjoint
-        ("bilinear_partial", "auto", ["for", "for"]),
-        # the atomic fallback covers scalar updates only; rows keep the log
-        ("ssymv", "atomic", ["atomic", "atomic"]),
-        ("mttkrp3d", "atomic", ["replay", "replay"]),
-        ("bellmanford", "atomic", ["privatized", "privatized"]),
-        # serial switches the phase off: nothing annotated, nothing recorded
-        ("ssymv", "serial", []),
+        ("bilinear_partial", ["for", "for"]),
     ],
 )
-def test_strategy_table(name, omp_strategy, expected):
+def test_strategy_table(name, expected):
     spec = {**KERNELS, **EXTENSIONS}[name]
-    assert _strategies(spec, omp_strategy) == expected
+    assert _strategies(spec) == expected
 
 
 # ----------------------------------------------------------------------
@@ -91,15 +86,14 @@ def _rows(body):
     return ir.DenseLoop("i", ir.Dim("n_i"), tuple(body))
 
 
-def _annotate(body, omp_strategy="auto"):
+def _annotate(body):
     lowered = SimpleNamespace(
         program=ir.Kernel((ir.Dim("n_i"), X), (), tuple(body)),
         output=SimpleNamespace(ndim=1, reduce_op="+"),
         vector_index=None,
     )
     state = ir.LoopIR(list(body), lowered)
-    codegen = CodegenConfig(omp_strategy, False, NO_PASSES)
-    return ParallelizePass().run(state, codegen)
+    return ParallelizePass().run(state, CodegenConfig(False, NO_PASSES))
 
 
 def _tags(state):
@@ -124,27 +118,28 @@ def test_guarded_outer_fiber_loop_stays_serial():
 
 
 def test_read_of_a_carried_accumulator_stays_serial():
+    """An accumulator updated in the nest but initialised before it is
+    one value every thread would update: read or not, the nest is serial."""
     init = ir.Init(ACC, ir.Const(0.0))
     bump = ir.Reduce(ACC, "+", ir.Load(X, (I,)))
     state = _annotate([init, _rows([bump])])
-    assert _tags(state) == [None, "replay"]
-    assert state.body[1].carried == ("acc",)
-    # a read would observe a partially replayed value
-    state = _annotate([init, _rows([bump, _out("i", value=ACC)])])
     assert _tags(state) == [None, None]
     assert [w.strategy for w in state.work] == [None]
-    # ... and an accumulator nothing initialised before the nest is not carried
+    assert _tags(_annotate([init, _rows([bump, _out("i", value=ACC)])])) == [None, None]
     assert _tags(_annotate([_rows([bump])])) == [None]
+    # initialised inside the nest, it is thread-private: disjoint writes
+    assert _tags(_annotate([_rows([init, bump, _out("i", value=ACC)])])) == ["for"]
 
 
 def test_mixed_reduction_operators_stay_serial():
-    assert _tags(_annotate([_rows([_fiber([_out("j")])])])) == ["replay"]
-    assert _tags(_annotate([_rows([_fiber([_out("j"), _out("j", "min")])])])) == [None]
+    assert _tags(_annotate([_rows([_out("i"), _out("i")])])) == ["for"]
+    assert _tags(_annotate([_rows([_out("i"), _out("i", "min")])])) == [None]
 
 
-def test_unknown_strategy_is_rejected_by_the_phase():
-    with pytest.raises(ValueError, match="sideways"):
-        _annotate([_rows([_out("i")])], omp_strategy="sideways")
+def test_a_sum_scatter_stays_serial():
+    """A ``+`` scatter has no bit-exact team body worth printing."""
+    assert _tags(_annotate([_rows([_fiber([_out("j")])])])) == [None]
+    assert _tags(_annotate([_rows([_out("i")])])) == ["for"]
 
 
 # ----------------------------------------------------------------------
@@ -186,11 +181,8 @@ def test_verify_accepts_every_pass_product_of_the_corpus():
     seen = Counter()
     for _key, kernel in render_corpus.lowerings():
         for passes in render_corpus.PASS_SETS.values():
-            for omp_strategy in ("auto", "atomic"):
-                state = run_pipeline(
-                    kernel.lowered, CodegenConfig(omp_strategy, False, passes)
-                )
-                seen.update(type(s) for s in ir.walk(state.body))
+            state = run_pipeline(kernel.lowered, CodegenConfig(False, passes))
+            seen.update(type(s) for s in ir.walk(state.body))
     assert seen[ir.Fused] and seen[ir.Tiled] and seen[ir.Blocked] and seen[ir.Parallel]
 
 
@@ -204,25 +196,34 @@ _TEAM = re.compile(
 )
 
 
-def _mttkrp3d_renders(monkeypatch, profile=False):
-    """mttkrp3d's default-set C with the always-on regblock phase, then
+def _renders(lowered, monkeypatch, profile=False):
+    """*lowered*'s default-set C with the always-on regblock phase, then
     with it skipped (what the pipeline printed before the phase existed)."""
-    lowered = KERNELS["mttkrp3d"].compile(options=DEFAULT.but(backend="python")).lowered
-    codegen = CodegenConfig("auto", profile, PassConfig(enabled=PASS_ORDER))
+    codegen = CodegenConfig(profile, PassConfig(enabled=PASS_ORDER))
     blocked = c_printer.render_c_full(lowered, "m", codegen).source
     monkeypatch.setattr(RegblockPass, "enabled", lambda self, codegen: False)
     return blocked, c_printer.render_c_full(lowered, "m", codegen).source
 
 
-def test_a_blocked_nest_keeps_its_team_body_unblocked(monkeypatch):
+def _mttkrp3d_renders(monkeypatch, profile=False):
     lowered = KERNELS["mttkrp3d"].compile(options=DEFAULT.but(backend="python")).lowered
-    state = run_pipeline(lowered, CodegenConfig("auto", False))
-    strict = state.body[0]
-    assert isinstance(strict, ir.Parallel) and isinstance(strict.nest, ir.Blocked)
-    assert [w.strategy for w in state.work] == ["replay", "replay"]
-    blocked, plain = _mttkrp3d_renders(monkeypatch)
+    return _renders(lowered, monkeypatch, profile)
+
+
+def test_a_blocked_nest_keeps_its_team_body_unblocked(monkeypatch):
+    """SpMM's one nest writes disjoint output rows: a ``for`` team around
+    a register-blocked nest."""
+    lowered = compile_kernel(
+        "C[i, l] += A[i, j] * B[j, l]", loop_order=("i", "j", "l"),
+        formats={"A": "sparse"}, options=DEFAULT.but(backend="python"),
+    ).lowered
+    state = run_pipeline(lowered, CodegenConfig())
+    (nest,) = state.body
+    assert isinstance(nest, ir.Parallel) and isinstance(nest.nest, ir.Blocked)
+    assert [w.strategy for w in state.work] == ["for"]
+    blocked, plain = _renders(lowered, monkeypatch)
     teams = _TEAM.findall(blocked)
-    assert len(teams) == 2 and teams == _TEAM.findall(plain)
+    assert len(teams) == 1 and teams == _TEAM.findall(plain)
     assert "rp_vb" not in "".join(teams)
     # the serial fallback is where the blocks are
     assert "rp_vb" in blocked and "rp_vb" not in plain

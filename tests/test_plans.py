@@ -263,18 +263,3 @@ def test_explicit_threads_always_win(rng, monkeypatch):
     from repro.core.config import CompilerOptions
 
     assert CompilerOptions().threads == 5
-
-
-@needs_cc
-def test_serial_omp_strategy_has_no_parallel_bodies(rng):
-    """REPRO_OMP_STRATEGY=serial emits no parallel bodies, so the kernel
-    never builds or upgrades to an OpenMP object."""
-    from repro.codegen.backends.base import CodegenConfig
-    from repro.codegen.backends.c import render_c_full
-
-    kernel = _ssymv("c")
-    rendered = render_c_full(
-        kernel.lowered, None, CodegenConfig(omp_strategy="serial")
-    )
-    assert rendered.strategies == () and not rendered.parallel
-    assert "#pragma omp" not in rendered.source

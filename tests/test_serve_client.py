@@ -92,7 +92,7 @@ def _c_request_under(monkeypatch, name, value):
 
     if not get_backend("c").is_available():
         pytest.skip("no working C toolchain")
-    for knob_name in ("REPRO_PROFILE", "REPRO_PASSES", "REPRO_OMP_STRATEGY"):
+    for knob_name in ("REPRO_PROFILE", "REPRO_PASSES"):
         monkeypatch.delenv(knob_name, raising=False)
     options = CompilerOptions(backend="c", threads=1)
     monkeypatch.setenv(name, value)

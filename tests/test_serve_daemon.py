@@ -420,8 +420,7 @@ def test_spec_naming_a_deleted_pass_answered_bad_request(tmp_path):
     spec = dict(
         protocol.spec_from_request(canonicalize(**SYMV)),
         options={"backend": "c"},
-        codegen={"omp_strategy": "auto", "profile": False,
-                 "passes": ["fission", "tile"], "tile_rows": 0},
+        codegen={"profile": False, "passes": ["fission", "tile"], "tile_rows": 0},
     )
     with running_daemon(tmp_path) as (server, sock):
         reply = raw_call(

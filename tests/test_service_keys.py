@@ -144,7 +144,7 @@ def _flipped(value):
     if isinstance(value, PassConfig):
         return PassConfig(("fuse",), tile_rows=value.tile_rows + 8)
     return {
-        "float64": "float32", "c": "python", "auto": "serial", 1: 2,
+        "float64": "float32", "c": "python", 1: 2,
     }[value]
 
 
@@ -178,11 +178,10 @@ def test_every_codegen_field_is_keyed(name):
 
 def test_python_requests_ignore_every_codegen_knob(monkeypatch):
     options = DEFAULT.but(backend="python")
-    for name in ("REPRO_PASSES", "REPRO_OMP_STRATEGY", "REPRO_PROFILE"):
+    for name in ("REPRO_PASSES", "REPRO_PROFILE"):
         monkeypatch.delenv(name, raising=False)
     plain = canonicalize(SSYMV, symmetric={"A": True}, options=options)
     monkeypatch.setenv("REPRO_PASSES", "none")
-    monkeypatch.setenv("REPRO_OMP_STRATEGY", "atomic")
     monkeypatch.setenv("REPRO_PROFILE", "1")
     knobbed = canonicalize(SSYMV, symmetric={"A": True}, options=options)
     assert plain.codegen is None and knobbed.codegen is None

@@ -322,7 +322,7 @@ def test_serial_artifact_upgrades_once_and_the_store_keeps_the_omp_object(
     def cc_runs(recorder):
         return sum(1 for e in recorder.events if e.name == "cc")
 
-    spec = get_kernel("ssymv")
+    spec = get_kernel("bellmanford")  # privatized nests: an OpenMP body
     inputs = build_inputs(rng, spec)
     request = canonicalize(
         spec.einsum,
