@@ -21,7 +21,6 @@ from typing import List, Optional
 def _cmd_compile(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.codegen.backends import BackendError
-    from repro.codegen.backends.base import CodegenConfig
     from repro.core.config import DEFAULT
     from repro.core.analysis import describe_cost
     from repro.core.printer import finch_syntax
@@ -36,11 +35,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     if args.dtype is not None:
         options = options.but(dtype=args.dtype)
     assignment = parse_assignment(args.einsum)
-    codegen = None
-    if args.passes is not None:
-        # an explicit --passes takes $REPRO_PASSES' place in the one
-        # resolution; the request then carries the answer
-        codegen = CodegenConfig.resolve(passes=args.passes)
     try:
         with obs.tracing() as recorder:
             kernel = canonicalize(
@@ -49,7 +43,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
                 loop_order=loop_order,
                 options=options,
                 naive=args.naive,
-                codegen=codegen,
             ).compile()
     except BackendError as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -162,9 +155,8 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         get_backend,
         resolve_backend_name,
     )
-    from repro.codegen.backends.base import CodegenConfig
     from repro.codegen.backends.ctoolchain import probe
-    from repro.codegen.passes import describe_passes, run_pipeline
+    from repro.codegen.passes import PIPELINE, run_pipeline
     from repro.core.config import DEFAULT, cpu_count, knob
     from repro.kernels.library import KERNELS
 
@@ -189,16 +181,14 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     print("process default (REPRO_BACKEND): %s" % knob("REPRO_BACKEND"))
     print("default dtype (REPRO_DTYPE): %s" % knob("REPRO_DTYPE"))
     print()
-    codegen = CodegenConfig.resolve()
-    print("loop phases (REPRO_PASSES=%s):" % (knob("REPRO_PASSES") or "<unset>"))
-    for name, enabled, description in describe_passes(codegen):
-        print("  %-11s %-4s %s" % (name, "on" if enabled else "off", description))
-    print("active pass signature: %s" % codegen.passes.signature())
+    print("loop phases (every kernel runs all of them, in this order):")
+    for phase in PIPELINE:
+        print("  %-11s %s" % (phase.name, phase.describe()))
     print()
     print("OpenMP strategy per top-level nest:")
     for name, spec in sorted(KERNELS.items()):
         lowered = spec.compile(options=DEFAULT.but(backend="python")).lowered
-        nests = [w.describe() for w in run_pipeline(lowered, codegen).work]
+        nests = [w.describe() for w in run_pipeline(lowered).work]
         print("  %-12s %s" % (name, "; ".join(nests) or "serial"))
     return 0
 
@@ -389,7 +379,6 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     from repro import faults
     from repro.codegen.backends import health
     from repro.codegen.backends import ctoolchain
-    from repro.codegen.backends.base import CodegenConfig
     from repro.core.config import knob, knobs_set, unknown_knobs
 
     report = {"healthy": True, "checks": {}}
@@ -425,14 +414,6 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
             "disabled" if timeout is None else "%.0fs" % timeout,
             knob("REPRO_CC_RETRIES"),
             knob("REPRO_LOCK_TIMEOUT"),
-        ),
-    }
-    report["checks"]["passes"] = {
-        "ok": True,
-        "detail": "active C pass set: %s (REPRO_PASSES=%s)"
-        % (
-            CodegenConfig.resolve().passes.signature(),
-            knob("REPRO_PASSES") or "<unset>",
         ),
     }
 
@@ -634,18 +615,6 @@ def _threads_arg(value: str):
     return count
 
 
-def _passes_arg(value: str) -> str:
-    """argparse type for pass specs: an unknown token is a usage error
-    here, where ``$REPRO_PASSES`` only warns."""
-    from repro.codegen.passes import parse_passes
-
-    try:
-        parse_passes(value, strict=True)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return value
-
-
 def _env_epilog() -> str:
     """The ``--help`` environment section, printed from the knob table."""
     import textwrap
@@ -710,14 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         action="store_true",
         help="print the compile pipeline's span tree before the listing",
-    )
-    p.add_argument(
-        "--passes",
-        type=_passes_arg,
-        default=None,
-        metavar="SPEC",
-        help="C optimization-pass selection, in $REPRO_PASSES' place (e.g. "
-        "'none', 'none,tile', '-tile', 'default')",
     )
     p.set_defaults(fn=_cmd_compile)
 

@@ -8,11 +8,11 @@ fixed by lowering; backends only decide how those loops run (interpreted
 Python vs. a compiled shared object).
 
 :class:`CodegenConfig` is everything that shapes generated C beyond the
-lowered loops themselves.  It is resolved **once** per compile request —
-:meth:`CodegenConfig.resolve`, called by
-:func:`repro.core.compiler.resolve_request` — and from there only moves
-as a value: the cache key hashes it, the wire spec and the store entry
-carry it, and the C printer renders under it.  Nothing downstream of the
+lowered loops and the fixed loop-phase pipeline that rewrites them.  It
+is resolved **once** per compile request — :meth:`CodegenConfig.resolve`,
+called by :func:`repro.core.compiler.resolve_request` — and from there
+only moves as a value: the cache key hashes it, the wire spec and the
+store entry carry it, and the C printer renders under it.  Nothing downstream of the
 resolver looks at the environment again, so a key can never describe a
 different program than the one that gets built for it.
 """
@@ -24,7 +24,6 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from repro.codegen.passes.base import PASS_ORDER, PassConfig, parse_passes
 from repro.codegen.lower import LoweredKernel
 from repro.core.config import knob
 
@@ -36,60 +35,38 @@ class CodegenConfig:
     Every field changes the generated source, so every field is cache-key
     material (:meth:`repro.service.keys.CompileRequest.key_material`
     enumerates them — a field added here retires old keys by itself).
+    The loop phases are not configuration: every kernel runs all of them.
     """
 
     #: whether per-nest wall-time instrumentation is compiled in.
     profile: bool = False
-    #: the loop passes the renderer runs, honored verbatim.
-    passes: PassConfig = PassConfig(enabled=PASS_ORDER)
 
     @classmethod
-    def resolve(cls, passes: Optional[str] = None) -> "CodegenConfig":
-        """Defaults <- environment.
-
-        The only place those two are combined: ``$REPRO_PASSES`` (or
-        *passes*, the spec ``repro compile --passes`` puts in its place)
-        names the pass set and ``$REPRO_PROFILE`` the instrumentation;
-        whatever is unset takes its default.  Nothing here runs the
-        toolchain.
-        """
-        if passes is None:
-            passes = knob("REPRO_PASSES")
-        enabled = PASS_ORDER if passes is None else parse_passes(passes)
-        return cls(knob("REPRO_PROFILE"), PassConfig(enabled))
+    def resolve(cls) -> "CodegenConfig":
+        """Defaults <- environment: ``$REPRO_PROFILE`` names the
+        instrumentation.  Nothing here runs the toolchain."""
+        return cls(knob("REPRO_PROFILE"))
 
     def to_dict(self) -> dict:
         """The JSON form the wire spec and the store entry carry."""
-        return {
-            "profile": self.profile,
-            "passes": list(self.passes.enabled),
-            "tile_rows": self.passes.tile_rows,
-        }
+        return {"profile": self.profile}
 
     @classmethod
     def from_dict(cls, doc) -> "CodegenConfig":
         """Rebuild :meth:`to_dict` output, validated as outside input (a
         wire peer or a store file wrote it): ``ValueError`` on anything
-        but a bool, passes in pipeline order and a non-negative row count
-        — and on any other key, so a peer asking for a setting this
-        version does not know gets an error, not a build without it."""
+        but a bool — and on any other key, so a peer asking for a setting
+        this version does not know (an older one's pass selection, say)
+        gets an error, not a build without it."""
         if not isinstance(doc, dict):
             raise ValueError("codegen must be an object")
-        unknown = sorted(set(doc) - {"profile", "passes", "tile_rows"})
+        unknown = sorted(set(doc) - {"profile"})
         if unknown:
             raise ValueError("codegen has unknown keys: %s" % ", ".join(unknown))
-        profile, names = doc.get("profile"), doc.get("passes")
-        tile_rows = doc.get("tile_rows")
+        profile = doc.get("profile")
         if not isinstance(profile, bool):
             raise ValueError("codegen.profile must be a bool")
-        if not isinstance(names, list) or names != [
-            n for n in PASS_ORDER if n in names
-        ]:
-            raise ValueError("codegen.passes must list passes from %s in "
-                             "pipeline order" % ", ".join(PASS_ORDER))
-        if type(tile_rows) is not int or tile_rows < 0:
-            raise ValueError("codegen.tile_rows must be an int >= 0")
-        return cls(profile, PassConfig(tuple(names), tile_rows))
+        return cls(profile)
 
 
 class BackendError(RuntimeError):

@@ -24,9 +24,9 @@ bit-identical to the Python backend.
 Phases decide, this module prints
 ---------------------------------
 Before emission the program's top-level statements run through the
-phase pipeline of :mod:`repro.codegen.passes` under the request's
-``CodegenConfig`` — all of it cache-key material — and the renderer
-prints its product, :class:`~repro.codegen.loopir.Fused`,
+whole phase pipeline of :mod:`repro.codegen.passes` — the same phases,
+in the same order, for every kernel — and the renderer prints its
+product, :class:`~repro.codegen.loopir.Fused`,
 :class:`~repro.codegen.loopir.Tiled`,
 :class:`~repro.codegen.loopir.Blocked` and
 :class:`~repro.codegen.loopir.Parallel` nodes included, under the SIMD
@@ -62,13 +62,13 @@ picks the object (the wide one is built on first need).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.codegen import loopir as ir
 from repro.codegen.backends.base import BackendError, CodegenConfig
 from repro.codegen.lower import LoweredKernel
-from repro.codegen.passes.base import PassConfig, run_pipeline
+from repro.codegen.passes.base import run_pipeline
 from repro.codegen.passes import regblock
 from repro.codegen.passes.parallelize import for_nest
 from repro.codegen.passes.tile import auto_tile_rows
@@ -656,14 +656,11 @@ class _Renderer:
     def _emit_tiled_nest(self, tile: ir.Tiled, ind: int) -> None:
         """Wrap one tiled nest in a block loop over output rows."""
         self._put(ind, "{")
-        if tile.rows > 0:
-            self._put(ind + 1, "int64_t rp_tile = %d;" % tile.rows)
-        else:
-            fiber = tile.nest.body[0]
-            for line in auto_tile_rows(
-                self.elem, fiber.pos.name, self._expr(tile.nest.end)
-            ):
-                self._put(ind + 1, line)
+        fiber = tile.nest.body[0]
+        for line in auto_tile_rows(
+            self.elem, fiber.pos.name, self._expr(tile.nest.end)
+        ):
+            self._put(ind + 1, line)
         self._put(ind + 1, "int64_t rp_tb, rp_thi;")
         self._put(
             ind + 1,
@@ -880,31 +877,23 @@ class CRender:
 def render_c_full(
     lowered: LoweredKernel, label: Optional[str], codegen: CodegenConfig
 ) -> CRender:
-    """Run the phase pipeline over a lowered kernel under an
-    already-resolved *codegen*, print its product and return the full
+    """Run the phase pipeline over a lowered kernel, print its product
+    under an already-resolved *codegen* and return the full
     :class:`CRender`.  Pure: the same three arguments always print the
     same translation unit."""
     with obs_trace.span("render_c", label=label):
         renderer = _Renderer(lowered, label, codegen.profile)
-        state = run_pipeline(lowered, codegen, label)
+        state = run_pipeline(lowered, label)
         source = renderer.render(state)
     return CRender(source, tuple(w.strategy for w in state.work))
 
 
-def render_c(
-    lowered: LoweredKernel,
-    label: Optional[str] = None,
-    passes: Optional[PassConfig] = None,
-) -> str:
+def render_c(lowered: LoweredKernel, label: Optional[str] = None) -> str:
     """The C translation unit of a lowered kernel — an inspection helper.
 
     Outside the compiler, so the one place "``None`` = ambient" survives:
     the configuration is resolved as an anonymous compile would
-    (:meth:`CodegenConfig.resolve`), then ``passes`` overrides the
-    optimization-pass set.
+    (:meth:`CodegenConfig.resolve`).
     """
-    codegen = CodegenConfig.resolve()
-    if passes is not None:
-        codegen = replace(codegen, passes=passes)
-    return render_c_full(lowered, label, codegen).source
+    return render_c_full(lowered, label, CodegenConfig.resolve()).source
 

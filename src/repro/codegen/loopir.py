@@ -346,13 +346,12 @@ class Tiled:
     reading ``lead``, the output-row coordinate.  The renderer wraps the
     nest in a block loop over output rows and guards the fiber loop with
     ``if (lead >= hi) break; if (lead < lo) continue;`` — ``break``
-    because one fiber's ``idx`` run is sorted.  ``rows == 0`` sizes the
-    block at run time from the output's row width.
+    because one fiber's ``idx`` run is sorted.  The block height is sized
+    at run time from the output's row width and the fibers' mean length.
     """
 
     nest: DenseLoop
     lead: Name
-    rows: int
 
 
 @dataclass(frozen=True)

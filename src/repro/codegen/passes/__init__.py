@@ -32,32 +32,21 @@ _simdize -> _ompize``, with ``regblock`` its register-level blocking):
     once per 16-wide block of the rank with block-local workspaces, when
     the rank is a multiple of 16, and unchanged otherwise.  Bit-identical
     because elements never interact (measured shapes in
-    :mod:`~repro.codegen.passes.regblock`).  Always on, not a
-    ``$REPRO_PASSES`` token: any other rank already runs the unchanged
-    nest.
+    :mod:`~repro.codegen.passes.regblock`).
 ``simd``
     ``#pragma omp simd`` on the provably element-disjoint vector loops.
 ``parallelize``
     tags each top-level nest a thread team can share with its OpenMP
     strategy (``for`` for disjoint writes, ``privatized`` for a min/max
     scatter; a ``+`` scatter stays untagged, i.e. serial) and records the
-    strategy per nest.  Always on, not a ``$REPRO_PASSES`` token.
+    strategy per nest.
 
-Every ``$REPRO_PASSES`` token is on by default, and every pass preserves
-bit-identity with the Python backend; the cross-backend differential
-fuzzer sweeps pass subsets to enforce this per pass.  The resolved pass
-set keys the service cache (see :mod:`repro.service.keys`) so
-differently transformed kernels never alias.  Which set applies is
-resolved once per request by
-:meth:`repro.codegen.backends.base.CodegenConfig.resolve`.
+Every phase always runs — there is no pass selection, so one lowered
+program has exactly one C translation unit per profile setting — and
+every phase preserves bit-identity with the Python backend; the
+cross-backend differential fuzzer enforces it over the whole pipeline,
+and a phase's worth is measured by timing a copy of the tree with that
+phase removed from ``PIPELINE``.
 """
 
-from repro.codegen.passes.base import (  # noqa: F401
-    PASS_ORDER,
-    PIPELINE,
-    Pass,
-    PassConfig,
-    describe_passes,
-    parse_passes,
-    run_pipeline,
-)
+from repro.codegen.passes.base import PIPELINE, Pass, run_pipeline  # noqa: F401

@@ -37,7 +37,7 @@ class FusePass(Pass):
             "element index)"
         )
 
-    def run(self, ir: LoopIR, codegen) -> LoopIR:
+    def run(self, ir: LoopIR) -> LoopIR:
         body, fused = self._rewrite(ir.body)
         if fused:
             ir.body = list(body)

@@ -65,20 +65,14 @@ def for_nest(stmt):
 
 class ParallelizePass(Pass):
     name = "parallelize"
-    # always on: a kernel without an annotated nest is built into one
-    # object only, so there is nothing a switch would add
-    token = False
 
     def describe(self) -> str:
         return (
             "tag each top-level nest with its OpenMP strategy (for | "
-            "privatized; a + scatter stays serial); bit-exact; always on"
+            "privatized; a + scatter stays serial); bit-exact"
         )
 
-    def enabled(self, codegen) -> bool:
-        return True
-
-    def run(self, state: ir.LoopIR, codegen) -> ir.LoopIR:
+    def run(self, state: ir.LoopIR) -> ir.LoopIR:
         types = ir.local_types(state.lowered.program)
         for pos, stmt in enumerate(state.body):
             nest = for_nest(stmt)

@@ -134,22 +134,16 @@ def blockable(nest, others: Sequence[Stmt], ws: AbstractSet[str]) -> bool:
 
 class RegblockPass(Pass):
     name = "regblock"
-    # always on: an extent that is not a multiple of WIDTH already runs
-    # the unblocked nest, so there is nothing a switch would add
-    token = False
 
     def describe(self) -> str:
         return (
             "run row-valued nests once per %d-wide block of the vector index "
             "with block-local workspaces, when the extent is a multiple of "
-            "%d; bit-exact (elements never interact); always on, not a token"
+            "%d; bit-exact (elements never interact)"
             % (WIDTH, WIDTH)
         )
 
-    def enabled(self, codegen) -> bool:
-        return True
-
-    def run(self, ir: LoopIR, codegen) -> LoopIR:
+    def run(self, ir: LoopIR) -> LoopIR:
         if ir.lowered.vector_index is None:
             return ir
         types = local_types(ir.lowered.program)

@@ -33,7 +33,7 @@ class SimdPass(Pass):
             "(no loop-carried reductions are hinted)"
         )
 
-    def run(self, ir: LoopIR, codegen) -> LoopIR:
+    def run(self, ir: LoopIR) -> LoopIR:
         ir.simd = True
         ir.notes.append("simd hints armed")
         return ir

@@ -29,21 +29,21 @@ serial order restricted to a subset.  Per-element accumulation order is
 therefore exactly the serial order — bit-identical results, for any
 block count.
 
-Block count (the pass is on by default, so it has to bound its own
-cost).  The block height is sized at run time: about 1 MiB of output
-rows per block, but at most ``max(1, c / 4)`` blocks, where
-``c = pos[n] / n`` is the mean length of the ``n`` fibers the nest walks
-(:func:`auto_tile_rows`; an explicit ``tile_rows`` pins a row count instead).  Why
-a quarter: every block re-walks each fiber up to its upper row, which
-reads at most ``blocks / 2 * nnz <= c * nnz / 8`` index entries, while
-the nest performs ``sum(c_f ** 2) / 2 >= c * nnz / 2`` updates
-(Cauchy-Schwarz, any fiber-length distribution) — the extra sequential
-compares stay under a quarter of the read-modify-write updates even
-where blocking buys no locality at all.  Without the cap, "1 MiB per
-block" loses whenever there are more blocks than the fibers have entries
-to amortise them over.  SSYRK on uniform random operands, one pinned
-CPU, default passes against ``-tile`` interleaved (2 MiB L2; the
-``1 MiB`` column is what that rule alone would pick):
+Block count (the pass always runs, so it has to bound its own cost).
+The block height is sized at run time: about 1 MiB of output rows per
+block, but at most ``max(1, c / 4)`` blocks, where ``c = pos[n] / n`` is
+the mean length of the ``n`` fibers the nest walks
+(:func:`auto_tile_rows`).  Why a quarter: every block re-walks each
+fiber up to its upper row, which reads at most
+``blocks / 2 * nnz <= c * nnz / 8`` index entries, while the nest
+performs ``sum(c_f ** 2) / 2 >= c * nnz / 2`` updates (Cauchy-Schwarz,
+any fiber-length distribution) — the extra sequential compares stay
+under a quarter of the read-modify-write updates even where blocking
+buys no locality at all.  Without the cap, "1 MiB per block" loses
+whenever there are more blocks than the fibers have entries to amortise
+them over.  SSYRK on uniform random operands, one pinned CPU, the whole
+pipeline against the pipeline without ``tile`` interleaved (2 MiB L2;
+the ``1 MiB`` column is what that rule alone would pick):
 
 ==========================  ====  ======  ======  =====================
 output, stored entries      c     1 MiB   blocks  tiled vs untiled
@@ -125,24 +125,20 @@ class TilePass(Pass):
             "row-block triangle-bounded scatter nests (SSYRK shape) so a "
             "block of output rows stays cache-resident per structure walk; "
             "bit-exact (per-element write order preserved); blocks of "
-            "~1MiB, at most mean fiber length / 4 of them (an explicit "
-            "tile_rows pins a row count instead)"
+            "~1MiB, at most mean fiber length / 4 of them"
         )
 
-    def run(self, ir: LoopIR, codegen) -> LoopIR:
+    def run(self, ir: LoopIR) -> LoopIR:
         if ir.lowered.output.ndim != 2:
             return ir
-        rows = codegen.passes.tile_rows
         tiled = 0
         for pos, stmt in enumerate(ir.body):
             lead = self._match(stmt)
             if lead is not None:
-                ir.body[pos] = Tiled(stmt, lead, rows)
+                ir.body[pos] = Tiled(stmt, lead)
                 tiled += 1
         if tiled:
-            ir.notes.append(
-                "tiled %d nest(s) (rows=%s)" % (tiled, rows if rows > 0 else "auto")
-            )
+            ir.notes.append("tiled %d nest(s)" % tiled)
         return ir
 
     # ------------------------------------------------------------------

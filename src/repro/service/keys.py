@@ -11,8 +11,8 @@ default.  :func:`canonicalize` resolves every default the same way
 The configuration half of the key is *derived, not listed*: the material
 enumerates the dataclass fields of :class:`CompilerOptions` and — for
 C-backend requests — of the request's resolved
-:class:`~repro.codegen.backends.base.CodegenConfig` (profiling, pass
-set), so a field is keyed unless it is tagged
+:class:`~repro.codegen.backends.base.CodegenConfig` (profiling), so a
+field is keyed unless it is tagged
 runtime-only (:data:`repro.core.config.RUNTIME_FIELDS`: two requests
 differing only in thread count share one compiled kernel) and adding a
 field retires old keys by itself.  That configuration is resolved once,
@@ -48,8 +48,8 @@ KEY_VERSION = 8
 
 def _fields_text(config, skip=frozenset()) -> str:
     """``name=value,...`` over every dataclass field of *config* not in
-    *skip*, in declaration order (bools as 0/1, nested values as their
-    ``str`` — :class:`PassConfig` prints its signature)."""
+    *skip*, in declaration order (bools as 0/1, anything else as its
+    ``str``)."""
     parts = []
     for f in fields(config):
         if f.name not in skip:

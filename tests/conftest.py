@@ -172,6 +172,15 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture(scope="session")
+def corpus():
+    """The rendering corpus (``tests/render_corpus.py``), lowered and
+    rendered once per session: every whole-corpus test reads this."""
+    from tests import render_corpus
+
+    return render_corpus.corpus()
+
+
 @pytest.fixture(autouse=True)
 def fresh_warn_memo():
     """Bad-knob diagnostics are once per (name, value) per *process*; a

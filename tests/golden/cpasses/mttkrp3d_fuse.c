@@ -52,53 +52,24 @@ int64_t kernel(double *restrict out,
         free(ws3);
         return 1;
     }
-    if (n_j % 16 == 0) {
-        int64_t rp_vb;
-        for (rp_vb = 0; rp_vb < n_j; rp_vb += 16) {
-            for (l = 0; l < n_l; ++l) {
-                t1 = B + (l) * B_dims[1];
-                double w0[16];
-                for (_v = 0; _v < 16; ++_v) { w0[_v] = (2.0 * t1[rp_vb + _v]); }
-                double ws1[16];
-                for (_v = 0; _v < 16; ++_v) { ws1[_v] = 0.0; }
-                for (q0_1 = A__strict_pos1[l]; q0_1 < A__strict_pos1[(l + 1)]; ++q0_1) {
-                    k = A__strict_idx1[q0_1];
-                    t2 = B + (k) * B_dims[1];
-                    double w1[16];
-                    for (_v = 0; _v < 16; ++_v) { w1[_v] = (w0[_v] * t2[rp_vb + _v]); }
-                    double ws0[16];
-                    for (_v = 0; _v < 16; ++_v) { ws0[_v] = 0.0; }
-                    for (q0_2 = A__strict_pos2[q0_1]; q0_2 < A__strict_pos2[(q0_1 + 1)]; ++q0_2) {
-                        i = A__strict_idx2[q0_2];
-                        t0 = A__strict_vals[q0_2];
-                        t3 = B + (i) * B_dims[1];
-                        for (_v = 0; _v < 16; ++_v) { out[(i) * out_dims[1] + rp_vb + _v] += (w1[_v] * t0); ws0[_v] += (t0 * t3[rp_vb + _v]); }
-                    }
-                    for (_v = 0; _v < 16; ++_v) { out[(k) * out_dims[1] + rp_vb + _v] += (w0[_v] * ws0[_v]); ws1[_v] += (t2[rp_vb + _v] * ws0[_v]); }
-                }
-                for (_v = 0; _v < 16; ++_v) { out[(l) * out_dims[1] + rp_vb + _v] += (2.0 * ws1[_v]); }
+    for (l = 0; l < n_l; ++l) {
+        t1 = B + (l) * B_dims[1];
+        for (_v = 0; _v < n_j; ++_v) { w0[_v] = (2.0 * t1[_v]); }
+        for (_v = 0; _v < n_j; ++_v) { ws1[_v] = 0.0; }
+        for (q0_1 = A__strict_pos1[l]; q0_1 < A__strict_pos1[(l + 1)]; ++q0_1) {
+            k = A__strict_idx1[q0_1];
+            t2 = B + (k) * B_dims[1];
+            for (_v = 0; _v < n_j; ++_v) { w1[_v] = (w0[_v] * t2[_v]); }
+            for (_v = 0; _v < n_j; ++_v) { ws0[_v] = 0.0; }
+            for (q0_2 = A__strict_pos2[q0_1]; q0_2 < A__strict_pos2[(q0_1 + 1)]; ++q0_2) {
+                i = A__strict_idx2[q0_2];
+                t0 = A__strict_vals[q0_2];
+                t3 = B + (i) * B_dims[1];
+                for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += (w1[_v] * t0); ws0[_v] += (t0 * t3[_v]); }
             }
+            for (_v = 0; _v < n_j; ++_v) { out[(k) * out_dims[1] + _v] += (w0[_v] * ws0[_v]); ws1[_v] += (t2[_v] * ws0[_v]); }
         }
-    } else {
-        for (l = 0; l < n_l; ++l) {
-            t1 = B + (l) * B_dims[1];
-            for (_v = 0; _v < n_j; ++_v) { w0[_v] = (2.0 * t1[_v]); }
-            for (_v = 0; _v < n_j; ++_v) { ws1[_v] = 0.0; }
-            for (q0_1 = A__strict_pos1[l]; q0_1 < A__strict_pos1[(l + 1)]; ++q0_1) {
-                k = A__strict_idx1[q0_1];
-                t2 = B + (k) * B_dims[1];
-                for (_v = 0; _v < n_j; ++_v) { w1[_v] = (w0[_v] * t2[_v]); }
-                for (_v = 0; _v < n_j; ++_v) { ws0[_v] = 0.0; }
-                for (q0_2 = A__strict_pos2[q0_1]; q0_2 < A__strict_pos2[(q0_1 + 1)]; ++q0_2) {
-                    i = A__strict_idx2[q0_2];
-                    t0 = A__strict_vals[q0_2];
-                    t3 = B + (i) * B_dims[1];
-                    for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += (w1[_v] * t0); ws0[_v] += (t0 * t3[_v]); }
-                }
-                for (_v = 0; _v < n_j; ++_v) { out[(k) * out_dims[1] + _v] += (w0[_v] * ws0[_v]); ws1[_v] += (t2[_v] * ws0[_v]); }
-            }
-            for (_v = 0; _v < n_j; ++_v) { out[(l) * out_dims[1] + _v] += (2.0 * ws1[_v]); }
-        }
+        for (_v = 0; _v < n_j; ++_v) { out[(l) * out_dims[1] + _v] += (2.0 * ws1[_v]); }
     }
     for (l = 0; l < n_l; ++l) {
         t5 = B + (l) * B_dims[1];

@@ -58,92 +58,71 @@ int64_t kernel(double *restrict out,
             for (l = 0; l < n_l; ++l) {
                 t1 = B + (l) * B_dims[1];
                 double w0[16];
-                #pragma omp simd
                 for (_v = 0; _v < 16; ++_v) { w0[_v] = (2.0 * t1[rp_vb + _v]); }
                 double ws1[16];
-                #pragma omp simd
                 for (_v = 0; _v < 16; ++_v) { ws1[_v] = 0.0; }
                 for (q0_1 = A__strict_pos1[l]; q0_1 < A__strict_pos1[(l + 1)]; ++q0_1) {
                     k = A__strict_idx1[q0_1];
                     t2 = B + (k) * B_dims[1];
                     double w1[16];
-                    #pragma omp simd
                     for (_v = 0; _v < 16; ++_v) { w1[_v] = (w0[_v] * t2[rp_vb + _v]); }
                     double ws0[16];
-                    #pragma omp simd
                     for (_v = 0; _v < 16; ++_v) { ws0[_v] = 0.0; }
                     for (q0_2 = A__strict_pos2[q0_1]; q0_2 < A__strict_pos2[(q0_1 + 1)]; ++q0_2) {
                         i = A__strict_idx2[q0_2];
                         t0 = A__strict_vals[q0_2];
                         t3 = B + (i) * B_dims[1];
-                        #pragma omp simd
                         for (_v = 0; _v < 16; ++_v) { out[(i) * out_dims[1] + rp_vb + _v] += (w1[_v] * t0); ws0[_v] += (t0 * t3[rp_vb + _v]); }
                     }
-                    #pragma omp simd
                     for (_v = 0; _v < 16; ++_v) { out[(k) * out_dims[1] + rp_vb + _v] += (w0[_v] * ws0[_v]); ws1[_v] += (t2[rp_vb + _v] * ws0[_v]); }
                 }
-                #pragma omp simd
                 for (_v = 0; _v < 16; ++_v) { out[(l) * out_dims[1] + rp_vb + _v] += (2.0 * ws1[_v]); }
             }
         }
     } else {
         for (l = 0; l < n_l; ++l) {
             t1 = B + (l) * B_dims[1];
-            #pragma omp simd
             for (_v = 0; _v < n_j; ++_v) { w0[_v] = (2.0 * t1[_v]); }
-            #pragma omp simd
             for (_v = 0; _v < n_j; ++_v) { ws1[_v] = 0.0; }
             for (q0_1 = A__strict_pos1[l]; q0_1 < A__strict_pos1[(l + 1)]; ++q0_1) {
                 k = A__strict_idx1[q0_1];
                 t2 = B + (k) * B_dims[1];
-                #pragma omp simd
                 for (_v = 0; _v < n_j; ++_v) { w1[_v] = (w0[_v] * t2[_v]); }
-                #pragma omp simd
                 for (_v = 0; _v < n_j; ++_v) { ws0[_v] = 0.0; }
                 for (q0_2 = A__strict_pos2[q0_1]; q0_2 < A__strict_pos2[(q0_1 + 1)]; ++q0_2) {
                     i = A__strict_idx2[q0_2];
                     t0 = A__strict_vals[q0_2];
                     t3 = B + (i) * B_dims[1];
-                    #pragma omp simd
                     for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += (w1[_v] * t0); ws0[_v] += (t0 * t3[_v]); }
                 }
-                #pragma omp simd
                 for (_v = 0; _v < n_j; ++_v) { out[(k) * out_dims[1] + _v] += (w0[_v] * ws0[_v]); ws1[_v] += (t2[_v] * ws0[_v]); }
             }
-            #pragma omp simd
             for (_v = 0; _v < n_j; ++_v) { out[(l) * out_dims[1] + _v] += (2.0 * ws1[_v]); }
         }
     }
     for (l = 0; l < n_l; ++l) {
         t5 = B + (l) * B_dims[1];
-        #pragma omp simd
         for (_v = 0; _v < n_j; ++_v) { ws3[_v] = 0.0; }
         for (q0_1 = A__diagonal_pos1[l]; q0_1 < A__diagonal_pos1[(l + 1)]; ++q0_1) {
             k = A__diagonal_idx1[q0_1];
             t6 = B + (k) * B_dims[1];
-            #pragma omp simd
             for (_v = 0; _v < n_j; ++_v) { ws2[_v] = 0.0; }
             for (q0_2 = A__diagonal_pos2[q0_1]; q0_2 < A__diagonal_pos2[(q0_1 + 1)]; ++q0_2) {
                 i = A__diagonal_idx2[q0_2];
                 t4 = A__diagonal_vals[q0_2];
                 t7 = B + (i) * B_dims[1];
                 if ((((i < k) && (k == l)) || ((i == k) && (k == l)))) {
-                    #pragma omp simd
                     for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += ((t4 * t5[_v]) * t6[_v]); }
                 }
                 if (((i < k) && (k == l))) {
-                    #pragma omp simd
                     for (_v = 0; _v < n_j; ++_v) { ws2[_v] += (2.0 * ((t4 * t5[_v]) * t7[_v])); }
                 }
                 if (((i == k) && (k < l))) {
-                    #pragma omp simd
                     for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += (2.0 * ((t4 * t5[_v]) * t6[_v])); ws3[_v] += ((t4 * t6[_v]) * t7[_v]); }
                 }
             }
-            #pragma omp simd
             for (_v = 0; _v < n_j; ++_v) { out[(k) * out_dims[1] + _v] += ws2[_v]; }
         }
-        #pragma omp simd
         for (_v = 0; _v < n_j; ++_v) { out[(l) * out_dims[1] + _v] += ws3[_v]; }
     }
     free(w0);

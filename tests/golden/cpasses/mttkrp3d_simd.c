@@ -77,14 +77,10 @@ int64_t kernel(double *restrict out,
                         t0 = A__strict_vals[q0_2];
                         t3 = B + (i) * B_dims[1];
                         #pragma omp simd
-                        for (_v = 0; _v < 16; ++_v) { out[(i) * out_dims[1] + rp_vb + _v] += (w1[_v] * t0); }
-                        #pragma omp simd
-                        for (_v = 0; _v < 16; ++_v) { ws0[_v] += (t0 * t3[rp_vb + _v]); }
+                        for (_v = 0; _v < 16; ++_v) { out[(i) * out_dims[1] + rp_vb + _v] += (w1[_v] * t0); ws0[_v] += (t0 * t3[rp_vb + _v]); }
                     }
                     #pragma omp simd
-                    for (_v = 0; _v < 16; ++_v) { out[(k) * out_dims[1] + rp_vb + _v] += (w0[_v] * ws0[_v]); }
-                    #pragma omp simd
-                    for (_v = 0; _v < 16; ++_v) { ws1[_v] += (t2[rp_vb + _v] * ws0[_v]); }
+                    for (_v = 0; _v < 16; ++_v) { out[(k) * out_dims[1] + rp_vb + _v] += (w0[_v] * ws0[_v]); ws1[_v] += (t2[rp_vb + _v] * ws0[_v]); }
                 }
                 #pragma omp simd
                 for (_v = 0; _v < 16; ++_v) { out[(l) * out_dims[1] + rp_vb + _v] += (2.0 * ws1[_v]); }
@@ -109,14 +105,10 @@ int64_t kernel(double *restrict out,
                     t0 = A__strict_vals[q0_2];
                     t3 = B + (i) * B_dims[1];
                     #pragma omp simd
-                    for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += (w1[_v] * t0); }
-                    #pragma omp simd
-                    for (_v = 0; _v < n_j; ++_v) { ws0[_v] += (t0 * t3[_v]); }
+                    for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += (w1[_v] * t0); ws0[_v] += (t0 * t3[_v]); }
                 }
                 #pragma omp simd
-                for (_v = 0; _v < n_j; ++_v) { out[(k) * out_dims[1] + _v] += (w0[_v] * ws0[_v]); }
-                #pragma omp simd
-                for (_v = 0; _v < n_j; ++_v) { ws1[_v] += (t2[_v] * ws0[_v]); }
+                for (_v = 0; _v < n_j; ++_v) { out[(k) * out_dims[1] + _v] += (w0[_v] * ws0[_v]); ws1[_v] += (t2[_v] * ws0[_v]); }
             }
             #pragma omp simd
             for (_v = 0; _v < n_j; ++_v) { out[(l) * out_dims[1] + _v] += (2.0 * ws1[_v]); }
@@ -145,9 +137,7 @@ int64_t kernel(double *restrict out,
                 }
                 if (((i == k) && (k < l))) {
                     #pragma omp simd
-                    for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += (2.0 * ((t4 * t5[_v]) * t6[_v])); }
-                    #pragma omp simd
-                    for (_v = 0; _v < n_j; ++_v) { ws3[_v] += ((t4 * t6[_v]) * t7[_v]); }
+                    for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += (2.0 * ((t4 * t5[_v]) * t6[_v])); ws3[_v] += ((t4 * t6[_v]) * t7[_v]); }
                 }
             }
             #pragma omp simd

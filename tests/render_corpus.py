@@ -5,22 +5,24 @@ the lowering-option ablations, plus a handful of user einsums that reach
 the statement forms no library kernel emits (the ``break`` triangle
 guard, ``np.minimum`` row reductions, explicit triangle conditions over
 a dense symmetric input, a dense-only vectorized nest).  Each lowering
-is rendered to C under every pass set x profile flag in
-:data:`C_CONFIGS`.
+is rendered to C under both profile settings in :data:`C_CONFIGS`
+(every loop phase always runs, so nothing else changes the C).
 
-Shared by the digest freeze in ``test_cpasses.py`` and the persistence
-round-trip in ``test_loopir.py``.
+:func:`corpus` lowers and renders it once; ``conftest.py`` holds that as
+the session-scoped ``corpus`` fixture, which the digest freeze in
+``test_cpasses.py``, the persistence round-trip in ``test_loopir.py``
+and the phase-level checks in ``test_parallelize.py`` read.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 from repro.codegen.backends.base import CodegenConfig
 from repro.codegen.backends.c import render_c_full
-from repro.codegen.passes import PASS_ORDER, PassConfig
-from repro.core.compiler import compile_kernel
+from repro.core.compiler import CompiledKernel, compile_kernel
 from repro.core.config import DEFAULT
 from repro.kernels.extensions import EXTENSIONS
 from repro.kernels.library import KERNELS
@@ -83,20 +85,12 @@ EXTRAS = {
     ),
 }
 
-PASS_SETS = {
-    "none": PassConfig(enabled=()),
-    "default": PassConfig(enabled=PASS_ORDER),
-    "tile@64": PassConfig(enabled=("tile",), tile_rows=64),
-}
+#: every C rendering of one lowering, in manifest order: profile off, on.
+C_CONFIGS: Tuple[bool, ...] = (False, True)
 
-#: every C rendering of one lowering, in manifest order.
-C_CONFIGS: Tuple[Tuple[str, bool], ...] = tuple(
-    (passes, profile) for passes in PASS_SETS for profile in (False, True)
-)
-
-#: the same 6 points as the values the renderer is handed.
+#: the same 2 points as the values the renderer is handed.
 CODEGEN_CONFIGS: Tuple[CodegenConfig, ...] = tuple(
-    CodegenConfig(profile, PASS_SETS[passes]) for passes, profile in C_CONFIGS
+    CodegenConfig(profile) for profile in C_CONFIGS
 )
 
 
@@ -142,14 +136,35 @@ def c_renderings(lowered) -> List[str]:
     ]
 
 
+@dataclass(frozen=True)
+class Lowering:
+    """One corpus entry: its manifest key, the compiled (python backend)
+    kernel and its C under each :data:`C_CONFIGS` entry."""
+
+    key: str
+    kernel: CompiledKernel
+    c: Tuple[str, ...]
+
+
+def corpus() -> List[Lowering]:
+    """The whole corpus, lowered and rendered, in manifest key order."""
+    return sorted(
+        (
+            Lowering(key, kernel, tuple(c_renderings(kernel.lowered)))
+            for key, kernel in lowerings()
+        ),
+        key=lambda entry: entry.key,
+    )
+
+
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def digest_entry(kernel) -> Dict[str, object]:
+def digest_entry(entry: Lowering) -> Dict[str, object]:
     """One manifest entry: full digest of the Python source, a 16-hex
     sha256 prefix per C configuration (in :data:`C_CONFIGS` order)."""
     return {
-        "py": sha(kernel.source),
-        "c": [sha(src)[:16] for src in c_renderings(kernel.lowered)],
+        "py": sha(entry.kernel.source),
+        "c": [sha(src)[:16] for src in entry.c],
     }

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -171,6 +173,11 @@ def test_backends_command(capsys):
     assert "python" in out
     assert "resolves to" in out
     assert "REPRO_BACKEND" in out
+    # every loop phase, in pipeline order, none of them switchable
+    phases = re.findall(r"^  (\w+) ", out.split("loop phases")[1], flags=re.M)[:5]
+    assert phases == ["fuse", "tile", "regblock", "simd", "parallelize"]
+    assert not re.search(r"^  \w+ +(on|off) ", out, flags=re.M)
+    assert "signature" not in out
 
 
 def test_compile_with_backend_flag(capsys):
@@ -189,22 +196,6 @@ def test_compile_with_backend_flag(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "generated kernel (backend: python)" in out
-
-
-@pytest.mark.parametrize("spec, token", [("bogus,none,tile", "bogus"),
-                                         ("fission,tile", "fission")])
-def test_compile_rejects_unknown_pass_tokens(spec, token, capsys):
-    """Was: exit 0 and a warning about ``REPRO_PASSES``, a variable the
-    caller never set, and a build without the token."""
-    argv = ["compile", "y[i] += A[i, j] * x[j]", "--symmetric", "A",
-            "--loop-order", "j,i", "--backend", "python", "--passes"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + [spec])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "--passes" in err and repr(token) in err
-    assert "fuse, tile, simd" in err and "REPRO_PASSES" not in err
-    assert main(argv + ["none,tile"]) == 0
 
 
 def test_cache_gc_requires_a_bound(tmp_path, capsys):

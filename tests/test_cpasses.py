@@ -1,39 +1,31 @@
-"""The composable C-renderer pass pipeline.
+"""The loop-phase pipeline behind the C renderer.
 
-Covers the ``$REPRO_PASSES`` grammar, the cache-key signature, golden
-C-source snapshots per pass (regenerate with ``REPRO_UPDATE_GOLDEN=1``),
-per-pass bit-identity against the Python backend, pass-set cache keying,
-and the satellite regressions that rode along with the pipeline: the
-OpenMP-strategy warn-once and kernel allocation failure surfacing as a recoverable status.
+Covers the pipeline's declaration, golden C-source snapshots of its
+prefixes (regenerate with ``REPRO_UPDATE_GOLDEN=1``), the render-digest
+freeze of the whole corpus, per-phase bit-identity against the Python
+backend, and the satellite regressions that rode along with the
+pipeline: kernel allocation failure surfacing as a recoverable status.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
-import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.codegen.backends import ctoolchain, get_backend, render_c
-from dataclasses import replace
-
 from repro.codegen.backends.base import CodegenConfig
+from repro.codegen.backends.c import render_c_full
 from repro.codegen.loopir import Blocked, walk
-from repro.codegen.passes import (
-    PASS_ORDER,
-    PIPELINE,
-    PassConfig,
-    describe_passes,
-    parse_passes,
-    run_pipeline,
-)
-from repro.codegen.passes.regblock import RegblockPass
+from repro.codegen.passes import PIPELINE, Pass, base as passes_base, run_pipeline
 from repro.core.config import DEFAULT
 from repro.kernels.library import get_kernel
-from repro.service.keys import cache_key, canonicalize
+from repro.service.keys import cache_key
 
 HAVE_CC = get_backend("c").is_available()
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no working C toolchain")
@@ -41,148 +33,90 @@ needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no working C toolchain")
 GOLDEN_DIR = Path(__file__).parent / "golden" / "cpasses"
 DIGESTS = Path(__file__).parent / "golden" / "render_digests.json"
 
+PHASES = [p.name for p in PIPELINE]
+
 
 def _lowered(name):
     return get_kernel(name).compile().lowered
 
 
+def _through(phase):
+    """The pipeline prefix ending with *phase* (``none``: no phase at all;
+    ``all``: the whole pipeline)."""
+    if phase == "all":
+        return PIPELINE
+    return PIPELINE[: PHASES.index(phase) + 1 if phase != "none" else 0]
+
+
+def _render(monkeypatch, lowered, phases, label=None):
+    """*lowered*'s C with only *phases* run over it, in their order."""
+    with monkeypatch.context() as patch:
+        patch.setattr(passes_base, "PIPELINE", tuple(phases))
+        return render_c_full(lowered, label, CodegenConfig()).source
+
+
 # ----------------------------------------------------------------------
-# the $REPRO_PASSES grammar
+# the pipeline: one fixed phase sequence, nothing selects a subset
 # ----------------------------------------------------------------------
-def test_default_set_is_the_bit_exact_never_regressing_passes():
-    assert parse_passes("") == PASS_ORDER == ("fuse", "tile", "simd")
-
-
-def test_none_all_default_reset_the_working_set():
-    assert parse_passes("none") == ()
-    # every pass is on by default, so "all" is "default"
-    assert parse_passes("all") == parse_passes("default") == PASS_ORDER
-    assert parse_passes("none,default") == parse_passes("-tile,all") == PASS_ORDER
-    # tokens apply left to right
-    assert parse_passes("all,none") == ()
-    assert parse_passes("none,tile") == ("tile",)
-
-
-def test_plus_minus_bang_prefixes():
-    assert parse_passes("none,+fuse") == ("fuse",)
-    assert parse_passes("-fuse") == ("tile", "simd")
-    assert parse_passes("!simd,-fuse") == ("tile",)
-    assert parse_passes("-tile") == ("fuse", "simd")
-
-
-def test_result_is_always_in_pipeline_order():
-    assert parse_passes("none,simd,tile,fuse") == ("fuse", "tile", "simd")
-
-
-def test_unknown_tokens_warn_once_and_are_ignored():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert parse_passes("vectorize,tile,none,tile") == ("tile",)
-        assert parse_passes("vectorize") == PASS_ORDER
-    ours = [w for w in caught if "REPRO_PASSES" in str(w.message)]
-    assert len(ours) == 1
-    assert "vectorize" in str(ours[0].message)
-
-
-def test_strict_parse_names_the_unknown_token():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # raised, never warned
-        with pytest.raises(ValueError, match="'bogus'.*fuse, tile, simd"):
-            parse_passes("none,bogus,tile", strict=True)
-        assert parse_passes("none,-simd,+tile", strict=True) == ("tile",)
-
-
-def test_env_config_reads_passes(monkeypatch):
-    monkeypatch.setenv("REPRO_PASSES", "none,tile")
-    config = CodegenConfig.resolve().passes
-    assert config.enabled == ("tile",)
-    assert config.tile_rows == 0  # only an explicit PassConfig pins the block size
-
-
-def test_signature_is_canonical():
-    assert PassConfig(enabled=()).signature() == "none"
-    assert PassConfig(enabled=("simd", "fuse")).signature() == "fuse+simd"
-    assert PassConfig(enabled=("tile",)).signature() == "tile@auto"
-    assert PassConfig(enabled=("tile",), tile_rows=64).signature() == "tile@64"
-    assert (
-        PassConfig(enabled=PASS_ORDER, tile_rows=8).signature()
-        == "fuse+tile@8+simd"
-    )
-    # the default signature, which every default cache key contains
-    assert CodegenConfig().passes.signature() == "fuse+tile@auto+simd"
-
-
 def test_pipeline_metadata_is_complete():
-    # the REPRO_PASSES tokens, then register blocking and parallelisation
-    # (always on: neither is a token, neither is in a signature)
-    assert [p.name for p in PIPELINE] == [
-        "fuse", "tile", "regblock", "simd", "parallelize"
-    ]
-    assert tuple(p.name for p in PIPELINE if p.token) == PASS_ORDER
-    off = CodegenConfig(False, PassConfig(enabled=()))
-    for name, enabled, description in describe_passes(off):
-        assert name in PASS_ORDER + ("regblock", "parallelize")
-        assert enabled == (name in ("regblock", "parallelize"))
-        assert description  # every pass documents itself
-
-
-def test_active_config_honors_env(monkeypatch):
-    monkeypatch.setenv("REPRO_PASSES", "none")
-    assert CodegenConfig.resolve().passes.signature() == "none"
-    monkeypatch.setenv("REPRO_PASSES", "none,fuse")
-    assert CodegenConfig.resolve().passes.signature() == "fuse"
-    # an explicit spec (repro compile --passes) takes the variable's place
-    assert CodegenConfig.resolve(passes="none,simd").passes.signature() == "simd"
+    # the loop restructurings, then vectorization hints, then the
+    # parallelisation decision over what they left behind
+    assert PHASES == ["fuse", "tile", "regblock", "simd", "parallelize"]
+    for phase in PIPELINE:
+        assert phase.describe()  # every phase documents itself
+    # a phase takes the loop IR and nothing else; the pipeline takes no
+    # configuration; what is configurable is the printer's profile flag
+    assert list(inspect.signature(Pass.run).parameters) == ["self", "ir"]
+    assert list(inspect.signature(run_pipeline).parameters) == ["lowered", "label"]
+    assert [f.name for f in fields(CodegenConfig)] == ["profile"]
 
 
 def test_resolving_a_config_runs_no_toolchain(monkeypatch):
     """Resolution reads the environment only: with every probe build
-    failing loudly and nothing memoized, ``all`` still resolves."""
+    failing loudly and nothing memoized, the profile flag still
+    resolves."""
 
     def no_cc(*args):
         raise AssertionError("CodegenConfig.resolve ran the toolchain")
 
     monkeypatch.setattr(ctoolchain, "_probed", {})
     monkeypatch.setattr(ctoolchain, "_probe_build_runs", no_cc)
-    monkeypatch.setenv("REPRO_PASSES", "all")
-    assert CodegenConfig.resolve().passes == CodegenConfig().passes
+    monkeypatch.setenv("REPRO_PROFILE", "1")
+    assert CodegenConfig.resolve() == CodegenConfig(profile=True)
 
 
 # ----------------------------------------------------------------------
-# golden C-source snapshots (one kernel per pass; on/off diffs)
+# golden C-source snapshots, one per pipeline prefix: ``<kernel>_<phase>``
+# is the C of the pipeline up to and including <phase> (``none``: the
+# lowered program as printed), so the diff between two goldens of one
+# kernel is what the phases between them did.  ``bellmanford_parallelize``
+# is the whole pipeline, what a compile prints.
 #
-# Rendering is machine-independent: an explicit PassConfig is rendered
-# verbatim, and the env knobs that change emission are cleared.
+# Rendering is machine-independent: the profile flag is fixed.
 # Regenerate after an intentional renderer change with
 #     REPRO_UPDATE_GOLDEN=1 python -m pytest tests/test_cpasses.py
 # ----------------------------------------------------------------------
 GOLDEN_CASES = {
-    "ssymv_none": ("ssymv", PassConfig(enabled=())),
-    "mttkrp3d_none": ("mttkrp3d", PassConfig(enabled=())),
-    "mttkrp3d_fuse": ("mttkrp3d", PassConfig(enabled=("fuse",))),
-    "ssyrk_tile": ("ssyrk", PassConfig(enabled=("tile",))),
-    "mttkrp3d_simd": ("mttkrp3d", PassConfig(enabled=("simd",))),
-    # register blocking is always on, so every mttkrp3d case prints its
-    # branch; this one is it under the default set (fused, simd-hinted)
-    "mttkrp3d_regblock": ("mttkrp3d", PassConfig(enabled=PASS_ORDER)),
+    "ssymv_none": "ssymv",
+    "mttkrp3d_none": "mttkrp3d",
+    "mttkrp3d_fuse": "mttkrp3d",
+    "ssyrk_tile": "ssyrk",
+    "mttkrp3d_regblock": "mttkrp3d",
+    "mttkrp3d_simd": "mttkrp3d",
+    "bellmanford_parallelize": "bellmanford",
 }
-
-
-def _skip_regblock(monkeypatch):
-    """Render as the pipeline did before the always-on regblock phase."""
-    monkeypatch.setattr(RegblockPass, "enabled", lambda self, codegen: False)
 
 
 @pytest.fixture
 def _clean_render_env(monkeypatch):
-    for name in ("REPRO_PROFILE", "REPRO_PASSES"):
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("REPRO_PROFILE", raising=False)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
-def test_golden_snapshot(case, _clean_render_env):
-    kernel, config = GOLDEN_CASES[case]
-    src = render_c(_lowered(kernel), label=kernel, passes=config)
+def test_golden_snapshot(case, monkeypatch):
+    kernel = GOLDEN_CASES[case]
+    phases = _through(case[len(kernel) + 1:])
+    src = _render(monkeypatch, _lowered(kernel), phases, label=kernel)
     path = GOLDEN_DIR / ("%s.c" % case)
     if os.environ.get("REPRO_UPDATE_GOLDEN"):
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -194,26 +128,21 @@ def test_golden_snapshot(case, _clean_render_env):
     )
 
 
-def test_render_digests(_clean_render_env):
+def test_render_digests(corpus):
     """Every generated Python and C source of the corpus, frozen by digest.
 
     ``tests/render_corpus.py`` spans the library and extension kernels
     (SySTeC and naive) x dtypes x lowering ablations, each rendered to C
-    under every pass set x profile flag.  A codegen
-    refactor must keep this green without regenerating; an intentional
-    output change regenerates with ``REPRO_UPDATE_GOLDEN=1`` and shows
-    up in review as a manifest diff.
+    with profiling off and on.  A codegen refactor must keep this green
+    without regenerating; an intentional output change regenerates with
+    ``REPRO_UPDATE_GOLDEN=1`` and shows up in review as a manifest diff.
     """
     from tests import render_corpus
 
-    configs = ["%s|%s" % (p, "profile" if prof else "plain")
-               for p, prof in render_corpus.C_CONFIGS]
+    configs = ["profile" if profile else "plain" for profile in render_corpus.C_CONFIGS]
     current = {
         "configs": configs,
-        "kernels": {
-            key: render_corpus.digest_entry(kernel)
-            for key, kernel in render_corpus.lowerings()
-        },
+        "kernels": {entry.key: render_corpus.digest_entry(entry) for entry in corpus},
     }
     if os.environ.get("REPRO_UPDATE_GOLDEN"):
         DIGESTS.write_text(json.dumps(current, indent=0, sort_keys=True) + "\n")
@@ -237,17 +166,37 @@ def test_render_digests(_clean_render_env):
     )
 
 
+def test_a_leftover_pass_selection_changes_nothing(corpus, monkeypatch, capsys, _clean_render_env):
+    """The variable that used to select loop phases is read by nothing:
+    with it set, every corpus lowering renders the C it renders without
+    it, a request keys the same, and ``repro doctor`` names it as a
+    variable that is not a knob."""
+    from repro.cli import main
+
+    leftover = "REPRO_PASSES"
+    kwargs = dict(symmetric={"A": True}, options=DEFAULT.but(backend="c"))
+    einsum = get_kernel("ssymv").einsum
+    key = cache_key(einsum, **kwargs)
+    monkeypatch.setenv(leftover, "none")
+    for entry in corpus:
+        assert render_c(entry.kernel.lowered, "digest") == entry.c[0], entry.key
+    assert cache_key(einsum, **kwargs) == key
+    main(["doctor"])
+    assert "%s is not a knob" % leftover in capsys.readouterr().out
+
+
 #: the C digests of the whole corpus as printed when every ``pos``/``idx``
 #: pointer was ``int64_t`` (before the ``rp_index`` declaration), folded
-#: into one: sha256 of the ``key:digest,digest,...`` lines of that
-#: manifest, in key order.  That renderer still printed OpenMP bodies for
-#: ``+`` scatter nests; the digests are of its output with them switched
-#: off for the lowerings that had one, and with the kernel's header
-#: comment as it reads now (no scatter log to fail allocating).
-INT64_POINTER_DIGEST = "63c4e30d255c86d21cf73c806eaf9f763c582076ca36ee9630310c5f65541bcd"
+#: into one: sha256 of the ``key:digest,digest`` lines of that manifest
+#: (profile off, on), in key order.  That renderer still printed OpenMP
+#: bodies for ``+`` scatter nests; the digests are of its output with
+#: them switched off for the lowerings that had one, and with the
+#: kernel's header comment as it reads now (no scatter log to fail
+#: allocating).
+INT64_POINTER_DIGEST = "6189ff52b77efa073388232afe1bd8fba936001ef7594af213068d36d134298c"
 
 
-def test_the_index_type_is_the_only_textual_change(_clean_render_env):
+def test_the_index_type_is_the_only_textual_change(corpus):
     """Spell ``rp_index`` as ``int64_t`` and drop its declaration, and
     every C source of the 274 corpus lowerings is byte for byte what the
     renderer printed with 64-bit index pointers: the index type moved
@@ -259,47 +208,46 @@ def test_the_index_type_is_the_only_textual_change(_clean_render_env):
 
     declaration = "\n" + "\n".join(INDEX_DECLARATION)
     lines = []
-    for key, kernel in sorted(render_corpus.lowerings(), key=lambda item: item[0]):
+    for entry in corpus:
         digests = []
-        for src in render_corpus.c_renderings(kernel.lowered):
-            assert src.count(declaration) == 1, key
+        for src in entry.c:
+            assert src.count(declaration) == 1, entry.key
             old = src.replace(declaration, "").replace("rp_index", "int64_t")
             digests.append(render_corpus.sha(old)[:16])
-        lines.append("%s:%s" % (key, ",".join(digests)))
+        lines.append("%s:%s" % (entry.key, ",".join(digests)))
     assert len(lines) == 274
     folded = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     assert folded == INT64_POINTER_DIGEST
 
 
-def test_regblock_moves_only_the_lowerings_it_blocks(_clean_render_env, monkeypatch):
+def test_regblock_moves_only_the_lowerings_it_blocks(corpus, monkeypatch):
     """Register blocking changes generated C only where it wraps a nest.
 
-    Every lowering of the corpus renders, with the phase skipped, to the
-    manifest's digests exactly when no nest of it is blocked — so SSYMV,
-    SYPRD, SSYRK and every kernel whose vector nests are all
-    ``If``-guarded print what they printed before the phase existed —
-    and a lowering with a blocked nest has new digests in every column.
+    Every lowering of the corpus renders, with the phase taken out of the
+    pipeline, to the C it renders with it exactly when no nest of it is
+    blocked — so SSYMV, SYPRD, SSYRK and every kernel whose vector nests
+    are all ``If``-guarded print what they printed before the phase
+    existed — and a lowering with a blocked nest prints new C under both
+    profile settings.
     """
     from tests import render_corpus
 
-    golden = json.loads(DIGESTS.read_text())["kernels"]
-    corpus = list(render_corpus.lowerings())
     blocked = {
-        key: [
-            any(isinstance(s, Blocked) for s in walk(run_pipeline(kernel.lowered, config).body))
-            for config in render_corpus.CODEGEN_CONFIGS
-        ]
-        for key, kernel in corpus
+        entry.key: any(
+            isinstance(s, Blocked) for s in walk(run_pipeline(entry.kernel.lowered).body)
+        )
+        for entry in corpus
     }
-    _skip_regblock(monkeypatch)
+    monkeypatch.setattr(
+        passes_base, "PIPELINE", tuple(p for p in PIPELINE if p.name != "regblock")
+    )
     moved = set()
-    for key, kernel in corpus:
-        before = [render_corpus.sha(src)[:16] for src in render_corpus.c_renderings(kernel.lowered)]
-        changed = [got != old for got, old in zip(golden[key]["c"], before)]
-        assert changed == blocked[key], key
-        if any(changed):
-            assert all(changed), key
-            moved.add(key)
+    for entry in corpus:
+        before = render_corpus.c_renderings(entry.kernel.lowered)
+        changed = [now != then for now, then in zip(entry.c, before)]
+        assert changed == [blocked[entry.key]] * len(changed), entry.key
+        if blocked[entry.key]:
+            moved.add(entry.key)
     assert {key.split("|")[0] for key in moved} == BLOCKED_KERNELS
     assert len(moved) == BLOCKED_LOWERINGS
 
@@ -313,109 +261,54 @@ BLOCKED_KERNELS = {
 BLOCKED_LOWERINGS = 74
 
 
-def test_each_pass_changes_only_its_marker(_clean_render_env, monkeypatch):
-    """The on/off diff of each pass shows its transformation and nothing
-    else's (passes compose but do not leak into one another)."""
-    base = render_c(_lowered("ssymv"), passes=PassConfig(enabled=()))
+def test_each_pass_changes_only_its_marker(monkeypatch):
+    """Each phase's step along the pipeline shows its transformation and
+    nothing else's (phases compose but do not leak into one another)."""
+
+    def through(lowered, phase):
+        return _render(monkeypatch, lowered, _through(phase))
+
+    base = through(_lowered("ssymv"), "none")
     assert "#pragma omp simd" not in base and "rp_tile" not in base
 
     mttkrp = _lowered("mttkrp3d")
-    plain = render_c(mttkrp, passes=PassConfig(enabled=()))
-    fused = render_c(mttkrp, passes=PassConfig(enabled=("fuse",)))
+    plain = through(mttkrp, "none")
+    fused = through(mttkrp, "fuse")
     assert fused.count("for (_v = 0") < plain.count("for (_v = 0")
+    assert through(mttkrp, "tile") == fused  # no SSYRK-shaped nest
 
-    simd = render_c(mttkrp, passes=PassConfig(enabled=("simd",)))
-    assert "#pragma omp simd" in simd and "#pragma omp simd" not in plain
+    blocked = through(mttkrp, "regblock")
+    assert "rp_vb" in blocked and "rp_vb" not in fused
 
-    # the always-on regblock phase prints its blocked branch even with
-    # every token off; skipping the phase removes it
-    assert "rp_vb" in plain and "for (_v = 0" in plain
-    _skip_regblock(monkeypatch)
-    assert "rp_vb" not in render_c(mttkrp, passes=PassConfig(enabled=()))
+    simd = through(mttkrp, "simd")
+    assert "#pragma omp simd" in simd and "#pragma omp simd" not in blocked
+    unhinted = "\n".join(
+        line for line in simd.split("\n") if line.strip() != "#pragma omp simd"
+    )
+    assert unhinted == blocked
+    # a + scatter gets no team body: the last phase prints nothing new
+    assert through(mttkrp, "parallelize") == simd
 
     ssyrk = _lowered("ssyrk")
-    tiled = render_c(ssyrk, passes=PassConfig(enabled=("tile",)))
+    tiled = through(ssyrk, "tile")
     assert "rp_tile" in tiled and "rp_thi" in tiled
-    assert "rp_tile" not in render_c(ssyrk, passes=PassConfig(enabled=()))
-
-
-def test_explicit_tile_rows_are_emitted(_clean_render_env):
-    src = render_c(
-        _lowered("ssyrk"), passes=PassConfig(enabled=("tile",), tile_rows=32)
-    )
-    assert "int64_t rp_tile = 32;" in src
-    auto = render_c(_lowered("ssyrk"), passes=PassConfig(enabled=("tile",)))
-    assert "sizeof" in auto and "rp_tile" in auto
+    assert "rp_tile" not in through(ssyrk, "fuse")
 
 
 def test_rendering_under_passes_is_deterministic(_clean_render_env):
     lowered = _lowered("ssyrk")
-    config = PassConfig(enabled=PASS_ORDER)
-    assert render_c(lowered, passes=config) == render_c(lowered, passes=config)
+    assert render_c(lowered) == render_c(lowered)
 
 
 # ----------------------------------------------------------------------
-# pass-set cache keying
-# ----------------------------------------------------------------------
-def test_pass_set_keys_c_requests(monkeypatch):
-    spec = get_kernel("ssymv")
-    opts = DEFAULT.but(backend="c")
-    kwargs = dict(symmetric={"A": True}, options=opts)
-    monkeypatch.setenv("REPRO_PASSES", "none")
-    none_key = cache_key(spec.einsum, **kwargs)
-    monkeypatch.setenv("REPRO_PASSES", "none,tile")
-    tiled = canonicalize(spec.einsum, **kwargs)
-    assert none_key != tiled.key
-    pinned = replace(tiled.codegen, passes=PassConfig(("tile",), tile_rows=64))
-    assert replace(tiled, codegen=pinned).key != tiled.key
-    monkeypatch.setenv("REPRO_PASSES", "none")
-    assert cache_key(spec.einsum, **kwargs) == none_key
-
-
-def test_pass_set_does_not_key_python_requests(monkeypatch):
-    spec = get_kernel("ssymv")
-    kwargs = dict(symmetric={"A": True}, options=DEFAULT.but(backend="python"))
-    monkeypatch.setenv("REPRO_PASSES", "none")
-    first = cache_key(spec.einsum, **kwargs)
-    monkeypatch.setenv("REPRO_PASSES", "all")
-    assert cache_key(spec.einsum, **kwargs) == first
-
-
-@pytest.mark.parametrize(
-    "leftover, token, same_as",
-    [
-        # bare tokens add to the default set, so this is the default
-        ("fission,tile", "fission", "tile"),
-        ("none,fission,tile", "fission", "none,tile"),
-        ("denormals", "denormals", ""),
-    ],
-)
-def test_a_deleted_pass_token_warns_once_and_keys_as_the_rest(
-    leftover, token, same_as, monkeypatch
-):
-    """``fission`` and ``denormals`` are gone: a leftover token takes the
-    unknown-token path and the request keys as if it were not there."""
-    kwargs = dict(symmetric={"A": True}, options=DEFAULT.but(backend="c"))
-    einsum = get_kernel("ssymv").einsum
-    monkeypatch.setenv("REPRO_PASSES", same_as)
-    expected = cache_key(einsum, **kwargs)
-    monkeypatch.setenv("REPRO_PASSES", leftover)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert cache_key(einsum, **kwargs) == expected
-        assert cache_key(einsum, **kwargs) == expected
-    ours = [str(w.message) for w in caught if "REPRO_PASSES" in str(w.message)]
-    assert len(ours) == 1 and repr(token) in ours[0]
-
-
-# ----------------------------------------------------------------------
-# per-pass bit-identity against the Python backend
+# per-phase bit-identity against the Python backend: the pipeline's
+# prefixes, each compiled on its own (distinct sources never share an
+# object: the object cache names them by content)
 # ----------------------------------------------------------------------
 @needs_cc
 @pytest.mark.parametrize("passes", ["none", "fuse", "tile", "simd", "all"])
 @pytest.mark.parametrize("name", ["ssymv", "ssyrk"])
 def test_pass_output_bit_identical_to_python(name, passes, monkeypatch):
-    monkeypatch.setenv("REPRO_PASSES", "none,%s" % passes)
     spec = get_kernel(name)
     rng = np.random.default_rng(7)
     n = 24
@@ -433,6 +326,7 @@ def test_pass_output_bit_identical_to_python(name, passes, monkeypatch):
     prepared, shape = ref_kernel.prepare(**inputs)
     ref = ref_kernel.finalize(ref_kernel.run(prepared, shape))
 
+    monkeypatch.setattr(passes_base, "PIPELINE", _through(passes))
     c_kernel = spec.compile(options=DEFAULT.but(backend="c"))
     prepared, shape = c_kernel.prepare(**inputs)
     serial = c_kernel.finalize(c_kernel.run(prepared, shape, threads=1))
@@ -448,12 +342,14 @@ def test_default_tiling_over_several_blocks_is_bit_identical(monkeypatch):
     rng = np.random.default_rng(11)
     A = rng.standard_normal((512, 64)) * (rng.random((512, 64)) < 0.05)
     spec = get_kernel("ssyrk")
+    untiled = tuple(p for p in PIPELINE if p.name != "tile")
     results = {}
-    for passes, backend in (("", "python"), ("", "c"), ("-tile", "c")):
-        monkeypatch.setenv("REPRO_PASSES", passes)
+    for phases, backend in ((PIPELINE, "python"), (PIPELINE, "c"), (untiled, "c")):
+        monkeypatch.setattr(passes_base, "PIPELINE", phases)
         kernel = spec.compile(options=DEFAULT.but(backend=backend, threads=1))
-        results[passes, backend] = np.asarray(kernel(A=A)).tobytes()
-    assert len(set(results.values())) == 1
+        assert ("rp_tile" in kernel.backend_source) is (backend == "c" and phases == PIPELINE)
+        results[len(phases), backend] = np.asarray(kernel(A=A)).tobytes()
+    assert len(results) == 3 and len(set(results.values())) == 1
 
 
 # ----------------------------------------------------------------------

@@ -194,34 +194,6 @@ def test_differential_full_sweep(name, dtype, seed):
 
 
 # ----------------------------------------------------------------------
-# pass-subset axis: every loop-optimization pipeline selection must
-# preserve the cross-backend bit-identity contract (python == c@t1 ==
-# c@t3, transitively c across pass sets).  REPRO_PASSES is part of the
-# cache key, so each selection compiles its own artifact.
-# ----------------------------------------------------------------------
-PASS_SETS = ("none", "none,tile", "none,fuse,simd", "all")
-
-
-@pytest.mark.parametrize("passes", PASS_SETS)
-@pytest.mark.parametrize("name", ("ssymv", "ssyrk", "mttkrp3d"))
-def test_differential_pass_subsets(name, passes, monkeypatch):
-    monkeypatch.setenv("REPRO_PASSES", passes)
-    # rank 16 takes MTTKRP's register-blocked branch (always on) under
-    # every pass subset
-    rank = 16 if name == "mttkrp3d" else None
-    run_differential_case(name, FULL_SEEDS[1], "float64", rank)
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("passes", PASS_SETS)
-@pytest.mark.parametrize("dtype", ("float64", "float32"))
-@pytest.mark.parametrize("name", sorted(ALL_SPECS))
-def test_differential_pass_subsets_full(name, dtype, passes, monkeypatch):
-    monkeypatch.setenv("REPRO_PASSES", passes)
-    run_differential_case(name, FULL_SEEDS[2], dtype)
-
-
-# ----------------------------------------------------------------------
 # vector ranks the register-blocked branch takes (multiples of its width
 # of 16) and one it does not (24): the draw above never reaches them
 # ----------------------------------------------------------------------

@@ -132,8 +132,7 @@ def test_all_duplicate_coordinates_are_summed_once(dtype):
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_denormal_values_survive_bit_identically(dtype):
     """Denormal magnitudes flow through both backends without flush-to-
-    zero (no -ffast-math): results stay bit-identical and nonzero, under
-    every pass set."""
+    zero (no -ffast-math): results stay bit-identical and nonzero."""
     tiny = 1e-310 if dtype == "float64" else np.float64(1e-42)
     arr = np.zeros((4, 4), dtype=dtype)
     arr[2, 1] = arr[1, 2] = np.dtype(dtype).type(tiny)

@@ -20,8 +20,7 @@ import pytest
 
 from repro.codegen import loopir as ir
 from repro.codegen.backends import ctoolchain, get_backend, render_c
-from repro.codegen.backends.base import CodegenConfig
-from repro.codegen.passes import PassConfig, run_pipeline
+from repro.codegen.passes import run_pipeline
 from repro.codegen.passes.regblock import WIDTH
 from repro.codegen.passes.tile import auto_tile_rows
 from repro.core.config import DEFAULT
@@ -163,7 +162,7 @@ def test_the_blocked_branch_names_no_malloced_workspace(name):
 def test_only_the_unguarded_strict_nest_is_blocked(name):
     spec = {**KERNELS, **EXTENSIONS}[name]
     lowered = spec.compile(options=PYTHON).lowered
-    body = run_pipeline(lowered, CodegenConfig()).body
+    body = run_pipeline(lowered).body
     # the strict nest first, the orbit-guarded diagonal nest after it
     assert [type(s) for s in body] == [ir.Blocked, ir.DenseLoop]
     assert not any(isinstance(s, ir.If) for s in ir.walk([body[0]]))
@@ -174,7 +173,7 @@ def test_only_the_unguarded_strict_nest_is_blocked(name):
 @pytest.mark.parametrize("name", ["ssymv", "syprd", "ssyrk", "bellmanford"])
 def test_kernels_without_a_vector_index_are_not_blocked(name):
     spec = {**KERNELS, **EXTENSIONS}[name]
-    body = run_pipeline(spec.compile(options=PYTHON).lowered, CodegenConfig()).body
+    body = run_pipeline(spec.compile(options=PYTHON).lowered).body
     assert not any(isinstance(s, ir.Blocked) for s in ir.walk(body))
 
 
@@ -281,8 +280,6 @@ def test_auto_block_count(tile_rows_probe, shape, blocks):
 
 def test_the_kernel_sizes_its_blocks_with_those_statements():
     lowered = get_kernel("ssyrk").compile(options=PYTHON).lowered
-    source = render_c(lowered, passes=PassConfig(enabled=("tile",)))
+    source = render_c(lowered)
     for line in auto_tile_rows("double", "A__full_p10_pos1", "n_k"):
         assert "        " + line + "\n" in source
-    pinned = render_c(lowered, passes=PassConfig(enabled=("tile",), tile_rows=64))
-    assert "int64_t rp_tile = 64;" in pinned and "rp_nb" not in pinned

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from repro.codegen import loopir as ir
-from repro.codegen.backends import ctoolchain, get_backend, health, render_c
+from repro.codegen.backends import ctoolchain, get_backend, health
 from repro.codegen.backends import python as python_backend
 from repro.codegen.lower import LoweredKernel, LoweringError
+from repro.codegen.passes import PIPELINE
 from repro.core.compiler import compile_kernel
 from repro.core.config import DEFAULT
 from repro.kernels.library import KERNELS, get_kernel
@@ -101,15 +102,15 @@ def test_sibling_nests_may_reuse_names():
 # ----------------------------------------------------------------------
 # persistence: IR -> JSON -> IR
 # ----------------------------------------------------------------------
-def test_round_trip_is_exact_for_the_whole_corpus():
+def test_round_trip_is_exact_for_the_whole_corpus(corpus):
     """A rehydrated kernel is the same program, so it prints the same
     Python and (program in, text out) the same C as a fresh one."""
-    for key, kernel in render_corpus.lowerings():
-        lowered = kernel.lowered
+    for entry in corpus:
+        lowered = entry.kernel.lowered
         again = LoweredKernel.from_dict(json.loads(json.dumps(lowered.to_dict())))
-        assert again == lowered, key
-        assert again.source == lowered.source, key
-        assert render_c(again, label="rt") == render_c(lowered, label="rt"), key
+        assert again == lowered, entry.key
+        assert again.source == lowered.source, entry.key
+        assert render_corpus.c_renderings(again)[0] == entry.c[0], entry.key
 
 
 def _ssymv_dict() -> list:
@@ -221,10 +222,10 @@ def test_c_kernel_prints_python_only_on_demand(monkeypatch, rng, fresh_objects):
 
 
 @needs_cc
-def test_compiler_span_names_are_stable(monkeypatch, fresh_objects):
+def test_compiler_span_names_are_stable(fresh_objects):
     """``benchmarks/e2e`` attributes cold-compile time by these names."""
-    monkeypatch.setenv("REPRO_PASSES", "fuse,simd")
     with trace.tracing() as rec:
         get_kernel("mttkrp3d").compile(options=DEFAULT.but(backend="c", threads=1))
     names = {e.name for e in rec.events}
-    assert {"lower", "render_c", "cpass:fuse", "cpass:simd", "cc", "dlopen"} <= names
+    phases = {"cpass:%s" % p.name for p in PIPELINE}
+    assert {"lower", "render_c", "cc", "dlopen"} | phases <= names

@@ -18,27 +18,19 @@ import pytest
 from repro.codegen import loopir as ir
 from repro.codegen.backends import c as c_printer
 from repro.codegen.backends.base import CodegenConfig
-from repro.codegen.passes import (
-    PASS_ORDER,
-    PassConfig,
-    base as passes_base,
-    run_pipeline,
-)
+from repro.codegen.passes import base as passes_base, run_pipeline
 from repro.codegen.passes.parallelize import ParallelizePass
-from repro.codegen.passes.regblock import RegblockPass, blockable
+from repro.codegen.passes.regblock import blockable
 from repro.core.compiler import compile_kernel
 from repro.core.config import DEFAULT
 from repro.kernels.extensions import EXTENSIONS
 from repro.kernels.library import KERNELS
-from tests import render_corpus
-
-NO_PASSES = PassConfig(enabled=())
 
 
 def _strategies(spec):
     """Per top-level ``for`` nest of *spec*, the strategy the phase chose."""
     lowered = spec.compile(options=DEFAULT.but(backend="python")).lowered
-    state = run_pipeline(lowered, CodegenConfig(False, NO_PASSES))
+    state = run_pipeline(lowered)
     tags = [s.strategy for s in state.body if isinstance(s, ir.Parallel)]
     # the estimates say the same thing, one per nest, in body order
     assert [w.strategy for w in state.work if w.strategy is not None] == tags
@@ -93,7 +85,7 @@ def _annotate(body):
         vector_index=None,
     )
     state = ir.LoopIR(list(body), lowered)
-    return ParallelizePass().run(state, CodegenConfig(False, NO_PASSES))
+    return ParallelizePass().run(state)
 
 
 def _tags(state):
@@ -150,10 +142,7 @@ class _RebindOuter(passes_base.Pass):
 
     name = "rebind-outer"
 
-    def enabled(self, codegen):
-        return True
-
-    def run(self, state, codegen):
+    def run(self, state):
         nest = state.body[0]
         state.body[0] = replace(nest, body=(nest,))
         return state
@@ -174,15 +163,14 @@ def test_a_phase_that_rebinds_a_loop_variable_fails_by_name(monkeypatch):
         c_printer.render_c_full(lowered, "broken", CodegenConfig())
 
 
-def test_verify_accepts_every_pass_product_of_the_corpus():
+def test_verify_accepts_every_pass_product_of_the_corpus(corpus):
     """``run_pipeline`` verifies after each phase, so not raising over the
     whole rendering corpus is the claim; the counts show all four
     products were among what it accepted."""
     seen = Counter()
-    for _key, kernel in render_corpus.lowerings():
-        for passes in render_corpus.PASS_SETS.values():
-            state = run_pipeline(kernel.lowered, CodegenConfig(False, passes))
-            seen.update(type(s) for s in ir.walk(state.body))
+    for entry in corpus:
+        state = run_pipeline(entry.kernel.lowered)
+        seen.update(type(s) for s in ir.walk(state.body))
     assert seen[ir.Fused] and seen[ir.Tiled] and seen[ir.Blocked] and seen[ir.Parallel]
 
 
@@ -197,11 +185,15 @@ _TEAM = re.compile(
 
 
 def _renders(lowered, monkeypatch, profile=False):
-    """*lowered*'s default-set C with the always-on regblock phase, then
-    with it skipped (what the pipeline printed before the phase existed)."""
-    codegen = CodegenConfig(profile, PassConfig(enabled=PASS_ORDER))
+    """*lowered*'s C from the whole pipeline, then from the pipeline
+    without its regblock phase (what it printed before the phase existed)."""
+    codegen = CodegenConfig(profile)
     blocked = c_printer.render_c_full(lowered, "m", codegen).source
-    monkeypatch.setattr(RegblockPass, "enabled", lambda self, codegen: False)
+    monkeypatch.setattr(
+        passes_base,
+        "PIPELINE",
+        tuple(p for p in passes_base.PIPELINE if p.name != "regblock"),
+    )
     return blocked, c_printer.render_c_full(lowered, "m", codegen).source
 
 
@@ -217,7 +209,7 @@ def test_a_blocked_nest_keeps_its_team_body_unblocked(monkeypatch):
         "C[i, l] += A[i, j] * B[j, l]", loop_order=("i", "j", "l"),
         formats={"A": "sparse"}, options=DEFAULT.but(backend="python"),
     ).lowered
-    state = run_pipeline(lowered, CodegenConfig())
+    state = run_pipeline(lowered)
     (nest,) = state.body
     assert isinstance(nest, ir.Parallel) and isinstance(nest.nest, ir.Blocked)
     assert [w.strategy for w in state.work] == ["for"]

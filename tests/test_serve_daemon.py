@@ -415,12 +415,15 @@ def test_bad_spec_answered_bad_request_not_crash(tmp_path):
 
 
 def test_spec_naming_a_deleted_pass_answered_bad_request(tmp_path):
-    """A peer whose resolved codegen still lists ``fission`` asks for a
-    program this build cannot render: refused, not silently rebuilt."""
+    """A peer whose resolved codegen still selects loop phases asks for a
+    setting this build no longer has: refused, not silently rebuilt
+    without it."""
+    from tests.test_serve_protocol import PARENT_CODEGEN
+
     spec = dict(
         protocol.spec_from_request(canonicalize(**SYMV)),
         options={"backend": "c"},
-        codegen={"profile": False, "passes": ["fission", "tile"], "tile_rows": 0},
+        codegen=PARENT_CODEGEN,
     )
     with running_daemon(tmp_path) as (server, sock):
         reply = raw_call(
@@ -429,7 +432,7 @@ def test_spec_naming_a_deleted_pass_answered_bad_request(tmp_path):
              "tensors": protocol.encode_tensors(SYMV_TENSORS)},
         )
         assert reply["ok"] is False and reply["error"] == protocol.BAD_REQUEST
-        assert "codegen.passes" in reply["detail"]
+        assert "codegen has unknown keys: passes" in reply["detail"]
         assert _daemon_still_serves(sock)
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro import DEFAULT, NAIVE, cache_key
 from repro.codegen.backends.base import CodegenConfig
-from repro.codegen.passes import PassConfig
 from repro.core.config import RUNTIME_FIELDS, CompilerOptions
 from repro.frontend.parser import parse_assignment
 from repro.service.keys import KEY_VERSION, canonicalize
@@ -141,8 +140,6 @@ def _flipped(value):
     """Some other valid value of the same field."""
     if isinstance(value, bool):
         return not value
-    if isinstance(value, PassConfig):
-        return PassConfig(("fuse",), tile_rows=value.tile_rows + 8)
     return {
         "float64": "float32", "c": "python", 1: 2,
     }[value]
@@ -178,10 +175,8 @@ def test_every_codegen_field_is_keyed(name):
 
 def test_python_requests_ignore_every_codegen_knob(monkeypatch):
     options = DEFAULT.but(backend="python")
-    for name in ("REPRO_PASSES", "REPRO_PROFILE"):
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("REPRO_PROFILE", raising=False)
     plain = canonicalize(SSYMV, symmetric={"A": True}, options=options)
-    monkeypatch.setenv("REPRO_PASSES", "none")
     monkeypatch.setenv("REPRO_PROFILE", "1")
     knobbed = canonicalize(SSYMV, symmetric={"A": True}, options=options)
     assert plain.codegen is None and knobbed.codegen is None

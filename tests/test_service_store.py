@@ -257,19 +257,19 @@ def test_max_bytes_env_default(tmp_path, monkeypatch):
 
 
 def test_rehydrate_renders_under_the_writers_configuration(tmp_path, monkeypatch):
-    """The entry carries its resolved codegen: a reader whose environment
-    says ``none`` re-renders, byte for byte, the C the writer built under
-    ``none,fuse`` — the key it reads the entry under describes that
+    """The entry carries its resolved codegen: a reader without
+    ``REPRO_PROFILE`` re-renders, byte for byte, the profiled C the writer
+    built under it — the key it reads the entry under describes that
     program, not the reader's ambient one."""
     from repro.codegen.backends import get_backend
     from repro.core.config import DEFAULT
 
     if not get_backend("c").is_available():
         pytest.skip("no working C toolchain")
-    spec = get_kernel("mttkrp3d")  # fusion changes its C; SSYMV's it does not
+    spec = get_kernel("mttkrp3d")
 
-    def request_under(passes):
-        monkeypatch.setenv("REPRO_PASSES", passes)
+    def request_under(profile):
+        monkeypatch.setenv("REPRO_PROFILE", profile)
         return canonicalize(
             spec.einsum,
             symmetric=dict(spec.symmetric),
@@ -278,13 +278,13 @@ def test_rehydrate_renders_under_the_writers_configuration(tmp_path, monkeypatch
             options=DEFAULT.but(backend="c"),
         )
 
-    request = request_under("none,fuse")
+    request = request_under("1")
     written = request.compile()
-    assert written.bound.codegen.passes.signature() == "fuse"
+    assert written.bound.codegen.profile is True
     store = DiskStore(tmp_path)
     store.put(request.key, written)
 
-    monkeypatch.setenv("REPRO_PASSES", "none")
+    monkeypatch.setenv("REPRO_PROFILE", "0")
     rehydrated = DiskStore(tmp_path).get(request.key)
     assert rehydrated.bound.codegen == written.bound.codegen == request.codegen
     # same label on both sides: the same text
@@ -297,7 +297,7 @@ def test_rehydrate_renders_under_the_writers_configuration(tmp_path, monkeypatch
     assert rehydrated.backend_source != written.backend_source
     (stored,) = store_objects(tmp_path, request.key)
     assert rehydrated.bound.executable.so_path == str(stored)
-    ambient = request_under("none").compile()
+    ambient = request_under("0").compile()
     assert body(ambient) != body(written)
 
 

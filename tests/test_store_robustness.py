@@ -191,19 +191,26 @@ def test_forged_program_never_reaches_exec_or_cc(tmp_path, monkeypatch, backend)
 
 @needs_cc
 def test_entry_naming_a_deleted_pass_is_an_error_and_evicted(tmp_path):
-    """A C entry written while ``denormals`` was a pass names a program
-    this build cannot render: counted as an error and removed, not
-    raised."""
-    key = _warm(tmp_path, DEFAULT.but(backend="c"))
-    path = tmp_path / ("%s.json" % key)
-    payload = json.loads(path.read_text())
-    payload["state"]["codegen"]["passes"] = ["denormals", "fuse", "tile", "simd"]
-    path.write_text(json.dumps(payload))
+    """A C entry written while ``denormals`` was a pass, or by the version
+    that still selected loop phases at all, names a setting this build
+    does not have: counted as an error, answered as a miss and removed,
+    not raised."""
+    from tests.test_serve_protocol import PARENT_CODEGEN
 
-    store = DiskStore(tmp_path)
-    assert store.get(key) is None
-    assert store.errors == 1 and store.misses == 0
-    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(key)] == []
+    for codegen in (
+        {"profile": False, "passes": ["denormals", "fuse", "tile", "simd"]},
+        PARENT_CODEGEN,
+    ):
+        key = _warm(tmp_path, DEFAULT.but(backend="c"))
+        path = tmp_path / ("%s.json" % key)
+        payload = json.loads(path.read_text())
+        payload["state"]["codegen"] = codegen
+        path.write_text(json.dumps(payload))
+
+        store = DiskStore(tmp_path)
+        assert store.get(key) is None
+        assert store.errors == 1 and store.misses == 0
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(key)] == []
 
 
 # ----------------------------------------------------------------------
