@@ -392,16 +392,10 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
         }
     else:
         report["checks"]["toolchain"] = {"ok": True, "detail": tc.describe()}
-        count = knob("REPRO_THREADS")
-        if not tc.openmp:
-            runs = "failed; kernels run the serial object"
-        elif count > 1 and health.ok("c@omp"):
-            runs = "succeeded; default threads %d: kernels run the omp object" % count
+        if tc.openmp:
+            runs = "succeeded; kernels with a parallel nest run the omp object"
         else:
-            runs = (
-                "succeeded; default threads %d: kernels run the serial "
-                "object, upgraded on the first threads > 1 run" % count
-            )
+            runs = "failed; every kernel runs the serial object"
         report["checks"]["openmp"] = {
             "ok": tc.openmp,
             "detail": "-fopenmp probe %s" % runs,

@@ -5,9 +5,9 @@ program (:mod:`repro.codegen.loopir`) as a self-contained C translation
 unit: one text template per node, the same loop structure the Python
 backend prints, just compiled.  Row statements (numpy row slices in the
 Python backend) become plain inner loops over the vector index, which
-``cc -O3`` auto-vectorizes.  Loading, upgrading and calling the compiled
-object is :mod:`repro.codegen.backends.cexec`'s job; this module is pure
-(program in, text out).
+``cc -O3`` auto-vectorizes.  Loading and calling the compiled object is
+:mod:`repro.codegen.backends.cexec`'s job; this module is pure (program
+in, text out).
 
 Data binding: every numpy array crosses as a raw pointer (``rp_index*``
 for ``pos``/``idx`` structure arrays — one index type per object, see
@@ -36,19 +36,16 @@ flag it set.  A ``Parallel`` nest (the strategy table lives in
 ``repro_nthreads <= 1``) and an ``omp parallel`` body — one region
 skeleton, with the strategy's text spliced in.
 
-The one rendered source is built into one of two objects
-(:mod:`~repro.codegen.backends.ctoolchain`): the **serial object**
-(``-fopenmp-simd``), in which the preprocessor has dropped every parallel
-body and ``<omp.h>`` — less than half the ``cc`` time — and the
+The one rendered source is built into one object
+(:mod:`~repro.codegen.backends.ctoolchain`), chosen by the source alone
+(:attr:`CRender.parallel`): a source with a ``Parallel`` nest becomes the
 **OpenMP object** (``-fopenmp``), which holds both branches and exports
-the ``repro_openmp`` marker symbol.  A kernel without a ``Parallel`` nest
-(every ``+`` scatter kernel) has only the serial object.
-:meth:`~repro.codegen.backends.cexec.CBackend.compile` builds the serial
-object unless the kernel's default thread setting can resolve above 1; a
-later run with ``threads > 1`` upgrades the loaded executable in place,
-once (:meth:`~repro.codegen.backends.cexec.CExecutable.upgrade`).  Both
-objects run the same serial loops with the same SIMD hints, so which one
-serves a call never shows in the result.
+the ``repro_openmp`` marker symbol; every other source (every ``+``
+scatter kernel) — and any source on a toolchain without OpenMP — the
+**serial object** (``-fopenmp-simd``), in which the preprocessor has
+dropped every parallel body and ``<omp.h>``.  A ``threads=1`` call of the
+OpenMP object takes its serial branch: the same serial loops with the same
+SIMD hints as the serial object, so nothing swaps at any thread count.
 
 The index type is declared once (:data:`INDEX_DECLARATION`): ``rp_index``
 is 32-bit unless the object is built with ``-DRP_INDEX=int64_t``, and
@@ -347,8 +344,8 @@ class _Renderer:
     def _emit_parallel(self, node: ir.Parallel, ind: int) -> None:
         """One annotated nest, twice: an OpenMP body and the serial fallback.
 
-        The preprocessor guard lets one rendered source build into both
-        objects: without ``-fopenmp`` (the serial object) only the serial
+        The preprocessor guard keeps the source buildable without OpenMP:
+        on a toolchain that lacks it (the serial object) only the serial
         branch survives.  Every strategy shares the region skeleton —
         oom flag, ``omp parallel``, private declarations, the
         ``rp_oom``-guarded worksharing loop, frees — and differs in the

@@ -4,9 +4,9 @@ The seam with :mod:`repro.codegen.backends.c`: that module turns a loop
 program into C text (pure); this one asks the object cache it was handed
 (:mod:`repro.codegen.backends.objects`: the process instance, or a disk
 store's) for a verified object of that text, ``dlopen``s it — the one
-``ctypes.CDLL`` of a kernel — upgrades serial -> OpenMP in that same
-cache, builds the wide-index object of the same source on the first
-argument set that needs it, and marshals arguments through ctypes.
+``ctypes.CDLL`` of a kernel — builds the wide-index object of the same
+source in that same cache on the first argument set that needs it, and
+marshals arguments through ctypes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.codegen.backends.c import CRender, render_c_full
 from repro.codegen.backends.objects import ObjectCache
 from repro.codegen.loopir import Dim
 from repro.codegen.lower import LoweredKernel
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.profile import NestProfile
 from repro.tensor.coo import INDEX_DTYPES
@@ -51,11 +50,10 @@ class CExecutable(Executable):
     :meth:`BoundKernel.prepare` built) and grabs data pointers once per
     argument set, and a run is one foreign call on that vector.
 
-    The loaded object is either the serial or the OpenMP build of
-    ``source`` (:attr:`kind`).  A serial object that is asked to run with
-    ``threads > 1`` is upgraded in place (:meth:`upgrade`) — the check
-    sits on the ``threads > 1`` branch only, so serial dispatch pays
-    nothing for it.
+    The loaded object is the one object of ``source`` (:attr:`kind`):
+    the OpenMP build when the source has a parallel nest and the
+    toolchain has OpenMP, else the serial build.  Every thread count runs
+    on it — the OpenMP object's own serial branch serves ``threads=1``.
 
     Each object reports its index width (:attr:`index_dtype`).  The
     executable a backend compiles holds the narrow object; an argument
@@ -70,13 +68,14 @@ class CExecutable(Executable):
         rendered: CRender,
         stem: Optional[str] = None,
         objects: Optional[ObjectCache] = None,
+        index_dtype: Optional[np.dtype] = None,
     ):
         self.source = rendered.source
         self._built_from = (lowered, rendered)
         self._wide: Optional["CExecutable"] = None
         self._stem = stem
-        #: where :meth:`upgrade` looks for and builds the OpenMP object —
-        #: the cache this one came from, so a store learns of the upgrade
+        #: where :meth:`wide` looks for and builds the wide object — the
+        #: cache this one came from, so a store learns of it
         self._objects = objects
         # the element dtype of every value pointer in the ABI
         self._elem = np.dtype(
@@ -91,15 +90,13 @@ class CExecutable(Executable):
         )
         #: the OpenMP strategy per top-level nest (the profile report's)
         self.strategies = rendered.strategies
-        self._load(so_path)
-        # a kernel without parallel bodies has nothing to upgrade to
-        self._upgradable = rendered.parallel and not self.omp
-        self._upgrade_lock = threading.Lock()
+        self._wide_lock = threading.Lock()
+        self._load(so_path, index_dtype)
 
-    def _load(self, so_path: str, index_dtype: Optional[np.dtype] = None) -> None:
-        """dlopen *so_path* and bind its entry points; on failure — or
-        when its index width is not the *index_dtype* asked for — the
-        previously loaded object (if any) stays in service."""
+    def _load(self, so_path: str, index_dtype: Optional[np.dtype]) -> None:
+        """dlopen *so_path* and bind its entry points; raises
+        :class:`~ctoolchain.ToolchainError` when its index width is not the
+        *index_dtype* asked for (``None``: any)."""
         with obs_trace.span("dlopen", path=so_path):
             if faults.poll("dlopen") is not None:
                 raise OSError("injected: cannot dlopen %s" % so_path)
@@ -142,63 +139,27 @@ class CExecutable(Executable):
         """Which object is loaded: ``"serial"`` or ``"omp"``."""
         return "omp" if self.omp else "serial"
 
-    def upgrade(self) -> None:
-        """Swap, at most once, the serial object for the OpenMP one of its width.
-
-        Single-flight across host threads (the lock) and across processes
-        (the object cache's); plans bound before the swap follow it on
-        their next ``threads > 1`` call.  When the OpenMP object cannot be
-        had — no OpenMP toolchain (the cache then answers the serial
-        object again), a ``cc`` or ``dlopen`` failure — the ``c@omp`` tier
-        is marked unhealthy (sticky: later runs resolve to one thread),
-        the serial object keeps serving bit-identical results and nothing
-        raises.
-        """
-        with self._upgrade_lock:
-            if not self._upgradable:
-                return  # another host thread settled it first
-            try:
-                with obs_trace.span("backend:upgrade", stem=self._stem):
-                    self._load(
-                        ctoolchain.compile_shared(
-                            self.source,
-                            stem=self._stem,
-                            omp=True,
-                            objects=self._objects,
-                            wide=self.index_dtype.itemsize == 8,
-                        ),
-                        self.index_dtype,
-                    )
-                    if not self.omp:
-                        raise ctoolchain.ToolchainError(
-                            "the toolchain cannot build OpenMP objects"
-                        )
-                obs_metrics.inc("toolchain.omp_upgrades")
-            except (ctoolchain.ToolchainError, OSError, AttributeError) as exc:
-                health.mark("c@omp", exc)
-            finally:
-                self._upgradable = False
-
     def wide(self) -> "CExecutable":
         """The wide-index object of this source, built (or found in the
-        same cache) on the first call — single-flight like
-        :meth:`upgrade` — and of this object's kind."""
-        with self._upgrade_lock:
+        same cache) on the first call, single-flight across host threads;
+        an object that does not read int64 indices is refused."""
+        with self._wide_lock:
             if self._wide is None:
+                lowered, rendered = self._built_from
                 try:
                     so_path = ctoolchain.compile_shared(
                         self.source,
                         stem=self._stem,
-                        omp=self.omp,
+                        parallel=rendered.parallel,
                         objects=self._objects,
                         wide=True,
                     )
+                    self._wide = CExecutable(
+                        lowered, so_path, rendered, self._stem, self._objects,
+                        np.dtype(np.int64),
+                    )
                 except ctoolchain.ToolchainError as exc:
                     raise BackendError("no wide-index object: %s" % exc)
-                lowered, rendered = self._built_from
-                self._wide = CExecutable(
-                    lowered, so_path, rendered, self._stem, self._objects
-                )
             return self._wide
 
     @property
@@ -293,16 +254,10 @@ class CExecutable(Executable):
         fn = exe._fn
 
         def call(threads: int) -> None:
-            if threads > 1:
-                if exe._upgradable:
-                    exe.upgrade()
-                nthreads.value = threads
-                rc = exe._fn(*packed)
-            else:
-                # the object bound here serves every serial call, also
-                # after an upgrade: both objects run the same serial loops
-                nthreads.value = 1
-                rc = fn(*packed)
+            # a serial object ignores the count; the OpenMP object's own
+            # serial branch serves threads == 1
+            nthreads.value = threads
+            rc = fn(*packed)
             if rc:
                 raise BackendError(
                     "C kernel reported allocation failure (status %d)" % rc
@@ -326,29 +281,27 @@ class CBackend(Backend):
         lowered: LoweredKernel,
         label: Optional[str] = None,
         codegen: Optional[CodegenConfig] = None,
-        threaded: bool = False,
         objects: Optional[ObjectCache] = None,
     ) -> CExecutable:
         rendered = render_c_full(lowered, label, codegen)
-        # a kernel without parallel bodies is the same code either way
-        omp = threaded and rendered.parallel
 
         def load(force: bool) -> CExecutable:
             so_path = ctoolchain.compile_shared(
-                rendered.source, stem=label, force=force, omp=omp, objects=objects
+                rendered.source,
+                stem=label,
+                force=force,
+                parallel=rendered.parallel,
+                objects=objects,
             )
-            exe = CExecutable(lowered, so_path, rendered, label, objects)
-            if threaded:
-                exe.upgrade()  # no-op unless a serial object was loaded
-            return exe
+            return CExecutable(lowered, so_path, rendered, label, objects)
 
         try:
             try:
-                return load(False)
+                exe = load(False)
             except (OSError, AttributeError):
                 # a verified object that won't load (a cache carried over
                 # from another machine): rebuild it once, then fail loudly
-                return load(True)
+                exe = load(True)
         except ctoolchain.ToolchainError as exc:
             if ctoolchain.probe() is None:
                 raise BackendUnavailableError(
@@ -357,6 +310,14 @@ class CBackend(Backend):
                     "backend='auto' to fall back to python)"
                 )
             raise BackendError("C kernel build failed: %s" % exc)
+        if rendered.parallel and not exe.omp:
+            # parallel bodies, no OpenMP to run them: threaded calls of
+            # this process resolve to one thread (the object is serial)
+            health.mark(
+                "c@omp",
+                ctoolchain.ToolchainError("the toolchain cannot build OpenMP objects"),
+            )
+        return exe
 
     def describe(self) -> str:
         tc = ctoolchain.probe()

@@ -8,16 +8,17 @@ the compiler rejects them).  ``$REPRO_NO_CC`` forcibly disables the
 probe — the CI leg that exercises the no-compiler degradation path sets
 it.
 
-One rendered source builds into one of two objects
-(:meth:`Toolchain.object_flags`):
+One rendered source builds into exactly one object, chosen by the source
+(:func:`compile_shared`):
 
-* the **serial object** (``-fopenmp-simd``): ``_OPENMP`` is undefined, so
-  the preprocessor drops every ``omp parallel`` body and ``<omp.h>`` —
-  roughly half the code ``cc -O3`` would otherwise optimize — while the ``#pragma omp simd`` hints stay live.
-  It is what a request that can only ever run on one thread is served
-  from, and it has no OpenMP runtime dependency;
-* the **OpenMP object** (``-fopenmp``): both the parallel bodies and the
-  serial branch.
+* the **OpenMP object** (``-fopenmp``) when the source has a parallel nest
+  and the toolchain has OpenMP: both the parallel bodies and the serial
+  branch, so a ``threads=1`` call runs the serial loops of that same
+  object;
+* the **serial object** (``-fopenmp-simd``) otherwise: ``_OPENMP`` is
+  undefined, so the preprocessor drops every ``omp parallel`` body and
+  ``<omp.h>``, the ``#pragma omp simd`` hints stay live, and there is no
+  OpenMP runtime dependency.
 
 Either comes in two index widths: the narrow object every fitting
 argument set runs, and the wide one (:data:`WIDE_INDEX_FLAG`), built only
@@ -25,12 +26,10 @@ for the first argument set that needs it.
 
 OpenMP capability is probed lazily: the ``-fopenmp`` trivial object —
 which must load and answer through the OpenMP runtime before the flag is
-adopted — is built the first time an OpenMP object is wanted (or
-``repro doctor`` / ``repro backends`` ask), so a process that
-only ever runs serial kernels never pays for it.  ``$REPRO_NO_OPENMP``
-skips that step (every kernel is then served from the serial object).
-:func:`reset_probe_cache` forgets both — a test that flips the env
-between probes gets a fresh answer for the compiler *and* for OpenMP.
+adopted — is built the first time a parallel source is compiled (or
+``repro doctor`` / ``repro backends`` ask), so a process that only ever
+compiles serial sources never pays for it.  :func:`reset_probe_cache`
+forgets both answers, the compiler's and OpenMP's.
 
 Compiled objects live in the object cache
 (:mod:`repro.codegen.backends.objects`) — by default the process instance,
@@ -119,9 +118,7 @@ class Toolchain:
         """The flag set of the OpenMP (``omp``) or the serial object, of
         the *wide* index width or the narrow one — a spelling, not a
         capability: whether ``-fopenmp`` works is :attr:`openmp`'s lazily
-        probed answer, and naming an object must not wait for it
-        (:func:`compile_shared` builds the serial object where it does
-        not)."""
+        probed answer."""
         return (
             self.flags
             + (("-fopenmp",) if omp else self.simd_flags)
@@ -291,24 +288,25 @@ def probe() -> Optional[Toolchain]:
 
 def _probe_openmp() -> tuple:
     tc = probe()
-    if tc is not None and not knob("REPRO_NO_OPENMP"):
-        if _probe_build_runs(tc.cc, tc.flags + ("-fopenmp",), _TRIVIAL_OMP):
-            return ("-fopenmp",)
+    if tc is not None and _probe_build_runs(
+        tc.cc, tc.flags + ("-fopenmp",), _TRIVIAL_OMP
+    ):
+        return ("-fopenmp",)
     return ()
 
 
 def openmp_flags() -> tuple:
     """``("-fopenmp",)`` when the toolchain builds and runs OpenMP code.
 
-    Probed on first use, not in :func:`probe`: only a caller that wants an
-    OpenMP object (or reports on the capability) pays the extra ``cc``
-    run.  ``()`` without a toolchain or under ``$REPRO_NO_OPENMP``.
+    Probed on first use, not in :func:`probe`: only a parallel source (or
+    a caller reporting on the capability) pays the extra ``cc`` run.
+    ``()`` without a toolchain.
     """
     return _probe_once("openmp", _probe_openmp)
 
 
 def reset_probe_cache() -> None:
-    """Forget the cached probes (tests flip env vars between probes).
+    """Forget the cached probes (tests change the toolchain between probes).
 
     Invalidates the compiler and the (lazily probed) OpenMP answer in one
     step — each is re-examined on next use.  The
@@ -368,7 +366,7 @@ def compile_shared(
     source: str,
     stem: Optional[str] = None,
     force: bool = False,
-    omp: bool = False,
+    parallel: bool = False,
     objects: Optional[ObjectCache] = None,
     wide: bool = False,
 ) -> str:
@@ -377,23 +375,19 @@ def compile_shared(
     ``objects`` is the cache instance to look in and build into (``None``:
     the process instance); ``stem`` only tags the ``cc`` span; ``wide``
     asks for the 64-bit index width (its kind words end in ``64``, so no
-    lookup below ever answers the other width).  Which object answers is
-    one lookup order:
+    lookup below ever answers the other width).  ``parallel`` says the
+    source has a parallel nest: on a toolchain with OpenMP it is the
+    OpenMP object, everything else is the serial object — one identity
+    per (program, width).  A process with **no** toolchain accepts any
+    verified object of the program (the loaded object's ``repro_openmp``
+    marker says which it got), so a compilerless serving host keeps
+    working.
 
-    * ``omp`` (a threaded request) accepts only the OpenMP object;
-    * a serial request prefers the serial object and accepts the OpenMP
-      one of the same toolchain — both run the same serial loops, so a
-      cache written by a threaded process costs a serial reader no ``cc``;
-    * a process with **no** toolchain accepts any verified object of the
-      program (the loaded object's ``repro_openmp`` marker says which it
-      got), so a compilerless serving host keeps working.
-
-    On a miss the wanted object is built — the serial one when the
-    toolchain has no OpenMP — by one builder across the processes sharing
-    the directory, each cc run bounded by ``$REPRO_CC_TIMEOUT`` and
-    retried with backoff when it fails transiently.  A *permanent* failure
-    (cc rejects the source) is memoized per object: later requests fail
-    fast instead of re-running a compile known to be deterministic-bad.
+    On a miss the object is built by one builder across the processes
+    sharing the directory, each cc run bounded by ``$REPRO_CC_TIMEOUT``
+    and retried with backoff when it fails transiently.  A *permanent*
+    failure (cc rejects the source) is memoized per object: later requests
+    fail fast instead of re-running a compile known to be deterministic-bad.
     ``force`` skips lookup and memo (callers pass it after a verified
     object failed to load — e.g. a ``$REPRO_C_CACHE`` carried over from
     another architecture).  Raises :class:`ToolchainError` when nothing
@@ -415,21 +409,14 @@ def compile_shared(
                 "no working C compiler (set $REPRO_CC, or unset $REPRO_NO_CC)"
             )
         return path
-    names = {
-        kind: identity(
-            program, kind + suffix, tc.cc, tc.object_flags(kind == "omp", wide)
-        )
-        for kind in ("serial", "omp")
-    }
-    accept = ("omp",) if omp else ("serial", "omp")
-    if knob("REPRO_NO_OPENMP"):
-        accept = ("serial",)
+    # only a parallel source asks the (lazy) OpenMP probe
+    omp = parallel and tc.openmp
+    flags = tc.object_flags(omp, wide)
+    ident = identity(program, ("omp" if omp else "serial") + suffix, tc.cc, flags)
     if not force:
-        path = objects.lookup(*(names[kind] for kind in accept))
+        path = objects.lookup(ident)
         if path is not None:
             return path
-    kind = "omp" if omp and tc.openmp else "serial"
-    ident = names[kind]
     with _lock:
         memo = _failed.get(ident)
     if memo is not None and not force:
@@ -437,7 +424,6 @@ def compile_shared(
             "build of %s previously failed permanently "
             "(reset_failure_memo() to retry):\n%s" % (ident, memo)
         )
-    flags = tc.object_flags(kind == "omp", wide)
     try:
         return objects.build(
             ident,

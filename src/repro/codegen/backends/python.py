@@ -212,7 +212,6 @@ class PythonBackend(Backend):
         lowered: LoweredKernel,
         label: Optional[str] = None,
         codegen: Optional[CodegenConfig] = None,
-        threaded: bool = False,
         objects=None,
     ) -> PythonExecutable:
         return PythonExecutable(lowered, label)

@@ -17,10 +17,9 @@ once.
 Degradation ladder
 ------------------
 Every tier executes the same lowered loop structure, so results are
-bit-identical by construction across ``c@omp`` (compiled, threads > 1;
-served from the kernel's OpenMP object, built up front when the default
-thread setting can exceed 1 and otherwise on the first threaded run),
-``c`` (compiled, serial) and ``python`` (interpreted).  A *runtime*
+bit-identical by construction across ``c@omp`` (compiled, threads > 1:
+the OpenMP bodies of a kernel's one object, when it has them), ``c``
+(compiled, serial) and ``python`` (interpreted).  A *runtime*
 failure in a compiled tier — the shared object breaking mid-session, an
 OpenMP-tier crash, an injected fault — is handled in exactly one place,
 :meth:`ExecutionPlan._recover`: it marks that tier unhealthy for the
@@ -219,7 +218,17 @@ class ExecutionPlan:
         self.kernel = kernel
         self.prepared = dict(prepared)
         self.output_shape = tuple(int(s) for s in output_shape)
-        layout = kernel.lowered.output.layout
+        spec = kernel.lowered.output
+        # the loops write up to the extent arguments, not the buffer's size
+        bounds = tuple(self.prepared.get("n_%s" % i) for i in spec.index_names)
+        if len(self.output_shape) != spec.ndim or any(
+            n is not None and int(n) != s for n, s in zip(bounds, self.output_shape)
+        ):
+            raise ValueError(
+                "output shape %s contradicts the prepared extents %s"
+                % (self.output_shape, bounds)
+            )
+        layout = spec.layout
         expected = tuple(self.output_shape[m] for m in layout)
         if out is None:
             # uninitialised: every call starts by resetting the buffer
@@ -243,7 +252,7 @@ class ExecutionPlan:
         #: the reusable output buffer every call writes into.
         self.out = out
         self._fill = out.fill
-        self._fill_value = REDUCE_IDENTITY[kernel.lowered.output.reduce_op]
+        self._fill_value = REDUCE_IDENTITY[spec.reduce_op]
         self._identity = identity
         # strong references to the original argument objects: prepare()
         # repacks inputs into new arrays, so without these the originals
@@ -369,21 +378,10 @@ class BoundKernel:
             # the C tier already failed this process (sticky): serve from
             # the floor instead of paying the failure again per kernel
             backend = self.backend_name = "python"
-        # can the default thread setting ever resolve above 1?  Then the
-        # backend builds its multi-threaded object now, not on first use
-        threaded = (
-            threads is not None
-            and resolve_threads(threads) > 1
-            and health.ok("c@omp")
-        )
         with obs_trace.span("backend:compile", backend=backend, label=label):
             try:
                 self.executable = get_backend(backend).compile(
-                    lowered,
-                    label=label,
-                    codegen=codegen,
-                    threaded=threaded,
-                    objects=objects,
+                    lowered, label=label, codegen=codegen, objects=objects
                 )
             except BackendUnavailableError:
                 raise  # the caller named a backend this machine lacks

@@ -370,8 +370,8 @@ class CompiledKernel:
         backend; the pass pipeline does not run, so ``plan`` is a
         :class:`PlanSnapshot` rather than a full :class:`KernelPlan`.
         ``objects`` is the object cache the C backend finds the compiled
-        object in — and rebuilds or upgrades it into (``None``: the
-        process instance).
+        object in — and rebuilds it into (``None``: the process
+        instance).
         """
         version = state.get("state_version")
         if version != STATE_VERSION:

@@ -100,8 +100,6 @@ KNOBS: Dict[str, Knob] = {row.name: row for row in (
          doc="persistent object cache, verified on every lookup (unset = per-process temp dir)"),
     Knob("REPRO_NO_CC", "flag",
          doc="pretend no C compiler exists (auto degrades to python)"),
-    Knob("REPRO_NO_OPENMP", "flag",
-         doc="pretend the compiler lacks OpenMP (serial objects only)"),
     # a hung compiler must never stall a caller forever; 60s is an order
     # of magnitude above the slowest observed kernel build
     Knob("REPRO_CC_TIMEOUT", "float", 60.0, zero_is_none=True,

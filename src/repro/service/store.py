@@ -11,10 +11,10 @@ store directory is an instance of the object cache
 (:mod:`repro.codegen.backends.objects`) whose file names start with the
 entry's key.  ``put`` adopts the object the kernel is running; ``get``
 hands the instance to the backend, which finds the object by the cache's
-verified lookup (the serial and the OpenMP object of one entry coexist,
-the request picks) and builds a damaged or missing one — or the OpenMP
-upgrade of a serial one, at load or at the first threaded call — straight
-into the store, where the next process finds it.
+verified lookup (one object per index width: the source decides whether
+it is the serial or the OpenMP one) and builds a damaged or missing one
+— or the wide-index one, on first need — straight into the store, where
+the next process finds it.
 
 Writes are atomic (:func:`repro.core.flock.atomic_write`) so a crashed
 writer never leaves or publishes a half-written entry, and the JSON entry

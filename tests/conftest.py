@@ -60,11 +60,11 @@ from repro import DEFAULT, KernelService
 from repro.codegen.backends import ctoolchain
 from repro.obs import trace
 
-store, run_threads = sys.argv[1] or None, int(sys.argv[2])
+store, run_threads, einsum = sys.argv[1] or None, int(sys.argv[2]), sys.argv[3]
 with trace.tracing() as rec:
     service = KernelService(store=store)
     kernel = service.get_or_compile(
-        "y[i] min= A[i, j] + x[j]", symmetric={"A": True}, loop_order=("j", "i"),
+        einsum, symmetric={"A": True}, loop_order=("j", "i"),
         options=DEFAULT.but(backend="c"),
     )
     exe = kernel.bound.executable
@@ -77,21 +77,23 @@ print(json.dumps({
     "backend": kernel.backend, "loaded": loaded, "kind": getattr(exe, "kind", None),
     "so_path": getattr(exe, "so_path", None), "compiles": service.stats().compiles,
     "cc": names.count("cc"), "dlopen": names.count("dlopen"),
-    "upgrades": names.count("backend:upgrade"), "out": [float(v) for v in out],
-    "omp_probed": "openmp" in ctoolchain._probed,
+    "out": [float(v) for v in out], "omp_probed": "openmp" in ctoolchain._probed,
 }))
 """
 
+#: the child's default kernel: a min-plus relaxation over a symmetric
+#: matrix (Bellman-Ford's shape: its nests are privatized, so its one
+#: object is the OpenMP object wherever the toolchain has OpenMP)
+RELAX = "y[i] min= A[i, j] + x[j]"
 #: what the child's relaxation answers
 KERNEL_CHILD_RESULT = [3.0, 2.0, 2.5]
 
 
-def kernel_child(store=None, run_threads=0, **env):
-    """One fresh process serving a min-plus relaxation over a symmetric
-    matrix (Bellman-Ford's shape: its nests are privatized, so the kernel
-    has an OpenMP object to upgrade to) through the C backend
-    (``KernelService(store=store)``, then one run, at ``run_threads`` when
-    given), under exactly the ``REPRO_*`` variables in *env* — the ambient
+def kernel_child(store=None, run_threads=0, einsum=RELAX, **env):
+    """One fresh process serving *einsum* over a symmetric 3x3 matrix and
+    a vector through the C backend (``KernelService(store=store)``, then
+    one run, at ``run_threads`` when given), under exactly the
+    ``REPRO_*`` variables in *env* — the ambient
     ones (a CI leg's backend, passes, fault storm) are scrubbed, the
     compiler choice apart.  Returns ``(returncode, report)``: what it
     loaded and ran, as counted from its own trace."""
@@ -106,11 +108,21 @@ def kernel_child(store=None, run_threads=0, **env):
     base["PYTHONPATH"] = os.pathsep.join(sys.path)
     base.update({k: str(v) for k, v in env.items()})
     done = subprocess.run(
-        [sys.executable, "-c", _KERNEL_CHILD, str(store or ""), str(run_threads)],
+        [sys.executable, "-c", _KERNEL_CHILD, str(store or ""), str(run_threads), einsum],
         env=base, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=180,
     )
     lines = done.stdout.strip().splitlines()
     return done.returncode, (json.loads(lines[-1]) if lines else {"stderr": done.stderr})
+
+
+@pytest.fixture
+def no_openmp(monkeypatch):
+    """A toolchain without OpenMP: the lazy OpenMP probe's answer is pinned
+    to ``()`` for the test; the probe cache holds its own answer again
+    afterwards (monkeypatch restores the entry)."""
+    from repro.codegen.backends import ctoolchain
+
+    monkeypatch.setitem(ctoolchain._probed, "openmp", ())
 
 
 @contextlib.contextmanager

@@ -1,18 +1,16 @@
 """What a C compile may cost, as counts (never timings).
 
-One rendered source builds into a serial object or an OpenMP object.  A
-request that can only run on one thread pays one ``cc`` run without
-``-fopenmp``; the first ``threads > 1`` run pays exactly one more (the
-upgrade), whoever and however many ask at once; a request whose default
-thread setting can exceed 1 builds the OpenMP object directly — one ``cc``
-run in total, as before the split.
+One rendered source builds into one object per index width, chosen by
+the source: the OpenMP object when it has a parallel nest (and the
+toolchain has OpenMP), else the serial object.  A compile pays one ``cc``
+run — with ``-fopenmp`` only for a parallel source — at any thread
+setting, whoever and however many ask at once; no run at any thread count
+pays another.  The wide-index object costs one more run, on first need.
 
 And what an object may cost *again*: nothing.  One program is one object
 whatever label it was rendered under; an object a reader had to build —
-after damage, or as the upgrade of a serial one, at load or at the first
-threaded call — is built into the store it was read from, so the next
-process pays no ``cc``; a serial reader of a store a threaded process
-wrote runs what is there.
+after damage, or the wide one — is built into the store it was read from,
+so the next process pays no ``cc``, whatever its thread setting.
 """
 
 import os
@@ -23,10 +21,10 @@ import numpy as np
 import pytest
 
 from repro.codegen.backends import ctoolchain, get_backend, health
-from repro.core.config import DEFAULT, resolve_threads
+from repro.core.config import DEFAULT
 from repro.kernels.extensions import EXTENSIONS
 from repro.kernels.library import KERNELS, get_kernel
-from repro.obs import metrics, trace
+from repro.obs import trace
 from tests.conftest import KERNEL_CHILD_RESULT, damage, kernel_child, store_objects
 from tests.test_codegen_kernels import build_inputs
 
@@ -41,12 +39,12 @@ SERIAL = DEFAULT.but(backend="c", threads=1)
 # the reference must not leave C objects in the cache under test
 PYTHON = DEFAULT.but(backend="python")
 
-#: the kernels with an OpenMP body, hence an OpenMP object to upgrade to:
-#: Bellman-Ford's nests are ``privatized``, bilinear_partial's (a corpus
-#: extension) plain ``for``.  Every other library kernel is a ``+``
-#: scatter, whose nests print one serial body.
-UPGRADING = ("bellmanford", "bilinear_partial")
-SUM_SCATTER = sorted(set(KERNELS) - set(UPGRADING))
+#: the kernels with an OpenMP body, hence an OpenMP object: Bellman-Ford's
+#: nests are ``privatized``, bilinear_partial's (a corpus extension) plain
+#: ``for``.  Every other library kernel is a ``+`` scatter, whose nests
+#: print one serial body.
+PARALLEL = ("bellmanford", "bilinear_partial")
+SUM_SCATTER = sorted(set(KERNELS) - set(PARALLEL))
 SPECS = {**KERNELS, **EXTENSIONS}
 
 
@@ -63,10 +61,6 @@ def fresh_objects(monkeypatch, tmp_path):
 
 def _cc_spans(recorder):
     return [e for e in recorder.events if e.name == "cc"]
-
-
-def _upgrades(recorder):
-    return [e for e in recorder.events if e.name == "backend:upgrade"]
 
 
 def test_serial_compile_is_one_cc_run_without_openmp():
@@ -93,13 +87,16 @@ def test_a_sum_scatter_kernel_never_builds_an_openmp_object(
 ):
     """A ``+`` scatter kernel whose default asks for three threads builds
     its serial object, once, and runs it at every thread count: no
-    OpenMP body, no upgrade, the python backend's bits."""
+    OpenMP body, OpenMP never probed, the python backend's bits."""
     spec = get_kernel(name)
     inputs = build_inputs(rng, spec)
     py = np.asarray(spec.compile(naive=naive, options=PYTHON)(**inputs))
     # build_inputs compiles the naive plan under the ambient backend
     (tmp_path / "kernel").mkdir()
     monkeypatch.setattr(ctoolchain, "_build_dir", str(tmp_path / "kernel"))
+    # forget the module's answer (restored afterwards): asking again would
+    # build the -fopenmp probe
+    monkeypatch.delitem(ctoolchain._probed, "openmp", raising=False)
     with trace.tracing() as rec:
         kernel = spec.compile(naive=naive, options=SERIAL.but(threads=3))
         exe = kernel.bound.executable
@@ -108,78 +105,39 @@ def test_a_sum_scatter_kernel_never_builds_an_openmp_object(
         ran = np.array(kernel.finalize(kernel.run(prepared, shape, threads=3)))
         planned = np.array(kernel.finalize(kernel.execution_plan(**inputs)()))
     assert len(_cc_spans(rec)) == 1 and _cc_spans(rec)[0].args["omp"] == 0
-    assert not _upgrades(rec) and not exe.omp
+    assert not exe.omp and "openmp" not in ctoolchain._probed
     assert np.array_equal(py, ran) and np.array_equal(py, planned)
     assert health.ok("c@omp")
 
 
 @needs_omp
-@pytest.mark.parametrize("name", sorted(KERNELS) + ["bilinear_partial"])
-def test_first_threaded_run_upgrades_once_bit_identically(rng, name):
+@pytest.mark.parametrize("name", PARALLEL)
+def test_a_parallel_kernel_is_one_openmp_object_per_width(rng, name, monkeypatch):
+    """Eight host threads compile a parallel kernel at ``threads=1`` and
+    run it at three: together one ``-fopenmp`` ``cc`` run.  Threads 1 and 3
+    cost nothing more; a wide argument set costs one more run, of the
+    OpenMP kind too.  Every result is the python backend's, bit for bit."""
+    from repro.tensor import coo as coo_mod
+
     spec = SPECS[name]
     inputs = build_inputs(rng, spec)
     py = np.asarray(spec.compile(options=PYTHON)(**inputs))
-    was_on = metrics.enabled()
-    metrics.enable()
-    before = metrics.to_dict()["counters"].get("toolchain.omp_upgrades", 0)
-    try:
-        with trace.tracing() as rec:
-            kernel = spec.compile(options=SERIAL)
-            exe = kernel.bound.executable
-            prepared, shape = kernel.prepare(**inputs)
-            serial = np.array(kernel.finalize(kernel.run(prepared, shape)))
-            assert len(_cc_spans(rec)) == 1 and exe.kind == "serial"
-            plan = kernel.execution_plan(**inputs)  # bound before the swap
-
-            first = np.array(kernel.finalize(kernel.run(prepared, shape, threads=4)))
-            parallel = any(s is not None for s in exe.strategies)
-            assert parallel == (name in UPGRADING)
-            # kernels without parallel bodies have nothing to upgrade to
-            assert len(_cc_spans(rec)) == (2 if parallel else 1)
-            assert len(_upgrades(rec)) == int(parallel)
-            assert exe.kind == ("omp" if parallel else "serial")
-            if parallel:
-                assert _cc_spans(rec)[1].args["omp"] == 1
-
-            second = np.array(kernel.finalize(kernel.run(prepared, shape, threads=4)))
-            planned = np.array(kernel.finalize(plan(threads=3)))
-            replanned = np.array(kernel.finalize(plan()))  # serial again
-            assert len(_cc_spans(rec)) == (2 if parallel else 1)
-            assert len(_upgrades(rec)) == int(parallel)
-        after = metrics.to_dict()["counters"].get("toolchain.omp_upgrades", 0)
-        assert after - before == int(parallel)
-    finally:
-        if not was_on:
-            metrics.disable()
-    for got in (serial, first, second, planned, replanned):
-        assert np.array_equal(py, got)
-    assert health.ok("c@omp")
-
-
-@needs_omp
-def test_concurrent_upgrades_are_single_flight(rng):
-    spec = get_kernel("bellmanford")
-    inputs = build_inputs(rng, spec)
-    kernel = spec.compile(options=SERIAL)
-    prepared, shape = kernel.prepare(**inputs)
-    serial = np.array(kernel.finalize(kernel.run(prepared, shape)))
     hosts = 8
     gate = threading.Barrier(hosts)
-    results = [None] * hosts
+    kernels, results = [None] * hosts, [None] * hosts
 
-    def worker(slot):
-        out = kernel.bound.make_output_buffer(shape)
+    def host(slot):
         gate.wait(timeout=30)
-        kernel.bound.plan_prepared(prepared, shape, threads=2, out=out)()
-        results[slot] = np.array(kernel.finalize(out))
+        kernel = spec.compile(options=SERIAL)
+        prepared, shape = kernel.prepare(**inputs)
+        results[slot] = np.array(kernel.finalize(kernel.run(prepared, shape, threads=3)))
+        kernels[slot] = kernel
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with trace.tracing() as rec:
-            pool = [
-                threading.Thread(target=worker, args=(i,)) for i in range(hosts)
-            ]
+            pool = [threading.Thread(target=host, args=(i,)) for i in range(hosts)]
             for t in pool:
                 t.start()
             for t in pool:
@@ -187,10 +145,33 @@ def test_concurrent_upgrades_are_single_flight(rng):
             assert not any(t.is_alive() for t in pool)
     finally:
         sys.setswitchinterval(interval)
-    assert len(_cc_spans(rec)) == 1 and len(_upgrades(rec)) == 1
-    assert kernel.bound.executable.kind == "omp"
-    for got in results:
-        assert got is not None and np.array_equal(serial, got)
+    (span,) = _cc_spans(rec)
+    assert span.args["omp"] == 1
+    assert ctoolchain.WIDE_INDEX_FLAG not in span.args["flags"].split()
+    kernel = kernels[0]
+    exe = kernel.bound.executable
+    assert exe.kind == "omp" and exe.index_dtype == np.int32
+
+    prepared, shape = kernel.prepare(**inputs)
+    with trace.tracing() as rec:
+        narrow = [
+            np.array(kernel.finalize(kernel.run(prepared, shape, threads=t)))
+            for t in (1, 3)
+        ]
+    assert not _cc_spans(rec)
+
+    monkeypatch.setattr(coo_mod, "INDEX_LIMIT", 0)
+    with trace.tracing() as rec:
+        prepared, shape = kernel.prepare(**inputs)
+        plan = kernel.bound.plan_prepared(prepared, shape)
+        wide = [np.array(kernel.finalize(plan(threads=t))) for t in (1, 3)]
+    (span,) = _cc_spans(rec)
+    assert span.args["omp"] == 1
+    assert ctoolchain.WIDE_INDEX_FLAG in span.args["flags"].split()
+    assert exe._wide.kind == "omp" and exe._wide.index_dtype == np.int64
+    for got in results + narrow + wide:
+        assert got is not None and np.array_equal(py, got)
+    assert health.ok("c@omp")
 
 
 @needs_omp
@@ -203,7 +184,6 @@ def test_threaded_default_builds_the_openmp_object_directly(rng):
         again = np.asarray(kernel(**inputs))
     (span,) = _cc_spans(rec)
     assert span.args["omp"] == 1
-    assert not _upgrades(rec)
     assert kernel.bound.executable.kind == "omp"
     serial = np.asarray(spec.compile(options=SERIAL)(**inputs))
     assert np.array_equal(serial, got) and np.array_equal(serial, again)
@@ -211,7 +191,8 @@ def test_threaded_default_builds_the_openmp_object_directly(rng):
 
 def test_ambient_thread_setting_builds_exactly_one_object(rng):
     """Whatever ``$REPRO_THREADS`` says (the CI ``c-backend-threads`` leg
-    runs this under 2): one ``cc`` run per kernel, no upgrade."""
+    runs this under 2): one ``cc`` run per kernel, of the object the
+    source asks for."""
     spec = get_kernel("bellmanford")
     inputs = build_inputs(rng, spec)
     options = DEFAULT.but(backend="c")
@@ -220,9 +201,7 @@ def test_ambient_thread_setting_builds_exactly_one_object(rng):
         kernel(**inputs)
         kernel(**inputs)
     assert len(_cc_spans(rec)) == 1
-    assert not _upgrades(rec)
-    threaded = resolve_threads(options.threads) > 1 and HAVE_OMP
-    assert kernel.bound.executable.kind == ("omp" if threaded else "serial")
+    assert kernel.bound.executable.kind == ("omp" if HAVE_OMP else "serial")
 
 
 # ----------------------------------------------------------------------
@@ -284,55 +263,44 @@ def test_concurrent_wide_binds_build_the_wide_object_once(rng, monkeypatch):
         assert got is not None and np.array_equal(narrow, got)
 
 
-@pytest.mark.parametrize("openmp", (True, False), ids=("omp", "no-omp"))
-@pytest.mark.parametrize("name", sorted(KERNELS) + ["bilinear_partial"])
-def test_a_serial_wide_object_upgrades_within_its_width(rng, name, openmp, monkeypatch):
-    """A wide argument set bound on a fresh serial kernel runs the serial
-    wide object; the plan's first threaded call swaps in the OpenMP object
-    of the *same* width — or, with no OpenMP toolchain or no OpenMP body
-    (a ``+`` scatter), keeps the serial one — and both calls are bit for
-    bit the python backend's."""
+def test_the_narrow_object_of_a_parallel_source_runs_serially_without_openmp(
+    rng, no_openmp
+):
+    """A toolchain without OpenMP builds a parallel source's serial object,
+    of each width, marks ``c@omp`` down, and answers threaded calls on
+    one thread with the python backend's bits."""
     from repro.tensor import coo as coo_mod
 
-    if openmp and not HAVE_OMP:
-        pytest.skip("toolchain lacks OpenMP")
-    upgrades = name in UPGRADING
-    spec = SPECS[name]
+    spec = get_kernel("bellmanford")
     inputs = build_inputs(rng, spec)
     py = np.asarray(spec.compile(options=PYTHON)(**inputs))
-    if not openmp:
-        monkeypatch.setenv("REPRO_NO_OPENMP", "1")
-        ctoolchain.reset_probe_cache()
-    try:
+    with trace.tracing() as rec:
         kernel = spec.compile(options=SERIAL)
-        monkeypatch.setattr(coo_mod, "INDEX_LIMIT", 0)
         prepared, shape = kernel.prepare(**inputs)
-        plan = kernel.bound.plan_prepared(prepared, shape)
-        serial = np.array(kernel.finalize(plan(threads=1)))
-        wide = kernel.bound.executable._wide
-        assert wide.index_dtype == np.int64 and wide.kind == "serial"
-        threaded = np.array(kernel.finalize(plan(threads=3)))
-        assert wide.index_dtype == np.int64
-        assert wide.kind == ("omp" if openmp and upgrades else "serial")
-        assert health.ok("c@omp") == (openmp or not upgrades)
-        assert kernel.bound.executable.index_dtype == np.int32
-    finally:
-        if not openmp:
-            monkeypatch.undo()
-            ctoolchain.reset_probe_cache()
-    assert np.array_equal(py, serial) and np.array_equal(py, threaded)
+        narrow = np.array(kernel.finalize(kernel.run(prepared, shape, threads=3)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(coo_mod, "INDEX_LIMIT", 0)
+            prepared, shape = kernel.prepare(**inputs)
+            wide = np.array(kernel.finalize(kernel.run(prepared, shape, threads=3)))
+    assert [span.args["omp"] for span in _cc_spans(rec)] == [0, 0]
+    exe = kernel.bound.executable
+    assert exe.kind == exe._wide.kind == "serial"
+    assert exe._wide.index_dtype == np.int64
+    assert not health.ok("c@omp") and health.ok("c")
+    assert kernel.bound.resolve_run_threads(3) == 1
+    assert np.array_equal(py, narrow) and np.array_equal(py, wide)
 
 
-def test_upgrade_refuses_an_object_of_the_other_width(monkeypatch):
-    """An OpenMP object whose index width differs from the loaded one is
-    never swapped in: the wide object keeps serving and ``c@omp`` is
-    marked down."""
+def test_a_wide_bind_refuses_an_object_of_the_narrow_width(monkeypatch):
+    """An object offered as the wide one that reads int32 indices is never
+    loaded as it: ``wide()`` raises and the narrow object keeps serving."""
+    from repro.codegen.backends.base import BackendError
+
     exe = get_kernel("bellmanford").compile(options=SERIAL).bound.executable
-    wide = exe.wide()
     monkeypatch.setattr(ctoolchain, "compile_shared", lambda *a, **k: exe.so_path)
-    wide.upgrade()
-    assert wide.index_dtype == np.int64 and wide.so_path != exe.so_path
-    assert not health.ok("c@omp")
+    with pytest.raises(BackendError, match="int32"):
+        exe.wide()
+    assert exe._wide is None and exe.index_dtype == np.int32
 
 
 # ----------------------------------------------------------------------
@@ -372,8 +340,6 @@ def test_rebuilding_a_stores_object_never_makes_a_second_one(tmp_path):
         )
     assert len(_cc_spans(rec)) <= 1
     assert again.backend == "c"
-    # (under an ambient REPRO_THREADS > 1 the rehydrate asks for — and
-    # builds — the OpenMP object; that is another kind, not a second one)
     for names in (os.listdir(tmp_path), [p.name for p in store_objects(store, key)]):
         identities = [identity_of(n) for n in names if n.endswith(".so")]
         assert len(set(identities)) == len(identities) >= 1, names
@@ -381,35 +347,34 @@ def test_rebuilding_a_stores_object_never_makes_a_second_one(tmp_path):
         assert programs == {identity_of(built.bound.executable.so_path).split("-")[0]}
 
 
-def _child(report, cc):
+def _child(report, cc, out=KERNEL_CHILD_RESULT):
     code, seen = report
     assert code == 0, seen
-    assert seen["backend"] == "c" and seen["out"] == KERNEL_CHILD_RESULT, seen
+    assert seen["backend"] == "c" and seen["out"] == out, seen
     assert seen["cc"] == cc, seen
     return seen
 
 
 @needs_omp
-def test_a_run_time_upgrade_is_paid_once_across_processes(tmp_path):
-    """An entry put serial, then three fresh serial-default processes that
-    each run it at ``threads=4``: the first builds the OpenMP object —
-    into the store — and the other two find it.  (The store used to learn
-    of an upgrade only inside ``get``: every process paid this one.)"""
+def test_the_openmp_object_is_paid_once_across_processes(tmp_path):
+    """Three fresh processes over one store, at thread settings 1, 4 and 1:
+    the first builds the OpenMP object into the store, the other two find
+    it — ``cc`` counts 1, 0, 0 — and the store holds that one object."""
     store = tmp_path / "store"
-    _child(kernel_child(store, REPRO_THREADS=1, REPRO_C_CACHE=tmp_path / "cc0"), cc=1)
-    (entry,) = store.glob("*.json")
-    published = (entry.read_bytes(), entry.stat().st_mtime_ns)
-    for n, cc in ((1, 1), (2, 0), (3, 0)):
-        seen = _child(
+    seen = [
+        _child(
             kernel_child(
-                store, run_threads=4, REPRO_THREADS=1,
+                store, run_threads=run, REPRO_THREADS=default,
                 REPRO_C_CACHE=tmp_path / ("cc%d" % n),
             ),
             cc=cc,
         )
-        assert (seen["loaded"], seen["kind"], seen["upgrades"]) == ("serial", "omp", 1)
-    assert len(store_objects(store, entry.stem)) == 2
-    assert (entry.read_bytes(), entry.stat().st_mtime_ns) == published
+        for n, (default, run, cc) in enumerate(((1, 4, 1), (4, 0, 0), (1, 1, 0)))
+    ]
+    assert {s["kind"] for s in seen} == {"omp"}
+    (entry,) = store.glob("*.json")
+    (stored,) = store_objects(store, entry.stem)
+    assert {s["so_path"] for s in seen[1:]} == {str(stored)}
 
 
 @needs_omp
@@ -422,16 +387,21 @@ def test_a_threaded_writers_store_costs_a_serial_reader_no_cc(tmp_path):
     read = _child(
         kernel_child(store, REPRO_THREADS=1, REPRO_C_CACHE=tmp_path / "cc1"), cc=0
     )
-    # the OpenMP object runs the same serial loops; taking it is a lookup
-    # order, and forming its name did not build the -fopenmp probe
-    assert (read["kind"], read["upgrades"], read["omp_probed"]) == ("omp", 0, False)
+    # one object per source: the serial reader names the writer's object
+    assert read["kind"] == "omp" and read["omp_probed"]
     assert read["so_path"].startswith(str(store))
 
 
 def test_a_serial_process_never_builds_the_openmp_probe(tmp_path):
+    """A process that compiles only a ``+`` scatter source never asks
+    whether the toolchain has OpenMP."""
     store = tmp_path / "store"
     for cc in (1, 0):
         seen = _child(
-            kernel_child(store, REPRO_THREADS=1, REPRO_C_CACHE=tmp_path / "cc"), cc=cc
+            kernel_child(
+                store, einsum="y[i] += A[i, j] * x[j]", REPRO_THREADS=1,
+                REPRO_C_CACHE=tmp_path / "cc",
+            ),
+            cc=cc, out=[4.0, 8.5, 13.0],
         )
         assert (seen["kind"], seen["omp_probed"]) == ("serial", False)

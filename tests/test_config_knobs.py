@@ -163,12 +163,10 @@ def test_flag_zero_no_longer_disables_the_toolchain(monkeypatch):
     from repro.codegen.backends import ctoolchain
 
     monkeypatch.delenv("REPRO_NO_CC", raising=False)
-    monkeypatch.delenv("REPRO_NO_OPENMP", raising=False)
     ctoolchain.reset_probe_cache()
     try:
         baseline = ctoolchain.probe(), ctoolchain.openmp_flags()
         monkeypatch.setenv("REPRO_NO_CC", "0")
-        monkeypatch.setenv("REPRO_NO_OPENMP", "0")
         ctoolchain.reset_probe_cache()
         assert (ctoolchain.probe(), ctoolchain.openmp_flags()) == baseline
         monkeypatch.setenv("REPRO_NO_CC", "1")
@@ -214,7 +212,7 @@ def test_readme_knob_table_names_exactly_the_table():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     rows = re.findall(r"^\| `(REPRO_[A-Z_]+)` +\|", readme, flags=re.M)
     assert rows == list(KNOBS)
-    assert len(KNOBS) == 17
+    assert len(KNOBS) == 16
     help_text = build_parser().format_help()
     assert all(name in help_text for name in KNOBS)
     # nothing documents a variable the table does not declare

@@ -167,22 +167,27 @@ def test_render_digests(corpus):
 
 
 def test_a_leftover_pass_selection_changes_nothing(corpus, monkeypatch, capsys, _clean_render_env):
-    """The variable that used to select loop phases is read by nothing:
-    with it set, every corpus lowering renders the C it renders without
-    it, a request keys the same, and ``repro doctor`` names it as a
-    variable that is not a knob."""
+    """The variables that used to select loop phases and to pretend the
+    compiler lacks OpenMP are read by nothing: with them set, every corpus
+    lowering renders the C it renders without them, a request keys the
+    same, and ``repro doctor`` names each as a variable that is not a
+    knob."""
     from repro.cli import main
 
     leftover = "REPRO_PASSES"
+    also_leftover = "REPRO_NO_OPENMP"
     kwargs = dict(symmetric={"A": True}, options=DEFAULT.but(backend="c"))
     einsum = get_kernel("ssymv").einsum
     key = cache_key(einsum, **kwargs)
     monkeypatch.setenv(leftover, "none")
+    monkeypatch.setenv(also_leftover, "1")
     for entry in corpus:
         assert render_c(entry.kernel.lowered, "digest") == entry.c[0], entry.key
     assert cache_key(einsum, **kwargs) == key
     main(["doctor"])
-    assert "%s is not a knob" % leftover in capsys.readouterr().out
+    report = capsys.readouterr().out
+    for name in (leftover, also_leftover):
+        assert "%s is not a knob" % name in report
 
 
 #: the C digests of the whole corpus as printed when every ``pos``/``idx``

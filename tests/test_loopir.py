@@ -166,8 +166,8 @@ def fresh_objects(monkeypatch, tmp_path):
 
 @needs_cc
 def test_c_pipeline_never_parses_source(monkeypatch, tmp_path, rng, fresh_objects):
-    """Compile, run, persist, rehydrate and upgrade every library kernel
-    with ``ast.parse`` booby-trapped."""
+    """Compile, run, persist, rehydrate and run threaded every library
+    kernel with ``ast.parse`` booby-trapped."""
     parsed = []
     store = DiskStore(tmp_path / "store")
     results = {}
@@ -183,7 +183,6 @@ def test_c_pipeline_never_parses_source(monkeypatch, tmp_path, rng, fresh_object
             store.put(key, kernel)
             again = store.get(key)
             rehydrated = np.asarray(again(**inputs[name]))
-            again.bound.executable.upgrade()
             prepared, shape = again.prepare(**inputs[name])
             threaded = again.finalize(again.run(prepared, shape, threads=2))
             results[name] = (

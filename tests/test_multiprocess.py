@@ -276,8 +276,7 @@ def test_a_daemon_compile_is_served_from_its_store_in_another_process(
             proc.wait(timeout=10)
 
     # an empty process object cache and a clean ladder: the object can only
-    # come from the store, and nothing ambient may rebuild it — nor upgrade
-    # it: the daemon's scrubbed environment built the serial object
+    # come from the store, and nothing ambient may rebuild it
     build_dir = tmp_path / "our-build"
     build_dir.mkdir()
     monkeypatch.setattr(ctoolchain, "_build_dir", str(build_dir))

@@ -119,8 +119,8 @@ def test_probe_settles_the_two_flag_sets():
     assert probed.simd_flags in ((), ("-fopenmp-simd",))
     assert "-fopenmp" not in probed.describe().split()
     assert probed.object_flags(omp=True) == probed.flags + ("-fopenmp",)
-    # no OpenMP toolchain: asking compile_shared for the OpenMP object gets
-    # the serial one (test_no_openmp_toolchain_serves_threaded_calls_serially)
+    # no OpenMP toolchain: compile_shared builds a parallel source's serial
+    # object (test_no_openmp_toolchain_serves_threaded_calls_serially)
     assert probed.openmp_flags == (("-fopenmp",) if probed.openmp else ())
 
 
@@ -136,7 +136,6 @@ def test_openmp_probe_is_lazy(monkeypatch):
         return real(cc_path, flags, source)
 
     monkeypatch.setattr(ctoolchain, "_probe_build_runs", counting)
-    monkeypatch.delenv("REPRO_NO_OPENMP", raising=False)
     try:
         ctoolchain.reset_probe_cache()
         probed = ctoolchain.probe()
@@ -155,24 +154,29 @@ def test_openmp_probe_is_lazy(monkeypatch):
 
 @needs_cc
 def test_reset_probe_cache_invalidates_openmp_probe(monkeypatch):
-    """Flipping REPRO_NO_OPENMP between probes changes the answer — the
-    OpenMP capability is not cached independently of the compiler."""
+    """A toolchain whose ``-fopenmp`` build stops working between probes
+    changes the answer — the OpenMP capability is not cached independently
+    of the compiler."""
+    real = ctoolchain._probe_build_runs
+
+    def without_openmp(cc_path, flags, source):
+        return "-fopenmp" not in flags and real(cc_path, flags, source)
+
     try:
-        monkeypatch.delenv("REPRO_NO_OPENMP", raising=False)
         ctoolchain.reset_probe_cache()
-        capability = ctoolchain.probe().openmp  # this toolchain, env clear
-        monkeypatch.setenv("REPRO_NO_OPENMP", "1")
+        capability = ctoolchain.probe().openmp  # this toolchain as it is
+        monkeypatch.setattr(ctoolchain, "_probe_build_runs", without_openmp)
         # without a reset the cached answer sticks...
         assert ctoolchain.probe().openmp == capability
         # ...and one reset_probe_cache() refreshes the OpenMP answer too
         ctoolchain.reset_probe_cache()
         probed = ctoolchain.probe()
         assert probed is not None and not probed.openmp
-        monkeypatch.delenv("REPRO_NO_OPENMP")
+        monkeypatch.undo()
         ctoolchain.reset_probe_cache()
         assert ctoolchain.probe().openmp == capability
     finally:
-        monkeypatch.delenv("REPRO_NO_OPENMP", raising=False)
+        monkeypatch.undo()
         ctoolchain.reset_probe_cache()
 
 

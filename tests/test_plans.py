@@ -116,6 +116,9 @@ def test_plan_with_caller_owned_output(rng, backend):
     # is refused here, before the C loops can write through it
     with pytest.raises(ValueError, match=r"shape \(8,\).*needs \(10,\)"):
         kernel.bound.plan_prepared(prepared, shape, out=np.zeros(8))
+    # nor does a shape the prepared extents contradict size the buffer
+    with pytest.raises(ValueError, match="contradicts"):
+        kernel.bound.plan_prepared(prepared, (8,))
     with pytest.raises(ValueError, match="dtype|computes"):
         kernel.execution_plan(out=np.empty(10, dtype=np.float32), A=A, x=x)
     noncontig = np.empty((10, 2))[:, 0]
@@ -174,7 +177,6 @@ def test_a_plan_call_with_everything_off_enters_only_the_dispatch_frames(
         obs_trace.set_recorder(previous)
         if had_metrics:
             obs_metrics.enable()
-    bare()  # a first threaded call may upgrade the object: not the steady state
     dispatch = [("repro.codegen.executor", "__call__")]
     if kernel.backend == "c":
         dispatch += [("repro.codegen.backends.cexec", "call")]

@@ -301,14 +301,13 @@ def test_rehydrate_renders_under_the_writers_configuration(tmp_path, monkeypatch
     assert body(ambient) != body(written)
 
 
-def test_serial_artifact_upgrades_once_and_the_store_keeps_the_omp_object(
+def test_a_parallel_artifact_is_one_omp_object_at_every_thread_setting(
     tmp_path, rng, monkeypatch
 ):
-    """put under threads=1, rehydrate under threads=4: one cc run (the
-    upgrade), built straight into the store beside the serial object —
-    the entry itself untouched — and from then on the request picks:
-    a serial process loads the serial object, a threaded one the OpenMP
-    object, neither runs cc or upgrades."""
+    """put under threads=1 builds the OpenMP object — one cc run — and a
+    rehydrate under threads=4 loads that same object from the store, the
+    entry itself untouched; later processes, serial or threaded, load it
+    too, and none runs cc."""
     from repro.codegen.backends import ctoolchain, get_backend, health
     from repro.core.config import DEFAULT
     from repro.obs import trace
@@ -337,25 +336,23 @@ def test_serial_artifact_upgrades_once_and_the_store_keeps_the_omp_object(
     with trace.tracing() as rec:
         fresh = request.compile()
         store.put(request.key, fresh)
-    assert cc_runs(rec) == 1 and fresh.bound.executable.kind == "serial"
+    assert cc_runs(rec) == 1 and fresh.bound.executable.kind == "omp"
     expected = fresh(**inputs)
-    (serial_file,) = store_objects(store.path, request.key)
-    assert b"repro_openmp" not in serial_file.read_bytes()
+    (omp_file,) = store_objects(store.path, request.key)
+    assert b"repro_openmp" in omp_file.read_bytes()
     published = (entry.read_bytes(), entry.stat().st_mtime_ns)
 
     monkeypatch.setenv("REPRO_THREADS", "4")
     with trace.tracing() as rec:
         threaded = store.get(request.key)
-    assert cc_runs(rec) == 1
+    assert cc_runs(rec) == 0
     assert threaded.options.threads == 4
-    assert threaded.bound.executable.kind == "omp"
-    assert np.array_equal(threaded(**inputs), expected)
-    (omp_file,) = set(store_objects(store.path, request.key)) - {serial_file}
     assert threaded.bound.executable.so_path == str(omp_file)
-    assert b"repro_openmp" in omp_file.read_bytes()
+    assert np.array_equal(threaded(**inputs), expected)
+    assert store_objects(store.path, request.key) == [omp_file]
 
-    # later processes (empty object cache of their own): each loads the
-    # object its thread setting asks for — no cc, no upgrade
+    # later processes (empty object cache of their own) load the one
+    # object whatever their thread setting — no cc
     code = (
         "import sys\n"
         "from repro.obs import trace\n"
@@ -363,10 +360,10 @@ def test_serial_artifact_upgrades_once_and_the_store_keeps_the_omp_object(
         "with trace.tracing() as rec:\n"
         "    kernel = DiskStore(sys.argv[1]).get(sys.argv[2])\n"
         "names = [e.name for e in rec.events]\n"
-        "print(names.count('cc'), names.count('backend:upgrade'),\n"
-        "      kernel.bound.executable.kind, kernel.bound.executable.so_path)\n"
+        "print(names.count('cc'), kernel.bound.executable.kind,\n"
+        "      kernel.bound.executable.so_path)\n"
     )
-    for setting, kind, path in (("4", "omp", omp_file), ("1", "serial", serial_file)):
+    for setting in ("4", "1"):
         env = dict(os.environ, REPRO_THREADS=setting, PYTHONPATH=os.pathsep.join(sys.path))
         env["REPRO_C_CACHE"] = str(tmp_path / ("objects-%s" % setting))
         # a fresh process re-arms an inherited fault plan from its first
@@ -377,7 +374,7 @@ def test_serial_artifact_upgrades_once_and_the_store_keeps_the_omp_object(
             [sys.executable, "-c", code, str(store.path), request.key],
             env=env, stdout=subprocess.PIPE, text=True, check=True, timeout=120,
         )
-        assert done.stdout.split() == ["0", "0", kind, str(path)]
-    # nothing a reader did — upgrade included — rewrote the entry
+        assert done.stdout.split() == ["0", "omp", str(omp_file)]
+    # nothing a reader did rewrote the entry
     assert (entry.read_bytes(), entry.stat().st_mtime_ns) == published
     assert store.errors == 0 and health.ok("c@omp")
