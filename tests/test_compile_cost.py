@@ -112,26 +112,83 @@ def test_a_sum_scatter_kernel_never_builds_an_openmp_object(
 
 @needs_omp
 @pytest.mark.parametrize("name", PARALLEL)
-def test_a_parallel_kernel_is_one_openmp_object_per_width(rng, name, monkeypatch):
-    """Eight host threads compile a parallel kernel at ``threads=1`` and
-    run it at three: together one ``-fopenmp`` ``cc`` run.  Threads 1 and 3
-    cost nothing more; a wide argument set costs one more run, of the
-    OpenMP kind too.  Every result is the python backend's, bit for bit."""
+def test_a_parallel_kernel_runs_every_thread_count_on_its_one_object(rng, name):
+    """A parallel kernel compiled at ``threads=1`` is its OpenMP object:
+    one ``-fopenmp`` ``cc`` run, and runs and plans at threads 1, 4, 3 and
+    1 again cost none more.  Every result is the python backend's, bit for
+    bit."""
+    spec = SPECS[name]
+    inputs = build_inputs(rng, spec)
+    py = np.asarray(spec.compile(options=PYTHON)(**inputs))
+    with trace.tracing() as rec:
+        kernel = spec.compile(options=SERIAL)
+        exe = kernel.bound.executable
+        prepared, shape = kernel.prepare(**inputs)
+        serial = np.array(kernel.finalize(kernel.run(prepared, shape)))
+        plan = kernel.execution_plan(**inputs)
+        first = np.array(kernel.finalize(kernel.run(prepared, shape, threads=4)))
+        second = np.array(kernel.finalize(kernel.run(prepared, shape, threads=4)))
+        planned = np.array(kernel.finalize(plan(threads=3)))
+        replanned = np.array(kernel.finalize(plan()))
+    (span,) = _cc_spans(rec)
+    assert span.args["omp"] == 1
+    assert ctoolchain.WIDE_INDEX_FLAG not in span.args["flags"].split()
+    assert exe.kind == "omp" and exe.index_dtype == np.int32
+    assert any(s is not None for s in exe.strategies)
+    assert kernel.bound.executable is exe
+    for got in (serial, first, second, planned, replanned):
+        assert np.array_equal(py, got)
+    assert health.ok("c@omp")
+
+
+@needs_omp
+@pytest.mark.parametrize("name", PARALLEL)
+def test_a_parallel_kernels_wide_object_is_openmp_too(rng, name, monkeypatch):
+    """A wide argument set bound on a fresh parallel kernel costs one more
+    ``cc`` run, with ``-fopenmp`` and the wide-index flag; its plan runs at
+    threads 1 and 3 on that one int64 object, bit for bit the python
+    backend's, and the narrow object stays int32."""
     from repro.tensor import coo as coo_mod
 
     spec = SPECS[name]
     inputs = build_inputs(rng, spec)
     py = np.asarray(spec.compile(options=PYTHON)(**inputs))
+    kernel = spec.compile(options=SERIAL)
+    monkeypatch.setattr(coo_mod, "INDEX_LIMIT", 0)
+    with trace.tracing() as rec:
+        prepared, shape = kernel.prepare(**inputs)
+        plan = kernel.bound.plan_prepared(prepared, shape)
+        serial = np.array(kernel.finalize(plan(threads=1)))
+        wide = kernel.bound.executable._wide
+        threaded = np.array(kernel.finalize(plan(threads=3)))
+    (span,) = _cc_spans(rec)
+    assert span.args["omp"] == 1
+    assert ctoolchain.WIDE_INDEX_FLAG in span.args["flags"].split()
+    assert wide is kernel.bound.executable._wide
+    assert wide.kind == "omp" and wide.index_dtype == np.int64
+    assert kernel.bound.executable.index_dtype == np.int32
+    assert health.ok("c@omp")
+    assert np.array_equal(py, serial) and np.array_equal(py, threaded)
+
+
+@needs_omp
+def test_concurrent_threaded_compiles_build_the_openmp_object_once(rng):
+    """Eight host threads compile Bellman-Ford at ``threads=1`` and run it
+    at two at once: together one ``-fopenmp`` ``cc`` run, and every result
+    is the python backend's, bit for bit."""
+    spec = get_kernel("bellmanford")
+    inputs = build_inputs(rng, spec)
+    py = np.asarray(spec.compile(options=PYTHON)(**inputs))
     hosts = 8
     gate = threading.Barrier(hosts)
-    kernels, results = [None] * hosts, [None] * hosts
+    kinds, results = [None] * hosts, [None] * hosts
 
     def host(slot):
         gate.wait(timeout=30)
         kernel = spec.compile(options=SERIAL)
         prepared, shape = kernel.prepare(**inputs)
-        results[slot] = np.array(kernel.finalize(kernel.run(prepared, shape, threads=3)))
-        kernels[slot] = kernel
+        results[slot] = np.array(kernel.finalize(kernel.run(prepared, shape, threads=2)))
+        kinds[slot] = kernel.bound.executable.kind
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -147,31 +204,9 @@ def test_a_parallel_kernel_is_one_openmp_object_per_width(rng, name, monkeypatch
         sys.setswitchinterval(interval)
     (span,) = _cc_spans(rec)
     assert span.args["omp"] == 1
-    assert ctoolchain.WIDE_INDEX_FLAG not in span.args["flags"].split()
-    kernel = kernels[0]
-    exe = kernel.bound.executable
-    assert exe.kind == "omp" and exe.index_dtype == np.int32
-
-    prepared, shape = kernel.prepare(**inputs)
-    with trace.tracing() as rec:
-        narrow = [
-            np.array(kernel.finalize(kernel.run(prepared, shape, threads=t)))
-            for t in (1, 3)
-        ]
-    assert not _cc_spans(rec)
-
-    monkeypatch.setattr(coo_mod, "INDEX_LIMIT", 0)
-    with trace.tracing() as rec:
-        prepared, shape = kernel.prepare(**inputs)
-        plan = kernel.bound.plan_prepared(prepared, shape)
-        wide = [np.array(kernel.finalize(plan(threads=t))) for t in (1, 3)]
-    (span,) = _cc_spans(rec)
-    assert span.args["omp"] == 1
-    assert ctoolchain.WIDE_INDEX_FLAG in span.args["flags"].split()
-    assert exe._wide.kind == "omp" and exe._wide.index_dtype == np.int64
-    for got in results + narrow + wide:
+    assert kinds == ["omp"] * hosts
+    for got in results:
         assert got is not None and np.array_equal(py, got)
-    assert health.ok("c@omp")
 
 
 @needs_omp
