@@ -35,7 +35,7 @@ from repro.core.compiler import (
     naive_plan,
     optimize,
 )
-from repro.core.config import CompilerOptions, DEFAULT, NAIVE
+from repro.core.config import CompilerOptions, DEFAULT
 from repro.core.printer import finch_syntax
 from repro.core.symmetrize import symmetrize
 from repro.core.verify import verify_plan_coverage
@@ -70,7 +70,6 @@ __all__ = [
     "KernelService",
     "LRUKernelCache",
     "Literal",
-    "NAIVE",
     "Partition",
     "SymmetricView",
     "Tensor",

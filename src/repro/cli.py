@@ -331,7 +331,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     print("cache %s: %d kernels" % (args.dir, len(entries)))
     for entry in entries:
         print("  %s  %s" % (entry.key[:12], entry.einsum))
-        print("    %s  (%d bytes)" % (entry.options_line, entry.size_bytes))
+        tag = "naive " if entry.naive else ""
+        print("    %s%s  (%d bytes)" % (tag, entry.options_line, entry.size_bytes))
     if args.clear:
         removed = store.clear()
         print("cleared %d entries" % removed)

@@ -38,14 +38,16 @@ Expressions carry their type (``INT`` / ``ELEM`` / ``ROW``) in the node:
 :class:`Array`), :class:`BinOp` (a left-associated chain), :class:`Cmp`,
 :class:`BoolOp`, :class:`Flat` (the flattened dense-prefix slot).
 
-The vocabulary is closed because the traffic is: 130 lowerings (13
-library + extension kernels x 2 dtypes x {default, -cse, -workspace,
--vectorize, -concordize}) printed only seven Python statement kinds —
-1606 ``Assign``, 958 ``AugAssign``, 680 ``For``, 470 ``If``, 132 ``Expr``
-(every one a ``.fill``), 20 ``While`` + 20 ``Continue`` — and six call
-forms (``range``, ``np.empty``, ``.fill``, ``min``, ``max``,
-``float("inf")``); ``np.minimum``/``np.maximum`` row reductions and the
-``break`` guard are reachable from user einsums only.
+The vocabulary is closed because the traffic is: the 100 lowerings of
+the render corpus (13 library + extension kernels x 2 dtypes as SySTeC,
+SySTeC with lookup tables and naive, plus 11 user einsums x 2 dtypes)
+print only eight Python statement kinds — 1166 ``Assign``, 504
+``AugAssign``, 418 ``For``, 170 ``If``, 120 ``Expr`` (96 ``.fill``, 24
+``np.minimum``), 14 ``While`` + 14 ``Continue``, 4 ``Break`` — and eight
+call forms (``range``, ``np.empty``, ``.fill``, ``np.minimum``, ``min``,
+``max``, ``float("inf")``, and ``np.array`` for a float32 lookup
+table); the ``np.minimum`` row reductions and the ``break`` guard come
+from the user einsums only.
 
 Also here: :func:`verify` (the single-type / no-rebinding rule every
 backend relies on, re-checked after every phase), :func:`scan_nest` (the

@@ -57,8 +57,8 @@ here:
      factored is emitted as the flat form — one workspace per target,
      the chain of length one.
 
-  ``CompilerOptions.workspace`` governs all of it (off: no partial sums,
-  no prefix products — the naive baseline).
+  The naive baseline is lowered without any of it (``naive=True``: no
+  partial sums, no prefix products, and no CSE either).
 
 Canonical-triangle restriction is *free* when a symmetric input is iterated:
 its packed view only stores canonical coordinates.  When the chain is not
@@ -267,7 +267,8 @@ class _Chain:
 
 
 class Lowerer:
-    """Lowers one plan + format map + options into a loop program."""
+    """Lowers one plan + format map + options into a loop program —
+    without CSE and workspaces when *naive* (the paper's baseline)."""
 
     def __init__(
         self,
@@ -275,10 +276,12 @@ class Lowerer:
         formats: Mapping[str, str],
         options: CompilerOptions,
         sparse_levels: Optional[Mapping[str, Sequence[str]]] = None,
+        naive: bool = False,
     ):
         self.plan = plan
         self.formats = dict(formats)
         self.options = options
+        self.naive = naive
         self.sparse_levels = dict(sparse_levels or {})
         self.rank = dict(plan.rank)
         self.original = plan.original
@@ -299,8 +302,6 @@ class Lowerer:
     # analysis helpers
     # ------------------------------------------------------------------
     def _choose_vector_index(self) -> Optional[str]:
-        if not self.options.vectorize_innermost:
-            return None
         v = self.plan.loop_order[-1]
         if v in self.plan.permutable:
             return None
@@ -382,18 +383,16 @@ class Lowerer:
 
     def _dense_view(self, acc: Access) -> Tuple[Array, Tuple[str, ...]]:
         """Register a dense view; returns (array, storage-ordered indices)."""
-        if not self.options.concordize:
-            perm = tuple(range(len(acc.indices)))
-        else:
-            v = self.vector_index
-            keyed = sorted(
+        v = self.vector_index
+        perm = tuple(
+            sorted(
                 range(len(acc.indices)),
                 key=lambda m: (
                     acc.indices[m] == v,  # vector index last
                     self.rank[acc.indices[m]],
                 ),
             )
-            perm = tuple(keyed)
+        )
         name = acc.tensor
         if perm != tuple(range(len(perm))):
             name += "__p" + "".join(str(m) for m in perm)
@@ -524,7 +523,7 @@ class Lowerer:
             if isinstance(acc_or_lit, Literal):
                 return -1, Const(acc_or_lit.value)
             expr, depth = read_expr(acc_or_lit)
-            if not self.options.cse:
+            if self.naive:
                 return depth, expr
             if acc_or_lit not in reads:
                 temp = Var("t%d" % self.temp_counter, expr.type)
@@ -687,7 +686,7 @@ class Lowerer:
                         )
                     count.append(Const(float(a.count)))
                 if (
-                    self.options.workspace
+                    not self.naive
                     and cond is None
                     and ops
                     and (a.reduce_op, a.combine_op) == ("+", "*")
@@ -705,7 +704,7 @@ class Lowerer:
                     expr = values[0]
                 target: Union[Out, Var] = self._out_target(a.lhs)
                 d = bound_depth(a.lhs.indices)
-                if self.options.workspace and d < innermost_depth:
+                if not self.naive and d < innermost_depth:
                     row = self.vector_index in a.lhs.indices
                     target, new = partial_sum(
                         (a.lhs.tensor, a.lhs.indices),
@@ -887,6 +886,7 @@ def lower_plan(
     formats: Mapping[str, str],
     options: CompilerOptions,
     sparse_levels: Optional[Mapping[str, Sequence[str]]] = None,
+    naive: bool = False,
 ) -> LoweredKernel:
     """Convenience wrapper around :class:`Lowerer`."""
-    return Lowerer(plan, formats, options, sparse_levels).lower()
+    return Lowerer(plan, formats, options, sparse_levels, naive).lower()

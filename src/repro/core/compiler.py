@@ -2,8 +2,10 @@
 
 ``compile_kernel`` runs the full two-phase flow: symmetrize (Section 4.1),
 optimize (Section 4.2), lower (concordize / CSE / workspace + sparse loop
-emission) and bind, returning a :class:`CompiledKernel` callable on logical
-tensors.  ``optimize`` exposes just the plan-level pipeline for inspection
+emission) and bind, returning a :class:`CompiledKernel` callable on
+logical tensors.  ``naive=True`` builds the baseline the paper's figures
+normalize against instead: the naive plan, lowered without CSE and
+workspaces.  ``optimize`` exposes just the plan-level pipeline for inspection
 and testing.
 
 The flow is factored into cacheable stages so the service layer
@@ -24,7 +26,7 @@ import numpy as np
 from repro.codegen.backends.base import CodegenConfig
 from repro.codegen.executor import BoundKernel, ExecutionPlan, plan_identity
 from repro.codegen.lower import LoweredKernel, lower_plan
-from repro.core.config import CompilerOptions, DEFAULT, NAIVE
+from repro.core.config import CompilerOptions, DEFAULT
 from repro.core.kernel_plan import Block, KernelPlan, LoopNest
 from repro.core.passes import (
     build_lookup_table,
@@ -79,9 +81,11 @@ def _validate_formats(formats: Mapping[str, str], assignment: Assignment) -> Non
         )
 
 
-#: the plan-level pipeline, in execution order: (options switch, pass).
-#: One table drives both the pipeline and its per-pass trace spans, so
-#: an added pass cannot silently run untraced (or in a surprise order).
+#: the plan-level pipeline, in execution order: (name, pass).  Every
+#: pass runs on every SySTeC plan, except that ``lookup_table`` runs only
+#: under :attr:`CompilerOptions.lookup_table`.  One table drives both the
+#: pipeline and its per-pass ``pass:<name>`` trace spans, so an added
+#: pass cannot silently run untraced (or in a surprise order).
 _PLAN_PASSES = (
     ("output_canonical", restrict_output_to_canonical),
     ("distributive", group_distributive),
@@ -95,9 +99,10 @@ _PLAN_PASSES = (
 def optimize(plan: KernelPlan, options: CompilerOptions = DEFAULT) -> KernelPlan:
     """Run the plan-level optimization pipeline (Section 4.2)."""
     for name, pass_fn in _PLAN_PASSES:
-        if getattr(options, name):
-            with obs_trace.span("pass:%s" % name):
-                plan = pass_fn(plan)
+        if name == "lookup_table" and not options.lookup_table:
+            continue
+        with obs_trace.span("pass:%s" % name):
+            plan = pass_fn(plan)
     return plan
 
 
@@ -146,10 +151,11 @@ def resolve_request(
     Returns ``(symmetric_modes, loop_order, formats, options, codegen)``
     fully resolved: symmetry specs normalized to mode partitions, an
     omitted loop order inferred, omitted formats marking each symmetric
-    tensor sparse (explicit formats validated), the naive baseline
-    collapsed onto the :data:`NAIVE` switch set, ``auto`` collapsed onto a
-    concrete backend, and — for the C backend; ``None`` otherwise — the
-    :class:`CodegenConfig` the kernel is rendered under.  This is the one
+    tensor sparse (explicit formats validated), ``lookup_table`` dropped
+    from a naive request (the baseline has no factor table: its keys must
+    not split on it), ``auto`` collapsed onto a concrete backend, and —
+    for the C backend; ``None`` otherwise — the :class:`CodegenConfig`
+    the kernel is rendered under.  This is the one
     call of :meth:`CodegenConfig.resolve` on the compile path: a *codegen*
     handed in (a request that was already resolved — by the client of a
     daemon, the writer of a store entry) is used as is.  The cache-key
@@ -166,12 +172,7 @@ def resolve_request(
     else:
         _validate_formats(formats, assignment)
     if naive:
-        options = NAIVE.but(
-            vectorize_innermost=options.vectorize_innermost,
-            dtype=options.dtype,
-            backend=options.backend,
-            threads=options.threads,
-        )
+        options = options.but(lookup_table=False)
     # "auto" collapses onto a concrete backend here, so cache keys and
     # persisted states always name the backend that actually runs
     backend = resolve_backend_name(options.backend)
@@ -190,26 +191,14 @@ def plan_kernel(
     loop_order: Optional[Sequence[str]] = None,
     options: CompilerOptions = DEFAULT,
     naive: bool = False,
-) -> Tuple[KernelPlan, CompilerOptions]:
-    """Stage 1 of compilation: the plan-level pipeline.
-
-    Returns ``(plan, effective_options)`` — the options actually used for
-    lowering (the naive baseline forces the :data:`NAIVE` switch set, keeping
-    only the caller's vectorization choice).
-    """
+) -> KernelPlan:
+    """Stage 1 of compilation: the plan-level pipeline — symmetrize and
+    :func:`optimize` for SySTeC, :func:`naive_plan` for the baseline."""
     if naive:
-        plan = naive_plan(assignment, loop_order)
-        options = NAIVE.but(
-            vectorize_innermost=options.vectorize_innermost,
-            dtype=options.dtype,
-            backend=options.backend,
-            threads=options.threads,
-        )
-    else:
-        with obs_trace.span("symmetrize"):
-            plan = symmetrize(assignment, symmetric_modes, loop_order)
-        plan = optimize(plan, options)
-    return plan, options
+        return naive_plan(assignment, loop_order)
+    with obs_trace.span("symmetrize"):
+        plan = symmetrize(assignment, symmetric_modes, loop_order)
+    return optimize(plan, options)
 
 
 #: bump when the shape of :meth:`CompiledKernel.to_state` changes — stale
@@ -525,7 +514,8 @@ def compile_kernel(
         ``{"A": "sparse"}``; unlisted tensors are dense.  Defaults to
         marking every declared-symmetric tensor sparse.
     options:
-        pass/lowering switches (see :class:`CompilerOptions`).
+        lookup-table form, dtype, backend and threads (see
+        :class:`CompilerOptions`).
     naive:
         build the unoptimized baseline kernel instead (full tensors, no
         triangle restriction) — the red line in the paper's figures.
@@ -547,11 +537,11 @@ def compile_kernel(
         [name for name, kind in formats.items() if kind == "sparse"],
     )
     with obs_trace.span("compile", einsum=str(assignment)):
-        plan, options = plan_kernel(
+        plan = plan_kernel(
             assignment, symmetric_modes, loop_order, options, naive
         )
         with obs_trace.span("lower"):
-            lowered = lower_plan(plan, formats, options, sparse_levels)
+            lowered = lower_plan(plan, formats, options, sparse_levels, naive)
         bound = BoundKernel(
             lowered,
             plan.symmetric_modes,

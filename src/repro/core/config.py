@@ -1,11 +1,11 @@
 """Compiler options and the ``REPRO_*`` knob table.
 
-:class:`CompilerOptions` holds the independently switchable transforms of
-Section 4.2 — the ablation benchmarks flip them; the defaults reproduce
-the pipeline the paper's evaluation used (lookup tables are opt-in, as in
-the artifact, whose generated MTTKRP kernels use separate diagonal
-blocks) — plus the element dtype, the execution backend and the C
-backend's *runtime* thread count.  That count is deliberately not compile
+The ``naive=`` argument of :func:`repro.core.compiler.compile_kernel`
+picks which of the paper's two kernels is built, SySTeC or the baseline.
+:class:`CompilerOptions` holds the rest: the opt-in lookup-table form of
+Section 4.2.5 (the artifact's MTTKRP kernels use diagonal blocks
+instead), the element dtype, the execution backend and the C backend's
+*runtime* thread count.  That count is deliberately not compile
 configuration: it crosses into the compiled kernel as a plain argument,
 so it is excluded from cache keys and persisted state
 (:data:`RUNTIME_FIELDS`) — one compiled artifact serves every count.
@@ -215,23 +215,10 @@ def resolve_threads(value) -> int:
 
 @dataclass(frozen=True)
 class CompilerOptions:
-    """Which transforms run, and how the kernel is lowered and executed."""
+    """What a request builds beyond the SySTeC/naive choice."""
 
-    # plan-level passes (Section 4.2)
-    output_canonical: bool = True      # 4.2.2
-    distributive: bool = True          # 4.2.7
-    consolidate: bool = True           # 4.2.4
-    group_branches: bool = True        # 4.2.6
-    diagonal_split: bool = True        # 4.2.9
-    lookup_table: bool = False         # 4.2.5 (opt-in)
-
-    # loop-level transforms applied during lowering
-    cse: bool = True                   # 4.2.1
-    concordize: bool = True            # 4.2.3
-    workspace: bool = True             # 4.2.8
-
-    # lowering strategy
-    vectorize_innermost: bool = True   # numpy-vectorize the dense rank loop
+    # the lookup-table form of Section 4.2.5 (opt-in; SySTeC kernels only)
+    lookup_table: bool = False
 
     # element dtype: float64 | float32 (tensor payloads, workspaces, the
     # output buffer and the C value type all follow it)
@@ -245,6 +232,10 @@ class CompilerOptions:
     threads: int = field(default_factory=lambda: knob("REPRO_THREADS"))
 
     def __post_init__(self) -> None:
+        if not isinstance(self.lookup_table, bool):
+            raise ValueError(
+                "lookup_table must be a bool, got %r" % (self.lookup_table,)
+            )
         if self.backend not in BACKEND_CHOICES:
             raise ValueError(
                 "unknown backend %r (choices: %s)"
@@ -262,12 +253,12 @@ class CompilerOptions:
             )
 
     def but(self, **kwargs) -> "CompilerOptions":
-        """A copy with some switches flipped (ablation helper)."""
+        """A copy with some fields replaced."""
         return replace(self, **kwargs)
 
     def describe(self) -> str:
-        """One-line switch summary: ``+on -off`` for booleans, ``name=value``
-        for everything else, e.g. ``+cse -lookup_table backend=c``.
+        """One-line summary: ``+on -off`` for booleans, ``name=value``
+        for everything else, e.g. ``-lookup_table dtype=float64 backend=c``.
 
         Used by :meth:`CompiledKernel.explain` and the ``repro cache`` CLI so
         a cached kernel's configuration reads at a glance.
@@ -305,19 +296,5 @@ class CompilerOptions:
             )
         return cls(**data)
 
-
-#: everything off — the naive kernel the evaluation normalizes against.
-NAIVE = CompilerOptions(
-    output_canonical=False,
-    distributive=False,
-    consolidate=False,
-    group_branches=False,
-    diagonal_split=False,
-    lookup_table=False,
-    cse=False,
-    concordize=True,   # naive kernels still need concordant iteration
-    workspace=False,
-    vectorize_innermost=True,
-)
 
 DEFAULT = CompilerOptions()

@@ -348,8 +348,7 @@ class DiskStore:
                         key=path.stem,
                         einsum=state["einsum"],
                         options_line=options.describe(),
-                        naive=not options.output_canonical
-                        and "naive" in state.get("history", []),
+                        naive="naive" in state["history"],
                         size_bytes=path.stat().st_size,
                     )
                 )

@@ -1,12 +1,13 @@
 """The rendering corpus behind ``tests/golden/render_digests.json``.
 
-Every library and extension kernel (SySTeC and naive) x both dtypes x
-the lowering-option ablations, plus a handful of user einsums that reach
-the statement forms no library kernel emits (the ``break`` triangle
-guard, ``np.minimum`` row reductions, explicit triangle conditions over
-a dense symmetric input, a dense-only vectorized nest).  Each lowering
-is rendered to C under both profile settings in :data:`C_CONFIGS`
-(every loop phase always runs, so nothing else changes the C).
+Every library and extension kernel x both dtypes, as SySTeC builds it
+(by default and in the lookup-table form) and as the naive baseline,
+plus a handful of user einsums that reach the statement forms no
+library kernel emits (the ``break`` triangle guard, ``np.minimum`` row
+reductions, explicit triangle conditions over a dense symmetric input,
+a dense-only vectorized nest): 100 lowerings.  Each is rendered to C
+under both profile settings in :data:`C_CONFIGS` (every loop phase
+always runs, so nothing else changes the C).
 
 :func:`corpus` lowers and renders it once; ``conftest.py`` holds that as
 the session-scoped ``corpus`` fixture, which the digest freeze in
@@ -29,19 +30,13 @@ from repro.kernels.library import KERNELS
 
 DTYPES = ("float64", "float32")
 
-#: name -> CompilerOptions overrides (the loop-level transforms of 4.2,
-#: plus the opt-in lookup table: the only road to a LUT definition).
-ABLATIONS = {
+#: name -> CompilerOptions overrides of a SySTeC lowering (the opt-in
+#: lookup table is the only road to a LUT definition); the naive
+#: baseline and the extras are lowered under ``default`` alone.
+VARIANTS = {
     "default": {},
-    "-cse": {"cse": False},
-    "-workspace": {"workspace": False},
-    "-vectorize": {"vectorize_innermost": False},
-    "-concordize": {"concordize": False},
     "+lut": {"lookup_table": True},
 }
-
-#: naive plans ignore every switch but these (see ``plan_kernel``).
-NAIVE_ABLATIONS = ("default", "-vectorize")
 
 #: user einsums outside the library:
 #: (einsum, symmetric, loop_order, formats[, sparse_levels])
@@ -99,33 +94,29 @@ def lowerings() -> Iterator[Tuple[str, object]]:
     for name, spec in sorted({**KERNELS, **EXTENSIONS}.items()):
         for dtype in DTYPES:
             for naive in (False, True):
-                for ablation, overrides in ABLATIONS.items():
-                    if naive and ablation not in NAIVE_ABLATIONS:
+                for variant, overrides in VARIANTS.items():
+                    if naive and overrides:
                         continue
                     options = DEFAULT.but(
                         backend="python", dtype=dtype, **overrides
                     )
                     key = "%s|%s|%s|%s" % (
-                        name, "naive" if naive else "systec", dtype, ablation
+                        name, "naive" if naive else "systec", dtype, variant
                     )
                     yield key, spec.compile(naive=naive, options=options)
     for name, (einsum, symmetric, loop_order, formats, *levels) in sorted(
         EXTRAS.items()
     ):
         for dtype in DTYPES:
-            for ablation in ("default", "-cse", "-workspace"):
-                options = DEFAULT.but(
-                    backend="python", dtype=dtype, **ABLATIONS[ablation]
-                )
-                key = "extra:%s|systec|%s|%s" % (name, dtype, ablation)
-                yield key, compile_kernel(
-                    einsum,
-                    symmetric=symmetric,
-                    loop_order=loop_order,
-                    formats=formats,
-                    options=options,
-                    sparse_levels=levels[0] if levels else None,
-                )
+            key = "extra:%s|systec|%s|default" % (name, dtype)
+            yield key, compile_kernel(
+                einsum,
+                symmetric=symmetric,
+                loop_order=loop_order,
+                formats=formats,
+                options=DEFAULT.but(backend="python", dtype=dtype),
+                sparse_levels=levels[0] if levels else None,
+            )
 
 
 def c_renderings(lowered) -> List[str]:

@@ -123,7 +123,7 @@ def test_serve_warmup_then_cache_listing(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "1 kernels" in out
     assert "y[i] += A[i, j] * x[j]" in out
-    assert "+cse" in out  # CompilerOptions.describe() line
+    assert "-lookup_table" in out  # CompilerOptions.describe() line
 
     # second warmup is served from disk, no compiles
     assert main(["serve-warmup", "--dir", cache_dir, "--kernels", "ssymv"]) == 0

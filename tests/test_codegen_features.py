@@ -1,28 +1,34 @@
-"""Correctness of every lowering feature combination (the ablation axes)."""
+"""Correctness of the lowering features: every plan pass skipped in turn,
+the lookup-table form, vectorization and ``min``/``max`` workspaces."""
 
 import numpy as np
 import pytest
 
+from repro.core import compiler
 from repro.core.compiler import compile_kernel
 from repro.core.config import DEFAULT
 from repro.kernels.library import get_kernel
 from tests.conftest import make_symmetric_matrix, make_symmetric_tensor
 
+#: the plan passes every SySTeC kernel runs (the lookup table is opt-in)
 OPTION_AXES = [
-    "output_canonical",
-    "distributive",
-    "consolidate",
-    "group_branches",
-    "diagonal_split",
-    "cse",
-    "workspace",
-    "vectorize_innermost",
+    name for name, _ in compiler._PLAN_PASSES if name != "lookup_table"
 ]
+
+
+def _without(monkeypatch, skipped):
+    """Compile with the plan passes named in *skipped* left out."""
+    monkeypatch.setattr(
+        compiler,
+        "_PLAN_PASSES",
+        tuple(p for p in compiler._PLAN_PASSES if p[0] not in skipped),
+    )
 
 
 @pytest.mark.parametrize("axis", OPTION_AXES)
 @pytest.mark.parametrize("kernel_name", ["ssymv", "syprd", "mttkrp3d", "ttm", "ssyrk"])
-def test_each_option_off_is_still_correct(rng, axis, kernel_name):
+def test_each_option_off_is_still_correct(rng, monkeypatch, axis, kernel_name):
+    """The plan passes compose: skipping any one leaves a correct kernel."""
     spec = get_kernel(kernel_name)
     n, r = 6, 3
     inputs = {}
@@ -40,8 +46,8 @@ def test_each_option_off_is_still_correct(rng, axis, kernel_name):
         else:
             inputs[name] = rng.random((n,) * len(acc.indices))
     expected = spec.reference(**inputs)
-    options = DEFAULT.but(**{axis: False})
-    got = spec.compile(options=options)(**inputs)
+    _without(monkeypatch, {axis})
+    got = spec.compile()(**inputs)
     np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
 
 
@@ -59,35 +65,17 @@ def test_lookup_table_lowering(rng, kernel_name):
     np.testing.assert_allclose(got, expected, rtol=1e-10)
 
 
-def test_everything_off_equals_everything_on(rng):
+def test_everything_off_equals_everything_on(rng, monkeypatch):
+    """The symmetrized plan with no plan pass at all computes what the
+    full pipeline computes."""
     spec = get_kernel("mttkrp3d")
     n = 6
     A = make_symmetric_tensor(rng, n, 3, 0.5)
     B = rng.random((n, 4))
-    all_off = DEFAULT.but(
-        output_canonical=False,
-        distributive=False,
-        consolidate=False,
-        group_branches=False,
-        diagonal_split=False,
-        cse=False,
-        workspace=False,
-        vectorize_innermost=False,
-    )
-    a = spec.compile(options=all_off)(A=A, B=B)
     b = spec.compile()(A=A, B=B)
+    _without(monkeypatch, set(OPTION_AXES))
+    a = spec.compile()(A=A, B=B)
     np.testing.assert_allclose(a, b, rtol=1e-10)
-
-
-def test_scalar_loops_without_vectorization(rng):
-    """The fully scalar lowering (no numpy in the inner loop)."""
-    spec = get_kernel("mttkrp3d")
-    n = 5
-    A = make_symmetric_tensor(rng, n, 3, 0.5)
-    B = rng.random((n, 3))
-    kernel = spec.compile(options=DEFAULT.but(vectorize_innermost=False))
-    assert "for j in range(" in kernel.source
-    np.testing.assert_allclose(kernel(A=A, B=B), spec.reference(A=A, B=B), rtol=1e-10)
 
 
 def test_vectorized_kernel_has_no_rank_loop():
@@ -100,8 +88,9 @@ def test_min_plus_with_workspace(rng):
     A = make_symmetric_matrix(rng, n, 0.6)
     d = rng.random(n)
     spec = get_kernel("bellmanford")
-    for workspace in (False, True):
-        kernel = spec.compile(options=DEFAULT.but(workspace=workspace))
+    for naive in (True, False):
+        kernel = spec.compile(naive=naive)
+        assert ("ws0" in kernel.source) is not naive
         got = kernel(A=A, d=d)
         np.testing.assert_allclose(got, spec.reference(A=A, d=d), rtol=1e-12)
 

@@ -189,7 +189,7 @@ def test_plan_coverage_on_degenerate_cubes(name, side):
         for t in [acc.tensor]
         if t in spec.symmetric
     }
-    plan, _ = plan_kernel(assignment, symmetric_modes, spec.loop_order, DEFAULT)
+    plan = plan_kernel(assignment, symmetric_modes, spec.loop_order, DEFAULT)
     assert verify_plan_coverage(plan, side=side) == []
 
 

@@ -3,7 +3,7 @@
 Hierarchical workspaces: the innermost loop of an MTTKRP's strict nest
 holds two accumulations of one multiply each, whatever the tensor order,
 in both branches the register-blocking phase prints; kernels with
-nothing to factor lower exactly as before; ``-workspace`` factors
+nothing to factor lower exactly as before; the naive lowering factors
 nothing.  Register blocking: the blocked branch of a strict nest reads
 and writes only block-local workspaces, and guarded (diagonal) nests are
 left alone.  Row tiling: the run-time block count is about 1 MiB of
@@ -20,6 +20,7 @@ import pytest
 
 from repro.codegen import loopir as ir
 from repro.codegen.backends import ctoolchain, get_backend, render_c
+from repro.codegen.lower import lower_plan
 from repro.codegen.passes import run_pipeline
 from repro.codegen.passes.regblock import WIDTH
 from repro.codegen.passes.tile import auto_tile_rows
@@ -34,9 +35,9 @@ needs_cc = pytest.mark.skipif(
 PYTHON = DEFAULT.but(backend="python")
 
 
-def _program(name, **overrides):
+def _program(name):
     spec = {**KERNELS, **EXTENSIONS}[name]
-    return spec.compile(options=PYTHON.but(**overrides)).lowered.program
+    return spec.compile(options=PYTHON).lowered.program
 
 
 def _multiplies(expr) -> int:
@@ -54,9 +55,9 @@ def _innermost_fiber(nest):
     return inner
 
 
-def _serial_c(name, **overrides) -> str:
+def _serial_c(name) -> str:
     spec = {**KERNELS, **EXTENSIONS}[name]
-    lowered = spec.compile(options=PYTHON.but(**overrides)).lowered
+    lowered = spec.compile(options=PYTHON).lowered
     return render_c(lowered)
 
 
@@ -196,7 +197,9 @@ def test_kernels_with_nothing_to_factor_lower_as_before(name):
 
 @pytest.mark.parametrize("name", sorted({**KERNELS, **EXTENSIONS}))
 def test_without_workspaces_nothing_is_factored(name):
-    program = _program(name, workspace=False)
+    """The SySTeC plan, lowered as the naive baseline is lowered."""
+    kernel = {**KERNELS, **EXTENSIONS}[name].compile(options=PYTHON)
+    program = lower_plan(kernel.plan, kernel.formats, PYTHON, naive=True).program
     assert not program.preamble or all(
         isinstance(s, ir.LutDef) for s in program.preamble
     )

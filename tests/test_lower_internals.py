@@ -6,7 +6,7 @@ import pytest
 
 from repro.codegen.lower import LoweringError, lower_plan
 from repro.core.compiler import compile_kernel, naive_plan, optimize
-from repro.core.config import DEFAULT, NAIVE
+from repro.core.config import DEFAULT
 from repro.core.symmetrize import symmetrize
 from repro.frontend.parser import parse_assignment
 
@@ -14,10 +14,11 @@ FULL2 = {"A": ((0, 1),)}
 FULL3 = {"A": ((0, 1, 2),)}
 
 
-def lowered_ssymv(**opt):
+def lowered_ssymv(naive=False):
+    """The SySTeC plan of SSYMV, lowered as SySTeC or as the baseline."""
     plan = symmetrize(parse_assignment("y[i] += A[i, j] * x[j]"), FULL2, ("j", "i"))
     plan = optimize(plan, DEFAULT)
-    return lower_plan(plan, {"A": "sparse"}, DEFAULT.but(**opt))
+    return lower_plan(plan, {"A": "sparse"}, DEFAULT, naive=naive)
 
 
 def test_sparse_views_split_by_filter():
@@ -91,9 +92,7 @@ def test_co_iteration_intersection_emits_merge_loop():
     plan = naive_plan(
         parse_assignment("y[i] += A[i, j] * B[i, j]"), ("i", "j")
     )
-    lowered = lower_plan(
-        plan, {"A": "sparse", "B": "sparse"}, NAIVE.but(vectorize_innermost=False)
-    )
+    lowered = lower_plan(plan, {"A": "sparse", "B": "sparse"}, DEFAULT, naive=True)
     assert "while" in lowered.source
     assert "continue" in lowered.source
 
@@ -135,7 +134,7 @@ def test_triangle_counting_kernel(rng):
 def test_repeated_index_in_sparse_access_rejected():
     plan = naive_plan(parse_assignment("y[] += A[i, i]"), ("i",))
     with pytest.raises(LoweringError):
-        lower_plan(plan, {"A": "sparse"}, NAIVE)
+        lower_plan(plan, {"A": "sparse"}, DEFAULT, naive=True)
 
 
 def test_multiplicity_under_min_rejected():
@@ -146,22 +145,24 @@ def test_multiplicity_under_min_rejected():
     )
     # skip group_distributive: the strict block has count-2 assignments
     with pytest.raises(LoweringError):
-        lower_plan(plan, {"A": "sparse"}, DEFAULT.but(workspace=False))
+        lower_plan(plan, {"A": "sparse"}, DEFAULT)
 
 
 def test_cse_off_inlines_reads():
-    lowered = lowered_ssymv(cse=False)
+    """The naive lowering reads every access where it is used."""
+    lowered = lowered_ssymv(naive=True)
     assert "t0" not in lowered.source
     assert lowered.source.count("A__strict_vals[") >= 2
 
 
 def test_cse_on_hoists_reads():
-    lowered = lowered_ssymv(cse=True)
+    lowered = lowered_ssymv()
     assert "t0 = A__strict_vals[" in lowered.source
 
 
 def test_workspace_off_writes_directly():
-    lowered = lowered_ssymv(workspace=False)
+    """The naive lowering accumulates straight into the output."""
+    lowered = lowered_ssymv(naive=True)
     assert "ws0" not in lowered.source
 
 

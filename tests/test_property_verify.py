@@ -4,8 +4,7 @@ pass the exhaustive coverage verifier."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.compiler import optimize
-from repro.core.config import CompilerOptions
+from repro.core.compiler import _PLAN_PASSES
 from repro.core.symmetrize import symmetrize
 from repro.core.verify import verify_plan_coverage
 from repro.frontend.parser import parse_assignment
@@ -34,26 +33,16 @@ KERNEL_POOL = [
 
 @given(
     st.integers(min_value=0, max_value=len(KERNEL_POOL) - 1),
-    st.booleans(),
-    st.booleans(),
-    st.booleans(),
-    st.booleans(),
-    st.booleans(),
+    st.sets(st.sampled_from([name for name, _ in _PLAN_PASSES])),
 )
 @settings(max_examples=40, deadline=None)
-def test_random_pipelines_always_verified(
-    which, output_canonical, distributive, consolidate, diagonal_split, lookup
-):
+def test_random_pipelines_always_verified(which, skipped):
+    """Any subset of the plan passes, run in pipeline order, keeps every
+    update of the einsum performed exactly once."""
     einsum, symmetric, loop_order = KERNEL_POOL[which]
     plan = symmetrize(parse_assignment(einsum), symmetric, loop_order)
-    options = CompilerOptions(
-        output_canonical=output_canonical,
-        distributive=distributive,
-        consolidate=consolidate,
-        group_branches=False,
-        diagonal_split=diagonal_split,
-        lookup_table=lookup,
-    )
-    plan = optimize(plan, options)
+    for name, pass_fn in _PLAN_PASSES:
+        if name not in skipped:
+            plan = pass_fn(plan)
     side = 2 if len(plan.loop_order) >= 4 else 3
     assert verify_plan_coverage(plan, side=side) == []

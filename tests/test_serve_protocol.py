@@ -308,6 +308,15 @@ def test_spec_round_trip_naive_and_levels():
         {"einsum": 42},
         {"einsum": "y[i] += x[i]", "options": "bad"},
         {"einsum": "y[i] += x[i]", "loop_order": [1, 2]},
+        # a truthy non-bool switch would build the lookup-table kernel
+        # under a key of its own
+        {
+            "einsum": "C[i, j] += A[i, k, l] * B[k, j] * B[l, j]",
+            "symmetric": {"A": True},
+            "options": {"lookup_table": "no"},
+        },
+        # an older peer that still sent pass switches
+        {"einsum": "y[i] += A[i, j] * x[j]", "options": {"cse": False}},
     ],
 )
 def test_hostile_specs_rejected(doc):

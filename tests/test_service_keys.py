@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from repro import DEFAULT, NAIVE, cache_key
+from repro import DEFAULT, cache_key
 from repro.codegen.backends.base import CodegenConfig
 from repro.core.config import RUNTIME_FIELDS, CompilerOptions
 from repro.frontend.parser import parse_assignment
@@ -62,7 +62,7 @@ def test_distinct_specs_get_distinct_keys():
     assert base != cache_key(SSYMV, symmetric={"A": True}, loop_order=("i", "j"))
     assert base != cache_key(SSYMV, symmetric={"A": True}, formats={"A": "dense"})
     assert base != cache_key(
-        SSYMV, symmetric={"A": True}, options=DEFAULT.but(cse=False)
+        SSYMV, symmetric={"A": True}, options=DEFAULT.but(lookup_table=True)
     )
     assert base != cache_key(SSYMV, symmetric={"A": True}, naive=True)
     assert base != cache_key(
@@ -74,17 +74,20 @@ def test_distinct_specs_get_distinct_keys():
 
 
 def test_naive_collapses_plan_options_into_one_key():
-    """The naive path forces the NAIVE switch set, so plan-level option
-    differences are irrelevant — only vectorization survives."""
+    """The naive baseline has no factor table, so a naive request drops
+    ``lookup_table`` — the switch does not split its keys."""
     a = cache_key(SSYMV, symmetric={"A": True}, naive=True)
     b = cache_key(
-        SSYMV, symmetric={"A": True}, naive=True, options=DEFAULT.but(cse=False)
+        SSYMV,
+        symmetric={"A": True},
+        naive=True,
+        options=DEFAULT.but(lookup_table=True),
     )
     c = cache_key(
         SSYMV,
         symmetric={"A": True},
         naive=True,
-        options=DEFAULT.but(vectorize_innermost=False),
+        options=DEFAULT.but(dtype="float32"),
     )
     assert a == b
     assert a != c
@@ -114,9 +117,9 @@ def test_request_compiles_to_a_working_kernel(rng):
 
 def test_naive_request_uses_naive_options():
     request = canonicalize(SSYMV, symmetric={"A": True}, naive=True)
-    # the pass switches collapse onto NAIVE; the backend is resolved
-    # independently (canonical requests never carry "auto")
-    assert request.options == NAIVE.but(backend=request.options.backend)
+    # the lookup table is dropped; the backend is resolved independently
+    # (canonical requests never carry "auto")
+    assert request.options == DEFAULT.but(backend=request.options.backend)
     assert request.options.backend != "auto"
     assert request.compile().plan.history == ("naive",)
 

@@ -137,12 +137,24 @@ def test_keys_remove_clear_and_entries(tmp_path):
     assert len(entries) == 2
     einsums = {e.einsum for e in entries}
     assert "y[i] += A[i, j] * x[j]" in einsums
-    assert all("+cse" in e.options_line for e in entries)
+    assert all("-lookup_table" in e.options_line for e in entries)
+    assert not any(e.naive for e in entries)
 
     assert store.remove(requests[0].key)
     assert not store.remove(requests[0].key)
     assert store.clear() == 1
     assert len(store) == 0
+
+
+def test_entries_read_naive_from_the_plan_history(tmp_path):
+    store = DiskStore(tmp_path)
+    spec = get_kernel("ssymv")
+    for naive in (False, True):
+        request = canonicalize(
+            spec.einsum, symmetric=dict(spec.symmetric), naive=naive
+        )
+        store.put(request.key, request.compile())
+    assert sorted(e.naive for e in store.entries()) == [False, True]
 
 
 def test_from_state_rejects_unknown_version():
