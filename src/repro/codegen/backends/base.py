@@ -1,72 +1,21 @@
-"""The execution-backend interface and the configuration it compiles under.
+"""The execution-backend interface.
 
 A *backend* turns a :class:`~repro.codegen.lower.LoweredKernel` into an
 :class:`Executable` — something that binds, ``bind(out, arrays) ->
 call(threads)``, exactly the argument set :meth:`BoundKernel.prepare`
 produces, and runs only through what it bound.  The loop structure is
 fixed by lowering; backends only decide how those loops run (interpreted
-Python vs. a compiled shared object).
-
-:class:`CodegenConfig` is everything that shapes generated C beyond the
-lowered loops and the fixed loop-phase pipeline that rewrites them.  It
-is resolved **once** per compile request — :meth:`CodegenConfig.resolve`,
-called by :func:`repro.core.compiler.resolve_request` — and from there
-only moves as a value: the cache key hashes it, the wire spec and the
-store entry carry it, and the C printer renders under it.  Nothing downstream of the
-resolver looks at the environment again, so a key can never describe a
-different program than the one that gets built for it.
+Python vs. a compiled shared object), and nothing configures the code
+they generate: it depends on the lowered program alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
 from repro.codegen.lower import LoweredKernel
-from repro.core.config import knob
-
-
-@dataclass(frozen=True)
-class CodegenConfig:
-    """The resolved C-codegen configuration of one compile request.
-
-    Every field changes the generated source, so every field is cache-key
-    material (:meth:`repro.service.keys.CompileRequest.key_material`
-    enumerates them — a field added here retires old keys by itself).
-    The loop phases are not configuration: every kernel runs all of them.
-    """
-
-    #: whether per-nest wall-time instrumentation is compiled in.
-    profile: bool = False
-
-    @classmethod
-    def resolve(cls) -> "CodegenConfig":
-        """Defaults <- environment: ``$REPRO_PROFILE`` names the
-        instrumentation.  Nothing here runs the toolchain."""
-        return cls(knob("REPRO_PROFILE"))
-
-    def to_dict(self) -> dict:
-        """The JSON form the wire spec and the store entry carry."""
-        return {"profile": self.profile}
-
-    @classmethod
-    def from_dict(cls, doc) -> "CodegenConfig":
-        """Rebuild :meth:`to_dict` output, validated as outside input (a
-        wire peer or a store file wrote it): ``ValueError`` on anything
-        but a bool — and on any other key, so a peer asking for a setting
-        this version does not know (an older one's pass selection, say)
-        gets an error, not a build without it."""
-        if not isinstance(doc, dict):
-            raise ValueError("codegen must be an object")
-        unknown = sorted(set(doc) - {"profile"})
-        if unknown:
-            raise ValueError("codegen has unknown keys: %s" % ", ".join(unknown))
-        profile = doc.get("profile")
-        if not isinstance(profile, bool):
-            raise ValueError("codegen.profile must be a bool")
-        return cls(profile)
 
 
 class BackendError(RuntimeError):
@@ -107,22 +56,6 @@ class Executable:
         """
         raise NotImplementedError
 
-    # ------------------------------------------------------------------
-    # per-nest profiling (repro.obs.profile) — only builds made with
-    # REPRO_PROFILE=1 on backends that support it carry instrumentation;
-    # everything else reports "not profiled" through these defaults.
-    #: whether this build carries per-nest wall-time instrumentation.
-    profiled: bool = False
-
-    def nest_profile(self):
-        """Accumulated per-nest times as a
-        :class:`~repro.obs.profile.NestProfile`, or ``None`` when this
-        build is not profiled."""
-        return None
-
-    def profile_reset(self) -> None:
-        """Zero the per-nest accumulators (no-op when not profiled)."""
-
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -141,15 +74,11 @@ class Backend:
         self,
         lowered: LoweredKernel,
         label: Optional[str] = None,
-        codegen: Optional[CodegenConfig] = None,
         objects=None,
     ) -> Executable:
         """Build an executable.
 
-        ``label`` names the kernel in diagnostics.
-        ``codegen`` is the request's resolved :class:`CodegenConfig`
-        (``None`` for requests the Python backend serves, which has no
-        configurable codegen).  ``objects`` is the
+        ``label`` names the kernel in diagnostics.  ``objects`` is the
         :class:`~repro.codegen.backends.objects.ObjectCache` a backend
         with compiled binaries finds and builds them in (``None``: the
         process instance; a disk store hands down its own).

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.codegen import loopir as ir
-from repro.codegen.backends.base import BackendError, CodegenConfig
+from repro.codegen.backends.base import BackendError
 from repro.codegen.lower import LoweredKernel
 from repro.codegen.passes.base import run_pipeline
 from repro.codegen.passes import regblock
@@ -141,7 +141,7 @@ class _Renderer:
         # bracketed with clock_gettime and accumulates into a static
         # array exported through repro_profile_* symbols.  Profiled
         # source differs from production source, so the content-addressed
-        # .so cache can never alias the two builds.
+        # object cache can never alias the two builds.
         self.profile = profile
         self.out_ndim = lowered.output.ndim
         # the element type every value array, workspace and the output use.
@@ -294,6 +294,9 @@ class _Renderer:
             header += [
                 "#include <time.h>",
                 "",
+                # the banner still names the variable profiled builds
+                # were once requested with: the render corpus digests pin
+                # its bytes
                 "/* REPRO_PROFILE=1 build: per-nest wall time, accumulated",
                 "   across calls and read back through repro_profile_*. */",
                 "static double repro_nest_sec[%d];" % max(1, nests),
@@ -872,25 +875,21 @@ class CRender:
 
 
 def render_c_full(
-    lowered: LoweredKernel, label: Optional[str], codegen: CodegenConfig
+    lowered: LoweredKernel, label: Optional[str], profile: bool = False
 ) -> CRender:
     """Run the phase pipeline over a lowered kernel, print its product
-    under an already-resolved *codegen* and return the full
-    :class:`CRender`.  Pure: the same three arguments always print the
-    same translation unit."""
+    and return the full :class:`CRender`.  *profile* brackets every
+    top-level nest with wall-time accumulation exported through
+    ``repro_profile_*`` symbols — only :func:`repro.obs.profile_kernel`
+    asks for that.  Pure: the same arguments always print the same
+    translation unit."""
     with obs_trace.span("render_c", label=label):
-        renderer = _Renderer(lowered, label, codegen.profile)
+        renderer = _Renderer(lowered, label, profile)
         state = run_pipeline(lowered, label)
         source = renderer.render(state)
     return CRender(source, tuple(w.strategy for w in state.work))
 
 
 def render_c(lowered: LoweredKernel, label: Optional[str] = None) -> str:
-    """The C translation unit of a lowered kernel — an inspection helper.
-
-    Outside the compiler, so the one place "``None`` = ambient" survives:
-    the configuration is resolved as an anonymous compile would
-    (:meth:`CodegenConfig.resolve`).
-    """
-    return render_c_full(lowered, label, CodegenConfig.resolve()).source
-
+    """The C translation unit of a lowered kernel — an inspection helper."""
+    return render_c_full(lowered, label).source

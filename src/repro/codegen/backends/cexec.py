@@ -23,7 +23,6 @@ from repro.codegen.backends.base import (
     Backend,
     BackendError,
     BackendUnavailableError,
-    CodegenConfig,
     Executable,
 )
 from repro.codegen.backends.c import CRender, render_c_full
@@ -116,9 +115,9 @@ class CExecutable(Executable):
         #: whether this is the OpenMP object (its marker symbol exists
         #: only under ``_OPENMP``).
         self.omp = hasattr(lib, "repro_openmp")
-        # per-nest profiling symbols exist only in REPRO_PROFILE builds;
-        # their absence (the production case, or a pre-profiling artifact)
-        # leaves `profiled` False and nest_profile() returning None
+        # per-nest profiling symbols exist only in the instrumented objects
+        # repro.obs.profile_kernel builds; in every other object they are
+        # absent and nest_profile() returns None
         try:
             nests_fn = lib.repro_profile_nests
             calls_fn = lib.repro_profile_calls
@@ -161,10 +160,6 @@ class CExecutable(Executable):
                 except ctoolchain.ToolchainError as exc:
                     raise BackendError("no wide-index object: %s" % exc)
             return self._wide
-
-    @property
-    def profiled(self) -> bool:
-        return self._profile_fns is not None
 
     def nest_profile(self) -> Optional[NestProfile]:
         if self._profile_fns is None:
@@ -280,44 +275,9 @@ class CBackend(Backend):
         self,
         lowered: LoweredKernel,
         label: Optional[str] = None,
-        codegen: Optional[CodegenConfig] = None,
         objects: Optional[ObjectCache] = None,
     ) -> CExecutable:
-        rendered = render_c_full(lowered, label, codegen)
-
-        def load(force: bool) -> CExecutable:
-            so_path = ctoolchain.compile_shared(
-                rendered.source,
-                stem=label,
-                force=force,
-                parallel=rendered.parallel,
-                objects=objects,
-            )
-            return CExecutable(lowered, so_path, rendered, label, objects)
-
-        try:
-            try:
-                exe = load(False)
-            except (OSError, AttributeError):
-                # a verified object that won't load (a cache carried over
-                # from another machine): rebuild it once, then fail loudly
-                exe = load(True)
-        except ctoolchain.ToolchainError as exc:
-            if ctoolchain.probe() is None:
-                raise BackendUnavailableError(
-                    "the C backend needs a working compiler or a prebuilt "
-                    "object; neither was found (set $REPRO_CC, or use "
-                    "backend='auto' to fall back to python)"
-                )
-            raise BackendError("C kernel build failed: %s" % exc)
-        if rendered.parallel and not exe.omp:
-            # parallel bodies, no OpenMP to run them: threaded calls of
-            # this process resolve to one thread (the object is serial)
-            health.mark(
-                "c@omp",
-                ctoolchain.ToolchainError("the toolchain cannot build OpenMP objects"),
-            )
-        return exe
+        return build(lowered, render_c_full(lowered, label), label, objects)
 
     def describe(self) -> str:
         tc = ctoolchain.probe()
@@ -325,3 +285,49 @@ class CBackend(Backend):
             return "c: unavailable (no working compiler found)"
         omp = "OpenMP" if tc.openmp else "no OpenMP, serial kernels"
         return "c: compiled shared objects via %s (%s)" % (tc.describe(), omp)
+
+
+def build(
+    lowered: LoweredKernel,
+    rendered: CRender,
+    label: Optional[str] = None,
+    objects: Optional[ObjectCache] = None,
+) -> CExecutable:
+    """Find or build the object of *rendered* in *objects* (``None``: the
+    process instance) and load it.  :meth:`CBackend.compile` builds the
+    production render; :func:`repro.obs.profile_kernel` an instrumented
+    one, into the process instance only."""
+
+    def load(force: bool) -> CExecutable:
+        so_path = ctoolchain.compile_shared(
+            rendered.source,
+            stem=label,
+            force=force,
+            parallel=rendered.parallel,
+            objects=objects,
+        )
+        return CExecutable(lowered, so_path, rendered, label, objects)
+
+    try:
+        try:
+            exe = load(False)
+        except (OSError, AttributeError):
+            # a verified object that won't load (a cache carried over
+            # from another machine): rebuild it once, then fail loudly
+            exe = load(True)
+    except ctoolchain.ToolchainError as exc:
+        if ctoolchain.probe() is None:
+            raise BackendUnavailableError(
+                "the C backend needs a working compiler or a prebuilt "
+                "object; neither was found (set $REPRO_CC, or use "
+                "backend='auto' to fall back to python)"
+            )
+        raise BackendError("C kernel build failed: %s" % exc)
+    if rendered.parallel and not exe.omp:
+        # parallel bodies, no OpenMP to run them: threaded calls of
+        # this process resolve to one thread (the object is serial)
+        health.mark(
+            "c@omp",
+            ctoolchain.ToolchainError("the toolchain cannot build OpenMP objects"),
+        )
+    return exe

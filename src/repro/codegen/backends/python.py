@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.codegen import loopir as ir
-from repro.codegen.backends.base import Backend, CodegenConfig, Executable
+from repro.codegen.backends.base import Backend, Executable
 from repro.codegen.lower import LoweredKernel
 
 
@@ -211,7 +211,6 @@ class PythonBackend(Backend):
         self,
         lowered: LoweredKernel,
         label: Optional[str] = None,
-        codegen: Optional[CodegenConfig] = None,
         objects=None,
     ) -> PythonExecutable:
         return PythonExecutable(lowered, label)

@@ -46,7 +46,6 @@ from repro.codegen.backends import health
 from repro.codegen.backends.base import (
     BackendError,
     BackendUnavailableError,
-    CodegenConfig,
 )
 from repro.codegen.lower import LoweredKernel
 from repro.codegen.runtime import (
@@ -357,17 +356,12 @@ class BoundKernel:
         label: Optional[str] = None,
         backend: str = "python",
         threads=None,
-        codegen: Optional[CodegenConfig] = None,
         objects=None,
     ):
         self.lowered = lowered
         self.symmetric_modes = dict(symmetric_modes)
         self.backend_name = backend
         self._label = label
-        #: the resolved configuration the C source was (or, rehydrated,
-        #: will again be) rendered under — persisted with the kernel;
-        #: ``None`` for python-backend requests
-        self.codegen = codegen
         #: the element dtype every bound array (and the output buffer)
         #: carries — fixed by lowering, not by what the caller passes in
         self.dtype = np_dtype(lowered.dtype)
@@ -381,7 +375,7 @@ class BoundKernel:
         with obs_trace.span("backend:compile", backend=backend, label=label):
             try:
                 self.executable = get_backend(backend).compile(
-                    lowered, label=label, codegen=codegen, objects=objects
+                    lowered, label=label, objects=objects
                 )
             except BackendUnavailableError:
                 raise  # the caller named a backend this machine lacks

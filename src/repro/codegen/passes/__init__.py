@@ -42,7 +42,7 @@ _simdize -> _ompize``, with ``regblock`` its register-level blocking):
     strategy per nest.
 
 Every phase always runs — there is no pass selection, so one lowered
-program has exactly one C translation unit per profile setting — and
+program has exactly one C translation unit — and
 every phase preserves bit-identity with the Python backend; the
 cross-backend differential fuzzer enforces it over the whole pipeline,
 and a phase's worth is measured by timing a copy of the tree with that

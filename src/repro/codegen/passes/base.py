@@ -10,9 +10,7 @@ every phase that changed a statement, so one that breaks the naming
 rules fails here, by name, not in ``cc``.
 
 Nothing here looks at ``REPRO_*`` variables: the C a kernel gets
-depends only on its lowered program and the request's
-:class:`~repro.codegen.backends.base.CodegenConfig` (whether per-nest
-timing is compiled in), which the printer, not the phases, reads.
+depends only on its lowered program.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ top-level nest that can run on several cores in a
 **reduction strategy**, and records one :class:`NestWork` per top-level
 ``for`` nest (annotated or not) on the pipeline state.  The C printer
 emits an annotated nest twice — an OpenMP body and the serial fallback;
-``repro backends`` and the ``REPRO_PROFILE`` report read the recorded
+``repro backends`` and :func:`repro.obs.profile_kernel` read the recorded
 strategies.  The strategy depends on the nest's output-write pattern:
 
 * ``for`` — every write's leading output coordinate is the (injective)

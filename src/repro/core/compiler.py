@@ -23,7 +23,6 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.codegen.backends.base import CodegenConfig
 from repro.codegen.executor import BoundKernel, ExecutionPlan, plan_identity
 from repro.codegen.lower import LoweredKernel, lower_plan
 from repro.core.config import CompilerOptions, DEFAULT
@@ -138,29 +137,22 @@ def resolve_request(
     formats: Optional[Mapping[str, str]] = None,
     options: CompilerOptions = DEFAULT,
     naive: bool = False,
-    codegen: Optional[CodegenConfig] = None,
 ) -> Tuple[
     Dict[str, Tuple[Tuple[int, ...], ...]],
     Tuple[str, ...],
     Dict[str, str],
     CompilerOptions,
-    Optional[CodegenConfig],
 ]:
     """Apply every defaulting rule of :func:`compile_kernel` in one place.
 
-    Returns ``(symmetric_modes, loop_order, formats, options, codegen)``
-    fully resolved: symmetry specs normalized to mode partitions, an
-    omitted loop order inferred, omitted formats marking each symmetric
-    tensor sparse (explicit formats validated), ``lookup_table`` dropped
-    from a naive request (the baseline has no factor table: its keys must
-    not split on it), ``auto`` collapsed onto a concrete backend, and —
-    for the C backend; ``None`` otherwise — the :class:`CodegenConfig`
-    the kernel is rendered under.  This is the one
-    call of :meth:`CodegenConfig.resolve` on the compile path: a *codegen*
-    handed in (a request that was already resolved — by the client of a
-    daemon, the writer of a store entry) is used as is.  The cache-key
-    canonicalizer (:mod:`repro.service.keys`) calls this same helper, so
-    keys cannot drift from what the compiler builds.
+    Returns ``(symmetric_modes, loop_order, formats, options)`` fully
+    resolved: symmetry specs normalized to mode partitions, an omitted
+    loop order inferred, omitted formats marking each symmetric tensor
+    sparse (explicit formats validated), ``lookup_table`` dropped from a
+    naive request (the baseline has no factor table: its keys must not
+    split on it) and ``auto`` collapsed onto a concrete backend.  The
+    cache-key canonicalizer (:mod:`repro.service.keys`) calls this same
+    helper, so keys cannot drift from what the compiler builds.
     """
     from repro.codegen.backends import resolve_backend_name
 
@@ -178,11 +170,7 @@ def resolve_request(
     backend = resolve_backend_name(options.backend)
     if backend != options.backend:
         options = options.but(backend=backend)
-    if backend != "c":
-        codegen = None  # only the C renderer has configurable codegen
-    elif codegen is None:
-        codegen = CodegenConfig.resolve()
-    return symmetric_modes, tuple(loop_order), dict(formats), options, codegen
+    return symmetric_modes, tuple(loop_order), dict(formats), options
 
 
 def plan_kernel(
@@ -224,7 +212,9 @@ def plan_kernel(
 #: fitting argument set runs, 64-bit only in the wide object — and every
 #: object exports ``repro_index_bytes``; a v8 object (all ``int64_t``,
 #: no width symbol) must not be rebound against 32-bit arrays.
-STATE_VERSION = 9
+#: v10: the state no longer carries a ``codegen`` configuration — the C
+#: source depends on the lowered program alone.
+STATE_VERSION = 10
 
 
 @dataclass(frozen=True)
@@ -338,11 +328,6 @@ class CompiledKernel:
             "plan_description": plan.describe(),
             "formats": dict(self.formats),
             "options": self.options.to_dict(),
-            "codegen": (
-                self.bound.codegen.to_dict()
-                if self.bound.codegen is not None
-                else None
-            ),
             "lowered": self.lowered.to_dict(),
         }
 
@@ -393,16 +378,12 @@ class CompiledKernel:
         )
         lowered = LoweredKernel.from_dict(state["lowered"])
         options = CompilerOptions.from_dict(state["options"])
-        # rendered under the writer's configuration, never the reader's:
-        # the key this state is stored under describes the former
-        codegen = state["codegen"]
         bound = BoundKernel(
             lowered,
             symmetric_modes,
             label=label,
             backend=options.backend,
             threads=options.threads,
-            codegen=None if codegen is None else CodegenConfig.from_dict(codegen),
             objects=objects,
         )
         return cls(snapshot, lowered, bound, options, dict(state["formats"]))
@@ -497,7 +478,6 @@ def compile_kernel(
     options: CompilerOptions = DEFAULT,
     naive: bool = False,
     sparse_levels: Optional[Mapping[str, Sequence[str]]] = None,
-    codegen: Optional[CodegenConfig] = None,
 ) -> CompiledKernel:
     """Compile an einsum into a symmetry-exploiting sparse kernel.
 
@@ -519,16 +499,12 @@ def compile_kernel(
     naive:
         build the unoptimized baseline kernel instead (full tensors, no
         triangle restriction) — the red line in the paper's figures.
-    codegen:
-        an already-resolved :class:`CodegenConfig` to build under
-        (:meth:`repro.service.keys.CompileRequest.compile` passes one);
-        by default it is resolved here, once, from the environment.
     """
     assignment = (
         parse_assignment(einsum) if isinstance(einsum, str) else einsum
     )
-    symmetric_modes, loop_order, formats, options, codegen = resolve_request(
-        assignment, symmetric, loop_order, formats, options, naive, codegen
+    symmetric_modes, loop_order, formats, options = resolve_request(
+        assignment, symmetric, loop_order, formats, options, naive
     )
 
     validate_assignment(assignment, symmetric_modes)
@@ -547,6 +523,5 @@ def compile_kernel(
             plan.symmetric_modes,
             backend=options.backend,
             threads=options.threads,
-            codegen=codegen,
         )
     return CompiledKernel(plan, lowered, bound, options, formats)

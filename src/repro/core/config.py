@@ -17,10 +17,8 @@ are read live on every call — tests monkeypatch the environment — and
 the *environment is outside the program*: a bad value gets a
 once-per-``(name, value)`` diagnostic and the default, never a traceback.
 ``repro --help``, ``repro doctor`` and the README's knob table print the
-same rows.  What gets *compiled* under those knobs (per-nest profiling)
-is resolved from them exactly once per request, by
-:meth:`repro.codegen.backends.base.CodegenConfig.resolve`; everything
-downstream is handed that value.
+same rows.  No knob shapes generated code: the C source of a request
+depends on its lowered program alone.
 """
 
 from __future__ import annotations
@@ -88,8 +86,6 @@ KNOBS: Dict[str, Knob] = {row.name: row for row in (
     # single-threaded timings — the paper's methodology — stay the baseline
     Knob("REPRO_THREADS", "int", 1, minimum=1,
          doc="default C-backend thread count"),
-    Knob("REPRO_PROFILE", "flag",
-         doc="compile per-nest timing into C kernels (keyed: a separate build)"),
     Knob("REPRO_TRACE", "flag",
          doc="record spans from process start (export: `repro trace`)"),
     Knob("REPRO_METRICS", "flag",

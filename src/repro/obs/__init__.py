@@ -1,7 +1,6 @@
 """``repro.obs`` — tracing, metrics and kernel profiling.
 
-Three independent, zero-overhead-when-off facilities, each with its own
-environment knob:
+Three independent, zero-overhead-when-off facilities:
 
 * :mod:`repro.obs.trace` (``REPRO_TRACE=1``) — spans over the compile
   pipeline, the kernel service and plan execution; exports Chrome
@@ -10,13 +9,14 @@ environment knob:
 * :mod:`repro.obs.metrics` (``REPRO_METRICS=1``) — counters and
   fixed-bucket latency histograms, merged into ``ServiceStats`` and
   served by ``repro stats --json``.
-* :mod:`repro.obs.profile` (``REPRO_PROFILE=1``) — per-nest wall-time
-  instrumentation compiled *into* C kernels, keyed separately so
-  profiled builds never alias production artifacts.
+* :mod:`repro.obs.profile` — :func:`profile_kernel` builds a kernel's
+  C with per-nest wall-time instrumentation compiled in, as its own
+  object beside the production one, and reports per-nest time.
 
 The package is stdlib-only and sits below every other ``repro`` module
-(it imports only :mod:`repro.core.config`), so any layer can instrument
-itself without import cycles.
+(it imports only :mod:`repro.core.config`; ``profile_kernel`` reaches
+the C backend at call time), so any layer can instrument itself without
+import cycles.
 """
 
 from __future__ import annotations

@@ -1,21 +1,24 @@
 """Per-nest kernel profiling: measured wall time per top-level nest.
 
-With ``REPRO_PROFILE=1`` the C renderer wraps every top-level loop nest
-in ``clock_gettime(CLOCK_MONOTONIC)`` timing that accumulates into a
-static per-nest array inside the shared object, exported through
-``repro_profile_*`` symbols.  A profiled build is a *different* artifact
-from the production one on every level: the C source differs (so the
-toolchain's content-addressed ``.so`` cache cannot alias them) and the
-service cache key carries a ``profile`` field (so memory/disk caches
-never hand a profiled kernel to a production caller or vice versa).
+:func:`profile_kernel` renders a compiled kernel's lowered program again
+with every top-level loop nest wrapped in
+``clock_gettime(CLOCK_MONOTONIC)`` timing that accumulates into a static
+per-nest array inside the shared object, exported through
+``repro_profile_*`` symbols.  That instrumented object is built into the
+process build directory and nowhere else: it is outside every cache key,
+store entry and wire spec, and the kernel's own (production) object
+never carries the symbols.  Its C source differs from the production
+one, so the content-addressed object cache cannot alias the two.
 
-:func:`profile_kernel` runs a compiled kernel a few times on concrete
-inputs and pairs each nest's measured seconds with the OpenMP strategy
-the parallelisation phase chose for it.
+The instrumented object runs behind the same ``prepare`` and
+:class:`~repro.codegen.executor.ExecutionPlan` validation as the
+kernel's own plans, and each nest's measured seconds are paired with the
+OpenMP strategy the parallelisation phase chose for it.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple
 
@@ -54,25 +57,40 @@ class NestReport:
 def profile_kernel(
     kernel, tensors: Mapping[str, object], repeats: int = 10
 ) -> List[NestReport]:
-    """Run *kernel* ``repeats`` times and report per-nest time.
+    """Run *kernel* ``repeats`` times, instrumented, and report per-nest
+    time.
 
-    *kernel* is a :class:`~repro.core.compiler.CompiledKernel` built
-    with ``REPRO_PROFILE=1`` on the C backend; *tensors* the argument
-    mapping its einsum needs.  Raises ``RuntimeError`` for unprofiled
-    builds (nothing to read).
+    *kernel* is any :class:`~repro.core.compiler.CompiledKernel`; *tensors*
+    the argument mapping its einsum needs.  The instrumented object is
+    built from ``kernel.lowered`` on the C backend whatever backend the
+    kernel runs on; ``kernel`` itself is not touched.  Raises
+    :class:`~repro.codegen.backends.base.BackendUnavailableError` on a
+    host without a C toolchain.
     """
-    executable = kernel.bound.executable
-    if not getattr(executable, "profiled", False):
-        raise RuntimeError(
-            "kernel build is not profiled: compile with REPRO_PROFILE=1 "
-            "on the C backend to get per-nest instrumentation"
+    from repro.codegen.backends import ctoolchain
+    from repro.codegen.backends.base import BackendUnavailableError
+    from repro.codegen.backends.c import render_c_full
+    from repro.codegen.backends.cexec import build
+
+    if ctoolchain.probe() is None:
+        raise BackendUnavailableError(
+            "kernel profiling builds an instrumented C object and needs "
+            "a working C compiler (set $REPRO_CC)"
         )
-    plan = kernel.execution_plan(**tensors)
+    lowered = kernel.lowered
+    executable = build(lowered, render_c_full(lowered, None, profile=True))
+    # a copy of the kernel's binder around the instrumented object: the
+    # same prepare and ExecutionPlan checks, and the kernel keeps its own
+    # executable
+    bound = copy.copy(kernel.bound)
+    bound.executable, bound.backend_name = executable, "c"
+    prepared, shape = kernel.prepare(**tensors)
+    plan = bound.plan_prepared(prepared, shape)
     executable.profile_reset()
     for _ in range(max(1, int(repeats))):
         plan()
     profile = executable.nest_profile()
-    if profile is None or profile.calls == 0:
+    if profile.calls == 0:
         raise RuntimeError("profiled kernel recorded no calls")
     strategies = executable.strategies
     total = sum(profile.seconds) or 1.0

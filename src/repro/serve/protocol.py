@@ -277,17 +277,24 @@ def decode_tensors(doc) -> Dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 # compile-spec codec
 # ---------------------------------------------------------------------------
+#: every key of a wire spec, as :func:`spec_from_request` emits them.
+SPEC_KEYS = (
+    "einsum", "symmetric", "loop_order", "formats", "options", "naive",
+    "sparse_levels",
+)
+
+
 def spec_from_request(request) -> dict:
     """A :class:`repro.service.keys.CompileRequest` as a wire spec.
 
     The spec is the *user-facing* compile surface (einsum string,
-    symmetric partition, loop order, formats, options dict) plus the
-    request's resolved codegen configuration: the daemon re-canonicalizes
-    the former through the same :func:`canonicalize` path the client used
-    and takes the latter as given, so it builds — and keys — the kernel
-    the *client's* environment asked for, not its own.
+    symmetric partition, loop order, formats, options dict, naive flag,
+    sparse levels): the daemon re-canonicalizes it through the same
+    :func:`canonicalize` path the client used, so it builds — and keys —
+    the kernel the client asked for.  Its keys are exactly
+    :data:`SPEC_KEYS`.
     """
-    spec = {
+    return {
         "einsum": str(request.assignment),
         "symmetric": {
             name: [list(part) for part in parts]
@@ -301,25 +308,25 @@ def spec_from_request(request) -> dict:
             name: list(levels) for name, levels in request.sparse_levels
         },
     }
-    if request.codegen is not None:
-        spec["codegen"] = request.codegen.to_dict()
-    return spec
 
 
 def request_from_spec(doc):
     """Canonicalize a wire spec back into a ``CompileRequest``.
 
     Raises ``ValueError`` (including :class:`ProtocolError`) on anything
-    malformed — the daemon maps that onto a ``bad-request`` reply.  A
-    spec without ``codegen`` (a hand-written one) is resolved under the
-    daemon's own environment.
+    malformed — the daemon maps that onto a ``bad-request`` reply.  A key
+    outside :data:`SPEC_KEYS` (a misspelling, or a setting an older peer
+    sends that this version does not have) is refused, never dropped: a
+    dropped one would build a different kernel than the sender asked for.
     """
-    from repro.codegen.backends.base import CodegenConfig
     from repro.core.config import CompilerOptions
     from repro.service.keys import canonicalize
 
     if not isinstance(doc, dict):
         raise ProtocolError("spec must be an object")
+    unknown = sorted(map(str, set(doc).difference(SPEC_KEYS)))
+    if unknown:
+        raise ProtocolError("spec has unknown keys: %s" % ", ".join(unknown))
     einsum = doc.get("einsum")
     if not isinstance(einsum, str) or not einsum.strip():
         raise ProtocolError("spec.einsum must be a non-empty string")
@@ -333,9 +340,6 @@ def request_from_spec(doc):
         and all(isinstance(i, str) for i in loop_order)
     ):
         raise ProtocolError("spec.loop_order must be a list of index names")
-    codegen = doc.get("codegen")
-    if codegen is not None:
-        codegen = CodegenConfig.from_dict(codegen)
     return canonicalize(
         einsum,
         symmetric=doc.get("symmetric") or None,
@@ -344,5 +348,4 @@ def request_from_spec(doc):
         options=options,
         naive=bool(doc.get("naive", False)),
         sparse_levels=doc.get("sparse_levels") or None,
-        codegen=codegen,
     )

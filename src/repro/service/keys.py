@@ -9,16 +9,13 @@ default.  :func:`canonicalize` resolves every default the same way
 ``compile_kernel`` does and :func:`cache_key` hashes the canonical form.
 
 The configuration half of the key is *derived, not listed*: the material
-enumerates the dataclass fields of :class:`CompilerOptions` and — for
-C-backend requests — of the request's resolved
-:class:`~repro.codegen.backends.base.CodegenConfig` (profiling), so a
-field is keyed unless it is tagged
-runtime-only (:data:`repro.core.config.RUNTIME_FIELDS`: two requests
-differing only in thread count share one compiled kernel) and adding a
-field retires old keys by itself.  That configuration is resolved once,
-inside :func:`repro.core.compiler.resolve_request`, and the request then
-carries it as a value — to the compiler, over the wire and into the
-store — so a key always describes the program built for it.
+enumerates the dataclass fields of :class:`CompilerOptions`, so a field
+is keyed unless it is tagged runtime-only
+(:data:`repro.core.config.RUNTIME_FIELDS`: two requests differing only
+in thread count share one compiled kernel) and adding a field retires
+old keys by itself.  Nothing else configures the generated code — the
+environment included — so the material describes the program built for
+it.
 
 The material also includes a version salt, bumped by hand only when a
 *semantic* change must retire entries whose material would read the same.
@@ -31,7 +28,6 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
-from repro.codegen.backends.base import CodegenConfig
 from repro.core.compiler import CompiledKernel, compile_kernel, resolve_request
 from repro.core.config import CompilerOptions, DEFAULT, RUNTIME_FIELDS
 from repro.frontend.einsum import Assignment
@@ -77,10 +73,6 @@ class CompileRequest:
     options: CompilerOptions
     naive: bool
     sparse_levels: Tuple[Tuple[str, Tuple[str, ...]], ...]
-    #: what the C source is rendered under, resolved once; ``None`` for
-    #: backends it cannot affect (a python request ignores every codegen
-    #: knob, so they must not split its key).
-    codegen: Optional[CodegenConfig] = None
 
     # ------------------------------------------------------------------
     def key_material(self) -> str:
@@ -103,8 +95,6 @@ class CompileRequest:
                 "%s:%s" % (name, ",".join(levels))
                 for name, levels in self.sparse_levels
             ),
-            "codegen=%s"
-            % ("-" if self.codegen is None else _fields_text(self.codegen)),
         ]
         return "|".join(parts)
 
@@ -129,7 +119,6 @@ class CompileRequest:
             options=self.options,
             naive=self.naive,
             sparse_levels={n: list(ls) for n, ls in self.sparse_levels} or None,
-            codegen=self.codegen,
         )
 
 
@@ -141,22 +130,19 @@ def canonicalize(
     options: CompilerOptions = DEFAULT,
     naive: bool = False,
     sparse_levels: Optional[Mapping[str, Sequence[str]]] = None,
-    codegen: Optional[CodegenConfig] = None,
 ) -> CompileRequest:
     """Resolve a user-facing compile spec into a :class:`CompileRequest`.
 
     Defaulting is delegated to
     :func:`repro.core.compiler.resolve_request` — the same code path
     ``compile_kernel`` runs — so a key can never describe different
-    defaults than the compiler would apply.  *codegen* is for callers
-    that hold an already-resolved configuration (the daemon, decoding a
-    client's wire spec); everyone else leaves it to be resolved here.
+    defaults than the compiler would apply.
     """
     assignment = (
         parse_assignment(einsum) if isinstance(einsum, str) else einsum
     )
-    symmetric_modes, loop_order, formats, options, codegen = resolve_request(
-        assignment, symmetric, loop_order, formats, options, naive, codegen
+    symmetric_modes, loop_order, formats, options = resolve_request(
+        assignment, symmetric, loop_order, formats, options, naive
     )
     # explicit "dense" entries equal the unlisted default — drop them so
     # {"A": "sparse", "x": "dense"} and {"A": "sparse"} share a key
@@ -176,7 +162,6 @@ def canonicalize(
                 for name, levels in (sparse_levels or {}).items()
             )
         ),
-        codegen=codegen,
     )
 
 

@@ -21,7 +21,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
-from repro.codegen.backends.base import CodegenConfig
 from repro.codegen.backends.c import render_c_full
 from repro.core.compiler import CompiledKernel, compile_kernel
 from repro.core.config import DEFAULT
@@ -83,11 +82,6 @@ EXTRAS = {
 #: every C rendering of one lowering, in manifest order: profile off, on.
 C_CONFIGS: Tuple[bool, ...] = (False, True)
 
-#: the same 2 points as the values the renderer is handed.
-CODEGEN_CONFIGS: Tuple[CodegenConfig, ...] = tuple(
-    CodegenConfig(profile) for profile in C_CONFIGS
-)
-
 
 def lowerings() -> Iterator[Tuple[str, object]]:
     """``(key, CompiledKernel)`` for the whole corpus (python backend)."""
@@ -122,8 +116,8 @@ def lowerings() -> Iterator[Tuple[str, object]]:
 def c_renderings(lowered) -> List[str]:
     """The C translation unit under every :data:`C_CONFIGS` entry."""
     return [
-        render_c_full(lowered, "digest", config).source
-        for config in CODEGEN_CONFIGS
+        render_c_full(lowered, "digest", profile).source
+        for profile in C_CONFIGS
     ]
 
 

@@ -17,7 +17,6 @@ from repro.codegen.backends import (
     resolve_backend_name,
 )
 from repro.codegen.backends import ctoolchain
-from repro.codegen.backends.base import CodegenConfig
 from repro.codegen import executor as executor_mod
 from repro.core.compiler import compile_kernel
 from repro.core.config import DEFAULT, CompilerOptions
@@ -330,9 +329,7 @@ def test_stale_build_cache_object_is_rebuilt(rng):
     )
     os.unlink(built)
     assert ctoolchain.compile_shared(source) == foreign  # verifies, so is served
-    rebuilt = get_backend("c").compile(
-        kernel.lowered, codegen=CodegenConfig.resolve()
-    )
+    rebuilt = get_backend("c").compile(kernel.lowered)
     assert identity_of(rebuilt.so_path) == identity_of(built)
     assert not os.path.exists(foreign)
     prepared = kernel.bound.prepare(QQ=np.eye(4), ww=np.ones(4))

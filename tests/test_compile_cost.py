@@ -342,13 +342,10 @@ def test_a_wide_bind_refuses_an_object_of_the_narrow_width(monkeypatch):
 # one program, one object; what a reader builds, the store keeps
 # ----------------------------------------------------------------------
 def test_one_program_under_two_labels_is_one_object():
-    from repro.codegen.backends.base import CodegenConfig
-
     lowered = get_kernel("ssymv").compile(options=PYTHON).lowered
-    codegen = CodegenConfig.resolve()
     with trace.tracing() as rec:
-        cold = get_backend("c").compile(lowered, codegen=codegen)
-        stored = get_backend("c").compile(lowered, label="842da28c6b6c", codegen=codegen)
+        cold = get_backend("c").compile(lowered)
+        stored = get_backend("c").compile(lowered, label="842da28c6b6c")
     assert cold.source != stored.source  # the banner names the label
     assert len(_cc_spans(rec)) == 1
     assert cold.so_path == stored.so_path

@@ -212,7 +212,7 @@ def test_readme_knob_table_names_exactly_the_table():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     rows = re.findall(r"^\| `(REPRO_[A-Z_]+)` +\|", readme, flags=re.M)
     assert rows == list(KNOBS)
-    assert len(KNOBS) == 16
+    assert len(KNOBS) == 15
     help_text = build_parser().format_help()
     assert all(name in help_text for name in KNOBS)
     # nothing documents a variable the table does not declare

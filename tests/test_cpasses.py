@@ -12,14 +12,12 @@ from __future__ import annotations
 import inspect
 import json
 import os
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.codegen.backends import ctoolchain, get_backend, render_c
-from repro.codegen.backends.base import CodegenConfig
+from repro.codegen.backends import get_backend, render_c
 from repro.codegen.backends.c import render_c_full
 from repro.codegen.loopir import Blocked, walk
 from repro.codegen.passes import PIPELINE, Pass, base as passes_base, run_pipeline
@@ -52,7 +50,7 @@ def _render(monkeypatch, lowered, phases, label=None):
     """*lowered*'s C with only *phases* run over it, in their order."""
     with monkeypatch.context() as patch:
         patch.setattr(passes_base, "PIPELINE", tuple(phases))
-        return render_c_full(lowered, label, CodegenConfig()).source
+        return render_c_full(lowered, label).source
 
 
 # ----------------------------------------------------------------------
@@ -65,24 +63,13 @@ def test_pipeline_metadata_is_complete():
     for phase in PIPELINE:
         assert phase.describe()  # every phase documents itself
     # a phase takes the loop IR and nothing else; the pipeline takes no
-    # configuration; what is configurable is the printer's profile flag
+    # configuration; the printer's one other input is the profile flag
+    # repro.obs.profile_kernel passes
     assert list(inspect.signature(Pass.run).parameters) == ["self", "ir"]
     assert list(inspect.signature(run_pipeline).parameters) == ["lowered", "label"]
-    assert [f.name for f in fields(CodegenConfig)] == ["profile"]
-
-
-def test_resolving_a_config_runs_no_toolchain(monkeypatch):
-    """Resolution reads the environment only: with every probe build
-    failing loudly and nothing memoized, the profile flag still
-    resolves."""
-
-    def no_cc(*args):
-        raise AssertionError("CodegenConfig.resolve ran the toolchain")
-
-    monkeypatch.setattr(ctoolchain, "_probed", {})
-    monkeypatch.setattr(ctoolchain, "_probe_build_runs", no_cc)
-    monkeypatch.setenv("REPRO_PROFILE", "1")
-    assert CodegenConfig.resolve() == CodegenConfig(profile=True)
+    assert list(inspect.signature(render_c_full).parameters) == [
+        "lowered", "label", "profile"
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -92,7 +79,7 @@ def test_resolving_a_config_runs_no_toolchain(monkeypatch):
 # kernel is what the phases between them did.  ``bellmanford_parallelize``
 # is the whole pipeline, what a compile prints.
 #
-# Rendering is machine-independent: the profile flag is fixed.
+# Rendering is machine-independent: nothing but the program shapes it.
 # Regenerate after an intentional renderer change with
 #     REPRO_UPDATE_GOLDEN=1 python -m pytest tests/test_cpasses.py
 # ----------------------------------------------------------------------
@@ -105,11 +92,6 @@ GOLDEN_CASES = {
     "mttkrp3d_simd": "mttkrp3d",
     "bellmanford_parallelize": "bellmanford",
 }
-
-
-@pytest.fixture
-def _clean_render_env(monkeypatch):
-    monkeypatch.delenv("REPRO_PROFILE", raising=False)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
@@ -166,27 +148,29 @@ def test_render_digests(corpus):
     )
 
 
-def test_a_leftover_pass_selection_changes_nothing(corpus, monkeypatch, capsys, _clean_render_env):
-    """The variables that used to select loop phases and to pretend the
-    compiler lacks OpenMP are read by nothing: with them set, every corpus
-    lowering renders the C it renders without them, a request keys the
-    same, and ``repro doctor`` names each as a variable that is not a
-    knob."""
+def test_a_leftover_pass_selection_changes_nothing(corpus, monkeypatch, capsys):
+    """The variables that used to select loop phases, to pretend the
+    compiler lacks OpenMP and to compile per-nest timing in are read by
+    nothing: with them set, every corpus lowering renders the C it renders
+    without them, a C request keys the same, and ``repro doctor`` names
+    each as a variable that is not a knob."""
     from repro.cli import main
 
     leftover = "REPRO_PASSES"
     also_leftover = "REPRO_NO_OPENMP"
+    profile_leftover = "REPRO_PROFILE"
     kwargs = dict(symmetric={"A": True}, options=DEFAULT.but(backend="c"))
     einsum = get_kernel("ssymv").einsum
     key = cache_key(einsum, **kwargs)
     monkeypatch.setenv(leftover, "none")
     monkeypatch.setenv(also_leftover, "1")
+    monkeypatch.setenv(profile_leftover, "1")
     for entry in corpus:
         assert render_c(entry.kernel.lowered, "digest") == entry.c[0], entry.key
     assert cache_key(einsum, **kwargs) == key
     main(["doctor"])
     report = capsys.readouterr().out
-    for name in (leftover, also_leftover):
+    for name in (leftover, also_leftover, profile_leftover):
         assert "%s is not a knob" % name in report
 
 
@@ -301,7 +285,7 @@ def test_each_pass_changes_only_its_marker(monkeypatch):
     assert "rp_tile" not in through(ssyrk, "fuse")
 
 
-def test_rendering_under_passes_is_deterministic(_clean_render_env):
+def test_rendering_under_passes_is_deterministic():
     lowered = _lowered("ssyrk")
     assert render_c(lowered) == render_c(lowered)
 

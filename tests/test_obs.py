@@ -4,8 +4,8 @@ Every test that needs tracing installs a *fresh* recorder via
 ``obs.tracing()`` (restoring whatever was active before), and every test
 about the disabled state saves and restores the process-wide switches —
 so this file stays correct both in a clean tier-1 run and under the CI
-observability leg that exports ``REPRO_TRACE=1 REPRO_METRICS=1`` (or
-``REPRO_PROFILE=1``) for the whole process.
+observability leg that exports ``REPRO_TRACE=1 REPRO_METRICS=1`` for the
+whole process.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import Histogram
 from repro.service.engine import KernelService
-from repro.service.keys import canonicalize
 
 EINSUM = "y[i] += A[i, j] * x[j]"
 
@@ -240,8 +239,7 @@ def test_stats_hit_rates_division_safe():
 # ----------------------------------------------------------------------
 # everything is a no-op while disabled
 # ----------------------------------------------------------------------
-def test_noop_when_disabled(monkeypatch):
-    monkeypatch.delenv("REPRO_PROFILE", raising=False)
+def test_noop_when_disabled():
     previous_rec = obs_trace.disable()
     previous_metrics = obs_metrics.disable()
     try:
@@ -403,36 +401,19 @@ def test_plans_sample_observability_at_build_time():
 
 
 # ----------------------------------------------------------------------
-# kernel profiling: key separation and the per-nest report
+# kernel profiling: an instrumented twin of a default-built kernel
 # ----------------------------------------------------------------------
-def test_profiled_key_never_aliases_production(monkeypatch):
-    options = DEFAULT.but(backend="c")
-    monkeypatch.delenv("REPRO_PROFILE", raising=False)
-    off = canonicalize(EINSUM, {"A": True}, options=options)
-    monkeypatch.setenv("REPRO_PROFILE", "1")
-    on = canonicalize(EINSUM, {"A": True}, options=options)
-    assert off.key != on.key
-    assert (off.codegen.profile, on.codegen.profile) == (False, True)
-
-    # other backends emit no instrumentation: profiling cannot change
-    # their build, so it must not fragment their key space either
-    py_options = DEFAULT.but(backend="python")
-    py_on = canonicalize(EINSUM, {"A": True}, options=py_options)
-    monkeypatch.delenv("REPRO_PROFILE", raising=False)
-    py_off = canonicalize(EINSUM, {"A": True}, options=py_options)
-    assert py_on.key == py_off.key
-    assert py_on.codegen is None and py_off.codegen is None
-
-
-def test_profile_kernel_reports_per_nest(monkeypatch):
+def test_profile_kernel_reports_per_nest():
     if not get_backend("c").is_available():
         pytest.skip("no working C toolchain")
-    monkeypatch.setenv("REPRO_PROFILE", "1")
-    spec = get_kernel("ssymv")
-    kernel = spec.compile(options=DEFAULT.but(backend="c"))
+    from repro.codegen.backends.c import render_c_full
+    from repro.codegen.backends.cexec import build
+
+    kernel = get_kernel("ssymv").compile(options=DEFAULT.but(backend="c"))
     executable = kernel.bound.executable
-    assert executable.profiled
-    assert "repro_profile_read" in executable.source
+    source, so_path = executable.source, executable.so_path
+    assert "repro_profile_read" not in source
+    assert executable.nest_profile() is None  # no symbols in production
 
     A, x = _sym(32, seed=4), np.linspace(0.0, 1.0, 32)
     reports = obs.profile_kernel(kernel, {"A": A, "x": x}, repeats=4)
@@ -443,18 +424,34 @@ def test_profile_kernel_reports_per_nest(monkeypatch):
         assert report.per_call == pytest.approx(report.seconds / 4)
     text = obs.profile.format_report(reports)
     assert "nest 0" in text
+    # the kernel's own object is untouched
+    assert kernel.bound.executable is executable
+    assert (executable.source, executable.so_path) == (source, so_path)
 
-    # the instrumented build still computes the right answer
-    monkeypatch.delenv("REPRO_PROFILE", raising=False)
-    reference = spec.compile()  # python backend
-    assert np.allclose(kernel(A=A, x=x), reference(A=A, x=x))
+    # the instrumented object computes, bit for bit, what the kernel does
+    instrumented = build(
+        kernel.lowered, render_c_full(kernel.lowered, None, profile=True)
+    )
+    assert "repro_profile_read" in instrumented.source
+    prepared, shape = kernel.prepare(A=A, x=x)
+    out = kernel.bound.make_output_buffer(shape)
+    instrumented.bind(out, prepared)(1)
+    assert np.array_equal(kernel.run(prepared, shape), out)
 
 
-def test_unprofiled_builds_refuse_profiling():
-    kernel = get_kernel("ssymv").compile()  # python backend: never profiled
-    assert kernel.bound.executable.nest_profile() is None
-    with pytest.raises(RuntimeError, match="not profiled"):
-        obs.profile_kernel(kernel, {"A": _sym(), "x": np.ones(8)})
+def test_profiling_needs_a_c_toolchain(monkeypatch):
+    from repro.codegen.backends import ctoolchain
+    from repro.codegen.backends.base import BackendUnavailableError
+
+    kernel = get_kernel("ssymv").compile()  # python backend
+    monkeypatch.setenv("REPRO_NO_CC", "1")
+    ctoolchain.reset_probe_cache()
+    try:
+        with pytest.raises(BackendUnavailableError, match="C compiler"):
+            obs.profile_kernel(kernel, {"A": _sym(), "x": np.ones(8)})
+    finally:
+        monkeypatch.delenv("REPRO_NO_CC")
+        ctoolchain.reset_probe_cache()
 
 
 # ----------------------------------------------------------------------
@@ -533,5 +530,5 @@ def test_cli_help_documents_env_vars(capsys):
     assert excinfo.value.code == 0
     text = capsys.readouterr().out
     for var in ("REPRO_BACKEND", "REPRO_THREADS", "REPRO_TRACE",
-                "REPRO_METRICS", "REPRO_PROFILE"):
+                "REPRO_METRICS"):
         assert var in text, var

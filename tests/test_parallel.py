@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.codegen.backends import ctoolchain, get_backend, render_c
-from repro.codegen.backends.base import CodegenConfig
 from repro.codegen.backends.c import render_c_full
 from repro.core.compiler import compile_kernel
 from repro.core.config import (
@@ -199,7 +198,7 @@ def test_sum_scatter_kernels_print_one_serial_body(name, naive):
     """A ``+`` scatter nest gets no OpenMP body: one serial loop nest, no
     ``_OPENMP`` branch, nothing an OpenMP object would add."""
     lowered = _lowered(name, naive=naive)
-    rendered = render_c_full(lowered, name, CodegenConfig())
+    rendered = render_c_full(lowered, name)
     assert rendered.strategies and set(rendered.strategies) == {None}
     assert not rendered.parallel
     assert "_OPENMP" not in rendered.source

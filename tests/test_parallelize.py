@@ -17,7 +17,6 @@ import pytest
 
 from repro.codegen import loopir as ir
 from repro.codegen.backends import c as c_printer
-from repro.codegen.backends.base import CodegenConfig
 from repro.codegen.passes import base as passes_base, run_pipeline
 from repro.codegen.passes.parallelize import ParallelizePass
 from repro.codegen.passes.regblock import blockable
@@ -160,7 +159,7 @@ def test_a_phase_that_rebinds_a_loop_variable_fails_by_name(monkeypatch):
     monkeypatch.setattr(c_printer._Renderer, "render", printed)
     lowered = KERNELS["ssymv"].compile(options=DEFAULT.but(backend="python")).lowered
     with pytest.raises(ir.LoweringError, match="after phase 'rebind-outer'.*'j'"):
-        c_printer.render_c_full(lowered, "broken", CodegenConfig())
+        c_printer.render_c_full(lowered, "broken")
 
 
 def test_verify_accepts_every_pass_product_of_the_corpus(corpus):
@@ -187,14 +186,13 @@ _TEAM = re.compile(
 def _renders(lowered, monkeypatch, profile=False):
     """*lowered*'s C from the whole pipeline, then from the pipeline
     without its regblock phase (what it printed before the phase existed)."""
-    codegen = CodegenConfig(profile)
-    blocked = c_printer.render_c_full(lowered, "m", codegen).source
+    blocked = c_printer.render_c_full(lowered, "m", profile=profile).source
     monkeypatch.setattr(
         passes_base,
         "PIPELINE",
         tuple(p for p in passes_base.PIPELINE if p.name != "regblock"),
     )
-    return blocked, c_printer.render_c_full(lowered, "m", codegen).source
+    return blocked, c_printer.render_c_full(lowered, "m", profile=profile).source
 
 
 def _mttkrp3d_renders(monkeypatch, profile=False):

@@ -1,5 +1,4 @@
-"""``ServiceClient``: bounded retries, loud protocol mismatches, and the
-daemon building — and keying — what the client's environment resolved."""
+"""``ServiceClient``: bounded retries and loud protocol mismatches."""
 
 from __future__ import annotations
 
@@ -12,7 +11,6 @@ from repro import faults
 from repro.obs import metrics as obs_metrics
 from repro.serve import protocol
 from repro.serve.client import RemoteUnavailable, ServiceClient
-from repro.service.engine import KernelService
 from repro.service.keys import canonicalize
 from tests.conftest import make_symmetric_matrix, running_daemon
 
@@ -70,65 +68,6 @@ def test_draining_reply_is_retried_then_unavailable(tmp_path, rng):
         client.close()
     if isinstance(err.value, RemoteUnavailable):
         assert "draining" in str(err.value) or "unavailable" in str(err.value)
-
-
-# ---------------------------------------------------------------------------
-# the daemon builds the kernel the client's request names
-# ---------------------------------------------------------------------------
-SSYRK = dict(
-    einsum="C[i, j] += A[i, k] * A[j, k]",
-    loop_order=("k", "j", "i"),
-    formats={"A": "sparse"},
-)
-
-
-def _c_request_under(monkeypatch, name, value):
-    """SSYRK canonicalized as a client with ``name=value`` set would; the
-    variable is gone again afterwards, so a daemon started next resolves
-    the default configuration (daemon threads share this process's
-    environment — what matters is what it holds at request time)."""
-    from repro.codegen.backends import get_backend
-    from repro.core.config import CompilerOptions
-
-    if not get_backend("c").is_available():
-        pytest.skip("no working C toolchain")
-    monkeypatch.delenv("REPRO_PROFILE", raising=False)
-    options = CompilerOptions(backend="c", threads=1)
-    monkeypatch.setenv(name, value)
-    request = canonicalize(**SSYRK, options=options)
-    monkeypatch.delenv(name)
-    assert request.key != canonicalize(**SSYRK, options=options).key
-    return request
-
-
-@pytest.mark.parametrize("name, value", [("REPRO_PROFILE", "1")])
-def test_daemon_builds_what_the_clients_environment_resolved(
-    monkeypatch, tmp_path, rng, name, value
-):
-    """The resolved codegen configuration travels in the wire spec: a
-    daemon whose own environment says otherwise still builds — and keys —
-    the client's kernel, and a process opening the daemon's store finds
-    that kernel under the client's key."""
-    request = _c_request_under(monkeypatch, name, value)
-    tensors = {"A": rng.random((5, 3))}
-    store = tmp_path / "store"
-    with running_daemon(tmp_path, store=str(store)) as (server, sock):
-        client = ServiceClient(sock)
-        result, reply = client.execute(request, tensors)
-        client.close()
-        built = server.service.cache.get(request.key)
-    assert reply["key"] == request.key and built is not None
-    exe = built.bound.executable
-    assert built.bound.codegen == request.codegen
-    assert exe.profiled is True
-    # what the daemon persisted rehydrates as that same kernel, under the
-    # scrubbed environment this process now has
-    kernel, origin = KernelService(store=store).get_with_origin(request)
-    assert origin == "disk"
-    body = lambda source: source.split("\n", 1)[1]  # noqa: E731 (banner names a label)
-    assert body(kernel.backend_source) == body(built.backend_source)
-    assert kernel.bound.executable.profiled is exe.profiled
-    assert np.array_equal(kernel(**tensors), result)
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,12 @@ def test_spec_round_trip_naive_and_levels():
         },
         # an older peer that still sent pass switches
         {"einsum": "y[i] += A[i, j] * x[j]", "options": {"cse": False}},
+        # misspelled keys: dropped, they would build the SySTeC kernel
+        # under the SySTeC key, and float64
+        {"einsum": "y[i] += A[i, j] * x[j]", "naiv": True},
+        {"einsum": "y[i] += A[i, j] * x[j]", "optoins": {"dtype": "float32"}},
+        # an older peer that still sent its resolved profile flag
+        {"einsum": "y[i] += A[i, j] * x[j]", "codegen": {"profile": True}},
     ],
 )
 def test_hostile_specs_rejected(doc):
@@ -324,6 +330,7 @@ def test_hostile_specs_rejected(doc):
         protocol.request_from_spec(doc)
 
 
+#: what a peer of the version that still compiled in per-nest timing sends
 GOOD_CODEGEN = {"profile": True}
 #: what a peer of the version that still selected loop phases sends
 PARENT_CODEGEN = {"profile": False, "passes": ["fuse", "tile", "simd"], "tile_rows": 0}
@@ -334,28 +341,17 @@ C_SPEC = {
 }
 
 
-def test_spec_carries_the_resolved_codegen(monkeypatch):
-    """What the client resolved is what the daemon's request holds —
-    whatever the daemon's own environment says; a spec without the field
-    (hand-written) resolves there as before."""
-    from repro.codegen.backends.base import CodegenConfig
-
-    monkeypatch.delenv("REPRO_PROFILE", raising=False)
-    request = protocol.request_from_spec({**C_SPEC, "codegen": GOOD_CODEGEN})
-    assert request.codegen == CodegenConfig.from_dict(GOOD_CODEGEN)
-    assert request.codegen.to_dict() == GOOD_CODEGEN
-    spec = protocol.spec_from_request(request)
-    assert spec["codegen"] == GOOD_CODEGEN
-    assert protocol.request_from_spec(spec).key == request.key
-
-    ambient = protocol.request_from_spec(C_SPEC)
-    assert ambient.codegen == CodegenConfig.resolve()
-    assert ambient.codegen.profile is False and ambient.key != request.key
-    # python requests have no codegen to carry, and ignore one sent anyway
-    py = protocol.request_from_spec(
-        {**C_SPEC, "options": {"backend": "python"}, "codegen": GOOD_CODEGEN}
-    )
-    assert py.codegen is None and "codegen" not in protocol.spec_from_request(py)
+def test_a_spec_has_exactly_the_keys_spec_from_request_emits():
+    """A spec round-trips to the same key whatever backend it names, and
+    carries exactly :data:`protocol.SPEC_KEYS` — nothing the environment
+    resolved travels with it."""
+    for backend in ("c", "python"):
+        request = protocol.request_from_spec(
+            {**C_SPEC, "options": {"backend": backend}}
+        )
+        spec = protocol.spec_from_request(request)
+        assert sorted(spec) == sorted(protocol.SPEC_KEYS)
+        assert protocol.request_from_spec(spec).key == request.key
 
 
 @pytest.mark.parametrize(
@@ -366,13 +362,15 @@ def test_spec_carries_the_resolved_codegen(monkeypatch):
         # a peer of the version that still printed an atomic OpenMP body
         {**GOOD_CODEGEN, "omp_strategy": "atomic"},
         {**GOOD_CODEGEN, "profile": 1},
-        # a peer of the version that still selected loop phases: refused,
-        # not built with its selection ignored
+        # a peer of the version that still selected loop phases
         PARENT_CODEGEN,
     ],
 )
 def test_hostile_codegen_rejected(bad):
-    with pytest.raises(ValueError, match="codegen"):
+    """Nothing configures generated C, so a spec that still carries a
+    codegen configuration — well-formed or not, from any older peer — is
+    refused, never built with it ignored."""
+    with pytest.raises(ValueError, match="unknown keys: codegen"):
         protocol.request_from_spec({**C_SPEC, "codegen": bad})
 
 

@@ -6,7 +6,6 @@ from dataclasses import fields, replace
 import pytest
 
 from repro import DEFAULT, cache_key
-from repro.codegen.backends.base import CodegenConfig
 from repro.core.config import RUNTIME_FIELDS, CompilerOptions
 from repro.frontend.parser import parse_assignment
 from repro.service.keys import KEY_VERSION, canonicalize
@@ -155,7 +154,6 @@ def _c_request():
     return replace(
         request,
         options=request.options.but(backend="c", dtype="float64", threads=1),
-        codegen=CodegenConfig(),
     )
 
 
@@ -165,27 +163,3 @@ def test_every_option_field_is_keyed_unless_runtime_only(name):
     value = getattr(request.options, name)
     flipped = replace(request, options=request.options.but(**{name: _flipped(value)}))
     assert (flipped.key == request.key) is (name in RUNTIME_FIELDS)
-
-
-@pytest.mark.parametrize("name", [f.name for f in fields(CodegenConfig)])
-def test_every_codegen_field_is_keyed(name):
-    """No codegen field is runtime-only: each changes the generated C."""
-    request = _c_request()
-    value = getattr(request.codegen, name)
-    config = replace(request.codegen, **{name: _flipped(value)})
-    assert replace(request, codegen=config).key != request.key
-
-
-def test_python_requests_ignore_every_codegen_knob(monkeypatch):
-    options = DEFAULT.but(backend="python")
-    monkeypatch.delenv("REPRO_PROFILE", raising=False)
-    plain = canonicalize(SSYMV, symmetric={"A": True}, options=options)
-    monkeypatch.setenv("REPRO_PROFILE", "1")
-    knobbed = canonicalize(SSYMV, symmetric={"A": True}, options=options)
-    assert plain.codegen is None and knobbed.codegen is None
-    assert plain.key == knobbed.key
-    # and a codegen handed to a python request is dropped, not keyed
-    forced = canonicalize(
-        SSYMV, symmetric={"A": True}, options=options, codegen=CodegenConfig()
-    )
-    assert forced.codegen is None and forced.key == plain.key

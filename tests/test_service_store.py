@@ -268,51 +268,6 @@ def test_max_bytes_env_default(tmp_path, monkeypatch):
     assert DiskStore(tmp_path, max_bytes=-1).max_bytes is None
 
 
-def test_rehydrate_renders_under_the_writers_configuration(tmp_path, monkeypatch):
-    """The entry carries its resolved codegen: a reader without
-    ``REPRO_PROFILE`` re-renders, byte for byte, the profiled C the writer
-    built under it — the key it reads the entry under describes that
-    program, not the reader's ambient one."""
-    from repro.codegen.backends import get_backend
-    from repro.core.config import DEFAULT
-
-    if not get_backend("c").is_available():
-        pytest.skip("no working C toolchain")
-    spec = get_kernel("mttkrp3d")
-
-    def request_under(profile):
-        monkeypatch.setenv("REPRO_PROFILE", profile)
-        return canonicalize(
-            spec.einsum,
-            symmetric=dict(spec.symmetric),
-            loop_order=spec.loop_order,
-            formats=dict(spec.formats),
-            options=DEFAULT.but(backend="c"),
-        )
-
-    request = request_under("1")
-    written = request.compile()
-    assert written.bound.codegen.profile is True
-    store = DiskStore(tmp_path)
-    store.put(request.key, written)
-
-    monkeypatch.setenv("REPRO_PROFILE", "0")
-    rehydrated = DiskStore(tmp_path).get(request.key)
-    assert rehydrated.bound.codegen == written.bound.codegen == request.codegen
-    # same label on both sides: the same text
-    relabelled = CompiledKernel.from_state(written.to_state())
-    assert relabelled.backend_source == written.backend_source
-    # under the store's label only the banner differs — one program, so
-    # the object the writer built is the one the reader runs
-    body = lambda kernel: kernel.backend_source.split("\n", 1)[1]  # noqa: E731
-    assert body(rehydrated) == body(written)
-    assert rehydrated.backend_source != written.backend_source
-    (stored,) = store_objects(tmp_path, request.key)
-    assert rehydrated.bound.executable.so_path == str(stored)
-    ambient = request_under("0").compile()
-    assert body(ambient) != body(written)
-
-
 def test_a_parallel_artifact_is_one_omp_object_at_every_thread_setting(
     tmp_path, rng, monkeypatch
 ):

@@ -191,19 +191,22 @@ def test_forged_program_never_reaches_exec_or_cc(tmp_path, monkeypatch, backend)
 
 @needs_cc
 def test_entry_naming_a_deleted_pass_is_an_error_and_evicted(tmp_path):
-    """A C entry written while ``denormals`` was a pass, or by the version
-    that still selected loop phases at all, names a setting this build
-    does not have: counted as an error, answered as a miss and removed,
-    not raised."""
+    """A C entry written while ``denormals`` was a pass, by the version
+    that still selected loop phases at all, or by the last one that
+    carried a codegen configuration (STATE_VERSION 9) names settings this
+    build does not have: counted as an error, answered as a miss and
+    removed, not raised."""
     from tests.test_serve_protocol import PARENT_CODEGEN
 
     for codegen in (
         {"profile": False, "passes": ["denormals", "fuse", "tile", "simd"]},
         PARENT_CODEGEN,
+        {"profile": True},
     ):
         key = _warm(tmp_path, DEFAULT.but(backend="c"))
         path = tmp_path / ("%s.json" % key)
         payload = json.loads(path.read_text())
+        payload["state"]["state_version"] = 9
         payload["state"]["codegen"] = codegen
         path.write_text(json.dumps(payload))
 
@@ -266,7 +269,7 @@ def test_a_v8_entry_is_evicted_never_rebound_against_narrow_arrays(tmp_path):
     from repro.codegen.backends.c import INDEX_DECLARATION
     from repro.codegen.backends.objects import ObjectCache
 
-    assert STATE_VERSION == 9
+    assert STATE_VERSION == 10
     options = DEFAULT.but(backend="c", threads=1)
     kernel = KernelService(store=tmp_path).get_or_compile(EINSUM, options=options, **SPEC)
     key = cache_key(EINSUM, options=options, **SPEC)
