@@ -373,16 +373,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_doctor(args: argparse.Namespace) -> int:
-    """Probe toolchain / store / OpenMP health and report the active
-    degradation ladder.  Exit 0 when fully healthy, 1 when degraded."""
+    """Probe toolchain / OpenMP / store / daemon and report the knobs the
+    environment sets.  Exit 0 when every check is ok, else 1."""
     import json as _json
 
     from repro import faults
-    from repro.codegen.backends import health
     from repro.codegen.backends import ctoolchain
     from repro.core.config import knob, knobs_set, unknown_knobs
 
-    report = {"healthy": True, "checks": {}}
+    report = {"checks": {}}
 
     tc = ctoolchain.probe()
     if tc is None:
@@ -468,34 +467,19 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
         finally:
             client.close()
 
-    snapshot = health.snapshot()
-    report["health"] = snapshot
-    report["ladder"] = snapshot["ladder"]
     if faults.enabled():
         report["faults"] = {"spec": faults.spec_text(), "fired": faults.fired()}
-    if knob("REPRO_NO_DEGRADE"):
-        report["degradation"] = "disabled (REPRO_NO_DEGRADE)"
     # what the environment names and what it resolved to — a typo'd
     # value shows up here as its fallback, a typo'd name as unknown
     report["knobs"] = knobs_set()
     report["unknown_knobs"] = unknown_knobs()
-    report["healthy"] = all(
-        check["ok"] for check in report["checks"].values()
-    ) and not snapshot["degraded"]
+    report["healthy"] = all(check["ok"] for check in report["checks"].values())
 
     if args.json:
         print(_json.dumps(report, indent=1, sort_keys=True))
     else:
         for name, check in sorted(report["checks"].items()):
             print("%-10s %s  %s" % (name, "ok" if check["ok"] else "FAIL", check["detail"]))
-        print("%-10s %s" % ("ladder", " -> ".join(report["ladder"])))
-        if snapshot["degraded"]:
-            for tier, info in snapshot["tiers"].items():
-                if info["failures"]:
-                    print(
-                        "%-10s %s failed %d time(s): %s"
-                        % ("", tier, info["failures"], (info["errors"] or ["?"])[0])
-                    )
         if "faults" in report:
             print("%-10s %s" % ("faults", report["faults"]["spec"]))
         for name, value in report["knobs"].items():
@@ -891,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "doctor",
-        help="probe toolchain/store/OpenMP health and the degradation ladder",
+        help="probe the toolchain, OpenMP, a store and a daemon; list the knobs set",
     )
     p.add_argument(
         "--dir",

@@ -42,6 +42,10 @@ class Executable:
     #: the source text this executable runs (Python or C).
     source: str
 
+    #: runs on one thread whatever count a call asks for (a parallel C
+    #: source loaded as its serial object, on a toolchain without OpenMP)
+    single_threaded = False
+
     def bind(
         self, out: np.ndarray, arrays: Mapping[str, object]
     ) -> Callable[[int], None]:

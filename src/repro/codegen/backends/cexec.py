@@ -18,7 +18,7 @@ from typing import Callable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro import faults
-from repro.codegen.backends import ctoolchain, health
+from repro.codegen.backends import ctoolchain
 from repro.codegen.backends.base import (
     Backend,
     BackendError,
@@ -91,6 +91,9 @@ class CExecutable(Executable):
         self.strategies = rendered.strategies
         self._wide_lock = threading.Lock()
         self._load(so_path, index_dtype)
+        #: a parallel source loaded as its serial object (a toolchain
+        #: without OpenMP): every call runs on one thread
+        self.single_threaded = rendered.parallel and not self.omp
 
     def _load(self, so_path: str, index_dtype: Optional[np.dtype]) -> None:
         """dlopen *so_path* and bind its entry points; raises
@@ -139,26 +142,15 @@ class CExecutable(Executable):
         return "omp" if self.omp else "serial"
 
     def wide(self) -> "CExecutable":
-        """The wide-index object of this source, built (or found in the
-        same cache) on the first call, single-flight across host threads;
-        an object that does not read int64 indices is refused."""
+        """The wide-index object of this source, found or built by
+        :func:`build` on the first call, single-flight across host
+        threads; an object that does not read int64 indices is refused."""
         with self._wide_lock:
             if self._wide is None:
                 lowered, rendered = self._built_from
-                try:
-                    so_path = ctoolchain.compile_shared(
-                        self.source,
-                        stem=self._stem,
-                        parallel=rendered.parallel,
-                        objects=self._objects,
-                        wide=True,
-                    )
-                    self._wide = CExecutable(
-                        lowered, so_path, rendered, self._stem, self._objects,
-                        np.dtype(np.int64),
-                    )
-                except ctoolchain.ToolchainError as exc:
-                    raise BackendError("no wide-index object: %s" % exc)
+                self._wide = build(
+                    lowered, rendered, self._stem, self._objects, wide=True
+                )
             return self._wide
 
     def nest_profile(self) -> Optional[NestProfile]:
@@ -247,6 +239,7 @@ class CExecutable(Executable):
         argv.append(nthreads)
         packed = tuple(argv)
         fn = exe._fn
+        label = self._stem
 
         def call(threads: int) -> None:
             # a serial object ignores the count; the OpenMP object's own
@@ -254,8 +247,9 @@ class CExecutable(Executable):
             nthreads.value = threads
             rc = fn(*packed)
             if rc:
-                raise BackendError(
-                    "C kernel reported allocation failure (status %d)" % rc
+                raise MemoryError(
+                    "C kernel %s: workspace allocation failed (status %d)"
+                    % (label, rc)
                 )
 
         call.keep = keep  # noqa: B010 - anchors buffer lifetimes to the plan
@@ -292,11 +286,15 @@ def build(
     rendered: CRender,
     label: Optional[str] = None,
     objects: Optional[ObjectCache] = None,
+    wide: bool = False,
 ) -> CExecutable:
     """Find or build the object of *rendered* in *objects* (``None``: the
-    process instance) and load it.  :meth:`CBackend.compile` builds the
+    process instance) and load it; an object that does not load is
+    rebuilt once.  ``wide`` asks for the int64-index object
+    (:meth:`CExecutable.wide`).  :meth:`CBackend.compile` builds the
     production render; :func:`repro.obs.profile_kernel` an instrumented
     one, into the process instance only."""
+    index_dtype = np.dtype(np.int64) if wide else None
 
     def load(force: bool) -> CExecutable:
         so_path = ctoolchain.compile_shared(
@@ -305,16 +303,17 @@ def build(
             force=force,
             parallel=rendered.parallel,
             objects=objects,
+            wide=wide,
         )
-        return CExecutable(lowered, so_path, rendered, label, objects)
+        return CExecutable(lowered, so_path, rendered, label, objects, index_dtype)
 
     try:
         try:
-            exe = load(False)
+            return load(False)
         except (OSError, AttributeError):
             # a verified object that won't load (a cache carried over
             # from another machine): rebuild it once, then fail loudly
-            exe = load(True)
+            return load(True)
     except ctoolchain.ToolchainError as exc:
         if ctoolchain.probe() is None:
             raise BackendUnavailableError(
@@ -323,11 +322,3 @@ def build(
                 "backend='auto' to fall back to python)"
             )
         raise BackendError("C kernel build failed: %s" % exc)
-    if rendered.parallel and not exe.omp:
-        # parallel bodies, no OpenMP to run them: threaded calls of
-        # this process resolve to one thread (the object is serial)
-        health.mark(
-            "c@omp",
-            ctoolchain.ToolchainError("the toolchain cannot build OpenMP objects"),
-        )
-    return exe

@@ -5,7 +5,7 @@ The probe runs once per process: find a compiler (``$REPRO_CC``, else
 settle the flags every build shares (``-march=native`` and
 ``-fopenmp-simd`` are tried in that same trivial build and dropped when
 the compiler rejects them).  ``$REPRO_NO_CC`` forcibly disables the
-probe — the CI leg that exercises the no-compiler degradation path sets
+probe — the CI leg that exercises the no-compiler fallback path sets
 it.
 
 One rendered source builds into exactly one object, chosen by the source

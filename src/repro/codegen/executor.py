@@ -14,23 +14,14 @@ object) and every call of the plan runs the loops.  Running once
 (:meth:`repro.core.compiler.CompiledKernel.run`) is a plan that is called
 once.
 
-Degradation ladder
-------------------
-Every tier executes the same lowered loop structure, so results are
-bit-identical by construction across ``c@omp`` (compiled, threads > 1:
-the OpenMP bodies of a kernel's one object, when it has them), ``c``
-(compiled, serial) and ``python`` (interpreted).  A *runtime*
-failure in a compiled tier — the shared object breaking mid-session, an
-OpenMP-tier crash, an injected fault — is handled in exactly one place,
-:meth:`ExecutionPlan._recover`: it marks that tier unhealthy for the
-process (:mod:`repro.codegen.backends.health`), refills the output buffer
-with the reduction identity (a failed attempt may have partially written
-it) and transparently re-serves the call from the next tier down.  A
-*compile-time* failure of the C backend (other than
+Compile-time fallback
+---------------------
+A C source that does not build or load (other than
 :class:`BackendUnavailableError`, which callers asked for explicitly)
 falls back to the interpreted backend in :class:`BoundKernel`'s
-constructor.  ``REPRO_NO_DEGRADE=1`` turns all of this off — failures
-propagate raw.
+constructor; the ``backend:compile`` span carries the reason as its
+``fallback`` tag.  Nothing falls back at run time: a failed kernel call
+raises (a C kernel's failed workspace allocation as :class:`MemoryError`).
 """
 
 from __future__ import annotations
@@ -40,9 +31,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro import faults
 from repro.codegen.backends import get_backend
-from repro.codegen.backends import health
 from repro.codegen.backends.base import (
     BackendError,
     BackendUnavailableError,
@@ -54,49 +43,16 @@ from repro.codegen.runtime import (
     np_dtype,
     replicate_output,
 )
-from repro.core.config import knob, resolve_threads
-from repro.faults.spec import FaultError
+from repro.core.config import resolve_threads
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.tensor.coo import COO
 from repro.tensor.tensor import Tensor
 
-#: failures the degradation ladder absorbs.  Anything else (a dtype
-#: mismatch, a bad argument set) is a caller error in every tier and
-#: propagates untouched.  :class:`BackendUnavailableError` is excluded at
-#: the handling sites, not here — compile fallback re-raises it first.
-_RECOVERABLE = (BackendError, FaultError, OSError)
-
-
-def _polling_faults(call):
-    """*call* behind the ``exec.omp`` / ``exec.c`` / ``exec.alloc``
-    injection points (C-family tiers only: :meth:`ExecutionPlan._bind`
-    gates on the backend and on :func:`faults.enabled`)."""
-
-    def faulted(count: int) -> None:
-        if count > 1:
-            fault = faults.poll("exec.omp")
-            if fault is not None:
-                raise FaultError(fault)
-        # exec.alloc forges the kernel's nonzero OOM status (a failed
-        # workspace or per-thread buffer allocation), which surfaces
-        # as the same BackendError the real path raises — proving the
-        # health ladder re-serves such calls serially
-        fault = faults.poll("exec.alloc")
-        if fault is not None:
-            raise BackendError(
-                "injected: kernel workspace allocation failed (exec.alloc)"
-            )
-        faults.raise_if("exec.c")
-        call(count)
-
-    return faulted
-
 
 def _instrumented(call):
     """*call* inside a ``plan:execute`` span and a
-    ``plan.dispatch_seconds`` sample (a failed attempt leaves its span,
-    the attempt that answers leaves the sample)."""
+    ``plan.dispatch_seconds`` sample."""
 
     def observed(count: int) -> None:
         start = perf_counter()
@@ -174,15 +130,14 @@ class ExecutionPlan:
     changed argument set and build a fresh plan.  Plans are not
     thread-safe: concurrent callers must use one plan each.
 
-    Observability and fault injection are sampled at plan-build time, by
-    wrapping the bound callable: a plan built while tracing, metrics and
-    faults are off calls the backend's callable directly, forever — its
-    dispatch body has no branch for them (``tests/test_plans.py`` counts
-    the frames) — and enabling tracing later does not retrofit existing
-    plans.  A plan built while tracing or metrics are on records a
-    ``plan:execute`` span / ``plan.dispatch_seconds`` sample around each
-    run of the bound callable; arm faults (or ``REPRO_FAULTS``) *before*
-    building a plan for the ``exec.*`` points to fire in it.
+    Observability is sampled at plan-build time, by wrapping the bound
+    callable: a plan built while tracing and metrics are off calls the
+    backend's callable directly, forever — its dispatch body has no
+    branch for them (``tests/test_plans.py`` counts the frames) — and
+    enabling tracing later does not retrofit existing plans.  A plan
+    built while tracing or metrics are on records a ``plan:execute``
+    span / ``plan.dispatch_seconds`` sample around each run of the bound
+    callable.
     """
 
     __slots__ = (
@@ -192,7 +147,6 @@ class ExecutionPlan:
         "out",
         "threads",
         "_call",
-        "_tier",
         "_fill",
         "_fill_value",
         "_identity",
@@ -262,65 +216,22 @@ class ExecutionPlan:
             setting = threads if threads is not None else kernel.threads
             #: the thread count calls run with (resolved once, at plan time).
             self.threads = kernel.resolve_run_threads(setting)
+            call = kernel.executable.bind(self.out, self.prepared)
             #: sampled once, here (see the class docstring).
             self._observed = obs_trace.enabled() or obs_metrics.enabled()
-            self._bind()
+            if self._observed:
+                call = _instrumented(call)
+            self._call = call
             sp.add(threads=self.threads)
-
-    def _bind(self) -> None:
-        """Marshal the argument set for the kernel's current executable."""
-        kernel = self.kernel
-        call = kernel.executable.bind(self.out, self.prepared)
-        #: the backend ``_call`` is bound to (a sibling plan may degrade
-        #: the kernel underneath before this plan is bound again)
-        self._tier = kernel.backend_name
-        if self._tier != "python" and faults.enabled():
-            call = _polling_faults(call)  # exec.* points are C-tier-only
-        if self._observed:
-            call = _instrumented(call)
-        self._call = call
 
     def __call__(self, threads=None) -> np.ndarray:
         """Run the kernel's loops; returns the (reused) output buffer."""
         self._fill(self._fill_value)
         if threads is None:
-            count = self.threads
+            self._call(self.threads)
         else:
-            count = self.kernel.resolve_run_threads(threads)
-        try:
-            self._call(count)
-        except _RECOVERABLE as exc:
-            self._recover(count, exc)
+            self._call(self.kernel.resolve_run_threads(threads))
         return self.out
-
-    def _recover(self, count: int, exc: BaseException) -> None:
-        """Re-serve a failed call from the next ladder tier.
-
-        The output buffer is refilled with the reduction identity first —
-        the failed attempt may have partially written it — so the degraded
-        result is bit-identical to a clean run of the surviving tier.
-        """
-        kernel = self.kernel
-        # this plan's own tier, not the kernel's: still bound to the C
-        # callable after a sibling plan degraded the kernel, it rebinds
-        if self._tier == "python" or knob("REPRO_NO_DEGRADE"):
-            raise exc
-        if count > 1:
-            health.mark("c@omp", exc)
-            self.threads = 1  # future calls skip the dead tier outright
-            self._fill(self._fill_value)
-            try:
-                self._call(1)
-                return
-            except _RECOVERABLE as serial_exc:
-                exc = serial_exc
-        health.mark("c", exc)
-        kernel.degrade_to_python()
-        with obs_trace.span("plan:rebind", backend="python"):
-            self._bind()
-        self.threads = 1
-        self._fill(self._fill_value)
-        self._call(1)
 
     def matches(self, tensors: Mapping[str, object]) -> bool:
         """Would :meth:`BoundKernel.plan` on *tensors* bind the same set?
@@ -361,28 +272,26 @@ class BoundKernel:
         self.lowered = lowered
         self.symmetric_modes = dict(symmetric_modes)
         self.backend_name = backend
-        self._label = label
         #: the element dtype every bound array (and the output buffer)
         #: carries — fixed by lowering, not by what the caller passes in
         self.dtype = np_dtype(lowered.dtype)
         #: default runtime thread count (``None`` = 1); a run may ask for
         #: another, so one bound kernel can serve any thread count
         self.threads = threads
-        if backend != "python" and not knob("REPRO_NO_DEGRADE") and not health.ok("c"):
-            # the C tier already failed this process (sticky): serve from
-            # the floor instead of paying the failure again per kernel
-            backend = self.backend_name = "python"
-        with obs_trace.span("backend:compile", backend=backend, label=label):
+        with obs_trace.span("backend:compile", backend=backend, label=label) as sp:
             try:
                 self.executable = get_backend(backend).compile(
                     lowered, label=label, objects=objects
                 )
             except BackendUnavailableError:
                 raise  # the caller named a backend this machine lacks
-            except _RECOVERABLE as exc:
-                if backend == "python" or knob("REPRO_NO_DEGRADE"):
+            except (BackendError, OSError) as exc:
+                # a source that does not build or load: serve it
+                # interpreted (the toolchain's failure memo keeps cc from
+                # rerunning on it)
+                if backend == "python":
                     raise
-                health.mark("c", exc)
+                sp.add(fallback="%s: %s" % (type(exc).__name__, exc))
                 self.backend_name = "python"
                 self.executable = get_backend("python").compile(
                     lowered, label=label
@@ -472,27 +381,14 @@ class BoundKernel:
         """Collapse a ``threads`` setting onto a concrete count for one run.
 
         ``None`` is 1; a positive integer is taken as given
-        (``REPRO_THREADS=4`` means 4).
+        (``REPRO_THREADS=4`` means 4) — except on an executable that runs
+        on one thread whatever it is asked (a parallel source loaded as
+        its serial object, on a toolchain without OpenMP).
         """
         count = 1 if setting is None else resolve_threads(setting)
-        if count > 1 and self.backend_name != "python" and not health.ok("c@omp"):
-            return 1  # the OpenMP tier is marked dead: stay serial
+        if self.executable.single_threaded:
+            return 1
         return max(1, count)
-
-    def degrade_to_python(self) -> None:
-        """Swap in the interpreted executable (the ladder's floor).
-
-        Called after a C-tier runtime failure: subsequent calls through
-        this kernel run the same lowered loops interpreted — bit-identical
-        results, no per-call exception cost.
-        """
-        if self.backend_name == "python":
-            return
-        with obs_trace.span("backend:degrade", label=self._label):
-            self.executable = get_backend("python").compile(
-                self.lowered, label=self._label
-            )
-        self.backend_name = "python"
 
     # ------------------------------------------------------------------
     def plan(

@@ -18,9 +18,7 @@ strategies.  The strategy depends on the nest's output-write pattern:
   the output.  min/max is associative and commutative over IEEE doubles,
   so any combination order is bit-identical to the serial run.  A failed
   buffer (or per-thread workspace) allocation makes the kernel return a
-  nonzero status, which surfaces as a
-  :class:`~repro.codegen.backends.base.BackendError` and lets the
-  execution ladder re-serve the call serially.
+  nonzero status, which the call raises as :class:`MemoryError`.
 
 A ``+`` scatter (the symmetric-kernel case: SSYMV / SSYRK / SYPRD /
 MTTKRP / TTM mirror canonical entries to both triangles) gets no OpenMP

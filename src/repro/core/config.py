@@ -108,8 +108,6 @@ KNOBS: Dict[str, Knob] = {row.name: row for row in (
     Knob("REPRO_LOCK_TIMEOUT", "float", 120.0, exclusive=True,
          doc="seconds to wait on a compile lock before building privately"),
     # failure handling
-    Knob("REPRO_NO_DEGRADE", "flag",
-         doc="no degradation ladder (c@omp -> c -> python): failures raise"),
     Knob("REPRO_FAULTS", "text",
          doc="fault-injection spec, e.g. cc=timeout@2*1,dlopen=fail*1"),
     # the kernel-service daemon and its client

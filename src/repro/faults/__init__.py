@@ -5,7 +5,8 @@ corrupt store entry, a shared object that no longer dlopens, ENOSPC in
 the artifact cache — are exactly the ones ordinary test suites never
 reach.  Named *injection points* are threaded through the production
 code; arming them makes the real handling code (retry, backoff, the
-degradation ladder, store self-healing) run for real.
+rebuild of an object that does not load, the compile-time fallback,
+store self-healing) run for real.
 
 Two ways to arm faults:
 
@@ -51,7 +52,6 @@ __all__ = [
     "injecting",
     "parse_spec",
     "poll",
-    "raise_if",
     "spec_text",
 ]
 
@@ -84,13 +84,6 @@ def poll(point: str) -> Optional[Fault]:
     if fault is not None:
         obs_metrics.inc("faults.fired.%s" % point)
     return fault
-
-
-def raise_if(point: str) -> None:
-    """Raise :class:`FaultError` when *point* fires (simple-fail sites)."""
-    fault = poll(point)
-    if fault is not None:
-        raise FaultError(fault)
 
 
 def fired() -> Dict[str, int]:

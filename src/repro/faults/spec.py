@@ -16,7 +16,6 @@ Examples::
     dlopen=fail*2                 first two dlopens raise OSError
     store.get=corrupt*1           scribble the first entry read
     store.put=enospc              every put fails with ENOSPC
-    exec.omp=fail*1,exec.c=fail*1 drive the full degradation ladder
 
 Firing is deterministic: rules match in spec order, every match of a
 point advances every rule armed on it, and the first eligible rule fires.
@@ -41,7 +40,7 @@ class FaultSpecError(ValueError):
 
 class FaultError(RuntimeError):
     """An injected failure, raised by sites with no native exception to
-    forge (e.g. a simulated kernel-execution crash)."""
+    forge (e.g. a failed service compile or daemon handler)."""
 
     def __init__(self, fault: "Fault"):
         super().__init__(
@@ -58,14 +57,6 @@ POINT_ACTIONS: Dict[str, tuple] = {
     "cc": ("fail", "timeout", "crash", "slow"),
     # ctypes.CDLL of a compiled kernel
     "dlopen": ("fail",),
-    # a C kernel execution (any thread count)
-    "exec.c": ("fail",),
-    # a C kernel execution with threads > 1 only (the OpenMP tier)
-    "exec.omp": ("fail",),
-    # a C kernel runtime allocation failure (forges the nonzero status
-    # the kernel returns when a workspace or per-thread buffer
-    # allocation fails; surfaces as BackendError)
-    "exec.alloc": ("fail",),
     # disk-store entry reads
     "store.get": ("corrupt", "truncate-so", "fail"),
     # disk-store entry writes

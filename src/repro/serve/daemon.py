@@ -55,7 +55,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro import faults
-from repro.codegen.backends import health as backend_health
 from repro.core.config import knob
 from repro.core.flock import InterProcessLock
 from repro.faults.spec import FaultError
@@ -562,7 +561,6 @@ class KernelServer:
             "pid": os.getpid(),
             "protocol": protocol.PROTOCOL_VERSION,
             "uptime_s": time.monotonic() - self._started,
-            "health": backend_health.snapshot(),
         }
 
     def _stats_reply(self, rid) -> dict:

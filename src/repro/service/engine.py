@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro import faults
-from repro.codegen.backends import health as backend_health
 from repro.core.compiler import CompiledKernel
 from repro.core.config import CompilerOptions, DEFAULT, knob
 from repro.core.flock import single_flight
@@ -41,8 +40,7 @@ from repro.service.store import DiskStore
 
 @dataclass(frozen=True)
 class ServiceStats:
-    """Aggregate service counters: memory cache + disk store + compiles +
-    the process's backend-health ladder."""
+    """Aggregate service counters: memory cache + disk store + compiles."""
 
     memory: CacheStats
     compiles: int
@@ -50,8 +48,6 @@ class ServiceStats:
     disk_misses: int
     disk_errors: int
     disk_entries: int
-    #: :func:`repro.codegen.backends.health.snapshot` at stats time.
-    health: dict = field(default_factory=dict)
 
     @property
     def hit_rate(self) -> float:
@@ -69,11 +65,6 @@ class ServiceStats:
         """Disk-store hit rate (division-safe: 0.0 before any lookup)."""
         return self.disk_hits / self.disk_lookups if self.disk_lookups else 0.0
 
-    @property
-    def degraded(self) -> bool:
-        """Has any backend tier been marked unhealthy this process?"""
-        return bool(self.health.get("degraded"))
-
     def to_dict(self) -> dict:
         """JSON-ready snapshot (``repro stats --json``).
 
@@ -90,7 +81,6 @@ class ServiceStats:
                 "errors": self.disk_errors,
                 "hit_rate": self.disk_hit_rate,
             },
-            "health": self.health,
         }
         if obs_metrics.enabled():
             out["metrics"] = obs_metrics.to_dict()
@@ -108,12 +98,6 @@ class ServiceStats:
                     self.disk_misses,
                     self.disk_errors,
                 )
-            )
-        tiers = self.health.get("tiers", {})
-        if any(t.get("failures") for t in tiers.values()):
-            lines.append(
-                "backend: DEGRADED — active ladder: %s"
-                % " -> ".join(self.health.get("ladder", []))
             )
         return "\n".join(lines)
 
@@ -263,9 +247,9 @@ class KernelService:
 
         def build() -> Tuple[CompiledKernel, str]:
             kernel = self._compile_now(key, request)
-            # a kernel that degraded to a different backend than requested
-            # (e.g. a C request served interpreted because this process's
-            # toolchain broke) must not poison the shared store: other
+            # a kernel that fell back to a different backend than requested
+            # (a C request served interpreted because its source did not
+            # build or load here) must not poison the shared store: other
             # processes could compile the real thing
             if kernel.backend == kernel.options.backend:
                 store.put(key, kernel)
@@ -392,7 +376,6 @@ class KernelService:
             disk_misses=store.misses if store is not None else 0,
             disk_errors=store.errors if store is not None else 0,
             disk_entries=len(store) if store is not None else 0,
-            health=backend_health.snapshot(),
         )
 
     # ------------------------------------------------------------------

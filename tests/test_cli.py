@@ -240,7 +240,8 @@ def test_doctor_probes_unreachable_daemon(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["checks"]["daemon"]["ok"] is False
     assert "unreachable" in doc["checks"]["daemon"]["detail"]
-    assert rc == 1  # a configured-but-down daemon is an unhealthy check
+    # a configured-but-down daemon is an unhealthy check
+    assert rc == 1 and doc["healthy"] is False
 
 
 def test_doctor_and_stats_against_a_live_daemon(tmp_path, capsys, monkeypatch):

@@ -20,7 +20,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.codegen.backends import ctoolchain, get_backend, health
+from repro.codegen.backends import ctoolchain, get_backend
 from repro.core.config import DEFAULT
 from repro.kernels.extensions import EXTENSIONS
 from repro.kernels.library import KERNELS, get_kernel
@@ -52,11 +52,8 @@ SPECS = {**KERNELS, **EXTENSIONS}
 def fresh_objects(monkeypatch, tmp_path):
     """An empty object cache, so every build this test asks for runs ``cc``
     (the content-addressed cache would otherwise serve earlier tests'
-    objects), and a clean ladder around it."""
+    objects)."""
     monkeypatch.setattr(ctoolchain, "_build_dir", str(tmp_path))
-    health.reset()
-    yield
-    health.reset()
 
 
 def _cc_spans(recorder):
@@ -107,7 +104,7 @@ def test_a_sum_scatter_kernel_never_builds_an_openmp_object(
     assert len(_cc_spans(rec)) == 1 and _cc_spans(rec)[0].args["omp"] == 0
     assert not exe.omp and "openmp" not in ctoolchain._probed
     assert np.array_equal(py, ran) and np.array_equal(py, planned)
-    assert health.ok("c@omp")
+    assert kernel.bound.resolve_run_threads(3) == 3
 
 
 @needs_omp
@@ -138,7 +135,7 @@ def test_a_parallel_kernel_runs_every_thread_count_on_its_one_object(rng, name):
     assert kernel.bound.executable is exe
     for got in (serial, first, second, planned, replanned):
         assert np.array_equal(py, got)
-    assert health.ok("c@omp")
+    assert kernel.bound.resolve_run_threads(4) == 4
 
 
 @needs_omp
@@ -167,7 +164,7 @@ def test_a_parallel_kernels_wide_object_is_openmp_too(rng, name, monkeypatch):
     assert wide is kernel.bound.executable._wide
     assert wide.kind == "omp" and wide.index_dtype == np.int64
     assert kernel.bound.executable.index_dtype == np.int32
-    assert health.ok("c@omp")
+    assert kernel.bound.resolve_run_threads(3) == 3
     assert np.array_equal(py, serial) and np.array_equal(py, threaded)
 
 
@@ -302,8 +299,8 @@ def test_the_narrow_object_of_a_parallel_source_runs_serially_without_openmp(
     rng, no_openmp
 ):
     """A toolchain without OpenMP builds a parallel source's serial object,
-    of each width, marks ``c@omp`` down, and answers threaded calls on
-    one thread with the python backend's bits."""
+    of each width, and answers threaded calls on one thread with the
+    python backend's bits."""
     from repro.tensor import coo as coo_mod
 
     spec = get_kernel("bellmanford")
@@ -321,7 +318,6 @@ def test_the_narrow_object_of_a_parallel_source_runs_serially_without_openmp(
     exe = kernel.bound.executable
     assert exe.kind == exe._wide.kind == "serial"
     assert exe._wide.index_dtype == np.int64
-    assert not health.ok("c@omp") and health.ok("c")
     assert kernel.bound.resolve_run_threads(3) == 1
     assert np.array_equal(py, narrow) and np.array_equal(py, wide)
 
@@ -336,6 +332,56 @@ def test_a_wide_bind_refuses_an_object_of_the_narrow_width(monkeypatch):
     with pytest.raises(BackendError, match="int32"):
         exe.wide()
     assert exe._wide is None and exe.index_dtype == np.int32
+
+
+def test_a_wide_object_that_fails_to_load_is_rebuilt_once(rng, monkeypatch):
+    """The wide object goes through the narrow one's load path: a first
+    ``dlopen`` that fails costs one forced rebuild, and the bind serves
+    the python backend's bits."""
+    from repro import faults
+    from repro.tensor import coo as coo_mod
+
+    spec = get_kernel("ssymv")
+    inputs = build_inputs(rng, spec)
+    py = np.asarray(spec.compile(options=PYTHON)(**inputs))
+    kernel = spec.compile(options=SERIAL)
+    monkeypatch.setattr(coo_mod, "INDEX_LIMIT", 0)
+    with faults.injecting("dlopen=fail*1") as plan, trace.tracing() as rec:
+        got = np.asarray(kernel(**inputs))
+    assert plan.fired() == {"dlopen": 1}
+    assert [
+        ctoolchain.WIDE_INDEX_FLAG in span.args["flags"].split()
+        for span in _cc_spans(rec)
+    ] == [True, True]
+    assert kernel.bound.executable._wide.index_dtype == np.int64
+    assert got.tobytes() == py.tobytes()
+
+
+#: a stand-in object whose kernel reports a failed workspace allocation
+OOM_SOURCE = """#include <stdint.h>
+int64_t repro_index_bytes(void) { return 4; }
+int64_t kernel(void) { return 1; }
+"""
+
+
+def test_a_failed_workspace_allocation_raises_memory_error(rng, monkeypatch):
+    """A kernel's nonzero status is a :class:`MemoryError` naming the
+    kernel and the status; nothing is re-served, and the next kernel
+    bound in the process runs normally."""
+    spec = get_kernel("ssymv")
+    inputs = build_inputs(rng, spec)
+    py = np.asarray(spec.compile(options=PYTHON)(**inputs))
+    kernel = spec.compile(options=SERIAL)
+    so_path = ctoolchain.compile_shared(OOM_SOURCE, stem="oom")
+    with monkeypatch.context() as patch:
+        patch.setattr(ctoolchain, "compile_shared", lambda *a, **k: so_path)
+        kernel.bound.executable = get_backend("c").compile(kernel.lowered, label="oom")
+    plan = kernel.execution_plan(**inputs)
+    with pytest.raises(MemoryError, match=r"C kernel oom: .*\(status 1\)"):
+        plan()
+    healthy = spec.compile(options=SERIAL)
+    assert healthy.backend == "c"
+    assert np.asarray(healthy(**inputs)).tobytes() == py.tobytes()
 
 
 # ----------------------------------------------------------------------

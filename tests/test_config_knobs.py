@@ -182,12 +182,11 @@ def test_doctor_reports_degradation_from_the_flag_parser(monkeypatch, capsys):
 
     from repro.cli import main
 
-    for value, disabled in (("0", False), ("1", True)):
-        monkeypatch.setenv("REPRO_NO_DEGRADE", value)
+    for value, enabled in (("0", False), ("1", True)):
+        monkeypatch.setenv("REPRO_METRICS", value)
         main(["doctor", "--json"])
         report = json.loads(capsys.readouterr().out)
-        assert ("degradation" in report) is disabled
-        assert report["knobs"]["REPRO_NO_DEGRADE"] is disabled
+        assert report["knobs"]["REPRO_METRICS"] is enabled
 
 
 def test_doctor_names_variables_that_are_not_knobs(monkeypatch, capsys):
@@ -212,7 +211,7 @@ def test_readme_knob_table_names_exactly_the_table():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     rows = re.findall(r"^\| `(REPRO_[A-Z_]+)` +\|", readme, flags=re.M)
     assert rows == list(KNOBS)
-    assert len(KNOBS) == 15
+    assert len(KNOBS) == 14
     help_text = build_parser().format_help()
     assert all(name in help_text for name in KNOBS)
     # nothing documents a variable the table does not declare

@@ -3,8 +3,8 @@
 Every test here arms a deterministic fault plan (:func:`repro.faults
 .injecting`) against the real production code — the spec parser, the cc
 timeout/retry loop, the permanent-failure memo, the dlopen and store
-injection points, and the backend degradation ladder — and asserts the
-service keeps answering bit-identically.
+injection points, and the compile-time fallback to the interpreted
+backend — and asserts the service keeps answering bit-identically.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from repro import faults
-from repro.codegen.backends import get_backend, health
-from repro.codegen.backends import ctoolchain
+from repro.codegen.backends import ctoolchain, get_backend
 from repro.core.compiler import compile_kernel
 from repro.core.config import DEFAULT
 from repro.faults.spec import FaultError, FaultSpecError, parse_spec
@@ -29,20 +28,15 @@ SPEC = dict(symmetric={"A": True}, loop_order=("j", "i"))
 #: EINSUM runs its serial object at every thread count, this one's nests
 #: are privatized, so its one object is the OpenMP object
 RELAX = "y[i] min= A[i, j] + x[j]"
-# threads pinned to 1: under an ambient REPRO_THREADS>1 (the CI
-# c-backend-threads leg) a failed threaded call first retries serially
-# on the "c" tier, which changes where on the ladder these tests land
 C_OPTS = DEFAULT.but(backend="c", threads=1)
 
 
 @pytest.fixture(autouse=True)
-def _clean_ladder():
-    """Health and the toolchain failure memo are process-global and
-    sticky by design; tests must not leak degradation into each other."""
-    health.reset()
+def _clean_failure_memo():
+    """The toolchain failure memo is process-global and sticky by design;
+    tests must not leak a failed build into each other."""
     ctoolchain.reset_failure_memo()
     yield
-    health.reset()
     ctoolchain.reset_failure_memo()
 
 
@@ -54,22 +48,6 @@ def inputs():
 
 def _reference(inputs):
     return compile_kernel(EINSUM, **SPEC)(**inputs)
-
-
-def _run_once(kernel, inputs, threads=None):
-    prepared, shape = kernel.prepare(**inputs)
-    return [kernel.finalize(kernel.run(prepared, shape, threads=threads))]
-
-
-def _reused_plan(kernel, inputs, threads=None):
-    plan = kernel.execution_plan(threads=threads, **inputs)
-    return [kernel.finalize(np.copy(plan())) for _ in range(2)]
-
-
-#: the two ways to execute — a one-shot ``run`` and a plan that is called
-#: again after it degraded; both go down the one ladder
-#: (:meth:`ExecutionPlan._recover`) and the ``exec.*`` cases run over each
-ENTRIES = (_run_once, _reused_plan)
 
 
 # ----------------------------------------------------------------------
@@ -206,40 +184,8 @@ def test_cc_timeout_env_kills_hung_compiler(monkeypatch, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# degradation ladder
+# compile-time fallback; nothing falls back at run time
 # ----------------------------------------------------------------------
-@needs_cc
-def test_exec_failure_degrades_to_python_bit_identical(inputs):
-    ref = _reference(inputs)
-    for entry in ENTRIES:
-        health.reset()
-        with faults.injecting("exec.c=fail*1"):
-            kernel = compile_kernel(EINSUM, **SPEC, options=C_OPTS)
-            results = entry(kernel, inputs)
-        assert all(got.tobytes() == ref.tobytes() for got in results)
-        assert kernel.backend == "python"
-        assert health.degraded()
-        assert "c" not in health.active_ladder()
-
-
-@needs_cc
-def test_omp_tier_failure_falls_back_to_serial_c(inputs):
-    ref = _reference(inputs)
-    for entry in ENTRIES:
-        health.reset()
-        with faults.injecting("exec.omp=fail*1"):
-            kernel = compile_kernel(
-                EINSUM, **SPEC, options=C_OPTS.but(threads=2)
-            )
-            results = entry(kernel, inputs, threads=2)
-        assert all(got.tobytes() == ref.tobytes() for got in results)
-        # the serial C tier survived: kernel still compiled
-        assert kernel.backend == "c"
-        assert not health.ok("c@omp") and health.ok("c")
-        # future thread resolutions collapse onto the serial tier
-        assert kernel.bound.resolve_run_threads(4) == 1
-
-
 @needs_cc
 def test_no_openmp_toolchain_serves_threaded_calls_serially(
     monkeypatch, tmp_path, inputs, no_openmp
@@ -251,113 +197,43 @@ def test_no_openmp_toolchain_serves_threaded_calls_serially(
     assert kernel.backend == "c"
     assert kernel.bound.executable.kind == "serial"
     assert kernel(**inputs).tobytes() == ref.tobytes()
-    assert not health.ok("c@omp") and health.ok("c")
     assert kernel.bound.resolve_run_threads(2) == 1
 
 
 @needs_cc
-def test_alloc_failure_reserved_serially_bit_identical(inputs):
-    """A kernel reporting allocation failure (nonzero status — a failed
-    per-thread workspace or buffer malloc) must surface as
-    BackendError and be re-served down the ladder, not abort the
-    process."""
-    ref = _reference(inputs)
-    for entry in ENTRIES:
-        health.reset()
-        with faults.injecting("exec.alloc=fail*1"):
-            kernel = compile_kernel(
-                EINSUM, **SPEC, options=C_OPTS.but(threads=2)
-            )
-            results = entry(kernel, inputs, threads=2)
-        assert all(got.tobytes() == ref.tobytes() for got in results)
-        # the serial C tier survived the OOM: kernel still compiled, and
-        # the threaded tier is marked down so future calls skip the
-        # failing path
-        assert kernel.backend == "c"
-        assert not health.ok("c@omp") and health.ok("c")
-
-
-@needs_cc
-def test_plan_degrades_and_stays_usable(inputs):
-    ref = _reference(inputs)
-    with faults.injecting("exec.c=fail*1"):
-        kernel = compile_kernel(EINSUM, **SPEC, options=C_OPTS)
-        plan = kernel.execution_plan(**inputs)
-        first = kernel.finalize(np.copy(plan()))
-    assert first.tobytes() == ref.tobytes()
-    assert kernel.backend == "python"
-    # the rebound plan keeps serving (now interpreted)
-    second = kernel.finalize(np.copy(plan()))
-    assert second.tobytes() == ref.tobytes()
-
-
-@needs_cc
-def test_sibling_plan_of_a_degraded_kernel_rebinds_too(inputs):
-    """Two plans on one kernel, both C calls fail: the second plan is
-    still bound to the C callable when the first has already degraded
-    the kernel they share, and must fall to python like the first did
-    (it used to re-raise, judging by the kernel's tier, not its own)."""
-    ref = _reference(inputs)
-    with faults.injecting("exec.c=fail*2"):
-        kernel = compile_kernel(EINSUM, **SPEC, options=C_OPTS)
-        first = kernel.execution_plan(**inputs)
-        second = kernel.execution_plan(**inputs)
-        a = kernel.finalize(np.copy(first()))
-        assert kernel.backend == "python"  # ... under the second plan's feet
-        b = kernel.finalize(np.copy(second()))
-    assert a.tobytes() == b.tobytes() == ref.tobytes()
-    # both rebound: they keep serving, interpreted
-    assert kernel.finalize(np.copy(second())).tobytes() == ref.tobytes()
-
-
-@needs_cc
-def test_degradation_is_sticky_for_new_kernels(inputs):
-    with faults.injecting("exec.c=fail*1"):
-        kernel = compile_kernel(EINSUM, **SPEC, options=C_OPTS)
-        kernel(**inputs)
-    assert kernel.backend == "python"
-    # a *new* C-backend request in the same process goes straight to the
-    # floor instead of re-paying the failure
-    again = compile_kernel(EINSUM, **SPEC, options=C_OPTS)
-    assert again.backend == "python"
-
-
-@needs_cc
-def test_no_degrade_env_propagates_failures(monkeypatch, inputs):
-    monkeypatch.setenv("REPRO_NO_DEGRADE", "1")
-    with faults.injecting("exec.c=fail*1"):
-        kernel = compile_kernel(EINSUM, **SPEC, options=C_OPTS)
-        with pytest.raises(FaultError):
-            kernel(**inputs)
-
-
-@needs_cc
 def test_dlopen_failure_at_compile_time_degrades(inputs):
+    from repro.obs import trace
+
     ref = _reference(inputs)
     # both the initial load and the force-rebuild load fail
-    with faults.injecting("dlopen=fail*2"):
+    with faults.injecting("dlopen=fail*2"), trace.tracing() as rec:
         kernel = compile_kernel(EINSUM, **SPEC, options=C_OPTS)
     assert kernel.backend == "python"
     assert kernel(**inputs).tobytes() == ref.tobytes()
+    (span,) = [e for e in rec.events if e.name == "backend:compile"]
+    assert span.args["fallback"].startswith("OSError: injected: cannot dlopen")
 
 
-def test_health_snapshot_shape():
-    snap = health.snapshot()
-    assert snap["degraded"] is False
-    assert snap["ladder"] == ["c@omp", "c", "python"]
-    assert set(snap["tiers"]) == {"c@omp", "c", "python"}
+@needs_cc
+def test_compile_fallback_is_not_sticky(inputs):
+    """A kernel that fell back leaves no process state behind: the next C
+    request of the same source loads the object and serves it compiled."""
+    with faults.injecting("dlopen=fail*2"):
+        fallen = compile_kernel(EINSUM, **SPEC, options=C_OPTS)
+    again = compile_kernel(EINSUM, **SPEC, options=C_OPTS)
+    assert (fallen.backend, again.backend) == ("python", "c")
+    assert again(**inputs).tobytes() == fallen(**inputs).tobytes()
 
 
-def test_health_dependency_c_failure_kills_omp_tier():
-    health.mark("c", RuntimeError("boom"))
-    assert not health.ok("c@omp")  # rides on the same compiled object
-    assert health.active_ladder() == ["python"]
-    assert health.first_error("c") == "RuntimeError: boom"
+def test_a_leftover_no_degrade_variable_is_not_a_knob(monkeypatch, capsys):
+    """The variable that turned the runtime fallback off is read by
+    nothing; ``repro doctor`` names it as a variable that is not a knob."""
+    from repro.cli import main
 
-
-def test_health_python_tier_cannot_be_marked():
-    with pytest.raises(ValueError):
-        health.mark("python", RuntimeError("no floor below the floor"))
+    leftover = "REPRO_NO_DEGRADE"
+    monkeypatch.setenv(leftover, "1")
+    main(["doctor"])
+    assert "%s is not a knob" % leftover in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
@@ -439,12 +315,10 @@ def test_service_compile_failure_propagates_and_next_call_recovers(tmp_path):
     assert kernel is not None
 
 
-def test_stats_reflect_health_and_store_none():
-    svc = KernelService()
-    stats = svc.stats()
-    assert stats.degraded is False
-    assert stats.health["ladder"][-1] == "python"
-    assert "health" in stats.to_dict()
+def test_stats_without_a_store():
+    stats = KernelService().stats()
+    assert (stats.disk_entries, stats.disk_lookups) == (0, 0)
+    assert stats.to_dict()["disk"]["entries"] == 0
 
 
 def test_empty_store_counters_not_zeroed_by_len(tmp_path):
@@ -505,21 +379,6 @@ def test_doctor_reports_healthy(capsys, tmp_path):
 
     rc = main(["doctor", "--dir", str(tmp_path)])
     out = capsys.readouterr().out
-    assert "ladder" in out
+    assert "toolchain" in out
     if HAVE_CC:
         assert rc == 0
-        assert "toolchain" in out
-
-
-def test_doctor_json_reports_degraded(capsys, tmp_path):
-    from repro.cli import main
-
-    health.mark("c", RuntimeError("synthetic failure"))
-    rc = main(["doctor", "--json"])
-    assert rc == 1
-    import json
-
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["healthy"] is False
-    assert doc["ladder"] == ["python"]
-    assert doc["health"]["tiers"]["c"]["failures"] == 1

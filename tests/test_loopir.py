@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.codegen import loopir as ir
-from repro.codegen.backends import ctoolchain, get_backend, health
+from repro.codegen.backends import ctoolchain, get_backend
 from repro.codegen.backends import python as python_backend
 from repro.codegen.lower import LoweredKernel, LoweringError
 from repro.codegen.passes import PIPELINE
@@ -159,9 +159,6 @@ def fresh_objects(monkeypatch, tmp_path):
     objects = tmp_path / "objects"
     objects.mkdir()
     monkeypatch.setattr(ctoolchain, "_build_dir", str(objects))
-    health.reset()
-    yield
-    health.reset()
 
 
 @needs_cc
@@ -209,15 +206,10 @@ def test_c_kernel_prints_python_only_on_demand(monkeypatch, rng, fresh_objects):
     inputs = build_inputs(rng, spec)
     monkeypatch.setattr(python_backend, "print_python", counting)
     kernel = spec.compile(options=DEFAULT.but(backend="c"))
-    want = np.asarray(kernel(**inputs))
+    kernel(**inputs)
     assert printed == []  # compiled and ran without a Python source
     assert "def kernel(" in kernel.source
     assert kernel.source is kernel.source and len(printed) == 1  # cached
-
-    other = spec.compile(options=DEFAULT.but(backend="c"))
-    other.bound.degrade_to_python()
-    assert len(printed) == 2 and other.backend == "python"
-    assert np.array_equal(np.asarray(other(**inputs)), want)
 
 
 @needs_cc

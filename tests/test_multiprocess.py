@@ -24,7 +24,6 @@ import pytest
 
 from repro import faults
 from repro.codegen.backends import ctoolchain, get_backend
-from repro.codegen.backends import health
 from repro.core.config import DEFAULT
 from repro.obs import trace
 from repro.serve.client import ServiceClient
@@ -275,20 +274,16 @@ def test_a_daemon_compile_is_served_from_its_store_in_another_process(
             proc.kill()
             proc.wait(timeout=10)
 
-    # an empty process object cache and a clean ladder: the object can only
-    # come from the store, and nothing ambient may rebuild it
+    # an empty process object cache: the object can only come from the
+    # store, and nothing ambient may rebuild it
     build_dir = tmp_path / "our-build"
     build_dir.mkdir()
     monkeypatch.setattr(ctoolchain, "_build_dir", str(build_dir))
     monkeypatch.delenv("REPRO_THREADS", raising=False)
-    health.reset()
-    try:
-        with faults.injecting(None), trace.tracing() as rec:
-            service = KernelService(store=store_dir)
-            kernel, origin = service.get_with_origin(request)
-            out = kernel(**tensors)
-    finally:
-        health.reset()
+    with faults.injecting(None), trace.tracing() as rec:
+        service = KernelService(store=store_dir)
+        kernel, origin = service.get_with_origin(request)
+        out = kernel(**tensors)
     assert origin == "disk" and service.stats().compiles == 0
     assert kernel.backend == "c"
     assert not [e for e in rec.events if e.name == "cc"]

@@ -275,7 +275,7 @@ def test_a_parallel_artifact_is_one_omp_object_at_every_thread_setting(
     rehydrate under threads=4 loads that same object from the store, the
     entry itself untouched; later processes, serial or threaded, load it
     too, and none runs cc."""
-    from repro.codegen.backends import ctoolchain, get_backend, health
+    from repro.codegen.backends import ctoolchain, get_backend
     from repro.core.config import DEFAULT
     from repro.obs import trace
 
@@ -283,7 +283,6 @@ def test_a_parallel_artifact_is_one_omp_object_at_every_thread_setting(
         pytest.skip("needs a C toolchain with OpenMP")
     monkeypatch.setattr(ctoolchain, "_build_dir", str(tmp_path / "objects"))
     (tmp_path / "objects").mkdir()
-    health.reset()
 
     def cc_runs(recorder):
         return sum(1 for e in recorder.events if e.name == "cc")
@@ -344,4 +343,4 @@ def test_a_parallel_artifact_is_one_omp_object_at_every_thread_setting(
         assert done.stdout.split() == ["0", "omp", str(omp_file)]
     # nothing a reader did rewrote the entry
     assert (entry.read_bytes(), entry.stat().st_mtime_ns) == published
-    assert store.errors == 0 and health.ok("c@omp")
+    assert store.errors == 0 and threaded.bound.resolve_run_threads(4) == 4
