@@ -31,7 +31,8 @@ shared services first:
 * **Hostile input** — oversized length prefixes, garbage JSON and torn
   frames answer ``bad-request``/close without allocating; a started
   frame that stalls (slowloris) is cut off after ``read_timeout``
-  seconds (30).
+  seconds (30).  Each connection receives its frames into one buffer
+  that it reuses and only grows, up to ``$REPRO_SERVE_MAX_FRAME``.
 
 Fault-injection points (:mod:`repro.faults`): ``wire.accept``,
 ``wire.read``, ``wire.write`` and ``serve.handler`` make every failure
@@ -41,7 +42,6 @@ path above deterministically testable.
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import os
 import signal
 import socket as socket_module
@@ -64,14 +64,30 @@ from repro.serve.protocol import ProtocolError, error_reply
 from repro.service.engine import KernelService
 
 
-class PlanPool:
-    """A bounded LRU of warm execution plans keyed by request content.
+class _Pooled:
+    """One warm plan and the private copy of the inputs it was built from."""
 
-    The key is a digest of (kernel key, tensor names/dtypes/shapes/raw
-    bytes): two wire requests with identical inputs reuse one prepared
-    plan, skipping preparation and argument marshaling.  Plans are not
-    thread-safe, so each entry carries a busy flag — a concurrent
-    duplicate request simply runs unpooled rather than waiting.
+    __slots__ = ("signature", "inputs", "kernel", "plan", "busy")
+
+    def __init__(self, signature, inputs, kernel, plan):
+        self.signature = signature
+        self.inputs = inputs
+        self.kernel = kernel
+        self.plan = plan
+        self.busy = threading.Lock()
+
+
+class PlanPool:
+    """A bounded LRU of warm execution plans, matched on exact input bytes.
+
+    Entries are keyed by the kernel key plus each tensor's name, dtype and
+    shape.  Each owns a private copy of the inputs its plan was built
+    from, so nothing pooled points into a connection's receive buffer,
+    and a lookup takes the first idle entry (most recently used first)
+    whose inputs equal the request's byte for byte (``-0.0`` and ``0.0``
+    differ, as a kernel's result bits may).  Plans are not thread-safe,
+    so each entry carries a busy flag: a concurrent duplicate request
+    runs unpooled rather than waiting.
     """
 
     def __init__(self, capacity: int):
@@ -79,64 +95,240 @@ class PlanPool:
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, tuple]" = OrderedDict()
+        self._entries: "OrderedDict[_Pooled, None]" = OrderedDict()
 
-    def acquire(self, digest: str):
-        """Borrow the (kernel, plan) pair for *digest*, or ``None``."""
+    def acquire(self, key: str, tensors) -> Optional[_Pooled]:
+        """Borrow an idle entry holding exactly *tensors*, or ``None``."""
         if self.capacity <= 0:
             return None
+        signature = _signature(key, tensors)
         with self._lock:
-            entry = self._entries.get(digest)
-            if entry is None:
-                self.misses += 1
-                return None
-            kernel, plan, busy = entry
-            if not busy.acquire(blocking=False):
-                self.misses += 1  # in use: duplicate runs unpooled
-                return None
-            self._entries.move_to_end(digest)
-            self.hits += 1
-            return entry
+            candidates = [
+                e for e in reversed(self._entries) if e.signature == signature
+            ]
+        for entry in candidates:
+            if not entry.busy.acquire(blocking=False):
+                continue  # in use: a duplicate runs unpooled
+            if all(_same_bytes(entry.inputs[n], a) for n, a in tensors.items()):
+                with self._lock:
+                    if entry in self._entries:  # not evicted meanwhile
+                        self._entries.move_to_end(entry)
+                    self.hits += 1
+                return entry
+            entry.busy.release()
+        with self._lock:
+            self.misses += 1
+        return None
+
+    def admit(self, key: str, tensors, kernel) -> _Pooled:
+        """A borrowed entry running *kernel* over *tensors*: pooled, over
+        a private copy of them, unless the pool is off."""
+        if self.capacity > 0:
+            tensors = {n: np.array(a, order="C") for n, a in tensors.items()}
+        entry = _Pooled(
+            _signature(key, tensors), tensors, kernel,
+            kernel.execution_plan(**tensors),
+        )
+        entry.busy.acquire()
+        if self.capacity > 0:
+            with self._lock:
+                self._entries[entry] = None
+                while len(self._entries) > self.capacity:
+                    # evict the least-recently-used idle entry
+                    for old in self._entries:
+                        if not old.busy.locked():
+                            del self._entries[old]
+                            break
+                    else:
+                        break  # every entry busy: over-capacity transiently
+        return entry
 
     @staticmethod
-    def release(entry) -> None:
-        entry[2].release()
-
-    def put(self, digest: str, kernel, plan) -> None:
-        if self.capacity <= 0:
-            return
-        with self._lock:
-            if digest in self._entries:
-                return
-            self._entries[digest] = (kernel, plan, threading.Lock())
-            while len(self._entries) > self.capacity:
-                # evict the least-recently-used idle entry
-                for key, entry in self._entries.items():
-                    if not entry[2].locked():
-                        del self._entries[key]
-                        break
-                else:
-                    break  # every entry busy: over-capacity transiently
+    def release(entry: _Pooled) -> None:
+        entry.busy.release()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
 
-def _execute_digest(key: str, tensors) -> str:
-    digest = hashlib.sha256()
-    digest.update(key.encode("ascii"))
-    for name in sorted(tensors):
-        arr = tensors[name]
-        digest.update(
-            ("|%s:%s:%s:" % (name, arr.dtype, arr.shape)).encode("ascii")
-        )
-        digest.update(np.ascontiguousarray(arr))  # no copy off the wire
-    return digest.hexdigest()
+def _signature(key: str, tensors) -> tuple:
+    return key, tuple(
+        sorted((n, a.dtype.str, a.shape) for n, a in tensors.items())
+    )
 
 
-class _BadFrame(Exception):
-    """A readable-but-invalid frame; answered with ``bad-request``."""
+#: words :func:`_same_bytes` compares per step (128 KiB of uint64).
+_COMPARE_WORDS = 1 << 14
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Do *a* and *b* (one dtype and shape) hold the same bytes?
+
+    Walked in bounded steps that stop at the first difference, so no
+    full-size temporary is made.
+    """
+    x = a.reshape(-1).view(np.uint8)
+    y = b.reshape(-1).view(np.uint8)
+    if x.size % 8 == 0:
+        x, y = x.view(np.uint64), y.view(np.uint64)
+    scratch = np.empty(min(x.size, _COMPARE_WORDS), dtype=bool)
+    for at in range(0, x.size, _COMPARE_WORDS):
+        n = min(_COMPARE_WORDS, x.size - at)
+        if np.not_equal(x[at : at + n], y[at : at + n], out=scratch[:n]).any():
+            return False
+    return True
+
+
+#: the smallest buffer a lingering connection discards input into.
+_LINGER_BYTES = 4096
+
+
+class _Connection(asyncio.BufferedProtocol):
+    """One client link.
+
+    A frame's 4-byte length is validated before anything is allocated;
+    the transport then writes the body straight into one buffer that the
+    link reuses across frames and only grows, never past the frame
+    limit.  Reading pauses once a frame is in and resumes when its reply
+    has been written, so the views a frame decodes into stay valid while
+    it is handled, and pipelined frames are answered in order.
+    """
+
+    def __init__(self, server: "KernelServer"):
+        self.server = server
+        self.transport = None
+        #: the receive buffer; ``np.empty`` leaves pages a peer never
+        #: fills untouched
+        self.buffer = np.empty(0, dtype=np.uint8)
+        self._header = bytearray(protocol.HEADER.size)
+        self._length: Optional[int] = None  # body bytes, once the header is in
+        self._filled = 0
+        self._lost = False
+        self._discard = False  # after a framing error: swallow, never parse
+        self._frame: Optional[asyncio.Future] = None
+        self._stall: Optional[asyncio.TimerHandle] = None
+        self._writable: Optional[asyncio.Future] = None
+
+    # -- asyncio callbacks ----------------------------------------------
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        if faults.poll("wire.accept") is not None:
+            transport.close()
+            return
+        loop = asyncio.get_running_loop()
+        self._frame = loop.create_future()
+        task = loop.create_task(self.server._serve(self))
+        self.server._connections.add(task)
+        task.add_done_callback(self.server._connections.discard)
+
+    def get_buffer(self, sizehint: int):
+        if self._discard:
+            return self.buffer
+        # exactly what the frame still lacks: the next frame's bytes stay
+        # in the socket until this one is answered
+        if self._length is None:
+            return memoryview(self._header)[self._filled :]
+        return self.buffer[self._filled : self._length]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        if self._discard:
+            return
+        timeout = self.server.read_timeout
+        if self._length is None and self._filled == 0 and timeout:
+            # a started frame must finish within read_timeout (slowloris);
+            # the wait for its first byte is unbounded
+            self._stall = asyncio.get_running_loop().call_later(
+                timeout, self.transport.abort
+            )
+        self._filled += nbytes
+        if self._length is None:
+            if self._filled < protocol.HEADER.size:
+                return
+            try:
+                length = protocol.decode_length(
+                    self._header, self.server.max_frame
+                )
+            except ProtocolError as exc:
+                self._finish(exc)
+                return
+            if length > self.buffer.size:
+                self.buffer = np.empty(length, dtype=np.uint8)
+            self._length, self._filled = length, 0
+        if self._filled == self._length:
+            self._finish(self._length)
+
+    def eof_received(self) -> bool:
+        self._finish(None)
+        return False  # close the transport
+
+    def connection_lost(self, exc) -> None:
+        self._lost = True
+        self._finish(None)
+        if self._writable is not None and not self._writable.done():
+            self._writable.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._writable = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        if self._writable is not None and not self._writable.done():
+            self._writable.set_result(None)
+
+    # -- what the connection task uses ----------------------------------
+    def _finish(self, outcome) -> None:
+        """Settle the frame in flight: its body length, ``None`` at EOF,
+        or the :class:`ProtocolError` its header raised."""
+        if self._stall is not None:
+            self._stall.cancel()
+            self._stall = None
+        self.transport.pause_reading()
+        frame = self._frame
+        if frame is None or frame.done():
+            return
+        if isinstance(outcome, ProtocolError):
+            frame.set_exception(outcome)
+        else:
+            frame.set_result(outcome)
+
+    async def receive(self) -> Optional[memoryview]:
+        """The next frame's body, a view of :attr:`buffer`; ``None`` once
+        the peer is gone."""
+        length = await self._frame
+        return None if length is None else memoryview(self.buffer)[:length]
+
+    def next_frame(self) -> None:
+        """The last frame is answered: let the next one in."""
+        self._length, self._filled = None, 0
+        self._frame = asyncio.get_running_loop().create_future()
+        if self._lost:
+            self._frame.set_result(None)
+        else:
+            self.transport.resume_reading()
+
+    async def linger(self) -> None:
+        """Half-close after a framing error, then swallow what the peer
+        still sends until it closes (within ``read_timeout``): closing
+        over unread bytes would reset the link before the peer reads the
+        error reply."""
+        self._discard = True
+        if self.buffer.size < _LINGER_BYTES:
+            self.buffer = np.empty(_LINGER_BYTES, dtype=np.uint8)
+        self._frame = asyncio.get_running_loop().create_future()
+        if self._lost:
+            return
+        self.transport.write_eof()
+        self.transport.resume_reading()
+        try:
+            await self.server._bounded(self.server.read_timeout, self._frame)
+        except asyncio.TimeoutError:
+            pass
+
+    async def drain(self) -> None:
+        if self._writable is not None:
+            await self._writable
+        if self._lost:
+            raise ConnectionResetError("peer closed the connection")
 
 
 class KernelServer:
@@ -251,8 +443,8 @@ class KernelServer:
         self._idle = asyncio.Event()
         self._idle.set()
         try:
-            self._server = await asyncio.start_unix_server(
-                self._on_connect, path=self.socket_path
+            self._server = await loop.create_unix_server(
+                lambda: _Connection(self), path=self.socket_path
             )
         except BaseException:
             self._lock_file.release()
@@ -297,15 +489,16 @@ class KernelServer:
     async def close(self) -> None:
         if self._server is not None:
             self._server.close()
+        for task in list(self._connections):
+            task.cancel()
+        if self._connections:
+            await asyncio.gather(*self._connections, return_exceptions=True)
+        if self._server is not None:
             try:
                 await self._server.wait_closed()
             except Exception:
                 pass
             self._server = None
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
         self._pool.shutdown(wait=False)
         try:
             os.unlink(self.socket_path)
@@ -320,80 +513,44 @@ class KernelServer:
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
-    async def _on_connect(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
-        if faults.poll("wire.accept") is not None:
-            writer.close()
-            return
+    async def _serve(self, conn: _Connection) -> None:
+        """One connection's frames, answered in order."""
         try:
             while True:
+                fault = faults.poll("wire.read")
+                if fault is not None:
+                    if fault.action == "slow":
+                        await asyncio.sleep(fault.arg_float(0.05))
+                    else:
+                        raise ConnectionResetError("injected: wire.read failure")
                 try:
-                    msg = await self._read_frame(reader)
-                except _BadFrame as exc:
+                    body = await conn.receive()
+                    if body is None:
+                        break  # EOF, clean or torn: nothing to answer
+                    nbytes = protocol.HEADER.size + body.nbytes
+                    self.bytes_in += nbytes
+                    obs_metrics.inc("serve.bytes_in", nbytes)
+                    msg = protocol.decode_body(body)
+                except ProtocolError as exc:
                     self.errors += 1
                     obs_metrics.inc("serve.bad_frames")
-                    await self._write_frame(
-                        writer,
-                        error_reply(None, protocol.BAD_REQUEST, str(exc)),
-                    )
+                    if await self._write_reply(
+                        conn, error_reply(None, protocol.BAD_REQUEST, str(exc))
+                    ):
+                        await conn.linger()
                     break  # framing may be desynchronized: drop the link
-                if msg is None:
-                    break  # clean EOF
                 reply = await self._handle(msg)
-                if not await self._write_frame(writer, reply):
+                if not await self._write_reply(conn, reply):
                     break
+                conn.next_frame()
         except asyncio.CancelledError:
             pass  # server shutdown cancelled this connection: done
-        except (
-            asyncio.IncompleteReadError,
-            asyncio.TimeoutError,
-            ConnectionError,
-            OSError,
-        ):
+        except (ConnectionError, OSError):
             pass  # torn connection: nothing to answer
         finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
+            conn.transport.close()
 
-    async def _read_frame(self, reader) -> Optional[dict]:
-        """One request frame; ``None`` on clean EOF.
-
-        The wait for a frame's *first* byte is unbounded (idle client
-        connections are legal); once a frame has started, the rest must
-        arrive within ``read_timeout`` — a slowloris peer that dribbles
-        bytes is disconnected instead of pinning the connection forever.
-        """
-        fault = faults.poll("wire.read")
-        if fault is not None:
-            if fault.action == "slow":
-                await asyncio.sleep(fault.arg_float(0.05))
-            else:
-                raise ConnectionResetError("injected: wire.read failure")
-        first = await reader.read(1)
-        if not first:
-            return None
-
-        async def rest() -> bytes:
-            header = first + await reader.readexactly(HEADER_REMAINDER)
-            length = protocol.decode_length(header, self.max_frame)
-            return await reader.readexactly(length)
-
-        try:
-            body = await self._bounded(self.read_timeout, rest())
-            nbytes = protocol.HEADER.size + len(body)
-            self.bytes_in += nbytes
-            obs_metrics.inc("serve.bytes_in", nbytes)
-            return protocol.decode_body(body)
-        except ProtocolError as exc:
-            raise _BadFrame(str(exc))
-
-    async def _write_frame(self, writer, reply: dict) -> bool:
+    async def _write_reply(self, conn: _Connection, reply: dict) -> bool:
         fault = faults.poll("wire.write")
         if fault is not None:
             if fault.action == "slow":
@@ -416,8 +573,8 @@ class KernelServer:
                 )
             self.bytes_out += len(frame)
             obs_metrics.inc("serve.bytes_out", len(frame))
-            writer.write(frame)
-            await writer.drain()
+            conn.transport.write(frame)
+            await conn.drain()
             return True
         except (ConnectionError, OSError, ProtocolError):
             return False
@@ -510,8 +667,10 @@ class KernelServer:
         self, msg: dict, rid, deadline: Optional[float]
     ) -> dict:
         request = protocol.request_from_spec(msg.get("spec"))
-        # read-only views of the frame body: a plan pooled over them pins
-        # that body, not a copy of it
+        # views of the connection's receive buffer; the plan pool copies
+        # what it keeps.  A worker a deadline abandons may go on reading
+        # them while the next frame lands: only its unsent reply can be
+        # wrong, since what it pools is built over its own copy
         tensors = protocol.decode_tensors(msg.get("tensors"))
         loop = asyncio.get_running_loop()
         payload = await self._bounded(
@@ -524,24 +683,17 @@ class KernelServer:
     def _execute(self, request, tensors) -> dict:
         """Worker-thread body of one ``execute`` request."""
         kernel, origin = self.service.get_with_origin(request)
-        digest = _execute_digest(request.key, tensors)
-        entry = self.plans.acquire(digest)
+        entry = self.plans.acquire(request.key, tensors)
         pooled = entry is not None
-        if entry is None:
-            kernel_for_run = kernel
-            plan = kernel.execution_plan(**tensors)
-        else:
-            kernel_for_run, plan = entry[0], entry[1]
+        if not pooled:
+            entry = self.plans.admit(request.key, tensors, kernel)
         try:
             # copy before releasing: finalize may return a view of the
             # plan's reusable buffer, which the next caller overwrites
             # while this reply still waits to be framed
-            result = np.array(kernel_for_run.finalize(plan()), order="C")
+            result = np.array(entry.kernel.finalize(entry.plan()), order="C")
         finally:
-            if pooled:
-                self.plans.release(entry)
-        if not pooled:
-            self.plans.put(digest, kernel, plan)
+            self.plans.release(entry)
         obs_metrics.inc("serve.executes")
         return {
             "ok": True,
@@ -589,10 +741,6 @@ class KernelServer:
                 },
             },
         }
-
-
-#: bytes of the frame header left to read after the first byte arrives.
-HEADER_REMAINDER = protocol.HEADER.size - 1
 
 
 def probe_socket(socket_path) -> bool:

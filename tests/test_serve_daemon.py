@@ -8,6 +8,7 @@ the kill-9 test runs a real ``repro serve`` subprocess.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import socket as socket_module
@@ -377,6 +378,98 @@ def test_stats_count_frame_bytes_in_both_directions(tmp_path):
     assert (stats["bytes_in"], stats["bytes_out"]) == (sent, received)
 
 
+def _read_reply(link) -> dict:
+    header = _recv_exact(link, protocol.HEADER.size)
+    return protocol.decode_body(_recv_exact(link, protocol.decode_length(header)))
+
+
+def test_a_segment_reaching_into_an_earlier_frames_bytes_is_refused(tmp_path, rng):
+    # a link's frames land in one reused buffer: a small frame whose
+    # reference points past its own end, into bytes a larger frame left
+    # there, must be judged on the bytes it brought
+    request = canonicalize(**SYMV)
+    a = rng.random((64, 64))
+    tensors = {"A": a + a.T, "x": rng.random(64)}
+    with running_daemon(tmp_path) as (server, sock):
+        link = _hostile_sock(sock)
+        try:
+            link.sendall(
+                protocol.encode_frame(
+                    {
+                        "op": "execute",
+                        "id": 1,
+                        "spec": protocol.spec_from_request(request),
+                        "tensors": protocol.encode_tensors(tensors),
+                    }
+                )
+            )
+            assert _read_reply(link)["ok"]
+            stale = {"dtype": "float64", "shape": [64, 64],
+                     "data": {protocol.SEGMENT: [0, a.nbytes]}}
+            head = json.dumps(
+                {"op": "execute", "id": 2,
+                 "spec": protocol.spec_from_request(request),
+                 "tensors": {"A": stale, "x": stale}}
+            ).encode()
+            body = protocol.HEADER.pack(len(head)) + head
+            link.sendall(protocol.HEADER.pack(len(body)) + body)
+            reply = _read_reply(link)
+            assert reply["error"] == protocol.BAD_REQUEST
+            assert "segment reference" in reply["detail"]
+            assert link.recv(1) == b""
+        finally:
+            link.close()
+        assert _daemon_still_serves(sock)
+
+
+def test_pipelined_executes_are_answered_in_order_and_bit_identical(tmp_path):
+    request = canonicalize(**SYMV)
+    kernel = KernelService().get_or_compile_request(request)
+    # the larger frame first: the second lands over its leftover bytes
+    sent = [_synth_inputs(kernel, 9), _synth_inputs(kernel, 6)]
+    frames = b"".join(
+        protocol.encode_frame(
+            {
+                "op": "execute",
+                "id": rid,
+                "spec": protocol.spec_from_request(request),
+                "tensors": protocol.encode_tensors(tensors),
+            }
+        )
+        for rid, tensors in enumerate(sent)
+    )
+    with running_daemon(tmp_path) as (server, sock):
+        link = _hostile_sock(sock)
+        try:
+            link.sendall(frames)  # both before either reply is read
+            replies = [_read_reply(link) for _ in sent]
+        finally:
+            link.close()
+    assert [reply["id"] for reply in replies] == [0, 1]
+    for reply, tensors in zip(replies, sent):
+        got = protocol.decode_tensor(reply["result"])
+        expected = np.asarray(kernel(**tensors))
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_a_zero_of_the_other_sign_misses_the_pool(tmp_path):
+    request = canonicalize(**SYMV)
+    kernel = KernelService().get_or_compile_request(request)
+    plus = dict(SYMV_TENSORS, x=np.array([0.0, 1.0, 2.0, 3.0]))
+    minus = dict(SYMV_TENSORS, x=np.array([-0.0, 1.0, 2.0, 3.0]))
+    assert plus["x"].tobytes() != minus["x"].tobytes()
+    sent = [plus, minus, minus, plus]
+    with running_daemon(tmp_path) as (server, sock):
+        client = ServiceClient(sock)
+        got = [client.execute(request, tensors) for tensors in sent]
+        client.close()
+    assert [reply["plan_pooled"] for _, reply in got] == [False, False, True, True]
+    for (result, _), tensors in zip(got, sent):
+        assert result.tobytes() == np.asarray(kernel(**tensors)).tobytes()
+    assert (server.plans.hits, server.plans.misses) == (2, 2)
+
+
 def test_mid_request_disconnect_leaves_daemon_serving(tmp_path):
     with running_daemon(tmp_path) as (server, sock):
         hostile = _hostile_sock(sock)
@@ -592,23 +685,117 @@ def test_kill9_mid_compile_then_clean_restart(tmp_path):
 # ---------------------------------------------------------------------------
 # the plan pool in isolation
 # ---------------------------------------------------------------------------
+class _StubKernel:
+    """Stands in for a compiled kernel: its plan is a tag of its inputs."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def execution_plan(self, **inputs):
+        return (self.name, inputs)
+
+
+def _x(value) -> dict:
+    return {"x": np.full(3, float(value))}
+
+
 def test_plan_pool_lru_and_busy_semantics():
     pool = PlanPool(capacity=2)
-    pool.put("a", "ka", "pa")
-    pool.put("b", "kb", "pb")
-    entry = pool.acquire("a")
-    assert entry[0] == "ka"
+    a, b, c = _x(1), _x(2), _x(3)
+    PlanPool.release(pool.admit("k", a, _StubKernel("ka")))
+    PlanPool.release(pool.admit("k", b, _StubKernel("kb")))
+    entry = pool.acquire("k", a)
+    assert entry.kernel.name == "ka"
+    # the entry owns a copy of what it was admitted with
+    assert not np.shares_memory(entry.inputs["x"], a["x"])
+    assert entry.plan == ("ka", entry.inputs)
     # while "a" is busy, a duplicate acquire runs unpooled
-    assert pool.acquire("a") is None
-    pool.put("c", "kc", "pc")  # evicts the idle "b", never the busy "a"
-    assert pool.acquire("b") is None
+    assert pool.acquire("k", a) is None
+    PlanPool.release(pool.admit("k", c, _StubKernel("kc")))  # evicts the idle "b"
+    assert pool.acquire("k", b) is None
     PlanPool.release(entry)
-    assert pool.acquire("a") is not None
+    assert pool.acquire("k", a) is not None
     assert len(pool) == 2
+    assert (pool.hits, pool.misses) == (2, 2)
+
+
+def test_plan_pool_eviction_skips_busy_entries():
+    pool = PlanPool(capacity=2)
+    a, b, c, d = _x(1), _x(2), _x(3), _x(4)
+    held = pool.admit("k", a, _StubKernel("ka"))  # admitted borrowed
+    PlanPool.release(pool.admit("k", b, _StubKernel("kb")))
+    # "a" is the least recently used entry but busy: "b" goes instead
+    PlanPool.release(pool.admit("k", c, _StubKernel("kc")))
+    assert pool.acquire("k", b) is None
+    PlanPool.release(held)
+    # LRU order: "c" was admitted after "a", then "a" is borrowed again
+    PlanPool.release(pool.acquire("k", a))
+    PlanPool.release(pool.admit("k", d, _StubKernel("kd")))  # evicts "c"
+    assert pool.acquire("k", c) is None
+    assert [pool.acquire("k", t).kernel.name for t in (a, d)] == ["ka", "kd"]
+
+
+def test_plan_pool_matches_key_names_dtypes_and_shapes_exactly():
+    pool = PlanPool(capacity=8)
+    PlanPool.release(pool.admit("k", _x(0), _StubKernel("k")))
+    for key, tensors in [
+        ("other", _x(0)),
+        ("k", {"y": np.zeros(3)}),
+        ("k", {"x": np.zeros(3, dtype=np.float32)}),
+        ("k", {"x": np.zeros(4)}),
+        ("k", {"x": np.array([0.0, -0.0, 0.0])}),  # one zero's sign
+    ]:
+        assert pool.acquire(key, tensors) is None, (key, tensors)
+    assert pool.acquire("k", _x(0)) is not None
 
 
 def test_plan_pool_capacity_zero_disables():
     pool = PlanPool(capacity=0)
-    pool.put("a", "k", "p")
-    assert pool.acquire("a") is None
+    a = _x(1)
+    entry = pool.admit("k", a, _StubKernel("k"))
+    assert entry.inputs["x"] is a["x"]  # never pooled, so never copied
+    PlanPool.release(entry)
+    assert pool.acquire("k", a) is None
     assert len(pool) == 0
+
+
+def test_plan_pool_never_lends_one_entry_twice():
+    # more threads than cores, switching every microsecond: an entry is
+    # borrowed by one thread at a time, matches the bytes it was asked
+    # for, and every lookup is counted once
+    pool = PlanPool(capacity=3)
+    inputs = [_x(v) for v in range(5)]
+    holders: dict = {}
+    guard = threading.Lock()
+    errors = []
+
+    def worker(seed):
+        for step in range(300):
+            tensors = inputs[(seed * 7 + step) % len(inputs)]
+            entry = pool.acquire("k", tensors)
+            if entry is None:
+                entry = pool.admit("k", tensors, _StubKernel("k"))
+            with guard:
+                if id(entry) in holders:
+                    errors.append("entry lent twice")
+                holders[id(entry)] = seed
+            if entry.inputs["x"].tobytes() != tensors["x"].tobytes():
+                errors.append("entry holds other bytes")
+            with guard:
+                del holders[id(entry)]
+            PlanPool.release(entry)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert pool.hits + pool.misses == 8 * 300
+    assert len(pool) <= 3

@@ -9,6 +9,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import CompilerOptions
 from repro.serve import protocol
@@ -166,6 +168,46 @@ def test_references_are_judged_without_touching_segment_bytes():
     blob = protocol.decode_body(body)["blob"]
     body[-4:] = b"wxyz"
     assert bytes(blob) == b"wxyz"
+
+
+#: the segment area of the property test below.
+ROOM = 256
+
+#: references into it: overlapping and unaligned by construction, with
+#: the edges (empty, ending at the last byte, one byte past it) forced in
+_refs = st.one_of(
+    st.tuples(st.integers(0, ROOM + 1), st.integers(0, ROOM + 1)),
+    st.sampled_from(
+        [(0, 0), (ROOM, 0), (ROOM, 1), (ROOM - 1, 1), (ROOM - 1, 2),
+         (0, ROOM), (0, ROOM + 1), (1, ROOM)]
+    ),
+)
+
+
+@given(refs=st.lists(_refs, min_size=1, max_size=6), slack=st.integers(0, 300))
+@settings(max_examples=300, deadline=None)
+def test_segment_references_stay_inside_the_received_body(refs, slack):
+    """``decode_body`` either returns views within the bytes received or
+    raises ``ProtocolError`` — also when the body sits at the front of a
+    larger buffer whose tail still holds an earlier frame's bytes."""
+    area = bytes(i % 251 for i in range(ROOM))
+    body = forge({"blobs": [seg(o, n) for o, n in refs]}, area)
+    buffer = bytearray(body) + b"\xff" * slack
+    base = len(body) - ROOM
+    try:
+        blobs = protocol.decode_body(memoryview(buffer)[: len(body)])["blobs"]
+    except ProtocolError as exc:
+        assert "segment reference" in str(exc)
+        assert any(o + n > ROOM for o, n in refs)
+        return
+    assert all(o + n <= ROOM for o, n in refs)
+    start = np.frombuffer(buffer, dtype=np.uint8).ctypes.data
+    for (o, n), blob in zip(refs, blobs):
+        assert isinstance(blob, memoryview) and blob.nbytes == n
+        assert bytes(blob) == area[o : o + n]
+        if n:
+            at = np.frombuffer(blob, dtype=np.uint8).ctypes.data - start
+            assert at == base + o and at + n <= len(body)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,14 @@ JSON head per request, bytes of frame per byte of tensor, bytes allocated
 while encoding / decoding, calls into ``base64`` — and the one copy the
 daemon must still make (the result, before its plan goes back to the
 pool).  A reintroduced text encoding fails here without a threshold on
-anyone's clock.
+anyone's clock; so does a daemon that hashes payloads again, or that
+allocates a fresh buffer for each frame it receives.
 """
 
 from __future__ import annotations
 
 import base64
+import socket
 import tracemalloc
 
 import numpy as np
@@ -23,7 +25,7 @@ from repro.serve import client as serve_client
 from repro.serve import daemon as serve_daemon
 from repro.serve import protocol
 from repro.serve.client import ServiceClient
-from repro.serve.daemon import KernelServer, _execute_digest
+from repro.serve.daemon import KernelServer
 from repro.service.engine import KernelService
 from repro.service.keys import canonicalize
 
@@ -109,8 +111,8 @@ def test_result_is_copied_out_before_the_plan_returns_to_the_pool(tmp_path):
         b = protocol.decode_tensor(second["result"])
         # the next borrower scribbles over the plan's reusable buffer
         # while both replies still wait to be framed
-        entry = server.plans.acquire(_execute_digest(request.key, tensors))
-        out = entry[1]()
+        entry = server.plans.acquire(request.key, tensors)
+        out = entry.plan()
         assert not np.shares_memory(a, out) and not np.shares_memory(b, out)
         assert not np.shares_memory(a, b)
         out[...] = -1.0
@@ -138,3 +140,50 @@ def test_pooled_plans_answer_each_request_with_its_own_result(tmp_path):
     for tensors, result, _ in results:  # checked after every later reply
         assert np.array_equal(result, expected[id(tensors)])
     assert server.errors == 0
+
+
+def test_the_daemon_hashes_no_payload():
+    # pooled plans are matched by comparing bytes, not by a digest
+    for module in (protocol, serve_client, serve_daemon):
+        assert not hasattr(module, "hashlib"), module.__name__
+
+
+def test_a_warm_connection_answers_a_1mib_execute_in_under_64kib(tmp_path, rng):
+    """Received into the link's reused buffer, matched in the pool by
+    comparing bytes in bounded steps, answered: no step allocates a
+    frame-sized buffer (a fresh one per frame costs ~300 page faults)."""
+    request = canonicalize(**SYMV)
+    # 1 MiB of dense bytes, 363 nonzeros: the kernel itself costs nothing
+    tensors = {"A": np.diag(rng.random(363)), "x": rng.random(363)}
+    frame = protocol.encode_frame(
+        {
+            "op": "execute",
+            "id": 1,
+            "spec": protocol.spec_from_request(request),
+            "tensors": protocol.encode_tensors(tensors),
+        }
+    )
+    assert len(frame) > MIB
+    reply = bytearray(64 * 1024)
+
+    def exchange(link) -> dict:
+        link.sendall(frame)
+        view, got = memoryview(reply), 0
+        while got < H or got < H + int.from_bytes(reply[:H], "big"):
+            n = link.recv_into(view[got:])
+            assert n, "daemon closed the link"
+            got += n
+        return protocol.decode_body(view[H:got])
+
+    with running_daemon(tmp_path) as (server, sock):
+        link = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        link.settimeout(30.0)
+        try:
+            link.connect(sock)
+            warm = [exchange(link)["plan_pooled"] for _ in range(2)]
+            answer, peak = allocated(lambda: exchange(link))
+        finally:
+            link.close()
+    assert warm == [False, True]
+    assert answer["ok"] and answer["plan_pooled"], answer
+    assert peak < 64 * 1024, peak
