@@ -32,7 +32,8 @@ shared services first:
   frames answer ``bad-request``/close without allocating; a started
   frame that stalls (slowloris) is cut off after ``read_timeout``
   seconds (30).  Each connection receives its frames into one buffer
-  that it reuses and only grows, up to ``$REPRO_SERVE_MAX_FRAME``.
+  that it reuses, up to ``$REPRO_SERVE_MAX_FRAME``; between frames it
+  keeps at most ``_KEEP_BYTES`` (2 MiB).
 
 Fault-injection points (:mod:`repro.faults`): ``wire.accept``,
 ``wire.read``, ``wire.write`` and ``serve.handler`` make every failure
@@ -87,7 +88,10 @@ class PlanPool:
     whose inputs equal the request's byte for byte (``-0.0`` and ``0.0``
     differ, as a kernel's result bits may).  Plans are not thread-safe,
     so each entry carries a busy flag: a concurrent duplicate request
-    runs unpooled rather than waiting.
+    runs unpooled rather than waiting.  An evicted entry stays busy for
+    good, so no lookup can borrow it, and its inputs take the copy of the
+    next entry of its signature: a pool that misses on every request (a
+    new operand per call) allocates nothing in steady state.
     """
 
     def __init__(self, capacity: int):
@@ -102,17 +106,20 @@ class PlanPool:
         if self.capacity <= 0:
             return None
         signature = _signature(key, tensors)
+        # smallest first: a request that shares a large operand with the
+        # entries (one matrix, a new vector per call) is told apart by its
+        # small one without walking the large one
+        order = sorted(tensors, key=lambda name: tensors[name].nbytes)
         with self._lock:
             candidates = [
                 e for e in reversed(self._entries) if e.signature == signature
             ]
         for entry in candidates:
             if not entry.busy.acquire(blocking=False):
-                continue  # in use: a duplicate runs unpooled
-            if all(_same_bytes(entry.inputs[n], a) for n, a in tensors.items()):
+                continue  # in use (or evicted): a duplicate runs unpooled
+            if all(_same_bytes(entry.inputs[n], tensors[n]) for n in order):
                 with self._lock:
-                    if entry in self._entries:  # not evicted meanwhile
-                        self._entries.move_to_end(entry)
+                    self._entries.move_to_end(entry)
                     self.hits += 1
                 return entry
             entry.busy.release()
@@ -123,25 +130,40 @@ class PlanPool:
     def admit(self, key: str, tensors, kernel) -> _Pooled:
         """A borrowed entry running *kernel* over *tensors*: pooled, over
         a private copy of them, unless the pool is off."""
-        if self.capacity > 0:
-            tensors = {n: np.array(a, order="C") for n, a in tensors.items()}
+        signature = _signature(key, tensors)
+        pooled = self.capacity > 0
+        if pooled:
+            with self._lock:
+                spare = self._evict(self.capacity - 1, signature)
+            tensors = {
+                n: _copy_into(a, None if spare is None else spare[n])
+                for n, a in tensors.items()
+            }
         entry = _Pooled(
-            _signature(key, tensors), tensors, kernel,
-            kernel.execution_plan(**tensors),
+            signature, tensors, kernel, kernel.execution_plan(**tensors)
         )
         entry.busy.acquire()
-        if self.capacity > 0:
+        if pooled:
             with self._lock:
                 self._entries[entry] = None
-                while len(self._entries) > self.capacity:
-                    # evict the least-recently-used idle entry
-                    for old in self._entries:
-                        if not old.busy.locked():
-                            del self._entries[old]
-                            break
-                    else:
-                        break  # every entry busy: over-capacity transiently
+                self._evict(self.capacity, None)  # concurrent admits
         return entry
+
+    def _evict(self, keep: int, signature) -> Optional[dict]:
+        """Evict least-recently-used idle entries until at most *keep*
+        remain (fewer than that may stay busy); return the inputs of one
+        evicted entry of *signature*, for reuse.  Holds the pool lock."""
+        spare = None
+        while len(self._entries) > keep:
+            for old in self._entries:
+                if old.busy.acquire(blocking=False):  # never released
+                    del self._entries[old]
+                    break
+            else:
+                break  # every entry busy: over capacity transiently
+            if spare is None and old.signature == signature:
+                spare = old.inputs
+        return spare
 
     @staticmethod
     def release(entry: _Pooled) -> None:
@@ -158,30 +180,48 @@ def _signature(key: str, tensors) -> tuple:
     )
 
 
-#: words :func:`_same_bytes` compares per step (128 KiB of uint64).
+def _copy_into(a: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    """A C-ordered copy of *a*, written into *out* (same dtype and shape)
+    when given."""
+    if out is None:
+        out = np.empty_like(a, order="C")
+    np.copyto(out, a)
+    return out
+
+
+#: words :func:`_same_bytes` compares in its first step; each later step
+#: doubles, up to :data:`_COMPARE_WORDS`
+_FIRST_WORDS = 1 << 9
+#: the most words :func:`_same_bytes` compares per step (128 KiB of uint64)
 _COMPARE_WORDS = 1 << 14
 
 
 def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     """Do *a* and *b* (one dtype and shape) hold the same bytes?
 
-    Walked in bounded steps that stop at the first difference, so no
-    full-size temporary is made.
+    Walked in steps that start small and double up to a bound, stopping
+    at the first difference: an early difference costs one small step,
+    and no full-size temporary is made.
     """
     x = a.reshape(-1).view(np.uint8)
     y = b.reshape(-1).view(np.uint8)
     if x.size % 8 == 0:
         x, y = x.view(np.uint64), y.view(np.uint64)
     scratch = np.empty(min(x.size, _COMPARE_WORDS), dtype=bool)
-    for at in range(0, x.size, _COMPARE_WORDS):
-        n = min(_COMPARE_WORDS, x.size - at)
+    at, step = 0, _FIRST_WORDS
+    while at < x.size:
+        n = min(step, x.size - at)
         if np.not_equal(x[at : at + n], y[at : at + n], out=scratch[:n]).any():
             return False
+        at, step = at + n, min(2 * step, _COMPARE_WORDS)
     return True
 
 
 #: the smallest buffer a lingering connection discards input into.
 _LINGER_BYTES = 4096
+#: the largest receive buffer a connection keeps between frames; one a
+#: larger frame needed is dropped once that frame is answered
+_KEEP_BYTES = 2 << 20
 
 
 class _Connection(asyncio.BufferedProtocol):
@@ -189,10 +229,13 @@ class _Connection(asyncio.BufferedProtocol):
 
     A frame's 4-byte length is validated before anything is allocated;
     the transport then writes the body straight into one buffer that the
-    link reuses across frames and only grows, never past the frame
-    limit.  Reading pauses once a frame is in and resumes when its reply
-    has been written, so the views a frame decodes into stay valid while
-    it is handled, and pipelined frames are answered in order.
+    link reuses across frames, never past the frame limit.  The buffer
+    grows to the largest frame so far, but one over ``_KEEP_BYTES`` is
+    dropped once its frame is answered, so an idle link holds at most
+    that much.  Reading pauses once a frame is in and resumes when its
+    reply has been written, so the read-only views a frame decodes into
+    stay valid while it is handled, and pipelined frames are answered in
+    order.
     """
 
     def __init__(self, server: "KernelServer"):
@@ -292,13 +335,22 @@ class _Connection(asyncio.BufferedProtocol):
             frame.set_result(outcome)
 
     async def receive(self) -> Optional[memoryview]:
-        """The next frame's body, a view of :attr:`buffer`; ``None`` once
-        the peer is gone."""
+        """The next frame's body, a read-only view of :attr:`buffer`;
+        ``None`` once the peer is gone."""
         length = await self._frame
-        return None if length is None else memoryview(self.buffer)[:length]
+        if length is None:
+            return None
+        return memoryview(self.buffer)[:length].toreadonly()
+
+    def drop_buffer(self) -> None:
+        """Receive the next frame into a new buffer: the views of the last
+        one stay valid for whoever still holds them."""
+        self.buffer = np.empty(0, dtype=np.uint8)
 
     def next_frame(self) -> None:
         """The last frame is answered: let the next one in."""
+        if self.buffer.size > _KEEP_BYTES:
+            self.drop_buffer()
         self._length, self._filled = None, 0
         self._frame = asyncio.get_running_loop().create_future()
         if self._lost:
@@ -516,32 +568,7 @@ class KernelServer:
     async def _serve(self, conn: _Connection) -> None:
         """One connection's frames, answered in order."""
         try:
-            while True:
-                fault = faults.poll("wire.read")
-                if fault is not None:
-                    if fault.action == "slow":
-                        await asyncio.sleep(fault.arg_float(0.05))
-                    else:
-                        raise ConnectionResetError("injected: wire.read failure")
-                try:
-                    body = await conn.receive()
-                    if body is None:
-                        break  # EOF, clean or torn: nothing to answer
-                    nbytes = protocol.HEADER.size + body.nbytes
-                    self.bytes_in += nbytes
-                    obs_metrics.inc("serve.bytes_in", nbytes)
-                    msg = protocol.decode_body(body)
-                except ProtocolError as exc:
-                    self.errors += 1
-                    obs_metrics.inc("serve.bad_frames")
-                    if await self._write_reply(
-                        conn, error_reply(None, protocol.BAD_REQUEST, str(exc))
-                    ):
-                        await conn.linger()
-                    break  # framing may be desynchronized: drop the link
-                reply = await self._handle(msg)
-                if not await self._write_reply(conn, reply):
-                    break
+            while await self._answer(conn):
                 conn.next_frame()
         except asyncio.CancelledError:
             pass  # server shutdown cancelled this connection: done
@@ -549,6 +576,33 @@ class KernelServer:
             pass  # torn connection: nothing to answer
         finally:
             conn.transport.close()
+
+    async def _answer(self, conn: _Connection) -> bool:
+        """Receive, handle and answer one frame; ``False`` ends the link.
+        Nothing here outlives the call, so no view of the frame does."""
+        fault = faults.poll("wire.read")
+        if fault is not None:
+            if fault.action == "slow":
+                await asyncio.sleep(fault.arg_float(0.05))
+            else:
+                raise ConnectionResetError("injected: wire.read failure")
+        try:
+            body = await conn.receive()
+            if body is None:
+                return False  # EOF, clean or torn: nothing to answer
+            nbytes = protocol.HEADER.size + body.nbytes
+            self.bytes_in += nbytes
+            obs_metrics.inc("serve.bytes_in", nbytes)
+            msg = protocol.decode_body(body)
+        except ProtocolError as exc:
+            self.errors += 1
+            obs_metrics.inc("serve.bad_frames")
+            if await self._write_reply(
+                conn, error_reply(None, protocol.BAD_REQUEST, str(exc))
+            ):
+                await conn.linger()
+            return False  # framing may be desynchronized: drop the link
+        return await self._write_reply(conn, await self._handle(msg, conn))
 
     async def _write_reply(self, conn: _Connection, reply: dict) -> bool:
         fault = faults.poll("wire.write")
@@ -582,7 +636,7 @@ class KernelServer:
     # ------------------------------------------------------------------
     # request dispatch
     # ------------------------------------------------------------------
-    async def _handle(self, msg: dict) -> dict:
+    async def _handle(self, msg: dict, conn: _Connection) -> dict:
         rid = msg.get("id")
         op = msg.get("op")
         self.requests += 1
@@ -624,6 +678,9 @@ class KernelServer:
                     raise FaultError(fault)
             return await self._execute_op(msg, rid, self._request_deadline(msg))
         except asyncio.TimeoutError:
+            # the abandoned worker still reads this frame's tensors: the
+            # next frame must not land on them
+            conn.drop_buffer()
             self.deadline_timeouts += 1
             obs_metrics.inc("serve.deadline_timeouts")
             return error_reply(
@@ -667,10 +724,8 @@ class KernelServer:
         self, msg: dict, rid, deadline: Optional[float]
     ) -> dict:
         request = protocol.request_from_spec(msg.get("spec"))
-        # views of the connection's receive buffer; the plan pool copies
-        # what it keeps.  A worker a deadline abandons may go on reading
-        # them while the next frame lands: only its unsent reply can be
-        # wrong, since what it pools is built over its own copy
+        # read-only views of the connection's receive buffer; the plan
+        # pool copies what it keeps
         tensors = protocol.decode_tensors(msg.get("tensors"))
         loop = asyncio.get_running_loop()
         payload = await self._bounded(

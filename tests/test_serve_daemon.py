@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,9 @@ import pytest
 from repro import faults
 from repro.cli import _synth_inputs
 from repro.core.config import CompilerOptions
+from repro.serve import daemon as serve_daemon
 from repro.serve import protocol
-from repro.serve.client import RemoteUnavailable, ServiceClient
+from repro.serve.client import RemoteReplyError, RemoteUnavailable, ServiceClient
 from repro.serve.daemon import KernelServer, PlanPool, probe_socket
 from repro.service.engine import KernelService
 from repro.service.keys import canonicalize
@@ -470,6 +472,45 @@ def test_a_zero_of_the_other_sign_misses_the_pool(tmp_path):
     assert (server.plans.hits, server.plans.misses) == (2, 2)
 
 
+def test_an_abandoned_worker_keeps_reading_its_own_frame(tmp_path):
+    # a deadline abandons the worker, not its thread: the next frame on
+    # the link must land in another buffer than the one it still reads
+    request = canonicalize(**SYMV)
+    first = dict(SYMV_TENSORS, x=np.array([1.0, 1.0, 1.0, 1.0]))
+    second = dict(SYMV_TENSORS, x=np.array([2.0, 2.0, 2.0, 2.0]))
+    resume = threading.Event()
+    seen = []
+    with running_daemon(tmp_path) as (server, sock):
+        real = server._execute
+
+        def execute(request, tensors):
+            if tensors["x"][0] == 1.0:
+                before = tensors["x"].tobytes()
+                resume.wait(10.0)
+                x = tensors["x"]
+                seen.append((x.flags.writeable, x.tobytes() == before))
+            return real(request, tensors)
+
+        server._execute = execute
+        client = ServiceClient(sock)
+        try:
+            with pytest.raises(RemoteReplyError) as info:
+                client.execute(request, first, deadline=0.2)
+            assert info.value.code == protocol.DEADLINE
+            # the same layout (deadline_s of one length), so its x lands
+            # where the first frame's x was
+            result, _ = client.execute(request, second, deadline=9.0)
+        finally:
+            resume.set()
+            client.close()
+        deadline = time.monotonic() + 10.0
+        while not seen and time.monotonic() < deadline:
+            time.sleep(0.01)
+    assert seen == [(False, True)]  # read-only, and never overwritten
+    kernel = KernelService().get_or_compile_request(request)
+    assert result.tobytes() == np.asarray(kernel(**second)).tobytes()
+
+
 def test_mid_request_disconnect_leaves_daemon_serving(tmp_path):
     with running_daemon(tmp_path) as (server, sock):
         hostile = _hostile_sock(sock)
@@ -757,6 +798,49 @@ def test_plan_pool_capacity_zero_disables():
     PlanPool.release(entry)
     assert pool.acquire("k", a) is None
     assert len(pool) == 0
+
+
+def test_plan_pool_tells_a_new_vector_apart_without_walking_the_matrix(
+    monkeypatch,
+):
+    # one matrix, a new vector per call: every pooled entry shares the
+    # matrix, so a miss must be decided on the vector alone
+    pool = PlanPool(capacity=8)
+    A = np.ones((256, 256))
+    for v in range(8):
+        tensors = {"A": A, "x": np.full(256, float(v))}
+        PlanPool.release(pool.admit("k", tensors, _StubKernel("k")))
+    walked = []
+    same_bytes = serve_daemon._same_bytes
+    monkeypatch.setattr(
+        serve_daemon,
+        "_same_bytes",
+        lambda a, b: walked.append(a.nbytes) or same_bytes(a, b),
+    )
+    assert pool.acquire("k", {"A": A, "x": np.full(256, 8.0)}) is None
+    assert walked == [256 * 8] * 8
+
+
+def test_plan_pool_copies_a_miss_into_an_evicted_entrys_storage():
+    pool = PlanPool(capacity=2)
+    A = np.ones((256, 256))
+    first = pool.admit("k", {"A": A, "x": _x(1)["x"]}, _StubKernel("k"))
+    kept = first.inputs["A"]
+    PlanPool.release(first)
+    PlanPool.release(pool.admit("k", {"A": A, "x": _x(2)["x"]}, _StubKernel("k")))
+    tracemalloc.start()
+    try:
+        third = pool.admit("k", {"A": A, "x": _x(3)["x"]}, _StubKernel("k"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert third.inputs["A"] is kept  # the evicted first entry's copy
+    assert peak < A.nbytes // 4, peak
+    assert np.array_equal(third.inputs["x"], _x(3)["x"])
+    PlanPool.release(third)
+    # the evicted entry stays borrowed: no lookup reaches it again
+    assert pool.acquire("k", {"A": A, "x": _x(1)["x"]}) is None
+    assert first.busy.locked()
 
 
 def test_plan_pool_never_lends_one_entry_twice():

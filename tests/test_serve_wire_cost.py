@@ -187,3 +187,44 @@ def test_a_warm_connection_answers_a_1mib_execute_in_under_64kib(tmp_path, rng):
     assert warm == [False, True]
     assert answer["ok"] and answer["plan_pooled"], answer
     assert peak < 64 * 1024, peak
+
+
+def test_an_idle_link_keeps_no_buffer_of_a_large_frame_it_answered(tmp_path, rng):
+    """A frame over the kept size is received, answered (here with an
+    error), and then released: an idle link pins no frame-sized pages."""
+    big = {"A": rng.random((512, 768)), "x": rng.random(768)}  # 3 MiB
+    frame = protocol.encode_frame(
+        {
+            "op": "execute",
+            "id": 1,
+            "spec": {"einsum": "not an einsum"},
+            "tensors": protocol.encode_tensors(big),
+        }
+    )
+    health = protocol.encode_frame({"op": "health", "id": 2})
+
+    def exchange(link, frame) -> dict:
+        link.sendall(frame)
+        header = b""
+        while len(header) < H:
+            header += link.recv(H - len(header))
+        length, body = protocol.decode_length(header), b""
+        while len(body) < length:
+            body += link.recv(length - len(body))
+        return protocol.decode_body(body)
+
+    with running_daemon(tmp_path) as (server, sock):
+        link = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        link.settimeout(30.0)
+        tracemalloc.start()
+        try:
+            link.connect(sock)
+            assert exchange(link, frame)["error"] == protocol.BAD_REQUEST
+            # answered after the large frame's buffer was let go
+            assert exchange(link, health)["ok"]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            link.close()
+    assert held < 256 * 1024, held
+    assert len(frame) > serve_daemon._KEEP_BYTES
