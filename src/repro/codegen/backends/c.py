@@ -17,9 +17,15 @@ each dense array and the output additionally pass an ``int64_t`` extent
 vector so the C side can flatten multi-dimensional subscripts without
 baking shapes into the code.  A trailing ``int64_t repro_nthreads``
 carries the runtime thread count.  float32 kernels round every float
-literal to ``float`` at its point of use and call ``fminf``/``fmaxf``,
-mirroring numpy's weak-scalar promotion so both precisions stay
-bit-identical to the Python backend.
+literal to ``float`` at its point of use, mirroring numpy's weak-scalar
+promotion so both precisions stay bit-identical to the Python backend.
+
+The translation unit includes only ``<stdint.h>`` and ``<stddef.h>`` and
+declares the three allocator functions it calls.  A source that reduces
+by min/max gets ``static inline`` ``rp_fmin``/``rp_fmax`` (``rp_fminf``/
+``rp_fmaxf`` for float32): ``b < a ? b : a`` and ``b > a ? b : a``,
+Python's ``min``/``max`` on ±0 ties and NaN operands, where libm's
+``fmin``/``fmax`` are not; an infinite literal is ``__builtin_inff()``.
 
 Phases decide, this module prints
 ---------------------------------
@@ -60,6 +66,7 @@ picks the object (the wide one is built on first need).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.codegen import loopir as ir
@@ -81,14 +88,16 @@ _C_KEYWORDS = frozenset(
     float for goto if inline int long register restrict return short signed
     sizeof static struct switch typedef union unsigned void volatile while
     _Bool _Complex _Imaginary out out_dims kernel INFINITY threads
-    repro_nthreads rp_i
-    rp_p0 rp_p1 repro_nest_sec repro_nest_calls
+    malloc calloc free repro_nthreads repro_nest_sec repro_nest_calls
     repro_profile_nests repro_profile_calls
     repro_profile_reset repro_profile_read repro_openmp
-    rp_index RP_INDEX repro_index_bytes
-    pv_all pv_out pv_total pv_team pv_k pv_s pv_b
-    rp_status rp_oom rp_tb rp_thi rp_tile rp_nb rp_cap rp_vb""".split()
+    RP_INDEX repro_index_bytes
+    pv_all pv_out pv_total pv_team pv_k pv_s pv_b""".split()
 )
+
+#: every generated helper name and block-scope local starts with it
+#: (``rp_status``, ``rp_vb``, ``rp_fmin``, the staged ``rp_<array>``...)
+_RESERVED_PREFIX = "rp_"
 
 #: the one declaration of the index type of every ``pos``/``idx`` pointer,
 #: printed after the includes (the wide object is built with
@@ -104,6 +113,26 @@ INDEX_DECLARATION = (
 
 #: element loop variable for vectorized statements.
 _V = "_v"
+
+#: the allocator functions every kernel may call, declared rather than
+#: included: ``<stdlib.h>`` and ``<math.h>`` cost ``cc`` time, not code.
+_ALLOCATORS = (
+    "void *malloc(size_t);",
+    "void *calloc(size_t, size_t);",
+    "void free(void *);",
+)
+
+#: the min/max helpers a min/max reduction calls: Python's ``min(a, b)``
+#: is ``b`` only when ``b < a`` (``max``: ``b > a``), so ±0 ties keep the
+#: accumulator and a NaN never replaces a number, as in the Python
+#: backend's scalar updates; x86 ``minsd``/``maxsd`` compute exactly this.
+_MINMAX = {"min": "<", "max": ">"}
+
+
+def _minmax_helper(name: str, elem: str, op: str) -> str:
+    return "static inline %s %s(%s a, %s b) { return b %s a ? b : a; }" % (
+        elem, name, elem, elem, _MINMAX[op]
+    )
 
 
 def _c_float(value: float) -> str:
@@ -148,7 +177,7 @@ class _Renderer:
         # float32 kernels also round every float literal to float at the
         # point of use (matching numpy's weak-scalar promotion, so the C
         # arithmetic is bit-identical to the Python backend's) and call
-        # the single-precision fminf/fmaxf.
+        # the single-precision rp_fminf/rp_fmaxf.
         if lowered.dtype == "float32":
             self.elem = "float"
             self._fp_suffix = "f"
@@ -169,6 +198,8 @@ class _Renderer:
         self._parallel_ctx: Optional[ir.Parallel] = None
         self._tile_ctx: Optional[ir.Tiled] = None
         self._blocked = False
+        #: min/max helper name -> reduce op, for the ones the code calls
+        self._minmax: Dict[str, str] = {}
 
         program = lowered.program
         #: storage tag of every local — decided by the nodes, read here
@@ -187,7 +218,11 @@ class _Renderer:
             self.vlen = None
 
         names = set(self.types) | {a.name for a in program.args}
-        bad = sorted(n for n in names if n in _C_KEYWORDS or n == _V)
+        bad = sorted(
+            n
+            for n in names
+            if n in _C_KEYWORDS or n == _V or n.startswith(_RESERVED_PREFIX)
+        )
         if bad:
             raise CRenderError("names collide with a C identifier: %s" % bad)
         clash = sorted(
@@ -209,12 +244,21 @@ class _Renderer:
         for stmt in self.lowered.program.preamble:
             self._stmt(stmt, 1)
         slots = 0  # one repro_nest_sec slot per top-level for nest
-        for stmt in state.body:
-            if self.profile and for_nest(stmt) is not None:
-                self._emit_profiled_nest(stmt, slots, 1)
-                slots += 1
-            else:
-                self._stmt(stmt, 1)
+        # consecutive blocked nests share one staging of padded rows; a
+        # profiled nest is timed with its own
+        runs = groupby(
+            state.body, key=lambda s: isinstance(s, ir.Blocked) and not self.profile
+        )
+        for blocked, run in runs:
+            if blocked:
+                self._emit_blocked(list(run), 1)
+                continue
+            for stmt in run:
+                if self.profile and for_nest(stmt) is not None:
+                    self._emit_profiled_nest(stmt, slots, 1)
+                    slots += 1
+                else:
+                    self._stmt(stmt, 1)
         return self._assemble(state.body, slots)
 
     def _emit_profiled_nest(self, node, slot: int, ind: int) -> None:
@@ -265,31 +309,40 @@ class _Renderer:
             decls.append("    repro_nest_calls += 1;")
         names = sorted(self.types) + ([_V] if self.uses_vector else [])
         decls += ["    " + text for text in self._local_decls(names)]
-        for name, length in self.ws_alloc.items():
+        # a blocked nest's rows are block-local arrays, and a team body
+        # allocates its own: the heap rows are those of the serial nests
+        serial = [s.nest if isinstance(s, ir.Parallel) else s for s in body]
+        unblocked = [s for s in serial if not isinstance(s, ir.Blocked)]
+        used = ir.reads(unblocked) | ir.assigned(unblocked)
+        heap = [name for name in self.ws_alloc if name in used]
+        for name in heap:
             decls.append(
                 "    %s *%s = (%s *) malloc((size_t)(%s) * sizeof(%s));"
-                % (elem, name, elem, length, elem)
+                % (elem, name, elem, self.ws_alloc[name], elem)
             )
-        if self.ws_alloc:
+        if heap:
             # report allocation failure as a status instead of crashing
-            decls.append(
-                "    if (%s) {"
-                % " || ".join("!%s" % name for name in self.ws_alloc)
-            )
-            for name in self.ws_alloc:
+            decls.append("    if (%s) {" % " || ".join("!%s" % name for name in heap))
+            for name in heap:
                 decls.append("        free(%s);" % name)
             decls.append("        return 1;")
             decls.append("    }")
-        frees = ["    free(%s);" % name for name in self.ws_alloc]
+        frees = ["    free(%s);" % name for name in heap]
 
         header = [
             "/* generated by repro.codegen.backends.c%s */"
             % ((" [%s]" % self.label) if self.label else ""),
             "#include <stdint.h>",
-            "#include <stdlib.h>",
-            "#include <math.h>",
+            "#include <stddef.h>",
+            *_ALLOCATORS,
             *INDEX_DECLARATION,
         ]
+        if self._minmax:
+            header.append("")
+            header += [
+                _minmax_helper(name, elem, op)
+                for name, op in sorted(self._minmax.items())
+            ]
         if self.profile:
             header += [
                 "#include <time.h>",
@@ -330,7 +383,7 @@ class _Renderer:
         header += [
             "",
             "/* returns 0 on success, 1 when a runtime allocation failed",
-            "   (a workspace or a per-thread buffer) */",
+            "   (a workspace, a padded row copy or a per-thread buffer) */",
             "int64_t kernel(%s)" % (",\n               ".join(sig_parts)),
             "{",
         ]
@@ -446,8 +499,8 @@ class _Renderer:
         """
         elem = self.elem
         reduce_op = self.lowered.output.reduce_op
-        cfn = ("fmin" if reduce_op == "min" else "fmax") + self._fp_suffix
-        ident = "INFINITY" if reduce_op == "min" else "(-INFINITY)"
+        cfn = self._minmax_fn(reduce_op)
+        ident = "__builtin_inff()" if reduce_op == "min" else "(-__builtin_inff())"
         total = (
             " * ".join("out_dims[%d]" % d for d in range(self.out_ndim)) or "1"
         )
@@ -560,7 +613,7 @@ class _Renderer:
             # like tiling, serial emission only: an OpenMP body prints the
             # nest unblocked
             if self._parallel_ctx is None:
-                self._emit_blocked_nest(s, ind)
+                self._emit_blocked([s], ind)
             else:
                 self._stmt(s.nest, ind)
         elif isinstance(s, ir.Parallel):
@@ -675,23 +728,76 @@ class _Renderer:
         self._put(ind + 1, "}")
         self._put(ind, "}")
 
-    def _emit_blocked_nest(self, block: ir.Blocked, ind: int) -> None:
-        """The nest once per ``regblock.WIDTH``-wide vector block when the
-        extent is a multiple of the width, else unchanged."""
-        width = regblock.WIDTH
-        self._put(ind, "if (%s %% %d == 0) {" % (self.vlen, width))
-        self._put(ind + 1, "int64_t rp_vb;")
+    def _emit_blocked(self, nests: Sequence[ir.Blocked], ind: int) -> None:
+        """A run of blocked nests, each once per ``regblock.WIDTH``-wide
+        block of the vector axis, over rows padded to a multiple of the
+        width: the output and every row the run reads are copied into
+        zero-filled rows of stride ``rp_w`` when the extent is not a
+        multiple already (the printed shape is drawn in
+        :mod:`repro.codegen.passes.regblock`)."""
+        width, n, elem = regblock.WIDTH, self.vlen, self.elem
+        staged = [("out", self.out_ndim)] + [
+            (a.name, a.ndim) for a in regblock.staged(nests)
+        ]
+        padded = "if (rp_w != %s) {" % n
+
+        def rows(name: str, ndim: int) -> str:
+            dims = ["%s_dims[%d]" % (name, d) for d in range(ndim - 1)]
+            return " * ".join(dims) or "1"
+
+        def copy_rows(name: str, ndim: int, back: bool) -> str:
+            """Every row of *name* into its padded copy, or *back*."""
+            staged_row = "rp_%s + rp_r * rp_w" % name
+            row = "%s + rp_r * %s_dims[%d]" % (name, name, ndim - 1)
+            into, src = (row, staged_row) if back else (staged_row, row)
+            return (
+                "for (rp_r = 0; rp_r < %s; ++rp_r) { "
+                "__builtin_memcpy(%s, %s, (size_t) %s * sizeof(%s)); }"
+                % (rows(name, ndim), into, src, n, elem)
+            )
+
+        i1, i2, i3 = ind + 1, ind + 2, ind + 3
+        pointers = [
+            "*rp_%s = %s" % (name, "out" if name == "out" else "(%s *) %s" % (elem, name))
+            for name, _ in staged
+        ]
+        self._put(ind, "{")
         self._put(
-            ind + 1, "for (rp_vb = 0; rp_vb < %s; rp_vb += %d) {" % (self.vlen, width)
+            i1,
+            "int64_t rp_vb = 0, rp_r = 0, rp_w = (%s + %d) / %d * %d;"
+            % (n, width - 1, width, width),
+            "%s %s;" % (elem, ", ".join(pointers)),
+            padded,
         )
+        # one element more, so an empty copy is never a NULL return
+        self._put(
+            i2,
+            *[
+                "rp_%s = (%s *) calloc((size_t) (%s * rp_w + 1), sizeof(%s));"
+                % (name, elem, rows(name, ndim), elem)
+                for name, ndim in staged
+            ],
+            "if (%s) {" % " && ".join("rp_%s" % name for name, _ in staged),
+        )
+        self._put(i3, *[copy_rows(name, ndim, False) for name, ndim in staged])
+        self._put(i2, "} else {")
+        self._put(i3, "rp_status = 1;")
+        self._put(i2, "}")
+        self._put(i1, "}", "if (!rp_status) {")
         self._blocked = True
         try:
-            self._stmt(block.nest, ind + 2)
+            for block in nests:
+                self._put(i2, "for (rp_vb = 0; rp_vb < rp_w; rp_vb += %d) {" % width)
+                self._stmt(block.nest, i3)
+                self._put(i2, "}")
         finally:
             self._blocked = False
-        self._put(ind + 1, "}")
-        self._put(ind, "} else {")
-        self._stmt(block.nest, ind + 1)
+        self._put(i2, padded)
+        self._put(i3, copy_rows("out", self.out_ndim, True))
+        self._put(i2, "}")
+        self._put(i1, "}", padded)
+        self._put(i2, *["free(rp_%s);" % name for name, _ in staged])
+        self._put(i1, "}")
         self._put(ind, "}")
 
     def _row_len(self) -> str:
@@ -703,6 +809,14 @@ class _Renderer:
         """Subscript of element ``_v`` of an argument row (a workspace
         row is block-local, so always ``[_v]``)."""
         return "rp_vb + " + _V if self._blocked else _V
+
+    def _row_array(self, name: str, dims: str, ndim: int) -> Tuple[str, str]:
+        """The array an argument row is read from (written to, for the
+        output) and its row stride: a blocked nest's are the staged
+        ``rp_<name>`` rows of stride ``rp_w``."""
+        if self._blocked:
+            return "rp_" + name, "rp_w"
+        return name, "%s[%d]" % (dims, ndim - 1)
 
     def _simd_hint(self, ind: int) -> None:
         """An explicit vectorization promise on element-disjoint loops.
@@ -736,10 +850,16 @@ class _Renderer:
             return "%s[%s]" % (target.name, _V)
         return target.name
 
+    def _minmax_fn(self, op: str) -> str:
+        """The helper a min/max update calls, declared by :meth:`_assemble`."""
+        name = "rp_f%s%s" % (op, self._fp_suffix)
+        self._minmax[name] = op
+        return name
+
     def _reduce(self, s: ir.Reduce, ind: int) -> None:
         elt = self._elt(s.target)
         if s.op != "+":
-            cfn = ("fmin" if s.op == "min" else "fmax") + self._fp_suffix
+            cfn = self._minmax_fn(s.op)
             if s.row:
                 self._vector_loop(
                     ind, elt, "=", s.value, "%s(%s, %%s)" % (cfn, elt)
@@ -780,7 +900,7 @@ class _Renderer:
         """Flat index of an ``out[...]`` target's first element."""
         flat = self._flatten(target.coords, "out_dims")
         if target.row and target.coords:
-            return "(%s) * out_dims[%d]" % (flat, self.out_ndim - 1)
+            return "(%s) * %s" % (flat, self._row_array("out", "out_dims", self.out_ndim)[1])
         return flat
 
     def _out_target(self, target: ir.Out) -> str:
@@ -793,24 +913,26 @@ class _Renderer:
         if not target.row:
             return "%s[%s]" % (out, base)
         self.uses_vector = True
+        out = self._row_array(out, "out_dims", self.out_ndim)[0]
         if base == "0":
             return "%s[%s]" % (out, self._row_at())
         return "%s[%s + %s]" % (out, base, self._row_at())
 
-    def _dense_prefix(self, load: ir.Load) -> str:
-        """Flat row index of a dense load one coordinate short."""
+    def _dense_row(self, load: ir.Load) -> Tuple[str, str]:
+        """``(array, flat index of the row's first element)`` of a dense
+        load one coordinate short (index ``0`` for a whole vector)."""
         name = load.array.name
-        return "(%s) * %s_dims[%d]" % (
-            self._flatten([self._expr(c) for c in load.coords], "%s_dims" % name),
-            name,
-            load.array.ndim - 1,
-        )
+        dims = "%s_dims" % name
+        array, stride = self._row_array(name, dims, load.array.ndim)
+        if not load.coords:
+            return array, "0"
+        flat = self._flatten([self._expr(c) for c in load.coords], dims)
+        return array, "(%s) * %s" % (flat, stride)
 
     def _vec_pointer(self, load: ir.Load) -> str:
         """Pointer expression for a dense row / whole-vector value."""
-        if not load.coords:
-            return load.array.name
-        return "%s + %s" % (load.array.name, self._dense_prefix(load))
+        array, start = self._dense_row(load)
+        return array if start == "0" else "%s + %s" % (array, start)
 
     # -- expressions ---------------------------------------------------
     def _expr(self, e: ir.Expr, velt: bool = False) -> str:
@@ -827,9 +949,9 @@ class _Renderer:
             if isinstance(e.value, (bool, int)):
                 return str(int(e.value))
             if e.value == float("inf"):
-                return "INFINITY"
+                return "__builtin_inff()"
             if e.value == float("-inf"):
-                return "(-INFINITY)"
+                return "(-__builtin_inff())"
             return self._elem_const(e.value)
         if isinstance(e, ir.Load):
             return self._load(e, velt)
@@ -854,9 +976,10 @@ class _Renderer:
         if e.type == ir.ELEM:
             coords = [self._expr(c) for c in e.coords]
             return "%s[%s]" % (name, self._flatten(coords, "%s_dims" % name))
-        if not e.coords:
-            return "%s[%s]" % (name, self._row_at())
-        return "%s[%s + %s]" % (name, self._dense_prefix(e), self._row_at())
+        array, start = self._dense_row(e)
+        if start == "0":
+            return "%s[%s]" % (array, self._row_at())
+        return "%s[%s + %s]" % (array, start, self._row_at())
 
 
 @dataclass(frozen=True)

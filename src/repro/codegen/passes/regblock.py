@@ -1,50 +1,78 @@
 """Register blocking of row-valued nests over the vector index.
 
-Every row statement the renderer prints is its own element loop
-``for (_v = 0; _v < n_j; ++_v)`` with a run-time trip count, over
-``malloc``'d workspaces, so each partial sum (``ws0[_v] += t0 * t3[_v]``)
-makes a round trip through L1 for every nonzero the sparse walk visits.
-This pass wraps each top-level nest whose every update is row-valued in
-a :class:`~repro.codegen.loopir.Blocked` node, which the C printer
-emits as
+Every row statement the renderer prints is its own element loop over
+the vector index, so each partial sum (``ws0[_v] += t0 * t3[_v]``) makes
+a round trip through L1 for every nonzero the sparse walk visits, and an
+element loop whose trip count is the run-time extent ``n_j`` takes
+``gcc -O3`` far longer to compile than a fixed-16 one (the ``cc`` column
+of the table below).  This pass wraps each
+top-level nest whose every update is row-valued in a
+:class:`~repro.codegen.loopir.Blocked` node; the C printer emits a run
+of consecutive blocked nests as
 
 .. code-block:: c
 
-    if (n_j % 16 == 0) {
-        int64_t rp_vb;
-        for (rp_vb = 0; rp_vb < n_j; rp_vb += 16) {
-            /* the nest: every element loop 16 long, row reads at
-               [rp_vb + _v], and each row workspace a local double ws[16]
-               declared where its Init is */
+    {
+        int64_t rp_vb = 0, rp_r = 0, rp_w = (n_j + 15) / 16 * 16;
+        double *rp_out = out, *rp_B = (double *) B;
+        if (rp_w != n_j) {
+            /* one calloc per staged array, rows of stride rp_w; every
+               row copied in with __builtin_memcpy, or rp_status = 1 */
         }
-    } else {
-        /* the nest, unchanged */
+        if (!rp_status) {
+            for (rp_vb = 0; rp_vb < rp_w; rp_vb += 16) {
+                /* the nest: every element loop 16 long, row reads at
+                   t[rp_vb + _v] with t = rp_B + row * rp_w, each row
+                   workspace a local double ws[16] declared at its Init */
+            }
+            /* ... one rp_vb loop per nest of the run ... */
+            if (rp_w != n_j) {
+                /* the output rows copied back, n_j wide */
+            }
+        }
+        if (rp_w != n_j) {
+            /* the copies freed */
+        }
     }
 
-— Devito's ``_loop_blocking`` full block, with the remainder replaced by
-the whole unblocked nest, and its ``promote_scalar_expressions`` done by
-the compiler on the fixed-size local arrays.
+— Devito's ``_loop_blocking`` full block, with the remainder block
+padded instead of printed again, and its ``promote_scalar_expressions``
+done by the compiler on the fixed-size local arrays.  One nest is
+printed per vector extent: no element loop of a blocked nest has a
+run-time trip count, and no function-scope workspace is ``malloc``'d
+for it.  When the extent is a multiple of the width nothing is copied
+(``rp_out`` is ``out``).
+
+Staging.  The output and every dense array a nest reads rows of
+(:func:`staged`) get a zero-filled copy whose row stride is the padded
+extent ``rp_w``; rows are copied in and the output's rows back out with
+``__builtin_memcpy`` (a call, not an element loop for ``gcc`` to
+vectorize).  The executor and the caller-owned ``out`` contract are
+unchanged: padding lives and dies inside one kernel call.
 
 Matched nests (:func:`blockable`): a top-level ``for`` nest with no
-:class:`~repro.codegen.loopir.If` (orbit-guarded diagonal nests stay as
-they are) and no :class:`~repro.codegen.loopir.Tiled`, whose every
+:class:`~repro.codegen.loopir.Tiled`, whose every
+:class:`~repro.codegen.loopir.If` tests only the nest's own loop
+indices (the orbit guards of the diagonal nests: a guard that reads a
+value or a scalar workspace is not matched), whose every
 ``Init``/``Reduce`` is row-valued — so running it once per block repeats
-no scalar side effect — and whose workspaces are each initialised once,
-inside the nest, ahead of every use in the same scope, and used nowhere
-else (what makes a block-local array a faithful copy).
+no scalar side effect — whose rows are all bound inside it, and whose
+workspaces are each initialised once, inside the nest, ahead of every
+use in the same scope, and used nowhere else (what makes a block-local
+array a faithful copy).
 
 Bit-identity argument.  Every row access is at the element index (the
 argument of :mod:`~repro.codegen.passes.fuse`), so elements never
-interact: for each element ``v`` the blocked schedule performs the same
-operations on the same operands in the same order as the unblocked one,
-only interleaved differently with other elements'.  Bit-identical
-results, python / c / c@threads.
+interact: for each element ``v < n_j`` the blocked schedule performs the
+same operations on the same operands in the same order as the unblocked
+one, only interleaved differently with other elements'.  A guard reads
+only loop indices, so it takes the same branch in every block.  Padded
+lanes (``n_j <= v < rp_w``) read zeros and are never copied back.
+Bit-identical results, python / c / c@threads, at every extent.
 
-Width.  A constant, not a knob: the blocked branch runs only when the
-vector extent is a multiple of it, so any other extent runs exactly the
-unblocked code.  Measured on the ``kernel_steady`` inputs (rank 16, one
-pinned CPU, 30 alternating calls per kernel, generated C edited by hand,
-output bit-identical on every call):
+Width.  A constant, not a knob.  Measured on the ``kernel_steady``
+inputs when blocking first landed (rank 16, one pinned CPU, 30
+alternating calls per kernel, output bit-identical on every call):
 
 ==========  ===========  ===========  ========  =====================
 kernel      unblocked    blocked      speedup   over four sessions
@@ -57,8 +85,36 @@ ttm         2.63 ms      2.09 ms      1.26x     1.26-1.54x
 Ranks 32 and 48 gained 1.10-1.82x.  Shapes that lost: width 8 (two
 walks of the structure at rank 16, 1.01-1.12x); blocking only the
 innermost fiber loop (MTTKRP-4D 0.73x: its innermost fibers hold 1.75
-entries on average); one masked copy for any extent (0.30-0.43x); a
-remainder walk instead of the guard (MTTKRP-4D 0.80x at rank 24).
+entries on average); one masked copy for any extent (0.30-0.43x; a
+masked remainder block measured 3.4x and 2.4x slower at ranks 16 and 8);
+a remainder walk instead of the guard (MTTKRP-4D 0.80x at rank 24).
+
+One nest per extent, against the two-nest form it replaced (a fixed-16
+copy behind ``if (n_j % 16 == 0)``, else the whole nest at run-time
+width with unblocked diagonal nests): ``kernel_steady``'s inputs at
+seed 12 with the rank varied, both objects called on the same prepared
+arguments in one process, 30 alternating calls per rank on one pinned
+CPU of a 2-vCPU Xeon, output bit-identical on every call; median ms,
+two-nest → one nest.  The ``cc`` row is gcc 12.2 ``-O3 -march=native``,
+median of 7 alternating builds of each source:
+
+=====  ==================  ==================  ==================
+rank   mttkrp3d            mttkrp4d            ttm
+=====  ==================  ==================  ==================
+1      3.40 → 2.00         3.89 → 2.24         2.25 → 2.66
+4      3.62 → 2.52         4.02 → 2.12         2.56 → 3.28
+8      3.13 → 2.15         3.56 → 2.24         2.35 → 3.69
+12     5.11 → 2.37         5.20 → 2.18         4.56 → 4.16
+16     2.47 → 2.36         2.34 → 2.11         2.41 → 2.39
+24     5.93 → 4.89         9.05 → 4.46         6.02 → 9.39
+32     5.42 → 5.22         4.47 → 4.24         5.88 → 5.87
+cc     297 → 134 ms        523 → 235 ms        204 → 129 ms
+=====  ==================  ==================  ==================
+
+MTTKRP-5D builds in 425 ms instead of 1163, TTM-4D in 159 instead of
+277.  TTM pays for the padding off multiples of 16: its output has
+``n²`` rows (40 000 here), all staged, and its padded lanes double the
+output traffic at rank 8 (1.2-1.6x at ranks 1, 4, 8 and 24).
 
 The OpenMP team body prints the nest unblocked (as it does a ``Tiled``
 one); the MTTKRP/TTM nests it matches are ``+`` scatters, which get no
@@ -67,21 +123,29 @@ team body at all.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Sequence, Set
+from dataclasses import replace
+from typing import AbstractSet, Dict, Sequence, Set, Tuple
 
 from repro.codegen.loopir import (
     ROW,
     WS,
+    Array,
+    BinOp,
     Blocked,
     DenseLoop,
+    Expr,
     FiberLoop,
     If,
     Init,
+    Let,
+    Loop,
     LoopIR,
+    Load,
     Reduce,
     Stmt,
     assigned,
     children,
+    defines,
     local_types,
     reads,
     walk,
@@ -122,14 +186,46 @@ def blockable(nest, others: Sequence[Stmt], ws: AbstractSet[str]) -> bool:
     if not isinstance(nest, (DenseLoop, FiberLoop)):
         return False
     inner = list(walk([nest]))
-    if any(isinstance(s, If) for s in inner):
+    # a guard runs once per block, so it may test only the nest's own loop
+    # indices: never a value or a scalar workspace
+    indices = {name for s in inner if isinstance(s, Loop) for name, _ in defines(s)}
+    if any(
+        isinstance(s, If) and reads([replace(s, body=())]) - indices for s in inner
+    ):
         return False
     updates = [s for s in inner if isinstance(s, (Init, Reduce))]
     if not updates or not all(
         s.row if isinstance(s, Reduce) else s.ws.type == ROW for s in updates
     ):
         return False
+    # a row bound outside the nest would point into an unpadded array
+    outer_rows = {
+        s.var.name for s in walk(others) if isinstance(s, Let) and s.var.type == ROW
+    }
+    if outer_rows & (reads([nest]) - assigned([nest])):
+        return False
     return not (_names(others) & _names([nest]) & ws) and _scoped([nest], (), ws)
+
+
+def _row_arrays(expr: Expr, found: Dict[str, Array]) -> None:
+    if isinstance(expr, Load) and expr.type == ROW:
+        found[expr.array.name] = expr.array
+    elif isinstance(expr, BinOp):
+        for arg in expr.args:
+            _row_arrays(arg, found)
+
+
+def staged(nests: Sequence[Blocked]) -> Tuple[Array, ...]:
+    """The dense arrays *nests* read rows of, by name: what the printer
+    copies into padded rows when the vector extent is not a multiple of
+    :data:`WIDTH` (the output is always staged too)."""
+    found: Dict[str, Array] = {}
+    for s in walk(nests):
+        if isinstance(s, Let):
+            _row_arrays(s.expr, found)
+        elif isinstance(s, (Init, Reduce)):
+            _row_arrays(s.value, found)
+    return tuple(found[name] for name in sorted(found))
 
 
 class RegblockPass(Pass):
@@ -138,7 +234,7 @@ class RegblockPass(Pass):
     def describe(self) -> str:
         return (
             "run row-valued nests once per %d-wide block of the vector index "
-            "with block-local workspaces, when the extent is a multiple of "
+            "with block-local workspaces, over rows padded to a multiple of "
             "%d; bit-exact (elements never interact)"
             % (WIDTH, WIDTH)
         )

@@ -240,7 +240,9 @@ class _Connection(asyncio.BufferedProtocol):
 
     def __init__(self, server: "KernelServer"):
         self.server = server
+        server._links.add(self)  # until connection_lost
         self.transport = None
+        self.task: Optional[asyncio.Task] = None  # the frames' handler
         #: the receive buffer; ``np.empty`` leaves pages a peer never
         #: fills untouched
         self.buffer = np.empty(0, dtype=np.uint8)
@@ -256,14 +258,14 @@ class _Connection(asyncio.BufferedProtocol):
     # -- asyncio callbacks ----------------------------------------------
     def connection_made(self, transport) -> None:
         self.transport = transport
-        if faults.poll("wire.accept") is not None:
+        # a link accepted just before close() began is made after it: it
+        # would wait for a frame nobody answers
+        if self.server._closing or faults.poll("wire.accept") is not None:
             transport.close()
             return
         loop = asyncio.get_running_loop()
         self._frame = loop.create_future()
-        task = loop.create_task(self.server._serve(self))
-        self.server._connections.add(task)
-        task.add_done_callback(self.server._connections.discard)
+        self.task = loop.create_task(self.server._serve(self))
 
     def get_buffer(self, sizehint: int):
         if self._discard:
@@ -310,6 +312,7 @@ class _Connection(asyncio.BufferedProtocol):
         self._finish(None)
         if self._writable is not None and not self._writable.done():
             self._writable.set_result(None)
+        self.server._unlink(self)
 
     def pause_writing(self) -> None:
         self._writable = asyncio.get_running_loop().create_future()
@@ -426,7 +429,11 @@ class KernelServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._done: Optional[asyncio.Event] = None
         self._idle: Optional[asyncio.Event] = None
-        self._connections: set = set()
+        #: every link from its protocol's creation to its connection_lost,
+        #: and the event set whenever that leaves none
+        self._links: set = set()
+        self._unlinked = asyncio.Event()
+        self._closing = False
         self._active = 0
         self._draining = False
         self._started = time.monotonic()
@@ -538,13 +545,28 @@ class KernelServer:
             pass  # grace expired: remaining requests are abandoned
         self._done.set()
 
+    def _unlink(self, link: _Connection) -> None:
+        self._links.discard(link)
+        if not self._links:
+            self._unlinked.set()
+
     async def close(self) -> None:
+        self._closing = True
         if self._server is not None:
             self._server.close()
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
+        # a link the listener accepted just before it closed is made a loop
+        # pass later, and closes itself (connection_made): cancel until
+        # every link is lost, so none is left to wait out its timeout
+        await asyncio.sleep(0)
+        while self._links:
+            self._unlinked.clear()
+            for link in list(self._links):
+                if link.task is not None:
+                    link.task.cancel()
+            try:
+                await asyncio.wait_for(self._unlinked.wait(), self.drain_grace)
+            except asyncio.TimeoutError:
+                break  # a peer that never reads its last reply
         if self._server is not None:
             try:
                 await self._server.wait_closed()

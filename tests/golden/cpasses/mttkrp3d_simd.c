@@ -1,7 +1,9 @@
 /* generated by repro.codegen.backends.c [mttkrp3d] */
 #include <stdint.h>
-#include <stdlib.h>
-#include <math.h>
+#include <stddef.h>
+void *malloc(size_t);
+void *calloc(size_t, size_t);
+void free(void *);
 
 #ifndef RP_INDEX
 #define RP_INDEX int32_t
@@ -10,7 +12,7 @@ typedef RP_INDEX rp_index;
 int64_t repro_index_bytes(void) { return (int64_t) sizeof(rp_index); }
 
 /* returns 0 on success, 1 when a runtime allocation failed
-   (a workspace or a per-thread buffer) */
+   (a workspace, a padded row copy or a per-thread buffer) */
 int64_t kernel(double *restrict out,
                const int64_t *restrict out_dims,
                const rp_index *restrict A__diagonal_idx1,
@@ -37,120 +39,96 @@ int64_t kernel(double *restrict out,
     int64_t i = 0, k = 0, l = 0, q0_1 = 0, q0_2 = 0, _v = 0;
     double t0 = 0.0, t4 = 0.0;
     const double *t1 = 0, *t2 = 0, *t3 = 0, *t5 = 0, *t6 = 0, *t7 = 0;
-    double *w0 = (double *) malloc((size_t)(n_j) * sizeof(double));
-    double *w1 = (double *) malloc((size_t)(n_j) * sizeof(double));
-    double *ws0 = (double *) malloc((size_t)(n_j) * sizeof(double));
-    double *ws1 = (double *) malloc((size_t)(n_j) * sizeof(double));
-    double *ws2 = (double *) malloc((size_t)(n_j) * sizeof(double));
-    double *ws3 = (double *) malloc((size_t)(n_j) * sizeof(double));
-    if (!w0 || !w1 || !ws0 || !ws1 || !ws2 || !ws3) {
-        free(w0);
-        free(w1);
-        free(ws0);
-        free(ws1);
-        free(ws2);
-        free(ws3);
-        return 1;
-    }
-    if (n_j % 16 == 0) {
-        int64_t rp_vb;
-        for (rp_vb = 0; rp_vb < n_j; rp_vb += 16) {
-            for (l = 0; l < n_l; ++l) {
-                t1 = B + (l) * B_dims[1];
-                double w0[16];
-                #pragma omp simd
-                for (_v = 0; _v < 16; ++_v) { w0[_v] = (2.0 * t1[rp_vb + _v]); }
-                double ws1[16];
-                #pragma omp simd
-                for (_v = 0; _v < 16; ++_v) { ws1[_v] = 0.0; }
-                for (q0_1 = A__strict_pos1[l]; q0_1 < A__strict_pos1[(l + 1)]; ++q0_1) {
-                    k = A__strict_idx1[q0_1];
-                    t2 = B + (k) * B_dims[1];
-                    double w1[16];
+    {
+        int64_t rp_vb = 0, rp_r = 0, rp_w = (n_j + 15) / 16 * 16;
+        double *rp_out = out, *rp_B = (double *) B;
+        if (rp_w != n_j) {
+            rp_out = (double *) calloc((size_t) (out_dims[0] * rp_w + 1), sizeof(double));
+            rp_B = (double *) calloc((size_t) (B_dims[0] * rp_w + 1), sizeof(double));
+            if (rp_out && rp_B) {
+                for (rp_r = 0; rp_r < out_dims[0]; ++rp_r) { __builtin_memcpy(rp_out + rp_r * rp_w, out + rp_r * out_dims[1], (size_t) n_j * sizeof(double)); }
+                for (rp_r = 0; rp_r < B_dims[0]; ++rp_r) { __builtin_memcpy(rp_B + rp_r * rp_w, B + rp_r * B_dims[1], (size_t) n_j * sizeof(double)); }
+            } else {
+                rp_status = 1;
+            }
+        }
+        if (!rp_status) {
+            for (rp_vb = 0; rp_vb < rp_w; rp_vb += 16) {
+                for (l = 0; l < n_l; ++l) {
+                    t1 = rp_B + (l) * rp_w;
+                    double w0[16];
                     #pragma omp simd
-                    for (_v = 0; _v < 16; ++_v) { w1[_v] = (w0[_v] * t2[rp_vb + _v]); }
-                    double ws0[16];
+                    for (_v = 0; _v < 16; ++_v) { w0[_v] = (2.0 * t1[rp_vb + _v]); }
+                    double ws1[16];
                     #pragma omp simd
-                    for (_v = 0; _v < 16; ++_v) { ws0[_v] = 0.0; }
-                    for (q0_2 = A__strict_pos2[q0_1]; q0_2 < A__strict_pos2[(q0_1 + 1)]; ++q0_2) {
-                        i = A__strict_idx2[q0_2];
-                        t0 = A__strict_vals[q0_2];
-                        t3 = B + (i) * B_dims[1];
+                    for (_v = 0; _v < 16; ++_v) { ws1[_v] = 0.0; }
+                    for (q0_1 = A__strict_pos1[l]; q0_1 < A__strict_pos1[(l + 1)]; ++q0_1) {
+                        k = A__strict_idx1[q0_1];
+                        t2 = rp_B + (k) * rp_w;
+                        double w1[16];
                         #pragma omp simd
-                        for (_v = 0; _v < 16; ++_v) { out[(i) * out_dims[1] + rp_vb + _v] += (w1[_v] * t0); ws0[_v] += (t0 * t3[rp_vb + _v]); }
+                        for (_v = 0; _v < 16; ++_v) { w1[_v] = (w0[_v] * t2[rp_vb + _v]); }
+                        double ws0[16];
+                        #pragma omp simd
+                        for (_v = 0; _v < 16; ++_v) { ws0[_v] = 0.0; }
+                        for (q0_2 = A__strict_pos2[q0_1]; q0_2 < A__strict_pos2[(q0_1 + 1)]; ++q0_2) {
+                            i = A__strict_idx2[q0_2];
+                            t0 = A__strict_vals[q0_2];
+                            t3 = rp_B + (i) * rp_w;
+                            #pragma omp simd
+                            for (_v = 0; _v < 16; ++_v) { rp_out[(i) * rp_w + rp_vb + _v] += (w1[_v] * t0); ws0[_v] += (t0 * t3[rp_vb + _v]); }
+                        }
+                        #pragma omp simd
+                        for (_v = 0; _v < 16; ++_v) { rp_out[(k) * rp_w + rp_vb + _v] += (w0[_v] * ws0[_v]); ws1[_v] += (t2[rp_vb + _v] * ws0[_v]); }
                     }
                     #pragma omp simd
-                    for (_v = 0; _v < 16; ++_v) { out[(k) * out_dims[1] + rp_vb + _v] += (w0[_v] * ws0[_v]); ws1[_v] += (t2[rp_vb + _v] * ws0[_v]); }
+                    for (_v = 0; _v < 16; ++_v) { rp_out[(l) * rp_w + rp_vb + _v] += (2.0 * ws1[_v]); }
                 }
-                #pragma omp simd
-                for (_v = 0; _v < 16; ++_v) { out[(l) * out_dims[1] + rp_vb + _v] += (2.0 * ws1[_v]); }
+            }
+            for (rp_vb = 0; rp_vb < rp_w; rp_vb += 16) {
+                for (l = 0; l < n_l; ++l) {
+                    t5 = rp_B + (l) * rp_w;
+                    double ws3[16];
+                    #pragma omp simd
+                    for (_v = 0; _v < 16; ++_v) { ws3[_v] = 0.0; }
+                    for (q0_1 = A__diagonal_pos1[l]; q0_1 < A__diagonal_pos1[(l + 1)]; ++q0_1) {
+                        k = A__diagonal_idx1[q0_1];
+                        t6 = rp_B + (k) * rp_w;
+                        double ws2[16];
+                        #pragma omp simd
+                        for (_v = 0; _v < 16; ++_v) { ws2[_v] = 0.0; }
+                        for (q0_2 = A__diagonal_pos2[q0_1]; q0_2 < A__diagonal_pos2[(q0_1 + 1)]; ++q0_2) {
+                            i = A__diagonal_idx2[q0_2];
+                            t4 = A__diagonal_vals[q0_2];
+                            t7 = rp_B + (i) * rp_w;
+                            if ((((i < k) && (k == l)) || ((i == k) && (k == l)))) {
+                                #pragma omp simd
+                                for (_v = 0; _v < 16; ++_v) { rp_out[(i) * rp_w + rp_vb + _v] += ((t4 * t5[rp_vb + _v]) * t6[rp_vb + _v]); }
+                            }
+                            if (((i < k) && (k == l))) {
+                                #pragma omp simd
+                                for (_v = 0; _v < 16; ++_v) { ws2[_v] += (2.0 * ((t4 * t5[rp_vb + _v]) * t7[rp_vb + _v])); }
+                            }
+                            if (((i == k) && (k < l))) {
+                                #pragma omp simd
+                                for (_v = 0; _v < 16; ++_v) { rp_out[(i) * rp_w + rp_vb + _v] += (2.0 * ((t4 * t5[rp_vb + _v]) * t6[rp_vb + _v])); ws3[_v] += ((t4 * t6[rp_vb + _v]) * t7[rp_vb + _v]); }
+                            }
+                        }
+                        #pragma omp simd
+                        for (_v = 0; _v < 16; ++_v) { rp_out[(k) * rp_w + rp_vb + _v] += ws2[_v]; }
+                    }
+                    #pragma omp simd
+                    for (_v = 0; _v < 16; ++_v) { rp_out[(l) * rp_w + rp_vb + _v] += ws3[_v]; }
+                }
+            }
+            if (rp_w != n_j) {
+                for (rp_r = 0; rp_r < out_dims[0]; ++rp_r) { __builtin_memcpy(out + rp_r * out_dims[1], rp_out + rp_r * rp_w, (size_t) n_j * sizeof(double)); }
             }
         }
-    } else {
-        for (l = 0; l < n_l; ++l) {
-            t1 = B + (l) * B_dims[1];
-            #pragma omp simd
-            for (_v = 0; _v < n_j; ++_v) { w0[_v] = (2.0 * t1[_v]); }
-            #pragma omp simd
-            for (_v = 0; _v < n_j; ++_v) { ws1[_v] = 0.0; }
-            for (q0_1 = A__strict_pos1[l]; q0_1 < A__strict_pos1[(l + 1)]; ++q0_1) {
-                k = A__strict_idx1[q0_1];
-                t2 = B + (k) * B_dims[1];
-                #pragma omp simd
-                for (_v = 0; _v < n_j; ++_v) { w1[_v] = (w0[_v] * t2[_v]); }
-                #pragma omp simd
-                for (_v = 0; _v < n_j; ++_v) { ws0[_v] = 0.0; }
-                for (q0_2 = A__strict_pos2[q0_1]; q0_2 < A__strict_pos2[(q0_1 + 1)]; ++q0_2) {
-                    i = A__strict_idx2[q0_2];
-                    t0 = A__strict_vals[q0_2];
-                    t3 = B + (i) * B_dims[1];
-                    #pragma omp simd
-                    for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += (w1[_v] * t0); ws0[_v] += (t0 * t3[_v]); }
-                }
-                #pragma omp simd
-                for (_v = 0; _v < n_j; ++_v) { out[(k) * out_dims[1] + _v] += (w0[_v] * ws0[_v]); ws1[_v] += (t2[_v] * ws0[_v]); }
-            }
-            #pragma omp simd
-            for (_v = 0; _v < n_j; ++_v) { out[(l) * out_dims[1] + _v] += (2.0 * ws1[_v]); }
+        if (rp_w != n_j) {
+            free(rp_out);
+            free(rp_B);
         }
     }
-    for (l = 0; l < n_l; ++l) {
-        t5 = B + (l) * B_dims[1];
-        #pragma omp simd
-        for (_v = 0; _v < n_j; ++_v) { ws3[_v] = 0.0; }
-        for (q0_1 = A__diagonal_pos1[l]; q0_1 < A__diagonal_pos1[(l + 1)]; ++q0_1) {
-            k = A__diagonal_idx1[q0_1];
-            t6 = B + (k) * B_dims[1];
-            #pragma omp simd
-            for (_v = 0; _v < n_j; ++_v) { ws2[_v] = 0.0; }
-            for (q0_2 = A__diagonal_pos2[q0_1]; q0_2 < A__diagonal_pos2[(q0_1 + 1)]; ++q0_2) {
-                i = A__diagonal_idx2[q0_2];
-                t4 = A__diagonal_vals[q0_2];
-                t7 = B + (i) * B_dims[1];
-                if ((((i < k) && (k == l)) || ((i == k) && (k == l)))) {
-                    #pragma omp simd
-                    for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += ((t4 * t5[_v]) * t6[_v]); }
-                }
-                if (((i < k) && (k == l))) {
-                    #pragma omp simd
-                    for (_v = 0; _v < n_j; ++_v) { ws2[_v] += (2.0 * ((t4 * t5[_v]) * t7[_v])); }
-                }
-                if (((i == k) && (k < l))) {
-                    #pragma omp simd
-                    for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += (2.0 * ((t4 * t5[_v]) * t6[_v])); ws3[_v] += ((t4 * t6[_v]) * t7[_v]); }
-                }
-            }
-            #pragma omp simd
-            for (_v = 0; _v < n_j; ++_v) { out[(k) * out_dims[1] + _v] += ws2[_v]; }
-        }
-        #pragma omp simd
-        for (_v = 0; _v < n_j; ++_v) { out[(l) * out_dims[1] + _v] += ws3[_v]; }
-    }
-    free(w0);
-    free(w1);
-    free(ws0);
-    free(ws1);
-    free(ws2);
-    free(ws3);
     return rp_status;
 }

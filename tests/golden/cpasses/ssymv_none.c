@@ -1,7 +1,9 @@
 /* generated by repro.codegen.backends.c [ssymv] */
 #include <stdint.h>
-#include <stdlib.h>
-#include <math.h>
+#include <stddef.h>
+void *malloc(size_t);
+void *calloc(size_t, size_t);
+void free(void *);
 
 #ifndef RP_INDEX
 #define RP_INDEX int32_t
@@ -10,7 +12,7 @@ typedef RP_INDEX rp_index;
 int64_t repro_index_bytes(void) { return (int64_t) sizeof(rp_index); }
 
 /* returns 0 on success, 1 when a runtime allocation failed
-   (a workspace or a per-thread buffer) */
+   (a workspace, a padded row copy or a per-thread buffer) */
 int64_t kernel(double *restrict out,
                const int64_t *restrict out_dims,
                const rp_index *restrict A__diagonal_idx1,

@@ -5,6 +5,8 @@ intersection walks, LUTs, failure modes) without needing end-to-end
 parity, which lives in test_backends.py.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -37,16 +39,33 @@ def test_renders_signature_and_sparse_walk():
 
 def test_renders_vector_statements_as_plain_loops():
     src = render_c(_lowered("mttkrp3d"))
-    assert "malloc" in src and "free(ws0);" in src
-    assert "for (_v = 0; _v < n_j; ++_v)" in src
-    # dense rows index through the runtime extent vector
-    assert "B_dims[1]" in src
+    # one block wide, over block-local workspaces
+    assert "for (_v = 0; _v < 16; ++_v) { ws0[_v] = 0.0; }" in src
+    assert "double ws0[16];" in src and "free(ws0);" not in src
+    # dense rows index through the runtime extent vector when staged
+    assert "B + rp_r * B_dims[1]" in src and "t1 = rp_B + (l) * rp_w;" in src
 
 
 def test_renders_minmax_semiring():
     src = render_c(_lowered("bellmanford"))
-    assert "fmin(" in src
-    assert "INFINITY" in src
+    # Python's min, not libm's: no <math.h>, no fmin
+    assert "static inline double rp_fmin(double a, double b) { return b < a ? b : a; }" in src
+    assert "= rp_fmin(" in src and " fmin(" not in src and "rp_fmax" not in src
+    assert "__builtin_inff()" in src and "INFINITY" not in src
+    assert "#include" in src and "<math.h>" not in src and "<stdlib.h>" not in src
+
+
+def test_the_preamble_includes_only_integer_and_size_types():
+    for name in ("ssymv", "mttkrp3d", "bellmanford"):
+        src = render_c(_lowered(name))
+        includes = re.findall(r"#include <(\w+\.h)>", src)
+        # <omp.h> only behind the OpenMP object's #if
+        assert includes[:2] == ["stdint.h", "stddef.h"] and includes[2:] in ([], ["omp.h"])
+        assert "void *calloc(size_t, size_t);" in src
+    # min/max helpers only where a min/max reduction calls them
+    assert "rp_fm" not in render_c(_lowered("ssymv"))
+    float32 = get_kernel("bellmanford").compile(options=DEFAULT.but(dtype="float32")).lowered
+    assert "static inline float rp_fminf(float a, float b)" in render_c(float32)
 
 
 def test_renders_intersection_walk():

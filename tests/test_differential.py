@@ -39,6 +39,7 @@ from repro.kernels.baselines import taco_style_mttkrp3, taco_style_spmv, taco_st
 from repro.kernels.extensions import EXTENSIONS
 from repro.kernels.library import KERNELS
 from repro.tensor import coo as coo_mod
+from repro.tensor.coo import COO
 from repro.tensor.tensor import Tensor
 
 HAVE_CC = get_backend("c").is_available()
@@ -194,8 +195,9 @@ def test_differential_full_sweep(name, dtype, seed):
 
 
 # ----------------------------------------------------------------------
-# vector ranks the register-blocked branch takes (multiples of its width
-# of 16) and one it does not (24): the draw above never reaches them
+# vector ranks around the register-blocking width of 16: below it, at
+# it, between multiples and at one (padded rows staged and copied back
+# unless the rank is a multiple).  The draw above reaches only 2..5.
 # ----------------------------------------------------------------------
 VECTOR_SPECS = ("mttkrp3d", "mttkrp4d", "mttkrp5d", "ttm", "ttm4d")
 
@@ -209,11 +211,37 @@ def test_every_vector_kernel_is_in_the_wide_rank_sweep():
     )
 
 
-@pytest.mark.parametrize("rank", (16, 24, 32))
+@pytest.mark.parametrize("rank", (1, 4, 5, 8, 12, 15, 16, 17, 24, 32))
 @pytest.mark.parametrize("dtype", ("float64", "float32"))
 @pytest.mark.parametrize("name", VECTOR_SPECS)
 def test_differential_wide_rank(name, dtype, rank):
     run_differential_case(name, FULL_SEEDS[0], dtype, rank)
+
+
+# ----------------------------------------------------------------------
+# min/max on signed-zero ties and NaN operands, from a supplied payload
+# (the draw above makes neither): the first of two tied values and the
+# accumulator against a NaN win, as Python's min/max decide, on every leg
+# ----------------------------------------------------------------------
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler")
+@pytest.mark.parametrize("dtype", ("float64", "float32"))
+@pytest.mark.parametrize("name", ("bellmanford", "widestpath"))
+def test_minmax_ties_and_nan_operands_are_bit_identical(name, dtype):
+    nan = float("nan")
+    # the stored triangle of a symmetric A, explicit zeros of both signs
+    coords = np.array([[0, 1, 1, 2, 2, 3, 3, 3, 4, 4], [0, 0, 1, 0, 2, 0, 1, 3, 2, 4]])
+    vals = np.array([0.0, -0.0, nan, 0.0, -0.0, 1.5, -0.0, nan, -0.0, 0.0], dtype=dtype)
+    A = Tensor(COO(coords, vals, (5, 5), sum_duplicates=False), ((0, 1),), canonical=True)
+    d = np.array([-0.0, 0.0, -0.0, nan, 0.0], dtype=dtype)
+    spec = ALL_SPECS[name]
+    py = np.asarray(spec.compile(options=DEFAULT.but(backend="python", dtype=dtype))(A=A, d=d))
+    # both signs of zero reach the output: the ties were decided
+    assert np.signbit(py[py == 0]).any() and not np.signbit(py[py == 0]).all()
+    kernel = spec.compile(options=DEFAULT.but(backend="c", dtype=dtype))
+    prepared, shape = kernel.prepare(A=A, d=d)
+    for threads in (1, 3):
+        got = np.asarray(kernel.finalize(kernel.run(prepared, shape, threads=threads)))
+        assert got.tobytes() == py.tobytes(), (name, dtype, threads, got, py)
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 Hierarchical workspaces: the innermost loop of an MTTKRP's strict nest
 holds two accumulations of one multiply each, whatever the tensor order,
-in both branches the register-blocking phase prints; kernels with
+in the one register-blocked nest the C printer emits; kernels with
 nothing to factor lower exactly as before; the naive lowering factors
-nothing.  Register blocking: the blocked branch of a strict nest reads
-and writes only block-local workspaces, and guarded (diagonal) nests are
-left alone.  Row tiling: the run-time block count is about 1 MiB of
-output rows per block, capped at a quarter of the mean fiber length —
-checked on the C the renderer prints, compiled on its own.
+nothing.  Register blocking: a blocked nest reads and writes only
+block-local workspaces, the orbit-guarded diagonal nests are blocked
+too, and no kernel with a vector index prints an element loop whose trip
+count is known only at run time (what makes ``cc`` slow on MTTKRP).
+Row tiling: the run-time block count is about 1 MiB of output rows per
+block, capped at a quarter of the mean fiber length — checked on the C
+the renderer prints, compiled on its own.
 """
 
 import ctypes
@@ -61,15 +63,13 @@ def _serial_c(name) -> str:
     return render_c(lowered)
 
 
-def _strict_branches(source):
-    """The two branches the C printer emits for the first register-blocked
-    nest: ``(blocked, unblocked)`` source lines."""
+def _strict_block(source):
+    """The source lines of the first register-blocked nest (the strict
+    one): the body of its ``rp_vb`` loop."""
     lines = source.splitlines()
-    start = next(n for n, line in enumerate(lines) if "%% %d == 0) {" % WIDTH in line)
+    start = next(n for n, line in enumerate(lines) if "for (rp_vb = 0;" in line)
     indent = lines[start][: len(lines[start]) - len(lines[start].lstrip())]
-    middle = lines.index(indent + "} else {", start)
-    end = lines.index(indent + "}", middle)
-    return lines[start + 1 : middle], lines[middle + 1 : end]
+    return lines[start + 1 : lines.index(indent + "}", start)]
 
 
 def _element_updates(lines):
@@ -86,7 +86,7 @@ def _element_updates(lines):
 
 
 def _innermost_body(lines):
-    """The lines of the deepest fiber loop (``for (q0_<depth>``) of a branch."""
+    """The lines of the deepest fiber loop (``for (q0_<depth>``) of a nest."""
     depth = max(int(m) for m in re.findall(r"for \(q0_(\d+) =", "\n".join(lines)))
     head = next(n for n, line in enumerate(lines) if "for (q0_%d =" % depth in line)
     indent = lines[head][: len(lines[head]) - len(lines[head].lstrip())]
@@ -94,8 +94,8 @@ def _innermost_body(lines):
 
 
 # ----------------------------------------------------------------------
-# (a) hierarchical workspaces, counted on the IR and in both printed
-# branches of the strict nest
+# (a) hierarchical workspaces, counted on the IR and in the printed
+# strict nest
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", ["mttkrp3d", "mttkrp4d", "mttkrp5d"])
 def test_mttkrp_strict_inner_loop_is_two_multiplies_at_any_order(name):
@@ -111,11 +111,10 @@ def test_mttkrp_strict_inner_loop_is_two_multiplies_at_any_order(name):
     # nothing else in that loop computes: the rest are the hoisted reads
     others = [s for s in inner.body if not isinstance(s, ir.Reduce)]
     assert all(isinstance(s, ir.Let) and not _multiplies(s.expr) for s in others)
-    # ... and each branch the C printer emits does exactly that per nonzero
-    for branch in _strict_branches(_serial_c(name)):
-        printed = _element_updates(_innermost_body(branch))
-        assert [n for _, n in printed] == [1, 1]
-        assert printed[0][0].startswith("out[") and printed[1][0] == "ws0[_v]"
+    # ... and the nest the C printer emits does exactly that per nonzero
+    printed = _element_updates(_innermost_body(_strict_block(_serial_c(name))))
+    assert [n for _, n in printed] == [1, 1]
+    assert printed[0][0].startswith("rp_out[") and printed[1][0] == "ws0[_v]"
 
 
 @pytest.mark.parametrize("name", ["mttkrp3d", "mttkrp4d", "mttkrp5d"])
@@ -131,8 +130,7 @@ def test_mttkrp_strict_nest_multiplies_grow_with_depth_not_per_nonzero(name):
     # outermost level has no fold)
     expected = 2 + 3 * (order - 1) - 1
     assert total == expected
-    for branch in _strict_branches(_serial_c(name)):
-        assert sum(n for _, n in _element_updates(branch)) == expected
+    assert sum(n for _, n in _element_updates(_strict_block(_serial_c(name)))) == expected
 
 
 # ----------------------------------------------------------------------
@@ -140,35 +138,54 @@ def test_mttkrp_strict_nest_multiplies_grow_with_depth_not_per_nonzero(name):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", ["mttkrp3d", "mttkrp4d", "ttm"])
 def test_the_blocked_branch_names_no_malloced_workspace(name):
-    source = _serial_c(name)
-    malloced = set(re.findall(r"(\w+) = \(\w+ \*\) malloc", source))
-    assert malloced
-    blocked, unblocked = _strict_branches(source)
-    text = "\n".join(blocked)
-    local = re.findall(r"^\s*(?:double|float) (\w+)\[%d\];$" % WIDTH, text, re.M)
-    used = {name for name in malloced if re.search(r"\b%s\[" % name, text)}
-    # every workspace the block touches is its block-local array, each
-    # declared once, and every element loop there is one block wide
-    assert used and used == set(local) and len(local) == len(used)
-    loops = re.findall(r"for \(_v = 0; _v < (\w+);", text)
+    """Each blocked nest keeps its workspaces in block-local arrays; the
+    heap holds only the padded copies its staging allocates."""
+    spec = {**KERNELS, **EXTENSIONS}[name]
+    lowered = spec.compile(options=PYTHON).lowered
+    source = render_c(lowered)
+    assert not re.search(r"= \(\w+ \*\) malloc", source)
+    assert re.findall(r"(\w+) = \(\w+ \*\) calloc", source) == ["rp_out", "rp_B"]
+    # every workspace is a block-local array, declared once, where its
+    # Init is, and every element loop is one block wide
+    ws = {n for n, tag in ir.local_types(lowered.program).items() if tag == ir.WS}
+    local = re.findall(r"^\s*(?:double|float) (\w+)\[%d\];$" % WIDTH, source, re.M)
+    assert ws and sorted(local) == sorted(ws)
+    loops = re.findall(r"for \(_v = 0; _v < (\w+);", source)
     assert loops and set(loops) == {str(WIDTH)}
-    # the other branch is the unblocked nest: run-time extent, heap rows
-    assert set(re.findall(r"for \(_v = 0; _v < (\w+);", "\n".join(unblocked))) != {
-        str(WIDTH)
-    }
-    assert not re.search(r"\[%d\];" % WIDTH, "\n".join(unblocked))
 
 
 @pytest.mark.parametrize("name", ["mttkrp3d", "mttkrp4d", "mttkrp5d", "ttm", "ttm4d"])
 def test_only_the_unguarded_strict_nest_is_blocked(name):
+    """The strict nest is blocked, and so is the orbit-guarded diagonal
+    nest after it: its guards test only its own loop indices."""
     spec = {**KERNELS, **EXTENSIONS}[name]
     lowered = spec.compile(options=PYTHON).lowered
     body = run_pipeline(lowered).body
-    # the strict nest first, the orbit-guarded diagonal nest after it
-    assert [type(s) for s in body] == [ir.Blocked, ir.DenseLoop]
+    assert [type(s) for s in body] == [ir.Blocked, ir.Blocked]
     assert not any(isinstance(s, ir.If) for s in ir.walk([body[0]]))
     assert any(isinstance(s, ir.If) for s in ir.walk([body[1]]))
-    assert _serial_c(name).count("%% %d == 0" % WIDTH) == 1
+    source = _serial_c(name)
+    # one staging around both, one rp_vb loop each
+    assert source.count("rp_vb += %d) {" % WIDTH) == 2
+    assert source.count("calloc(") - source.count("void *calloc(") == 2
+
+
+@pytest.mark.parametrize("name", sorted({**KERNELS, **EXTENSIONS}))
+def test_no_vector_loop_has_a_run_time_trip_count(name):
+    """A compile-cost guard, as counts: ``gcc -O3`` spends about three
+    times as long on an element loop of trip count ``n_j`` as on a
+    fixed-width one, so a kernel with a vector index prints neither one
+    nor a branch on the extent, and one ``rp_vb`` loop per blocked nest."""
+    lowered = {**KERNELS, **EXTENSIONS}[name].compile(options=PYTHON).lowered
+    source = render_c(lowered)
+    blocked = [s for s in ir.walk(run_pipeline(lowered).body) if isinstance(s, ir.Blocked)]
+    if lowered.vector_index is None:
+        assert not blocked and not re.search(r"\b_v\b|rp_vb", source)
+        return
+    assert "for (_v = 0; _v < n_" not in source
+    assert "%% %d == 0" % WIDTH not in source
+    assert blocked
+    assert source.count("for (rp_vb = 0; rp_vb < rp_w; rp_vb += %d)" % WIDTH) == len(blocked)
 
 
 @pytest.mark.parametrize("name", ["ssymv", "syprd", "ssyrk", "bellmanford"])

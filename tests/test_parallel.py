@@ -209,7 +209,7 @@ def test_privatized_tree_reduction_for_minmax_scatter():
     src = render_c(_lowered("bellmanford"))
     assert "#pragma omp parallel" in src
     assert "pv_all" in src and "pv_team" in src
-    assert "fmin(out[pv_k], pv_all[pv_k])" in src
+    assert "rp_fmin(out[pv_k], pv_all[pv_k])" in src
 
 
 def test_plain_parallel_for_when_writes_are_disjoint():
@@ -226,7 +226,7 @@ def test_serial_branch_is_always_present():
     src = render_c(_lowered("bellmanford"))
     assert "#if defined(_OPENMP)" in src
     assert "} else" in src
-    assert src.count("out[i] = fmin(out[i], ") == 2  # the serial relaxations survive
+    assert src.count("out[i] = rp_fmin(out[i], ") == 2  # the serial relaxations survive
 
 
 def test_rendered_source_is_independent_of_toolchain_openmp():

@@ -248,9 +248,46 @@ def test_regblock_matches_row_nests_whose_workspaces_are_scoped():
 
 
 def test_regblock_leaves_scalar_updates_and_guards_alone():
+    """A guard runs once per block: one on the nest's own loop indices
+    takes the same branch in every block, anything else is left alone."""
     # a scalar update would be repeated once per block
     assert not blockable(_rows([WS_INIT, WS_ACC, WS_FLUSH, _out("i")]), [], {"ws"})
-    guarded = ir.If(ir.Cmp("<", I, ir.Dim("n_i")), (WS_ACC,))
-    assert not blockable(_rows([WS_INIT, guarded, WS_FLUSH]), [], {"ws"})
     # nothing row-valued: nothing to block
     assert not blockable(_rows([_out("i")]), [], set())
+    # an extent is not a loop index
+    bounded = ir.If(ir.Cmp("<", I, ir.Dim("n_i")), (WS_ACC,))
+    assert not blockable(_rows([WS_INIT, bounded, WS_FLUSH]), [], {"ws"})
+
+
+J = ir.Var("j", ir.INT)
+
+
+def test_regblock_blocks_guards_on_loop_indices_only():
+    # the orbit guards of a diagonal nest: indices of the nest's own loops
+    orbit = ir.If(
+        ir.BoolOp("and", (ir.Cmp("<", J, I), ir.Cmp("==", I, I))), (WS_ACC,)
+    )
+    assert blockable(_rows([WS_INIT, _fiber([orbit]), WS_FLUSH]), [], {"ws"})
+    row_guard = ir.If(ir.Cmp("==", J, I), (WS_FLUSH,))
+    assert blockable(_rows([_fiber([row_guard])]), [], set())
+    # a value: the stored entry the fiber walk read
+    value = ir.Var("t0", ir.ELEM)
+    valued = ir.If(ir.Cmp("<", value, ir.Const(0.0)), (WS_ACC,))
+    read = ir.Let(value, ir.Load(ir.Array("A_vals", "vals"), (ir.Var("q", ir.INT),)))
+    assert blockable(_rows([WS_INIT, _fiber([read, WS_ACC]), WS_FLUSH]), [], {"ws"})
+    assert not blockable(_rows([WS_INIT, _fiber([read, valued]), WS_FLUSH]), [], {"ws"})
+    # a scalar workspace another top-level statement accumulates
+    acc = ir.If(ir.Cmp("<", ACC, ir.Const(1.0)), (WS_ACC,))
+    others = [ir.Init(ACC, ir.Const(0.0))]
+    assert blockable(_rows([WS_INIT, WS_ACC, WS_FLUSH]), others, {"ws", "acc"})
+    assert not blockable(_rows([WS_INIT, acc, WS_FLUSH]), others, {"ws", "acc"})
+
+
+def test_regblock_leaves_rows_bound_outside_the_nest_alone():
+    """A padded block reads its rows through staged copies: a row pointer
+    bound by another top-level statement would bypass them."""
+    row = ir.Var("t1", ir.ROW)
+    bound = ir.Let(row, ir.Load(ir.Array("B", "dense", 2), (I,)))
+    use = ir.Reduce(ir.Out(("i",), True), "+", row)
+    assert blockable(_rows([bound, use]), [], set())
+    assert not blockable(_rows([use]), [bound], set())

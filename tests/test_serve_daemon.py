@@ -267,6 +267,47 @@ def test_drain_finishes_inflight_and_rejects_new(tmp_path):
     assert not os.path.exists(sock + ".lock"), "drained daemon must drop its lock"
 
 
+@pytest.mark.parametrize("live", (0, 1))
+def test_a_link_made_while_closing_is_closed_not_left_waiting(tmp_path, live):
+    """A connection the listener accepted just before ``close()`` began is
+    made (``connection_made``) only after ``close()`` cancelled the *live*
+    links it saw.  ``close()`` returns once that one is closed too, so its
+    client reads EOF instead of waiting out its timeout for a reply."""
+    import asyncio
+
+    async def scenario():
+        server = KernelServer(str(tmp_path / "d.sock"))
+        await server.start()
+        loop = asyncio.get_running_loop()
+        peers = []
+
+        def link():
+            ours, theirs = socket_module.socketpair()
+            theirs.setblocking(False)
+            peers.append(theirs)
+            return loop.connect_accepted_socket(lambda: serve_daemon._Connection(server), ours)
+
+        for _ in range(live):
+            await link()  # close() cancels it and waits for it to wind down
+        # accepted, not yet made: what the listener's own accept task is
+        # when close() begins
+        accepting = asyncio.ensure_future(link())
+        await server.close()  # in this step: no wait_for task around it
+        # no loop pass since close() returned: every peer is already closed
+        got = [p.recv(1) for p in peers]
+        await accepting
+        for p in peers:
+            p.close()
+        return got, server._links
+
+    done = []
+    # its own thread: the loop installs no signal handlers off the main one
+    thread = threading.Thread(target=lambda: done.append(asyncio.run(scenario())))
+    thread.start()
+    thread.join(30.0)
+    assert done and done[0] == ([b""] * (live + 1), set())
+
+
 # ---------------------------------------------------------------------------
 # hostile input
 # ---------------------------------------------------------------------------
