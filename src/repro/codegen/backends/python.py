@@ -90,7 +90,11 @@ def _block(stmts: Sequence[ir.Stmt], ind: str, out: List[str]) -> None:
             if s.op == "+":
                 put("%s += %s" % (tgt, value))
             elif s.row:
-                put("np.%simum(%s, %s, out=%s)" % (s.op, tgt, value, tgt))
+                # keep the accumulator unless the value wins (ties, NaN):
+                # ``v < t ? v : t``, what Python's min and C's rp_fmin do
+                put("np.copyto(%s, %s, where=%s %s %s)" % (
+                    tgt, value, value, "<" if s.op == "min" else ">", tgt
+                ))
             else:
                 put("%s = %s(%s, %s)" % (tgt, s.op, tgt, value))
         elif isinstance(s, ir.If):

@@ -43,10 +43,10 @@ the render corpus (13 library + extension kernels x 2 dtypes as SySTeC,
 SySTeC with lookup tables and naive, plus 11 user einsums x 2 dtypes)
 print only eight Python statement kinds — 1166 ``Assign``, 504
 ``AugAssign``, 418 ``For``, 170 ``If``, 120 ``Expr`` (96 ``.fill``, 24
-``np.minimum``), 14 ``While`` + 14 ``Continue``, 4 ``Break`` — and eight
-call forms (``range``, ``np.empty``, ``.fill``, ``np.minimum``, ``min``,
+``np.copyto``), 14 ``While`` + 14 ``Continue``, 4 ``Break`` — and eight
+call forms (``range``, ``np.empty``, ``.fill``, ``np.copyto``, ``min``,
 ``max``, ``float("inf")``, and ``np.array`` for a float32 lookup
-table); the ``np.minimum`` row reductions and the ``break`` guard come
+table); the ``np.copyto`` row reductions and the ``break`` guard come
 from the user einsums only.
 
 Also here: :func:`verify` (the single-type / no-rebinding rule every

@@ -229,11 +229,13 @@ def _lex_order(coords: Sequence[np.ndarray], shape: Sequence[int]) -> Optional[n
     they are in bounds already, so nothing is re-checked) as wide as the
     shape's product needs — narrow coordinates are widened first, never
     multiplied in their own width — checked for order in O(nnz) and
-    otherwise sorted once;
-    both this and ``np.lexsort`` are stable over the same order, so the
-    permutation equals ``np.lexsort(coords[::-1])``.  A shape whose
-    product overflows int64 cannot be linearised and takes the
-    ``np.lexsort`` route.
+    otherwise sorted once by numpy's default (SIMD, unstable) argsort.
+    Distinct keys have exactly one sorting permutation, so when no two
+    sorted neighbours are equal that permutation is the stable one,
+    ``np.lexsort(coords[::-1])``; only keys with a duplicate are sorted
+    again with ``kind="stable"``, which keeps equal columns in input order
+    as ``np.lexsort`` does.  A shape whose product overflows int64 cannot
+    be linearised and takes the ``np.lexsort`` route.
     """
     if len(coords) and len(coords[0]) > 1:
         slots = math.prod(shape)
@@ -245,7 +247,11 @@ def _lex_order(coords: Sequence[np.ndarray], shape: Sequence[int]) -> Optional[n
             key = key * extent + row
         if not (key[1:] >= key[:-1]).all():
             obs_metrics.inc("tensor.sort.linear")
-            return np.argsort(key, kind="stable")
+            order = np.argsort(key)
+            ordered = key.take(order)
+            if (ordered[1:] == ordered[:-1]).any():
+                return np.argsort(key, kind="stable")
+            return order
     return None
 
 

@@ -202,13 +202,29 @@ def _segment_pos(
 ) -> np.ndarray:
     """Build a ``pos`` array of index dtype *width*: ``pos[p]..pos[p+1]``
     spans the children of parent position ``p`` (parents must be sorted;
-    None is the one root of an all-sparse tree)."""
-    pos = np.zeros(n_parents + 1, dtype=width)
-    if parents is None:
+    None is the one root of an all-sparse tree).
+
+    ``pos`` is read off the run boundaries of *parents*, never counted:
+    the children of the run of parent ``p`` start at ``pos[p]``, and a
+    childless parent repeats the next run's start.  When every parent has
+    a child (each sparse level below the first one) the run starts are
+    ``pos`` itself.
+    """
+    if parents is None or not n_children:
+        pos = np.zeros(n_parents + 1, dtype=width)
         pos[1:] = n_children
-    elif n_children:
-        np.cumsum(np.bincount(parents, minlength=n_parents), out=pos[1:])
-    return pos
+        return pos
+    last = np.flatnonzero(parents[1:] != parents[:-1])  # a run's last child
+    starts = np.empty(len(last) + 2, dtype=width)
+    starts[0], starts[-1] = 0, n_children
+    np.add(last, 1, out=starts[1:-1], casting="unsafe")
+    if len(last) + 1 == n_parents:
+        return starts
+    # start r is pos[p] for every p in (parent of run r-1, parent of run r]
+    bounds = np.empty(len(last) + 3, dtype=np.intp)
+    bounds[0], bounds[-2], bounds[-1] = -1, parents[-1], n_parents
+    bounds[1:-2] = parents[last]
+    return np.repeat(starts, np.diff(bounds))
 
 
 def _parents_from_pos(pos: np.ndarray, n_children: int) -> np.ndarray:

@@ -15,8 +15,8 @@ rearrangement from its timings):
 
 from __future__ import annotations
 
-from itertools import permutations
-from typing import Iterable, Sequence, Tuple
+from itertools import combinations, permutations, product
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,14 +33,31 @@ def canonical_coords_mask(
     generated kernels, whose outer loops carry the larger indices.  With
     ``strict=True`` they must be strictly decreasing (no diagonal).
     """
-    mask = np.ones(coo.nnz, dtype=bool)
+    compare = np.greater if strict else np.greater_equal
+    return _pairs_mask(coo.coords, _symmetric_pairs(parts), compare)
+
+
+def _symmetric_pairs(parts: Sequence[Sequence[int]]) -> List[Tuple[int, int]]:
+    """The adjacent ``(a, b)`` mode pairs of every symmetric group, in
+    mode order: a coordinate is canonical when each pair compares."""
+    pairs: List[Tuple[int, int]] = []
     for part in parts:
         modes = sorted(part)
-        for a, b in zip(modes, modes[1:]):
-            if strict:
-                mask &= coo.coords[a] > coo.coords[b]
-            else:
-                mask &= coo.coords[a] >= coo.coords[b]
+        pairs.extend(zip(modes, modes[1:]))
+    return pairs
+
+
+def _pairs_mask(coords: np.ndarray, pairs, compare) -> np.ndarray:
+    """``compare(coords[a], coords[b])`` ANDed over *pairs*: one comparison
+    per pair, folded in place into the first one's result (all ones when
+    there is no pair)."""
+    if not pairs:
+        return np.ones(coords.shape[1], dtype=bool)
+    (a, b), rest = pairs[0], pairs[1:]
+    mask = compare(coords[a], coords[b])
+    scratch = np.empty_like(mask) if rest else None
+    for a, b in rest:
+        mask &= compare(coords[a], coords[b], out=scratch)
     return mask
 
 
@@ -54,19 +71,24 @@ def split_masks(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Masks of the (strict triangle, diagonals) halves of *coords*.
 
-    One walk over the symmetric pairs computes the canonical and the
-    strict mask together.  A coordinate is diagonal when any symmetric
-    group has two equal coordinates (Definition 2.4).  Non-canonical
-    coordinates land in neither half — a full payload is packed and split
-    by the same masks — unless ``check=True`` declares the input
-    canonical, which makes the first one a ``ValueError``.
+    A coordinate is diagonal when any symmetric group has two equal
+    coordinates (Definition 2.4).  Each half costs one comparison per
+    symmetric pair, folded in place: for one pair (every matrix kernel)
+    the halves are ``a > b`` and ``a == b``; for more, the diagonal is the
+    canonical mask (every ``a >= b``) XOR the strict one, which implies
+    it.  Non-canonical coordinates land in neither half — a full payload
+    is packed and split by the same masks — unless ``check=True``
+    declares the input canonical, which makes the first one a
+    ``ValueError``.
     """
-    canonical = strict = np.ones(coords.shape[1], dtype=bool)
-    for part in parts:
-        modes = sorted(part)
-        for a, b in zip(modes, modes[1:]):
-            canonical = canonical & (coords[a] >= coords[b])
-            strict = strict & (coords[a] > coords[b])
+    pairs = _symmetric_pairs(parts)
+    strict = _pairs_mask(coords, pairs, np.greater)
+    if len(pairs) == 1:
+        (a, b), = pairs
+        diagonal = np.equal(coords[a], coords[b])
+        canonical = strict | diagonal if check else None
+    else:
+        canonical, diagonal = _pairs_mask(coords, pairs, np.greater_equal), None
     if check and not canonical.all():
         first = int(np.argmin(canonical))
         raise ValueError(
@@ -74,7 +96,9 @@ def split_masks(
             "non-increasing within symmetric modes %s"
             % (tuple(int(c) for c in coords[:, first]), first, tuple(map(tuple, parts)))
         )
-    return strict, canonical & ~strict
+    if diagonal is None:
+        diagonal = np.bitwise_xor(canonical, strict, out=canonical)
+    return strict, diagonal
 
 
 def split_diagonal(
@@ -92,47 +116,43 @@ def expand_symmetric(coo: COO, parts: Sequence[Sequence[int]]) -> COO:
     Every entry is emitted once per *distinct* permutation of its
     coordinates within each symmetric mode group (diagonal entries are not
     duplicated).  The result is what a non-symmetry-aware kernel iterates.
+
+    A permutation that reorders two equal coordinates of an entry repeats
+    a copy an earlier permutation (in ``itertools.permutations`` order)
+    already made, so it skips that entry: distinct input coordinates
+    expand to distinct ones and the final sort meets no tie.  Whatever is
+    skipped is a later copy of a (coordinate, value) pair that is kept,
+    so the first occurrence of every coordinate is the one it always was.
     """
     nontrivial = [sorted(p) for p in parts if len(p) >= 2]
     if not nontrivial or coo.nnz == 0:
         return coo
     coords_list = [coo.coords]
     vals_list = [coo.vals]
-    base = coo.coords
-    replicas = _distinct_group_permutations(base, nontrivial)
-    for perm_coords in replicas:
-        coords_list.append(perm_coords[0])
-        vals_list.append(coo.vals[perm_coords[1]])
+    for order, inversions in _group_permutations(coo.ndim, nontrivial):
+        keep = np.flatnonzero(_pairs_mask(coo.coords, inversions, np.not_equal))
+        coords_list.append(coo.coords.take(keep, axis=1)[order])
+        vals_list.append(coo.vals.take(keep))
     coords = np.concatenate(coords_list, axis=1)
     vals = np.concatenate(vals_list)
     return _drop_duplicates(COO._derived(coords, vals, coo.shape))
 
 
-def _distinct_group_permutations(coords: np.ndarray, groups):
-    """All non-identity mode permutations within the symmetric groups,
-    applied to every entry; duplicates are filtered later."""
-    ndim = coords.shape[0]
-    results = []
-    perms_per_group = [list(permutations(g)) for g in groups]
-
-    def rec(group_no, mapping):
-        if group_no == len(groups):
-            if mapping != {m: m for m in mapping}:
-                order = list(range(ndim))
-                for src, dst in mapping.items():
-                    order[dst] = src
-                permuted = coords[order]
-                results.append((permuted, np.arange(coords.shape[1])))
-            return
-        group = groups[group_no]
-        for perm in perms_per_group[group_no]:
-            new_mapping = dict(mapping)
-            for src, dst in zip(group, perm):
-                new_mapping[src] = dst
-            rec(group_no + 1, new_mapping)
-
-    rec(0, {})
-    return results
+def _group_permutations(ndim: int, groups):
+    """Every non-identity permutation of modes within the symmetric
+    *groups*, in ``itertools`` order, as ``(order, inversions)``: mode
+    ``t`` of a replica is mode ``order[t]`` of its source, and the
+    inversions are the mode pairs ``a < b`` whose order it reverses."""
+    for choice in product(*(permutations(g) for g in groups)):
+        order, dst = list(range(ndim)), {}
+        for group, perm in zip(groups, choice):
+            for src, to in zip(group, perm):
+                order[to], dst[src] = src, to
+        inversions = [
+            (a, b) for g in groups for a, b in combinations(g, 2) if dst[a] > dst[b]
+        ]
+        if inversions:
+            yield order, inversions
 
 
 def _drop_duplicates(coo: COO) -> COO:

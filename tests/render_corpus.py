@@ -3,7 +3,7 @@
 Every library and extension kernel x both dtypes, as SySTeC builds it
 (by default and in the lookup-table form) and as the naive baseline,
 plus a handful of user einsums that reach the statement forms no
-library kernel emits (the ``break`` triangle guard, ``np.minimum`` row
+library kernel emits (the ``break`` triangle guard, ``np.copyto`` row
 reductions, explicit triangle conditions over a dense symmetric input,
 a dense-only vectorized nest): 100 lowerings.  Each is rendered to C
 under both profile settings in :data:`C_CONFIGS` (every loop phase

@@ -33,6 +33,7 @@ import numpy as np
 import pytest
 
 from repro.codegen.backends import get_backend
+from repro.core.compiler import compile_kernel
 from repro.core.config import DEFAULT
 from repro.frontend.parser import parse_assignment
 from repro.kernels.baselines import taco_style_mttkrp3, taco_style_spmv, taco_style_syprd
@@ -222,23 +223,60 @@ def test_differential_wide_rank(name, dtype, rank):
 # min/max on signed-zero ties and NaN operands, from a supplied payload
 # (the draw above makes neither): the first of two tied values and the
 # accumulator against a NaN win, as Python's min/max decide, on every leg
+# — the scalar reductions of Bellman-Ford and widest path, and the row
+# reductions (``np.copyto(t, v, where=v < t)``) of the two row-form
+# einsums of the rendering corpus
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(not HAVE_CC, reason="no C compiler")
-@pytest.mark.parametrize("dtype", ("float64", "float32"))
-@pytest.mark.parametrize("name", ("bellmanford", "widestpath"))
-def test_minmax_ties_and_nan_operands_are_bit_identical(name, dtype):
+MINMAX_CASES = ("bellmanford", "widestpath", "extra:row_min", "extra:row_min_ws")
+
+
+def _signed_canonical(ndim, n, dtype):
+    """Every canonical coordinate of an ``n``-sided symmetric tensor,
+    valued with zeros of both signs, NaNs and a 1.5."""
+    grid = np.indices((n,) * ndim).reshape(ndim, -1)
+    coords = grid[:, np.all(grid[:-1] >= grid[1:], axis=0)]
+    cycle = np.array([0.0, -0.0, float("nan"), -0.0, 1.5, 0.0, -0.0], dtype=dtype)
+    return coords, np.resize(cycle, coords.shape[1])
+
+
+def _minmax_case(name, dtype):
+    """``(compile(backend), inputs)`` of one :data:`MINMAX_CASES` entry."""
     nan = float("nan")
+    if name.startswith("extra:"):
+        from tests.render_corpus import EXTRAS
+
+        einsum, symmetric, loop_order, formats = EXTRAS[name[len("extra:"):]]
+        ndim = len(parse_assignment(einsum).operands[0].indices)
+        coords, vals = _signed_canonical(ndim, 4, dtype)
+        A = Tensor(COO(coords, vals, (4,) * ndim, sum_duplicates=False), (tuple(range(ndim)),), canonical=True)
+        B = np.resize(np.array([-0.0, 0.0, 2.0, nan, -0.0], dtype=dtype), (4, 3))
+
+        def build(backend):
+            return compile_kernel(
+                einsum, symmetric=symmetric, loop_order=loop_order, formats=formats,
+                options=DEFAULT.but(backend=backend, dtype=dtype),
+            )
+
+        return build, {"A": A, "B": B}
     # the stored triangle of a symmetric A, explicit zeros of both signs
     coords = np.array([[0, 1, 1, 2, 2, 3, 3, 3, 4, 4], [0, 0, 1, 0, 2, 0, 1, 3, 2, 4]])
     vals = np.array([0.0, -0.0, nan, 0.0, -0.0, 1.5, -0.0, nan, -0.0, 0.0], dtype=dtype)
     A = Tensor(COO(coords, vals, (5, 5), sum_duplicates=False), ((0, 1),), canonical=True)
     d = np.array([-0.0, 0.0, -0.0, nan, 0.0], dtype=dtype)
     spec = ALL_SPECS[name]
-    py = np.asarray(spec.compile(options=DEFAULT.but(backend="python", dtype=dtype))(A=A, d=d))
+    return (lambda backend: spec.compile(options=DEFAULT.but(backend=backend, dtype=dtype))), {"A": A, "d": d}
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler")
+@pytest.mark.parametrize("dtype", ("float64", "float32"))
+@pytest.mark.parametrize("name", MINMAX_CASES)
+def test_minmax_ties_and_nan_operands_are_bit_identical(name, dtype):
+    build, inputs = _minmax_case(name, dtype)
+    py = np.asarray(build("python")(**inputs))
     # both signs of zero reach the output: the ties were decided
     assert np.signbit(py[py == 0]).any() and not np.signbit(py[py == 0]).all()
-    kernel = spec.compile(options=DEFAULT.but(backend="c", dtype=dtype))
-    prepared, shape = kernel.prepare(A=A, d=d)
+    kernel = build("c")
+    prepared, shape = kernel.prepare(**inputs)
     for threads in (1, 3):
         got = np.asarray(kernel.finalize(kernel.run(prepared, shape, threads=threads)))
         assert got.tobytes() == py.tobytes(), (name, dtype, threads, got, py)

@@ -4,21 +4,28 @@ it must produce, byte for byte.
 ``Tensor.view`` walks the symmetric pairs once per split, gathers each
 half once straight into storage order and checks order on one
 hand-linearised key: a payload already in storage order builds its
-fibertree with no sort, any other pays exactly one single-key stable sort
-per view, and nothing calls ``np.ravel_multi_index``.  The ``np.lexsort``
-references the results are compared against live only here.
+fibertree with no sort; any other pays one default (unstable, SIMD)
+argsort per view, and a stable one on top only when two of its
+coordinates are equal — never for distinct ones.  ``pos`` comes from run
+boundaries: nothing calls ``np.bincount`` or ``np.ravel_multi_index``.
+The ``np.lexsort`` and ``np.bincount`` references the results are
+compared against live only here.
 """
 
+import contextlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.codegen.backends import get_backend
 from repro.core.config import DEFAULT
 from repro.kernels.extensions import EXTENSIONS
 from repro.kernels.library import KERNELS
+from repro.tensor import coo as coo_mod
 from repro.tensor import symmetry_ops
 from repro.tensor import tensor as tensor_mod
 from repro.tensor.coo import COO, _lex_order, index_dtype
@@ -46,6 +53,20 @@ def sorts(monkeypatch):
     monkeypatch.setattr(np, "argsort", counting("argsort"))
     monkeypatch.setattr(np, "lexsort", counting("lexsort"))
     return calls
+
+
+@pytest.fixture
+def argsort_kinds(monkeypatch):
+    """The ``kind`` of every ``np.argsort`` call (None for the default)."""
+    kinds = []
+    real = np.argsort
+
+    def wrapper(*args, **kwargs):
+        kinds.append(kwargs.get("kind"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", wrapper)
+    return kinds
 
 
 def _columns(rng, shape, nnz, arrangement):
@@ -183,6 +204,54 @@ def test_shuffled_payload_sorts_once_per_view(rng, sorts):
     assert sorts == {"argsort": len(views), "lexsort": 0}
     tensor.view((0, 1), default_levels(2), "strict")  # memoized
     assert sorts["argsort"] == len(views)
+
+
+def _every_view(tensor):
+    """Every filter of *tensor* in two storage orders and both level forms."""
+    ndim = tensor.ndim
+    orders = (tuple(range(ndim)), tuple(reversed(range(ndim))))
+    return [
+        tensor.view(order, levels, tensor_filter)
+        for order in orders
+        for levels in (default_levels(ndim), ("sparse",) * ndim)
+        for tensor_filter in FILTERS
+    ]
+
+
+def test_building_a_view_never_counts_with_bincount(rng, monkeypatch):
+    calls = []
+    real = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(a) or real(*a, **k))
+    for ndim, parts in ((2, ((0, 1),)), (3, ((0, 1, 2),)), (3, ((1, 2),))):
+        for shuffled, canonical in itertools.product((False, True), (False, True)):
+            coo = _full_symmetric_coo(rng, ndim=ndim, n=6, shuffled=shuffled)
+            if canonical:
+                coo = pack_canonical(coo, parts)
+            assert all(v.nnz for v in _every_view(Tensor(coo, parts, canonical=canonical)))
+    assert calls == []
+
+
+def test_distinct_coordinates_never_take_a_stable_sort(rng, argsort_kinds):
+    for ndim, parts in ((2, ((0, 1),)), (3, ((0, 1, 2),))):
+        views = _every_view(Tensor(_full_symmetric_coo(rng, ndim=ndim, n=7, shuffled=True), parts))
+        assert not all(view.presorted for view in views)
+    # a canonical payload's full view expands it: its replicas are distinct too
+    for ndim, parts in ((2, ((0, 1),)), (3, ((0, 1, 2),)), (4, ((0, 1), (2, 3)))):
+        canonical = pack_canonical(_full_symmetric_coo(rng, ndim=ndim, n=5, shuffled=True), parts)
+        Tensor(canonical, parts, canonical=True).view(tuple(range(ndim)), default_levels(ndim))
+    assert argsort_kinds and "stable" not in argsort_kinds
+
+
+def test_duplicate_coordinates_take_one_stable_sort_per_view(rng, argsort_kinds):
+    coo = _full_symmetric_coo(rng, n=9)
+    twice = np.concatenate([coo.coords, coo.coords], axis=1)
+    pick = rng.permutation(twice.shape[1])
+    doubled = COO(twice[:, pick], np.tile(coo.vals, 2)[pick], coo.shape, sum_duplicates=False)
+    views = _every_view(Tensor(doubled, ((0, 1),)))
+    assert not any(view.presorted for view in views)
+    # an unstable sort finds the tie, one stable sort decides it
+    assert argsort_kinds.count("stable") == len(views)
+    assert argsort_kinds.count(None) == len(views)
 
 
 def test_pack_and_split_of_a_full_payload_is_one_mask_pass(rng, monkeypatch):
@@ -512,3 +581,156 @@ def test_expand_symmetric_of_narrow_coordinates_matches_its_int64_result(monkeyp
     np.testing.assert_array_equal(narrow.coords, wide.coords)
     np.testing.assert_array_equal(narrow.vals, wide.vals)
     assert narrow.nnz > COO(canonical, raw.vals, shape).nnz
+
+
+# ----------------------------------------------------------------------
+# Tensor.view as a property, against the references above: every filter,
+# storage order and level form of random payloads and of the edge cases
+# ----------------------------------------------------------------------
+def _expanded(coords, vals, parts):
+    """A canonical payload's full tensor, from first principles: every
+    coordinate each within-group permutation makes, in
+    ``itertools.permutations`` order, the first occurrence kept."""
+    groups = [sorted(p) for p in parts]
+    seen = {}
+    for choice in itertools.product(*(itertools.permutations(g) for g in groups)):
+        order = list(range(coords.shape[0]))
+        for group, perm in zip(groups, choice):
+            for src, dst in zip(group, perm):
+                order[dst] = src
+        for column, value in zip(coords[order].T.tolist(), vals):
+            seen.setdefault(tuple(column), value)
+    keys = sorted(seen)
+    return (
+        np.array(keys, dtype=np.int64).reshape(len(keys), coords.shape[0]).T,
+        np.array([seen[k] for k in keys], dtype=vals.dtype),
+    )
+
+
+def _check_views(coords, vals, shape, parts, canonical, order, levels):
+    """Every filter of one payload, by dtype and bytes, against
+    :func:`_reference_fiber` over :func:`_masks` (and :func:`_expanded`)."""
+    nontrivial = tuple(p for p in parts if len(p) >= 2)
+    tensor = Tensor(COO(coords, vals, shape, sum_duplicates=False), parts, canonical=canonical)
+    masks = _masks(coords, nontrivial)
+    if canonical or not nontrivial:
+        masks["all"] = None
+    for tensor_filter in FILTERS:
+        mask = masks[tensor_filter]
+        if tensor_filter == "full" and canonical and nontrivial:
+            picked = _expanded(coords, vals, nontrivial)
+        else:
+            picked = (coords, vals) if mask is None else (coords[:, mask], vals[mask])
+        view_shape = tuple(shape[m] for m in order)
+        want = _reference_fiber(picked[0][list(order)], picked[1], view_shape, levels)
+        got = tensor.view(order, levels, tensor_filter).arrays()
+        assert sorted(got) == sorted(want), tensor_filter
+        for name, arr in want.items():
+            assert got[name].dtype == arr.dtype, (tensor_filter, name)
+            assert got[name].tobytes() == arr.tobytes(), (tensor_filter, name)
+
+
+#: ndim -> the symmetry declarations the property draws from
+_PROPERTY_PARTS = {
+    2: [(), ((0, 1),)],
+    3: [((0, 1, 2),), ((1, 2),), ((0, 2),)],
+    4: [((0, 1), (2, 3)), ((0, 1, 2, 3),)],
+}
+
+
+@st.composite
+def _payloads(draw):
+    """A payload, its declaration and one storage order.  Coordinates stay
+    inside ``[lo, hi)`` of each extent (empty leading and trailing rows),
+    repeat when drawn twice, and may all sit on the diagonal."""
+    ndim = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(1, 7 if ndim < 4 else 4))
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo + 1, n))
+    nnz = draw(st.integers(0, 40))
+    coords = np.array(
+        draw(st.lists(st.lists(st.integers(lo, hi - 1), min_size=ndim, max_size=ndim),
+                      min_size=nnz, max_size=nnz)),
+        dtype=np.int64,
+    ).reshape(nnz, ndim).T
+    if draw(st.booleans()):  # all diagonal: every mode repeats mode 0
+        coords[1:] = coords[0]
+    parts = draw(st.sampled_from(_PROPERTY_PARTS[ndim]))
+    canonical = bool(parts) and draw(st.booleans())
+    if canonical:
+        coords = np.ascontiguousarray(coords[:, _masks(coords, parts)["all"]])
+    dtype = draw(st.sampled_from((np.float64, np.float32)))
+    vals = np.array(
+        draw(st.lists(st.sampled_from((0.5, -0.0, 0.0, 2.0, float("nan"))),
+                      min_size=coords.shape[1], max_size=coords.shape[1])),
+        dtype=dtype,
+    )
+    order = tuple(draw(st.permutations(range(ndim))))
+    levels = draw(st.sampled_from((default_levels(ndim), ("sparse",) * ndim)))
+    return coords, vals, (n,) * ndim, parts, canonical, order, levels
+
+
+@contextlib.contextmanager
+def _index_limit(limit):
+    saved, coo_mod.INDEX_LIMIT = coo_mod.INDEX_LIMIT, limit
+    try:
+        yield
+    finally:
+        coo_mod.INDEX_LIMIT = saved
+
+
+@settings(max_examples=100, deadline=None)
+@given(_payloads(), st.booleans())
+def test_views_match_the_references_as_a_property(payload, wide):
+    with _index_limit(0 if wide else coo_mod.INDEX_LIMIT):
+        _check_views(*payload)
+
+
+def _edge(coords, shape, parts=((0, 1),), canonical=False, order=None, dtype=np.float64):
+    coords = np.array(coords, dtype=np.int64).reshape(len(shape), -1)
+    vals = (np.arange(coords.shape[1]) - 1.5).astype(dtype)
+    order = tuple(range(len(shape))) if order is None else order
+    return coords, vals, shape, parts, canonical, order
+
+
+EDGE_PAYLOADS = {
+    "empty": _edge([[], []], (4, 4)),
+    "empty canonical": _edge([[], []], (4, 4), canonical=True),
+    "single entry": _edge([[2], [1]], (4, 4)),
+    "single diagonal entry": _edge([[3], [3]], (4, 4), canonical=True),
+    "empty leading and trailing rows": _edge([[3, 2, 3, 4], [1, 2, 3, 1]], (7, 7), order=(1, 0)),
+    "all diagonal": _edge([[0, 2, 1, 3], [0, 2, 1, 3], [0, 2, 1, 3]], (4, 4, 4), ((0, 1, 2),)),
+    "duplicates": _edge([[2, 1, 2, 2, 1, 0], [1, 1, 1, 2, 1, 0]], (3, 3), order=(1, 0)),
+    "canonical duplicates": _edge([[2, 1, 2, 2, 1], [1, 1, 1, 2, 1]], (3, 3), canonical=True),
+    "two symmetric parts": _edge(
+        [[3, 1, 2, 3, 0], [1, 1, 0, 3, 0], [2, 3, 2, 0, 1], [2, 0, 1, 0, 1]], (4, 4, 4, 4),
+        ((0, 1), (2, 3)), canonical=True, order=(2, 3, 0, 1),
+    ),
+    "transposed 3-D": _edge([[2, 3, 1, 2], [2, 1, 1, 0], [0, 1, 0, 0]], (4, 4, 4), ((0, 1, 2),), order=(2, 0, 1)),
+    "float32": _edge([[2, 0, 3, 3], [1, 0, 3, 0]], (4, 4), order=(1, 0), dtype=np.float32),
+}
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["narrow", "index_limit_0"])
+@pytest.mark.parametrize("name", sorted(EDGE_PAYLOADS))
+def test_views_match_the_references_on_edge_payloads(name, wide):
+    coords, vals, shape, parts, canonical, order = EDGE_PAYLOADS[name]
+    ndim = len(shape)
+    with _index_limit(0 if wide else coo_mod.INDEX_LIMIT):
+        for levels in (default_levels(ndim), ("sparse",) * ndim):
+            _check_views(coords, vals, shape, parts, canonical, order, levels)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_payloads())
+def test_expand_symmetric_keeps_the_first_copy_of_any_payload(payload):
+    """Replicas that reorder equal coordinates are skipped; what is left
+    keeps, per coordinate, the copy the full concatenation would have
+    kept first — on any payload, canonical or not, duplicates included."""
+    coords, vals, shape, parts, _, _, _ = payload
+    nontrivial = tuple(p for p in parts if len(p) >= 2)
+    assume(nontrivial and coords.shape[1])
+    got = expand_symmetric(COO(coords, vals, shape, sum_duplicates=False), nontrivial)
+    want_coords, want_vals = _expanded(coords, vals, nontrivial)
+    assert got.coords.astype(np.int64).tobytes() == want_coords.tobytes()
+    assert got.vals.tobytes() == want_vals.tobytes()
