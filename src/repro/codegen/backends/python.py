@@ -97,6 +97,14 @@ def _block(stmts: Sequence[ir.Stmt], ind: str, out: List[str]) -> None:
                 ))
             else:
                 put("%s = %s(%s, %s)" % (tgt, s.op, tgt, value))
+        elif isinstance(s, ir.ClearOut):
+            for t, (coord, end) in enumerate(zip(s.coords, s.ends)):
+                put("for %s in range(%s):" % (coord, _expr(end)), "    " * t)
+            region = list(s.coords)
+            if s.span is not None:
+                region.append(":%s" % _expr(s.span))
+            put("out[%s] = %s" % (", ".join(region) or "...", _expr(s.value)),
+                "    " * len(s.coords))
         elif isinstance(s, ir.If):
             put("if %s:" % _expr(s.cond))
             _block(s.body, inner, out)

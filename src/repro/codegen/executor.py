@@ -115,15 +115,21 @@ class ExecutionPlan:
     Built by :meth:`BoundKernel.plan_prepared` (or
     :meth:`CompiledKernel.execution_plan`): validation, dtype checks,
     backend argument marshaling and output allocation all happen exactly
-    once, here.  Each ``plan()`` call only resets the output buffer to the
-    reduction identity and invokes the pre-bound executable — no dict
-    walks, no numpy wrapping, no ctypes re-marshaling — and returns the
-    buffer (the timed region, i.e. *before*
-    :meth:`~CompiledKernel.finalize`).  :meth:`CompiledKernel.run` is a
-    plan built and called once.
+    once, here.  Each ``plan()`` call only invokes the pre-bound
+    executable — no dict walks, no numpy wrapping, no ctypes
+    re-marshaling, no fill — and returns the buffer (the timed region,
+    i.e. *before* :meth:`~CompiledKernel.finalize`).  The generated
+    program resets what it writes itself (its first statement,
+    :class:`~repro.codegen.loopir.ClearOut`).  :meth:`CompiledKernel.run`
+    is a plan built and called once.
 
     The returned array is the plan's internal buffer (or the caller-owned
-    ``out``): its contents are valid until the next call.  Snapshots of
+    ``out``): its contents are valid until the next call.  The raw-buffer
+    contract: a kernel with a symmetric output writes only its canonical
+    region (coordinates non-increasing within each replication group);
+    the rest of the buffer holds the reduction identity from bind on —
+    the plan allocates its buffer holding it, and fills a caller-owned
+    ``out`` with it once, here — and no call writes it again.  Snapshots of
     sparse inputs are taken at prepare time exactly as with
     :meth:`BoundKernel.prepare` — replacing an input tensor's payload does
     **not** flow into an existing plan; use :meth:`matches` to detect a
@@ -147,8 +153,6 @@ class ExecutionPlan:
         "out",
         "threads",
         "_call",
-        "_fill",
-        "_fill_value",
         "_identity",
         "_sources",
         "_observed",
@@ -184,8 +188,7 @@ class ExecutionPlan:
         layout = spec.layout
         expected = tuple(self.output_shape[m] for m in layout)
         if out is None:
-            # uninitialised: every call starts by resetting the buffer
-            out = np.empty(expected, kernel.dtype)
+            out = make_output(expected, spec.reduce_op, kernel.dtype)
         else:
             if tuple(out.shape) != expected:
                 raise ValueError(
@@ -202,10 +205,9 @@ class ExecutionPlan:
                     "caller-owned output buffer must be C-contiguous and "
                     "writeable"
                 )
+            out.fill(REDUCE_IDENTITY[spec.reduce_op])
         #: the reusable output buffer every call writes into.
         self.out = out
-        self._fill = out.fill
-        self._fill_value = REDUCE_IDENTITY[spec.reduce_op]
         self._identity = identity
         # strong references to the original argument objects: prepare()
         # repacks inputs into new arrays, so without these the originals
@@ -226,7 +228,6 @@ class ExecutionPlan:
 
     def __call__(self, threads=None) -> np.ndarray:
         """Run the kernel's loops; returns the (reused) output buffer."""
-        self._fill(self._fill_value)
         if threads is None:
             self._call(self.threads)
         else:

@@ -29,6 +29,9 @@ allocations and a ``body`` of top-level statements):
   every reduction update (``+=`` / ``min`` / ``max``, scalar or row)
   onto ``out[...]`` or a workspace.
 * :class:`If`, :class:`WorkspaceAlloc`, :class:`LutDef`.
+* :class:`ClearOut` — the first statement of every kernel body: reset
+  the canonical region of ``out`` (what the nests accumulate into) to
+  the reduction identity, one contiguous run per leading coordinate.
 * :class:`Fused` / :class:`Tiled` / :class:`Blocked` /
   :class:`Parallel` — products of the loop phases, made at render time
   and never persisted.
@@ -41,8 +44,8 @@ Expressions carry their type (``INT`` / ``ELEM`` / ``ROW``) in the node:
 The vocabulary is closed because the traffic is: the 100 lowerings of
 the render corpus (13 library + extension kernels x 2 dtypes as SySTeC,
 SySTeC with lookup tables and naive, plus 11 user einsums x 2 dtypes)
-print only eight Python statement kinds — 1166 ``Assign``, 504
-``AugAssign``, 418 ``For``, 170 ``If``, 120 ``Expr`` (96 ``.fill``, 24
+print only eight Python statement kinds — 1266 ``Assign`` (100 of them
+the output clears), 504 ``AugAssign``, 442 ``For``, 170 ``If``, 120 ``Expr`` (96 ``.fill``, 24
 ``np.copyto``), 14 ``While`` + 14 ``Continue``, 4 ``Break`` — and eight
 call forms (``range``, ``np.empty``, ``.fill``, ``np.copyto``, ``min``,
 ``max``, ``float("inf")``, and ``np.array`` for a float32 lookup
@@ -328,6 +331,27 @@ class LutDef:
 
 
 @dataclass(frozen=True)
+class ClearOut:
+    """Set the canonical region of ``out`` to the reduction identity.
+
+    The region is every entry whose coordinates are non-increasing, in
+    layout order, within each group of
+    :attr:`~repro.codegen.lower.OutputSpec.replication_parts` — the
+    entries the nests write and finalization reads.  ``coords[t]`` runs
+    over layout axis ``t`` up to ``ends[t]`` (a :class:`Dim`, or an
+    earlier coordinate plus one); under them the first ``span`` indices
+    of the next axis, each with every axis after it, are one contiguous
+    run of the buffer.  No coordinates and ``span`` ``None``: the whole
+    buffer.
+    """
+
+    coords: Tuple[Name, ...]
+    ends: Tuple[Expr, ...]
+    span: Optional[Expr]
+    value: Const
+
+
+@dataclass(frozen=True)
 class Fused:
     """A run of adjacent row ``+=`` updates sharing one element loop.
 
@@ -350,10 +374,14 @@ class Tiled:
     ``if (lead >= hi) break; if (lead < lo) continue;`` — ``break``
     because one fiber's ``idx`` run is sorted.  The block height is sized
     at run time from the output's row width and the fibers' mean length.
+    ``clear`` is the kernel's :class:`ClearOut` when the tile phase moved
+    it in: each block clears its own rows just before it accumulates
+    into them.
     """
 
     nest: DenseLoop
     lead: Name
+    clear: Optional[ClearOut] = None
 
 
 @dataclass(frozen=True)
@@ -364,14 +392,19 @@ class Blocked:
     (``regblock.WIDTH``) the renderer runs ``nest`` once per block of the
     vector axis, with every element loop one block long and each row
     workspace a block-local array; otherwise it prints ``nest``
-    unchanged.  See :mod:`repro.codegen.passes.regblock`.
+    unchanged.  ``clear`` is the kernel's :class:`ClearOut` when the
+    regblock phase moved it in: the rows the nest accumulates into are
+    then cleared where the nest writes them, in the padded copy when
+    there is one.  See :mod:`repro.codegen.passes.regblock`.
     """
 
     nest: Union[DenseLoop, FiberLoop]
+    clear: Optional[ClearOut] = None
 
 
 Stmt = Union[
-    Let, Init, Reduce, If, DenseLoop, FiberLoop, Intersect, Fused, Tiled, Blocked
+    Let, Init, Reduce, If, DenseLoop, FiberLoop, Intersect, ClearOut, Fused,
+    Tiled, Blocked,
 ]
 Loop = (DenseLoop, FiberLoop, Intersect)
 
@@ -409,6 +442,8 @@ def children(stmt: Stmt) -> Tuple[Stmt, ...]:
     """The statements nested directly under *stmt*."""
     if isinstance(stmt, Fused):
         return stmt.stmts
+    if isinstance(stmt, (Tiled, Blocked)) and stmt.clear is not None:
+        return (stmt.clear, stmt.nest)
     if isinstance(stmt, (Tiled, Blocked, Parallel)):
         return (stmt.nest,)
     return getattr(stmt, "body", ())
@@ -441,6 +476,8 @@ def defines(stmt: Stmt) -> Tuple[Tuple[str, str], ...]:
         names = [stmt.max_var, stmt.adv_var, stmt.coord_var]
         for b in stmt.binders:
             names += [b.pos_var, b.end_var, b.coord]
+    elif isinstance(stmt, ClearOut):
+        names = list(stmt.coords)
     else:
         return ()
     return tuple((name, INT) for name in names)
@@ -504,6 +541,9 @@ def reads(stmts: Sequence[Stmt]) -> Set[str]:
                 names.add(stmt.guard)
         elif isinstance(stmt, Tiled):
             names.add(stmt.lead)
+        elif isinstance(stmt, ClearOut):
+            for e in stmt.ends + ((stmt.span,) if stmt.span is not None else ()):
+                _expr_reads(e, names)
     return names
 
 

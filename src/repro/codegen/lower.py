@@ -85,6 +85,7 @@ from repro.codegen.loopir import (
     BinOp,
     Binder,
     BoolOp,
+    ClearOut,
     Cmp,
     Const,
     DenseLoop,
@@ -353,6 +354,37 @@ class Lowerer:
             index_names=lhs.indices,
         )
 
+    def _clear_out(self) -> ClearOut:
+        """The reset of the region the nests write: within each
+        replication group, in layout order, a coordinate runs up to the
+        previous one (canonical entries are non-increasing).  The region
+        is a prefix loop nest over the leading axes and one contiguous
+        run under it; a group that puts the vector axis first clears the
+        whole buffer."""
+        spec = self.output
+        position = {m: t for t, m in enumerate(spec.layout)}
+        names = [spec.index_names[m] for m in spec.layout]
+        bound: Dict[int, int] = {}  # axis -> the axis its coordinate stays under
+        for part in spec.replication_parts:
+            axes = [position[m] for m in sorted(part)]
+            if axes != sorted(axes):
+                bound = {}
+                break
+            bound.update(zip(axes[1:], axes))
+        value = Const(REDUCE_IDENTITY[spec.reduce_op])
+        if not bound:
+            return ClearOut((), (), None, value)
+        last = max(bound)
+
+        def end(t: int) -> Expr:
+            if t in bound:
+                return BinOp("+", (Var(names[bound[t]], INT), Const(1)))
+            return Dim(self._dim_name(names[t]))
+
+        return ClearOut(
+            tuple(names[:last]), tuple(end(t) for t in range(last)), end(last), value
+        )
+
     # ------------------------------------------------------------------
     # view construction
     # ------------------------------------------------------------------
@@ -409,6 +441,7 @@ class Lowerer:
         body: List[Stmt] = []
         for nest in self.plan.nests:
             body.extend(self._emit_nest(nest))
+        body.insert(0, self._clear_out())
         arrays: List[Array] = []
         for view in self.sparse_views.values():
             for level in range(view.dense_prefix, len(view.levels)):

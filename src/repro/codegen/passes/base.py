@@ -16,9 +16,9 @@ depends only on its lowered program.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.codegen.loopir import LoopIR, LoweringError, verify
+from repro.codegen.loopir import ClearOut, LoopIR, LoweringError, verify
 from repro.obs import trace as obs_trace
 
 if TYPE_CHECKING:
@@ -41,6 +41,18 @@ class Pass:
 
     def run(self, ir: LoopIR) -> LoopIR:
         raise NotImplementedError
+
+
+def absorb_clear(body: List, wrapper: type) -> None:
+    """Move the kernel's :class:`~repro.codegen.loopir.ClearOut` into
+    the *wrapper* node (``Tiled`` / ``Blocked``) right after it, whose
+    printer then clears the rows it is about to accumulate into; the
+    nest is the first statement that writes the output after the clear,
+    so nothing reads a row before it is cleared."""
+    for pos in range(len(body) - 1):
+        if isinstance(body[pos], ClearOut) and isinstance(body[pos + 1], wrapper):
+            body[pos : pos + 2] = [replace(body[pos + 1], clear=body[pos])]
+            return
 
 
 def run_pipeline(lowered: "LoweredKernel", label: Optional[str] = None) -> LoopIR:

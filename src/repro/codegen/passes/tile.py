@@ -61,6 +61,13 @@ does not model is the fixed cost of visiting a fiber once more per block
 — two unpredictable branches — which is what the two sub-millisecond
 shapes lose.
 
+The kernel's output clear (:class:`~repro.codegen.loopir.ClearOut`),
+when it directly precedes a tiled nest, moves into it: each block clears
+its own rows' part of the region just before it accumulates into them,
+so the zeroing happens in cache instead of going out to memory ahead of
+the nest.  Every write of the nest leads with the blocked output row,
+so no row is written before its block has cleared it.
+
 The annotation applies to serial emission only: an OpenMP team body
 prints the nest untiled.  The ssyrk-shaped nests it matches are ``+``
 scatters, which get no team body at all.
@@ -70,7 +77,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.codegen.passes.base import Pass
+from repro.codegen.passes.base import Pass, absorb_clear
 from repro.codegen.loopir import (
     DenseLoop,
     FiberLoop,
@@ -139,6 +146,7 @@ class TilePass(Pass):
                 tiled += 1
         if tiled:
             ir.notes.append("tiled %d nest(s)" % tiled)
+        absorb_clear(ir.body, Tiled)
         return ir
 
     # ------------------------------------------------------------------

@@ -37,9 +37,10 @@ def make_output(
     shape: Sequence[int], reduce_op: str, dtype=np.float64
 ) -> np.ndarray:
     """Allocate an output tensor filled with the reduction identity
-    (:data:`REDUCE_IDENTITY`, which an
-    :class:`~repro.codegen.executor.ExecutionPlan` resets its own buffer
-    to in place at the top of every call)."""
+    (:data:`REDUCE_IDENTITY`; ``np.zeros`` for ``+``, whose pages the
+    kernel's own clear is the first to touch)."""
+    if reduce_op == "+":
+        return np.zeros(tuple(shape), dtype=dtype)
     return np.full(tuple(shape), REDUCE_IDENTITY[reduce_op], dtype=dtype)
 
 

@@ -214,7 +214,10 @@ def plan_kernel(
 #: no width symbol) must not be rebound against 32-bit arrays.
 #: v10: the state no longer carries a ``codegen`` configuration — the C
 #: source depends on the lowered program alone.
-STATE_VERSION = 10
+#: v11: the loop program's first statement clears the output region it
+#: writes (``ClearOut``) and the executor no longer fills the buffer per
+#: call; a v10 program never clears, so it must not run under it.
+STATE_VERSION = 11
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,12 @@ void free(void *);
 typedef RP_INDEX rp_index;
 int64_t repro_index_bytes(void) { return (int64_t) sizeof(rp_index); }
 
+static __attribute__((noinline)) void rp_clear(volatile double *rp_p, int64_t rp_n, double rp_v)
+{
+    int64_t rp_k;
+    for (rp_k = 0; rp_k < rp_n; ++rp_k) { rp_p[rp_k] = rp_v; }
+}
+
 static inline double rp_fmin(double a, double b) { return b < a ? b : a; }
 
 #if defined(_OPENMP)
@@ -40,6 +46,7 @@ int64_t kernel(double *restrict out,
     (void) rp_status;
     int64_t i = 0, j = 0, q0_1 = 0;
     double t0 = 0.0, t1 = 0.0, t2 = 0.0, t3 = 0.0, t4 = 0.0, ws0 = 0.0;
+    rp_clear(out, out_dims[0], __builtin_inff());
     #if defined(_OPENMP)
     if (repro_nthreads > 1) {
         int64_t rp_oom = 0;

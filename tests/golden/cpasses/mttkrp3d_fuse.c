@@ -11,6 +11,12 @@ void free(void *);
 typedef RP_INDEX rp_index;
 int64_t repro_index_bytes(void) { return (int64_t) sizeof(rp_index); }
 
+static __attribute__((noinline)) void rp_clear(volatile double *rp_p, int64_t rp_n, double rp_v)
+{
+    int64_t rp_k;
+    for (rp_k = 0; rp_k < rp_n; ++rp_k) { rp_p[rp_k] = rp_v; }
+}
+
 /* returns 0 on success, 1 when a runtime allocation failed
    (a workspace, a padded row copy or a per-thread buffer) */
 int64_t kernel(double *restrict out,
@@ -54,6 +60,7 @@ int64_t kernel(double *restrict out,
         free(ws3);
         return 1;
     }
+    rp_clear(out, out_dims[0] * out_dims[1], 0.0);
     for (l = 0; l < n_l; ++l) {
         t1 = B + (l) * B_dims[1];
         for (_v = 0; _v < n_j; ++_v) { w0[_v] = (2.0 * t1[_v]); }

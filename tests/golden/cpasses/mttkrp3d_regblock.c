@@ -11,6 +11,12 @@ void free(void *);
 typedef RP_INDEX rp_index;
 int64_t repro_index_bytes(void) { return (int64_t) sizeof(rp_index); }
 
+static __attribute__((noinline)) void rp_clear(volatile double *rp_p, int64_t rp_n, double rp_v)
+{
+    int64_t rp_k;
+    for (rp_k = 0; rp_k < rp_n; ++rp_k) { rp_p[rp_k] = rp_v; }
+}
+
 /* returns 0 on success, 1 when a runtime allocation failed
    (a workspace, a padded row copy or a per-thread buffer) */
 int64_t kernel(double *restrict out,
@@ -46,13 +52,15 @@ int64_t kernel(double *restrict out,
             rp_out = (double *) calloc((size_t) (out_dims[0] * rp_w + 1), sizeof(double));
             rp_B = (double *) calloc((size_t) (B_dims[0] * rp_w + 1), sizeof(double));
             if (rp_out && rp_B) {
-                for (rp_r = 0; rp_r < out_dims[0]; ++rp_r) { __builtin_memcpy(rp_out + rp_r * rp_w, out + rp_r * out_dims[1], (size_t) n_j * sizeof(double)); }
                 for (rp_r = 0; rp_r < B_dims[0]; ++rp_r) { __builtin_memcpy(rp_B + rp_r * rp_w, B + rp_r * B_dims[1], (size_t) n_j * sizeof(double)); }
             } else {
                 rp_status = 1;
             }
         }
         if (!rp_status) {
+            if (rp_w == n_j) {
+                rp_clear(rp_out, out_dims[0] * rp_w, 0.0);
+            }
             for (rp_vb = 0; rp_vb < rp_w; rp_vb += 16) {
                 for (l = 0; l < n_l; ++l) {
                     t1 = rp_B + (l) * rp_w;

@@ -11,6 +11,12 @@ void free(void *);
 typedef RP_INDEX rp_index;
 int64_t repro_index_bytes(void) { return (int64_t) sizeof(rp_index); }
 
+static __attribute__((noinline)) void rp_clear(volatile double *rp_p, int64_t rp_n, double rp_v)
+{
+    int64_t rp_k;
+    for (rp_k = 0; rp_k < rp_n; ++rp_k) { rp_p[rp_k] = rp_v; }
+}
+
 /* returns 0 on success, 1 when a runtime allocation failed
    (a workspace, a padded row copy or a per-thread buffer) */
 int64_t kernel(double *restrict out,
@@ -40,6 +46,9 @@ int64_t kernel(double *restrict out,
         int64_t rp_tb, rp_thi;
         for (rp_tb = 0; rp_tb < out_dims[0]; rp_tb += rp_tile) {
             rp_thi = rp_tb + rp_tile;
+            for (i = rp_tb; i < rp_thi && i < n_i; ++i) {
+                rp_clear(out + (i) * out_dims[1], (i + 1), 0.0);
+            }
             for (k = 0; k < n_k; ++k) {
                 for (q0_1 = A__full_p10_pos1[k]; q0_1 < A__full_p10_pos1[(k + 1)]; ++q0_1) {
                     j = A__full_p10_idx1[q0_1];

@@ -315,6 +315,124 @@ def test_narrow_and_wide_objects_are_bit_identical(name, dtype, monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# the raw buffer: the generated program clears the region it writes at
+# every call, so repeat calls reproduce a one-shot run byte for byte, and
+# no call writes the non-canonical region of a symmetric output (which
+# holds the identity from bind on)
+# ----------------------------------------------------------------------
+LEGS = (("python", 1), ("c", 1), ("c", 3))
+
+#: the kernels whose output is replicated from a canonical region
+REPLICATED = ("ssyrk", "ttm", "ttm4d")
+
+
+def test_every_replicated_kernel_is_in_the_raw_buffer_checks():
+    options = DEFAULT.but(backend="python")
+    assert REPLICATED == tuple(
+        name
+        for name, spec in sorted(ALL_SPECS.items())
+        if spec.compile(options=options).lowered.output.replication_parts
+    )
+
+
+def _legs(spec, dtype):
+    """``(kernel, threads)`` for python, c and c@threads (c without a
+    compiler: python only)."""
+    for backend, threads in LEGS:
+        if backend == "c" and not HAVE_CC:
+            continue
+        yield spec.compile(options=DEFAULT.but(backend=backend, dtype=dtype)), threads
+
+
+def _non_canonical(lowered, shape) -> np.ndarray:
+    """Mask, in the kernel's output layout, of the entries outside the
+    canonical region: some replication group whose coordinates increase
+    somewhere (built from the output spec, not from the clear)."""
+    index = np.indices(shape)
+    canonical = np.ones(shape, dtype=bool)
+    for part in lowered.output.replication_parts:
+        modes = sorted(part)
+        for a, b in zip(modes, modes[1:]):
+            canonical &= index[a] >= index[b]
+    return ~np.transpose(canonical, lowered.output.layout)
+
+
+@pytest.mark.parametrize("dtype", ("float64", "float32"))
+@pytest.mark.parametrize("name", sorted(ALL_SPECS))
+def test_three_plan_calls_leave_the_raw_buffer_of_a_one_shot_run(name, dtype):
+    inputs = fuzz_inputs(ALL_SPECS[name], FULL_SEEDS[0], dtype)
+    for kernel, threads in _legs(ALL_SPECS[name], dtype):
+        prepared, shape = kernel.prepare(**inputs)
+        once = kernel.run(prepared, shape, threads=threads).tobytes()
+        plan = kernel.bound.plan_prepared(prepared, shape, threads=threads)
+        raws = [plan().tobytes() for _ in range(3)]
+        assert raws == [once] * 3, (name, dtype, kernel.backend, threads)
+
+
+def _ssyrk_over_two_blocks(dtype):
+    """512 rows of 4 KiB: the tile pass's run-time block count is two."""
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((512, 64)) * (rng.random((512, 64)) < 0.05)
+    return {"A": A.astype(dtype)}
+
+
+def test_a_whole_rows_clear_tiled_over_two_blocks_repeats_its_one_shot_run():
+    """``C[j, i] += A[k, j] * B[k, i]`` over two sparse operands is tiled
+    like SSYRK (one fiber per output row) but its output is not
+    symmetric: each of the two blocks clears its whole rows just before
+    it accumulates into them."""
+    rng = np.random.default_rng(12)
+    inputs = {
+        name: rng.standard_normal((64, 512)) * (rng.random((64, 512)) < 0.05)
+        for name in "AB"
+    }
+    for backend, threads in LEGS:
+        if backend == "c" and not HAVE_CC:
+            continue
+        kernel = compile_kernel(
+            "C[j, i] += A[k, j] * B[k, i]", loop_order=("k", "j", "i"),
+            formats={"A": "sparse", "B": "sparse"}, options=DEFAULT.but(backend=backend),
+        )
+        prepared, shape = kernel.prepare(**inputs)
+        once = kernel.run(prepared, shape, threads=threads).tobytes()
+        plan = kernel.bound.plan_prepared(prepared, shape, threads=threads)
+        assert [plan().tobytes() for _ in range(3)] == [once] * 3, (backend, threads)
+        assert ("rp_tile" in kernel.backend_source) is (backend == "c")
+
+
+@pytest.mark.parametrize("dtype", ("float64", "float32"))
+@pytest.mark.parametrize(
+    "name, rank",
+    [("ssyrk", None), ("ssyrk", "blocks"), ("ttm", None), ("ttm", 16),
+     ("ttm4d", None), ("ttm4d", 16)],
+)
+def test_calls_never_write_the_non_canonical_region(name, rank, dtype):
+    """NaN written outside the canonical region after bind is still there
+    after three calls, on every leg — a staged (rank off 16) and an
+    unstaged register-blocked output, and a tiled one over two blocks —
+    and the finalized result is the one a clean buffer gives."""
+    spec = ALL_SPECS[name]
+    if rank == "blocks":
+        inputs = _ssyrk_over_two_blocks(dtype)
+    else:
+        inputs = fuzz_inputs(spec, FULL_SEEDS[0], dtype, rank)
+    for kernel, threads in _legs(spec, dtype):
+        prepared, shape = kernel.prepare(**inputs)
+        want = np.asarray(kernel.finalize(kernel.run(prepared, shape, threads=threads)))
+        plan = kernel.bound.plan_prepared(prepared, shape, threads=threads)
+        outside = _non_canonical(kernel.lowered, shape)
+        assert outside.any()
+        plan.out[outside] = np.nan
+        for _ in range(3):
+            raw = plan()
+            assert np.isnan(raw[outside]).all(), (name, kernel.backend, threads)
+            got = np.asarray(kernel.finalize(raw))
+            assert got.tobytes() == want.tobytes(), (name, kernel.backend, threads)
+        if rank == "blocks" and kernel.backend == "c":
+            assert "rp_tile" in kernel.backend_source
+
+
+# ----------------------------------------------------------------------
 # TACO-style baselines as an independent oracle (matrix kernels)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", FULL_SEEDS[:2])

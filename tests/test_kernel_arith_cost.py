@@ -10,18 +10,28 @@ too, and no kernel with a vector index prints an element loop whose trip
 count is known only at run time (what makes ``cc`` slow on MTTKRP).
 Row tiling: the run-time block count is about 1 MiB of output rows per
 block, capped at a quarter of the mean fiber length — checked on the C
-the renderer prints, compiled on its own.
+the renderer prints, compiled on its own.  The output clear: every
+generated source resets its output once, a symmetric output's only up
+to the row index, no executor fill runs per call, profiling sees the
+same nests, and the clear pulls no libc symbol into the objects that
+had none.
 """
 
 import ctypes
 import hashlib
+import inspect
 import re
+import shutil
+import subprocess
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.codegen import loopir as ir
 from repro.codegen.backends import ctoolchain, get_backend, render_c
+from repro.codegen.backends.python import print_python
+from repro.codegen.executor import ExecutionPlan
 from repro.codegen.lower import lower_plan
 from repro.codegen.passes import run_pipeline
 from repro.codegen.passes.regblock import WIDTH
@@ -40,6 +50,13 @@ PYTHON = DEFAULT.but(backend="python")
 def _program(name):
     spec = {**KERNELS, **EXTENSIONS}[name]
     return spec.compile(options=PYTHON).lowered.program
+
+
+def _nests(name):
+    """The program's loop nests: its body after the output clear."""
+    clear, *nests = _program(name).body
+    assert isinstance(clear, ir.ClearOut)
+    return nests
 
 
 def _multiplies(expr) -> int:
@@ -99,7 +116,7 @@ def _innermost_body(lines):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", ["mttkrp3d", "mttkrp4d", "mttkrp5d"])
 def test_mttkrp_strict_inner_loop_is_two_multiplies_at_any_order(name):
-    strict = _program(name).body[0]
+    strict = _nests(name)[0]
     inner = _innermost_fiber(strict)
     assert inner.tensor_filter == "strict"
     updates = [s for s in inner.body if isinstance(s, ir.Reduce)]
@@ -121,7 +138,7 @@ def test_mttkrp_strict_inner_loop_is_two_multiplies_at_any_order(name):
 def test_mttkrp_strict_nest_multiplies_grow_with_depth_not_per_nonzero(name):
     """Each loop level adds one prefix step, one flush and one fold."""
     order = int(name[6])
-    strict = _program(name).body[0]
+    strict = _nests(name)[0]
     stmts = [s for s in ir.walk([strict]) if isinstance(s, (ir.Reduce, ir.Init, ir.Let))]
     total = sum(
         _multiplies(s.expr if isinstance(s, ir.Let) else s.value) for s in stmts
@@ -196,8 +213,9 @@ def test_kernels_without_a_vector_index_are_not_blocked(name):
 
 
 #: sha256 of the Python source at the parent of the factoring change
-#: (tests/golden/render_digests.json, float64 default): these kernels
-#: have nothing to factor, or only where an iteration may sum nothing.
+#: (tests/golden/render_digests.json, float64 default), printed without
+#: the output clear that leads every program now: these kernels have
+#: nothing to factor, or only where an iteration may sum nothing.
 UNCHANGED = {
     "ssymv": "e737cbda2d1691d7f7dc8b591631f80e217ccf07a0940f248d9e78d6f945e99f",
     "ssyrk": "241f8e64b1110c2d3f5d79a64dddfd925002d49eebcb91a2758c4c0d92a62746",
@@ -208,7 +226,9 @@ UNCHANGED = {
 
 @pytest.mark.parametrize("name", sorted(UNCHANGED))
 def test_kernels_with_nothing_to_factor_lower_as_before(name):
-    source = get_kernel(name).compile(options=PYTHON).source
+    lowered = get_kernel(name).compile(options=PYTHON).lowered
+    program = replace(lowered.program, body=tuple(_nests(name)))
+    source = print_python(program, lowered.dtype)
     assert hashlib.sha256(source.encode("utf-8")).hexdigest() == UNCHANGED[name]
 
 
@@ -231,14 +251,13 @@ def test_an_operand_stays_inside_where_an_iteration_may_sum_nothing():
     """SYPRD's ``x[j]`` is bound by a dense loop whose column may be
     empty: folding it outside would add ``x[j] * 0`` for that column, and
     a NaN there would reach the output from a row nothing references."""
-    program = _program("syprd")
-    inner = _innermost_fiber(program.body[1])
+    inner = _innermost_fiber(_nests("syprd")[1])
     (update,) = [s for s in inner.body if isinstance(s, ir.Reduce)]
     assert _multiplies(update.value) == 3  # 2.0 * (A * x[j] * x[i])
 
 
 def test_conditional_blocks_keep_the_flat_accumulation():
-    diagonal = _program("mttkrp3d").body[1]
+    diagonal = _nests("mttkrp3d")[1]
     inner = _innermost_fiber(diagonal)
     guarded = [s for s in inner.body if isinstance(s, ir.If)]
     assert guarded and all(
@@ -303,3 +322,81 @@ def test_the_kernel_sizes_its_blocks_with_those_statements():
     source = render_c(lowered)
     for line in auto_tile_rows("double", "A__full_p10_pos1", "n_k"):
         assert "        " + line + "\n" in source
+
+
+# ----------------------------------------------------------------------
+# (d) the output clear: in the program, once, never in the executor
+# ----------------------------------------------------------------------
+#: a call of the C output clear
+CLEAR_CALL = re.compile(r"^\s*rp_clear\(", re.M)
+#: a clear run bounded by the loop index right above it, plus one
+ROW_BOUNDED = re.compile(
+    r"for \((\w+) = [^;]+; [^;]+; \+\+\1\) \{\n\s*rp_clear\([^,]+, \(\1 \+ 1\)"
+)
+
+
+def test_every_generated_source_clears_its_output_once(corpus):
+    for entry in corpus:
+        clears = [s for s in ir.walk(entry.kernel.lowered.program.body) if isinstance(s, ir.ClearOut)]
+        assert len(clears) == 1 and entry.kernel.lowered.program.body[0] == clears[0]
+        state = run_pipeline(entry.kernel.lowered)
+        assert sum(isinstance(s, ir.ClearOut) for s in ir.walk(state.body)) == 1
+        written = re.findall(
+            r'^\s*out\[[^]]*\] = (?:0\.0|float\("-?inf"\))$', entry.kernel.source, re.M
+        )
+        assert len(written) == 1, entry.key
+        for source in entry.c:
+            assert len(CLEAR_CALL.findall(source)) == 1, entry.key
+
+
+def test_a_replicated_output_is_cleared_up_to_the_row_index(corpus):
+    """A symmetric output clears ``row + 1`` entries (times the trailing
+    extents) per row, in Python and in C; any other clears whole rows."""
+    for entry in corpus:
+        lowered = entry.kernel.lowered
+        replicated = bool(lowered.output.replication_parts)
+        clear = lowered.program.body[0]
+        assert (clear.span is not None) is replicated, entry.key
+        if replicated:
+            row = ir.Var(clear.coords[-1], ir.INT)
+            assert clear.span == ir.BinOp("+", (row, ir.Const(1))), entry.key
+            assert ":%s + 1] = " % row.name in entry.kernel.source
+        for source in entry.c:
+            assert bool(ROW_BOUNDED.search(source)) is replicated, entry.key
+
+
+def test_a_plan_call_fills_nothing():
+    assert not [name for name in ExecutionPlan.__slots__ if "fill" in name]
+    assert ".fill" not in inspect.getsource(ExecutionPlan.__call__)
+
+
+#: top-level nests ``profile_kernel`` reported for each paper kernel
+#: before the clear moved into the program: the clear is not a nest
+PROFILED_NESTS = {"ssymv": 2, "syprd": 2, "ssyrk": 1, "ttm": 2, "mttkrp3d": 2, "mttkrp4d": 2}
+
+
+@needs_cc
+@pytest.mark.parametrize("name", sorted(PROFILED_NESTS))
+def test_profiling_reports_the_nests_and_not_the_clear(name):
+    from repro import obs
+    from tests.test_differential import fuzz_inputs
+
+    kernel = get_kernel(name).compile(options=DEFAULT.but(backend="c"))
+    reports = obs.profile_kernel(kernel, fuzz_inputs(KERNELS[name], 0, "float64"), repeats=1)
+    assert len(reports) == len(kernel.bound.executable.strategies) == PROFILED_NESTS[name]
+
+
+@needs_cc
+@pytest.mark.skipif(shutil.which("nm") is None, reason="no binutils nm")
+@pytest.mark.parametrize("name", ["ssymv", "syprd", "ssyrk"])
+def test_a_clear_links_no_libc_symbol(name):
+    """These objects reference nothing outside themselves (the weak
+    ``w`` entries of the startup files aside): a zeroing loop ``gcc``
+    turned into ``memset`` would make ``ld`` resolve libc on every build
+    (``rp_clear`` stores through a ``volatile`` pointer)."""
+    kernel = get_kernel(name).compile(options=DEFAULT.but(backend="c"))
+    listing = subprocess.run(
+        ["nm", "-D", "--undefined-only", kernel.bound.executable.so_path],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert [line for line in listing.splitlines() if line.split()[0] != "w"] == []

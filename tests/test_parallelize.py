@@ -142,8 +142,9 @@ class _RebindOuter(passes_base.Pass):
     name = "rebind-outer"
 
     def run(self, state):
-        nest = state.body[0]
-        state.body[0] = replace(nest, body=(nest,))
+        pos = next(n for n, s in enumerate(state.body) if isinstance(s, ir.DenseLoop))
+        nest = state.body[pos]
+        state.body[pos] = replace(nest, body=(nest,))
         return state
 
 
@@ -208,8 +209,11 @@ def test_a_blocked_nest_keeps_its_team_body_unblocked(monkeypatch):
         formats={"A": "sparse"}, options=DEFAULT.but(backend="python"),
     ).lowered
     state = run_pipeline(lowered)
-    (nest,) = state.body
+    # the team body clears nothing, so the clear stays ahead of the nest
+    clear, nest = state.body
+    assert isinstance(clear, ir.ClearOut)
     assert isinstance(nest, ir.Parallel) and isinstance(nest.nest, ir.Blocked)
+    assert nest.nest.clear is None
     assert [w.strategy for w in state.work] == ["for"]
     blocked, plain = _renders(lowered, monkeypatch)
     teams = _TEAM.findall(blocked)
