@@ -770,7 +770,8 @@ class _Renderer:
         kernel's clear copies no output in — the clear writes the
         caller's rows when nothing is staged, a ``calloc``'d copy holds
         the ``+`` identity already, a ``min``/``max`` clear writes it —
-        and copies back only the rows it cleared."""
+        and copies back only the rows it cleared (all of them for a
+        whole-buffer clear)."""
         width, n, elem = regblock.WIDTH, self.vlen, self.elem
         clear = nests[0].clear
         staged = [("out", self.out_ndim)] + [
@@ -849,10 +850,16 @@ class _Renderer:
         finally:
             self._blocked = False
         self._put(i2, padded)
-        if clear is None:
+        if clear is None or not clear.coords:
+            # a clear with no coordinates is the whole buffer (its run
+            # counts elements, not rows, of a 1-D output): every row back
             self._put(i3, copy_rows("out", self.out_ndim, True))
-        else:
+        elif len(clear.coords) < self.out_ndim - 1:
             self._clear_region(clear, i3, copy_back)
+        else:
+            # the vector index is never permutable, so no replication
+            # group reaches the last axis and a run is always whole rows
+            raise CRenderError("a staged output clear that splits rows")
         self._put(i2, "}")
         self._put(i1, "}", padded)
         self._put(i2, *["free(rp_%s);" % name for name, _ in staged])

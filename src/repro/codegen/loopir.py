@@ -374,7 +374,7 @@ class Tiled:
     ``if (lead >= hi) break; if (lead < lo) continue;`` — ``break``
     because one fiber's ``idx`` run is sorted.  The block height is sized
     at run time from the output's row width and the fibers' mean length.
-    ``clear`` is the kernel's :class:`ClearOut` when the tile phase moved
+    ``clear`` is the kernel's :class:`ClearOut` when the pipeline moved
     it in: each block clears its own rows just before it accumulates
     into them.
     """
@@ -393,7 +393,7 @@ class Blocked:
     vector axis, with every element loop one block long and each row
     workspace a block-local array; otherwise it prints ``nest``
     unchanged.  ``clear`` is the kernel's :class:`ClearOut` when the
-    regblock phase moved it in: the rows the nest accumulates into are
+    pipeline moved it in: the rows the nest accumulates into are
     then cleared where the nest writes them, in the padded copy when
     there is one.  See :mod:`repro.codegen.passes.regblock`.
     """

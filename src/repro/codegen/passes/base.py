@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.codegen.loopir import ClearOut, LoopIR, LoweringError, verify
+from repro.codegen.loopir import Blocked, ClearOut, LoopIR, LoweringError, Tiled, verify
 from repro.obs import trace as obs_trace
 
 if TYPE_CHECKING:
@@ -43,15 +43,18 @@ class Pass:
         raise NotImplementedError
 
 
-def absorb_clear(body: List, wrapper: type) -> None:
+def absorb_clear(body: List) -> None:
     """Move the kernel's :class:`~repro.codegen.loopir.ClearOut` into
-    the *wrapper* node (``Tiled`` / ``Blocked``) right after it, whose
-    printer then clears the rows it is about to accumulate into; the
-    nest is the first statement that writes the output after the clear,
-    so nothing reads a row before it is cleared."""
+    the ``Tiled`` or ``Blocked`` nest right after it, whose printer then
+    clears the rows it is about to accumulate into; the nest is the
+    first statement that writes the output after the clear, so nothing
+    reads a row before it is cleared.  A nest that got a team body is a
+    ``Parallel`` here and is not matched: a team body clears nothing, so
+    the clear stays ahead of it."""
     for pos in range(len(body) - 1):
-        if isinstance(body[pos], ClearOut) and isinstance(body[pos + 1], wrapper):
-            body[pos : pos + 2] = [replace(body[pos + 1], clear=body[pos])]
+        clear, nest = body[pos : pos + 2]
+        if isinstance(clear, ClearOut) and isinstance(nest, (Tiled, Blocked)):
+            body[pos : pos + 2] = [replace(nest, clear=clear)]
             return
 
 
@@ -73,6 +76,9 @@ def run_pipeline(lowered: "LoweredKernel", label: Optional[str] = None) -> LoopI
                 verify(replace(program, body=tuple(ir.body)))
             except LoweringError as exc:
                 raise LoweringError("after phase %r: %s" % (p.name, exc)) from exc
+    # once every phase has placed its wrappers, so none of them has to
+    # know where the clear lives
+    absorb_clear(ir.body)
     return ir
 
 

@@ -35,7 +35,7 @@ object at every thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.codegen import loopir as ir
@@ -72,20 +72,13 @@ class ParallelizePass(Pass):
 
     def run(self, state: ir.LoopIR) -> ir.LoopIR:
         types = ir.local_types(state.lowered.program)
-        body = []
-        for stmt in state.body:
+        for pos, stmt in enumerate(state.body):
             nest = for_nest(stmt)
             if nest is not None:
                 plan = _plan_nest(nest, stmt, state, types)
                 state.work.append(NestWork(plan.strategy if plan is not None else None))
-                if plan is not None and getattr(stmt, "clear", None) is not None:
-                    # a team body clears nothing: the clear runs ahead again
-                    body.append(stmt.clear)
-                    plan = replace(plan, nest=replace(stmt, clear=None))
                 if plan is not None:
-                    stmt = plan
-            body.append(stmt)
-        state.body = body
+                    state.body[pos] = plan
         state.notes.append(
             "nests: %s" % ", ".join(w.strategy or "serial" for w in state.work)
         )

@@ -53,19 +53,21 @@ Staging.  The output and every dense array a nest reads rows of
 extent ``rp_w``; input rows are copied in and the output's rows back
 out with ``__builtin_memcpy`` (a call, not an element loop for ``gcc``
 to vectorize).  The output is not copied in: the kernel's
-:class:`~repro.codegen.loopir.ClearOut`, which this phase moves into
-the first blocked nest right after it, resets what the run writes — the
-caller's rows when nothing is staged, the staged copy otherwise, where
-``calloc`` has already written the ``+`` identity (a ``min``/``max``
-clear writes it) — and only the rows it cleared are copied back, so
-the non-canonical rows of a symmetric output are never written.  A run
-without the clear (one after another nest) copies the output in and
-back whole.  Against copying in the zeros the executor used to write:
-TTM at rank 8 on ``kernel_steady``'s inputs, one pinned CPU, 60
-alternating calls on shared prepared arguments, 0.74x and 0.76x per
-call (57 and 60 wins, seeds 12 and 29); skipping the clear of the
-``calloc``'d copy read 0.76x and 0.75x where clearing it again read
-0.82x and 0.83x.  Padding lives and dies inside one kernel call.
+:class:`~repro.codegen.loopir.ClearOut`, which the pipeline moves into
+the blocked nest right after it
+(:func:`~repro.codegen.passes.base.absorb_clear`), resets what the run
+writes — the caller's rows when nothing is staged, the staged copy
+otherwise, where ``calloc`` has already written the ``+`` identity (a
+``min``/``max`` clear writes it) — and only the rows it cleared are
+copied back, so the non-canonical rows of a symmetric output are never
+written; a clear with no coordinates covers the whole buffer, so every
+row is copied back.  A run without the clear (one after another nest)
+copies the output in and back whole.  Against copying in the zeros
+the executor used to write: TTM at rank 8 on ``kernel_steady``'s
+inputs, one pinned CPU, 60 alternating calls on shared prepared
+arguments, 0.74x and 0.76x per call (57 and 60 wins, seeds 12 and 29);
+skipping the clear of the ``calloc``'d copy read 0.76x and 0.75x where
+clearing it again read 0.82x and 0.83x.  Padding lives and dies inside one kernel call.
 
 Matched nests (:func:`blockable`): a top-level ``for`` nest with no
 :class:`~repro.codegen.loopir.Tiled`, whose every
@@ -167,7 +169,7 @@ from repro.codegen.loopir import (
     reads,
     walk,
 )
-from repro.codegen.passes.base import Pass, absorb_clear
+from repro.codegen.passes.base import Pass
 
 #: vector elements per block (the table in the module docstring).
 WIDTH = 16
@@ -268,5 +270,4 @@ class RegblockPass(Pass):
                 blocked += 1
         if blocked:
             ir.notes.append("blocked %d nest(s) by %d" % (blocked, WIDTH))
-        absorb_clear(ir.body, Blocked)
         return ir

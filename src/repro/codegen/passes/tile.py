@@ -62,7 +62,8 @@ does not model is the fixed cost of visiting a fiber once more per block
 shapes lose.
 
 The kernel's output clear (:class:`~repro.codegen.loopir.ClearOut`),
-when it directly precedes a tiled nest, moves into it: each block clears
+when it directly precedes a tiled nest, moves into it once every
+phase has run (:func:`~repro.codegen.passes.base.absorb_clear`): each block clears
 its own rows' part of the region just before it accumulates into them,
 so the zeroing happens in cache instead of going out to memory ahead of
 the nest.  Every write of the nest leads with the blocked output row,
@@ -77,7 +78,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.codegen.passes.base import Pass, absorb_clear
+from repro.codegen.passes.base import Pass
 from repro.codegen.loopir import (
     DenseLoop,
     FiberLoop,
@@ -146,7 +147,6 @@ class TilePass(Pass):
                 tiled += 1
         if tiled:
             ir.notes.append("tiled %d nest(s)" % tiled)
-        absorb_clear(ir.body, Tiled)
         return ir
 
     # ------------------------------------------------------------------

@@ -432,6 +432,31 @@ def test_calls_never_write_the_non_canonical_region(name, rank, dtype):
             assert "rp_tile" in kernel.backend_source
 
 
+@pytest.mark.parametrize("n", (1, 7, 17))
+def test_a_staged_vector_output_is_copied_back_inside_its_buffer(n):
+    """``y[j] += M[i, j] * x[i]`` lowered as the naive baseline: a 1-D
+    output register-blocked over j (no workspace keeps it out of the
+    nest), staged when ``n`` is off a multiple of 16, under a clear of
+    the whole buffer.  Bound to the head of a larger NaN-filled array,
+    the kernel writes its ``n`` entries and nothing after them."""
+    rng = np.random.default_rng(n)
+    M, x = rng.standard_normal((5, n)), rng.standard_normal(5)
+    for backend, threads in LEGS:
+        if backend == "c" and not HAVE_CC:
+            continue
+        kernel = compile_kernel(
+            "y[j] += M[i, j] * x[i]", loop_order=("i", "j"), naive=True,
+            options=DEFAULT.but(backend=backend),
+        )
+        backing = np.full(4096, np.nan)
+        plan = kernel.execution_plan(threads=threads, out=backing[:n], M=M, x=x)
+        for _ in range(3):
+            np.testing.assert_allclose(plan(), M.T @ x, rtol=1e-12)
+            assert np.isnan(backing[n:]).all(), (n, backend, threads)
+        if backend == "c":
+            assert "rp_w" in kernel.backend_source
+
+
 # ----------------------------------------------------------------------
 # TACO-style baselines as an independent oracle (matrix kernels)
 # ----------------------------------------------------------------------
