@@ -14,12 +14,13 @@ paper's artifact reduces its TTM/MTTKRP datasets for exactly this reason.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bench.harness import BenchResult, time_callable, time_compiled_kernel
-from repro.core.config import DEFAULT, CompilerOptions
+from repro.core.config import DEFAULT
 from repro.data.matrices import load_matrix, table
 from repro.data.random_tensors import erdos_renyi_symmetric, random_dense
 from repro.kernels.baselines import scipy_spmv, taco_style_mttkrp3, taco_style_spmv, taco_style_syprd
@@ -38,6 +39,18 @@ DEFAULT_MATRICES: Tuple[str, ...] = (
     "bayer02",
 )
 
+#: bytes of dense output a matrix row may allocate: SSYRK's is ``n x n``,
+#: 20.4 GiB for ct20stif at full scale.  A constant, not a knob.
+DENSE_OUTPUT_BUDGET = 1 << 30
+
+
+def _compiled(spec, backend: str, threads, dtype: str):
+    """The naive baseline and the SySTeC kernel of *spec*."""
+    options = DEFAULT.but(backend=backend, dtype=dtype)
+    if threads is not None:
+        options = options.but(threads=threads)
+    return spec.compile(naive=True, options=options), spec.compile(options=options)
+
 
 def _matrix_rows(
     figure: str,
@@ -51,16 +64,17 @@ def _matrix_rows(
     dtype: str = "float64",
 ) -> List[BenchResult]:
     spec = get_kernel(kernel_name)
-    options = DEFAULT.but(backend=backend, dtype=dtype)
-    if threads is not None:
-        options = options.but(threads=threads)
-    naive = spec.compile(naive=True, options=options)
-    systec = spec.compile(options=options)
+    naive, systec = _compiled(spec, backend, threads, dtype)
     results = []
     for info in table():
         if names is not None and info.name not in names:
             continue
         A = load_matrix(info.name, scale=scale)
+        out_bytes = A.shape[0] ** systec.lowered.output.ndim * np.dtype(dtype).itemsize
+        if out_bytes > DENSE_OUTPUT_BUDGET:
+            print("%s: skipping %s, whose dense output needs %d bytes"
+                  % (figure, info.name, out_bytes), file=sys.stderr)
+            continue
         dense_args = _dense_args_for(spec, A.shape[0])
         times: Dict[str, float] = {}
         times["naive"] = time_compiled_kernel(
@@ -198,11 +212,7 @@ def run_fig10_ttm(
     this sweep reproduces.
     """
     spec = get_kernel("ttm")
-    options = DEFAULT.but(backend=backend, dtype=dtype)
-    if threads is not None:
-        options = options.but(threads=threads)
-    naive = spec.compile(naive=True, options=options)
-    systec = spec.compile(options=options)
+    naive, systec = _compiled(spec, backend, threads, dtype)
     results = []
     for density in densities:
         A = erdos_renyi_symmetric(n, 3, density, seed=23)
@@ -255,11 +265,7 @@ def run_fig11_mttkrp(
     results = []
     for order in orders:
         spec = mttkrp_spec(order)
-        options = DEFAULT.but(backend=backend, dtype=dtype)
-        if threads is not None:
-            options = options.but(threads=threads)
-        naive = spec.compile(naive=True, options=options)
-        systec = spec.compile(options=options)
+        naive, systec = _compiled(spec, backend, threads, dtype)
         side = n if n is not None else _MTTKRP_SIDES[order]
         sweep = densities if densities is not None else _MTTKRP_DENSITIES[order]
         for density in sweep:

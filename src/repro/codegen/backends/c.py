@@ -45,7 +45,11 @@ product, :class:`~repro.codegen.loopir.Fused`,
 :class:`~repro.codegen.loopir.Tiled`,
 :class:`~repro.codegen.loopir.Blocked` and
 :class:`~repro.codegen.loopir.Parallel` nodes included, under the SIMD
-flag it set.  A ``Parallel`` nest (the strategy table lives in
+flag it set.  A ``Blocked`` run is printed field by field: its padded
+copies, what is copied in and back, whether its clear runs on a padded
+copy, and the :class:`~repro.codegen.loopir.Rows` its blocks read
+through are the register-blocking phase's answers, not this module's.
+A ``Parallel`` nest (the strategy table lives in
 :mod:`repro.codegen.passes.parallelize`) is printed twice behind
 ``#if defined(_OPENMP)``: a serial body (taken when
 ``repro_nthreads <= 1``) and an ``omp parallel`` body — one region
@@ -75,14 +79,12 @@ picks the object (the wide one is built on first need).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.codegen import loopir as ir
 from repro.codegen.backends.base import BackendError
 from repro.codegen.lower import LoweredKernel
 from repro.codegen.passes.base import run_pipeline
-from repro.codegen.passes import regblock
 from repro.codegen.passes.parallelize import for_nest
 from repro.codegen.passes.tile import auto_tile_rows
 from repro.obs import trace as obs_trace
@@ -208,12 +210,10 @@ class _Renderer:
         # printed (None in serial emission: tiling applies there only, and
         # a privatized body writes its per-thread output here only); _tile_ctx
         # is the Tiled node whose guard is being injected into its fiber
-        # loop; _blocked is set while a Blocked nest's vector block is
-        # printed (serial emission only, like tiling).
+        # loop.
         self.simd = False
         self._parallel_ctx: Optional[ir.Parallel] = None
         self._tile_ctx: Optional[ir.Tiled] = None
-        self._blocked = False
         #: min/max helper name -> reduce op, for the ones the code calls
         self._minmax: Dict[str, str] = {}
         #: whether the code calls rp_clear
@@ -234,6 +234,9 @@ class _Renderer:
                 )
         else:
             self.vlen = None
+        #: how row statements reach the vector axis: the kernel's own rows,
+        #: or those of the Blocked run being printed
+        self._rows = ir.Rows(ir.Dim(self.vlen))
 
         names = set(self.types) | {a.name for a in program.args}
         bad = sorted(
@@ -262,21 +265,12 @@ class _Renderer:
         for stmt in self.lowered.program.preamble:
             self._stmt(stmt, 1)
         slots = 0  # one repro_nest_sec slot per top-level for nest
-        # consecutive blocked nests share one staging of padded rows; a
-        # profiled nest is timed with its own
-        runs = groupby(
-            state.body, key=lambda s: isinstance(s, ir.Blocked) and not self.profile
-        )
-        for blocked, run in runs:
-            if blocked:
-                self._emit_blocked(list(run), 1)
-                continue
-            for stmt in run:
-                if self.profile and for_nest(stmt) is not None:
-                    self._emit_profiled_nest(stmt, slots, 1)
-                    slots += 1
-                else:
-                    self._stmt(stmt, 1)
+        for stmt in state.body:
+            if self.profile and for_nest(stmt) is not None:
+                self._emit_profiled_nest(stmt, slots, 1)
+                slots += 1
+            else:
+                self._stmt(stmt, 1)
         return self._assemble(state.body, slots)
 
     def _emit_profiled_nest(self, node, slot: int, ind: int) -> None:
@@ -597,18 +591,21 @@ class _Renderer:
 
     def _stmt(self, s: ir.Stmt, ind: int) -> None:
         if isinstance(s, ir.Reduce):
-            self._reduce(s, ind)
+            if s.row:
+                self._vector_loop(ind, self._update(s))
+            else:
+                self._put(ind, self._update(s))
         elif isinstance(s, ir.Let):
             row = s.var.type == ir.ROW
             text = self._vec_pointer(s.expr) if row else self._expr(s.expr)
             self._put(ind, "%s = %s;" % (s.var.name, text))
         elif isinstance(s, ir.Init):
             if s.ws.type == ir.ROW:
-                if self._blocked:
-                    # the block-local copy of the workspace, in scope for
-                    # every use (the regblock matcher checked that)
-                    self._put(ind, "%s %s[%d];" % (self.elem, s.ws.name, regblock.WIDTH))
-                self._vector_loop(ind, "%s[%s]" % (s.ws.name, _V), "=", s.value)
+                if s.ws.name in self._rows.local:
+                    length = self._expr(self._rows.length)
+                    self._put(ind, "%s %s[%s];" % (self.elem, s.ws.name, length))
+                value = self._expr(s.value, velt=True)
+                self._vector_loop(ind, "%s[%s] = %s;" % (s.ws.name, _V, value))
             else:
                 self._put(ind, "%s = %s;" % (s.ws.name, self._expr(s.value)))
         elif isinstance(s, ir.If):
@@ -630,7 +627,8 @@ class _Renderer:
         elif isinstance(s, ir.ClearOut):
             self._emit_clear(s, ind)
         elif isinstance(s, ir.Fused):
-            self._emit_fused(s, ind)
+            # one element loop for a run of fused row statements
+            self._vector_loop(ind, *[self._update(r) for r in s.stmts])
         elif isinstance(s, ir.Tiled):
             # tiling applies to serial emission only: OpenMP bodies keep
             # their own (bit-identical) schedules, and the serial fallback
@@ -643,9 +641,9 @@ class _Renderer:
             # like tiling, serial emission only: an OpenMP body prints the
             # nest unblocked
             if self._parallel_ctx is None:
-                self._emit_blocked([s], ind)
+                self._emit_staged(s, ind)
             else:
-                self._stmt(s.nest, ind)
+                self._block(s.nests, ind)
         elif isinstance(s, ir.Parallel):
             self._emit_parallel(s, ind)
         elif isinstance(s, ir.WorkspaceAlloc):
@@ -760,58 +758,38 @@ class _Renderer:
         self._put(ind + 1, "}")
         self._put(ind, "}")
 
-    def _emit_blocked(self, nests: Sequence[ir.Blocked], ind: int) -> None:
-        """A run of blocked nests, each once per ``regblock.WIDTH``-wide
-        block of the vector axis, over rows padded to a multiple of the
-        width: the output and every array the run reads rows of get a
-        zero-filled copy of row stride ``rp_w`` when the extent is not a
-        multiple already (the printed shape is drawn in
-        :mod:`repro.codegen.passes.regblock`).  A run that carries the
-        kernel's clear copies no output in — the clear writes the
-        caller's rows when nothing is staged, a ``calloc``'d copy holds
-        the ``+`` identity already, a ``min``/``max`` clear writes it —
-        and copies back only the rows it cleared (all of them for a
-        whole-buffer clear)."""
-        width, n, elem = regblock.WIDTH, self.vlen, self.elem
-        clear = nests[0].clear
-        staged = [("out", self.out_ndim)] + [
-            (a.name, a.ndim) for a in regblock.staged(nests)
-        ]
-        padded = "if (rp_w != %s) {" % n
+    def _emit_staged(self, run: ir.Blocked, ind: int) -> None:
+        """A run of blocked nests, each once per vector block, over the
+        padded copies *run* states, field by field."""
+        rows, n, elem, i1, i2, i3 = run.rows, self.vlen, self.elem, ind + 1, ind + 2, ind + 3
+        width, start, w = rows.length.value, rows.start, rows.stride
+        out, *inputs = rows.copies
+        padded = "if (%s != %s) {" % (w, n)
 
-        def rows(name: str, ndim: int) -> str:
-            dims = ["%s_dims[%d]" % (name, d) for d in range(ndim - 1)]
-            return " * ".join(dims) or "1"
+        def count(a: ir.Array) -> str:
+            return " * ".join("%s_dims[%d]" % (a.name, d) for d in range(a.ndim - 1)) or "1"
 
-        def copy_rows(name: str, ndim: int, back: bool, first="0", stop=None) -> str:
-            """Rows ``[first, stop)`` (all of them) of *name* into its
+        def copy_rows(a: ir.Array, back: bool, first="0", rows_of_run=None) -> str:
+            """*rows_of_run* rows (all of them) of *a* from *first* into its
             padded copy, or *back*."""
-            staged_row = "rp_%s + rp_r * rp_w" % name
-            row = "%s + rp_r * %s_dims[%d]" % (name, name, ndim - 1)
+            stop = rows_of_run if first == "0" else "%s + %s" % (first, rows_of_run)
+            staged_row = "rp_%s + rp_r * %s" % (a.name, w)
+            row = "%s + rp_r * %s_dims[%d]" % (a.name, a.name, a.ndim - 1)
             into, src = (row, staged_row) if back else (staged_row, row)
             return (
                 "for (rp_r = %s; rp_r < %s; ++rp_r) { "
                 "__builtin_memcpy(%s, %s, (size_t) %s * sizeof(%s)); }"
-                % (first, stop or rows(name, ndim), into, src, n, elem)
+                % (first, stop or count(a), into, src, n, elem)
             )
 
-        def copy_back(at: int, first: str, count: str) -> None:
-            # the cleared run's rows: every axis after the run's but the last
-            per = ["out_dims[%d]" % d for d in range(len(clear.coords) + 1, self.out_ndim - 1)]
-            first, count = _product(first, *per), _product(count, *per)
-            stop = count if first == "0" else "%s + %s" % (first, count)
-            self._put(at, copy_rows("out", self.out_ndim, True, first, stop))
-
-        i1, i2, i3 = ind + 1, ind + 2, ind + 3
-        pointers = [
-            "*rp_%s = %s" % (name, "out" if name == "out" else "(%s *) %s" % (elem, name))
-            for name, _ in staged
+        pointers = ["*rp_%s = %s" % (out.name, out.name)] + [
+            "*rp_%s = (%s *) %s" % (a.name, elem, a.name) for a in inputs
         ]
         self._put(ind, "{")
         self._put(
             i1,
-            "int64_t rp_vb = 0, rp_r = 0, rp_w = (%s + %d) / %d * %d;"
-            % (n, width - 1, width, width),
+            "int64_t %s = 0, rp_r = 0, %s = (%s + %d) / %d * %d;"
+            % (start, w, n, width - 1, width, width),
             "%s %s;" % (elem, ", ".join(pointers)),
             padded,
         )
@@ -819,74 +797,65 @@ class _Renderer:
         self._put(
             i2,
             *[
-                "rp_%s = (%s *) calloc((size_t) (%s * rp_w + 1), sizeof(%s));"
-                % (name, elem, rows(name, ndim), elem)
-                for name, ndim in staged
+                "rp_%s = (%s *) calloc((size_t) (%s * %s + 1), sizeof(%s));"
+                % (a.name, elem, count(a), w, elem)
+                for a in rows.copies
             ],
-            "if (%s) {" % " && ".join("rp_%s" % name for name, _ in staged),
+            "if (%s) {" % " && ".join("rp_%s" % a.name for a in rows.copies),
         )
-        self._put(i3, *[
-            copy_rows(name, ndim, False)
-            for name, ndim in staged
-            if clear is None or name != "out"
-        ])
-        self._put(i2, "} else {")
-        self._put(i3, "rp_status = 1;")
-        self._put(i2, "}")
+        self._put(i3, *[copy_rows(a, False) for a in run.copy_in])
+        self._put(i2, "} else {", "    rp_status = 1;", "}")
         self._put(i1, "}", "if (!rp_status) {")
-        if clear is not None and self.lowered.output.reduce_op == "+":
-            # padded rows come from calloc: they hold the + identity already
-            self._put(i2, "if (rp_w == %s) {" % n)
-            self._emit_clear(clear, i3, "rp_out", "rp_w")
+        if run.clear is not None and not run.clear_padded:
+            self._put(i2, "if (%s == %s) {" % (w, n))
+            self._emit_clear(run.clear, i3, "rp_" + out.name, w)
             self._put(i2, "}")
-        elif clear is not None:
-            self._emit_clear(clear, i2, "rp_out", "rp_w")
-        self._blocked = True
+        elif run.clear is not None:
+            self._emit_clear(run.clear, i2, "rp_" + out.name, w)
+        plain, self._rows = self._rows, rows
         try:
-            for block in nests:
-                self._put(i2, "for (rp_vb = 0; rp_vb < rp_w; rp_vb += %d) {" % width)
-                self._stmt(block.nest, i3)
+            for nest in run.nests:
+                self._put(i2, "for (%s = 0; %s < %s; %s += %d) {" % (start, start, w, start, width))
+                self._stmt(nest, i3)
                 self._put(i2, "}")
         finally:
-            self._blocked = False
+            self._rows = plain
         self._put(i2, padded)
-        if clear is None or not clear.coords:
-            # a clear with no coordinates is the whole buffer (its run
-            # counts elements, not rows, of a 1-D output): every row back
-            self._put(i3, copy_rows("out", self.out_ndim, True))
-        elif len(clear.coords) < self.out_ndim - 1:
-            self._clear_region(clear, i3, copy_back)
+        if run.back is None:
+            self._put(i3, copy_rows(out, True))
         else:
-            # the vector index is never permutable, so no replication
-            # group reaches the last axis and a run is always whole rows
-            raise CRenderError("a staged output clear that splits rows")
+            # the run's rows: every axis after the run's but the last
+            per = range(len(run.back.coords) + 1, out.ndim - 1)
+            back = lambda at, first, count: self._put(at, copy_rows(out, True, first, count))  # noqa: E731
+            self._clear_region(run.back, i3, back, ["out_dims[%d]" % d for d in per])
         self._put(i2, "}")
         self._put(i1, "}", padded)
-        self._put(i2, *["free(rp_%s);" % name for name, _ in staged])
+        self._put(i2, *["free(rp_%s);" % a.name for a in rows.copies])
         self._put(i1, "}")
         self._put(ind, "}")
 
     # -- the output clear ----------------------------------------------
-    def _clear_region(self, clear: ir.ClearOut, ind: int, emit, window=None) -> None:
+    def _clear_region(self, clear: ir.ClearOut, ind: int, emit, per, window=None) -> None:
         """The loops of *clear*'s region, and under them ``emit(ind,
         first, count)`` for its run: ``count`` indices of the layout axis
         after the coordinates, from flat index ``first`` over the axes up
-        to it.  *window* ``(lo, hi)`` keeps axis 0 inside a tile block."""
+        to it, each scaled by the extents *per* of the axes after it.
+        *window* ``(lo, hi)`` keeps axis 0 inside a tile block."""
         coords = clear.coords
-        if not coords:
-            if window is None:
-                emit(ind, "0", "out_dims[0]" if self.out_ndim else "1")
-            else:
-                lo, hi = window
-                emit(ind, lo, "((%s < out_dims[0] ? %s : out_dims[0]) - %s)" % (hi, hi, lo))
-            return
-        for t, (coord, end) in enumerate(zip(coords, clear.ends)):
-            lo, test = "0", "%s < %s" % (coord, self._expr(end))
-            if t == 0 and window is not None:
-                lo, test = window[0], "%s < %s && %s" % (coord, window[1], test)
-            self._put(ind + t, "for (%s = %s; %s; ++%s) {" % (coord, lo, test, coord))
-        first = "(%s) * out_dims[%d]" % (self._flatten(coords, "out_dims"), len(coords))
-        emit(ind + len(coords), first, self._expr(clear.span))
+        if not coords and window is None:
+            first, count = "0", "out_dims[0]" if self.out_ndim else "1"
+        elif not coords:
+            lo, hi = window
+            first, count = lo, "((%s < out_dims[0] ? %s : out_dims[0]) - %s)" % (hi, hi, lo)
+        else:
+            for t, (coord, end) in enumerate(zip(coords, clear.ends)):
+                lo, test = "0", "%s < %s" % (coord, self._expr(end))
+                if t == 0 and window is not None:
+                    lo, test = window[0], "%s < %s && %s" % (coord, window[1], test)
+                self._put(ind + t, "for (%s = %s; %s; ++%s) {" % (coord, lo, test, coord))
+            first = "(%s) * out_dims[%d]" % (self._flatten(coords, "out_dims"), len(coords))
+            count = self._expr(clear.span)
+        emit(ind + len(coords), _product(first, *per), _product(count, *per))
         for t in reversed(range(len(coords))):
             self._put(ind + t, "}")
 
@@ -901,35 +870,29 @@ class _Renderer:
         dims = ["out_dims[%d]" % d for d in range(self.out_ndim)]
         if row is not None:
             dims[-1] = row
-        per = dims[len(clear.coords) + 1:]
 
         def run(at: int, first: str, count: str) -> None:
-            start = _product(first, *per)
-            self._put(at, "rp_clear(%s, %s, %s);" % (
-                array if start == "0" else "%s + %s" % (array, start),
-                _product(count, *per),
-                value,
-            ))
+            start = array if first == "0" else "%s + %s" % (array, first)
+            self._put(at, "rp_clear(%s, %s, %s);" % (start, count, value))
 
-        self._clear_region(clear, ind, run, window)
+        self._clear_region(clear, ind, run, dims[len(clear.coords) + 1:], window)
 
-    def _row_len(self) -> str:
-        """Trip count of an element loop: the vector extent, or the
-        width of the vector block being printed."""
-        return str(regblock.WIDTH) if self._blocked else self.vlen
+    def _row(self, name: str, dims: str, ndim: int, coords: Sequence[str]) -> Tuple[str, str]:
+        """``(array, flat index of its first element)`` of the row of
+        *name* at *coords* (index ``0`` for a whole vector): of its padded
+        copy, when the rows being printed have one."""
+        stride = "%s[%d]" % (dims, ndim - 1)
+        if any(a.name == name for a in self._rows.copies):
+            name, stride = "rp_" + name, self._rows.stride
+        if not coords:
+            return name, "0"
+        return name, "(%s) * %s" % (self._flatten(coords, dims), stride)
 
-    def _row_at(self) -> str:
-        """Subscript of element ``_v`` of an argument row (a workspace
-        row is block-local, so always ``[_v]``)."""
-        return "rp_vb + " + _V if self._blocked else _V
-
-    def _row_array(self, name: str, dims: str, ndim: int) -> Tuple[str, str]:
-        """The array an argument row is read from (written to, for the
-        output) and its row stride: a blocked nest's are the staged
-        ``rp_<name>`` rows of stride ``rp_w``."""
-        if self._blocked:
-            return "rp_" + name, "rp_w"
-        return name, "%s[%d]" % (dims, ndim - 1)
+    def _row_elt(self, array: str, start: str = "0") -> str:
+        """Element ``_v`` of the argument row at *array* + *start* (a
+        workspace row's is always at ``_v``)."""
+        at = _V if self._rows.start is None else "%s + %s" % (self._rows.start, _V)
+        return "%s[%s]" % (array, at if start == "0" else "%s + %s" % (start, at))
 
     def _simd_hint(self, ind: int) -> None:
         """An explicit vectorization promise on element-disjoint loops.
@@ -940,62 +903,32 @@ class _Renderer:
         if self.simd:
             self._put(ind, "#pragma omp simd")
 
-    def _emit_fused(self, node: ir.Fused, ind: int) -> None:
-        """One element loop for a run of fused row statements."""
-        parts = [
-            "%s += %s;" % (self._elt(s.target), self._expr(s.value, velt=True))
-            for s in node.stmts
-        ]
-        self.uses_vector = True
-        self._simd_hint(ind)
-        self._put(
-            ind,
-            "for (%s = 0; %s < %s; ++%s) { %s }"
-            % (_V, _V, self._row_len(), _V, " ".join(parts)),
-        )
-
     # -- reductions ----------------------------------------------------
-    def _elt(self, target) -> str:
-        """Element lvalue of an update target (a row's is at ``_v``)."""
-        if isinstance(target, ir.Out):
-            return self._out_target(target)
-        if target.type == ir.ROW:
-            return "%s[%s]" % (target.name, _V)
-        return target.name
-
     def _minmax_fn(self, op: str) -> str:
         """The helper a min/max update calls, declared by :meth:`_assemble`."""
         name = "rp_f%s%s" % (op, self._fp_suffix)
         self._minmax[name] = op
         return name
 
-    def _reduce(self, s: ir.Reduce, ind: int) -> None:
-        elt = self._elt(s.target)
-        if s.op != "+":
-            cfn = self._minmax_fn(s.op)
-            if s.row:
-                self._vector_loop(
-                    ind, elt, "=", s.value, "%s(%s, %%s)" % (cfn, elt)
-                )
-            else:
-                self._put(
-                    ind, "%s = %s(%s, %s);" % (elt, cfn, elt, self._expr(s.value))
-                )
-            return
-        if s.row:
-            self._vector_loop(ind, elt, "+=", s.value)
-        else:
-            self._put(ind, "%s += %s;" % (elt, self._expr(s.value)))
+    def _update(self, s: ir.Reduce) -> str:
+        """``target op= value;`` of one update, of a row's element ``_v``."""
+        if isinstance(s.target, ir.Out):
+            elt = self._out_target(s.target)
+        else:  # a workspace, printed as it is read
+            elt = self._expr(s.target, velt=True)
+        value = self._expr(s.value, velt=s.row)
+        if s.op == "+":
+            return "%s += %s;" % (elt, value)
+        return "%s = %s(%s, %s);" % (elt, self._minmax_fn(s.op), elt, value)
 
-    def _vector_loop(
-        self, ind: int, elt: str, op: str, value: ir.Expr, form: str = "%s"
-    ) -> None:
+    def _vector_loop(self, ind: int, *parts: str) -> None:
+        """One element loop over the statements *parts*."""
         self.uses_vector = True
         self._simd_hint(ind)
         self._put(
             ind,
-            "for (%s = 0; %s < %s; ++%s) { %s %s %s; }"
-            % (_V, _V, self._row_len(), _V, elt, op, form % self._expr(value, velt=True)),
+            "for (%s = 0; %s < %s; ++%s) { %s }"
+            % (_V, _V, self._expr(self._rows.length), _V, " ".join(parts)),
         )
 
     # -- subscripts ----------------------------------------------------
@@ -1009,38 +942,22 @@ class _Renderer:
             expr = "(%s) * %s[%d] + %s" % (expr, dims_name, t, coords[t])
         return expr
 
-    def _out_base(self, target: ir.Out) -> str:
-        """Flat index of an ``out[...]`` target's first element."""
-        flat = self._flatten(target.coords, "out_dims")
-        if target.row and target.coords:
-            return "(%s) * %s" % (flat, self._row_array("out", "out_dims", self.out_ndim)[1])
-        return flat
-
     def _out_target(self, target: ir.Out) -> str:
         """Element lvalue for an ``out[...]`` target; a row's references
         the vector loop variable.  A privatized OpenMP body writes its
         per-thread copy instead."""
         team = self._parallel_ctx
         out = "pv_out" if team is not None and team.strategy == "privatized" else "out"
-        base = self._out_base(target)
         if not target.row:
-            return "%s[%s]" % (out, base)
+            return "%s[%s]" % (out, self._flatten(target.coords, "out_dims"))
         self.uses_vector = True
-        out = self._row_array(out, "out_dims", self.out_ndim)[0]
-        if base == "0":
-            return "%s[%s]" % (out, self._row_at())
-        return "%s[%s + %s]" % (out, base, self._row_at())
+        return self._row_elt(*self._row(out, "out_dims", self.out_ndim, target.coords))
 
     def _dense_row(self, load: ir.Load) -> Tuple[str, str]:
         """``(array, flat index of the row's first element)`` of a dense
-        load one coordinate short (index ``0`` for a whole vector)."""
-        name = load.array.name
-        dims = "%s_dims" % name
-        array, stride = self._row_array(name, dims, load.array.ndim)
-        if not load.coords:
-            return array, "0"
-        flat = self._flatten([self._expr(c) for c in load.coords], dims)
-        return array, "(%s) * %s" % (flat, stride)
+        load one coordinate short."""
+        coords = [self._expr(c) for c in load.coords]
+        return self._row(load.array.name, "%s_dims" % load.array.name, load.array.ndim, coords)
 
     def _vec_pointer(self, load: ir.Load) -> str:
         """Pointer expression for a dense row / whole-vector value."""
@@ -1054,8 +971,9 @@ class _Renderer:
         if isinstance(e, ir.Var):
             if e.type != ir.ROW:
                 return e.name
-            at = _V if self.types.get(e.name) == ir.WS else self._row_at()
-            return "%s[%s]" % (e.name, at)
+            if self.types.get(e.name) == ir.WS:
+                return "%s[%s]" % (e.name, _V)
+            return self._row_elt(e.name)
         if isinstance(e, ir.Dim):
             return e.name
         if isinstance(e, ir.Const):
@@ -1089,10 +1007,7 @@ class _Renderer:
         if e.type == ir.ELEM:
             coords = [self._expr(c) for c in e.coords]
             return "%s[%s]" % (name, self._flatten(coords, "%s_dims" % name))
-        array, start = self._dense_row(e)
-        if start == "0":
-            return "%s[%s]" % (array, self._row_at())
-        return "%s[%s + %s]" % (array, start, self._row_at())
+        return self._row_elt(*self._dense_row(e))
 
 
 @dataclass(frozen=True)
@@ -1121,7 +1036,7 @@ def render_c_full(
     translation unit."""
     with obs_trace.span("render_c", label=label):
         renderer = _Renderer(lowered, label, profile)
-        state = run_pipeline(lowered, label)
+        state = run_pipeline(lowered, label, profile)
         source = renderer.render(state)
     return CRender(source, tuple(w.strategy for w in state.work))
 

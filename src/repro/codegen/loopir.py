@@ -385,21 +385,47 @@ class Tiled:
 
 
 @dataclass(frozen=True)
-class Blocked:
-    """Register-blocking of one row-valued nest over the vector index.
-
-    When the vector extent is a multiple of the block width
-    (``regblock.WIDTH``) the renderer runs ``nest`` once per block of the
-    vector axis, with every element loop one block long and each row
-    workspace a block-local array; otherwise it prints ``nest``
-    unchanged.  ``clear`` is the kernel's :class:`ClearOut` when the
-    pipeline moved it in: the rows the nest accumulates into are
-    then cleared where the nest writes them, in the padded copy when
-    there is one.  See :mod:`repro.codegen.passes.regblock`.
+class Rows:
+    """How row statements reach the vector axis: each element loop runs
+    ``_v`` up to ``length``; an argument row's element ``_v`` is at
+    ``start + _v`` (a workspace row's at ``_v``); each array of ``copies``
+    is read (the output written) through its padded copy ``rp_<name>``
+    of row stride ``stride``; each workspace of ``local`` is an array of
+    ``length`` elements declared at its :class:`Init`.  A kernel's own
+    nests run over ``Rows(Dim("n_<vector index>"))``.
     """
 
-    nest: Union[DenseLoop, FiberLoop]
-    clear: Optional[ClearOut] = None
+    length: Union[Dim, Const]
+    start: Optional[Name] = None
+    stride: Optional[Name] = None
+    copies: Tuple[Array, ...] = ()
+    local: Tuple[Name, ...] = ()
+
+
+@dataclass(frozen=True)
+class Blocked:
+    """A run of row-valued nests, each run once per block of the vector
+    axis, over padded copies of their rows: the register-blocking
+    decisions of :mod:`~repro.codegen.passes.regblock`, which the C
+    printer prints field by field.
+
+    The blocks are ``rows``: ``length`` wide from ``start``, over the
+    vector extent rounded up to ``stride``.  Off a multiple, each of
+    ``rows.copies`` (the output first, an :class:`Array` named ``out``)
+    gets a zero-filled copy, those of ``copy_in`` copied in, and the rows
+    of ``back`` are copied back: all of them for ``None``, else those of
+    its run under the loops of its coordinates (axis ``len(back.coords)``
+    is a row axis).  ``clear``, the kernel's :class:`ClearOut` when the
+    run carries it, clears the output when nothing is staged, and the
+    padded copy too when ``clear_padded``.
+    """
+
+    nests: Tuple[Union[DenseLoop, FiberLoop], ...]
+    rows: Rows
+    copy_in: Tuple[Array, ...]
+    clear: Optional[ClearOut]
+    clear_padded: bool
+    back: Optional[ClearOut]
 
 
 Stmt = Union[
@@ -442,10 +468,10 @@ def children(stmt: Stmt) -> Tuple[Stmt, ...]:
     """The statements nested directly under *stmt*."""
     if isinstance(stmt, Fused):
         return stmt.stmts
-    if isinstance(stmt, (Tiled, Blocked)) and stmt.clear is not None:
-        return (stmt.clear, stmt.nest)
     if isinstance(stmt, (Tiled, Blocked, Parallel)):
-        return (stmt.nest,)
+        clear = getattr(stmt, "clear", None)  # the clear a Tiled or Blocked took
+        nests = stmt.nests if isinstance(stmt, Blocked) else (stmt.nest,)
+        return ((clear,) if clear is not None else ()) + nests
     return getattr(stmt, "body", ())
 
 

@@ -28,10 +28,12 @@ _simdize -> _ompize``, with ``regblock`` its register-level blocking):
     (proof sketch and measured shapes in :mod:`~repro.codegen.passes.tile`).
 ``regblock``
     register-blocks the vector index: a nest whose every update is
-    row-valued and that has no ``If`` (the MTTKRP/TTM strict nests) runs
-    once per 16-wide block of the rank with block-local workspaces, when
-    the rank is a multiple of 16, and unchanged otherwise.  Bit-identical
-    because elements never interact (measured shapes in
+    row-valued and whose guards test only its loop indices (the MTTKRP/TTM
+    nests) runs once per 16-wide block of the rank with block-local
+    workspaces, over rows padded to a multiple of 16, each ``Blocked``
+    node stating its padded copies; once every phase has run, each run of
+    blocked nests is merged into one.  Bit-identical because elements
+    never interact (measured shapes in
     :mod:`~repro.codegen.passes.regblock`).
 ``simd``
     ``#pragma omp simd`` on the provably element-disjoint vector loops.

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.codegen.loopir import Blocked, ClearOut, LoopIR, LoweringError, Tiled, verify
+from repro.codegen.loopir import ClearOut, LoopIR, LoweringError, Tiled, verify
 from repro.obs import trace as obs_trace
 
 if TYPE_CHECKING:
@@ -45,23 +45,27 @@ class Pass:
 
 def absorb_clear(body: List) -> None:
     """Move the kernel's :class:`~repro.codegen.loopir.ClearOut` into
-    the ``Tiled`` or ``Blocked`` nest right after it, whose printer then
-    clears the rows it is about to accumulate into; the nest is the
-    first statement that writes the output after the clear, so nothing
-    reads a row before it is cleared.  A nest that got a team body is a
-    ``Parallel`` here and is not matched: a team body clears nothing, so
-    the clear stays ahead of it."""
+    the ``Tiled`` nest right after it, whose printer then clears the rows
+    it is about to accumulate into; the nest is the first statement that
+    writes the output after the clear, so nothing reads a row before it
+    is cleared.  A nest that got a team body is a ``Parallel`` here and
+    is not matched: a team body clears nothing, so the clear stays ahead
+    of it.  :func:`~repro.codegen.passes.regblock.stage` moves it into
+    a run of blocked nests the same way."""
     for pos in range(len(body) - 1):
         clear, nest = body[pos : pos + 2]
-        if isinstance(clear, ClearOut) and isinstance(nest, (Tiled, Blocked)):
+        if isinstance(clear, ClearOut) and isinstance(nest, Tiled):
             body[pos : pos + 2] = [replace(nest, clear=clear)]
             return
 
 
-def run_pipeline(lowered: "LoweredKernel", label: Optional[str] = None) -> LoopIR:
+def run_pipeline(
+    lowered: "LoweredKernel", label: Optional[str] = None, profile: bool = False
+) -> LoopIR:
     """Run every phase over *lowered*'s top-level statements, in
     :data:`PIPELINE` order, under trace spans; :func:`verify` after each
-    one that left the statements changed."""
+    one that left the statements changed; a *profile* build stages each
+    blocked nest on its own."""
     program = lowered.program
     ir = LoopIR(list(program.body), lowered)
     for p in PIPELINE:
@@ -78,6 +82,7 @@ def run_pipeline(lowered: "LoweredKernel", label: Optional[str] = None) -> LoopI
                 raise LoweringError("after phase %r: %s" % (p.name, exc)) from exc
     # once every phase has placed its wrappers, so none of them has to
     # know where the clear lives
+    stage(ir, profile)
     absorb_clear(ir.body)
     return ir
 
@@ -86,7 +91,7 @@ def run_pipeline(lowered: "LoweredKernel", label: Optional[str] = None) -> LoopI
 # circularity; PIPELINE is the one place phase order is spelled out.
 from repro.codegen.passes.fuse import FusePass  # noqa: E402
 from repro.codegen.passes.parallelize import ParallelizePass  # noqa: E402
-from repro.codegen.passes.regblock import RegblockPass  # noqa: E402
+from repro.codegen.passes.regblock import RegblockPass, stage  # noqa: E402
 from repro.codegen.passes.simd import SimdPass  # noqa: E402
 from repro.codegen.passes.tile import TilePass  # noqa: E402
 

@@ -55,9 +55,10 @@ class NestWork:
 
 def for_nest(stmt):
     """The ``for`` loop a top-level statement opens — what a thread team
-    can share — looking through the pass wrappers; else ``None``."""
+    can share — looking through the pass wrappers (to a blocked run's
+    first nest, its only one before runs merge); else ``None``."""
     while isinstance(stmt, (ir.Tiled, ir.Blocked, ir.Parallel)):
-        stmt = stmt.nest
+        stmt = stmt.nests[0] if isinstance(stmt, ir.Blocked) else stmt.nest
     return stmt if isinstance(stmt, (ir.DenseLoop, ir.FiberLoop)) else None
 
 

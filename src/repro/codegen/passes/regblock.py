@@ -7,32 +7,33 @@ element loop whose trip count is the run-time extent ``n_j`` takes
 ``gcc -O3`` far longer to compile than a fixed-16 one (the ``cc`` column
 of the table below).  This pass wraps each
 top-level nest whose every update is row-valued in a
-:class:`~repro.codegen.loopir.Blocked` node; the C printer emits a run
-of consecutive blocked nests as
+:class:`~repro.codegen.loopir.Blocked` node that states its padded
+copies, and :func:`stage` merges each run of consecutive blocked nests
+into one, once every phase has run; the C printer prints the node's
+fields, deciding none of them, as
 
 .. code-block:: c
 
-    {
+    {   /* rows: start rp_vb, stride rp_w = the extent rounded up */
         int64_t rp_vb = 0, rp_r = 0, rp_w = (n_j + 15) / 16 * 16;
-        double *rp_out = out, *rp_B = (double *) B;
+        double *rp_out = out, *rp_B = (double *) B;   /* rows.copies */
         if (rp_w != n_j) {
-            /* one calloc per staged array, rows of stride rp_w; every
-               row of B copied in with __builtin_memcpy, or
+            /* one calloc per array of rows.copies, rows of stride rp_w;
+               the rows of copy_in copied in with __builtin_memcpy, or
                rp_status = 1 */
         }
         if (!rp_status) {
-            if (rp_w == n_j) {
-                /* the kernel's clear: out's canonical rows set to 0 */
+            if (rp_w == n_j) {   /* no test when clear_padded */
+                /* clear, over rp_out: its canonical rows set to 0 */
             }
             for (rp_vb = 0; rp_vb < rp_w; rp_vb += 16) {
-                /* the nest: every element loop 16 long, row reads at
-                   t[rp_vb + _v] with t = rp_B + row * rp_w, each row
-                   workspace a local double ws[16] declared at its Init */
+                /* nests[0] over rows: every element loop 16 long, row
+                   reads at t[rp_vb + _v] with t = rp_B + row * rp_w, each
+                   workspace of rows.local a double ws[16] at its Init */
             }
             /* ... one rp_vb loop per nest of the run ... */
             if (rp_w != n_j) {
-                /* the cleared (canonical) output rows copied back,
-                   n_j wide */
+                /* the rows of back copied back, n_j wide */
             }
         }
         if (rp_w != n_j) {
@@ -48,21 +49,21 @@ run-time trip count, and no function-scope workspace is ``malloc``'d
 for it.  When the extent is a multiple of the width nothing is copied
 (``rp_out`` is ``out``).
 
-Staging.  The output and every dense array a nest reads rows of
-(:func:`staged`) get a zero-filled copy whose row stride is the padded
+Staging (:func:`_staging`).  The output and every dense array a nest
+reads rows of get a zero-filled copy whose row stride is the padded
 extent ``rp_w``; input rows are copied in and the output's rows back
 out with ``__builtin_memcpy`` (a call, not an element loop for ``gcc``
-to vectorize).  The output is not copied in: the kernel's
-:class:`~repro.codegen.loopir.ClearOut`, which the pipeline moves into
-the blocked nest right after it
-(:func:`~repro.codegen.passes.base.absorb_clear`), resets what the run
-writes — the caller's rows when nothing is staged, the staged copy
-otherwise, where ``calloc`` has already written the ``+`` identity (a
-``min``/``max`` clear writes it) — and only the rows it cleared are
-copied back, so the non-canonical rows of a symmetric output are never
-written; a clear with no coordinates covers the whole buffer, so every
-row is copied back.  A run without the clear (one after another nest)
-copies the output in and back whole.  Against copying in the zeros
+to vectorize).  The output is not copied in by a run right after the
+kernel's :class:`~repro.codegen.loopir.ClearOut`, which it takes in:
+the clear resets what the run writes — the caller's rows when nothing
+is staged, the staged copy otherwise, where ``calloc`` has already
+written the ``+`` identity (a ``min``/``max`` clear writes it) — and
+only the rows it cleared are copied back, so the non-canonical rows of
+a symmetric output are never written; a clear with no coordinates
+covers the whole buffer, so every row (one, of a 1-D output) is copied
+back, and no nest that would take a clear ending inside a row is
+blocked.  A run without the clear (after another nest, or in a profiled
+build) copies the output in and back whole.  Against copying in the zeros
 the executor used to write: TTM at rank 8 on ``kernel_steady``'s
 inputs, one pinned CPU, 60 alternating calls on shared prepared
 arguments, 0.74x and 0.76x per call (57 and 60 wins, seeds 12 and 29);
@@ -143,7 +144,7 @@ team body at all.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import AbstractSet, Dict, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Optional, Sequence, Set, Tuple
 
 from repro.codegen.loopir import (
     ROW,
@@ -151,6 +152,8 @@ from repro.codegen.loopir import (
     Array,
     BinOp,
     Blocked,
+    ClearOut,
+    Const,
     DenseLoop,
     Expr,
     FiberLoop,
@@ -160,7 +163,9 @@ from repro.codegen.loopir import (
     Loop,
     LoopIR,
     Load,
+    Name,
     Reduce,
+    Rows,
     Stmt,
     assigned,
     children,
@@ -234,17 +239,50 @@ def _row_arrays(expr: Expr, found: Dict[str, Array]) -> None:
             _row_arrays(arg, found)
 
 
-def staged(nests: Sequence[Blocked]) -> Tuple[Array, ...]:
-    """The dense arrays *nests* read rows of, by name: what the printer
-    copies into padded rows when the vector extent is not a multiple of
-    :data:`WIDTH` (the output is always staged too)."""
+def _staging(
+    ir: LoopIR, nests: Tuple[Stmt, ...], clear: Optional[ClearOut]
+) -> Blocked:
+    """The padded copies of one run of *nests*, which carries *clear*:
+    the output's, then those of the dense arrays the nests read rows of."""
+    output = ir.lowered.output
     found: Dict[str, Array] = {}
     for s in walk(nests):
-        if isinstance(s, Let):
-            _row_arrays(s.expr, found)
-        elif isinstance(s, (Init, Reduce)):
-            _row_arrays(s.value, found)
-    return tuple(found[name] for name in sorted(found))
+        if isinstance(s, (Let, Init, Reduce)):
+            _row_arrays(s.expr if isinstance(s, Let) else s.value, found)
+    copies = (Array(Name("out"), "dense", output.ndim),)
+    copies += tuple(found[name] for name in sorted(found))
+    # each workspace is a block-local array (what blockable checked)
+    local = sorted({name for s in walk(nests) for name, tag in defines(s) if tag == WS})
+    rows = Rows(Const(WIDTH), Name("rp_vb"), Name("rp_w"), copies, tuple(local))
+    return Blocked(
+        nests,
+        rows,
+        # the clear resets what the run writes: the output is not copied in
+        copy_in=copies[1:] if clear is not None else copies,
+        clear=clear,
+        # calloc's zeros are the + identity already; a min/max clear writes its own
+        clear_padded=clear is not None and output.reduce_op != "+",
+        # a clear with no coordinates is the whole buffer: every row back
+        back=clear if clear is not None and clear.coords else None,
+    )
+
+
+def stage(ir: LoopIR, profile: bool) -> None:
+    """Merge each run of consecutive top-level :class:`Blocked` nests into
+    one, so that it stages its padded rows once (not in a *profile*
+    build, which times each nest on its own), and move the kernel's
+    ``ClearOut`` into the run right after it, as
+    :func:`~repro.codegen.passes.base.absorb_clear` does for a ``Tiled``
+    nest.  A nest with a team body is a ``Parallel`` here: a run of its
+    own, for its serial fallback, which the clear stays ahead of."""
+    body: list = []
+    for s in ir.body:
+        if isinstance(s, Blocked) and body and isinstance(body[-1], Blocked) and not profile:
+            s = _staging(ir, body[-1].nests + s.nests, body.pop().clear)
+        elif isinstance(s, Blocked) and body and isinstance(body[-1], ClearOut):
+            s = _staging(ir, s.nests, body.pop())
+        body.append(s)
+    ir.body[:] = body
 
 
 class RegblockPass(Pass):
@@ -263,10 +301,17 @@ class RegblockPass(Pass):
             return ir
         types = local_types(ir.lowered.program)
         ws = {name for name, tag in types.items() if tag == WS}
+        ndim = ir.lowered.output.ndim
         blocked = 0
         for pos, stmt in enumerate(ir.body):
+            # a copy-back moves whole rows: no nest that would take a clear
+            # ending inside a row is blocked (none does: the vector index is
+            # never permutable, so no replication group reaches the last axis)
+            clear = ir.body[pos - 1] if pos else None
+            if isinstance(clear, ClearOut) and len(clear.coords) >= max(ndim - 1, 1):
+                continue
             if blockable(stmt, ir.body[:pos] + ir.body[pos + 1:], ws):
-                ir.body[pos] = Blocked(stmt)
+                ir.body[pos] = _staging(ir, (stmt,), None)
                 blocked += 1
         if blocked:
             ir.notes.append("blocked %d nest(s) by %d" % (blocked, WIDTH))

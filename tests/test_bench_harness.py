@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.bench import figures
 from repro.bench.figures import (
     run_fig06_ssymv,
     run_fig07_bellmanford,
@@ -138,6 +139,18 @@ def test_driver_fig08():
 def test_driver_fig09():
     rows = run_fig09_ssyrk(scale=0.01, names=("saylr4",), repeats=1)
     assert rows and rows[0].figure == "fig09"
+
+
+def test_a_matrix_over_the_dense_output_budget_is_skipped(monkeypatch, capsys):
+    """saylr4 (n = 35 at this scale) needs 35 x 35 doubles of SSYRK output,
+    sherman5 (n = 33) 33 x 33: a budget between the two skips saylr4 with
+    one line naming it and its bytes, and sherman5 still runs."""
+    monkeypatch.setattr(figures, "DENSE_OUTPUT_BUDGET", 33 * 33 * 8)
+    rows = run_fig09_ssyrk(scale=0.01, names=("saylr4", "sherman5"), repeats=1)
+    assert [r.workload for r in rows] == ["sherman5"]
+    assert capsys.readouterr().err == (
+        "fig09: skipping saylr4, whose dense output needs %d bytes\n" % (35 * 35 * 8)
+    )
 
 
 def test_driver_fig10():

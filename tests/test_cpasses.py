@@ -62,11 +62,14 @@ def test_pipeline_metadata_is_complete():
     assert PHASES == ["fuse", "tile", "regblock", "simd", "parallelize"]
     for phase in PIPELINE:
         assert phase.describe()  # every phase documents itself
-    # a phase takes the loop IR and nothing else; the pipeline takes no
-    # configuration; the printer's one other input is the profile flag
-    # repro.obs.profile_kernel passes
+    # a phase takes the loop IR and nothing else; the pipeline and the
+    # printer take no configuration, their one other input the profile
+    # flag repro.obs.profile_kernel passes (a profiled build stages each
+    # blocked nest on its own)
     assert list(inspect.signature(Pass.run).parameters) == ["self", "ir"]
-    assert list(inspect.signature(run_pipeline).parameters) == ["lowered", "label"]
+    assert list(inspect.signature(run_pipeline).parameters) == [
+        "lowered", "label", "profile"
+    ]
     assert list(inspect.signature(render_c_full).parameters) == [
         "lowered", "label", "profile"
     ]

@@ -177,10 +177,10 @@ def test_only_the_unguarded_strict_nest_is_blocked(name):
     nest after it: its guards test only its own loop indices."""
     spec = {**KERNELS, **EXTENSIONS}[name]
     lowered = spec.compile(options=PYTHON).lowered
-    body = run_pipeline(lowered).body
-    assert [type(s) for s in body] == [ir.Blocked, ir.Blocked]
-    assert not any(isinstance(s, ir.If) for s in ir.walk([body[0]]))
-    assert any(isinstance(s, ir.If) for s in ir.walk([body[1]]))
+    [run] = run_pipeline(lowered).body
+    assert isinstance(run, ir.Blocked) and len(run.nests) == 2
+    assert not any(isinstance(s, ir.If) for s in ir.walk([run.nests[0]]))
+    assert any(isinstance(s, ir.If) for s in ir.walk([run.nests[1]]))
     source = _serial_c(name)
     # one staging around both, one rp_vb loop each
     assert source.count("rp_vb += %d) {" % WIDTH) == 2
@@ -195,7 +195,10 @@ def test_no_vector_loop_has_a_run_time_trip_count(name):
     nor a branch on the extent, and one ``rp_vb`` loop per blocked nest."""
     lowered = {**KERNELS, **EXTENSIONS}[name].compile(options=PYTHON).lowered
     source = render_c(lowered)
-    blocked = [s for s in ir.walk(run_pipeline(lowered).body) if isinstance(s, ir.Blocked)]
+    blocked = [
+        nest for s in ir.walk(run_pipeline(lowered).body) if isinstance(s, ir.Blocked)
+        for nest in s.nests
+    ]
     if lowered.vector_index is None:
         assert not blocked and not re.search(r"\b_v\b|rp_vb", source)
         return
