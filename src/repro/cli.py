@@ -133,7 +133,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     print(format_table(results, title=args.figure))
-    print("geomean SySTeC speedup: %.2fx" % summarize_speedups(results))
+    if results:
+        print("geomean SySTeC speedup: %.2fx" % summarize_speedups(results))
     return 0
 
 

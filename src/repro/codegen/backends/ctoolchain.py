@@ -8,6 +8,11 @@ the compiler rejects them).  ``$REPRO_NO_CC`` forcibly disables the
 probe — the CI leg that exercises the no-compiler fallback path sets
 it.
 
+Objects link lean (:data:`LEAN_LINK`): no default library, so ``ld`` skips
+its libc pass — the Python process loading them has ``calloc``/``free``.
+A flag set whose lean trivial object does not load (a sanitizer build)
+keeps the full link.
+
 One rendered source builds into exactly one object, chosen by the source
 (:func:`compile_shared`):
 
@@ -82,7 +87,18 @@ BASE_FLAGS = ("-O3", "-shared", "-fPIC", "-fno-math-errno", "-ffp-contract=off")
 #: up to +100% random jitter, so raced processes decorrelate.
 CC_BACKOFF = 0.25
 
-_TRIVIAL = "int repro_probe(void) { return 42; }\n"
+#: the lean link: no default library, ``-lgcc`` after the source (a static
+#: archive before it resolves nothing, see :func:`_run_cc`).
+LEAN_LINK = ("-nodefaultlibs", "-lgcc")
+
+#: calls what a lean object takes from the loading process; its ``+`` is
+#: checked by an UBSan build's runtime, a default library of that build.
+_TRIVIAL = (
+    "#include <stdlib.h>\nint repro_probe(void) {\n"
+    "    int *volatile cell = calloc(1, sizeof(int));\n"
+    "    int answer = cell == 0 ? 0 : *cell + 42;\n"
+    "    free(cell);\n    return answer;\n}\n"
+)
 
 #: the OpenMP probe goes through the runtime library, not just the
 #: pragma parser — a compiler that accepts ``-fopenmp`` but cannot link
@@ -98,7 +114,8 @@ class Toolchain:
     """A probed, known-working compiler configuration."""
 
     cc: str
-    #: flags every build shares (``-march=native`` when accepted).
+    #: flags every build shares (``-march=native``, :data:`LEAN_LINK`:
+    #: each when accepted).
     flags: tuple
     #: ``("-fopenmp-simd",)`` when the compiler accepts it, else ``()`` —
     #: what the serial object is built with so its SIMD hints stay live.
@@ -189,9 +206,11 @@ def _run_cc(
     :class:`ToolchainTimeout` instead of stalling the caller forever.
     A ``cc`` killed by a signal raises :class:`ToolchainInterrupted`;
     both are transient.  A nonzero exit is deterministic for fixed
-    source and raises plain :class:`ToolchainError` (permanent).
+    source and raises plain :class:`ToolchainError` (permanent).  Link
+    inputs (``-l…``) follow the source; every other flag precedes it.
     """
-    cmd = [cc] + list(flags) + ["-o", out, src]
+    link = [flag for flag in flags if flag.startswith("-l")]
+    cmd = [cc] + [f for f in flags if f not in link] + ["-o", out, src] + link
     _inject_cc_fault(cmd, timeout)
     try:
         proc = subprocess.run(
@@ -247,14 +266,14 @@ def _try_probe(cc_path: str) -> Optional[Toolchain]:
     """Build + load + call the trivial shared object with *cc_path*.
 
     The first accepted combination of the optional flags wins, so the
-    common case (both accepted) costs one build.
+    common case (all accepted, the lean link too) costs one build.
     """
     for march in (("-march=native",), ()):
         for simd in (("-fopenmp-simd",), ()):
-            if _probe_build_runs(cc_path, BASE_FLAGS + march + simd, _TRIVIAL):
-                return Toolchain(
-                    cc=cc_path, flags=BASE_FLAGS + march, simd_flags=simd
-                )
+            for link in (LEAN_LINK, ()):
+                flags = BASE_FLAGS + march + link
+                if _probe_build_runs(cc_path, flags + simd, _TRIVIAL):
+                    return Toolchain(cc=cc_path, flags=flags, simd_flags=simd)
     return None
 
 

@@ -15,6 +15,7 @@ dataset sizes for the same reason).
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -123,7 +124,7 @@ def load_matrix(
     n = max(8, int(info.dimension * scale))
     nnz = max(n, int(info.nnz * scale))
     rng = np.random.default_rng(
-        seed if seed is not None else abs(hash(name)) % (2**32)
+        seed if seed is not None else zlib.crc32(name.encode())
     )
     rows, cols = _PROFILES[info.profile](rng, n, nnz)
     vals = rng.random(rows.shape[0]) + 0.1

@@ -65,6 +65,17 @@ def test_bench_command_tiny(capsys):
     assert "geomean" in out
 
 
+def test_bench_with_every_matrix_skipped_prints_no_geomean(monkeypatch, capsys):
+    """Was: ``(no results)`` and then ``geomean SySTeC speedup: nanx``."""
+    from repro.bench import figures
+
+    monkeypatch.setattr(figures, "DENSE_OUTPUT_BUDGET", 0)
+    rc = main(["bench", "fig09", "--scale", "0.01", "--names", "saylr4,sherman5"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "nan" not in out and "geomean" not in out
+
+
 def test_bench_rejects_unknown_matrix_names(capsys):
     """Was: ``(no results)``, a ``nan`` geomean and exit 0."""
     with pytest.raises(SystemExit) as exc:

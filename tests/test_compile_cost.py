@@ -13,7 +13,12 @@ after damage, or the wide one — is built into the store it was read from,
 so the next process pays no ``cc``, whatever its thread setting.
 """
 
+import ctypes
+import dataclasses
 import os
+import re
+import shutil
+import subprocess
 import sys
 import threading
 
@@ -21,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.codegen.backends import ctoolchain, get_backend
+from repro.codegen.backends.objects import identity_of
 from repro.core.config import DEFAULT
 from repro.kernels.extensions import EXTENSIONS
 from repro.kernels.library import KERNELS, get_kernel
@@ -402,7 +408,6 @@ def test_rebuilding_a_stores_object_never_makes_a_second_one(tmp_path):
     the same object cache: at most one ``cc`` run, and neither directory
     ends up with two objects of the one program (the rehydrate's label
     used to name a second one)."""
-    from repro.codegen.backends.objects import identity_of
     from repro.service import KernelService
 
     spec = dict(symmetric={"A": True}, loop_order=("j", "i"), options=SERIAL)
@@ -483,3 +488,94 @@ def test_a_serial_process_never_builds_the_openmp_probe(tmp_path):
             cc=cc, out=[4.0, 8.5, 13.0],
         )
         assert (seen["kind"], seen["omp_probed"]) == ("serial", False)
+
+
+# ----------------------------------------------------------------------
+# the lean link: objects name no libc, unless the probe refused it
+# ----------------------------------------------------------------------
+READELF = shutil.which("readelf")
+
+
+def _needed(path) -> list:
+    """The ``NEEDED`` libraries ``readelf -d`` lists for object *path*."""
+    listing = subprocess.run(
+        [READELF, "-d", str(path)], capture_output=True, text=True, check=True
+    ).stdout
+    return re.findall(r"\(NEEDED\)\s+Shared library: \[([^\]]+)\]", listing)
+
+
+@pytest.mark.skipif(READELF is None, reason="no readelf")
+def test_no_object_of_a_lean_toolchain_needs_libc(rng, monkeypatch, tmp_path):
+    """The serial, wide, OpenMP and profiled objects all link without the
+    default libraries: ``ld`` resolved no libc for any of them, and the
+    OpenMP object still records its runtime."""
+    if not set(ctoolchain.LEAN_LINK) <= set(ctoolchain.probe().flags):
+        pytest.skip("the probe kept the full link on this host")
+    from repro.obs import profile_kernel
+    from repro.tensor import coo as coo_mod
+
+    spec = get_kernel("ssymv")
+    inputs = build_inputs(rng, spec)
+    kernel = spec.compile(options=SERIAL)
+    profile_kernel(kernel, inputs, repeats=1)
+    get_kernel("bellmanford").compile(options=SERIAL)
+    monkeypatch.setattr(coo_mod, "INDEX_LIMIT", 0)
+    kernel.execution_plan(**inputs)()
+    objects = {str(path): _needed(path) for path in tmp_path.glob("*.so")}
+    # the profiled twin is a second serial object
+    kinds = [identity_of(path).split("-")[1] for path in objects]
+    assert set(kinds) == {"serial", "serial64", "omp" if HAVE_OMP else "serial"}
+    assert kinds.count("serial") >= 2
+    for path, needed in objects.items():
+        assert not [lib for lib in needed if lib.startswith("libc.")], (path, needed)
+        if "-omp-" in path:
+            assert [lib for lib in needed if "omp" in lib], (path, needed)
+
+
+def test_a_probe_whose_lean_object_is_refused_keeps_the_full_link(rng, monkeypatch):
+    """A lean trivial object that does not load (a sanitizer build, a libc
+    the process does not export) leaves the toolchain as it was before the
+    lean link: the same flags without it, and kernels still bit for bit
+    the python backend's."""
+    real = ctoolchain._probe_build_runs
+
+    def refusing_lean(cc_path, flags, source):
+        return "-nodefaultlibs" not in flags and real(cc_path, flags, source)
+
+    spec = get_kernel("ssymv")
+    inputs = build_inputs(rng, spec)
+    py = np.asarray(spec.compile(options=PYTHON)(**inputs))
+    try:
+        ctoolchain.reset_probe_cache()
+        lean = ctoolchain.probe()
+        monkeypatch.setattr(ctoolchain, "_probe_build_runs", refusing_lean)
+        ctoolchain.reset_probe_cache()
+        full = ctoolchain.probe()
+        assert full == dataclasses.replace(
+            lean, flags=tuple(f for f in lean.flags if f not in ctoolchain.LEAN_LINK)
+        )
+        with trace.tracing() as rec:
+            kernel = spec.compile(options=SERIAL)
+        (span,) = _cc_spans(rec)
+        assert not set(ctoolchain.LEAN_LINK) & set(span.args["flags"].split())
+        assert kernel.backend == "c"
+        assert np.asarray(kernel(**inputs)).tobytes() == py.tobytes()
+    finally:
+        monkeypatch.undo()
+        ctoolchain.reset_probe_cache()
+
+
+#: a 128-bit division: ``gcc`` calls libgcc's ``__divti3`` for it
+HELPER_SOURCE = """#include <stdint.h>
+int64_t repro_div(int64_t a, int64_t b) { return (int64_t) ((__int128) a * a / b); }
+"""
+
+
+def test_a_compiler_helper_call_resolves_from_libgcc():
+    """``-lgcc`` follows the source on the ``cc`` line (an archive before
+    it resolves nothing): an object calling a helper routine loads."""
+    lib = ctypes.CDLL(ctoolchain.compile_shared(HELPER_SOURCE, stem="helper"))
+    lib.repro_div.restype = ctypes.c_int64
+    lib.repro_div.argtypes = (ctypes.c_int64, ctypes.c_int64)
+    a, b = (1 << 40) + 3, (1 << 20) + 7
+    assert lib.repro_div(a, b) == a * a // b

@@ -1,5 +1,9 @@
 """Tests for the evaluation datasets (Table 2 suite, ER symmetric tensors)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -42,6 +46,29 @@ def test_load_matrix_deterministic():
     a = load_matrix("rdist1", scale=0.1).to_dense()
     b = load_matrix("rdist1", scale=0.1).to_dense()
     np.testing.assert_array_equal(a, b)
+
+
+#: prints one matrix's coordinates and values, as bytes, in a fresh process
+_LOAD_SAYLR4 = (
+    "from repro.data.matrices import load_matrix\n"
+    "t = load_matrix('saylr4', scale=0.05)\n"
+    "print(t.coo.coords.tobytes().hex(), t.coo.vals.tobytes().hex())\n"
+)
+
+
+def test_load_matrix_is_the_same_under_any_hash_seed():
+    """Was: seeded by ``hash(name)``, which ``PYTHONHASHSEED`` randomizes per
+    process, so two runs of one figure timed different matrices."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _LOAD_SAYLR4],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for hash_seed in ("1", "2")
+    ]
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_load_matrix_unknown_name():

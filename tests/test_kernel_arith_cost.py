@@ -395,8 +395,9 @@ def test_profiling_reports_the_nests_and_not_the_clear(name):
 def test_a_clear_links_no_libc_symbol(name):
     """These objects reference nothing outside themselves (the weak
     ``w`` entries of the startup files aside): a zeroing loop ``gcc``
-    turned into ``memset`` would make ``ld`` resolve libc on every build
-    (``rp_clear`` stores through a ``volatile`` pointer)."""
+    turned into ``memset`` would be a libc call the lean link
+    (``ctoolchain.LEAN_LINK``) leaves for ``dlopen`` to resolve from the
+    process (``rp_clear`` stores through a ``volatile`` pointer)."""
     kernel = get_kernel(name).compile(options=DEFAULT.but(backend="c"))
     listing = subprocess.run(
         ["nm", "-D", "--undefined-only", kernel.bound.executable.so_path],
