@@ -2,11 +2,17 @@
 
 The probe runs once per process: find a compiler (``$REPRO_CC``, else
 ``cc``/``gcc``/``clang``), build and dlopen a trivial shared object, and
-settle the flags every build shares (``-march=native`` and
-``-fopenmp-simd`` are tried in that same trivial build and dropped when
-the compiler rejects them).  ``$REPRO_NO_CC`` forcibly disables the
-probe — the CI leg that exercises the no-compiler fallback path sets
-it.
+settle the flags every build shares (``-march=native``,
+``-fopenmp-simd`` and :data:`VECTOR_WIDTH` are tried in that same trivial
+build and dropped when the compiler rejects them).  ``$REPRO_NO_CC``
+forcibly disables the probe — the CI leg that exercises the no-compiler
+fallback path sets it.
+
+:data:`VECTOR_WIDTH` lets gcc use the AVX-512 registers its tuning for
+recent x86 cores leaves at 256 bits: a register-blocked row update of 16
+doubles becomes two zmm operations instead of four ymm ones.  It changes
+no code where ``-march`` has no AVX-512 (AVX2, generic x86-64); hosts
+whose AVX-512 lowers the clock (Skylake-SP class) are unmeasured.
 
 Objects link lean (:data:`LEAN_LINK`): no default library, so ``ld`` skips
 its libc pass — the Python process loading them has ``calloc``/``free``.
@@ -83,6 +89,9 @@ class ToolchainInterrupted(ToolchainError):
 #: numpy arithmetic bit-for-bit on the same accumulation order.
 BASE_FLAGS = ("-O3", "-shared", "-fPIC", "-fno-math-errno", "-ffp-contract=off")
 
+#: accepted by x86 compilers only; a part of every object's identity.
+VECTOR_WIDTH = "-mprefer-vector-width=512"
+
 #: seconds before the first cc retry, doubled per attempt; each wait gets
 #: up to +100% random jitter, so raced processes decorrelate.
 CC_BACKOFF = 0.25
@@ -114,8 +123,9 @@ class Toolchain:
     """A probed, known-working compiler configuration."""
 
     cc: str
-    #: flags every build shares (``-march=native``, :data:`LEAN_LINK`:
-    #: each when accepted).
+    #: flags every build shares (``-march=native``, :data:`VECTOR_WIDTH`,
+    #: :data:`LEAN_LINK`: each when accepted); the width flag changes code
+    #: on AVX-512 only (a 16-double row: two zmm operations, not four ymm).
     flags: tuple
     #: ``("-fopenmp-simd",)`` when the compiler accepts it, else ``()`` —
     #: what the serial object is built with so its SIMD hints stay live.
@@ -266,14 +276,16 @@ def _try_probe(cc_path: str) -> Optional[Toolchain]:
     """Build + load + call the trivial shared object with *cc_path*.
 
     The first accepted combination of the optional flags wins, so the
-    common case (all accepted, the lean link too) costs one build.
+    common case (all accepted, the lean link too) costs one build, and a
+    compiler refusing only :data:`VECTOR_WIDTH` (innermost) one more.
     """
     for march in (("-march=native",), ()):
         for simd in (("-fopenmp-simd",), ()):
             for link in (LEAN_LINK, ()):
-                flags = BASE_FLAGS + march + link
-                if _probe_build_runs(cc_path, flags + simd, _TRIVIAL):
-                    return Toolchain(cc=cc_path, flags=flags, simd_flags=simd)
+                for width in ((VECTOR_WIDTH,), ()):
+                    flags = BASE_FLAGS + march + width + link
+                    if _probe_build_runs(cc_path, flags + simd, _TRIVIAL):
+                        return Toolchain(cc=cc_path, flags=flags, simd_flags=simd)
     return None
 
 

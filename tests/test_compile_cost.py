@@ -10,7 +10,9 @@ pays another.  The wide-index object costs one more run, on first need.
 And what an object may cost *again*: nothing.  One program is one object
 whatever label it was rendered under; an object a reader had to build —
 after damage, or the wide one — is built into the store it was read from,
-so the next process pays no ``cc``, whatever its thread setting.
+so the next process pays no ``cc``, whatever its thread setting.  The
+probe pays one trivial build, one more where the compiler refuses the
+vector-width flag.
 """
 
 import ctypes
@@ -563,6 +565,43 @@ def test_a_probe_whose_lean_object_is_refused_keeps_the_full_link(rng, monkeypat
     finally:
         monkeypatch.undo()
         ctoolchain.reset_probe_cache()
+
+
+def _probe_answering(monkeypatch, accepts):
+    """The toolchain a fresh probe settles on, and how many trivial builds
+    it asked for, when each build answers ``accepts(flags)`` (no ``cc``)."""
+    builds = []
+
+    def answering(cc_path, flags, source):
+        builds.append(flags)
+        return accepts(flags)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ctoolchain, "_probe_build_runs", answering)
+        ctoolchain.reset_probe_cache()
+        try:
+            return ctoolchain.probe(), len(builds)
+        finally:
+            ctoolchain.reset_probe_cache()
+
+
+def test_a_compiler_refusing_the_vector_width_keeps_the_other_flags(monkeypatch):
+    """A compiler that rejects ``-mprefer-vector-width=512`` (gcc off x86)
+    settles on the flags the probe chose without it, one trivial build
+    later than a compiler that takes it — whose serial and OpenMP objects,
+    of either index width, are built with it."""
+    accepting, accepted_builds = _probe_answering(monkeypatch, lambda flags: True)
+    refusing, refused_builds = _probe_answering(
+        monkeypatch, lambda flags: ctoolchain.VECTOR_WIDTH not in flags
+    )
+    native = ctoolchain.BASE_FLAGS + ("-march=native",)
+    assert accepting.flags == native + (ctoolchain.VECTOR_WIDTH,) + ctoolchain.LEAN_LINK
+    assert refusing.flags == native + ctoolchain.LEAN_LINK
+    assert accepting.simd_flags == refusing.simd_flags == ("-fopenmp-simd",)
+    assert refused_builds == accepted_builds + 1 == 2
+    for omp in (False, True):
+        for wide in (False, True):
+            assert ctoolchain.VECTOR_WIDTH in accepting.object_flags(omp, wide)
 
 
 #: a 128-bit division: ``gcc`` calls libgcc's ``__divti3`` for it

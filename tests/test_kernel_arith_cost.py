@@ -14,7 +14,8 @@ the renderer prints, compiled on its own.  The output clear: every
 generated source resets its output once, a symmetric output's only up
 to the row index, no executor fill runs per call, profiling sees the
 same nests, and the clear pulls no libc symbol into the objects that
-had none.
+had none.  On an AVX-512 host the blocked row updates compute in 512-bit
+registers.
 """
 
 import ctypes
@@ -404,3 +405,33 @@ def test_a_clear_links_no_libc_symbol(name):
         capture_output=True, text=True, check=True,
     ).stdout
     assert [line for line in listing.splitlines() if line.split()[0] != "w"] == []
+
+
+def _has_avx512() -> bool:
+    try:
+        with open("/proc/cpuinfo") as handle:
+            return "avx512f" in handle.read().split()
+    except OSError:
+        return False
+
+
+@needs_cc
+@pytest.mark.skipif(shutil.which("objdump") is None, reason="no binutils objdump")
+@pytest.mark.skipif(not _has_avx512(), reason="the host has no AVX-512")
+def test_a_blocked_row_update_computes_in_512_bit_registers():
+    """``ctoolchain.VECTOR_WIDTH`` reaches the object: on an AVX-512 host
+    the serial MTTKRP-3D object multiplies and adds 16-double rows as two
+    ``%zmm`` operations, not four ``%ymm`` ones (gcc's tuning for recent
+    x86 cores stops at 256 bits without the flag)."""
+    flags = ctoolchain.probe().flags
+    if ctoolchain.VECTOR_WIDTH not in flags or "-march=native" not in flags:
+        pytest.skip("the probe dropped -march=native or the vector width")
+    kernel = get_kernel("mttkrp3d").compile(options=DEFAULT.but(backend="c", threads=1))
+    assert kernel.bound.executable.kind == "serial"
+    listing = subprocess.run(
+        ["objdump", "-d", kernel.bound.executable.so_path],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    arithmetic = re.findall(r"\bv(?:mul|add)pd\s+(\S+)", listing)
+    assert [ops for ops in arithmetic if "%zmm" in ops]
+    assert [ops for ops in arithmetic if "%ymm" in ops] == []

@@ -8,7 +8,10 @@ c / c at two threads, in both dtypes, is held against
 ``KernelSpec.reference`` (plain numpy over the densified inputs) on
 structures chosen to reach the edges of the factoring: empty fibers,
 fibers of one entry, stored zeros, an all-diagonal tensor, rank 1 and
-ranks that are no multiple of a SIMD width.
+ranks that are no multiple of a SIMD width.  Two metamorphic properties
+hold exactly, not within a tolerance: doubling the sparse operand scales
+the output by a power of two, and permuting a symmetric operand's modes
+changes no output bit.
 """
 
 import functools
@@ -187,3 +190,99 @@ def test_a_nan_no_stored_coordinate_references_never_reaches_the_output(
             got = kernel(**poisoned)
             assert not np.isnan(got).any(), (name, naive, backend, threads)
             np.testing.assert_array_equal(got, clean)
+
+
+# ----------------------------------------------------------------------
+# metamorphic properties: exact, whatever the order of a sum or the width
+# of the vectors that computed it
+# ----------------------------------------------------------------------
+def _with(tensor, coords=None, vals=None):
+    """*tensor* with its stored coordinates or values replaced."""
+    coo = tensor.coo
+    return Tensor(
+        COO(
+            coo.coords if coords is None else coords,
+            coo.vals if vals is None else vals,
+            coo.shape,
+            sum_duplicates=False,
+        ),
+        tensor.symmetric_modes,
+    )
+
+
+def _outputs(name, dtype, tensors):
+    """``(backend@threads, output)`` of the SySTeC kernel on each backend."""
+    for backend, threads in BACKENDS:
+        kernel = _kernel(name, False, dtype, backend, threads)
+        yield "%s@%d" % (backend, threads), np.asarray(kernel(**tensors))
+
+
+#: library kernels whose sum is of products (every one but Bellman-Ford)
+SUM_OF_PRODUCTS = sorted(
+    name
+    for name in KERNELS
+    if _shape_of(name)[0].reduce_op == "+" and _shape_of(name)[0].combine_op == "*"
+)
+
+#: library kernels with a symmetric operand (every one but SSYRK)
+SYMMETRIC = sorted(name for name in KERNELS if _shape_of(name)[2])
+
+metamorphic = settings(max_examples=3, deadline=None, derandomize=True)
+metamorphic_inputs = given(
+    kind=st.sampled_from(KINDS),
+    n=st.integers(min_value=2, max_value=4),
+    rank=st.sampled_from([3, 16, 17]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("name", SUM_OF_PRODUCTS)
+@metamorphic
+@metamorphic_inputs
+def test_doubling_the_sparse_operand_scales_the_output_exactly(
+    name, dtype, kind, n, rank, seed
+):
+    """Every term of the sum holds ``A`` once per access (``m`` times), so
+    doubling its stored values scales every rounded step by ``2**m``: the
+    output is the undoubled one times ``2**m``, bit for bit."""
+    m = sum(acc.tensor == "A" for acc in _shape_of(name)[0].accesses)
+    tensors, _ = make_inputs(name, kind, n, rank, seed)
+    doubled = dict(tensors, A=_with(tensors["A"], vals=tensors["A"].coo.vals * 2))
+    plain = dict(_outputs(name, dtype, tensors))
+    for label, got in _outputs(name, dtype, doubled):
+        expected = np.asarray(plain[label] * 2**m)
+        assert got.tobytes() == expected.tobytes(), (name, label, m)
+
+
+def _group_orders(parts, ndim):
+    """Mode orders permuting within each symmetric part: its rotation and
+    the swap of its first two modes, which together generate them all."""
+    orders = []
+    for part in parts:
+        for moved in (part[1:] + part[:1], (part[1], part[0]) + part[2:]):
+            order = list(range(ndim))
+            for mode, source in zip(part, moved):
+                order[mode] = source
+            if order not in orders:  # a pair's rotation is its swap
+                orders.append(order)
+    return orders
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("name", SYMMETRIC)
+@metamorphic
+@metamorphic_inputs
+def test_permuting_a_symmetric_operands_modes_changes_no_output_bit(
+    name, dtype, kind, n, rank, seed
+):
+    """A symmetric operand's coordinate rows permuted within its symmetric
+    group store the same tensor, entries in another order: the output is
+    bit-identical."""
+    tensors, _ = make_inputs(name, kind, n, rank, seed)
+    sym = tensors["A"]
+    plain = dict(_outputs(name, dtype, tensors))
+    for order in _group_orders(sym.symmetric_modes, sym.ndim):
+        permuted = dict(tensors, A=_with(sym, coords=sym.coo.coords[order]))
+        for label, got in _outputs(name, dtype, permuted):
+            assert got.tobytes() == plain[label].tobytes(), (name, label, order)

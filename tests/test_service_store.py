@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -285,7 +286,16 @@ def test_a_parallel_artifact_is_one_omp_object_at_every_thread_setting(
     (tmp_path / "objects").mkdir()
 
     def cc_runs(recorder):
-        return sum(1 for e in recorder.events if e.name == "cc")
+        """This thread's ``cc`` spans, and every ``cc`` span the recorder
+        saw, one line each: the recorder is process-global, and a thread an
+        earlier test left running may record into it."""
+        spans = [e for e in recorder.events if e.name == "cc"]
+        seen = "\n".join(
+            "tid=%d stem=%s attempt=%s flags=%s"
+            % (e.tid, e.args.get("stem"), e.args.get("attempt"), e.args.get("flags"))
+            for e in spans
+        )
+        return sum(e.tid == threading.get_ident() for e in spans), seen
 
     spec = get_kernel("bellmanford")  # privatized nests: an OpenMP body
     inputs = build_inputs(rng, spec)
@@ -302,7 +312,8 @@ def test_a_parallel_artifact_is_one_omp_object_at_every_thread_setting(
     with trace.tracing() as rec:
         fresh = request.compile()
         store.put(request.key, fresh)
-    assert cc_runs(rec) == 1 and fresh.bound.executable.kind == "omp"
+    runs, seen = cc_runs(rec)
+    assert runs == 1 and fresh.bound.executable.kind == "omp", seen
     expected = fresh(**inputs)
     (omp_file,) = store_objects(store.path, request.key)
     assert b"repro_openmp" in omp_file.read_bytes()
@@ -311,7 +322,8 @@ def test_a_parallel_artifact_is_one_omp_object_at_every_thread_setting(
     monkeypatch.setenv("REPRO_THREADS", "4")
     with trace.tracing() as rec:
         threaded = store.get(request.key)
-    assert cc_runs(rec) == 0
+    runs, seen = cc_runs(rec)
+    assert runs == 0, seen
     assert threaded.options.threads == 4
     assert threaded.bound.executable.so_path == str(omp_file)
     assert np.array_equal(threaded(**inputs), expected)
