@@ -3,10 +3,10 @@
 The seam with :mod:`repro.codegen.backends.c`: that module turns a loop
 program into C text (pure); this one asks the object cache it was handed
 (:mod:`repro.codegen.backends.objects`: the process instance, or a disk
-store's) for a verified object of that text, ``dlopen``s it — the one
-``ctypes.CDLL`` of a kernel — builds the wide-index object of the same
-source in that same cache on the first argument set that needs it, and
-marshals arguments through ctypes.
+store's) for a verified object of that text, loads it (:func:`dlopen`, the
+one ``ctypes.CDLL``), builds the wide-index object of the same source in
+that same cache on the first argument set that needs it, and marshals
+arguments through ctypes.
 """
 
 from __future__ import annotations
@@ -35,6 +35,14 @@ from repro.tensor.coo import INDEX_DTYPES
 
 #: index dtype by the byte count an object's ``repro_index_bytes`` reports
 _INDEX_BY_BYTES = {dtype.itemsize: dtype for dtype in INDEX_DTYPES}
+
+
+def dlopen(so_path: str) -> ctypes.CDLL:
+    """Load a compiled object (a kernel, or the native split): traced, faultable."""
+    with obs_trace.span("dlopen", path=so_path):
+        if faults.poll("dlopen") is not None:
+            raise OSError("injected: cannot dlopen %s" % so_path)
+        return ctypes.CDLL(so_path)
 
 
 class IndexWidthError(ValueError):
@@ -99,12 +107,9 @@ class CExecutable(Executable):
         """dlopen *so_path* and bind its entry points; raises
         :class:`~ctoolchain.ToolchainError` when its index width is not the
         *index_dtype* asked for (``None``: any)."""
-        with obs_trace.span("dlopen", path=so_path):
-            if faults.poll("dlopen") is not None:
-                raise OSError("injected: cannot dlopen %s" % so_path)
-            lib = ctypes.CDLL(so_path)
-            fn = lib.kernel  # AttributeError if absent
-            width = lib.repro_index_bytes  # likewise
+        lib = dlopen(so_path)
+        fn = lib.kernel  # AttributeError if absent
+        width = lib.repro_index_bytes  # likewise
         # the kernel returns 0 on success, nonzero when a runtime
         # allocation (a workspace or a per-thread buffer) failed
         fn.restype = ctypes.c_int64

@@ -404,9 +404,9 @@ def compile_shared(
     """The path of a verified shared object of C *source*, built if absent.
 
     ``objects`` is the cache instance to look in and build into (``None``:
-    the process instance); ``stem`` only tags the ``cc`` span; ``wide``
-    asks for the 64-bit index width (its kind words end in ``64``, so no
-    lookup below ever answers the other width).  ``parallel`` says the
+    the process instance); ``stem`` tags the ``cc`` span (else the program
+    digest does); ``wide`` asks for the 64-bit index width (its kind words
+    end in ``64``, so no lookup answers the other width).  ``parallel`` says the
     source has a parallel nest: on a toolchain with OpenMP it is the
     OpenMP object, everything else is the serial object — one identity
     per (program, width).  A process with **no** toolchain accepts any
@@ -459,7 +459,7 @@ def compile_shared(
         return objects.build(
             ident,
             source,
-            lambda c_path, out: _build_with_retry(tc, flags, c_path, out, stem),
+            lambda c_path, out: _build_with_retry(tc, flags, c_path, out, stem or program),
             force,
         )
     except ToolchainError as exc:

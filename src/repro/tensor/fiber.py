@@ -70,6 +70,15 @@ class FiberTensor:
         out._build(rows, vals, shape, levels, known_sorted, owned)
         return out
 
+    @classmethod
+    def from_arrays(cls, shape, levels, pos, idx, vals) -> "FiberTensor":
+        """A tree built in storage order elsewhere (:mod:`repro.tensor.native`)."""
+        out = cls.__new__(cls)
+        out.shape, out.levels, out.pos, out.idx, out.vals = shape, levels, pos, idx, vals
+        out.presorted = True
+        obs_metrics.inc("tensor.sort.skipped")
+        return out
+
     # ------------------------------------------------------------------
     def _build(self, rows, vals, shape, levels, known_sorted: bool, owned: bool) -> None:
         levels = tuple(levels)

@@ -4,7 +4,9 @@ A ``Tensor`` owns a COO payload plus an optional symmetry declaration, and
 manufactures (and caches) the concrete views the compiled kernels consume:
 fibertree realizations of the full tensor, its canonical triangle or a
 diagonal split, in any storage order — each gathered straight from the
-payload — and the full expansion the naive baselines read.
+payload — and the full expansion the naive baselines read.  A sorted
+float64 matrix payload of ``native.MIN_ENTRIES`` entries or more is split in
+one C pass (:mod:`repro.tensor.native`) into the numpy route's bytes.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.tensor import native
 from repro.tensor.coo import COO
 from repro.tensor.fiber import DENSE, SPARSE, FiberTensor
 from repro.tensor.symmetry_ops import (
@@ -133,6 +136,9 @@ class Tensor:
             packed = self.canonical or not parts
             masks = {"all": None if packed else canonical_coords_mask(source, parts)}
         elif tensor_filter in ("strict", "diagonal"):
+            if views := native.split(source, parts, order, levels, self.canonical):
+                self._view_cache.update({(order, levels, name): view for name, view in views.items()})
+                return
             strict, diagonal = split_masks(source.coords, parts, check=self.canonical)
             masks = {"strict": strict, "diagonal": diagonal}
         else:

@@ -85,6 +85,20 @@ def test_serial_compile_is_one_cc_run_without_openmp():
     assert not hasattr(exe._lib, "repro_openmp")
 
 
+def test_a_request_compile_names_its_cc_run_by_its_program():
+    """A kernel compiled through a request has no label: its ``cc`` span
+    carries the program digest its object is named by."""
+    from repro.service import KernelService
+
+    with trace.tracing() as rec:
+        kernel = KernelService().get_or_compile(
+            "y[i] += A[i, j] * x[j]", symmetric={"A": True}, options=SERIAL
+        )
+    (span,) = _cc_spans(rec)
+    assert re.fullmatch(r"[0-9a-f]{16}", span.args["stem"])
+    assert identity_of(kernel.bound.executable.so_path).startswith(span.args["stem"])
+
+
 @pytest.mark.parametrize("naive", (False, True), ids=("systec", "naive"))
 @pytest.mark.parametrize("name", SUM_SCATTER)
 def test_a_sum_scatter_kernel_never_builds_an_openmp_object(

@@ -12,7 +12,10 @@ loop IR, without running C:
 * a profiled object, whose runs stage each nest alone and copy the output
   in and back whole, computes the production object's bytes;
 * (``-m slow``) every staged kernel runs clean under AddressSanitizer and
-  UndefinedBehaviorSanitizer, bitwise equal to the Python backend.
+  UndefinedBehaviorSanitizer, bitwise equal to the Python backend, and so
+  does the native split of adversarial matrix payloads (out of order,
+  duplicated, on the last row, a half empty, a bad canonical entry first
+  or last), equal to the numpy split.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.codegen.passes import run_pipeline
 from repro.core.compiler import compile_kernel
 from repro.core.config import DEFAULT
 from tests.test_differential import ALL_SPECS, HAVE_CC, fuzz_inputs
+from tests.test_tensor_prepare_cost import ADVERSARIAL_SPLITS
 
 #: ``y[j] += M[i, j] * x[i]`` as the naive baseline: a 1-D output
 #: register-blocked over j under a clear of the whole buffer
@@ -211,6 +215,19 @@ _SANITIZED = textwrap.dedent(
                 assert got == want, (name, rank, limit)
             coo.INDEX_LIMIT = narrow
             print(name, rank, "ok", flush=True)
+
+    # the native split of a matrix payload, built with the same flags
+    from repro.obs import metrics
+    from repro.tensor import native
+    from tests import test_tensor_prepare_cost as prepare
+
+    metrics.enable()
+    for name in sorted(prepare.ADVERSARIAL_SPLITS):
+        prepare.test_adversarial_splits_match_the_numpy_route(name)
+        print("split", name, "clean", flush=True)
+    prepare.test_the_native_split_is_the_numpy_split_byte_for_byte()
+    assert native._loaded[ctoolchain.probe()] is not None
+    print("split property clean", flush=True)
     """
 )
 
@@ -252,3 +269,4 @@ def test_staged_kernels_run_clean_under_sanitizers(tmp_path):
     )
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-6000:]
     assert done.stdout.count(" ok") == (len(SANITIZED_KERNELS) + 1) * len(RANKS)
+    assert done.stdout.count(" clean") == len(ADVERSARIAL_SPLITS) + 1

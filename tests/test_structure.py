@@ -5,6 +5,10 @@ one place, the toolchain probe (``codegen/backends/ctoolchain.py``), where
 it is tried before it is used and becomes part of every object's
 identity.  Spelled anywhere else, it would reach ``cc`` untried, or shape
 objects whose names do not say so.
+
+The tensor layer sits below the compiler: no module under ``repro/tensor/``
+imports ``repro.codegen`` when it is imported.  The native split reaches
+the toolchain from inside its loader (``tensor/native.py``), on first use.
 """
 
 import ast
@@ -48,3 +52,42 @@ def test_the_probe_spells_the_flags_it_tries():
     assert {value.split("=")[0] for _, value in _flag_literals(PROBE)} == set(
         TARGET_FLAGS
     )
+
+
+TENSOR = SOURCE / "tensor"
+
+
+def _module_level_imports(path):
+    """``(line, dotted name)`` of every import *path* runs when it is
+    imported: none inside a function body."""
+    package = ["repro"] + list(path.parent.relative_to(SOURCE).parts)
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend((child.lineno, alias.name) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                base = package[: len(package) - child.level + 1] if child.level else []
+                module = ".".join(base + ([child.module] if child.module else []))
+                found.extend((child.lineno, module + "." + alias.name) for alias in child.names)
+            visit(child)
+
+    visit(ast.parse(path.read_text(), filename=str(path)))
+    return found
+
+
+def test_the_tensor_layer_imports_no_compiler_at_module_level():
+    assert (TENSOR / "native.py").exists()
+    found = {
+        str(path.relative_to(SOURCE)): hits
+        for path in sorted(TENSOR.rglob("*.py"))
+        for hits in [
+            [(line, name) for line, name in _module_level_imports(path)
+             if (name + ".").startswith("repro.codegen.")]
+        ]
+        if hits
+    }
+    assert found == {}

@@ -9,7 +9,9 @@ argsort per view, and a stable one on top only when two of its
 coordinates are equal — never for distinct ones.  ``pos`` comes from run
 boundaries: nothing calls ``np.bincount`` or ``np.ravel_multi_index``.
 The ``np.lexsort`` and ``np.bincount`` references the results are
-compared against live only here.
+compared against live only here.  The one-pass native split of a sorted
+matrix payload (:mod:`repro.tensor.native`) is checked against the numpy
+route byte for byte, with its size rule lowered to one entry.
 """
 
 import contextlib
@@ -21,12 +23,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.codegen.backends import get_backend
+from repro.codegen.backends import ctoolchain, get_backend
 from repro.core.config import DEFAULT
 from repro.kernels.extensions import EXTENSIONS
 from repro.kernels.library import KERNELS
+from repro.obs import metrics as obs_metrics
+from repro.obs import trace
 from repro.tensor import coo as coo_mod
-from repro.tensor import symmetry_ops
+from repro.tensor import native, symmetry_ops
 from repro.tensor import tensor as tensor_mod
 from repro.tensor.coo import COO, _lex_order, index_dtype
 from repro.tensor.fiber import FiberTensor
@@ -271,6 +275,9 @@ def test_pack_and_split_of_a_full_payload_is_one_mask_pass(rng, monkeypatch):
         monkeypatch.setattr(module, "split_masks", counted("walk", real_walk))
         monkeypatch.setattr(module, "canonical_coords_mask", counted("mask", real_mask))
     monkeypatch.setattr(COO, "filter", counted("filter", real_filter))
+    # the native pass, where it runs, is the one walk of its split
+    monkeypatch.setattr(native, "_run", counted("walk", native._run))
+    monkeypatch.setattr(native, "MIN_ENTRIES", 1)
     tensor = Tensor(_full_symmetric_coo(rng, ndim=3, n=6), ((0, 1, 2),))
     tensor.view((0, 1, 2), default_levels(3), "strict")
     tensor.view((0, 1, 2), default_levels(3), "diagonal")
@@ -280,6 +287,11 @@ def test_pack_and_split_of_a_full_payload_is_one_mask_pass(rng, monkeypatch):
     assert calls == {"walk": 2, "mask": 0, "filter": 0}
     tensor.view((0, 1, 2), default_levels(3), "all")
     assert calls == {"walk": 2, "mask": 1, "filter": 0}
+    matrix = Tensor(_full_symmetric_coo(rng), ((0, 1),))
+    for order in ((0, 1), (1, 0)):  # native (or numpy without cc), then numpy
+        matrix.view(order, default_levels(2), "strict")
+        matrix.view(order, default_levels(2), "diagonal")
+    assert calls == {"walk": 4, "mask": 1, "filter": 0}
 
 
 def test_views_never_ravel_and_cache_only_finished_views(rng, monkeypatch):
@@ -734,3 +746,200 @@ def test_expand_symmetric_keeps_the_first_copy_of_any_payload(payload):
     want_coords, want_vals = _expanded(coords, vals, nontrivial)
     assert got.coords.astype(np.int64).tobytes() == want_coords.tobytes()
     assert got.vals.tobytes() == want_vals.tobytes()
+
+
+# ----------------------------------------------------------------------
+# the native split of a matrix payload: the numpy route's bytes
+# ----------------------------------------------------------------------
+HAVE_CC = get_backend("c").is_available()
+
+
+@contextlib.contextmanager
+def _native_minimum(entries):
+    saved, native.MIN_ENTRIES = native.MIN_ENTRIES, entries
+    try:
+        yield
+    finally:
+        native.MIN_ENTRIES = saved
+
+
+def split_routes(coords, vals, shape, canonical):
+    """The strict and diagonal views of one matrix payload built by each
+    route, as ``(route, result)``: *result* is a dtype/shape/bytes
+    summary per view, or the text of the ``ValueError``; *route* is
+    ``"native"`` when the native pass built the views."""
+    results = []
+    for minimum in (1, 2**62):  # the native pass where it can, then numpy
+        coo = COO(coords, vals, shape, sum_duplicates=False)
+        tensor = Tensor(coo, ((0, 1),), canonical=canonical)
+        taken = obs_metrics.to_dict()["counters"].get("tensor.split.native", 0)
+        with _native_minimum(minimum):
+            try:
+                views = [tensor.view((0, 1), default_levels(2), f) for f in ("strict", "diagonal")]
+            except ValueError as exc:
+                results.append(("error", str(exc)))
+                continue
+        native_now = obs_metrics.to_dict()["counters"].get("tensor.split.native", 0) > taken
+        results.append((
+            "native" if native_now else "numpy",
+            [(v.shape, v.levels, v.presorted, _fiber_bytes(v)) for v in views],
+        ))
+    return results
+
+
+@contextlib.contextmanager
+def _metrics():
+    previous = obs_metrics.enabled()
+    obs_metrics.enable()
+    try:
+        yield
+    finally:
+        if not previous:
+            obs_metrics.disable()
+
+
+@st.composite
+def _matrix_payloads(draw):
+    """A matrix payload: sorted or not, with duplicates or not, on one row
+    or many (rows outside ``[lo, hi)`` stay empty), canonical or full; a
+    canonical one may carry one upper-triangle entry anywhere."""
+    n = draw(st.integers(1, 9))
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo + 1, n))
+    nnz = draw(st.integers(0, 50))
+    pairs = draw(st.lists(st.tuples(st.integers(lo, hi - 1), st.integers(0, n - 1)),
+                          min_size=nnz, max_size=nnz))
+    coords = np.array(pairs, dtype=np.int64).reshape(nnz, 2).T
+    if draw(st.booleans()):  # one row
+        coords[0] = coords[0, :1] if nnz else 0
+    if nnz and draw(st.booleans()):  # duplicates
+        coords = np.concatenate([coords, coords[:, : draw(st.integers(1, nnz))]], axis=1)
+    canonical = draw(st.booleans())
+    if canonical:
+        coords = coords[:, coords[0] >= coords[1]]
+    if draw(st.booleans()):
+        coords = coords[:, np.lexsort(coords[::-1])]
+    if canonical and n > 1 and draw(st.booleans()):
+        at = draw(st.integers(0, coords.shape[1]))
+        coords = np.insert(coords, [at], [[0], [n - 1]], axis=1)
+    dtype = draw(st.sampled_from((np.float64, np.float32)))
+    vals = np.array(draw(st.lists(st.sampled_from((0.5, -0.0, 2.0, float("nan"))),
+                                  min_size=coords.shape[1], max_size=coords.shape[1])),
+                    dtype=dtype)
+    return np.ascontiguousarray(coords), vals, (n, n), canonical
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrix_payloads())
+def test_the_native_split_is_the_numpy_split_byte_for_byte(payload):
+    with _metrics():
+        (route, native_result), (numpy_route, numpy_result) = split_routes(*payload)
+    assert numpy_route in ("numpy", "error")
+    assert native_result == numpy_result
+    coords, vals, (_, n), _ = payload
+    in_order = (np.diff(coords[0] * n + coords[1]) >= 0).all()
+    if HAVE_CC and in_order and len(vals) and vals.dtype == np.float64 and route != "error":
+        assert route == "native"
+
+
+#: adversarial payloads for the native pass: ``(coords, canonical)`` of a
+#: 5x5 matrix (also split under AddressSanitizer: ``tests/test_staging.py``)
+ADVERSARIAL_SPLITS = {
+    "descent first": ([[2, 1, 4], [1, 0, 2]], False),
+    "descent last": ([[0, 2, 3, 4, 4, 3], [0, 1, 3, 1, 4, 2]], False),
+    "duplicates": ([[1, 1, 3, 3, 3, 4], [0, 0, 3, 3, 3, 4]], False),
+    "rows at extent - 1": ([[4, 4, 4, 4, 4], [0, 1, 3, 4, 4]], False),
+    "empty strict half": ([[0, 1, 2, 4], [0, 1, 2, 4]], True),
+    "empty diagonal half": ([[1, 2, 4, 4], [0, 1, 0, 3]], True),
+    "upper triangle only": ([[0, 1, 3], [4, 2, 4]], False),
+    "bad entry first": ([[0, 1, 2, 3], [3, 1, 2, 3]], True),
+    "bad entry last": ([[1, 2, 3, 0], [1, 2, 3, 4]], True),
+}
+
+
+def adversarial_split(name):
+    coords, canonical = ADVERSARIAL_SPLITS[name]
+    coords = np.array(coords, dtype=np.int64)
+    vals = np.arange(coords.shape[1], dtype=np.float64) - 0.5
+    return split_routes(coords, vals, (5, 5), canonical)
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL_SPLITS))
+def test_adversarial_splits_match_the_numpy_route(name):
+    with _metrics():
+        (route, native_result), (_, numpy_result) = adversarial_split(name)
+    assert native_result == numpy_result
+    if "bad entry" in name:
+        assert route == "error" and "entry %d" % (0 if "first" in name else 3) in native_result
+    elif HAVE_CC:
+        assert route == ("numpy" if "descent" in name else "native")
+
+
+def test_a_native_split_counts_its_route_and_a_skipped_sort():
+    coo = _full_symmetric_coo(np.random.default_rng(3), n=40)
+    with _metrics():
+        before = dict(obs_metrics.to_dict()["counters"])
+        with _native_minimum(1):
+            Tensor(coo, ((0, 1),)).view((0, 1), default_levels(2), "strict")
+            Tensor(coo, ((0, 1),)).view((1, 0), default_levels(2), "strict")
+            Tensor(coo.astype(np.float32), ((0, 1),)).view((0, 1), default_levels(2), "diagonal")
+        Tensor(coo, ((0, 1),)).view((0, 1), default_levels(2), "strict")
+        after = obs_metrics.to_dict()["counters"]
+    moved = {k: after[k] - before.get(k, 0) for k in after if after[k] != before.get(k, 0)}
+    taken = 1 if HAVE_CC else 0
+    assert moved.pop("tensor.split.native", 0) == taken
+    assert moved.pop("tensor.split.numpy.no_toolchain", 0) == 1 - taken
+    for reason in ("layout", "dtype", "small"):
+        assert moved.pop("tensor.split.numpy." + reason) == 1
+    # a native view skips the sort as a numpy one in storage order does;
+    # only the transposed strict half is out of order
+    assert moved == {"tensor.sort.skipped": 7, "tensor.sort.linear": 1}
+
+
+def test_a_split_below_the_size_rule_never_probes_or_builds(monkeypatch):
+    def refuse():
+        raise AssertionError("the toolchain was probed")
+
+    monkeypatch.setattr(ctoolchain, "probe", refuse)
+    monkeypatch.setattr(native, "_loaded", {})
+    rows = np.arange(native.MIN_ENTRIES - 1)
+    coo = COO(np.stack([rows, rows // 2]), np.ones(len(rows)), (len(rows),) * 2)
+    with trace.tracing() as rec:
+        tensor = Tensor(coo, ((0, 1),))
+        assert tensor.view((0, 1), default_levels(2), "strict").nnz
+    assert not [e for e in rec.events if e.name in ("cc", "dlopen")]
+    assert native._loaded == {}
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no working C toolchain")
+def test_the_split_routine_is_built_once_under_its_own_stem(monkeypatch, tmp_path):
+    monkeypatch.setattr(ctoolchain, "_build_dir", str(tmp_path))
+    monkeypatch.setattr(native, "_loaded", {})
+    coo = _full_symmetric_coo(np.random.default_rng(5), n=30)
+    with trace.tracing() as rec, _native_minimum(1):
+        for _ in range(3):
+            Tensor(coo, ((0, 1),)).view((0, 1), default_levels(2), "strict")
+    (cc,) = [e for e in rec.events if e.name == "cc"]
+    assert cc.args["stem"] == "tensor_split"
+    assert [e.name for e in rec.events if e.name == "dlopen"] == ["dlopen"]
+    assert len(list(tmp_path.glob("ck_*-serial-*.so"))) == 1
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no working C toolchain")
+def test_a_split_routine_that_fails_to_load_is_rebuilt_once(monkeypatch, tmp_path):
+    """The routine loads through the kernels' loader: its ``dlopen`` is a
+    fault point, and an object that does not load costs one forced
+    rebuild, after which the split is native."""
+    from repro import faults
+
+    monkeypatch.setattr(ctoolchain, "_build_dir", str(tmp_path))
+    monkeypatch.setattr(native, "_loaded", {})
+    coo = _full_symmetric_coo(np.random.default_rng(7), n=30)
+    with faults.injecting("dlopen=fail*1") as plan, trace.tracing() as rec, _metrics():
+        taken = obs_metrics.to_dict()["counters"].get("tensor.split.native", 0)
+        with _native_minimum(1):
+            Tensor(coo, ((0, 1),)).view((0, 1), default_levels(2), "strict")
+        assert obs_metrics.to_dict()["counters"]["tensor.split.native"] == taken + 1
+    assert plan.fired() == {"dlopen": 1}
+    assert [e.args["stem"] for e in rec.events if e.name == "cc"] == ["tensor_split"] * 2
+    assert [e.name for e in rec.events if e.name == "dlopen"] == ["dlopen"] * 2
