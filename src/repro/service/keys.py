@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.compiler import CompiledKernel, compile_kernel, resolve_request
@@ -40,6 +40,10 @@ from repro.frontend.parser import parse_assignment
 #: configuration fields need no bump: the material enumerates them.
 #: v8: the material changed shape once, to that enumeration.
 KEY_VERSION = 8
+
+#: one parse per einsum text: every service hit canonicalizes its spec, and
+#: an :class:`Assignment` is immutable (a failed parse is never cached)
+_parse = lru_cache(maxsize=256)(parse_assignment)
 
 
 def _fields_text(config, skip=frozenset()) -> str:
@@ -138,9 +142,7 @@ def canonicalize(
     ``compile_kernel`` runs — so a key can never describe different
     defaults than the compiler would apply.
     """
-    assignment = (
-        parse_assignment(einsum) if isinstance(einsum, str) else einsum
-    )
+    assignment = _parse(einsum) if isinstance(einsum, str) else einsum
     symmetric_modes, loop_order, formats, options = resolve_request(
         assignment, symmetric, loop_order, formats, options, naive
     )

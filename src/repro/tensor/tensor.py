@@ -5,8 +5,9 @@ manufactures (and caches) the concrete views the compiled kernels consume:
 fibertree realizations of the full tensor, its canonical triangle or a
 diagonal split, in any storage order — each gathered straight from the
 payload — and the full expansion the naive baselines read.  A sorted
-float64 matrix payload of ``native.MIN_ENTRIES`` entries or more is split in
-one C pass (:mod:`repro.tensor.native`) into the numpy route's bytes.
+float64 matrix or 3-mode payload of ``native.MIN_ENTRIES`` entries or more,
+one symmetric group over every mode, is split in the identity storage order
+in one C pass (:mod:`repro.tensor.native`) into the numpy route's bytes.
 """
 
 from __future__ import annotations

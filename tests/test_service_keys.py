@@ -7,7 +7,8 @@ import pytest
 
 from repro import DEFAULT, cache_key
 from repro.core.config import RUNTIME_FIELDS, CompilerOptions
-from repro.frontend.parser import parse_assignment
+from repro.frontend import parser
+from repro.frontend.parser import ParseError, parse_assignment
 from repro.service.keys import KEY_VERSION, canonicalize
 
 SSYMV = "y[i] += A[i, j] * x[j]"
@@ -23,6 +24,19 @@ def test_string_and_parsed_assignment_share_a_key():
     assert cache_key(SSYMV, symmetric={"A": True}) == cache_key(
         parse_assignment(SSYMV), symmetric={"A": True}
     )
+
+
+def test_an_einsum_text_is_tokenized_once_and_a_bad_one_raises_every_time(monkeypatch):
+    texts = []
+    real = parser._tokenize
+    monkeypatch.setattr(parser, "_tokenize", lambda text: texts.append(text) or real(text))
+    text = "z[k] += B[k, l] * w[l]"  # a text no other test canonicalizes
+    first, second = (canonicalize(text, symmetric={"B": True}) for _ in range(2))
+    assert texts == [text] and first.assignment is second.assignment
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            canonicalize("z[k] += B[k, l] ? w[l]")
+    assert texts[1:] == ["z[k] += B[k, l] ? w[l]"] * 2
 
 
 def test_symmetry_spec_forms_share_a_key():

@@ -13,9 +13,9 @@ loop IR, without running C:
   in and back whole, computes the production object's bytes;
 * (``-m slow``) every staged kernel runs clean under AddressSanitizer and
   UndefinedBehaviorSanitizer, bitwise equal to the Python backend, and so
-  does the native split of adversarial matrix payloads (out of order,
-  duplicated, on the last row, a half empty, a bad canonical entry first
-  or last), equal to the numpy split.
+  do both native splits, of adversarial matrix and 3-mode payloads (out
+  of order, duplicated, on the last row, a half empty, a bad canonical
+  entry first or last), equal to the numpy split.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ _SANITIZED = textwrap.dedent(
             coo.INDEX_LIMIT = narrow
             print(name, rank, "ok", flush=True)
 
-    # the native split of a matrix payload, built with the same flags
+    # the native splits of matrix and 3-mode payloads, built with the same flags
     from repro.obs import metrics
     from repro.tensor import native
     from tests import test_tensor_prepare_cost as prepare
@@ -228,6 +228,8 @@ _SANITIZED = textwrap.dedent(
     prepare.test_the_native_split_is_the_numpy_split_byte_for_byte()
     assert native._loaded[ctoolchain.probe()] is not None
     print("split property clean", flush=True)
+    prepare.test_the_native_3_mode_split_is_the_numpy_split_byte_for_byte()
+    print("split 3-mode property clean", flush=True)
     """
 )
 
@@ -269,4 +271,4 @@ def test_staged_kernels_run_clean_under_sanitizers(tmp_path):
     )
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-6000:]
     assert done.stdout.count(" ok") == (len(SANITIZED_KERNELS) + 1) * len(RANKS)
-    assert done.stdout.count(" clean") == len(ADVERSARIAL_SPLITS) + 1
+    assert done.stdout.count(" clean") == len(ADVERSARIAL_SPLITS) + 2

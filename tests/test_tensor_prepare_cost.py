@@ -10,11 +10,12 @@ coordinates are equal — never for distinct ones.  ``pos`` comes from run
 boundaries: nothing calls ``np.bincount`` or ``np.ravel_multi_index``.
 The ``np.lexsort`` and ``np.bincount`` references the results are
 compared against live only here.  The one-pass native split of a sorted
-matrix payload (:mod:`repro.tensor.native`) is checked against the numpy
-route byte for byte, with its size rule lowered to one entry.
+matrix or 3-mode payload (:mod:`repro.tensor.native`) is checked against
+the numpy route byte for byte, with its size rule lowered to one entry.
 """
 
 import contextlib
+import functools
 import itertools
 import math
 
@@ -764,18 +765,19 @@ def _native_minimum(entries):
 
 
 def split_routes(coords, vals, shape, canonical):
-    """The strict and diagonal views of one matrix payload built by each
-    route, as ``(route, result)``: *result* is a dtype/shape/bytes
-    summary per view, or the text of the ``ValueError``; *route* is
-    ``"native"`` when the native pass built the views."""
-    results = []
+    """The strict and diagonal views of one payload, fully symmetric, in
+    the identity storage order, built by each route, as ``(route,
+    result)``: *result* is a dtype/shape/bytes summary per view, or the
+    text of the ``ValueError``; *route* is ``"native"`` when the native
+    pass built the views."""
+    results, modes = [], tuple(range(len(shape)))
     for minimum in (1, 2**62):  # the native pass where it can, then numpy
         coo = COO(coords, vals, shape, sum_duplicates=False)
-        tensor = Tensor(coo, ((0, 1),), canonical=canonical)
+        tensor = Tensor(coo, (modes,), canonical=canonical)
         taken = obs_metrics.to_dict()["counters"].get("tensor.split.native", 0)
         with _native_minimum(minimum):
             try:
-                views = [tensor.view((0, 1), default_levels(2), f) for f in ("strict", "diagonal")]
+                views = [tensor.view(modes, default_levels(len(modes)), f) for f in ("strict", "diagonal")]
             except ValueError as exc:
                 results.append(("error", str(exc)))
                 continue
@@ -799,51 +801,62 @@ def _metrics():
 
 
 @st.composite
-def _matrix_payloads(draw):
-    """A matrix payload: sorted or not, with duplicates or not, on one row
-    or many (rows outside ``[lo, hi)`` stay empty), canonical or full; a
-    canonical one may carry one upper-triangle entry anywhere."""
+def _split_payloads(draw, ndim):
+    """A payload of *ndim* modes: sorted or not, with duplicates or not,
+    on one row or many (rows outside ``[lo, hi)`` stay empty), canonical or
+    full; a canonical one may carry one non-canonical entry anywhere."""
     n = draw(st.integers(1, 9))
     lo = draw(st.integers(0, n - 1))
     hi = draw(st.integers(lo + 1, n))
     nnz = draw(st.integers(0, 50))
-    pairs = draw(st.lists(st.tuples(st.integers(lo, hi - 1), st.integers(0, n - 1)),
-                          min_size=nnz, max_size=nnz))
-    coords = np.array(pairs, dtype=np.int64).reshape(nnz, 2).T
+    entry = st.tuples(st.integers(lo, hi - 1), *[st.integers(0, n - 1)] * (ndim - 1))
+    entries = draw(st.lists(entry, min_size=nnz, max_size=nnz))
+    coords = np.array(entries, dtype=np.int64).reshape(nnz, ndim).T
     if draw(st.booleans()):  # one row
         coords[0] = coords[0, :1] if nnz else 0
     if nnz and draw(st.booleans()):  # duplicates
         coords = np.concatenate([coords, coords[:, : draw(st.integers(1, nnz))]], axis=1)
     canonical = draw(st.booleans())
     if canonical:
-        coords = coords[:, coords[0] >= coords[1]]
+        coords = coords[:, (coords[:-1] >= coords[1:]).all(axis=0)]
     if draw(st.booleans()):
         coords = coords[:, np.lexsort(coords[::-1])]
     if canonical and n > 1 and draw(st.booleans()):
         at = draw(st.integers(0, coords.shape[1]))
-        coords = np.insert(coords, [at], [[0], [n - 1]], axis=1)
+        coords = np.insert(coords, [at], [[0], [n - 1]] + [[0]] * (ndim - 2), axis=1)
     dtype = draw(st.sampled_from((np.float64, np.float32)))
     vals = np.array(draw(st.lists(st.sampled_from((0.5, -0.0, 2.0, float("nan"))),
                                   min_size=coords.shape[1], max_size=coords.shape[1])),
                     dtype=dtype)
-    return np.ascontiguousarray(coords), vals, (n, n), canonical
+    return np.ascontiguousarray(coords), vals, (n,) * ndim, canonical
 
 
 @settings(max_examples=200, deadline=None)
-@given(_matrix_payloads())
+@given(_split_payloads(2))
 def test_the_native_split_is_the_numpy_split_byte_for_byte(payload):
+    _check_split_routes(payload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_split_payloads(3))
+def test_the_native_3_mode_split_is_the_numpy_split_byte_for_byte(payload):
+    _check_split_routes(payload)
+
+
+def _check_split_routes(payload):
     with _metrics():
         (route, native_result), (numpy_route, numpy_result) = split_routes(*payload)
     assert numpy_route in ("numpy", "error")
     assert native_result == numpy_result
-    coords, vals, (_, n), _ = payload
-    in_order = (np.diff(coords[0] * n + coords[1]) >= 0).all()
+    coords, vals, shape, _ = payload
+    in_order = (np.diff(functools.reduce(lambda key, row: key * shape[0] + row, coords)) >= 0).all()
     if HAVE_CC and in_order and len(vals) and vals.dtype == np.float64 and route != "error":
         assert route == "native"
 
 
 #: adversarial payloads for the native pass: ``(coords, canonical)`` of a
-#: 5x5 matrix (also split under AddressSanitizer: ``tests/test_staging.py``)
+#: 5x5 matrix or a 5x5x5 tensor (also split under AddressSanitizer:
+#: ``tests/test_staging.py``)
 ADVERSARIAL_SPLITS = {
     "descent first": ([[2, 1, 4], [1, 0, 2]], False),
     "descent last": ([[0, 2, 3, 4, 4, 3], [0, 1, 3, 1, 4, 2]], False),
@@ -854,6 +867,17 @@ ADVERSARIAL_SPLITS = {
     "upper triangle only": ([[0, 1, 3], [4, 2, 4]], False),
     "bad entry first": ([[0, 1, 2, 3], [3, 1, 2, 3]], True),
     "bad entry last": ([[1, 2, 3, 0], [1, 2, 3, 4]], True),
+    # three modes: a descent of (i, j), then of k under one (i, j)
+    "3-mode descent first": ([[3, 2, 4], [2, 1, 3], [1, 0, 2]], False),
+    "3-mode descent last": ([[0, 2, 3, 4, 4, 4], [0, 1, 3, 2, 4, 2], [0, 0, 3, 1, 4, 0]], False),
+    "3-mode diagonal descent": ([[2, 1, 4], [2, 1, 3], [0, 1, 1]], False),
+    "3-mode duplicates": ([[1, 1, 3, 3, 4, 4, 4], [0, 0, 3, 3, 3, 3, 3], [0, 0, 1, 1, 1, 2, 2]], False),
+    "3-mode coordinates at extent - 1": ([[4, 4, 4, 4, 4], [0, 3, 3, 4, 4], [0, 0, 2, 4, 4]], False),
+    "3-mode empty strict half": ([[0, 1, 2, 4], [0, 1, 2, 4], [0, 0, 1, 4]], True),
+    "3-mode empty diagonal half": ([[2, 3, 4, 4], [1, 2, 1, 3], [0, 1, 0, 2]], True),
+    "3-mode non-canonical only": ([[0, 2, 3], [4, 1, 4], [0, 3, 1]], False),
+    "3-mode bad entry first": ([[0, 1, 2, 3], [3, 1, 2, 3], [0, 0, 1, 2]], True),
+    "3-mode bad entry last": ([[1, 2, 3, 3], [1, 2, 3, 1], [0, 1, 2, 2]], True),
 }
 
 
@@ -861,7 +885,7 @@ def adversarial_split(name):
     coords, canonical = ADVERSARIAL_SPLITS[name]
     coords = np.array(coords, dtype=np.int64)
     vals = np.arange(coords.shape[1], dtype=np.float64) - 0.5
-    return split_routes(coords, vals, (5, 5), canonical)
+    return split_routes(coords, vals, (5,) * len(coords), canonical)
 
 
 @pytest.mark.parametrize("name", sorted(ADVERSARIAL_SPLITS))
@@ -873,6 +897,28 @@ def test_adversarial_splits_match_the_numpy_route(name):
         assert route == "error" and "entry %d" % (0 if "first" in name else 3) in native_result
     elif HAVE_CC:
         assert route == ("numpy" if "descent" in name else "native")
+
+
+def test_only_the_identity_order_of_a_3_mode_group_takes_the_native_pass():
+    """MTTKRP-4D's view (four modes), every other storage order of a 3-mode
+    tensor, a partial symmetry and all-sparse levels take the numpy route,
+    counted as ``layout``."""
+    rng = np.random.default_rng(11)
+    four, three = _full_symmetric_coo(rng, n=5, ndim=4), _full_symmetric_coo(rng, n=6, ndim=3)
+    with _metrics():
+        before = dict(obs_metrics.to_dict()["counters"])
+        with _native_minimum(1):
+            Tensor(four, ((0, 1, 2, 3),)).view((0, 1, 2, 3), default_levels(4), "strict")
+            for order in itertools.permutations(range(3)):
+                Tensor(three, ((0, 1, 2),)).view(order, default_levels(3), "diagonal")
+            Tensor(three, ((0, 1),)).view((0, 1, 2), default_levels(3), "strict")
+            Tensor(three, ((0, 1, 2),)).view((0, 1, 2), ("sparse",) * 3, "strict")
+        after = obs_metrics.to_dict()["counters"]
+    moved = {k: after[k] - before.get(k, 0) for k in after if k.startswith("tensor.split.")}
+    assert {k: v for k, v in moved.items() if v} == {
+        "tensor.split.numpy.layout": 1 + 5 + 2,
+        "tensor.split.native" if HAVE_CC else "tensor.split.numpy.no_toolchain": 1,
+    }
 
 
 def test_a_native_split_counts_its_route_and_a_skipped_sort():
