@@ -9,10 +9,18 @@ objects whose names do not say so.
 The tensor layer sits below the compiler: no module under ``repro/tensor/``
 imports ``repro.codegen`` when it is imported.  The native split reaches
 the toolchain from inside its loader (``tensor/native.py``), on first use.
+
+C spelled in the package includes no intrinsics header: ``<immintrin.h>``
+alone preprocesses to some 46 k lines, more than doubling the split
+routine's ``cc``, whose AVX-512 block step names the ``__builtin_ia32_*``
+builtins instead.  One
+place picks the narrow index width (``repro.tensor.coo``) and one line
+declares it to C (``c.INDEX_DECLARATION``); nothing else spells it.
 """
 
 import ast
 import pathlib
+import re
 
 import repro
 
@@ -91,3 +99,45 @@ def test_the_tensor_layer_imports_no_compiler_at_module_level():
         if hits
     }
     assert found == {}
+
+
+#: an include of any intrinsics header (``immintrin.h``, ``x86intrin.h``, …)
+INTRIN_INCLUDE = re.compile(r'#\s*include\s*[<"][^>"]*intrin\.h')
+
+
+def _intrin_includes(root):
+    """``path:line`` of every intrinsics-header include in a file under
+    *root* (compiled caches aside)."""
+    return [
+        "%s:%d" % (path.relative_to(root), number)
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and "__pycache__" not in path.parts
+        for number, line in enumerate(path.read_text(errors="replace").splitlines(), 1)
+        if INTRIN_INCLUDE.search(line)
+    ]
+
+
+def test_no_source_includes_an_intrinsics_header():
+    assert _intrin_includes(SOURCE) == []
+
+
+#: the one line outside ``tensor/coo.py`` that may spell the narrow width
+#: (CI's "One index width rule" is the same grep)
+INDEX_DECLARATION = re.compile(r' +"#define RP_INDEX int32_t",')
+
+
+def _narrow_width_lines(root):
+    """``path:line`` of every ``int32`` in a module under *root* but
+    ``tensor/coo.py`` and ``codegen/backends/c.py``'s declaration."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        where = path.relative_to(root).as_posix()
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            declared = where == "codegen/backends/c.py" and INDEX_DECLARATION.fullmatch(line)
+            if "int32" in line and where != "tensor/coo.py" and not declared:
+                found.append("%s:%d" % (where, number))
+    return found
+
+
+def test_only_the_index_declaration_spells_the_narrow_width():
+    assert _narrow_width_lines(SOURCE) == []

@@ -11,13 +11,17 @@ boundaries: nothing calls ``np.bincount`` or ``np.ravel_multi_index``.
 The ``np.lexsort`` and ``np.bincount`` references the results are
 compared against live only here.  The one-pass native split of a sorted
 matrix or 3-mode payload (:mod:`repro.tensor.native`) is checked against
-the numpy route byte for byte, with its size rule lowered to one entry.
+the numpy route byte for byte, with its size rule lowered to one entry,
+and its AVX-512 object against the same source built without AVX-512.
 """
 
 import contextlib
+import ctypes
 import functools
 import itertools
 import math
+import os
+import subprocess
 
 import numpy as np
 import pytest
@@ -772,11 +776,10 @@ def split_routes(coords, vals, shape, canonical):
     pass built the views."""
     results, modes = [], tuple(range(len(shape)))
     for minimum in (1, 2**62):  # the native pass where it can, then numpy
-        coo = COO(coords, vals, shape, sum_duplicates=False)
-        tensor = Tensor(coo, (modes,), canonical=canonical)
         taken = obs_metrics.to_dict()["counters"].get("tensor.split.native", 0)
         with _native_minimum(minimum):
             try:
+                tensor = Tensor(COO(coords, vals, shape, sum_duplicates=False), (modes,), canonical=canonical)
                 views = [tensor.view(modes, default_levels(len(modes)), f) for f in ("strict", "diagonal")]
             except ValueError as exc:
                 results.append(("error", str(exc)))
@@ -808,7 +811,7 @@ def _split_payloads(draw, ndim):
     n = draw(st.integers(1, 9))
     lo = draw(st.integers(0, n - 1))
     hi = draw(st.integers(lo + 1, n))
-    nnz = draw(st.integers(0, 50))
+    nnz = draw(st.integers(0, 150))  # the native pass takes 16 a step: often three blocks and a tail
     entry = st.tuples(st.integers(lo, hi - 1), *[st.integers(0, n - 1)] * (ndim - 1))
     entries = draw(st.lists(entry, min_size=nnz, max_size=nnz))
     coords = np.array(entries, dtype=np.int64).reshape(nnz, ndim).T
@@ -821,6 +824,8 @@ def _split_payloads(draw, ndim):
         coords = coords[:, (coords[:-1] >= coords[1:]).all(axis=0)]
     if draw(st.booleans()):
         coords = coords[:, np.lexsort(coords[::-1])]
+    if draw(st.booleans()):  # no diagonal entry: every block takes the native pass's block step
+        coords = coords[:, (coords[:-1] != coords[1:]).all(axis=0)]
     if canonical and n > 1 and draw(st.booleans()):
         at = draw(st.integers(0, coords.shape[1]))
         coords = np.insert(coords, [at], [[0], [n - 1]] + [[0]] * (ndim - 2), axis=1)
@@ -854,9 +859,30 @@ def _check_split_routes(payload):
         assert route == "native"
 
 
+def _block_edge(ndim, edit="", at=0, entry=None, canonical=False):
+    """A payload of 40 or more strict entries in storage order, edited at
+    entry *at*, as ``(coords, canonical, extent)``.  The native pass takes
+    entries 0..15 and 16..31 a block at a time and 32.. in its scalar tail.
+    Unedited: a 12x12 matrix's first 40 strict entries (row 6 spans entries
+    15..20, row 8 28..35), or an 8x8x8 tensor's last 40 (row 6 spans
+    entries 4..18 and its ``(6, 5)`` head 14..18, row 7 entries 19..39)."""
+    n = 12 if ndim == 2 else 8
+    entries = sorted(c[::-1] for c in itertools.combinations(range(n), ndim))
+    entries = entries[:40] if ndim == 2 else entries[16:]
+    if edit == "descent":  # below the entry before it
+        entries[at - 1 : at + 1] = entries[at], entries[at - 1]
+    elif edit == "insert":  # a copy of the entry before, unless given
+        entries.insert(at, entry or entries[at - 1])
+    elif edit == "bound":  # out of bounds, every later entry turned non-canonical
+        entries[at:] = [entry] + [c[::-1] for c in entries[at + 1 :]]
+    elif edit == "full":  # every permutation of the first entries: both halves and the rest
+        entries = sorted({p for c in entries[: 80 // math.factorial(ndim)] for p in itertools.permutations(c)})
+    return [list(c) for c in zip(*entries)], canonical, n
+
+
 #: adversarial payloads for the native pass: ``(coords, canonical)`` of a
-#: 5x5 matrix or a 5x5x5 tensor (also split under AddressSanitizer:
-#: ``tests/test_staging.py``)
+#: 5x5 matrix or a 5x5x5 tensor, or ``(coords, canonical, extent)`` (also
+#: split under AddressSanitizer: ``tests/test_staging.py``)
 ADVERSARIAL_SPLITS = {
     "descent first": ([[2, 1, 4], [1, 0, 2]], False),
     "descent last": ([[0, 2, 3, 4, 4, 3], [0, 1, 3, 1, 4, 2]], False),
@@ -879,24 +905,100 @@ ADVERSARIAL_SPLITS = {
     "3-mode bad entry first": ([[0, 1, 2, 3], [3, 1, 2, 3], [0, 0, 1, 2]], True),
     "3-mode bad entry last": ([[1, 2, 3, 3], [1, 2, 3, 1], [0, 1, 2, 2]], True),
 }
+# the edges of the native pass's 16-entry blocks, in both routines; in three
+# modes also 45 heads of one entry each (a row's last entry opens a head)
+ADVERSARIAL_SPLITS["3-mode block one entry per head"] = (
+    [[i for i in range(2, 11) for j in range(1, i)], [j for i in range(2, 11) for j in range(1, i)], [0] * 45],
+    False, 11,
+)
+for _ndim, _prefix in ((2, "block "), (3, "3-mode block ")):
+    _n = 12 if _ndim == 2 else 8
+    ADVERSARIAL_SPLITS.update({
+        _prefix + "rows across edges": _block_edge(_ndim),
+        _prefix + "full payload": _block_edge(_ndim, "full"),
+        _prefix + "duplicates across an edge": _block_edge(_ndim, "insert", 16),
+        _prefix + "diagonal entry at lane 15": _block_edge(_ndim, "insert", 15, (5, 5) if _ndim == 2 else (6, 5, 5)),
+        _prefix + "bad bound n at lane 15": _block_edge(_ndim, "bound", 15, (_n, 1, 0)[:_ndim]),
+        _prefix + "bad bound -1 at lane 15": _block_edge(_ndim, "bound", 15, (6, -1) if _ndim == 2 else (7, 0, -1)),
+        # the numpy route names the first non-canonical entry: second block, then tail
+        _prefix + "bad entry 20": _block_edge(_ndim, "insert", 20, (0, _n - 1, 0)[:_ndim], canonical=True),
+        _prefix + "bad entry 35": _block_edge(_ndim, "insert", 35, (0, _n - 1, 0)[:_ndim], canonical=True),
+        **{_prefix + "descent at entry %d" % at: _block_edge(_ndim, "descent", at) for at in (1, 15, 16, 32)},
+    })
 
 
-def adversarial_split(name):
-    coords, canonical = ADVERSARIAL_SPLITS[name]
+def adversarial_payload(name):
+    """``(coords, vals, shape, canonical)`` of an adversarial payload."""
+    coords, canonical, *extent = ADVERSARIAL_SPLITS[name]
     coords = np.array(coords, dtype=np.int64)
     vals = np.arange(coords.shape[1], dtype=np.float64) - 0.5
-    return split_routes(coords, vals, (5,) * len(coords), canonical)
+    return coords, vals, (extent[0] if extent else 5,) * len(coords), canonical
+
+
+def routine_split(fns, coords, vals, shape, canonical):
+    """What the routines *fns* (``native.bind``'s) make of a float64
+    payload: a summary per view as :func:`split_routes` gives it, or
+    ``None`` when they give up.  The coordinates reach them unchecked (a
+    ``COO`` refuses any out of bounds), so their own bounds checks count."""
+    ndim = len(shape)
+    coo = COO(np.zeros_like(coords), vals, shape, sum_duplicates=False)
+    coo.coords = np.ascontiguousarray(coords, dtype=index_dtype(shape))
+    views = native._run(fns[ndim], coo, canonical, default_levels(ndim))
+    return views and [(v.shape, v.levels, v.presorted, _fiber_bytes(v)) for v in views.values()]
 
 
 @pytest.mark.parametrize("name", sorted(ADVERSARIAL_SPLITS))
 def test_adversarial_splits_match_the_numpy_route(name):
+    payload = adversarial_payload(name)
     with _metrics():
-        (route, native_result), (_, numpy_result) = adversarial_split(name)
+        (route, native_result), (_, numpy_result) = split_routes(*payload)
     assert native_result == numpy_result
+    gives_up = "descent" in name or "bad" in name
     if "bad entry" in name:
-        assert route == "error" and "entry %d" % (0 if "first" in name else 3) in native_result
+        at = name.rsplit(" ", 1)[1]
+        assert route == "error" and "entry %s" % {"first": 0, "last": 3}.get(at, at) in native_result
+    elif "bad bound" in name:  # a COO refuses it first
+        assert route == "error" and "out of bounds" in native_result
     elif HAVE_CC:
-        assert route == ("numpy" if "descent" in name else "native")
+        assert route == ("numpy" if gives_up else "native")
+    if HAVE_CC:  # the routine itself, out-of-bounds coordinates included
+        assert routine_split(native._routine(), *payload) == (None if gives_up else native_result)
+
+
+@pytest.fixture(scope="module")
+def scalar_routines(tmp_path_factory):
+    """The routines built with the probed flags plus ``-mno-avx512f``: the
+    scalar loop alone, all an AVX2 host runs.  Skipped where the default
+    object has no 16-entry block step either."""
+    tc = ctoolchain.probe()
+    if tc is None:
+        pytest.skip("no working C toolchain")
+    target = [flag for flag in tc.flags if flag.startswith("-m")]
+    macros = subprocess.run([tc.cc, *target, "-dM", "-E", "-x", "c", os.devnull],
+                            capture_output=True, text=True).stdout
+    if "__AVX512F__" not in macros or "__clang__" in macros:
+        pytest.skip("the default object is scalar already")
+    src = tmp_path_factory.mktemp("scalar") / "split.c"
+    src.write_text(native.source())
+    out = str(src.with_suffix(".so"))
+    ctoolchain._run_cc(tc.cc, tc.object_flags(False) + ("-mno-avx512f",), str(src), out)
+    return native.bind(ctypes.CDLL(out))
+
+
+def _check_scalar_object(fns, coords, vals, shape, canonical):
+    payload = coords, vals.astype(np.float64), shape, canonical
+    assert routine_split(fns, *payload) == routine_split(native._routine(), *payload)
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL_SPLITS))
+def test_the_scalar_object_splits_adversarial_payloads_as_the_default_one(scalar_routines, name):
+    _check_scalar_object(scalar_routines, *adversarial_payload(name))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(_split_payloads))
+def test_the_scalar_object_splits_any_payload_as_the_default_one(scalar_routines, payload):
+    _check_scalar_object(scalar_routines, *payload)
 
 
 def test_only_the_identity_order_of_a_3_mode_group_takes_the_native_pass():
