@@ -326,10 +326,15 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             doc["cleared"] = store.clear()
         print(json.dumps(doc, indent=1, sort_keys=True))
         return 0
-    if not entries:
+    # entries() skips, and counts, each entry it cannot read: one another
+    # version wrote, or a damaged one; --clear removes those too
+    if not entries and not store.errors:
         print("cache %s is empty" % args.dir)
-        return 0
-    print("cache %s: %d kernels" % (args.dir, len(entries)))
+    else:
+        print(
+            "cache %s: %d kernels, %d unreadable"
+            % (args.dir, len(entries), store.errors)
+        )
     for entry in entries:
         print("  %s  %s" % (entry.key[:12], entry.einsum))
         tag = "naive " if entry.naive else ""

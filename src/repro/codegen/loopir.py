@@ -41,12 +41,12 @@ Expressions carry their type (``INT`` / ``ELEM`` / ``ROW``) in the node:
 :class:`Array`), :class:`BinOp` (a left-associated chain), :class:`Cmp`,
 :class:`BoolOp`, :class:`Flat` (the flattened dense-prefix slot).
 
-The vocabulary is closed because the traffic is: the 100 lowerings of
-the render corpus (13 library + extension kernels x 2 dtypes as SySTeC,
-SySTeC with lookup tables and naive, plus 11 user einsums x 2 dtypes)
-print only eight Python statement kinds — 1266 ``Assign`` (100 of them
-the output clears), 504 ``AugAssign``, 442 ``For``, 170 ``If``, 120 ``Expr`` (96 ``.fill``, 24
-``np.copyto``), 14 ``While`` + 14 ``Continue``, 4 ``Break`` — and eight
+The vocabulary is closed because the traffic is: the 74 lowerings of
+the render corpus (13 library + extension kernels x 2 dtypes as SySTeC
+and naive, plus 11 user einsums x 2 dtypes) print only eight Python
+statement kinds — 832 ``Assign`` (74 of them the output clears), 286
+``AugAssign``, 302 ``For``, 70 ``If``, 76 ``Expr`` (52 ``.fill``, 24
+``np.copyto``), 10 ``While`` + 10 ``Continue``, 4 ``Break`` — and eight
 call forms (``range``, ``np.empty``, ``.fill``, ``np.copyto``, ``min``,
 ``max``, ``float("inf")``, and ``np.array`` for a float32 lookup
 table); the ``np.copyto`` row reductions and the ``break`` guard come

@@ -81,10 +81,10 @@ def _validate_formats(formats: Mapping[str, str], assignment: Assignment) -> Non
 
 
 #: the plan-level pipeline, in execution order: (name, pass).  Every
-#: pass runs on every SySTeC plan, except that ``lookup_table`` runs only
-#: under :attr:`CompilerOptions.lookup_table`.  One table drives both the
-#: pipeline and its per-pass ``pass:<name>`` trace spans, so an added
-#: pass cannot silently run untraced (or in a surprise order).
+#: pass runs on every SySTeC plan (a pass with nothing to do returns the
+#: plan unchanged).  One table drives both the pipeline and its per-pass
+#: ``pass:<name>`` trace spans, so an added pass cannot silently run
+#: untraced (or in a surprise order).
 _PLAN_PASSES = (
     ("output_canonical", restrict_output_to_canonical),
     ("distributive", group_distributive),
@@ -95,11 +95,9 @@ _PLAN_PASSES = (
 )
 
 
-def optimize(plan: KernelPlan, options: CompilerOptions = DEFAULT) -> KernelPlan:
+def optimize(plan: KernelPlan) -> KernelPlan:
     """Run the plan-level optimization pipeline (Section 4.2)."""
     for name, pass_fn in _PLAN_PASSES:
-        if name == "lookup_table" and not options.lookup_table:
-            continue
         with obs_trace.span("pass:%s" % name):
             plan = pass_fn(plan)
     return plan
@@ -136,7 +134,6 @@ def resolve_request(
     loop_order: Optional[Sequence[str]] = None,
     formats: Optional[Mapping[str, str]] = None,
     options: CompilerOptions = DEFAULT,
-    naive: bool = False,
 ) -> Tuple[
     Dict[str, Tuple[Tuple[int, ...], ...]],
     Tuple[str, ...],
@@ -148,11 +145,10 @@ def resolve_request(
     Returns ``(symmetric_modes, loop_order, formats, options)`` fully
     resolved: symmetry specs normalized to mode partitions, an omitted
     loop order inferred, omitted formats marking each symmetric tensor
-    sparse (explicit formats validated), ``lookup_table`` dropped from a
-    naive request (the baseline has no factor table: its keys must not
-    split on it) and ``auto`` collapsed onto a concrete backend.  The
-    cache-key canonicalizer (:mod:`repro.service.keys`) calls this same
-    helper, so keys cannot drift from what the compiler builds.
+    sparse (explicit formats validated) and ``auto`` collapsed onto a
+    concrete backend.  The cache-key canonicalizer
+    (:mod:`repro.service.keys`) calls this same helper, so keys cannot
+    drift from what the compiler builds.
     """
     from repro.codegen.backends import resolve_backend_name
 
@@ -163,8 +159,6 @@ def resolve_request(
         formats = {name: "sparse" for name in symmetric_modes}
     else:
         _validate_formats(formats, assignment)
-    if naive:
-        options = options.but(lookup_table=False)
     # "auto" collapses onto a concrete backend here, so cache keys and
     # persisted states always name the backend that actually runs
     backend = resolve_backend_name(options.backend)
@@ -177,7 +171,6 @@ def plan_kernel(
     assignment: Assignment,
     symmetric_modes: Mapping[str, Tuple[Tuple[int, ...], ...]],
     loop_order: Optional[Sequence[str]] = None,
-    options: CompilerOptions = DEFAULT,
     naive: bool = False,
 ) -> KernelPlan:
     """Stage 1 of compilation: the plan-level pipeline — symmetrize and
@@ -186,7 +179,7 @@ def plan_kernel(
         return naive_plan(assignment, loop_order)
     with obs_trace.span("symmetrize"):
         plan = symmetrize(assignment, symmetric_modes, loop_order)
-    return optimize(plan, options)
+    return optimize(plan)
 
 
 #: bump when the shape of :meth:`CompiledKernel.to_state` changes — stale
@@ -217,7 +210,9 @@ def plan_kernel(
 #: v11: the loop program's first statement clears the output region it
 #: writes (``ClearOut``) and the executor no longer fills the buffer per
 #: call; a v10 program never clears, so it must not run under it.
-STATE_VERSION = 11
+#: v12: the persisted options lost the ``lookup_table`` field (every
+#: SySTeC plan is built with the table).
+STATE_VERSION = 12
 
 
 @dataclass(frozen=True)
@@ -497,8 +492,7 @@ def compile_kernel(
         ``{"A": "sparse"}``; unlisted tensors are dense.  Defaults to
         marking every declared-symmetric tensor sparse.
     options:
-        lookup-table form, dtype, backend and threads (see
-        :class:`CompilerOptions`).
+        dtype, backend and threads (see :class:`CompilerOptions`).
     naive:
         build the unoptimized baseline kernel instead (full tensors, no
         triangle restriction) — the red line in the paper's figures.
@@ -507,7 +501,7 @@ def compile_kernel(
         parse_assignment(einsum) if isinstance(einsum, str) else einsum
     )
     symmetric_modes, loop_order, formats, options = resolve_request(
-        assignment, symmetric, loop_order, formats, options, naive
+        assignment, symmetric, loop_order, formats, options
     )
 
     validate_assignment(assignment, symmetric_modes)
@@ -516,9 +510,7 @@ def compile_kernel(
         [name for name, kind in formats.items() if kind == "sparse"],
     )
     with obs_trace.span("compile", einsum=str(assignment)):
-        plan = plan_kernel(
-            assignment, symmetric_modes, loop_order, options, naive
-        )
+        plan = plan_kernel(assignment, symmetric_modes, loop_order, naive)
         with obs_trace.span("lower"):
             lowered = lower_plan(plan, formats, options, sparse_levels, naive)
         bound = BoundKernel(

@@ -2,13 +2,12 @@
 
 The ``naive=`` argument of :func:`repro.core.compiler.compile_kernel`
 picks which of the paper's two kernels is built, SySTeC or the baseline.
-:class:`CompilerOptions` holds the rest: the opt-in lookup-table form of
-Section 4.2.5 (the artifact's MTTKRP kernels use diagonal blocks
-instead), the element dtype, the execution backend and the C backend's
-*runtime* thread count.  That count is deliberately not compile
-configuration: it crosses into the compiled kernel as a plain argument,
-so it is excluded from cache keys and persisted state
-(:data:`RUNTIME_FIELDS`) — one compiled artifact serves every count.
+:class:`CompilerOptions` holds the rest: the element dtype, the
+execution backend and the C backend's *runtime* thread count.  That
+count is deliberately not compile configuration: it crosses into the
+compiled kernel as a plain argument, so it is excluded from cache keys
+and persisted state (:data:`RUNTIME_FIELDS`) — one compiled artifact
+serves every count.
 
 :data:`KNOBS` declares every ``REPRO_*`` environment variable, one frozen
 :class:`Knob` row each, and :func:`knob` is the only code in the package
@@ -211,9 +210,6 @@ def resolve_threads(value) -> int:
 class CompilerOptions:
     """What a request builds beyond the SySTeC/naive choice."""
 
-    # the lookup-table form of Section 4.2.5 (opt-in; SySTeC kernels only)
-    lookup_table: bool = False
-
     # element dtype: float64 | float32 (tensor payloads, workspaces, the
     # output buffer and the C value type all follow it)
     dtype: str = field(default_factory=lambda: knob("REPRO_DTYPE"))
@@ -226,10 +222,6 @@ class CompilerOptions:
     threads: int = field(default_factory=lambda: knob("REPRO_THREADS"))
 
     def __post_init__(self) -> None:
-        if not isinstance(self.lookup_table, bool):
-            raise ValueError(
-                "lookup_table must be a bool, got %r" % (self.lookup_table,)
-            )
         if self.backend not in BACKEND_CHOICES:
             raise ValueError(
                 "unknown backend %r (choices: %s)"
@@ -251,20 +243,15 @@ class CompilerOptions:
         return replace(self, **kwargs)
 
     def describe(self) -> str:
-        """One-line summary: ``+on -off`` for booleans, ``name=value``
-        for everything else, e.g. ``-lookup_table dtype=float64 backend=c``.
+        """One-line summary, ``name=value`` per field, e.g.
+        ``dtype=float64 backend=c threads=1``.
 
         Used by :meth:`CompiledKernel.explain` and the ``repro cache`` CLI so
         a cached kernel's configuration reads at a glance.
         """
-        parts = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool):
-                parts.append(("+" if value else "-") + f.name)
-            else:
-                parts.append("%s=%s" % (f.name, value))
-        return " ".join(parts)
+        return " ".join(
+            "%s=%s" % (f.name, getattr(self, f.name)) for f in fields(self)
+        )
 
     def to_dict(self) -> dict:
         """Field name -> value, in declaration order (stable key material).

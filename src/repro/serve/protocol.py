@@ -333,7 +333,10 @@ def request_from_spec(doc):
     options_doc = doc.get("options") or {}
     if not isinstance(options_doc, dict):
         raise ProtocolError("spec.options must be an object")
-    options = CompilerOptions.from_dict(options_doc)
+    try:
+        options = CompilerOptions.from_dict(options_doc)
+    except ValueError as exc:
+        raise ProtocolError("spec.options: %s" % exc) from None
     loop_order = doc.get("loop_order") or None
     if loop_order is not None and not (
         isinstance(loop_order, list)

@@ -39,7 +39,9 @@ from repro.frontend.parser import parse_assignment
 #: correct but slower program forever).  Added, removed or renamed
 #: configuration fields need no bump: the material enumerates them.
 #: v8: the material changed shape once, to that enumeration.
-KEY_VERSION = 8
+#: v9: every SySTeC plan gets the lookup table of Section 4.2.5 (it was
+#: an option before), so an unchanged request builds a different program.
+KEY_VERSION = 9
 
 #: one parse per einsum text: every service hit canonicalizes its spec, and
 #: an :class:`Assignment` is immutable (a failed parse is never cached)
@@ -48,16 +50,12 @@ _parse = lru_cache(maxsize=256)(parse_assignment)
 
 def _fields_text(config, skip=frozenset()) -> str:
     """``name=value,...`` over every dataclass field of *config* not in
-    *skip*, in declaration order (bools as 0/1, anything else as its
-    ``str``)."""
-    parts = []
-    for f in fields(config):
-        if f.name not in skip:
-            value = getattr(config, f.name)
-            if isinstance(value, bool):
-                value = int(value)
-            parts.append("%s=%s" % (f.name, value))
-    return ",".join(parts)
+    *skip*, in declaration order."""
+    return ",".join(
+        "%s=%s" % (f.name, getattr(config, f.name))
+        for f in fields(config)
+        if f.name not in skip
+    )
 
 
 @dataclass(frozen=True)
@@ -144,7 +142,7 @@ def canonicalize(
     """
     assignment = _parse(einsum) if isinstance(einsum, str) else einsum
     symmetric_modes, loop_order, formats, options = resolve_request(
-        assignment, symmetric, loop_order, formats, options, naive
+        assignment, symmetric, loop_order, formats, options
     )
     # explicit "dense" entries equal the unlisted default — drop them so
     # {"A": "sparse", "x": "dense"} and {"A": "sparse"} share a key

@@ -42,24 +42,27 @@ int64_t kernel(double *restrict out,
     int64_t rp_status = 0;
     (void) repro_nthreads;
     (void) rp_status;
-    int64_t i = 0, k = 0, l = 0, q0_1 = 0, q0_2 = 0, _v = 0;
-    double t0 = 0.0, t4 = 0.0;
+    int64_t _code = 0, i = 0, k = 0, l = 0, q0_1 = 0, q0_2 = 0, _v = 0;
+    double _f = 0.0, t0 = 0.0, t4 = 0.0;
     const double *t1 = 0, *t2 = 0, *t3 = 0, *t5 = 0, *t6 = 0, *t7 = 0;
     double *w0 = (double *) malloc((size_t)(n_j) * sizeof(double));
     double *w1 = (double *) malloc((size_t)(n_j) * sizeof(double));
     double *ws0 = (double *) malloc((size_t)(n_j) * sizeof(double));
     double *ws1 = (double *) malloc((size_t)(n_j) * sizeof(double));
+    double *w2 = (double *) malloc((size_t)(n_j) * sizeof(double));
     double *ws2 = (double *) malloc((size_t)(n_j) * sizeof(double));
     double *ws3 = (double *) malloc((size_t)(n_j) * sizeof(double));
-    if (!w0 || !w1 || !ws0 || !ws1 || !ws2 || !ws3) {
+    if (!w0 || !w1 || !ws0 || !ws1 || !w2 || !ws2 || !ws3) {
         free(w0);
         free(w1);
         free(ws0);
         free(ws1);
+        free(w2);
         free(ws2);
         free(ws3);
         return 1;
     }
+    static const double _lut0[4] = {0.0, 1.0, 1.0, 0.3333333333333333};
     rp_clear(out, out_dims[0] * out_dims[1], 0.0);
     for (l = 0; l < n_l; ++l) {
         t1 = B + (l) * B_dims[1];
@@ -88,23 +91,19 @@ int64_t kernel(double *restrict out,
         for (q0_1 = A__diagonal_pos1[l]; q0_1 < A__diagonal_pos1[(l + 1)]; ++q0_1) {
             k = A__diagonal_idx1[q0_1];
             t6 = B + (k) * B_dims[1];
+            for (_v = 0; _v < n_j; ++_v) { w2[_v] = (t5[_v] * t6[_v]); }
             for (_v = 0; _v < n_j; ++_v) { ws2[_v] = 0.0; }
             for (q0_2 = A__diagonal_pos2[q0_1]; q0_2 < A__diagonal_pos2[(q0_1 + 1)]; ++q0_2) {
                 i = A__diagonal_idx2[q0_2];
                 t4 = A__diagonal_vals[q0_2];
                 t7 = B + (i) * B_dims[1];
-                if ((((i < k) && (k == l)) || ((i == k) && (k == l)))) {
-                    for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += ((t4 * t5[_v]) * t6[_v]); }
-                }
-                if (((i < k) && (k == l))) {
-                    for (_v = 0; _v < n_j; ++_v) { ws2[_v] += (2.0 * ((t4 * t5[_v]) * t7[_v])); }
-                }
-                if (((i == k) && (k < l))) {
-                    for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += (2.0 * ((t4 * t5[_v]) * t6[_v])); }
-                    for (_v = 0; _v < n_j; ++_v) { ws3[_v] += ((t4 * t6[_v]) * t7[_v]); }
-                }
+                _code = ((i == k) | ((k == l) << 1));
+                _f = _lut0[_code];
+                for (_v = 0; _v < n_j; ++_v) { out[(i) * out_dims[1] + _v] += ((w2[_v] * _f) * t4); }
+                for (_v = 0; _v < n_j; ++_v) { ws2[_v] += ((_f * t4) * t7[_v]); }
             }
-            for (_v = 0; _v < n_j; ++_v) { out[(k) * out_dims[1] + _v] += ws2[_v]; }
+            for (_v = 0; _v < n_j; ++_v) { out[(k) * out_dims[1] + _v] += (t5[_v] * ws2[_v]); }
+            for (_v = 0; _v < n_j; ++_v) { ws3[_v] += (t6[_v] * ws2[_v]); }
         }
         for (_v = 0; _v < n_j; ++_v) { out[(l) * out_dims[1] + _v] += ws3[_v]; }
     }
@@ -112,6 +111,7 @@ int64_t kernel(double *restrict out,
     free(w1);
     free(ws0);
     free(ws1);
+    free(w2);
     free(ws2);
     free(ws3);
     return rp_status;

@@ -42,9 +42,10 @@ int64_t kernel(double *restrict out,
     int64_t rp_status = 0;
     (void) repro_nthreads;
     (void) rp_status;
-    int64_t i = 0, k = 0, l = 0, q0_1 = 0, q0_2 = 0, _v = 0;
-    double t0 = 0.0, t4 = 0.0;
+    int64_t _code = 0, i = 0, k = 0, l = 0, q0_1 = 0, q0_2 = 0, _v = 0;
+    double _f = 0.0, t0 = 0.0, t4 = 0.0;
     const double *t1 = 0, *t2 = 0, *t3 = 0, *t5 = 0, *t6 = 0, *t7 = 0;
+    static const double _lut0[4] = {0.0, 1.0, 1.0, 0.3333333333333333};
     {
         int64_t rp_vb = 0, rp_r = 0, rp_w = (n_j + 15) / 16 * 16;
         double *rp_out = out, *rp_B = (double *) B;
@@ -94,23 +95,19 @@ int64_t kernel(double *restrict out,
                     for (q0_1 = A__diagonal_pos1[l]; q0_1 < A__diagonal_pos1[(l + 1)]; ++q0_1) {
                         k = A__diagonal_idx1[q0_1];
                         t6 = rp_B + (k) * rp_w;
+                        double w2[16];
+                        for (_v = 0; _v < 16; ++_v) { w2[_v] = (t5[rp_vb + _v] * t6[rp_vb + _v]); }
                         double ws2[16];
                         for (_v = 0; _v < 16; ++_v) { ws2[_v] = 0.0; }
                         for (q0_2 = A__diagonal_pos2[q0_1]; q0_2 < A__diagonal_pos2[(q0_1 + 1)]; ++q0_2) {
                             i = A__diagonal_idx2[q0_2];
                             t4 = A__diagonal_vals[q0_2];
                             t7 = rp_B + (i) * rp_w;
-                            if ((((i < k) && (k == l)) || ((i == k) && (k == l)))) {
-                                for (_v = 0; _v < 16; ++_v) { rp_out[(i) * rp_w + rp_vb + _v] += ((t4 * t5[rp_vb + _v]) * t6[rp_vb + _v]); }
-                            }
-                            if (((i < k) && (k == l))) {
-                                for (_v = 0; _v < 16; ++_v) { ws2[_v] += (2.0 * ((t4 * t5[rp_vb + _v]) * t7[rp_vb + _v])); }
-                            }
-                            if (((i == k) && (k < l))) {
-                                for (_v = 0; _v < 16; ++_v) { rp_out[(i) * rp_w + rp_vb + _v] += (2.0 * ((t4 * t5[rp_vb + _v]) * t6[rp_vb + _v])); ws3[_v] += ((t4 * t6[rp_vb + _v]) * t7[rp_vb + _v]); }
-                            }
+                            _code = ((i == k) | ((k == l) << 1));
+                            _f = _lut0[_code];
+                            for (_v = 0; _v < 16; ++_v) { rp_out[(i) * rp_w + rp_vb + _v] += ((w2[_v] * _f) * t4); ws2[_v] += ((_f * t4) * t7[rp_vb + _v]); }
                         }
-                        for (_v = 0; _v < 16; ++_v) { rp_out[(k) * rp_w + rp_vb + _v] += ws2[_v]; }
+                        for (_v = 0; _v < 16; ++_v) { rp_out[(k) * rp_w + rp_vb + _v] += (t5[rp_vb + _v] * ws2[_v]); ws3[_v] += (t6[rp_vb + _v] * ws2[_v]); }
                     }
                     for (_v = 0; _v < 16; ++_v) { rp_out[(l) * rp_w + rp_vb + _v] += ws3[_v]; }
                 }

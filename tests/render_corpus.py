@@ -1,11 +1,10 @@
 """The rendering corpus behind ``tests/golden/render_digests.json``.
 
 Every library and extension kernel x both dtypes, as SySTeC builds it
-(by default and in the lookup-table form) and as the naive baseline,
-plus a handful of user einsums that reach the statement forms no
-library kernel emits (the ``break`` triangle guard, ``np.copyto`` row
-reductions, explicit triangle conditions over a dense symmetric input,
-a dense-only vectorized nest): 100 lowerings.  Each is rendered to C
+and as the naive baseline, plus a handful of user einsums that reach the
+statement forms no library kernel emits (the ``break`` triangle guard,
+``np.copyto`` row reductions, explicit triangle conditions over a dense
+symmetric input, a dense-only vectorized nest): 74 lowerings.  Each is rendered to C
 under both profile settings in :data:`C_CONFIGS` (every loop phase
 always runs, so nothing else changes the C).
 
@@ -28,14 +27,6 @@ from repro.kernels.extensions import EXTENSIONS
 from repro.kernels.library import KERNELS
 
 DTYPES = ("float64", "float32")
-
-#: name -> CompilerOptions overrides of a SySTeC lowering (the opt-in
-#: lookup table is the only road to a LUT definition); the naive
-#: baseline and the extras are lowered under ``default`` alone.
-VARIANTS = {
-    "default": {},
-    "+lut": {"lookup_table": True},
-}
 
 #: user einsums outside the library:
 #: (einsum, symmetric, loop_order, formats[, sparse_levels])
@@ -88,16 +79,11 @@ def lowerings() -> Iterator[Tuple[str, object]]:
     for name, spec in sorted({**KERNELS, **EXTENSIONS}.items()):
         for dtype in DTYPES:
             for naive in (False, True):
-                for variant, overrides in VARIANTS.items():
-                    if naive and overrides:
-                        continue
-                    options = DEFAULT.but(
-                        backend="python", dtype=dtype, **overrides
-                    )
-                    key = "%s|%s|%s|%s" % (
-                        name, "naive" if naive else "systec", dtype, variant
-                    )
-                    yield key, spec.compile(naive=naive, options=options)
+                options = DEFAULT.but(backend="python", dtype=dtype)
+                key = "%s|%s|%s|default" % (
+                    name, "naive" if naive else "systec", dtype
+                )
+                yield key, spec.compile(naive=naive, options=options)
     for name, (einsum, symmetric, loop_order, formats, *levels) in sorted(
         EXTRAS.items()
     ):

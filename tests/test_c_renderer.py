@@ -76,9 +76,7 @@ def test_renders_intersection_walk():
 
 
 def test_renders_lookup_table():
-    lowered = get_kernel("mttkrp3d").compile(
-        options=DEFAULT.but(lookup_table=True)
-    ).lowered
+    lowered = get_kernel("mttkrp3d").compile().lowered
     src = render_c(lowered)
     assert "static const double _lut0[" in src
     assert "<<" in src

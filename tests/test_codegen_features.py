@@ -6,14 +6,11 @@ import pytest
 
 from repro.core import compiler
 from repro.core.compiler import compile_kernel
-from repro.core.config import DEFAULT
 from repro.kernels.library import get_kernel
 from tests.conftest import make_symmetric_matrix, make_symmetric_tensor
 
-#: the plan passes every SySTeC kernel runs (the lookup table is opt-in)
-OPTION_AXES = [
-    name for name, _ in compiler._PLAN_PASSES if name != "lookup_table"
-]
+#: the plan passes every SySTeC kernel runs
+OPTION_AXES = [name for name, _ in compiler._PLAN_PASSES]
 
 
 def _without(monkeypatch, skipped):
@@ -59,7 +56,7 @@ def test_lookup_table_lowering(rng, kernel_name):
     A = make_symmetric_tensor(rng, n, order, 0.6)
     B = rng.random((n, r))
     expected = spec.reference(A=A, B=B)
-    kernel = spec.compile(options=DEFAULT.but(lookup_table=True))
+    kernel = spec.compile()
     assert "_lut0" in kernel.source
     got = kernel(A=A, B=B)
     np.testing.assert_allclose(got, expected, rtol=1e-10)

@@ -62,23 +62,23 @@ def test_formats_may_name_any_assignment_tensor():
 def test_options_describe_one_liner():
     line = DEFAULT.describe()
     assert "\n" not in line
-    assert "dtype=%s" % DEFAULT.dtype in line
-    assert "-lookup_table" in line
-    assert "+lookup_table" in DEFAULT.but(lookup_table=True).describe()
+    assert line == "dtype=%s backend=%s threads=%d" % (
+        DEFAULT.dtype, DEFAULT.backend, DEFAULT.threads
+    )
 
 
 def test_options_dict_round_trip():
-    opts = DEFAULT.but(dtype="float32", lookup_table=True)
+    opts = DEFAULT.but(dtype="float32", backend="python")
     assert CompilerOptions.from_dict(opts.to_dict()) == opts
     with pytest.raises(ValueError, match="bogus"):
         CompilerOptions.from_dict({"bogus": True})
 
 
 def test_options_hashable_by_value():
-    assert hash(DEFAULT.but(lookup_table=True)) == hash(
-        CompilerOptions(lookup_table=True)
+    assert hash(DEFAULT.but(dtype="float32")) == hash(
+        CompilerOptions(dtype="float32")
     )
-    assert DEFAULT.but(lookup_table=True) == CompilerOptions(lookup_table=True)
+    assert DEFAULT.but(dtype="float32") == CompilerOptions(dtype="float32")
 
 
 def test_explain_leads_with_options():
@@ -90,36 +90,34 @@ def test_explain_leads_with_options():
 
 
 def test_options_but_flips_one_switch():
-    opts = DEFAULT.but(lookup_table=True)
-    assert opts.lookup_table
+    opts = DEFAULT.but(threads=DEFAULT.threads + 1)
+    assert opts.threads == DEFAULT.threads + 1
     assert opts.dtype == DEFAULT.dtype
-    assert not DEFAULT.lookup_table  # original untouched
+    assert DEFAULT.threads == CompilerOptions().threads  # original untouched
 
 
 def test_naive_kernel_is_the_unoptimized_baseline():
     """The naive plan (no canonical-output restriction, no diagonal
-    split), iterated concordantly, lowered without CSE or workspaces and
-    never in the lookup-table form."""
+    split, no lookup table), iterated concordantly, lowered without CSE
+    or workspaces."""
     kernel = compile_kernel(
         "y[i] += A[i, j] * x[j]",
         symmetric={"A": True},
         loop_order=("j", "i"),
         naive=True,
-        options=DEFAULT.but(lookup_table=True),
     )
     assert kernel.plan.history == ("naive",)
     assert [n.tensor_filter for n in kernel.plan.nests] == ["all"]
     (view,) = kernel.lowered.sparse_views
     assert view.mode_order == (1, 0)  # A[i, j] walked j-major
-    assert not kernel.options.lookup_table
     assert "t0" not in kernel.source and "ws0" not in kernel.source
 
 
 def test_options_hold_no_pass_switch():
     """SySTeC or naive is the ``naive=`` argument; the options hold only
-    the lookup-table form and how the kernel is typed and run."""
+    how the kernel is typed and run."""
     names = [f.name for f in fields(CompilerOptions)]
-    assert names == ["lookup_table", "dtype", "backend", "threads"]
+    assert names == ["dtype", "backend", "threads"]
 
 
 def test_naive_plan_structure():

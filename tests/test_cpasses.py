@@ -117,8 +117,8 @@ def test_render_digests(corpus):
     """Every generated Python and C source of the corpus, frozen by digest.
 
     ``tests/render_corpus.py`` spans the library and extension kernels
-    (SySTeC by default and with lookup tables, and naive) x dtypes, plus
-    user einsums, each rendered to C with profiling off and on.  A codegen refactor must keep this green
+    (SySTeC and naive) x dtypes, plus user einsums, each rendered to C
+    with profiling off and on.  A codegen refactor must keep this green
     without regenerating; an intentional output change regenerates with
     ``REPRO_UPDATE_GOLDEN=1`` and shows up in review as a manifest diff.
     """
@@ -185,14 +185,17 @@ def test_a_leftover_pass_selection_changes_nothing(corpus, monkeypatch, capsys):
 #: them switched off for the lowerings that had one, and with the
 #: kernel's header comment, includes, min/max helpers and register-blocked
 #: nests as they read now (one padded nest per vector extent).  The fold
-#: is over today's 100 lowerings; each of their lines is the one the
-#: earlier 274-lowering corpus folded for that key.
-INT64_POINTER_DIGEST = "4189153ee24320c9ea1121d1126899bf0402c6d12d736612adba6d99eba6483d"
+#: is over today's 74 lowerings.  Each line is the one the earlier
+#: 274-lowering corpus folded for that key, or, for a SySTeC kernel, for
+#: its lookup-table form (an option then, every SySTeC plan's form now);
+#: the ``dense_prefix_slot`` extra, which that corpus lowered only without
+#: the table, folds today's render with the substitution below.
+INT64_POINTER_DIGEST = "4c66543a7433a5bb7a8997af826e96c6163b6f94c56053d5f58a87020bb291f2"
 
 
 def test_the_index_type_is_the_only_textual_change(corpus):
     """Take the output clear out of the program, spell ``rp_index`` as
-    ``int64_t`` and drop its declaration, and every C source of the 100
+    ``int64_t`` and drop its declaration, and every C source of the 74
     corpus lowerings is byte for byte what the renderer printed with
     64-bit index pointers: the index type and the clear moved every C
     digest of the manifest and changed nothing else — without the clear
@@ -218,7 +221,7 @@ def test_the_index_type_is_the_only_textual_change(corpus):
             old = src.replace(declaration, "").replace("rp_index", "int64_t")
             digests.append(render_corpus.sha(old)[:16])
         lines.append("%s:%s" % (entry.key, ",".join(digests)))
-    assert len(lines) == 100
+    assert len(lines) == 74
     folded = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     assert folded == INT64_POINTER_DIGEST
 
@@ -256,12 +259,12 @@ def test_regblock_moves_only_the_lowerings_it_blocks(corpus, monkeypatch):
 
 
 #: the corpus kernels with a nest the regblock phase wraps (SySTeC and
-#: naive plans alike), and how many of the 100 corpus lowerings have one
+#: naive plans alike), and how many of the 74 corpus lowerings have one
 BLOCKED_KERNELS = {
     "mttkrp3d", "mttkrp4d", "mttkrp5d", "ttm", "ttm4d",
     "extra:row_min", "extra:row_min_ws",
 }
-BLOCKED_LOWERINGS = 34
+BLOCKED_LOWERINGS = 24
 
 
 def test_each_pass_changes_only_its_marker(monkeypatch):

@@ -17,7 +17,6 @@ from tests.conftest import make_symmetric_matrix
 def ssymv_bound():
     plan = optimize(
         symmetrize(parse_assignment("y[i] += A[i, j] * x[j]"), {"A": ((0, 1),)}, ("j", "i")),
-        DEFAULT,
     )
     lowered = lower_plan(plan, {"A": "sparse"}, DEFAULT)
     return BoundKernel(lowered, plan.symmetric_modes)

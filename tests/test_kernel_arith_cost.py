@@ -5,9 +5,10 @@ holds two accumulations of one multiply each, whatever the tensor order,
 in the one register-blocked nest the C printer emits; kernels with
 nothing to factor lower exactly as before; the naive lowering factors
 nothing.  Register blocking: a blocked nest reads and writes only
-block-local workspaces, the orbit-guarded diagonal nests are blocked
-too, and no kernel with a vector index prints an element loop whose trip
-count is known only at run time (what makes ``cc`` slow on MTTKRP).
+block-local workspaces, the diagonal nests — orbit-guarded, or driven by
+a lookup table — are blocked too, and no kernel with a vector index
+prints an element loop whose trip count is known only at run time (what
+makes ``cc`` slow on MTTKRP).
 Row tiling: the run-time block count is about 1 MiB of output rows per
 block, capped at a quarter of the mean fiber length — checked on the C
 the renderer prints, compiled on its own.  The output clear: every
@@ -172,20 +173,64 @@ def test_the_blocked_branch_names_no_malloced_workspace(name):
     assert loops and set(loops) == {str(WIDTH)}
 
 
-@pytest.mark.parametrize("name", ["mttkrp3d", "mttkrp4d", "mttkrp5d", "ttm", "ttm4d"])
-def test_only_the_unguarded_strict_nest_is_blocked(name):
-    """The strict nest is blocked, and so is the orbit-guarded diagonal
-    nest after it: its guards test only its own loop indices."""
+def _blocked_run(name):
+    """The one ``Blocked`` run of *name*'s pipeline output: its strict and
+    diagonal nests."""
     spec = {**KERNELS, **EXTENSIONS}[name]
-    lowered = spec.compile(options=PYTHON).lowered
-    [run] = run_pipeline(lowered).body
+    [run] = run_pipeline(spec.compile(options=PYTHON).lowered).body
     assert isinstance(run, ir.Blocked) and len(run.nests) == 2
-    assert not any(isinstance(s, ir.If) for s in ir.walk([run.nests[0]]))
-    assert any(isinstance(s, ir.If) for s in ir.walk([run.nests[1]]))
+    return run.nests
+
+
+def _guarded(nest):
+    return any(isinstance(s, ir.If) for s in ir.walk([nest]))
+
+
+def _reads_a_lookup_table(nest):
+    return any(
+        isinstance(s, ir.Let) and isinstance(s.expr, ir.Load) and s.expr.array.kind == ir.LUT
+        for s in ir.walk([nest])
+    )
+
+
+def _one_staging_two_blocked_nests(name):
     source = _serial_c(name)
     # one staging around both, one rp_vb loop each
     assert source.count("rp_vb += %d) {" % WIDTH) == 2
     assert source.count("calloc(") - source.count("void *calloc(") == 2
+
+
+@pytest.mark.parametrize("name", ["ttm", "ttm4d"])
+def test_the_orbit_guarded_diagonal_nest_is_blocked(name):
+    """TTM has no uniform factor table: the strict nest is blocked, and so
+    is the orbit-guarded diagonal nest after it, whose guards test only
+    its own loop indices."""
+    strict, diagonal = _blocked_run(name)
+    assert not _guarded(strict)
+    assert _guarded(diagonal) and not _reads_a_lookup_table(diagonal)
+    _one_staging_two_blocked_nests(name)
+
+
+@pytest.mark.parametrize("name", ["mttkrp3d", "mttkrp4d", "mttkrp5d"])
+def test_the_table_driven_diagonal_nest_is_blocked(name):
+    """MTTKRP's diagonal blocks merge into one unguarded block scaled by
+    a factor from its lookup table (paper §4.2.5): both nests are
+    blocked, under one staging."""
+    strict, diagonal = _blocked_run(name)
+    assert not _guarded(strict) and not _reads_a_lookup_table(strict)
+    assert not _guarded(diagonal) and _reads_a_lookup_table(diagonal)
+    _one_staging_two_blocked_nests(name)
+
+
+def test_exactly_the_kernels_with_a_uniform_table_read_one():
+    """Every SySTeC plan runs the lookup-table pass; it changes only the
+    plans whose diagonal blocks share one factor table."""
+    with_table = {
+        name
+        for name, spec in {**KERNELS, **EXTENSIONS}.items()
+        if "_lut0" in render_c(spec.compile(options=PYTHON).lowered)
+    }
+    assert with_table == {"mttkrp3d", "mttkrp4d", "mttkrp5d"}
 
 
 @pytest.mark.parametrize("name", sorted({**KERNELS, **EXTENSIONS}))
@@ -261,11 +306,13 @@ def test_an_operand_stays_inside_where_an_iteration_may_sum_nothing():
 
 
 def test_conditional_blocks_keep_the_flat_accumulation():
-    diagonal = _nests("mttkrp3d")[1]
-    inner = _innermost_fiber(diagonal)
+    """Each update under one of TTM's orbit guards multiplies every
+    operand of the einsum: nothing is factored out of a guard."""
+    operands = len(get_kernel("ttm").compile(options=PYTHON).plan.original.accesses)
+    inner = _innermost_fiber(_nests("ttm")[1])
     guarded = [s for s in inner.body if isinstance(s, ir.If)]
     assert guarded and all(
-        _multiplies(u.value) >= 2 for g in guarded for u in g.body
+        _multiplies(u.value) == operands - 1 for g in guarded for u in g.body
     )
 
 

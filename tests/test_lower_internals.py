@@ -17,7 +17,7 @@ FULL3 = {"A": ((0, 1, 2),)}
 def lowered_ssymv(naive=False):
     """The SySTeC plan of SSYMV, lowered as SySTeC or as the baseline."""
     plan = symmetrize(parse_assignment("y[i] += A[i, j] * x[j]"), FULL2, ("j", "i"))
-    plan = optimize(plan, DEFAULT)
+    plan = optimize(plan)
     return lower_plan(plan, {"A": "sparse"}, DEFAULT, naive=naive)
 
 
@@ -56,7 +56,7 @@ def test_vector_index_chosen_for_mttkrp():
         FULL3,
         ("l", "k", "i", "j"),
     )
-    plan = optimize(plan, DEFAULT)
+    plan = optimize(plan)
     lowered = lower_plan(plan, {"A": "sparse"}, DEFAULT)
     assert lowered.vector_index == "j"
     # output layout puts the vector mode last (it already is)
@@ -69,7 +69,7 @@ def test_vector_mode_moved_to_last_for_ttm():
         FULL3,
         ("l", "k", "j", "i"),
     )
-    plan = optimize(plan, DEFAULT)
+    plan = optimize(plan)
     lowered = lower_plan(plan, {"A": "sparse"}, DEFAULT)
     assert lowered.vector_index == "i"
     assert lowered.output.layout == (1, 2, 0)  # i (mode 0) last
@@ -78,7 +78,6 @@ def test_vector_mode_moved_to_last_for_ttm():
 def test_same_fiber_co_iteration_emitted_for_ssyrk():
     plan = optimize(
         symmetrize(parse_assignment("C[i, j] += A[i, k] * A[j, k]"), {}, ("k", "j", "i")),
-        DEFAULT,
     )
     lowered = lower_plan(plan, {"A": "sparse"}, DEFAULT)
     # the inner row loop is bounded by the outer position + 1

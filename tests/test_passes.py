@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.codegen.reference import execute_plan_dense, reference_einsum
-from repro.core.config import CompilerOptions, DEFAULT
+from repro.core import compiler
 from repro.core.compiler import optimize
 from repro.core.kernel_plan import FILTER_DIAGONAL, FILTER_STRICT
 from repro.core.passes import (
@@ -236,10 +236,20 @@ def test_lookup_table_refuses_min_plus():
     ],
 )
 @pytest.mark.parametrize("lookup", [False, True])
-def test_default_pipeline_semantics(rng, einsum, symmetric, loop_order, input_shapes, lookup):
+def test_default_pipeline_semantics(
+    rng, monkeypatch, einsum, symmetric, loop_order, input_shapes, lookup
+):
+    """The plan pipeline, with and without its lookup-table pass (4.2.5),
+    computes the einsum."""
+    if not lookup:
+        monkeypatch.setattr(
+            compiler,
+            "_PLAN_PASSES",
+            tuple(p for p in compiler._PLAN_PASSES if p[0] != "lookup_table"),
+        )
     a = parse_assignment(einsum)
     plan = symmetrize(a, symmetric, loop_order)
-    plan = optimize(plan, DEFAULT.but(lookup_table=lookup))
+    plan = optimize(plan)
     n = 5
     inputs = {}
     for name, ndim in input_shapes.items():

@@ -1,7 +1,6 @@
 """Tests for the Finch-syntax plan printer against the paper's listings."""
 
 from repro.core.compiler import optimize
-from repro.core.config import DEFAULT
 from repro.core.printer import finch_syntax
 from repro.core.symmetrize import symmetrize
 from repro.frontend.parser import parse_assignment
@@ -26,7 +25,6 @@ def test_ssymv_figure2_shape():
 def test_syprd_listing5_shape():
     plan = optimize(
         symmetrize(parse_assignment("y[] += x[i] * A[i, j] * x[j]"), FULL2, ("j", "i")),
-        DEFAULT,
     )
     text = finch_syntax(plan)
     # Listing 5: the off-diagonal update carries the 2x factor
@@ -40,7 +38,6 @@ def test_mttkrp_diag_and_strict_nests():
             FULL3,
             ("l", "k", "i", "j"),
         ),
-        DEFAULT,
     )
     text = finch_syntax(plan)
     assert "# strict canonical triangle" in text
@@ -55,7 +52,6 @@ def test_lookup_table_rendering():
             FULL3,
             ("l", "k", "i", "j"),
         ),
-        DEFAULT.but(lookup_table=True),
     )
     text = finch_syntax(plan)
     assert "factor = lookup[" in text
@@ -67,7 +63,6 @@ def test_replication_note():
         symmetrize(
             parse_assignment("C[i, j] += A[i, k] * A[j, k]"), {}, ("k", "j", "i")
         ),
-        DEFAULT,
     )
     text = finch_syntax(plan)
     assert "replicate C" in text
@@ -76,7 +71,6 @@ def test_replication_note():
 def test_min_plus_rendering():
     plan = optimize(
         symmetrize(parse_assignment("y[i] min= A[i, j] + d[j]"), FULL2, ("j", "i")),
-        DEFAULT,
     )
     text = finch_syntax(plan)
     assert "<<min>>=" in text

@@ -6,7 +6,6 @@ import pytest
 
 from repro.codegen.reference import execute_plan_dense, reference_einsum
 from repro.core.compiler import optimize
-from repro.core.config import DEFAULT
 from repro.core.symmetrize import symmetrize
 from repro.frontend.parser import parse_assignment
 from tests.conftest import make_symmetric_matrix
@@ -64,7 +63,6 @@ def test_plan_execution_without_replication(rng):
     """replicate=False leaves only the canonical triangle computed."""
     plan = optimize(
         symmetrize(parse_assignment("C[i, j] += A[i, k] * A[j, k]"), {}, ("k", "j", "i")),
-        DEFAULT,
     )
     A = rng.random((4, 4))
     full = execute_plan_dense(plan, {"A": A})
@@ -82,7 +80,6 @@ def test_plan_execution_min_semantics(rng):
         symmetrize(
             parse_assignment("y[i] min= A[i, j] + d[j]"), {"A": ((0, 1),)}, ("j", "i")
         ),
-        DEFAULT,
     )
     A = make_symmetric_matrix(rng, 5, 1.0)  # fully dense: matches dense ref
     d = rng.random(5)

@@ -340,6 +340,12 @@ def test_spec_round_trip_naive_and_levels():
     assert back.key == request.key
 
 
+#: what a peer of the version that made the lookup table (paper §4.2.5)
+#: an option sends: every SySTeC plan now gets the table, and no field
+#: selects it
+OLDER_PEER_OPTIONS = {"lookup_table": True}
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -350,15 +356,14 @@ def test_spec_round_trip_naive_and_levels():
         {"einsum": 42},
         {"einsum": "y[i] += x[i]", "options": "bad"},
         {"einsum": "y[i] += x[i]", "loop_order": [1, 2]},
-        # a truthy non-bool switch would build the lookup-table kernel
-        # under a key of its own
+        # an older peer that still sent pass switches
+        {"einsum": "y[i] += A[i, j] * x[j]", "options": {"cse": False}},
+        # an older peer that still sent the lookup-table switch
         {
             "einsum": "C[i, j] += A[i, k, l] * B[k, j] * B[l, j]",
             "symmetric": {"A": True},
-            "options": {"lookup_table": "no"},
+            "options": OLDER_PEER_OPTIONS,
         },
-        # an older peer that still sent pass switches
-        {"einsum": "y[i] += A[i, j] * x[j]", "options": {"cse": False}},
         # misspelled keys: dropped, they would build the SySTeC kernel
         # under the SySTeC key, and float64
         {"einsum": "y[i] += A[i, j] * x[j]", "naiv": True},
@@ -370,6 +375,23 @@ def test_spec_round_trip_naive_and_levels():
 def test_hostile_specs_rejected(doc):
     with pytest.raises(ValueError):
         protocol.request_from_spec(doc)
+
+
+def test_an_older_peers_lookup_table_switch_is_refused():
+    """Refused, never dropped, whatever its value: the field names
+    nothing this version can build differently."""
+    spec = {
+        "einsum": "C[i, j] += A[i, k, l] * B[k, j] * B[l, j]",
+        "symmetric": {"A": True},
+        "options": OLDER_PEER_OPTIONS,
+    }
+    with pytest.raises(ProtocolError, match="lookup_table"):
+        protocol.request_from_spec(spec)
+    switched_off = dict.fromkeys(OLDER_PEER_OPTIONS, False)
+    with pytest.raises(ProtocolError, match="lookup_table"):
+        protocol.request_from_spec(dict(spec, options=switched_off))
+    with pytest.raises(ValueError, match="lookup_table"):
+        CompilerOptions.from_dict(switched_off)
 
 
 #: what a peer of the version that still compiled in per-nest timing sends

@@ -82,7 +82,7 @@ def test_lru_eviction_falls_back_to_disk_not_recompile(tmp_path):
 def test_options_distinguish_cache_entries():
     service = KernelService(capacity=8)
     service.get_or_compile(SSYMV, **SPEC)
-    service.get_or_compile(SSYMV, options=DEFAULT.but(lookup_table=True), **SPEC)
+    service.get_or_compile(SSYMV, options=DEFAULT.but(dtype="float32"), **SPEC)
     assert service.stats().compiles == 2
 
 

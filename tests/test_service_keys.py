@@ -75,35 +75,22 @@ def test_distinct_specs_get_distinct_keys():
     assert base != cache_key(SSYMV, symmetric={"A": True}, loop_order=("i", "j"))
     assert base != cache_key(SSYMV, symmetric={"A": True}, formats={"A": "dense"})
     assert base != cache_key(
-        SSYMV, symmetric={"A": True}, options=DEFAULT.but(lookup_table=True)
+        SSYMV, symmetric={"A": True}, options=DEFAULT.but(dtype="float32")
     )
-    assert base != cache_key(SSYMV, symmetric={"A": True}, naive=True)
+    naive = cache_key(SSYMV, symmetric={"A": True}, naive=True)
+    assert base != naive
+    assert naive != cache_key(
+        SSYMV,
+        symmetric={"A": True},
+        naive=True,
+        options=DEFAULT.but(dtype="float32"),
+    )
     assert base != cache_key(
         SSYMV,
         symmetric={"A": True},
         sparse_levels={"A": ("dense", "sparse")},
     )
     assert base != cache_key("z[i] += A[i, j] * x[j]", symmetric={"A": True})
-
-
-def test_naive_collapses_plan_options_into_one_key():
-    """The naive baseline has no factor table, so a naive request drops
-    ``lookup_table`` — the switch does not split its keys."""
-    a = cache_key(SSYMV, symmetric={"A": True}, naive=True)
-    b = cache_key(
-        SSYMV,
-        symmetric={"A": True},
-        naive=True,
-        options=DEFAULT.but(lookup_table=True),
-    )
-    c = cache_key(
-        SSYMV,
-        symmetric={"A": True},
-        naive=True,
-        options=DEFAULT.but(dtype="float32"),
-    )
-    assert a == b
-    assert a != c
 
 
 def test_key_material_carries_version_salt():

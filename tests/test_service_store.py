@@ -124,6 +124,43 @@ def test_version_skew_counts_as_miss(tmp_path):
     assert store.get(request.key) is None
 
 
+def test_an_entry_the_previous_version_wrote_is_never_served(tmp_path, capsys):
+    """An entry written while the lookup table was an option: state
+    version 11, options holding the switch.  ``get`` never serves it (and
+    evicts it), the listings skip it without raising, and ``repro cache
+    --clear`` (``DiskStore.clear``) removes it."""
+    from repro.cli import main
+    from tests.test_serve_protocol import OLDER_PEER_OPTIONS
+
+    request = _request_for(get_kernel("mttkrp3d"))
+    kernel = request.compile()
+
+    def write_parent_entry():
+        DiskStore(tmp_path).put(request.key, kernel)
+        path = tmp_path / ("%s.json" % request.key)
+        payload = json.loads(path.read_text())
+        state = payload["state"]
+        state["state_version"] = 11
+        state["options"] = {**dict.fromkeys(OLDER_PEER_OPTIONS, False), **state["options"]}
+        path.write_text(json.dumps(payload))
+        return path
+
+    path = write_parent_entry()
+    store = DiskStore(tmp_path)
+    assert list(store.keys()) == [request.key]
+    assert store.entries() == [] and store.errors == 1
+    assert main(["cache", "--dir", str(tmp_path), "--clear"]) == 0
+    out = capsys.readouterr().out
+    assert "0 kernels, 1 unreadable" in out and "cleared 1 entries" in out
+    assert not path.exists() and store_objects(tmp_path, request.key) == []
+
+    path = write_parent_entry()
+    store = DiskStore(tmp_path)
+    assert store.get(request.key) is None
+    assert store.hits == 0 and store.errors == 1
+    assert not path.exists()
+
+
 def test_keys_remove_clear_and_entries(tmp_path):
     store = DiskStore(tmp_path)
     requests = []
@@ -138,7 +175,9 @@ def test_keys_remove_clear_and_entries(tmp_path):
     assert len(entries) == 2
     einsums = {e.einsum for e in entries}
     assert "y[i] += A[i, j] * x[j]" in einsums
-    assert all("-lookup_table" in e.options_line for e in entries)
+    assert {e.options_line for e in entries} == {
+        r.options.describe() for r in requests
+    }
     assert not any(e.naive for e in entries)
 
     assert store.remove(requests[0].key)

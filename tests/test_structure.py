@@ -16,6 +16,11 @@ routine's ``cc``, whose AVX-512 block step names the ``__builtin_ia32_*``
 builtins instead.  One
 place picks the narrow index width (``repro.tensor.coo``) and one line
 declares it to C (``c.INDEX_DECLARATION``); nothing else spells it.
+
+The lookup table of paper §4.2.5 is part of every SySTeC plan, not an
+option: nothing in the package, its tests, README, examples or notes
+sets, reads or lists a ``lookup_table`` option, apart from the one line
+that states what an older peer still sends (and is refused).
 """
 
 import ast
@@ -141,3 +146,45 @@ def _narrow_width_lines(root):
 
 def test_only_the_index_declaration_spells_the_narrow_width():
     assert _narrow_width_lines(SOURCE) == []
+
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+#: a ``lookup_table`` option declared (a dataclass field), set (keyword,
+#: assignment), read, sent as a JSON/dict key or listed by
+#: ``describe()``; the pass module, its ``build_lookup_table``, its
+#: ``pass:lookup_table`` span and its ``note="lookup_table"`` match none
+LOOKUP_TABLE_OPTION = re.compile(
+    r'lookup_table *=[^=]|options\.lookup_table|"lookup_table":|[+-]lookup_table'
+    r'|^ *lookup_table *:'
+)
+OPTION_PATHS = ("src", "tests", "README.md", "examples", ".claude")
+#: path -> the lines (stripped) there allowed to match: the wire-refusal
+#: test's older-peer options
+OPTION_ALLOWED = {
+    "tests/test_serve_protocol.py": {'OLDER_PEER_OPTIONS = {"lookup_table": True}'},
+}
+
+
+def _option_spellings(repo):
+    """``path:line`` of every line under :data:`OPTION_PATHS` of *repo*
+    that spells the lookup-table option (this file, whose pattern spells
+    it, and compiled caches aside)."""
+    found = []
+    for top in OPTION_PATHS:
+        root = repo / top
+        paths = [root] if root.is_file() else sorted(root.rglob("*"))
+        for path in paths:
+            where = path.relative_to(repo).as_posix()
+            skip = "__pycache__" in path.parts or where == "tests/test_structure.py"
+            if skip or not path.is_file():
+                continue
+            allowed = OPTION_ALLOWED.get(where, ())
+            for number, line in enumerate(path.read_text(errors="replace").splitlines(), 1):
+                if LOOKUP_TABLE_OPTION.search(line) and line.strip() not in allowed:
+                    found.append("%s:%d" % (where, number))
+    return found
+
+
+def test_nothing_spells_a_lookup_table_option():
+    assert _option_spellings(REPO) == []

@@ -6,7 +6,6 @@ import dataclasses
 import pytest
 
 from repro.core.compiler import optimize
-from repro.core.config import DEFAULT
 from repro.core.kernel_plan import Block
 from repro.core.symmetrize import symmetrize
 from repro.core.verify import assert_verified, verify_plan_coverage
@@ -37,7 +36,6 @@ def test_lookup_table_plan_verified():
             {"A": ((0, 1, 2),)},
             ("l", "k", "i", "j"),
         ),
-        DEFAULT.but(lookup_table=True),
     )
     assert_verified(plan, side=3)
 
