@@ -180,7 +180,6 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         % (knob("REPRO_THREADS"), cpu_count())
     )
     print("process default (REPRO_BACKEND): %s" % knob("REPRO_BACKEND"))
-    print("default dtype (REPRO_DTYPE): %s" % knob("REPRO_DTYPE"))
     print()
     print("loop phases (every kernel runs all of them, in this order):")
     for phase in PIPELINE:
@@ -385,7 +384,7 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
 
     from repro import faults
     from repro.codegen.backends import ctoolchain
-    from repro.core.config import knob, knobs_set, unknown_knobs
+    from repro.core.config import knobs_set, unknown_knobs
 
     report = {"checks": {}}
 
@@ -406,16 +405,6 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
             "ok": tc.openmp,
             "detail": "-fopenmp probe %s" % runs,
         }
-    timeout = knob("REPRO_CC_TIMEOUT")
-    report["checks"]["limits"] = {
-        "ok": True,
-        "detail": "cc timeout %s, %d retries, lock timeout %.0fs"
-        % (
-            "disabled" if timeout is None else "%.0fs" % timeout,
-            knob("REPRO_CC_RETRIES"),
-            knob("REPRO_LOCK_TIMEOUT"),
-        ),
-    }
 
     if args.dir is not None:
         probe_path = None
@@ -610,12 +599,9 @@ def _env_epilog() -> str:
     for row in KNOBS.values():
         text = row.doc
         if row.choices:
-            values = row.choices + (() if row.kind == "choice" else ("N",))
-            text += " [%s]" % " | ".join(values)
+            text += " [%s]" % " | ".join(row.choices)
         if row.kind != "flag" and row.default is not None:
-            text += " (default %s)" % (
-                "%g" % row.default if row.kind == "float" else row.default
-            )
+            text += " (default %s)" % row.default
         name = row.name + ("=1" if row.kind == "flag" else "")
         lines += textwrap.wrap(
             text,
@@ -658,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dtype",
         choices=DTYPE_CHOICES,
         default=None,
-        help="element dtype (default: $REPRO_DTYPE or float64)",
+        help="element dtype (default: float64)",
     )
     p.add_argument(
         "--trace",
@@ -836,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dtype",
         choices=DTYPE_CHOICES,
         default=None,
-        help="element dtype (default: $REPRO_DTYPE or float64)",
+        help="element dtype (default: float64)",
     )
     p.add_argument(
         "--size", type=int, default=32, help="synthetic input extent per mode"

@@ -75,7 +75,7 @@ class ToolchainError(RuntimeError):
 
 
 class ToolchainTimeout(ToolchainError):
-    """A ``cc`` invocation exceeded ``$REPRO_CC_TIMEOUT`` (transient —
+    """A ``cc`` invocation exceeded :data:`CC_TIMEOUT` (transient —
     the retry loop re-attempts it with backoff)."""
 
 
@@ -91,6 +91,14 @@ BASE_FLAGS = ("-O3", "-shared", "-fPIC", "-fno-math-errno", "-ffp-contract=off")
 
 #: accepted by x86 compilers only; a part of every object's identity.
 VECTOR_WIDTH = "-mprefer-vector-width=512"
+
+#: seconds before a hung cc is killed (and retried): a hung compiler must
+#: never stall a caller forever, and 60 s is an order of magnitude above
+#: the slowest observed kernel build.
+CC_TIMEOUT = 60.0
+
+#: retries after a transient cc failure (a timeout or a signal kill).
+CC_RETRIES = 2
 
 #: seconds before the first cc retry, doubled per attempt; each wait gets
 #: up to +100% random jitter, so raced processes decorrelate.
@@ -233,7 +241,7 @@ def _run_cc(
     except subprocess.TimeoutExpired:
         obs_metrics.inc("toolchain.cc_timeouts")
         raise ToolchainTimeout(
-            "%s timed out after %.1fs (REPRO_CC_TIMEOUT)"
+            "%s timed out after %.1fs"
             % (" ".join(cmd), timeout or 0.0)
         )
     if proc.returncode != 0:
@@ -259,7 +267,7 @@ def _probe_build_runs(cc_path: str, flags: tuple, source: str) -> bool:
     fd, out = tempfile.mkstemp(dir=directory, prefix=".probe.", suffix=".so")
     os.close(fd)
     try:
-        _run_cc(cc_path, flags, src, out, timeout=knob("REPRO_CC_TIMEOUT"))
+        _run_cc(cc_path, flags, src, out, timeout=CC_TIMEOUT)
         lib = ctypes.CDLL(out)
         return int(lib.repro_probe()) == 42
     except (ToolchainError, OSError, AttributeError):
@@ -367,12 +375,11 @@ def _build_with_retry(
     """Run cc with *flags* on *c_path* into *out_path*.
 
     Transient failures (:class:`ToolchainTimeout`, signal kills) are
-    retried ``$REPRO_CC_RETRIES`` times with exponential backoff and
+    retried :data:`CC_RETRIES` times with exponential backoff and
     jitter; a nonzero exit is permanent and propagates immediately.
     """
-    attempts = 1 + knob("REPRO_CC_RETRIES")
+    attempts = 1 + CC_RETRIES
     delay = CC_BACKOFF
-    timeout = knob("REPRO_CC_TIMEOUT")
     for attempt in range(1, attempts + 1):
         try:
             with obs_trace.span(
@@ -383,7 +390,7 @@ def _build_with_retry(
                 omp=int("-fopenmp" in flags),
                 flags=" ".join(flags),
             ):
-                _run_cc(tc.cc, flags, c_path, out_path, timeout=timeout)
+                _run_cc(tc.cc, flags, c_path, out_path, timeout=CC_TIMEOUT)
             return
         except (ToolchainTimeout, ToolchainInterrupted):
             if attempt == attempts:
@@ -415,7 +422,7 @@ def compile_shared(
     working.
 
     On a miss the object is built by one builder across the processes
-    sharing the directory, each cc run bounded by ``$REPRO_CC_TIMEOUT``
+    sharing the directory, each cc run bounded by :data:`CC_TIMEOUT`
     and retried with backoff when it fails transiently.  A *permanent*
     failure (cc rejects the source) is memoized per object: later requests
     fail fast instead of re-running a compile known to be deterministic-bad.

@@ -28,7 +28,7 @@ import re
 import tempfile
 from typing import Callable, Iterator, Optional, Tuple
 
-from repro.core.config import knob
+from repro.core import flock
 from repro.core.flock import atomic_write, single_flight
 from repro.obs import metrics as obs_metrics
 
@@ -111,7 +111,7 @@ class ObjectCache:
     ) -> str:
         """The path of object *ident*, compiled from *source* by
         ``cc(c_path, out_path)`` once across the processes sharing this
-        directory (a waiter past ``$REPRO_LOCK_TIMEOUT`` builds privately).
+        directory (a waiter past ``flock.LOCK_TIMEOUT`` builds privately).
         ``force`` rebuilds an object that verified but would not load."""
         base = os.path.join(self.directory, self.prefix)
 
@@ -144,7 +144,7 @@ class ObjectCache:
             "%s%s.lock" % (base, ident),
             lambda: None if force else self.lookup(ident),
             make,
-            knob("REPRO_LOCK_TIMEOUT"),
+            flock.LOCK_TIMEOUT,
             lambda: obs_metrics.inc("toolchain.lock_timeouts"),
         )
 

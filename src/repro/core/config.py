@@ -11,10 +11,11 @@ serves every count.
 
 :data:`KNOBS` declares every ``REPRO_*`` environment variable, one frozen
 :class:`Knob` row each, and :func:`knob` is the only code in the package
-that reads one (CI greps for ``os.environ`` outside this file).  Values
-are read live on every call — tests monkeypatch the environment — and
-the *environment is outside the program*: a bad value gets a
-once-per-``(name, value)`` diagnostic and the default, never a traceback.
+that reads one (``tests/test_structure.py`` finds ``os.environ`` nowhere
+else).  Values are read live on every call — tests monkeypatch the
+environment — and the *environment is outside the program*: a bad value
+gets a once-per-``(name, value)`` diagnostic and the default, never a
+traceback.
 ``repro --help``, ``repro doctor`` and the README's knob table print the
 same rows.  No knob shapes generated code: the C source of a request
 depends on its lowered program alone.
@@ -48,30 +49,24 @@ class Knob:
     """One ``REPRO_*`` environment variable.
 
     ``kind`` is ``flag`` (unset, empty and ``"0"`` are off, anything else
-    on), ``int`` / ``float`` (``>= minimum``, or ``> minimum`` when
-    ``exclusive`` — for knobs where zero is meaningless rather than a
-    documented off switch; ``zero_is_none`` turns a parsed 0 into ``None``,
-    "no bound"), ``choice`` (one of ``choices``), or ``text`` /
+    on), ``int`` (``>= minimum``; ``zero_is_none`` turns a parsed 0 into
+    ``None``, "no bound"), ``choice`` (one of ``choices``), or ``text`` /
     ``path`` (returned verbatim).  Unset and empty always mean ``default``.
     """
 
     name: str
     kind: str
     default: object = None
-    minimum: float = 0
-    exclusive: bool = False
+    minimum: int = 0
     zero_is_none: bool = False
     choices: Tuple[str, ...] = ()
     doc: str = ""
 
     def expected(self) -> str:
         """What a valid value looks like (the diagnostic's wording)."""
-        forms = [repr(choice) for choice in self.choices]
-        if self.kind in ("int", "float"):
-            noun = "an integer" if self.kind == "int" else "a number"
-            forms.append("%s %s %g" % (
-                noun, ">" if self.exclusive else ">=", self.minimum))
-        return " or ".join(forms)
+        if self.kind == "int":
+            return "an integer >= %d" % self.minimum
+        return " or ".join(repr(choice) for choice in self.choices)
 
 
 #: every knob the package reads, by name, in documentation order.
@@ -79,8 +74,6 @@ KNOBS: Dict[str, Knob] = {row.name: row for row in (
     # what gets compiled, and how it runs
     Knob("REPRO_BACKEND", "choice", "python", choices=BACKEND_CHOICES,
          doc="default execution backend"),
-    Knob("REPRO_DTYPE", "choice", "float64", choices=DTYPE_CHOICES,
-         doc="default element dtype"),
     # the conservative default is 1: parallel execution is opt-in, so
     # single-threaded timings — the paper's methodology — stay the baseline
     Knob("REPRO_THREADS", "int", 1, minimum=1,
@@ -95,34 +88,20 @@ KNOBS: Dict[str, Knob] = {row.name: row for row in (
          doc="persistent object cache, verified on every lookup (unset = per-process temp dir)"),
     Knob("REPRO_NO_CC", "flag",
          doc="pretend no C compiler exists (auto degrades to python)"),
-    # a hung compiler must never stall a caller forever; 60s is an order
-    # of magnitude above the slowest observed kernel build
-    Knob("REPRO_CC_TIMEOUT", "float", 60.0, zero_is_none=True,
-         doc="seconds before a hung cc is killed and retried (0 = no bound)"),
-    Knob("REPRO_CC_RETRIES", "int", 2,
-         doc="retries after a transient cc failure (timeout or signal kill)"),
-    # zero is rejected, not an off switch: a zero wait turns every
-    # contended key into a duplicate private compile, which a long-lived
-    # daemon amplifies from waste into sustained double load
-    Knob("REPRO_LOCK_TIMEOUT", "float", 120.0, exclusive=True,
-         doc="seconds to wait on a compile lock before building privately"),
     # failure handling
     Knob("REPRO_FAULTS", "text",
          doc="fault-injection spec, e.g. cc=timeout@2*1,dlopen=fail*1"),
     # the kernel-service daemon and its client
-    Knob("REPRO_SERVE_MAX_FRAME", "int", 64 << 20, minimum=1024,
-         doc="wire frame size bound in bytes (tensors ride in frames)"),
     Knob("REPRO_STORE_MAX_BYTES", "int", zero_is_none=True,
          doc="disk-store bytes before a put evicts LRU entries (0 = no bound)"),
 )}
 
 #: bad env values already seen, so each (name, value) pair is diagnosed
-#: exactly once per process.  Knobs like ``REPRO_CC_RETRIES`` are
-#: consulted on every compile and ``REPRO_BACKEND`` on every
-#: ``CompilerOptions()``; without this memo a daemon with a typo'd
-#: variable would emit the same warning on every request (and
-#: warnings-filter configuration should not decide whether operators see
-#: the diagnostic at all).
+#: exactly once per process.  ``REPRO_BACKEND`` and ``REPRO_THREADS``
+#: are consulted on every ``CompilerOptions()``; without this memo a
+#: daemon with a typo'd variable would emit the same warning on every
+#: request (and warnings-filter configuration should not decide whether
+#: operators see the diagnostic at all).
 _warned_values: set = set()
 
 
@@ -152,8 +131,8 @@ def knob(name: str):
         return value
     if row.kind != "choice":
         try:
-            parsed = int(value) if row.kind == "int" else float(value)
-            if parsed < row.minimum or (row.exclusive and parsed == row.minimum):
+            parsed = int(value)
+            if parsed < row.minimum:
                 raise ValueError(value)
             return None if row.zero_is_none and parsed == 0 else parsed
         except ValueError:
@@ -212,7 +191,7 @@ class CompilerOptions:
 
     # element dtype: float64 | float32 (tensor payloads, workspaces, the
     # output buffer and the C value type all follow it)
-    dtype: str = field(default_factory=lambda: knob("REPRO_DTYPE"))
+    dtype: str = "float64"
 
     # execution backend: python | c | auto
     backend: str = field(default_factory=lambda: knob("REPRO_BACKEND"))

@@ -34,6 +34,12 @@ from typing import Callable, Optional, Union
 #: it is treated as stale.
 UNREADABLE_GRACE = 10.0
 
+#: seconds a waiter on a contended build lock waits before building
+#: privately.  Never zero: a zero wait turns every contended key into a
+#: duplicate private compile, which a long-lived daemon amplifies from
+#: waste into sustained double load.
+LOCK_TIMEOUT = 120.0
+
 #: seconds between a waiter's looks at a contended lock — shorter than
 #: anything it waits on (a python-backend compile is 1-35 ms, a ``cc`` run
 #: ~100 ms).

@@ -14,7 +14,7 @@ shared services first:
 * **Deadlines** — every request runs under a deadline (its own
   ``deadline_s`` or the daemon's ``deadline``, 30 s); expiry answers a
   structured ``deadline`` error.  Compiles themselves stay bounded by
-  the ``$REPRO_CC_TIMEOUT`` retry machinery, so a worker thread stuck
+  the toolchain's ``CC_TIMEOUT`` retry machinery, so a worker thread stuck
   behind a hung ``cc`` is released by the toolchain layer, not leaked.
 * **Backpressure** — at most ``queue_limit`` (32) requests are
   admitted (queued + running); the rest are shed immediately with an
@@ -32,8 +32,8 @@ shared services first:
   frames answer ``bad-request``/close without allocating; a started
   frame that stalls (slowloris) is cut off after ``read_timeout``
   seconds (30).  Each connection receives its frames into one buffer
-  that it reuses, up to ``$REPRO_SERVE_MAX_FRAME``; between frames it
-  keeps at most ``_KEEP_BYTES`` (2 MiB).
+  that it reuses, up to ``max_frame`` (``protocol.MAX_FRAME``, 64 MiB);
+  between frames it keeps at most ``_KEEP_BYTES`` (2 MiB).
 
 Fault-injection points (:mod:`repro.faults`): ``wire.accept``,
 ``wire.read``, ``wire.write`` and ``serve.handler`` make every failure
@@ -56,7 +56,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro import faults
-from repro.core.config import knob
 from repro.core.flock import InterProcessLock
 from repro.faults.spec import FaultError
 from repro.obs import metrics as obs_metrics
@@ -419,7 +418,7 @@ class KernelServer:
         )
         self.drain_grace = float(drain_grace)
         self.max_frame = (
-            knob("REPRO_SERVE_MAX_FRAME") if max_frame is None else int(max_frame)
+            protocol.MAX_FRAME if max_frame is None else int(max_frame)
         )
         self.plans = PlanPool(plan_pool_size)
         self._pool = ThreadPoolExecutor(

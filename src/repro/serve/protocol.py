@@ -14,7 +14,7 @@ the JSON that is escaped and parsed stays a few hundred bytes whatever
 the tensor size, and a decoded tensor is an aligned zero-copy view of
 the received body.
 
-Frames are bounded by ``$REPRO_SERVE_MAX_FRAME``: an oversized length
+Frames are bounded by :data:`MAX_FRAME`: an oversized length
 prefix is answered with a structured ``bad-request`` error and a closed
 connection rather than an attempted allocation — a hostile 4-GiB prefix
 must cost the daemon nothing — and ``head_len`` and every reference are
@@ -52,7 +52,6 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.config import knob
 
 #: frame header: one big-endian u32 payload length.
 HEADER = struct.Struct(">I")
@@ -60,6 +59,10 @@ HEADER = struct.Struct(">I")
 #: bumped when the frame layout or reply shapes change incompatibly;
 #: ``health`` replies carry it so mismatched peers fail loudly.
 PROTOCOL_VERSION = 2
+
+#: bytes a frame may carry unless the daemon is built with another bound
+#: (``KernelServer(max_frame=...)``); tensors ride in frames.
+MAX_FRAME = 64 << 20
 
 #: the head's stand-in for a lifted bytes-like value is ``{SEGMENT:
 #: [offset, nbytes]}``; segments start on multiples of ALIGN in the body.
@@ -110,10 +113,10 @@ def encode_frame(doc: Mapping, max_frame: Optional[int] = None) -> bytes:
     """Serialize one message into a length-prefixed frame.
 
     Bytes-like values are lifted into segments as ``json.dumps`` meets
-    them; the summed size is checked against the limit before the one
-    join that copies them.
+    them; the summed size is checked against the limit (*max_frame*, else
+    :data:`MAX_FRAME`) before the one join that copies them.
     """
-    limit = knob("REPRO_SERVE_MAX_FRAME") if max_frame is None else max_frame
+    limit = MAX_FRAME if max_frame is None else max_frame
     segments = []  # (offset in the segment area, byte view)
     end = 0
 
@@ -133,7 +136,7 @@ def encode_frame(doc: Mapping, max_frame: Optional[int] = None) -> bytes:
     if base + end > limit:
         raise ProtocolError(
             "frame of %d bytes exceeds the %d-byte limit "
-            "(raise $REPRO_SERVE_MAX_FRAME for larger tensors)"
+            "(raise KernelServer(max_frame=...) for larger tensors)"
             % (base + end, limit)
         )
     parts = [HEADER.pack(base + end), HEADER.pack(len(head)), head]
@@ -145,7 +148,7 @@ def encode_frame(doc: Mapping, max_frame: Optional[int] = None) -> bytes:
 
 def decode_length(header: bytes, max_frame: Optional[int] = None) -> int:
     """Validate a frame header; returns the body length."""
-    limit = knob("REPRO_SERVE_MAX_FRAME") if max_frame is None else max_frame
+    limit = MAX_FRAME if max_frame is None else max_frame
     if len(header) != HEADER.size:
         raise ProtocolError("truncated frame header (%d bytes)" % len(header))
     (length,) = HEADER.unpack(header)

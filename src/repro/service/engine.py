@@ -25,8 +25,9 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro import faults
+from repro.core import flock
 from repro.core.compiler import CompiledKernel
-from repro.core.config import CompilerOptions, DEFAULT, knob
+from repro.core.config import CompilerOptions, DEFAULT
 from repro.core.flock import single_flight
 from repro.faults.spec import FaultError
 from repro.frontend.einsum import Assignment
@@ -239,7 +240,7 @@ class KernelService:
         ``<key>.lock`` next to the entry): the leader compiles and
         publishes, waiters rehydrate the published entry.  A waiter that
         finds that entry unservable on this host compiles privately, like
-        one that outlives ``$REPRO_LOCK_TIMEOUT``.
+        one that outlives :data:`~repro.core.flock.LOCK_TIMEOUT`.
         """
         if self.store is None:
             return self._compile_now(key, request), "compiled"
@@ -266,7 +267,7 @@ class KernelService:
             store.path / ("%s.lock" % key),
             published,
             build,
-            knob("REPRO_LOCK_TIMEOUT"),
+            flock.LOCK_TIMEOUT,
             lambda: obs_metrics.inc("service.lock_timeouts"),
         )
 

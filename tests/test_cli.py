@@ -287,8 +287,7 @@ def test_help_epilog_documents_serve_env(capsys):
     with _pytest.raises(SystemExit):
         main(["--help"])
     out = capsys.readouterr().out
-    for name in ("REPRO_SERVE_MAX_FRAME", "REPRO_STORE_MAX_BYTES"):
-        assert name in out, name
+    assert "REPRO_STORE_MAX_BYTES" in out
 
 
 def test_serve_plans_default_is_the_flag_default():

@@ -22,59 +22,24 @@ def _caught(monkeypatch, name, value):
     return result, [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.parametrize("value", ["-3", "nan-ish", "", "0x10"])
-def test_cc_retries_clamps_bad_values(monkeypatch, value):
-    result, warned = _caught(monkeypatch, "REPRO_CC_RETRIES", value)
-    assert result == KNOBS["REPRO_CC_RETRIES"].default == 2
-    if value != "":  # empty means unset, silently
-        assert len(warned) == 1
-        assert "REPRO_CC_RETRIES" in str(warned[0].message)
-
-
-def test_cc_retries_zero_is_valid(monkeypatch):
-    result, warned = _caught(monkeypatch, "REPRO_CC_RETRIES", "0")
-    assert result == 0 and not warned
-
-
-@pytest.mark.parametrize("value", ["-1", "garbage"])
-def test_cc_timeout_clamps_bad_values(monkeypatch, value):
-    result, warned = _caught(monkeypatch, "REPRO_CC_TIMEOUT", value)
-    assert result == KNOBS["REPRO_CC_TIMEOUT"].default == 60.0
-    assert len(warned) == 1
-
-
-def test_cc_timeout_zero_disables(monkeypatch):
-    result, warned = _caught(monkeypatch, "REPRO_CC_TIMEOUT", "0")
-    assert result is None and not warned
-
-
-@pytest.mark.parametrize("value", ["0", "-5", "junk"])
-def test_lock_timeout_clamps_zero_and_negative(monkeypatch, value):
-    """Zero is NOT an off switch here: a zero lock wait turns every
-    contended key into a duplicate private compile."""
-    result, warned = _caught(monkeypatch, "REPRO_LOCK_TIMEOUT", value)
-    assert result == KNOBS["REPRO_LOCK_TIMEOUT"].default == 120.0
-    assert len(warned) == 1
-    assert "REPRO_LOCK_TIMEOUT" in str(warned[0].message)
-
-
 def test_warning_is_emitted_once_per_name_value(monkeypatch):
-    monkeypatch.setenv("REPRO_LOCK_TIMEOUT", "-9")
+    monkeypatch.setenv("REPRO_THREADS", "-9")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for _ in range(5):
-            assert knob("REPRO_LOCK_TIMEOUT") == 120.0
+            assert knob("REPRO_THREADS") == 1
     assert len(caught) == 1
     # a *different* bad value warns again (it is new information)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        monkeypatch.setenv("REPRO_LOCK_TIMEOUT", "-10")
-        knob("REPRO_LOCK_TIMEOUT")
+        monkeypatch.setenv("REPRO_THREADS", "-10")
+        knob("REPRO_THREADS")
     assert len(caught) == 1
 
 
 def test_serve_knob_defaults(monkeypatch, tmp_path):
     from repro.cli import build_parser
+    from repro.serve import protocol
     from repro.serve.client import ServiceClient
     from repro.serve.daemon import KernelServer
 
@@ -90,7 +55,8 @@ def test_serve_knob_defaults(monkeypatch, tmp_path):
     # so are the client's retries / backoff / timeout
     client = ServiceClient(tmp_path / "d.sock")
     assert (client.retries, client.backoff, client.timeout) == (2, 0.05, 30.0)
-    assert knob("REPRO_SERVE_MAX_FRAME") == 64 << 20
+    # and the frame bound is a constant the constructor may override
+    assert server.max_frame == protocol.MAX_FRAME == 64 << 20
     assert knob("REPRO_STORE_MAX_BYTES") is None
     # and every row's default is what an unset variable reads as
     for name, row in KNOBS.items():
@@ -106,11 +72,6 @@ def test_serve_deadline_zero_disables(tmp_path):
     assert KernelServer(tmp_path / "d.sock").read_timeout == 30.0
 
 
-def test_serve_max_frame_floor(monkeypatch):
-    result, warned = _caught(monkeypatch, "REPRO_SERVE_MAX_FRAME", "16")
-    assert result == 64 << 20 and len(warned) == 1
-
-
 def test_store_max_bytes(monkeypatch):
     monkeypatch.setenv("REPRO_STORE_MAX_BYTES", "4096")
     assert knob("REPRO_STORE_MAX_BYTES") == 4096
@@ -124,9 +85,7 @@ def test_store_max_bytes(monkeypatch):
 # one case per *kind*, over every row of that kind
 # ----------------------------------------------------------------------
 FLAGS = sorted(n for n, row in KNOBS.items() if row.kind == "flag")
-CHECKED = sorted(
-    n for n, row in KNOBS.items() if row.kind in ("choice", "int", "float")
-)
+CHECKED = sorted(n for n, row in KNOBS.items() if row.kind in ("choice", "int"))
 
 
 @pytest.mark.parametrize("name", FLAGS)
@@ -144,13 +103,13 @@ def test_every_flag_parses_the_same_way(monkeypatch, name):
 def test_every_checked_knob_warns_once_and_falls_back(monkeypatch, name):
     """A bad value reads as the default with exactly one warning across
     repeated reads — a daemon with a typo'd variable must not warn per
-    request (REPRO_BACKEND / REPRO_DTYPE / REPRO_THREADS used to, once
-    per ``CompilerOptions()``)."""
+    request (REPRO_BACKEND / REPRO_THREADS used to, once per
+    ``CompilerOptions()``)."""
     monkeypatch.setenv(name, "not-a-valid-value")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         reads = [knob(name) for _ in range(5)]
-        if name in ("REPRO_BACKEND", "REPRO_DTYPE", "REPRO_THREADS"):
+        if name in ("REPRO_BACKEND", "REPRO_THREADS"):
             reads += [
                 getattr(config.CompilerOptions(), name[6:].lower())
                 for _ in range(5)
@@ -211,10 +170,90 @@ def test_readme_knob_table_names_exactly_the_table():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     rows = re.findall(r"^\| `(REPRO_[A-Z_]+)` +\|", readme, flags=re.M)
     assert rows == list(KNOBS)
-    assert len(KNOBS) == 14
+    assert len(KNOBS) == 9
     help_text = build_parser().format_help()
     assert all(name in help_text for name in KNOBS)
     # nothing documents a variable the table does not declare
     # (REPRO_UPDATE_GOLDEN is the test suite's own switch, not the package's)
     mentioned = set(re.findall(r"REPRO_[A-Z_]+[A-Z]", readme + help_text))
     assert mentioned - {"REPRO_UPDATE_GOLDEN"} <= set(KNOBS)
+
+
+#: values the deleted knobs used to read, clamp or warn about, per variable
+LEFTOVERS = {
+    "REPRO_DTYPE": ("float32", "bfloat16"),
+    "REPRO_CC_TIMEOUT": ("1", "0", "-1", "garbage"),
+    "REPRO_CC_RETRIES": ("0", "-3", "0x10"),
+    "REPRO_LOCK_TIMEOUT": ("0.1", "0", "-5", "junk"),
+    "REPRO_SERVE_MAX_FRAME": ("2048", "1"),
+}
+
+
+def test_leftover_deleted_knobs_change_nothing(monkeypatch, capsys, tmp_path):
+    """The variables that used to set the default dtype, the cc timeout and
+    retries, the compile-lock wait and the wire frame bound are read by
+    nothing: with them set, each of those is still its constant, a wire
+    spec without a dtype builds (and keys) the float64 kernel, and
+    ``repro doctor`` names each as a variable that is not a knob."""
+    from repro.cli import main
+    from repro.codegen.backends import ctoolchain
+    from repro.core import flock
+    from repro.serve import protocol
+    from repro.serve.daemon import KernelServer
+
+    spec = {"einsum": "y[i] += A[i, j] * x[j]", "symmetric": {"A": [[0, 1]]}}
+    clean_key = protocol.request_from_spec(spec).key
+    clean_exit = main(["doctor"])  # 0 wherever a compiler is found
+    capsys.readouterr()
+    leftovers = {name: values[0] for name, values in LEFTOVERS.items()}
+    for name, value in leftovers.items():
+        monkeypatch.setenv(name, value)
+    assert set(leftovers) <= set(config.unknown_knobs())
+    assert config.CompilerOptions().dtype == "float64"
+    request = protocol.request_from_spec(spec)
+    assert request.options.dtype == "float64" and request.key == clean_key
+    assert (ctoolchain.CC_TIMEOUT, ctoolchain.CC_RETRIES) == (60.0, 2)
+    assert flock.LOCK_TIMEOUT == 120.0
+    assert KernelServer(tmp_path / "d.sock").max_frame == protocol.MAX_FRAME == 64 << 20
+    assert main(["doctor"]) == clean_exit
+    report = capsys.readouterr().out
+    for name in leftovers:
+        assert "%s is not a knob" % name in report
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [(n, v) for n, values in LEFTOVERS.items() for v in values],
+    ids=lambda x: x,
+)
+def test_a_leftover_value_is_inert_and_silent(monkeypatch, tmp_path, name, value):
+    """Each value a deleted knob used to parse (or clamp with a warning) now
+    warns about nothing and moves nothing: options, wire specs, the daemon's
+    frame bound, the frame codec and every remaining knob read as they do
+    with the variable unset."""
+    from repro.codegen.backends import ctoolchain
+    from repro.core import flock
+    from repro.serve import protocol
+    from repro.serve.daemon import KernelServer
+
+    spec = {"einsum": "y[i] += A[i, j] * x[j]", "symmetric": {"A": [[0, 1]]}}
+    clean_key = protocol.request_from_spec(spec).key
+    clean_knobs = [knob(n) for n in KNOBS]
+    monkeypatch.setenv(name, value)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        options = config.CompilerOptions()
+        request = protocol.request_from_spec(spec)
+        server = KernelServer(tmp_path / "d.sock")
+        frame = protocol.encode_frame({"blob": b"x" * 4096})
+        length = protocol.decode_length(frame[: protocol.HEADER.size])
+        knobs = [knob(n) for n in KNOBS]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert options.dtype == request.options.dtype == "float64"
+    assert request.key == clean_key
+    assert server.max_frame == protocol.MAX_FRAME
+    assert length == len(frame) - protocol.HEADER.size > 4096
+    assert knobs == clean_knobs
+    assert (ctoolchain.CC_TIMEOUT, ctoolchain.CC_RETRIES) == (60.0, 2)
+    assert flock.LOCK_TIMEOUT == 120.0
+    assert name in config.unknown_knobs()

@@ -1,6 +1,6 @@
 """The element dtype as a first-class pipeline parameter.
 
-Unit-level coverage of the dtype threading: options/env validation, COO
+Unit-level coverage of the dtype threading: options validation, COO
 and Tensor payload dtypes (including the fixed ``todense`` fill and
 ``from_dense`` mask literals), cache-key and persisted-state separation,
 output-buffer dtypes, and the CLI flag.
@@ -15,7 +15,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.compiler import CompiledKernel, compile_kernel
-from repro.core.config import CompilerOptions, DEFAULT, DTYPE_CHOICES, knob
+from repro.core.config import CompilerOptions, DEFAULT, DTYPE_CHOICES
 from repro.codegen.runtime import make_output, np_dtype
 from repro.data.random_tensors import erdos_renyi_symmetric, random_dense
 from repro.frontend.validate import ValidationError, validate_inputs
@@ -26,30 +26,19 @@ from repro.tensor.tensor import Tensor, default_levels
 
 
 # ----------------------------------------------------------------------
-# options and env
+# options
 # ----------------------------------------------------------------------
 def test_dtype_choices_and_default():
     assert DTYPE_CHOICES == ("float64", "float32")
     assert CompilerOptions().dtype == "float64"
     assert "dtype=float64" in CompilerOptions().describe()
+    assert CompilerOptions(dtype="float32").dtype == "float32"
+    assert "dtype=float32" in CompilerOptions(dtype="float32").describe()
 
 
 def test_unknown_dtype_rejected():
     with pytest.raises(ValueError, match="dtype"):
         CompilerOptions(dtype="float16")
-
-
-def test_env_var_sets_default_dtype(monkeypatch):
-    monkeypatch.setenv("REPRO_DTYPE", "float32")
-    assert CompilerOptions().dtype == "float32"
-    monkeypatch.delenv("REPRO_DTYPE")
-    assert CompilerOptions().dtype == "float64"
-
-
-def test_invalid_env_dtype_warns_and_falls_back(monkeypatch):
-    monkeypatch.setenv("REPRO_DTYPE", "bfloat16")
-    with pytest.warns(RuntimeWarning, match="REPRO_DTYPE"):
-        assert knob("REPRO_DTYPE") == "float64"
 
 
 def test_np_dtype_mapping():

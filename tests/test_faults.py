@@ -147,7 +147,7 @@ def test_injected_cc_crash_is_retried(monkeypatch):
 @needs_cc
 def test_transient_failures_exhaust_retries(monkeypatch):
     monkeypatch.setattr(ctoolchain, "CC_BACKOFF", 0.01)
-    monkeypatch.setenv("REPRO_CC_RETRIES", "1")
+    monkeypatch.setattr(ctoolchain, "CC_RETRIES", 1)
     src = "int repro_fault_exhaust(void) { return 3; }\n"
     with faults.injecting("cc=timeout"):  # unbounded: every attempt hangs
         with pytest.raises(ctoolchain.ToolchainTimeout):
@@ -157,6 +157,36 @@ def test_transient_failures_exhaust_retries(monkeypatch):
     import os
 
     assert os.path.exists(so)
+
+
+@needs_cc
+@pytest.mark.parametrize("retries", [0, 1, 2])
+def test_cc_retries_bounds_the_attempts(monkeypatch, retries):
+    """A build that times out every time runs cc exactly ``1 + CC_RETRIES``
+    times, read when the build starts."""
+    monkeypatch.setattr(ctoolchain, "CC_BACKOFF", 0.01)
+    monkeypatch.setattr(ctoolchain, "CC_RETRIES", retries)
+    src = "int repro_fault_attempts_%d(void) { return 5; }\n" % retries
+    with faults.injecting("cc=timeout") as plan:
+        with pytest.raises(ctoolchain.ToolchainTimeout):
+            ctoolchain.compile_shared(src, stem="attempts%d" % retries, force=True)
+    assert plan.fired() == {"cc": 1 + retries}
+
+
+@needs_cc
+def test_every_build_runs_cc_under_the_timeout_constant(monkeypatch):
+    seen = []
+    run_cc = ctoolchain._run_cc
+
+    def recording(*args, timeout=None):
+        seen.append(timeout)
+        return run_cc(*args, timeout=timeout)
+
+    monkeypatch.setattr(ctoolchain, "_run_cc", recording)
+    monkeypatch.setattr(ctoolchain, "CC_TIMEOUT", 45.0)
+    src = "int repro_fault_timeout_const(void) { return 6; }\n"
+    assert ctoolchain.compile_shared(src, stem="timeoutconst", force=True)
+    assert seen and set(seen) == {45.0}
 
 
 @needs_cc
@@ -173,7 +203,7 @@ def test_permanent_failure_memoized():
 
 
 @needs_cc
-def test_cc_timeout_env_kills_hung_compiler(monkeypatch, tmp_path):
+def test_cc_timeout_kills_hung_compiler(tmp_path):
     """A genuinely hung cc (not injected) is killed by the subprocess
     timeout and surfaces as the transient ToolchainTimeout."""
     hung = tmp_path / "hungcc"

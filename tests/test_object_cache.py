@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 
 import pytest
 
@@ -185,6 +186,29 @@ def test_single_flight_waiter_builds_privately_past_the_timeout(tmp_path):
     assert got == "private" and timeouts == [1]
     assert lock_path.exists()  # the holder's lock is not the waiter's to drop
     holder.release()
+
+
+def test_a_build_waits_the_lock_timeout_then_builds_privately(tmp_path, monkeypatch):
+    """``ObjectCache.build`` reads :data:`flock.LOCK_TIMEOUT` when it waits:
+    past it, a waiter on a held lock builds its own copy of the object."""
+    cache = ObjectCache(tmp_path)
+    holder = flock.InterProcessLock(tmp_path / ("ck_%s.lock" % SERIAL))
+    assert holder.try_acquire()
+    monkeypatch.setattr(flock, "LOCK_TIMEOUT", 0.05)
+    runs = []
+
+    def cc(c_path, out):
+        runs.append(c_path)
+        with open(out, "wb") as handle:
+            handle.write(b"private")
+
+    started = time.monotonic()
+    try:
+        path = cache.build(SERIAL, "int x;\n", cc)
+    finally:
+        holder.release()
+    assert time.monotonic() - started < 60  # not the 120 s default wait
+    assert len(runs) == 1 and cache.lookup(SERIAL) == path
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -66,6 +67,33 @@ def test_disk_store_survives_service_restart(tmp_path, rng):
     assert np.array_equal(kernel(A=A, x=x), expected)
     # rehydrated entry was promoted into memory
     assert second.get_or_compile(SSYMV, **SPEC) is kernel
+
+
+def test_a_cold_waiter_compiles_privately_past_the_lock_timeout(
+    tmp_path, monkeypatch
+):
+    """A miss on a key whose store lock another compiler holds waits
+    :data:`flock.LOCK_TIMEOUT`, read per miss, then compiles and publishes
+    its own entry."""
+    from repro.core import flock
+    from repro.service.keys import canonicalize
+
+    service = KernelService(capacity=4, store=tmp_path)
+    request = canonicalize(SSYMV, **SPEC)
+    holder = flock.InterProcessLock(tmp_path / ("%s.lock" % request.key))
+    assert holder.try_acquire()
+    monkeypatch.setattr(flock, "LOCK_TIMEOUT", 0.05)
+    started = time.monotonic()
+    try:
+        _, origin = service.get_with_origin(request)
+    finally:
+        holder.release()
+    assert time.monotonic() - started < 60  # not the 120 s default wait
+    assert origin == "compiled" and service.stats().compiles == 1
+    assert request.key in service.store
+    second = KernelService(capacity=4, store=tmp_path)
+    second.get_or_compile(SSYMV, **SPEC)
+    assert second.stats().compiles == 0 and second.stats().disk_hits == 1
 
 
 def test_lru_eviction_falls_back_to_disk_not_recompile(tmp_path):

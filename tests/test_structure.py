@@ -20,7 +20,12 @@ declares it to C (``c.INDEX_DECLARATION``); nothing else spells it.
 The lookup table of paper §4.2.5 is part of every SySTeC plan, not an
 option: nothing in the package, its tests, README, examples or notes
 sets, reads or lists a ``lookup_table`` option, apart from the one line
-that states what an older peer still sends (and is refused).
+that states what an older peer still sends (and is refused).  Nor does
+anything spell the five ``REPRO_*`` variables that became constants, apart
+from the test that setting them changes nothing.
+
+The knob table (``core/config.py``) is the one module that reads the
+process environment.
 """
 
 import ast
@@ -166,10 +171,11 @@ OPTION_ALLOWED = {
 }
 
 
-def _option_spellings(repo):
+def _spellings(repo, pattern, allowed):
     """``path:line`` of every line under :data:`OPTION_PATHS` of *repo*
-    that spells the lookup-table option (this file, whose pattern spells
-    it, and compiled caches aside)."""
+    that *pattern* matches, but the lines (stripped) *allowed* lists for
+    its path (this file, whose patterns spell the names, and compiled
+    caches aside)."""
     found = []
     for top in OPTION_PATHS:
         root = repo / top
@@ -179,12 +185,57 @@ def _option_spellings(repo):
             skip = "__pycache__" in path.parts or where == "tests/test_structure.py"
             if skip or not path.is_file():
                 continue
-            allowed = OPTION_ALLOWED.get(where, ())
+            lines = allowed.get(where, ())
             for number, line in enumerate(path.read_text(errors="replace").splitlines(), 1):
-                if LOOKUP_TABLE_OPTION.search(line) and line.strip() not in allowed:
+                if pattern.search(line) and line.strip() not in lines:
                     found.append("%s:%d" % (where, number))
     return found
 
 
 def test_nothing_spells_a_lookup_table_option():
-    assert _option_spellings(REPO) == []
+    assert _spellings(REPO, LOOKUP_TABLE_OPTION, OPTION_ALLOWED) == []
+
+
+#: environment variables that were knobs and are constants now: the
+#: default dtype (``CompilerOptions.dtype``), the cc timeout and retries
+#: (``ctoolchain.CC_TIMEOUT`` / ``CC_RETRIES``), the compile-lock wait
+#: (``flock.LOCK_TIMEOUT``) and the wire frame bound (``protocol.MAX_FRAME``)
+DELETED_KNOB = re.compile(
+    r"REPRO_(DTYPE|CC_TIMEOUT|CC_RETRIES|LOCK_TIMEOUT|SERVE_MAX_FRAME)\b"
+)
+#: the values with which the knob tests check that setting them changes nothing
+DELETED_KNOB_ALLOWED = {
+    "tests/test_config_knobs.py": {
+        '"REPRO_DTYPE": ("float32", "bfloat16"),',
+        '"REPRO_CC_TIMEOUT": ("1", "0", "-1", "garbage"),',
+        '"REPRO_CC_RETRIES": ("0", "-3", "0x10"),',
+        '"REPRO_LOCK_TIMEOUT": ("0.1", "0", "-5", "junk"),',
+        '"REPRO_SERVE_MAX_FRAME": ("2048", "1"),',
+    },
+}
+
+
+def test_nothing_spells_a_deleted_knob():
+    assert _spellings(REPO, DELETED_KNOB, DELETED_KNOB_ALLOWED) == []
+
+
+#: a read of the process environment
+ENVIRONMENT_READ = re.compile(r"os\.environ|os\.getenv")
+CONFIG = SOURCE / "core" / "config.py"
+
+
+def _environment_readers(root):
+    """``path:line`` of every module under *root* but ``core/config.py``
+    that reads the environment."""
+    return [
+        "%s:%d" % (path.relative_to(root).as_posix(), number)
+        for path in sorted(root.rglob("*.py"))
+        if path != root / "core" / "config.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if ENVIRONMENT_READ.search(line)
+    ]
+
+
+def test_the_knob_table_is_the_only_environment_reader():
+    assert ENVIRONMENT_READ.search(CONFIG.read_text())
+    assert _environment_readers(SOURCE) == []
