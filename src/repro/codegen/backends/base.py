@@ -42,6 +42,10 @@ class Executable:
     #: the source text this executable runs (Python or C).
     source: str
 
+    #: ``finish(out, res)``, the program's second entry point: the result
+    #: of the raw buffer ``out`` into ``res`` (``None``: ``out`` is it)
+    finish: Optional[Callable[[np.ndarray, np.ndarray], None]] = None
+
     #: runs on one thread whatever count a call asks for (a parallel C
     #: source loaded as its serial object, on a toolchain without OpenMP)
     single_threaded = False

@@ -412,9 +412,36 @@ class _Renderer:
         return (
             "\n".join(
                 header + decls + self.lines + frees + ["    return rp_status;", "}"]
+                + self._finish()
             )
             + "\n"
         )
+
+    def _finish(self) -> List[str]:
+        """The second entry point, ``finish(out, out_dims, res)``: each
+        :class:`~repro.codegen.loopir.MirrorOut` nest as a plain strip copy
+        through ``volatile`` stores (no ``memcpy`` call for ``ld`` to
+        resolve, no vectorizer time); ``res`` may be ``out``."""
+        nests = self.lowered.program.finish
+        if not nests:
+            return []
+        signature = "const %s *out, const int64_t *restrict out_dims, volatile %s *res"
+        lines = ["", "void finish(%s)" % (signature % (self.elem, self.elem)), "{",
+                 "    int64_t %s;" % ", ".join(nests[0].coords)]
+        for s in nests:
+            for t, (c, lo, hi) in enumerate(zip(s.coords, s.starts, s.ends)):
+                test = "%s <= %s" % (c, hi) if hi else "%s < out_dims[%d]" % (c, s.axes[t])
+                loop = "for (%s = %s; %s; ++%s) {" % (c, lo or "0", test, c)
+                lines.append("    " * (t + 1) + loop)
+            at = {}
+            for key in (s.dest, s.source):  # row-major, each axis as long as its coordinate's
+                at[key] = key[0]
+                for c in key[1:]:
+                    at[key] = "(%s) * out_dims[%d] + %s" % (at[key], s.axes[s.coords.index(c)], c)
+            copy = "res[%s] = %s[%s];" % (at[s.dest], s.of, at[s.source])
+            lines.append("    " * (len(s.coords) + 1) + copy)
+            lines += ["    " * (t + 1) + "}" for t in reversed(range(len(s.coords)))]
+        return lines + ["}"]
 
     # ------------------------------------------------------------------
     # parallel emission: one skeleton, strategy text spliced in

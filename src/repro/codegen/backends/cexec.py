@@ -118,6 +118,8 @@ class CExecutable(Executable):
         if index_dtype is not None and loaded != index_dtype:
             raise ctoolchain.ToolchainError("%s reads %s indices" % (so_path, loaded))
         self._lib, self._fn, self.so_path = lib, fn, so_path
+        if hasattr(lib, "finish"):
+            self.finish = self._finisher(lib.finish)
         #: the dtype every ``pos``/``idx`` pointer of this object reads
         self.index_dtype = loaded
         #: whether this is the OpenMP object (its marker symbol exists
@@ -140,6 +142,21 @@ class CExecutable(Executable):
             read_fn.restype = None
             read_fn.argtypes = (ctypes.POINTER(ctypes.c_double),)
             self._profile_fns = (nests_fn, calls_fn, reset_fn, read_fn)
+
+    def _finisher(self, fn) -> Callable[[np.ndarray, np.ndarray], None]:
+        """The object's ``finish``, on buffers checked as its pointers need."""
+        fn.restype = None
+
+        def finish(out: np.ndarray, res: np.ndarray) -> None:
+            arrays = (out, np.asarray(out.shape, dtype=np.int64), res)
+            if res.size != out.size or not res.flags.writeable or not all(
+                a.dtype == self._elem and a.flags.c_contiguous for a in (out, res)
+            ):
+                raise ValueError("finish needs C-contiguous %s buffers of one size"
+                                 % self._elem.name)
+            fn(*[ctypes.c_void_p(a.ctypes.data) for a in arrays])
+
+        return finish
 
     @property
     def kind(self) -> str:

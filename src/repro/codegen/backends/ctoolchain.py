@@ -257,8 +257,11 @@ def _run_cc(
 def _probe_build_runs(cc_path: str, flags: tuple, source: str) -> bool:
     """Build *source* with *flags*, dlopen it and call ``repro_probe``.
 
-    Probe files are process-unique (the build dir may be a shared
-    ``$REPRO_C_CACHE``) and removed afterwards.
+    A ``cc`` that times out or is killed is retried as a kernel build is
+    (:func:`_retrying`): only a build that fails, or one that never gets
+    through, makes the flags unsupported.  Probe files are process-unique
+    (the build dir may be a shared ``$REPRO_C_CACHE``) and removed
+    afterwards.
     """
     directory = build_dir()
     fd, src = tempfile.mkstemp(dir=directory, prefix=".probe.", suffix=".c")
@@ -267,7 +270,7 @@ def _probe_build_runs(cc_path: str, flags: tuple, source: str) -> bool:
     fd, out = tempfile.mkstemp(dir=directory, prefix=".probe.", suffix=".so")
     os.close(fd)
     try:
-        _run_cc(cc_path, flags, src, out, timeout=CC_TIMEOUT)
+        _retrying(lambda attempt: _run_cc(cc_path, flags, src, out, timeout=CC_TIMEOUT))
         lib = ctypes.CDLL(out)
         return int(lib.repro_probe()) == 42
     except (ToolchainError, OSError, AttributeError):
@@ -369,35 +372,40 @@ def reset_failure_memo() -> None:
         _failed.clear()
 
 
-def _build_with_retry(
-    tc: Toolchain, flags: tuple, c_path: str, out_path: str, stem: Optional[str]
-) -> None:
-    """Run cc with *flags* on *c_path* into *out_path*.
-
-    Transient failures (:class:`ToolchainTimeout`, signal kills) are
-    retried :data:`CC_RETRIES` times with exponential backoff and
-    jitter; a nonzero exit is permanent and propagates immediately.
-    """
-    attempts = 1 + CC_RETRIES
+def _retrying(run: Callable[[int], None]) -> None:
+    """``run(attempt)``, again after a transient failure
+    (:class:`ToolchainTimeout`, a signal kill): :data:`CC_RETRIES` more
+    times, with exponential backoff and jitter; a nonzero exit is
+    permanent and propagates immediately."""
     delay = CC_BACKOFF
-    for attempt in range(1, attempts + 1):
+    for attempt in range(1, CC_RETRIES + 2):
         try:
-            with obs_trace.span(
-                "cc",
-                stem=stem,
-                cc=tc.cc,
-                attempt=attempt,
-                omp=int("-fopenmp" in flags),
-                flags=" ".join(flags),
-            ):
-                _run_cc(tc.cc, flags, c_path, out_path, timeout=CC_TIMEOUT)
-            return
+            return run(attempt)
         except (ToolchainTimeout, ToolchainInterrupted):
-            if attempt == attempts:
+            if attempt > CC_RETRIES:
                 raise
             obs_metrics.inc("toolchain.retries")
             time.sleep(delay * (1.0 + random.random()))
             delay *= 2.0
+
+
+def _build_with_retry(
+    tc: Toolchain, flags: tuple, c_path: str, out_path: str, stem: Optional[str]
+) -> None:
+    """Run cc with *flags* on *c_path* into *out_path*, :func:`_retrying`."""
+
+    def run(attempt: int) -> None:
+        with obs_trace.span(
+            "cc",
+            stem=stem,
+            cc=tc.cc,
+            attempt=attempt,
+            omp=int("-fopenmp" in flags),
+            flags=" ".join(flags),
+        ):
+            _run_cc(tc.cc, flags, c_path, out_path, timeout=CC_TIMEOUT)
+
+    _retrying(run)
 
 
 def compile_shared(

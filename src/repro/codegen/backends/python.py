@@ -151,8 +151,29 @@ def _block(stmts: Sequence[ir.Stmt], ind: str, out: List[str]) -> None:
             raise TypeError("the Python backend does not print %r" % (s,))
 
 
+def _mirror(s: ir.MirrorOut, out: List[str]) -> None:
+    """One finish nest: loops down to its last bounded axis, numpy slices
+    from there on (the source's sliced axes transposed to the result's)."""
+    cut = max([t for t in range(len(s.coords)) if s.starts[t] or s.ends[t]], default=0)
+    index, ind = {}, "    "
+    for t, c in enumerate(s.coords):
+        lo, hi = s.starts[t] or "", "%s + 1" % s.ends[t] if s.ends[t] else ""
+        if t >= cut:
+            index[c] = "%s:%s" % (lo, hi)
+            continue
+        out.append("%sfor %s in range(%s%s):" % (
+            ind, c, lo + ", " if lo else "", hi or "out.shape[%d]" % s.axes[t]))
+        ind, index[c] = ind + "    ", c
+    src = [c for c in s.source if c in s.coords[cut:]]
+    perm = tuple(src.index(c) for c in s.dest if c in s.coords[cut:])
+    out.append("%sres[%s] = %s[%s]%s" % (
+        ind, ", ".join(index[c] for c in s.dest), s.of, ", ".join(index[c] for c in s.source),
+        "" if perm == tuple(sorted(perm)) else ".transpose(%s)" % (perm,)))
+
+
 def print_python(program: ir.Kernel, dtype: str) -> str:
-    """The loop program as a Python module defining ``kernel``."""
+    """The loop program as a Python module defining ``kernel`` and, when
+    the buffer is not the result, ``finish(out, res)``."""
     params = ", ".join(["out"] + [a.name for a in program.args])
     lines = ["def kernel(%s):" % params]
     # allocations follow the kernel dtype: float64 keeps the bare
@@ -171,11 +192,15 @@ def print_python(program: ir.Kernel, dtype: str) -> str:
     _block(program.body, "    ", lines)
     if len(lines) == 1:
         lines.append("    pass")
+    if program.finish:
+        lines += ["", "", "def finish(out, res):"]
+    for nest in program.finish:
+        _mirror(nest, lines)
     return "\n".join(lines) + "\n"
 
 
 def exec_kernel_source(lowered: LoweredKernel, label: Optional[str] = None):
-    """Exec the generated module and return the kernel function.
+    """Exec the generated module and return its namespace.
 
     ``label`` distinguishes kernels in tracebacks — the service layer
     passes a cache-key prefix so a failure inside one of many resident
@@ -185,14 +210,15 @@ def exec_kernel_source(lowered: LoweredKernel, label: Optional[str] = None):
     namespace: Dict[str, object] = {"np": np}
     code = compile(lowered.source, filename, "exec")
     exec(code, namespace)
-    return namespace["kernel"]
+    return namespace
 
 
 class PythonExecutable(Executable):
-    """Wraps the exec'd ``kernel`` function."""
+    """Wraps the exec'd ``kernel`` (and ``finish``) function."""
 
     def __init__(self, lowered: LoweredKernel, label: Optional[str] = None):
-        self.fn = exec_kernel_source(lowered, label)
+        namespace = exec_kernel_source(lowered, label)
+        self.fn, self.finish = namespace["kernel"], namespace.get("finish")
         self.source = lowered.source
 
     def bind(

@@ -3,8 +3,9 @@
 The :class:`BoundKernel` separates *preparation* (building fibertree views,
 transposed dense copies, dimension resolution — the data rearrangement the
 paper excludes from its timings) from *execution* (the generated loops) and
-*finalization* (transposing the output view back and replicating the
-canonical triangle — likewise excluded from the paper's timings).
+*finalization* (the generated ``finish`` entry point: the layout restore
+and the mirror of the canonical region — likewise excluded from the
+paper's timings).
 
 Execution has one path: an :class:`ExecutionPlan` binds a prepared
 argument set to the backend's executable
@@ -41,7 +42,6 @@ from repro.codegen.runtime import (
     REDUCE_IDENTITY,
     make_output,
     np_dtype,
-    replicate_output,
 )
 from repro.core.config import resolve_threads
 from repro.obs import metrics as obs_metrics
@@ -156,6 +156,7 @@ class ExecutionPlan:
         "_identity",
         "_sources",
         "_observed",
+        "_result",
     )
 
     def __init__(
@@ -209,6 +210,7 @@ class ExecutionPlan:
         #: the reusable output buffer every call writes into.
         self.out = out
         self._identity = identity
+        self._result: Optional[Tuple] = None
         # strong references to the original argument objects: prepare()
         # repacks inputs into new arrays, so without these the originals
         # could be collected and a same-dtype/same-shape replacement could
@@ -218,13 +220,14 @@ class ExecutionPlan:
             setting = threads if threads is not None else kernel.threads
             #: the thread count calls run with (resolved once, at plan time).
             self.threads = kernel.resolve_run_threads(setting)
-            call = kernel.executable.bind(self.out, self.prepared)
             #: sampled once, here (see the class docstring).
             self._observed = obs_trace.enabled() or obs_metrics.enabled()
-            if self._observed:
-                call = _instrumented(call)
-            self._call = call
+            self._call = self._bind(self.out)
             sp.add(threads=self.threads)
+
+    def _bind(self, out: np.ndarray):
+        call = self.kernel.executable.bind(out, self.prepared)
+        return _instrumented(call) if self._observed else call
 
     def __call__(self, threads=None) -> np.ndarray:
         """Run the kernel's loops; returns the (reused) output buffer."""
@@ -249,13 +252,23 @@ class ExecutionPlan:
         )
 
     def finalized(self) -> np.ndarray:
-        """Run once and finalize (layout transpose-back + replication).
-
-        Convenience for callers that want end-to-end results; note the
-        result may alias the plan's buffer when no transform is needed —
-        copy it before the next call if it must outlive one.
-        """
-        return self.kernel.finalize(self())
+        """Run once and finish into a buffer the plan owns from the first
+        call on, valid until the next ``finalized()`` (:attr:`out`, where
+        it is the result).  A symmetric output in the identity layout runs
+        a second binding into that buffer and is mirrored in place there;
+        :attr:`out` keeps its raw-buffer contract."""
+        if self._result is None:
+            spec, out = self.kernel.lowered.output, self.out
+            if self.kernel.executable.finish is None:
+                self._result = (self._call, out, out)
+            elif spec.layout != tuple(range(spec.ndim)):
+                self._result = (self._call, out, np.empty(self.output_shape, out.dtype))
+            else:
+                res = make_output(out.shape, spec.reduce_op, out.dtype)
+                self._result = (self._bind(res), res, res)
+        call, out, res = self._result
+        call(self.threads)
+        return self.kernel.finish(out, res)
 
 
 class BoundKernel:
@@ -430,13 +443,21 @@ class BoundKernel:
             self, prepared, output_shape, threads, out, identity, sources
         )
 
-    def finalize(self, out: np.ndarray) -> np.ndarray:
-        """Undo the output layout permutation and replicate triangles."""
+    def finish(self, out: np.ndarray, res: Optional[np.ndarray] = None) -> np.ndarray:
+        """The result of the raw buffer *out*, written into *res* (``None``:
+        a new array; *out*: in place where the layout is the identity) by
+        the program's ``finish``, which mirrors in place unless it restores
+        a layout; *out* itself when there is none."""
+        call = self.executable.finish
+        if call is None:
+            return out if out.ndim == 0 else np.ascontiguousarray(out)
         layout = self.lowered.output.layout
-        if layout != tuple(range(len(layout))):
-            out = np.transpose(out, np.argsort(layout))
-        if self.lowered.output.replication_parts:
-            out = replicate_output(out, self.lowered.output.replication_parts)
-        if out.ndim == 0:
-            return out
-        return np.ascontiguousarray(out)
+        if layout != tuple(range(out.ndim)):
+            if res is None or res is out:
+                res = np.empty([out.shape[t] for t in np.argsort(layout)], out.dtype)
+        elif res is None:
+            res = out.copy()
+        elif res is not out:
+            np.copyto(res, out)
+        call(out, res)
+        return res

@@ -32,6 +32,8 @@ allocations and a ``body`` of top-level statements):
 * :class:`ClearOut` — the first statement of every kernel body: reset
   the canonical region of ``out`` (what the nests accumulate into) to
   the reduction identity, one contiguous run per leading coordinate.
+* :class:`MirrorOut` — a nest of the second entry point, ``finish``:
+  the layout restore and the mirror of a symmetric output.
 * :class:`Fused` / :class:`Tiled` / :class:`Blocked` /
   :class:`Parallel` — products of the loop phases, made at render time
   and never persisted.
@@ -43,8 +45,8 @@ Expressions carry their type (``INT`` / ``ELEM`` / ``ROW``) in the node:
 
 The vocabulary is closed because the traffic is: the 74 lowerings of
 the render corpus (13 library + extension kernels x 2 dtypes as SySTeC
-and naive, plus 11 user einsums x 2 dtypes) print only eight Python
-statement kinds — 832 ``Assign`` (74 of them the output clears), 286
+and naive, plus 11 user einsums x 2 dtypes) print, in ``kernel`` (``finish``
+adds slice copies and ``.transpose``), only eight Python statement kinds — 832 ``Assign`` (74 of them the output clears), 286
 ``AugAssign``, 302 ``For``, 70 ``If``, 76 ``Expr`` (52 ``.fill``, 24
 ``np.copyto``), 10 ``While`` + 10 ``Continue``, 4 ``Break`` — and eight
 call forms (``range``, ``np.empty``, ``.fill``, ``np.copyto``, ``min``,
@@ -352,6 +354,24 @@ class ClearOut:
 
 
 @dataclass(frozen=True)
+class MirrorOut:
+    """A nest of the finish entry point (paper §4.2.2): ``coords[k]`` runs
+    over axis ``axes[k]`` of ``out`` from ``starts[k]`` through ``ends[k]``
+    (``None``: 0, the extent), and ``res[dest]`` becomes ``<of>[source]``:
+    the restore of the canonical region from ``out`` where the layout
+    moves an axis, or a mirror of it within ``res`` (which may be ``out``).
+    """
+
+    coords: Tuple[Name, ...]
+    axes: Tuple[int, ...]
+    starts: Tuple[Optional[Name], ...]
+    ends: Tuple[Optional[Name], ...]
+    source: Tuple[Name, ...]
+    dest: Tuple[Name, ...]
+    of: Literal["out", "res"]
+
+
+@dataclass(frozen=True)
 class Fused:
     """A run of adjacent row ``+=`` updates sharing one element loop.
 
@@ -459,6 +479,8 @@ class Kernel:
     args: Tuple[Union[Array, Dim], ...]
     preamble: Tuple[Union[WorkspaceAlloc, LutDef], ...]
     body: Tuple[Stmt, ...]
+    #: the finish entry point's nests: none when the buffer is the result
+    finish: Tuple[MirrorOut, ...] = ()
 
 
 # ----------------------------------------------------------------------

@@ -76,6 +76,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations, product
 from functools import cached_property
 from typing import Dict, List, Literal as Lit, Mapping, Optional, Sequence, Tuple, Union
 
@@ -103,6 +104,7 @@ from repro.codegen.loopir import (
     Load,
     LoweringError,
     LutDef,
+    MirrorOut,
     Out,
     ROW,
     Reduce,
@@ -385,6 +387,40 @@ class Lowerer:
             tuple(names[:last]), tuple(end(t) for t in range(last)), end(last), value
         )
 
+    def _finish(self) -> Tuple[MirrorOut, ...]:
+        """The finish entry point (none when the buffer is the result): the
+        canonical region restored from ``out`` in layout order where that
+        is not the logical one, then each other permutation of the
+        replication groups mirrored within ``res``.  An axis is bounded by
+        its nearest chain neighbours looped outside it (a chain: its
+        group's axes, largest first)."""
+        spec = self.output
+        groups = [sorted(p) for p in spec.replication_parts if len(p) > 1]
+        identity = spec.layout == tuple(range(spec.ndim))
+        if not groups and identity:
+            return ()
+        position = {m: t for t, m in enumerate(spec.layout)}
+        names = [loopir.Name("a%d" % m) for m in range(spec.ndim)]
+
+        def nest(order, chains, of) -> MirrorOut:
+            rank, bounds, source = {m: k for k, m in enumerate(order)}, {}, list(names)
+            for group, chain in zip(groups, chains):
+                for k, m in enumerate(chain):
+                    source[group[k]] = names[m]
+                    above = [names[q] for q in chain[:k] if rank[q] < rank[m]]
+                    below = [names[q] for q in chain[k + 1:] if rank[q] < rank[m]]
+                    bounds[m] = (below[0] if below else None, above[-1] if above else None)
+            return MirrorOut(
+                tuple(names[m] for m in order), tuple(position[m] for m in order),
+                *zip(*[bounds.get(m, (None, None)) for m in order]),
+                tuple(source[m] for m in (spec.layout if of == "out" else order)),
+                tuple(names), of,
+            )
+
+        chains = [c for c in product(*map(permutations, groups)) if list(map(list, c)) != groups]
+        restore = () if identity else (nest(spec.layout, groups, "out"),)
+        return restore + tuple(nest(range(spec.ndim), c, "res") for c in chains)
+
     # ------------------------------------------------------------------
     # view construction
     # ------------------------------------------------------------------
@@ -456,6 +492,7 @@ class Lowerer:
             + tuple(Dim(name) for name in sorted(self.dims)),
             preamble=tuple(self.preamble),
             body=tuple(body),
+            finish=self._finish(),
         )
         loopir.verify(program)
         return LoweredKernel(

@@ -212,7 +212,10 @@ def plan_kernel(
 #: call; a v10 program never clears, so it must not run under it.
 #: v12: the persisted options lost the ``lookup_table`` field (every
 #: SySTeC plan is built with the table).
-STATE_VERSION = 12
+#: v13: the loop program carries ``finish`` (``MirrorOut`` nests), the
+#: entry point that replaced the executor's numpy transpose and mirror; a
+#: v12 program has none, so its results would come back unfinished.
+STATE_VERSION = 13
 
 
 @dataclass(frozen=True)
@@ -445,8 +448,11 @@ class CompiledKernel:
         )
 
     def finalize(self, out: np.ndarray) -> np.ndarray:
-        """Untimed post-processing: output transpose-back + replication."""
-        return self.bound.finalize(out)
+        """The logical result of the raw buffer *out*, in a new array
+        (*out* itself where it is the result already): the program's
+        ``finish`` entry point restores the layout and mirrors the
+        canonical region (§4.2.2; outside the paper's timed region)."""
+        return self.bound.finish(out)
 
     def finalize_view(self, out: np.ndarray):
         """Symmetry-aware finalization (the paper's future-work item 3):
@@ -465,7 +471,8 @@ class CompiledKernel:
 
     def __call__(self, **tensors) -> np.ndarray:
         prepared, shape = self.prepare(**tensors)
-        return self.finalize(self.run(prepared, shape))
+        out = self.run(prepared, shape)
+        return self.bound.finish(out, out)
 
 
 def compile_kernel(

@@ -41,7 +41,9 @@ from repro.frontend.parser import parse_assignment
 #: v8: the material changed shape once, to that enumeration.
 #: v9: every SySTeC plan gets the lookup table of Section 4.2.5 (it was
 #: an option before), so an unchanged request builds a different program.
-KEY_VERSION = 9
+#: v10: a program whose buffer is not its result carries its ``finish``
+#: entry point (layout restore and mirror), which the executor calls.
+KEY_VERSION = 10
 
 #: one parse per einsum text: every service hit canonicalizes its spec, and
 #: an :class:`Assignment` is immutable (a failed parse is never cached)

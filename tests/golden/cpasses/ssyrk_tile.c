@@ -66,3 +66,13 @@ int64_t kernel(double *restrict out,
     }
     return rp_status;
 }
+
+void finish(const double *out, const int64_t *restrict out_dims, volatile double *res)
+{
+    int64_t a0, a1;
+    for (a0 = 0; a0 < out_dims[0]; ++a0) {
+        for (a1 = a0; a1 < out_dims[1]; ++a1) {
+            res[(a0) * out_dims[1] + a1] = res[(a1) * out_dims[0] + a0];
+        }
+    }
+}

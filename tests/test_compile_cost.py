@@ -618,6 +618,35 @@ def test_a_compiler_refusing_the_vector_width_keeps_the_other_flags(monkeypatch)
             assert ctoolchain.VECTOR_WIDTH in accepting.object_flags(omp, wide)
 
 
+def test_a_timed_out_probe_build_is_retried_not_read_as_a_refused_flag(monkeypatch):
+    """A ``cc`` that times out on the first trivial build (a loaded host,
+    an armed fault) is asked again: the probe still settles on
+    ``-mprefer-vector-width=512``, one retried build later, and ``cc``
+    never runs."""
+    calls = []
+
+    def run_cc(cc, flags, src, out, timeout=None):
+        calls.append(flags)
+        if len(calls) == 1:
+            raise ctoolchain.ToolchainTimeout("injected: cc timed out")
+
+    class Probe:
+        def repro_probe(self):
+            return 42
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ctoolchain, "_run_cc", run_cc)
+        patch.setattr(ctoolchain, "CC_BACKOFF", 0.0)
+        patch.setattr(ctoolchain.ctypes, "CDLL", lambda path: Probe())
+        ctoolchain.reset_probe_cache()
+        try:
+            tc = ctoolchain._try_probe("cc")
+        finally:
+            ctoolchain.reset_probe_cache()
+    assert calls[0] == calls[1] and len(calls) == 2
+    assert ctoolchain.VECTOR_WIDTH in tc.flags
+
+
 #: a 128-bit division: ``gcc`` calls libgcc's ``__divti3`` for it
 HELPER_SOURCE = """#include <stdint.h>
 int64_t repro_div(int64_t a, int64_t b) { return (int64_t) ((__int128) a * a / b); }

@@ -24,6 +24,7 @@ from repro.kernels.library import get_kernel
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from tests.conftest import make_symmetric_matrix
+from tests.test_codegen_kernels import build_inputs
 
 HAVE_CC = get_backend("c").is_available()
 
@@ -94,6 +95,35 @@ def test_plan_reuses_one_output_buffer(rng, backend):
     second = plan()
     assert first is second  # same buffer, refilled per call
     assert first is plan.out
+
+
+@pytest.mark.parametrize("name, n", (("ssyrk", 160), ("ttm", 40)))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_finalized_keeps_one_result_and_one_shot_results_are_fresh(rng, backend, name, n):
+    """A second ``finalized()`` returns the buffer the first one did and
+    allocates less than one output while it runs (an identity layout and
+    one the finish restores); two ``kernel(...)`` results never share
+    memory, with each other or with a plan."""
+    import tracemalloc
+
+    spec = get_kernel(name)
+    kernel = spec.compile(options=DEFAULT.but(backend=backend))
+    inputs = build_inputs(rng, spec, n=n)
+    plan = kernel.execution_plan(**inputs)
+    first = plan.finalized()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        second = plan.finalized()
+        grown = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert second is first
+    assert grown < plan.out.nbytes
+    results = [kernel(**inputs) for _ in range(2)]
+    assert results[0].tobytes() == results[1].tobytes() == first.tobytes()
+    for a, b in ((results[0], results[1]), (results[0], first), (results[1], plan.out)):
+        assert not np.shares_memory(a, b)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -33,6 +33,7 @@ from repro.codegen import loopir as ir
 from repro.codegen.passes import run_pipeline
 from repro.core.compiler import compile_kernel
 from repro.core.config import DEFAULT
+from tests.conftest import make_symmetric_tensor
 from tests.test_differential import ALL_SPECS, HAVE_CC, fuzz_inputs
 from tests.test_tensor_prepare_cost import ADVERSARIAL_SPLITS
 
@@ -230,8 +231,42 @@ _SANITIZED = textwrap.dedent(
     print("split property clean", flush=True)
     prepare.test_the_native_3_mode_split_is_the_numpy_split_byte_for_byte()
     print("split 3-mode property clean", flush=True)
+
+    # the finish entry points: SSYRK's in-place mirror, TTM's layout restore
+    # and mirror, each against the gather of the raw buffer
+    from repro.codegen.runtime import replicate_output
+    from tests.test_staging import FINISHED_KERNELS, FINISH_RANKS, FINISH_SIDES, finish_inputs
+
+    for name in FINISHED_KERNELS:
+        kernel = ALL_SPECS[name].compile(options=DEFAULT.but(backend="c"))
+        output = kernel.lowered.output
+        for side in FINISH_SIDES:
+            for rank in FINISH_RANKS:
+                args = finish_inputs(name, side, rank)
+                plan = kernel.execution_plan(**args)
+                raw = plan().copy()
+                logical = np.transpose(raw, np.argsort(output.layout))
+                want = replicate_output(logical, output.replication_parts).tobytes()
+                assert kernel(**args).tobytes() == want, (name, side, rank)
+                assert plan.finalized().tobytes() == plan.finalized().tobytes() == want
+                assert kernel.finalize(raw).tobytes() == want, (name, side, rank)
+                print(name, side, rank, "finished", flush=True)
     """
 )
+
+#: the kernels whose finish entry point the sanitized run covers, at these
+#: sides and ranks (SSYRK's: the columns of its operand)
+FINISHED_KERNELS = ("ssyrk", "ttm")
+FINISH_SIDES = (1, 63, 64, 65)
+FINISH_RANKS = (5, 16)
+
+
+def finish_inputs(name: str, side: int, rank: int) -> dict:
+    """Sparse operands of SSYRK or TTM with an output of side *side*."""
+    rng = np.random.default_rng(side * 100 + rank)
+    if name == "ssyrk":
+        return {"A": rng.standard_normal((side, rank)) * (rng.random((side, rank)) < 0.3)}
+    return {"A": make_symmetric_tensor(rng, side, 3, 0.01), "B": rng.standard_normal((side, rank))}
 
 #: the register-blocked library kernels the sanitized run covers (and the
 #: 1-D staged output of VECTOR_OUT)
@@ -272,3 +307,6 @@ def test_staged_kernels_run_clean_under_sanitizers(tmp_path):
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-6000:]
     assert done.stdout.count(" ok") == (len(SANITIZED_KERNELS) + 1) * len(RANKS)
     assert done.stdout.count(" clean") == len(ADVERSARIAL_SPLITS) + 2
+    assert done.stdout.count(" finished") == (
+        len(FINISHED_KERNELS) * len(FINISH_SIDES) * len(FINISH_RANKS)
+    )

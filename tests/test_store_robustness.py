@@ -269,7 +269,7 @@ def test_a_v8_entry_is_evicted_never_rebound_against_narrow_arrays(tmp_path):
     from repro.codegen.backends.c import INDEX_DECLARATION
     from repro.codegen.backends.objects import ObjectCache
 
-    assert STATE_VERSION == 12
+    assert STATE_VERSION == 13
     options = DEFAULT.but(backend="c", threads=1)
     kernel = KernelService(store=tmp_path).get_or_compile(EINSUM, options=options, **SPEC)
     key = cache_key(EINSUM, options=options, **SPEC)

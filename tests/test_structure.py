@@ -26,6 +26,10 @@ from the test that setting them changes nothing.
 
 The knob table (``core/config.py``) is the one module that reads the
 process environment.
+
+A kernel's result is finished by its program (the ``finish`` entry point
+mirrors and restores it); the numpy gather ``replicate_output`` is only
+the reference oracle's and the lazy symmetric view's.
 """
 
 import ast
@@ -239,3 +243,28 @@ def _environment_readers(root):
 def test_the_knob_table_is_the_only_environment_reader():
     assert ENVIRONMENT_READ.search(CONFIG.read_text())
     assert _environment_readers(SOURCE) == []
+
+
+#: the modules that may finish a symmetric output outside generated code:
+#: the reference oracle and the lazy view.  Every kernel result is finished
+#: by its program's ``finish`` entry point (paper §4.2.2).
+GATHER_CALLERS = {"codegen/reference.py", "tensor/symmetric_view.py"}
+
+
+def _gather_calls(root):
+    """``path:line`` of every call of ``replicate_output`` in a module
+    under *root*."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = getattr(node, "func", None)
+            name = getattr(name, "id", getattr(name, "attr", None))
+            if isinstance(node, ast.Call) and name == "replicate_output":
+                found.append("%s:%d" % (path.relative_to(root).as_posix(), node.lineno))
+    return found
+
+
+def test_only_the_oracle_and_the_view_call_the_replication_gather():
+    calls = _gather_calls(SOURCE)
+    assert [call for call in calls if call.split(":")[0] not in GATHER_CALLERS] == []
+    assert {call.split(":")[0] for call in calls} == GATHER_CALLERS
