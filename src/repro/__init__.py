@@ -17,8 +17,8 @@ for the evaluation's datasets and :mod:`repro.bench` for the paper's
 figure drivers.
 
 For repeated compilation the :class:`KernelService` facade caches compiled
-kernels by content address (in memory and optionally on disk) and executes
-request batches with amortized preparation::
+kernels by content address (in memory and optionally on disk); a caller
+that runs one input set again holds its ``execution_plan``::
 
     from repro import KernelService
 
@@ -42,8 +42,6 @@ from repro.core.verify import verify_plan_coverage
 from repro.frontend.einsum import Access, Assignment, Literal
 from repro.frontend.parser import parse_assignment
 from repro.service import (
-    BatchRequest,
-    BatchResult,
     DiskStore,
     KernelService,
     LRUKernelCache,
@@ -59,8 +57,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Access",
     "Assignment",
-    "BatchRequest",
-    "BatchResult",
     "COO",
     "CompiledKernel",
     "ExecutionPlan",

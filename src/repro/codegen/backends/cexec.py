@@ -255,8 +255,8 @@ class CExecutable(Executable):
             exe = self.wide()
             argv, keep = exe._marshal(out, arrays)
         # the runtime thread count rides last; ctypes releases the GIL
-        # around the call, so batch fan-out threads and OpenMP teams of
-        # distinct kernels genuinely overlap
+        # around the call, so plans called from distinct Python threads
+        # and their OpenMP teams genuinely overlap
         nthreads = ctypes.c_int64(1)
         argv.append(nthreads)
         packed = tuple(argv)

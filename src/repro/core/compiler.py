@@ -403,8 +403,8 @@ class CompiledKernel:
         kernel consumes.
 
         Every entry to the generated loops passes through here
-        (``kernel(...)``, :meth:`execution_plan`, ``service.batch``, the
-        daemon's ``execute``): a missing, wrong-arity, complex-dtype or
+        (``kernel(...)``, :meth:`execution_plan`, the daemon's
+        ``execute``): a missing, wrong-arity, complex-dtype or
         mismatched-extent argument raises
         :class:`~repro.frontend.validate.ValidationError` (a
         ``ValueError``) before any view is built.  Returns

@@ -10,11 +10,11 @@ checked where:
   :func:`validate_semiring`: the combine operator is annihilated by the
   sparse fill value;
 * at prepare (:meth:`repro.core.compiler.CompiledKernel.prepare`, hence
-  ``kernel(...)``, ``execution_plan``, ``service.batch`` and the daemon's
-  ``execute``) — :func:`validate_inputs`: every input present, real
-  dtype, the access's arity, one extent per index, equal sizes across
-  symmetric modes.  It reads shapes and dtypes only, and the extents it
-  returns are the ones the output shape is built from.
+  ``kernel(...)``, ``execution_plan`` and the daemon's ``execute``) —
+  :func:`validate_inputs`: every input present, real dtype, the access's
+  arity, one extent per index, equal sizes across symmetric modes.  It
+  reads shapes and dtypes only, and the extents it returns are the ones
+  the output shape is built from.
 
 Not checked anywhere: that a tensor declared symmetric really holds
 symmetric values (an O(nnz) check, open in ROADMAP 5(a)).

@@ -16,8 +16,7 @@ Instrumented sites across the service layer then feed the process-wide
   ``.linear`` / ``.lexsort_fallback``, ``serve.bytes_in`` /
   ``.bytes_out`` (daemon frame bytes) …
 * histograms — ``service.compile_seconds``, ``plan.dispatch_seconds``,
-  ``serve.request_seconds``, ``batch.requests`` /
-  ``batch.queue_depth`` …
+  ``serve.request_seconds`` …
 
 ``registry().to_dict()`` is the JSON payload ``repro stats --json``
 serves (merged into ``ServiceStats``) — and the shape the ``repro

@@ -764,10 +764,13 @@ class KernelServer:
         if not pooled:
             entry = self.plans.admit(request.key, tensors, kernel)
         try:
-            # copy before releasing: finalize may return a view of the
-            # plan's reusable buffer, which the next caller overwrites
-            # while this reply still waits to be framed
-            result = np.array(entry.kernel.finalize(entry.plan()), order="C")
+            out = entry.plan()
+            result = entry.kernel.finalize(out)
+            # a kernel whose buffer is its result hands back the plan's
+            # reusable buffer, which the next caller overwrites while this
+            # reply still waits to be framed: copy that one only
+            if np.may_share_memory(result, out):
+                result = result.copy()
         finally:
             self.plans.release(entry)
         obs_metrics.inc("serve.executes")

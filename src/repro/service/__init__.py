@@ -1,4 +1,4 @@
-"""repro.service — content-addressed compile cache + batch execution.
+"""repro.service — content-addressed compile cache.
 
 The paper's driver recompiles every einsum from scratch; this subsystem
 is what turns the reproduction into something that can serve traffic:
@@ -10,10 +10,7 @@ is what turns the reproduction into something that can serve traffic:
 * :mod:`repro.service.store` — an on-disk store of persisted kernel
   states, rehydrated without re-running the pass pipeline;
 * :mod:`repro.service.engine` — the :class:`KernelService` facade
-  (``get_or_compile`` / ``warmup`` / ``stats`` / ``invalidate`` /
-  ``batch``);
-* :mod:`repro.service.batch` — batched execution with per-kernel and
-  per-input-set amortization and optional thread-pool fan-out.
+  (``get_or_compile`` / ``warmup`` / ``stats`` / ``invalidate``).
 
 Quickstart::
 
@@ -24,18 +21,17 @@ Quickstart::
         "y[i] += A[i, j] * x[j]", symmetric={"A": True}, loop_order=("j", "i")
     )
     y = ssymv(A=A, x=x)          # identical result to compile_kernel(...)
+    plan = ssymv.execution_plan(A=A, x=x)   # hold it: each call runs
+    y = ssymv.finalize(plan())              # the loops and nothing else
     print(service.stats().describe())
 """
 
-from repro.service.batch import BatchRequest, BatchResult, run_batch
 from repro.service.cache import CacheStats, LRUKernelCache
 from repro.service.engine import KernelService, ServiceStats, WarmupReport
 from repro.service.keys import CompileRequest, cache_key, canonicalize
 from repro.service.store import DiskStore, StoreEntry
 
 __all__ = [
-    "BatchRequest",
-    "BatchResult",
     "CacheStats",
     "CompileRequest",
     "DiskStore",
@@ -46,5 +42,4 @@ __all__ = [
     "WarmupReport",
     "cache_key",
     "canonicalize",
-    "run_batch",
 ]

@@ -5,8 +5,9 @@ that compiles more than a handful of kernels: it content-addresses every
 compile request (:mod:`repro.service.keys`), serves repeats from an
 in-memory LRU (:mod:`repro.service.cache`), optionally persists compiled
 kernels to disk (:mod:`repro.service.store`) so later *processes* skip the
-pass pipeline too, and executes request batches with amortized
-preparation (:mod:`repro.service.batch`).
+pass pipeline too.  A caller that runs one input set again holds the
+kernel's :meth:`~repro.core.compiler.CompiledKernel.execution_plan`:
+preparation is paid once, each call runs the loops.
 
 Lookup path on ``get_or_compile``:  memory LRU -> disk store (rehydrate +
 promote into memory) -> cold compile (insert into both).
@@ -33,7 +34,6 @@ from repro.faults.spec import FaultError
 from repro.frontend.einsum import Assignment
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.service.batch import BatchRequest, BatchResult, run_batch
 from repro.service.cache import CacheStats, LRUKernelCache
 from repro.service.keys import CompileRequest, canonicalize
 from repro.service.store import DiskStore
@@ -114,7 +114,7 @@ class WarmupReport:
 
 
 class KernelService:
-    """Content-addressed compile cache + batch execution engine.
+    """Content-addressed compile cache: memory LRU, disk store, compiler.
 
     Parameters
     ----------
@@ -123,22 +123,17 @@ class KernelService:
     store:
         a :class:`DiskStore`, a directory path to create one in, or
         ``None`` for a memory-only service.
-    workers:
-        default thread-pool width for :meth:`batch` (``None`` = run
-        batches sequentially unless the call overrides it).
     """
 
     def __init__(
         self,
         capacity: int = 128,
         store: Union[DiskStore, str, Path, None] = None,
-        workers: Optional[int] = None,
     ):
         self.cache = LRUKernelCache(capacity)
         if store is not None and not isinstance(store, DiskStore):
             store = DiskStore(store)
         self.store: Optional[DiskStore] = store
-        self.workers = workers
         self._compiles = 0
         self._lock = threading.Lock()
         #: single-flight guard: key -> Event set when the leader finishes.
@@ -287,13 +282,6 @@ class KernelService:
             )
         return kernel
 
-    def is_cached(self, key: str) -> bool:
-        """Is *key* resident in memory or on disk?  (No counter side
-        effects — used by the batch engine to report hit provenance.)"""
-        if key in self.cache:
-            return True
-        return self.store is not None and key in self.store
-
     # ------------------------------------------------------------------
     # management
     # ------------------------------------------------------------------
@@ -377,21 +365,4 @@ class KernelService:
             disk_misses=store.misses if store is not None else 0,
             disk_errors=store.errors if store is not None else 0,
             disk_entries=len(store) if store is not None else 0,
-        )
-
-    # ------------------------------------------------------------------
-    # batch execution
-    # ------------------------------------------------------------------
-    def batch(
-        self,
-        requests: Sequence[BatchRequest],
-        workers: Optional[int] = None,
-    ) -> List[BatchResult]:
-        """Execute a batch of requests with amortized compile + prepare.
-
-        See :func:`repro.service.batch.run_batch`; ``workers`` defaults to
-        the service-wide setting.
-        """
-        return run_batch(
-            self, requests, self.workers if workers is None else workers
         )

@@ -29,7 +29,6 @@ from repro.core.config import (
 )
 from repro.kernels.library import KERNELS, get_kernel
 from repro.service import KernelService
-from repro.service.batch import BatchRequest, _group_threads
 from repro.service.keys import cache_key
 from tests.test_codegen_kernels import build_inputs
 
@@ -283,7 +282,7 @@ def test_threads_is_a_reserved_tensor_name(rng):
 
 
 # ----------------------------------------------------------------------
-# service layer: single-flight compilation, batch composition
+# service layer: single-flight compilation, plans across Python threads
 # ----------------------------------------------------------------------
 def test_concurrent_get_or_compile_compiles_once(monkeypatch):
     from repro.service import keys as keys_mod
@@ -349,39 +348,35 @@ def test_failed_leader_lets_a_waiter_retry(monkeypatch):
     assert len(attempts) >= 2
 
 
-def test_batch_divides_threads_across_workers():
-    kernel = compile_kernel(
-        "y[i] += A[i, j] * x[j]",
-        symmetric={"A": True},
-        options=DEFAULT.but(backend="python", threads=8),
-    )
-    assert _group_threads(kernel, workers=None) is None
-    assert _group_threads(kernel, workers=1) is None
-    assert _group_threads(kernel, workers=4) == 2
-    assert _group_threads(kernel, workers=16) == 1
-
-
 @needs_cc
-def test_batch_with_workers_and_threads_matches_sequential(rng):
-    from tests.conftest import make_symmetric_matrix
-
-    service = KernelService(capacity=8)
-    A = make_symmetric_matrix(rng, 24, 0.4)
-    x = rng.random(24)
-    requests = [
-        BatchRequest(
-            einsum="y[i] += A[i, j] * x[j]",
-            tensors={"A": A, "x": x},
-            symmetric={"A": True},
-            options=C_OPTS.but(threads=2),
-            tag=i,
-        )
-        for i in range(6)
+def test_plans_called_from_python_threads_match_a_sequential_run(rng):
+    """Six held Bellman-Ford plans at ``threads=2``, two per plain Python
+    thread: ctypes releases the GIL around each call, so the threads'
+    OpenMP teams overlap, and every result is the sequential one byte
+    for byte."""
+    spec = get_kernel("bellmanford")
+    kernel = spec.compile(options=C_OPTS.but(threads=2))
+    plans = [
+        kernel.execution_plan(**build_inputs(rng, spec, n=96)) for _ in range(6)
     ]
-    seq = service.batch(requests, workers=1)
-    par = service.batch(requests, workers=3)
-    for a, b in zip(seq, par):
-        np.testing.assert_array_equal(a.output, b.output)
+    assert [plan.threads for plan in plans] == [2 if HAVE_OMP else 1] * 6
+    expected = [kernel.finalize(plan()).tobytes() for plan in plans]
+    got = [[] for _ in plans]
+
+    def worker(mine):
+        for _ in range(25):
+            for i in mine:
+                got[i].append(kernel.finalize(plans[i]()).tobytes())
+
+    workers = [
+        threading.Thread(target=worker, args=((k, k + 3),)) for k in range(3)
+    ]
+    for thread in workers:
+        thread.start()
+    for thread in workers:
+        thread.join()
+    for i, results in enumerate(got):
+        assert results == [expected[i]] * 25, "plan %d diverged" % i
 
 
 # ----------------------------------------------------------------------

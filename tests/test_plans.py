@@ -86,15 +86,23 @@ def test_bound_kernel_plan_entry_point(rng, backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_plan_reuses_one_output_buffer(rng, backend):
+def test_plan_reuses_one_output_buffer(rng, backend, monkeypatch):
     kernel = _ssymv(backend)
     A = make_symmetric_matrix(rng, 10, 0.6)
     x = rng.random(10)
+    prepares = []
+    real_prepare = kernel.bound.prepare
+    monkeypatch.setattr(
+        kernel.bound,
+        "prepare",
+        lambda **tensors: prepares.append(sorted(tensors)) or real_prepare(**tensors),
+    )
     plan = kernel.execution_plan(A=A, x=x)
     first = plan()
     second = plan()
     assert first is second  # same buffer, refilled per call
     assert first is plan.out
+    assert prepares == [["A", "x"]]  # one prepare per held plan, none per call
 
 
 @pytest.mark.parametrize("name, n", (("ssyrk", 160), ("ttm", 40)))
@@ -249,6 +257,8 @@ def test_plan_identity_distinguishes_recast_tensors(rng):
     assert ident != plan_identity({"x": x.astype(np.float32)})
     assert ident != plan_identity({"x": x.reshape(2, 4)})
     assert ident == plan_identity({"x": x})
+    A = make_symmetric_matrix(rng, 6, 0.5)
+    assert plan_identity({"A": A}) != plan_identity({"A": A.astype(np.float32)})
 
 
 def test_plan_pins_its_source_objects(rng):

@@ -25,6 +25,7 @@ import pytest
 from repro import faults
 from repro.cli import _synth_inputs
 from repro.core.config import CompilerOptions
+from repro.kernels.library import get_kernel
 from repro.serve import daemon as serve_daemon
 from repro.serve import protocol
 from repro.serve.client import RemoteReplyError, RemoteUnavailable, ServiceClient
@@ -144,6 +145,48 @@ def test_plan_pool_reuses_warm_plans(tmp_path, rng):
     assert r1["plan_pooled"] is False
     assert r2["plan_pooled"] is True
     assert server.plans.hits == 1
+
+
+def _library_request(name):
+    spec = get_kernel(name)
+    return canonicalize(
+        spec.einsum,
+        symmetric=dict(spec.symmetric),
+        loop_order=spec.loop_order,
+        formats=dict(spec.formats),
+    )
+
+
+def test_execute_copies_a_result_only_when_it_is_the_plans_buffer(tmp_path, rng):
+    server = KernelServer(tmp_path / "unused.sock", KernelService())
+    try:
+        # SSYRK's finish writes a new array: the reply sends that one
+        request = _library_request("ssyrk")
+        tensors = {"A": rng.random((300, 300)) * (rng.random((300, 300)) < 0.05)}
+        server._execute(request, tensors)  # admits the plan
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            reply = server._execute(request, tensors)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert reply["plan_pooled"] is True
+        assert peak <= 1.1 * 300 * 300 * 8, peak
+
+        # SSYMV's buffer is its result: the reply owns a copy of it
+        request = _library_request("ssymv")
+        tensors = {"A": make_symmetric_matrix(rng, 40, 0.3), "x": rng.random(40)}
+        reply = server._execute(request, tensors)
+        sent = bytes(reply["result"]["data"])
+        entry = server.plans.acquire(request.key, tensors)
+        entry.plan.out.fill(-1.0)  # what the next call's reset writes
+        PlanPool.release(entry)
+        assert bytes(reply["result"]["data"]) == sent
+        assert server._execute(request, tensors)["plan_pooled"] is True
+        assert bytes(reply["result"]["data"]) == sent
+    finally:
+        server._pool.shutdown()
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,10 @@ process environment.
 A kernel's result is finished by its program (the ``finish`` entry point
 mirrors and restores it); the numpy gather ``replicate_output`` is only
 the reference oracle's and the lazy symmetric view's.
+
+There is no batch engine: a caller with many input sets holds one
+``execution_plan`` per set, so nothing spells the deleted batch API, and
+the daemon's request pool is the package's only thread pool.
 """
 
 import ast
@@ -268,3 +272,30 @@ def test_only_the_oracle_and_the_view_call_the_replication_gather():
     calls = _gather_calls(SOURCE)
     assert [call for call in calls if call.split(":")[0] not in GATHER_CALLERS] == []
     assert {call.split(":")[0] for call in calls} == GATHER_CALLERS
+
+
+#: the deleted batch engine's API: its request type, its runner, its
+#: module and the service method
+BATCH_ENGINE = re.compile(r"BatchRequest|run_batch|repro\.service\.batch|\.batch\(")
+
+
+def test_nothing_spells_the_batch_engine():
+    assert _spellings(REPO, BATCH_ENGINE, {}) == []
+
+
+#: the one module that may start a thread pool: the daemon, whose
+#: ``--workers`` threads serve requests
+POOL_OWNER = "serve/daemon.py"
+
+
+def _pool_users(root):
+    """The modules under *root* that spell ``ThreadPoolExecutor``."""
+    return {
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
+        if "ThreadPoolExecutor" in path.read_text()
+    }
+
+
+def test_only_the_daemon_starts_a_thread_pool():
+    assert _pool_users(SOURCE) == {POOL_OWNER}

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro import BatchRequest, KernelService
 from repro.core.compiler import compile_kernel
 from repro.core.config import DEFAULT
 from repro.frontend.parser import parse_assignment
@@ -151,17 +150,6 @@ def test_bad_arguments_raise_before_any_view_is_built(
         lambda: kernel(**tensors),
         lambda: kernel.prepare(**tensors),
         lambda: kernel.execution_plan(**tensors),
-        lambda: KernelService().batch(
-            [
-                BatchRequest(
-                    "y[i] += A[i, j] * x[j]",
-                    tensors,
-                    symmetric={"A": True},
-                    loop_order=("j", "i"),
-                    options=DEFAULT.but(backend=backend),
-                )
-            ]
-        ),
     )
     for entry in entries:
         with pytest.raises(ValidationError, match=message):
